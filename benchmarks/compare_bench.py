@@ -10,11 +10,10 @@ executed run, same configuration as
 ``BENCH_chaos.json`` (seeded fault-injection soak; all keys are
 deterministic counts, compared exactly), ``BENCH_ckpt.json``
 (checkpoint snapshot bytes -- deterministic, exact -- plus save/restore
-wall-clock), ``BENCH_e2e.json`` (whole-run executed speedup, plans on
-vs off, same configuration as :mod:`repro.bench.e2ebench`),
-``BENCH_overlap.json`` (phased interior/surface overlap: executed
-bit-identity plus the modelled strong-scaling hidden-communication
-fractions, same configuration as :mod:`repro.bench.overlapbench`) and
+wall-clock), ``BENCH_overlap.json`` (phased interior/surface overlap:
+executed bit-identity plus the modelled strong-scaling
+hidden-communication fractions, same configuration as
+:mod:`repro.bench.overlapbench`) and
 ``BENCH_elastic.json`` (elastic restart: re-brick bytes and the
 end-to-end 8-to-6-rank recovery, all deterministic counts except the
 ``rebrick_s`` timing; see :mod:`repro.elastic.bench`) -- and walks
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -58,7 +56,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: baseline file stem -> measurement function name (resolved lazily so
 #: ``--fresh`` diffs need no importable repro package at all)
 SUITES = ("BENCH_plan", "BENCH_trace", "BENCH_chaos", "BENCH_ckpt",
-          "BENCH_e2e", "BENCH_overlap", "BENCH_elastic")
+          "BENCH_overlap", "BENCH_elastic")
 
 
 def _ensure_repro_importable() -> None:
@@ -91,9 +89,6 @@ def measure_plan(quick: bool = False) -> Dict[str, Any]:
     import numpy as np
 
     from repro.brick.decomp import BrickDecomp
-    from repro.core.driver import run_executed
-    from repro.core.problem import StencilProblem
-    from repro.hardware.profiles import generic_host
     from repro.stencil.brick_kernels import apply_brick_stencil
     from repro.stencil.kernels import apply_array_stencil
     from repro.stencil.plan import compile_array_plan, compile_brick_plan
@@ -142,37 +137,6 @@ def measure_plan(quick: bool = False) -> Dict[str, Any]:
         "generic_s": t_generic,
         "planned_s": t_planned,
         "speedup": t_generic / t_planned,
-    }
-
-    problem = StencilProblem(
-        global_extent=(32, 32, 32), rank_dims=(2, 2, 2),
-        stencil=SEVEN_POINT, brick_dim=brick, ghost=ghost,
-    )
-    host = generic_host()
-    steps = 8  # exact-compared configuration key; identical in quick mode
-
-    def run(use_plans: bool) -> float:
-        t0 = time.perf_counter()
-        run_executed(problem, "layout", host, timesteps=steps,
-                     use_plans=use_plans)
-        return time.perf_counter() - t0
-
-    # Warmup both arms, then interleave samples and report medians so the
-    # whole-run gate is not noise-bound (run-to-run drift hits both arms).
-    run(True)
-    run(False)
-    reps = 3 if quick else 5
-    on_s, off_s = [], []
-    for _ in range(reps):
-        on_s.append(run(True))
-        off_s.append(run(False))
-    t_on = statistics.median(on_s)
-    t_off = statistics.median(off_s)
-    results["run_executed_layout"] = {
-        "timesteps": steps,
-        "plans_on_s": t_on,
-        "plans_off_s": t_off,
-        "speedup": t_off / t_on,
     }
     return results
 
@@ -243,19 +207,6 @@ def measure_ckpt(quick: bool = False) -> Dict[str, Any]:
     return measure_ckpt_stats(quick=quick)
 
 
-def measure_e2e(quick: bool = False) -> Dict[str, Any]:
-    """Re-measure ``BENCH_e2e.json``: whole-run speedup, plans on vs off.
-
-    The end-to-end gate for the run-plan layer; ``bit_identical`` and the
-    configuration/count keys are exact-compared, the ``speedup`` carries
-    the tolerance band.  See :mod:`repro.bench.e2ebench`.
-    """
-    _ensure_repro_importable()
-    from repro.bench.e2ebench import measure_e2e_stats
-
-    return measure_e2e_stats(quick=quick)
-
-
 def measure_overlap(quick: bool = False) -> Dict[str, Any]:
     """Re-measure ``BENCH_overlap.json``: phased overlap efficiency.
 
@@ -291,7 +242,6 @@ MEASURERS: Dict[str, Callable[[bool], Dict[str, Any]]] = {
     "BENCH_trace": measure_trace,
     "BENCH_chaos": measure_chaos,
     "BENCH_ckpt": measure_ckpt,
-    "BENCH_e2e": measure_e2e,
     "BENCH_overlap": measure_overlap,
     "BENCH_elastic": measure_elastic,
 }

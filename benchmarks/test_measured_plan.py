@@ -11,7 +11,6 @@ at least 2x faster in steady state.
 """
 
 import json
-import statistics
 import time
 from pathlib import Path
 
@@ -19,9 +18,6 @@ import numpy as np
 import pytest
 
 from repro.brick.decomp import BrickDecomp
-from repro.core.driver import run_executed
-from repro.core.problem import StencilProblem
-from repro.hardware.profiles import generic_host
 from repro.stencil.brick_kernels import apply_brick_stencil
 from repro.stencil.kernels import apply_array_stencil
 from repro.stencil.plan import compile_array_plan, compile_brick_plan
@@ -115,40 +111,4 @@ def test_bench_array_plan(record):
         "generic_s": t_generic,
         "planned_s": t_planned,
         "speedup": t_generic / t_planned,
-    }
-
-
-def test_bench_executed_run(record):
-    """Secondary: full run_executed wall time, plans on vs off (recorded,
-    not gated -- exchange/conversion overhead dilutes the kernel win)."""
-    problem = StencilProblem(
-        global_extent=(32, 32, 32),
-        rank_dims=(2, 2, 2),
-        stencil=SEVEN_POINT,
-        brick_dim=BRICK,
-        ghost=GHOST,
-    )
-    host = generic_host()
-    steps = 8
-
-    def run(use_plans):
-        t0 = time.perf_counter()
-        run_executed(problem, "layout", host, timesteps=steps, use_plans=use_plans)
-        return time.perf_counter() - t0
-
-    # Warmup both arms (kernel compilation, plan templates, allocator
-    # pools), then interleave the timed samples and take medians: the
-    # whole-run numbers feed a CI gate, so they must not be noise-bound.
-    run(True)
-    run(False)
-    on_s, off_s = [], []
-    for _ in range(5):
-        on_s.append(run(True))
-        off_s.append(run(False))
-    t_on, t_off = statistics.median(on_s), statistics.median(off_s)
-    record["run_executed_layout"] = {
-        "timesteps": steps,
-        "plans_on_s": t_on,
-        "plans_off_s": t_off,
-        "speedup": t_off / t_on,
     }

@@ -21,9 +21,9 @@ along two axes:
   almost nothing hides, and the committed aggregate (~0.68) captures
   that curve.
 
-Measurement discipline matches :mod:`repro.bench.e2ebench`: one untimed
-warmup run per arm doubles as the bit-identity check, then the arms are
-sampled interleaved and reported as per-arm medians.  No ``speedup`` key
+Measurement discipline: one untimed warmup run per arm doubles as the
+bit-identity check, then the arms are sampled interleaved and reported
+as per-arm medians.  No ``speedup`` key
 is emitted for the executed arm -- the simulated fabric delivers
 messages instantly, so phasing is about protocol correctness and the
 modelled overlap economics, not in-process wall clock.

@@ -2,11 +2,11 @@
 
 Every executable exchange method can be constructed *plan-only*: no
 storage arena, no wire buffers, no fabric traffic -- just the message
-schedule derived from geometry (see ``Exchanger.message_plan``).  This
-module mirrors the driver's per-rank setup (`_make_exchanger` plus the
-brick decomposition it feeds) closely enough that the verified schedule
-is the executed schedule, while staying cheap enough to run ahead of
-every job.
+schedule derived from geometry (see ``Exchanger.message_plan``).  The
+exchangers come from :func:`repro.exchange.make_exchanger`, the same
+factory the driver and its degradation ladder build through, with
+``buffer=None``: the verified schedule is built by the code that runs,
+while staying cheap enough to run ahead of every job.
 """
 
 from __future__ import annotations
@@ -15,15 +15,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.brick.decomp import BrickDecomp, SlotAssignment
-from repro.core.methods import MethodInfo, method_info
+from repro.core.methods import method_info, resolve_page_size
 from repro.core.problem import StencilProblem
+from repro.exchange import make_exchanger
 from repro.exchange.base import Exchanger, RankMessagePlan
-from repro.exchange.brickpack import BrickPackExchanger
-from repro.exchange.layout_ex import LayoutExchanger
-from repro.exchange.memmap_ex import MemMapExchanger
-from repro.exchange.mpitypes import MPITypesExchanger
-from repro.exchange.pack import PackExchanger
-from repro.exchange.shift import ShiftExchanger
 from repro.faults.errors import ExchangeConfigError
 from repro.hardware.profiles import MachineProfile, generic_host
 from repro.simmpi.comm import CartComm, SimComm
@@ -52,49 +47,6 @@ class RankGeometry:
     page_size: Optional[int]  # memmap only
 
 
-def _plan_only_exchanger(
-    info: MethodInfo,
-    cart: CartComm,
-    problem: StencilProblem,
-    profile: MachineProfile,
-    page_size: int,
-):
-    """Mirror of the driver's ``_make_exchanger``, with no buffers."""
-    ext, g = problem.subdomain_extent, problem.ghost
-    if info.base in ("yask", "yask_ol"):
-        ex = PackExchanger(cart, None, ext, g, profile, dtype=problem.dtype)
-        return ex, None, None, None
-    if info.base == "mpi_types":
-        ex = MPITypesExchanger(
-            cart, None, ext, g, profile, dtype=problem.dtype
-        )
-        return ex, None, None, None
-    if info.base == "shift":
-        ex = ShiftExchanger(cart, None, ext, g, profile, dtype=problem.dtype)
-        return ex, None, None, None
-    decomp = BrickDecomp(
-        ext, problem.brick_dim, g, problem.layout, problem.dtype
-    )
-    if info.base == "memmap":
-        asn = decomp.assignment(decomp.alignment_for_page(page_size))
-        ex = MemMapExchanger(cart, decomp, None, asn, profile, page_size)
-        return ex, decomp, asn, page_size
-    asn = decomp.assignment(1)
-    if info.base in ("layout", "basic"):
-        ex = LayoutExchanger(
-            cart, decomp, None, asn, profile,
-            merge_runs=(info.base == "layout"),
-        )
-        return ex, decomp, asn, None
-    if info.base == "brickpack":
-        ex = BrickPackExchanger(cart, decomp, None, asn, profile)
-        return ex, decomp, asn, None
-    raise ExchangeConfigError(
-        f"method {info.name!r} is not statically checkable; checkable"
-        f" methods are {CHECKABLE_METHODS}"
-    )
-
-
 def build_rank_geometries(
     problem: StencilProblem,
     method: str,
@@ -108,35 +60,34 @@ def build_rank_geometries(
     exchanger the driver would build, and its static
     :class:`~repro.exchange.base.RankMessagePlan`.
     """
-    if method == "brickpack":
-        # The ladder rung is not a user-selectable method name; give it a
-        # synthetic MethodInfo so the same dispatch covers it.
-        info = MethodInfo(
-            "brickpack", None, True, False, True, False, "brick"
+    # "brickpack" is the ladder's last rung, not a user-selectable
+    # method name: it has a base name but no MethodInfo.
+    info = None if method == "brickpack" else method_info(method)
+    base = info.base if info is not None else method
+    if base not in CHECKABLE_METHODS:
+        raise ExchangeConfigError(
+            f"method {method!r} is not statically checkable;"
+            f" checkable methods are {CHECKABLE_METHODS}"
         )
-    else:
-        info = method_info(method)
-        if info.base not in CHECKABLE_METHODS:
-            raise ExchangeConfigError(
-                f"method {method!r} is not statically checkable;"
-                f" checkable methods are {CHECKABLE_METHODS}"
-            )
     profile = profile or generic_host()
-    page = page_size or (
-        profile.gpu.page_size
-        if info.is_gpu and profile.gpu
-        else profile.page_size
-    )
+    decomp = asn = page = None
+    if info is None or info.uses_bricks:
+        decomp = problem.brick_decomp()
+        if base == "memmap":
+            page = resolve_page_size(info, profile, page_size)
+            asn = decomp.assignment(decomp.alignment_for_page(page))
+        else:
+            asn = decomp.assignment(1)
     fabric = SimFabric(problem.nranks)
     periods = [problem.periodic] * problem.ndim
     out: List[RankGeometry] = []
     for rank in range(problem.nranks):
         cart = SimComm(fabric, rank).Create_cart(problem.rank_dims, periods)
-        ex, decomp, asn, pg = _plan_only_exchanger(
-            info, cart, problem, profile, page
+        ex = make_exchanger(
+            base, cart, problem, profile, None, decomp, asn, page
         )
         out.append(
-            RankGeometry(rank, cart, ex, ex.message_plan(), decomp, asn, pg)
+            RankGeometry(rank, cart, ex, ex.message_plan(), decomp, asn, page)
         )
     return out
 

@@ -108,14 +108,8 @@ class DirtyTracker:
     def __init__(self, nslots: int) -> None:
         self._dirty = np.zeros(int(nslots), dtype=bool)
 
-    def mark_range(self, start: int, nslots: int) -> None:
-        self._dirty[start : start + nslots] = True
-
     def mark_slots(self, slots) -> None:
         self._dirty[np.asarray(slots, dtype=np.int64)] = True
-
-    def mark_all(self) -> None:
-        self._dirty[:] = True
 
     def clear(self) -> None:
         self._dirty[:] = False
@@ -265,13 +259,6 @@ class RankCheckpointer:
         self.saved_bytes = 0
 
     # ------------------------------------------------------------------
-    def chunk_views(self, storage) -> List[Tuple[str, np.ndarray]]:
-        """Zero-copy ``(name, uint8 view)`` pairs over *storage*'s arena."""
-        return [
-            (spec.name, storage.slot_bytes(spec.start_slot, spec.nslots))
-            for spec in self.specs
-        ]
-
     def save(
         self,
         epoch: int,

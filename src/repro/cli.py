@@ -230,28 +230,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro.bench.e2ebench import measure_e2e_stats
-
-    stats = measure_e2e_stats(quick=args.quick)
-    doc = stats["run_executed_layout"]
-    out = args.json
-    if out:
-        with open(out, "w") as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out}")
-    print(
-        f"run_executed_layout ({doc['timesteps']} steps,"
-        f" {doc['kernel_backend']} kernels): plans on"
-        f" {doc['plans_on_s']:.3f}s, off {doc['plans_off_s']:.3f}s ->"
-        f" {doc['speedup']:.2f}x, bit_identical={doc['bit_identical']}"
-    )
-    return 0 if doc["bit_identical"] else 1
-
-
 def _cmd_bench_overlap(args) -> int:
     import json
 
@@ -629,16 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measured performance baselines")
     bsub = p.add_subparsers(dest="bench_cmd", required=True)
-    bp = bsub.add_parser(
-        "e2e",
-        help="whole-run executed speedup, plans on vs off (BENCH_e2e.json)",
-    )
-    bp.add_argument("--quick", action="store_true",
-                    help="fewer repetitions (same configuration)")
-    bp.add_argument("--json", metavar="PATH", default="BENCH_e2e.json",
-                    help="output JSON path (default BENCH_e2e.json;"
-                         " '' to skip writing)")
-    bp.set_defaults(fn=_cmd_bench)
     bp = bsub.add_parser(
         "overlap",
         help="phased interior/surface overlap efficiency"

@@ -8,15 +8,23 @@ timesteps with a chosen exchange method.  Each rank is a thread in the
 figure benches also use), while the run additionally verifies itself: the
 assembled global result must equal the serial periodic reference
 bit-for-bit.
+
+This module sets a run up and never steps time itself.  Each rank builds
+one :class:`_RankState` -- the two buffers, the compiled stencil plan per
+cycle position, the checkpoint chunk layout -- from either storage kind
+(:func:`_array_state`, :func:`_brick_state`), binds it with the exchange
+engines into a :class:`~repro.core.runplan.RankRunPlan`, attaches the
+requested features as step hooks (crash check, checkpoint save,
+degradation vote, envelope retry, dirty tracking) and replays the plan.
+Every run, whatever is switched on, goes through that one loop.
 """
 
 from __future__ import annotations
 
-import math
 import time
 import zlib
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,20 +33,19 @@ from repro.brick.convert import (
     conversion_scratch,
     extended_to_bricks,
 )
-from repro.brick.decomp import BrickDecomp
 from repro.core.expansion import (
     brick_cycle_slots,
     depths_for_period,
     margins_for_period,
+    resolve_period,
 )
-from repro.core.methods import MethodInfo, method_info
+from repro.core.methods import MethodInfo, method_info, resolve_page_size
 from repro.core.metrics import RankMetrics, RunMetrics
 from repro.core.model import (
     compute_time,
     compute_time_table,
     exchange_breakdown,
     make_transport,
-    model_timestep,
     _schedules,
 )
 from repro.core.problem import StencilProblem
@@ -63,29 +70,22 @@ from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.faults.runtime import FaultInjector
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
-from repro.exchange.base import ExchangeChannel
-from repro.exchange.brickpack import BrickPackExchanger
+from repro.exchange import make_exchanger
+from repro.exchange.base import ExchangeChannel, ExchangeResult
 from repro.exchange.costs import overlap_times
-from repro.exchange.layout_ex import LayoutExchanger
-from repro.exchange.memmap_ex import MemMapExchanger
-from repro.exchange.mpitypes import MPITypesExchanger
-from repro.exchange.pack import PackExchanger
-from repro.exchange.shift import ShiftExchanger
 from repro.hardware.profiles import MachineProfile, generic_host
 from repro.simmpi.collectives import allreduce
 from repro.simmpi.comm import SimComm
 from repro.simmpi.fabric import SimFabric
 from repro.simmpi.launcher import run_spmd, run_spmd_restartable
-from repro.stencil.brick_kernels import apply_brick_stencil
-from repro.stencil.kernels import apply_array_stencil, owned_slices
+from repro.stencil.kernels import owned_slices
 from repro.stencil.plan import (
     compile_array_phase_plans,
     compile_array_plan,
     compile_brick_phase_plans,
     compile_brick_plan,
-    plans_enabled,
 )
-from repro.util.timing import PhaseTimer, TimeBreakdown
+from repro.util.timing import TimeBreakdown
 
 __all__ = ["ExecutedRun", "run_executed"]
 
@@ -128,33 +128,190 @@ class ExecutedRun:
         return self.hidden_comm_s / total if total > 0.0 else 0.0
 
 
-def _make_exchanger(
-    info: MethodInfo,
-    cart,
+def _close_all(resources: Sequence) -> None:
+    """Close whatever in *resources* has a ``close`` (views, arenas)."""
+    for res in resources:
+        close = getattr(res, "close", None)
+        if close:
+            close()
+
+
+@dataclass
+class _SnapshotLayout:
+    """How a rank state is checkpointed: its chunks and what dirties them."""
+
+    chunk_specs: List[ChunkSpec]
+    key: Tuple[int, int]  # (slot alignment, total slots) in the problem key
+    chunks: list  # per buffer: (name, zero-copy uint8 view) pairs
+    ghost_slots: Sequence[int]  # slots an exchange rewrites
+    dirty_slots: list  # slots the calc of each cycle position rewrites
+    adjacency_crc: int = 0  # fingerprint of the brick layout permutation
+
+
+@dataclass
+class _RankState:
+    """One rank's double-buffered field, for either storage kind.
+
+    What the run plan steps (``buffers``, ``plans``), what the cost
+    model prices (``computed_points``), how the checkpointer sees it
+    (``snapshot_layout``), plus the exchangers currently bound to the
+    buffers.  Built by :func:`_array_state` or :func:`_brick_state`;
+    nothing downstream asks which.
+    """
+
+    buffers: list  # the two extended arrays / BrickStorages
+    plans: list  # compiled stencil plan per cycle position
+    computed_points: List[int]  # stencil points evaluated per position
+    # () -> ((interior plan, surface plan) of position 0, interior points)
+    compile_split: Callable[[], Tuple[tuple, int]]
+    snapshot_layout: Callable[[], _SnapshotLayout]  # checkpointed runs only
+    fill: Callable[[np.ndarray], None]  # owned initial values into buffer 0
+    result: Callable[[int], np.ndarray]  # copy of buffer i's owned region
+    make_exchanger: Callable  # (method base name, buffer) -> Exchanger
+    exchangers: list = field(default_factory=list)
+    ladder_level: Optional[int] = None  # None: no degradation ladder
+
+    def close(self) -> None:
+        """Unmap the views and release the arenas.
+
+        A raw ``munmap``: only safe once no peer can still be reading a
+        send buffer this rank posted, i.e. after the world's threads
+        have joined (see :func:`run_executed`).
+        """
+        _close_all(self.exchangers)
+        _close_all(self.buffers)
+        self.exchangers = []
+
+
+def _array_state(
+    problem: StencilProblem, period: int, cart, profile: MachineProfile
+) -> _RankState:
+    ext, g, spec = problem.subdomain_extent, problem.ghost, problem.stencil
+    margins = margins_for_period(period, spec.radius, g)
+    shape = tuple(e + 2 * g for e in reversed(ext))
+    own = owned_slices(ext, g)
+    arrays = [np.zeros(shape, dtype=problem.dtype) for _ in range(2)]
+
+    def fill(owned: np.ndarray) -> None:
+        arrays[0][own] = owned
+
+    def compile_split():
+        split = compile_array_phase_plans(
+            spec, ext, g, margins[0], problem.dtype
+        )
+        return split, split[0].cells if split[0] is not None else 0
+
+    return _RankState(
+        buffers=arrays,
+        plans=[
+            compile_array_plan(spec, ext, g, m, problem.dtype) for m in margins
+        ],
+        computed_points=[int(np.prod([e + 2 * m for e in ext])) for m in margins],
+        compile_split=compile_split,
+        # The whole extended subdomain (ghost margins included) is one
+        # chunk, rewritten by every step; the margins make mid-cycle
+        # restores of period>1 runs self-contained.
+        snapshot_layout=lambda: _SnapshotLayout(
+            chunk_specs=[ChunkSpec("array", 0, 1)],
+            key=(1, 1),
+            chunks=[[("array", a.reshape(-1).view(np.uint8))] for a in arrays],
+            ghost_slots=(),
+            dirty_slots=[[0]] * period,
+        ),
+        fill=fill,
+        result=lambda src: arrays[src][own].copy(),
+        make_exchanger=lambda base, array: make_exchanger(
+            base, cart, problem, profile, array
+        ),
+    )
+
+
+def _brick_state(
     problem: StencilProblem,
+    info: MethodInfo,
+    period: int,
+    cart,
     profile: MachineProfile,
-    array: Optional[np.ndarray],
-    brick_state: Optional[tuple],
-    page_size: Optional[int],
-):
-    ext, g = problem.subdomain_extent, problem.ghost
-    if info.base in ("yask", "yask_ol"):
-        return PackExchanger(cart, array, ext, g, profile)
-    if info.base == "mpi_types":
-        return MPITypesExchanger(cart, array, ext, g, profile)
-    if info.base == "shift":
-        return ShiftExchanger(cart, array, ext, g, profile)
-    decomp, storage, assignment = brick_state
-    if info.base in ("layout", "basic"):
-        return LayoutExchanger(
-            cart, decomp, storage, assignment, profile,
-            merge_runs=(info.base == "layout"),
-        )
+    page: int,
+) -> _RankState:
+    ext, g, spec = problem.subdomain_extent, problem.ghost, problem.stencil
+    decomp = problem.brick_decomp()
     if info.base == "memmap":
-        return MemMapExchanger(
-            cart, decomp, storage, assignment, profile, page_size
+        sa, asn = decomp.mmap_alloc(page)
+        sb, _ = decomp.mmap_alloc(page)
+    else:
+        sa, asn = decomp.allocate()
+        sb, _ = decomp.allocate()
+    storages = [sa, sb]
+    binfo = decomp.brick_info(asn)
+    cycle_slots = brick_cycle_slots(
+        decomp, asn, spec.radius, depths_for_period(period, decomp.width)
+    )
+    shape = tuple(e + 2 * g for e in reversed(ext))
+    own = owned_slices(ext, g)
+
+    def fill(owned: np.ndarray) -> None:
+        tmp = np.zeros(shape, dtype=problem.dtype)
+        tmp[own] = owned
+        extended_to_bricks(tmp, decomp, sa, asn)
+
+    def result(src: int) -> np.ndarray:
+        return bricks_to_extended(
+            decomp, storages[src], asn, out=conversion_scratch(decomp)
+        )[own].copy()
+
+    def compile_split():
+        # Interior bricks are the slots whose adjacency references no
+        # ghost-section slot.
+        split = compile_brick_phase_plans(
+            spec, binfo, asn, cycle_slots[0], 0, problem.dtype
         )
-    raise ValueError(f"method {info.name!r} is model-only and cannot execute")
+        interior = len(split[0].slots) if split[0] is not None else 0
+        return split, interior * decomp.brick_volume
+
+    def snapshot_layout() -> _SnapshotLayout:
+        # Section-granular snapshots of the src storage only: the
+        # ghost-expansion invariant (bricks read at cycle position pos+1
+        # were computed at pos) means the dst buffer never contributes
+        # bytes a resumed run could read.
+        specs = storage_chunks(asn)
+        return _SnapshotLayout(
+            chunk_specs=specs,
+            key=(asn.alignment, asn.total_slots),
+            chunks=[
+                [(c.name, st.slot_bytes(c.start_slot, c.nslots)) for c in specs]
+                for st in storages
+            ],
+            ghost_slots=np.concatenate(
+                [
+                    np.arange(s.start, s.end)
+                    for s in asn.sections
+                    if s.kind == "ghost"
+                ]
+            ),
+            dirty_slots=cycle_slots,
+            adjacency_crc=zlib.crc32(
+                np.ascontiguousarray(binfo.adjacency).tobytes()
+            ),
+        )
+
+    return _RankState(
+        buffers=storages,
+        # Fused gather tables, persistent halo/accumulator buffers and
+        # the specialized batch kernel, built once per cycle position.
+        plans=[
+            compile_brick_plan(spec, binfo, slots, 0, problem.dtype)
+            for slots in cycle_slots
+        ],
+        computed_points=[len(s) * decomp.brick_volume for s in cycle_slots],
+        compile_split=compile_split,
+        snapshot_layout=snapshot_layout,
+        fill=fill,
+        result=result,
+        make_exchanger=lambda base, storage: make_exchanger(
+            base, cart, problem, profile, storage, decomp, asn, page
+        ),
+    )
 
 
 # Degradation ladder for MemMap runs: when the mapping machinery fails
@@ -165,85 +322,117 @@ def _make_exchanger(
 _LADDER = ("memmap", "basic", "brickpack")
 
 
-def _ladder_exchanger(level, cart, profile, decomp, storage, assignment, page):
-    if level == 0:
-        return MemMapExchanger(cart, decomp, storage, assignment, profile, page)
-    if level == 1:
-        return LayoutExchanger(
-            cart, decomp, storage, assignment, profile, merge_runs=False
+def _demote(level: int, rank: int, injector, counters: dict, step: int) -> int:
+    """Account one collective step down the ladder; returns the new level."""
+    if level + 1 >= len(_LADDER):
+        raise RuntimeError(
+            "degradation ladder exhausted: even brick packing failed"
         )
-    return BrickPackExchanger(cart, decomp, storage, assignment, profile)
+    counters["demotions"] += 1
+    if injector is not None:
+        injector.record("demoted", src=rank, step=step)
+    if _METRICS.enabled:
+        _METRICS.count("faults.demoted", 1, rank=rank)
+        _METRICS.gauge("exchange.ladder_level", level + 1, rank=rank)
+    return level + 1
 
 
-def _build_ladder(
-    cart, level, profile, decomp, storages, assignment, page,
-    injector, counters, step,
-):
-    """Build exchangers at *level*, demoting collectively on failure.
+def _build_ladder(cart, state: _RankState, level, injector, counters, step):
+    """Bind *state* to exchangers at *level*, demoting collectively on
+    failure.
 
     Every rank votes (allreduce-max) on whether any construction failed;
     demotion is all-or-none so peers always run wire-compatible engines.
-    Returns ``(exchangers, level)``.
     """
-    rank = cart.rank
     while True:
         built = []
         try:
-            for st in storages:
-                built.append(
-                    _ladder_exchanger(
-                        level, cart, profile, decomp, st, assignment, page
-                    )
-                )
+            for buf in state.buffers:
+                built.append(state.make_exchanger(_LADDER[level], buf))
             failed = 0
         except (OSError, ValueError):
             failed = 1
         if not int(allreduce(cart, np.asarray(failed), np.maximum)):
-            return built, level
-        for ex in built:
-            close = getattr(ex, "close", None)
-            if close:
-                close()
-        if level + 1 >= len(_LADDER):
-            raise RuntimeError(
-                "degradation ladder exhausted: even brick packing failed"
-            )
-        level += 1
-        counters["demotions"] += 1
-        if injector is not None:
-            injector.record("demoted", src=rank, step=step)
-        if _METRICS.enabled:
-            _METRICS.count("faults.demoted", 1, rank=rank)
-            _METRICS.gauge("exchange.ladder_level", level, rank=rank)
+            state.exchangers, state.ladder_level = built, level
+            return
+        _close_all(built)
+        level = _demote(level, cart.rank, injector, counters, step)
 
 
-def _vmem_probe_failed(storage, page: int) -> bool:
+def _vmem_probe_failed(storage) -> bool:
     """Try the cheapest possible stitched view; True when mapping fails."""
     try:
-        view = storage.make_view([(0, page)])
+        view = storage.make_view([(0, storage.arena.page_size)])
     except OSError:
         return True
     view.close()
     return False
 
 
-def _exchange_with_retry(comm, exchanger, t, envelope, retry, injector):
-    """One exchange, healed by bounded retry-with-backoff.
+def _ladder_vote(cart, state: _RankState, injector, counters, t, src) -> bool:
+    """Degradation vote: a rank whose mapping machinery fails a live
+    probe asks for demotion; allreduce-max keeps every rank on the same
+    (wire-compatible) engine.  True when the exchangers were rebuilt."""
+    rank = cart.rank
+    want = 0
+    if (
+        injector is not None
+        and state.ladder_level + 1 < len(_LADDER)
+        and injector.degrade_due(rank, t)
+    ):
+        with injector.vmem_armed("view_map_chunk"):
+            if _vmem_probe_failed(state.buffers[src]):
+                injector.record("vmem_fault", src=rank, step=t)
+                want = 1
+    if not int(allreduce(cart, np.asarray(want), np.maximum)):
+        return False
+    _close_all(state.exchangers)
+    level = _demote(state.ladder_level, rank, injector, counters, t)
+    _build_ladder(cart, state, level, injector, counters, t)
+    return True
+
+
+def _crash_check(comm: SimComm, injector: FaultInjector, t: int) -> None:
+    rank = comm.rank
+    comm.fabric.heartbeat(rank)
+    if injector.death_due(rank, t):
+        # Permanent node loss, checked before the crash: death wins.
+        # Marking the fabric makes peers targeting this rank fail
+        # fast with the same typed error instead of timing out.
+        comm.fabric.mark_dead(rank)
+        raise RankDeadError(
+            f"rank {rank} died permanently at step {t} (scheduled by"
+            f" fault plan seed {injector.plan.seed})"
+        )
+    if injector.crash_due(rank, t):
+        raise InjectedCrashError(
+            f"rank {rank} crashed at step {t} (scheduled by fault plan"
+            f" seed {injector.plan.seed})"
+        )
+
+
+def _exchange_with_retry(
+    comm: SimComm,
+    fire: Callable[[], ExchangeResult],
+    t: int,
+    retry: RetryPolicy,
+    injector: Optional[FaultInjector],
+) -> ExchangeResult:
+    """One enveloped exchange, healed by bounded retry-with-backoff.
 
     Safe because detected faults leave a pristine retransmit queued and
     the envelope fabric makes whole-exchange retries idempotent (posts
     suppressed, deliveries replayed); see DESIGN.md.
     """
     rank = comm.rank
-    if envelope:
-        comm.set_epoch(t)
+    comm.set_epoch(t)
     try:
         attempt = 0
         while True:
             try:
-                result = exchanger.exchange()
+                result = fire()
             except (ExchangeIntegrityError, ExchangeTimeoutError):
-                if retry is None or attempt >= retry.max_retries:
+                if attempt >= retry.max_retries:
                     raise
                 if injector is not None:
                     injector.record("retry", src=rank, step=t)
@@ -254,8 +443,7 @@ def _exchange_with_retry(comm, exchanger, t, envelope, retry, injector):
                 injector.record("healed", src=rank, step=t)
             return result
     finally:
-        if envelope:
-            comm.set_epoch(None)
+        comm.set_epoch(None)
 
 
 def _modelled_totals(
@@ -330,10 +518,11 @@ def _modelled_totals(
     return totals, hidden_total
 
 
+
 def _ckpt_meta(
     t: int,
     counters: dict,
-    timer: PhaseTimer,
+    measured: TimeBreakdown,
     ladder_level,
     period: int,
     adjacency_crc: int,
@@ -343,7 +532,7 @@ def _ckpt_meta(
     return {
         "step": int(t),
         "counters": {k: int(v) for k, v in counters.items()},
-        "measured": timer.breakdown.as_dict(),
+        "measured": measured.as_dict(),
         "ladder_level": ladder_level,
         "period": int(period),
         "adjacency_crc": int(adjacency_crc),
@@ -354,7 +543,7 @@ def _ckpt_meta(
 def _ckpt_apply_meta(
     meta: dict,
     counters: dict,
-    timer: PhaseTimer,
+    measured: TimeBreakdown,
     period: int,
     adjacency_crc: int,
     injector: Optional[FaultInjector],
@@ -371,7 +560,8 @@ def _ckpt_apply_meta(
             " rebuilt BrickInfo"
         )
     counters.update({k: int(v) for k, v in meta["counters"].items()})
-    timer.breakdown = TimeBreakdown(**meta["measured"])
+    for phase, seconds in meta["measured"].items():
+        setattr(measured, phase, seconds)
     if injector is not None:
         injector.mark_fired(meta.get("fired_crashes") or ())
     return int(meta["step"])
@@ -386,458 +576,134 @@ def _rank_fn(
     seed: int,
     page_size: Optional[int],
     exchange_period,
-    use_plans: bool,
-    overlap: bool = False,
-    injector: Optional[FaultInjector] = None,
-    envelope: bool = False,
-    retry: Optional[RetryPolicy] = None,
-    degrade_enabled: bool = False,
-    ckpt: Optional[CheckpointConfig] = None,
+    overlap: bool,
+    injector: Optional[FaultInjector],
+    envelope: bool,
+    retry: Optional[RetryPolicy],
+    degrade_enabled: bool,
+    ckpt: Optional[CheckpointConfig],
+    states: List[_RankState],
 ):
     info = method_info(method)
     cart = comm.Create_cart(
         problem.rank_dims, periods=[problem.periodic] * problem.ndim
     )
-    ext = problem.subdomain_extent
-    g = problem.ghost
-    spec = problem.stencil
-
-    global_arr = problem.initial_global(seed)
-    owned = global_arr[problem.owned_slices(cart.coords)]
-    ext_shape = tuple(e + 2 * g for e in reversed(ext))
-    own_slc = owned_slices(ext, g)
-    owned_points = problem.points_per_rank
+    rank = comm.rank
+    period = resolve_period(problem, method, exchange_period)
+    if info.uses_bricks:
+        state = _brick_state(
+            problem, info, period, cart, profile,
+            resolve_page_size(info, profile, page_size),
+        )
+    else:
+        state = _array_state(problem, period, cart, profile)
+    # The launching thread closes the state once every rank has joined.
+    states.append(state)
 
     counters = {"msgs": 0, "wire": 0, "payload": 0, "maps": 0, "demotions": 0}
-    timer = PhaseTimer()  # measured wall-clock of the real kernel path
-    rank = comm.rank
+    measured = TimeBreakdown()  # wall-clock of the real kernel path
+    start_step = 0
+    resumed_epoch = -1
+    restore_level = 0
+    cp = snap = None
+    if ckpt is not None:
+        snap = state.snapshot_layout()
+        key = problem_key(problem, seed, method, *snap.key, period)
+        cp = RankCheckpointer(ckpt, rank, snap.chunk_specs, key, snap.key[1])
+        if ckpt.resume:
+            epoch = negotiate_epoch(cart, cp.verified_epochs(), allreduce)
+            if epoch >= 0:
+                # Restoring writes through the arena, so MemMap stitched
+                # views built below alias the restored bytes directly
+                # (vmem re-attach).
+                meta = cp.restore(epoch, snap.chunks[0])
+                start_step = _ckpt_apply_meta(
+                    meta, counters, measured, period, snap.adjacency_crc,
+                    injector,
+                )
+                restore_level = int(meta.get("ladder_level") or 0)
+                resumed_epoch = epoch
 
-    def crash_check(t: int) -> None:
-        if injector is None:
-            return
-        comm.fabric.heartbeat(rank)
-        if injector.death_due(rank, t):
-            # Permanent node loss, checked before the crash: death wins.
-            # Marking the fabric makes peers targeting this rank fail
-            # fast with the same typed error instead of timing out.
-            comm.fabric.mark_dead(rank)
-            raise RankDeadError(
-                f"rank {rank} died permanently at step {t} (scheduled by"
-                f" fault plan seed {injector.plan.seed})"
-            )
-        if injector.crash_due(rank, t):
-            raise InjectedCrashError(
-                f"rank {rank} crashed at step {t} (scheduled by fault plan"
-                f" seed {injector.plan.seed})"
-            )
-
-    if not info.uses_bricks:
-        period = _resolve_period(exchange_period, g // spec.radius, "element")
-        margins = margins_for_period(period, spec.radius, g)
-        computed_points = [
-            int(np.prod([e + 2 * margins[pos] for e in ext]))
-            for pos in range(period)
-        ]
-        a = np.zeros(ext_shape, dtype=problem.dtype)
-        a[own_slc] = owned
-        b = np.zeros_like(a)
-        arrays = [a, b]
-        start_step = 0
-        resumed_epoch = -1
-        cp = None
-        if ckpt is not None:
-            # Array methods snapshot the whole extended subdomain (ghost
-            # margins included) as one chunk; the margins make mid-cycle
-            # restores of period>1 runs self-contained.
-            key = problem_key(problem, seed, method, 1, 1, period)
-            cp = RankCheckpointer(
-                ckpt, rank, [ChunkSpec("array", 0, 1)], key, 1
-            )
-            if ckpt.resume:
-                epoch = negotiate_epoch(cart, cp.verified_epochs(), allreduce)
-                if epoch >= 0:
-                    meta = cp.restore(
-                        epoch, [("array", arrays[0].reshape(-1).view(np.uint8))]
-                    )
-                    start_step = _ckpt_apply_meta(
-                        meta, counters, timer, period, 0, injector
-                    )
-                    resumed_epoch = epoch
-        exchangers = [
-            _make_exchanger(info, cart, problem, profile, arr, None, page_size)
-            for arr in (a, b)
-        ]
-        # Compiled execution plans: per-step slice derivation, tap-loop
-        # temporaries and kernel dispatch all hoisted out of the loop.
-        plans = (
-            [
-                compile_array_plan(spec, ext, g, margins[pos], problem.dtype)
-                for pos in range(period)
-            ]
-            if use_plans
-            else None
-        )
-        # Exchange engines: persistent channels (negotiated once, re-fired
-        # batched every step) wherever the method and fabric allow, the
-        # per-message exchangers otherwise.  Plans off disables the whole
-        # run-plan layer, channels included.
-        engines = make_engines(
-            exchangers,
-            plans is not None and not envelope,
-            DEFAULT_PARTITIONS if overlap else 1,
-        )
-        plain_path = (
-            plans is not None
-            and injector is None
-            and cp is None
-            and not envelope
-            and not _TRACER.enabled
-            and not _METRICS.enabled
-        )
-        # Phased (interior/surface) execution needs the plain fast path
-        # plus a channel on every slot; anything else -- featured runs,
-        # channel-less methods like Shift -- falls back to the unphased
-        # loop, exactly like featured runs fall off the run plan.
-        phase_split = None
-        if (
-            overlap
-            and plain_path
-            and all(isinstance(e, ExchangeChannel) for e in engines)
-        ):
-            phase_split = compile_array_phase_plans(
-                spec, ext, g, margins[0], problem.dtype
-            )
-        overlap_points = (
-            (phase_split[0].cells if phase_split[0] is not None else 0)
-            if phase_split is not None
-            else None
-        )
-        if plain_path:
-            # Plain fast path: replay the whole run through the compiled
-            # rank plan with minimal per-step Python.
-            rp = RankRunPlan(engines, plans, arrays, period, phase_split)
-            src = rp.run(start_step, timesteps, counters, timer)
-        else:
-            src, dst = 0, 1
-            for t in range(start_step, timesteps):
-                pos = t % period
-                crash_check(t)
-                if cp is not None and ckpt.due(t, start_step):
-                    # Arrays double-buffer with no section structure, so
-                    # every snapshot rewrites the one chunk.
-                    cp.dirty.mark_all()
-                    cp.save(
-                        t,
-                        [("array", arrays[src].reshape(-1).view(np.uint8))],
-                        _ckpt_meta(
-                            t, counters, timer, None, period, 0, injector
-                        ),
-                    )
-                with _TRACER.span("driver.step", rank=rank, step=t):
-                    if pos == 0:
-                        with _TRACER.span("driver.exchange", rank=rank,
-                                          step=t, method=info.name):
-                            res = _exchange_with_retry(
-                                comm, engines[src], t, envelope, retry,
-                                injector,
-                            )
-                        counters["msgs"] += res.messages_sent
-                        counters["wire"] += res.wire_bytes_sent
-                        counters["payload"] += res.payload_bytes_sent
-                        if _METRICS.enabled:
-                            _METRICS.count("driver.exchanges", 1, rank=rank)
-                            _METRICS.count(
-                                "driver.messages", res.messages_sent,
-                                rank=rank,
-                            )
-                            _METRICS.count(
-                                "driver.wire_bytes", res.wire_bytes_sent,
-                                rank=rank,
-                            )
-                    with _TRACER.span("driver.calc", rank=rank, step=t):
-                        with timer.phase("calc"):
-                            if plans is not None:
-                                plans[pos].execute(arrays[src], arrays[dst])
-                            else:
-                                apply_array_stencil(
-                                    arrays[src], arrays[dst], spec, ext, g,
-                                    margin=margins[pos],
-                                )
-                src, dst = dst, src
-        result = arrays[src][own_slc].copy()
+    if degrade_enabled and info.base == "memmap":
+        _build_ladder(cart, state, restore_level, injector, counters, -1)
     else:
-        decomp = BrickDecomp(
-            ext, problem.brick_dim, g, problem.layout, problem.dtype
-        )
-        page = page_size or (
-            profile.gpu.page_size if info.is_gpu and profile.gpu else profile.page_size
-        )
-        if info.base == "memmap":
-            sa, asn = decomp.mmap_alloc(page)
-            sb, _ = decomp.mmap_alloc(page)
-        else:
-            sa, asn = decomp.allocate()
-            sb, _ = decomp.allocate()
-        binfo = decomp.brick_info(asn)
-        period = _resolve_period(exchange_period, decomp.width, "brick")
-        cycle_slots = brick_cycle_slots(
-            decomp, asn, spec.radius, depths_for_period(period, decomp.width)
-        )
-        computed_points = [
-            len(cycle_slots[pos]) * decomp.brick_volume
-            for pos in range(period)
-        ]
-        storages = [sa, sb]
-        start_step = 0
-        resumed_epoch = -1
-        restore_level = 0
-        cp = None
-        adjacency_crc = 0
-        ghost_ranges: List[Tuple[int, int]] = []
-        if ckpt is not None:
-            # Section-granular snapshots of the src storage only: the
-            # ghost-expansion invariant (bricks read at cycle position
-            # pos+1 were computed at pos) means the dst buffer never
-            # contributes bytes a resumed run could read.
-            key = problem_key(
-                problem, seed, method, asn.alignment, asn.total_slots, period
-            )
-            cp = RankCheckpointer(
-                ckpt, rank, storage_chunks(asn), key, asn.total_slots
-            )
-            adjacency_crc = zlib.crc32(
-                np.ascontiguousarray(binfo.adjacency).tobytes()
-            )
-            ghost_ranges = [
-                (s.start, s.nbricks)
-                for s in asn.sections
-                if s.kind == "ghost" and s.nbricks
-            ]
-            if ckpt.resume:
-                epoch = negotiate_epoch(cart, cp.verified_epochs(), allreduce)
-                if epoch >= 0:
-                    # Restoring writes through the arena, so MemMap
-                    # stitched views built below alias the restored
-                    # bytes directly (vmem re-attach).
-                    meta = cp.restore(epoch, cp.chunk_views(storages[0]))
-                    start_step = _ckpt_apply_meta(
-                        meta, counters, timer, period, adjacency_crc, injector
-                    )
-                    restore_level = int(meta.get("ladder_level") or 0)
-                    resumed_epoch = epoch
-        ladder_level = None
-        if degrade_enabled and info.base == "memmap":
-            exchangers, ladder_level = _build_ladder(
-                cart, restore_level, profile, decomp, storages, asn, page,
-                injector, counters, -1,
-            )
-        else:
-            exchangers = [
-                _make_exchanger(
-                    info, cart, problem, profile, None, (decomp, st, asn), page
-                )
-                for st in storages
-            ]
-        if resumed_epoch < 0:
-            tmp = np.zeros(ext_shape, dtype=problem.dtype)
-            tmp[own_slc] = owned
-            extended_to_bricks(tmp, decomp, sa, asn)
-        # Compiled execution plans: fused gather tables, persistent
-        # halo/accumulator buffers and the specialized batch kernel,
-        # built once per cycle position.
-        plans = (
-            [
-                compile_brick_plan(
-                    spec, binfo, cycle_slots[pos], 0, problem.dtype
-                )
-                for pos in range(period)
-            ]
-            if use_plans
-            else None
-        )
-        # Exchange engines: persistent channels where possible (see the
-        # array branch).  Rebuilt on every ladder demotion below so the
-        # replacement exchangers get channels too.
-        channels_on = plans is not None and not envelope
-        engines = make_engines(
-            exchangers, channels_on, DEFAULT_PARTITIONS if overlap else 1
-        )
-        plain_path = (
-            plans is not None
-            and injector is None
-            and cp is None
-            and ladder_level is None
-            and not envelope
-            and not _TRACER.enabled
-            and not _METRICS.enabled
-        )
-        # Phased execution: see the array branch.  Interior bricks are
-        # the slots whose adjacency references no ghost-section slot.
-        phase_split = None
-        if (
-            overlap
-            and plain_path
-            and all(isinstance(e, ExchangeChannel) for e in engines)
-        ):
-            phase_split = compile_brick_phase_plans(
-                spec, binfo, asn, cycle_slots[0], 0, problem.dtype
-            )
-        overlap_points = (
-            (
-                len(phase_split[0].slots) * decomp.brick_volume
-                if phase_split[0] is not None
-                else 0
-            )
-            if phase_split is not None
-            else None
-        )
-        if plain_path:
-            # Plain fast path: replay the whole run through the compiled
-            # rank plan with minimal per-step Python.
-            rp = RankRunPlan(engines, plans, storages, period, phase_split)
-            src = rp.run(start_step, timesteps, counters, timer)
-        else:
-            src, dst = 0, 1
-            for t in range(start_step, timesteps):
-                pos = t % period
-                crash_check(t)
-                if cp is not None and ckpt.due(t, start_step):
-                    # Placed after the crash check (a rank never snapshots
-                    # the step it dies on) and before the degradation vote
-                    # (demotion events after the snapshot refire identically
-                    # on replay, so they must not be double-counted).
-                    cp.save(
-                        t,
-                        cp.chunk_views(storages[src]),
-                        _ckpt_meta(
-                            t, counters, timer, ladder_level, period,
-                            adjacency_crc, injector,
-                        ),
-                    )
-                if pos == 0 and ladder_level is not None:
-                    # Degradation vote: a rank whose mapping machinery fails a
-                    # live probe asks for demotion; allreduce-max keeps every
-                    # rank on the same (wire-compatible) engine.
-                    want = 0
-                    if (
-                        injector is not None
-                        and ladder_level + 1 < len(_LADDER)
-                        and injector.degrade_due(rank, t)
-                    ):
-                        with injector.vmem_armed("view_map_chunk"):
-                            if _vmem_probe_failed(storages[src], page):
-                                injector.record("vmem_fault", src=rank, step=t)
-                                want = 1
-                    if int(allreduce(cart, np.asarray(want), np.maximum)):
-                        for ex in exchangers:
-                            close = getattr(ex, "close", None)
-                            if close:
-                                close()
-                        counters["demotions"] += 1
-                        if injector is not None:
-                            injector.record("demoted", src=rank, step=t)
-                        if _METRICS.enabled:
-                            _METRICS.count("faults.demoted", 1, rank=rank)
-                            _METRICS.gauge(
-                                "exchange.ladder_level", ladder_level + 1,
-                                rank=rank,
-                            )
-                        exchangers, ladder_level = _build_ladder(
-                            cart, ladder_level + 1, profile, decomp, storages,
-                            asn, page, injector, counters, t,
-                        )
-                        engines = make_engines(exchangers, channels_on)
-                with _TRACER.span("driver.step", rank=rank, step=t):
-                    if pos == 0:
-                        with _TRACER.span("driver.exchange", rank=rank, step=t,
-                                          method=info.name):
-                            res = _exchange_with_retry(
-                                comm, engines[src], t, envelope, retry,
-                                injector,
-                            )
-                        counters["msgs"] += res.messages_sent
-                        counters["wire"] += res.wire_bytes_sent
-                        counters["payload"] += res.payload_bytes_sent
-                        if _METRICS.enabled:
-                            _METRICS.count("driver.exchanges", 1, rank=rank)
-                            _METRICS.count(
-                                "driver.messages", res.messages_sent, rank=rank
-                            )
-                            _METRICS.count(
-                                "driver.wire_bytes", res.wire_bytes_sent,
-                                rank=rank,
-                            )
-                        if cp is not None:
-                            # Exchange rewrites every ghost section of the
-                            # current src buffer.
-                            for g_start, g_n in ghost_ranges:
-                                cp.dirty.mark_range(g_start, g_n)
-                    with _TRACER.span("driver.calc", rank=rank, step=t):
-                        with timer.phase("calc"):
-                            if plans is not None:
-                                plans[pos].execute(storages[src], storages[dst])
-                            else:
-                                apply_brick_stencil(
-                                    spec, storages[src], storages[dst], binfo,
-                                    cycle_slots[pos],
-                                )
-                    if cp is not None:
-                        cp.dirty.mark_slots(cycle_slots[pos])
-                src, dst = dst, src
-        if info.base == "memmap":
-            # After a demotion the live engine may have no mappings at all.
-            counters["maps"] = getattr(exchangers[0], "mapping_count", 0)
-            if _METRICS.enabled:
-                _METRICS.gauge(
-                    "memmap.regions", counters["maps"], rank=rank
-                )
-        result = bricks_to_extended(
-            decomp, storages[src], asn, out=conversion_scratch(decomp)
-        )[own_slc].copy()
-        for ex in exchangers:
-            close = getattr(ex, "close", None)
-            if close:
-                close()
-        for st in storages:
-            st.close()
+        for buf in state.buffers:
+            state.exchangers.append(state.make_exchanger(info.base, buf))
+    if resumed_epoch < 0:
+        state.fill(problem.initial_global(seed)[problem.owned_slices(cart.coords)])
 
+    # Persistent channels (negotiated once, re-fired batched every step)
+    # wherever the method and fabric allow.  Phased (interior/surface)
+    # execution engages exactly when every slot got one.
+    partitions = DEFAULT_PARTITIONS if overlap else 1
+    engines = make_engines(state.exchangers, partitions)
+    split, overlap_points = None, None
+    if overlap and all(isinstance(e, ExchangeChannel) for e in engines):
+        split, overlap_points = state.compile_split()
+    rp = RankRunPlan(
+        engines, state.plans, state.buffers, period, split, rank, info.name
+    )
+
+    def pre_step(t: int, src: int):
+        if injector is not None:
+            _crash_check(comm, injector, t)
+        if cp is not None and ckpt.due(t, start_step):
+            # After the crash check (a rank never snapshots the step it
+            # dies on) and before the degradation vote (demotion events
+            # after the snapshot refire identically on replay, so they
+            # must not be double-counted).
+            cp.save(
+                t,
+                snap.chunks[src],
+                _ckpt_meta(
+                    t, counters, measured, state.ladder_level, period,
+                    snap.adjacency_crc, injector,
+                ),
+            )
+        if (
+            state.ladder_level is not None
+            and t % period == 0
+            and _ladder_vote(cart, state, injector, counters, t, src)
+        ):
+            return make_engines(state.exchangers, partitions)
+
+    if injector is not None or cp is not None or state.ladder_level is not None:
+        rp.pre_step = pre_step
+    if envelope:
+        rp.around_exchange = lambda t, fire: _exchange_with_retry(
+            comm, fire, t, retry, injector
+        )
+    if cp is not None:
+        dirty = cp.dirty
+        rp.post_exchange = lambda: dirty.mark_slots(snap.ghost_slots)
+        rp.post_calc = lambda pos: dirty.mark_slots(snap.dirty_slots[pos])
+
+    src = rp.run(start_step, timesteps, counters, measured)
+
+    if info.base == "memmap":
+        # After a demotion the live engine may have no mappings at all.
+        counters["maps"] = getattr(state.exchangers[0], "mapping_count", 0)
+        if _METRICS.enabled:
+            _METRICS.gauge("memmap.regions", counters["maps"], rank=rank)
+    phased = rp.splits is not None  # a demotion may have ended phasing
     totals, hidden_s = _modelled_totals(
-        profile, info, problem, page_size, timesteps, period, computed_points,
-        overlap_points,
+        profile, info, problem, page_size, timesteps, period,
+        state.computed_points, overlap_points if phased else None,
     )
     return {
         "coords": cart.coords,
-        "result": result,
+        "result": state.result(src),
         "totals": totals,
-        "measured": timer.breakdown,
+        "measured": measured,
         "counters": counters,
         "period": period,
-        "final_method": exchangers[0].method,
+        "final_method": state.exchangers[0].method,
         "resumed_epoch": resumed_epoch,
         "ckpt_saves": cp.saves if cp is not None else 0,
         "ckpt_bytes": cp.saved_bytes if cp is not None else 0,
-        "overlap": phase_split is not None,
+        "overlap": phased,
         "hidden_s": hidden_s,
     }
-
-
-def _resolve_period(requested, available: int, granularity: str) -> int:
-    """Validate/resolve the exchange period against what the ghost
-    width supports at this granularity."""
-    if requested in (None, 1):
-        return 1
-    if requested == "auto":
-        return available
-    period = int(requested)
-    if period < 1:
-        raise ValueError("exchange_period must be >= 1")
-    if period > available:
-        raise ValueError(
-            f"exchange_period {period} exceeds the {available} step(s) the"
-            f" ghost width supports at {granularity} granularity; widen the"
-            " ghost zone (ghost-cell expansion)"
-        )
-    return period
 
 
 def _elastic_reshape(
@@ -862,7 +728,7 @@ def _elastic_reshape(
     the new world starts empty and recomputes -- still bit-exact.
     Imported lazily: :mod:`repro.elastic` sits above this module.
     """
-    from repro.elastic.rebrick import rebrick, resolved_period, snapshot_key
+    from repro.elastic.rebrick import rebrick, snapshot_key
     from repro.elastic.recovery import negotiate_recovery_epoch, plan_recovery
 
     # Sweep every scheduled death into this reshape.  Which of several
@@ -874,10 +740,8 @@ def _elastic_reshape(
         injector.death_due(r, s)
     dead = sorted({r for r, _ in injector.died()})
     plan = plan_recovery(cur_problem, dead, topology, profile.network)
-    page = page_size or (
-        profile.gpu.page_size if info.is_gpu and profile.gpu else profile.page_size
-    )
-    period = resolved_period(cur_problem, method, exchange_period)
+    page = resolve_page_size(info, profile, page_size)
+    period = resolve_period(cur_problem, method, exchange_period)
     old_key = snapshot_key(cur_problem, method, seed, period, page)
     epoch = negotiate_recovery_epoch(
         cur_ckpt.store, cur_problem.nranks, len(plan.survivors), old_key
@@ -915,7 +779,6 @@ def run_executed(
     seed: int = 0,
     page_size: Optional[int] = None,
     exchange_period=None,
-    use_plans: Optional[bool] = None,
     overlap: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     verify_wire: bool = False,
@@ -940,19 +803,16 @@ def run_executed(
     period the ghost width supports; the default (None) exchanges every
     step as the paper's main experiments do.
 
-    *use_plans*: run the timestep loop through compiled execution plans
-    (:mod:`repro.stencil.plan`) -- the default -- or force the generic
-    kernels with ``False``.  ``None`` defers to the ``REPRO_NO_PLAN``
-    environment variable.  Results are bit-identical either way.
-
     *overlap*: phase each exchange step for compute-comm overlap --
     start the partitioned persistent channel, compute the interior
     stencil work while messages are in flight, complete the receives,
     then sweep the surface.  Results are bit-identical to the unphased
-    path.  Requires the plain run-plan fast path and a channel-capable
-    method; featured runs (chaos, envelopes, checkpoints, tracing) and
-    channel-less methods fall back to the unphased instrumented loop,
-    reported via ``ExecutedRun.overlap``.
+    step.  Phasing engages exactly when every buffer's exchange engine
+    is a persistent channel, whatever else is on (checkpoints, tracing,
+    metrics, the degradation ladder); it cannot on a verified fabric
+    (*verify_wire*, *fault_plan*), whose protocol is per-message, or
+    with Shift, whose rounds are barrier-separated.
+    ``ExecutedRun.overlap`` reports which happened.
 
     Chaos-fabric knobs (see README "Robustness"):
 
@@ -1080,6 +940,11 @@ def run_executed(
     dead_total: List[int] = []
 
     while True:
+        # Rank states of this world.  They are closed here, by the
+        # launching thread, once every rank thread has joined -- never by
+        # the rank itself: peers may still be reading a crashed rank's
+        # posted zero-copy send buffer, and closing is a raw munmap.
+        states: List[_RankState] = []
 
         def make_fabric() -> SimFabric:
             fab = SimFabric(cur_problem.nranks, timeout=fabric_timeout)
@@ -1095,18 +960,20 @@ def run_executed(
             seed,
             page_size,
             exchange_period,
-            plans_enabled(use_plans),
             overlap,
             injector,
             envelope,
             retry,
             degrade,
             cur_ckpt,
+            states,
         )
         try:
             if cur_ckpt is not None and max_restarts > 0:
 
-                def on_restart(n: int, cause, _ck=cur_ckpt) -> None:
+                def on_restart(n: int, cause, _ck=cur_ckpt, _st=states) -> None:
+                    _close_all(_st)
+                    del _st[:]
                     _ck.resume = True
                     if injector is not None:
                         injector.record("restarted", step=-1)
@@ -1151,6 +1018,8 @@ def run_executed(
             )
             dead_total.extend(newly_dead)
             reshapes += 1
+        finally:
+            _close_all(states)
 
     global_result = np.empty(
         tuple(reversed(cur_problem.global_extent)), dtype=cur_problem.dtype

@@ -24,6 +24,7 @@ from typing import List
 import numpy as np
 
 from repro.brick.decomp import BrickDecomp, SlotAssignment
+from repro.core.methods import method_info
 
 __all__ = [
     "element_validity_schedule",
@@ -34,6 +35,7 @@ __all__ = [
     "cycle_period",
     "depths_for_period",
     "margins_for_period",
+    "resolve_period",
 ]
 
 
@@ -93,6 +95,34 @@ def cycle_period(ghost: int, radius: int, brick_dim: int = 0) -> int:
     if brick_dim:
         return len(brick_validity_schedule(ghost, brick_dim, radius))
     return len(element_validity_schedule(ghost, radius))
+
+
+def resolve_period(problem, method: str, requested) -> int:
+    """The exchange period a run of *method* on *problem* uses.
+
+    ``None``/1 exchange every step, ``"auto"`` uses everything the ghost
+    width supports -- brick granularity for brick methods, element
+    granularity otherwise -- and an explicit period is validated
+    against that.
+    """
+    if method_info(method).uses_bricks:
+        available, granularity = problem.ghost // problem.brick_dim[0], "brick"
+    else:
+        available, granularity = problem.ghost // problem.stencil.radius, "element"
+    if requested in (None, 1):
+        return 1
+    if requested == "auto":
+        return available
+    period = int(requested)
+    if period < 1:
+        raise ValueError("exchange_period must be >= 1")
+    if period > available:
+        raise ValueError(
+            f"exchange_period {period} exceeds the {available} step(s) the"
+            f" ghost width supports at {granularity} granularity; widen the"
+            " ghost zone (ghost-cell expansion)"
+        )
+    return period
 
 
 def margins_for_period(period: int, radius: int, ghost: int) -> List[int]:

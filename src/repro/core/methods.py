@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 __all__ = [
     "MethodInfo",
     "method_info",
+    "resolve_page_size",
     "CPU_METHODS",
     "GPU_METHODS",
     "BRICK_METHODS",
@@ -77,6 +78,16 @@ def method_info(name: str) -> MethodInfo:
         )
     uses_bricks, uses_views, packs, overlaps, compute = _BASES[base]
     return MethodInfo(base, transport, uses_bricks, uses_views, packs, overlaps, compute)
+
+
+def resolve_page_size(info: MethodInfo, profile, requested: Optional[int]) -> int:
+    """Page size of a run: *requested*, else the machine's -- the GPU's
+    for GPU transports on a profile that has one."""
+    if requested:
+        return requested
+    if info.is_gpu and profile.gpu:
+        return profile.gpu.page_size
+    return profile.page_size
 
 
 CPU_METHODS: Tuple[str, ...] = (

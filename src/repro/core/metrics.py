@@ -24,9 +24,8 @@ class RankMetrics:
 
     ``totals`` holds *modelled* virtual seconds (the single source of
     truth for figures); ``measured``, when present, holds wall-clock
-    seconds the executed driver's :class:`~repro.util.timing.PhaseTimer`
-    captured around the real kernel path -- how the plan-vs-generic
-    speedup is observed without perturbing the model.
+    seconds the run plan clocked around the real kernel path -- how
+    kernel speed is observed without perturbing the model.
     """
 
     rank: int

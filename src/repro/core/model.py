@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from repro.core.methods import MethodInfo, method_info
+from repro.core.methods import MethodInfo, method_info, resolve_page_size
 from repro.exchange.costs import datatype_cost, network_times, pack_cost
 from repro.exchange.schedule import (
     MessageSpec,
@@ -147,9 +147,7 @@ def _schedules(
     elif info.base == "basic":
         specs = basic_brick_schedule(grid, width, lay, brick_bytes)
     elif info.base == "memmap":
-        page = page_size or (
-            profile.gpu.page_size if info.is_gpu and profile.gpu else profile.page_size
-        )
+        page = resolve_page_size(info, profile, page_size)
         specs = memmap_schedule(grid, width, lay, brick_bytes, page)
     elif info.base == "network":
         # The empirical floor: one message per neighbor carrying exactly

@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.brick.decomp import BrickDecomp
 from repro.layout.order import surface_order, validate_order
 from repro.stencil.spec import StencilSpec
 from repro.util.bitset import BitSet
@@ -101,6 +102,13 @@ class StencilProblem:
     @property
     def global_points(self) -> int:
         return math.prod(self.global_extent)
+
+    def brick_decomp(self) -> BrickDecomp:
+        """The brick decomposition of one rank's subdomain."""
+        return BrickDecomp(
+            self.subdomain_extent, self.brick_dim, self.ghost, self.layout,
+            self.dtype,
+        )
 
     # ------------------------------------------------------------------
     def initial_global(self, seed: int = 0) -> np.ndarray:

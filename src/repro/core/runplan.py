@@ -1,29 +1,25 @@
-"""Run plans: the executed timestep loop, compiled once and replayed.
+"""Run plans: the one executed timestep loop, set up once and replayed.
 
-The compiled stencil plans (PR 2, :mod:`repro.stencil.plan`) made the
-kernel 5.7x faster, yet the whole-run speedup stayed at ~1x: the flame
-profile of an executed run shows the wall clock going to per-step,
-per-message work in the driver / exchanger / simmpi stack -- thousands of
-lock acquisitions, request objects, re-derived schedules and re-priced
-cost models per run.  This module hoists all of it to per-run time:
+Every executed run -- plain, traced, checkpointed, enveloped, fault
+injected, degrading -- steps time in exactly one place,
+:meth:`RankRunPlan.run`.  The shape is that of persistent MPI requests:
+everything a step needs is negotiated and compiled per run, and the loop
+only restarts it.
 
-* **Exchange channels** (:class:`repro.exchange.base.ExchangeChannel`)
-  flatten each exchanger's message plan into precomputed ``(peer, tag,
-  buffer)`` tuples over persistent buffers -- negotiated once, re-fired
-  every step through the batched fabric calls (one posting call and one
-  receive drain per exchange instead of one per message).
+* **Exchange engines** (:func:`make_engines`): each exchanger's message
+  plan flattened into an :class:`~repro.exchange.base.ExchangeChannel`
+  -- precomputed ``(peer, tag, buffer)`` tuples over persistent buffers,
+  re-fired through the batched fabric calls -- wherever the scheme and
+  the fabric allow, the exchanger's own per-message ``exchange()``
+  otherwise (Shift's barrier-separated rounds; any scheme on a verified
+  fabric).  Both expose ``exchange() -> ExchangeResult``.
 * **A rank run plan** (:class:`RankRunPlan`) binds, per cycle position,
-  the channel and the compiled stencil plan to preresolved double-buffer
-  slots, and replays the whole run in one tight loop whose per-step
-  Python is: one channel re-fire, one plan execution, one buffer flip.
-  Exchange counters are precomputed constants accumulated arithmetically.
-
-The plan is replayed only on the *plain* fast path.  Featured runs --
-verified envelopes, fault injection, checkpointing, the degradation
-ladder, or live observability -- keep the instrumented per-step loop in
-:mod:`repro.core.driver` (which still benefits from the channels), so
-those paths run unchanged on top of run plans.  ``REPRO_NO_PLAN=1``
-disables both the stencil plans and the run-plan replay.
+  the engine and the compiled stencil plan to the two double-buffer
+  slots.  One step is: one engine fire, one plan execution, one flip.
+* **Step hooks**: features attach as optional callables that are
+  ``None`` when the feature is off (see :class:`RankRunPlan`).  Tracing
+  and metrics ride the same loop through the process-wide tracer, whose
+  disabled spans are a shared no-op.
 
 Run plans hold per-rank mutable state (the stencil plans' scratch
 buffers); build one per simulated rank, never share across threads.
@@ -32,10 +28,12 @@ buffers); build one per simulated rank, never share across threads.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from repro.exchange.base import ExchangeChannel, Exchanger
-from repro.util.timing import PhaseTimer
+from repro.exchange.base import ExchangeChannel, Exchanger, ExchangeResult
+from repro.obs import METRICS as _METRICS
+from repro.obs import TRACER as _TRACER
+from repro.util.timing import TimeBreakdown
 
 __all__ = ["RankRunPlan", "make_engines"]
 
@@ -46,21 +44,16 @@ __all__ = ["RankRunPlan", "make_engines"]
 DEFAULT_PARTITIONS = 4
 
 
-def make_engines(
-    exchangers: Sequence[Exchanger], channels: bool, partitions: int = 1
-) -> list:
-    """The per-buffer exchange engines a run should fire each step.
+def make_engines(exchangers: Sequence[Exchanger], partitions: int = 1) -> list:
+    """The per-buffer exchange engines a run fires each exchange step.
 
-    With *channels* true, every exchanger that can be replayed as a
-    persistent batch is replaced by its :class:`ExchangeChannel`; the
-    rest (phased schemes like Shift, or any exchanger on a verified
-    fabric) keep their per-step ``exchange()`` entry point.  Either way
-    the returned objects expose the same ``exchange() -> ExchangeResult``
-    surface, so callers fire them interchangeably.  *partitions* is
-    forwarded to the channels for phased (start/complete) use.
+    Every exchanger that can be replayed as a persistent batch is
+    replaced by its :class:`ExchangeChannel`; the rest (``make_channel``
+    returns ``None`` for Shift and for any exchanger on a verified
+    fabric) keep their per-message ``exchange()`` entry point.
+    *partitions* is forwarded to the channels for phased
+    (start/complete) use.
     """
-    if not channels:
-        return list(exchangers)
     return [ex.make_channel(partitions) or ex for ex in exchangers]
 
 
@@ -71,8 +64,8 @@ class RankRunPlan:
     ``i`` (fired at cycle position 0 of whichever buffer is current);
     ``plans[pos]`` is the stencil plan for cycle position *pos*;
     ``buffers`` are the two storage/array operands the plans read and
-    write.  :meth:`run` replays the program with minimal per-step Python
-    and charges measured calc wall-clock in one sum at the end.
+    write.  *rank* and *method* label the ``driver.*`` spans and
+    counters.
 
     With *splits* -- an ``(interior plan, surface plan)`` pair replacing
     ``plans[0]`` -- the exchange step runs *phased*: ``channel.start()``
@@ -83,9 +76,25 @@ class RankRunPlan:
     construction, and interior + surface cover ``plans[0]`` exactly, so
     phased replay is bit-identical to the unphased one.  Phased plans
     require every engine to be an :class:`ExchangeChannel`.
+
+    The hook attributes are set by the driver after construction:
+
+    ``pre_step(t, src)``
+        before step *t* touches buffer *src* (heartbeat and crash
+        check, checkpoint-due save, degradation vote); may return
+        rebuilt engines, installed via :meth:`set_engines`.
+    ``around_exchange(t, fire)``
+        runs the exchange by calling ``fire()``, possibly repeatedly
+        (envelope epoch, retry-with-backoff); returns its
+        :class:`ExchangeResult`.
+    ``post_exchange()`` / ``post_calc(pos)``
+        after the ghost sections / the slots of cycle position *pos*
+        were rewritten (checkpoint dirty tracking).
     """
 
-    __slots__ = ("engines", "plans", "buffers", "period", "splits")
+    __slots__ = ("engines", "plans", "buffers", "period", "splits", "rank",
+                 "method", "pre_step", "around_exchange", "post_exchange",
+                 "post_calc")
 
     def __init__(
         self,
@@ -94,6 +103,8 @@ class RankRunPlan:
         buffers: Sequence,
         period: int,
         splits: Optional[Tuple] = None,
+        rank: Optional[int] = None,
+        method: str = "",
     ) -> None:
         if len(engines) != len(buffers):
             raise ValueError("one exchange engine per double-buffer slot")
@@ -104,79 +115,111 @@ class RankRunPlan:
                 raise ValueError(
                     "splits must be an (interior, surface) plan pair"
                 )
-            for eng in engines:
-                if not isinstance(eng, ExchangeChannel):
-                    raise ValueError(
-                        "phased replay requires exchange channels on every"
-                        " double-buffer slot"
-                    )
+            if not _all_channels(engines):
+                raise ValueError(
+                    "phased replay requires exchange channels on every"
+                    " double-buffer slot"
+                )
         self.engines = list(engines)
         self.plans = list(plans)
         self.buffers = list(buffers)
         self.period = int(period)
         self.splits = tuple(splits) if splits is not None else None
+        self.rank = rank
+        self.method = method
+        self.pre_step: Optional[Callable[[int, int], Optional[Sequence]]] = None
+        self.around_exchange: Optional[
+            Callable[[int, Callable[[], ExchangeResult]], ExchangeResult]
+        ] = None
+        self.post_exchange: Optional[Callable[[], None]] = None
+        self.post_calc: Optional[Callable[[int], None]] = None
+
+    def set_engines(self, engines: Sequence) -> None:
+        """Install rebuilt engines; phasing survives only on channels."""
+        self.engines = list(engines)
+        if not _all_channels(self.engines):
+            self.splits = None
 
     def run(
         self,
         start_step: int,
         timesteps: int,
         counters: dict,
-        timer: PhaseTimer,
+        measured: TimeBreakdown,
     ) -> int:
         """Replay steps ``[start_step, timesteps)``; returns the final
         source buffer index.
 
-        Accumulates the run's message/byte counters into *counters* and
-        the measured calc seconds into *timer* exactly as the
-        instrumented loop would, just without per-step dict traffic.
-        The replay always starts from buffer 0, matching the driver's
-        loop (checkpoint resumes restore into buffer 0 too, but resumed
-        runs take the instrumented path anyway).
+        Message/byte counters accumulate into *counters* and the
+        measured calc seconds into *measured* step by step, so a
+        ``pre_step`` hook (the checkpoint save) reads current values.
+        The replay always starts from buffer 0, which is also where a
+        checkpoint resume restores into.
         """
-        engines = self.engines
         plans = self.plans
         bufs = self.buffers
         period = self.period
-        splits = self.splits
-        interior, surface = splits if splits is not None else (None, None)
+        rank = self.rank
+        method = self.method
+        pre_step = self.pre_step
+        around = self.around_exchange
+        post_exchange = self.post_exchange
+        post_calc = self.post_calc
+        span = _TRACER.span
         perf = time.perf_counter
         src, dst = 0, 1
-        msgs = wire = payload = 0
-        calc_s = 0.0
         for t in range(start_step, timesteps):
             pos = t % period
-            if pos == 0:
-                if splits is not None:
-                    # Phased exchange step: interior taps run while the
-                    # partitioned messages are in flight; the surface
-                    # sweep waits for every receive partition.
-                    eng = engines[src]
-                    eng.start()
-                    if interior is not None:
+            if pre_step is not None:
+                rebuilt = pre_step(t, src)
+                if rebuilt is not None:
+                    self.set_engines(rebuilt)
+            with span("driver.step", rank=rank, step=t):
+                sweep = plans[pos]  # stencil work not yet run this step
+                if pos == 0:
+                    eng = self.engines[src]
+                    with span("driver.exchange", rank=rank, step=t,
+                              method=method):
+                        if self.splits is not None:
+                            # Phased: the interior taps run inside the
+                            # exchange, while the partitioned messages
+                            # are in flight; only the surface sweep is
+                            # left for after every receive completed.
+                            interior, sweep = self.splits
+                            eng.start()
+                            if interior is not None:
+                                t0 = perf()
+                                interior.execute(bufs[src], bufs[dst])
+                                measured.calc += perf() - t0
+                            res = eng.complete()
+                        elif around is not None:
+                            res = around(t, eng.exchange)
+                        else:
+                            res = eng.exchange()
+                    counters["msgs"] += res.messages_sent
+                    counters["wire"] += res.wire_bytes_sent
+                    counters["payload"] += res.payload_bytes_sent
+                    if _METRICS.enabled:
+                        _METRICS.count("driver.exchanges", 1, rank=rank)
+                        _METRICS.count(
+                            "driver.messages", res.messages_sent, rank=rank
+                        )
+                        _METRICS.count(
+                            "driver.wire_bytes", res.wire_bytes_sent,
+                            rank=rank,
+                        )
+                    if post_exchange is not None:
+                        post_exchange()
+                if sweep is not None:
+                    with span("driver.calc", rank=rank, step=t):
                         t0 = perf()
-                        interior.execute(bufs[src], bufs[dst])
-                        calc_s += perf() - t0
-                    res = eng.complete()
-                    if surface is not None:
-                        t0 = perf()
-                        surface.execute(bufs[src], bufs[dst])
-                        calc_s += perf() - t0
-                    msgs += res.messages_sent
-                    wire += res.wire_bytes_sent
-                    payload += res.payload_bytes_sent
-                    src, dst = dst, src
-                    continue
-                res = engines[src].exchange()
-                msgs += res.messages_sent
-                wire += res.wire_bytes_sent
-                payload += res.payload_bytes_sent
-            plan = plans[pos]
-            t0 = perf()
-            plan.execute(bufs[src], bufs[dst])
-            calc_s += perf() - t0
+                        sweep.execute(bufs[src], bufs[dst])
+                        measured.calc += perf() - t0
+                if post_calc is not None:
+                    post_calc(pos)
             src, dst = dst, src
-        counters["msgs"] += msgs
-        counters["wire"] += wire
-        counters["payload"] += payload
-        timer.breakdown.charge("calc", calc_s)
         return src
+
+
+def _all_channels(engines: Sequence) -> bool:
+    return all(isinstance(eng, ExchangeChannel) for eng in engines)

@@ -31,7 +31,6 @@ from repro.elastic.placement import (
 )
 from repro.elastic.rebrick import (
     rebrick,
-    resolved_period,
     restore_global,
     snapshot_key,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "negotiate_recovery_epoch",
     "plan_recovery",
     "rebrick",
-    "resolved_period",
     "restore_global",
     "snapshot_key",
 ]

@@ -80,7 +80,6 @@ def _dims_valid(problem, dims: Sequence[int]) -> bool:
     ``grid >= 2 * width`` surface constraint, so this predicate can
     never drift from what the driver will accept.
     """
-    from repro.brick.decomp import BrickDecomp
     from repro.core.problem import StencilProblem
 
     try:
@@ -94,13 +93,7 @@ def _dims_valid(problem, dims: Sequence[int]) -> bool:
             dtype=problem.dtype,
             periodic=problem.periodic,
         )
-        BrickDecomp(
-            trial.subdomain_extent,
-            trial.brick_dim,
-            trial.ghost,
-            trial.layout,
-            trial.dtype,
-        )
+        trial.brick_decomp()
     except ValueError:
         return False
     return True

@@ -35,56 +35,24 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.brick.convert import bricks_to_extended, extended_to_bricks
-from repro.brick.decomp import BrickDecomp
 from repro.ckpt import (
     CheckpointError,
     CheckpointStore,
     problem_key,
     storage_chunks,
 )
+from repro.core.expansion import resolve_period
 from repro.core.methods import method_info
 from repro.core.problem import StencilProblem
 from repro.obs import TRACER as _TRACER
 from repro.stencil.kernels import owned_slices
 
-__all__ = ["rebrick", "resolved_period", "snapshot_key", "restore_global"]
-
-
-def resolved_period(problem: StencilProblem, method: str, exchange_period) -> int:
-    """The exchange period the driver would resolve for this run.
-
-    Mirrors ``core.driver._resolve_period`` without importing the driver
-    (the driver imports this package): ``None``/1 exchange every step,
-    ``"auto"`` uses everything the ghost width supports -- brick
-    granularity for brick methods, element granularity otherwise.
-    """
-    info = method_info(method)
-    if info.uses_bricks:
-        available = problem.ghost // problem.brick_dim[0]
-    else:
-        available = problem.ghost // problem.stencil.radius
-    if exchange_period in (None, 1):
-        return 1
-    if exchange_period == "auto":
-        return available
-    period = int(exchange_period)
-    if not 1 <= period <= available:
-        raise ValueError(
-            f"exchange_period {period} outside what ghost width"
-            f" {problem.ghost} supports (max {available})"
-        )
-    return period
+__all__ = ["rebrick", "snapshot_key", "restore_global"]
 
 
 def _brick_layout(problem: StencilProblem, method: str, page: Optional[int]):
-    """(decomp, assignment) exactly as the driver builds them."""
-    decomp = BrickDecomp(
-        problem.subdomain_extent,
-        problem.brick_dim,
-        problem.ghost,
-        problem.layout,
-        problem.dtype,
-    )
+    """(decomp, assignment) of the run's brick storage."""
+    decomp = problem.brick_decomp()
     info = method_info(method)
     if info.base == "memmap":
         if page is None:
@@ -140,7 +108,7 @@ def restore_global(
     misinterpreted.
     """
     info = method_info(method)
-    period = resolved_period(problem, method, exchange_period)
+    period = resolve_period(problem, method, exchange_period)
     key = snapshot_key(problem, method, seed, period, page)
     g = problem.ghost
     own_slc = owned_slices(problem.subdomain_extent, g)
@@ -251,7 +219,7 @@ def rebrick(
     if tuple(old_problem.global_extent) != tuple(new_problem.global_extent):
         raise ValueError("old and new problems must share the global extent")
     info = method_info(method)
-    period = resolved_period(new_problem, method, exchange_period)
+    period = resolve_period(new_problem, method, exchange_period)
     with _TRACER.span("elastic.rebrick", epoch=epoch):
         global_arr, old_meta = restore_global(
             src_store, old_problem, epoch, method, seed,

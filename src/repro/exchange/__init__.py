@@ -39,6 +39,7 @@ from repro.exchange.schedule import (
     shift_schedule,
 )
 from repro.exchange.shift import ShiftExchanger
+from repro.faults.errors import ExchangeConfigError
 
 __all__ = [
     "BrickPackExchanger",
@@ -57,6 +58,7 @@ __all__ = [
     "array_schedule",
     "basic_brick_schedule",
     "checksum",
+    "make_exchanger",
     "seal",
     "verify",
     "brick_recv_schedule",
@@ -66,3 +68,55 @@ __all__ = [
     "neighbor_recv_box",
     "neighbor_send_box",
 ]
+
+
+_ARRAY_EXCHANGERS = {
+    "yask": PackExchanger,
+    "yask_ol": PackExchanger,
+    "mpi_types": MPITypesExchanger,
+    "shift": ShiftExchanger,
+}
+
+
+def make_exchanger(
+    base,
+    cart,
+    problem,
+    profile,
+    buffer=None,
+    decomp=None,
+    assignment=None,
+    page_size=None,
+) -> Exchanger:
+    """The exchanger of method base name *base* over one buffer.
+
+    The single base-name -> exchanger mapping: the executed driver, its
+    degradation ladder (rungs ``memmap`` / ``basic`` / ``brickpack``)
+    and the static verifier all build through it, so the schedule
+    ``repro check`` proves is built by the code that runs.  *buffer* is
+    the extended array (array schemes) or the
+    :class:`~repro.brick.storage.BrickStorage` (brick schemes, which
+    also need *decomp* and *assignment*); ``None`` builds the exchanger
+    plan-only -- message schedule from geometry, no wire buffers.
+    *problem* supplies the subdomain extent, ghost width and dtype.
+    """
+    cls = _ARRAY_EXCHANGERS.get(base)
+    if cls is not None:
+        return cls(
+            cart, buffer, problem.subdomain_extent, problem.ghost, profile,
+            dtype=problem.dtype,
+        )
+    if base in ("layout", "basic"):
+        return LayoutExchanger(
+            cart, decomp, buffer, assignment, profile,
+            merge_runs=(base == "layout"),
+        )
+    if base == "memmap":
+        return MemMapExchanger(
+            cart, decomp, buffer, assignment, profile, page_size
+        )
+    if base == "brickpack":
+        return BrickPackExchanger(cart, decomp, buffer, assignment, profile)
+    raise ExchangeConfigError(
+        f"method base {base!r} has no executable exchanger"
+    )

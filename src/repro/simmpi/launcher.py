@@ -81,6 +81,10 @@ def run_spmd(
     secondary = [
         (rank, err) for rank, err in enumerate(errors) if err is not None
     ]
+    # Each error's traceback holds its worker frame, whose closure holds
+    # ``errors``: emptying it breaks the cycle, so the rank frames (and
+    # their buffers) die with the raised error, not at a collector pass.
+    del errors[:]
     for rank, err in primary or secondary:
         raise RankFailedError(f"rank {rank} failed: {err!r}") from err
     return results

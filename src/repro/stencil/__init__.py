@@ -28,7 +28,6 @@ from repro.stencil.plan import (
     BrickStencilPlan,
     compile_array_plan,
     compile_brick_plan,
-    plans_enabled,
 )
 from repro.stencil.reference import apply_periodic_reference
 
@@ -50,6 +49,5 @@ __all__ = [
     "generate_array_plan_kernel",
     "generate_batch_kernel",
     "generate_batch_plan_kernel",
-    "plans_enabled",
     "star_stencil",
 ]

@@ -26,15 +26,12 @@ test suite asserts planned results equal them exactly.
 
 Plans own mutable scratch buffers and therefore must not be shared across
 simulated ranks (threads); the executed driver builds one plan per rank
-per cycle position.  Set ``REPRO_NO_PLAN=1`` (or pass
-``use_plans=False`` to :func:`repro.core.driver.run_executed`) to fall
-back to the generic kernels for debugging.
+per cycle position.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -63,20 +60,7 @@ __all__ = [
     "split_array_region",
     "split_brick_slots",
     "ghost_slot_mask",
-    "plans_enabled",
 ]
-
-
-def plans_enabled(flag: Optional[bool] = None) -> bool:
-    """Resolve whether compiled plans should be used.
-
-    An explicit *flag* wins; otherwise plans are on unless the
-    ``REPRO_NO_PLAN`` environment variable is set to a non-empty,
-    non-``"0"`` value.
-    """
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get("REPRO_NO_PLAN", "0") in ("", "0")
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,10 @@ the partitioned exchange, runs the interior stencil sweep while the
 messages are in flight, completes every receive partition, then runs the
 surface sweep.  These tests pin the two load-bearing guarantees: the
 result is bit-identical to the unphased run for every channel-capable
-method, and every featured configuration (chaos, envelopes, plans off,
-phase-incapable methods) falls back to the instrumented loop instead of
-silently racing.
+method, and a run whose engines are not channels (a verified fabric:
+chaos, envelopes; the barrier-separated Shift) steps unphased and says
+so instead of silently racing.  That phasing engages under every other
+feature is pinned in ``test_runplan.py``.
 """
 
 import numpy as np
@@ -62,7 +63,7 @@ class TestPhasedBitExactness:
 
 
 class TestPhasedFallbacks:
-    """overlap=True must degrade to the instrumented loop, not race."""
+    """overlap=True without channels must step unphased, not race."""
 
     def _assert_fallback(self, problem, **kwargs):
         base = run_executed(problem, "layout", timesteps=3)
@@ -80,17 +81,14 @@ class TestPhasedFallbacks:
         assert not ph.overlap
         np.testing.assert_array_equal(ph.global_result, base.global_result)
 
-    def test_plans_off(self, medium_problem):
-        self._assert_fallback(medium_problem, use_plans=False)
-
     def test_verified_fabric(self, medium_problem):
-        # Envelope mode refuses partitioned sends; the run must fall
-        # back (via make_channel returning None) and stay bit-exact.
+        # Envelope mode refuses partitioned sends: make_channel returns
+        # None, so the run steps unphased and stays bit-exact.
         self._assert_fallback(medium_problem, verify_wire=True)
 
     def test_chaos_injector(self, medium_problem):
         # A dropped surface message must never let the surface sweep run
-        # early: faulty runs take the instrumented retry loop instead.
+        # early: faulty runs retry whole per-message exchanges instead.
         self._assert_fallback(
             medium_problem, fault_plan=FaultPlan(seed=7, drop=0.05)
         )

@@ -1,109 +1,90 @@
-"""Run-plan layer acceptance: bit-exactness vs the legacy per-step loop,
-composition with chaos fault seeds and checkpoint resume, batched fabric
-semantics, and the compiled (C) kernel backend.
+"""Run-plan layer acceptance: one loop, every feature, same bits.
 
-The run plan (:mod:`repro.core.runplan`) replays an executed run with
-minimal per-step Python -- channel re-fire, plan execution, buffer flip.
-Everything here pins the contract that made that safe to ship: plans on
-and plans off are bit-identical, and every featured path (faults,
-checkpoints, observability) composes with plans without changing a bit.
+Every executed run replays through :meth:`RankRunPlan.run`
+(:mod:`repro.core.runplan`); features attach to it as step hooks.  The
+composition matrix below pins the contract that makes that safe: every
+method under every feature is bit-identical to the serial reference and
+reports the plain run's counters, through exactly one entry of the loop
+per rank per launch.  Also here: resource lifetime across failed
+launches, batched fabric semantics, and the compiled (C) kernel backend.
 """
+
+import functools
+import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.check import build_rank_plans
 from repro.core.driver import run_executed
 from repro.core.problem import StencilProblem
 from repro.core.runplan import RankRunPlan
 from repro.faults import FaultPlan
 from repro.simmpi.fabric import SimFabric
+from repro.simmpi.launcher import RankFailedError
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import SEVEN_POINT
 
 STEPS = 4
+METHODS = ("layout", "basic", "memmap", "yask", "mpi_types", "shift")
 
 
-def _problem():
+def _problem(brick=8):
     return StencilProblem(
         global_extent=(32, 32, 32),
         rank_dims=(2, 2, 2),
         stencil=SEVEN_POINT,
-        brick_dim=(8, 8, 8),
+        brick_dim=(brick,) * 3,
         ghost=8,
     )
 
 
-def _pair(method, **kwargs):
-    """The same run with plans on and off; everything else identical."""
-    on = run_executed(
-        _problem(), method, timesteps=STEPS, seed=0, use_plans=True, **kwargs
+def _run(method, problem=None, **kwargs):
+    return run_executed(
+        problem or _problem(), method, timesteps=STEPS, seed=0, **kwargs
     )
-    off = run_executed(
-        _problem(), method, timesteps=STEPS, seed=0, use_plans=False, **kwargs
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(steps=STEPS):
+    return apply_periodic_reference(
+        _problem().initial_global(0), SEVEN_POINT, steps
     )
-    return on, off
 
 
 class TestPlanBitExactness:
-    # Every executable top-level method: brick paths (layout, basic,
-    # memmap) take the RankRunPlan replay; array paths (yask, mpi_types)
-    # and the phased shift scheme exercise the array plan / channel-less
-    # engines respectively.
-    @pytest.mark.parametrize(
-        "method", ["layout", "basic", "memmap", "yask", "mpi_types", "shift"]
-    )
+    @pytest.mark.parametrize("method", METHODS)
     def test_plans_match_legacy(self, method):
-        on, off = _pair(method)
-        np.testing.assert_array_equal(on.global_result, off.global_result)
-        # Communication accounting is precomputed on the plan path and
-        # measured on the legacy path; the constants must agree.
-        assert on.messages_per_rank == off.messages_per_rank
-        assert on.wire_bytes_per_rank == off.wire_bytes_per_rank
-        # Modelled virtual-second totals, rank by rank.
-        for r_on, r_off in zip(on.metrics.ranks, off.metrics.ranks):
-            assert r_on.totals.as_dict() == r_off.totals.as_dict()
+        """The replayed plan does what the retired per-step loop did:
+        reference bits, and per exchange exactly the messages and bytes
+        of the static message plan ``repro check`` verifies."""
+        run = _run(method)
+        np.testing.assert_array_equal(run.global_result, _reference())
+        sends = build_rank_plans(_problem(), method)[0].sends
+        assert run.messages_per_rank == len(sends)
+        assert run.wire_bytes_per_rank == sum(m.nbytes for m in sends)
 
     def test_plans_match_reference(self):
-        on, _ = _pair("layout")
-        reference = apply_periodic_reference(
-            _problem().initial_global(0), SEVEN_POINT, STEPS
+        np.testing.assert_array_equal(
+            _run("layout").global_result, _reference()
         )
-        np.testing.assert_array_equal(on.global_result, reference)
 
     def test_plans_match_with_exchange_period(self):
-        # Multi-position cycles bind one stencil plan per position; the
-        # ghost-expansion positions must replay exactly too.  Fine bricks
-        # so the ghost zone supports a 2-step cycle.
-        problem = StencilProblem(
-            global_extent=(32, 32, 32),
-            rank_dims=(2, 2, 2),
-            stencil=SEVEN_POINT,
-            brick_dim=(4, 4, 4),
-            ghost=8,
-        )
-        on = run_executed(
-            problem, "layout", timesteps=STEPS, seed=0, use_plans=True,
-            exchange_period=2,
-        )
-        off = run_executed(
-            problem, "layout", timesteps=STEPS, seed=0, use_plans=False,
-            exchange_period=2,
-        )
-        np.testing.assert_array_equal(on.global_result, off.global_result)
-        assert on.messages_per_rank == off.messages_per_rank
+        # Multi-position cycles bind one stencil plan per position; an
+        # "auto" period resolves to everything the ghost width supports
+        # (fine bricks: a 2-step cycle).
+        run = _run("layout", _problem(brick=4), exchange_period="auto")
+        assert run.exchange_period == 2
+        np.testing.assert_array_equal(run.global_result, _reference())
 
     def test_observed_run_matches_tight_loop(self):
-        # Live observability forces the instrumented loop (which still
-        # fires the channels); the answer must not depend on which loop
-        # ran.
-        plain = run_executed(
-            _problem(), "layout", timesteps=STEPS, seed=0, use_plans=True
-        )
+        # Live observability rides the same loop; the answer and the
+        # span structure must not depend on it.
+        plain = _run("layout")
         with obs.observed():
-            observed = run_executed(
-                _problem(), "layout", timesteps=STEPS, seed=0, use_plans=True
-            )
+            observed = _run("layout")
             spans = [ev.name for ev in obs.TRACER.events()]
         np.testing.assert_array_equal(
             observed.global_result, plain.global_result
@@ -111,7 +92,158 @@ class TestPlanBitExactness:
         # The channels really ran: batched posting spans are present.
         assert "exchange.post" in spans
         assert "exchange.wait" in spans
-        assert spans.count("driver.step") == _problem().nranks * STEPS
+        for name in ("driver.step", "driver.exchange", "driver.calc"):
+            assert spans.count(name) == _problem().nranks * STEPS
+
+
+@pytest.fixture
+def loop_entries(monkeypatch):
+    """Spy: the rank of every :meth:`RankRunPlan.run` entry."""
+    entered = []
+    real = RankRunPlan.run
+
+    def spy(self, *args, **kwargs):
+        entered.append(self.rank)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RankRunPlan, "run", spy)
+    return entered
+
+
+_PLAIN = {}
+
+
+def _plain(method):
+    """The featureless run of *method*, once per session."""
+    if method not in _PLAIN:
+        _PLAIN[method] = _run(method)
+    return _PLAIN[method]
+
+
+# feature -> run_executed keyword arguments (tmp_path filled in per test)
+FEATURES = {
+    "plain": {},
+    "observed": {},  # tracing and metrics on, see below
+    "checkpoint": {"checkpoint_dir": True, "checkpoint_period": 2},
+    "verify_wire": {"verify_wire": True},
+    "chaos": {
+        "fault_plan": FaultPlan(seed=3, drop=0.01, corrupt=0.01),
+        "fabric_timeout": 10.0,
+    },
+    "crash_restart": {
+        "fault_plan": FaultPlan(seed=1, crashes=((1, 2),)),
+        "checkpoint_dir": True,
+        "checkpoint_period": 1,
+        "fabric_timeout": 15.0,
+    },
+    "period2": {"exchange_period": 2},
+    "overlap": {"overlap": True},
+}
+
+
+class TestComposition:
+    """method x feature: same bits, same counters, same loop."""
+
+    @pytest.mark.parametrize("feature", FEATURES)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_feature_composes(self, method, feature, tmp_path, loop_entries):
+        if (method, feature) == ("shift", "chaos"):
+            pytest.skip(
+                "Shift cannot heal wire faults: a whole-exchange retry is"
+                " unsafe across its barriers (see repro.faults.chaos)"
+            )
+        kwargs = dict(FEATURES[feature])
+        if kwargs.get("checkpoint_dir"):
+            kwargs["checkpoint_dir"] = tmp_path
+        # A 2-step cycle at brick granularity needs ghost = 2 bricks.
+        problem = _problem(brick=4) if feature == "period2" else _problem()
+        plain = _plain(method)
+        del loop_entries[:]
+        with obs.observed() if feature == "observed" else nullcontext():
+            run = _run(method, problem, **kwargs)
+
+        np.testing.assert_array_equal(run.global_result, _reference())
+        launches = 1 + run.restarts
+        assert run.restarts == (1 if feature == "crash_restart" else 0)
+        if feature == "chaos":
+            assert run.faults["events"]["healed"] > 0
+        assert sorted(loop_entries) == sorted(
+            list(range(problem.nranks)) * launches
+        )
+        assert run.overlap == (feature == "overlap" and method != "shift")
+        if feature == "period2":
+            # Another brick size is another layout: only the cadence is
+            # comparable with the plain run.
+            assert run.exchange_period == 2
+            return
+        assert run.messages_per_rank == plain.messages_per_rank
+        assert run.wire_bytes_per_rank == plain.wire_bytes_per_rank
+        assert run.mapping_count == plain.mapping_count
+        for got, want in zip(run.metrics.ranks, plain.metrics.ranks):
+            got, want = got.totals.as_dict(), want.totals.as_dict()
+            if run.overlap:
+                # Phasing hides part of the modelled wait, nothing else.
+                assert got.pop("wait") <= want.pop("wait")
+            assert got == want
+
+    @pytest.mark.parametrize("feature", ["checkpoint", "observed"])
+    def test_overlap_engages_under_features(self, feature, tmp_path):
+        # Phasing depends on the engines being channels, nothing else.
+        kwargs = dict(FEATURES[feature])
+        if kwargs.get("checkpoint_dir"):
+            kwargs["checkpoint_dir"] = tmp_path
+        with obs.observed() if feature == "observed" else nullcontext():
+            run = _run("layout", overlap=True, **kwargs)
+        assert run.overlap is True
+        np.testing.assert_array_equal(run.global_result, _reference())
+
+
+def _maps_and_fds():
+    """(live mappings of brick-storage memfds, open file descriptors).
+
+    Arena base mappings and every stitched-view chunk map a
+    ``repro-brick-storage`` memfd; counting those lines instead of all
+    of ``/proc/self/maps`` keeps the allocator's own growing and merging
+    of anonymous regions out of the comparison.
+    """
+    with open("/proc/self/maps") as fh:
+        maps = sum("memfd:repro-brick-storage" in line for line in fh)
+    return maps, len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs Linux procfs"
+)
+class TestFailedLaunchesReleaseMappings:
+    """A rank that raises never reaches the end of its function;
+    ``run_executed`` closes every rank state once the world has joined.
+    No ``gc.collect()`` anywhere: release must not wait for the
+    collector.
+    """
+
+    CRASH = FaultPlan(seed=1, crashes=((1, 2), (5, 3)))
+
+    def _steady(self, tmp_path):
+        # One identical successful run first: kernel builds, thread
+        # stacks and allocator arenas are in place before counting.
+        _run("memmap", checkpoint_dir=tmp_path / "warm", checkpoint_period=1,
+             verify_wire=True)
+        return _maps_and_fds()
+
+    def test_crashed_and_restarted_run(self, tmp_path):
+        before = self._steady(tmp_path)
+        run = _run(
+            "memmap", fault_plan=self.CRASH, checkpoint_dir=tmp_path / "ck",
+            checkpoint_period=1, fabric_timeout=15.0,
+        )
+        assert run.restarts == 2
+        assert _maps_and_fds() == before
+
+    def test_run_that_raises(self, tmp_path):
+        before = self._steady(tmp_path)
+        with pytest.raises(RankFailedError):
+            _run("memmap", fault_plan=self.CRASH, fabric_timeout=15.0)
+        assert _maps_and_fds() == before
 
 
 class TestRankRunPlanObject:
@@ -154,34 +286,32 @@ class TestBatchedFabric:
 
 class TestChaosComposition:
     def test_fault_seeded_runs_identical_with_plans(self):
-        # Fault injection enables the verified fabric, which drops the
-        # run back to the instrumented loop -- but use_plans=True must
-        # still compose transparently: same healing, same schedule, same
-        # bits.
+        # A fault seed fixes the schedule: the same plan twice heals the
+        # same way, event for event and bit for bit.
         plan = FaultPlan(seed=3, drop=0.04, corrupt=0.04)
-        on = run_executed(
-            _problem(), "memmap", timesteps=2, seed=0, use_plans=True,
-            fault_plan=plan, fabric_timeout=10.0,
+        first, second = (
+            run_executed(
+                _problem(), "memmap", timesteps=2, seed=0, fault_plan=plan,
+                fabric_timeout=10.0,
+            )
+            for _ in range(2)
         )
-        off = run_executed(
-            _problem(), "memmap", timesteps=2, seed=0, use_plans=False,
-            fault_plan=plan, fabric_timeout=10.0,
+        np.testing.assert_array_equal(
+            first.global_result, second.global_result
         )
-        np.testing.assert_array_equal(on.global_result, off.global_result)
-        assert on.faults["schedule_digest"] == off.faults["schedule_digest"]
-        assert on.faults["events"] == off.faults["events"]
+        assert (
+            first.faults["schedule_digest"] == second.faults["schedule_digest"]
+        )
+        assert first.faults["events"] == second.faults["events"]
 
 
 class TestCheckpointComposition:
     def test_crash_resume_with_plans_bit_exact(self, tmp_path):
-        base = run_executed(
-            _problem(), "layout", timesteps=STEPS, seed=0, use_plans=False
-        )
+        base = _plain("layout")
         plan = FaultPlan(seed=1, crashes=((1, 2),))
-        run = run_executed(
-            _problem(), "layout", timesteps=STEPS, seed=0, use_plans=True,
-            fault_plan=plan, checkpoint_dir=tmp_path, checkpoint_period=1,
-            fabric_timeout=15.0,
+        run = _run(
+            "layout", fault_plan=plan, checkpoint_dir=tmp_path,
+            checkpoint_period=1, fabric_timeout=15.0,
         )
         assert run.restarts == 1
         assert run.faults["events"].get("restarted") == 1
@@ -190,21 +320,16 @@ class TestCheckpointComposition:
         assert run.wire_bytes_per_rank == base.wire_bytes_per_rank
 
     def test_cold_resume_with_plans(self, tmp_path):
-        base = run_executed(
-            _problem(), "layout", timesteps=STEPS, seed=0, use_plans=True
-        )
         run_executed(
-            _problem(), "layout", timesteps=2, seed=0, use_plans=True,
+            _problem(), "layout", timesteps=2, seed=0,
             checkpoint_dir=tmp_path, checkpoint_period=1,
         )
-        resumed = run_executed(
-            _problem(), "layout", timesteps=STEPS, seed=0, use_plans=True,
-            checkpoint_dir=tmp_path, checkpoint_period=1, resume=True,
+        resumed = _run(
+            "layout", checkpoint_dir=tmp_path, checkpoint_period=1,
+            resume=True,
         )
         assert resumed.resumed_epoch == 1
-        np.testing.assert_array_equal(
-            resumed.global_result, base.global_result
-        )
+        np.testing.assert_array_equal(resumed.global_result, _reference())
 
 
 class TestKernelBackends:
@@ -263,5 +388,6 @@ class TestKernelBackends:
     def test_numpy_forced_run_still_bit_exact(self, monkeypatch):
         # The whole-run contract holds on the pure-NumPy fallback too.
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        on, off = _pair("layout")
-        np.testing.assert_array_equal(on.global_result, off.global_result)
+        np.testing.assert_array_equal(
+            _run("layout").global_result, _reference()
+        )

@@ -1,9 +1,9 @@
 """Compiled execution plans are bit-identical to the generic kernels.
 
 Covers the plan layer of :mod:`repro.stencil.plan` across dimensions,
-radii, non-cubic bricks, interleaved fields, dirty-buffer reuse, the
-driver integration (plans on vs off vs the serial reference) and the
-``REPRO_NO_PLAN`` escape hatch.
+radii, non-cubic bricks, interleaved fields, dirty-buffer reuse, and the
+driver integration (executed runs vs the serial reference; the method x
+feature matrix lives in ``test_runplan.py``).
 """
 
 import math
@@ -33,7 +33,6 @@ from repro.stencil.plan import (
     ArrayStencilPlan,
     compile_array_plan,
     compile_brick_plan,
-    plans_enabled,
 )
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import (
@@ -313,18 +312,14 @@ class TestDriverIntegration:
     def test_planned_equals_generic_and_reference(
         self, method, small_problem, theta
     ):
+        """An executed run (always planned) equals the serial reference,
+        which the generic kernels are unit-tested against above."""
         steps = 2
-        planned = run_executed(
-            small_problem, method, theta, timesteps=steps, use_plans=True
-        )
-        generic = run_executed(
-            small_problem, method, theta, timesteps=steps, use_plans=False
-        )
+        planned = run_executed(small_problem, method, theta, timesteps=steps)
         ref = apply_periodic_reference(
             small_problem.initial_global(0), small_problem.stencil, steps
         )
         np.testing.assert_array_equal(planned.global_result, ref)
-        np.testing.assert_array_equal(generic.global_result, ref)
 
     def test_exchange_period_cycles_planned(self, theta):
         """Every cycle position (margins > 0, brick depths > 0) runs
@@ -354,13 +349,3 @@ class TestDriverIntegration:
         run = run_executed(small_problem, "layout", theta, timesteps=2)
         measured = run.metrics.measured_calc
         assert measured is not None and measured.avg > 0
-
-    def test_env_disables_plans(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_PLAN", "1")
-        assert not plans_enabled()
-        assert plans_enabled(True)  # explicit flag wins
-        monkeypatch.setenv("REPRO_NO_PLAN", "0")
-        assert plans_enabled()
-        monkeypatch.delenv("REPRO_NO_PLAN")
-        assert plans_enabled()
-        assert not plans_enabled(False)
