@@ -114,12 +114,13 @@ class ExchangeChannel:
     """Persistent exchange channel: negotiate once, fire every step.
 
     The run-plan analogue of persistent MPI requests.  An exchanger's
-    message plan is flattened, once, into precomputed ``(peer, tag,
-    buffer)`` tuples bound to persistent buffers (storage views for the
-    pack-free schemes, staging buffers for the packing ones), and each
-    step replays it through the batched fabric operations -- one posting
-    call, one receive drain, one send sweep -- instead of ``N``
-    point-to-point request objects through the per-message chokepoint.
+    message plan is flattened, once, into ``(peer, tag, buffer)`` tuples
+    over persistent buffers (storage views for the pack-free schemes,
+    staging buffers for the packing ones) and bound to the fabric as one
+    :class:`~repro.simmpi.fabric.BoundRequest`; each step re-fires that
+    handle -- one posting call, one receive drain, one send wait --
+    instead of ``N`` point-to-point request objects through the
+    per-message chokepoint.
 
     The modelled :class:`ExchangeResult` is a function of the (static)
     message plan, so it too is computed once and returned by reference.
@@ -129,7 +130,7 @@ class ExchangeChannel:
 
     Beyond the bulk-synchronous :meth:`exchange`, a channel can run one
     exchange *phased*: :meth:`start` packs (if the scheme packs), arms the
-    partitioned persistent requests and releases every send partition;
+    bound request's partitioned epoch and releases every send partition;
     :meth:`complete` drains the receives, awaits send consumption and
     unpacks.  The caller computes interior stencil work between the two
     -- the compute-comm overlap the phased timestep is built on.  With
@@ -137,10 +138,9 @@ class ExchangeChannel:
     independently-released sub-region partitions (``Pready`` semantics).
     """
 
-    __slots__ = ("comm", "method", "_fabric", "_rank", "_posts", "_recvs",
+    __slots__ = ("comm", "method", "_fabric", "_rank", "_request",
                  "_result", "_packed_bytes", "_pre", "_post", "_pre_span",
-                 "_post_span", "_nmsgs", "_partitions", "_psend", "_precv",
-                 "_inflight")
+                 "_post_span", "_nmsgs")
 
     def __init__(
         self,
@@ -161,55 +161,43 @@ class ExchangeChannel:
                 "exchange channels require an unverified fabric; the"
                 " envelope protocol is per-message"
             )
-        if partitions < 1:
-            raise ExchangeConfigError("partitions must be >= 1")
-        for _, _, buf in list(posts) + list(recvs):
-            if not buf.flags.c_contiguous:
-                raise ExchangeConfigError(
-                    "channel buffers must be C-contiguous"
-                )
         self.comm = comm
         self.method = method
         self._fabric = comm.fabric
         self._rank = comm.rank
-        self._posts = list(posts)
-        self._recvs = list(recvs)
         self._result = result
         self._packed_bytes = int(packed_bytes)
         self._pre = pre
         self._post = post
         self._pre_span = pre_span
         self._post_span = post_span
-        self._nmsgs = len(self._posts)
-        self._partitions = int(partitions)
-        self._psend = None
-        self._precv = None
-        self._inflight = False
-        # Register both halves of the byte split with the fabric now, so
-        # a cross-rank disagreement (byte counts or partition bounds)
-        # surfaces at negotiation as a typed SplitMismatchError instead
-        # of a DeadlockError on the first wait.
-        self._fabric.negotiate_channel(
-            self._rank, self._posts, self._recvs, self._partitions
+        self._nmsgs = len(posts)
+        # Bind now: the fabric validates the buffers and registers both
+        # halves of the byte split, so a cross-rank disagreement (byte
+        # counts or partition bounds) surfaces at negotiation as a typed
+        # SplitMismatchError instead of a DeadlockError on the first wait.
+        self._request = self._fabric.bind_request(
+            self._rank, posts, recvs, int(partitions)
         )
 
     def exchange(self) -> ExchangeResult:
         """Re-fire the negotiated plan; returns the precomputed result."""
-        if self._inflight:
+        if self._request.started:
             raise ProtocolError(
                 "channel has a phased exchange in flight; complete() it"
                 " before exchanging"
             )
         fabric = self._fabric
         rank = self._rank
+        cut = self._request.bulk
         if self._pre is not None:
             with _TRACER.span(self._pre_span, rank=rank, method=self.method):
                 self._pre()
         with _TRACER.span("exchange.post", rank=rank, method=self.method):
-            entries = fabric.post_send_batch(rank, self._posts)
+            fabric.post_send_batch(cut)
         with _TRACER.span("exchange.wait", rank=rank, method=self.method):
-            fabric.complete_recv_batch(rank, self._recvs)
-            fabric.wait_send_batch(entries, rank)
+            fabric.complete_recv_batch(cut)
+            fabric.wait_send_batch(cut)
         if self._post is not None:
             with _TRACER.span(self._post_span, rank=rank, method=self.method):
                 self._post()
@@ -223,13 +211,14 @@ class ExchangeChannel:
     # Phased exchange: start -> (caller's interior compute) -> complete
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Pack, arm the persistent partitioned requests, release sends.
+        """Pack, arm the bound request's epoch, release every partition.
 
         Returns as soon as every send partition is on the wire; nothing
         has been received yet.  The caller may compute any stencil work
         that reads no ghost data before calling :meth:`complete`.
         """
-        if self._inflight:
+        request = self._request
+        if request.started:
             raise ProtocolError(
                 "channel already started; complete() the in-flight"
                 " exchange first"
@@ -238,27 +227,15 @@ class ExchangeChannel:
         if self._pre is not None:
             with _TRACER.span(self._pre_span, rank=rank, method=self.method):
                 self._pre()
-        if self._psend is None:
-            # Negotiated lazily on first phased use: the same channel can
-            # serve bulk-synchronous runs without ever building requests.
-            fabric = self._fabric
-            self._psend = fabric.send_init(rank, self._posts, self._partitions)
-            self._precv = fabric.recv_init(rank, self._recvs, self._partitions)
         with _TRACER.span("exchange.start", rank=rank, method=self.method):
-            self._precv.start()
-            self._psend.start()
-            self._psend.pready_all()
-        self._inflight = True
+            request.start()
+            request.pready_all()
 
     def complete(self) -> ExchangeResult:
         """Drain every receive partition, await send consumption, unpack."""
-        if not self._inflight:
-            raise ProtocolError("complete() without a start()ed exchange")
         rank = self._rank
         with _TRACER.span("exchange.complete", rank=rank, method=self.method):
-            self._precv.complete()
-            self._psend.wait()
-        self._inflight = False
+            self._request.complete()
         if self._post is not None:
             with _TRACER.span(self._post_span, rank=rank, method=self.method):
                 self._post()

@@ -40,8 +40,8 @@ class ProtocolError(RuntimeError):
 class SplitMismatchError(ProtocolError, ValueError):
     """The two endpoints of a message disagree on its byte split.
 
-    Raised at *negotiation* time (channel construction,
-    ``send_init``/``recv_init``) when the sender and receiver register
+    Raised at *negotiation* time (channel construction, i.e.
+    ``SimFabric.bind_request``) when the sender and receiver register
     different byte counts or partition bounds for the same
     ``(src, dst, tag)`` edge -- the static schedule verifier
     (:mod:`repro.check`) computes the same

@@ -1,23 +1,48 @@
 """Message-matching fabric shared by all simulated ranks.
 
-The fabric is a thread-safe mailbox keyed ``(source, dest, tag)``.  An
-``Isend`` deposits a :class:`_SendEntry` holding a *reference* to the send
-buffer (no copy -- the wire copy happens exactly once, at match time, into
-the receive buffer).  A receive blocks until a matching entry exists, then
-copies and signals the sender's completion event.
+Two transports share one lock and one set of statistics.
+
+Bound requests (the halo-exchange path)
+---------------------------------------
+A channel's whole message plan is *bound* once
+(:meth:`SimFabric.bind_request`) into a :class:`BoundRequest`: per send a
+prebuilt ``((src, tag), flat byte view)`` item grouped by destination, per
+receive a map from ``(src, tag)`` to the flat byte view of its ghost
+buffer.  The handle owns the buffers; every rank owns a *port* (a
+condition on the fabric lock, an arrival list, an outstanding-send
+count).  Each step re-fires the handle with O(ranks) synchronisation and
+no per-message object: *post* appends the prebuilt items to each
+destination port and notifies a destination only when its expected
+count is complete; *complete* waits on the rank's own condition for all
+``n`` arrivals, copies outside the lock (the single wire copy), then
+credits each source port, notifying a source only when its outstanding
+count reaches zero; *wait* blocks on the rank's own condition until then.
+At most one epoch per edge is in flight (a sender does not leave an
+exchange before its sends are consumed); a stray or surplus arrival is a
+:class:`ProtocolError`, not an assumption.
+
+Per-message mailboxes (Shift, collectives, the envelope)
+--------------------------------------------------------
+``post_send`` / ``complete_recv`` / ``wait_send`` keep a mailbox keyed
+``(source, dest, tag)``: an ``Isend`` deposits a :class:`_SendEntry`
+holding a *reference* to the send buffer, a receive blocks until a
+matching entry exists, copies, and signals the entry's event.  Mailbox
+traffic never lands in a port (a rank that already left the exchange and
+posted the next collective must not count as a halo arrival), so bound
+and per-message operations do not match each other on one edge.
 
 Statistics (message and byte counts) are recorded per rank; the modelled
 clocks use them and the tests assert on them.
 
 Verified mode (the chaos fabric)
 --------------------------------
-``enable_envelope()`` switches every message onto the envelope protocol of
-:mod:`repro.exchange.envelope`: payloads are frozen (copied) at post time,
-stamped with a per-edge sequence number and CRC32, and validated by the
-receiver.  Detected faults raise the typed errors from
-:mod:`repro.faults.errors` *after* a pristine retransmit has been queued,
-so a bounded retry of the exchange heals them.  Three auxiliary structures
-make whole-exchange retries idempotent:
+``enable_envelope()`` switches every per-message operation onto the
+envelope protocol of :mod:`repro.exchange.envelope`: payloads are frozen
+(copied) at post time, stamped with a per-edge sequence number and CRC32,
+and validated by the receiver.  Detected faults raise the typed errors
+from :mod:`repro.faults.errors` *after* a pristine retransmit has been
+queued, so a bounded retry of the exchange heals them.  Three auxiliary
+structures make whole-exchange retries idempotent:
 
 * **post suppression** -- within one exchange *epoch* (set per rank by the
   driver), a second post on the same edge is a retransmit of data already
@@ -27,8 +52,7 @@ make whole-exchange retries idempotent:
 * **delivery replay** -- a re-posted receive for an edge already delivered
   in the current epoch is served from the cached payload.
 
-With the envelope disabled (the default) the original zero-overhead path
-runs, bit-identical to the unverified fabric.
+A verified fabric refuses to bind requests: the envelope is per-message.
 """
 
 from __future__ import annotations
@@ -56,8 +80,7 @@ from repro.obs import TRACER as _TRACER
 __all__ = [
     "SimFabric",
     "FabricStats",
-    "PartitionedSendRequest",
-    "PartitionedRecvRequest",
+    "BoundRequest",
     "partition_tag",
     "partition_bounds",
     "DeadlockError",
@@ -144,9 +167,8 @@ def partition_bounds(nbytes: int, partitions: int) -> Tuple[Tuple[int, int], ...
     """Equal byte-count partition intervals ``(lo, hi)`` of a message.
 
     The single source of truth for the byte split: both wire endpoints
-    (:func:`_partition_views`), the channel negotiation
-    (:meth:`SimFabric.negotiate_channel`) and the static schedule
-    verifier (:mod:`repro.check`) derive their split from this helper,
+    and the negotiation (:meth:`SimFabric.bind_request`) and the static
+    schedule verifier (:mod:`repro.check`) derive their split from it,
     so "checker says the split matches" and "the wire splits match" are
     the same statement.  The partition count is clamped to the byte
     count (every partition carries at least one byte; a zero-byte
@@ -156,182 +178,179 @@ def partition_bounds(nbytes: int, partitions: int) -> Tuple[Tuple[int, int], ...
     if n < 0:
         raise ExchangeConfigError("message byte count cannot be negative")
     k = max(1, min(int(partitions), n)) if n else 1
+    if k == 1:  # every unphased message: keep binding a channel cheap
+        return ((0, n),)
     cuts = [(n * p) // k for p in range(k + 1)]
     return tuple((cuts[p], cuts[p + 1]) for p in range(k))
 
 
-def _partition_views(buf: np.ndarray, partitions: int) -> List[np.ndarray]:
-    """Equal byte-count partitions of a flattened contiguous buffer.
+def _flat_bytes(buf: np.ndarray) -> np.ndarray:
+    """Flat byte view of a C-contiguous buffer (never a copy)."""
+    if not buf.flags.c_contiguous:
+        raise ExchangeConfigError("bound buffers must be C-contiguous")
+    return buf.reshape(-1).view(np.uint8)
 
-    Both endpoints compute the split independently from their own buffer
-    via :func:`partition_bounds`; the totals match (message sizes are
-    negotiated), so splitting by bytes keeps the two sides consistent
-    even across dtype views.
+
+class _Port:
+    """One rank's end of the bound path; every field is guarded by the
+    fabric lock, which ``cond`` is built on."""
+
+    __slots__ = ("cond", "arrivals", "expect", "outstanding")
+
+    def __init__(self, lock) -> None:
+        self.cond = threading.Condition(lock)
+        self.arrivals: list = []  # ((src, tag), send view) not yet consumed
+        self.expect = 0           # arrivals the owner is blocked on (0: none)
+        self.outstanding = 0      # items this rank posted, not yet consumed
+
+
+class _Cut:
+    """A request's buffers cut into wire items at one partition count.
+
+    ``rows[m][p]`` is the single-item group of partition *p* of send *m*
+    and ``groups`` the same items gathered per destination; a group is
+    ``(dst, items, nbytes)`` and an item ``((src, wire tag), byte view)``.
+    ``rmap`` maps each expected item key to its receive view, ``rkeys[m]``
+    lists the keys of receive *m*, ``sources`` is ``(src, item count)``.
     """
-    flat = np.ascontiguousarray(buf).reshape(-1).view(np.uint8)
-    return [flat[lo:hi] for lo, hi in partition_bounds(flat.size, partitions)]
+
+    __slots__ = ("rank", "rows", "groups", "nsend", "send_bytes",
+                 "rmap", "rkeys", "recv_bytes", "sources")
+
+    def __init__(self, rank: int, posts, recvs, partitions: int) -> None:
+        def wire(tag: int, part: int) -> int:
+            return tag if partitions == 1 else partition_tag(tag, part)
+
+        self.rank = rank
+        self.rows: List[list] = []
+        by_dst: Dict[int, list] = {}
+        for dst, tag, buf in posts:
+            flat = _flat_bytes(buf)
+            row = []
+            for p, (lo, hi) in enumerate(partition_bounds(flat.size, partitions)):
+                item = ((rank, wire(tag, p)), flat[lo:hi])
+                by_dst.setdefault(dst, []).append(item)
+                row.append((dst, [item], hi - lo))
+            self.rows.append(row)
+        self.groups = [
+            (dst, items, sum(view.size for _, view in items))
+            for dst, items in by_dst.items()
+        ]
+        self.nsend = sum(len(row) for row in self.rows)
+        self.send_bytes = sum(g[2] for g in self.groups)
+        self.rmap: Dict[Tuple[int, int], np.ndarray] = {}
+        self.rkeys: List[list] = []
+        counts: Dict[int, int] = {}
+        for src, tag, buf in recvs:
+            flat = _flat_bytes(buf)
+            keys = []
+            for p, (lo, hi) in enumerate(partition_bounds(flat.size, partitions)):
+                key = (src, wire(tag, p))
+                if key in self.rmap:
+                    raise ExchangeConfigError(
+                        f"rank {rank} binds two receives to (src={src},"
+                        f" tag={tag}); one request matches an edge once"
+                    )
+                self.rmap[key] = flat[lo:hi]
+                keys.append(key)
+            self.rkeys.append(keys)
+            counts[src] = counts.get(src, 0) + len(keys)
+        self.recv_bytes = sum(view.size for view in self.rmap.values())
+        self.sources = list(counts.items())
 
 
-class PartitionedSendRequest:
-    """Persistent partitioned send (the ``MPI_Psend_init`` analogue).
+class BoundRequest:
+    """A channel's messages bound to the fabric once, fired every step.
 
-    Built once from a message plan by :meth:`SimFabric.send_init`; each
-    epoch is ``start()`` -> ``pready(msg, part)``/``pready_all()`` ->
-    ``wait()``.  ``start`` arms the epoch without touching the wire; a
-    partition hits the mailbox only when it is marked ready, so a producer
-    (e.g. the surface pack of a phased timestep) can release sub-regions
-    of each flattened channel buffer independently.
+    One rank's persistent request (the ``MPI_Psend_init`` / ``Precv_init``
+    analogue in one handle), built by :meth:`SimFabric.bind_request`.
+    ``bulk`` is the whole-message cut a bulk-synchronous exchange fires
+    through ``post_send_batch`` / ``complete_recv_batch`` /
+    ``wait_send_batch``; ``parts`` is the same buffers cut by
+    :func:`partition_bounds` for the phased epoch ``start()`` ->
+    ``pready(msg, part)`` / ``pready_all()`` -> ``complete()``, in which
+    a partition reaches its peer only once it is marked ready.
     """
 
-    __slots__ = ("_fabric", "_src", "_msgs", "_entries", "_ready", "_started")
+    __slots__ = ("_fabric", "bulk", "parts", "started", "_ready", "_all_ready")
 
-    def __init__(self, fabric: "SimFabric", src: int, posts,
+    def __init__(self, fabric: "SimFabric", rank: int, posts, recvs,
                  partitions: int) -> None:
         self._fabric = fabric
-        self._src = src
-        # _msgs[i] = list of (dst, wire tag, byte view) per partition.
-        self._msgs: List[List[Tuple[int, int, np.ndarray]]] = []
-        for dst, tag, buf in posts:
-            fabric._check_rank(dst)
-            views = _partition_views(buf, partitions)
-            self._msgs.append(
-                [(dst, partition_tag(tag, p), v) for p, v in enumerate(views)]
-            )
-        self._entries: List[_SendEntry] = []
+        self.bulk = _Cut(rank, posts, recvs, 1)
+        self.parts = (
+            self.bulk if partitions == 1 else _Cut(rank, posts, recvs, partitions)
+        )
+        self.started = False
         self._ready: set = set()
-        self._started = False
+        self._all_ready = False
 
     @property
     def partitions(self) -> List[int]:
-        """Partition count per message (clamped to the message's bytes)."""
-        return [len(parts) for parts in self._msgs]
+        """Partition count per message (clamped to the message's bytes),
+        sends first, then receives."""
+        cut = self.parts
+        return [len(row) for row in cut.rows] + [len(k) for k in cut.rkeys]
+
+    def _need_started(self, what: str) -> None:
+        if not self.started:
+            raise ProtocolError(f"{what} before start on a bound request")
 
     def start(self) -> None:
         """Arm a new epoch; every partition becomes not-ready."""
-        if self._started:
+        if self.started:
             raise ProtocolError(
-                "partitioned send already started; wait() the previous"
+                "bound request already started; complete() the previous"
                 " epoch first"
             )
         self._ready.clear()
-        self._entries = []
-        self._started = True
-
-    def _deposit(self, items: List[Tuple[int, int, np.ndarray]]) -> None:
-        fabric = self._fabric
-        src = self._src
-        entries = [(dst, tag, _SendEntry(view, src)) for dst, tag, view in items]
-        nbytes = sum(view.nbytes for _, _, view in items)
-        with fabric._lock:
-            boxes = fabric._mailboxes
-            for dst, tag, entry in entries:
-                boxes[(src, dst, tag)].append(entry)
-            st = fabric.stats[src]
-            st.sends += len(entries)
-            st.bytes_sent += nbytes
-            fabric._lock.notify_all()
-        if _METRICS.enabled:
-            _METRICS.count("fabric.messages", len(entries), rank=src)
-            _METRICS.count("fabric.wire_bytes", nbytes, rank=src)
-        self._entries.extend(e for _, _, e in entries)
+        self._all_ready = False
+        self.started = True
 
     def pready(self, msg: int, part: int) -> None:
         """Mark one partition ready: its bytes go on the wire now."""
-        if not self._started:
-            raise ProtocolError("pready before start on a partitioned send")
-        dst, tag, view = self._msgs[msg][part]
-        if (msg, part) in self._ready:
+        self._need_started("pready")
+        if self._all_ready or (msg, part) in self._ready:
             raise ProtocolError(
                 f"partition ({msg}, {part}) already marked ready this epoch"
             )
+        group = self.parts.rows[msg][part]
+        self._fabric.post_send_batch(self.parts, [group])
         self._ready.add((msg, part))
-        self._deposit([(dst, tag, view)])
 
     def pready_all(self) -> None:
         """Mark every not-yet-ready partition ready in one lock round."""
-        if not self._started:
-            raise ProtocolError("pready before start on a partitioned send")
-        items = []
-        for m, parts in enumerate(self._msgs):
-            for p, item in enumerate(parts):
-                if (m, p) not in self._ready:
-                    self._ready.add((m, p))
-                    items.append(item)
-        if items:
-            self._deposit(items)
-
-    def wait(self) -> None:
-        """Complete the epoch: every ready partition consumed by its peer."""
-        if not self._started:
-            raise ProtocolError("wait before start on a partitioned send")
-        self._fabric.wait_send_batch(self._entries, self._src)
-        self._entries = []
-        self._started = False
-
-
-class PartitionedRecvRequest:
-    """Persistent partitioned receive (the ``MPI_Precv_init`` analogue).
-
-    Each epoch is ``start()`` -> optional ``parrived(msg, part)`` probes ->
-    ``complete()``, which drains every partition of every message in one
-    condition loop (copies outside the lock, like the batch path).
-    """
-
-    __slots__ = ("_fabric", "_dst", "_msgs", "_flat", "_drained", "_started")
-
-    def __init__(self, fabric: "SimFabric", dst: int, recvs,
-                 partitions: int) -> None:
-        self._fabric = fabric
-        self._dst = dst
-        self._msgs: List[List[Tuple[int, int, np.ndarray]]] = []
-        for src, tag, buf in recvs:
-            fabric._check_rank(src)
-            views = _partition_views(buf, partitions)
-            self._msgs.append(
-                [(src, partition_tag(tag, p), v) for p, v in enumerate(views)]
-            )
-        self._flat = [
-            (src, tag, view) for parts in self._msgs for src, tag, view in parts
-        ]
-        self._drained: set = set()
-        self._started = False
-
-    @property
-    def partitions(self) -> List[int]:
-        return [len(parts) for parts in self._msgs]
-
-    def start(self) -> None:
-        if self._started:
-            raise ProtocolError(
-                "partitioned receive already started; complete() the"
-                " previous epoch first"
-            )
-        self._drained.clear()
-        self._started = True
+        self._need_started("pready")
+        if self._all_ready:
+            return
+        groups = None  # nothing released yet: the prebuilt per-rank groups
+        if self._ready:
+            groups = [
+                group
+                for m, row in enumerate(self.parts.rows)
+                for p, group in enumerate(row)
+                if (m, p) not in self._ready
+            ]
+        self._fabric.post_send_batch(self.parts, groups)
+        self._all_ready = True
 
     def parrived(self, msg: int, part: int) -> bool:
         """Non-blocking: has this partition's transmission arrived?"""
-        if not self._started:
-            raise ProtocolError("parrived before start on a partitioned recv")
-        if (msg, part) in self._drained:
-            return True
-        src, tag, _view = self._msgs[msg][part]
+        self._need_started("parrived")
+        key = self.parts.rkeys[msg][part]
         fabric = self._fabric
         with fabric._lock:
-            q = fabric._mailboxes.get((src, self._dst, tag))
-            return bool(q)
+            arrivals = fabric._ports[self.parts.rank].arrivals
+            return any(item[0] == key for item in arrivals)
 
     def complete(self) -> None:
-        """Block until every partition is delivered into its sub-view."""
-        if not self._started:
-            raise ProtocolError("complete before start on a partitioned recv")
-        self._fabric.complete_recv_batch(self._dst, self._flat)
-        self._drained.update(
-            (m, p)
-            for m, parts in enumerate(self._msgs)
-            for p in range(len(parts))
-        )
-        self._started = False
+        """End the epoch: every receive partition delivered into its
+        sub-view, every released send partition consumed by its peer."""
+        self._need_started("complete")
+        fabric = self._fabric
+        fabric.complete_recv_batch(self.parts)
+        fabric.wait_send_batch(self.parts)
+        self.started = False
 
 
 class SimFabric:
@@ -353,7 +372,11 @@ class SimFabric:
         if timeout is not None and timeout <= 0:
             raise ExchangeConfigError("fabric timeout must be positive")
         self._timeout = timeout
-        self._lock = threading.Condition()
+        # One lock for everything.  Per-message waiters block on _lock
+        # itself, bound-request waiters on their own port's condition.
+        mutex = threading.RLock()
+        self._lock = threading.Condition(mutex)
+        self._ports = [_Port(mutex) for _ in range(nranks)]
         self._mailboxes: Dict[Tuple[int, int, int], Deque[_SendEntry]] = defaultdict(
             deque
         )
@@ -433,7 +456,7 @@ class SimFabric:
         self._check_rank(rank)
         with self._lock:
             self._dead.add(rank)
-            self._lock.notify_all()
+            self._wake_all()
 
     def is_dead(self, rank: int) -> bool:
         with self._lock:
@@ -464,7 +487,7 @@ class SimFabric:
             self._heartbeat_deadline = seconds
 
     def _check_dst_alive(self, src: int, dst: int) -> None:
-        """Refuse to post toward a dead rank (called outside the lock)."""
+        """Refuse to post toward a dead rank (takes the reentrant lock)."""
         with self._lock:
             if dst in self._dead:
                 raise RankDeadError(
@@ -579,161 +602,191 @@ class SimFabric:
         return entry
 
     # ------------------------------------------------------------------
-    # Batched posting (run-plan fast path)
-    #
-    # One fabric call per exchange instead of one per message: a whole
-    # step's sends are deposited under a single lock acquisition, the
-    # matching receives drain in one condition loop (copies run outside
-    # the lock, so peers' wire copies overlap), and send completion is
-    # awaited in one sweep.  Persistent-channel style: the (dst, tag,
-    # buffer) tuples are negotiated once per run by the exchange channels
-    # and re-fired every step.  Verified (envelope) fabrics refuse the
-    # batch path -- the channel layer falls back to the per-message
-    # protocol, which carries the sequence/CRC machinery.
+    # Bound requests (module docstring): ExchangeChannel's per-step calls.
+    # A verified fabric refuses them; the channel layer then keeps the
+    # per-message protocol, which carries the sequence/CRC machinery.
     # ------------------------------------------------------------------
-    def post_send_batch(self, src: int, posts) -> List[_SendEntry]:
-        """Deposit a whole step's sends in one lock acquisition.
-
-        *posts* is a sequence of ``(dst, tag, buf)`` with contiguous
-        NumPy buffers (the channel layer guarantees this at build time).
-        Returns the entries whose events mark per-message completion.
-        """
+    def _refuse_envelope(self) -> None:
         if self._envelope:
             raise UnsupportedFabricError(
-                "batched posting is not available on a verified fabric;"
-                " use the per-message protocol"
+                "bound (batched / partitioned) requests are not available"
+                " on a verified fabric; use the per-message protocol"
             )
-        entries = []
-        nbytes = 0
+
+    def bind_request(self, rank: int, posts, recvs,
+                     partitions: int = 1) -> BoundRequest:
+        """Bind a channel's whole message plan into a persistent request.
+
+        *posts* are ``(dst, tag, buf)`` and *recvs* ``(src, tag, buf)``
+        exactly as the channel will fire them; the buffers must be
+        C-contiguous and stay alive with the handle.  Both halves of each
+        edge's byte split are registered here, so a byte-count or
+        partition disagreement between two ranks surfaces at negotiation
+        as a :class:`SplitMismatchError`, before any message is posted.
+        """
+        self._check_rank(rank)
+        self._refuse_envelope()
+        if partitions < 1:
+            raise ExchangeConfigError("partitions must be >= 1")
+        posts, recvs = list(posts), list(recvs)
         for dst, tag, buf in posts:
-            self._check_dst_alive(src, dst)
-            entries.append((dst, tag, _SendEntry(buf, src)))
-            nbytes += buf.nbytes
-        with self._lock:
-            boxes = self._mailboxes
-            for dst, tag, entry in entries:
-                boxes[(src, dst, tag)].append(entry)
-            st = self.stats[src]
-            st.sends += len(entries)
-            st.bytes_sent += nbytes
-            self._lock.notify_all()
-        if _METRICS.enabled:
-            _METRICS.count("fabric.messages", len(entries), rank=src)
-            _METRICS.count("fabric.wire_bytes", nbytes, rank=src)
-        return [e for _, _, e in entries]
+            self._check_rank(dst)
+            self.register_split(rank, dst, tag, buf.nbytes, partitions, "send")
+        for src, tag, buf in recvs:
+            self._check_rank(src)
+            self.register_split(src, rank, tag, buf.nbytes, partitions, "recv")
+        return BoundRequest(self, rank, posts, recvs, partitions)
 
-    def complete_recv_batch(self, dst: int, recvs) -> None:
-        """Complete a whole step's receives in one condition loop.
+    def post_send_batch(self, cut: _Cut, groups=None) -> None:
+        """Put *groups* of *cut* (default: all of it) on the wire.
 
-        *recvs* is a sequence of ``(src, tag, buf)``.  Matching entries
-        are popped under the lock but copied outside it, so concurrent
-        ranks' wire copies (which release the GIL) overlap instead of
-        serializing on the fabric lock.  Buffers are disjoint by
-        construction (each targets its own ghost region), so arrival
-        order cannot change the result.
+        One lock acquisition covers the dead-destination check and the
+        deposit, so a rank that dies first gets nothing queued.  A
+        destination is notified only if it is blocked in
+        :meth:`complete_recv_batch` and this post completes its count.
         """
-        if self._envelope:
-            raise UnsupportedFabricError(
-                "batched receives are not available on a verified fabric;"
-                " use the per-message protocol"
-            )
-        n = len(recvs)
+        self._refuse_envelope()
+        if groups is None:
+            groups, n, nbytes = cut.groups, cut.nsend, cut.send_bytes
+        else:
+            n = sum(len(group[1]) for group in groups)
+            nbytes = sum(group[2] for group in groups)
+        src = cut.rank
+        ports = self._ports
+        with self._lock:
+            if self._dead:
+                for dst, _items, _nbytes in groups:
+                    self._check_dst_alive(src, dst)
+            for dst, items, _nbytes in groups:
+                port = ports[dst]
+                port.arrivals.extend(items)
+                if port.expect and len(port.arrivals) >= port.expect:
+                    port.cond.notify()
+            ports[src].outstanding += n
+            st = self.stats[src]
+            st.sends += n
+            st.bytes_sent += nbytes
+        if _METRICS.enabled:
+            _METRICS.count("fabric.messages", n, rank=src)
+            _METRICS.count("fabric.wire_bytes", nbytes, rank=src)
+
+    def _missing(self, cut: _Cut) -> List[Tuple[int, int]]:
+        """Under the lock: receive keys of *cut* with no arrival yet."""
+        arrived = {item[0] for item in self._ports[cut.rank].arrivals}
+        return [key for key in cut.rmap if key not in arrived]
+
+    def complete_recv_batch(self, cut: _Cut) -> None:
+        """Deliver one epoch of *cut*'s receives into their buffers.
+
+        Blocks on the rank's own condition until all ``n`` arrivals are
+        in (one wake-up per exchange, not one per message), swaps the
+        list out and copies outside the lock, so ranks' wire copies
+        overlap.  Buffers are disjoint, so arrival order cannot matter.
+        """
+        n = len(cut.rmap)
         if n == 0:
             return
+        dst = cut.rank
+        port = self._ports[dst]
         timeout = self.timeout
-        pending = list(range(n))
-        nbytes = 0
         with _TRACER.span("fabric.recv", rank=dst, n=n):
-            deadline = time.monotonic() + timeout
-            while pending:
-                ready = []
-                with self._lock:
-                    while True:
+            with self._lock:
+                deadline = time.monotonic() + timeout
+                port.expect = n
+                try:
+                    while len(port.arrivals) < n:
                         if self._failed:
                             raise AbortedError(
                                 "another rank failed; aborting receive"
                             )
-                        still = []
-                        boxes = self._mailboxes
-                        for i in pending:
-                            src, tag, _buf = recvs[i]
-                            q = boxes.get((src, dst, tag))
-                            if q:
-                                ready.append((i, q.popleft()))
-                            else:
-                                self._raise_if_src_dead(src, dst, tag)
-                                still.append(i)
-                        pending = still
-                        if ready or not pending:
-                            break
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0 or not self._lock.wait(
-                            timeout=remaining
-                        ):
-                            self._failed = True
-                            self._lock.notify_all()
-                            for i in pending:
-                                src, _tag, _buf = recvs[i]
-                                if self._stale_heartbeat(src):
-                                    self._dead.add(src)
+                        if self._dead:
+                            # A drained edge from a dead peer never fills.
+                            for src, tag in self._missing(cut):
+                                if src in self._dead:
                                     raise RankDeadError(
-                                        f"rank {src} missed its heartbeat"
-                                        f" deadline; declaring it dead"
+                                        f"rank {dst} cannot receive from"
+                                        f" rank {src} (tag={tag}): rank"
+                                        f" {src} is permanently dead"
                                     )
-                            src, tag, _buf = recvs[pending[0]]
-                            raise DeadlockError(
-                                f"rank {dst} waited {timeout}s for"
-                                f" message (src={src}, tag={tag})"
-                            )
-                for i, entry in ready:
-                    src, tag, buf = recvs[i]
-                    self._copy_into(entry.buf, buf, (src, dst, tag))
-                    nbytes += buf.nbytes
-                    entry.done.set()
+                        remaining = deadline - time.monotonic()
+                        if remaining > 0:
+                            port.cond.wait(remaining)
+                            continue  # re-check: arrived, aborted or late
+                        self.abort()
+                        missing = self._missing(cut)
+                        for src, _tag in missing:
+                            if self._stale_heartbeat(src):
+                                self._dead.add(src)
+                                raise RankDeadError(
+                                    f"rank {src} missed its heartbeat"
+                                    f" deadline; declaring it dead"
+                                )
+                        src, tag = missing[0]
+                        raise DeadlockError(
+                            f"rank {dst} waited {timeout}s for"
+                            f" message (src={src}, tag={tag})"
+                        )
+                finally:
+                    port.expect = 0
+                items = port.arrivals
+                port.arrivals = []
+            rmap = cut.rmap
+            if len(items) != n or {item[0] for item in items} != rmap.keys():
+                # More than one epoch on an edge, or a peer's request
+                # that does not mirror this one.
+                self.abort()
+                raise ProtocolError(
+                    f"rank {dst}: arrivals (src, tag)"
+                    f" {sorted(item[0] for item in items)} do not match"
+                    f" its {n} bound receives"
+                )
+            for key, sent in items:
+                recv = rmap[key]
+                if sent.size != recv.size:
+                    self.abort()
+                    raise SplitMismatchError(
+                        f"message size mismatch on (src={key[0]}, dst={dst},"
+                        f" tag={key[1]}): sent {sent.size} bytes, receiving"
+                        f" {recv.size}"
+                    )
+                recv[:] = sent  # the single wire copy
+            ports = self._ports
             with self._lock:
                 st = self.stats[dst]
                 st.recvs += n
-                st.bytes_received += nbytes
+                st.bytes_received += cut.recv_bytes
+                for src, count in cut.sources:
+                    sender = ports[src]
+                    sender.outstanding -= count
+                    if sender.outstanding == 0:
+                        sender.cond.notify()
         if _METRICS.enabled:
-            _METRICS.count("fabric.bytes_received", nbytes, rank=dst)
+            _METRICS.count("fabric.bytes_received", cut.recv_bytes, rank=dst)
 
-    def wait_send_batch(self, entries: List[_SendEntry], rank: int) -> None:
-        """Await a batch of posted sends in one sweep.
-
-        Entries whose receives already drained cost one flag check each;
-        stragglers fall back to the polling wait of :meth:`wait_send`.
-        """
-        slow = [e for e in entries if not e.done.is_set()]
-        if not slow and not _TRACER.enabled:
+    def wait_send_batch(self, cut: _Cut) -> None:
+        """Block until every item this rank posted has been consumed."""
+        rank = cut.rank
+        port = self._ports[rank]
+        # Unlocked read: only this thread raises the count, so a zero
+        # seen here is final.
+        if not port.outstanding and not _TRACER.enabled:
             return
         timeout = self.timeout
-        poll = min(0.1, timeout / 10.0)
-        with _TRACER.span("fabric.send_wait", rank=rank, n=len(slow)):
-            deadline = time.monotonic() + timeout
-            for entry in slow:
-                while not entry.done.wait(timeout=poll):
-                    with self._lock:
-                        if self._failed:
-                            raise AbortedError(
-                                "another rank failed; abandoning send"
-                            )
-                    if time.monotonic() >= deadline:
-                        self.abort()
-                        raise DeadlockError(
-                            f"send unmatched after {timeout}s"
+        with _TRACER.span("fabric.send_wait", rank=rank, n=port.outstanding):
+            with self._lock:
+                deadline = time.monotonic() + timeout
+                while port.outstanding:
+                    if self._failed:
+                        raise AbortedError(
+                            "another rank failed; abandoning send"
                         )
+                    remaining = deadline - time.monotonic()
+                    if remaining > 0:
+                        port.cond.wait(remaining)
+                        continue
+                    self.abort()
+                    raise DeadlockError(f"send unmatched after {timeout}s")
 
-    # ------------------------------------------------------------------
-    # Partitioned persistent channels (MPI-4 ``Psend_init`` analogue)
-    #
-    # A request is negotiated once from a message plan and re-armed every
-    # exchange epoch; each flattened buffer is split into equal byte-count
-    # partitions that are marked ready -- and hit the wire -- independently.
-    # Partition traffic shares the mailbox with plain messages via a
-    # disjoint tag space (see ``partition_tag``).  Like the batch ops,
-    # partitioned requests refuse verified fabrics: the envelope protocol
-    # is strictly per-message.
-    # ------------------------------------------------------------------
     def register_split(self, src: int, dst: int, tag: int, nbytes: int,
                        partitions: int, side: str) -> None:
         """Record one endpoint's byte split of edge ``(src, dst, tag)``.
@@ -766,59 +819,6 @@ class SimFabric:
                 f" {len(bounds)} partition(s), {other} side negotiated"
                 f" {peer[-1][1]} bytes in {len(peer)} partition(s)"
             )
-
-    def negotiate_channel(self, rank: int, posts, recvs,
-                          partitions: int = 1) -> None:
-        """Register a channel's whole message plan with the split registry.
-
-        Called once per :class:`~repro.exchange.base.ExchangeChannel` at
-        construction: *posts* are ``(dst, tag, buf)`` and *recvs* are
-        ``(src, tag, buf)`` exactly as the channel will fire them, so a
-        byte-count or partition-split disagreement between two ranks'
-        channels surfaces at negotiation, before any message is posted.
-        """
-        self._check_rank(rank)
-        if partitions < 1:
-            raise ExchangeConfigError("partitions must be >= 1")
-        for dst, tag, buf in posts:
-            self._check_rank(dst)
-            self.register_split(rank, dst, tag, buf.nbytes, partitions, "send")
-        for src, tag, buf in recvs:
-            self._check_rank(src)
-            self.register_split(src, rank, tag, buf.nbytes, partitions, "recv")
-
-    def send_init(self, src: int, posts,
-                  partitions: int = 1) -> PartitionedSendRequest:
-        """Build a persistent partitioned send over ``(dst, tag, buf)``."""
-        self._check_rank(src)
-        if self._envelope:
-            raise UnsupportedFabricError(
-                "partitioned persistent sends are not available on a"
-                " verified fabric; use the per-message protocol"
-            )
-        if partitions < 1:
-            raise ExchangeConfigError("partitions must be >= 1")
-        posts = list(posts)
-        for dst, tag, buf in posts:
-            self._check_dst_alive(src, dst)
-            self.register_split(src, dst, tag, buf.nbytes, partitions, "send")
-        return PartitionedSendRequest(self, src, posts, partitions)
-
-    def recv_init(self, dst: int, recvs,
-                  partitions: int = 1) -> PartitionedRecvRequest:
-        """Build a persistent partitioned receive over ``(src, tag, buf)``."""
-        self._check_rank(dst)
-        if self._envelope:
-            raise UnsupportedFabricError(
-                "partitioned persistent receives are not available on a"
-                " verified fabric; use the per-message protocol"
-            )
-        if partitions < 1:
-            raise ExchangeConfigError("partitions must be >= 1")
-        recvs = list(recvs)
-        for src, tag, buf in recvs:
-            self.register_split(src, dst, tag, buf.nbytes, partitions, "recv")
-        return PartitionedRecvRequest(self, dst, recvs, partitions)
 
     def wait_send(self, entry: _SendEntry) -> None:
         """Block until *entry* is consumed by its receiver.
@@ -863,8 +863,7 @@ class SimFabric:
                     self._raise_if_src_dead(src, dst, tag)
                     remaining = deadline - time.monotonic()
                     if remaining <= 0 or not self._lock.wait(timeout=remaining):
-                        self._failed = True
-                        self._lock.notify_all()
+                        self.abort()
                         if self._stale_heartbeat(src):
                             self._dead.add(src)
                             raise RankDeadError(
@@ -876,16 +875,7 @@ class SimFabric:
                             f" message (src={src}, tag={tag})"
                         )
                 entry = self._mailboxes[key].popleft()
-            flat = buf.reshape(-1)
-            src_flat = entry.buf.reshape(-1).view(flat.dtype)
-            if src_flat.size != flat.size:
-                self.abort()
-                raise SplitMismatchError(
-                    f"message size mismatch on (src={src}, dst={dst},"
-                    f" tag={tag}): sent {src_flat.size} elements, receiving"
-                    f" {flat.size}"
-                )
-            flat[:] = src_flat  # the single wire copy
+            self._copy_into(entry.buf, buf, key)  # the single wire copy
             self.stats[dst].recvs += 1
             self.stats[dst].bytes_received += buf.nbytes
             entry.done.set()
@@ -959,8 +949,7 @@ class SimFabric:
                     self._raise_if_src_dead(src, dst, tag)
                     remaining = deadline - time.monotonic()
                     if remaining <= 0 or not self._lock.wait(timeout=remaining):
-                        self._failed = True
-                        self._lock.notify_all()
+                        self.abort()
                         if self._stale_heartbeat(src):
                             self._dead.add(src)
                             raise RankDeadError(
@@ -1022,17 +1011,26 @@ class SimFabric:
         if _METRICS.enabled:
             _METRICS.count("fabric.bytes_received", buf.nbytes, rank=dst)
 
+    def _wake_all(self) -> None:
+        """Under the lock: wake per-message waiters and every port."""
+        self._lock.notify_all()
+        for port in self._ports:
+            port.cond.notify_all()
+
     def abort(self) -> None:
         """Wake every waiter with a failure (used when one rank raises)."""
         with self._lock:
             self._failed = True
-            self._lock.notify_all()
+            self._wake_all()
         self.barrier.abort()
 
     @property
     def pending_messages(self) -> int:
+        """Posted but unconsumed messages: mailboxes plus port arrivals."""
         with self._lock:
-            return sum(len(q) for q in self._mailboxes.values())
+            return sum(len(q) for q in self._mailboxes.values()) + sum(
+                len(port.arrivals) for port in self._ports
+            )
 
     def total_stats(self) -> FabricStats:
         agg = FabricStats()

@@ -175,9 +175,9 @@ class TestNegotiation:
     def test_send_recv_init_split_mismatch(self):
         fabric = SimFabric(2)
         buf = np.zeros(64)
-        fabric.send_init(0, [(1, 5, buf)], partitions=2)
+        fabric.bind_request(0, [(1, 5, buf)], [], partitions=2)
         with pytest.raises(SplitMismatchError, match="split disagreement"):
-            fabric.recv_init(1, [(0, 5, np.zeros(64))], partitions=3)
+            fabric.bind_request(1, [], [(0, 5, np.zeros(64))], partitions=3)
 
     def test_register_split_byte_disagreement(self):
         fabric = SimFabric(2)

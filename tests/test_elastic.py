@@ -57,11 +57,29 @@ class TestFabricLiveness:
 
     def test_batch_and_partitioned_posts_check_liveness(self):
         fab = SimFabric(2, timeout=5.0)
+        bound = fab.bind_request(0, [(1, 0, np.zeros(4))], [], partitions=2)
         fab.mark_dead(1)
         with pytest.raises(RankDeadError):
-            fab.post_send_batch(0, [(1, 0, np.zeros(4))])
+            fab.post_send_batch(bound.bulk)
+        bound.start()
         with pytest.raises(RankDeadError):
-            fab.send_init(0, [(1, 0, np.zeros(4))])
+            bound.pready_all()
+        assert fab.pending_messages == 0
+
+    def test_pready_to_rank_dead_after_negotiation(self):
+        """A rank that dies after the request was bound refuses each
+        later partition at post time -- nothing is queued for nobody and
+        the sender does not burn the deadlock timeout in complete()."""
+        fab = SimFabric(2, timeout=30.0)
+        bound = fab.bind_request(0, [(1, 0, np.zeros(4))], [], partitions=2)
+        bound.start()
+        bound.pready(0, 0)
+        fab.mark_dead(1)
+        start = time.monotonic()
+        with pytest.raises(RankDeadError, match="permanently dead"):
+            bound.pready(0, 1)
+        assert time.monotonic() - start < 5.0
+        assert fab.pending_messages == 1  # only the partition sent in time
 
     def test_recv_from_dead_rank_fails_fast(self):
         """An empty edge from a dead peer raises immediately -- the
@@ -136,23 +154,23 @@ class TestUnsupportedFabricError:
 
     def test_batched_posting_refused(self):
         fab = self._verified_fabric()
-        with pytest.raises(UnsupportedFabricError, match="batched posting"):
-            fab.post_send_batch(0, [(1, 0, np.zeros(4))])
+        with pytest.raises(UnsupportedFabricError, match="batched"):
+            fab.bind_request(0, [(1, 0, np.zeros(4))], [])
 
     def test_batched_receives_refused(self):
         fab = self._verified_fabric()
-        with pytest.raises(UnsupportedFabricError, match="batched receives"):
-            fab.complete_recv_batch(0, [(1, 0, np.empty(4))])
+        with pytest.raises(UnsupportedFabricError, match="batched"):
+            fab.bind_request(0, [], [(1, 0, np.empty(4))])
 
     def test_partitioned_sends_refused(self):
         fab = self._verified_fabric()
         with pytest.raises(UnsupportedFabricError, match="partitioned"):
-            fab.send_init(0, [(1, 0, np.zeros(4))])
+            fab.bind_request(0, [(1, 0, np.zeros(4))], [], partitions=2)
 
     def test_partitioned_receives_refused(self):
         fab = self._verified_fabric()
         with pytest.raises(UnsupportedFabricError, match="partitioned"):
-            fab.recv_init(0, [(1, 0, np.empty(4))])
+            fab.bind_request(0, [], [(1, 0, np.empty(4))], partitions=2)
 
     def test_is_a_runtime_error(self):
         # Existing except RuntimeError handlers keep working.

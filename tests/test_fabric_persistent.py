@@ -1,0 +1,368 @@
+"""Bound persistent requests: bind once, fire with no per-message state.
+
+The bound path under :class:`~repro.exchange.base.ExchangeChannel`
+(``SimFabric.bind_request`` / ``post_send_batch`` /
+``complete_recv_batch`` / ``wait_send_batch``): buffers live on the
+handle, steady state allocates nothing per message, wake-ups are
+targeted, every failure mode of the per-message path is kept, and
+per-message traffic never leaks into a port.
+"""
+
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.brick.decomp import BrickDecomp
+from repro.exchange.base import ExchangeChannel
+from repro.exchange.layout_ex import LayoutExchanger
+from repro.faults.errors import (
+    ExchangeConfigError,
+    ProtocolError,
+    RankDeadError,
+    SplitMismatchError,
+)
+from repro.hardware.profiles import generic_host
+from repro.simmpi import SimComm, SimFabric, run_spmd
+from repro.simmpi import fabric as fabric_mod
+from repro.simmpi.collectives import allreduce
+from repro.simmpi.fabric import (
+    AbortedError,
+    DeadlockError,
+    UnsupportedFabricError,
+)
+
+
+def _fire(fab, cut):
+    """One bulk exchange of *cut*, as ExchangeChannel.exchange does it."""
+    fab.post_send_batch(cut)
+    fab.complete_recv_batch(cut)
+    fab.wait_send_batch(cut)
+
+
+def _ring_request(fab, rank, send, recv, tag=5, partitions=1):
+    """Send to the right neighbour, receive from the left one."""
+    n = fab.nranks
+    return fab.bind_request(
+        rank, [((rank + 1) % n, tag, send)], [((rank - 1) % n, tag, recv)],
+        partitions,
+    )
+
+
+# ----------------------------------------------------------------------
+# (a) buffers live on the handle, not on the edge
+# ----------------------------------------------------------------------
+def test_two_handles_on_the_same_edges_keep_their_own_buffers():
+    def fn(comm):
+        fab, rank = comm.fabric, comm.rank
+        sends = [np.zeros(6), np.zeros(6)]
+        recvs = [np.full(6, -1.0), np.full(6, -1.0)]
+        handles = [
+            _ring_request(fab, rank, sends[i], recvs[i]) for i in (0, 1)
+        ]
+        left = (rank - 1) % fab.nranks
+        for step in range(4):
+            cur, other = step % 2, 1 - step % 2
+            sends[cur][:] = 100 * step + rank
+            before = recvs[other].copy()
+            _fire(fab, handles[cur].bulk)
+            np.testing.assert_array_equal(recvs[cur], 100 * step + left)
+            # The idle handle's ghost buffer still holds the previous step.
+            np.testing.assert_array_equal(recvs[other], before)
+
+    fab = SimFabric(3, timeout=5.0)
+    run_spmd(3, fn, fabric=fab)
+    assert fab.pending_messages == 0
+    assert fab.total_stats().sends == fab.total_stats().recvs == 12
+
+
+def test_channel_epoch_misuse_is_a_protocol_error():
+    # One rank sending to itself: the channel's bulk and phased modes
+    # fire the same bound request and refuse to interleave.
+    comm = SimComm(SimFabric(1, timeout=5.0), 0)
+    send, recv = np.arange(4.0), np.zeros(4)
+    channel = ExchangeChannel(
+        comm, "test", [(0, 1, send)], [(0, 1, recv)], result=None,
+        partitions=2,
+    )
+    with pytest.raises(ProtocolError, match="before start"):
+        channel.complete()
+    channel.start()
+    with pytest.raises(ProtocolError, match="in flight"):
+        channel.exchange()
+    with pytest.raises(ProtocolError, match="already started"):
+        channel.start()
+    channel.complete()
+    np.testing.assert_array_equal(recv, send)
+    send += 1.0
+    channel.exchange()
+    np.testing.assert_array_equal(recv, send)
+    assert comm.fabric.total_stats().sends == 2 + 1
+    assert comm.fabric.pending_messages == 0
+
+
+# ----------------------------------------------------------------------
+# (b) steady state creates no per-message object
+# ----------------------------------------------------------------------
+def test_steady_state_allocates_nothing_per_message(monkeypatch):
+    counts = {"entries": 0, "events": 0, "armed": False}
+    entry_init = fabric_mod._SendEntry.__init__
+
+    def counting_entry_init(self, *args, **kwargs):
+        counts["entries"] += counts["armed"]
+        entry_init(self, *args, **kwargs)
+
+    class CountingEvent(threading.Event):
+        def __init__(self):
+            counts["events"] += counts["armed"]
+            super().__init__()
+
+    monkeypatch.setattr(fabric_mod._SendEntry, "__init__", counting_entry_init)
+    monkeypatch.setattr(threading, "Event", CountingEvent)
+    sub, ghost = (16, 16, 16), 8
+
+    def fn(comm):
+        cart = comm.Create_cart((2, 2, 2))
+        decomp = BrickDecomp(sub, (8, 8, 8), ghost)
+        storage, asn = decomp.allocate()
+        ex = LayoutExchanger(cart, decomp, storage, asn, generic_host())
+        channel = ex.make_channel()
+        result = channel.exchange()  # warm-up
+        comm.Barrier()
+        if comm.rank == 0:
+            counts["armed"] = True
+        comm.Barrier()
+        for _ in range(5):
+            channel.exchange()
+        comm.Barrier()
+        return result.messages_sent
+
+    fab = SimFabric(8, timeout=10.0)
+    msgs = run_spmd(8, fn, fabric=fab)
+    counts["armed"] = False
+    assert counts["entries"] == 0 and counts["events"] == 0
+    assert fab.total_stats().sends == 6 * sum(msgs)
+    assert fab.pending_messages == 0
+
+
+# ----------------------------------------------------------------------
+# (c) wake-ups are targeted
+# ----------------------------------------------------------------------
+class _CountingCondition:
+    """A port condition that records who notified it."""
+
+    def __init__(self, cond, log, owner):
+        self._cond, self._log, self._owner = cond, log, owner
+
+    def notify(self, n=1):
+        self._log.append((self._owner, threading.current_thread().name))
+        self._cond.notify(n)
+
+    def __getattr__(self, name):
+        return getattr(self._cond, name)
+
+
+def test_wakeups_go_only_to_peers_and_once_per_exchange():
+    # A 3-rank line 0 - 1 - 2: ranks 0 and 2 never talk to each other.
+    steps = 4
+    fab = SimFabric(3, timeout=5.0)
+    log = []
+    for rank, port in enumerate(fab._ports):
+        port.cond = _CountingCondition(port.cond, log, rank)
+    peers = {0: [1], 1: [0, 2], 2: [1]}
+
+    def fn(comm):
+        rank = comm.rank
+        send = {p: np.full(4, float(rank)) for p in peers[rank]}
+        recv = {p: np.zeros(4) for p in peers[rank]}
+        cut = comm.fabric.bind_request(
+            rank,
+            [(p, 9, send[p]) for p in peers[rank]],
+            [(p, 9, recv[p]) for p in peers[rank]],
+        ).bulk
+        for _ in range(steps):
+            _fire(comm.fabric, cut)
+        for p in peers[rank]:
+            np.testing.assert_array_equal(recv[p], float(p))
+
+    run_spmd(3, fn, fabric=fab)
+    name = "simmpi-rank-{}".format
+    assert (0, name(2)) not in log and (2, name(0)) not in log
+    for owner in range(3):
+        assert all(
+            who in {name(p) for p in peers[owner]}
+            for port, who in log if port == owner
+        )
+    # Per exchange a rank is woken at most once as a receiver (its count
+    # completed) and at most once as a sender (its outstanding count
+    # reached zero) -- never once per message.
+    for owner in range(3):
+        assert sum(port == owner for port, _ in log) <= 2 * steps
+
+
+# ----------------------------------------------------------------------
+# (d) failure modes of the bound path
+# ----------------------------------------------------------------------
+class TestBoundFailureModes:
+    def test_sender_that_never_posts_is_a_deadlock_naming_the_edge(self):
+        errors = {}
+
+        def fn(comm):
+            fab, rank = comm.fabric, comm.rank
+            request = _ring_request(fab, rank, np.zeros(4), np.zeros(4), tag=7)
+            if rank == 0:
+                time.sleep(1.0)  # never posts inside the 0.3 s timeout
+                return
+            if rank == 2:
+                time.sleep(0.1)  # so rank 1's deadline is the first to pass
+            try:
+                _fire(fab, request.bulk)
+            except (DeadlockError, AbortedError) as err:
+                errors[rank] = err
+                raise
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError) as info:
+            run_spmd(3, fn, timeout=0.3)
+        assert time.monotonic() - start < 5.0
+        assert isinstance(info.value.__cause__, DeadlockError)
+        # Rank 1 waits on rank 0; rank 2 got its message and is aborted
+        # while waiting for its own send to be consumed.
+        assert isinstance(errors[1], DeadlockError)
+        assert "(src=0, tag=7)" in str(errors[1])
+        assert isinstance(errors[2], AbortedError)
+
+    def test_stale_heartbeat_classifies_the_silent_sender_as_dead(self):
+        fab = SimFabric(2, timeout=0.3)
+        fab.set_heartbeat_deadline(0.05)
+        fab.heartbeat(1)
+        time.sleep(0.1)
+        cut = fab.bind_request(0, [], [(1, 0, np.empty(2))]).bulk
+        with pytest.raises(RankDeadError, match="heartbeat deadline"):
+            fab.complete_recv_batch(cut)
+        assert fab.is_dead(1)
+
+    def test_message_on_the_wire_outlives_its_sender_then_edge_drains(self):
+        fab = SimFabric(2, timeout=30.0)
+        out = np.empty(4)
+        sender = fab.bind_request(1, [(0, 0, np.full(4, 7.0))], []).bulk
+        receiver = fab.bind_request(0, [], [(1, 0, out)]).bulk
+        fab.post_send_batch(sender)
+        fab.mark_dead(1)
+        fab.complete_recv_batch(receiver)
+        np.testing.assert_array_equal(out, np.full(4, 7.0))
+        start = time.monotonic()
+        with pytest.raises(RankDeadError, match="permanently dead"):
+            fab.complete_recv_batch(receiver)
+        assert time.monotonic() - start < 5.0
+
+    def test_destination_marked_dead_between_bind_and_fire(self):
+        fab = SimFabric(3, timeout=5.0)
+        cut = fab.bind_request(
+            0, [(1, 0, np.zeros(4)), (2, 0, np.zeros(4))], []
+        ).bulk
+        killer = threading.Thread(target=fab.mark_dead, args=(2,))
+        killer.start()
+        killer.join(timeout=5.0)
+        assert not killer.is_alive()
+        with pytest.raises(RankDeadError, match="permanently dead"):
+            fab.post_send_batch(cut)
+        # Check and deposit share one lock acquisition: the live
+        # destination got nothing either.
+        assert fab.pending_messages == 0
+        assert fab.stats[0].sends == 0
+
+    def test_byte_count_disagreement_fails_at_negotiation(self):
+        fab = SimFabric(2)
+        fab.bind_request(0, [(1, 3, np.zeros(8))], [])
+        with pytest.raises(SplitMismatchError, match="split disagreement"):
+            fab.bind_request(1, [], [(0, 3, np.zeros(9))])
+
+    def test_duplicate_receive_key_is_a_config_error(self):
+        fab = SimFabric(2)
+        with pytest.raises(ExchangeConfigError, match="two receives"):
+            fab.bind_request(
+                1, [], [(0, 3, np.zeros(4)), (0, 3, np.zeros(4))]
+            )
+
+    def test_non_contiguous_buffer_is_a_config_error(self):
+        fab = SimFabric(2)
+        with pytest.raises(ExchangeConfigError, match="C-contiguous"):
+            fab.bind_request(1, [], [(0, 3, np.zeros((4, 4))[:, ::2])])
+
+    def test_arrival_with_no_bound_receive_is_a_protocol_error(self):
+        fab = SimFabric(2, timeout=5.0)
+        stray = fab.bind_request(0, [(1, 4, np.zeros(4))], []).bulk
+        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))]).bulk
+        fab.post_send_batch(stray)
+        with pytest.raises(ProtocolError, match=r"\(0, 4\)"):
+            fab.complete_recv_batch(receiver)
+
+    def test_second_epoch_on_an_edge_is_a_protocol_error(self):
+        fab = SimFabric(2, timeout=5.0)
+        sender = fab.bind_request(0, [(1, 3, np.zeros(4))], []).bulk
+        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))]).bulk
+        fab.post_send_batch(sender)
+        fab.post_send_batch(sender)  # did not wait for consumption
+        with pytest.raises(ProtocolError, match="do not match"):
+            fab.complete_recv_batch(receiver)
+
+    def test_enveloped_fabric_refuses_to_bind(self):
+        fab = SimFabric(2)
+        fab.enable_envelope()
+        with pytest.raises(UnsupportedFabricError, match="verified fabric"):
+            fab.bind_request(0, [(1, 3, np.zeros(4))], [])
+
+
+# ----------------------------------------------------------------------
+# (e) per-message traffic stays out of the ports
+# ----------------------------------------------------------------------
+def test_collective_posted_after_the_exchange_is_not_a_halo_arrival():
+    # 2 -> 0 -> 1: rank 1 only receives, so it leaves the exchange as
+    # soon as rank 0 posted and races into the allreduce, whose first
+    # message goes to rank 0 -- which is still blocked on its bound
+    # receive from the slow rank 2.  That message must not satisfy,
+    # corrupt or miscount rank 0's receive.
+    steps = 3
+    left_exchange = [[None] * steps for _ in range(3)]
+
+    def fn(comm):
+        fab, rank = comm.fabric, comm.rank
+        send = np.zeros(8)
+        recv = np.full(8, -1.0)
+        posts = {0: [(1, 5, send)], 1: [], 2: [(0, 5, send)]}[rank]
+        recvs = {0: [(2, 5, recv)], 1: [(0, 5, recv)], 2: []}[rank]
+        cut = fab.bind_request(rank, posts, recvs).bulk
+        totals = []
+        for step in range(steps):
+            if rank == 2:
+                time.sleep(0.05)
+            send[:] = 10 * step + rank
+            _fire(fab, cut)
+            left_exchange[rank][step] = time.monotonic()
+            if recvs:
+                np.testing.assert_array_equal(recv, 10 * step + recvs[0][0])
+            totals.append(float(allreduce(comm, np.float64(rank + step))))
+        return totals
+
+    fab = SimFabric(3, timeout=5.0)
+    results = run_spmd(3, fn, fabric=fab)
+    assert results[0] == results[1] == results[2] == [3.0, 6.0, 9.0]
+    for step in range(steps):  # the race really happened
+        assert left_exchange[1][step] < left_exchange[0][step]
+    assert fab.pending_messages == 0
+    assert fab.stats[0].recvs - fab.stats[1].recvs == 2 * steps - steps
+
+
+def test_per_message_send_does_not_match_a_bound_receive():
+    fab = SimFabric(2, timeout=0.5)
+    out = np.full(4, -1.0)
+    receiver = fab.bind_request(1, [], [(0, 3, out)]).bulk
+    fab.post_send(0, 1, 3, np.zeros(4))
+    start = time.monotonic()
+    with pytest.raises(DeadlockError, match=r"\(src=0, tag=3\)"):
+        fab.complete_recv_batch(receiver)
+    assert time.monotonic() - start < 5.0
+    np.testing.assert_array_equal(out, -1.0)
+    assert fab.pending_messages == 1  # still in its mailbox

@@ -57,6 +57,18 @@ def test_fabric_call_outside_chokepoint_flagged():
     assert "post_send" in violations[0][2]
 
 
+def test_bind_entry_point_is_a_chokepoint_op():
+    src = "def f(fabric, posts):\n    return fabric.bind_request(0, posts, [])\n"
+    path = lint_invariants.SRC / "core" / "synthetic.py"
+    violations = lint_invariants.check_fabric_chokepoint(
+        path, ast.parse(src)
+    )
+    assert len(violations) == 1 and "bind_request" in violations[0][2]
+    assert lint_invariants.FABRIC_ALLOWLIST == (
+        "simmpi/fabric.py", "simmpi/comm.py", "exchange/base.py",
+    )
+
+
 def test_fabric_call_in_allowlisted_file_ok():
     src = "def f(fabric):\n    fabric.post_send(0, 1, 2, b'x')\n"
     path = lint_invariants.SRC / "simmpi" / "comm.py"

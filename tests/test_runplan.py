@@ -263,25 +263,34 @@ class TestBatchedFabric:
         fabric = SimFabric(2, timeout=5.0)
         rng = np.random.default_rng(0)
         sends = [rng.random(16), rng.random(8)]
-        entries = fabric.post_send_batch(
-            0, [(1, 11, sends[0]), (1, 12, sends[1])]
-        )
         outs = [np.zeros(16), np.zeros(8)]
-        fabric.complete_recv_batch(1, [(0, 11, outs[0]), (0, 12, outs[1])])
-        fabric.wait_send_batch(entries, 0)
+        sender = fabric.bind_request(
+            0, [(1, 11, sends[0]), (1, 12, sends[1])], []
+        ).bulk
+        receiver = fabric.bind_request(
+            1, [], [(0, 11, outs[0]), (0, 12, outs[1])]
+        ).bulk
+        fabric.post_send_batch(sender)
+        fabric.complete_recv_batch(receiver)
+        fabric.wait_send_batch(sender)
         np.testing.assert_array_equal(outs[0], sends[0])
         np.testing.assert_array_equal(outs[1], sends[1])
 
     def test_envelope_fabric_refuses_batches(self):
-        # The batch path skips the sequence/CRC machinery by design; a
-        # verified fabric must hard-refuse it, never silently bypass.
+        # The bound path skips the sequence/CRC machinery by design; a
+        # verified fabric must hard-refuse it, never silently bypass --
+        # at bind time, and at post time for a request bound earlier.
         fabric = SimFabric(2, timeout=5.0)
-        fabric.enable_envelope()
         buf = np.zeros(4)
+        bound = fabric.bind_request(0, [(1, 7, buf)], [])
+        fabric.enable_envelope()
         with pytest.raises(RuntimeError, match="verified fabric"):
-            fabric.post_send_batch(0, [(1, 7, buf)])
+            fabric.bind_request(0, [(1, 7, buf)], [])
         with pytest.raises(RuntimeError, match="verified fabric"):
-            fabric.complete_recv_batch(1, [(0, 7, buf)])
+            fabric.bind_request(1, [], [(0, 7, buf)])
+        with pytest.raises(RuntimeError, match="verified fabric"):
+            fabric.post_send_batch(bound.bulk)
+        assert fabric.pending_messages == 0
 
 
 class TestChaosComposition:

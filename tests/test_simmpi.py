@@ -190,24 +190,31 @@ class TestValidation:
 
 
 class TestPartitionedChannels:
-    """Persistent partitioned sends/receives (the MPI-4 analogue)."""
+    """The partitioned epoch of a bound request (the MPI-4 analogue)."""
 
     def _pair(self, n=64, partitions=4, timeout=None):
         fab = SimFabric(2, timeout=timeout)
         src = np.arange(n, dtype=np.float64)
         dst = np.zeros(n, dtype=np.float64)
-        psend = fab.send_init(0, [(1, 3, src)], partitions)
-        precv = fab.recv_init(1, [(0, 3, dst)], partitions)
+        psend = fab.bind_request(0, [(1, 3, src)], [], partitions)
+        precv = fab.bind_request(1, [], [(0, 3, dst)], partitions)
         return fab, src, dst, psend, precv
 
-    def test_roundtrip_pready_all(self):
-        _fab, src, dst, psend, precv = self._pair()
+    @staticmethod
+    def _epoch(psend, precv):
         precv.start()
         psend.start()
         psend.pready_all()
         precv.complete()
-        psend.wait()
+        psend.complete()
+
+    def test_roundtrip_pready_all(self):
+        fab, src, dst, psend, precv = self._pair()
+        self._epoch(psend, precv)
         np.testing.assert_array_equal(dst, src)
+        assert fab.stats[0].sends == fab.stats[1].recvs == 4
+        assert fab.stats[0].bytes_sent == fab.stats[1].bytes_received == 512
+        assert fab.pending_messages == 0
 
     def test_partitions_released_independently(self):
         # Partitions marked ready out of order still land in the right
@@ -223,7 +230,7 @@ class TestPartitionedChannels:
         psend.pready(0, 1)
         psend.pready(0, 3)
         precv.complete()
-        psend.wait()
+        psend.complete()
         np.testing.assert_array_equal(dst, src)
 
     def test_missing_partition_blocks_completion(self):
@@ -231,22 +238,24 @@ class TestPartitionedChannels:
         # every partition was marked ready -- a dropped surface message
         # cannot let the surface sweep run early.
         from repro.simmpi import DeadlockError
+        from repro.simmpi.fabric import partition_tag
 
-        _fab, _src, _dst, psend, precv = self._pair(timeout=0.2)
+        _fab, _src, dst, psend, precv = self._pair(timeout=0.2)
         precv.start()
         psend.start()
         psend.pready(0, 0)
         psend.pready(0, 1)
         psend.pready(0, 3)  # partition 2 never released
-        with pytest.raises(DeadlockError):
+        with pytest.raises(DeadlockError, match=f"tag={partition_tag(3, 2)}"):
             precv.complete()
+        assert not dst.any()  # nothing delivered early either
 
     def test_epoch_ordering_enforced(self):
         _fab, _src, _dst, psend, precv = self._pair()
         with pytest.raises(RuntimeError, match="before start"):
             psend.pready(0, 0)
         with pytest.raises(RuntimeError, match="before start"):
-            psend.wait()
+            psend.complete()
         with pytest.raises(RuntimeError, match="before start"):
             precv.parrived(0, 0)
         psend.start()
@@ -255,16 +264,16 @@ class TestPartitionedChannels:
         psend.pready(0, 0)
         with pytest.raises(RuntimeError, match="already marked ready"):
             psend.pready(0, 0)
+        psend.pready_all()  # releases the other three exactly once
+        with pytest.raises(RuntimeError, match="already marked ready"):
+            psend.pready(0, 1)
+        assert _fab.pending_messages == 4
 
     def test_restartable_epochs(self):
         _fab, src, dst, psend, precv = self._pair(partitions=3)
         for step in range(3):
             src[:] = step
-            precv.start()
-            psend.start()
-            psend.pready_all()
-            precv.complete()
-            psend.wait()
+            self._epoch(psend, precv)
             np.testing.assert_array_equal(dst, src)
 
     def test_partition_views_cover_uneven_sizes(self):
@@ -273,11 +282,7 @@ class TestPartitionedChannels:
         _fab, src, dst, psend, precv = self._pair(n=10, partitions=4)
         assert psend.partitions == [4]
         assert precv.partitions == [4]
-        precv.start()
-        psend.start()
-        psend.pready_all()
-        precv.complete()
-        psend.wait()
+        self._epoch(psend, precv)
         np.testing.assert_array_equal(dst, src)
 
     def test_partition_tag_disjoint_from_plain_tags(self):
@@ -298,6 +303,6 @@ class TestPartitionedChannels:
         fab.enable_envelope()
         buf = np.zeros(8)
         with pytest.raises(RuntimeError, match="verified fabric"):
-            fab.send_init(0, [(1, 3, buf)], 2)
+            fab.bind_request(0, [(1, 3, buf)], [], 2)
         with pytest.raises(RuntimeError, match="verified fabric"):
-            fab.recv_init(1, [(0, 3, buf)], 2)
+            fab.bind_request(1, [], [(0, 3, buf)], 2)

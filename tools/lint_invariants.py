@@ -15,7 +15,7 @@ may not, and these rules are project-specific anyway.  Two checks:
 
 2. **Fabric operations stay behind the chokepoint.**  Direct calls to
    the fabric's transfer primitives (``post_send``, ``complete_recv``,
-   the batch forms, ``send_init``/``recv_init``) are only allowed in
+   ``bind_request`` and the bound ``*_batch`` calls) are only allowed in
    the fabric itself, the communicator shim, and the channel
    (``exchange/base.py``).  Everything else must go through
    ``SimComm``/``ExchangeChannel`` so envelopes, liveness checks and
@@ -47,8 +47,7 @@ FABRIC_OPS = (
     "post_send_batch",
     "complete_recv_batch",
     "wait_send_batch",
-    "send_init",
-    "recv_init",
+    "bind_request",
 )
 #: files allowed to touch them, relative to src/repro
 FABRIC_ALLOWLIST = (
