@@ -99,7 +99,9 @@ def _inject_dropped_send(problem, method) -> Tuple[CheckReport, str]:
 def _inject_byte_mismatch(problem, method) -> Tuple[CheckReport, str]:
     plans = _plans(problem, method)
     target = plans[0].sends[0]
-    plans = _mutate_first_send(plans, nbytes=target.nbytes + 8)
+    plans = _mutate_first_send(
+        plans, spec=replace(target.spec, wire_bytes=target.nbytes + 8)
+    )
     report = CheckReport()
     verify_schedule(plans, report)
     return report, "byte-mismatch"

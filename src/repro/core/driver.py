@@ -45,8 +45,7 @@ from repro.core.model import (
     compute_time,
     compute_time_table,
     exchange_breakdown,
-    make_transport,
-    _schedules,
+    first_touch_penalty,
 )
 from repro.core.problem import StencilProblem
 from repro.core.runplan import DEFAULT_PARTITIONS, RankRunPlan, make_engines
@@ -473,14 +472,10 @@ def _modelled_totals(
         profile, info.name, ext, problem.brick_dim, problem.ghost,
         problem.layout, page_size, spec.itemsize,
     )
-    um_penalty = 0.0
-    if info.transport == "um":
-        transport = make_transport(info, profile)
-        _, recvs, _ = _schedules(
-            info, profile, ext, problem.brick_dim, problem.ghost,
-            problem.layout, page_size, spec.itemsize,
-        )
-        um_penalty = transport.compute_penalty(recvs)
+    um_penalty = first_touch_penalty(
+        profile, info, ext, problem.brick_dim, problem.ghost,
+        problem.layout, page_size, spec.itemsize,
+    )
 
     interior_calc = (
         compute_time(profile, info, int(overlap_points), spec)

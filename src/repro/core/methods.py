@@ -31,9 +31,15 @@ class MethodInfo:
     transport: Optional[str]  # None (CPU) / "ca" / "um" / "staged"
     uses_bricks: bool
     uses_views: bool
-    packs: bool
+    #: where the on-node copy happens: "none" / "pack" (application) /
+    #: "datatype" (inside MPI); same vocabulary as RankMessagePlan.copy
+    copy: str
     overlaps: bool
     compute_kind: str  # "yask" or "brick"
+
+    @property
+    def packs(self) -> bool:
+        return self.copy == "pack"
 
     @property
     def name(self) -> str:
@@ -45,15 +51,15 @@ class MethodInfo:
 
 
 _BASES = {
-    # base: (uses_bricks, uses_views, packs, overlaps, compute_kind)
-    "yask": (False, False, True, False, "yask"),
-    "yask_ol": (False, False, True, True, "yask"),
-    "mpi_types": (False, False, False, False, "yask"),
-    "shift": (False, False, True, False, "yask"),
-    "basic": (True, False, False, False, "brick"),
-    "layout": (True, False, False, False, "brick"),
-    "memmap": (True, True, False, False, "brick"),
-    "network": (True, False, False, False, "brick"),
+    # base: (uses_bricks, uses_views, copy, overlaps, compute_kind)
+    "yask": (False, False, "pack", False, "yask"),
+    "yask_ol": (False, False, "pack", True, "yask"),
+    "mpi_types": (False, False, "datatype", False, "yask"),
+    "shift": (False, False, "pack", False, "yask"),
+    "basic": (True, False, "none", False, "brick"),
+    "layout": (True, False, "none", False, "brick"),
+    "memmap": (True, True, "none", False, "brick"),
+    "network": (True, False, "none", False, "brick"),
 }
 
 _TRANSPORTS = ("ca", "um", "staged")
@@ -76,8 +82,8 @@ def method_info(name: str) -> MethodInfo:
             "memmap_ca is not implementable: cudaMalloc memory has no host"
             " page-table mappings to stitch (paper Section 5)"
         )
-    uses_bricks, uses_views, packs, overlaps, compute = _BASES[base]
-    return MethodInfo(base, transport, uses_bricks, uses_views, packs, overlaps, compute)
+    uses_bricks, uses_views, copy, overlaps, compute = _BASES[base]
+    return MethodInfo(base, transport, uses_bricks, uses_views, copy, overlaps, compute)
 
 
 def resolve_page_size(info: MethodInfo, profile, requested: Optional[int]) -> int:

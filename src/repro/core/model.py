@@ -16,13 +16,13 @@ import math
 from typing import List, Optional, Sequence
 
 from repro.core.methods import MethodInfo, method_info, resolve_page_size
-from repro.exchange.costs import datatype_cost, network_times, pack_cost
+from repro.exchange.costs import exchange_times
 from repro.exchange.schedule import (
-    MessageSpec,
     array_schedule,
     basic_brick_schedule,
     brick_send_schedule,
     memmap_schedule,
+    mirror_schedule,
     shift_schedule,
 )
 from repro.gpu.transports import (
@@ -41,6 +41,7 @@ __all__ = [
     "compute_time",
     "compute_time_table",
     "exchange_breakdown",
+    "first_touch_penalty",
     "model_timestep",
     "make_transport",
 ]
@@ -125,16 +126,14 @@ def _schedules(
     page_size: Optional[int],
     itemsize: int = 8,
 ):
-    """(send specs, recv specs, phase list for shift) for one method."""
+    """One method's plan-shaped schedule: ``(sends, recvs)`` per phase."""
     extent = tuple(int(e) for e in extent)
     ndim = len(extent)
     if info.base == "shift":
-        phases = shift_schedule(extent, ghost, itemsize)
-        flat = [m for ph in phases for m in ph]
-        return flat, flat, phases
+        return [(ph, ph) for ph in shift_schedule(extent, ghost, itemsize)]
     if not info.uses_bricks:
         specs = array_schedule(extent, ghost, itemsize)
-        return specs, specs, None
+        return [(specs, specs)]
 
     if isinstance(brick_dim, int):
         brick_dim = (brick_dim,) * ndim
@@ -155,18 +154,7 @@ def _schedules(
         specs = memmap_schedule(grid, width, lay, brick_bytes, 1)
     else:  # pragma: no cover - registry and model must stay in sync
         raise AssertionError(f"unhandled brick method {info.base}")
-    recvs = [
-        MessageSpec(
-            m.neighbor.opposite(),
-            m.payload_bytes,
-            m.wire_bytes,
-            m.nsegments,
-            m.run_elems,
-            m.nmappings,
-        )
-        for m in specs
-    ]
-    return specs, recvs, None
+    return [(specs, mirror_schedule(specs))]
 
 
 def exchange_breakdown(
@@ -183,29 +171,38 @@ def exchange_breakdown(
     info = method_info(method)
     transport = make_transport(info, profile)
     net = transport.network() if transport else profile.network
-    sends, recvs, phases = _schedules(
+    phases = _schedules(
         info, profile, extent, brick_dim, ghost, layout, page_size, itemsize
     )
-    bd = TimeBreakdown()
-    if info.base == "shift":
-        # Phases serialize: each pays its own pack and network round.
-        for ph in phases:
-            bd.charge("pack", pack_cost(profile, ph) * 2)
-            call, wait = network_times(net, ph, ph)
-            bd.charge("call", call)
-            bd.charge("wait", wait)
-    else:
-        if info.packs:
-            bd.charge("pack", pack_cost(profile, sends) * 2)
-        call, wait = network_times(net, sends, recvs)
-        if info.base == "mpi_types":
-            wait += 2 * datatype_cost(profile, sends)
-        bd.charge("call", call)
-        bd.charge("wait", wait)
+    bd = exchange_times(profile, net, phases, info.copy)
     if transport is not None:
+        sends = [m for phase_sends, _ in phases for m in phase_sends]
+        recvs = [m for _, phase_recvs in phases for m in phase_recvs]
         bd.charge("wait", transport.extra_wait(sends, recvs))
         bd.charge("move", transport.move(sends, recvs))
     return bd
+
+
+def first_touch_penalty(
+    profile: MachineProfile,
+    info: MethodInfo,
+    extent: Sequence[int],
+    brick_dim: Sequence[int],
+    ghost: int,
+    layout: Optional[Sequence[BitSet]],
+    page_size: Optional[int],
+    itemsize: int,
+) -> float:
+    """Kernel time the step after an exchange pays to fault the received
+    pages onto the GPU; zero except under Unified Memory."""
+    if info.transport != "um":
+        return 0.0
+    phases = _schedules(
+        info, profile, extent, brick_dim, ghost, layout, page_size, itemsize
+    )
+    return make_transport(info, profile).compute_penalty(
+        [m for _, phase_recvs in phases for m in phase_recvs]
+    )
 
 
 def model_timestep(
@@ -227,13 +224,10 @@ def model_timestep(
         stencil.itemsize,
     )
     calc = compute_time(profile, info, points, stencil)
-    if info.transport == "um":
-        transport = make_transport(info, profile)
-        _, recvs, _ = _schedules(
-            info, profile, extent, brick_dim, ghost, layout, page_size,
-            stencil.itemsize,
-        )
-        calc += transport.compute_penalty(recvs)
+    calc += first_touch_penalty(
+        profile, info, extent, brick_dim, ghost, layout, page_size,
+        stencil.itemsize,
+    )
     if info.overlaps:
         # Communication/computation overlap hides wire time behind the
         # kernel; posting and packing stay on the critical path.

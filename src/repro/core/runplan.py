@@ -6,13 +6,14 @@ injected, degrading -- steps time in exactly one place,
 everything a step needs is negotiated and compiled per run, and the loop
 only restarts it.
 
-* **Exchange engines** (:func:`make_engines`): each exchanger's message
-  plan flattened into an :class:`~repro.exchange.base.ExchangeChannel`
-  -- precomputed ``(peer, tag, buffer)`` tuples over persistent buffers,
-  re-fired through the batched fabric calls -- wherever the scheme and
-  the fabric allow, the exchanger's own per-message ``exchange()``
-  otherwise (Shift's barrier-separated rounds; any scheme on a verified
-  fabric).  Both expose ``exchange() -> ExchangeResult``.
+* **Exchange engines** (:func:`make_engines`): each exchanger's bound
+  message plan as an :class:`~repro.exchange.base.ExchangeChannel` --
+  ``(peer, tag, buffer)`` tuples over persistent buffers, bound to the
+  fabric once as one persistent request and re-fired every step --
+  wherever the plan and the fabric allow, the exchanger's per-message
+  ``exchange()`` over the same binding otherwise (Shift's
+  barrier-separated phases; any scheme on a verified fabric).  Both
+  expose ``exchange() -> ExchangeResult``.
 * **A rank run plan** (:class:`RankRunPlan`) binds, per cycle position,
   the engine and the compiled stencil plan to the two double-buffer
   slots.  One step is: one engine fire, one plan execution, one flip.
@@ -38,9 +39,10 @@ from repro.util.timing import TimeBreakdown
 __all__ = ["RankRunPlan", "make_engines"]
 
 #: Default per-message partition count of phased channels.  Any value
-#: works (partitions are equal byte splits released together by
-#: ``pready_all``); a handful keeps per-partition mailbox traffic cheap
-#: while still exercising genuinely partitioned transfer.
+#: works (partitions are equal byte splits of the bound request's
+#: buffers, released together by ``pready_all``); a handful keeps the
+#: per-partition wire items few while still exercising genuinely
+#: partitioned transfer.
 DEFAULT_PARTITIONS = 4
 
 

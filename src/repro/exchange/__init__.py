@@ -33,9 +33,9 @@ from repro.exchange.schedule import (
     MessageSpec,
     array_schedule,
     basic_brick_schedule,
-    brick_recv_schedule,
     brick_send_schedule,
     memmap_schedule,
+    mirror_schedule,
     shift_schedule,
 )
 from repro.exchange.shift import ShiftExchanger
@@ -61,9 +61,9 @@ __all__ = [
     "make_exchanger",
     "seal",
     "verify",
-    "brick_recv_schedule",
     "brick_send_schedule",
     "memmap_schedule",
+    "mirror_schedule",
     "shift_schedule",
     "neighbor_recv_box",
     "neighbor_send_box",

@@ -1,31 +1,43 @@
-"""Exchanger interface and shared modelled-timing helpers.
+"""Exchanger interface: one schedule IR, bound once, fired two ways.
 
-Every exchanger really moves the data (over :mod:`repro.simmpi`) *and*
-returns a modelled :class:`~repro.util.timing.TimeBreakdown` for the
-exchange, split into the artifact's phases: ``pack`` (on-node copies the
-scheme performs), ``call`` (posting MPI operations), ``wait`` (wire time
-plus any in-library processing) and ``move`` (explicit CPU-GPU staging,
-zero on CPU paths).
+An exchanger's constructor turns geometry into a
+:class:`RankMessagePlan` -- every message written down once, as an
+immutable :class:`PlannedMessage` -- and nothing else.  Everything the
+rest of the system needs is derived from that plan here:
+
+* the modelled :class:`ExchangeResult`, priced by
+  :func:`repro.exchange.costs.exchange_times` (the function the modelled
+  driver calls too) and split into the artifact's phases: ``pack``
+  (on-node copies the scheme performs), ``call`` (posting MPI
+  operations), ``wait`` (wire time plus any in-library processing) and
+  ``move`` (explicit CPU-GPU staging, zero on CPU paths);
+* the static verifier's input (:meth:`Exchanger.message_plan`) and the
+  cost-model views (:meth:`Exchanger.send_specs` / ``recv_specs``);
+* the two ways to really move the data over :mod:`repro.simmpi`, both
+  over the same :class:`Binding` of the plan to its buffer: the
+  persistent :class:`ExchangeChannel` and the per-message
+  :meth:`Exchanger.exchange`.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.exchange.costs import exchange_times
 from repro.exchange.schedule import MessageSpec
 from repro.faults.errors import ExchangeConfigError, ProtocolError
 from repro.hardware.profiles import MachineProfile
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
-from repro.util.bitset import BitSet
 from repro.util.timing import TimeBreakdown
 
 __all__ = [
+    "Binding",
     "Exchanger",
     "ExchangeChannel",
     "ExchangeResult",
@@ -48,46 +60,57 @@ def exchange_tag(slab_dir_index: int, run: int) -> int:
 class PlannedMessage:
     """One message of a rank's static exchange schedule.
 
-    A pure-geometry description of what :meth:`Exchanger.exchange` will
-    put on (or take off) the wire: enough for the static schedule
-    verifier (:mod:`repro.check`) to rebuild the global send/recv
-    multigraph without touching the fabric.
+    The single record of what an exchange puts on (or takes off) the
+    wire.  ``peer`` / ``tag`` / ``phase`` / ``ranges`` are what the
+    static schedule verifier (:mod:`repro.check`) rebuilds the global
+    send/recv multigraph from, without touching the fabric; ``spec`` is
+    what the cost model prices (neighbor, payload and wire bytes,
+    segment structure, mapping count).
 
     ``ranges`` are the *storage* byte intervals ``(offset, length)`` the
-    message reads from (sends) or writes into (receives) for the
-    zero-copy schemes that wire brick storage directly (layout / basic /
-    memmap / brickpack sections); ``None`` for schemes whose wire buffer
-    is separate staging (pack / mpi_types / shift), where storage
-    aliasing is structurally impossible.  ``phase`` orders barrier-
-    separated sub-exchanges (Shift's per-axis rounds); schedules with a
-    single phase use 0.  ``partitions`` overrides the plan-wide
-    partition count for this message (``None`` = inherit), which the
-    mutation harness uses to model split disagreements.
+    message reads from (sends) or writes into (receives) for the schemes
+    whose payload lives in brick storage (layout / basic / memmap wire
+    it directly, brickpack gathers from and scatters into it); ``None``
+    for schemes whose wire buffer is separate staging (pack / mpi_types
+    / shift), where storage aliasing is structurally impossible.
+    ``phase`` orders barrier-separated sub-exchanges (Shift's per-axis
+    rounds); schedules with a single phase use 0.  ``partitions``
+    overrides the plan-wide partition count for this message (``None`` =
+    inherit), which the mutation harness uses to model split
+    disagreements.
     """
 
     peer: int
     tag: int
-    nbytes: int
+    spec: MessageSpec
     phase: int = 0
     ranges: Optional[Tuple[Tuple[int, int], ...]] = None
     partitions: Optional[int] = None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes on the wire: payload plus any page padding."""
+        return self.spec.wire_bytes
 
 
 @dataclass(frozen=True)
 class RankMessagePlan:
     """One rank's complete per-step message schedule.
 
-    ``channelable`` mirrors whether :meth:`Exchanger.make_channel` can
-    flatten the schedule into one persistent batch (False for Shift,
-    whose intra-exchange barriers serialize the phases); ``nphases`` is
-    the number of barrier-separated rounds (1 for every flat schedule).
+    ``copy`` names where the scheme's on-node copy happens -- ``"none"``
+    (pack-free), ``"pack"`` (application pack and unpack) or
+    ``"datatype"`` (inside the library's datatype engine) -- the one
+    fact beyond the messages that pricing needs.  ``nphases`` is the
+    number of barrier-separated rounds: 1 for every flat schedule, which
+    :meth:`Exchanger.make_channel` binds as one persistent batch; more
+    for Shift, whose intra-exchange barriers serialize the phases.
     """
 
     rank: int
     method: str
     sends: Tuple[PlannedMessage, ...]
     recvs: Tuple[PlannedMessage, ...]
-    channelable: bool = True
+    copy: str = "none"
     nphases: int = 1
 
 
@@ -110,20 +133,49 @@ class ExchangeResult:
         ) / self.payload_bytes_sent
 
 
+class Binding(NamedTuple):
+    """One phase of a plan bound to its buffer: a method file's one hook.
+
+    ``send_bufs`` / ``recv_bufs`` are the wire buffer of each send and
+    each receive of the phase, in plan order: a storage slot view, a
+    stitched view's array, or a persistent staging buffer.  ``pre`` runs
+    before the sends go out (pack, ``extract_into``, refresh) and
+    ``post`` after every receive has landed (unpack, ``insert``, flush),
+    under the tracer spans named by ``spans``; ``packed_bytes`` is what
+    the two move on-node per exchange.
+    """
+
+    send_bufs: Sequence[np.ndarray]
+    recv_bufs: Sequence[np.ndarray]
+    pre: Optional[Callable[[], None]] = None
+    post: Optional[Callable[[], None]] = None
+    packed_bytes: int = 0
+    spans: Tuple[str, str] = ("exchange.pack", "exchange.unpack")
+
+
+_Wire = Sequence[Tuple[int, int, np.ndarray]]  # (peer, tag, wire buffer)
+
+
+def _count_exchange(rank: int, hooks: Binding, nmsgs: int) -> None:
+    _METRICS.count("exchange.bytes_packed", hooks.packed_bytes, rank=rank)
+    _METRICS.count("exchange.messages", nmsgs, rank=rank)
+
+
 class ExchangeChannel:
     """Persistent exchange channel: negotiate once, fire every step.
 
     The run-plan analogue of persistent MPI requests.  An exchanger's
-    message plan is flattened, once, into ``(peer, tag, buffer)`` tuples
-    over persistent buffers (storage views for the pack-free schemes,
-    staging buffers for the packing ones) and bound to the fabric as one
+    bound plan -- ``(peer, tag, buffer)`` tuples over persistent buffers
+    (storage views for the pack-free schemes, staging buffers for the
+    packing ones) -- is bound to the fabric as one
     :class:`~repro.simmpi.fabric.BoundRequest`; each step re-fires that
     handle -- one posting call, one receive drain, one send wait --
     instead of ``N`` point-to-point request objects through the
-    per-message chokepoint.
+    per-message chokepoint.  *hooks* is the :class:`Binding` whose
+    ``pre`` / ``post`` callables bracket the wire.
 
     The modelled :class:`ExchangeResult` is a function of the (static)
-    message plan, so it too is computed once and returned by reference.
+    message plan, so it is the exchanger's, returned by reference.
     Channels carry no wire-verification machinery: they are only built on
     an unverified fabric (the envelope/chaos path keeps the per-message
     protocol, whose sequence/CRC state lives in the fabric).
@@ -139,21 +191,16 @@ class ExchangeChannel:
     """
 
     __slots__ = ("comm", "method", "_fabric", "_rank", "_request",
-                 "_result", "_packed_bytes", "_pre", "_post", "_pre_span",
-                 "_post_span", "_nmsgs")
+                 "_result", "_hooks", "_nmsgs")
 
     def __init__(
         self,
         comm: CartComm,
         method: str,
-        posts: Sequence[Tuple[int, int, np.ndarray]],
-        recvs: Sequence[Tuple[int, int, np.ndarray]],
+        posts: _Wire,
+        recvs: _Wire,
         result: ExchangeResult,
-        packed_bytes: int = 0,
-        pre=None,
-        post=None,
-        pre_span: str = "exchange.pack",
-        post_span: str = "exchange.unpack",
+        hooks: Binding = Binding((), ()),
         partitions: int = 1,
     ) -> None:
         if comm.fabric.envelope_enabled:
@@ -166,11 +213,7 @@ class ExchangeChannel:
         self._fabric = comm.fabric
         self._rank = comm.rank
         self._result = result
-        self._packed_bytes = int(packed_bytes)
-        self._pre = pre
-        self._post = post
-        self._pre_span = pre_span
-        self._post_span = post_span
+        self._hooks = hooks
         self._nmsgs = len(posts)
         # Bind now: the fabric validates the buffers and registers both
         # halves of the byte split, so a cross-rank disagreement (byte
@@ -189,22 +232,21 @@ class ExchangeChannel:
             )
         fabric = self._fabric
         rank = self._rank
+        hooks = self._hooks
         cut = self._request.bulk
-        if self._pre is not None:
-            with _TRACER.span(self._pre_span, rank=rank, method=self.method):
-                self._pre()
+        if hooks.pre is not None:
+            with _TRACER.span(hooks.spans[0], rank=rank, method=self.method):
+                hooks.pre()
         with _TRACER.span("exchange.post", rank=rank, method=self.method):
             fabric.post_send_batch(cut)
         with _TRACER.span("exchange.wait", rank=rank, method=self.method):
             fabric.complete_recv_batch(cut)
             fabric.wait_send_batch(cut)
-        if self._post is not None:
-            with _TRACER.span(self._post_span, rank=rank, method=self.method):
-                self._post()
+        if hooks.post is not None:
+            with _TRACER.span(hooks.spans[1], rank=rank, method=self.method):
+                hooks.post()
         if _METRICS.enabled:
-            _METRICS.count("exchange.bytes_packed", self._packed_bytes,
-                           rank=rank)
-            _METRICS.count("exchange.messages", self._nmsgs, rank=rank)
+            _count_exchange(rank, hooks, self._nmsgs)
         return self._result
 
     # ------------------------------------------------------------------
@@ -224,9 +266,10 @@ class ExchangeChannel:
                 " exchange first"
             )
         rank = self._rank
-        if self._pre is not None:
-            with _TRACER.span(self._pre_span, rank=rank, method=self.method):
-                self._pre()
+        hooks = self._hooks
+        if hooks.pre is not None:
+            with _TRACER.span(hooks.spans[0], rank=rank, method=self.method):
+                hooks.pre()
         with _TRACER.span("exchange.start", rank=rank, method=self.method):
             request.start()
             request.pready_all()
@@ -234,23 +277,24 @@ class ExchangeChannel:
     def complete(self) -> ExchangeResult:
         """Drain every receive partition, await send consumption, unpack."""
         rank = self._rank
+        hooks = self._hooks
         with _TRACER.span("exchange.complete", rank=rank, method=self.method):
             self._request.complete()
-        if self._post is not None:
-            with _TRACER.span(self._post_span, rank=rank, method=self.method):
-                self._post()
+        if hooks.post is not None:
+            with _TRACER.span(hooks.spans[1], rank=rank, method=self.method):
+                hooks.post()
         if _METRICS.enabled:
-            _METRICS.count("exchange.bytes_packed", self._packed_bytes,
-                           rank=rank)
-            _METRICS.count("exchange.messages", self._nmsgs, rank=rank)
+            _count_exchange(rank, hooks, self._nmsgs)
         return self._result
 
 
 class Exchanger(abc.ABC):
     """One rank's ghost-zone exchange engine.
 
-    Subclasses precompute their message plan at construction; ``exchange``
-    performs the data movement and returns an :class:`ExchangeResult`.
+    A subclass constructor derives its messages from geometry and hands
+    them to :meth:`_install`; its only other duty is :meth:`_bind`.  The
+    plan, the modelled result, the channel and the per-message exchange
+    all live here.
     """
 
     #: Name used by benchmark tables.
@@ -260,68 +304,133 @@ class Exchanger(abc.ABC):
         self.comm = comm
         self.profile = profile
 
-    @abc.abstractmethod
-    def exchange(self) -> ExchangeResult:
-        """Run one ghost-zone exchange."""
+    def _install(
+        self,
+        sends: Sequence[PlannedMessage],
+        recvs: Sequence[PlannedMessage],
+        buffer,
+        copy: str = "none",
+        nphases: int = 1,
+    ) -> None:
+        """Adopt the schedule a subclass constructor built.
+
+        Freezes it as :attr:`plan`, prices it once as :attr:`result` and,
+        unless *buffer* is ``None`` (plan-only, for static
+        verification), binds it to *buffer* through :meth:`_bind`.
+        """
+        self.plan = RankMessagePlan(
+            self.comm.rank, self.method, tuple(sends), tuple(recvs), copy, nphases
+        )
+        phases = [
+            (
+                [m for m in sends if m.phase == p],
+                [m for m in recvs if m.phase == p],
+            )
+            for p in range(nphases)
+        ]
+        self.result = ExchangeResult(
+            exchange_times(
+                self.profile,
+                self.profile.network,
+                [([m.spec for m in s], [m.spec for m in r]) for s, r in phases],
+                copy,
+            ),
+            messages_sent=len(sends),
+            messages_received=len(recvs),
+            payload_bytes_sent=sum(m.spec.payload_bytes for m in sends),
+            wire_bytes_sent=sum(m.nbytes for m in sends),
+        )
+        # Per phase: (peer, tag, buffer) of every send and every receive,
+        # plus the hooks -- what both firing paths run over.
+        self._bound: Optional[List[Tuple[_Wire, _Wire, Binding]]] = None
+        if buffer is not None:
+            self._bound = [
+                (
+                    [(m.peer, m.tag, b) for m, b in zip(s, hooks.send_bufs)],
+                    [(m.peer, m.tag, b) for m, b in zip(r, hooks.recv_bufs)],
+                    hooks,
+                )
+                for (s, r), hooks in zip(phases, self._bind(buffer))
+            ]
 
     @abc.abstractmethod
+    def _bind(self, buffer) -> Sequence[Binding]:
+        """Bind the plan to *buffer*: one :class:`Binding` per phase."""
+
+    def _bound_phases(self) -> List[Tuple[_Wire, _Wire, Binding]]:
+        if self._bound is None:
+            raise ExchangeConfigError(
+                f"{type(self).__name__} was built plan-only (no buffer);"
+                " it can be introspected but not exchanged"
+            )
+        return self._bound
+
+    # ------------------------------------------------------------------
+    def message_plan(self) -> RankMessagePlan:
+        """This rank's static per-step message schedule.
+
+        What construction produced; :mod:`repro.check` rebuilds the
+        global send/recv multigraph (peers, tags, byte counts, storage
+        ranges) from it without allocating wire buffers or touching the
+        fabric.
+        """
+        return self.plan
+
     def send_specs(self) -> List[MessageSpec]:
         """The modelled send schedule of this rank."""
+        return [m.spec for m in self.plan.sends]
 
-    def message_plan(self) -> RankMessagePlan:
-        """This rank's static per-step message schedule, from geometry.
-
-        The introspection hook of the static verifier: every executable
-        method implements it so :mod:`repro.check` can rebuild the
-        global send/recv multigraph (peers, tags, byte counts, storage
-        ranges) without allocating wire buffers or touching the fabric.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose a static message plan"
-        )
+    def recv_specs(self) -> List[MessageSpec]:
+        """The modelled receive schedule of this rank."""
+        return [m.spec for m in self.plan.recvs]
 
     def make_channel(self, partitions: int = 1) -> Optional[ExchangeChannel]:
-        """Persistent-channel form of this exchanger's plan.
+        """Persistent-channel form of this exchanger's bound plan.
 
-        ``None`` means the scheme cannot be replayed as one batch and the
-        caller keeps the per-step :meth:`exchange` path.  Verified
-        (envelope) fabrics are detected *here*, once, rather than
-        surfacing later as a batch-path ``RuntimeError`` from the fabric:
-        the envelope protocol is per-message, so channel negotiation
-        falls back cleanly regardless of the subclass.  *partitions* is
-        the per-message partition count phased exchanges will use.
+        ``None`` means the plan cannot be replayed as one batch and the
+        caller keeps the per-step :meth:`exchange` path: a plan with
+        intra-exchange barriers (Shift), or any plan on a verified
+        (envelope) fabric -- the envelope protocol is per-message, and
+        detecting it here, once, beats a batch-path ``RuntimeError``
+        from the fabric later.  *partitions* is the per-message
+        partition count phased exchanges will use.
         """
-        if self.comm.fabric.envelope_enabled:
+        if self.comm.fabric.envelope_enabled or self.plan.nphases > 1:
             return None
-        return self._build_channel(int(partitions))
+        ((posts, recvs, hooks),) = self._bound_phases()
+        return ExchangeChannel(
+            self.comm, self.method, posts, recvs, self.result, hooks,
+            int(partitions),
+        )
 
-    def _build_channel(self, partitions: int) -> Optional[ExchangeChannel]:
-        """Subclass hook: build the channel (fabric already vetted).
+    def exchange(self) -> ExchangeResult:
+        """Run one ghost-zone exchange, message by message.
 
-        ``None`` (the default) marks schemes with intra-exchange barriers
-        (Shift) that cannot flatten into one persistent batch.
+        The fallback for what :meth:`make_channel` declines, over the
+        same buffers and hooks.  Each phase posts every receive before
+        any send (deadlock-free); a multi-phase plan runs its phases in
+        order with a barrier after each, so phase *d+1*'s ``pre`` sees
+        what phase *d*'s ``post`` wrote (Shift's corner forwarding).
         """
-        return None
-
-    # ------------------------------------------------------------------
-    # Shared modelled-time helpers (thin wrappers over exchange.costs)
-    # ------------------------------------------------------------------
-    def _network_times(
-        self, sends: Sequence[MessageSpec], recvs: Sequence[MessageSpec]
-    ) -> Tuple[float, float]:
-        """(call, wait) charged by the plain network model."""
-        from repro.exchange.costs import network_times
-
-        return network_times(self.profile.network, sends, recvs)
-
-    def _pack_cost(self, specs: Sequence[MessageSpec]) -> float:
-        """Application-level pack (or unpack) cost of a message batch."""
-        from repro.exchange.costs import pack_cost
-
-        return pack_cost(self.profile, specs)
-
-    def _datatype_cost(self, specs: Sequence[MessageSpec]) -> float:
-        """In-library derived-datatype processing cost of a batch."""
-        from repro.exchange.costs import datatype_cost
-
-        return datatype_cost(self.profile, specs)
+        comm = self.comm
+        rank = comm.rank
+        method = self.method
+        bound = self._bound_phases()
+        for posts, recvs, hooks in bound:
+            with _TRACER.span("exchange.post", rank=rank, method=method):
+                reqs = [comm.Irecv(buf, peer, tag) for peer, tag, buf in recvs]
+            if hooks.pre is not None:
+                with _TRACER.span(hooks.spans[0], rank=rank, method=method):
+                    hooks.pre()
+            with _TRACER.span("exchange.post", rank=rank, method=method):
+                reqs += [comm.Isend(buf, peer, tag) for peer, tag, buf in posts]
+            with _TRACER.span("exchange.wait", rank=rank, method=method):
+                comm.Waitall(reqs)
+            if hooks.post is not None:
+                with _TRACER.span(hooks.spans[1], rank=rank, method=method):
+                    hooks.post()
+            if _METRICS.enabled:
+                _count_exchange(rank, hooks, len(posts))
+            if len(bound) > 1:
+                comm.Barrier()
+        return self.result

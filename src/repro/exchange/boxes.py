@@ -15,14 +15,27 @@ what makes the one-box-per-neighbor exchange well-formed.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
+import numpy as np
+
+from repro.brick.info import direction_index
+from repro.exchange.base import Binding, PlannedMessage, exchange_tag
+from repro.exchange.schedule import array_schedule
 from repro.faults.errors import ExchangeConfigError
+from repro.simmpi.comm import CartComm
 from repro.util.bitset import BitSet
 
-__all__ = ["neighbor_send_box", "neighbor_recv_box", "box_slices"]
+__all__ = [
+    "neighbor_send_box",
+    "neighbor_recv_box",
+    "box_slices",
+    "box_messages",
+    "stage_boxes",
+]
 
 Box = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (lo, extent), axis order 1..D
+Slices = Tuple[slice, ...]
 
 
 def neighbor_send_box(
@@ -70,6 +83,63 @@ def box_slices(box: Box) -> Tuple[slice, ...]:
     lo, ext = box
     return tuple(
         slice(l, l + e) for l, e in zip(reversed(lo), reversed(ext))
+    )
+
+
+def box_messages(
+    comm: CartComm, extent: Sequence[int], ghost: int, itemsize: int
+) -> Iterator[Tuple[BitSet, PlannedMessage, PlannedMessage]]:
+    """``(neighbor, send, recv)`` for every neighbor *comm* has a partner
+    for: the one-box-per-neighbor schedule of Pack and MPI_Types.
+
+    A non-periodic boundary has no partner and no messages; the ghost box
+    there keeps whatever boundary condition the application wrote.  The
+    box received from a neighbor has the shape of the box sent to it, so
+    one spec prices both directions.
+    """
+    ndim = len(extent)
+    for spec in array_schedule(extent, ghost, itemsize):
+        vec = spec.neighbor.to_vector(ndim)
+        rank = comm.neighbor_rank(vec)
+        if rank is None:
+            continue
+        opp = spec.neighbor.opposite().to_vector(ndim)
+        yield (
+            spec.neighbor,
+            PlannedMessage(rank, exchange_tag(direction_index(opp), 0), spec),
+            PlannedMessage(rank, exchange_tag(direction_index(vec), 0), spec),
+        )
+
+
+def stage_boxes(
+    arr: np.ndarray, boxes: Sequence[Tuple[Slices, Slices]]
+) -> Binding:
+    """Bind box messages to *arr* through persistent staging buffers.
+
+    *boxes* holds each message's ``(send, recv)`` selections of *arr*.
+    The flat staging buffers go on the wire; box-shaped reshapes of the
+    same memory let the pack and the unpack run as one strided copy per
+    message, with no per-step temporaries.
+    """
+    send_bufs, recv_bufs, packs, unpacks = [], [], [], []
+    for send_slc, recv_slc in boxes:
+        shape = arr[send_slc].shape
+        send_bufs.append(np.empty(arr[send_slc].size, dtype=arr.dtype))
+        recv_bufs.append(np.empty(arr[recv_slc].size, dtype=arr.dtype))
+        packs.append((send_bufs[-1].reshape(shape), send_slc))
+        unpacks.append((recv_slc, recv_bufs[-1].reshape(shape)))
+
+    def pack() -> None:
+        for view, slc in packs:
+            np.copyto(view, arr[slc])
+
+    def unpack() -> None:
+        for slc, view in unpacks:
+            arr[slc] = view
+
+    return Binding(
+        send_bufs, recv_bufs, pack, unpack,
+        sum(b.nbytes for b in send_bufs + recv_bufs),
     )
 
 

@@ -16,29 +16,19 @@ the pack-free schemes eliminate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.brick.decomp import BrickDecomp, SlotAssignment
 from repro.brick.info import direction_index
 from repro.brick.storage import BrickStorage
-from repro.exchange.base import (
-    ExchangeChannel,
-    ExchangeResult,
-    Exchanger,
-    PlannedMessage,
-    RankMessagePlan,
-    exchange_tag,
-)
+from repro.exchange.base import Binding, Exchanger, PlannedMessage, exchange_tag
+from repro.exchange.layout_ex import neighbor_sections
 from repro.exchange.schedule import MessageSpec
 from repro.faults.errors import ExchangeConfigError
 from repro.hardware.profiles import MachineProfile
-from repro.layout.messages import message_runs
-from repro.obs import METRICS as _METRICS
-from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
-from repro.util.timing import TimeBreakdown
 
 __all__ = ["BrickPackExchanger"]
 
@@ -63,198 +53,90 @@ class BrickPackExchanger(Exchanger):
         self.storage = storage
         self.assignment = assignment or decomp.assignment(1)
         ndim = decomp.ndim
+        bb = decomp.brick_bytes
         dtype = storage.dtype if storage is not None else decomp.dtype
-        be = decomp.brick_bytes // dtype.itemsize  # elems per brick
+        be = bb // dtype.itemsize  # elems per brick
 
-        self._plan: List[dict] = []
+        def byte_ranges(secs):
+            return tuple((s.start * bb, s.nbricks * bb) for s in secs)
+
+        sends: List[PlannedMessage] = []
+        recvs: List[PlannedMessage] = []
         for neighbor in decomp.layout:
             vec = neighbor.to_vector(ndim)
             rank = comm.neighbor_rank(vec)
             if rank is None:
                 continue  # non-periodic boundary: no partner
-            # Surface sections bound for this neighbor, in layout order --
-            # the same payload order as the pack-free schemes, so the
-            # peer's unpack order matches regardless of its own method.
-            send_secs = []
-            for start, length in message_runs(decomp.layout, neighbor):
-                for i in range(start, start + length):
-                    sec = self.assignment.surface[decomp.layout[i]]
-                    if sec.nbricks:
-                        send_secs.append(sec)
-            opp = neighbor.opposite()
-            recv_secs = []
-            for start, length in message_runs(decomp.layout, opp):
-                for i in range(start, start + length):
-                    sec = self.assignment.ghost[(neighbor, decomp.layout[i])]
-                    if sec.nbricks:
-                        recv_secs.append(sec)
+            send_secs, recv_secs = neighbor_sections(
+                decomp, self.assignment, neighbor
+            )
             n_send = sum(s.nbricks for s in send_secs)
             n_recv = sum(s.nbricks for s in recv_secs)
             if n_send != n_recv:
-                raise AssertionError(
+                raise ExchangeConfigError(
                     f"send/recv brick count mismatch for {neighbor.notation()}:"
                     f" {n_send} vs {n_recv}"
                 )
             if n_send == 0:
                 continue
-            payload = n_send * decomp.brick_bytes
-            self._plan.append(
-                {
-                    "rank": rank,
-                    "send_tag": exchange_tag(
-                        direction_index(opp.to_vector(ndim)), 0
-                    ),
-                    "recv_tag": exchange_tag(direction_index(vec), 0),
-                    "send_secs": send_secs,
-                    "recv_secs": recv_secs,
-                    # Persistent staging, reused every timestep.
-                    "send_buf": (
-                        np.empty(n_send * be, dtype=dtype)
-                        if storage is not None
-                        else None
-                    ),
-                    "recv_buf": (
-                        np.empty(n_recv * be, dtype=dtype)
-                        if storage is not None
-                        else None
-                    ),
-                    "spec": MessageSpec(
-                        neighbor,
-                        payload_bytes=payload,
-                        wire_bytes=payload,
-                        nsegments=len(send_secs),
-                        run_elems=n_send * be // len(send_secs),
-                    ),
-                }
+            spec = MessageSpec(
+                neighbor,
+                payload_bytes=n_send * bb,
+                wire_bytes=n_send * bb,
+                nsegments=len(send_secs),
+                run_elems=n_send * be // len(send_secs),
             )
-
-    # ------------------------------------------------------------------
-    def send_specs(self) -> List[MessageSpec]:
-        return [p["spec"] for p in self._plan]
-
-    def recv_specs(self) -> List[MessageSpec]:
-        return [p["spec"] for p in self._plan]
-
-    def message_plan(self) -> RankMessagePlan:
-        """Static per-rank schedule with storage byte ranges per section.
-
-        The ranges describe where the *payload lives in brick storage*
-        (gather sources for sends, scatter targets for recvs), even
-        though the wire message itself is a staged contiguous buffer.
-        """
-        bb = self.decomp.brick_bytes
-        sends, recvs = [], []
-        for p in self._plan:
+            # The wire message is a staged contiguous buffer; the ranges
+            # say where its payload *lives in brick storage*: gather
+            # sources for the send, scatter targets for the receive.
+            opp = neighbor.opposite().to_vector(ndim)
             sends.append(
                 PlannedMessage(
-                    p["rank"],
-                    p["send_tag"],
-                    sum(s.nbricks for s in p["send_secs"]) * bb,
-                    ranges=tuple(
-                        (s.start * bb, s.nbricks * bb) for s in p["send_secs"]
-                    ),
+                    rank, exchange_tag(direction_index(opp), 0), spec,
+                    ranges=byte_ranges(send_secs),
                 )
             )
             recvs.append(
                 PlannedMessage(
-                    p["rank"],
-                    p["recv_tag"],
-                    sum(s.nbricks for s in p["recv_secs"]) * bb,
-                    ranges=tuple(
-                        (s.start * bb, s.nbricks * bb) for s in p["recv_secs"]
-                    ),
+                    rank, exchange_tag(direction_index(vec), 0), spec,
+                    ranges=byte_ranges(recv_secs),
                 )
             )
-        return RankMessagePlan(
-            self.comm.rank, self.method, tuple(sends), tuple(recvs)
-        )
+        self._install(sends, recvs, storage, copy="pack")
 
-    def _require_storage(self) -> BrickStorage:
-        if self.storage is None:
-            raise ExchangeConfigError(
-                "BrickPackExchanger was built plan-only (storage=None); it"
-                " can describe its schedule but not execute an exchange"
+    def _bind(self, st: BrickStorage) -> List[Binding]:
+        """Persistent staging, gathered from / scattered into the slot
+        ranges of each message section by section."""
+        bb = self.decomp.brick_bytes
+
+        def stage(messages):
+            """Per message a staging buffer; per section the
+            ``(staging slice, storage slot view)`` pair of equal size."""
+            bufs, pairs = [], []
+            for m in messages:
+                buf = np.empty(m.nbytes // st.dtype.itemsize, dtype=st.dtype)
+                pos = 0
+                for off, nbytes in m.ranges:
+                    slots = st.slot_view(off // bb, nbytes // bb)
+                    pairs.append((buf[pos : pos + slots.size], slots))
+                    pos += slots.size
+                bufs.append(buf)
+            return bufs, pairs
+
+        send_bufs, gathers = stage(self.plan.sends)
+        recv_bufs, scatters = stage(self.plan.recvs)
+
+        def pack() -> None:
+            for staged, slots in gathers:
+                staged[:] = slots
+
+        def unpack() -> None:
+            for staged, slots in scatters:
+                slots[:] = staged
+
+        return [
+            Binding(
+                send_bufs, recv_bufs, pack, unpack,
+                sum(b.nbytes for b in send_bufs + recv_bufs),
             )
-        return self.storage
-
-    def _pack_sends(self) -> None:
-        """Gather every neighbor's surface sections into its staging buffer."""
-        st = self._require_storage()
-        be = st.brick_elems
-        for p in self._plan:
-            buf, pos = p["send_buf"], 0
-            for sec in p["send_secs"]:
-                n = sec.nbricks * be
-                buf[pos : pos + n] = st.slot_view(sec.start, sec.nbricks)
-                pos += n
-
-    def _unpack_recvs(self) -> None:
-        """Scatter every received payload into its ghost sections."""
-        st = self._require_storage()
-        be = st.brick_elems
-        for p in self._plan:
-            buf, pos = p["recv_buf"], 0
-            for sec in p["recv_secs"]:
-                n = sec.nbricks * be
-                st.slot_view(sec.start, sec.nbricks)[:] = buf[pos : pos + n]
-                pos += n
-
-    def exchange(self) -> ExchangeResult:
-        self._require_storage()
-        rank = self.comm.rank
-        reqs = []
-        with _TRACER.span("exchange.post", rank=rank, method=self.method):
-            for p in self._plan:
-                reqs.append(
-                    self.comm.Irecv(p["recv_buf"], p["rank"], p["recv_tag"])
-                )
-        with _TRACER.span("exchange.pack", rank=rank, method=self.method):
-            self._pack_sends()
-            for p in self._plan:
-                reqs.append(
-                    self.comm.Isend(p["send_buf"], p["rank"], p["send_tag"])
-                )
-        with _TRACER.span("exchange.wait", rank=rank, method=self.method):
-            self.comm.Waitall(reqs)
-        with _TRACER.span("exchange.unpack", rank=rank, method=self.method):
-            self._unpack_recvs()
-        if _METRICS.enabled:
-            staged = sum(
-                p["send_buf"].nbytes + p["recv_buf"].nbytes for p in self._plan
-            )
-            _METRICS.count("exchange.bytes_packed", staged, rank=rank)
-            _METRICS.count("exchange.messages", len(self._plan), rank=rank)
-        return self._model_result()
-
-    def _model_result(self) -> ExchangeResult:
-        """Modelled outcome of one exchange (static per message plan)."""
-        specs = self.send_specs()
-        breakdown = TimeBreakdown()
-        breakdown.charge("pack", self._pack_cost(specs) * 2)  # pack+unpack
-        call, wait = self._network_times(specs, specs)
-        breakdown.charge("call", call)
-        breakdown.charge("wait", wait)
-        return ExchangeResult(
-            breakdown,
-            messages_sent=len(specs),
-            messages_received=len(specs),
-            payload_bytes_sent=sum(m.payload_bytes for m in specs),
-            wire_bytes_sent=sum(m.wire_bytes for m in specs),
-        )
-
-    def _build_channel(self, partitions):
-        self._require_storage()
-        plan = self._plan
-        return ExchangeChannel(
-            self.comm,
-            self.method,
-            posts=[(p["rank"], p["send_tag"], p["send_buf"]) for p in plan],
-            recvs=[(p["rank"], p["recv_tag"], p["recv_buf"]) for p in plan],
-            result=self._model_result(),
-            packed_bytes=sum(
-                p["send_buf"].nbytes + p["recv_buf"].nbytes for p in plan
-            ),
-            pre=self._pack_sends,
-            post=self._unpack_recvs,
-            partitions=partitions,
-        )
+        ]

@@ -1,8 +1,9 @@
 """Shared modelled-cost functions over message schedules.
 
-Used by both the executed exchangers (to report per-exchange breakdowns)
-and the pure-modelled driver (to price arbitrary scales without
-allocating data), guaranteeing the two agree.
+:func:`exchange_times` is the one pricer: the executed exchangers call it
+on their plan (to report per-exchange breakdowns) and the pure-modelled
+driver calls it on the combinatorial schedules (to price arbitrary scales
+without allocating data), so the two agree by construction.
 """
 
 from __future__ import annotations
@@ -10,10 +11,21 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro.exchange.schedule import MessageSpec
+from repro.faults.errors import ExchangeConfigError
 from repro.hardware.network import NetworkModel
 from repro.hardware.profiles import MachineProfile
+from repro.util.timing import TimeBreakdown
 
-__all__ = ["network_times", "pack_cost", "datatype_cost", "overlap_times"]
+__all__ = [
+    "exchange_times",
+    "network_times",
+    "pack_cost",
+    "datatype_cost",
+    "overlap_times",
+]
+
+#: Where a scheme's on-node copy happens (``RankMessagePlan.copy``).
+COPY_KINDS = ("none", "pack", "datatype")
 
 
 def overlap_times(wait: float, interior_calc: float) -> Tuple[float, float]:
@@ -58,3 +70,34 @@ def datatype_cost(profile: MachineProfile, specs: Sequence[MessageSpec]) -> floa
         total += m.payload_bytes / profile.type_engine_bw
         total += m.nsegments * profile.memory.seg_overhead
     return total
+
+
+def exchange_times(
+    profile: MachineProfile,
+    net: NetworkModel,
+    phases: Sequence[Tuple[Sequence[MessageSpec], Sequence[MessageSpec]]],
+    copy: str,
+) -> TimeBreakdown:
+    """Modelled pack / call / wait of one exchange of a plan-shaped schedule.
+
+    *phases* holds the ``(sends, recvs)`` of each barrier-separated
+    round; they serialize, so each pays its own copy and network round.
+    *copy* says where the on-node copy happens: ``"pack"`` charges the
+    application's pack and unpack to ``pack``; ``"datatype"`` charges
+    the library's datatype engine -- send and receive side, serialized
+    on this rank's core -- to ``wait``; ``"none"`` leaves only the wire.
+    """
+    if copy not in COPY_KINDS:
+        raise ExchangeConfigError(
+            f"unknown on-node copy kind {copy!r}; expected one of {COPY_KINDS}"
+        )
+    bd = TimeBreakdown()
+    for sends, recvs in phases:
+        if copy == "pack":
+            bd.charge("pack", pack_cost(profile, sends) * 2)
+        call, wait = network_times(net, sends, recvs)
+        if copy == "datatype":
+            wait += 2 * datatype_cost(profile, sends)
+        bd.charge("call", call)
+        bd.charge("wait", wait)
+    return bd

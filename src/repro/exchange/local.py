@@ -87,7 +87,7 @@ class LocalDomainGrid:
         self.owned_slots = min(ghost_starts) if ghost_starts else asn.total_slots
         self.owned_bytes = self.owned_slots * bb
         if self.owned_bytes % self.page_size:
-            raise AssertionError("owned region is not page aligned")
+            raise ExchangeConfigError("owned region is not page aligned")
 
         self.ndomains = math.prod(self.domain_dims)
         arena_bytes = self.ndomains * self.owned_bytes
@@ -149,7 +149,7 @@ class LocalDomainGrid:
             nbr_idx = self.neighbor_index(idx, sec.neighbor)
             src = asn.surface[sec.region]
             if src.padded_nbricks != sec.padded_nbricks:
-                raise AssertionError(
+                raise ExchangeConfigError(
                     "ghost subsection and source surface region disagree"
                 )
             chunks.append(
@@ -160,7 +160,7 @@ class LocalDomainGrid:
             )
         total = sum(length for _, length in chunks)
         if total != asn.total_slots * bb:
-            raise AssertionError("view chunks do not tile the slot space")
+            raise ExchangeConfigError("view chunks do not tile the slot space")
         return chunks
 
     # ------------------------------------------------------------------

@@ -20,30 +20,18 @@ by coalescing runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from repro.brick.decomp import BrickDecomp, SlotAssignment
 from repro.brick.info import direction_index
 from repro.brick.storage import BrickStorage
-from repro.exchange.base import (
-    ExchangeChannel,
-    ExchangeResult,
-    Exchanger,
-    PlannedMessage,
-    RankMessagePlan,
-    exchange_tag,
-)
-from repro.faults.errors import ExchangeConfigError
+from repro.exchange.base import Binding, Exchanger, PlannedMessage, exchange_tag
+from repro.exchange.layout_ex import neighbor_sections
 from repro.exchange.schedule import MessageSpec
+from repro.faults.errors import ExchangeConfigError
 from repro.hardware.profiles import MachineProfile
-from repro.layout.messages import message_runs
-from repro.obs import METRICS as _METRICS
-from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
 from repro.util.bitset import BitSet
-from repro.util.timing import TimeBreakdown
 from repro.vmem.layout_plan import ViewPlan, plan_view
 from repro.vmem.view import StitchedViewBase
 
@@ -60,9 +48,6 @@ class ExchangeView:
     """
 
     neighbor: BitSet
-    rank: int
-    send_tag: int
-    recv_tag: int
     send_plan: ViewPlan
     recv_plan: ViewPlan
     send_view: Optional[StitchedViewBase] = None
@@ -116,45 +101,50 @@ class MemMapExchanger(Exchanger):
         ndim = decomp.ndim
         bb = decomp.brick_bytes
 
+        def view_plan(secs) -> ViewPlan:
+            return plan_view(
+                [(sec.start * bb, sec.nbricks * bb) for sec in secs],
+                self.page_size,
+            )
+
+        def message(neighbor, rank, slab_dir, plan: ViewPlan) -> PlannedMessage:
+            """One stitched view on the wire: payload plus page padding."""
+            spec = MessageSpec(
+                neighbor,
+                payload_bytes=plan.payload_bytes,
+                wire_bytes=plan.mapped_bytes,
+                nsegments=1,
+                run_elems=plan.payload_bytes // 8,
+                nmappings=plan.mapping_count,
+            )
+            return PlannedMessage(
+                rank, exchange_tag(slab_dir, 0), spec, ranges=tuple(plan.chunks)
+            )
+
         self.views: List[ExchangeView] = []
+        sends: List[PlannedMessage] = []
+        recvs: List[PlannedMessage] = []
         for neighbor in decomp.layout:
             vec = neighbor.to_vector(ndim)
             rank = comm.neighbor_rank(vec)
             if rank is None:
                 continue  # non-periodic boundary: no partner, no views
-            send_ranges = []
-            for start, length in message_runs(decomp.layout, neighbor):
-                for i in range(start, start + length):
-                    sec = assignment.surface[decomp.layout[i]]
-                    if sec.nbricks:
-                        send_ranges.append((sec.start * bb, sec.nbricks * bb))
-            opp = neighbor.opposite()
-            recv_ranges = []
-            for start, length in message_runs(decomp.layout, opp):
-                for i in range(start, start + length):
-                    sec = assignment.ghost[(neighbor, decomp.layout[i])]
-                    if sec.nbricks:
-                        recv_ranges.append((sec.start * bb, sec.nbricks * bb))
-            if not send_ranges and not recv_ranges:
+            send_secs, recv_secs = neighbor_sections(decomp, assignment, neighbor)
+            if not send_secs and not recv_secs:
                 continue
-            send_plan = plan_view(send_ranges, self.page_size)
-            recv_plan = plan_view(recv_ranges, self.page_size)
+            send_plan = view_plan(send_secs)
+            recv_plan = view_plan(recv_secs)
             if send_plan.mapped_bytes != recv_plan.mapped_bytes:
-                raise AssertionError(
+                raise ExchangeConfigError(
                     "send/recv view size mismatch for"
                     f" {neighbor.notation()}: {send_plan.mapped_bytes} vs"
                     f" {recv_plan.mapped_bytes}"
                 )
             self.views.append(
                 ExchangeView(
-                    neighbor=neighbor,
-                    rank=rank,
-                    send_tag=exchange_tag(
-                        direction_index(opp.to_vector(ndim)), 0
-                    ),
-                    recv_tag=exchange_tag(direction_index(vec), 0),
-                    send_plan=send_plan,
-                    recv_plan=recv_plan,
+                    neighbor,
+                    send_plan,
+                    recv_plan,
                     send_view=(
                         storage.make_view(send_plan.chunks)
                         if storage is not None else None
@@ -165,7 +155,11 @@ class MemMapExchanger(Exchanger):
                     ),
                 )
             )
+            opp = neighbor.opposite().to_vector(ndim)
+            sends.append(message(neighbor, rank, direction_index(opp), send_plan))
+            recvs.append(message(neighbor, rank, direction_index(vec), recv_plan))
         self._check_mapping_budget()
+        self._install(sends, recvs, storage)
 
     # ------------------------------------------------------------------
     def _check_mapping_budget(self) -> None:
@@ -186,104 +180,12 @@ class MemMapExchanger(Exchanger):
             for v in self.views
         )
 
-    def send_specs(self) -> List[MessageSpec]:
-        return [
-            MessageSpec(
-                v.neighbor,
-                payload_bytes=v.send_plan.payload_bytes,
-                wire_bytes=v.send_plan.mapped_bytes,
-                nsegments=1,
-                run_elems=v.send_plan.payload_bytes // 8,
-                nmappings=v.send_plan.mapping_count,
-            )
-            for v in self.views
-        ]
+    # benchmarks/halobench/spans.py wraps vars(MemMapExchanger)["exchange"],
+    # a class-__dict__ lookup that does not see inherited attributes.
+    exchange = Exchanger.exchange
 
-    def recv_specs(self) -> List[MessageSpec]:
-        return [
-            MessageSpec(
-                v.neighbor,
-                payload_bytes=v.recv_plan.payload_bytes,
-                wire_bytes=v.recv_plan.mapped_bytes,
-                nmappings=v.recv_plan.mapping_count,
-            )
-            for v in self.views
-        ]
-
-    def message_plan(self) -> RankMessagePlan:
-        return RankMessagePlan(
-            rank=self.comm.rank,
-            method=self.method,
-            sends=tuple(
-                PlannedMessage(
-                    peer=v.rank, tag=v.send_tag,
-                    nbytes=v.send_plan.mapped_bytes,
-                    ranges=tuple(v.send_plan.chunks),
-                )
-                for v in self.views
-            ),
-            recvs=tuple(
-                PlannedMessage(
-                    peer=v.rank, tag=v.recv_tag,
-                    nbytes=v.recv_plan.mapped_bytes,
-                    ranges=tuple(v.recv_plan.chunks),
-                )
-                for v in self.views
-            ),
-        )
-
-    def _require_views(self) -> None:
-        if self.storage is None:
-            raise ExchangeConfigError(
-                "MemMapExchanger was built plan-only (no storage); it can"
-                " be introspected but not exchanged"
-            )
-
-    def exchange(self) -> ExchangeResult:
-        self._require_views()
-        rank = self.comm.rank
-        reqs = []
-        with _TRACER.span("exchange.post", rank=rank, method=self.method):
-            for v in self.views:
-                reqs.append(
-                    self.comm.Irecv(v.recv_view.array(), v.rank, v.recv_tag)
-                )
-            for v in self.views:
-                v.send_view.refresh()  # no-op on real mappings
-                reqs.append(
-                    self.comm.Isend(v.send_view.array(), v.rank, v.send_tag)
-                )
-        with _TRACER.span("exchange.wait", rank=rank, method=self.method):
-            self.comm.Waitall(reqs)
-        with _TRACER.span("exchange.sync", rank=rank, method=self.method):
-            for v in self.views:
-                v.recv_view.flush()  # no-op on real mappings
-        if _METRICS.enabled:
-            # Pack-free through the MMU: no staged bytes, but each view
-            # burns kernel mappings (the vm.max_map_count budget).
-            _METRICS.count("exchange.bytes_packed", 0, rank=rank)
-            _METRICS.count("exchange.messages", len(self.views), rank=rank)
-            _METRICS.gauge("memmap.regions", self.mapping_count, rank=rank)
-        return self._model_result()
-
-    def _model_result(self) -> ExchangeResult:
-        """Modelled outcome of one exchange (static per view plan)."""
-        send_specs = self.send_specs()
-        recv_specs = self.recv_specs()
-        breakdown = TimeBreakdown()  # pack-free and copy-free
-        call, wait = self._network_times(send_specs, recv_specs)
-        breakdown.charge("call", call)
-        breakdown.charge("wait", wait)
-        return ExchangeResult(
-            breakdown,
-            messages_sent=len(send_specs),
-            messages_received=len(recv_specs),
-            payload_bytes_sent=sum(m.payload_bytes for m in send_specs),
-            wire_bytes_sent=sum(m.wire_bytes for m in send_specs),
-        )
-
-    def _build_channel(self, partitions):
-        self._require_views()
+    def _bind(self, storage: BrickStorage) -> List[Binding]:
+        """The stitched views *are* the wire buffers."""
         views = self.views
 
         def refresh() -> None:
@@ -294,18 +196,17 @@ class MemMapExchanger(Exchanger):
             for v in views:
                 v.recv_view.flush()  # no-op on real mappings
 
-        return ExchangeChannel(
-            self.comm,
-            self.method,
-            posts=[(v.rank, v.send_tag, v.send_view.array()) for v in views],
-            recvs=[(v.rank, v.recv_tag, v.recv_view.array()) for v in views],
-            result=self._model_result(),
-            pre=refresh,
-            post=flush,
-            pre_span="exchange.sync",
-            post_span="exchange.sync",
-            partitions=partitions,
-        )
+        # Pack-free through the MMU: no staged bytes (each view burns
+        # kernel mappings instead, the vm.max_map_count budget).
+        return [
+            Binding(
+                [v.send_view.array() for v in views],
+                [v.recv_view.array() for v in views],
+                refresh,
+                flush,
+                spans=("exchange.sync", "exchange.sync"),
+            )
+        ]
 
     def close(self) -> None:
         for v in self.views:

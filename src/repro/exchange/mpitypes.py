@@ -15,25 +15,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.brick.info import direction_index
-from repro.exchange.base import (
-    ExchangeChannel,
-    ExchangeResult,
-    Exchanger,
-    PlannedMessage,
-    RankMessagePlan,
-    exchange_tag,
-)
+from repro.exchange.base import Binding, Exchanger, PlannedMessage
+from repro.exchange.boxes import box_messages, neighbor_recv_box, neighbor_send_box
 from repro.faults.errors import ExchangeConfigError
-from repro.exchange.boxes import neighbor_recv_box, neighbor_send_box
-from repro.exchange.schedule import MessageSpec, array_schedule
 from repro.hardware.profiles import MachineProfile
-from repro.layout.regions import all_regions
-from repro.obs import METRICS as _METRICS
-from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
 from repro.simmpi.datatypes import SubarrayType
-from repro.util.timing import TimeBreakdown
 
 __all__ = ["MPITypesExchanger"]
 
@@ -55,7 +42,6 @@ class MPITypesExchanger(Exchanger):
         super().__init__(comm, profile)
         self.extent = tuple(int(e) for e in extent)
         self.ghost = int(ghost)
-        ndim = len(self.extent)
         expected = tuple(e + 2 * self.ghost for e in reversed(self.extent))
         if array is not None:
             if array.shape != expected:
@@ -65,9 +51,6 @@ class MPITypesExchanger(Exchanger):
             dtype = array.dtype
         self.array = array  # None = plan-only (static verification)
         self.dtype = np.dtype(dtype)
-        self._specs = array_schedule(
-            self.extent, self.ghost, self.dtype.itemsize
-        )
 
         def subarray(box):
             lo, ext = box
@@ -77,136 +60,41 @@ class MPITypesExchanger(Exchanger):
                 start=tuple(reversed(lo)),
             )
 
-        self._plan = []
-        for neighbor in all_regions(ndim):
-            rank = comm.neighbor_rank(neighbor.to_vector(ndim))
-            if rank is None:
-                continue  # non-periodic boundary: no partner, no message
-            send_t = subarray(neighbor_send_box(neighbor, self.extent, self.ghost))
-            recv_t = subarray(neighbor_recv_box(neighbor, self.extent, self.ghost))
-            self._plan.append(
-                {
-                    "neighbor": neighbor,
-                    "rank": rank,
-                    "send_type": send_t,
-                    "recv_type": recv_t,
-                    "send_tag": exchange_tag(
-                        direction_index(neighbor.opposite().to_vector(ndim)), 0
-                    ),
-                    "recv_tag": exchange_tag(
-                        direction_index(neighbor.to_vector(ndim)), 0
-                    ),
-                    "recv_buf": (
-                        np.empty(recv_t.count, dtype=array.dtype)
-                        if array is not None else None
-                    ),
-                }
+        sends: List[PlannedMessage] = []
+        recvs: List[PlannedMessage] = []
+        self._types = []  # per message: its (send, recv) derived datatypes
+        for neighbor, send, recv in box_messages(
+            comm, self.extent, self.ghost, self.dtype.itemsize
+        ):
+            self._types.append(
+                (
+                    subarray(neighbor_send_box(neighbor, self.extent, self.ghost)),
+                    subarray(neighbor_recv_box(neighbor, self.extent, self.ghost)),
+                )
             )
-        planned = {p["neighbor"] for p in self._plan}
-        self._specs = [m for m in self._specs if m.neighbor in planned]
+            sends.append(send)
+            recvs.append(recv)
+        # The datatype engine's gathers and scatters are on-node movement
+        # too, just hidden inside the library.
+        self._install(sends, recvs, array, copy="datatype")
 
-    # ------------------------------------------------------------------
-    def send_specs(self) -> List[MessageSpec]:
-        return list(self._specs)
+    # benchmarks/halobench/spans.py wraps vars(MPITypesExchanger)["exchange"],
+    # a class-__dict__ lookup that does not see inherited attributes.
+    exchange = Exchanger.exchange
 
-    def message_plan(self) -> RankMessagePlan:
-        itemsize = self.dtype.itemsize
-        return RankMessagePlan(
-            rank=self.comm.rank,
-            method=self.method,
-            sends=tuple(
-                PlannedMessage(
-                    peer=p["rank"], tag=p["send_tag"],
-                    nbytes=p["send_type"].count * itemsize,
-                )
-                for p in self._plan
-            ),
-            recvs=tuple(
-                PlannedMessage(
-                    peer=p["rank"], tag=p["recv_tag"],
-                    nbytes=p["recv_type"].count * itemsize,
-                )
-                for p in self._plan
-            ),
-        )
+    def _bind(self, arr: np.ndarray) -> List[Binding]:
+        """Persistent wire buffers the datatype engine re-fills each step."""
+        types = self._types
+        send_bufs = [np.empty(s.count, dtype=arr.dtype) for s, _ in types]
+        recv_bufs = [np.empty(r.count, dtype=arr.dtype) for _, r in types]
 
-    def _require_array(self) -> np.ndarray:
-        if self.array is None:
-            raise ExchangeConfigError(
-                f"{type(self).__name__} was built plan-only (no array);"
-                " it can be introspected but not exchanged"
-            )
-        return self.array
+        def extract() -> None:  # "inside MPI": gather each selection
+            for (send_type, _), buf in zip(types, send_bufs):
+                send_type.extract_into(arr, buf)
 
-    def exchange(self) -> ExchangeResult:
-        arr = self._require_array()
-        rank = self.comm.rank
-        reqs = []
-        with _TRACER.span("exchange.post", rank=rank, method=self.method):
-            for p in self._plan:
-                reqs.append(
-                    self.comm.Irecv(p["recv_buf"], p["rank"], p["recv_tag"])
-                )
-            for p in self._plan:
-                # "Inside MPI": the datatype engine extracts the selection.
-                wire = p["send_type"].extract(arr)
-                reqs.append(self.comm.Isend(wire, p["rank"], p["send_tag"]))
-        with _TRACER.span("exchange.wait", rank=rank, method=self.method):
-            self.comm.Waitall(reqs)
-        with _TRACER.span("exchange.unpack", rank=rank, method=self.method):
-            for p in self._plan:
-                p["recv_type"].insert(arr, p["recv_buf"])
-        if _METRICS.enabled:
-            # The datatype engine's gathers/scatters are on-node movement
-            # too, just hidden inside the library.
-            moved = sum(p["recv_buf"].nbytes for p in self._plan) * 2
-            _METRICS.count("exchange.bytes_packed", moved, rank=rank)
-            _METRICS.count("exchange.messages", len(self._plan), rank=rank)
-        return self._model_result()
+        def insert() -> None:
+            for (_, recv_type), buf in zip(types, recv_bufs):
+                recv_type.insert(arr, buf)
 
-    def _model_result(self) -> ExchangeResult:
-        """Modelled outcome of one exchange (static per message plan)."""
-        breakdown = TimeBreakdown()
-        call, wait = self._network_times(self._specs, self._specs)
-        # Datatype processing happens on both the send and receive side,
-        # serialized on this rank's core, inside the MPI library.
-        wait += 2 * self._datatype_cost(self._specs)
-        breakdown.charge("call", call)
-        breakdown.charge("wait", wait)
-        sent = sum(m.wire_bytes for m in self._specs)
-        return ExchangeResult(
-            breakdown,
-            messages_sent=len(self._specs),
-            messages_received=len(self._specs),
-            payload_bytes_sent=sum(m.payload_bytes for m in self._specs),
-            wire_bytes_sent=sent,
-        )
-
-    def _build_channel(self, partitions):
-        arr = self._require_array()
-        plan = self._plan
-        # Persistent wire buffers: the per-step path allocates a fresh
-        # extraction per message, the channel re-fills these instead.
-        for p in plan:
-            if "send_buf" not in p:
-                p["send_buf"] = np.empty(p["send_type"].count, dtype=arr.dtype)
-
-        def pack() -> None:
-            for p in plan:
-                p["send_type"].extract_into(arr, p["send_buf"])
-
-        def unpack() -> None:
-            for p in plan:
-                p["recv_type"].insert(arr, p["recv_buf"])
-
-        return ExchangeChannel(
-            self.comm,
-            self.method,
-            posts=[(p["rank"], p["send_tag"], p["send_buf"]) for p in plan],
-            recvs=[(p["rank"], p["recv_tag"], p["recv_buf"]) for p in plan],
-            result=self._model_result(),
-            packed_bytes=sum(p["recv_buf"].nbytes for p in plan) * 2,
-            pre=pack,
-            post=unpack,
-            partitions=partitions,
-        )
+        moved = sum(b.nbytes for b in send_bufs + recv_bufs)
+        return [Binding(send_bufs, recv_bufs, extract, insert, moved)]

@@ -14,7 +14,7 @@ periodic cubical decomposition have identical sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.layout.messages import message_runs
@@ -26,7 +26,7 @@ from repro.faults.errors import ExchangeConfigError
 __all__ = [
     "MessageSpec",
     "brick_send_schedule",
-    "brick_recv_schedule",
+    "mirror_schedule",
     "basic_brick_schedule",
     "memmap_schedule",
     "array_schedule",
@@ -95,24 +95,11 @@ def brick_send_schedule(
     return out
 
 
-def brick_recv_schedule(
-    grid: Sequence[int],
-    width: int,
-    layout: Sequence[BitSet],
-    brick_bytes: int,
-) -> List[MessageSpec]:
-    """Receive sizes mirror sends in a periodic uniform decomposition."""
-    return [
-        MessageSpec(
-            m.neighbor.opposite(),
-            m.payload_bytes,
-            m.wire_bytes,
-            m.nsegments,
-            m.run_elems,
-            m.nmappings,
-        )
-        for m in brick_send_schedule(grid, width, layout, brick_bytes)
-    ]
+def mirror_schedule(sends: Sequence[MessageSpec]) -> List[MessageSpec]:
+    """Receive specs of a send schedule: in a periodic uniform
+    decomposition every receive mirrors the send of the same size to the
+    opposite neighbor."""
+    return [replace(m, neighbor=m.neighbor.opposite()) for m in sends]
 
 
 def basic_brick_schedule(

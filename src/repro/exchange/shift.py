@@ -14,25 +14,16 @@ non-contiguous boxes of a lexicographic array).
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.exchange.base import (
-    ExchangeResult,
-    Exchanger,
-    PlannedMessage,
-    RankMessagePlan,
-)
-from repro.exchange.schedule import MessageSpec
+from repro.exchange.base import Binding, Exchanger, PlannedMessage
+from repro.exchange.boxes import box_slices, stage_boxes
+from repro.exchange.schedule import shift_schedule
 from repro.faults.errors import ExchangeConfigError
 from repro.hardware.profiles import MachineProfile
-from repro.obs import METRICS as _METRICS
-from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
-from repro.util.bitset import BitSet
-from repro.util.timing import TimeBreakdown
 
 __all__ = ["ShiftExchanger"]
 
@@ -64,11 +55,16 @@ class ShiftExchanger(Exchanger):
             dtype = array.dtype
         self.array = array
         self.dtype = np.dtype(dtype)
-        self._phases = []  # one phase per axis, two directions each
+        specs = shift_schedule(self.extent, self.ghost, self.dtype.itemsize)
+        sends: List[PlannedMessage] = []
+        recvs: List[PlannedMessage] = []
+        # One phase per axis, two directions each; per phase, per message,
+        # its (send, recv) slices of the array.
+        self._boxes: List[list] = []
         g = self.ghost
         for axis in range(ndim):  # axis order 1..D
-            phase = []
-            for sign in (-1, 1):
+            self._boxes.append([])
+            for high, sign in enumerate((-1, 1)):
                 vec = [0] * ndim
                 vec[axis] = sign
                 rank = comm.neighbor_rank(vec)
@@ -83,139 +79,31 @@ class ShiftExchanger(Exchanger):
                         lo.append(0)
                         ext.append(e + 2 * g)
                     elif a == axis:
-                        if sign < 0:
-                            lo.append(g)  # send low surface band
-                        else:
-                            lo.append(e)
+                        lo.append(e if high else g)  # the surface band
                         ext.append(g)
                     else:
                         lo.append(g)
                         ext.append(e)
-                send_lo = list(lo)
                 recv_lo = list(lo)
-                recv_lo[axis] = 0 if sign < 0 else g + self.extent[axis]
-                np_send = tuple(
-                    slice(l, l + x) for l, x in zip(reversed(send_lo), reversed(ext))
+                recv_lo[axis] = g + self.extent[axis] if high else 0
+                self._boxes[axis].append(
+                    (box_slices((lo, ext)), box_slices((recv_lo, ext)))
                 )
-                np_recv = tuple(
-                    slice(l, l + x) for l, x in zip(reversed(recv_lo), reversed(ext))
-                )
-                count = math.prod(ext)
-                run = 1
-                ext_shape = tuple(e + 2 * g for e in self.extent)
-                for a in range(ndim):
-                    run *= ext[a]
-                    if ext[a] != ext_shape[a]:
-                        break
-                phase.append(
-                    {
-                        "rank": rank,
-                        "send_slices": np_send,
-                        "recv_slices": np_recv,
-                        "tag": 1000 + axis * 4 + (0 if sign < 0 else 1),
-                        "rtag": 1000 + axis * 4 + (1 if sign < 0 else 0),
-                        "count": count,
-                        "axis": axis,
-                        "send_buf": (
-                            np.empty(count, dtype=self.dtype)
-                            if array is not None
-                            else None
-                        ),
-                        "recv_buf": (
-                            np.empty(count, dtype=self.dtype)
-                            if array is not None
-                            else None
-                        ),
-                        "spec": MessageSpec(
-                            BitSet.from_vector(vec),
-                            count * self.dtype.itemsize,
-                            count * self.dtype.itemsize,
-                            nsegments=max(1, count // run),
-                            run_elems=run,
-                        ),
-                    }
-                )
-            self._phases.append(phase)
-
-    # ------------------------------------------------------------------
-    def send_specs(self) -> List[MessageSpec]:
-        return [p["spec"] for phase in self._phases for p in phase]
-
-    def message_plan(self) -> RankMessagePlan:
-        """Static per-rank schedule: one phase per axis, serialized."""
-        itemsize = self.dtype.itemsize
-        sends, recvs = [], []
-        for axis, phase in enumerate(self._phases):
-            for p in phase:
-                nbytes = p["count"] * itemsize
+                # The face received from a neighbor has the shape of the
+                # face sent to it, so one spec prices both directions.
+                spec = specs[axis][high]
                 sends.append(
-                    PlannedMessage(p["rank"], p["tag"], nbytes, phase=axis)
+                    PlannedMessage(rank, 1000 + axis * 4 + high, spec, phase=axis)
                 )
                 recvs.append(
-                    PlannedMessage(p["rank"], p["rtag"], nbytes, phase=axis)
-                )
-        return RankMessagePlan(
-            self.comm.rank,
-            self.method,
-            tuple(sends),
-            tuple(recvs),
-            channelable=False,
-            nphases=len(self._phases),
-        )
-
-    def _require_array(self) -> np.ndarray:
-        if self.array is None:
-            raise ExchangeConfigError(
-                "ShiftExchanger was built plan-only (array=None); it can"
-                " describe its schedule but not execute an exchange"
-            )
-        return self.array
-
-    def exchange(self) -> ExchangeResult:
-        arr = self._require_array()
-        rank = self.comm.rank
-        breakdown = TimeBreakdown()
-        for axis, phase in enumerate(self._phases):
-            with _TRACER.span("exchange.shift_axis", rank=rank,
-                              method=self.method, axis=axis):
-                reqs = []
-                with _TRACER.span("exchange.pack", rank=rank):
-                    for p in phase:
-                        reqs.append(
-                            self.comm.Irecv(p["recv_buf"], p["rank"], p["rtag"])
-                        )
-                    for p in phase:
-                        p["send_buf"][:] = arr[p["send_slices"]].reshape(-1)
-                        reqs.append(
-                            self.comm.Isend(p["send_buf"], p["rank"], p["tag"])
-                        )
-                with _TRACER.span("exchange.wait", rank=rank):
-                    self.comm.Waitall(reqs)
-                with _TRACER.span("exchange.unpack", rank=rank):
-                    for p in phase:
-                        arr[p["recv_slices"]] = p["recv_buf"].reshape(
-                            arr[p["recv_slices"]].shape
-                        )
-                if _METRICS.enabled:
-                    moved = sum(
-                        p["send_buf"].nbytes + p["recv_buf"].nbytes
-                        for p in phase
+                    PlannedMessage(
+                        rank, 1000 + axis * 4 + 1 - high, spec, phase=axis
                     )
-                    _METRICS.count("exchange.bytes_packed", moved, rank=rank)
-                    _METRICS.count("exchange.messages", len(phase), rank=rank)
-                # Phases serialize: each pays its own pack + network round.
-                specs = [p["spec"] for p in phase]
-                breakdown.charge("pack", self._pack_cost(specs) * 2)
-                call, wait = self._network_times(specs, specs)
-                breakdown.charge("call", call)
-                breakdown.charge("wait", wait)
-                self.comm.Barrier()
+                )
+        # Phases serialize: each pays its own pack and network round.
+        self._install(sends, recvs, array, copy="pack", nphases=ndim)
 
-        all_specs = self.send_specs()
-        return ExchangeResult(
-            breakdown,
-            messages_sent=len(all_specs),
-            messages_received=len(all_specs),
-            payload_bytes_sent=sum(m.payload_bytes for m in all_specs),
-            wire_bytes_sent=sum(m.wire_bytes for m in all_specs),
-        )
+    def _bind(self, arr: np.ndarray) -> List[Binding]:
+        """Per-axis staging: axis *d+1*'s pack reads what axis *d*'s
+        unpack wrote, which is the corner forwarding."""
+        return [stage_boxes(arr, boxes) for boxes in self._boxes]

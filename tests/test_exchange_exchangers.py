@@ -5,23 +5,43 @@ equal the periodic wrap of the global domain (np.pad mode="wrap" of the
 assembled global array, restricted to this rank's window).
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from repro.brick.convert import bricks_to_extended, extended_to_bricks
 from repro.brick.decomp import BrickDecomp
+from repro.exchange.brickpack import BrickPackExchanger
 from repro.exchange.layout_ex import LayoutExchanger
 from repro.exchange.memmap_ex import MemMapExchanger
 from repro.exchange.mpitypes import MPITypesExchanger
 from repro.exchange.pack import PackExchanger
 from repro.exchange.shift import ShiftExchanger
 from repro.hardware.profiles import theta_knl
+from repro.simmpi.fabric import SimFabric
 from repro.simmpi.launcher import run_spmd
 
 RANK_DIMS = (2, 2, 2)
 SUB = (16, 16, 16)
 G = 8
 GLOBAL = tuple(s * d for s, d in zip(SUB, RANK_DIMS))
+
+
+#: One rank's outcome: the ExchangeResult, the extended array's bytes
+#: after the exchange, and the live mapping count (MemMap only).
+Outcome = namedtuple("Outcome", "result image maps")
+
+
+def _exchange(ex):
+    return ex.exchange()
+
+
+def _spmd(fn, envelope):
+    fabric = SimFabric(8)
+    if envelope:
+        fabric.enable_envelope()
+    return run_spmd(8, fn, fabric=fabric)
 
 
 def _global_data(seed=0):
@@ -39,7 +59,7 @@ def _expected_extended(global_arr, coords):
     return wrapped[slc]
 
 
-def _run_array_exchanger(make, seed=0):
+def _run_array_exchanger(make, seed=0, fire=_exchange, envelope=False):
     global_arr = _global_data(seed)
 
     def fn(comm):
@@ -51,15 +71,17 @@ def _run_array_exchanger(make, seed=0):
         arr = np.zeros(tuple(s + 2 * G for s in reversed(SUB)))
         arr[tuple(slice(G, G + s) for s in reversed(SUB))] = global_arr[own]
         ex = make(cart, arr)
-        result = ex.exchange()
+        result = fire(ex)
         expected = _expected_extended(global_arr, cart.coords)
         np.testing.assert_array_equal(arr, expected)
-        return result
+        return Outcome(result, arr.tobytes(), 0)
 
-    return run_spmd(8, fn)
+    return _spmd(fn, envelope)
 
 
-def _run_brick_exchanger(mode, seed=0, page_size=4096, layout=None):
+def _run_brick_exchanger(
+    mode, seed=0, page_size=4096, layout=None, fire=_exchange, envelope=False
+):
     global_arr = _global_data(seed)
     profile = theta_knl()
 
@@ -69,6 +91,9 @@ def _run_brick_exchanger(mode, seed=0, page_size=4096, layout=None):
         if mode == "memmap":
             storage, asn = d.mmap_alloc(page_size)
             ex = MemMapExchanger(cart, d, storage, asn, profile, page_size)
+        elif mode == "brickpack":
+            storage, asn = d.allocate()
+            ex = BrickPackExchanger(cart, d, storage, asn, profile)
         else:
             storage, asn = d.allocate()
             ex = LayoutExchanger(
@@ -81,17 +106,17 @@ def _run_brick_exchanger(mode, seed=0, page_size=4096, layout=None):
         ext = np.zeros(tuple(s + 2 * G for s in reversed(SUB)))
         ext[tuple(slice(G, G + s) for s in reversed(SUB))] = global_arr[own]
         extended_to_bricks(ext, d, storage, asn)
-        result = ex.exchange()
+        result = fire(ex)
         got = bricks_to_extended(d, storage, asn)
         expected = _expected_extended(global_arr, cart.coords)
         np.testing.assert_array_equal(got, expected)
         if mode == "memmap":
             ex.close()
-        out = (result, getattr(ex, "mapping_count", 0))
+        out = Outcome(result, got.tobytes(), getattr(ex, "mapping_count", 0))
         storage.close()
         return out
 
-    return run_spmd(8, fn)
+    return _spmd(fn, envelope)
 
 
 class TestArrayExchangers:
@@ -100,7 +125,7 @@ class TestArrayExchangers:
         results = _run_array_exchanger(
             lambda cart, arr: PackExchanger(cart, arr, SUB, G, profile)
         )
-        r = results[0]
+        r = results[0].result
         assert r.messages_sent == 26
         assert r.breakdown.pack > 0
         assert r.padding_fraction == 0.0
@@ -110,7 +135,7 @@ class TestArrayExchangers:
         results = _run_array_exchanger(
             lambda cart, arr: MPITypesExchanger(cart, arr, SUB, G, profile)
         )
-        r = results[0]
+        r = results[0].result
         assert r.messages_sent == 26
         assert r.breakdown.pack == 0.0  # packing is inside MPI
         assert r.breakdown.wait > 0
@@ -120,46 +145,101 @@ class TestArrayExchangers:
         results = _run_array_exchanger(
             lambda cart, arr: ShiftExchanger(cart, arr, SUB, G, profile)
         )
-        r = results[0]
+        r = results[0].result
         assert r.messages_sent == 6
 
 
 class TestBrickExchangers:
     def test_layout_pack_free(self):
-        results = _run_brick_exchanger("layout")
-        r, _ = results[0]
+        r = _run_brick_exchanger("layout")[0].result
         assert r.breakdown.pack == 0.0
         assert r.messages_sent > 26  # more messages, no copies
 
     def test_basic_more_messages(self):
-        basic = _run_brick_exchanger("basic")[0][0]
-        layout = _run_brick_exchanger("layout")[0][0]
+        basic = _run_brick_exchanger("basic")[0].result
+        layout = _run_brick_exchanger("layout")[0].result
         assert basic.messages_sent > layout.messages_sent
         assert basic.payload_bytes_sent == layout.payload_bytes_sent
 
     def test_memmap_one_message_per_neighbor(self):
-        results = _run_brick_exchanger("memmap")
-        r, maps = results[0]
+        r, _, maps = _run_brick_exchanger("memmap")[0]
         assert r.messages_sent == 26
         assert r.breakdown.pack == 0.0
         assert maps > 0
 
     def test_memmap_64k_pages_pad(self):
-        r, _ = _run_brick_exchanger("memmap", page_size=65536)[0]
+        r = _run_brick_exchanger("memmap", page_size=65536)[0].result
         assert r.padding_fraction > 0
         assert r.wire_bytes_sent % 65536 == 0
 
     def test_memmap_4k_pages_free_on_theta(self):
         """8^3 double bricks are exactly one 4 KiB page: zero waste."""
-        r, _ = _run_brick_exchanger("memmap", page_size=4096)[0]
+        r = _run_brick_exchanger("memmap", page_size=4096)[0].result
         assert r.padding_fraction == 0.0
 
     def test_all_schemes_same_payload(self):
         pay = set()
         for mode in ("layout", "basic", "memmap"):
-            r = _run_brick_exchanger(mode)[0][0]
+            r = _run_brick_exchanger(mode)[0].result
             pay.add(r.payload_bytes_sent)
         assert len(pay) == 1
+
+
+def _channel(ex):
+    return ex.make_channel().exchange()
+
+
+def _phased(ex):
+    channel = ex.make_channel(partitions=4)
+    channel.start()
+    return channel.complete()
+
+
+def _fallback(ex):
+    """What make_engines does when an exchanger declines a channel."""
+    assert ex.make_channel() is None
+    return ex.exchange()
+
+
+_ARRAY_CLASSES = {
+    "yask": PackExchanger,
+    "mpi_types": MPITypesExchanger,
+    "shift": ShiftExchanger,
+}
+
+
+class TestThreeWaysToFire:
+    """Per-message ``exchange()``, ``channel.exchange()`` and the phased
+    ``start()`` / ``complete()`` run the same binding of the same plan:
+    from the same field they leave the same bytes and return the same
+    :class:`ExchangeResult`."""
+
+    @staticmethod
+    def _run(method, fire, envelope=False):
+        if method in _ARRAY_CLASSES:
+            profile = theta_knl()
+            return _run_array_exchanger(
+                lambda cart, arr: _ARRAY_CLASSES[method](cart, arr, SUB, G, profile),
+                seed=3, fire=fire, envelope=envelope,
+            )
+        return _run_brick_exchanger(method, seed=3, fire=fire, envelope=envelope)
+
+    @pytest.mark.parametrize(
+        "method",
+        ["layout", "basic", "memmap", "yask", "mpi_types", "brickpack", "shift"],
+    )
+    def test_one_outcome(self, method):
+        # Shift's barrier-separated phases cannot be one persistent
+        # batch; like every method on an enveloped fabric it declines a
+        # channel and the per-message path still fills the ghosts.
+        ways = [_fallback] if method == "shift" else [_exchange, _channel, _phased]
+        runs = [self._run(method, fire) for fire in ways]
+        runs.append(self._run(method, _fallback, envelope=True))
+        for other in runs[1:]:
+            for mine, theirs in zip(runs[0], other):
+                assert theirs.image == mine.image
+                assert theirs.result == mine.result
+                assert theirs.result.messages_sent > 0
 
 
 class TestExchangerValidation:

@@ -1,0 +1,109 @@
+"""Golden schedule and golden price.
+
+``golden_schedule.json`` was recorded at commit 238aa6b, *before* the
+exchangers were folded onto one schedule IR: the plan digests from
+``build_rank_plans``, the modelled prices from ``exchange_breakdown``, and
+the executed exchangers' results from really running ``exchange()`` on
+every rank.  The refactor may move no byte of schedule and no bit of
+modelled time, so everything here compares exactly (``float.hex``).  A
+change that means to alter a schedule or a price re-records the file and
+says why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.check.geometry import CHECKABLE_METHODS, build_rank_geometries
+from repro.core.methods import ALL_METHODS
+from repro.core.model import exchange_breakdown
+from repro.core.problem import StencilProblem
+from repro.faults.errors import ExchangeConfigError
+from repro.hardware.profiles import summit_v100, theta_knl
+from repro.stencil.spec import SEVEN_POINT
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_schedule.json").read_text())
+GEOMETRIES = {
+    "32x32x32/2x2x2": ((32, 32, 32), (2, 2, 2)),
+    "32x32x48/1x2x3": ((32, 32, 48), (1, 2, 3)),  # anisotropic
+}
+PROFILES = {"theta_knl": theta_knl, "summit_v100": summit_v100}
+EXTENTS = ((16, 16, 16), (32, 32, 48))
+
+
+def _problem(geometry, boundaries):
+    extent, ranks = GEOMETRIES[geometry]
+    return StencilProblem(
+        extent, ranks, SEVEN_POINT, periodic=(boundaries == "periodic")
+    )
+
+
+def _hexes(breakdown):
+    phases = ("pack", "call", "wait", "move")
+    return [float(getattr(breakdown, p)).hex() for p in phases]
+
+
+def _canonical(messages):
+    return [(m.phase, m.peer, m.tag, m.nbytes, m.ranges) for m in messages]
+
+
+@pytest.mark.parametrize("boundaries", ["periodic", "open"])
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("method", CHECKABLE_METHODS)
+def test_plan_digest(method, geometry, boundaries):
+    geoms = build_rank_geometries(_problem(geometry, boundaries), method)
+    canon = [
+        (g.rank, g.plan.nphases, _canonical(g.plan.sends), _canonical(g.plan.recvs))
+        for g in geoms
+    ]
+    digest = hashlib.sha256(repr(canon).encode()).hexdigest()
+    assert digest == GOLDEN["plans"][f"{method}|{geometry}|{boundaries}"]
+    # The plan is the construction product, stored once...
+    ex = geoms[0].exchanger
+    assert ex.message_plan() is ex.plan is geoms[0].plan
+    # ...and a plan-only exchanger prices it but refuses to fire it.
+    with pytest.raises(ExchangeConfigError, match="plan-only"):
+        ex.exchange()
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_modelled_price(method, profile):
+    for extent in EXTENTS:
+        key = f"{method}|{profile}|{'x'.join(map(str, extent))}"
+        try:
+            price = exchange_breakdown(PROFILES[profile](), method, extent)
+            got = " ".join(_hexes(price))
+        except ValueError:  # GPU transport on a profile without a GPU
+            got = "ValueError"
+        assert got == GOLDEN["model"][key], key
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize(
+    "geometry,boundaries",
+    [("32x32x32/2x2x2", "periodic"), ("32x32x48/1x2x3", "open")],
+)
+@pytest.mark.parametrize(
+    "method",
+    ["layout", "basic", "memmap", "yask", "mpi_types", "shift", "brickpack"],
+)
+def test_exchanger_result(method, geometry, boundaries, profile):
+    """``ExchangeResult`` of every rank: the recording executed the
+    exchange; the result is static per plan, so plan-only suffices now."""
+    geoms = build_rank_geometries(
+        _problem(geometry, boundaries), method, PROFILES[profile](), 4096
+    )
+    rows = []
+    for g in geoms:
+        r = g.exchanger.result
+        counters = (
+            r.messages_sent, r.messages_received,
+            r.payload_bytes_sent, r.wire_bytes_sent,
+        )
+        rows.append(" ".join(_hexes(r.breakdown) + [str(c) for c in counters]))
+    golden = GOLDEN["results"][f"{method}|{profile}|{geometry}|{boundaries}"]
+    assert rows[0] == golden["rank0"]
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == golden["all_ranks"]

@@ -38,6 +38,23 @@ def test_bare_raise_flagged():
     assert violations[1][1] == 4 and "RuntimeError" in violations[1][2]
 
 
+def test_assert_and_assertion_error_flagged():
+    src = (
+        "def f(x):\n"
+        "    assert x >= 0, 'negative'\n"
+        "    if x > 9:\n"
+        "        raise AssertionError('too big')\n"
+    )
+    path = lint_invariants.SRC / "exchange" / "synthetic.py"
+    violations = sorted(
+        lint_invariants.check_bare_raises(path, ast.parse(src)),
+        key=lambda v: v[1],
+    )
+    assert [v[1] for v in violations] == [2, 4]
+    assert "python -O" in violations[0][2]
+    assert "AssertionError" in violations[1][2]
+
+
 def test_typed_raise_not_flagged():
     src = (
         "def f():\n"
@@ -73,6 +90,25 @@ def test_fabric_call_in_allowlisted_file_ok():
     src = "def f(fabric):\n    fabric.post_send(0, 1, 2, b'x')\n"
     path = lint_invariants.SRC / "simmpi" / "comm.py"
     assert lint_invariants.check_fabric_chokepoint(path, ast.parse(src)) == []
+
+
+def test_per_message_loop_outside_base_flagged():
+    src = (
+        "def exchange(comm, buf):\n"
+        "    reqs = [comm.Irecv(buf, 1, 7), comm.Isend(buf, 1, 7)]\n"
+        "    comm.Waitall(reqs)\n"
+    )
+    tree = ast.parse(src)
+    method_file = lint_invariants.SRC / "exchange" / "synthetic.py"
+    violations = lint_invariants.check_message_path(method_file, tree)
+    assert sorted(v[1] for v in violations) == [2, 2, 3]
+    assert all("Exchanger.exchange" in v[2] for v in violations)
+    # The generic loop, the untouched intra-node grid, and code outside
+    # exchange/ (collectives, examples) may post messages.
+    for rel in lint_invariants.MESSAGE_ALLOWLIST + ("simmpi/collectives.py",):
+        assert lint_invariants.check_message_path(
+            lint_invariants.SRC / rel, tree
+        ) == []
 
 
 def test_lint_file_on_real_sources():

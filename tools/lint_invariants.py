@@ -2,16 +2,17 @@
 """AST lint for the repo's typed-error and fabric-chokepoint invariants.
 
 Plain Python on purpose: the CI lint job has ruff, local dev containers
-may not, and these rules are project-specific anyway.  Two checks:
+may not, and these rules are project-specific anyway.  Three checks:
 
 1. **No bare raises in the communication layers.**  Inside
    ``src/repro/simmpi`` and ``src/repro/exchange``, ``raise
-   RuntimeError(...)`` / ``raise ValueError(...)`` are forbidden -- the
+   RuntimeError(...)`` / ``raise ValueError(...)`` / ``raise
+   AssertionError(...)`` and ``assert`` statements are forbidden -- the
    chaos classifier and the degradation ladder dispatch on exception
-   *types*, so untyped raises silently fall through them.  Use the
-   taxonomy in ``repro.faults.errors`` (``ExchangeConfigError``,
-   ``ProtocolError``, ``SplitMismatchError``, ...) or a named
-   ``RuntimeError`` subclass.
+   *types*, so untyped raises silently fall through them, and
+   ``python -O`` strips an ``assert`` altogether.  Use the taxonomy in
+   ``repro.faults.errors`` (``ExchangeConfigError``, ``ProtocolError``,
+   ``SplitMismatchError``, ...) or a named ``RuntimeError`` subclass.
 
 2. **Fabric operations stay behind the chokepoint.**  Direct calls to
    the fabric's transfer primitives (``post_send``, ``complete_recv``,
@@ -20,6 +21,12 @@ may not, and these rules are project-specific anyway.  Two checks:
    (``exchange/base.py``).  Everything else must go through
    ``SimComm``/``ExchangeChannel`` so envelopes, liveness checks and
    split negotiation cannot be bypassed.
+
+3. **One per-message path.**  Inside ``src/repro/exchange``, calls to
+   ``Isend`` / ``Irecv`` / ``Waitall`` appear only in ``base.py``: an
+   exchanger is a message plan plus a binding, and
+   ``Exchanger.exchange`` is the one loop that posts it, so a new
+   method cannot grow a private per-message loop unnoticed.
 
 Exit status 1 when any violation is found.  ``--list`` prints the file
 set without checking (CI sanity).
@@ -38,7 +45,7 @@ SRC = REPO / "src" / "repro"
 
 #: packages where bare RuntimeError/ValueError raises are forbidden
 TYPED_ERROR_PACKAGES = ("simmpi", "exchange")
-BARE_RAISES = ("RuntimeError", "ValueError")
+BARE_RAISES = ("RuntimeError", "ValueError", "AssertionError")
 
 #: fabric transfer primitives that must stay behind the chokepoint
 FABRIC_OPS = (
@@ -56,12 +63,32 @@ FABRIC_ALLOWLIST = (
     "exchange/base.py",
 )
 
+#: point-to-point calls that make up a per-message exchange loop
+MESSAGE_OPS = ("Isend", "Irecv", "Waitall")
+#: files under src/repro/exchange allowed to make them: the one generic
+#: loop, and the intra-node grid that predates it (not an Exchanger)
+MESSAGE_ALLOWLIST = (
+    "exchange/base.py",
+    "exchange/hierarchical.py",
+)
+
 Violation = Tuple[Path, int, str]
 
 
 def check_bare_raises(path: Path, tree: ast.AST) -> List[Violation]:
     out: List[Violation] = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            out.append(
+                (
+                    path,
+                    node.lineno,
+                    "`assert` vanishes under `python -O`: check the"
+                    " condition and raise a typed error from"
+                    " repro.faults.errors instead",
+                )
+            )
+            continue
         if not isinstance(node, ast.Raise) or node.exc is None:
             continue
         exc = node.exc
@@ -107,6 +134,28 @@ def check_fabric_chokepoint(path: Path, tree: ast.AST) -> List[Violation]:
     return out
 
 
+def check_message_path(path: Path, tree: ast.AST) -> List[Violation]:
+    rel = path.relative_to(SRC).as_posix()
+    if not rel.startswith("exchange/") or rel in MESSAGE_ALLOWLIST:
+        return []
+    out: List[Violation] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if isinstance(fn, ast.Attribute) and fn.attr in MESSAGE_OPS:
+            out.append(
+                (
+                    path,
+                    node.lineno,
+                    f"`.{fn.attr}()` outside exchange/base.py: build a"
+                    " RankMessagePlan and a Binding and let"
+                    " Exchanger.exchange post the messages",
+                )
+            )
+    return out
+
+
 def lint_file(path: Path) -> List[Violation]:
     tree = ast.parse(path.read_text(), filename=str(path))
     rel = path.relative_to(SRC).as_posix()
@@ -114,6 +163,7 @@ def lint_file(path: Path) -> List[Violation]:
     if rel.split("/", 1)[0] in TYPED_ERROR_PACKAGES:
         out += check_bare_raises(path, tree)
     out += check_fabric_chokepoint(path, tree)
+    out += check_message_path(path, tree)
     return out
 
 
