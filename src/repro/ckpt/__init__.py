@@ -12,8 +12,7 @@ Layering:
   ``BENCH_ckpt.json``.
 
 The driver-side wiring (checkpoint period inside the timestep loop,
-restartable launch after an injected crash) lives in
-:mod:`repro.core.driver` and :mod:`repro.simmpi.launcher`.
+relaunch after an injected crash) lives in :mod:`repro.core.driver`.
 """
 
 from repro.ckpt.snapshot import (

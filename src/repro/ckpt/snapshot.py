@@ -212,7 +212,7 @@ def problem_key(
 class CheckpointConfig:
     """Per-run checkpoint settings handed to every rank function.
 
-    ``resume`` is deliberately mutable: the restartable launcher flips
+    ``resume`` is deliberately mutable: the driver's relaunch loop flips
     it to True between attempts so relaunched ranks restore instead of
     reinitialising.
     """

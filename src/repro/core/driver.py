@@ -76,7 +76,7 @@ from repro.hardware.profiles import MachineProfile, generic_host
 from repro.simmpi.collectives import allreduce
 from repro.simmpi.comm import SimComm
 from repro.simmpi.fabric import SimFabric
-from repro.simmpi.launcher import run_spmd, run_spmd_restartable
+from repro.simmpi.launcher import RankFailedError, run_spmd
 from repro.stencil.kernels import owned_slices
 from repro.stencil.plan import (
     compile_array_phase_plans,
@@ -940,79 +940,52 @@ def run_executed(
         # the rank itself: peers may still be reading a crashed rank's
         # posted zero-copy send buffer, and closing is a raw munmap.
         states: List[_RankState] = []
-
-        def make_fabric() -> SimFabric:
-            fab = SimFabric(cur_problem.nranks, timeout=fabric_timeout)
-            if envelope:
-                fab.enable_envelope(injector)
-            return fab
-
-        rank_args = (
-            cur_problem,
-            method,
-            profile,
-            timesteps,
-            seed,
-            page_size,
-            exchange_period,
-            overlap,
-            injector,
-            envelope,
-            retry,
-            degrade,
-            cur_ckpt,
-            states,
-        )
+        # A failed launch aborted its fabric: every launch gets a fresh one.
+        fabric = SimFabric(cur_problem.nranks, timeout=fabric_timeout)
+        if envelope:
+            fabric.enable_envelope(injector)
         try:
-            if cur_ckpt is not None and max_restarts > 0:
-
-                def on_restart(n: int, cause, _ck=cur_ckpt, _st=states) -> None:
-                    _close_all(_st)
-                    del _st[:]
-                    _ck.resume = True
-                    if injector is not None:
-                        injector.record("restarted", step=-1)
-                    if _METRICS.enabled:
-                        _METRICS.count("ckpt.restarts", 1)
-
-                outs, fabric, n_restarts = run_spmd_restartable(
-                    cur_problem.nranks,
-                    _rank_fn,
-                    *rank_args,
-                    make_fabric=make_fabric,
-                    max_restarts=max_restarts,
-                    should_restart=lambda c: isinstance(c, InjectedCrashError),
-                    on_restart=on_restart,
-                )
-            else:
-                fabric = make_fabric()
-                n_restarts = 0
-                outs = run_spmd(
-                    cur_problem.nranks, _rank_fn, *rank_args, fabric=fabric
-                )
-            restarts += n_restarts
+            outs = run_spmd(
+                cur_problem.nranks, _rank_fn, cur_problem, method, profile,
+                timesteps, seed, page_size, exchange_period, overlap,
+                injector, envelope, retry, degrade, cur_ckpt, states,
+                fabric=fabric,
+            )
             break
-        except RuntimeError as err:
-            # Elastic recovery: a *permanent* death is never restartable
-            # in place -- the node is gone.  Reshape onto the survivors
-            # and relaunch; anything else propagates unchanged.
-            recoverable = (
+        except RankFailedError as err:
+            cause = err.__cause__
+            if (
+                isinstance(cause, InjectedCrashError)
+                and cur_ckpt is not None
+                and restarts < max_restarts
+            ):
+                # Resume in place: the same world relaunches and restores
+                # from its latest consistent epoch.
+                cur_ckpt.resume = True
+                restarts += 1
+                if injector is not None:
+                    injector.record("restarted", step=-1)
+                if _METRICS.enabled:
+                    _METRICS.count("ckpt.restarts", 1)
+            elif (
                 elastic
                 and cur_ckpt is not None
                 and injector is not None
                 and reshapes < max_reshapes
-                and isinstance(err.__cause__, RankDeadError)
+                and isinstance(cause, RankDeadError)
                 and injector.died()
-            )
-            if not recoverable:
+            ):
+                # Elastic recovery: a *permanent* death never resumes in
+                # place -- the node is gone.  Reshape onto the survivors.
+                cur_problem, cur_ckpt, newly_dead = _elastic_reshape(
+                    cur_problem, cur_ckpt, method, info, profile, seed,
+                    page_size, exchange_period, injector, topology,
+                    reshapes + 1,
+                )
+                dead_total.extend(newly_dead)
+                reshapes += 1
+            else:
                 raise
-            cur_problem, cur_ckpt, newly_dead = _elastic_reshape(
-                cur_problem, cur_ckpt, method, info, profile, seed,
-                page_size, exchange_period, injector, topology,
-                reshapes + 1,
-            )
-            dead_total.extend(newly_dead)
-            reshapes += 1
         finally:
             _close_all(states)
 

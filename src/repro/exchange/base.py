@@ -178,7 +178,7 @@ class ExchangeChannel:
     message plan, so it is the exchanger's, returned by reference.
     Channels carry no wire-verification machinery: they are only built on
     an unverified fabric (the envelope/chaos path keeps the per-message
-    protocol, whose sequence/CRC state lives in the fabric).
+    protocol, which the fabric's envelope guard checks).
 
     Beyond the bulk-synchronous :meth:`exchange`, a channel can run one
     exchange *phased*: :meth:`start` packs (if the scheme packs), arms the

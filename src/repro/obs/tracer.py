@@ -20,8 +20,7 @@ Design constraints, in order:
    span records its depth and full ``a;b;c`` path, which the flame
    summary and Chrome export consume directly.
 4. **Exception-transparent.**  A span whose body raises still records its
-   elapsed time, then re-raises (the same record-and-reraise contract as
-   :class:`~repro.util.timing.PhaseTimer` phases).
+   elapsed time, then re-raises.
 
 Simulated ranks are threads (:mod:`repro.simmpi.launcher`), so per-thread
 buffers double as per-rank timelines; spans additionally carry an

@@ -1,57 +1,59 @@
 """Message-matching fabric shared by all simulated ranks.
 
-Two transports share one lock and one set of statistics.
+Ports: one primitive, two containers
+------------------------------------
+Every rank owns one :class:`_Port` -- a condition on the fabric's single
+lock -- and a message waits nowhere else.  A port holds two containers,
+because the two kinds of traffic match differently:
 
-Bound requests (the halo-exchange path)
----------------------------------------
-A channel's whole message plan is *bound* once
-(:meth:`SimFabric.bind_request`) into a :class:`BoundRequest`: per send a
-prebuilt ``((src, tag), flat byte view)`` item grouped by destination, per
-receive a map from ``(src, tag)`` to the flat byte view of its ghost
-buffer.  The handle owns the buffers; every rank owns a *port* (a
-condition on the fabric lock, an arrival list, an outstanding-send
-count).  Each step re-fires the handle with O(ranks) synchronisation and
-no per-message object: *post* appends the prebuilt items to each
-destination port and notifies a destination only when its expected
-count is complete; *complete* waits on the rank's own condition for all
-``n`` arrivals, copies outside the lock (the single wire copy), then
-credits each source port, notifying a source only when its outstanding
-count reaches zero; *wait* blocks on the rank's own condition until then.
-At most one epoch per edge is in flight (a sender does not leave an
-exchange before its sends are consumed); a stray or surplus arrival is a
-:class:`ProtocolError`, not an assumption.
+``arrivals`` (bound requests, the halo-exchange path)
+    A channel's whole message plan is *bound* once
+    (:meth:`SimFabric.bind_request`) into a :class:`BoundRequest`: per
+    send a prebuilt ``((src, tag), flat byte view)`` item grouped by
+    destination, per receive a map from ``(src, tag)`` to the flat byte
+    view of its ghost buffer.  Each step re-fires the handle with
+    O(ranks) synchronisation and no per-message object: *post* extends
+    each destination's ``arrivals``; *complete* waits for all ``n`` of
+    them, swaps the list out and copies outside the lock; *wait* blocks
+    until the rank's ``outstanding`` count is back to zero.  At most one
+    epoch per edge is in flight; a stray or surplus arrival is a
+    :class:`ProtocolError`, not an assumption.
 
-Per-message mailboxes (Shift, collectives, the envelope)
---------------------------------------------------------
-``post_send`` / ``complete_recv`` / ``wait_send`` keep a mailbox keyed
-``(source, dest, tag)``: an ``Isend`` deposits a :class:`_SendEntry`
-holding a *reference* to the send buffer, a receive blocks until a
-matching entry exists, copies, and signals the entry's event.  Mailbox
-traffic never lands in a port (a rank that already left the exchange and
-posted the next collective must not count as a halo arrival), so bound
-and per-message operations do not match each other on one edge.
+``queues`` (per-message: Shift, collectives, the envelope)
+    ``post_send`` appends a :class:`_SendEntry` -- a *reference* to the
+    send buffer -- to the destination port's queue keyed ``(src, tag)``;
+    ``complete_recv`` pops it, copies, marks it done; ``wait_send``
+    returns once it is done.  Entries never enter ``arrivals``: a bound
+    receive counts arrivals, so a rank that already left the exchange
+    and posted the next collective must not be counted as a halo
+    arrival.  For the same reason bound and per-message operations do
+    not match each other on one edge.
+
+Who waits where, who wakes whom: a rank only ever blocks on its *own*
+port, in :meth:`SimFabric._await` -- the one wait in this package, so
+abort, dead peer, stale heartbeat and timeout are classified once, for
+receives and send waits, bound and per-message alike.  A poster notifies
+the destination's port (a bound post only when it completes the count
+the destination is blocked on); a receiver notifies exactly the source's
+port when it consumes (a bound receive only when that source's
+``outstanding`` reaches zero).  ``abort`` and ``mark_dead`` wake every
+port.
 
 Statistics (message and byte counts) are recorded per rank; the modelled
 clocks use them and the tests assert on them.
 
 Verified mode (the chaos fabric)
 --------------------------------
-``enable_envelope()`` switches every per-message operation onto the
-envelope protocol of :mod:`repro.exchange.envelope`: payloads are frozen
-(copied) at post time, stamped with a per-edge sequence number and CRC32,
-and validated by the receiver.  Detected faults raise the typed errors
-from :mod:`repro.faults.errors` *after* a pristine retransmit has been
-queued, so a bounded retry of the exchange heals them.  Three auxiliary
-structures make whole-exchange retries idempotent:
-
-* **post suppression** -- within one exchange *epoch* (set per rank by the
-  driver), a second post on the same edge is a retransmit of data already
-  on the wire and is silently absorbed;
-* **duplicate discard** -- deliveries with ``seq <= delivered`` are wire
-  duplicates and are dropped;
-* **delivery replay** -- a re-posted receive for an edge already delivered
-  in the current epoch is served from the cached payload.
-
+``enable_envelope()`` installs an
+:class:`~repro.exchange.envelope.EnvelopeGuard` on the per-message
+primitive: ``post_send`` asks it what to put on the wire (the payload
+frozen, sealed with a per-edge sequence number and CRC32, possibly
+faulted by the injector; nothing for a re-post within one exchange
+epoch), ``complete_recv`` asks it whether a dequeued entry is a wire
+duplicate, whether the edge was already delivered this epoch (replay)
+and whether the landed bytes verify.  A detected fault raises its typed
+error from :mod:`repro.faults.errors` *after* the pristine entry is back
+at the front of its queue, so a bounded retry of the exchange heals it.
 A verified fabric refuses to bind requests: the envelope is per-message.
 """
 
@@ -62,7 +64,7 @@ import threading
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -104,17 +106,17 @@ _TIMEOUT_ENV = "REPRO_FABRIC_TIMEOUT"
 
 
 class DeadlockError(RuntimeError):
-    """A receive found no matching send within the timeout."""
+    """A receive or a send wait found no match within the timeout."""
 
 
 class UnsupportedFabricError(RuntimeError):
     """The requested operation is not available on this fabric mode.
 
-    Raised when the batch / partitioned fast paths are requested on a
+    Raised when a bound (batched / partitioned) request is asked of a
     verified (envelope) fabric, whose protocol is strictly per-message.
-    This is a *capability refusal*, not a bug: callers (the channel
-    layer) catch it and fall back to the per-message protocol.  Subclass
-    of ``RuntimeError`` so pre-existing blanket handlers keep working.
+    A *capability refusal*, not a bug: the channel layer asks
+    ``envelope_enabled`` first and keeps the per-message exchange.
+    Subclass of ``RuntimeError`` so blanket handlers keep working.
     """
 
 
@@ -129,16 +131,19 @@ class FabricStats:
 
 
 class _SendEntry:
-    __slots__ = ("buf", "wire", "done", "src", "seq", "crc", "epoch", "lost")
+    """One per-message send; every field is guarded by the fabric lock
+    once the entry is on the wire."""
 
-    def __init__(self, buf: np.ndarray, src: int = -1) -> None:
+    __slots__ = ("buf", "wire", "done", "src", "dst", "tag", "env", "lost")
+
+    def __init__(self, buf: np.ndarray, src: int, dst: int, tag: int) -> None:
         self.buf = buf          # pristine payload (frozen copy when verified)
         self.wire = buf         # what the receiver sees (may be corrupted)
-        self.done = threading.Event()
+        self.done = False       # consumed by its receiver (or absorbed)
         self.src = src
-        self.seq = 0            # envelope sequence number (verified mode)
-        self.crc = 0            # envelope checksum of the pristine payload
-        self.epoch = None       # sender's exchange epoch at post time
+        self.dst = dst
+        self.tag = tag
+        self.env = None         # Envelope(seq, crc, nbytes) when verified
         self.lost = False       # first transmission dropped on the wire
 
 
@@ -148,7 +153,7 @@ class AbortedError(RuntimeError):
 
 #: Partition tags live above every plain exchange tag: exchange_tag() values
 #: are bounded by 3^ndim * 4096 (< 2^20), so shifting the partition index to
-#: bit 20 keeps the two tag spaces disjoint on the same mailbox.
+#: bit 20 keeps the two tag spaces disjoint on the same port.
 _PARTITION_TAG_BASE = 1 << 20
 
 
@@ -192,16 +197,17 @@ def _flat_bytes(buf: np.ndarray) -> np.ndarray:
 
 
 class _Port:
-    """One rank's end of the bound path; every field is guarded by the
-    fabric lock, which ``cond`` is built on."""
+    """One rank's end of the fabric, the only place a message waits; every
+    field is guarded by the fabric lock, which ``cond`` is built on."""
 
-    __slots__ = ("cond", "arrivals", "expect", "outstanding")
+    __slots__ = ("cond", "arrivals", "expect", "outstanding", "queues")
 
     def __init__(self, lock) -> None:
         self.cond = threading.Condition(lock)
         self.arrivals: list = []  # ((src, tag), send view) not yet consumed
         self.expect = 0           # arrivals the owner is blocked on (0: none)
         self.outstanding = 0      # items this rank posted, not yet consumed
+        self.queues = defaultdict(deque)  # (src, tag) -> _SendEntry's to consume
 
 
 class _Cut:
@@ -369,17 +375,10 @@ class SimFabric:
                     raise ExchangeConfigError(
                         f"{_TIMEOUT_ENV}={env!r} is not a valid number"
                     ) from None
-        if timeout is not None and timeout <= 0:
-            raise ExchangeConfigError("fabric timeout must be positive")
-        self._timeout = timeout
-        # One lock for everything.  Per-message waiters block on _lock
-        # itself, bound-request waiters on their own port's condition.
-        mutex = threading.RLock()
-        self._lock = threading.Condition(mutex)
-        self._ports = [_Port(mutex) for _ in range(nranks)]
-        self._mailboxes: Dict[Tuple[int, int, int], Deque[_SendEntry]] = defaultdict(
-            deque
-        )
+        self.set_timeout(timeout)
+        # One lock for everything; a rank blocks only on its own port.
+        self._lock = threading.RLock()
+        self._ports = [_Port(self._lock) for _ in range(nranks)]
         self.stats: List[FabricStats] = [FabricStats() for _ in range(nranks)]
         self.barrier = threading.Barrier(nranks)
         self._failed = False
@@ -387,14 +386,9 @@ class SimFabric:
         self._dead: set = set()
         self._heartbeats: Dict[int, float] = {}
         self._heartbeat_deadline: Optional[float] = None
-        # -- verified-mode state (inert while _envelope is False) --------
-        self._envelope = False
-        self._injector = None
+        # -- verified mode: the envelope guard (None: plain delivery) ----
+        self._guard = None
         self._epochs: List[Optional[int]] = [None] * nranks
-        self._send_seq: Dict[Tuple[int, int, int], int] = {}
-        self._delivered: Dict[Tuple[int, int, int], int] = {}
-        self._posted_epoch: Dict[Tuple[int, int, int], int] = {}
-        self._replay: Dict[Tuple[int, int, int], Tuple[int, np.ndarray]] = {}
         # -- negotiated byte splits, per edge and side -------------------
         # (src, dst, tag) -> {"send"/"recv": partition_bounds(...)}.  Both
         # endpoints of every persistent channel / partitioned request
@@ -424,12 +418,13 @@ class SimFabric:
         whose plan decides which transmissions to drop/corrupt/duplicate/
         delay.  Verification works without one.
         """
-        self._envelope = True
-        self._injector = injector
+        from repro.exchange.envelope import EnvelopeGuard
+
+        self._guard = EnvelopeGuard(self._lock, injector)
 
     @property
     def envelope_enabled(self) -> bool:
-        return self._envelope
+        return self._guard is not None
 
     def set_epoch(self, rank: int, epoch: Optional[int]) -> None:
         """Mark *rank*'s current exchange epoch (None between exchanges).
@@ -476,7 +471,7 @@ class SimFabric:
     def set_heartbeat_deadline(self, seconds: Optional[float]) -> None:
         """Enable heartbeat-based death detection.
 
-        With a deadline set, a receive that times out on a peer whose
+        With a deadline set, a wait that times out on a peer whose
         last heartbeat is older than *seconds* classifies the peer as
         dead (:class:`RankDeadError`) instead of deadlocked.  ``None``
         (the default) disables the classification.
@@ -487,29 +482,19 @@ class SimFabric:
             self._heartbeat_deadline = seconds
 
     def _check_dst_alive(self, src: int, dst: int) -> None:
-        """Refuse to post toward a dead rank (takes the reentrant lock)."""
-        with self._lock:
-            if dst in self._dead:
-                raise RankDeadError(
-                    f"rank {src} cannot send to rank {dst}: rank {dst}"
-                    " is permanently dead"
-                )
-
-    def _raise_if_src_dead(self, src: int, dst: int, tag: int) -> None:
-        """Under the lock: a drained edge from a dead peer never fills."""
-        if src in self._dead and not self._mailboxes.get((src, dst, tag)):
+        """Under the lock, in the acquisition that deposits: refuse to
+        post toward a dead rank, so a rank that died first gets nothing."""
+        if dst in self._dead:
             raise RankDeadError(
-                f"rank {dst} cannot receive from rank {src}"
-                f" (tag={tag}): rank {src} is permanently dead"
+                f"rank {src} cannot send to rank {dst}: rank {dst}"
+                " is permanently dead"
             )
 
     def _stale_heartbeat(self, rank: int) -> bool:
         """Under the lock: has *rank* missed its heartbeat deadline?"""
         deadline = self._heartbeat_deadline
-        if deadline is None:
-            return False
         last = self._heartbeats.get(rank)
-        if last is None:
+        if deadline is None or last is None:
             return False
         return (time.monotonic() - last) > deadline
 
@@ -520,86 +505,163 @@ class SimFabric:
                 f"rank {rank} outside communicator of {self.nranks}"
             )
 
+    def _await(self, rank: int, ready: Callable[[], object],
+               missing: Callable[[], list], sending: bool = False) -> None:
+        """Under the lock: block on *rank*'s port until ``ready()``.
+
+        The one wait of the fabric.  *missing* lists the ``(peer, tag)``
+        keys still awaited -- sources of a receive, destinations of a
+        send wait (*sending*) -- and is only called to classify a
+        failure: another rank failed (:class:`AbortedError`), a peer is
+        dead so the wait can never end (:class:`RankDeadError`; a message
+        already on the wire outlives its sender), or the timeout passed
+        (:class:`RankDeadError` if a peer's heartbeat is stale, else
+        :class:`DeadlockError`).  A timeout aborts the fabric first.
+        """
+        cond = self._ports[rank].cond
+        timeout = self.timeout
+        deadline = time.monotonic() + timeout
+        while not ready():
+            if self._failed:
+                raise AbortedError(
+                    "another rank failed; "
+                    + ("abandoning send" if sending else "aborting receive")
+                )
+            if self._dead:
+                for peer, tag in missing():
+                    if peer in self._dead:
+                        verb = "send to" if sending else "receive from"
+                        raise RankDeadError(
+                            f"rank {rank} cannot {verb} rank {peer}"
+                            f" (tag={tag}): rank {peer} is permanently dead"
+                        )
+            remaining = deadline - time.monotonic()
+            if remaining > 0:
+                cond.wait(remaining)
+                continue  # re-check: ready, aborted or late
+            self.abort()
+            keys = missing()
+            for peer, _tag in keys:
+                if self._stale_heartbeat(peer):
+                    self._dead.add(peer)
+                    raise RankDeadError(
+                        f"rank {peer} missed its heartbeat deadline;"
+                        f" declaring it dead"
+                    )
+            what, end = ("unmatched send", "dst") if sending else ("message", "src")
+            where = f" ({end}={keys[0][0]}, tag={keys[0][1]})" if keys else ""
+            raise DeadlockError(
+                f"rank {rank} waited {timeout}s for {what}{where}"
+            )
+
     def post_send(self, src: int, dst: int, tag: int, buf: np.ndarray) -> _SendEntry:
-        """Deposit a send; returns the entry whose event marks completion."""
+        """Queue a send on *dst*'s port; returns the entry ``wait_send``
+        takes.  Under an envelope the guard decides what goes on the wire:
+        nothing (a re-post it absorbed), the sealed entry, or it twice."""
         self._check_rank(src)
         self._check_rank(dst)
-        self._check_dst_alive(src, dst)
-        buf = np.ascontiguousarray(buf)
-        if self._envelope:
-            return self._post_verified(src, dst, tag, buf)
-        entry = _SendEntry(buf, src)
+        entry = _SendEntry(np.ascontiguousarray(buf), src, dst, tag)
+        nbytes = entry.buf.nbytes
+        copies = 1
+        if self._guard is not None:
+            copies = self._guard.seal_post(entry, self._epochs[src])
+            if not copies:
+                entry.done = True
+                return entry
         with self._lock:
-            self._mailboxes[(src, dst, tag)].append(entry)
-            self.stats[src].sends += 1
-            self.stats[src].bytes_sent += buf.nbytes
-            self._lock.notify_all()
+            self._check_dst_alive(src, dst)
+            port = self._ports[dst]
+            port.queues[(src, tag)].extend([entry] * copies)
+            port.cond.notify()
+            st = self.stats[src]
+            st.sends += 1
+            st.bytes_sent += nbytes
         if _METRICS.enabled:
             _METRICS.count("fabric.messages", 1, rank=src)
-            _METRICS.count("fabric.wire_bytes", buf.nbytes, rank=src)
+            _METRICS.count("fabric.wire_bytes", nbytes, rank=src)
         return entry
 
-    def _post_verified(self, src: int, dst: int, tag: int,
-                       buf: np.ndarray) -> _SendEntry:
-        from repro.exchange.envelope import checksum
+    def complete_recv(self, src: int, dst: int, tag: int, buf: np.ndarray) -> None:
+        """Block until a matching send exists, then copy it into *buf*.
 
+        Under an envelope the guard is asked, in order: replay (anything
+        queued is future traffic), wire duplicate (discard, take the
+        next), do the landed bytes verify (if not, the now pristine entry
+        goes back to the front of its queue before the error is raised).
+        """
+        self._check_rank(src)
+        self._check_rank(dst)
         edge = (src, dst, tag)
-        epoch = self._epochs[src]
-        with self._lock:
-            if epoch is not None and self._posted_epoch.get(edge) == epoch:
-                # Retransmit within one exchange epoch: the payload is
-                # already on the wire (or delivered); absorb the re-post.
-                entry = _SendEntry(buf, src)
-                entry.done.set()
-                suppressed = True
+        key = (src, tag)
+        guard = self._guard
+        epoch = self._epochs[dst]
+        with _TRACER.span("fabric.recv", rank=dst, src=src):
+            if guard is not None:
+                cached = guard.replay(edge, epoch)
+                if cached is not None:
+                    self._copy_into(cached, buf, edge)
+                    return
+            with self._lock:
+                queue = self._ports[dst].queues[key]
+                while True:
+                    if not queue:
+                        self._await(dst, queue.__len__, lambda: [key])
+                    entry = queue.popleft()
+                    if guard is None or not guard.is_duplicate(edge, entry):
+                        break
+                    self._consumed(entry)
+            if guard is None:
+                self._copy_into(entry.buf, buf, edge)  # the single wire copy
             else:
-                suppressed = False
-                seq = self._send_seq.get(edge, 0) + 1
-                self._send_seq[edge] = seq
-                if epoch is not None:
-                    self._posted_epoch[edge] = epoch
-        if suppressed:
-            if self._injector is not None:
-                self._injector.record("resend_suppressed", src=src, dst=dst,
-                                      tag=tag)
-            return entry
-
-        # Freeze the payload: the wire carries this epoch's data even if
-        # brick storage mutates before delivery, and the checksum stays
-        # valid.  (Header + copy are wall-clock-only: modelled bytes and
-        # times never include them.)
-        payload = buf.copy()
-        entry = _SendEntry(payload, src)
-        entry.seq = seq
-        entry.crc = checksum(payload)
-        entry.epoch = epoch
-
-        duplicate = False
-        if self._injector is not None and epoch is not None:
-            action = self._injector.on_post(src, dst, tag, seq)
-            if action == "delay":
-                time.sleep(self._injector.plan.delay_s)
-            elif action == "corrupt":
-                entry.wire = self._injector.corrupt(payload, src, dst, tag, seq)
-            elif action == "drop":
-                entry.lost = True
-            elif action == "duplicate":
-                duplicate = True
-
-        with self._lock:
-            q = self._mailboxes[edge]
-            q.append(entry)
-            if duplicate:
-                dup = _SendEntry(payload, src)
-                dup.seq, dup.crc, dup.epoch = entry.seq, entry.crc, epoch
-                q.append(dup)
-            self.stats[src].sends += 1
-            self.stats[src].bytes_sent += buf.nbytes
-            self._lock.notify_all()
+                try:
+                    landed = None
+                    if not entry.lost:
+                        landed = self._copy_into(entry.wire, buf, edge)
+                    guard.accept(edge, entry, landed, epoch)
+                except (ExchangeIntegrityError, ExchangeTimeoutError):
+                    with self._lock:
+                        queue.appendleft(entry)  # the pristine retransmit
+                    raise
+            with self._lock:
+                st = self.stats[dst]
+                st.recvs += 1
+                st.bytes_received += buf.nbytes
+                self._consumed(entry)
         if _METRICS.enabled:
-            _METRICS.count("fabric.messages", 1, rank=src)
-            _METRICS.count("fabric.wire_bytes", buf.nbytes, rank=src)
-        return entry
+            _METRICS.count("fabric.bytes_received", buf.nbytes, rank=dst)
+
+    def wait_send(self, entry: _SendEntry) -> None:
+        """Block until *entry* is consumed by its receiver."""
+        with _TRACER.span("fabric.send_wait", rank=entry.src):
+            # Unlocked read: the flag only ever goes from False to True.
+            if not entry.done:
+                with self._lock:
+                    self._await(
+                        entry.src,
+                        lambda: entry.done,
+                        lambda: [(entry.dst, entry.tag)],
+                        sending=True,
+                    )
+
+    def _consumed(self, entry: _SendEntry) -> None:
+        """Under the lock: complete *entry*'s send and wake its sender."""
+        entry.done = True
+        self._ports[entry.src].cond.notify()
+
+    def _copy_into(self, src_buf: np.ndarray, buf: np.ndarray,
+                   edge: Tuple[int, int, int]) -> np.ndarray:
+        """The single wire copy, with the size guard; returns buf flat."""
+        flat = buf.reshape(-1)
+        src_flat = src_buf.reshape(-1).view(flat.dtype)
+        if src_flat.size != flat.size:
+            self.abort()
+            raise SplitMismatchError(
+                f"message size mismatch on (src={edge[0]}, dst={edge[1]},"
+                f" tag={edge[2]}): sent {src_flat.size} elements, receiving"
+                f" {flat.size}"
+            )
+        flat[:] = src_flat
+        return flat
 
     # ------------------------------------------------------------------
     # Bound requests (module docstring): ExchangeChannel's per-step calls.
@@ -607,7 +669,7 @@ class SimFabric:
     # per-message protocol, which carries the sequence/CRC machinery.
     # ------------------------------------------------------------------
     def _refuse_envelope(self) -> None:
-        if self._envelope:
+        if self._guard is not None:
             raise UnsupportedFabricError(
                 "bound (batched / partitioned) requests are not available"
                 " on a verified fabric; use the per-message protocol"
@@ -675,6 +737,16 @@ class SimFabric:
         arrived = {item[0] for item in self._ports[cut.rank].arrivals}
         return [key for key in cut.rmap if key not in arrived]
 
+    def _unconsumed(self, cut: _Cut) -> List[Tuple[int, int]]:
+        """Under the lock: ``(dst, tag)`` of *cut*'s items still in a port."""
+        rank, ports = cut.rank, self._ports
+        return [
+            (dst, key[1])
+            for dst in {group[0] for group in cut.groups}
+            for key, _view in ports[dst].arrivals
+            if key[0] == rank
+        ]
+
     def complete_recv_batch(self, cut: _Cut) -> None:
         """Deliver one epoch of *cut*'s receives into their buffers.
 
@@ -688,46 +760,18 @@ class SimFabric:
             return
         dst = cut.rank
         port = self._ports[dst]
-        timeout = self.timeout
         with _TRACER.span("fabric.recv", rank=dst, n=n):
             with self._lock:
-                deadline = time.monotonic() + timeout
-                port.expect = n
-                try:
-                    while len(port.arrivals) < n:
-                        if self._failed:
-                            raise AbortedError(
-                                "another rank failed; aborting receive"
-                            )
-                        if self._dead:
-                            # A drained edge from a dead peer never fills.
-                            for src, tag in self._missing(cut):
-                                if src in self._dead:
-                                    raise RankDeadError(
-                                        f"rank {dst} cannot receive from"
-                                        f" rank {src} (tag={tag}): rank"
-                                        f" {src} is permanently dead"
-                                    )
-                        remaining = deadline - time.monotonic()
-                        if remaining > 0:
-                            port.cond.wait(remaining)
-                            continue  # re-check: arrived, aborted or late
-                        self.abort()
-                        missing = self._missing(cut)
-                        for src, _tag in missing:
-                            if self._stale_heartbeat(src):
-                                self._dead.add(src)
-                                raise RankDeadError(
-                                    f"rank {src} missed its heartbeat"
-                                    f" deadline; declaring it dead"
-                                )
-                        src, tag = missing[0]
-                        raise DeadlockError(
-                            f"rank {dst} waited {timeout}s for"
-                            f" message (src={src}, tag={tag})"
+                if len(port.arrivals) < n:
+                    port.expect = n
+                    try:
+                        self._await(
+                            dst,
+                            lambda: len(port.arrivals) >= n,
+                            lambda: self._missing(cut),
                         )
-                finally:
-                    port.expect = 0
+                    finally:
+                        port.expect = 0
                 items = port.arrivals
                 port.arrivals = []
             rmap = cut.rmap
@@ -771,21 +815,14 @@ class SimFabric:
         # seen here is final.
         if not port.outstanding and not _TRACER.enabled:
             return
-        timeout = self.timeout
         with _TRACER.span("fabric.send_wait", rank=rank, n=port.outstanding):
             with self._lock:
-                deadline = time.monotonic() + timeout
-                while port.outstanding:
-                    if self._failed:
-                        raise AbortedError(
-                            "another rank failed; abandoning send"
-                        )
-                    remaining = deadline - time.monotonic()
-                    if remaining > 0:
-                        port.cond.wait(remaining)
-                        continue
-                    self.abort()
-                    raise DeadlockError(f"send unmatched after {timeout}s")
+                self._await(
+                    rank,
+                    lambda: not port.outstanding,
+                    lambda: self._unconsumed(cut),
+                    sending=True,
+                )
 
     def register_split(self, src: int, dst: int, tag: int, nbytes: int,
                        partitions: int, side: str) -> None:
@@ -820,200 +857,8 @@ class SimFabric:
                 f" {peer[-1][1]} bytes in {len(peer)} partition(s)"
             )
 
-    def wait_send(self, entry: _SendEntry) -> None:
-        """Block until *entry* is consumed by its receiver.
-
-        Polls with a short timeout so an aborted run (another rank
-        raised) fails fast instead of hanging forever, and declares a
-        deadlock after the same timeout as receives.
-        """
-        rank = entry.src if entry.src >= 0 else None
-        timeout = self.timeout
-        poll = min(0.1, timeout / 10.0)
-        with _TRACER.span("fabric.send_wait", rank=rank):
-            deadline = time.monotonic() + timeout
-            while not entry.done.wait(timeout=poll):
-                with self._lock:
-                    if self._failed:
-                        raise AbortedError(
-                            "another rank failed; abandoning send"
-                        )
-                if time.monotonic() >= deadline:
-                    self.abort()
-                    raise DeadlockError(
-                        f"send unmatched after {timeout}s"
-                    )
-
-    def complete_recv(self, src: int, dst: int, tag: int, buf: np.ndarray) -> None:
-        """Block until a matching send exists, then copy it into *buf*."""
-        self._check_rank(src)
-        self._check_rank(dst)
-        if self._envelope:
-            return self._recv_verified(src, dst, tag, buf)
-        key = (src, dst, tag)
-        timeout = self.timeout
-        with _TRACER.span("fabric.recv", rank=dst, src=src):
-            with self._lock:
-                deadline = time.monotonic() + timeout
-                while not self._mailboxes.get(key):
-                    if self._failed:
-                        raise AbortedError(
-                            "another rank failed; aborting receive"
-                        )
-                    self._raise_if_src_dead(src, dst, tag)
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._lock.wait(timeout=remaining):
-                        self.abort()
-                        if self._stale_heartbeat(src):
-                            self._dead.add(src)
-                            raise RankDeadError(
-                                f"rank {src} missed its heartbeat deadline;"
-                                f" declaring it dead"
-                            )
-                        raise DeadlockError(
-                            f"rank {dst} waited {timeout}s for"
-                            f" message (src={src}, tag={tag})"
-                        )
-                entry = self._mailboxes[key].popleft()
-            self._copy_into(entry.buf, buf, key)  # the single wire copy
-            self.stats[dst].recvs += 1
-            self.stats[dst].bytes_received += buf.nbytes
-            entry.done.set()
-        if _METRICS.enabled:
-            _METRICS.count("fabric.bytes_received", buf.nbytes, rank=dst)
-
-    # ------------------------------------------------------------------
-    def _copy_into(self, src_buf: np.ndarray, buf: np.ndarray,
-                   edge: Tuple[int, int, int]) -> np.ndarray:
-        """The single wire copy, with the size guard; returns buf flat."""
-        flat = buf.reshape(-1)
-        src_flat = src_buf.reshape(-1).view(flat.dtype)
-        if src_flat.size != flat.size:
-            self.abort()
-            raise SplitMismatchError(
-                f"message size mismatch on (src={edge[0]}, dst={edge[1]},"
-                f" tag={edge[2]}): sent {src_flat.size} elements, receiving"
-                f" {flat.size}"
-            )
-        flat[:] = src_flat
-        return flat
-
-    def _requeue_pristine(self, key: Tuple[int, int, int],
-                          entry: _SendEntry) -> None:
-        """Queue a clean retransmit of *entry* at the front of its edge."""
-        entry.wire = entry.buf
-        entry.lost = False
-        with self._lock:
-            self._mailboxes[key].appendleft(entry)
-            self._lock.notify_all()
-
-    def _recv_verified(self, src: int, dst: int, tag: int,
-                       buf: np.ndarray) -> None:
-        from repro.exchange.envelope import checksum
-
-        key = (src, dst, tag)
-        timeout = self.timeout
-        injector = self._injector
-        with _TRACER.span("fabric.recv", rank=dst, src=src):
-            epoch = self._epochs[dst]
-            entry = None
-            replay = None
-            with self._lock:
-                deadline = time.monotonic() + timeout
-                while True:
-                    if self._failed:
-                        raise AbortedError(
-                            "another rank failed; aborting receive"
-                        )
-                    # A re-posted receive for an edge already delivered in
-                    # this epoch is served from the delivery cache -- any
-                    # mailbox entry on the edge is future traffic.
-                    if epoch is not None:
-                        cached = self._replay.get(key)
-                        if cached is not None and cached[0] == epoch:
-                            replay = cached[1]
-                            break
-                    q = self._mailboxes.get(key)
-                    if q:
-                        candidate = q.popleft()
-                        if candidate.seq <= self._delivered.get(key, 0):
-                            # Wire duplicate (injected or stale retransmit).
-                            candidate.done.set()
-                            if injector is not None:
-                                injector.record("duplicate_discarded",
-                                                src=src, dst=dst, tag=tag,
-                                                seq=candidate.seq)
-                            continue
-                        entry = candidate
-                        break
-                    self._raise_if_src_dead(src, dst, tag)
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._lock.wait(timeout=remaining):
-                        self.abort()
-                        if self._stale_heartbeat(src):
-                            self._dead.add(src)
-                            raise RankDeadError(
-                                f"rank {src} missed its heartbeat deadline;"
-                                f" declaring it dead"
-                            )
-                        raise DeadlockError(
-                            f"rank {dst} waited {timeout}s for"
-                            f" message (src={src}, tag={tag})"
-                        )
-
-            if replay is not None:
-                self._copy_into(replay, buf, key)
-                if injector is not None:
-                    injector.record("replayed", src=src, dst=dst, tag=tag)
-                return
-
-            if entry.lost:
-                # The envelope sequence numbers expose the loss; model the
-                # sender's retransmission (reads straight from the frozen
-                # payload), then report the timeout to the caller.
-                self._requeue_pristine(key, entry)
-                if injector is not None:
-                    injector.record("retransmit", src=src, dst=dst, tag=tag,
-                                    seq=entry.seq)
-                raise ExchangeTimeoutError(
-                    f"message (src={src}, dst={dst}, tag={tag},"
-                    f" seq={entry.seq}) lost on the wire; retransmit queued"
-                )
-
-            flat = self._copy_into(entry.wire, buf, key)
-            expected = self._delivered.get(key, 0) + 1
-            crc = checksum(flat)
-            if entry.seq != expected or crc != entry.crc:
-                self._requeue_pristine(key, entry)
-                if injector is not None:
-                    injector.record("retransmit", src=src, dst=dst, tag=tag,
-                                    seq=entry.seq)
-                if entry.seq != expected:
-                    raise ExchangeIntegrityError(
-                        f"sequence gap on (src={src}, dst={dst}, tag={tag}):"
-                        f" got seq {entry.seq}, expected {expected}"
-                    )
-                raise ExchangeIntegrityError(
-                    f"checksum mismatch on (src={src}, dst={dst}, tag={tag},"
-                    f" seq={entry.seq}): wire crc {crc:#010x} !="
-                    f" sent {entry.crc:#010x}"
-                )
-
-            with self._lock:
-                self._delivered[key] = entry.seq
-                if epoch is not None:
-                    # entry.buf is the frozen pristine payload: cache it by
-                    # reference for idempotent replays, no extra copy.
-                    self._replay[key] = (epoch, entry.buf)
-            self.stats[dst].recvs += 1
-            self.stats[dst].bytes_received += buf.nbytes
-            entry.done.set()
-        if _METRICS.enabled:
-            _METRICS.count("fabric.bytes_received", buf.nbytes, rank=dst)
-
     def _wake_all(self) -> None:
-        """Under the lock: wake per-message waiters and every port."""
-        self._lock.notify_all()
+        """Under the lock: wake every port."""
         for port in self._ports:
             port.cond.notify_all()
 
@@ -1026,10 +871,11 @@ class SimFabric:
 
     @property
     def pending_messages(self) -> int:
-        """Posted but unconsumed messages: mailboxes plus port arrivals."""
+        """Posted but unconsumed messages, over both containers of every port."""
         with self._lock:
-            return sum(len(q) for q in self._mailboxes.values()) + sum(
-                len(port.arrivals) for port in self._ports
+            return sum(
+                len(port.arrivals) + sum(map(len, port.queues.values()))
+                for port in self._ports
             )
 
     def total_stats(self) -> FabricStats:

@@ -16,7 +16,7 @@ from repro.faults.errors import ExchangeConfigError
 from repro.simmpi.comm import SimComm
 from repro.simmpi.fabric import AbortedError, SimFabric
 
-__all__ = ["run_spmd", "run_spmd_restartable", "RankFailedError"]
+__all__ = ["run_spmd", "RankFailedError"]
 
 
 class RankFailedError(RuntimeError):
@@ -88,46 +88,3 @@ def run_spmd(
     for rank, err in primary or secondary:
         raise RankFailedError(f"rank {rank} failed: {err!r}") from err
     return results
-
-
-def run_spmd_restartable(
-    nranks: int,
-    fn: Callable[..., Any],
-    *args: Any,
-    make_fabric: Callable[[], SimFabric],
-    max_restarts: int = 0,
-    should_restart: Optional[Callable[[Optional[BaseException]], bool]] = None,
-    on_restart: Optional[Callable[[int, Optional[BaseException]], None]] = None,
-    timeout: Optional[float] = None,
-    **kwargs: Any,
-):
-    """Elastic :func:`run_spmd`: relaunch the whole world after a rank death.
-
-    A failed attempt aborts its fabric (every rank thread exits), so a
-    restart needs a *fresh* fabric -- *make_fabric* builds one per
-    attempt.  *should_restart* inspects the failing rank's root-cause
-    exception (``err.__cause__`` of the launcher's RuntimeError) and
-    decides whether the failure is survivable; *on_restart* runs before
-    each relaunch (the checkpoint driver uses it to flip ranks into
-    resume mode).  Returns ``(results, fabric, restarts)`` where
-    *fabric* is the one that completed.
-    """
-    restarts = 0
-    while True:
-        fabric = make_fabric()
-        try:
-            results = run_spmd(
-                nranks, fn, *args, fabric=fabric, timeout=timeout, **kwargs
-            )
-            return results, fabric, restarts
-        except RuntimeError as err:
-            cause = err.__cause__
-            if (
-                restarts >= max_restarts
-                or should_restart is None
-                or not should_restart(cause)
-            ):
-                raise
-            restarts += 1
-            if on_restart is not None:
-                on_restart(restarts, cause)

@@ -13,9 +13,12 @@ class SimRequest:
     """Handle for one nonblocking operation.
 
     A *send* request completes when the matching receive has copied the
-    data (synchronous-mode semantics); its ``wait`` blocks on the fabric
-    entry's event.  A *recv* request performs the blocking match-and-copy
-    inside ``wait`` (receives are lazy: posting only records intent).
+    data (synchronous-mode semantics); its ``wait`` returns at once if
+    the fabric entry is already marked done and otherwise blocks on the
+    sending rank's port until the receiver marks it.  A *recv* request
+    performs the blocking match-and-copy inside ``wait`` (receives are
+    lazy: posting only records intent).  Neither owns an event or a
+    lock: all blocking happens in the fabric's one wait.
     """
 
     def __init__(self, complete: Callable[[], None], kind: str) -> None:

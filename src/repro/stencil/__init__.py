@@ -19,7 +19,6 @@ from repro.stencil.kernels import apply_array_stencil
 from repro.stencil.brick_kernels import apply_brick_stencil, gather_halo_batch
 from repro.stencil.codegen import (
     generate_array_kernel,
-    generate_array_plan_kernel,
     generate_batch_kernel,
     generate_batch_plan_kernel,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "cube_stencil",
     "gather_halo_batch",
     "generate_array_kernel",
-    "generate_array_plan_kernel",
     "generate_batch_kernel",
     "generate_batch_plan_kernel",
     "star_stencil",

@@ -26,25 +26,35 @@ from repro.stencil.spec import StencilSpec
 __all__ = [
     "generate_array_kernel",
     "generate_batch_kernel",
-    "generate_array_plan_kernel",
     "generate_batch_plan_kernel",
     "generate_array_box_kernel",
     "array_kernel_source",
     "batch_kernel_source",
-    "array_plan_kernel_source",
     "batch_plan_kernel_source",
     "array_box_kernel_source",
 ]
 
-_array_cache: Dict[Tuple, Callable] = {}
-_batch_cache: Dict[Tuple, Callable] = {}
-_array_plan_cache: Dict[Tuple, Callable] = {}
-_batch_plan_cache: Dict[Tuple, Callable] = {}
-_array_box_cache: Dict[Tuple, Callable] = {}
+_kernel_cache: Dict[Tuple, Callable] = {}
 
 
 def _slice_expr(lo: int, length: int) -> str:
     return f"slice({lo}, {lo + length})"
+
+
+def _compiled(
+    source_of: Callable[..., str], label: str, spec: StencilSpec, *key
+) -> Callable:
+    """Compile ``source_of(spec, *key)`` once per ``(taps, *key)``."""
+    cache_key = (source_of, spec.taps) + key
+    fn = _kernel_cache.get(cache_key)
+    if fn is None:
+        src = source_of(spec, *key)
+        namespace: Dict = {"np": np}
+        exec(compile(src, f"<{label}-{spec.name}>", "exec"), namespace)
+        fn = namespace["kernel"]
+        fn.__source__ = src
+        _kernel_cache[cache_key] = fn
+    return fn
 
 
 def array_kernel_source(
@@ -91,16 +101,8 @@ def generate_array_kernel(
     spec: StencilSpec, extent: Sequence[int], ghost: int, margin: int = 0
 ) -> Callable[[np.ndarray, np.ndarray], None]:
     """Compile (and cache) the specialized array kernel."""
-    key = (spec.taps, tuple(extent), ghost, margin)
-    fn = _array_cache.get(key)
-    if fn is None:
-        src = array_kernel_source(spec, extent, ghost, margin)
-        namespace: Dict = {}
-        exec(compile(src, f"<stencil-{spec.name}>", "exec"), namespace)
-        fn = namespace["kernel"]
-        fn.__source__ = src
-        _array_cache[key] = fn
-    return fn
+    return _compiled(array_kernel_source, "stencil", spec, tuple(extent),
+                     ghost, margin)
 
 
 def batch_kernel_source(spec: StencilSpec, brick_dim: Sequence[int]) -> str:
@@ -145,16 +147,8 @@ def generate_batch_kernel(
     spec: StencilSpec, brick_dim: Sequence[int]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Compile (and cache) the specialized halo-batch kernel."""
-    key = (spec.taps, tuple(brick_dim))
-    fn = _batch_cache.get(key)
-    if fn is None:
-        src = batch_kernel_source(spec, brick_dim)
-        namespace: Dict = {}
-        exec(compile(src, f"<brick-stencil-{spec.name}>", "exec"), namespace)
-        fn = namespace["kernel"]
-        fn.__source__ = src
-        _batch_cache[key] = fn
-    return fn
+    return _compiled(batch_kernel_source, "brick-stencil", spec,
+                     tuple(brick_dim))
 
 
 # ----------------------------------------------------------------------
@@ -180,74 +174,24 @@ def _plan_body(taps, slices_of, acc: str, tmp: str, src: str) -> list:
     return lines
 
 
-def array_plan_kernel_source(
-    spec: StencilSpec, extent: Sequence[int], ghost: int, margin: int = 0
-) -> str:
-    """Source of the in-place extended-array plan kernel.
-
-    Signature ``kernel(arr, out, tmp)``: accumulates directly into the
-    computed region of *out* (a strided view), using *tmp* (region-shaped
-    scratch) for every tap past the first.  Bit-identical to
-    :func:`array_kernel_source` / the generic
-    :func:`~repro.stencil.kernels.apply_array_stencil`.
-    """
-    extent = tuple(int(e) for e in extent)
-    if spec.ndim != len(extent):
-        raise ValueError("stencil/extent dimensionality mismatch")
-    if margin < 0 or spec.radius + margin > ghost:
-        raise ValueError("margin + radius must fit in the ghost width")
-    lo = ghost - margin
-
-    def slices_of(off):
-        return ", ".join(
-            _slice_expr(lo + o, e + 2 * margin)
-            for o, e in zip(reversed(off), reversed(extent))
-        )
-
-    region = ", ".join(
-        _slice_expr(lo, e + 2 * margin) for e in reversed(extent)
-    )
-    lines = [
-        "def kernel(arr, out, tmp):",
-        f"    # planned: {spec.name} on extent {extent}, ghost {ghost},"
-        f" margin {margin}",
-        f"    acc = out[{region}]",
-    ]
-    lines += _plan_body(spec.taps, slices_of, "acc", "tmp", "arr")
-    return "\n".join(lines) + "\n"
-
-
-def generate_array_plan_kernel(
-    spec: StencilSpec, extent: Sequence[int], ghost: int, margin: int = 0
-) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
-    """Compile (and cache) the in-place array plan kernel."""
-    key = (spec.taps, tuple(extent), ghost, margin)
-    fn = _array_plan_cache.get(key)
-    if fn is None:
-        src = array_plan_kernel_source(spec, extent, ghost, margin)
-        namespace: Dict = {"np": np}
-        exec(compile(src, f"<stencil-plan-{spec.name}>", "exec"), namespace)
-        fn = namespace["kernel"]
-        fn.__source__ = src
-        _array_plan_cache[key] = fn
-    return fn
-
-
 def array_box_kernel_source(
     spec: StencilSpec,
     extent: Sequence[int],
     ghost: int,
     box: Sequence[Tuple[int, int]],
 ) -> str:
-    """Source of an in-place plan kernel over one explicit sub-box.
+    """Source of the in-place extended-array plan kernel over one box.
 
     *box* is a per-numpy-axis ``(lo, hi)`` range in extended-array
-    coordinates.  Signature ``kernel(arr, out, tmp)`` with *tmp* shaped
-    like the box.  Same tap order and operand order as the full-region
-    plan kernel, so a disjoint box cover of the region computes every
-    cell bit-identically to one full-region sweep (cells are
-    independent).  This is what the interior/surface phase split
-    compiles to for array methods.
+    coordinates.  Signature ``kernel(arr, out, tmp)``: accumulates
+    directly into the box of *out* (a strided view), using *tmp*
+    (box-shaped scratch) for every tap past the first.  Bit-identical to
+    :func:`array_kernel_source` / the generic
+    :func:`~repro.stencil.kernels.apply_array_stencil` on the same cells
+    (same tap and operand order, and cells are independent), so a
+    disjoint box cover of a region equals one sweep of the box that is
+    the whole region -- what the unsplit array plan compiles -- and the
+    interior/surface phase split compiles to exactly such a cover.
     """
     extent = tuple(int(e) for e in extent)
     if spec.ndim != len(extent):
@@ -287,18 +231,10 @@ def generate_array_box_kernel(
     ghost: int,
     box: Sequence[Tuple[int, int]],
 ) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
-    """Compile (and cache) the in-place sub-box plan kernel."""
+    """Compile (and cache) the in-place box plan kernel."""
     box = tuple((int(lo), int(hi)) for lo, hi in box)
-    key = (spec.taps, tuple(extent), ghost, box)
-    fn = _array_box_cache.get(key)
-    if fn is None:
-        src = array_box_kernel_source(spec, extent, ghost, box)
-        namespace: Dict = {"np": np}
-        exec(compile(src, f"<stencil-box-{spec.name}>", "exec"), namespace)
-        fn = namespace["kernel"]
-        fn.__source__ = src
-        _array_box_cache[key] = fn
-    return fn
+    return _compiled(array_box_kernel_source, "stencil-box", spec,
+                     tuple(extent), ghost, box)
 
 
 def batch_plan_kernel_source(spec: StencilSpec, brick_dim: Sequence[int]) -> str:
@@ -336,13 +272,5 @@ def generate_batch_plan_kernel(
     spec: StencilSpec, brick_dim: Sequence[int]
 ) -> Callable[[np.ndarray, np.ndarray, np.ndarray], None]:
     """Compile (and cache) the in-place halo-batch plan kernel."""
-    key = (spec.taps, tuple(brick_dim))
-    fn = _batch_plan_cache.get(key)
-    if fn is None:
-        src = batch_plan_kernel_source(spec, brick_dim)
-        namespace: Dict = {"np": np}
-        exec(compile(src, f"<brick-stencil-plan-{spec.name}>", "exec"), namespace)
-        fn = namespace["kernel"]
-        fn.__source__ = src
-        _batch_plan_cache[key] = fn
-    return fn
+    return _compiled(batch_plan_kernel_source, "brick-stencil-plan", spec,
+                     tuple(brick_dim))

@@ -44,14 +44,12 @@ from repro.obs import TRACER as _TRACER
 from repro.stencil.cbackend import batch_step_kernel
 from repro.stencil.codegen import (
     generate_array_box_kernel,
-    generate_array_plan_kernel,
     generate_batch_plan_kernel,
 )
 from repro.stencil.spec import StencilSpec
 
 __all__ = [
     "ArrayStencilPlan",
-    "ArrayRegionPlan",
     "BrickStencilPlan",
     "compile_array_plan",
     "compile_brick_plan",
@@ -433,87 +431,20 @@ def split_array_region(
     return tuple(zip(ilo, ihi)), boxes
 
 
-class ArrayRegionPlan:
-    """Compiled executor over explicit sub-boxes of an extended array.
-
-    The phase-split form of :class:`ArrayStencilPlan`: one in-place box
-    kernel (plus persistent box-shaped scratch) per sub-box.  Executing
-    the interior plan and then the surface plan over a disjoint cover
-    touches every region cell exactly once, bit-identically to the
-    full-region plan.
-    """
-
-    def __init__(
-        self,
-        spec: StencilSpec,
-        extent: Sequence[int],
-        ghost: int,
-        boxes: Sequence[Tuple],
-        dtype=np.float64,
-    ) -> None:
-        extent = tuple(int(e) for e in extent)
-        if not boxes:
-            raise ValueError("ArrayRegionPlan needs at least one box")
-        self.spec = spec
-        self.extent = extent
-        self.ghost = int(ghost)
-        self.dtype = np.dtype(dtype)
-        self._expected = tuple(e + 2 * ghost for e in reversed(extent))
-        self._steps = []
-        for box in boxes:
-            shape = tuple(hi - lo for lo, hi in box)
-            self._steps.append(
-                (
-                    generate_array_box_kernel(spec, extent, ghost, box),
-                    np.empty(shape, dtype=self.dtype),
-                )
-            )
-        self.cells = int(sum(np.prod([hi - lo for lo, hi in b]) for b in boxes))
-
-    def execute(self, arr: np.ndarray, out: np.ndarray) -> None:
-        """Apply the stencil over every planned box, reading *arr*."""
-        if arr is out:
-            raise ValueError("plans require distinct arr and out arrays")
-        if arr.shape != self._expected or out.shape != self._expected:
-            raise ValueError(
-                f"expected extended shape {self._expected},"
-                f" got {arr.shape} / {out.shape}"
-            )
-        for kernel, tmp in self._steps:
-            kernel(arr, out, tmp)
-
-
-def compile_array_phase_plans(
-    spec: StencilSpec,
-    extent: Sequence[int],
-    ghost: int,
-    margin: int = 0,
-    dtype=np.float64,
-) -> Tuple[Optional[ArrayRegionPlan], ArrayRegionPlan]:
-    """``(interior plan, surface plan)`` for one array cycle position."""
-    interior_box, surface_boxes = split_array_region(
-        extent, ghost, margin, spec.radius
-    )
-    interior = (
-        ArrayRegionPlan(spec, extent, ghost, [interior_box], dtype)
-        if interior_box is not None
-        else None
-    )
-    surface = ArrayRegionPlan(spec, extent, ghost, surface_boxes, dtype)
-    return interior, surface
-
-
 # ----------------------------------------------------------------------
 # Extended-array plans
 # ----------------------------------------------------------------------
 
 class ArrayStencilPlan:
-    """Compiled executor of one stencil over an extended array geometry.
+    """Compiled executor of one stencil over boxes of an extended array.
 
-    Wraps the codegen in-place array kernel with a persistent tap scratch
-    buffer; used by the pack/mpi_types/shift executed paths.  One plan per
-    ``(stencil, extent, ghost, margin, dtype)``; results are bit-identical
-    to :func:`repro.stencil.kernels.apply_array_stencil`.
+    A plan is a list of boxes (per-numpy-axis ``(lo, hi)`` ranges in
+    extended-array coordinates), each with its codegen in-place box
+    kernel and a persistent box-shaped tap scratch.  The default is the
+    one box the pack/mpi_types/shift executed paths sweep, the owned
+    region grown by *margin*; the phase split passes the interior box or
+    the surface slabs of that region instead.  Results are bit-identical
+    to :func:`repro.stencil.kernels.apply_array_stencil` on those cells.
     """
 
     def __init__(
@@ -523,6 +454,7 @@ class ArrayStencilPlan:
         ghost: int,
         margin: int = 0,
         dtype=np.float64,
+        boxes: Optional[Sequence[Tuple]] = None,
     ) -> None:
         extent = tuple(int(e) for e in extent)
         if spec.ndim != len(extent):
@@ -536,19 +468,31 @@ class ArrayStencilPlan:
                 f"stencil radius {spec.radius} plus margin {margin} exceeds"
                 f" ghost width {ghost}"
             )
+        if boxes is None:
+            boxes = [
+                tuple((ghost - margin, ghost + e + margin)
+                      for e in reversed(extent))
+            ]
+        elif not boxes:
+            raise ValueError("an array plan needs at least one box")
         self.spec = spec
         self.extent = extent
         self.ghost = int(ghost)
         self.margin = int(margin)
         self.dtype = np.dtype(dtype)
         self._expected = tuple(e + 2 * ghost for e in reversed(extent))
-        region_shape = tuple(e + 2 * margin for e in reversed(extent))
-        self._tmp = np.empty(region_shape, dtype=self.dtype)
-        self._kernel = generate_array_plan_kernel(spec, extent, ghost, margin)
+        self._steps = [
+            (
+                generate_array_box_kernel(spec, extent, ghost, box),
+                np.empty(tuple(hi - lo for lo, hi in box), dtype=self.dtype),
+            )
+            for box in boxes
+        ]
+        self.cells = int(sum(tmp.size for _kernel, tmp in self._steps))
 
     def execute(self, arr: np.ndarray, out: np.ndarray) -> None:
-        """``out[region] = stencil(arr)`` over the owned box grown by the
-        planned margin; *arr* and *out* must be distinct extended arrays."""
+        """``out[box] = stencil(arr)`` over every planned box; *arr* and
+        *out* must be distinct extended arrays."""
         if arr is out:
             raise ValueError("plans require distinct arr and out arrays")
         if arr.shape != self._expected or out.shape != self._expected:
@@ -556,7 +500,8 @@ class ArrayStencilPlan:
                 f"expected extended shape {self._expected},"
                 f" got {arr.shape} / {out.shape}"
             )
-        self._kernel(arr, out, self._tmp)
+        for kernel, tmp in self._steps:
+            kernel(arr, out, tmp)
 
 
 def compile_array_plan(
@@ -569,3 +514,27 @@ def compile_array_plan(
     """Build an array plan (the compiled kernel inside is cached globally;
     the scratch-owning plan object is per caller)."""
     return ArrayStencilPlan(spec, extent, ghost, margin, dtype)
+
+
+def compile_array_phase_plans(
+    spec: StencilSpec,
+    extent: Sequence[int],
+    ghost: int,
+    margin: int = 0,
+    dtype=np.float64,
+) -> Tuple[Optional[ArrayStencilPlan], ArrayStencilPlan]:
+    """``(interior plan, surface plan)`` for one array cycle position.
+
+    Executing the interior plan and then the surface plan touches every
+    region cell exactly once, bit-identically to the unsplit plan.
+    """
+    interior_box, surface_boxes = split_array_region(
+        extent, ghost, margin, spec.radius
+    )
+    interior = (
+        ArrayStencilPlan(spec, extent, ghost, margin, dtype, [interior_box])
+        if interior_box is not None
+        else None
+    )
+    surface = ArrayStencilPlan(spec, extent, ghost, margin, dtype, surface_boxes)
+    return interior, surface

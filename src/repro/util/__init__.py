@@ -12,12 +12,11 @@ from repro.util.indexing import (
     unravel_index,
 )
 from repro.util.stats import MinAvgMax, summarize
-from repro.util.timing import PhaseTimer, TimeBreakdown
+from repro.util.timing import TimeBreakdown
 
 __all__ = [
     "BitSet",
     "MinAvgMax",
-    "PhaseTimer",
     "TimeBreakdown",
     "ceil_div",
     "lexicographic_coords",

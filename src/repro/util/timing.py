@@ -1,23 +1,21 @@
-"""Phase timers and the per-timestep time breakdown.
+"""The per-timestep time breakdown.
 
 Two notions of time coexist in this reproduction (see DESIGN.md Section 6):
 
-* *measured* wall-clock seconds, captured with :class:`PhaseTimer` around the
-  real in-process data movement, and
-* *modelled* virtual seconds, accumulated into a :class:`TimeBreakdown` by
-  the hardware cost models.
+* *measured* wall-clock seconds, which the run loop charges around the
+  real in-process kernel step, and
+* *modelled* virtual seconds, accumulated by the hardware cost models.
 
-Both use the same breakdown structure so the benchmark harness can print
-either interchangeably.
+Both use the same :class:`TimeBreakdown` so the benchmark harness can
+print either interchangeably.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
-__all__ = ["PhaseTimer", "TimeBreakdown", "PHASES"]
+__all__ = ["TimeBreakdown", "PHASES"]
 
 #: Canonical phase names, matching the paper artifact's metrics.
 PHASES = ("calc", "pack", "call", "wait", "move")
@@ -77,49 +75,3 @@ class TimeBreakdown:
         if seconds < 0:
             raise ValueError(f"cannot charge negative time {seconds}")
         setattr(self, phase, getattr(self, phase) + seconds)
-
-
-class PhaseTimer:
-    """Wall-clock timer that attributes elapsed time to breakdown phases.
-
-    Usage::
-
-        timer = PhaseTimer()
-        with timer.phase("pack"):
-            ...  # real data movement
-        breakdown = timer.breakdown
-    """
-
-    def __init__(self) -> None:
-        self.breakdown = TimeBreakdown()
-
-    def phase(self, name: str) -> "_PhaseContext":
-        if name not in PHASES:
-            raise ValueError(f"unknown phase {name!r}; expected one of {PHASES}")
-        return _PhaseContext(self, name)
-
-    def reset(self) -> TimeBreakdown:
-        """Return the accumulated breakdown and start a fresh one."""
-        done, self.breakdown = self.breakdown, TimeBreakdown()
-        return done
-
-
-class _PhaseContext:
-    __slots__ = ("_timer", "_name", "_start")
-
-    def __init__(self, timer: PhaseTimer, name: str) -> None:
-        self._timer = timer
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_PhaseContext":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        # Record-and-reraise: a phase whose body raised still spent real
-        # wall-clock, so charge it before the exception propagates (the
-        # same contract as repro.obs spans).
-        elapsed = time.perf_counter() - self._start
-        self._timer.breakdown.charge(self._name, elapsed)
-        return False

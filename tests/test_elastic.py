@@ -55,6 +55,27 @@ class TestFabricLiveness:
         with pytest.raises(RankDeadError, match="permanently dead"):
             fab.post_send(0, 1, tag=0, buf=np.zeros(4))
 
+    @pytest.mark.parametrize("verified", [False, True])
+    def test_post_checks_liveness_in_the_deposit_lock(self, verified):
+        """A destination marked dead after ``post_send`` was entered but
+        before its deposit gets nothing queued: the dead check shares the
+        deposit's lock acquisition."""
+        fab = SimFabric(2, timeout=5.0)
+        if verified:
+            fab.enable_envelope()
+
+        class DiesWhileConverted:
+            # np.ascontiguousarray(obj) runs inside post_send, ahead of
+            # the deposit: the narrowest spot a death can slip into.
+            def __array__(self, dtype=None, copy=None):
+                fab.mark_dead(1)
+                return np.zeros(4)
+
+        with pytest.raises(RankDeadError, match="permanently dead"):
+            fab.post_send(0, 1, tag=0, buf=DiesWhileConverted())
+        assert fab.pending_messages == 0
+        assert fab.stats[0].sends == 0
+
     def test_batch_and_partitioned_posts_check_liveness(self):
         fab = SimFabric(2, timeout=5.0)
         bound = fab.bind_request(0, [(1, 0, np.zeros(4))], [], partitions=2)

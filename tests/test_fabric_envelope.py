@@ -91,7 +91,7 @@ class TestVerifiedDelivery:
         for _ in range(3):
             fab.post_send(0, 1, 9, _payload(4))
             fab.complete_recv(0, 1, 9, out)  # seq 1, 2, 3 all accepted
-        assert fab._delivered[(0, 1, 9)] == 3
+        assert fab._guard.delivered[(0, 1, 9)] == 3
 
     def test_injected_corruption_detected_and_healed(self):
         plan = FaultPlan(seed=1, corrupt=1.0)
@@ -163,7 +163,7 @@ class TestVerifiedDelivery:
         data = _payload(seed=8)
         fab.post_send(0, 1, 3, data)
         entry = fab.post_send(0, 1, 3, data)  # retry re-post, same epoch
-        assert entry.done.is_set()  # absorbed, completes immediately
+        assert entry.done  # absorbed, completes immediately
         assert fab.pending_messages == 1  # only the original on the wire
         assert injector.event_counts()["resend_suppressed"] == 1
 
@@ -183,7 +183,7 @@ class TestVerifiedDelivery:
         fab.complete_recv(0, 1, 3, out)
 
         # Retry of the same exchange re-receives: served from the cache
-        # even though the mailbox is empty.
+        # even though the queue is empty.
         out2 = np.zeros_like(data)
         fab.complete_recv(0, 1, 3, out2)
         np.testing.assert_array_equal(out2, data)

@@ -1,9 +1,13 @@
 """Fabric failure modes: deadlocks, aborts, error cascades, timeouts."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import repro.simmpi.fabric as fabric_mod
+from repro.faults.errors import RankDeadError
 from repro.simmpi import SimFabric, run_spmd
 from repro.simmpi.collectives import allreduce, barrier_all, broadcast
 from repro.simmpi.fabric import AbortedError, DeadlockError
@@ -13,6 +17,105 @@ from repro.simmpi.fabric import AbortedError, DeadlockError
 def fast_timeout(monkeypatch):
     """Shrink the deadlock timeout so failure tests run quickly."""
     monkeypatch.setattr(fabric_mod, "_DEADLOCK_TIMEOUT", 0.5)
+
+
+# ----------------------------------------------------------------------
+# One wait, one classification: every blocking site x every failure mode
+# ----------------------------------------------------------------------
+_TAG = 3
+
+
+def _bound_recv(fab):
+    cut = fab.bind_request(0, [], [(1, _TAG, np.empty(4))]).bulk
+    return lambda: fab.complete_recv_batch(cut)
+
+
+def _message_recv(fab):
+    return lambda: fab.complete_recv(1, 0, _TAG, np.empty(4))
+
+
+def _verified_recv(fab):
+    fab.enable_envelope()
+    return _message_recv(fab)
+
+
+def _bound_send_wait(fab):
+    cut = fab.bind_request(0, [(1, _TAG, np.zeros(4))], []).bulk
+    fab.post_send_batch(cut)
+    return lambda: fab.wait_send_batch(cut)
+
+
+def _message_send_wait(fab):
+    entry = fab.post_send(0, 1, _TAG, np.zeros(4))
+    return lambda: fab.wait_send(entry)
+
+
+# Rank 0 blocks on rank 1 through each site; the words of its direction.
+_RECV = ("receive from", r"message \(src=1")
+_SEND = ("send to", r"unmatched send \(dst=1")
+_SITES = {
+    "bound-recv": (_bound_recv, _RECV),
+    "message-recv": (_message_recv, _RECV),
+    "verified-recv": (_verified_recv, _RECV),
+    "bound-send-wait": (_bound_send_wait, _SEND),
+    "message-send-wait": (_message_send_wait, _SEND),
+}
+
+
+@pytest.mark.parametrize("site", _SITES)
+class TestOneClassification:
+    """Rank 0 blocks on the silent rank 1 through each of the five
+    blocking entry points; each failure mode must surface as the same
+    typed error with the same message shape, whichever site waited."""
+
+    def _blocked(self, site, timeout, disturb=None):
+        """Block in *site*; *disturb(fab)* fires 50 ms into the wait."""
+        fab = SimFabric(2, timeout=timeout)
+        wait = _SITES[site][0](fab)
+        timer = threading.Timer(0.05, disturb, (fab,)) if disturb else None
+        if timer:
+            timer.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(Exception) as info:
+                wait()
+        finally:
+            if timer:
+                timer.join(timeout=5.0)
+        assert time.monotonic() - start < 3.0
+        return fab, info
+
+    def test_abort(self, site):
+        _fab, info = self._blocked(site, 30.0, SimFabric.abort)
+        assert info.type is AbortedError
+        assert info.match("another rank failed; (aborting receive|abandoning send)")
+
+    def test_dead_peer(self, site):
+        fab, info = self._blocked(site, 30.0, lambda fab: fab.mark_dead(1))
+        assert info.type is RankDeadError
+        assert info.match(
+            rf"rank 0 cannot {_SITES[site][1][0]} rank 1 \(tag={_TAG}\):"
+            " rank 1 is permanently dead"
+        )
+        assert not fab._failed  # a death is not an abort
+
+    def test_stale_heartbeat(self, site):
+        def beat_once(fab):
+            fab.set_heartbeat_deadline(0.05)
+            fab.heartbeat(1)
+
+        fab, info = self._blocked(site, 0.3, beat_once)
+        assert info.type is RankDeadError
+        assert info.match("rank 1 missed its heartbeat deadline; declaring it dead")
+        assert fab.is_dead(1) and fab._failed
+
+    def test_timeout(self, site):
+        fab, info = self._blocked(site, 0.2)
+        assert info.type is DeadlockError
+        assert info.match(
+            rf"rank 0 waited 0\.2s for {_SITES[site][1][1]}, tag={_TAG}\)"
+        )
+        assert fab._failed  # a timeout aborts the fabric for everyone else
 
 
 class TestDeadlockDetection:

@@ -5,7 +5,7 @@ The bound path under :class:`~repro.exchange.base.ExchangeChannel`
 ``complete_recv_batch`` / ``wait_send_batch``): buffers live on the
 handle, steady state allocates nothing per message, wake-ups are
 targeted, every failure mode of the per-message path is kept, and
-per-message traffic never leaks into a port.
+per-message traffic never counts as a bound arrival.
 """
 
 import threading
@@ -143,6 +143,58 @@ def test_steady_state_allocates_nothing_per_message(monkeypatch):
     counts["armed"] = False
     assert counts["entries"] == 0 and counts["events"] == 0
     assert fab.total_stats().sends == 6 * sum(msgs)
+    assert fab.pending_messages == 0
+
+
+@pytest.mark.parametrize("verified", [False, True])
+def test_steady_state_with_collectives_constructs_no_event(monkeypatch, verified):
+    """Per-message traffic rides the ports too: once set up, an 8-rank
+    layout world -- bound channels, or the enveloped per-message protocol
+    of a ``verify_wire`` run -- constructs no ``threading.Event``, even
+    with an allreduce after every exchange.  Ranks leave the exchange at
+    different times, so those collective entries reach ports whose owners
+    still count halo arrivals; one miscounted as an arrival would be a
+    ProtocolError (bound) or a wrong sum."""
+    events = {"n": 0, "armed": False}
+
+    class CountingEvent(threading.Event):
+        def __init__(self):
+            events["n"] += events["armed"]
+            super().__init__()
+
+    monkeypatch.setattr(threading, "Event", CountingEvent)
+    steps = 5
+
+    def fn(comm):
+        cart = comm.Create_cart((2, 2, 2))
+        decomp = BrickDecomp((16, 16, 16), (8, 8, 8), 8)
+        storage, asn = decomp.allocate()
+        ex = LayoutExchanger(cart, decomp, storage, asn, generic_host())
+        channel = ex.make_channel()
+        assert (channel is None) == verified
+        fire = ex.exchange if verified else channel.exchange
+        fire()  # warm-up
+        comm.Barrier()
+        if comm.rank == 0:
+            events["armed"] = True
+        comm.Barrier()
+        sums = []
+        for step in range(steps):
+            comm.set_epoch(step)
+            fire()
+            comm.set_epoch(None)
+            sums.append(float(allreduce(comm, np.float64(comm.rank + step))))
+        comm.Barrier()
+        return sums
+
+    fab = SimFabric(8, timeout=10.0)
+    if verified:
+        fab.enable_envelope()
+    results = run_spmd(8, fn, fabric=fab)
+    events["armed"] = False
+    assert events["n"] == 0
+    assert all(r == [28.0 + 8 * step for step in range(steps)] for r in results)
+    assert fab.total_stats().sends == fab.total_stats().recvs
     assert fab.pending_messages == 0
 
 
@@ -316,7 +368,7 @@ class TestBoundFailureModes:
 
 
 # ----------------------------------------------------------------------
-# (e) per-message traffic stays out of the ports
+# (e) per-message traffic stays out of the arrivals
 # ----------------------------------------------------------------------
 def test_collective_posted_after_the_exchange_is_not_a_halo_arrival():
     # 2 -> 0 -> 1: rank 1 only receives, so it leaves the exchange as
@@ -365,4 +417,4 @@ def test_per_message_send_does_not_match_a_bound_receive():
         fab.complete_recv_batch(receiver)
     assert time.monotonic() - start < 5.0
     np.testing.assert_array_equal(out, -1.0)
-    assert fab.pending_messages == 1  # still in its mailbox
+    assert fab.pending_messages == 1  # still in its per-message queue

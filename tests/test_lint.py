@@ -111,7 +111,67 @@ def test_per_message_loop_outside_base_flagged():
         ) == []
 
 
+def test_wait_outside_the_one_helper_flagged():
+    src = (
+        "class SimFabric:\n"
+        "    def _await(self, rank, ready, missing):\n"
+        "        while not ready():\n"
+        "            self._ports[rank].cond.wait(1.0)\n"
+        "    def wait_send(self, entry):\n"
+        "        while not entry.done:\n"
+        "            self._ports[entry.src].cond.wait(0.1)\n"
+    )
+    tree = ast.parse(src)
+    fabric = lint_invariants.SRC / "simmpi" / "fabric.py"
+    violations = lint_invariants.check_one_blocking_site(fabric, tree)
+    assert [v[1] for v in violations] == [7]
+    assert "_await" in violations[0][2]
+    # SimRequest.wait / barrier.wait in the shim files are not fabric waits.
+    for rel in ("simmpi/request.py", "simmpi/comm.py"):
+        assert lint_invariants.check_one_blocking_site(
+            lint_invariants.SRC / rel, tree
+        ) == []
+
+
+def test_per_message_event_flagged():
+    src = (
+        "import threading\n"
+        "from threading import Event\n"
+        "class _SendEntry:\n"
+        "    def __init__(self):\n"
+        "        self.done = threading.Event()\n"
+    )
+    tree = ast.parse(src)
+    violations = lint_invariants.check_one_blocking_site(
+        lint_invariants.SRC / "simmpi" / "request.py", tree
+    )
+    assert sorted(v[1] for v in violations) == [2, 5]
+    assert all("threading.Event" in v[2] for v in violations)
+    assert lint_invariants.check_one_blocking_site(
+        lint_invariants.SRC / "faults" / "runtime.py", tree
+    ) == []
+
+
+def test_second_copy_of_the_envelope_check_flagged():
+    src = (
+        "def recv(entry, expected, crc):\n"
+        "    if entry.seq != expected:\n"
+        "        raise ExchangeIntegrityError(\n"
+        "            f'sequence gap on {entry.edge}: got seq {entry.seq}')\n"
+        "    if crc != entry.crc:\n"
+        "        raise ExchangeIntegrityError('checksum mismatch on the wire')\n"
+    )
+    tree = ast.parse(src)
+    violations = lint_invariants.check_one_blocking_site(
+        lint_invariants.SRC / "simmpi" / "fabric.py", tree
+    )
+    assert sorted(v[1] for v in violations) == [4, 6]
+    assert all("verify()" in v[2] for v in violations)
+    home = lint_invariants.SRC / lint_invariants.ENVELOPE_HOME
+    assert lint_invariants.check_one_blocking_site(home, tree) == []
+
+
 def test_lint_file_on_real_sources():
     # Spot-check two real files through the full per-file path.
-    for rel in ("simmpi/fabric.py", "check/schedule.py"):
+    for rel in ("simmpi/fabric.py", "exchange/envelope.py", "check/schedule.py"):
         assert lint_invariants.lint_file(lint_invariants.SRC / rel) == []

@@ -25,7 +25,7 @@ from repro.core.driver import run_executed
 from repro.core.expansion import brick_cycle_slots
 from repro.stencil.brick_kernels import apply_brick_stencil, gather_halo_batch
 from repro.stencil.codegen import (
-    array_plan_kernel_source,
+    array_box_kernel_source,
     batch_plan_kernel_source,
 )
 from repro.stencil.kernels import apply_array_stencil
@@ -247,7 +247,9 @@ class TestPlanKernelSources:
         src = batch_plan_kernel_source(SEVEN_POINT, (8, 8, 8))
         assert "np.multiply" in src and "out=acc" in src
         assert " + " not in src  # no temporary-producing arithmetic
-        src = array_plan_kernel_source(SEVEN_POINT, (8, 8, 8), 2)
+        src = array_box_kernel_source(
+            SEVEN_POINT, (8, 8, 8), 2, ((2, 10), (2, 10), (2, 10))
+        )
         assert "np.multiply" in src and "out=tmp" in src
 
 

@@ -1,10 +1,8 @@
-"""TimeBreakdown and PhaseTimer."""
-
-import time
+"""TimeBreakdown."""
 
 import pytest
 
-from repro.util.timing import PHASES, PhaseTimer, TimeBreakdown
+from repro.util.timing import PHASES, TimeBreakdown
 
 
 class TestTimeBreakdown:
@@ -45,45 +43,3 @@ class TestTimeBreakdown:
     def test_as_dict_covers_all_phases(self):
         d = TimeBreakdown().as_dict()
         assert set(d) == set(PHASES)
-
-
-class TestPhaseTimer:
-    def test_measures_elapsed(self):
-        t = PhaseTimer()
-        with t.phase("calc"):
-            time.sleep(0.01)
-        assert t.breakdown.calc >= 0.008
-        assert t.breakdown.pack == 0.0
-
-    def test_unknown_phase(self):
-        with pytest.raises(ValueError):
-            PhaseTimer().phase("nope")
-
-    def test_reset(self):
-        t = PhaseTimer()
-        with t.phase("wait"):
-            pass
-        done = t.reset()
-        assert done.wait >= 0.0
-        assert t.breakdown.wait == 0.0
-
-    def test_accumulates_across_blocks(self):
-        t = PhaseTimer()
-        for _ in range(3):
-            with t.phase("pack"):
-                time.sleep(0.002)
-        assert t.breakdown.pack >= 0.004
-
-    def test_records_and_reraises_on_exception(self):
-        t = PhaseTimer()
-        with pytest.raises(RuntimeError, match="boom"):
-            with t.phase("wait"):
-                time.sleep(0.005)
-                raise RuntimeError("boom")
-        # The elapsed time before the raise is still charged.
-        assert t.breakdown.wait >= 0.003
-
-    def test_exit_does_not_suppress(self):
-        ctx = PhaseTimer().phase("calc")
-        ctx.__enter__()
-        assert ctx.__exit__(RuntimeError, RuntimeError("x"), None) is False

@@ -2,7 +2,7 @@
 """AST lint for the repo's typed-error and fabric-chokepoint invariants.
 
 Plain Python on purpose: the CI lint job has ruff, local dev containers
-may not, and these rules are project-specific anyway.  Three checks:
+may not, and these rules are project-specific anyway.  Four checks:
 
 1. **No bare raises in the communication layers.**  Inside
    ``src/repro/simmpi`` and ``src/repro/exchange``, ``raise
@@ -27,6 +27,17 @@ may not, and these rules are project-specific anyway.  Three checks:
    exchanger is a message plan plus a binding, and
    ``Exchanger.exchange`` is the one loop that posts it, so a new
    method cannot grow a private per-message loop unnoticed.
+
+4. **One blocking site, one envelope protocol.**  In
+   ``src/repro/simmpi/fabric.py`` a ``.wait(...)`` call may appear only
+   inside ``SimFabric._await`` -- abort, dead peer, stale heartbeat and
+   timeout are classified there, once -- and ``threading.Event`` appears
+   nowhere under ``src/repro/simmpi`` (a message waits in a port, not on
+   a per-message event; ``SimRequest.wait`` and ``barrier.wait`` in
+   ``request.py`` / ``comm.py`` are not fabric waits).  The texts of the
+   sequence-gap and checksum-mismatch errors are spelled in
+   ``exchange/envelope.py`` only: a second copy is a second
+   implementation of ``verify``.
 
 Exit status 1 when any violation is found.  ``--list`` prints the file
 set without checking (CI sanity).
@@ -71,6 +82,13 @@ MESSAGE_ALLOWLIST = (
     "exchange/base.py",
     "exchange/hierarchical.py",
 )
+
+#: the one function of simmpi/fabric.py allowed to block on a condition
+WAIT_FILE = "simmpi/fabric.py"
+WAIT_HELPER = "_await"
+#: error texts of the envelope check, and the one file that spells them
+ENVELOPE_PHRASES = ("sequence gap on", "checksum mismatch on")
+ENVELOPE_HOME = "exchange/envelope.py"
 
 Violation = Tuple[Path, int, str]
 
@@ -156,6 +174,73 @@ def check_message_path(path: Path, tree: ast.AST) -> List[Violation]:
     return out
 
 
+def check_one_blocking_site(path: Path, tree: ast.AST) -> List[Violation]:
+    rel = path.relative_to(SRC).as_posix()
+    out: List[Violation] = []
+    if rel != ENVELOPE_HOME:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Constant) or not isinstance(node.value, str):
+                continue
+            for phrase in ENVELOPE_PHRASES:
+                if phrase in node.value:
+                    out.append(
+                        (
+                            path,
+                            node.lineno,
+                            f"envelope error text {phrase!r} outside"
+                            f" {ENVELOPE_HOME}: call seal()/verify()"
+                            " instead of re-implementing the check",
+                        )
+                    )
+    if not rel.startswith("simmpi/"):
+        return out
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "Event"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "threading"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "threading"
+            and any(alias.name == "Event" for alias in node.names)
+        ):
+            out.append(
+                (
+                    path,
+                    node.lineno,
+                    "`threading.Event` under simmpi/: a message waits in"
+                    " its destination's port and the waiter blocks in"
+                    f" SimFabric.{WAIT_HELPER}, not on a per-message event",
+                )
+            )
+    if rel != WAIT_FILE:
+        return out
+    in_helper = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == WAIT_HELPER
+        for node in ast.walk(fn)
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "wait"
+            and id(node) not in in_helper
+        ):
+            out.append(
+                (
+                    path,
+                    node.lineno,
+                    f"`.wait()` outside SimFabric.{WAIT_HELPER}: block"
+                    " through the one wait helper so abort / dead peer /"
+                    " heartbeat / timeout are classified in one place",
+                )
+            )
+    return out
+
+
 def lint_file(path: Path) -> List[Violation]:
     tree = ast.parse(path.read_text(), filename=str(path))
     rel = path.relative_to(SRC).as_posix()
@@ -164,6 +249,7 @@ def lint_file(path: Path) -> List[Violation]:
         out += check_bare_raises(path, tree)
     out += check_fabric_chokepoint(path, tree)
     out += check_message_path(path, tree)
+    out += check_one_blocking_site(path, tree)
     return out
 
 
