@@ -94,7 +94,8 @@ def test_bench_brick_plan_speedup(record):
 
 
 def test_bench_array_plan(record):
-    """Secondary: element-path plan vs generic (recorded, not gated)."""
+    """Element-path plan vs generic: >= 2x on the C kernel tier (the
+    NumPy tier is slower than the generic kernel here and only recorded)."""
     g = GHOST
     shape = tuple(e + 2 * g for e in reversed(EXTENT))
     rng = np.random.default_rng(1)
@@ -112,3 +113,5 @@ def test_bench_array_plan(record):
         "planned_s": t_planned,
         "speedup": t_generic / t_planned,
     }
+    if plan.kernel_backend == "cffi":
+        assert t_generic / t_planned >= 2.0

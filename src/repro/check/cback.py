@@ -8,11 +8,13 @@ verifies what *can* be verified ahead of a run:
   ``REPRO_CC_BOUNDS`` environment contracts parse (a typo would
   otherwise surface mid-run);
 * a toolchain is present when the backend is demanded;
-* a small probe kernel compiles (with whatever sanitize/guard flags the
+* a small probe kernel per layout -- the brick-batch kernel and the
+  array-box kernel -- compiles (with whatever sanitize/guard flags the
   environment selects) and reproduces the NumPy tap arithmetic
-  bit-for-bit on a deterministic batch -- the same invariant the full
+  bit-for-bit on deterministic data -- the same invariant the full
   test suite asserts, checked here in milliseconds on the target
-  machine's actual compiler.
+  machine's actual compiler.  Each probe is its own finding, and a
+  failed build carries the compiler's reason.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import numpy as np
 
 from repro.check.report import CheckReport
 from repro.stencil import cbackend
+from repro.stencil.kernels import apply_array_stencil
+from repro.stencil.spec import StencilSpec
 
 __all__ = ["verify_cbackend"]
 
@@ -118,20 +122,33 @@ def verify_cbackend(report: CheckReport, probe: bool = True) -> None:
     if not probe:
         return
 
-    # Compile-and-compare probe: 2 bricks, adjacency pointing them at
-    # each other on one face, the rest absent.
+    _probe_brick(report, guard, sanitize)
+    _probe_array(report, guard, sanitize)
+
+
+_ASAN_HINT = (
+    "with ASan the host process must preload libasan:"
+    " LD_PRELOAD=$(cc -print-file-name=libasan.so)"
+)
+_FP_HINT = (
+    "suspect compiler flags reordering FP arithmetic;"
+    " -ffp-contract=off must be honoured"
+)
+
+
+def _probe_brick(report: CheckReport, guard: bool, sanitize) -> None:
+    """Compile-and-compare: 2 bricks gathering only from themselves."""
     volume = int(np.prod(_PROBE_BD))
     source = cbackend.batch_step_source(
         _PROBE_TAPS, tuple(reversed(_PROBE_BD)), 1, 0, volume, guard=guard
     )
-    fn = cbackend._build(source, guard=guard, extra_flags=sanitize)
-    if fn is None:
+    try:
+        fn = cbackend._build(source, guard=guard, extra_flags=sanitize)
+    except cbackend.KernelBuildError as err:
         report.error(
             PASS, "probe-compile",
-            f"the probe kernel failed to compile or load with {cc}"
-            + (f" and flags {' '.join(sanitize)}" if sanitize else ""),
-            hint="with ASan the host process must preload libasan:"
-                 " LD_PRELOAD=$(cc -print-file-name=libasan.so)",
+            f"the brick probe kernel failed to compile or load: {err}",
+            hint=_ASAN_HINT,
         )
         return
     rng = np.random.default_rng(12345)
@@ -158,8 +175,42 @@ def verify_cbackend(report: CheckReport, probe: bool = True) -> None:
         diff = int((got != ref).sum())
         report.error(
             PASS, "probe-mismatch",
-            f"the compiled probe kernel differs from the NumPy tap"
+            f"the compiled brick probe kernel differs from the NumPy tap"
             f" arithmetic on {diff} of {got.size} cells",
-            hint="suspect compiler flags reordering FP arithmetic;"
-                 " -ffp-contract=off must be honoured",
+            hint=_FP_HINT,
+        )
+
+
+def _probe_array(report: CheckReport, guard: bool, sanitize) -> None:
+    """Compile-and-compare: two boxes of a 6^3 extended array."""
+    shape = tuple(b + 2 for b in reversed(_PROBE_BD))
+    source = cbackend.array_step_source(_PROBE_TAPS, shape, guard=guard)
+    try:
+        fn = cbackend._build_array(source, guard=guard, extra_flags=sanitize)
+    except cbackend.KernelBuildError as err:
+        report.error(
+            PASS, "array-probe-compile",
+            f"the array probe kernel failed to compile or load: {err}",
+            hint=_ASAN_HINT,
+        )
+        return
+    arr = np.random.default_rng(54321).random(shape)
+    got = np.zeros(shape)
+    # Two boxes covering the interior, split along the slowest axis.
+    boxes = np.array(
+        [[(1, 3), (1, 5), (1, 5)], [(3, 5), (1, 5), (1, 5)]], dtype=np.int64
+    )
+    fn(arr, got, boxes)
+    ref = np.zeros(shape)
+    apply_array_stencil(
+        arr, ref, StencilSpec("probe", 3, _PROBE_TAPS, 13.0, 16.0),
+        _PROBE_BD, 1,
+    )
+    if not np.array_equal(got, ref):
+        diff = int((got != ref).sum())
+        report.error(
+            PASS, "array-probe-mismatch",
+            f"the compiled array probe kernel differs from the NumPy tap"
+            f" arithmetic on {diff} of {int(np.prod(_PROBE_BD))} cells",
+            hint=_FP_HINT,
         )

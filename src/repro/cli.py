@@ -151,6 +151,7 @@ def _cmd_run(args) -> int:
         print(f"exchange period: {run.exchange_period} (ghost-cell expansion)")
     if run.mapping_count:
         print(f"mmap views: {run.mapping_count} kernel mappings")
+    print(f"kernel backend: {run.kernel_backend}")
     exact = None
     if problem.periodic:
         ref = apply_periodic_reference(
@@ -174,6 +175,7 @@ def _cmd_run(args) -> int:
             "wire_bytes_per_rank": run.wire_bytes_per_rank,
             "padding_fraction": run.padding_fraction,
             "mapping_count": run.mapping_count,
+            "kernel_backend": run.kernel_backend,
             "gstencils_per_s": m.gstencils_per_s,
             "phases_s": {
                 p: vars(m.phase(p))

@@ -114,6 +114,9 @@ class ExecutedRun:
     reshapes: int = 0  # elastic reshapes after permanent rank deaths
     final_rank_dims: Tuple[int, ...] = ()  # decomposition the run ended on
     dead_ranks: Tuple[int, ...] = ()  # old-world ranks lost permanently
+    # Tier the stencil plans stepped on ("cffi" | "numpy"), as compiled --
+    # under REPRO_KERNEL_BACKEND=auto a fallback shows up here.
+    kernel_backend: str = ""
 
     @property
     def hidden_comm_fraction(self) -> float:
@@ -698,6 +701,7 @@ def _rank_fn(
         "ckpt_bytes": cp.saved_bytes if cp is not None else 0,
         "overlap": phased,
         "hidden_s": hidden_s,
+        "kernel_backend": state.plans[0].kernel_backend,
     }
 
 
@@ -1037,4 +1041,5 @@ def run_executed(
         reshapes=reshapes,
         final_rank_dims=tuple(cur_problem.rank_dims),
         dead_ranks=tuple(sorted(set(dead_total))),
+        kernel_backend=outs[0]["kernel_backend"],
     )

@@ -17,11 +17,7 @@ from repro.stencil.spec import (
 )
 from repro.stencil.kernels import apply_array_stencil
 from repro.stencil.brick_kernels import apply_brick_stencil, gather_halo_batch
-from repro.stencil.codegen import (
-    generate_array_kernel,
-    generate_batch_kernel,
-    generate_batch_plan_kernel,
-)
+from repro.stencil.codegen import generate_batch_plan_kernel
 from repro.stencil.plan import (
     ArrayStencilPlan,
     BrickStencilPlan,
@@ -44,8 +40,6 @@ __all__ = [
     "compile_brick_plan",
     "cube_stencil",
     "gather_halo_batch",
-    "generate_array_kernel",
-    "generate_batch_kernel",
     "generate_batch_plan_kernel",
     "star_stencil",
 ]

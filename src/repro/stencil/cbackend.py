@@ -1,11 +1,22 @@
-"""Optional compiled (C) kernel backend for brick stencil plans.
+"""Optional compiled (C) kernel backend for stencil plans, both layouts.
 
-The planned NumPy path still makes three full passes over the halo batch
-per tap (gather via ``np.take``, multiply, add).  This module generates a
-fused C kernel per ``(stencil taps, brick shape, radius, field offset,
-brick elems)`` specialization -- gather, the unrolled tap loop and the
-scatter into destination bricks all happen in one pass per brick, reading
-straight from the plan's precomputed flat index table.
+The planned NumPy paths make full passes over their data per tap (bricks:
+gather via ``np.take``, multiply, add over the halo batch; arrays:
+multiply and add over a strided box view).  This module generates one
+fused C kernel per specialization instead:
+
+* **bricks** -- per ``(stencil taps, brick shape, radius, field offset,
+  brick elems)``: gather, the unrolled tap loop and the scatter into
+  destination bricks in one pass per brick, reading straight from the
+  plan's precomputed flat index table (:func:`batch_step_source`);
+* **extended arrays** -- per ``(stencil taps, extended shape)``: the
+  unrolled tap loop as a unit-stride sweep over a list of boxes whose
+  bounds arrive at call time, so a whole-region plan, every
+  ghost-expansion margin and the interior + surface slabs of a phased
+  run share one build (:func:`array_step_source`).
+
+Both layouts compute on the same tier, which is what lets the paper's
+"compute time is layout-independent" (Fig. 10) hold in measured time.
 
 Bit-exactness with the NumPy path is by construction:
 
@@ -19,9 +30,11 @@ Bit-exactness with the NumPy path is by construction:
 
 Backend selection (:func:`backend_choice`) honours the
 ``REPRO_KERNEL_BACKEND`` environment variable: ``auto`` (default) uses C
-when ``cffi`` and a C compiler are available and falls back to NumPy
-silently; ``numpy`` forces the fallback; ``cffi`` demands the compiled
-backend and raises if it cannot be built.  Compiled kernels are stateless
+when ``cffi`` and a C compiler are available and otherwise falls back to
+NumPy (a plan's ``kernel_backend`` says which it got); ``numpy`` forces
+the fallback; ``cffi`` demands the compiled backend and raises
+:class:`KernelBuildError`, carrying the compiler's reason, if it cannot
+be built.  Compiled kernels are stateless
 (all mutable state stays in caller-owned arrays), so the per-process
 module cache may hand the same kernel to every rank thread; calls release
 the GIL, so rank threads genuinely overlap inside the kernel.
@@ -40,12 +53,15 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "KernelBoundsError",
+    "KernelBuildError",
+    "array_step_kernel",
+    "array_step_source",
     "backend_choice",
     "batch_step_kernel",
     "batch_step_source",
@@ -59,7 +75,8 @@ except ImportError:  # pragma: no cover - environment without cffi
     cffi = None
 
 _lock = threading.Lock()
-_kernels: Dict[Tuple, Optional[Callable]] = {}
+# specialization key -> loaded kernel, or the reason it could not be built
+_kernels: Dict[Tuple, Union[Callable, "KernelBuildError"]] = {}
 _build_dirs: list = []
 
 #: sanitizers REPRO_CC_SANITIZE may request, mapped to compile flags
@@ -68,14 +85,32 @@ _SANITIZERS = {
     "undefined": "-fsanitize=undefined",
 }
 
+#: The kernels are straight-line unrolled tap loops: what they need from
+#: the optimizer is register allocation and SIMD on the unit-stride axis.
+#: Measured against -O3 (EXPERIMENTS "One kernel tier"): identical bits
+#: and run time for the brick and the array kernel, 7- and 125-point,
+#: at 0.55-0.8x the compile time -- which pays for the second build.
+_OPT_FLAGS = ("-O1", "-ftree-vectorize")
+#: lines of the compiler's stderr a KernelBuildError carries
+_STDERR_LINES = 3
+
 
 class KernelBoundsError(RuntimeError):
-    """The bounds-guarded C kernel observed out-of-range table indices.
+    """The bounds-guarded C kernel observed out-of-range accesses.
 
     Only raised when ``REPRO_CC_BOUNDS=1`` selects the guarded kernel
-    variant, which checks every gather load and scatter store against
-    the storage extents at runtime and reports the violation count
-    instead of touching memory out of bounds.
+    variant, which checks every gather load and scatter store (bricks)
+    or every box's read footprint (arrays) against the storage extents
+    at runtime and reports the violation count instead of touching
+    memory out of bounds.
+    """
+
+
+class KernelBuildError(RuntimeError):
+    """No compiled kernel: the message says what the toolchain refused.
+
+    Raised to the caller only when ``REPRO_KERNEL_BACKEND=cffi`` demands
+    the compiled backend; under ``auto`` the plan takes the NumPy tier.
     """
 
 
@@ -138,6 +173,47 @@ def _hexf(x: float) -> str:
     return float(x).hex()
 
 
+def _row_major_strides(shape: Sequence[int]) -> List[int]:
+    strides = [1] * len(shape)
+    for a in range(len(shape) - 2, -1, -1):
+        strides[a] = strides[a + 1] * shape[a + 1]
+    return strides
+
+
+def _tap_terms(
+    taps: Sequence[Tuple[Tuple[int, ...], float]], strides: Sequence[int]
+) -> Tuple[List[int], List[Tuple[int, float]]]:
+    """``(unique flat offsets, (offset slot, coeff) per tap)``.
+
+    Redundancy elimination across taps: every tap is a constant flat
+    offset from the cell's own position, and taps landing on the same
+    cell share one load (offsets are in first-use order, terms in tap
+    order).  The per-tap arithmetic then degenerates to one load, one
+    multiply, one add.
+    """
+    offsets: List[int] = []
+    terms: List[Tuple[int, float]] = []
+    for off, coeff in taps:
+        rel = sum(o * s for o, s in zip(reversed(off), strides))
+        if rel not in offsets:
+            offsets.append(rel)
+        terms.append((offsets.index(rel), coeff))
+    return offsets, terms
+
+
+def _accumulate(terms: Sequence[Tuple[int, float]], indent: str) -> List[str]:
+    """The canonical tap loop over loaded ``x<slot>`` values, unrolled:
+    ``acc = c0*x0`` then ``t = ci*xi; acc = acc + t`` per tap."""
+    slot0, c0 = terms[0]
+    lines = [f"{indent}double acc = {_hexf(c0)} * x{slot0};"]
+    if len(terms) > 1:
+        lines.append(f"{indent}double t;")
+        for slot, coeff in terms[1:]:
+            lines.append(f"{indent}t = {_hexf(coeff)} * x{slot};")
+            lines.append(f"{indent}acc = acc + t;")
+    return lines
+
+
 def batch_step_source(
     taps: Sequence[Tuple[Tuple[int, ...], float]],
     np_bd: Tuple[int, ...],
@@ -164,24 +240,10 @@ def batch_step_source(
     ndim = len(np_bd)
     halo_np = tuple(b + 2 * radius for b in np_bd)
     halo_elems = int(math.prod(halo_np))
-    # Row-major strides of the halo box.
-    strides = [1] * ndim
-    for a in range(ndim - 2, -1, -1):
-        strides[a] = strides[a + 1] * halo_np[a + 1]
-
-    # Redundancy elimination across taps: the cell's centered halo
-    # position is computed once (``base``), every tap is a constant
-    # offset from it, and taps landing on the same halo cell share one
-    # load.  The per-tap arithmetic then degenerates to one load, one
-    # multiply, one add.
-    tap_offsets = []  # unique halo offsets, in first-use order
-    tap_terms = []  # (offset slot, coeff) per tap, in tap order
-    for off, coeff in taps:
-        off_np = tuple(reversed(off))
-        rel = sum(o * s for o, s in zip(off_np, strides))
-        if rel not in tap_offsets:
-            tap_offsets.append(rel)
-        tap_terms.append((tap_offsets.index(rel), coeff))
+    strides = _row_major_strides(halo_np)
+    # The cell's centered halo position is computed once (``base``);
+    # taps are constant offsets from it.
+    tap_offsets, tap_terms = _tap_terms(taps, strides)
 
     center = sum(radius * s for s in strides)
     body = []
@@ -248,17 +310,9 @@ def batch_step_source(
                 f"{indent}const double x{slot} ="
                 f" j{slot} < 0 ? 0.0 : src[j{slot}];"
             )
-    slot0, c0 = tap_terms[0]
-    body.append(f"{indent}double acc = {_hexf(c0)} * x{slot0};")
-    if len(tap_terms) > 1:
-        body.append(f"{indent}double t;")
-        for slot, coeff in tap_terms[1:]:
-            body.append(f"{indent}t = {_hexf(coeff)} * x{slot};")
-            body.append(f"{indent}acc = acc + t;")
+    body += _accumulate(tap_terms, indent)
     # Output cell in brick row-major order, matching the loop nest.
-    bstr = [1] * ndim
-    for a in range(ndim - 2, -1, -1):
-        bstr[a] = bstr[a + 1] * np_bd[a + 1]
+    bstr = _row_major_strides(np_bd)
     cell = " + ".join(f"{v} * {s}" for v, s in zip(loop_vars, bstr))
     if guard:
         body.append(
@@ -279,18 +333,122 @@ def batch_step_source(
     return "\n".join(body) + "\n"
 
 
-def _build(
-    source: str,
+def array_step_source(
+    taps: Sequence[Tuple[Tuple[int, ...], float]],
+    shape: Tuple[int, ...],
     guard: bool = False,
-    extra_flags: Sequence[str] = (),
-) -> Optional[Callable]:
-    """Compile *source* into a loaded kernel; None when the toolchain
-    refuses (caller decides whether that is fatal)."""
+) -> str:
+    """C source of the extended-array box kernel.
+
+    Signature: ``repro_array_step(src, dst, boxes, nboxes)`` where
+    *src*/*dst* are C-contiguous float64 arrays of extended shape
+    *shape* (numpy axis order) and *boxes* holds ``nboxes`` boxes of
+    per-axis ``(lo, hi)`` int64 pairs.  The shape -- and with it every
+    tap's flat offset -- is a compile-time constant; the box bounds are
+    call-time data, so one build serves every box of that array.  The
+    innermost loop is the unit-stride axis: loads at constant offsets
+    from the cell, the canonical unrolled tap loop, one store.
+
+    With *guard* (``REPRO_CC_BOUNDS=1``) the signature grows
+    ``src_elems``/``dst_elems`` and the function returns the number of
+    boxes it refused: a box whose read footprint (the box grown by the
+    taps' reach per axis) leaves the extended array -- or any box at
+    all when an array is smaller than *shape* -- is skipped and
+    counted, and the Python wrapper raises :class:`KernelBoundsError`.
+    Guarded and unguarded kernels are bit-identical on in-bounds boxes.
+    """
+    shape = tuple(int(n) for n in shape)
+    ndim = len(shape)
+    strides = _row_major_strides(shape)
+    tap_offsets, tap_terms = _tap_terms(taps, strides)
+    ret = "int64_t" if guard else "void"
+    pad = " " * 22
+    body = [
+        "#include <stdint.h>",
+        "",
+        f"{ret} repro_array_step(const double *restrict src,"
+        " double *restrict dst,",
+        f"{pad}const int64_t *restrict boxes, int64_t nboxes"
+        + (f",\n{pad}int64_t src_elems, int64_t dst_elems)" if guard else ")"),
+        "{",
+    ]
+    if guard:
+        body.append("    int64_t violations = 0;")
+    body.append("    int64_t b;")
+    body.append("    for (b = 0; b < nboxes; ++b) {")
+    body.append(f"        const int64_t *box = boxes + b * {2 * ndim};")
+    if guard:
+        # Per-axis reach of the taps below / above the cell.
+        below = [max(0, -min(off[ndim - 1 - a] for off, _ in taps))
+                 for a in range(ndim)]
+        above = [max(0, max(off[ndim - 1 - a] for off, _ in taps))
+                 for a in range(ndim)]
+        elems = int(math.prod(shape))
+        checks = [f"src_elems < {elems}", f"dst_elems < {elems}"]
+        for a in range(ndim):
+            checks.append(f"box[{2 * a}] < {below[a]}")
+            checks.append(f"box[{2 * a + 1}] > {shape[a] - above[a]}")
+        body.append("        if (" + " || ".join(checks) + ") {")
+        body.append("            ++violations;")
+        body.append("            continue;")
+        body.append("        }")
+    indent = "        "
+    loop_vars = [f"i{a}" for a in range(ndim)]
+    for a in range(ndim - 1):
+        v = loop_vars[a]
+        body.append(
+            f"{indent}for (int64_t {v} = box[{2 * a}];"
+            f" {v} < box[{2 * a + 1}]; ++{v}) {{"
+        )
+        indent += "    "
+    row = " + ".join(
+        f"{v} * {s}" for v, s in zip(loop_vars[:-1], strides[:-1])
+    ) or "0"
+    body.append(f"{indent}const double *restrict x = src + ({row});")
+    body.append(f"{indent}double *restrict o = dst + ({row});")
+    v = loop_vars[-1]
+    body.append(
+        f"{indent}for (int64_t {v} = box[{2 * ndim - 2}];"
+        f" {v} < box[{2 * ndim - 1}]; ++{v}) {{"
+    )
+    inner = indent + "    "
+    for slot, rel in enumerate(tap_offsets):
+        body.append(f"{inner}const double x{slot} = x[{v} + ({rel})];")
+    body += _accumulate(tap_terms, inner)
+    body.append(f"{inner}o[{v}] = acc;")
+    for a in range(ndim):
+        body.append(f"{indent}}}")
+        indent = indent[:-4]
+    body.append("    }")
+    if guard:
+        body.append("    return violations;")
+    body.append("}")
+    return "\n".join(body) + "\n"
+
+
+_BATCH_ARGS = (
+    "const double *src, double *dst, const int64_t *index,"
+    " const int64_t *slots, int64_t nbricks"
+)
+_ARRAY_ARGS = (
+    "const double *src, double *dst, const int64_t *boxes, int64_t nboxes"
+)
+_GUARD_ARGS = ", int64_t src_elems, int64_t dst_elems"
+
+
+def _load(
+    source: str, name: str, args: str, guard: bool, extra_flags: Sequence[str]
+):
+    """Compile *source* and return ``(ffi, lib.<name>, lib)``.
+
+    Raises :class:`KernelBuildError` naming what refused: no ``cffi``,
+    no compiler, or the compiler's / loader's own first words.
+    """
     if cffi is None:
-        return None
+        raise KernelBuildError("cffi is not installed")
     cc = _compiler()
     if cc is None:
-        return None
+        raise KernelBuildError("no C compiler (cc or gcc) on PATH")
     workdir = tempfile.mkdtemp(prefix="repro-ckernel-")
     _build_dirs.append(workdir)
     c_path = os.path.join(workdir, "kernel.c")
@@ -298,81 +456,97 @@ def _build(
     with open(c_path, "w") as fh:
         fh.write(source)
     cmd = [
-        cc, "-O3", "-fPIC", "-shared", "-ffp-contract=off",
+        cc, *_OPT_FLAGS, "-fPIC", "-shared", "-ffp-contract=off",
         *extra_flags,
         "-o", so_path, c_path,
     ]
     try:
-        subprocess.run(
-            cmd, check=True, capture_output=True, timeout=120
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
+        subprocess.run(cmd, check=True, capture_output=True, timeout=120)
+    except subprocess.CalledProcessError as err:
+        stderr = err.stderr.decode(errors="replace").strip().splitlines()
+        raise KernelBuildError(
+            f"{' '.join(cmd[:-3])} exited {err.returncode}: "
+            + (" | ".join(stderr[:_STDERR_LINES]) or "no diagnostics")
+        ) from None
+    except (OSError, subprocess.SubprocessError) as err:
+        raise KernelBuildError(f"{cc} did not run: {err}") from None
     ffi = cffi.FFI()
-    if guard:
-        ffi.cdef(
-            "int64_t repro_step(const double *src, double *dst,"
-            " const int64_t *index, const int64_t *slots,"
-            " int64_t nbricks, int64_t src_elems, int64_t dst_elems);"
-        )
-    else:
-        ffi.cdef(
-            "void repro_step(const double *src, double *dst,"
-            " const int64_t *index, const int64_t *slots,"
-            " int64_t nbricks);"
-        )
+    ret = "int64_t" if guard else "void"
+    ffi.cdef(f"{ret} {name}({args}{_GUARD_ARGS if guard else ''});")
     try:
         lib = ffi.dlopen(so_path)
-    except OSError:
-        return None
+    except OSError as err:
+        raise KernelBuildError(f"dlopen of the built kernel: {err}") from None
+    return ffi, getattr(lib, name), lib
 
+
+def _finish(call: Callable, lib, guard: bool, source: str, what: str):
+    """The kernel callers hold: *call* itself, or under *guard* *call*
+    handed the array extents and its violation count made a typed error.
+
+    *call* binds one loaded C function's pointer arguments; keeping the
+    unguarded kernel to that single frame matters on small subdomains,
+    where 8 ranks x one call per step is a visible share of the step.
+    """
+    step = call
     if guard:
 
-        def step(
-            src_data: np.ndarray,
-            dst_data: np.ndarray,
-            index: np.ndarray,
-            slots: np.ndarray,
-            _ffi=ffi,
-            _fn=lib.repro_step,
-        ) -> None:
-            violations = _fn(
-                _ffi.cast("const double *", _ffi.from_buffer(src_data)),
-                _ffi.cast("double *", _ffi.from_buffer(dst_data)),
-                _ffi.cast("const int64_t *", _ffi.from_buffer(index)),
-                _ffi.cast("const int64_t *", _ffi.from_buffer(slots)),
-                len(slots),
-                src_data.size,
-                dst_data.size,
+        def step(src_data: np.ndarray, dst_data: np.ndarray, *tables) -> None:
+            violations = call(
+                src_data, dst_data, *tables, src_data.size, dst_data.size
             )
             if violations:
                 raise KernelBoundsError(
                     f"bounds-guarded kernel observed {violations}"
-                    " out-of-range table index value(s)"
-                    " (REPRO_CC_BOUNDS=1)"
+                    f" out-of-range {what} (REPRO_CC_BOUNDS=1)"
                 )
-
-    else:
-
-        def step(
-            src_data: np.ndarray,
-            dst_data: np.ndarray,
-            index: np.ndarray,
-            slots: np.ndarray,
-            _ffi=ffi,
-            _fn=lib.repro_step,
-        ) -> None:
-            _fn(
-                _ffi.cast("const double *", _ffi.from_buffer(src_data)),
-                _ffi.cast("double *", _ffi.from_buffer(dst_data)),
-                _ffi.cast("const int64_t *", _ffi.from_buffer(index)),
-                _ffi.cast("const int64_t *", _ffi.from_buffer(slots)),
-                len(slots),
-            )
 
     step.__source__ = source
     step.__lib__ = lib  # keep the dlopen handle alive with the kernel
     return step
+
+
+def _build(
+    source: str, guard: bool = False, extra_flags: Sequence[str] = ()
+) -> Callable:
+    """Compile and load brick-batch *source* (:func:`batch_step_source`)
+    as ``step(src_data, dst_data, index, slots)``."""
+    ffi, fn, lib = _load(source, "repro_step", _BATCH_ARGS, guard, extra_flags)
+    cast, from_buffer = ffi.cast, ffi.from_buffer
+
+    def call(src_data, dst_data, index, slots, *extents):
+        return fn(
+            cast("const double *", from_buffer(src_data)),
+            cast("double *", from_buffer(dst_data, require_writable=True)),
+            cast("const int64_t *", from_buffer(index)),
+            cast("const int64_t *", from_buffer(slots)),
+            len(slots),
+            *extents,
+        )
+
+    return _finish(call, lib, guard, source, "table index value(s)")
+
+
+def _build_array(
+    source: str, guard: bool = False, extra_flags: Sequence[str] = ()
+) -> Callable:
+    """Compile and load array-box *source* (:func:`array_step_source`)
+    as ``step(arr, out, boxes)``; *boxes* is ``(nboxes, ndim, 2)``."""
+    ffi, fn, lib = _load(
+        source, "repro_array_step", _ARRAY_ARGS, guard, extra_flags
+    )
+    cast, from_buffer = ffi.cast, ffi.from_buffer
+
+    def call(arr, out, boxes, *extents):
+        return fn(
+            cast("const double *", from_buffer(arr)),
+            cast("double *", from_buffer(out, require_writable=True)),
+            cast("const int64_t *", from_buffer(boxes)),
+            len(boxes),
+            *extents,
+        )
+
+    return _finish(call, lib, guard, source, "box(es)")
 
 
 @atexit.register
@@ -381,19 +555,14 @@ def _cleanup() -> None:  # pragma: no cover - exit path
         shutil.rmtree(d, ignore_errors=True)
 
 
-def batch_step_kernel(
-    taps: Sequence[Tuple[Tuple[int, ...], float]],
-    np_bd: Tuple[int, ...],
-    radius: int,
-    field_offset: int,
-    brick_elems: int,
-    dtype: np.dtype,
-) -> Optional[Callable]:
-    """The fused C step kernel for this specialization, or ``None``.
+def _kernel_for(key: Tuple, dtype, build: Callable[[Tuple, bool], Callable]):
+    """Resolve one specialization under ``REPRO_KERNEL_BACKEND``.
 
     ``None`` means "use the NumPy plan path": backend forced off, a
-    non-double dtype, or (under ``auto``) a missing/failing toolchain.
-    Compiled kernels are cached per specialization for the process.
+    non-double dtype, or (under ``auto``) a toolchain that refused.
+    *build* gets the sanitize flags and the guard switch, which join
+    *key* in the per-process cache; a refusal is cached too, so a broken
+    toolchain is asked once per specialization, not once per plan.
     """
     choice = backend_choice()
     if choice == "numpy":
@@ -406,24 +575,59 @@ def batch_step_kernel(
         return None
     sanitize = sanitize_flags()
     guard = bounds_guard_enabled()
-    key = (
-        tuple(taps), tuple(np_bd), int(radius), int(field_offset),
-        int(brick_elems), sanitize, guard,
-    )
+    key += (sanitize, guard)
     with _lock:
-        if key in _kernels:
-            fn = _kernels[key]
-        else:
-            source = batch_step_source(
-                taps, tuple(np_bd), radius, field_offset, brick_elems,
-                guard=guard,
-            )
-            fn = _build(source, guard=guard, extra_flags=sanitize)
+        fn = _kernels.get(key)
+        if fn is None:
+            try:
+                fn = build(sanitize, guard)
+            except KernelBuildError as err:
+                fn = err
             _kernels[key] = fn
-    if fn is None and choice == "cffi":
-        raise RuntimeError(
-            "REPRO_KERNEL_BACKEND=cffi but the compiled kernel backend is"
-            " unavailable (cffi or a C compiler is missing, or compilation"
-            " failed)"
-        )
+    if isinstance(fn, KernelBuildError):
+        if choice == "cffi":
+            raise KernelBuildError(
+                "REPRO_KERNEL_BACKEND=cffi but the compiled kernel backend"
+                f" is unavailable: {fn}"
+            )
+        return None
     return fn
+
+
+def batch_step_kernel(
+    taps: Sequence[Tuple[Tuple[int, ...], float]],
+    np_bd: Tuple[int, ...],
+    radius: int,
+    field_offset: int,
+    brick_elems: int,
+    dtype: np.dtype,
+) -> Optional[Callable]:
+    """The fused C brick step kernel for this specialization, or ``None``
+    (see :func:`_kernel_for`)."""
+    spec = (
+        tuple(taps), tuple(np_bd), int(radius), int(field_offset),
+        int(brick_elems),
+    )
+    return _kernel_for(
+        ("brick",) + spec, dtype,
+        lambda sanitize, guard: _build(
+            batch_step_source(*spec, guard=guard), guard, sanitize
+        ),
+    )
+
+
+def array_step_kernel(
+    taps: Sequence[Tuple[Tuple[int, ...], float]],
+    shape: Tuple[int, ...],
+    dtype: np.dtype,
+) -> Optional[Callable]:
+    """The C array-box kernel for extended arrays of *shape*, or ``None``
+    (see :func:`_kernel_for`).  One build per ``(taps, shape, flags)``:
+    boxes are call-time data."""
+    spec = (tuple(taps), tuple(int(n) for n in shape))
+    return _kernel_for(
+        ("array",) + spec, dtype,
+        lambda sanitize, guard: _build_array(
+            array_step_source(*spec, guard=guard), guard, sanitize
+        ),
+    )

@@ -2,17 +2,16 @@
 
 The brick library's performance comes partly from a code generator that
 emits specialized, fully-unrolled stencil code per (stencil, brick shape)
-pair (paper Section 6).  This module is the Python analogue: it generates
-the source of a specialized kernel -- taps unrolled, slices precomputed as
-constants, coefficient constants folded in, accumulation done in-place to
-avoid temporaries -- compiles it with :func:`compile`/``exec``, and caches
-it per specialization key.
+pair (paper Section 6).  This module is the NumPy analogue, the ``numpy``
+kernel tier of the execution plans (:mod:`repro.stencil.cbackend` is the
+C tier): it generates the source of a specialized kernel -- taps
+unrolled, slices precomputed as constants, coefficient constants folded
+in, accumulation done in-place in caller-owned buffers -- compiles it
+with :func:`compile`/``exec``, and caches it per specialization key.
 
 The generic kernels in :mod:`repro.stencil.kernels` and
 :mod:`repro.stencil.brick_kernels` remain the reference; the test suite
-asserts the generated kernels are bit-identical to them, and the
-benchmark suite measures the speedup (tap-loop and slice-building
-overheads disappear).
+asserts the generated kernels are bit-identical to them.
 """
 
 from __future__ import annotations
@@ -24,14 +23,11 @@ import numpy as np
 from repro.stencil.spec import StencilSpec
 
 __all__ = [
-    "generate_array_kernel",
-    "generate_batch_kernel",
     "generate_batch_plan_kernel",
     "generate_array_box_kernel",
-    "array_kernel_source",
-    "batch_kernel_source",
     "batch_plan_kernel_source",
     "array_box_kernel_source",
+    "checked_box",
 ]
 
 _kernel_cache: Dict[Tuple, Callable] = {}
@@ -57,108 +53,10 @@ def _compiled(
     return fn
 
 
-def array_kernel_source(
-    spec: StencilSpec, extent: Sequence[int], ghost: int, margin: int = 0
-) -> str:
-    """Source text of a specialized extended-array kernel.
-
-    The generated function has signature ``kernel(arr, out)`` and computes
-    the owned box grown by *margin*, exactly like
-    :func:`repro.stencil.kernels.apply_array_stencil` configured the same
-    way -- including the tap order, so results are bit-identical.
-    """
-    extent = tuple(int(e) for e in extent)
-    if spec.ndim != len(extent):
-        raise ValueError("stencil/extent dimensionality mismatch")
-    if margin < 0 or spec.radius + margin > ghost:
-        raise ValueError("margin + radius must fit in the ghost width")
-    lo = ghost - margin
-    lines = [
-        "def kernel(arr, out):",
-        f"    # specialized: {spec.name} on extent {extent}, ghost {ghost},"
-        f" margin {margin}",
-    ]
-    first = True
-    for off, coeff in spec.taps:
-        slices = ", ".join(
-            _slice_expr(lo + o, e + 2 * margin)
-            for o, e in zip(reversed(off), reversed(extent))
-        )
-        term = f"{coeff!r} * arr[{slices}]"
-        if first:
-            lines.append(f"    acc = {term}")
-            first = False
-        else:
-            lines.append(f"    acc += {term}")
-    region = ", ".join(
-        _slice_expr(lo, e + 2 * margin) for e in reversed(extent)
-    )
-    lines.append(f"    out[{region}] = acc")
-    return "\n".join(lines) + "\n"
-
-
-def generate_array_kernel(
-    spec: StencilSpec, extent: Sequence[int], ghost: int, margin: int = 0
-) -> Callable[[np.ndarray, np.ndarray], None]:
-    """Compile (and cache) the specialized array kernel."""
-    return _compiled(array_kernel_source, "stencil", spec, tuple(extent),
-                     ghost, margin)
-
-
-def batch_kernel_source(spec: StencilSpec, brick_dim: Sequence[int]) -> str:
-    """Source of a specialized halo-batch kernel for brick storage.
-
-    Signature ``kernel(halo) -> ndarray``: *halo* is the
-    ``(nbricks, bd_D + 2r, ..., bd_1 + 2r)`` batch from
-    :func:`repro.stencil.brick_kernels.gather_halo_batch`; the result is
-    the ``(nbricks, bd_D, ..., bd_1)`` stencil output.  Bit-identical to
-    the generic tap loop (same accumulation order).
-    """
-    brick_dim = tuple(int(b) for b in brick_dim)
-    if spec.ndim != len(brick_dim):
-        raise ValueError("stencil/brick dimensionality mismatch")
-    r = spec.radius
-    if r > min(brick_dim):
-        raise ValueError("stencil radius exceeds the brick dimension")
-    lines = [
-        "def kernel(halo):",
-        f"    # specialized: {spec.name} on {brick_dim} bricks, radius {r}",
-    ]
-    first = True
-    for off, coeff in spec.taps:
-        slices = ", ".join(
-            ["slice(None)"]
-            + [
-                _slice_expr(r + o, b)
-                for o, b in zip(reversed(off), reversed(brick_dim))
-            ]
-        )
-        term = f"{coeff!r} * halo[{slices}]"
-        if first:
-            lines.append(f"    acc = {term}")
-            first = False
-        else:
-            lines.append(f"    acc += {term}")
-    lines.append("    return acc")
-    return "\n".join(lines) + "\n"
-
-
-def generate_batch_kernel(
-    spec: StencilSpec, brick_dim: Sequence[int]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile (and cache) the specialized halo-batch kernel."""
-    return _compiled(batch_kernel_source, "brick-stencil", spec,
-                     tuple(brick_dim))
-
-
-# ----------------------------------------------------------------------
-# Plan kernels: fully in-place variants used by the execution-plan layer
-# (repro.stencil.plan).  Same tap order and scalar-times-slice operand
-# order as the generic loops, so results stay bit-identical; the only
-# difference is that every intermediate lands in a caller-owned buffer
-# (``np.multiply(..., out=)`` / in-place ``np.add``), so the per-step tap
-# loop allocates nothing.
-# ----------------------------------------------------------------------
+# Same tap order and scalar-times-slice operand order as the generic
+# loops, so results stay bit-identical; every intermediate lands in a
+# caller-owned buffer (``np.multiply(..., out=)`` / in-place ``np.add``),
+# so the per-step tap loop allocates nothing.
 
 def _plan_body(taps, slices_of, acc: str, tmp: str, src: str) -> list:
     lines = []
@@ -174,6 +72,24 @@ def _plan_body(taps, slices_of, acc: str, tmp: str, src: str) -> list:
     return lines
 
 
+def checked_box(
+    box: Sequence[Tuple[int, int]], shape: Sequence[int], radius: int
+) -> Tuple[Tuple[int, int], ...]:
+    """*box* as int pairs, or ``ValueError`` when it is empty or a
+    radius-*radius* stencil on it reads outside an array of *shape*."""
+    box = tuple((int(lo), int(hi)) for lo, hi in box)
+    if len(box) != len(shape):
+        raise ValueError("box/extent dimensionality mismatch")
+    for (lo, hi), n in zip(box, shape):
+        if lo >= hi:
+            raise ValueError(f"empty box range ({lo}, {hi})")
+        if lo - radius < 0 or hi + radius > n:
+            raise ValueError(
+                f"box range ({lo}, {hi}) reads outside the extended array"
+            )
+    return box
+
+
 def array_box_kernel_source(
     spec: StencilSpec,
     extent: Sequence[int],
@@ -186,8 +102,8 @@ def array_box_kernel_source(
     coordinates.  Signature ``kernel(arr, out, tmp)``: accumulates
     directly into the box of *out* (a strided view), using *tmp*
     (box-shaped scratch) for every tap past the first.  Bit-identical to
-    :func:`array_kernel_source` / the generic
-    :func:`~repro.stencil.kernels.apply_array_stencil` on the same cells
+    the generic :func:`~repro.stencil.kernels.apply_array_stencil` on the
+    same cells
     (same tap and operand order, and cells are independent), so a
     disjoint box cover of a region equals one sweep of the box that is
     the whole region -- what the unsplit array plan compiles -- and the
@@ -196,17 +112,9 @@ def array_box_kernel_source(
     extent = tuple(int(e) for e in extent)
     if spec.ndim != len(extent):
         raise ValueError("stencil/extent dimensionality mismatch")
-    box = tuple((int(lo), int(hi)) for lo, hi in box)
-    if len(box) != spec.ndim:
-        raise ValueError("box/extent dimensionality mismatch")
-    r = spec.radius
-    for (lo, hi), e in zip(box, reversed(extent)):
-        if lo >= hi:
-            raise ValueError(f"empty box range ({lo}, {hi})")
-        if lo - r < 0 or hi + r > e + 2 * ghost:
-            raise ValueError(
-                f"box range ({lo}, {hi}) reads outside the extended array"
-            )
+    box = checked_box(
+        box, tuple(e + 2 * ghost for e in reversed(extent)), spec.radius
+    )
 
     def slices_of(off):
         return ", ".join(
@@ -242,7 +150,8 @@ def batch_plan_kernel_source(spec: StencilSpec, brick_dim: Sequence[int]) -> str
 
     Signature ``kernel(halo, acc, tmp)``: *halo* is the gathered batch,
     *acc* receives the ``(nbricks, bd_D, ..., bd_1)`` result, *tmp* is
-    same-shaped scratch.  Bit-identical to :func:`batch_kernel_source`.
+    same-shaped scratch.  Bit-identical to the generic tap loop of
+    :func:`~repro.stencil.brick_kernels.apply_brick_stencil`.
     """
     brick_dim = tuple(int(b) for b in brick_dim)
     if spec.ndim != len(brick_dim):

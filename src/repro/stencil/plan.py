@@ -41,8 +41,13 @@ from repro.brick.info import BrickInfo, all_direction_vectors, direction_index
 from repro.brick.storage import BrickStorage
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
-from repro.stencil.cbackend import batch_step_kernel
+from repro.stencil.cbackend import (
+    array_step_kernel,
+    backend_choice,
+    batch_step_kernel,
+)
 from repro.stencil.codegen import (
+    checked_box,
     generate_array_box_kernel,
     generate_batch_plan_kernel,
 )
@@ -149,8 +154,10 @@ def _build_gather_chunk(
     if mask.any():
         absent_flat = np.flatnonzero(mask)
         # Sentinel -1: np.take reads the (re-zeroed) last element, the C
-        # backend branches to a 0.0 contribution directly.
-        index.reshape(-1)[absent_flat] = -1
+        # backend branches to a 0.0 contribution directly.  (Assigned
+        # through the mask: the fancy-indexed table is not C-ordered, so
+        # a reshape(-1) of it would be a copy.)
+        index[mask] = -1
     index = np.ascontiguousarray(index.reshape((n,) + halo_np))
     # Contiguous slot batches scatter with one slice assignment.
     scatter: Union[slice, np.ndarray]
@@ -229,6 +236,11 @@ class BrickStencilPlan:
             self._acc = np.empty((nmax,) + self._np_bd, dtype=self.dtype)
             self._tmp = np.empty_like(self._acc)
             self._kernel = generate_batch_plan_kernel(spec, bd)
+
+    @property
+    def kernel_backend(self) -> str:
+        """The tier this plan steps on: ``"cffi"`` or ``"numpy"``."""
+        return "cffi" if self._ckernel is not None else "numpy"
 
     def _check_storage(self, storage: BrickStorage, role: str) -> None:
         if storage.brick_elems != self.brick_elems:
@@ -439,12 +451,16 @@ class ArrayStencilPlan:
     """Compiled executor of one stencil over boxes of an extended array.
 
     A plan is a list of boxes (per-numpy-axis ``(lo, hi)`` ranges in
-    extended-array coordinates), each with its codegen in-place box
-    kernel and a persistent box-shaped tap scratch.  The default is the
-    one box the pack/mpi_types/shift executed paths sweep, the owned
-    region grown by *margin*; the phase split passes the interior box or
-    the surface slabs of that region instead.  Results are bit-identical
-    to :func:`repro.stencil.kernels.apply_array_stencil` on those cells.
+    extended-array coordinates).  The default is the one box the
+    pack/mpi_types/shift executed paths sweep, the owned region grown by
+    *margin*; the phase split passes the interior box or the surface
+    slabs of that region instead.  Like a brick plan it steps on the C
+    kernel tier when ``REPRO_KERNEL_BACKEND`` allows -- one compiled
+    function per extended shape, handed the box list per call -- and
+    otherwise on the codegen NumPy box kernels with a persistent
+    box-shaped tap scratch each.  Results are bit-identical to
+    :func:`repro.stencil.kernels.apply_array_stencil` on those cells
+    either way.
     """
 
     def __init__(
@@ -481,14 +497,33 @@ class ArrayStencilPlan:
         self.margin = int(margin)
         self.dtype = np.dtype(dtype)
         self._expected = tuple(e + 2 * ghost for e in reversed(extent))
-        self._steps = [
+        self.boxes = tuple(
+            checked_box(box, self._expected, spec.radius) for box in boxes
+        )
+        self.cells = int(
+            sum(math.prod(hi - lo for lo, hi in box) for box in self.boxes)
+        )
+        self._box_table = np.array(self.boxes, dtype=np.int64)
+        self._ckernel = array_step_kernel(
+            spec.taps, self._expected, self.dtype
+        )
+        self._steps = None if self._ckernel is not None else self._numpy_steps()
+
+    @property
+    def kernel_backend(self) -> str:
+        """The tier this plan steps on: ``"cffi"`` or ``"numpy"``."""
+        return "cffi" if self._ckernel is not None else "numpy"
+
+    def _numpy_steps(self) -> list:
+        return [
             (
-                generate_array_box_kernel(spec, extent, ghost, box),
+                generate_array_box_kernel(
+                    self.spec, self.extent, self.ghost, box
+                ),
                 np.empty(tuple(hi - lo for lo, hi in box), dtype=self.dtype),
             )
-            for box in boxes
+            for box in self.boxes
         ]
-        self.cells = int(sum(tmp.size for _kernel, tmp in self._steps))
 
     def execute(self, arr: np.ndarray, out: np.ndarray) -> None:
         """``out[box] = stencil(arr)`` over every planned box; *arr* and
@@ -500,8 +535,26 @@ class ArrayStencilPlan:
                 f"expected extended shape {self._expected},"
                 f" got {arr.shape} / {out.shape}"
             )
+        ck = self._ckernel
+        if ck is not None:
+            if _c_addressable(arr) and _c_addressable(out):
+                ck(arr, out, self._box_table)
+                return
+            # The C kernel walks raw float64 row-major memory; anything
+            # else steps on the NumPy tier rather than reading garbage.
+            if backend_choice() == "cffi":
+                raise RuntimeError(
+                    "REPRO_KERNEL_BACKEND=cffi supports C-contiguous"
+                    " float64 extended arrays only"
+                )
+            if self._steps is None:
+                self._steps = self._numpy_steps()
         for kernel, tmp in self._steps:
             kernel(arr, out, tmp)
+
+
+def _c_addressable(a: np.ndarray) -> bool:
+    return a.dtype == np.float64 and a.flags.c_contiguous
 
 
 def compile_array_plan(

@@ -223,6 +223,12 @@ class TestNegotiation:
 # ----------------------------------------------------------------------
 # C backend pass + sanitize/bounds modes
 # ----------------------------------------------------------------------
+needs_cc = pytest.mark.skipif(
+    cbackend._compiler() is None or cbackend.cffi is None,
+    reason="no C toolchain",
+)
+
+
 class TestCBackend:
     def test_pass_clean_here(self):
         rep = CheckReport()
@@ -256,10 +262,11 @@ class TestCBackend:
             taps, np_bd, r, 0, be, guard=True
         )
         assert "int64_t repro_step" in guard_src
-        plain = cbackend._build(plain_src)
-        guarded = cbackend._build(guard_src, guard=True)
-        if plain is None or guarded is None:
-            pytest.skip("no C toolchain")
+        try:
+            plain = cbackend._build(plain_src)
+            guarded = cbackend._build(guard_src, guard=True)
+        except cbackend.KernelBuildError as err:
+            pytest.skip(f"no C toolchain: {err}")
         rng = np.random.default_rng(0)
         nb = 2
         halo = tuple(b + 2 * r for b in np_bd)
@@ -285,9 +292,77 @@ class TestCBackend:
     def test_bounds_env_selects_guard_in_kernel_cache(self, monkeypatch):
         if cbackend._compiler() is None or cbackend.cffi is None:
             pytest.skip("no C toolchain")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         monkeypatch.setenv("REPRO_CC_BOUNDS", "1")
         fn = cbackend.batch_step_kernel(
             SEVEN_POINT.taps, (8, 8, 8), 1, 0, 512, np.float64
         )
         assert fn is not None
         assert "src_elems" in fn.__source__
+
+    @needs_cc
+    def test_array_probe_is_its_own_finding(self, monkeypatch):
+        """The brick and the array kernel are probed separately: break
+        only the array build and only its finding appears, carrying the
+        compiler's own words."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        real = cbackend.array_step_source
+        monkeypatch.setattr(
+            cbackend, "array_step_source",
+            lambda *a, **k: real(*a, **k) + "this is not C\n",
+        )
+        rep = CheckReport()
+        verify_cbackend(rep)
+        assert rep.codes() == ["array-probe-compile"], rep.render()
+        assert "error" in rep.findings[0].message  # cc's diagnostic
+
+    @needs_cc
+    def test_array_probe_mismatch_detected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        real = cbackend.array_step_source
+        monkeypatch.setattr(
+            cbackend, "array_step_source",
+            lambda *a, **k: real(*a, **k).replace("acc + t", "acc - t"),
+        )
+        rep = CheckReport()
+        verify_cbackend(rep)
+        assert rep.codes() == ["array-probe-mismatch"], rep.render()
+
+    @needs_cc
+    def test_array_probe_runs_under_env_flags(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        seen = []
+        real = cbackend._build_array
+        monkeypatch.setattr(
+            cbackend, "_build_array",
+            lambda src, guard=False, extra_flags=(): seen.append(
+                (guard, tuple(extra_flags))
+            ) or real(src, guard, extra_flags),
+        )
+        monkeypatch.setenv("REPRO_CC_BOUNDS", "1")
+        monkeypatch.setenv("REPRO_CC_SANITIZE", "undefined")
+        rep = CheckReport()
+        verify_cbackend(rep)
+        assert rep.ok, rep.render()
+        assert seen == [(True, cbackend.sanitize_flags())]
+
+    @needs_cc
+    def test_compile_failure_says_why(self, monkeypatch):
+        """A refused build names the compiler's reason, and demanding
+        the backend surfaces it instead of a bare 'compilation failed'."""
+        with pytest.raises(cbackend.KernelBuildError, match="error") as exc:
+            cbackend._build("int repro_step(void) { return undeclared; }\n")
+        assert "undeclared" in str(exc.value)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        monkeypatch.setattr(
+            cbackend, "batch_step_source", lambda *a, **k: "not C at all\n"
+        )
+        with pytest.raises(RuntimeError, match="unavailable: .*exited"):
+            cbackend.batch_step_kernel(
+                SEVEN_POINT.taps, (3, 5, 7), 1, 0, 105, np.float64
+            )
+        # The refusal is cached per specialization; auto falls back.
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
+        assert cbackend.batch_step_kernel(
+            SEVEN_POINT.taps, (3, 5, 7), 1, 0, 105, np.float64
+        ) is None

@@ -8,16 +8,23 @@ from hypothesis import strategies as st
 from repro.simmpi import allgather, allreduce, broadcast, reduce_to_root, run_spmd
 from repro.stencil.brick_kernels import gather_halo_batch
 from repro.stencil.codegen import (
-    array_kernel_source,
-    batch_kernel_source,
-    generate_array_kernel,
-    generate_batch_kernel,
+    array_box_kernel_source,
+    batch_plan_kernel_source,
+    generate_array_box_kernel,
+    generate_batch_plan_kernel,
 )
 from repro.stencil.kernels import apply_array_stencil
 from repro.stencil.spec import CUBE125, SEVEN_POINT, star_stencil
 
 
+def region_box(extent, g, margin=0):
+    """The owned region grown by *margin*, as a numpy-axis-order box."""
+    return tuple((g - margin, g + e + margin) for e in reversed(extent))
+
+
 class TestGeneratedArrayKernel:
+    """The NumPy-tier array box kernel (the C tier's fallback)."""
+
     @pytest.mark.parametrize("spec", [SEVEN_POINT, CUBE125])
     @pytest.mark.parametrize("margin", [0, 3])
     def test_bit_identical_to_generic(self, spec, margin):
@@ -27,36 +34,47 @@ class TestGeneratedArrayKernel:
         generic = np.zeros_like(arr)
         apply_array_stencil(arr, generic, spec, extent, g, margin=margin)
         fast = np.zeros_like(arr)
-        generate_array_kernel(spec, extent, g, margin)(arr, fast)
+        box = region_box(extent, g, margin)
+        tmp = np.empty(tuple(hi - lo for lo, hi in box))
+        generate_array_box_kernel(spec, extent, g, box)(arr, fast, tmp)
         np.testing.assert_array_equal(generic, fast)
 
     def test_source_is_unrolled(self):
-        src = array_kernel_source(SEVEN_POINT, (8, 8, 8), 8)
-        assert src.count("acc") == 7 + 1  # one line per tap + final store
+        src = array_box_kernel_source(
+            SEVEN_POINT, (8, 8, 8), 8, region_box((8, 8, 8), 8)
+        )
+        assert src.count("np.multiply") == 7  # one per tap
+        assert src.count("np.add") == 6
         assert "for " not in src
 
     def test_cached(self):
-        a = generate_array_kernel(SEVEN_POINT, (8, 8, 8), 8)
-        b = generate_array_kernel(SEVEN_POINT, (8, 8, 8), 8)
+        box = region_box((8, 8, 8), 8)
+        a = generate_array_box_kernel(SEVEN_POINT, (8, 8, 8), 8, box)
+        b = generate_array_box_kernel(SEVEN_POINT, (8, 8, 8), 8, box)
         assert a is b
 
     def test_identical_stencil_content_shares_cache(self):
         s1 = star_stencil(3, 1, name="a")
         s2 = star_stencil(3, 1, name="b")  # same taps, different object
-        assert generate_array_kernel(s1, (8, 8, 8), 8) is generate_array_kernel(
-            s2, (8, 8, 8), 8
-        )
+        box = region_box((8, 8, 8), 8)
+        assert generate_array_box_kernel(
+            s1, (8, 8, 8), 8, box
+        ) is generate_array_box_kernel(s2, (8, 8, 8), 8, box)
 
     def test_margin_validation(self):
-        with pytest.raises(ValueError):
-            array_kernel_source(SEVEN_POINT, (8, 8, 8), 8, margin=8)
+        with pytest.raises(ValueError, match="outside the extended array"):
+            array_box_kernel_source(
+                SEVEN_POINT, (8, 8, 8), 8, region_box((8, 8, 8), 8, margin=8)
+            )
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):
-            array_kernel_source(SEVEN_POINT, (8, 8), 8)
+            array_box_kernel_source(SEVEN_POINT, (8, 8), 8, ((8, 16), (8, 16)))
 
 
 class TestGeneratedBatchKernel:
+    """The NumPy-tier halo-batch kernel (the C tier's fallback)."""
+
     @pytest.mark.parametrize("spec", [SEVEN_POINT, CUBE125])
     def test_bit_identical_to_generic_loop(self, spec, small_decomp):
         from repro.brick.convert import extended_shape, extended_to_bricks
@@ -81,12 +99,15 @@ class TestGeneratedBatchKernel:
             term = coeff * halo[slices]
             acc = term if acc is None else acc + term
 
-        fast = generate_batch_kernel(spec, d.brick_dim)(halo)
+        fast = np.full_like(acc, 9.99)  # dirty accumulator
+        generate_batch_plan_kernel(spec, d.brick_dim)(
+            halo, fast, np.empty_like(acc)
+        )
         np.testing.assert_array_equal(acc, fast)
 
     def test_radius_check(self):
         with pytest.raises(ValueError):
-            batch_kernel_source(star_stencil(3, 9), (8, 8, 8))
+            batch_plan_kernel_source(star_stencil(3, 9), (8, 8, 8))
 
 
 class TestCollectives:

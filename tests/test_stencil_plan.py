@@ -23,6 +23,7 @@ from repro.brick.info import BrickInfo, all_direction_vectors, direction_index
 from repro.brick.storage import BrickStorage
 from repro.core.driver import run_executed
 from repro.core.expansion import brick_cycle_slots
+from repro.stencil import cbackend
 from repro.stencil.brick_kernels import apply_brick_stencil, gather_halo_batch
 from repro.stencil.codegen import (
     array_box_kernel_source,
@@ -31,6 +32,7 @@ from repro.stencil.codegen import (
 from repro.stencil.kernels import apply_array_stencil
 from repro.stencil.plan import (
     ArrayStencilPlan,
+    compile_array_phase_plans,
     compile_array_plan,
     compile_brick_plan,
 )
@@ -38,9 +40,15 @@ from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import (
     CUBE125,
     SEVEN_POINT,
+    TWENTY_FIVE_POINT_2D,
     StencilSpec,
     cube_stencil,
     star_stencil,
+)
+
+needs_cc = pytest.mark.skipif(
+    cbackend.cffi is None or cbackend._compiler() is None,
+    reason="no C toolchain in this environment",
 )
 
 
@@ -112,6 +120,16 @@ class TestBrickPlanBitIdentity:
         plan = compile_brick_plan(spec, info, slots, chunk=5)
         plan.execute(src, got)
         np.testing.assert_array_equal(got.data, ref.data)
+
+    def test_absent_neighbours_carry_the_sentinel(self):
+        """Halo cells with no source brick are exactly ``-1`` in the
+        gather table -- what the bounds-guarded C kernel accepts."""
+        info = grid_info((3, 3), (4, 3), periodic=False)
+        plan = compile_brick_plan(star_stencil(2, 1), info, np.arange(9))
+        for ch in plan.chunks:
+            assert ch.absent is not None and ch.index.min() == -1
+            assert (ch.index.reshape(-1)[ch.absent] == -1).all()
+            assert (np.delete(ch.index.reshape(-1), ch.absent) >= 0).all()
 
     def test_repeated_steps_reuse_buffers(self):
         """Dirty internal buffers must not leak between steps."""
@@ -242,6 +260,178 @@ class TestArrayPlanBitIdentity:
             plan.execute(a, np.zeros((4, 4, 4)))
 
 
+class TestArrayPlanCTier:
+    """The C array-box kernel: one build per extended shape, bit-identical
+    (compared as raw ``uint64``) to the generic kernel on every box."""
+
+    # Every stencil of stencil/spec.py, 1-D to 3-D; non-cubic extents so
+    # an axis-order slip cannot cancel out.
+    CASES = [
+        (identity_spec(1), (12,), 2),
+        (star_stencil(1, 2), (12,), 4),
+        (star_stencil(2, 1), (12, 8), 3),
+        (TWENTY_FIVE_POINT_2D, (10, 6), 4),
+        (SEVEN_POINT, (8, 6, 10), 4),
+        (star_stencil(3, 2), (6, 8, 8), 4),
+        (cube_stencil(3, 1), (8, 8, 6), 2),
+        (CUBE125, (8, 8, 8), 4),
+    ]
+    IDS = ["id1d", "star1d-r2", "star2d", "25pt-2d", "7pt", "star3d-r2",
+           "cube27", "125pt"]
+
+    @pytest.fixture(autouse=True)
+    def _demand_c(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+
+    @staticmethod
+    def _arrays(extent, ghost, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(e + 2 * ghost for e in reversed(extent))
+        return rng.random(shape), rng.random(shape)  # source, dirty dest
+
+    @staticmethod
+    def _same_bits(got, ref):
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @needs_cc
+    @pytest.mark.parametrize("spec,extent,ghost", CASES, ids=IDS)
+    def test_bit_identical_all_margins(self, spec, extent, ghost):
+        arr, dirty = self._arrays(extent, ghost, 5)
+        for margin in range(0, ghost - spec.radius + 1):
+            ref, got = dirty.copy(), dirty.copy()
+            apply_array_stencil(arr, ref, spec, extent, ghost, margin=margin)
+            plan = compile_array_plan(spec, extent, ghost, margin)
+            assert plan.kernel_backend == "cffi"
+            plan.execute(arr, got)
+            self._same_bits(got, ref)
+
+    # (a radius-0 stencil has no surface shell to split off)
+    @needs_cc
+    @pytest.mark.parametrize("spec,extent,ghost", CASES[1:], ids=IDS[1:])
+    def test_phase_cover_equals_unsplit(self, spec, extent, ghost):
+        arr, dirty = self._arrays(extent, ghost, 6)
+        for margin in range(0, ghost - spec.radius + 1):
+            whole, cover = dirty.copy(), dirty.copy()
+            full = compile_array_plan(spec, extent, ghost, margin)
+            full.execute(arr, whole)
+            interior, surface = compile_array_phase_plans(
+                spec, extent, ghost, margin
+            )
+            for part in (interior, surface):
+                if part is not None:
+                    assert part.kernel_backend == "cffi"
+                    part.execute(arr, cover)
+            self._same_bits(cover, whole)
+            assert full.cells == surface.cells + (
+                interior.cells if interior is not None else 0
+            )
+
+    @needs_cc
+    def test_one_build_per_extended_shape(self, monkeypatch):
+        """Whole region, every margin and the phase split of one array
+        shape trigger a single compiler run."""
+        builds = []
+        real = cbackend._load
+        monkeypatch.setattr(
+            cbackend, "_load",
+            lambda *a, **k: builds.append(a[1]) or real(*a, **k),
+        )
+        spec = star_stencil(3, 1, coefficients=[0.25] + [0.125] * 6)
+        extent, ghost = (10, 6, 8), 3  # a shape no other test compiles
+        for margin in range(0, ghost - spec.radius + 1):
+            compile_array_plan(spec, extent, ghost, margin)
+            compile_array_phase_plans(spec, extent, ghost, margin)
+        assert builds == ["repro_array_step"]
+
+    @needs_cc
+    def test_numpy_tier_same_bits(self, monkeypatch):
+        arr, dirty = self._arrays((8, 6, 10), 4, 7)
+        got_c, got_np = dirty.copy(), dirty.copy()
+        compile_array_plan(SEVEN_POINT, (8, 6, 10), 4, 2).execute(arr, got_c)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        plan = compile_array_plan(SEVEN_POINT, (8, 6, 10), 4, 2)
+        assert plan.kernel_backend == "numpy"
+        plan.execute(arr, got_np)
+        self._same_bits(got_c, got_np)
+
+    @needs_cc
+    def test_unaddressable_input_never_reaches_c(self, monkeypatch):
+        """Fortran-ordered or float32 arrays have the right shape but not
+        the memory the C kernel walks: NumPy tier under auto, typed
+        error under cffi."""
+        spec, extent, ghost = SEVEN_POINT, (8, 6, 10), 2
+        arr, dirty = self._arrays(extent, ghost, 8)
+        ref = dirty.copy()
+        apply_array_stencil(arr, ref, spec, extent, ghost)
+        plan = compile_array_plan(spec, extent, ghost)
+        for bad_arr, bad_out in (
+            (np.asfortranarray(arr), dirty.copy()),
+            (arr, np.asfortranarray(dirty)),
+        ):
+            with pytest.raises(RuntimeError, match="C-contiguous float64"):
+                plan.execute(bad_arr, bad_out)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
+        for bad_arr, bad_out in (
+            (np.asfortranarray(arr), dirty.copy()),
+            (arr, np.asfortranarray(dirty)),
+        ):
+            plan.execute(bad_arr, bad_out)
+            self._same_bits(np.ascontiguousarray(bad_out), ref)
+        # float32 data through a float64 plan: computed, not reinterpreted.
+        out32 = dirty.astype(np.float32)
+        plan.execute(arr.astype(np.float32), out32)
+        own = tuple(slice(ghost, -ghost) for _ in extent)
+        np.testing.assert_allclose(out32[own], ref[own], rtol=1e-5)
+
+    def test_non_float64_plan(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="float64"):
+            compile_array_plan(SEVEN_POINT, (8, 8, 8), 2, dtype=np.float32)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
+        plan = compile_array_plan(SEVEN_POINT, (8, 8, 8), 2, dtype=np.float32)
+        assert plan.kernel_backend == "numpy"
+        arr, dirty = self._arrays((8, 8, 8), 2, 9)
+        arr, ref = arr.astype(np.float32), dirty.astype(np.float32)
+        got = ref.copy()
+        apply_array_stencil(arr, ref, SEVEN_POINT, (8, 8, 8), 2)
+        plan.execute(arr, got)
+        np.testing.assert_array_equal(got, ref)
+
+    @needs_cc
+    def test_bounds_guard_refuses_out_of_range_box(self, monkeypatch):
+        """REPRO_CC_BOUNDS=1: same bits on in-bounds boxes, and a box
+        whose taps would read outside the array (the plan constructor
+        rejects these; the guard is the net under it) is a typed error
+        that leaves the destination untouched."""
+        spec, shape = CUBE125, (9, 10, 11)
+        monkeypatch.setenv("REPRO_CC_BOUNDS", "0")
+        plain = cbackend.array_step_kernel(spec.taps, shape, np.float64)
+        monkeypatch.setenv("REPRO_CC_BOUNDS", "1")
+        guarded = cbackend.array_step_kernel(spec.taps, shape, np.float64)
+        assert guarded is not plain and "src_elems" in guarded.__source__
+        rng = np.random.default_rng(10)
+        arr, dirty = rng.random(shape), rng.random(shape)
+        good = np.array([[(2, 7), (2, 8), (2, 9)]], dtype=np.int64)
+        a, b = dirty.copy(), dirty.copy()
+        plain(arr, a, good)
+        guarded(arr, b, good)
+        self._same_bits(a, b)
+        for bad in ([(1, 7), (2, 8), (2, 9)], [(2, 7), (2, 8), (2, 10)]):
+            out = dirty.copy()
+            with pytest.raises(cbackend.KernelBoundsError, match="box"):
+                guarded(arr, out, np.array([bad], dtype=np.int64))
+            self._same_bits(out, dirty)
+        with pytest.raises(cbackend.KernelBoundsError):
+            guarded(arr[1:].copy(), dirty.copy(), good)  # array too small
+
+    def test_no_compiler_is_a_typed_error_with_the_reason(self, monkeypatch):
+        monkeypatch.setattr(cbackend, "_compiler", lambda: None)
+        spec = star_stencil(3, 1, coefficients=[0.5] + [1.0 / 16] * 6)
+        with pytest.raises(cbackend.KernelBuildError, match="no C compiler"):
+            compile_array_plan(spec, (6, 6, 6), 1)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
+        assert compile_array_plan(spec, (6, 6, 6), 1).kernel_backend == "numpy"
+
+
 class TestPlanKernelSources:
     def test_inplace_ops_only(self):
         src = batch_plan_kernel_source(SEVEN_POINT, (8, 8, 8))
@@ -322,6 +512,36 @@ class TestDriverIntegration:
             small_problem.initial_global(0), small_problem.stencil, steps
         )
         np.testing.assert_array_equal(planned.global_result, ref)
+
+    @needs_cc
+    @pytest.mark.parametrize("method", ["yask", "yask_ol", "mpi_types", "shift"])
+    def test_array_methods_step_on_c(
+        self, method, small_problem, theta, monkeypatch
+    ):
+        """Array methods compute on the C tier -- phased and with ghost
+        expansion -- and say so in the run record."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        steps = 4
+        run = run_executed(
+            small_problem, method, theta, timesteps=steps,
+            overlap=True, exchange_period=2,
+        )
+        assert run.kernel_backend == "cffi"
+        assert run.exchange_period == 2
+        ref = apply_periodic_reference(
+            small_problem.initial_global(0), small_problem.stencil, steps
+        )
+        np.testing.assert_array_equal(
+            run.global_result.view(np.uint64), ref.view(np.uint64)
+        )
+
+    def test_kernel_backend_reports_numpy_fallback(
+        self, small_problem, theta, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        for method in ("yask", "layout"):
+            run = run_executed(small_problem, method, theta, timesteps=1)
+            assert run.kernel_backend == "numpy"
 
     def test_exchange_period_cycles_planned(self, theta):
         """Every cycle position (margins > 0, brick depths > 0) runs
