@@ -1,7 +1,8 @@
 """Measured steady-state speedup of compiled execution plans.
 
-Times the per-step brick compute path -- planned (fused ``np.take``
-gather + persistent buffers + specialized kernel) vs generic
+Times the per-step brick compute path -- planned (on the C tier the
+stage-then-sweep kernel over adjacency rows, on the NumPy tier a fused
+``np.take`` gather + persistent buffers + specialized kernel) vs generic
 (:func:`apply_brick_stencil`) -- on the Fig. 9-style strong-scaled
 configuration: a 16^3 subdomain of 8^3 bricks with ghost 8, where the
 halo dominates and on-node data movement is the whole game.

@@ -2,8 +2,9 @@
 
 Proves run-safety properties of a problem/method combination without
 touching the fabric: the global message schedule pairs up (deadlock
-freedom), compiled index tables stay in bounds, wire-visible storage
-ranges stay inside their sections, and the C kernel backend is sane.
+freedom), what the compiled plans index stays in bounds, wire-visible
+storage ranges stay inside their sections, and the C kernel backend is
+sane.
 See DESIGN.md Section 11 for the invariant catalogue and
 :mod:`repro.check.api` for the entry point.
 """

@@ -7,9 +7,10 @@ over it, returning a :class:`~repro.check.report.CheckReport`:
 1. ``schedule`` -- the global send/recv multigraph pairs up, byte counts
    and partition splits agree, tags are collision-free, no edge touches
    a dead rank (:mod:`repro.check.schedule`);
-2. ``memory`` -- compiled gather tables stay inside the arena, phase
-   splits partition exactly, wire-visible storage ranges stay inside
-   the sections they belong to (:mod:`repro.check.memory`);
+2. ``memory`` -- the adjacency rows and gather tables the compiled
+   plans read stay inside the arena, phase splits partition exactly,
+   wire-visible storage ranges stay inside the sections they belong to
+   (:mod:`repro.check.memory`);
 3. ``cbackend`` -- the C kernel environment parses, the toolchain is
    usable and a probe kernel is bit-identical to NumPy
    (:mod:`repro.check.cback`).

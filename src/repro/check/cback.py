@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.brick.info import BrickInfo, all_direction_vectors, direction_index
+from repro.brick.storage import BrickStorage
 from repro.check.report import CheckReport
 from repro.stencil import cbackend
+from repro.stencil.brick_kernels import apply_brick_stencil
 from repro.stencil.kernels import apply_array_stencil
 from repro.stencil.spec import StencilSpec
 
@@ -43,27 +46,7 @@ _PROBE_TAPS = (
 _PROBE_BD = (4, 4, 4)
 
 
-def _numpy_reference(
-    src: np.ndarray, index: np.ndarray, slots: np.ndarray, volume: int
-) -> np.ndarray:
-    """Tap loop in the exact operand order the C kernel unrolls."""
-    n = len(slots)
-    halo = np.where(index < 0, 0.0, src[np.maximum(index, 0)])
-    halo = halo.reshape(n, *(b + 2 for b in _PROBE_BD))
-    out = np.zeros((n, volume))
-    first = True
-    for (off, coeff) in _PROBE_TAPS:
-        ox, oy, oz = (o + 1 for o in reversed(off))
-        part = halo[
-            :, ox: ox + _PROBE_BD[2], oy: oy + _PROBE_BD[1],
-            oz: oz + _PROBE_BD[0],
-        ].reshape(n, volume)
-        if first:
-            out = coeff * part
-            first = False
-        else:
-            out = out + coeff * part
-    return out
+_PROBE_SPEC = StencilSpec("probe", 3, _PROBE_TAPS, 13.0, 16.0)
 
 
 def verify_cbackend(report: CheckReport, probe: bool = True) -> None:
@@ -137,10 +120,14 @@ _FP_HINT = (
 
 
 def _probe_brick(report: CheckReport, guard: bool, sanitize) -> None:
-    """Compile-and-compare: 2 bricks gathering only from themselves."""
+    """Compile-and-compare: a periodic line of 3 bricks along x (each
+    its own neighbour along y and z) with nothing below it in z, so
+    every staged face sub-box is read from a real neighbour and one
+    direction is absent, against the generic NumPy brick kernel."""
     volume = int(np.prod(_PROBE_BD))
+    r = _PROBE_SPEC.radius
     source = cbackend.batch_step_source(
-        _PROBE_TAPS, tuple(reversed(_PROBE_BD)), 1, 0, volume, guard=guard
+        _PROBE_TAPS, tuple(reversed(_PROBE_BD)), r, 0, volume, guard=guard
     )
     try:
         fn = cbackend._build(source, guard=guard, extra_flags=sanitize)
@@ -151,32 +138,27 @@ def _probe_brick(report: CheckReport, guard: bool, sanitize) -> None:
             hint=_ASAN_HINT,
         )
         return
-    rng = np.random.default_rng(12345)
-    nslots = 2
-    src = rng.random(nslots * volume)
-    dst = np.zeros_like(src)
-    halo_np = tuple(b + 2 for b in reversed(_PROBE_BD))
-    halo_elems = int(np.prod(halo_np))
-    # Identity gather: each brick's interior maps to itself, halo ring
-    # absent (-1), matching a no-neighbor geometry.
-    index = np.full((nslots, halo_elems), -1, dtype=np.int64)
-    inner = np.arange(volume).reshape(tuple(reversed(_PROBE_BD)))
-    tmpl = np.full(halo_np, -1, dtype=np.int64)
-    tmpl[1:-1, 1:-1, 1:-1] = inner
-    for b in range(nslots):
-        cell = tmpl.reshape(-1)
-        index[b] = np.where(cell >= 0, cell + b * volume, -1)
-    index = np.ascontiguousarray(index.reshape((nslots,) + halo_np))
+    nslots = 3
+    adjacency = np.full((nslots, 27), -1, dtype=np.int64)
+    for slot in range(nslots):
+        for vec in all_direction_vectors(3):
+            if vec[2] != -1:
+                adjacency[slot, direction_index(vec)] = (slot + vec[0]) % nslots
+    info = BrickInfo(3, _PROBE_BD, adjacency)
+    src = BrickStorage.allocate(nslots, volume)
+    src.data[:] = np.random.default_rng(12345).random(src.data.shape)
+    got = BrickStorage.allocate(nslots, volume)
+    ref = BrickStorage.allocate(nslots, volume)
     slots = np.arange(nslots, dtype=np.int64)
-    fn(src, dst, index, slots)
-    ref = _numpy_reference(src, index.reshape(-1), slots, volume)
-    got = dst.reshape(nslots, volume)
-    if not np.array_equal(got, ref):
-        diff = int((got != ref).sum())
+    tile = np.empty(int(np.prod([b + 2 * r for b in _PROBE_BD])))
+    fn(src.data, got.data, adjacency, slots, tile)
+    apply_brick_stencil(_PROBE_SPEC, src, ref, info, slots)
+    if not np.array_equal(got.data, ref.data):
+        diff = int((got.data != ref.data).sum())
         report.error(
             PASS, "probe-mismatch",
             f"the compiled brick probe kernel differs from the NumPy tap"
-            f" arithmetic on {diff} of {got.size} cells",
+            f" arithmetic on {diff} of {got.data.size} cells",
             hint=_FP_HINT,
         )
 
@@ -202,10 +184,7 @@ def _probe_array(report: CheckReport, guard: bool, sanitize) -> None:
     )
     fn(arr, got, boxes)
     ref = np.zeros(shape)
-    apply_array_stencil(
-        arr, ref, StencilSpec("probe", 3, _PROBE_TAPS, 13.0, 16.0),
-        _PROBE_BD, 1,
-    )
+    apply_array_stencil(arr, ref, _PROBE_SPEC, _PROBE_BD, 1)
     if not np.array_equal(got, ref):
         diff = int((got != ref).sum())
         report.error(

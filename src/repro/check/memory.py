@@ -1,14 +1,20 @@
 """Pass 2: compiled-plan and channel-buffer memory verification.
 
-Proves, per rank and purely from geometry, that the run's precomputed
-index tables and wire-visible storage ranges stay inside the regions
+Proves, per rank and purely from geometry, that what the run's compiled
+plans index and its wire-visible storage ranges stay inside the regions
 they are entitled to:
 
-* **gather tables in bounds** -- every flat source index of the compiled
-  brick plan's gather chunks lands inside the storage arena
-  (``[0, total_slots * brick_elems)``), inside its source slot's padded
-  span, and inside the plan's field window; the only negative value is
-  the ``-1`` absent sentinel;
+* **adjacency rows in bounds** -- what the C brick kernel consumes:
+  every entry of the compute slots' ``(n, 3^D)`` adjacency rows is the
+  ``-1`` absent sentinel or a slot of the arena (``< total_slots``),
+  and the plan's field window fits inside a brick
+  (``field_offset + volume <= brick_elems``), so every sub-box the
+  kernel stages from a neighbour stays inside that neighbour's brick;
+* **gather tables in bounds** -- what the NumPy tier consumes: every
+  flat source index of the compiled brick plan's gather chunks lands
+  inside the storage arena (``[0, total_slots * brick_elems)``), inside
+  its source slot's padded span, and inside the plan's field window;
+  the only negative value is the ``-1`` absent sentinel;
 * **phase split sound** -- the interior/surface slot partition used by
   compute-comm overlap is disjoint and jointly covers the unphased slot
   set (an overlap double-computes a brick, a gap leaves one stale);
@@ -45,6 +51,7 @@ from repro.stencil.plan import (
 
 __all__ = [
     "verify_memory",
+    "check_adjacency_rows",
     "check_gather_tables",
     "check_phase_split",
     "check_ranges",
@@ -56,6 +63,41 @@ PASS = "memory"
 # ----------------------------------------------------------------------
 # Reusable checkers (the selftest feeds these forged inputs)
 # ----------------------------------------------------------------------
+def check_adjacency_rows(
+    rows: np.ndarray,
+    total_slots: int,
+    brick_elems: int,
+    field_offset: int,
+    volume: int,
+    report: CheckReport,
+    rank: int,
+) -> None:
+    """Validate the adjacency rows the C brick kernel stages through."""
+    rows = np.asarray(rows)
+    bad = (rows < -1) | (rows >= total_slots)
+    if bad.any():
+        worst = int(rows[bad].max())
+        report.error(
+            PASS, "oob-adjacency",
+            f"rank {rank}: {int(bad.sum())} adjacency entry value(s) are"
+            f" neither the -1 absent sentinel nor a slot of the"
+            f" {total_slots}-slot arena (e.g. {worst})",
+            ranks=(rank,), slot=worst,
+            hint="the adjacency must be rebuilt for this assignment's"
+                 " total_slots",
+        )
+    if field_offset < 0 or field_offset + volume > brick_elems:
+        report.error(
+            PASS, "field-window",
+            f"rank {rank}: the plan's field window [{field_offset},"
+            f" {field_offset + volume}) does not fit in"
+            f" {brick_elems}-element bricks",
+            ranks=(rank,),
+            hint="field_offset/volume disagree between the plan and the"
+                 " storage",
+        )
+
+
 def check_gather_tables(
     chunks: Iterable,
     total_slots: int,
@@ -324,6 +366,10 @@ def verify_memory(
             continue
         binfo = decomp.brick_info(asn)
         slots = decomp.compute_slots(asn)
+        check_adjacency_rows(
+            binfo.adjacency[slots], asn.total_slots, decomp.brick_elems, 0,
+            decomp.brick_volume, report, geom.rank,
+        )
         chunks = [
             _build_gather_chunk(
                 binfo, slots[lo: lo + 512], spec.radius, 0,

@@ -5,7 +5,8 @@ A static checker that silently passes everything is worse than none.
 each class the verifier claims to detect -- a tag collision, a dropped
 receive, a byte-count disagreement, a partition split disagreement, a
 dead rank, a tag in the partition region, an off-by-one gather index,
-an overlapping phase split -- and asserts the corresponding finding
+an adjacency entry one past the arena, an overlapping phase split --
+and asserts the corresponding finding
 code appears.  CI gates on 100% detection (``repro check --selftest``).
 """
 
@@ -17,7 +18,11 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.check.geometry import build_rank_geometries
-from repro.check.memory import check_gather_tables, check_phase_split
+from repro.check.memory import (
+    check_adjacency_rows,
+    check_gather_tables,
+    check_phase_split,
+)
 from repro.check.report import CheckReport
 from repro.check.schedule import verify_schedule
 from repro.core.problem import StencilProblem
@@ -160,6 +165,19 @@ def _inject_oob_index(problem, method) -> Tuple[CheckReport, str]:
     return report, "oob-index"
 
 
+def _inject_oob_adjacency(problem, method) -> Tuple[CheckReport, str]:
+    """Forge an adjacency row naming the slot one past the arena."""
+    total_slots, brick_elems, volume = 64, 512, 512
+    rows = np.full((2, 27), -1, dtype=np.int64)
+    rows[:, 13] = (0, 1)  # each brick is its own centre
+    rows[1, 14] = total_slots
+    report = CheckReport()
+    check_adjacency_rows(
+        rows, total_slots, brick_elems, 0, volume, report, rank=0
+    )
+    return report, "oob-adjacency"
+
+
 def _inject_overlapping_split(problem, method) -> Tuple[CheckReport, str]:
     slots = np.arange(16, dtype=np.int64)
     interior = slots[:9]  # slot 8 claimed by both phases
@@ -179,6 +197,7 @@ MUTATIONS: Dict[str, Callable] = {
     "tag_overflow": _inject_tag_overflow,
     "dead_rank": _inject_dead_rank,
     "oob_index": _inject_oob_index,
+    "oob_adjacency": _inject_oob_adjacency,
     "overlapping_split": _inject_overlapping_split,
 }
 

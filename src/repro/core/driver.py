@@ -299,8 +299,9 @@ def _brick_state(
 
     return _RankState(
         buffers=storages,
-        # Fused gather tables, persistent halo/accumulator buffers and
-        # the specialized batch kernel, built once per cycle position.
+        # Whatever the kernel tier reads per step (adjacency rows + halo
+        # tile, or fused gather tables + persistent buffers) and the
+        # specialized kernel, built once per cycle position.
         plans=[
             compile_brick_plan(spec, binfo, slots, 0, problem.dtype)
             for slots in cycle_slots

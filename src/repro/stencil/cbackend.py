@@ -3,20 +3,26 @@
 The planned NumPy paths make full passes over their data per tap (bricks:
 gather via ``np.take``, multiply, add over the halo batch; arrays:
 multiply and add over a strided box view).  This module generates one
-fused C kernel per specialization instead:
+C kernel per specialization instead:
 
 * **bricks** -- per ``(stencil taps, brick shape, radius, field offset,
-  brick elems)``: gather, the unrolled tap loop and the scatter into
-  destination bricks in one pass per brick, reading straight from the
-  plan's precomputed flat index table (:func:`batch_step_source`);
+  brick elems)``: *stage, then sweep*.  Neighbours are addressed per
+  brick, the way the paper's brick library does it: through the brick's
+  ``3^D`` adjacency row, each direction some tap reaches has its
+  sub-box copied into one small contiguous ``(bd + 2r)^D`` halo tile
+  (zeros where the neighbour is absent); the unrolled tap loop then
+  sweeps the tile unit-stride at compile-time offsets and writes the
+  destination brick (:func:`batch_step_source`).  No per-cell index
+  table exists on this tier;
 * **extended arrays** -- per ``(stencil taps, extended shape)``: the
   unrolled tap loop as a unit-stride sweep over a list of boxes whose
   bounds arrive at call time, so a whole-region plan, every
   ghost-expansion margin and the interior + surface slabs of a phased
   run share one build (:func:`array_step_source`).
 
-Both layouts compute on the same tier, which is what lets the paper's
-"compute time is layout-independent" (Fig. 10) hold in measured time.
+Both layouts compute on the same tier with the same tap loop over
+contiguous rows; what the brick kernel pays on top is the staging copy
+(EXPERIMENTS.md, "Stage, then sweep", has its measured share).
 
 Bit-exactness with the NumPy path is by construction:
 
@@ -25,8 +31,9 @@ Bit-exactness with the NumPy path is by construction:
   kernels' ``np.multiply(out=)`` / in-place ``np.add`` sequence);
 * ``-ffp-contract=off`` so no FMA contraction reorders roundings;
 * coefficients embedded as C99 hex float literals (exact bit patterns);
-* absent halo cells carry index ``-1`` in the plan table and contribute
-  ``coeff * 0.0``, exactly like the re-zeroed cells on the NumPy path.
+* halo cells of an absent neighbour (adjacency ``-1``) are staged as
+  ``0.0`` and contribute ``coeff * 0.0``, exactly like the re-zeroed
+  cells on the NumPy path.
 
 Backend selection (:func:`backend_choice`) honours the
 ``REPRO_KERNEL_BACKEND`` environment variable: ``auto`` (default) uses C
@@ -34,10 +41,11 @@ when ``cffi`` and a C compiler are available and otherwise falls back to
 NumPy (a plan's ``kernel_backend`` says which it got); ``numpy`` forces
 the fallback; ``cffi`` demands the compiled backend and raises
 :class:`KernelBuildError`, carrying the compiler's reason, if it cannot
-be built.  Compiled kernels are stateless
-(all mutable state stays in caller-owned arrays), so the per-process
-module cache may hand the same kernel to every rank thread; calls release
-the GIL, so rank threads genuinely overlap inside the kernel.
+be built.  Compiled kernels are stateless (all mutable state, the brick
+kernel's tile scratch included, stays in caller-owned arrays), so the
+per-process module cache may hand the same kernel to every rank thread;
+calls release the GIL, so rank threads genuinely overlap inside the
+kernel.
 
 No build-system dependency: the generated translation unit is compiled
 with the system ``cc`` straight into a shared object and loaded through
@@ -57,6 +65,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.brick.info import all_direction_vectors, direction_index
+from repro.stencil.brick_kernels import _margin_slices
+
 __all__ = [
     "KernelBoundsError",
     "KernelBuildError",
@@ -66,6 +77,8 @@ __all__ = [
     "batch_step_kernel",
     "batch_step_source",
     "bounds_guard_enabled",
+    "brick_stage_boxes",
+    "kernel_env",
     "sanitize_flags",
 ]
 
@@ -90,6 +103,10 @@ _SANITIZERS = {
 #: Measured against -O3 (EXPERIMENTS "One kernel tier"): identical bits
 #: and run time for the brick and the array kernel, 7- and 125-point,
 #: at 0.55-0.8x the compile time -- which pays for the second build.
+#: Re-measured on the stage-then-sweep brick kernel (EXPERIMENTS "Stage,
+#: then sweep"): plain -O1 is now 1.2x (125-point) to 1.75x (7-point)
+#: slower -- the scalar lead PR 16 found belonged to the table kernel's
+#: vectorized gathers, which no longer exist.
 _OPT_FLAGS = ("-O1", "-ftree-vectorize")
 #: lines of the compiler's stderr a KernelBuildError carries
 _STDERR_LINES = 3
@@ -99,10 +116,10 @@ class KernelBoundsError(RuntimeError):
     """The bounds-guarded C kernel observed out-of-range accesses.
 
     Only raised when ``REPRO_CC_BOUNDS=1`` selects the guarded kernel
-    variant, which checks every gather load and scatter store (bricks)
-    or every box's read footprint (arrays) against the storage extents
-    at runtime and reports the violation count instead of touching
-    memory out of bounds.
+    variant, which checks every adjacency entry it stages through and
+    every destination slot (bricks) or every box's read footprint
+    (arrays) against the storage extents at runtime and reports the
+    violation count instead of touching memory out of bounds.
     """
 
 
@@ -164,6 +181,16 @@ def backend_choice() -> str:
     return choice
 
 
+def kernel_env() -> Tuple[str, Tuple[str, ...], bool]:
+    """``(backend choice, sanitize flags, bounds guard)``: everything the
+    environment contributes to which kernel a specialization gets (the
+    ``REPRO_CC_*`` variables are not read when the C tier is off)."""
+    choice = backend_choice()
+    if choice == "numpy":
+        return choice, (), False
+    return choice, sanitize_flags(), bounds_guard_enabled()
+
+
 def _compiler() -> Optional[str]:
     return shutil.which("cc") or shutil.which("gcc")
 
@@ -214,6 +241,70 @@ def _accumulate(terms: Sequence[Tuple[int, float]], indent: str) -> List[str]:
     return lines
 
 
+def brick_stage_boxes(
+    taps: Sequence[Tuple[Tuple[int, ...], float]],
+    np_bd: Tuple[int, ...],
+    radius: int,
+) -> List[Tuple[int, int, int, Tuple[int, ...]]]:
+    """The sub-boxes a brick's halo tile is staged from, one per
+    adjacency direction some tap reaches (7 of 27 for a 3-D star).
+
+    Rows of ``(adjacency column, flat offset in the tile, flat offset in
+    the neighbour brick's field, extent per numpy axis)``: the
+    :func:`~repro.stencil.brick_kernels._margin_slices` geometry of the
+    generic gather, flattened.  Tile cells no row covers are never read
+    by a tap and are left as they are.
+    """
+    ndim = len(np_bd)
+    bd = tuple(reversed(np_bd))
+    tile_strides = _row_major_strides([b + 2 * radius for b in np_bd])
+    brick_strides = _row_major_strides(np_bd)
+    rows = []
+    for vec in all_direction_vectors(ndim):
+        if not any(
+            all(v == 0 or v * o > 0 for v, o in zip(vec, off))
+            for off, _ in taps
+        ):
+            continue
+        pairs = [
+            _margin_slices(vec[axis], bd[axis], radius)
+            for axis in range(ndim - 1, -1, -1)  # numpy order: axis D first
+        ]
+        rows.append((
+            direction_index(vec),
+            sum(t.start * s for (t, _), s in zip(pairs, tile_strides)),
+            sum(n.start * s for (_, n), s in zip(pairs, brick_strides)),
+            tuple(t.stop - t.start for t, _ in pairs),
+        ))
+    return rows
+
+
+def _loop_nest(
+    bounds: Sequence, indent: str, prefix: str = "i"
+) -> Tuple[List[str], List[str], str]:
+    """``(opening lines, loop variables, indent inside)`` of a row-major
+    loop nest with the given per-axis upper bounds (C expressions)."""
+    lines, names = [], []
+    for a, bound in enumerate(bounds):
+        v = f"{prefix}{a}"
+        lines.append(
+            f"{indent}for (int64_t {v} = 0; {v} < {bound}; ++{v}) {{"
+        )
+        names.append(v)
+        indent += "    "
+    return lines, names, indent
+
+
+def _close_nest(depth: int, indent: str) -> List[str]:
+    return [f"{indent[: len(indent) - 4 * (a + 1)]}}}" for a in range(depth)]
+
+
+def _flat(names: Sequence[str], strides: Sequence[int]) -> str:
+    return " + ".join(
+        v if s == 1 else f"{v} * {s}" for v, s in zip(names, strides)
+    )
+
+
 def batch_step_source(
     taps: Sequence[Tuple[Tuple[int, ...], float]],
     np_bd: Tuple[int, ...],
@@ -222,110 +313,141 @@ def batch_step_source(
     brick_elems: int,
     guard: bool = False,
 ) -> str:
-    """C source of the fused gather+stencil+scatter brick-batch kernel.
+    """C source of the brick kernel: stage a halo tile, then sweep it.
 
-    Signature: ``repro_step(src, dst, index, slots, nbricks)`` where
-    *src*/*dst* are the flat storage element arrays, *index* the plan's
-    ``(nbricks, halo...)`` flat source-index table and *slots* the
-    destination slot per brick.
+    Signature: ``repro_step(src, dst, adj, slots, nbricks, tile)`` where
+    *src*/*dst* are the flat storage element arrays, *adj* the plan's
+    ``(nbricks, 3^D)`` adjacency rows (``-1`` = no such brick), *slots*
+    the destination slot per brick and *tile* a caller-owned scratch of
+    ``prod(bd + 2r)`` elements.  Per brick:
+
+    * **stage** -- each reached direction's sub-box
+      (:func:`brick_stage_boxes`, emitted as one ``static const`` table
+      driving a copy loop nest) is copied from the neighbour brick into
+      the tile, or zero-filled when the neighbour is absent;
+    * **sweep** -- the canonical unrolled tap loop runs over the tile
+      with compile-time strides, unit-stride innermost, exactly like the
+      array kernel, and stores the destination brick.
 
     With *guard* (``REPRO_CC_BOUNDS=1``) the signature grows
-    ``src_elems``/``dst_elems`` extents and returns the number of index
-    values that fell outside them: out-of-range gather loads contribute
-    ``0.0`` like absent cells, out-of-range scatter stores are skipped,
-    and the Python wrapper turns a nonzero count into
-    :class:`KernelBoundsError`.  Guarded and unguarded kernels are
-    bit-identical on in-bounds tables.
+    ``src_elems``/``dst_elems`` and the function returns a violation
+    count: an adjacency entry other than ``-1`` outside
+    ``[0, src_elems / brick_elems)`` is counted and staged as absent, a
+    destination slot whose brick does not fit in ``dst_elems`` is
+    counted and skipped, and the Python wrapper turns a nonzero count
+    into :class:`KernelBoundsError`.  Guarded and unguarded kernels are
+    bit-identical on in-bounds rows.
     """
+    np_bd = tuple(int(b) for b in np_bd)
     ndim = len(np_bd)
-    halo_np = tuple(b + 2 * radius for b in np_bd)
-    halo_elems = int(math.prod(halo_np))
-    strides = _row_major_strides(halo_np)
-    # The cell's centered halo position is computed once (``base``);
-    # taps are constant offsets from it.
-    tap_offsets, tap_terms = _tap_terms(taps, strides)
-
-    center = sum(radius * s for s in strides)
-    body = []
-    body.append("#include <stdint.h>")
-    body.append("")
+    tile_np = tuple(b + 2 * radius for b in np_bd)
+    tile_strides = _row_major_strides(tile_np)
+    brick_strides = _row_major_strides(np_bd)
+    tap_offsets, tap_terms = _tap_terms(taps, tile_strides)
+    # Staged boxes grouped by their unit-stride extent (the brick's, or
+    # the radius): within a group the innermost copy has a compile-time
+    # trip count, so it vectorizes with no runtime epilogue.
+    groups: Dict[int, list] = {}
+    for box in brick_stage_boxes(taps, np_bd, radius):
+        groups.setdefault(box[3][-1], []).append(box)
+    nboxes = sum(len(rows) for rows in groups.values())
     ret = "int64_t" if guard else "void"
-    body.append(
+    pad = " " * (len(ret) + 12)
+    body = [
+        "#include <stdint.h>",
+        "",
+        "/* per staged direction: adjacency column, tile offset, offset in",
+        "   the neighbour's field, extent per axis but the unit-stride one */",
+        f"static const int64_t STAGE[{nboxes}][{2 + ndim}] = {{",
+    ]
+    for rows in groups.values():
+        for column, tile_off, brick_off, extent in rows:
+            cells = (column, tile_off, brick_off, *extent[:-1])
+            body.append("    {" + ", ".join(str(n) for n in cells) + "},")
+    body += [
+        "};",
+        "",
         f"{ret} repro_step(const double *restrict src,"
-        " double *restrict dst,"
-    )
-    body.append(
-        "                const int64_t *restrict index,"
-        " const int64_t *restrict slots,"
-    )
-    if guard:
-        body.append(
-            "                int64_t nbricks,"
-            " int64_t src_elems, int64_t dst_elems)"
-        )
-    else:
-        body.append("                int64_t nbricks)")
-    body.append("{")
+        " double *restrict dst,",
+        f"{pad}const int64_t *restrict adj,"
+        " const int64_t *restrict slots,",
+        f"{pad}int64_t nbricks, double *restrict tile"
+        + (f",\n{pad}int64_t src_elems, int64_t dst_elems)" if guard else ")"),
+        "{",
+    ]
     if guard:
         body.append("    int64_t violations = 0;")
-    body.append("    int64_t b;")
-    body.append("    for (b = 0; b < nbricks; ++b) {")
-    body.append(f"        const int64_t *idx = index + b * {halo_elems};")
+        body.append(f"    const int64_t nslots = src_elems / {brick_elems};")
+    body.append("    for (int64_t b = 0; b < nbricks; ++b) {")
+    body.append(f"        const int64_t *row = adj + b * {3 ** ndim};")
+    if guard:
+        body += [
+            "        if (slots[b] < 0"
+            f" || (slots[b] + 1) * {brick_elems} > dst_elems) {{",
+            "            ++violations;",
+            "            continue;",
+            "        }",
+        ]
+    # Stage: one table-driven copy nest per group (unrolling it per
+    # direction costs 1.6x the compile time of the whole kernel).
+    first = 0
+    indent = "            "
+    for unit, rows in groups.items():
+        body += [
+            f"        for (int k = {first}; k < {first + len(rows)}; ++k) {{",
+            f"{indent}const int64_t *box = STAGE[k];",
+            f"{indent}double *restrict to = tile + box[1];",
+        ]
+        first += len(rows)
+        if guard:
+            body += [
+                f"{indent}int64_t nb = row[box[0]];",
+                f"{indent}if (nb < -1 || nb >= nslots) {{",
+                f"{indent}    ++violations;",
+                f"{indent}    nb = -1;",
+                f"{indent}}}",
+            ]
+        else:
+            body.append(f"{indent}const int64_t nb = row[box[0]];")
+        extents = [f"box[{3 + a}]" for a in range(ndim - 1)] + [unit]
+        nest, names, inner = _loop_nest(extents, indent + "    ", "c")
+        to_cell = f"{inner}to[{_flat(names, tile_strides)}]"
+        body.append(f"{indent}if (nb < 0) {{")
+        body += nest + [f"{to_cell} = 0.0;"] + _close_nest(ndim, inner)
+        body.append(f"{indent}}} else {{")
+        body.append(
+            f"{indent}    const double *restrict from ="
+            f" src + nb * {brick_elems} + {field_offset} + box[2];"
+        )
+        body += nest + [f"{to_cell} = from[{_flat(names, brick_strides)}];"]
+        body += _close_nest(ndim, inner)
+        body.append(f"{indent}}}")
+        body.append("        }")
+    # Sweep: rows of the brick, unit-stride innermost, taps at constant
+    # offsets from the cell's own position in the tile.
     body.append(
         f"        double *out = dst + slots[b] * {brick_elems}"
         f" + {field_offset};"
     )
-    if guard:
-        body.append(
-            f"        const int64_t out_base = slots[b] * {brick_elems}"
-            f" + {field_offset};"
-        )
-    indent = "        "
-    loop_vars = [f"i{a}" for a in range(ndim)]
-    for a in range(ndim):
-        body.append(
-            f"{indent}for (int64_t {loop_vars[a]} = 0;"
-            f" {loop_vars[a]} < {np_bd[a]}; ++{loop_vars[a]}) {{"
-        )
-        indent += "    "
-    base = " + ".join(f"{v} * {s}" for v, s in zip(loop_vars, strides))
-    body.append(f"{indent}const int64_t base = {base} + {center};")
+    nest, names, inner = _loop_nest(np_bd[:-1], "        ")
+    body += nest
+    center = sum(radius * s for s in tile_strides)
+    row_t = _flat(names, tile_strides) or "0"
+    row_o = _flat(names, brick_strides) or "0"
+    body.append(
+        f"{inner}const double *restrict x = tile + {center} + ({row_t});"
+    )
+    body.append(f"{inner}double *restrict o = out + ({row_o});")
+    v = f"i{ndim - 1}"
+    body.append(
+        f"{inner}for (int64_t {v} = 0; {v} < {np_bd[-1]}; ++{v}) {{"
+    )
+    cell = inner + "    "
     for slot, rel in enumerate(tap_offsets):
-        body.append(f"{indent}const int64_t j{slot} = idx[base + ({rel})];")
-        if guard:
-            body.append(
-                f"{indent}const int ok{slot} ="
-                f" j{slot} >= 0 && j{slot} < src_elems;"
-            )
-            body.append(
-                f"{indent}if (j{slot} >= src_elems || j{slot} < -1)"
-                " ++violations;"
-            )
-            body.append(
-                f"{indent}const double x{slot} ="
-                f" ok{slot} ? src[j{slot}] : 0.0;"
-            )
-        else:
-            body.append(
-                f"{indent}const double x{slot} ="
-                f" j{slot} < 0 ? 0.0 : src[j{slot}];"
-            )
-    body += _accumulate(tap_terms, indent)
-    # Output cell in brick row-major order, matching the loop nest.
-    bstr = _row_major_strides(np_bd)
-    cell = " + ".join(f"{v} * {s}" for v, s in zip(loop_vars, bstr))
-    if guard:
-        body.append(
-            f"{indent}if (out_base >= 0 &&"
-            f" out_base + ({cell}) < dst_elems)"
-        )
-        body.append(f"{indent}    out[{cell}] = acc;")
-        body.append(f"{indent}else ++violations;")
-    else:
-        body.append(f"{indent}out[{cell}] = acc;")
-    for a in range(ndim):
-        indent = indent[:-4]
-        body.append(f"{indent}}}")
+        body.append(f"{cell}const double x{slot} = x[{v} + ({rel})];")
+    body += _accumulate(tap_terms, cell)
+    body.append(f"{cell}o[{v}] = acc;")
+    body += _close_nest(ndim, cell)
     body.append("    }")
     if guard:
         body.append("    return violations;")
@@ -427,8 +549,8 @@ def array_step_source(
 
 
 _BATCH_ARGS = (
-    "const double *src, double *dst, const int64_t *index,"
-    " const int64_t *slots, int64_t nbricks"
+    "const double *src, double *dst, const int64_t *adj,"
+    " const int64_t *slots, int64_t nbricks, double *tile"
 )
 _ARRAY_ARGS = (
     "const double *src, double *dst, const int64_t *boxes, int64_t nboxes"
@@ -510,21 +632,24 @@ def _build(
     source: str, guard: bool = False, extra_flags: Sequence[str] = ()
 ) -> Callable:
     """Compile and load brick-batch *source* (:func:`batch_step_source`)
-    as ``step(src_data, dst_data, index, slots)``."""
+    as ``step(src_data, dst_data, adj, slots, tile)``."""
     ffi, fn, lib = _load(source, "repro_step", _BATCH_ARGS, guard, extra_flags)
     cast, from_buffer = ffi.cast, ffi.from_buffer
 
-    def call(src_data, dst_data, index, slots, *extents):
+    def call(src_data, dst_data, adj, slots, tile, *extents):
         return fn(
             cast("const double *", from_buffer(src_data)),
             cast("double *", from_buffer(dst_data, require_writable=True)),
-            cast("const int64_t *", from_buffer(index)),
+            cast("const int64_t *", from_buffer(adj)),
             cast("const int64_t *", from_buffer(slots)),
             len(slots),
+            cast("double *", from_buffer(tile, require_writable=True)),
             *extents,
         )
 
-    return _finish(call, lib, guard, source, "table index value(s)")
+    return _finish(
+        call, lib, guard, source, "adjacency entry / destination slot value(s)"
+    )
 
 
 def _build_array(
@@ -564,7 +689,7 @@ def _kernel_for(key: Tuple, dtype, build: Callable[[Tuple, bool], Callable]):
     *key* in the per-process cache; a refusal is cached too, so a broken
     toolchain is asked once per specialization, not once per plan.
     """
-    choice = backend_choice()
+    choice, sanitize, guard = kernel_env()
     if choice == "numpy":
         return None
     if np.dtype(dtype) != np.float64:
@@ -573,8 +698,6 @@ def _kernel_for(key: Tuple, dtype, build: Callable[[Tuple, bool], Callable]):
                 "REPRO_KERNEL_BACKEND=cffi supports float64 plans only"
             )
         return None
-    sanitize = sanitize_flags()
-    guard = bounds_guard_enabled()
     key += (sanitize, guard)
     with _lock:
         fn = _kernels.get(key)
@@ -602,18 +725,23 @@ def batch_step_kernel(
     brick_elems: int,
     dtype: np.dtype,
 ) -> Optional[Callable]:
-    """The fused C brick step kernel for this specialization, or ``None``
-    (see :func:`_kernel_for`)."""
+    """The stage-then-sweep C brick kernel for this specialization, or
+    ``None`` (see :func:`_kernel_for`).  ``kernel.staged_cells`` is the
+    number of tile cells it stages per brick."""
     spec = (
         tuple(taps), tuple(np_bd), int(radius), int(field_offset),
         int(brick_elems),
     )
-    return _kernel_for(
-        ("brick",) + spec, dtype,
-        lambda sanitize, guard: _build(
-            batch_step_source(*spec, guard=guard), guard, sanitize
-        ),
-    )
+
+    def build(sanitize, guard):
+        step = _build(batch_step_source(*spec, guard=guard), guard, sanitize)
+        step.staged_cells = sum(
+            math.prod(extent)
+            for *_, extent in brick_stage_boxes(*spec[:3])
+        )
+        return step
+
+    return _kernel_for(("brick",) + spec, dtype, build)
 
 
 def array_step_kernel(

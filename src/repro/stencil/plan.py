@@ -6,23 +6,30 @@ reproduction's own hottest Python path.  The generic kernels re-derive
 slices, allocate halo/accumulator temporaries, and issue ``3^D`` separate
 fancy-index gathers on every chunk of every timestep.  A *plan* hoists all
 of that out of the loop, once per ``(stencil spec, brick geometry, slot
-set, field offset)`` key:
+set, field offset)`` key, on one of two tiers:
 
-* **Fused gather plan** -- a flat int64 source-index table built once, so
-  the per-step halo gather is a single ``np.take`` into a persistent
-  buffer instead of ``3^D`` direction-wise fancy-index assignments.
-  Halo cells whose source brick is absent (adjacency ``-1``) are located
-  at plan build; per step they are re-zeroed with one small fancy write.
-* **Persistent work buffers** -- halo batch, accumulator and tap scratch
-  are allocated once and reused across timesteps and chunks.
-* **Specialized kernels** -- the tap loop runs as a codegen-compiled,
-  fully-unrolled kernel (:mod:`repro.stencil.codegen`) that accumulates
-  with ``np.multiply(..., out=)`` / in-place ``np.add``, making zero
+* **C tier** (:mod:`repro.stencil.cbackend`) -- a brick plan holds the
+  slot set's ``(n, 3^D)`` adjacency rows and one plan-owned halo-tile
+  scratch; a step is one call of the stage-then-sweep kernel, which
+  copies each brick's reached neighbour sub-boxes into the tile and
+  runs the unrolled tap loop over it unit-stride.  No per-cell index
+  table is built.  An array plan hands its box list to the C box
+  kernel of its extended shape.
+* **NumPy tier** (the fallback) -- a **fused gather plan**: a flat int64
+  ``(n, halo)`` source-index table built once, so the per-step halo
+  gather is a single ``np.take`` into a persistent buffer instead of
+  ``3^D`` direction-wise fancy-index assignments (halo cells whose
+  source brick is absent, adjacency ``-1``, are located at plan build
+  and re-zeroed per step with one small fancy write); **persistent work
+  buffers** for halo batch, accumulator and tap scratch; and the tap
+  loop as a codegen-compiled, fully-unrolled kernel
+  (:mod:`repro.stencil.codegen`) that accumulates with
+  ``np.multiply(..., out=)`` / in-place ``np.add``, making zero
   temporaries per step.
 
 The generic kernels in :mod:`repro.stencil.kernels` and
 :mod:`repro.stencil.brick_kernels` remain the bit-identity reference; the
-test suite asserts planned results equal them exactly.
+test suite asserts planned results equal them exactly on both tiers.
 
 Plans own mutable scratch buffers and therefore must not be shared across
 simulated ranks (threads); the executed driver builds one plan per rank
@@ -41,10 +48,12 @@ from repro.brick.info import BrickInfo, all_direction_vectors, direction_index
 from repro.brick.storage import BrickStorage
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
+from repro.stencil.brick_kernels import _margin_slices
 from repro.stencil.cbackend import (
     array_step_kernel,
     backend_choice,
     batch_step_kernel,
+    kernel_env,
 )
 from repro.stencil.codegen import (
     checked_box,
@@ -72,7 +81,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _GatherChunk:
-    """One chunk's precomputed gather/scatter tables."""
+    """One chunk's precomputed gather/scatter tables (NumPy tier)."""
 
     slots: np.ndarray  # the batch of brick slots, in compute order
     index: np.ndarray  # (n, *halo_np) flat source indices into storage
@@ -82,15 +91,6 @@ class _GatherChunk:
     @property
     def n(self) -> int:
         return len(self.slots)
-
-
-def _margin_slices(d: int, bd: int, r: int) -> Tuple[slice, slice]:
-    """(target-in-halo, source-in-neighbor) slices along one axis."""
-    if d == -1:
-        return slice(0, r), slice(bd - r, bd)
-    if d == 0:
-        return slice(r, r + bd), slice(0, bd)
-    return slice(r + bd, bd + 2 * r), slice(0, r)
 
 
 # Per-(brick shape, radius) halo template maps, shared by every chunk and
@@ -139,7 +139,8 @@ def _build_gather_chunk(
     field_offset: int,
     brick_elems: int,
 ) -> _GatherChunk:
-    """Index tables for one batch, mirroring ``gather_halo_batch``."""
+    """Index tables for one NumPy-tier batch, mirroring
+    ``gather_halo_batch``."""
     bd = info.brick_dim
     ndim = info.ndim
     np_bd = tuple(reversed(bd))
@@ -153,10 +154,10 @@ def _build_gather_chunk(
     mask = src < 0
     if mask.any():
         absent_flat = np.flatnonzero(mask)
-        # Sentinel -1: np.take reads the (re-zeroed) last element, the C
-        # backend branches to a 0.0 contribution directly.  (Assigned
-        # through the mask: the fancy-indexed table is not C-ordered, so
-        # a reshape(-1) of it would be a copy.)
+        # Sentinel -1: np.take reads the last element, which execute()
+        # then re-zeroes in the halo.  (Assigned through the mask: the
+        # fancy-indexed table is not C-ordered, so a reshape(-1) of it
+        # would be a copy.)
         index[mask] = -1
     index = np.ascontiguousarray(index.reshape((n,) + halo_np))
     # Contiguous slot batches scatter with one slice assignment.
@@ -171,10 +172,20 @@ def _build_gather_chunk(
 class BrickStencilPlan:
     """Compiled executor of one stencil over a fixed brick slot set.
 
-    Precomputes fused gather tables, owns persistent halo/accumulator/tap
-    buffers, and dispatches the codegen-compiled batch kernel.  The
-    per-step work is: one ``np.take`` gather per chunk, the unrolled
-    in-place tap loop, and one scatter into the destination bricks.
+    On the C tier the plan holds the slot set's ``(n, 3^D)`` adjacency
+    rows and one halo-tile scratch; a step is one call of the
+    stage-then-sweep kernel (:func:`repro.stencil.cbackend
+    .batch_step_source`), which addresses neighbours per brick through
+    those rows.  On the NumPy tier it holds fused ``(n, halo)`` gather
+    tables and persistent halo/accumulator/tap buffers, and a step is
+    one ``np.take`` gather per chunk, the unrolled in-place tap loop and
+    one scatter into the destination bricks (``chunks`` is empty on the
+    C tier, which never builds the tables).
+
+    ``plan.halo_cells_gathered`` counts the halo cells a step stages:
+    on the C tier bricks x the tile cells of the directions some tap
+    reaches (a star skips edge and corner sub-boxes), on the NumPy tier
+    bricks x the whole ``prod(bd + 2r)`` halo block ``np.take`` fills.
     """
 
     def __init__(
@@ -215,13 +226,9 @@ class BrickStencilPlan:
         self._np_bd = tuple(reversed(bd))
         slots = np.asarray(slots, dtype=np.int64)
         self.slots = slots
-        self.chunks: List[_GatherChunk] = [
-            _build_gather_chunk(
-                info, slots[lo : lo + chunk], r, self.field_offset, brick_elems
-            )
-            for lo in range(0, len(slots), chunk)
-        ]
-        # Codegen seam: the fused C backend replaces the whole per-chunk
+        self.chunks: List[_GatherChunk] = []
+        halo_np = tuple(b + 2 * r for b in self._np_bd)
+        # Codegen seam: the C kernel replaces the whole per-chunk
         # gather/taps/scatter sequence when available (and allowed by
         # REPRO_KERNEL_BACKEND); otherwise the NumPy plan path below runs
         # with its persistent scratch.  Results are bit-identical.
@@ -229,9 +236,23 @@ class BrickStencilPlan:
             spec.taps, self._np_bd, r, self.field_offset, brick_elems,
             self.dtype,
         )
-        if self._ckernel is None:
+        if self._ckernel is not None:
+            self._adjacency = np.ascontiguousarray(
+                info.adjacency[slots], dtype=np.int64
+            )
+            # Plan-owned, like every other mutable step buffer: its size
+            # follows the brick shape, so it is no C stack array.
+            self._tile = np.empty(math.prod(halo_np), dtype=self.dtype)
+            self._staged_cells = len(slots) * self._ckernel.staged_cells
+        else:
+            self.chunks = [
+                _build_gather_chunk(
+                    info, slots[lo : lo + chunk], r, self.field_offset,
+                    brick_elems,
+                )
+                for lo in range(0, len(slots), chunk)
+            ]
             nmax = max((c.n for c in self.chunks), default=0)
-            halo_np = tuple(b + 2 * r for b in self._np_bd)
             self._halo = np.zeros((nmax,) + halo_np, dtype=self.dtype)
             self._acc = np.empty((nmax,) + self._np_bd, dtype=self.dtype)
             self._tmp = np.empty_like(self._acc)
@@ -268,13 +289,9 @@ class BrickStencilPlan:
         track = _METRICS.enabled
         ck = self._ckernel
         if ck is not None:
-            src_data, dst_data = src.data, dst.data
-            for ch in self.chunks:
-                if track:
-                    _METRICS.count(
-                        "plan.halo_cells_gathered", int(ch.index.size)
-                    )
-                ck(src_data, dst_data, ch.index, ch.slots)
+            if track:
+                _METRICS.count("plan.halo_cells_gathered", self._staged_cells)
+            ck(src.data, dst.data, self._adjacency, self.slots, self._tile)
             return
         src_flat = src.data.reshape(-1)
         fo, vol = self.field_offset, self.volume
@@ -306,9 +323,12 @@ def compile_brick_plan(
 
     The cache lives on the :class:`BrickInfo` instance itself -- the
     geometry *is* the cache scope, and an id()-keyed module cache could
-    hand a new geometry a stale plan.  Keys are
-    ``(taps, slot set, field offset, dtype, chunk)``.  Cached plans hold
-    mutable scratch: share them only within one rank/thread.
+    hand a new geometry a stale plan.  Keys are ``(taps, slot set, field
+    offset, dtype, chunk)`` plus what selects the kernel tier and variant
+    (:func:`repro.stencil.cbackend.kernel_env`), so a plan compiled under
+    one ``REPRO_KERNEL_BACKEND`` / ``REPRO_CC_BOUNDS`` /
+    ``REPRO_CC_SANITIZE`` is never handed out under another.  Cached
+    plans hold mutable scratch: share them only within one rank/thread.
     """
     cache: Dict[Tuple, BrickStencilPlan] = info.__dict__.setdefault(
         "_stencil_plan_cache", {}
@@ -320,6 +340,7 @@ def compile_brick_plan(
         int(field_offset),
         np.dtype(dtype).str,
         int(chunk),
+        kernel_env(),
     )
     plan = cache.get(key)
     if plan is None:

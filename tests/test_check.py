@@ -269,25 +269,39 @@ class TestCBackend:
             pytest.skip(f"no C toolchain: {err}")
         rng = np.random.default_rng(0)
         nb = 2
-        halo = tuple(b + 2 * r for b in np_bd)
-        src = rng.random(nb * be)
-        index = np.full((nb,) + halo, -1, dtype=np.int64)
-        inner = np.arange(be).reshape(np_bd)
-        for b in range(nb):
-            index[b][1:-1, 1:-1, 1:-1] = inner + b * be
-        index = np.ascontiguousarray(index)
+        src = rng.random((nb, be))
+        # Two bricks, each other's +x / -x neighbour, nothing else around.
+        adj = np.full((nb, 27), -1, dtype=np.int64)
+        adj[:, 13] = (0, 1)
+        adj[:, 12] = adj[:, 14] = (1, 0)
         slots = np.arange(nb, dtype=np.int64)
+        tile = np.empty(10 ** 3)
         d1 = np.zeros_like(src)
         d2 = np.zeros_like(src)
-        plain(src, d1, index, slots)
-        guarded(src, d2, index, slots)
+        plain(src, d1, adj, slots, tile)
+        guarded(src, d2, adj, slots, tile)
         assert np.array_equal(d1, d2)
-        # Poison one index: the guard reports, the plain kernel would
-        # have read out of bounds.
-        bad = index.copy()
-        bad[0][5, 5, 5] = nb * be + 99  # an interior cell every tap reads
-        with pytest.raises(cbackend.KernelBoundsError, match="out-of-range"):
-            guarded(src, d2, np.ascontiguousarray(bad), slots)
+        good = d1.copy()
+        # Poison one staged adjacency entry: the guard counts it and
+        # stages the direction as absent, where the plain kernel would
+        # have read outside the storage.
+        absent = adj.copy()
+        absent[0, 14] = -1
+        plain(src, d1, absent, slots, tile)
+        for poison in (nb, -2):
+            bad = adj.copy()
+            bad[0, 14] = poison
+            d2[:] = 7.0
+            with pytest.raises(
+                cbackend.KernelBoundsError, match="1 out-of-range"
+            ):
+                guarded(src, d2, bad, slots, tile)
+            assert np.array_equal(d1, d2)
+        # A destination slot whose brick does not fit is skipped whole.
+        d2[:] = 7.0
+        with pytest.raises(cbackend.KernelBoundsError, match="1 out-of-range"):
+            guarded(src, d2, adj, np.array([0, nb], dtype=np.int64), tile)
+        assert np.array_equal(d2[0], good[0]) and (d2[1] == 7.0).all()
 
     def test_bounds_env_selects_guard_in_kernel_cache(self, monkeypatch):
         if cbackend._compiler() is None or cbackend.cffi is None:
@@ -299,6 +313,27 @@ class TestCBackend:
         )
         assert fn is not None
         assert "src_elems" in fn.__source__
+
+    @needs_cc
+    def test_brick_probe_notices_a_wrong_neighbour_sub_box(self, monkeypatch):
+        """The probe reads real neighbours through adjacency rows: a
+        staging table that copies one face from the wrong end of the
+        neighbour brick is a mismatch, not a pass."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        real = cbackend.brick_stage_boxes
+
+        def wrong_face(taps, np_bd, radius):
+            rows = real(taps, np_bd, radius)
+            k = [row[0] for row in rows].index(12)  # the -x face
+            column, tile_off, brick_off, extent = rows[k]
+            assert brick_off != 0  # it reads the neighbour's far end
+            rows[k] = (column, tile_off, 0, extent)
+            return rows
+
+        monkeypatch.setattr(cbackend, "brick_stage_boxes", wrong_face)
+        rep = CheckReport()
+        verify_cbackend(rep)
+        assert rep.codes() == ["probe-mismatch"], rep.render()
 
     @needs_cc
     def test_array_probe_is_its_own_finding(self, monkeypatch):

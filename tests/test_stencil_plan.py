@@ -11,6 +11,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.brick.convert import (
     bricks_to_extended,
@@ -23,6 +25,7 @@ from repro.brick.info import BrickInfo, all_direction_vectors, direction_index
 from repro.brick.storage import BrickStorage
 from repro.core.driver import run_executed
 from repro.core.expansion import brick_cycle_slots
+from repro.core.problem import StencilProblem
 from repro.stencil import cbackend
 from repro.stencil.brick_kernels import apply_brick_stencil, gather_halo_batch
 from repro.stencil.codegen import (
@@ -34,6 +37,7 @@ from repro.stencil.plan import (
     ArrayStencilPlan,
     compile_array_phase_plans,
     compile_array_plan,
+    compile_brick_phase_plans,
     compile_brick_plan,
 )
 from repro.stencil.reference import apply_periodic_reference
@@ -121,11 +125,13 @@ class TestBrickPlanBitIdentity:
         plan.execute(src, got)
         np.testing.assert_array_equal(got.data, ref.data)
 
-    def test_absent_neighbours_carry_the_sentinel(self):
+    def test_absent_neighbours_carry_the_sentinel(self, monkeypatch):
         """Halo cells with no source brick are exactly ``-1`` in the
-        gather table -- what the bounds-guarded C kernel accepts."""
+        NumPy tier's gather table (the only tier that builds one)."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
         info = grid_info((3, 3), (4, 3), periodic=False)
         plan = compile_brick_plan(star_stencil(2, 1), info, np.arange(9))
+        assert plan.chunks
         for ch in plan.chunks:
             assert ch.absent is not None and ch.index.min() == -1
             assert (ch.index.reshape(-1)[ch.absent] == -1).all()
@@ -207,6 +213,150 @@ class TestBrickPlanBitIdentity:
         f32, _ = small_decomp.allocate(dtype=np.float32)
         with pytest.raises(ValueError):
             plan.execute(st, f32)
+
+
+class TestBrickPlanCTier:
+    """The stage-then-sweep C brick kernel, addressed through adjacency
+    rows: bit-identical (compared as raw ``uint64``) to the generic
+    kernel.  The geometries are a fixed list -- one compiled kernel
+    each -- and hypothesis draws only what costs no build: the slot
+    subset, its order and the data."""
+
+    # (grid, brick_dim, spec, nfields, field, periodic): 1-D to 3-D,
+    # non-cubic bricks, radius 1, 2 and == min(brick_dim), a second
+    # interleaved field, closed grids so absent neighbours occur.
+    GEOMETRIES = [
+        ((5,), (6,), star_stencil(1, 1), 1, 0, True),
+        ((4,), (3,), star_stencil(1, 3), 1, 0, False),
+        ((4, 3), (5, 3), star_stencil(2, 1), 1, 0, False),
+        ((3, 4), (4, 2), cube_stencil(2, 2), 2, 1, True),
+        ((3, 3, 3), (4, 2, 3), star_stencil(3, 1), 1, 0, False),
+        ((3, 3, 3), (4, 2, 3), star_stencil(3, 2), 2, 1, True),
+        ((2, 3, 2), (3, 5, 4), cube_stencil(3, 1), 1, 0, False),
+        ((2, 3, 2), (3, 2, 4), cube_stencil(3, 2), 1, 0, False),
+    ]
+    IDS = ["1d-r1", "1d-r=bd", "2d-star", "2d-cube-r=bd-field1", "3d-star",
+           "3d-star-r=bd-field1", "3d-cube27", "3d-cube125-r=bd"]
+
+    @pytest.fixture(autouse=True)
+    def _demand_c(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+
+    @staticmethod
+    def _same_bits(got, ref):
+        np.testing.assert_array_equal(
+            got.data.view(np.uint64), ref.data.view(np.uint64)
+        )
+
+    @needs_cc
+    @pytest.mark.parametrize(
+        "grid,brick_dim,spec,nfields,field,periodic", GEOMETRIES, ids=IDS
+    )
+    @settings(
+        max_examples=12, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_bit_identical_any_slot_subset(
+        self, grid, brick_dim, spec, nfields, field, periodic, data
+    ):
+        info = grid_info(grid, brick_dim, nfields, periodic)
+        slots = np.array(data.draw(st.lists(
+            st.integers(0, info.nslots - 1), min_size=1, unique=True,
+        )))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        offset = field * math.prod(brick_dim)
+        src = random_storage(info, rng, nfields)
+        ref = random_storage(info, rng, nfields)  # dirty destination
+        got = random_storage(info, rng, nfields)
+        got.data[:] = ref.data
+        apply_brick_stencil(spec, src, ref, info, slots, field_offset=offset)
+        plan = compile_brick_plan(spec, info, slots, field_offset=offset)
+        assert plan.kernel_backend == "cffi"
+        plan._tile.fill(np.nan)  # unstaged tile cells must never be read
+        plan.execute(src, got)
+        self._same_bits(got, ref)
+
+    @needs_cc
+    def test_holds_adjacency_rows_and_no_gather_table(self):
+        """The ``(n, halo)`` int64 table is the NumPy tier's: a C-tier
+        plan keeps the ``(n, 3^D)`` adjacency rows and one tile."""
+        info = grid_info((3, 3, 3), (4, 2, 3), periodic=False)
+        slots = np.array([5, 0, 26, 13])
+        plan = compile_brick_plan(star_stencil(3, 1), info, slots)
+        assert plan.kernel_backend == "cffi" and plan.chunks == []
+        np.testing.assert_array_equal(plan._adjacency, info.adjacency[slots])
+        halo = 6 * 4 * 5
+        assert plan._tile.shape == (halo,)
+        held = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+        assert all(a.size < len(slots) * halo for a in held)
+
+    @needs_cc
+    @pytest.mark.parametrize("spec", [SEVEN_POINT, cube_stencil(3, 1)],
+                             ids=["7pt", "cube27"])
+    def test_phase_cover_equals_unsplit(self, spec):
+        """Interior + surface plans of every ghost-expansion cycle
+        position (the deeper one computes the inner ghost layer too)
+        write the bits of the unsplit plan."""
+        d = BrickDecomp((16, 16, 16), (4, 4, 4), 8)
+        rng = np.random.default_rng(21)
+        src, asn = d.allocate()
+        src.data[:] = rng.random(src.data.shape)
+        info = d.brick_info(asn)
+        positions = brick_cycle_slots(d, asn, spec.radius)
+        assert len(positions) == 2
+        for slots in positions:
+            whole, _ = d.allocate()
+            cover, _ = d.allocate()
+            whole.data[:] = cover.data[:] = rng.random(whole.data.shape)
+            compile_brick_plan(spec, info, slots).execute(src, whole)
+            interior, surface = compile_brick_phase_plans(
+                spec, info, asn, slots
+            )
+            assert interior is not None and surface is not None
+            assert len(interior.slots) + len(surface.slots) == len(slots)
+            for part in (interior, surface):
+                assert part.kernel_backend == "cffi"
+                part.execute(src, cover)
+            self._same_bits(cover, whole)
+
+    def test_plan_cache_keyed_by_kernel_environment(self, monkeypatch):
+        """One BrickInfo, one slot set: the cached plan of one backend /
+        guard setting is not handed out under another."""
+        info = grid_info((3, 3), (4, 3))
+        spec, slots = star_stencil(2, 1), np.arange(9)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        on_numpy = compile_brick_plan(spec, info, slots)
+        assert on_numpy.kernel_backend == "numpy"
+        assert compile_brick_plan(spec, info, slots) is on_numpy
+        if cbackend.cffi is None or cbackend._compiler() is None:
+            return
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        monkeypatch.setenv("REPRO_CC_BOUNDS", "0")
+        plain = compile_brick_plan(spec, info, slots)
+        assert plain.kernel_backend == "cffi"
+        monkeypatch.setenv("REPRO_CC_BOUNDS", "1")
+        guarded = compile_brick_plan(spec, info, slots)
+        assert guarded is not plain
+        assert "src_elems" in guarded._ckernel.__source__
+        assert "src_elems" not in plain._ckernel.__source__
+        monkeypatch.setenv("REPRO_CC_BOUNDS", "0")
+        assert compile_brick_plan(spec, info, slots) is plain
+
+    @needs_cc
+    def test_bounds_guard_names_a_poisoned_adjacency_row(self, monkeypatch):
+        """REPRO_CC_BOUNDS=1 through the plan: an adjacency entry past
+        the storage is a typed error, not a stray read."""
+        monkeypatch.setenv("REPRO_CC_BOUNDS", "1")
+        info = grid_info((3, 3), (4, 3))
+        spec, slots = star_stencil(2, 1), np.arange(9)
+        rng = np.random.default_rng(23)
+        src, dst = random_storage(info, rng), random_storage(info, rng)
+        plan = compile_brick_plan(spec, info, slots)
+        plan.execute(src, dst)
+        plan._adjacency[4, info.center_index + 1] = info.nslots
+        with pytest.raises(cbackend.KernelBoundsError, match="1 out-of-range"):
+            plan.execute(src, dst)
 
 
 class TestArrayPlanBitIdentity:
@@ -535,6 +685,36 @@ class TestDriverIntegration:
             run.global_result.view(np.uint64), ref.view(np.uint64)
         )
 
+    @needs_cc
+    @pytest.mark.parametrize("method", ["layout", "memmap", "basic"])
+    @pytest.mark.parametrize(
+        "brick,period", [(8, 1), (4, 2)], ids=["brick8", "brick4-period2"]
+    )
+    def test_brick_methods_step_on_c(
+        self, method, brick, period, theta, monkeypatch
+    ):
+        """Brick methods compute on the C tier with all 27 directions
+        staged (125-point), phased; with 4^3 bricks and period 2 the
+        deeper cycle position sweeps the inner ghost layer too."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        problem = StencilProblem(
+            global_extent=(32, 32, 32), rank_dims=(2, 2, 2), stencil=CUBE125,
+            brick_dim=(brick,) * 3, ghost=8,
+        )
+        steps = 4
+        run = run_executed(
+            problem, method, theta, timesteps=steps,
+            overlap=True, exchange_period=period,
+        )
+        assert run.kernel_backend == "cffi" and run.overlap is True
+        assert run.exchange_period == period
+        ref = apply_periodic_reference(
+            problem.initial_global(0), CUBE125, steps
+        )
+        np.testing.assert_array_equal(
+            run.global_result.view(np.uint64), ref.view(np.uint64)
+        )
+
     def test_kernel_backend_reports_numpy_fallback(
         self, small_problem, theta, monkeypatch
     ):
@@ -556,8 +736,6 @@ class TestDriverIntegration:
                 global_extent=(32, 32), rank_dims=(2, 2), stencil=spec,
                 brick_dim=brick, ghost=ghost,
             )
-            from repro.core.problem import StencilProblem
-
             run = run_executed(
                 StencilProblem(**problem_kw), method, theta,
                 timesteps=steps, exchange_period=period,
