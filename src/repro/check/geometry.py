@@ -12,7 +12,7 @@ while staying cheap enough to run ahead of every job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.brick.decomp import BrickDecomp, SlotAssignment
 from repro.core.methods import method_info, resolve_page_size
@@ -24,7 +24,12 @@ from repro.hardware.profiles import MachineProfile, generic_host
 from repro.simmpi.comm import CartComm, SimComm
 from repro.simmpi.fabric import SimFabric
 
-__all__ = ["RankGeometry", "build_rank_geometries", "build_rank_plans"]
+__all__ = [
+    "RankGeometry",
+    "build_rank_geometries",
+    "build_rank_plans",
+    "iter_rank_geometries",
+]
 
 #: Methods the static verifier covers: every executable CPU scheme plus
 #: the degradation ladder's last rung.
@@ -47,13 +52,14 @@ class RankGeometry:
     page_size: Optional[int]  # memmap only
 
 
-def build_rank_geometries(
+def iter_rank_geometries(
     problem: StencilProblem,
     method: str,
     profile: Optional[MachineProfile] = None,
     page_size: Optional[int] = None,
-) -> List[RankGeometry]:
-    """Reconstruct every rank's plan-only geometry for *method*.
+) -> Iterator[RankGeometry]:
+    """Reconstruct each rank's plan-only geometry for *method*, in rank
+    order, one at a time (a caller that needs one rank's pays for one).
 
     One shared :class:`SimFabric` backs all the Cartesian communicators
     (nothing is ever posted to it); each rank gets the same plan-only
@@ -80,16 +86,22 @@ def build_rank_geometries(
             asn = decomp.assignment(1)
     fabric = SimFabric(problem.nranks)
     periods = [problem.periodic] * problem.ndim
-    out: List[RankGeometry] = []
     for rank in range(problem.nranks):
         cart = SimComm(fabric, rank).Create_cart(problem.rank_dims, periods)
         ex = make_exchanger(
             base, cart, problem, profile, None, decomp, asn, page
         )
-        out.append(
-            RankGeometry(rank, cart, ex, ex.message_plan(), decomp, asn, page)
-        )
-    return out
+        yield RankGeometry(rank, cart, ex, ex.message_plan(), decomp, asn, page)
+
+
+def build_rank_geometries(
+    problem: StencilProblem,
+    method: str,
+    profile: Optional[MachineProfile] = None,
+    page_size: Optional[int] = None,
+) -> List[RankGeometry]:
+    """Every rank's plan-only geometry for *method*."""
+    return list(iter_rank_geometries(problem, method, profile, page_size))
 
 
 def build_rank_plans(

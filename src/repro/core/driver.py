@@ -60,6 +60,7 @@ from repro.ckpt import (
     storage_chunks,
 )
 from repro.faults.errors import (
+    ExchangeConfigError,
     ExchangeIntegrityError,
     ExchangeTimeoutError,
     InjectedCrashError,
@@ -423,9 +424,12 @@ def _exchange_with_retry(
 ) -> ExchangeResult:
     """One enveloped exchange, healed by bounded retry-with-backoff.
 
-    Safe because detected faults leave a pristine retransmit queued and
-    the envelope fabric makes whole-exchange retries idempotent (posts
-    suppressed, deliveries replayed); see DESIGN.md.
+    *fire* is a channel's exchange (or a phased step's start / interior /
+    complete).  Safe because a receive that detects faults judges every
+    item it took, leaves the failed ones queued pristine and raises
+    once, and a re-fire in the same epoch is idempotent (posts absorbed,
+    accepted receives skipped): one retry heals a whole cut, however
+    many of its items were faulted; see DESIGN.md.
     """
     rank = comm.rank
     comm.set_epoch(t)
@@ -447,6 +451,28 @@ def _exchange_with_retry(
             return result
     finally:
         comm.set_epoch(None)
+
+
+def _require_healable(problem, method, profile, page_size) -> None:
+    """Refuse wire faults on a schedule no retry can heal.
+
+    Rank 0's plan-only exchanger -- the reconstruction ``repro check``
+    verifies -- says how many barrier-separated rounds the schedule
+    has; every rank's has the same number.
+    """
+    from repro.check.geometry import iter_rank_geometries
+
+    rank0 = next(iter_rank_geometries(problem, method, profile, page_size))
+    nphases = rank0.plan.nphases
+    if nphases > 1:
+        raise ExchangeConfigError(
+            f"fault_plan has wire-fault probabilities but {method!r}"
+            f" exchanges in {nphases} barrier-separated phases: it has no"
+            " persistent channel, so its per-message rounds are verified"
+            " (detection) but a fault could never be retried across the"
+            " barriers.  Use a crash / death / degrade-only plan, or a"
+            " single-phase method"
+        )
 
 
 def _modelled_totals(
@@ -632,12 +658,13 @@ def _rank_fn(
         state.fill(problem.initial_global(seed)[problem.owned_slices(cart.coords)])
 
     # Persistent channels (negotiated once, re-fired batched every step)
-    # wherever the method and fabric allow.  Phased (interior/surface)
-    # execution engages exactly when every slot got one.
+    # wherever the method allows.  Phased (interior/surface) execution
+    # engages exactly when every slot got one.
     partitions = DEFAULT_PARTITIONS if overlap else 1
     engines = make_engines(state.exchangers, partitions)
+    channels = all(isinstance(e, ExchangeChannel) for e in engines)
     split, overlap_points = None, None
-    if overlap and all(isinstance(e, ExchangeChannel) for e in engines):
+    if overlap and channels:
         split, overlap_points = state.compile_split()
     rp = RankRunPlan(
         engines, state.plans, state.buffers, period, split, rank, info.name
@@ -668,7 +695,9 @@ def _rank_fn(
 
     if injector is not None or cp is not None or state.ladder_level is not None:
         rp.pre_step = pre_step
-    if envelope:
+    if envelope and channels:
+        # Healing lives on the bound item; Shift's per-message rounds are
+        # verified as detection only, so there is nothing to re-fire.
         rp.around_exchange = lambda t, fire: _exchange_with_retry(
             comm, fire, t, retry, injector
         )
@@ -809,9 +838,10 @@ def run_executed(
     then sweep the surface.  Results are bit-identical to the unphased
     step.  Phasing engages exactly when every buffer's exchange engine
     is a persistent channel, whatever else is on (checkpoints, tracing,
-    metrics, the degradation ladder); it cannot on a verified fabric
-    (*verify_wire*, *fault_plan*), whose protocol is per-message, or
-    with Shift, whose rounds are barrier-separated.
+    metrics, the degradation ladder, *verify_wire*, *fault_plan*: the
+    envelope rides the channel's bound items, the retry epoch spans
+    start -> complete and a retry re-fires the completion only); it
+    cannot with Shift, whose rounds are barrier-separated.
     ``ExecutedRun.overlap`` reports which happened.
 
     Chaos-fabric knobs (see README "Robustness"):
@@ -821,6 +851,12 @@ def run_executed(
     (enveloped) exchange.  *verify_wire* turns envelopes on without any
     injection.  Envelope headers and retries cost wall-clock only:
     modelled bytes/times and the numerical results are unchanged.
+    Wire faults are injected into, and healed on, a channel's bound
+    items; a multi-phase schedule (Shift) has no channel and its
+    per-message rounds are verified as detection only, so a plan with
+    wire-fault probabilities is refused for it up front with
+    :class:`~repro.faults.errors.ExchangeConfigError` (crash- and
+    death-only plans are fine).
 
     *retry*: :class:`~repro.faults.RetryPolicy` healing detected faults
     (defaults to the standard policy whenever envelopes are on; pass
@@ -897,6 +933,8 @@ def run_executed(
             import sys as _sys
 
             print(report.render(), file=_sys.stderr)
+    if fault_plan is not None and fault_plan.any_wire_faults:
+        _require_healable(problem, method, profile, page_size)
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     envelope = verify_wire or injector is not None
     if envelope and retry is None:

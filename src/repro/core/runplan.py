@@ -9,11 +9,11 @@ only restarts it.
 * **Exchange engines** (:func:`make_engines`): each exchanger's bound
   message plan as an :class:`~repro.exchange.base.ExchangeChannel` --
   ``(peer, tag, buffer)`` tuples over persistent buffers, bound to the
-  fabric once as one persistent request and re-fired every step --
-  wherever the plan and the fabric allow, the exchanger's per-message
-  ``exchange()`` over the same binding otherwise (Shift's
-  barrier-separated phases; any scheme on a verified fabric).  Both
-  expose ``exchange() -> ExchangeResult``.
+  fabric once as one persistent request and re-fired every step, on a
+  plain and on a verified fabric alike -- wherever the plan allows, the
+  exchanger's per-message ``exchange()`` over the same binding otherwise
+  (Shift's barrier-separated phases).  Both expose
+  ``exchange() -> ExchangeResult``.
 * **A rank run plan** (:class:`RankRunPlan`) binds, per cycle position,
   the engine and the compiled stencil plan to the two double-buffer
   slots.  One step is: one engine fire, one plan execution, one flip.
@@ -51,8 +51,8 @@ def make_engines(exchangers: Sequence[Exchanger], partitions: int = 1) -> list:
 
     Every exchanger that can be replayed as a persistent batch is
     replaced by its :class:`ExchangeChannel`; the rest (``make_channel``
-    returns ``None`` for Shift and for any exchanger on a verified
-    fabric) keep their per-message ``exchange()`` entry point.
+    returns ``None`` for Shift's barrier-separated rounds) keep their
+    per-message ``exchange()`` entry point.
     *partitions* is forwarded to the channels for phased
     (start/complete) use.
     """
@@ -88,7 +88,10 @@ class RankRunPlan:
     ``around_exchange(t, fire)``
         runs the exchange by calling ``fire()``, possibly repeatedly
         (envelope epoch, retry-with-backoff); returns its
-        :class:`ExchangeResult`.
+        :class:`ExchangeResult`.  A phased step goes through it too: the
+        epoch spans ``start()`` -> ``complete()``, the interior work
+        runs once, and a repeated ``fire()`` re-fires ``complete()``
+        only.
     ``post_exchange()`` / ``post_calc(pos)``
         after the ghost sections / the slots of cycle position *pos*
         were rewritten (checkpoint dirty tracking).
@@ -180,24 +183,26 @@ class RankRunPlan:
                 sweep = plans[pos]  # stencil work not yet run this step
                 if pos == 0:
                     eng = self.engines[src]
+                    fire = eng.exchange
+                    if self.splits is not None:
+                        # Phased: the interior taps run inside the
+                        # exchange, while the partitioned messages are
+                        # in flight; only the surface sweep is left for
+                        # after every receive completed.
+                        interior, sweep = self.splits
+
+                        def fire(eng=eng, interior=interior, src=src, dst=dst):
+                            if not eng.started:  # else: a retry's re-fire
+                                eng.start()
+                                if interior is not None:
+                                    t0 = perf()
+                                    interior.execute(bufs[src], bufs[dst])
+                                    measured.calc += perf() - t0
+                            return eng.complete()
+
                     with span("driver.exchange", rank=rank, step=t,
                               method=method):
-                        if self.splits is not None:
-                            # Phased: the interior taps run inside the
-                            # exchange, while the partitioned messages
-                            # are in flight; only the surface sweep is
-                            # left for after every receive completed.
-                            interior, sweep = self.splits
-                            eng.start()
-                            if interior is not None:
-                                t0 = perf()
-                                interior.execute(bufs[src], bufs[dst])
-                                measured.calc += perf() - t0
-                            res = eng.complete()
-                        elif around is not None:
-                            res = around(t, eng.exchange)
-                        else:
-                            res = eng.exchange()
+                        res = around(t, fire) if around is not None else fire()
                     counters["msgs"] += res.messages_sent
                     counters["wire"] += res.wire_bytes_sent
                     counters["payload"] += res.payload_bytes_sent

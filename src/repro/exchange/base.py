@@ -176,9 +176,10 @@ class ExchangeChannel:
 
     The modelled :class:`ExchangeResult` is a function of the (static)
     message plan, so it is the exchanger's, returned by reference.
-    Channels carry no wire-verification machinery: they are only built on
-    an unverified fabric (the envelope/chaos path keeps the per-message
-    protocol, which the fabric's envelope guard checks).
+    Channels carry no wire-verification machinery of their own: on a
+    verified fabric the same three calls seal, verify and heal each bound
+    item (the fabric's envelope guard), so a guarded run fires this
+    handle exactly as a plain one does, and a retry is a re-fire.
 
     Beyond the bulk-synchronous :meth:`exchange`, a channel can run one
     exchange *phased*: :meth:`start` packs (if the scheme packs), arms the
@@ -203,11 +204,6 @@ class ExchangeChannel:
         hooks: Binding = Binding((), ()),
         partitions: int = 1,
     ) -> None:
-        if comm.fabric.envelope_enabled:
-            raise ExchangeConfigError(
-                "exchange channels require an unverified fabric; the"
-                " envelope protocol is per-message"
-            )
         self.comm = comm
         self.method = method
         self._fabric = comm.fabric
@@ -222,6 +218,12 @@ class ExchangeChannel:
         self._request = self._fabric.bind_request(
             self._rank, posts, recvs, int(partitions)
         )
+
+    @property
+    def started(self) -> bool:
+        """A phased exchange is in flight: :meth:`start` ran and
+        :meth:`complete` has not returned yet."""
+        return self._request.started
 
     def exchange(self) -> ExchangeResult:
         """Re-fire the negotiated plan; returns the precomputed result."""
@@ -275,7 +277,10 @@ class ExchangeChannel:
             request.pready_all()
 
     def complete(self) -> ExchangeResult:
-        """Drain every receive partition, await send consumption, unpack."""
+        """Drain every receive partition, await send consumption, unpack.
+
+        A detected wire fault leaves the exchange in flight, so the
+        caller heals it by calling :meth:`complete` again."""
         rank = self._rank
         hooks = self._hooks
         with _TRACER.span("exchange.complete", rank=rank, method=self.method):
@@ -389,13 +394,10 @@ class Exchanger(abc.ABC):
 
         ``None`` means the plan cannot be replayed as one batch and the
         caller keeps the per-step :meth:`exchange` path: a plan with
-        intra-exchange barriers (Shift), or any plan on a verified
-        (envelope) fabric -- the envelope protocol is per-message, and
-        detecting it here, once, beats a batch-path ``RuntimeError``
-        from the fabric later.  *partitions* is the per-message
-        partition count phased exchanges will use.
+        intra-exchange barriers (Shift).  *partitions* is the
+        per-message partition count phased exchanges will use.
         """
-        if self.comm.fabric.envelope_enabled or self.plan.nphases > 1:
+        if self.plan.nphases > 1:
             return None
         ((posts, recvs, hooks),) = self._bound_phases()
         return ExchangeChannel(

@@ -34,10 +34,13 @@ the small reference problem end-to-end, and classifies the outcome:
     a hang -- classified as ``detected``.  ``reshape_failed`` is gated
     to zero.
 
-Shift is excluded from the soak: its per-axis barrier phases make a
-whole-exchange retry unsafe (peers may already sit at a later barrier),
-so it has no healing story -- the other exchangers retry safely because
-the envelope fabric makes retries idempotent.
+Shift is excluded from the soak: healing lives on a persistent
+channel's bound items, and Shift's per-axis barrier phases have no
+channel -- a retry could not cross the barriers (peers may already sit
+at a later one), so its per-message rounds are verified as detection
+only and ``run_executed`` refuses a wire-fault plan for it up front.
+The other exchangers retry safely because the envelope guard makes a
+re-fired exchange idempotent, and one retry heals a whole cut.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Runtime side of fault injection: the injector and armable fault points.
 
 :class:`FaultInjector` binds a :class:`~repro.faults.plan.FaultPlan` to a
-running fabric.  The fabric consults it at ``post_send`` time; the driver
-consults it at step boundaries (scheduled crashes, degradation events).
+running fabric.  The fabric's envelope guard consults it for every bound
+item it puts on the wire; the driver consults it at step boundaries
+(scheduled crashes, degradation events).
 Every injected *and* healed event is recorded three ways -- an in-memory
 event log (the chaos report's source of truth), the PR 2 metrics registry
 (``faults.*`` counters), and a tracer span -- so a traced chaos run shows
@@ -151,11 +152,13 @@ class FaultInjector:
 
     def corrupt(self, payload: np.ndarray, src: int, dst: int, tag: int,
                 seq: int) -> np.ndarray:
-        """Return a bit-flipped wire copy of *payload* (pristine kept)."""
+        """Return a bit-flipped wire copy of *payload* (pristine kept);
+        an empty payload has no bit to flip and travels as it is."""
         wire = payload.copy()
         flat = wire.reshape(-1).view(np.uint8)
-        offset, mask = self.plan.corrupt_byte(src, dst, tag, seq, flat.size)
-        flat[offset] ^= mask
+        if flat.size:
+            offset, mask = self.plan.corrupt_byte(src, dst, tag, seq, flat.size)
+            flat[offset] ^= mask
         return wire
 
     # -- driver hooks ----------------------------------------------------

@@ -28,7 +28,6 @@ from repro.simmpi.fabric import (
     RankDeadError,
     SimFabric,
     SplitMismatchError,
-    UnsupportedFabricError,
     partition_bounds,
     partition_tag,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "SimComm",
     "SimFabric",
     "SimRequest",
-    "UnsupportedFabricError",
     "SubarrayType",
     "partition_bounds",
     "partition_tag",

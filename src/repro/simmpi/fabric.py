@@ -19,7 +19,7 @@ because the two kinds of traffic match differently:
     epoch per edge is in flight; a stray or surplus arrival is a
     :class:`ProtocolError`, not an assumption.
 
-``queues`` (per-message: Shift, collectives, the envelope)
+``queues`` (per-message: Shift, collectives)
     ``post_send`` appends a :class:`_SendEntry` -- a *reference* to the
     send buffer -- to the destination port's queue keyed ``(src, tag)``;
     ``complete_recv`` pops it, copies, marks it done; ``wait_send``
@@ -45,16 +45,24 @@ clocks use them and the tests assert on them.
 Verified mode (the chaos fabric)
 --------------------------------
 ``enable_envelope()`` installs an
-:class:`~repro.exchange.envelope.EnvelopeGuard` on the per-message
-primitive: ``post_send`` asks it what to put on the wire (the payload
-frozen, sealed with a per-edge sequence number and CRC32, possibly
-faulted by the injector; nothing for a re-post within one exchange
-epoch), ``complete_recv`` asks it whether a dequeued entry is a wire
-duplicate, whether the edge was already delivered this epoch (replay)
-and whether the landed bytes verify.  A detected fault raises its typed
-error from :mod:`repro.faults.errors` *after* the pristine entry is back
-at the front of its queue, so a bounded retry of the exchange heals it.
-A verified fabric refuses to bind requests: the envelope is per-message.
+:class:`~repro.exchange.envelope.EnvelopeGuard`, consulted **per bound
+item**: the same request is bound and fired by the same three calls, so
+a guarded exchange is the plain one plus the guard.  ``post_send_batch``
+asks it what to deposit (each item sealed with its edge's sequence
+number and the CRC32 of its send view; under an exchange epoch possibly
+faulted by the injector, or absorbed as a re-fire -- the dead-destination
+check still shares the deposit's lock acquisition).
+``complete_recv_batch`` waits until every receive it still *owes* (not
+yet accepted this epoch) has a fresh arrival -- a count is not enough
+once a wire duplicate, or the next epoch's item of a peer that finished
+first, can sit in ``arrivals`` -- takes those, drops duplicates, leaves
+later epochs queued in order, and verifies in its copy loop the bytes
+that *landed*.  Only accepted items are counted and credited to their
+sender's ``outstanding``; every failed one goes back pristine to the
+front of the port, and the typed error from :mod:`repro.faults.errors`
+is raised once, after the whole take was judged, so one bounded retry
+of the exchange heals the whole cut.  Per-message delivery is sealed and
+verified too, as *detection* only: typed error, no healing.
 """
 
 from __future__ import annotations
@@ -87,7 +95,6 @@ __all__ = [
     "partition_bounds",
     "DeadlockError",
     "AbortedError",
-    "UnsupportedFabricError",
     "ExchangeIntegrityError",
     "ExchangeTimeoutError",
     "RankDeadError",
@@ -109,17 +116,6 @@ class DeadlockError(RuntimeError):
     """A receive or a send wait found no match within the timeout."""
 
 
-class UnsupportedFabricError(RuntimeError):
-    """The requested operation is not available on this fabric mode.
-
-    Raised when a bound (batched / partitioned) request is asked of a
-    verified (envelope) fabric, whose protocol is strictly per-message.
-    A *capability refusal*, not a bug: the channel layer asks
-    ``envelope_enabled`` first and keeps the per-message exchange.
-    Subclass of ``RuntimeError`` so blanket handlers keep working.
-    """
-
-
 @dataclass
 class FabricStats:
     """Per-rank communication counters."""
@@ -134,17 +130,15 @@ class _SendEntry:
     """One per-message send; every field is guarded by the fabric lock
     once the entry is on the wire."""
 
-    __slots__ = ("buf", "wire", "done", "src", "dst", "tag", "env", "lost")
+    __slots__ = ("buf", "done", "src", "dst", "tag", "env")
 
     def __init__(self, buf: np.ndarray, src: int, dst: int, tag: int) -> None:
-        self.buf = buf          # pristine payload (frozen copy when verified)
-        self.wire = buf         # what the receiver sees (may be corrupted)
-        self.done = False       # consumed by its receiver (or absorbed)
+        self.buf = buf          # the send buffer, by reference
+        self.done = False       # consumed by its receiver
         self.src = src
         self.dst = dst
         self.tag = tag
         self.env = None         # Envelope(seq, crc, nbytes) when verified
-        self.lost = False       # first transmission dropped on the wire
 
 
 class AbortedError(RuntimeError):
@@ -204,7 +198,9 @@ class _Port:
 
     def __init__(self, lock) -> None:
         self.cond = threading.Condition(lock)
-        self.arrivals: list = []  # ((src, tag), send view) not yet consumed
+        # Items not yet consumed: ((src, tag), send view), followed on a
+        # verified fabric by (envelope, what the receiver will see).
+        self.arrivals: list = []
         self.expect = 0           # arrivals the owner is blocked on (0: none)
         self.outstanding = 0      # items this rank posted, not yet consumed
         self.queues = defaultdict(deque)  # (src, tag) -> _SendEntry's to consume
@@ -345,9 +341,13 @@ class BoundRequest:
         self._need_started("parrived")
         key = self.parts.rkeys[msg][part]
         fabric = self._fabric
+        rank = self.parts.rank
+        guard = fabric._guard
         with fabric._lock:
-            arrivals = fabric._ports[self.parts.rank].arrivals
-            return any(item[0] == key for item in arrivals)
+            return any(
+                item[0] == key and (guard is None or guard.fresh(rank, item))
+                for item in fabric._ports[rank].arrivals
+            )
 
     def complete(self) -> None:
         """End the epoch: every receive partition delivered into its
@@ -420,7 +420,7 @@ class SimFabric:
         """
         from repro.exchange.envelope import EnvelopeGuard
 
-        self._guard = EnvelopeGuard(self._lock, injector)
+        self._guard = EnvelopeGuard(injector)
 
     @property
     def envelope_enabled(self) -> bool:
@@ -429,9 +429,10 @@ class SimFabric:
     def set_epoch(self, rank: int, epoch: Optional[int]) -> None:
         """Mark *rank*'s current exchange epoch (None between exchanges).
 
-        Epochs scope the idempotency machinery: only posts carrying an
-        epoch are subject to injection, suppression, and replay, so
-        collective/control traffic stays on plain verified delivery.
+        Epochs scope the idempotency machinery of the bound requests:
+        only items posted under an epoch are subject to injection,
+        suppression and replay.  A phased exchange keeps its epoch from
+        ``start()`` to ``complete()``.
         """
         self._check_rank(rank)
         self._epochs[rank] = epoch
@@ -556,22 +557,17 @@ class SimFabric:
 
     def post_send(self, src: int, dst: int, tag: int, buf: np.ndarray) -> _SendEntry:
         """Queue a send on *dst*'s port; returns the entry ``wait_send``
-        takes.  Under an envelope the guard decides what goes on the wire:
-        nothing (a re-post it absorbed), the sealed entry, or it twice."""
+        takes.  Under an envelope the entry is sealed first."""
         self._check_rank(src)
         self._check_rank(dst)
         entry = _SendEntry(np.ascontiguousarray(buf), src, dst, tag)
         nbytes = entry.buf.nbytes
-        copies = 1
         if self._guard is not None:
-            copies = self._guard.seal_post(entry, self._epochs[src])
-            if not copies:
-                entry.done = True
-                return entry
+            entry.env = self._guard.seal_message((src, dst, tag), entry.buf)
         with self._lock:
             self._check_dst_alive(src, dst)
             port = self._ports[dst]
-            port.queues[(src, tag)].extend([entry] * copies)
+            port.queues[(src, tag)].append(entry)
             port.cond.notify()
             st = self.stats[src]
             st.sends += 1
@@ -584,44 +580,22 @@ class SimFabric:
     def complete_recv(self, src: int, dst: int, tag: int, buf: np.ndarray) -> None:
         """Block until a matching send exists, then copy it into *buf*.
 
-        Under an envelope the guard is asked, in order: replay (anything
-        queued is future traffic), wire duplicate (discard, take the
-        next), do the landed bytes verify (if not, the now pristine entry
-        goes back to the front of its queue before the error is raised).
+        Under an envelope the bytes that landed are verified against the
+        entry's seal; a mismatch raises the typed error (detection only).
         """
         self._check_rank(src)
         self._check_rank(dst)
         edge = (src, dst, tag)
         key = (src, tag)
-        guard = self._guard
-        epoch = self._epochs[dst]
         with _TRACER.span("fabric.recv", rank=dst, src=src):
-            if guard is not None:
-                cached = guard.replay(edge, epoch)
-                if cached is not None:
-                    self._copy_into(cached, buf, edge)
-                    return
             with self._lock:
                 queue = self._ports[dst].queues[key]
-                while True:
-                    if not queue:
-                        self._await(dst, queue.__len__, lambda: [key])
-                    entry = queue.popleft()
-                    if guard is None or not guard.is_duplicate(edge, entry):
-                        break
-                    self._consumed(entry)
-            if guard is None:
-                self._copy_into(entry.buf, buf, edge)  # the single wire copy
-            else:
-                try:
-                    landed = None
-                    if not entry.lost:
-                        landed = self._copy_into(entry.wire, buf, edge)
-                    guard.accept(edge, entry, landed, epoch)
-                except (ExchangeIntegrityError, ExchangeTimeoutError):
-                    with self._lock:
-                        queue.appendleft(entry)  # the pristine retransmit
-                    raise
+                if not queue:
+                    self._await(dst, queue.__len__, lambda: [key])
+                entry = queue.popleft()
+            landed = self._copy_into(entry.buf, buf, edge)  # the single wire copy
+            if self._guard is not None:
+                self._guard.accept_message(edge, entry.env, landed)
             with self._lock:
                 st = self.stats[dst]
                 st.recvs += 1
@@ -664,17 +638,9 @@ class SimFabric:
         return flat
 
     # ------------------------------------------------------------------
-    # Bound requests (module docstring): ExchangeChannel's per-step calls.
-    # A verified fabric refuses them; the channel layer then keeps the
-    # per-message protocol, which carries the sequence/CRC machinery.
+    # Bound requests (module docstring): ExchangeChannel's per-step calls,
+    # on a plain fabric and -- each item under the guard -- a verified one.
     # ------------------------------------------------------------------
-    def _refuse_envelope(self) -> None:
-        if self._guard is not None:
-            raise UnsupportedFabricError(
-                "bound (batched / partitioned) requests are not available"
-                " on a verified fabric; use the per-message protocol"
-            )
-
     def bind_request(self, rank: int, posts, recvs,
                      partitions: int = 1) -> BoundRequest:
         """Bind a channel's whole message plan into a persistent request.
@@ -687,7 +653,6 @@ class SimFabric:
         as a :class:`SplitMismatchError`, before any message is posted.
         """
         self._check_rank(rank)
-        self._refuse_envelope()
         if partitions < 1:
             raise ExchangeConfigError("partitions must be >= 1")
         posts, recvs = list(posts), list(recvs)
@@ -706,14 +671,19 @@ class SimFabric:
         deposit, so a rank that dies first gets nothing queued.  A
         destination is notified only if it is blocked in
         :meth:`complete_recv_batch` and this post completes its count.
+        On a verified fabric the guard turns the prebuilt items into
+        what goes on the wire first (module docstring).
         """
-        self._refuse_envelope()
         if groups is None:
             groups, n, nbytes = cut.groups, cut.nsend, cut.send_bytes
         else:
             n = sum(len(group[1]) for group in groups)
             nbytes = sum(group[2] for group in groups)
         src = cut.rank
+        if self._guard is not None:
+            groups, n, nbytes = self._guard.seal_items(
+                src, groups, self._epochs[src]
+            )
         ports = self._ports
         with self._lock:
             if self._dead:
@@ -743,9 +713,18 @@ class SimFabric:
         return [
             (dst, key[1])
             for dst in {group[0] for group in cut.groups}
-            for key, _view in ports[dst].arrivals
+            for key, *_ in ports[dst].arrivals
             if key[0] == rank
         ]
+
+    def _size_mismatch(self, key, dst: int, sent, recv) -> SplitMismatchError:
+        """Abort, and build the error for an item whose two ends bound
+        different byte counts (negotiation should have caught it)."""
+        self.abort()
+        return SplitMismatchError(
+            f"message size mismatch on (src={key[0]}, dst={dst},"
+            f" tag={key[1]}): sent {sent.size} bytes, receiving {recv.size}"
+        )
 
     def complete_recv_batch(self, cut: _Cut) -> None:
         """Deliver one epoch of *cut*'s receives into their buffers.
@@ -758,6 +737,8 @@ class SimFabric:
         n = len(cut.rmap)
         if n == 0:
             return
+        if self._guard is not None:
+            return self._complete_recv_verified(cut, self._guard)
         dst = cut.rank
         port = self._ports[dst]
         with _TRACER.span("fabric.recv", rank=dst, n=n):
@@ -787,12 +768,7 @@ class SimFabric:
             for key, sent in items:
                 recv = rmap[key]
                 if sent.size != recv.size:
-                    self.abort()
-                    raise SplitMismatchError(
-                        f"message size mismatch on (src={key[0]}, dst={dst},"
-                        f" tag={key[1]}): sent {sent.size} bytes, receiving"
-                        f" {recv.size}"
-                    )
+                    raise self._size_mismatch(key, dst, sent, recv)
                 recv[:] = sent  # the single wire copy
             ports = self._ports
             with self._lock:
@@ -806,6 +782,86 @@ class SimFabric:
                         sender.cond.notify()
         if _METRICS.enabled:
             _METRICS.count("fabric.bytes_received", cut.recv_bytes, rank=dst)
+
+    def _complete_recv_verified(self, cut: _Cut, guard) -> None:
+        """:meth:`complete_recv_batch` under the guard (module docstring).
+
+        The wake stays count-based -- a poster cannot judge freshness --
+        which is a necessary condition only, so the wait re-sifts on
+        every wake.  A re-fire finds the items it failed at the front of
+        its own port and does not block.
+        """
+        dst = cut.rank
+        port = self._ports[dst]
+        rmap = cut.rmap
+        epoch = self._epochs[dst]
+        owed = guard.owed(dst, rmap, epoch)
+        if not owed:
+            return
+        sifted = None
+
+        def ready() -> bool:
+            nonlocal sifted
+            sifted = guard.sift(dst, port.arrivals, owed, rmap)
+            return sifted.stray is not None or len(sifted.taken) == len(owed)
+
+        with _TRACER.span("fabric.recv", rank=dst, n=len(owed)):
+            with self._lock:
+                if not ready():
+                    port.expect = len(owed)
+                    try:
+                        self._await(
+                            dst, ready,
+                            lambda: [k for k in owed if k not in sifted.taken],
+                        )
+                    finally:
+                        port.expect = 0
+                taken, rest, stale, stray = sifted
+                if stray is None:
+                    port.arrivals = rest
+            if stray is not None:
+                self.abort()
+                raise ProtocolError(
+                    f"rank {dst}: arrival (src, tag) {stray} matches none"
+                    f" of its {len(rmap)} bound receives"
+                )
+            guard.discard(dst, stale)
+            failed = []
+            error = None
+            nbytes = 0
+            credit: Dict[int, int] = {}
+            for key, item in taken.items():
+                recv = rmap[key]
+                sent, wire = item[1], item[3]
+                if sent.size != recv.size:
+                    raise self._size_mismatch(key, dst, sent, recv)
+                landed = None
+                if wire is not None:
+                    recv[:] = wire  # the single wire copy
+                    landed = recv
+                try:
+                    guard.accept(dst, item, landed, epoch)
+                except (ExchangeIntegrityError, ExchangeTimeoutError) as err:
+                    failed.append(guard.pristine(dst, item))
+                    error = error or err
+                    continue
+                nbytes += recv.size
+                credit[key[0]] = credit.get(key[0], 0) + 1
+            ports = self._ports
+            with self._lock:
+                st = self.stats[dst]
+                st.recvs += len(taken) - len(failed)
+                st.bytes_received += nbytes
+                for src, count in credit.items():
+                    sender = ports[src]
+                    sender.outstanding -= count
+                    if sender.outstanding == 0:
+                        sender.cond.notify()
+                port.arrivals[:0] = failed
+        if _METRICS.enabled:
+            _METRICS.count("fabric.bytes_received", nbytes, rank=dst)
+        if error is not None:
+            raise error
 
     def wait_send_batch(self, cut: _Cut) -> None:
         """Block until every item this rank posted has been consumed."""

@@ -40,8 +40,38 @@ class TestFaultedRuns:
         np.testing.assert_array_equal(run.global_result, reference)
         events = run.faults["events"]
         assert any(k.startswith("injected_") for k in events)
-        # Every injected drop/corrupt produced a retransmit + healed retry.
-        assert events.get("healed", 0) >= 1
+        # Every injected drop/corrupt produced a retransmit, and every
+        # faulted cut one healed retry.
+        assert events["retransmit"] == (
+            events["injected_drop"] + events["injected_corrupt"]
+        )
+        assert events["healed"] == events["retry"] >= 1
+
+    def test_retry_budget_is_per_cut_not_per_fault(self):
+        # 30% drops: most cuts lose more items than RetryPolicy allows
+        # retries (8).  Every retransmit is clean, so judging the whole
+        # cut before raising heals each in one retry; one retry per
+        # faulted *message* could never finish (ExchangeTimeoutError).
+        problem = _problem()
+        run = run_executed(problem, "layout", timesteps=3, seed=0,
+                           fault_plan=FaultPlan(seed=3, drop=0.3))
+        reference = apply_periodic_reference(
+            problem.initial_global(0), SEVEN_POINT, 3
+        )
+        np.testing.assert_array_equal(run.global_result, reference)
+        events = run.faults["events"]
+        assert events["injected_drop"] > 8 * 3 * problem.nranks
+        assert events["retry"] == events["healed"] == 3 * problem.nranks
+
+    def test_duplicates_are_discarded_in_the_epoch_they_arrive(self):
+        # ... not when the next epoch's receive on that edge happens to
+        # dequeue them: the last exchange's duplicates must not stay on
+        # the wire.
+        run = run_executed(_problem(), "layout", timesteps=3, seed=0,
+                           fault_plan=FaultPlan(seed=1, duplicate=0.1))
+        events = run.faults["events"]
+        assert events["duplicate_discarded"] == events["injected_duplicate"] > 0
+        assert run.fabric.pending_messages == 0
 
     def test_same_seed_same_schedule_and_state(self):
         problem = _problem()
@@ -84,6 +114,11 @@ class TestSoak:
         assert outcomes["crash"] == "detected"
         for preset in ("corrupt", "drop", "mixed", "duplicate", "degrade"):
             assert outcomes[preset] == "healed_exact", report.render()
+        for t in report.trials:
+            assert t.events.get("retry", 0) == t.events.get("healed", 0)
+            assert t.events.get("duplicate_discarded", 0) == t.events.get(
+                "injected_duplicate", 0
+            )
 
     def test_degrade_trial_demotes(self):
         config = ChaosConfig(trials=7, seed=0, steps=2, timeout_s=10.0,

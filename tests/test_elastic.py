@@ -23,12 +23,13 @@ from repro.elastic import (
     rebrick,
     snapshot_key,
 )
+from repro.exchange.envelope import seal
 from repro.faults import FaultPlan, RankDeadError
 from repro.faults.runtime import FaultInjector
 from repro.hardware.profiles import generic_host
-from repro.simmpi import SimFabric, run_spmd
+from repro.simmpi import SimFabric, partition_tag, run_spmd
 from repro.simmpi.collectives import allreduce
-from repro.simmpi.fabric import DeadlockError, UnsupportedFabricError
+from repro.simmpi.fabric import DeadlockError
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import SEVEN_POINT
 
@@ -73,6 +74,27 @@ class TestFabricLiveness:
 
         with pytest.raises(RankDeadError, match="permanently dead"):
             fab.post_send(0, 1, tag=0, buf=DiesWhileConverted())
+        assert fab.pending_messages == 0
+        assert fab.stats[0].sends == 0
+
+    def test_verified_batch_post_checks_liveness_in_the_deposit_lock(self):
+        """The bound twin: sealing runs ahead of the deposit (the guard
+        asks the injector per item), so a destination that dies in
+        between still gets nothing queued -- and neither does a live
+        one posted to by the same call."""
+        fab = SimFabric(3, timeout=5.0)
+
+        class DiesWhileSealing(FaultInjector):
+            def on_post(self, src, dst, tag, seq):
+                fab.mark_dead(2)
+
+        fab.enable_envelope(DiesWhileSealing(FaultPlan()))
+        fab.set_epoch(0, 0)
+        cut = fab.bind_request(
+            0, [(1, 0, np.zeros(4)), (2, 0, np.zeros(4))], []
+        ).bulk
+        with pytest.raises(RankDeadError, match="permanently dead"):
+            fab.post_send_batch(cut)
         assert fab.pending_messages == 0
         assert fab.stats[0].sends == 0
 
@@ -164,38 +186,62 @@ class TestFabricLiveness:
         assert isinstance(info.value.__cause__, RankDeadError)
 
 
-class TestUnsupportedFabricError:
-    """The envelope protocol is per-message; the fast paths refuse it
-    with a typed error instead of a bare RuntimeError."""
+class TestVerifiedFabricBinds:
+    """The envelope rides the bound request: a verified fabric binds and
+    fires the fast paths it used to refuse, each item sealed at post
+    time and verified where it lands."""
 
-    def _verified_fabric(self):
+    def _verified_pair(self, partitions=1):
         fab = SimFabric(2, timeout=5.0)
         fab.enable_envelope()
-        return fab
+        data, out = np.arange(4.0), np.zeros(4)
+        sender = fab.bind_request(0, [(1, 0, data)], [], partitions)
+        receiver = fab.bind_request(1, [], [(0, 0, out)], partitions)
+        return fab, sender, receiver, data, out
 
-    def test_batched_posting_refused(self):
-        fab = self._verified_fabric()
-        with pytest.raises(UnsupportedFabricError, match="batched"):
-            fab.bind_request(0, [(1, 0, np.zeros(4))], [])
+    def test_batched_posting_sealed(self):
+        fab, sender, _receiver, data, _out = self._verified_pair()
+        fab.post_send_batch(sender.bulk)
+        ((key, view, env, wire),) = fab._ports[1].arrivals
+        assert key == (0, 0) and wire is view
+        assert env == seal(data, seq=1)
+        assert fab.stats[0].sends == 1
 
-    def test_batched_receives_refused(self):
-        fab = self._verified_fabric()
-        with pytest.raises(UnsupportedFabricError, match="batched"):
-            fab.bind_request(0, [], [(1, 0, np.empty(4))])
+    def test_batched_receives_verified(self):
+        fab, sender, receiver, data, out = self._verified_pair()
+        for step in (1, 2):
+            data += step
+            fab.post_send_batch(sender.bulk)
+            fab.complete_recv_batch(receiver.bulk)
+            fab.wait_send_batch(sender.bulk)
+            np.testing.assert_array_equal(out, data)
+            assert fab._guard.delivered[(0, 1, 0)] == (step, None)
+        assert fab.pending_messages == 0
 
-    def test_partitioned_sends_refused(self):
-        fab = self._verified_fabric()
-        with pytest.raises(UnsupportedFabricError, match="partitioned"):
-            fab.bind_request(0, [(1, 0, np.zeros(4))], [], partitions=2)
+    def test_partitioned_sends_sealed_per_partition(self):
+        fab, sender, _receiver, data, _out = self._verified_pair(partitions=2)
+        sender.start()
+        sender.pready(0, 1)
+        sender.pready_all()
+        arrivals = fab._ports[1].arrivals
+        assert [item[0][1] for item in arrivals] == [
+            partition_tag(0, 1), partition_tag(0, 0)
+        ]
+        flat = data.view(np.uint8)
+        assert [item[2] for item in arrivals] == [
+            seal(flat[16:], seq=1), seal(flat[:16], seq=1)
+        ]
 
-    def test_partitioned_receives_refused(self):
-        fab = self._verified_fabric()
-        with pytest.raises(UnsupportedFabricError, match="partitioned"):
-            fab.bind_request(0, [], [(1, 0, np.empty(4))], partitions=2)
-
-    def test_is_a_runtime_error(self):
-        # Existing except RuntimeError handlers keep working.
-        assert issubclass(UnsupportedFabricError, RuntimeError)
+    def test_partitioned_receives_verified(self):
+        fab, sender, receiver, data, out = self._verified_pair(partitions=2)
+        sender.start()
+        receiver.start()
+        sender.pready_all()
+        assert receiver.parrived(0, 0) and receiver.parrived(0, 1)
+        receiver.complete()
+        sender.complete()
+        np.testing.assert_array_equal(out, data)
+        assert fab.stats[1].recvs == 2 and fab.pending_messages == 0
 
 
 class TestFaultPlanDeaths:

@@ -210,9 +210,10 @@ _ARRAY_CLASSES = {
 
 class TestThreeWaysToFire:
     """Per-message ``exchange()``, ``channel.exchange()`` and the phased
-    ``start()`` / ``complete()`` run the same binding of the same plan:
-    from the same field they leave the same bytes and return the same
-    :class:`ExchangeResult`."""
+    ``start()`` / ``complete()`` run the same binding of the same plan,
+    on a plain and on a verified fabric: from the same field they leave
+    the same bytes, return the same :class:`ExchangeResult` and (MemMap)
+    hold the same mappings."""
 
     @staticmethod
     def _run(method, fire, envelope=False):
@@ -230,15 +231,19 @@ class TestThreeWaysToFire:
     )
     def test_one_outcome(self, method):
         # Shift's barrier-separated phases cannot be one persistent
-        # batch; like every method on an enveloped fabric it declines a
-        # channel and the per-message path still fills the ghosts.
+        # batch: it declines a channel -- the only reason left to -- and
+        # the per-message path still fills the ghosts.
         ways = [_fallback] if method == "shift" else [_exchange, _channel, _phased]
-        runs = [self._run(method, fire) for fire in ways]
-        runs.append(self._run(method, _fallback, envelope=True))
+        runs = [
+            self._run(method, fire, envelope)
+            for envelope in (False, True)
+            for fire in ways
+        ]
         for other in runs[1:]:
             for mine, theirs in zip(runs[0], other):
                 assert theirs.image == mine.image
                 assert theirs.result == mine.result
+                assert theirs.maps == mine.maps
                 assert theirs.result.messages_sent > 0
 
 

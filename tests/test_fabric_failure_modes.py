@@ -39,6 +39,11 @@ def _verified_recv(fab):
     return _message_recv(fab)
 
 
+def _verified_bound_recv(fab):
+    fab.enable_envelope()
+    return _bound_recv(fab)
+
+
 def _bound_send_wait(fab):
     cut = fab.bind_request(0, [(1, _TAG, np.zeros(4))], []).bulk
     fab.post_send_batch(cut)
@@ -57,6 +62,7 @@ _SITES = {
     "bound-recv": (_bound_recv, _RECV),
     "message-recv": (_message_recv, _RECV),
     "verified-recv": (_verified_recv, _RECV),
+    "verified-bound-recv": (_verified_bound_recv, _RECV),
     "bound-send-wait": (_bound_send_wait, _SEND),
     "message-send-wait": (_message_send_wait, _SEND),
 }
@@ -64,8 +70,8 @@ _SITES = {
 
 @pytest.mark.parametrize("site", _SITES)
 class TestOneClassification:
-    """Rank 0 blocks on the silent rank 1 through each of the five
-    blocking entry points; each failure mode must surface as the same
+    """Rank 0 blocks on the silent rank 1 through each of the blocking
+    entry points; each failure mode must surface as the same
     typed error with the same message shape, whichever site waited."""
 
     def _blocked(self, site, timeout, disturb=None):

@@ -27,11 +27,7 @@ from repro.hardware.profiles import generic_host
 from repro.simmpi import SimComm, SimFabric, run_spmd
 from repro.simmpi import fabric as fabric_mod
 from repro.simmpi.collectives import allreduce
-from repro.simmpi.fabric import (
-    AbortedError,
-    DeadlockError,
-    UnsupportedFabricError,
-)
+from repro.simmpi.fabric import AbortedError, DeadlockError
 
 
 def _fire(fab, cut):
@@ -149,20 +145,30 @@ def test_steady_state_allocates_nothing_per_message(monkeypatch):
 @pytest.mark.parametrize("verified", [False, True])
 def test_steady_state_with_collectives_constructs_no_event(monkeypatch, verified):
     """Per-message traffic rides the ports too: once set up, an 8-rank
-    layout world -- bound channels, or the enveloped per-message protocol
-    of a ``verify_wire`` run -- constructs no ``threading.Event``, even
-    with an allreduce after every exchange.  Ranks leave the exchange at
-    different times, so those collective entries reach ports whose owners
-    still count halo arrivals; one miscounted as an arrival would be a
-    ProtocolError (bound) or a wrong sum."""
+    layout world -- bound channels, on a plain fabric or under the
+    envelope of a ``verify_wire`` run -- constructs no
+    ``threading.Event``, even with an allreduce after every exchange,
+    and builds a ``_SendEntry`` for the collectives only: halo traffic,
+    verified or not, is the prebuilt bound items.  Ranks leave the
+    exchange at different times, so those collective entries reach ports
+    whose owners still await halo arrivals; one mistaken for an arrival
+    would be a ProtocolError or a wrong sum."""
     events = {"n": 0, "armed": False}
+    halo_entries = []
+    entry_init = fabric_mod._SendEntry.__init__
 
     class CountingEvent(threading.Event):
         def __init__(self):
             events["n"] += events["armed"]
             super().__init__()
 
+    def recording_entry_init(self, buf, src, dst, tag):
+        if events["armed"] and tag < (1 << 20):  # below the collective tags
+            halo_entries.append((src, dst, tag))
+        entry_init(self, buf, src, dst, tag)
+
     monkeypatch.setattr(threading, "Event", CountingEvent)
+    monkeypatch.setattr(fabric_mod._SendEntry, "__init__", recording_entry_init)
     steps = 5
 
     def fn(comm):
@@ -170,9 +176,7 @@ def test_steady_state_with_collectives_constructs_no_event(monkeypatch, verified
         decomp = BrickDecomp((16, 16, 16), (8, 8, 8), 8)
         storage, asn = decomp.allocate()
         ex = LayoutExchanger(cart, decomp, storage, asn, generic_host())
-        channel = ex.make_channel()
-        assert (channel is None) == verified
-        fire = ex.exchange if verified else channel.exchange
+        fire = ex.make_channel().exchange
         fire()  # warm-up
         comm.Barrier()
         if comm.rank == 0:
@@ -192,7 +196,7 @@ def test_steady_state_with_collectives_constructs_no_event(monkeypatch, verified
         fab.enable_envelope()
     results = run_spmd(8, fn, fabric=fab)
     events["armed"] = False
-    assert events["n"] == 0
+    assert events["n"] == 0 and halo_entries == []
     assert all(r == [28.0 + 8 * step for step in range(steps)] for r in results)
     assert fab.total_stats().sends == fab.total_stats().recvs
     assert fab.pending_messages == 0
@@ -361,10 +365,43 @@ class TestBoundFailureModes:
             fab.complete_recv_batch(receiver)
 
     def test_enveloped_fabric_refuses_to_bind(self):
+        # ... only what a plain one refuses too: verified mode is not a
+        # reason to refuse a request any more, and no excuse to take a
+        # malformed one.
         fab = SimFabric(2)
         fab.enable_envelope()
-        with pytest.raises(UnsupportedFabricError, match="verified fabric"):
-            fab.bind_request(0, [(1, 3, np.zeros(4))], [])
+        fab.bind_request(0, [(1, 3, np.zeros(4))], [])
+        with pytest.raises(SplitMismatchError, match="split disagreement"):
+            fab.bind_request(1, [], [(0, 3, np.zeros(5))])
+        with pytest.raises(ExchangeConfigError, match="C-contiguous"):
+            fab.bind_request(1, [], [(0, 4, np.zeros((4, 4))[:, ::2])])
+        with pytest.raises(ExchangeConfigError, match="partitions"):
+            fab.bind_request(1, [], [(0, 5, np.zeros(4))], partitions=0)
+
+    def test_verified_stray_arrival_is_a_protocol_error(self):
+        fab = SimFabric(2, timeout=5.0)
+        fab.enable_envelope()
+        stray = fab.bind_request(0, [(1, 4, np.zeros(4))], []).bulk
+        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))]).bulk
+        fab.post_send_batch(stray)
+        with pytest.raises(ProtocolError, match=r"\(0, 4\)"):
+            fab.complete_recv_batch(receiver)
+
+    def test_verified_second_epoch_on_an_edge_stays_queued_in_order(self):
+        # What the plain fabric calls a ProtocolError the guard can
+        # tell apart by sequence number: the next epoch's item waits.
+        fab = SimFabric(2, timeout=5.0)
+        fab.enable_envelope()
+        data, out = np.zeros(4), np.full(4, -1.0)
+        sender = fab.bind_request(0, [(1, 3, data)], []).bulk
+        receiver = fab.bind_request(1, [], [(0, 3, out)]).bulk
+        fab.post_send_batch(sender)
+        fab.post_send_batch(sender)
+        fab.complete_recv_batch(receiver)
+        assert [item[2].seq for item in fab._ports[1].arrivals] == [2]
+        fab.complete_recv_batch(receiver)
+        assert fab.pending_messages == 0
+        assert fab._guard.delivered[(0, 1, 3)] == (2, None)
 
 
 # ----------------------------------------------------------------------

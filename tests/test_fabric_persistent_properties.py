@@ -4,7 +4,10 @@ Random message plans -- any peers (self-sends included), any tags, zero
 to 4096 byte messages, 1-4 partitions, bulk or phased steps, two
 alternating handles per rank over the same edges -- must deliver every
 payload into the right buffer, count one send and one receive per
-message (partition) with the plan's bytes, and leave nothing queued.
+message (partition) with the plan's bytes, and leave nothing queued: on
+a plain fabric, on a verified one, and on a verified one whose drawn
+:class:`FaultPlan` drops, corrupts, duplicates and delays items while
+every rank heals by re-firing inside its epoch.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.faults import FaultError, FaultInjector, FaultPlan  # noqa: E402
 from repro.simmpi import SimFabric, partition_bounds, run_spmd  # noqa: E402
 
 
@@ -36,9 +40,36 @@ def plans(draw):
     return nranks, messages, partitions, phased
 
 
-@settings(max_examples=40, deadline=None)
-@given(plan=plans())
-def test_random_plans_deliver_count_and_drain(plan):
+#: None: plain fabric.  Else the injector's plan (a fault-free plan is
+#: verify_wire: sealed and verified, nothing injected).
+fault_plans = st.one_of(
+    st.none(),
+    st.builds(
+        FaultPlan,
+        seed=st.integers(min_value=0, max_value=2**16),
+        drop=st.sampled_from([0.0, 0.2]),
+        corrupt=st.sampled_from([0.0, 0.2]),
+        duplicate=st.sampled_from([0.0, 0.2]),
+        delay=st.sampled_from([0.0, 0.1]),
+        delay_s=st.just(1e-4),
+    ),
+)
+
+
+def _healed(fire, max_retries=4):
+    """Re-fire *fire* inside the open epoch until it stops detecting
+    faults; one retry heals a cut, the margin is for nothing."""
+    for _ in range(max_retries):
+        try:
+            return fire()
+        except FaultError:
+            continue
+    return fire()
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=plans(), faults=fault_plans)
+def test_random_plans_deliver_count_and_drain(plan, faults):
     nranks, messages, partitions, phased = plan
     rng = np.random.default_rng(len(messages) * 31 + partitions)
     payload = [
@@ -65,6 +96,7 @@ def test_random_plans_deliver_count_and_drain(plan):
             request, send, recv = handles[step % 2]
             for m in mine_out:
                 send[m][:] = payload[step][m]
+            comm.set_epoch(step)
             if phase:
                 request.start()
                 if rank % 2:  # odd ranks release last partitions first
@@ -72,16 +104,25 @@ def test_random_plans_deliver_count_and_drain(plan):
                     for i in reversed(range(len(mine_out))):
                         request.pready(i, counts[i] - 1)
                 request.pready_all()
-                request.complete()
+                _healed(request.complete)
             else:
                 cut = request.bulk
-                comm.fabric.post_send_batch(cut)
-                comm.fabric.complete_recv_batch(cut)
-                comm.fabric.wait_send_batch(cut)
+
+                def fire():
+                    comm.fabric.post_send_batch(cut)
+                    comm.fabric.complete_recv_batch(cut)
+                    comm.fabric.wait_send_batch(cut)
+
+                _healed(fire)
+            comm.set_epoch(None)
             for m in mine_in:
                 np.testing.assert_array_equal(recv[m], payload[step][m])
 
     fab = SimFabric(nranks, timeout=10.0)
+    injector = None
+    if faults is not None:
+        injector = FaultInjector(faults)
+        fab.enable_envelope(injector)
     run_spmd(nranks, fn, fabric=fab)
     per_phased_step = sum(
         len(partition_bounds(n, partitions)) for *_, n in messages
@@ -94,3 +135,13 @@ def test_random_plans_deliver_count_and_drain(plan):
     assert total.sends == total.recvs == expected_msgs
     assert total.bytes_sent == total.bytes_received == expected_bytes
     assert fab.pending_messages == 0
+    if injector is not None:
+        events = injector.event_counts()
+        assert events.get("duplicate_discarded", 0) == events.get(
+            "injected_duplicate", 0
+        )
+        # Every drop is retransmitted once, and every corruption that
+        # had a bit to flip (an empty payload has none).
+        drops = events.get("injected_drop", 0)
+        corrupts = events.get("injected_corrupt", 0)
+        assert drops <= events.get("retransmit", 0) <= drops + corrupts

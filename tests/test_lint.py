@@ -171,6 +171,45 @@ def test_second_copy_of_the_envelope_check_flagged():
     assert lint_invariants.check_one_blocking_site(home, tree) == []
 
 
+def test_second_copy_of_the_healing_protocol_flagged():
+    src = (
+        "def complete_recv(self, entry, injector):\n"
+        "    # prose may say so: a retransmit is queued\n"
+        "    doc = 'the retransmit is queued before this is raised'\n"
+        "    if entry.seq <= self.delivered:\n"
+        "        injector.record('duplicate_discarded', seq=entry.seq)\n"
+        "    injector.record(kind='retransmit')\n"
+        "    events = {'replayed': 0, 'resend_suppressed': 0, 'healed': 0}\n"
+    )
+    tree = ast.parse(src)
+    violations = lint_invariants.check_one_blocking_site(
+        lint_invariants.SRC / "simmpi" / "fabric.py", tree
+    )
+    assert sorted(v[1] for v in violations) == [5, 6, 7, 7]
+    assert all("EnvelopeGuard" in v[2] for v in violations)
+    home = lint_invariants.SRC / lint_invariants.ENVELOPE_HOME
+    assert lint_invariants.check_one_blocking_site(home, tree) == []
+
+
+def test_fork_on_verified_mode_above_the_fabric_flagged():
+    src = (
+        "def make_channel(self):\n"
+        "    if self.comm.fabric.envelope_enabled:\n"
+        "        return None\n"
+        "    if self.comm.fabric._guard is not None:\n"
+        "        return None\n"
+    )
+    tree = ast.parse(src)
+    for rel in ("exchange/base.py", "core/driver.py", "exchange/envelope.py"):
+        violations = lint_invariants.check_one_blocking_site(
+            lint_invariants.SRC / rel, tree
+        )
+        assert sorted(v[1] for v in violations) == [2, 4]
+        assert all("forks on verified mode" in v[2] for v in violations)
+    fabric = lint_invariants.SRC / lint_invariants.VERIFIED_MODE_HOME
+    assert lint_invariants.check_one_blocking_site(fabric, tree) == []
+
+
 def test_lint_file_on_real_sources():
     # Spot-check two real files through the full per-file path.
     for rel in ("simmpi/fabric.py", "exchange/envelope.py", "check/schedule.py"):

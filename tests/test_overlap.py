@@ -5,9 +5,10 @@ the partitioned exchange, runs the interior stencil sweep while the
 messages are in flight, completes every receive partition, then runs the
 surface sweep.  These tests pin the two load-bearing guarantees: the
 result is bit-identical to the unphased run for every channel-capable
-method, and a run whose engines are not channels (a verified fabric:
-chaos, envelopes; the barrier-separated Shift) steps unphased and says
-so instead of silently racing.  That phasing engages under every other
+method -- on a verified fabric and under injected wire faults too, where
+a retry re-fires the completion only -- and a run whose engines are not
+channels (the barrier-separated Shift) steps unphased and says so
+instead of silently racing.  That phasing engages under every other
 feature is pinned in ``test_runplan.py``.
 """
 
@@ -63,15 +64,18 @@ class TestPhasedBitExactness:
 
 
 class TestPhasedFallbacks:
-    """overlap=True without channels must step unphased, not race."""
+    """overlap=True without channels must step unphased, not race --
+    and only Shift is without channels."""
 
-    def _assert_fallback(self, problem, **kwargs):
+    def _assert_phased(self, problem, **kwargs):
         base = run_executed(problem, "layout", timesteps=3)
         ph = run_executed(
             problem, "layout", timesteps=3, overlap=True, **kwargs
         )
-        assert not ph.overlap
+        assert ph.overlap is True
         np.testing.assert_array_equal(ph.global_result, base.global_result)
+        assert ph.fabric.pending_messages == 0
+        return ph
 
     def test_shift_has_no_channel(self, medium_problem):
         base = run_executed(medium_problem, "shift", timesteps=3)
@@ -82,16 +86,64 @@ class TestPhasedFallbacks:
         np.testing.assert_array_equal(ph.global_result, base.global_result)
 
     def test_verified_fabric(self, medium_problem):
-        # Envelope mode refuses partitioned sends: make_channel returns
-        # None, so the run steps unphased and stays bit-exact.
-        self._assert_fallback(medium_problem, verify_wire=True)
+        # Envelope mode is no fallback any more: every partition is
+        # sealed at pready and verified where it lands.
+        self._assert_phased(medium_problem, verify_wire=True)
 
     def test_chaos_injector(self, medium_problem):
         # A dropped surface message must never let the surface sweep run
-        # early: faulty runs retry whole per-message exchanges instead.
-        self._assert_fallback(
+        # early: complete() raises before the unpack, the interior work
+        # is not redone, and the retry re-fires complete() only.
+        ph = self._assert_phased(
             medium_problem, fault_plan=FaultPlan(seed=7, drop=0.05)
         )
+        events = ph.faults["events"]
+        assert events["injected_drop"] > 0
+        assert events["retry"] == events["healed"] > 0
+        assert "resend_suppressed" not in events  # start() never re-ran
+
+    def test_retry_reruns_completion_not_interior(self, monkeypatch):
+        from repro.core.runplan import RankRunPlan
+        from repro.exchange.base import ExchangeChannel
+
+        calls = {"start": 0, "complete": 0, "interior": 0}
+        real = {n: getattr(ExchangeChannel, n) for n in ("start", "complete")}
+        for name, fn in real.items():
+            def counted(self, _name=name, _fn=fn):
+                calls[_name] += 1
+                return _fn(self)
+
+            monkeypatch.setattr(ExchangeChannel, name, counted)
+        real_init = RankRunPlan.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            if self.splits is None:  # the unphased base run
+                return
+            interior, surface = self.splits
+
+            class Counted:
+                def execute(self, src, dst):
+                    calls["interior"] += 1
+                    interior.execute(src, dst)
+
+            self.splits = (Counted(), surface)
+
+        monkeypatch.setattr(RankRunPlan, "__init__", init)
+        p = StencilProblem(
+            global_extent=(64, 64, 64), rank_dims=(2, 2, 2),
+            stencil=SEVEN_POINT, brick_dim=(8, 8, 8), ghost=8,
+        )
+        base = run_executed(p, "yask", timesteps=2)
+        ph = run_executed(
+            p, "yask", timesteps=2, overlap=True,
+            fault_plan=FaultPlan(seed=2, corrupt=0.1),
+        )
+        np.testing.assert_array_equal(ph.global_result, base.global_result)
+        retries = ph.faults["events"]["retry"]
+        assert retries > 0
+        assert calls["start"] == calls["interior"] == 8 * 2
+        assert calls["complete"] == 8 * 2 + retries
 
     def test_all_surface_geometry_still_phases(self):
         # 16^3 subdomains of 8^3 bricks have zero interior bricks; the

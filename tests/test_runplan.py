@@ -21,21 +21,23 @@ from repro.check import build_rank_plans
 from repro.core.driver import run_executed
 from repro.core.problem import StencilProblem
 from repro.core.runplan import RankRunPlan
+from repro.exchange.envelope import seal
 from repro.faults import FaultPlan
+from repro.faults.errors import ExchangeConfigError
 from repro.simmpi.fabric import SimFabric
 from repro.simmpi.launcher import RankFailedError
 from repro.stencil.reference import apply_periodic_reference
-from repro.stencil.spec import SEVEN_POINT
+from repro.stencil.spec import CUBE125, SEVEN_POINT
 
 STEPS = 4
 METHODS = ("layout", "basic", "memmap", "yask", "mpi_types", "shift")
 
 
-def _problem(brick=8):
+def _problem(brick=8, stencil=SEVEN_POINT):
     return StencilProblem(
         global_extent=(32, 32, 32),
         rank_dims=(2, 2, 2),
-        stencil=SEVEN_POINT,
+        stencil=stencil,
         brick_dim=(brick,) * 3,
         ghost=8,
     )
@@ -48,9 +50,9 @@ def _run(method, problem=None, **kwargs):
 
 
 @functools.lru_cache(maxsize=None)
-def _reference(steps=STEPS):
+def _reference(steps=STEPS, stencil=SEVEN_POINT):
     return apply_periodic_reference(
-        _problem().initial_global(0), SEVEN_POINT, steps
+        _problem().initial_global(0), stencil, steps
     )
 
 
@@ -138,6 +140,12 @@ FEATURES = {
     },
     "period2": {"exchange_period": 2},
     "overlap": {"overlap": True},
+    "overlap_verify_wire": {"overlap": True, "verify_wire": True},
+    "overlap_chaos": {
+        "overlap": True,
+        "fault_plan": FaultPlan(seed=3, drop=0.02, corrupt=0.02, duplicate=0.02),
+        "fabric_timeout": 10.0,
+    },
 }
 
 
@@ -147,14 +155,16 @@ class TestComposition:
     @pytest.mark.parametrize("feature", FEATURES)
     @pytest.mark.parametrize("method", METHODS)
     def test_feature_composes(self, method, feature, tmp_path, loop_entries):
-        if (method, feature) == ("shift", "chaos"):
-            pytest.skip(
-                "Shift cannot heal wire faults: a whole-exchange retry is"
-                " unsafe across its barriers (see repro.faults.chaos)"
-            )
         kwargs = dict(FEATURES[feature])
         if kwargs.get("checkpoint_dir"):
             kwargs["checkpoint_dir"] = tmp_path
+        if method == "shift" and feature.endswith("chaos"):
+            # No silent fallback: Shift's barrier-separated rounds have
+            # no channel to heal on, so wire faults are refused up
+            # front, by name, instead of burning the fabric timeout.
+            with pytest.raises(ExchangeConfigError, match="'shift'.*3 barrier"):
+                _run(method, **kwargs)
+            return
         # A 2-step cycle at brick granularity needs ghost = 2 bricks.
         problem = _problem(brick=4) if feature == "period2" else _problem()
         plain = _plain(method)
@@ -165,12 +175,15 @@ class TestComposition:
         np.testing.assert_array_equal(run.global_result, _reference())
         launches = 1 + run.restarts
         assert run.restarts == (1 if feature == "crash_restart" else 0)
-        if feature == "chaos":
-            assert run.faults["events"]["healed"] > 0
+        if feature.endswith("chaos"):
+            events = run.faults["events"]
+            assert events["healed"] == events["retry"] > 0
+            assert events["injected_drop"] > 0 and events["injected_corrupt"] > 0
+            assert run.fabric.pending_messages == 0
         assert sorted(loop_entries) == sorted(
             list(range(problem.nranks)) * launches
         )
-        assert run.overlap == (feature == "overlap" and method != "shift")
+        assert run.overlap == (feature.startswith("overlap") and method != "shift")
         if feature == "period2":
             # Another brick size is another layout: only the cadence is
             # comparable with the plain run.
@@ -186,7 +199,9 @@ class TestComposition:
                 assert got.pop("wait") <= want.pop("wait")
             assert got == want
 
-    @pytest.mark.parametrize("feature", ["checkpoint", "observed"])
+    @pytest.mark.parametrize(
+        "feature", ["checkpoint", "observed", "verify_wire", "chaos"]
+    )
     def test_overlap_engages_under_features(self, feature, tmp_path):
         # Phasing depends on the engines being channels, nothing else.
         kwargs = dict(FEATURES[feature])
@@ -196,6 +211,29 @@ class TestComposition:
             run = _run("layout", overlap=True, **kwargs)
         assert run.overlap is True
         np.testing.assert_array_equal(run.global_result, _reference())
+
+    @pytest.mark.parametrize("method", ["layout", "memmap", "yask", "mpi_types"])
+    def test_overlap_heals_on_all_26_neighbours(self, method):
+        # 125-pt reads edge and corner ghosts: a phased, enveloped,
+        # faulted run must heal every one of them, on partition edges.
+        problem = _problem(stencil=CUBE125)
+        plain = run_executed(problem, method, timesteps=2, seed=0)
+        run = run_executed(
+            problem, method, timesteps=2, seed=0, overlap=True,
+            fault_plan=FaultPlan(seed=5, drop=0.05, corrupt=0.05, duplicate=0.05),
+            fabric_timeout=10.0,
+        )
+        assert run.overlap is True
+        np.testing.assert_array_equal(
+            run.global_result, _reference(2, CUBE125)
+        )
+        events = run.faults["events"]
+        assert events["healed"] == events["retry"] > 0
+        assert events["duplicate_discarded"] == events["injected_duplicate"] > 0
+        assert run.fabric.pending_messages == 0
+        assert run.messages_per_rank == plain.messages_per_rank
+        assert run.wire_bytes_per_rank == plain.wire_bytes_per_rank
+        assert run.mapping_count == plain.mapping_count
 
 
 def _maps_and_fds():
@@ -277,20 +315,22 @@ class TestBatchedFabric:
         np.testing.assert_array_equal(outs[1], sends[1])
 
     def test_envelope_fabric_refuses_batches(self):
-        # The bound path skips the sequence/CRC machinery by design; a
-        # verified fabric must hard-refuse it, never silently bypass --
-        # at bind time, and at post time for a request bound earlier.
+        # ... that skip the sequence/CRC machinery: a verified fabric
+        # never silently bypasses it, even for a request bound before
+        # ``enable_envelope()`` -- its items are sealed at post time and
+        # verified where they land, like any other's.
         fabric = SimFabric(2, timeout=5.0)
-        buf = np.zeros(4)
-        bound = fabric.bind_request(0, [(1, 7, buf)], [])
+        buf, out = np.arange(4.0), np.zeros(4)
+        sender = fabric.bind_request(0, [(1, 7, buf)], []).bulk
+        receiver = fabric.bind_request(1, [], [(0, 7, out)]).bulk
         fabric.enable_envelope()
-        with pytest.raises(RuntimeError, match="verified fabric"):
-            fabric.bind_request(0, [(1, 7, buf)], [])
-        with pytest.raises(RuntimeError, match="verified fabric"):
-            fabric.bind_request(1, [], [(0, 7, buf)])
-        with pytest.raises(RuntimeError, match="verified fabric"):
-            fabric.post_send_batch(bound.bulk)
-        assert fabric.pending_messages == 0
+        fabric.post_send_batch(sender)
+        ((_key, _view, env, _wire),) = fabric._ports[1].arrivals
+        assert env == seal(buf, seq=1)
+        buf[0] = -1.0  # changed in flight: the landed bytes do not verify
+        with pytest.raises(RuntimeError, match="checksum mismatch"):
+            fabric.complete_recv_batch(receiver)
+        assert fabric.stats[1].recvs == 0 and fabric.pending_messages == 1
 
 
 class TestChaosComposition:

@@ -299,10 +299,30 @@ class TestPartitionedChannels:
             partition_tag(0, -1)
 
     def test_verified_fabric_refuses_partitioned(self):
-        fab = SimFabric(2)
+        # ... requests only when the two ends disagree on the split, at
+        # negotiation, like a plain fabric; a matching one it carries,
+        # every partition an edge of its own with its own sequence.
+        from repro.simmpi import SplitMismatchError, partition_tag
+
+        fab = SimFabric(2, timeout=5.0)
         fab.enable_envelope()
-        buf = np.zeros(8)
-        with pytest.raises(RuntimeError, match="verified fabric"):
-            fab.bind_request(0, [(1, 3, buf)], [], 2)
-        with pytest.raises(RuntimeError, match="verified fabric"):
-            fab.bind_request(1, [], [(0, 3, buf)], 2)
+        data, out = np.arange(8.0), np.zeros(8)
+        sender = fab.bind_request(0, [(1, 3, data)], [], 2)
+        with pytest.raises(SplitMismatchError, match="split disagreement"):
+            fab.bind_request(1, [], [(0, 3, out)], 4)
+        receiver = fab.bind_request(1, [], [(0, 3, out)], 2)
+        for step in (1, 2):
+            data += 1.0
+            sender.start()
+            receiver.start()
+            sender.pready(0, 1)
+            assert receiver.parrived(0, 1) and not receiver.parrived(0, 0)
+            sender.pready_all()
+            receiver.complete()
+            sender.complete()
+            np.testing.assert_array_equal(out, data)
+            assert [
+                fab._guard.delivered[(0, 1, partition_tag(3, p))][0]
+                for p in (0, 1)
+            ] == [step, step]
+        assert fab.pending_messages == 0

@@ -37,7 +37,13 @@ may not, and these rules are project-specific anyway.  Four checks:
    ``request.py`` / ``comm.py`` are not fabric waits).  The texts of the
    sequence-gap and checksum-mismatch errors are spelled in
    ``exchange/envelope.py`` only: a second copy is a second
-   implementation of ``verify``.
+   implementation of ``verify``.  So are the healing event kinds
+   (``resend_suppressed`` / ``replayed`` / ``duplicate_discarded`` /
+   ``retransmit``): whoever records one is running a second copy of the
+   healing protocol.  And ``envelope_enabled`` / ``_guard`` are read
+   nowhere outside ``simmpi/fabric.py``: no layer above the fabric forks
+   on verified mode -- a guarded run binds and fires what a plain one
+   does.
 
 Exit status 1 when any violation is found.  ``--list`` prints the file
 set without checking (CI sanity).
@@ -89,6 +95,13 @@ WAIT_HELPER = "_await"
 #: error texts of the envelope check, and the one file that spells them
 ENVELOPE_PHRASES = ("sequence gap on", "checksum mismatch on")
 ENVELOPE_HOME = "exchange/envelope.py"
+#: event kinds only the healing protocol records (whole-string matches)
+HEALING_KINDS = (
+    "resend_suppressed", "replayed", "duplicate_discarded", "retransmit",
+)
+#: how the fabric knows it is verified, and the one file that may ask
+VERIFIED_MODE_ATTRS = ("envelope_enabled", "_guard")
+VERIFIED_MODE_HOME = "simmpi/fabric.py"
 
 Violation = Tuple[Path, int, str]
 
@@ -177,10 +190,33 @@ def check_message_path(path: Path, tree: ast.AST) -> List[Violation]:
 def check_one_blocking_site(path: Path, tree: ast.AST) -> List[Violation]:
     rel = path.relative_to(SRC).as_posix()
     out: List[Violation] = []
+    if rel != VERIFIED_MODE_HOME:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in VERIFIED_MODE_ATTRS:
+                out.append(
+                    (
+                        path,
+                        node.lineno,
+                        f"`.{node.attr}` outside {VERIFIED_MODE_HOME}: bind"
+                        " and fire the request as on a plain fabric; the"
+                        " fabric consults its guard per item, and nothing"
+                        " above it forks on verified mode",
+                    )
+                )
     if rel != ENVELOPE_HOME:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Constant) or not isinstance(node.value, str):
                 continue
+            if node.value in HEALING_KINDS:
+                out.append(
+                    (
+                        path,
+                        node.lineno,
+                        f"healing event kind {node.value!r} outside"
+                        f" {ENVELOPE_HOME}: the healing protocol has one"
+                        " copy, EnvelopeGuard, and only it records its steps",
+                    )
+                )
             for phrase in ENVELOPE_PHRASES:
                 if phrase in node.value:
                     out.append(
