@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.brick.convert import bricks_to_extended, extended_to_bricks
 from repro.brick.decomp import BrickDecomp
-from repro.exchange.memmap_ex import MemMapExchanger
+from repro.exchange.memmap_ex import MemMapExchanger, memmap_template
 from repro.hardware.profiles import theta_knl
 from repro.simmpi import allreduce, run_spmd
 from repro.stencil.brick_kernels import apply_brick_stencil
@@ -71,9 +71,11 @@ def rank_main(comm, u0_global, f_global):
         storages.append(st)
     info = decomp.brick_info(asn)
     slots = decomp.compute_slots(asn)
-    exchangers = [
-        MemMapExchanger(cart, decomp, st, asn, profile) for st in storages
-    ]
+    # The schedule is geometry, derived once; each buffer only binds it.
+    plan = memmap_template(decomp, asn, profile.page_size).for_rank(
+        cart.rank, cart.dims, cart.periods
+    )
+    exchangers = [MemMapExchanger(cart, plan, st, profile) for st in storages]
 
     lo = [c * s for c, s in zip(cart.coords, SUB)]
     own_g = tuple(slice(l, l + s) for l, s in zip(reversed(lo), reversed(SUB)))

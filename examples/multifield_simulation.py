@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.brick.convert import bricks_to_extended, extended_to_bricks
 from repro.brick.decomp import BrickDecomp
-from repro.exchange.memmap_ex import MemMapExchanger
+from repro.exchange.memmap_ex import MemMapExchanger, memmap_template
 from repro.hardware.profiles import theta_knl
 from repro.simmpi import run_spmd
 from repro.stencil.brick_kernels import apply_brick_stencil
@@ -57,8 +57,12 @@ def rank_main(comm, u_global, v_global):
     storage_b, _ = decomp.mmap_alloc(profile.page_size)
     info = decomp.brick_info(asn)
     slots = decomp.compute_slots(asn)
+    # The schedule is geometry, derived once; each buffer only binds it.
+    plan = memmap_template(decomp, asn, profile.page_size).for_rank(
+        cart.rank, cart.dims, cart.periods
+    )
     exchangers = [
-        MemMapExchanger(cart, decomp, st, asn, profile)
+        MemMapExchanger(cart, plan, st, profile)
         for st in (storage_a, storage_b)
     ]
     storages = [storage_a, storage_b]

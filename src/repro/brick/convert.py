@@ -29,7 +29,6 @@ __all__ = [
     "element_permutation",
     "extended_to_bricks",
     "bricks_to_extended",
-    "conversion_scratch",
 ]
 
 def extended_shape(decomp: "BrickDecomp") -> Tuple[int, ...]:
@@ -91,6 +90,7 @@ def element_permutation(
 
     field_base = fld * decomp.brick_volume
     perm = slots * decomp.brick_elems + field_base + offset
+    perm.flags.writeable = False  # shared by every caller of this decomp
     cache[key] = perm
     return perm
 
@@ -122,9 +122,9 @@ def bricks_to_extended(
 ) -> np.ndarray:
     """Gather brick storage back into an extended array.
 
-    Pass *out* (e.g. :func:`conversion_scratch`) to reuse a destination
-    across repeated conversions instead of allocating a fresh array; the
-    gather then runs as one ``np.take`` straight into it.
+    Pass *out* to reuse a caller-owned destination across repeated
+    conversions instead of allocating a fresh array; the gather then
+    runs as one ``np.take`` straight into it.
     """
     with _TRACER.span("convert.bricks_to_extended"):
         perm = element_permutation(decomp, assignment, fld)
@@ -142,23 +142,3 @@ def bricks_to_extended(
             )
         np.take(storage.data.reshape(-1), perm, out=out)
         return out
-
-
-def conversion_scratch(decomp: "BrickDecomp", dtype=None) -> np.ndarray:
-    """Reusable extended-shape scratch array, cached on the decomp.
-
-    One array per (decomp, dtype); callers that convert repeatedly (the
-    executed driver, benchmarks) avoid re-allocating the whole extended
-    domain every time.  Contents are whatever the last conversion left --
-    callers own the data discipline, and must not share one decomp's
-    scratch across threads.
-    """
-    cache: Dict[str, np.ndarray] = decomp.__dict__.setdefault(
-        "_convert_scratch_cache", {}
-    )
-    dt = np.dtype(dtype) if dtype is not None else decomp.dtype
-    scratch = cache.get(dt.str)
-    if scratch is None:
-        scratch = np.empty(extended_shape(decomp), dtype=dt)
-        cache[dt.str] = scratch
-    return scratch

@@ -324,6 +324,10 @@ class BrickDecomp:
         ghost = {
             (s.neighbor, s.region): s for s in sections if s.kind == "ghost"
         }
+        # Cached and handed to every caller (every rank thread of a run):
+        # a write would be a race, so make it an error.
+        grid_index.flags.writeable = False
+        slot_coords.flags.writeable = False
         out = SlotAssignment(
             alignment=alignment,
             total_slots=total,

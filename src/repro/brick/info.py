@@ -104,6 +104,8 @@ class BrickInfo:
         center = direction_index((0,) * ndim)
         slots = np.arange(total)
         adjacency[valid_slot, center] = slots[valid_slot]
+        # One table serves every rank of a run: readers only.
+        adjacency.flags.writeable = False
         return cls(ndim, decomp.brick_dim, adjacency, decomp.nfields)
 
     def neighbor_slot(self, slot: int, vec: Sequence[int]) -> int:

@@ -1,8 +1,11 @@
 """Pass 2: compiled-plan and channel-buffer memory verification.
 
-Proves, per rank and purely from geometry, that what the run's compiled
-plans index and its wire-visible storage ranges stay inside the regions
-they are entitled to:
+Proves, purely from geometry, that what the run's compiled plans index
+and its wire-visible storage ranges stay inside the regions they are
+entitled to.  What the kernels read is the same on every rank -- one
+adjacency, the run geometry's, which every rank's plans slice their rows
+from -- so it is checked once, on that very array; only the wire ranges
+are a rank's own:
 
 * **adjacency rows in bounds** -- what the C brick kernel consumes:
   every entry of the compute slots' ``(n, 3^D)`` adjacency rows is the
@@ -39,9 +42,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.check.geometry import RankGeometry
+from repro.brick.decomp import BrickDecomp, SlotAssignment
 from repro.check.report import CheckReport
-from repro.core.problem import StencilProblem
+from repro.core.geometry import RunGeometry
+from repro.exchange.base import RankMessagePlan
 from repro.stencil.plan import (
     _build_gather_chunk,
     ghost_slot_mask,
@@ -221,16 +225,16 @@ def _intersects(
 
 
 def check_ranges(
-    geom: RankGeometry,
+    plan: RankMessagePlan,
+    decomp: BrickDecomp,
+    asn: SlotAssignment,
     report: CheckReport,
 ) -> None:
-    """Wire-visible storage ranges vs the slot assignment's sections."""
-    asn, decomp = geom.assignment, geom.decomp
-    if asn is None or decomp is None:
-        return
+    """One rank's wire-visible storage ranges vs the slot assignment's
+    sections."""
     bb = decomp.brick_bytes
     arena_bytes = asn.total_slots * bb
-    rank = geom.rank
+    rank = plan.rank
     # Padded spans: MemMap wires whole pages, which cover each section's
     # alignment padding; payload spans: the bytes that carry data the
     # checkpointer snapshots and the kernels read.
@@ -250,7 +254,7 @@ def check_ranges(
 
     recv_spans: List[Tuple[int, int, int]] = []  # (lo, hi, tag)
     for kind, allowed in (("sends", surface_padded), ("recvs", ghost_padded)):
-        for m in getattr(geom.plan, kind):
+        for m in getattr(plan, kind):
             if m.ranges is None:
                 continue
             for off, length in m.ranges:
@@ -313,75 +317,73 @@ def check_ranges(
 # ----------------------------------------------------------------------
 # The pass itself
 # ----------------------------------------------------------------------
-def verify_memory(
-    problem: StencilProblem,
-    geoms: Sequence[RankGeometry],
-    report: CheckReport,
-) -> None:
-    """Run every memory check over the reconstructed geometries."""
-    spec = problem.stencil
-    for geom in geoms:
-        check_ranges(geom, report)
-        decomp, asn = geom.decomp, geom.assignment
-        if decomp is None or asn is None:
-            # Array schemes: validate the interior/surface region split
-            # covers the owned box exactly.
-            ext, g, r = (
-                problem.subdomain_extent, problem.ghost, spec.radius,
-            )
-            interior, surf_boxes = split_array_region(ext, g, 0, r)
-            shape = tuple(e + 2 * g for e in reversed(ext))
-            mask = np.zeros(shape, dtype=np.int32)
-            boxes = ([interior] if interior is not None else []) + list(
-                surf_boxes
-            )
-            for box in boxes:
-                mask[tuple(slice(lo, hi) for lo, hi in box)] += 1
-            owned = tuple(slice(g, g + e) for e in reversed(ext))
-            outside = mask.copy()
-            outside[owned] = 0  # only the ghost shell remains
-            mask = mask[owned]
-            if (outside > 0).any():
-                report.error(
-                    PASS, "phase-split-extra",
-                    f"rank {geom.rank}: array phase regions touch"
-                    f" {int((outside > 0).sum())} cell(s) outside the"
-                    " owned box",
-                    ranks=(geom.rank,),
-                )
-            if (mask > 1).any():
-                report.error(
-                    PASS, "phase-split-overlap",
-                    f"rank {geom.rank}: array phase regions overlap on"
-                    f" {int((mask > 1).sum())} cell(s)",
-                    ranks=(geom.rank,),
-                )
-            if (mask == 0).any():
-                report.error(
-                    PASS, "phase-split-gap",
-                    f"rank {geom.rank}: array phase regions miss"
-                    f" {int((mask == 0).sum())} owned cell(s)",
-                    ranks=(geom.rank,),
-                )
-            continue
-        binfo = decomp.brick_info(asn)
-        slots = decomp.compute_slots(asn)
-        check_adjacency_rows(
-            binfo.adjacency[slots], asn.total_slots, decomp.brick_elems, 0,
-            decomp.brick_volume, report, geom.rank,
+def _check_array_split(geometry: RunGeometry, report: CheckReport) -> None:
+    """Array schemes: the interior/surface region split covers the owned
+    box exactly (the same boxes on every rank; reported as rank 0's)."""
+    ext, g = geometry.extent, geometry.ghost
+    interior, surf_boxes = split_array_region(
+        ext, g, 0, geometry.problem.stencil.radius
+    )
+    mask = np.zeros(geometry.extended_shape, dtype=np.int32)
+    boxes = ([interior] if interior is not None else []) + list(surf_boxes)
+    for box in boxes:
+        mask[tuple(slice(lo, hi) for lo, hi in box)] += 1
+    owned = tuple(slice(g, g + e) for e in reversed(ext))
+    outside = mask.copy()
+    outside[owned] = 0  # only the ghost shell remains
+    mask = mask[owned]
+    if (outside > 0).any():
+        report.error(
+            PASS, "phase-split-extra",
+            "rank 0: array phase regions touch"
+            f" {int((outside > 0).sum())} cell(s) outside the owned box",
+            ranks=(0,),
         )
-        chunks = [
-            _build_gather_chunk(
-                binfo, slots[lo: lo + 512], spec.radius, 0,
-                decomp.brick_elems,
-            )
-            for lo in range(0, len(slots), 512)
-        ]
-        check_gather_tables(
-            chunks, asn.total_slots, decomp.brick_elems, 0,
-            decomp.brick_volume, report, geom.rank,
+    if (mask > 1).any():
+        report.error(
+            PASS, "phase-split-overlap",
+            "rank 0: array phase regions overlap on"
+            f" {int((mask > 1).sum())} cell(s)",
+            ranks=(0,),
         )
-        interior, surface = split_brick_slots(
-            binfo, ghost_slot_mask(asn), slots
+    if (mask == 0).any():
+        report.error(
+            PASS, "phase-split-gap",
+            "rank 0: array phase regions miss"
+            f" {int((mask == 0).sum())} owned cell(s)",
+            ranks=(0,),
         )
-        check_phase_split(interior, surface, slots, report, geom.rank)
+
+
+def verify_memory(geometry: RunGeometry, report: CheckReport) -> None:
+    """Run every memory check over the run geometry.
+
+    The kernel-side checks read ``geometry.brick_info`` -- the adjacency
+    the run's stencil plans are compiled over, not a rebuilt copy -- and
+    run once (a finding there is every rank's; it is reported as rank
+    0's); the wire ranges are checked per rank plan.
+    """
+    decomp, asn, binfo = geometry.decomp, geometry.assignment, geometry.brick_info
+    if decomp is None:
+        _check_array_split(geometry, report)
+        return
+    for plan in geometry.plans:
+        check_ranges(plan, decomp, asn, report)
+    radius = geometry.problem.stencil.radius
+    slots = decomp.compute_slots(asn)
+    check_adjacency_rows(
+        binfo.adjacency[slots], asn.total_slots, decomp.brick_elems, 0,
+        decomp.brick_volume, report, 0,
+    )
+    chunks = (
+        _build_gather_chunk(
+            binfo, slots[lo: lo + 512], radius, 0, decomp.brick_elems
+        )
+        for lo in range(0, len(slots), 512)
+    )
+    check_gather_tables(
+        chunks, asn.total_slots, decomp.brick_elems, 0,
+        decomp.brick_volume, report, 0,
+    )
+    interior, surface = split_brick_slots(binfo, ghost_slot_mask(asn), slots)
+    check_phase_split(interior, surface, slots, report, 0)

@@ -17,7 +17,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.check.geometry import build_rank_geometries
 from repro.check.memory import (
     check_adjacency_rows,
     check_gather_tables,
@@ -25,6 +24,7 @@ from repro.check.memory import (
 )
 from repro.check.report import CheckReport
 from repro.check.schedule import verify_schedule
+from repro.core.geometry import RunGeometry
 from repro.core.problem import StencilProblem
 from repro.simmpi.fabric import _PARTITION_TAG_BASE
 from repro.stencil.spec import SEVEN_POINT
@@ -43,10 +43,7 @@ def _default_problem() -> StencilProblem:
 
 
 def _plans(problem, method):
-    return {
-        g.rank: g.plan
-        for g in build_rank_geometries(problem, method)
-    }
+    return dict(enumerate(RunGeometry(problem, method).plans))
 
 
 def _mutate_first_send(plans, **changes):

@@ -21,10 +21,10 @@ Commands
     Self-check: run every executable method on a small problem and
     verify all of them against the reference.
 ``check``
-    Ahead-of-run static verifier: rebuild the global message schedule
-    plan-only and prove deadlock freedom, byte/split agreement, tag
-    hygiene, in-bounds compiled plans and C-backend sanity without
-    touching the fabric.  ``--selftest`` runs the mutation harness
+    Ahead-of-run static verifier: build the run geometry a run of this
+    configuration would bind its plans from and prove deadlock freedom,
+    byte/split agreement, tag hygiene, in-bounds compiled plans and
+    C-backend sanity without a fabric.  ``--selftest`` runs the mutation harness
     (every violation class must be detected); exits nonzero on any
     error finding.
 ``chaos``

@@ -9,37 +9,39 @@ figure benches also use), while the run additionally verifies itself: the
 assembled global result must equal the serial periodic reference
 bit-for-bit.
 
-This module sets a run up and never steps time itself.  Each rank builds
-one :class:`_RankState` -- the two buffers, the compiled stencil plan per
-cycle position, the checkpoint chunk layout -- from either storage kind
-(:func:`_array_state`, :func:`_brick_state`), binds it with the exchange
-engines into a :class:`~repro.core.runplan.RankRunPlan`, attaches the
-requested features as step hooks (crash check, checkpoint save,
-degradation vote, envelope retry, dirty tracking) and replays the plan.
-Every run, whatever is switched on, goes through that one loop.
+This module sets a run up and never steps time itself.  The launching
+thread builds one :class:`~repro.core.geometry.RunGeometry` per launched
+world -- decomposition, slot assignment, adjacency, every rank's frozen
+message plan, the initial condition -- has ``repro.check`` verify that
+object when asked to, and hands it to the ranks.  A rank does only what
+is per rank: it builds one :class:`_RankState` -- the two buffers, the
+compiled stencil plan per cycle position, the checkpoint chunk layout --
+from either storage kind (:func:`_array_state`, :func:`_brick_state`),
+binds its plan to each buffer, wraps the exchange engines into a
+:class:`~repro.core.runplan.RankRunPlan`, attaches the requested
+features as step hooks (crash check, checkpoint save, degradation vote,
+envelope retry, dirty tracking) and replays the plan.  Every run,
+whatever is switched on, goes through that one loop.
 """
 
 from __future__ import annotations
 
+import sys
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.brick.convert import (
-    bricks_to_extended,
-    conversion_scratch,
-    extended_to_bricks,
-)
+from repro.brick.convert import bricks_to_extended, extended_to_bricks
 from repro.core.expansion import (
     brick_cycle_slots,
     depths_for_period,
     margins_for_period,
     resolve_period,
 )
-from repro.core.methods import MethodInfo, method_info, resolve_page_size
+from repro.core.geometry import RunGeometry
+from repro.core.methods import MethodInfo, method_info
 from repro.core.metrics import RankMetrics, RunMetrics
 from repro.core.model import (
     compute_time,
@@ -70,7 +72,6 @@ from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.faults.runtime import FaultInjector
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
-from repro.exchange import make_exchanger
 from repro.exchange.base import ExchangeChannel, ExchangeResult
 from repro.exchange.costs import overlap_times
 from repro.hardware.profiles import MachineProfile, generic_host
@@ -144,11 +145,9 @@ class _SnapshotLayout:
     """How a rank state is checkpointed: its chunks and what dirties them."""
 
     chunk_specs: List[ChunkSpec]
-    key: Tuple[int, int]  # (slot alignment, total slots) in the problem key
     chunks: list  # per buffer: (name, zero-copy uint8 view) pairs
     ghost_slots: Sequence[int]  # slots an exchange rewrites
     dirty_slots: list  # slots the calc of each cycle position rewrites
-    adjacency_crc: int = 0  # fingerprint of the brick layout permutation
 
 
 @dataclass
@@ -170,7 +169,6 @@ class _RankState:
     snapshot_layout: Callable[[], _SnapshotLayout]  # checkpointed runs only
     fill: Callable[[np.ndarray], None]  # owned initial values into buffer 0
     result: Callable[[int], np.ndarray]  # copy of buffer i's owned region
-    make_exchanger: Callable  # (method base name, buffer) -> Exchanger
     exchangers: list = field(default_factory=list)
     ladder_level: Optional[int] = None  # None: no degradation ladder
 
@@ -186,14 +184,14 @@ class _RankState:
         self.exchangers = []
 
 
-def _array_state(
-    problem: StencilProblem, period: int, cart, profile: MachineProfile
-) -> _RankState:
-    ext, g, spec = problem.subdomain_extent, problem.ghost, problem.stencil
+def _array_state(geometry: RunGeometry, period: int) -> _RankState:
+    problem = geometry.problem
+    ext, g, spec = geometry.extent, geometry.ghost, problem.stencil
     margins = margins_for_period(period, spec.radius, g)
-    shape = tuple(e + 2 * g for e in reversed(ext))
     own = owned_slices(ext, g)
-    arrays = [np.zeros(shape, dtype=problem.dtype) for _ in range(2)]
+    arrays = [
+        np.zeros(geometry.extended_shape, dtype=problem.dtype) for _ in range(2)
+    ]
 
     def fill(owned: np.ndarray) -> None:
         arrays[0][own] = owned
@@ -216,52 +214,34 @@ def _array_state(
         # restores of period>1 runs self-contained.
         snapshot_layout=lambda: _SnapshotLayout(
             chunk_specs=[ChunkSpec("array", 0, 1)],
-            key=(1, 1),
             chunks=[[("array", a.reshape(-1).view(np.uint8))] for a in arrays],
             ghost_slots=(),
             dirty_slots=[[0]] * period,
         ),
         fill=fill,
         result=lambda src: arrays[src][own].copy(),
-        make_exchanger=lambda base, array: make_exchanger(
-            base, cart, problem, profile, array
-        ),
     )
 
 
-def _brick_state(
-    problem: StencilProblem,
-    info: MethodInfo,
-    period: int,
-    cart,
-    profile: MachineProfile,
-    page: int,
-) -> _RankState:
-    ext, g, spec = problem.subdomain_extent, problem.ghost, problem.stencil
-    decomp = problem.brick_decomp()
-    if info.base == "memmap":
-        sa, asn = decomp.mmap_alloc(page)
-        sb, _ = decomp.mmap_alloc(page)
+def _brick_state(geometry: RunGeometry, period: int) -> _RankState:
+    """Allocate and compile over the shared geometry; nothing here
+    derives a decomposition, an assignment or an adjacency."""
+    problem = geometry.problem
+    ext, g, spec = geometry.extent, geometry.ghost, problem.stencil
+    decomp, asn, binfo = geometry.decomp, geometry.assignment, geometry.brick_info
+    if geometry.base == "memmap":
+        storages = [decomp.mmap_alloc(geometry.page_size)[0] for _ in range(2)]
     else:
-        sa, asn = decomp.allocate()
-        sb, _ = decomp.allocate()
-    storages = [sa, sb]
-    binfo = decomp.brick_info(asn)
+        storages = [decomp.allocate()[0] for _ in range(2)]
     cycle_slots = brick_cycle_slots(
         decomp, asn, spec.radius, depths_for_period(period, decomp.width)
     )
-    shape = tuple(e + 2 * g for e in reversed(ext))
     own = owned_slices(ext, g)
 
     def fill(owned: np.ndarray) -> None:
-        tmp = np.zeros(shape, dtype=problem.dtype)
+        tmp = np.zeros(geometry.extended_shape, dtype=problem.dtype)
         tmp[own] = owned
-        extended_to_bricks(tmp, decomp, sa, asn)
-
-    def result(src: int) -> np.ndarray:
-        return bricks_to_extended(
-            decomp, storages[src], asn, out=conversion_scratch(decomp)
-        )[own].copy()
+        extended_to_bricks(tmp, decomp, storages[0], asn)
 
     def compile_split():
         # Interior bricks are the slots whose adjacency references no
@@ -280,7 +260,6 @@ def _brick_state(
         specs = storage_chunks(asn)
         return _SnapshotLayout(
             chunk_specs=specs,
-            key=(asn.alignment, asn.total_slots),
             chunks=[
                 [(c.name, st.slot_bytes(c.start_slot, c.nslots)) for c in specs]
                 for st in storages
@@ -293,16 +272,14 @@ def _brick_state(
                 ]
             ),
             dirty_slots=cycle_slots,
-            adjacency_crc=zlib.crc32(
-                np.ascontiguousarray(binfo.adjacency).tobytes()
-            ),
         )
 
     return _RankState(
         buffers=storages,
         # Whatever the kernel tier reads per step (adjacency rows + halo
         # tile, or fused gather tables + persistent buffers) and the
-        # specialized kernel, built once per cycle position.
+        # specialized kernel, built once per cycle position; the scratch
+        # is this rank's, the adjacency the geometry's.
         plans=[
             compile_brick_plan(spec, binfo, slots, 0, problem.dtype)
             for slots in cycle_slots
@@ -311,10 +288,7 @@ def _brick_state(
         compile_split=compile_split,
         snapshot_layout=snapshot_layout,
         fill=fill,
-        result=result,
-        make_exchanger=lambda base, storage: make_exchanger(
-            base, cart, problem, profile, storage, decomp, asn, page
-        ),
+        result=lambda src: bricks_to_extended(decomp, storages[src], asn)[own].copy(),
     )
 
 
@@ -341,18 +315,22 @@ def _demote(level: int, rank: int, injector, counters: dict, step: int) -> int:
     return level + 1
 
 
-def _build_ladder(cart, state: _RankState, level, injector, counters, step):
+def _build_ladder(
+    cart, geometry: RunGeometry, state: _RankState, level, injector, counters,
+    step,
+):
     """Bind *state* to exchangers at *level*, demoting collectively on
     failure.
 
-    Every rank votes (allreduce-max) on whether any construction failed;
+    Every rank votes (allreduce-max) on whether any binding failed;
     demotion is all-or-none so peers always run wire-compatible engines.
+    A rung's plans come from the geometry like the method's own.
     """
     while True:
         built = []
         try:
             for buf in state.buffers:
-                built.append(state.make_exchanger(_LADDER[level], buf))
+                built.append(geometry.bind(_LADDER[level], cart, buf))
             failed = 0
         except (OSError, ValueError):
             failed = 1
@@ -373,7 +351,9 @@ def _vmem_probe_failed(storage) -> bool:
     return False
 
 
-def _ladder_vote(cart, state: _RankState, injector, counters, t, src) -> bool:
+def _ladder_vote(
+    cart, geometry: RunGeometry, state: _RankState, injector, counters, t, src
+) -> bool:
     """Degradation vote: a rank whose mapping machinery fails a live
     probe asks for demotion; allreduce-max keeps every rank on the same
     (wire-compatible) engine.  True when the exchangers were rebuilt."""
@@ -392,7 +372,7 @@ def _ladder_vote(cart, state: _RankState, injector, counters, t, src) -> bool:
         return False
     _close_all(state.exchangers)
     level = _demote(state.ladder_level, rank, injector, counters, t)
-    _build_ladder(cart, state, level, injector, counters, t)
+    _build_ladder(cart, geometry, state, level, injector, counters, t)
     return True
 
 
@@ -453,20 +433,13 @@ def _exchange_with_retry(
         comm.set_epoch(None)
 
 
-def _require_healable(problem, method, profile, page_size) -> None:
-    """Refuse wire faults on a schedule no retry can heal.
-
-    Rank 0's plan-only exchanger -- the reconstruction ``repro check``
-    verifies -- says how many barrier-separated rounds the schedule
-    has; every rank's has the same number.
-    """
-    from repro.check.geometry import iter_rank_geometries
-
-    rank0 = next(iter_rank_geometries(problem, method, profile, page_size))
-    nphases = rank0.plan.nphases
+def _require_healable(geometry: RunGeometry) -> None:
+    """Refuse wire faults on a schedule no retry can heal: one with
+    barrier-separated rounds (every rank's plan has the same number)."""
+    nphases = geometry.plans[0].nphases
     if nphases > 1:
         raise ExchangeConfigError(
-            f"fault_plan has wire-fault probabilities but {method!r}"
+            f"fault_plan has wire-fault probabilities but {geometry.method!r}"
             f" exchanges in {nphases} barrier-separated phases: it has no"
             " persistent channel, so its per-message rounds are verified"
             " (detection) but a fault could never be retried across the"
@@ -594,12 +567,9 @@ def _ckpt_apply_meta(
 
 def _rank_fn(
     comm: SimComm,
-    problem: StencilProblem,
-    method: str,
-    profile: MachineProfile,
+    geometry: RunGeometry,
     timesteps: int,
     seed: int,
-    page_size: Optional[int],
     exchange_period,
     overlap: bool,
     injector: Optional[FaultInjector],
@@ -609,19 +579,18 @@ def _rank_fn(
     ckpt: Optional[CheckpointConfig],
     states: List[_RankState],
 ):
+    problem, method, profile = geometry.problem, geometry.method, geometry.profile
     info = method_info(method)
     cart = comm.Create_cart(
         problem.rank_dims, periods=[problem.periodic] * problem.ndim
     )
     rank = comm.rank
+    # Raised here, by every rank, when the ghost width cannot support it.
     period = resolve_period(problem, method, exchange_period)
     if info.uses_bricks:
-        state = _brick_state(
-            problem, info, period, cart, profile,
-            resolve_page_size(info, profile, page_size),
-        )
+        state = _brick_state(geometry, period)
     else:
-        state = _array_state(problem, period, cart, profile)
+        state = _array_state(geometry, period)
     # The launching thread closes the state once every rank has joined.
     states.append(state)
 
@@ -633,8 +602,10 @@ def _rank_fn(
     cp = snap = None
     if ckpt is not None:
         snap = state.snapshot_layout()
-        key = problem_key(problem, seed, method, *snap.key, period)
-        cp = RankCheckpointer(ckpt, rank, snap.chunk_specs, key, snap.key[1])
+        slot_key = geometry.slot_key
+        key = problem_key(problem, seed, method, *slot_key, period)
+        cp = RankCheckpointer(ckpt, rank, snap.chunk_specs, key, slot_key[1])
+        adjacency_crc = geometry.adjacency_crc
         if ckpt.resume:
             epoch = negotiate_epoch(cart, cp.verified_epochs(), allreduce)
             if epoch >= 0:
@@ -643,19 +614,22 @@ def _rank_fn(
                 # (vmem re-attach).
                 meta = cp.restore(epoch, snap.chunks[0])
                 start_step = _ckpt_apply_meta(
-                    meta, counters, measured, period, snap.adjacency_crc,
-                    injector,
+                    meta, counters, measured, period, adjacency_crc, injector
                 )
                 restore_level = int(meta.get("ladder_level") or 0)
                 resumed_epoch = epoch
 
+    # Bind this rank's frozen plan to each buffer.  A MemMap binding can
+    # fail here (mapping budget, mmap refusal): the ladder catches that.
     if degrade_enabled and info.base == "memmap":
-        _build_ladder(cart, state, restore_level, injector, counters, -1)
+        _build_ladder(
+            cart, geometry, state, restore_level, injector, counters, -1
+        )
     else:
         for buf in state.buffers:
-            state.exchangers.append(state.make_exchanger(info.base, buf))
+            state.exchangers.append(geometry.bind(info.base, cart, buf))
     if resumed_epoch < 0:
-        state.fill(problem.initial_global(seed)[problem.owned_slices(cart.coords)])
+        state.fill(geometry.initial(seed)[problem.owned_slices(cart.coords)])
 
     # Persistent channels (negotiated once, re-fired batched every step)
     # wherever the method allows.  Phased (interior/surface) execution
@@ -683,13 +657,13 @@ def _rank_fn(
                 snap.chunks[src],
                 _ckpt_meta(
                     t, counters, measured, state.ladder_level, period,
-                    snap.adjacency_crc, injector,
+                    adjacency_crc, injector,
                 ),
             )
         if (
             state.ladder_level is not None
             and t % period == 0
-            and _ladder_vote(cart, state, injector, counters, t, src)
+            and _ladder_vote(cart, geometry, state, injector, counters, t, src)
         ):
             return make_engines(state.exchangers, partitions)
 
@@ -715,7 +689,7 @@ def _rank_fn(
             _METRICS.gauge("memmap.regions", counters["maps"], rank=rank)
     phased = rp.splits is not None  # a demotion may have ended phasing
     totals, hidden_s = _modelled_totals(
-        profile, info, problem, page_size, timesteps, period,
+        profile, info, problem, geometry.page_size, timesteps, period,
         state.computed_points, overlap_points if phased else None,
     )
     return {
@@ -736,13 +710,9 @@ def _rank_fn(
 
 
 def _elastic_reshape(
-    cur_problem: StencilProblem,
+    geometry: RunGeometry,
     cur_ckpt: CheckpointConfig,
-    method: str,
-    info: MethodInfo,
-    profile: MachineProfile,
     seed: int,
-    page_size: Optional[int],
     exchange_period,
     injector: FaultInjector,
     topology,
@@ -750,12 +720,13 @@ def _elastic_reshape(
 ):
     """One elastic recovery round after a permanent rank death.
 
-    Plans the shrunken world, negotiates the newest epoch verified on
-    every old rank, re-bricks it into a fresh store under the old one
-    (``reshape<n>/``) and returns ``(new_problem, new_ckpt, dead)`` for
-    the relaunch.  No common epoch degrades to a from-scratch reshape:
-    the new world starts empty and recomputes -- still bit-exact.
-    Imported lazily: :mod:`repro.elastic` sits above this module.
+    Plans the shrunken world, builds its geometry, negotiates the newest
+    epoch verified on every old rank, re-bricks it into a fresh store
+    under the old one (``reshape<n>/``) and returns ``(new_geometry,
+    new_ckpt, dead)`` for the relaunch.  No common epoch degrades to a
+    from-scratch reshape: the new world starts empty and recomputes --
+    still bit-exact.  Imported lazily: :mod:`repro.elastic` sits above
+    this module.
     """
     from repro.elastic.rebrick import rebrick, snapshot_key
     from repro.elastic.recovery import negotiate_recovery_epoch, plan_recovery
@@ -768,21 +739,23 @@ def _elastic_reshape(
     for r, s in injector.plan.deaths:
         injector.death_due(r, s)
     dead = sorted({r for r, _ in injector.died()})
-    plan = plan_recovery(cur_problem, dead, topology, profile.network)
-    page = resolve_page_size(info, profile, page_size)
-    period = resolve_period(cur_problem, method, exchange_period)
-    old_key = snapshot_key(cur_problem, method, seed, period, page)
+    problem, profile = geometry.problem, geometry.profile
+    plan = plan_recovery(problem, dead, topology, profile.network)
+    new_geometry = RunGeometry(
+        plan.new_problem, geometry.method, profile, geometry.page_size
+    )
+    period = resolve_period(problem, geometry.method, exchange_period)
     epoch = negotiate_recovery_epoch(
-        cur_ckpt.store, cur_problem.nranks, len(plan.survivors), old_key
+        cur_ckpt.store, problem.nranks, len(plan.survivors),
+        snapshot_key(geometry, seed, period),
     )
     new_store = CheckpointStore(cur_ckpt.store.root / f"reshape{n}")
     with _TRACER.span("elastic.reshape", epoch=epoch,
                       new_nranks=plan.new_nranks):
         if epoch >= 0:
             rebrick(
-                cur_ckpt.store, cur_problem, epoch, new_store,
-                plan.new_problem, method=method, seed=seed,
-                exchange_period=exchange_period, page=page,
+                cur_ckpt.store, geometry, epoch, new_store, new_geometry,
+                seed=seed, exchange_period=exchange_period,
             )
     injector.record("reshaped", step=-1)
     # The plan's death schedule names old-world ranks; after the reshape
@@ -797,7 +770,25 @@ def _elastic_reshape(
         mode=cur_ckpt.mode,
         resume=epoch >= 0,
     )
-    return plan.new_problem, new_ckpt, dead
+    return new_geometry, new_ckpt, dead
+
+
+def _preflight(geometry: RunGeometry, check: Optional[str], overlap: bool) -> None:
+    """``check=``: verify the world about to launch -- this very object,
+    partition count included -- so a clean check proves deadlock freedom
+    and split agreement for what the ranks then bind."""
+    if check is None:
+        return
+    from repro.check import check_geometry
+
+    report = check_geometry(
+        geometry,
+        partitions=DEFAULT_PARTITIONS if overlap else 1,
+        passes=("schedule", "memory"),
+        strict=(check == "strict"),
+    )
+    if not report.ok:  # only reachable in warn mode
+        print(report.render(), file=sys.stderr)
 
 
 def run_executed(
@@ -881,13 +872,14 @@ def run_executed(
     relaunches (default: the number of distinct scheduled crashes).
 
     *check*: ahead-of-run static verification (``repro.check``).
-    ``"strict"`` verifies the schedule and plan memory before the first
-    rank launches and raises
+    ``"strict"`` verifies the schedule and plan memory of every world
+    before its first rank launches -- the caller's, and each one an
+    elastic reshape lands on -- and raises
     :class:`~repro.check.CheckFailedError` on any violation;
-    ``"warn"`` prints the findings and runs anyway.  The verifier
-    reconstructs the plan from the same geometry the run will use
-    (partition count included), so a clean check proves deadlock
-    freedom and split agreement for this exact configuration.
+    ``"warn"`` prints the findings and runs anyway.  What is verified
+    is the run geometry the ranks then bind their plans from (partition
+    count included), so a clean check proves deadlock freedom and split
+    agreement for this exact configuration.
 
     Elastic restart knobs (see README "Robustness" and DESIGN.md 10):
 
@@ -914,27 +906,8 @@ def run_executed(
             "'network' is the modelled communication floor; use"
             " repro.core.model.model_timestep for it"
         )
-    if check is not None:
-        if check not in ("strict", "warn"):
-            raise ValueError(
-                f"check={check!r}: expected None, 'strict' or 'warn'"
-            )
-        from repro.check import run_checks
-
-        report = run_checks(
-            problem, method,
-            page_size=page_size,
-            profile=profile,
-            partitions=DEFAULT_PARTITIONS if overlap else 1,
-            passes=("schedule", "memory"),
-            strict=(check == "strict"),
-        )
-        if not report.ok:  # only reachable in warn mode
-            import sys as _sys
-
-            print(report.render(), file=_sys.stderr)
-    if fault_plan is not None and fault_plan.any_wire_faults:
-        _require_healable(problem, method, profile, page_size)
+    if check not in (None, "strict", "warn"):
+        raise ValueError(f"check={check!r}: expected None, 'strict' or 'warn'")
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     envelope = verify_wire or injector is not None
     if envelope and retry is None:
@@ -971,7 +944,12 @@ def run_executed(
             else 0
         )
 
-    cur_problem = problem
+    # Everything the ranks of this world share, built once, here.
+    geometry = RunGeometry(problem, method, profile, page_size)
+    _preflight(geometry, check, overlap)
+    if fault_plan is not None and fault_plan.any_wire_faults:
+        _require_healable(geometry)
+
     cur_ckpt = ckpt
     reshapes = 0
     restarts = 0
@@ -984,14 +962,14 @@ def run_executed(
         # posted zero-copy send buffer, and closing is a raw munmap.
         states: List[_RankState] = []
         # A failed launch aborted its fabric: every launch gets a fresh one.
-        fabric = SimFabric(cur_problem.nranks, timeout=fabric_timeout)
+        nranks = geometry.problem.nranks
+        fabric = SimFabric(nranks, timeout=fabric_timeout)
         if envelope:
             fabric.enable_envelope(injector)
         try:
             outs = run_spmd(
-                cur_problem.nranks, _rank_fn, cur_problem, method, profile,
-                timesteps, seed, page_size, exchange_period, overlap,
-                injector, envelope, retry, degrade, cur_ckpt, states,
+                nranks, _rank_fn, geometry, timesteps, seed, exchange_period,
+                overlap, injector, envelope, retry, degrade, cur_ckpt, states,
                 fabric=fabric,
             )
             break
@@ -1002,8 +980,9 @@ def run_executed(
                 and cur_ckpt is not None
                 and restarts < max_restarts
             ):
-                # Resume in place: the same world relaunches and restores
-                # from its latest consistent epoch.
+                # Resume in place: the same world -- the same (verified)
+                # geometry -- relaunches and restores from its latest
+                # consistent epoch.
                 cur_ckpt.resume = True
                 restarts += 1
                 if injector is not None:
@@ -1020,11 +999,12 @@ def run_executed(
             ):
                 # Elastic recovery: a *permanent* death never resumes in
                 # place -- the node is gone.  Reshape onto the survivors.
-                cur_problem, cur_ckpt, newly_dead = _elastic_reshape(
-                    cur_problem, cur_ckpt, method, info, profile, seed,
-                    page_size, exchange_period, injector, topology,
-                    reshapes + 1,
+                # A different world is a different schedule: verify it too.
+                geometry, cur_ckpt, newly_dead = _elastic_reshape(
+                    geometry, cur_ckpt, seed, exchange_period, injector,
+                    topology, reshapes + 1,
                 )
+                _preflight(geometry, check, overlap)
                 dead_total.extend(newly_dead)
                 reshapes += 1
             else:
@@ -1032,6 +1012,7 @@ def run_executed(
         finally:
             _close_all(states)
 
+    cur_problem = geometry.problem
     global_result = np.empty(
         tuple(reversed(cur_problem.global_extent)), dtype=cur_problem.dtype
     )

@@ -55,6 +55,7 @@ def _measure_rebrick(quick: bool) -> Dict[str, Any]:
     decomposition; bytes written and the reshape plan are exact."""
     from repro.ckpt import CheckpointStore
     from repro.core.driver import run_executed
+    from repro.core.geometry import RunGeometry
     from repro.elastic import plan_recovery, rebrick
     from repro.hardware.profiles import generic_host
 
@@ -62,6 +63,8 @@ def _measure_rebrick(quick: bool) -> Dict[str, Any]:
     problem = _problem()
     profile = generic_host()
     plan = plan_recovery(problem, [_DEATH[0]], None, profile.network)
+    old_world = RunGeometry(problem, "layout", profile)
+    new_world = RunGeometry(plan.new_problem, "layout", profile)
     out: Dict[str, Any] = {
         "old_ranks": problem.nranks,
         "new_ranks": plan.new_nranks,
@@ -80,10 +83,7 @@ def _measure_rebrick(quick: bool) -> Dict[str, Any]:
         def do_rebrick() -> dict:
             counter[0] += 1
             dst = CheckpointStore(Path(root) / f"bench{counter[0]}")
-            return rebrick(
-                src, problem, epoch, dst, plan.new_problem,
-                method="layout", seed=0,
-            )
+            return rebrick(src, old_world, epoch, dst, new_world, seed=0)
         summary = do_rebrick()
         out["epoch"] = int(summary["epoch"])
         out["bytes_written"] = int(summary["bytes_written"])

@@ -29,12 +29,12 @@ straight from ``BrickStorage.slot_bytes`` arena views.
 
 from __future__ import annotations
 
-import zlib
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.brick.convert import bricks_to_extended, extended_to_bricks
+from repro.brick.storage import BrickStorage
 from repro.ckpt import (
     CheckpointError,
     CheckpointStore,
@@ -42,110 +42,61 @@ from repro.ckpt import (
     storage_chunks,
 )
 from repro.core.expansion import resolve_period
-from repro.core.methods import method_info
+from repro.core.geometry import RunGeometry
 from repro.core.problem import StencilProblem
 from repro.obs import TRACER as _TRACER
 from repro.stencil.kernels import owned_slices
+from repro.util.indexing import unravel_index
 
 __all__ = ["rebrick", "snapshot_key", "restore_global"]
 
 
-def _brick_layout(problem: StencilProblem, method: str, page: Optional[int]):
-    """(decomp, assignment) of the run's brick storage."""
-    decomp = problem.brick_decomp()
-    info = method_info(method)
-    if info.base == "memmap":
-        if page is None:
-            raise ValueError("memmap re-bricking needs the run's page size")
-        asn = decomp.assignment(decomp.alignment_for_page(page))
-    else:
-        asn = decomp.assignment(1)
-    return decomp, asn
-
-
-def snapshot_key(
-    problem: StencilProblem,
-    method: str,
-    seed: int,
-    period: int,
-    page: Optional[int] = None,
-) -> str:
-    """The problem key the driver stamps on this configuration's snapshots."""
-    info = method_info(method)
-    if not info.uses_bricks:
-        return problem_key(problem, seed, method, 1, 1, period)
-    _, asn = _brick_layout(problem, method, page)
+def snapshot_key(geometry: RunGeometry, seed: int, period: int) -> str:
+    """The problem key the driver stamps on this world's snapshots."""
     return problem_key(
-        problem, seed, method, asn.alignment, asn.total_slots, period
+        geometry.problem, seed, geometry.method, *geometry.slot_key, period
     )
 
 
-def _rank_coords(rank: int, dims: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Cartesian coordinates in axis order 1..D (axis 1 fastest),
-    matching ``CartComm.rank_to_coords``."""
-    coords = []
-    for d in dims:
-        coords.append(rank % d)
-        rank //= d
-    return tuple(coords)
+def _scratch(geometry: RunGeometry):
+    """``(scratch storage, its snapshot chunks)`` a brick world's
+    snapshots pass through; ``(None, None)`` for an array world."""
+    decomp, asn = geometry.decomp, geometry.assignment
+    if decomp is None:
+        return None, None
+    return (
+        BrickStorage.allocate(asn.total_slots, decomp.brick_elems, decomp.dtype),
+        storage_chunks(asn),
+    )
 
 
 def restore_global(
     store: CheckpointStore,
-    problem: StencilProblem,
+    geometry: RunGeometry,
     epoch: int,
-    method: str,
     seed: int,
     *,
     exchange_period=None,
-    page: Optional[int] = None,
 ) -> Tuple[np.ndarray, dict]:
-    """Assemble the global field of *epoch* from an N-rank snapshot set.
+    """Assemble the global field of *epoch* from the snapshot set of the
+    world *geometry* describes.
 
     Returns ``(global array, rank-0 meta)``.  Every rank's chunks are
     CRC-verified on read and checked against the configuration's problem
     key, so a snapshot from a different run shape is refused, not
     misinterpreted.
     """
-    info = method_info(method)
-    period = resolve_period(problem, method, exchange_period)
-    key = snapshot_key(problem, method, seed, period, page)
-    g = problem.ghost
-    own_slc = owned_slices(problem.subdomain_extent, g)
+    problem = geometry.problem
+    period = resolve_period(problem, geometry.method, exchange_period)
+    key = snapshot_key(geometry, seed, period)
+    own_slc = owned_slices(geometry.extent, geometry.ghost)
     global_arr = np.empty(
         tuple(reversed(problem.global_extent)), dtype=problem.dtype
     )
+    decomp, asn = geometry.decomp, geometry.assignment
+    scratch, specs = _scratch(geometry)
     meta0: dict = {}
-    if info.uses_bricks:
-        decomp, asn = _brick_layout(problem, method, page)
-        specs = storage_chunks(asn)
-        from repro.brick.storage import BrickStorage
-
-        scratch = BrickStorage.allocate(
-            asn.total_slots, decomp.brick_elems, decomp.dtype
-        )
-        try:
-            for rank in range(problem.nranks):
-                manifest = store.manifest(rank, epoch)
-                if manifest["problem_key"] != key:
-                    raise CheckpointError(
-                        f"rank {rank} epoch {epoch} was written by a"
-                        " different run configuration; cannot re-brick"
-                    )
-                state = store.read_state(rank, manifest, verify=True)
-                for spec in specs:
-                    scratch.load_slot_bytes(
-                        spec.start_slot, spec.nslots, state[spec.name]
-                    )
-                ext_arr = bricks_to_extended(decomp, scratch, asn)
-                coords = _rank_coords(rank, problem.rank_dims)
-                global_arr[problem.owned_slices(coords)] = ext_arr[own_slc]
-                if rank == 0:
-                    meta0 = dict(manifest["meta"])
-        finally:
-            scratch.close()
-    else:
-        ext_shape = extended_shape_of(problem)
+    try:
         for rank in range(problem.nranks):
             manifest = store.manifest(rank, epoch)
             if manifest["problem_key"] != key:
@@ -154,21 +105,24 @@ def restore_global(
                     " different run configuration; cannot re-brick"
                 )
             state = store.read_state(rank, manifest, verify=True)
-            ext_arr = np.frombuffer(
-                state["array"], dtype=problem.dtype
-            ).reshape(ext_shape)
-            coords = _rank_coords(rank, problem.rank_dims)
+            if scratch is not None:
+                for spec in specs:
+                    scratch.load_slot_bytes(
+                        spec.start_slot, spec.nslots, state[spec.name]
+                    )
+                ext_arr = bricks_to_extended(decomp, scratch, asn)
+            else:
+                ext_arr = np.frombuffer(
+                    state["array"], dtype=problem.dtype
+                ).reshape(geometry.extended_shape)
+            coords = unravel_index(rank, problem.rank_dims)
             global_arr[problem.owned_slices(coords)] = ext_arr[own_slc]
             if rank == 0:
                 meta0 = dict(manifest["meta"])
+    finally:
+        if scratch is not None:
+            scratch.close()
     return global_arr, meta0
-
-
-def extended_shape_of(problem: StencilProblem) -> Tuple[int, ...]:
-    """Numpy shape of one rank's subdomain-plus-ghost array."""
-    return tuple(
-        e + 2 * problem.ghost for e in reversed(problem.subdomain_extent)
-    )
 
 
 def _wrapped_extended(
@@ -192,25 +146,28 @@ def _wrapped_extended(
 
 def rebrick(
     src_store: CheckpointStore,
-    old_problem: StencilProblem,
+    old_geometry: RunGeometry,
     epoch: int,
     dst_store: CheckpointStore,
-    new_problem: StencilProblem,
+    new_geometry: RunGeometry,
     *,
-    method: str,
     seed: int,
     exchange_period=None,
-    page: Optional[int] = None,
     carry_meta: Optional[dict] = None,
 ) -> dict:
-    """Re-slice epoch *epoch* from N old ranks onto M new ranks.
+    """Re-slice epoch *epoch* from the N old ranks onto the M new ranks.
 
-    Writes one full-mode snapshot per new rank into *dst_store*, stamped
-    with the new decomposition's problem key and a meta doc the resumed
-    driver accepts (step, zeroed counters/timings, the new layout's
-    adjacency CRC, and the carried-forward ``fired_crashes`` so already-
-    fired fault sites do not refire).  Returns a summary dict.
+    Both worlds are read from their run geometry -- the old one the
+    crashed run was launched from, the new one the relaunch will bind --
+    so the snapshots written here match, by construction, the layout the
+    resumed ranks restore into.  Writes one full-mode snapshot per new
+    rank into *dst_store*, stamped with the new decomposition's problem
+    key and a meta doc the resumed driver accepts (step, zeroed
+    counters/timings, the new layout's adjacency CRC, and the
+    carried-forward ``fired_crashes`` so already-fired fault sites do
+    not refire).  Returns a summary dict.
     """
+    old_problem, new_problem = old_geometry.problem, new_geometry.problem
     if not (old_problem.periodic and new_problem.periodic):
         raise ValueError(
             "elastic re-bricking requires a periodic problem: ghost"
@@ -218,40 +175,26 @@ def rebrick(
         )
     if tuple(old_problem.global_extent) != tuple(new_problem.global_extent):
         raise ValueError("old and new problems must share the global extent")
-    info = method_info(method)
-    period = resolve_period(new_problem, method, exchange_period)
+    period = resolve_period(new_problem, new_geometry.method, exchange_period)
     with _TRACER.span("elastic.rebrick", epoch=epoch):
         global_arr, old_meta = restore_global(
-            src_store, old_problem, epoch, method, seed,
-            exchange_period=exchange_period, page=page,
+            src_store, old_geometry, epoch, seed,
+            exchange_period=exchange_period,
         )
         carried = dict(carry_meta or {})
         fired = carried.get(
             "fired_crashes", old_meta.get("fired_crashes") or []
         )
+        key = snapshot_key(new_geometry, seed, period)
+        meta = _rebrick_meta(epoch, period, new_geometry.adjacency_crc, fired)
+        decomp, asn = new_geometry.decomp, new_geometry.assignment
+        scratch, specs = _scratch(new_geometry)
         bytes_written = 0
-        if info.uses_bricks:
-            decomp, asn = _brick_layout(new_problem, method, page)
-            key = problem_key(
-                new_problem, seed, method, asn.alignment, asn.total_slots,
-                period,
-            )
-            binfo = decomp.brick_info(asn)
-            adjacency_crc = zlib.crc32(
-                np.ascontiguousarray(binfo.adjacency).tobytes()
-            )
-            specs = storage_chunks(asn)
-            from repro.brick.storage import BrickStorage
-
-            scratch = BrickStorage.allocate(
-                asn.total_slots, decomp.brick_elems, decomp.dtype
-            )
-            try:
-                for rank in range(new_problem.nranks):
-                    coords = _rank_coords(rank, new_problem.rank_dims)
-                    ext_arr = _wrapped_extended(
-                        global_arr, new_problem, coords
-                    )
+        try:
+            for rank in range(new_problem.nranks):
+                coords = unravel_index(rank, new_problem.rank_dims)
+                ext_arr = _wrapped_extended(global_arr, new_problem, coords)
+                if scratch is not None:
                     extended_to_bricks(ext_arr, decomp, scratch, asn)
                     chunks = [
                         (
@@ -260,28 +203,16 @@ def rebrick(
                         )
                         for spec in specs
                     ]
-                    manifest = dst_store.save(
-                        rank, epoch, chunks,
-                        meta=_rebrick_meta(
-                            epoch, period, adjacency_crc, fired
-                        ),
-                        mode="full", problem_key=key,
-                    )
-                    bytes_written += int(manifest["data_bytes"])
-            finally:
-                scratch.close()
-        else:
-            key = problem_key(new_problem, seed, method, 1, 1, period)
-            for rank in range(new_problem.nranks):
-                coords = _rank_coords(rank, new_problem.rank_dims)
-                ext_arr = _wrapped_extended(global_arr, new_problem, coords)
+                else:
+                    chunks = [("array", ext_arr.reshape(-1).view(np.uint8))]
                 manifest = dst_store.save(
-                    rank, epoch,
-                    [("array", ext_arr.reshape(-1).view(np.uint8))],
-                    meta=_rebrick_meta(epoch, period, 0, fired),
-                    mode="full", problem_key=key,
+                    rank, epoch, chunks, meta=meta, mode="full",
+                    problem_key=key,
                 )
                 bytes_written += int(manifest["data_bytes"])
+        finally:
+            if scratch is not None:
+                scratch.close()
     return {
         "epoch": int(epoch),
         "old_ranks": old_problem.nranks,

@@ -17,16 +17,20 @@ Four strategies from the paper's evaluation plus one from related work:
 * :class:`ShiftExchanger` -- related-work Shift algorithm: per-dimension
   face exchanges with corner forwarding (2D messages, extra
   synchronization).
+
+Each is a schedule -- data, from :func:`schedule_template` -- plus an
+exchanger that binds one rank's plan of it to a buffer
+(:func:`make_exchanger`).
 """
 
-from repro.exchange.base import ExchangeResult, Exchanger
-from repro.exchange.boxes import neighbor_recv_box, neighbor_send_box
-from repro.exchange.brickpack import BrickPackExchanger
+from repro.exchange.base import ExchangeResult, Exchanger, ScheduleTemplate
+from repro.exchange.boxes import box_template, neighbor_recv_box, neighbor_send_box
+from repro.exchange.brickpack import BrickPackExchanger, brickpack_template
 from repro.exchange.envelope import Envelope, checksum, seal, verify
-from repro.exchange.layout_ex import LayoutExchanger
+from repro.exchange.layout_ex import LayoutExchanger, layout_template
 from repro.exchange.hierarchical import RankDomainGrid
 from repro.exchange.local import LocalDomainGrid
-from repro.exchange.memmap_ex import ExchangeView, MemMapExchanger
+from repro.exchange.memmap_ex import MemMapExchanger, memmap_template
 from repro.exchange.mpitypes import MPITypesExchanger
 from repro.exchange.pack import PackExchanger
 from repro.exchange.schedule import (
@@ -38,14 +42,13 @@ from repro.exchange.schedule import (
     mirror_schedule,
     shift_schedule,
 )
-from repro.exchange.shift import ShiftExchanger
+from repro.exchange.shift import ShiftExchanger, shift_template
 from repro.faults.errors import ExchangeConfigError
 
 __all__ = [
     "BrickPackExchanger",
     "Envelope",
     "ExchangeResult",
-    "ExchangeView",
     "Exchanger",
     "LayoutExchanger",
     "LocalDomainGrid",
@@ -54,11 +57,13 @@ __all__ = [
     "MemMapExchanger",
     "MessageSpec",
     "PackExchanger",
+    "ScheduleTemplate",
     "ShiftExchanger",
     "array_schedule",
     "basic_brick_schedule",
     "checksum",
     "make_exchanger",
+    "schedule_template",
     "seal",
     "verify",
     "brick_send_schedule",
@@ -76,47 +81,70 @@ _ARRAY_EXCHANGERS = {
     "mpi_types": MPITypesExchanger,
     "shift": ShiftExchanger,
 }
+_BRICK_EXCHANGERS = {
+    "layout": LayoutExchanger,
+    "basic": LayoutExchanger,
+    "memmap": MemMapExchanger,
+    "brickpack": BrickPackExchanger,
+}
 
 
-def make_exchanger(
+def schedule_template(
     base,
-    cart,
-    problem,
-    profile,
-    buffer=None,
+    extent,
+    ghost,
+    itemsize,
     decomp=None,
     assignment=None,
     page_size=None,
-) -> Exchanger:
-    """The exchanger of method base name *base* over one buffer.
+) -> ScheduleTemplate:
+    """The per-step schedule of method base name *base*, from geometry.
 
-    The single base-name -> exchanger mapping: the executed driver, its
-    degradation ladder (rungs ``memmap`` / ``basic`` / ``brickpack``)
-    and the static verifier all build through it, so the schedule
-    ``repro check`` proves is built by the code that runs.  *buffer* is
-    the extended array (array schemes) or the
-    :class:`~repro.brick.storage.BrickStorage` (brick schemes, which
-    also need *decomp* and *assignment*); ``None`` builds the exchanger
-    plan-only -- message schedule from geometry, no wire buffers.
-    *problem* supplies the subdomain extent, ghost width and dtype.
+    The single base-name -> schedule mapping, a pure function of what is
+    the same on every rank: the subdomain *extent*, *ghost* width and
+    element *itemsize* for the array schemes; the
+    :class:`~repro.brick.decomp.BrickDecomp` and the
+    :class:`~repro.brick.decomp.SlotAssignment` of its storage (plus the
+    *page_size* for ``memmap``) for the brick schemes, the degradation
+    ladder's rungs ``basic`` / ``brickpack`` included.  No communicator,
+    no fabric, no buffer: :meth:`ScheduleTemplate.for_rank` instantiates
+    it per rank, the static verifier checks those plans, and
+    :func:`make_exchanger` binds them.
     """
-    cls = _ARRAY_EXCHANGERS.get(base)
-    if cls is not None:
-        return cls(
-            cart, buffer, problem.subdomain_extent, problem.ghost, profile,
-            dtype=problem.dtype,
-        )
+    if base in ("yask", "yask_ol"):
+        return box_template("pack", "pack", extent, ghost, itemsize)
+    if base == "mpi_types":
+        return box_template("mpi_types", "datatype", extent, ghost, itemsize)
+    if base == "shift":
+        return shift_template(extent, ghost, itemsize)
     if base in ("layout", "basic"):
-        return LayoutExchanger(
-            cart, decomp, buffer, assignment, profile,
-            merge_runs=(base == "layout"),
-        )
+        return layout_template(decomp, assignment, merge_runs=(base == "layout"))
     if base == "memmap":
-        return MemMapExchanger(
-            cart, decomp, buffer, assignment, profile, page_size
-        )
+        return memmap_template(decomp, assignment, page_size)
     if base == "brickpack":
-        return BrickPackExchanger(cart, decomp, buffer, assignment, profile)
+        return brickpack_template(decomp, assignment)
+    raise ExchangeConfigError(
+        f"method base {base!r} has no executable exchanger"
+    )
+
+
+def make_exchanger(
+    base, comm, plan, buffer, extent, ghost, profile, result=None
+) -> Exchanger:
+    """Bind *plan* -- this rank's instance of :func:`schedule_template`
+    of *base* -- to one buffer.
+
+    The single base-name -> exchanger mapping, for the executed driver
+    and its degradation ladder.  *buffer* is the extended array of a
+    subdomain of *extent* with a *ghost*-wide shell (array schemes) or
+    the :class:`~repro.brick.storage.BrickStorage` (brick schemes);
+    *result* is the plan's price where the caller already holds it.
+    """
+    if base in _ARRAY_EXCHANGERS:
+        cls = _ARRAY_EXCHANGERS[base]
+        return cls(comm, plan, buffer, extent, ghost, profile, result)
+    if base in _BRICK_EXCHANGERS:
+        return _BRICK_EXCHANGERS[base](comm, plan, buffer, profile, result)
     raise ExchangeConfigError(
         f"method base {base!r} has no executable exchanger"
     )

@@ -1,22 +1,28 @@
 """Exchanger interface: one schedule IR, bound once, fired two ways.
 
-An exchanger's constructor turns geometry into a
-:class:`RankMessagePlan` -- every message written down once, as an
-immutable :class:`PlannedMessage` -- and nothing else.  Everything the
-rest of the system needs is derived from that plan here:
+A method's schedule is *data*, derived from geometry alone: a
+:class:`ScheduleTemplate` writes every message down once, as an
+immutable :class:`PlannedMessage` keyed by the direction of its partner,
+and Cartesian arithmetic (:meth:`ScheduleTemplate.for_rank`) turns it
+into one rank's :class:`RankMessagePlan`.  No communicator, fabric or
+buffer is involved, so the launching thread derives the schedule once
+per run, the static verifier proves it, and every rank binds the very
+object that was proved (:mod:`repro.core.geometry`).  Everything else is
+derived from the plan here:
 
-* the modelled :class:`ExchangeResult`, priced by
+* the modelled :class:`ExchangeResult` (:func:`price_plan`), priced by
   :func:`repro.exchange.costs.exchange_times` (the function the modelled
   driver calls too) and split into the artifact's phases: ``pack``
   (on-node copies the scheme performs), ``call`` (posting MPI
   operations), ``wait`` (wire time plus any in-library processing) and
   ``move`` (explicit CPU-GPU staging, zero on CPU paths);
-* the static verifier's input (:meth:`Exchanger.message_plan`) and the
-  cost-model views (:meth:`Exchanger.send_specs` / ``recv_specs``);
-* the two ways to really move the data over :mod:`repro.simmpi`, both
-  over the same :class:`Binding` of the plan to its buffer: the
-  persistent :class:`ExchangeChannel` and the per-message
-  :meth:`Exchanger.exchange`.
+* the static verifier's input (``geometry.plans``; an exchanger keeps
+  the one it was handed as :attr:`Exchanger.plan`);
+* an :class:`Exchanger`: a plan bound to one buffer.  Its constructor
+  takes the plan and the buffer and always binds -- there is no unbound
+  exchanger -- and the two ways to really move the data over
+  :mod:`repro.simmpi` run over that one :class:`Binding`: the persistent
+  :class:`ExchangeChannel` and the per-message :meth:`Exchanger.exchange`.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from repro.hardware.profiles import MachineProfile
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
+from repro.util.indexing import cart_neighbor, unravel_index
 from repro.util.timing import TimeBreakdown
 
 __all__ = [
@@ -43,7 +50,10 @@ __all__ = [
     "ExchangeResult",
     "PlannedMessage",
     "RankMessagePlan",
+    "ScheduleTemplate",
+    "UNRESOLVED",
     "exchange_tag",
+    "price_plan",
 ]
 
 _MAX_RUNS_PER_NEIGHBOR = 4096
@@ -65,7 +75,8 @@ class PlannedMessage:
     static schedule verifier (:mod:`repro.check`) rebuilds the global
     send/recv multigraph from, without touching the fabric; ``spec`` is
     what the cost model prices (neighbor, payload and wire bytes,
-    segment structure, mapping count).
+    segment structure, mapping count); ``spec.neighbor`` is the direction
+    of the partner, for sends and receives alike.
 
     ``ranges`` are the *storage* byte intervals ``(offset, length)`` the
     message reads from (sends) or writes into (receives) for the schemes
@@ -114,6 +125,74 @@ class RankMessagePlan:
     nphases: int = 1
 
 
+#: ``PlannedMessage.peer`` of a template message: no rank chosen yet.
+UNRESOLVED = -1
+
+
+@dataclass(frozen=True)
+class ScheduleTemplate:
+    """A method's per-step schedule before a rank is chosen.
+
+    Every message a rank of this geometry could exchange, in plan order,
+    with ``peer`` left :data:`UNRESOLVED`: the partner is named by its
+    direction (``spec.neighbor``).  Which rank sits in that direction is
+    the only thing about a schedule that differs between the ranks of a
+    uniform decomposition, so a template is derived once per run and
+    instantiated per rank.
+    """
+
+    method: str
+    sends: Tuple[PlannedMessage, ...]
+    recvs: Tuple[PlannedMessage, ...]
+    copy: str = "none"
+    nphases: int = 1
+
+    def for_rank(
+        self,
+        rank: int,
+        dims: Sequence[int],
+        periods: Optional[Sequence[bool]] = None,
+    ) -> RankMessagePlan:
+        """The plan of *rank* in a Cartesian grid of *dims* ranks.
+
+        A direction with no partner (open boundary) drops its messages
+        -- the ghost box there keeps whatever boundary condition the
+        application wrote.  On a 1- or 2-wide periodic axis several
+        directions reach the same peer (this rank itself, or one
+        neighbor twice); their direction-unique tags keep the messages
+        apart.
+        """
+        ndim = len(dims)
+        if periods is None:
+            periods = (True,) * ndim
+        coords = unravel_index(rank, dims)
+        peers: dict = {}
+
+        def resolve(messages) -> Tuple[PlannedMessage, ...]:
+            out = []
+            for m in messages:
+                neighbor = m.spec.neighbor
+                if neighbor not in peers:
+                    peers[neighbor] = cart_neighbor(
+                        coords, dims, periods, neighbor.to_vector(ndim)
+                    )
+                peer = peers[neighbor]
+                if peer is not None:
+                    # Field by field: dataclasses.replace costs twice as
+                    # much, per message per rank per run.
+                    out.append(
+                        PlannedMessage(
+                            peer, m.tag, m.spec, m.phase, m.ranges, m.partitions
+                        )
+                    )
+            return tuple(out)
+
+        return RankMessagePlan(
+            rank, self.method, resolve(self.sends), resolve(self.recvs),
+            self.copy, self.nphases,
+        )
+
+
 @dataclass
 class ExchangeResult:
     """Outcome of one exchange: modelled times plus actual counters."""
@@ -131,6 +210,39 @@ class ExchangeResult:
         return (
             self.wire_bytes_sent - self.payload_bytes_sent
         ) / self.payload_bytes_sent
+
+
+def _phases(plan: RankMessagePlan):
+    """``(sends, recvs)`` of each barrier-separated round of *plan*."""
+    return [
+        (
+            [m for m in plan.sends if m.phase == p],
+            [m for m in plan.recvs if m.phase == p],
+        )
+        for p in range(plan.nphases)
+    ]
+
+
+def price_plan(plan: RankMessagePlan, profile: MachineProfile) -> ExchangeResult:
+    """The modelled outcome of one exchange of *plan* on *profile*: a
+    function of the messages' specs, not of who the peers are, so ranks
+    with the same partnered directions can share one (never mutated)
+    result."""
+    return ExchangeResult(
+        exchange_times(
+            profile,
+            profile.network,
+            [
+                ([m.spec for m in s], [m.spec for m in r])
+                for s, r in _phases(plan)
+            ],
+            plan.copy,
+        ),
+        messages_sent=len(plan.sends),
+        messages_received=len(plan.recvs),
+        payload_bytes_sent=sum(m.spec.payload_bytes for m in plan.sends),
+        wire_bytes_sent=sum(m.nbytes for m in plan.sends),
+    )
 
 
 class Binding(NamedTuple):
@@ -294,100 +406,59 @@ class ExchangeChannel:
 
 
 class Exchanger(abc.ABC):
-    """One rank's ghost-zone exchange engine.
+    """One rank's ghost-zone exchange engine: a plan bound to a buffer.
 
-    A subclass constructor derives its messages from geometry and hands
-    them to :meth:`_install`; its only other duty is :meth:`_bind`.  The
-    plan, the modelled result, the channel and the per-message exchange
-    all live here.
+    The plan arrives finished (:meth:`ScheduleTemplate.for_rank`); a
+    subclass's only duty is :meth:`_bind`, which says which memory each
+    message goes through.  The modelled result, the channel and the
+    per-message exchange all live here.
     """
 
-    #: Name used by benchmark tables.
-    method = "abstract"
-
-    def __init__(self, comm: CartComm, profile: MachineProfile) -> None:
+    def __init__(
+        self,
+        comm: CartComm,
+        plan: RankMessagePlan,
+        buffer,
+        profile: MachineProfile,
+        result: Optional[ExchangeResult] = None,
+    ) -> None:
+        """Bind *plan* to *buffer* through :meth:`_bind`.  *result* is
+        the plan's price where the caller already holds it (the run
+        geometry prices each distinct plan once)."""
+        if plan.rank != comm.rank:
+            raise ExchangeConfigError(
+                f"rank {comm.rank} was handed the plan of rank {plan.rank}"
+            )
         self.comm = comm
         self.profile = profile
-
-    def _install(
-        self,
-        sends: Sequence[PlannedMessage],
-        recvs: Sequence[PlannedMessage],
-        buffer,
-        copy: str = "none",
-        nphases: int = 1,
-    ) -> None:
-        """Adopt the schedule a subclass constructor built.
-
-        Freezes it as :attr:`plan`, prices it once as :attr:`result` and,
-        unless *buffer* is ``None`` (plan-only, for static
-        verification), binds it to *buffer* through :meth:`_bind`.
-        """
-        self.plan = RankMessagePlan(
-            self.comm.rank, self.method, tuple(sends), tuple(recvs), copy, nphases
-        )
-        phases = [
-            (
-                [m for m in sends if m.phase == p],
-                [m for m in recvs if m.phase == p],
-            )
-            for p in range(nphases)
-        ]
-        self.result = ExchangeResult(
-            exchange_times(
-                self.profile,
-                self.profile.network,
-                [([m.spec for m in s], [m.spec for m in r]) for s, r in phases],
-                copy,
-            ),
-            messages_sent=len(sends),
-            messages_received=len(recvs),
-            payload_bytes_sent=sum(m.spec.payload_bytes for m in sends),
-            wire_bytes_sent=sum(m.nbytes for m in sends),
-        )
+        self.plan = plan
+        self.method = plan.method  # name used by benchmark tables
+        self.result = result if result is not None else price_plan(plan, profile)
         # Per phase: (peer, tag, buffer) of every send and every receive,
         # plus the hooks -- what both firing paths run over.
-        self._bound: Optional[List[Tuple[_Wire, _Wire, Binding]]] = None
-        if buffer is not None:
-            self._bound = [
-                (
-                    [(m.peer, m.tag, b) for m, b in zip(s, hooks.send_bufs)],
-                    [(m.peer, m.tag, b) for m, b in zip(r, hooks.recv_bufs)],
-                    hooks,
-                )
-                for (s, r), hooks in zip(phases, self._bind(buffer))
-            ]
+        self._bound: List[Tuple[_Wire, _Wire, Binding]] = [
+            (
+                self._wire(sends, hooks.send_bufs),
+                self._wire(recvs, hooks.recv_bufs),
+                hooks,
+            )
+            for (sends, recvs), hooks in zip(_phases(plan), self._bind(buffer))
+        ]
+
+    def _wire(self, messages: Sequence[PlannedMessage], bufs) -> _Wire:
+        """Pair each planned message with its wire buffer; the buffer must
+        carry exactly the bytes the (verified) plan says."""
+        planned, bound = [m.nbytes for m in messages], [b.nbytes for b in bufs]
+        if planned != bound:
+            raise ExchangeConfigError(
+                f"the {self.method} plan of rank {self.plan.rank} does not"
+                f" describe this buffer: planned {planned} bytes, bound {bound}"
+            )
+        return [(m.peer, m.tag, b) for m, b in zip(messages, bufs)]
 
     @abc.abstractmethod
     def _bind(self, buffer) -> Sequence[Binding]:
         """Bind the plan to *buffer*: one :class:`Binding` per phase."""
-
-    def _bound_phases(self) -> List[Tuple[_Wire, _Wire, Binding]]:
-        if self._bound is None:
-            raise ExchangeConfigError(
-                f"{type(self).__name__} was built plan-only (no buffer);"
-                " it can be introspected but not exchanged"
-            )
-        return self._bound
-
-    # ------------------------------------------------------------------
-    def message_plan(self) -> RankMessagePlan:
-        """This rank's static per-step message schedule.
-
-        What construction produced; :mod:`repro.check` rebuilds the
-        global send/recv multigraph (peers, tags, byte counts, storage
-        ranges) from it without allocating wire buffers or touching the
-        fabric.
-        """
-        return self.plan
-
-    def send_specs(self) -> List[MessageSpec]:
-        """The modelled send schedule of this rank."""
-        return [m.spec for m in self.plan.sends]
-
-    def recv_specs(self) -> List[MessageSpec]:
-        """The modelled receive schedule of this rank."""
-        return [m.spec for m in self.plan.recvs]
 
     def make_channel(self, partitions: int = 1) -> Optional[ExchangeChannel]:
         """Persistent-channel form of this exchanger's bound plan.
@@ -399,7 +470,7 @@ class Exchanger(abc.ABC):
         """
         if self.plan.nphases > 1:
             return None
-        ((posts, recvs, hooks),) = self._bound_phases()
+        ((posts, recvs, hooks),) = self._bound
         return ExchangeChannel(
             self.comm, self.method, posts, recvs, self.result, hooks,
             int(partitions),
@@ -417,7 +488,7 @@ class Exchanger(abc.ABC):
         comm = self.comm
         rank = comm.rank
         method = self.method
-        bound = self._bound_phases()
+        bound = self._bound
         for posts, recvs, hooks in bound:
             with _TRACER.span("exchange.post", rank=rank, method=method):
                 reqs = [comm.Irecv(buf, peer, tag) for peer, tag, buf in recvs]

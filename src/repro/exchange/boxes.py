@@ -15,22 +15,30 @@ what makes the one-box-per-neighbor exchange well-formed.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+import functools
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.brick.info import direction_index
-from repro.exchange.base import Binding, PlannedMessage, exchange_tag
+from repro.exchange.base import (
+    UNRESOLVED,
+    Binding,
+    PlannedMessage,
+    ScheduleTemplate,
+    exchange_tag,
+)
 from repro.exchange.schedule import array_schedule
 from repro.faults.errors import ExchangeConfigError
-from repro.simmpi.comm import CartComm
 from repro.util.bitset import BitSet
 
 __all__ = [
     "neighbor_send_box",
     "neighbor_recv_box",
+    "neighbor_boxes",
     "box_slices",
-    "box_messages",
+    "box_template",
+    "extended_array_of",
     "stage_boxes",
 ]
 
@@ -78,6 +86,19 @@ def neighbor_recv_box(
     return tuple(lo), tuple(ext)
 
 
+@functools.lru_cache(maxsize=1024)
+def neighbor_boxes(
+    neighbor: BitSet, extent: Tuple[int, ...], ghost: int
+) -> Tuple[Box, Box]:
+    """``(send box, recv box)`` exchanged with *neighbor*: immutable
+    geometry, memoised -- every rank and both double-buffer slots of a
+    run bind the same ``3^D - 1`` pairs."""
+    return (
+        neighbor_send_box(neighbor, extent, ghost),
+        neighbor_recv_box(neighbor, extent, ghost),
+    )
+
+
 def box_slices(box: Box) -> Tuple[slice, ...]:
     """Numpy slices (axis D first) selecting *box* in an extended array."""
     lo, ext = box
@@ -86,29 +107,42 @@ def box_slices(box: Box) -> Tuple[slice, ...]:
     )
 
 
-def box_messages(
-    comm: CartComm, extent: Sequence[int], ghost: int, itemsize: int
-) -> Iterator[Tuple[BitSet, PlannedMessage, PlannedMessage]]:
-    """``(neighbor, send, recv)`` for every neighbor *comm* has a partner
-    for: the one-box-per-neighbor schedule of Pack and MPI_Types.
+def box_template(
+    method: str, copy: str, extent: Sequence[int], ghost: int, itemsize: int
+) -> ScheduleTemplate:
+    """The one-box-per-neighbor schedule of Pack and MPI_Types.
 
-    A non-periodic boundary has no partner and no messages; the ghost box
-    there keeps whatever boundary condition the application wrote.  The
-    box received from a neighbor has the shape of the box sent to it, so
-    one spec prices both directions.
+    The box received from a neighbor has the shape of the box sent to
+    it, so one spec prices both directions.
     """
     ndim = len(extent)
+    sends, recvs = [], []
     for spec in array_schedule(extent, ghost, itemsize):
         vec = spec.neighbor.to_vector(ndim)
-        rank = comm.neighbor_rank(vec)
-        if rank is None:
-            continue
         opp = spec.neighbor.opposite().to_vector(ndim)
-        yield (
-            spec.neighbor,
-            PlannedMessage(rank, exchange_tag(direction_index(opp), 0), spec),
-            PlannedMessage(rank, exchange_tag(direction_index(vec), 0), spec),
+        sends.append(
+            PlannedMessage(UNRESOLVED, exchange_tag(direction_index(opp), 0), spec)
         )
+        recvs.append(
+            PlannedMessage(UNRESOLVED, exchange_tag(direction_index(vec), 0), spec)
+        )
+    return ScheduleTemplate(method, tuple(sends), tuple(recvs), copy)
+
+
+def extended_array_of(
+    array: np.ndarray, extent: Sequence[int], ghost: int
+) -> Tuple[Tuple[int, ...], int]:
+    """The array exchangers' shared opening: normalised ``(extent,
+    ghost)``, after checking *array* is the extended array -- shape
+    ``(E_D + 2g, ..., E_1 + 2g)`` -- of that subdomain."""
+    extent = tuple(int(e) for e in extent)
+    ghost = int(ghost)
+    expected = tuple(e + 2 * ghost for e in reversed(extent))
+    if array.shape != expected:
+        raise ExchangeConfigError(
+            f"extended array shape {array.shape}, expected {expected}"
+        )
+    return extent, ghost
 
 
 def stage_boxes(

@@ -16,98 +16,86 @@ the pack-free schemes eliminate.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.brick.decomp import BrickDecomp, SlotAssignment
 from repro.brick.info import direction_index
 from repro.brick.storage import BrickStorage
-from repro.exchange.base import Binding, Exchanger, PlannedMessage, exchange_tag
+from repro.exchange.base import (
+    UNRESOLVED,
+    Binding,
+    Exchanger,
+    PlannedMessage,
+    ScheduleTemplate,
+    exchange_tag,
+)
 from repro.exchange.layout_ex import neighbor_sections
 from repro.exchange.schedule import MessageSpec
 from repro.faults.errors import ExchangeConfigError
-from repro.hardware.profiles import MachineProfile
-from repro.simmpi.comm import CartComm
 
-__all__ = ["BrickPackExchanger"]
+__all__ = ["BrickPackExchanger", "brickpack_template"]
+
+
+def brickpack_template(
+    decomp: BrickDecomp, assignment: SlotAssignment
+) -> ScheduleTemplate:
+    """One staged message per neighbor over the sections of *assignment*
+    (any alignment)."""
+    ndim = decomp.ndim
+    bb = decomp.brick_bytes
+
+    def byte_ranges(secs):
+        return tuple((s.start * bb, s.nbricks * bb) for s in secs)
+
+    sends: List[PlannedMessage] = []
+    recvs: List[PlannedMessage] = []
+    for neighbor in decomp.layout:
+        send_secs, recv_secs = neighbor_sections(decomp, assignment, neighbor)
+        n_send = sum(s.nbricks for s in send_secs)
+        n_recv = sum(s.nbricks for s in recv_secs)
+        if n_send != n_recv:
+            raise ExchangeConfigError(
+                f"send/recv brick count mismatch for {neighbor.notation()}:"
+                f" {n_send} vs {n_recv}"
+            )
+        if n_send == 0:
+            continue
+        spec = MessageSpec(
+            neighbor,
+            payload_bytes=n_send * bb,
+            wire_bytes=n_send * bb,
+            nsegments=len(send_secs),
+            run_elems=n_send * decomp.brick_elems // len(send_secs),
+        )
+        # The wire message is a staged contiguous buffer; the ranges
+        # say where its payload *lives in brick storage*: gather
+        # sources for the send, scatter targets for the receive.
+        vec = neighbor.to_vector(ndim)
+        opp = neighbor.opposite().to_vector(ndim)
+        sends.append(
+            PlannedMessage(
+                UNRESOLVED, exchange_tag(direction_index(opp), 0), spec,
+                ranges=byte_ranges(send_secs),
+            )
+        )
+        recvs.append(
+            PlannedMessage(
+                UNRESOLVED, exchange_tag(direction_index(vec), 0), spec,
+                ranges=byte_ranges(recv_secs),
+            )
+        )
+    return ScheduleTemplate("brickpack", tuple(sends), tuple(recvs), copy="pack")
 
 
 class BrickPackExchanger(Exchanger):
     """One staged message per neighbor over brick slot sections."""
 
-    method = "brickpack"
-
-    def __init__(
-        self,
-        comm: CartComm,
-        decomp: BrickDecomp,
-        storage: Optional[BrickStorage],  # None = plan-only
-        assignment: Optional[SlotAssignment] = None,
-        profile: Optional[MachineProfile] = None,
-    ) -> None:
-        from repro.hardware.profiles import generic_host
-
-        super().__init__(comm, profile or generic_host())
-        self.decomp = decomp
-        self.storage = storage
-        self.assignment = assignment or decomp.assignment(1)
-        ndim = decomp.ndim
-        bb = decomp.brick_bytes
-        dtype = storage.dtype if storage is not None else decomp.dtype
-        be = bb // dtype.itemsize  # elems per brick
-
-        def byte_ranges(secs):
-            return tuple((s.start * bb, s.nbricks * bb) for s in secs)
-
-        sends: List[PlannedMessage] = []
-        recvs: List[PlannedMessage] = []
-        for neighbor in decomp.layout:
-            vec = neighbor.to_vector(ndim)
-            rank = comm.neighbor_rank(vec)
-            if rank is None:
-                continue  # non-periodic boundary: no partner
-            send_secs, recv_secs = neighbor_sections(
-                decomp, self.assignment, neighbor
-            )
-            n_send = sum(s.nbricks for s in send_secs)
-            n_recv = sum(s.nbricks for s in recv_secs)
-            if n_send != n_recv:
-                raise ExchangeConfigError(
-                    f"send/recv brick count mismatch for {neighbor.notation()}:"
-                    f" {n_send} vs {n_recv}"
-                )
-            if n_send == 0:
-                continue
-            spec = MessageSpec(
-                neighbor,
-                payload_bytes=n_send * bb,
-                wire_bytes=n_send * bb,
-                nsegments=len(send_secs),
-                run_elems=n_send * be // len(send_secs),
-            )
-            # The wire message is a staged contiguous buffer; the ranges
-            # say where its payload *lives in brick storage*: gather
-            # sources for the send, scatter targets for the receive.
-            opp = neighbor.opposite().to_vector(ndim)
-            sends.append(
-                PlannedMessage(
-                    rank, exchange_tag(direction_index(opp), 0), spec,
-                    ranges=byte_ranges(send_secs),
-                )
-            )
-            recvs.append(
-                PlannedMessage(
-                    rank, exchange_tag(direction_index(vec), 0), spec,
-                    ranges=byte_ranges(recv_secs),
-                )
-            )
-        self._install(sends, recvs, storage, copy="pack")
-
     def _bind(self, st: BrickStorage) -> List[Binding]:
         """Persistent staging, gathered from / scattered into the slot
         ranges of each message section by section."""
-        bb = self.decomp.brick_bytes
+        bb = st.brick_bytes
 
         def stage(messages):
             """Per message a staging buffer; per section the

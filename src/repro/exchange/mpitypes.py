@@ -15,9 +15,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.exchange.base import Binding, Exchanger, PlannedMessage
-from repro.exchange.boxes import box_messages, neighbor_recv_box, neighbor_send_box
-from repro.faults.errors import ExchangeConfigError
+from repro.exchange.base import Binding, Exchanger, ExchangeResult, RankMessagePlan
+from repro.exchange.boxes import extended_array_of, neighbor_boxes
 from repro.hardware.profiles import MachineProfile
 from repro.simmpi.comm import CartComm
 from repro.simmpi.datatypes import SubarrayType
@@ -28,63 +27,42 @@ __all__ = ["MPITypesExchanger"]
 class MPITypesExchanger(Exchanger):
     """Derived-datatype exchange over a lexicographic extended array."""
 
-    method = "mpi_types"
-
     def __init__(
         self,
         comm: CartComm,
-        array: Optional[np.ndarray],
+        plan: RankMessagePlan,
+        array: np.ndarray,
         extent: Sequence[int],
         ghost: int,
         profile: MachineProfile,
-        dtype=np.float64,
+        result: Optional[ExchangeResult] = None,
     ) -> None:
-        super().__init__(comm, profile)
-        self.extent = tuple(int(e) for e in extent)
-        self.ghost = int(ghost)
-        expected = tuple(e + 2 * self.ghost for e in reversed(self.extent))
-        if array is not None:
-            if array.shape != expected:
-                raise ExchangeConfigError(
-                    f"extended array shape {array.shape}, expected {expected}"
-                )
-            dtype = array.dtype
-        self.array = array  # None = plan-only (static verification)
-        self.dtype = np.dtype(dtype)
-
-        def subarray(box):
-            lo, ext = box
-            return SubarrayType(
-                shape=expected,
-                subshape=tuple(reversed(ext)),
-                start=tuple(reversed(lo)),
-            )
-
-        sends: List[PlannedMessage] = []
-        recvs: List[PlannedMessage] = []
-        self._types = []  # per message: its (send, recv) derived datatypes
-        for neighbor, send, recv in box_messages(
-            comm, self.extent, self.ghost, self.dtype.itemsize
-        ):
-            self._types.append(
-                (
-                    subarray(neighbor_send_box(neighbor, self.extent, self.ghost)),
-                    subarray(neighbor_recv_box(neighbor, self.extent, self.ghost)),
-                )
-            )
-            sends.append(send)
-            recvs.append(recv)
-        # The datatype engine's gathers and scatters are on-node movement
-        # too, just hidden inside the library.
-        self._install(sends, recvs, array, copy="datatype")
+        self.extent, self.ghost = extended_array_of(array, extent, ghost)
+        super().__init__(comm, plan, array, profile, result)
 
     # benchmarks/halobench/spans.py wraps vars(MPITypesExchanger)["exchange"],
     # a class-__dict__ lookup that does not see inherited attributes.
     exchange = Exchanger.exchange
 
     def _bind(self, arr: np.ndarray) -> List[Binding]:
-        """Persistent wire buffers the datatype engine re-fills each step."""
-        types = self._types
+        """Persistent wire buffers the datatype engine re-fills each
+        step: per message its (send, recv) derived datatypes.  The
+        engine's gathers and scatters are on-node movement too, just
+        hidden inside the library."""
+
+        def subarray(box):
+            lo, ext = box
+            return SubarrayType(
+                shape=arr.shape,
+                subshape=tuple(reversed(ext)),
+                start=tuple(reversed(lo)),
+            )
+
+        boxes = (
+            neighbor_boxes(m.spec.neighbor, self.extent, self.ghost)
+            for m in self.plan.sends
+        )
+        types = [(subarray(send), subarray(recv)) for send, recv in boxes]
         send_bufs = [np.empty(s.count, dtype=arr.dtype) for s, _ in types]
         recv_bufs = [np.empty(r.count, dtype=arr.dtype) for _, r in types]
 

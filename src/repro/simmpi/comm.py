@@ -17,6 +17,7 @@ from repro.obs import TRACER as _TRACER
 from repro.faults.errors import ExchangeConfigError
 from repro.simmpi.fabric import SimFabric
 from repro.simmpi.request import SimRequest
+from repro.util.indexing import cart_neighbor, unravel_index
 
 __all__ = ["SimComm", "CartComm"]
 
@@ -120,12 +121,8 @@ class CartComm(SimComm):
 
     # ------------------------------------------------------------------
     def rank_to_coords(self, rank: int) -> Tuple[int, ...]:
-        """Coordinates (axis 1 first) of *rank*."""
-        coords = []
-        for d in self.dims:  # axis 1 fastest
-            coords.append(rank % d)
-            rank //= d
-        return tuple(coords)
+        """Coordinates (axis 1 first, and fastest) of *rank*."""
+        return unravel_index(rank, self.dims)
 
     def coords_to_rank(self, coords: Sequence[int]) -> int:
         rank = 0
@@ -146,12 +143,4 @@ class CartComm(SimComm):
         """Rank one step along *direction* (axis 1 first); None if off-grid."""
         if len(direction) != len(self.dims):
             raise ExchangeConfigError("direction dimensionality mismatch")
-        coords = []
-        for c, d, p, step in zip(self.coords, self.dims, self.periods, direction):
-            nc = c + int(step)
-            if p:
-                nc %= d
-            elif not 0 <= nc < d:
-                return None
-            coords.append(nc)
-        return self.coords_to_rank(coords)
+        return cart_neighbor(self.coords, self.dims, self.periods, direction)

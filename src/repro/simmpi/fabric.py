@@ -861,7 +861,13 @@ class SimFabric:
         if _METRICS.enabled:
             _METRICS.count("fabric.bytes_received", nbytes, rank=dst)
         if error is not None:
-            raise error
+            # The error's traceback holds this frame: drop the frame's
+            # reference back, or the cycle pins every frame up to the
+            # rank function -- and its mappings -- until a collector pass.
+            try:
+                raise error
+            finally:
+                del error
 
     def wait_send_batch(self, cut: _Cut) -> None:
         """Block until every item this rank posted has been consumed."""

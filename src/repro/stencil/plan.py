@@ -31,9 +31,10 @@ The generic kernels in :mod:`repro.stencil.kernels` and
 :mod:`repro.stencil.brick_kernels` remain the bit-identity reference; the
 test suite asserts planned results equal them exactly on both tiers.
 
-Plans own mutable scratch buffers and therefore must not be shared across
-simulated ranks (threads); the executed driver builds one plan per rank
-per cycle position.
+Plans own mutable scratch buffers, so every ``compile_*`` call returns a
+new plan and nothing caches one: the executed driver compiles one per
+rank per cycle position, over the one :class:`BrickInfo` the run's
+geometry shares between the ranks.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from repro.stencil.cbackend import (
     array_step_kernel,
     backend_choice,
     batch_step_kernel,
-    kernel_env,
 )
 from repro.stencil.codegen import (
     checked_box,
@@ -98,8 +98,8 @@ class _GatherChunk:
 # directions it reads from and the ravelled within-brick source offset.
 # Building these once turns per-chunk index-table construction from 3^D
 # meshgrid assemblies into two vectorized lookups -- the difference between
-# a ~77 ms and a ~2 ms plan compile per run (plans are rebuilt every run:
-# the BrickInfo that scopes the plan cache is itself rebuilt per rank).
+# a ~77 ms and a ~2 ms plan compile per run.  The tables are read-only:
+# rank threads share them.
 _halo_templates: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -128,6 +128,8 @@ def _halo_template(
         within[tuple(tgt_slices)] = np.ravel_multi_index(coords, np_bd)
         dir_map[tuple(tgt_slices)] = direction_index(vec)
     tpl = (dir_map.reshape(-1), within.reshape(-1))
+    for table in tpl:
+        table.flags.writeable = False
     _halo_templates[key] = tpl
     return tpl
 
@@ -319,41 +321,16 @@ def compile_brick_plan(
     dtype=np.float64,
     chunk: int = 512,
 ) -> BrickStencilPlan:
-    """Build (or fetch from the per-geometry cache) a brick plan.
+    """Build a brick plan over *info* (the compiled kernel inside is
+    cached globally; the scratch-owning plan object is per caller).
 
-    The cache lives on the :class:`BrickInfo` instance itself -- the
-    geometry *is* the cache scope, and an id()-keyed module cache could
-    hand a new geometry a stale plan.  Keys are ``(taps, slot set, field
-    offset, dtype, chunk)`` plus what selects the kernel tier and variant
-    (:func:`repro.stencil.cbackend.kernel_env`), so a plan compiled under
-    one ``REPRO_KERNEL_BACKEND`` / ``REPRO_CC_BOUNDS`` /
-    ``REPRO_CC_SANITIZE`` is never handed out under another.  Cached
-    plans hold mutable scratch: share them only within one rank/thread.
+    Every call returns a new plan: the halo tile, or the halo / tap
+    buffers of the NumPy tier, are written while a step runs -- the C
+    kernel with the GIL released -- so a plan belongs to the rank that
+    compiled it, while *info* may be one table shared by all of them.
     """
-    cache: Dict[Tuple, BrickStencilPlan] = info.__dict__.setdefault(
-        "_stencil_plan_cache", {}
-    )
-    slots = np.asarray(slots, dtype=np.int64)
-    key = (
-        spec.taps,
-        slots.tobytes(),
-        int(field_offset),
-        np.dtype(dtype).str,
-        int(chunk),
-        kernel_env(),
-    )
-    plan = cache.get(key)
-    if plan is None:
-        if _METRICS.enabled:
-            _METRICS.count("plan.cache_misses")
-        with _TRACER.span("plan.compile", nslots=len(slots)):
-            plan = BrickStencilPlan(
-                spec, info, slots, field_offset, dtype, chunk
-            )
-        cache[key] = plan
-    elif _METRICS.enabled:
-        _METRICS.count("plan.cache_hits")
-    return plan
+    with _TRACER.span("plan.compile", nslots=len(slots)):
+        return BrickStencilPlan(spec, info, slots, field_offset, dtype, chunk)
 
 
 # ----------------------------------------------------------------------

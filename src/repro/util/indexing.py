@@ -8,9 +8,10 @@ axis, matching the paper's ``i-j-k`` convention for lexicographic layouts.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 __all__ = [
+    "cart_neighbor",
     "ceil_div",
     "lexicographic_coords",
     "ravel_coord",
@@ -70,3 +71,25 @@ def lexicographic_coords(extent: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     # reversed and flip each produced tuple.
     for rev in product(*(range(e) for e in reversed(extent))):
         yield tuple(reversed(rev))
+
+
+def cart_neighbor(
+    coords: Sequence[int],
+    dims: Sequence[int],
+    periods: Sequence[bool],
+    direction: Sequence[int],
+) -> Optional[int]:
+    """Rank one step along *direction* from *coords* in a Cartesian rank
+    grid (axis 1 fastest, as :func:`ravel_coord`); ``None`` when the step
+    leaves a non-periodic axis.  A periodic axis wraps."""
+    rank = 0
+    stride = 1
+    for c, d, periodic, step in zip(coords, dims, periods, direction):
+        c += int(step)
+        if periodic:
+            c %= d
+        elif not 0 <= c < d:
+            return None
+        rank += c * stride
+        stride *= d
+    return rank

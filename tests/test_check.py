@@ -196,6 +196,7 @@ class TestNegotiation:
         fabric.register_split(0, 1, 9, 768, 1, "recv")  # peer follows
 
     def test_channel_negotiation_mismatch_in_spmd(self):
+        from repro.exchange.boxes import box_template
         from repro.exchange.pack import PackExchanger
 
         ext, g = (16, 16, 8), 8
@@ -204,7 +205,10 @@ class TestNegotiation:
         def fn(comm):
             cart = comm.Create_cart((1, 1, 2))
             arr = np.zeros(shape)
-            ex = PackExchanger(cart, arr, ext, g, generic_host())
+            plan = box_template("pack", "pack", ext, g, 8).for_rank(
+                cart.rank, cart.dims
+            )
+            ex = PackExchanger(cart, plan, arr, ext, g, generic_host())
             # Endpoint disagreement: the checker's
             # partition-split-mismatch finding, at runtime.
             ex.make_channel(partitions=2 + cart.rank)

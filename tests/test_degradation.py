@@ -14,8 +14,8 @@ import pytest
 from repro.brick.decomp import BrickDecomp
 from repro.core.driver import run_executed
 from repro.core.problem import StencilProblem
-from repro.exchange.brickpack import BrickPackExchanger
-from repro.exchange.layout_ex import LayoutExchanger
+from repro.exchange.brickpack import BrickPackExchanger, brickpack_template
+from repro.exchange.layout_ex import LayoutExchanger, layout_template
 from repro.faults import FaultPlan
 from repro.hardware.profiles import generic_host
 from repro.simmpi.launcher import run_spmd
@@ -123,18 +123,25 @@ class TestLadderEngines:
         # Run-merged Layout needs unpadded storage; the demotion target
         # (merge_runs=False) must accept the padded MemMap storage as-is.
         try:
-            LayoutExchanger(cart, decomp, storage, asn, profile,
-                            merge_runs=True)
+            layout_template(decomp, asn, merge_runs=True)
             out["merged_raised"] = False
         except ValueError:
             out["merged_raised"] = True
-        basic = LayoutExchanger(cart, decomp, storage, asn, profile,
-                                merge_runs=False)
+
+        def plan(template):
+            return template.for_rank(cart.rank, cart.dims, cart.periods)
+
+        basic = LayoutExchanger(
+            cart, plan(layout_template(decomp, asn, merge_runs=False)),
+            storage, profile,
+        )
         out["basic_method"] = basic.method
-        pack = BrickPackExchanger(cart, decomp, storage, asn, profile)
+        pack = BrickPackExchanger(
+            cart, plan(brickpack_template(decomp, asn)), storage, profile
+        )
         out["pack_method"] = pack.method
-        out["pack_messages"] = len(pack.send_specs())
-        out["basic_messages"] = len(basic.send_specs())
+        out["pack_messages"] = len(pack.plan.sends)
+        out["basic_messages"] = len(basic.plan.sends)
         pack.exchange()  # all ranks exchange: must complete, not deadlock
         storage.close()
         return out

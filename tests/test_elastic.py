@@ -13,6 +13,7 @@ import pytest
 
 from repro.ckpt import CheckpointStore, NoCommonEpochError, negotiate_epoch
 from repro.core.driver import run_executed
+from repro.core.geometry import RunGeometry
 from repro.core.problem import StencilProblem
 from repro.elastic import (
     ClusterTopology,
@@ -344,7 +345,7 @@ class TestEpochNegotiation:
             checkpoint_dir=tmp_path, checkpoint_period=1,
         )
         store = CheckpointStore(tmp_path)
-        key = snapshot_key(problem, "layout", 0, 1)
+        key = snapshot_key(RunGeometry(problem, "layout"), 0, 1)
         # 6 survivors agree on the newest epoch common to all 8 old
         # ranks -- a period-1 run commits through STEPS - 1.
         epoch = negotiate_recovery_epoch(store, problem.nranks, 6, key)
@@ -394,12 +395,11 @@ class TestElasticRestartBitExact:
         # bit-identical to the elastic run.
         profile = generic_host()
         recovery = plan_recovery(problem, [dead_rank], None, profile.network)
-        page = profile.page_size if method == "memmap" else None
         fresh_store = CheckpointStore(tmp_path / "fresh")
         rebrick(
-            CheckpointStore(tmp_path), problem, run.resumed_epoch,
-            fresh_store, recovery.new_problem, method=method, seed=0,
-            page=page,
+            CheckpointStore(tmp_path), RunGeometry(problem, method, profile),
+            run.resumed_epoch, fresh_store,
+            RunGeometry(recovery.new_problem, method, profile), seed=0,
         )
         fresh = run_executed(
             recovery.new_problem, method, timesteps=STEPS, seed=0,

@@ -12,9 +12,10 @@ import pytest
 
 from repro.brick.convert import bricks_to_extended, extended_to_bricks
 from repro.brick.decomp import BrickDecomp
+from repro.exchange import schedule_template
 from repro.exchange.brickpack import BrickPackExchanger
-from repro.exchange.layout_ex import LayoutExchanger
-from repro.exchange.memmap_ex import MemMapExchanger
+from repro.exchange.layout_ex import LayoutExchanger, layout_template
+from repro.exchange.memmap_ex import MemMapExchanger, memmap_template
 from repro.exchange.mpitypes import MPITypesExchanger
 from repro.exchange.pack import PackExchanger
 from repro.exchange.shift import ShiftExchanger
@@ -35,6 +36,14 @@ Outcome = namedtuple("Outcome", "result image maps")
 
 def _exchange(ex):
     return ex.exchange()
+
+
+def _plan(cart, base, decomp=None, asn=None, page=None):
+    """This rank's plan of method base *base*: the schedule template of
+    the geometry, instantiated by Cartesian arithmetic."""
+    return schedule_template(base, SUB, G, 8, decomp, asn, page).for_rank(
+        cart.rank, cart.dims, cart.periods
+    )
 
 
 def _spmd(fn, envelope):
@@ -90,15 +99,14 @@ def _run_brick_exchanger(
         d = BrickDecomp(SUB, (8, 8, 8), G, layout=layout)
         if mode == "memmap":
             storage, asn = d.mmap_alloc(page_size)
-            ex = MemMapExchanger(cart, d, storage, asn, profile, page_size)
+            plan = _plan(cart, mode, d, asn, page_size)
+            ex = MemMapExchanger(cart, plan, storage, profile)
         elif mode == "brickpack":
             storage, asn = d.allocate()
-            ex = BrickPackExchanger(cart, d, storage, asn, profile)
+            ex = BrickPackExchanger(cart, _plan(cart, mode, d, asn), storage, profile)
         else:
             storage, asn = d.allocate()
-            ex = LayoutExchanger(
-                cart, d, storage, asn, profile, merge_runs=(mode == "layout")
-            )
+            ex = LayoutExchanger(cart, _plan(cart, mode, d, asn), storage, profile)
         lo = [c * s for c, s in zip(cart.coords, SUB)]
         own = tuple(
             slice(l, l + s) for l, s in zip(reversed(lo), reversed(SUB))
@@ -123,7 +131,9 @@ class TestArrayExchangers:
     def test_pack_fills_ghosts(self):
         profile = theta_knl()
         results = _run_array_exchanger(
-            lambda cart, arr: PackExchanger(cart, arr, SUB, G, profile)
+            lambda cart, arr: PackExchanger(
+                cart, _plan(cart, "yask"), arr, SUB, G, profile
+            )
         )
         r = results[0].result
         assert r.messages_sent == 26
@@ -133,7 +143,9 @@ class TestArrayExchangers:
     def test_mpi_types_fills_ghosts(self):
         profile = theta_knl()
         results = _run_array_exchanger(
-            lambda cart, arr: MPITypesExchanger(cart, arr, SUB, G, profile)
+            lambda cart, arr: MPITypesExchanger(
+                cart, _plan(cart, "mpi_types"), arr, SUB, G, profile
+            )
         )
         r = results[0].result
         assert r.messages_sent == 26
@@ -143,7 +155,9 @@ class TestArrayExchangers:
     def test_shift_fills_ghosts_including_corners(self):
         profile = theta_knl()
         results = _run_array_exchanger(
-            lambda cart, arr: ShiftExchanger(cart, arr, SUB, G, profile)
+            lambda cart, arr: ShiftExchanger(
+                cart, _plan(cart, "shift"), arr, SUB, G, profile
+            )
         )
         r = results[0].result
         assert r.messages_sent == 6
@@ -220,7 +234,9 @@ class TestThreeWaysToFire:
         if method in _ARRAY_CLASSES:
             profile = theta_knl()
             return _run_array_exchanger(
-                lambda cart, arr: _ARRAY_CLASSES[method](cart, arr, SUB, G, profile),
+                lambda cart, arr: _ARRAY_CLASSES[method](
+                    cart, _plan(cart, method), arr, SUB, G, profile
+                ),
                 seed=3, fire=fire, envelope=envelope,
             )
         return _run_brick_exchanger(method, seed=3, fire=fire, envelope=envelope)
@@ -249,15 +265,9 @@ class TestThreeWaysToFire:
 
 class TestExchangerValidation:
     def test_layout_rejects_padded_storage(self):
-        def fn(comm):
-            cart = comm.Create_cart(RANK_DIMS)
-            d = BrickDecomp(SUB, (8, 8, 8), G)
-            storage, asn = d.mmap_alloc(65536)
-            with pytest.raises(ValueError):
-                LayoutExchanger(cart, d, storage, asn)
-            storage.close()
-
-        run_spmd(8, fn)
+        d = BrickDecomp(SUB, (8, 8, 8), G)
+        with pytest.raises(ValueError):
+            layout_template(d, d.assignment(d.alignment_for_page(65536)))
 
     def test_memmap_rejects_plain_storage(self):
         def fn(comm):
@@ -265,15 +275,46 @@ class TestExchangerValidation:
             d = BrickDecomp(SUB, (8, 8, 8), G)
             storage, asn = d.allocate()
             with pytest.raises(ValueError):
-                MemMapExchanger(cart, d, storage, asn)
+                MemMapExchanger(
+                    cart, _plan(cart, "memmap", d, asn, 4096), storage, theta_knl()
+                )
 
         run_spmd(8, fn)
+
+    def test_memmap_template_rejects_misaligned_assignment(self):
+        d = BrickDecomp(SUB, (8, 8, 8), G)
+        with pytest.raises(ValueError, match="page-aligned"):
+            memmap_template(d, d.assignment(1), 65536)
 
     def test_pack_shape_validation(self):
         def fn(comm):
             cart = comm.Create_cart(RANK_DIMS)
             with pytest.raises(ValueError):
-                PackExchanger(cart, np.zeros((4, 4, 4)), SUB, G, theta_knl())
+                PackExchanger(
+                    cart, _plan(cart, "yask"), np.zeros((4, 4, 4)), SUB, G,
+                    theta_knl(),
+                )
+
+        run_spmd(8, fn)
+
+    def test_plan_must_describe_the_buffer(self):
+        """Binding pairs each planned message with its wire buffer: a
+        plan of another rank, or of another geometry, is refused instead
+        of being negotiated on the fabric."""
+
+        def fn(comm):
+            cart = comm.Create_cart(RANK_DIMS)
+            d = BrickDecomp(SUB, (8, 8, 8), G)
+            storage, asn = d.allocate()
+            template = layout_template(d, asn)
+            other = template.for_rank((cart.rank + 1) % 8, cart.dims)
+            with pytest.raises(ValueError, match="plan of rank"):
+                LayoutExchanger(cart, other, storage, theta_knl())
+            with pytest.raises(ValueError, match="does not describe"):
+                # BrickPack's section-list messages over Layout's binding.
+                LayoutExchanger(
+                    cart, _plan(cart, "brickpack", d, asn), storage, theta_knl()
+                )
 
         run_spmd(8, fn)
 
@@ -288,7 +329,9 @@ class TestRepeatedExchanges:
             cart = comm.Create_cart(RANK_DIMS)
             d = BrickDecomp(SUB, (8, 8, 8), G)
             storage, asn = d.mmap_alloc(4096)
-            ex = MemMapExchanger(cart, d, storage, asn, profile)
+            ex = MemMapExchanger(
+                cart, _plan(cart, "memmap", d, asn, 4096), storage, profile
+            )
             lo = [c * s for c, s in zip(cart.coords, SUB)]
             own = tuple(
                 slice(l, l + s) for l, s in zip(reversed(lo), reversed(SUB))

@@ -16,7 +16,7 @@ import pytest
 
 from repro.brick.decomp import BrickDecomp
 from repro.exchange.base import ExchangeChannel
-from repro.exchange.layout_ex import LayoutExchanger
+from repro.exchange.layout_ex import LayoutExchanger, layout_template
 from repro.faults.errors import (
     ExchangeConfigError,
     ProtocolError,
@@ -122,7 +122,8 @@ def test_steady_state_allocates_nothing_per_message(monkeypatch):
         cart = comm.Create_cart((2, 2, 2))
         decomp = BrickDecomp(sub, (8, 8, 8), ghost)
         storage, asn = decomp.allocate()
-        ex = LayoutExchanger(cart, decomp, storage, asn, generic_host())
+        plan = layout_template(decomp, asn).for_rank(cart.rank, cart.dims)
+        ex = LayoutExchanger(cart, plan, storage, generic_host())
         channel = ex.make_channel()
         result = channel.exchange()  # warm-up
         comm.Barrier()
@@ -175,7 +176,8 @@ def test_steady_state_with_collectives_constructs_no_event(monkeypatch, verified
         cart = comm.Create_cart((2, 2, 2))
         decomp = BrickDecomp((16, 16, 16), (8, 8, 8), 8)
         storage, asn = decomp.allocate()
-        ex = LayoutExchanger(cart, decomp, storage, asn, generic_host())
+        plan = layout_template(decomp, asn).for_rank(cart.rank, cart.dims)
+        ex = LayoutExchanger(cart, plan, storage, generic_host())
         fire = ex.make_channel().exchange
         fire()  # warm-up
         comm.Barrier()

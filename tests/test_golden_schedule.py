@@ -1,26 +1,29 @@
 """Golden schedule and golden price.
 
 ``golden_schedule.json`` was recorded at commit 238aa6b, *before* the
-exchangers were folded onto one schedule IR: the plan digests from
-``build_rank_plans``, the modelled prices from ``exchange_breakdown``, and
+exchangers were folded onto one schedule IR: the plan digests from every
+rank's message plan, the modelled prices from ``exchange_breakdown``, and
 the executed exchangers' results from really running ``exchange()`` on
-every rank.  The refactor may move no byte of schedule and no bit of
+every rank.  Since then the schedule moved twice -- onto one IR, then
+out of the rank threads into the run geometry's direction-keyed
+template -- and may have moved no byte of schedule and no bit of
 modelled time, so everything here compares exactly (``float.hex``).  A
 change that means to alter a schedule or a price re-records the file and
 says why.
 """
 
 import hashlib
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.check.geometry import CHECKABLE_METHODS, build_rank_geometries
+from repro.core.geometry import CHECKABLE_METHODS, RunGeometry
 from repro.core.methods import ALL_METHODS
 from repro.core.model import exchange_breakdown
 from repro.core.problem import StencilProblem
-from repro.faults.errors import ExchangeConfigError
+from repro.exchange.base import Exchanger
 from repro.hardware.profiles import summit_v100, theta_knl
 from repro.stencil.spec import SEVEN_POINT
 
@@ -53,19 +56,20 @@ def _canonical(messages):
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 @pytest.mark.parametrize("method", CHECKABLE_METHODS)
 def test_plan_digest(method, geometry, boundaries):
-    geoms = build_rank_geometries(_problem(geometry, boundaries), method)
+    plans = RunGeometry(_problem(geometry, boundaries), method).plans
     canon = [
-        (g.rank, g.plan.nphases, _canonical(g.plan.sends), _canonical(g.plan.recvs))
-        for g in geoms
+        (p.rank, p.nphases, _canonical(p.sends), _canonical(p.recvs))
+        for p in plans
     ]
     digest = hashlib.sha256(repr(canon).encode()).hexdigest()
     assert digest == GOLDEN["plans"][f"{method}|{geometry}|{boundaries}"]
-    # The plan is the construction product, stored once...
-    ex = geoms[0].exchanger
-    assert ex.message_plan() is ex.plan is geoms[0].plan
-    # ...and a plan-only exchanger prices it but refuses to fire it.
-    with pytest.raises(ExchangeConfigError, match="plan-only"):
-        ex.exchange()
+    # A plan is data: there is no unbound exchanger to fire.  Deriving
+    # one took no communicator, fabric or buffer, and the only way to an
+    # exchange is to bind a plan to a buffer.
+    assert not isinstance(plans[0], Exchanger)
+    assert not hasattr(plans[0], "exchange")
+    buffer = inspect.signature(Exchanger.__init__).parameters["buffer"]
+    assert buffer.default is inspect.Parameter.empty
 
 
 @pytest.mark.parametrize("profile", sorted(PROFILES))
@@ -92,13 +96,13 @@ def test_modelled_price(method, profile):
 )
 def test_exchanger_result(method, geometry, boundaries, profile):
     """``ExchangeResult`` of every rank: the recording executed the
-    exchange; the result is static per plan, so plan-only suffices now."""
-    geoms = build_rank_geometries(
+    exchange; the result is a function of the plan, priced once per
+    distinct plan by the run geometry."""
+    results = RunGeometry(
         _problem(geometry, boundaries), method, PROFILES[profile](), 4096
-    )
+    ).results
     rows = []
-    for g in geoms:
-        r = g.exchanger.result
+    for r in results:
         counters = (
             r.messages_sent, r.messages_received,
             r.payload_bytes_sent, r.wire_bytes_sent,

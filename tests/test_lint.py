@@ -210,7 +210,51 @@ def test_fork_on_verified_mode_above_the_fabric_flagged():
     assert lint_invariants.check_one_blocking_site(fabric, tree) == []
 
 
+def test_second_geometry_constructor_flagged():
+    src = (
+        "def _brick_state(problem, seed):\n"
+        "    decomp = problem.brick_decomp()\n"
+        "    other = BrickDecomp((16, 16, 16), (8, 8, 8), 8)\n"
+        "    binfo = decomp.brick_info(decomp.assignment(1))\n"
+        "    return binfo, problem.initial_global(seed)\n"
+    )
+    tree = ast.parse(src)
+    for rel in ("core/driver.py", "elastic/rebrick.py", "check/memory.py"):
+        violations = lint_invariants.check_one_geometry(
+            lint_invariants.SRC / rel, tree
+        )
+        assert sorted(v[1] for v in violations) == [2, 3, 4, 5]
+        assert all("RunGeometry" in v[2] for v in violations)
+    home = lint_invariants.SRC / lint_invariants.GEOMETRY_HOME
+    assert [v[1] for v in lint_invariants.check_one_geometry(home, tree)] == [3]
+    # Allowlisted files may make the calls their reason covers, only.
+    placement = lint_invariants.SRC / "elastic" / "placement.py"
+    flagged = lint_invariants.check_one_geometry(placement, tree)
+    assert sorted(v[1] for v in flagged) == [3, 4, 5]
+    oracle = lint_invariants.SRC / "faults" / "chaos.py"
+    flagged = lint_invariants.check_one_geometry(oracle, tree)
+    assert sorted(v[1] for v in flagged) == [2, 3, 4]
+
+
+def test_fabric_in_the_verifier_flagged():
+    src = (
+        "def iter_rank_geometries(problem):\n"
+        "    fabric = SimFabric(problem.nranks)\n"
+    )
+    tree = ast.parse(src)
+    violations = lint_invariants.check_one_geometry(
+        lint_invariants.SRC / "check" / "geometry.py", tree
+    )
+    assert [v[1] for v in violations] == [2]
+    assert "no fabric" in violations[0][2]
+    driver = lint_invariants.SRC / "core" / "driver.py"
+    assert lint_invariants.check_one_geometry(driver, tree) == []
+
+
 def test_lint_file_on_real_sources():
     # Spot-check two real files through the full per-file path.
-    for rel in ("simmpi/fabric.py", "exchange/envelope.py", "check/schedule.py"):
+    for rel in (
+        "simmpi/fabric.py", "exchange/envelope.py", "check/schedule.py",
+        "core/geometry.py", "core/driver.py",
+    ):
         assert lint_invariants.lint_file(lint_invariants.SRC / rel) == []

@@ -1,0 +1,346 @@
+"""One geometry per run.
+
+The launching thread builds what every rank shares -- decomposition,
+slot assignment, adjacency, permutation, schedule, initial condition --
+once per launched world; ``repro check``, the healability test, the
+ladder, re-bricking and the ranks all read that one frozen object.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+import repro.brick.convert as convert
+import repro.check
+import repro.core.driver as driver
+import repro.core.geometry as geometry_mod
+import repro.elastic.recovery as recovery
+from repro.brick.decomp import BrickDecomp
+from repro.core.driver import run_executed
+from repro.core.geometry import RunGeometry
+from repro.core.problem import StencilProblem
+from repro.exchange.base import Exchanger
+from repro.faults import FaultPlan
+from repro.stencil.reference import apply_periodic_reference
+from repro.stencil.spec import CUBE125, SEVEN_POINT
+
+BRICK_METHODS = ("layout", "memmap")
+ARRAY_METHODS = ("yask", "mpi_types", "shift")
+
+
+def _problem(extent=(32, 32, 32), ranks=(2, 2, 2), stencil=SEVEN_POINT):
+    return StencilProblem(extent, ranks, stencil)
+
+
+def _elastic_kwargs(tmp_path):
+    """The 8 -> 6 run of the issue: ends on (1, 2, 3)."""
+    return dict(
+        timesteps=8, checkpoint_dir=tmp_path, checkpoint_period=2,
+        elastic=True, fault_plan=FaultPlan(seed=1, deaths=((3, 5),)),
+        fabric_timeout=15.0,
+    )
+
+
+ELASTIC_PROBLEM = dict(extent=(32, 32, 48))
+
+
+# ----------------------------------------------------------------------
+# (a) one construction per launched world
+# ----------------------------------------------------------------------
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of every rank-invariant construction, by name.  The trial
+    decompositions ``elastic/placement.py`` validates candidate rank
+    grids with (they build no assignment) are counted apart."""
+    names = ("decomp", "assignment", "brick_info", "permutation", "initial",
+             "template")
+    counts = dict.fromkeys(names + tuple("trial_" + n for n in names), 0)
+    placing = []
+
+    def counted(name, fn, miss=lambda *a, **k: True):
+        def wrapper(*args, **kwargs):
+            if miss(*args, **kwargs):
+                counts["trial_" + name if placing else name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def choosing(fn):
+        def wrapper(*args, **kwargs):
+            placing.append(True)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                placing.pop()
+
+        return wrapper
+
+    def perm_miss(decomp, assignment, fld=0):
+        cache = vars(decomp).get("_element_perm_cache", {})
+        return (assignment.alignment, fld) not in cache
+
+    monkeypatch.setattr(
+        BrickDecomp, "__init__", counted("decomp", BrickDecomp.__init__)
+    )
+    monkeypatch.setattr(
+        BrickDecomp, "assignment",
+        counted(
+            "assignment", BrickDecomp.assignment,
+            lambda self, alignment=1: alignment not in self._assignments,
+        ),
+    )
+    monkeypatch.setattr(
+        BrickDecomp, "brick_info", counted("brick_info", BrickDecomp.brick_info)
+    )
+    perm = counted("permutation", convert.element_permutation, perm_miss)
+    monkeypatch.setattr(convert, "element_permutation", perm)
+    monkeypatch.setattr(geometry_mod, "element_permutation", perm)
+    monkeypatch.setattr(
+        StencilProblem, "initial_global",
+        counted("initial", StencilProblem.initial_global),
+    )
+    monkeypatch.setattr(
+        geometry_mod, "schedule_template",
+        counted("template", geometry_mod.schedule_template),
+    )
+    monkeypatch.setattr(
+        recovery, "choose_rank_dims", choosing(recovery.choose_rank_dims)
+    )
+    return counts
+
+
+def _expected(method, worlds=1, initial=None):
+    bricks = worlds if method in BRICK_METHODS else 0
+    return {
+        "decomp": bricks, "assignment": bricks, "brick_info": bricks,
+        "permutation": bricks, "template": worlds,
+        "initial": worlds if initial is None else initial,
+    }
+
+
+def _without_trials(counts):
+    return {k: v for k, v in counts.items() if not k.startswith("trial_")}
+
+
+class TestOneConstructionPerWorld:
+    @pytest.mark.parametrize("method", BRICK_METHODS + ARRAY_METHODS)
+    def test_plain_run(self, built, method):
+        run_executed(_problem(), method, timesteps=2)
+        assert _without_trials(built) == _expected(method)
+
+    @pytest.mark.parametrize("method", ["layout", "memmap", "yask"])
+    def test_checked_run_builds_nothing_twice(self, built, method):
+        run_executed(_problem(), method, timesteps=2, check="strict")
+        assert _without_trials(built) == _expected(method)
+
+    @pytest.mark.parametrize("method", ["layout", "yask"])
+    def test_wire_fault_run(self, built, method):
+        # _require_healable reads nphases off the same geometry.
+        plan = FaultPlan(seed=3, drop=0.01, corrupt=0.01)
+        run = run_executed(
+            _problem(), method, timesteps=2, fault_plan=plan,
+            fabric_timeout=15.0,
+        )
+        assert run.faults is not None
+        assert _without_trials(built) == _expected(method)
+
+    def test_crash_restart_relaunches_the_same_world(self, built, tmp_path):
+        run = run_executed(
+            _problem(), "layout", timesteps=4, checkpoint_dir=tmp_path,
+            checkpoint_period=1, fabric_timeout=15.0,
+            fault_plan=FaultPlan(seed=1, crashes=((1, 2),)),
+        )
+        assert run.restarts == 1
+        assert _without_trials(built) == _expected("layout")
+
+    @pytest.mark.parametrize("method", ["layout", "yask"])
+    def test_elastic_run_builds_each_world_once(self, built, tmp_path, method):
+        problem = _problem(**ELASTIC_PROBLEM)
+        run = run_executed(
+            problem, method, check="strict", **_elastic_kwargs(tmp_path)
+        )
+        assert run.reshapes == 1 and run.final_rank_dims == (1, 2, 3)
+        assert run.resumed_epoch >= 0
+        # Two worlds, two of each; the resumed one needs no initial
+        # condition.  Placement's candidate validation is not a world.
+        assert _without_trials(built) == _expected(method, worlds=2, initial=1)
+        assert built["trial_decomp"] > 0
+        assert built["trial_assignment"] == built["trial_brick_info"] == 0
+        np.testing.assert_array_equal(
+            run.global_result,
+            apply_periodic_reference(problem.initial_global(0), SEVEN_POINT, 8),
+        )
+
+    def test_resumed_run_builds_no_initial_condition(self, built, tmp_path):
+        kwargs = dict(checkpoint_dir=tmp_path, checkpoint_period=1)
+        run_executed(_problem(), "layout", timesteps=2, **kwargs)
+        built["initial"] = 0
+        run = run_executed(
+            _problem(), "layout", timesteps=4, resume=True, **kwargs
+        )
+        assert run.resumed_epoch >= 0
+        assert built["initial"] == 0
+
+
+# ----------------------------------------------------------------------
+# (b) identity: what is checked is what is bound
+# ----------------------------------------------------------------------
+@pytest.fixture
+def observed(monkeypatch):
+    """What the verifier received, and what each rank then used."""
+    seen = {"verified": [], "schedules": [], "launched": [], "bound": [],
+            "infos": []}
+
+    check_geometry = repro.check.check_geometry
+
+    def checking(geometry, *args, **kwargs):
+        seen["verified"].append(geometry)
+        return check_geometry(geometry, *args, **kwargs)
+
+    verify_schedule = repro.check.api.verify_schedule
+
+    def verifying(plans, *args, **kwargs):
+        seen["schedules"].append(plans)
+        return verify_schedule(plans, *args, **kwargs)
+
+    rank_fn = driver._rank_fn
+
+    def launching(comm, geometry, *args):
+        seen["launched"].append(geometry)  # list.append is atomic
+        return rank_fn(comm, geometry, *args)
+
+    make_channel = Exchanger.make_channel
+
+    def binding(self, partitions=1):
+        seen["bound"].append(self.plan)
+        return make_channel(self, partitions)
+
+    compile_brick_plan = driver.compile_brick_plan
+
+    def compiling(spec, info, *args, **kwargs):
+        seen["infos"].append(info)
+        return compile_brick_plan(spec, info, *args, **kwargs)
+
+    monkeypatch.setattr(repro.check, "check_geometry", checking)
+    monkeypatch.setattr(repro.check.api, "verify_schedule", verifying)
+    monkeypatch.setattr(driver, "_rank_fn", launching)
+    monkeypatch.setattr(Exchanger, "make_channel", binding)
+    monkeypatch.setattr(driver, "compile_brick_plan", compiling)
+    return seen
+
+
+class TestCheckedObjectIsBoundObject:
+    @pytest.mark.parametrize("method", ["layout", "memmap", "yask"])
+    def test_bound_plan_is_verified_plan(self, observed, method):
+        run_executed(_problem(), method, timesteps=2, check="strict")
+        (geometry,) = observed["verified"]
+        (plans,) = observed["schedules"]
+        assert len(observed["bound"]) == 2 * 8  # two buffers per rank
+        for plan in observed["bound"]:
+            assert plan is plans[plan.rank] is geometry.plans[plan.rank]
+        assert all(g is geometry for g in observed["launched"])
+        if method != "yask":
+            adjacency = geometry.brick_info.adjacency
+            assert len(observed["infos"]) == 8
+            assert all(i.adjacency is adjacency for i in observed["infos"])
+
+    def test_every_world_is_verified_before_it_launches(
+        self, observed, tmp_path
+    ):
+        """``check=`` used to verify the caller's problem once, so the
+        decomposition an elastic run finished on was never checked."""
+        run = run_executed(
+            _problem(**ELASTIC_PROBLEM), "layout", check="strict",
+            **_elastic_kwargs(tmp_path)
+        )
+        assert run.final_rank_dims == (1, 2, 3)
+        old, new = observed["verified"]  # once per distinct world
+        assert old.problem.rank_dims == (2, 2, 2)
+        assert new.problem.rank_dims == (1, 2, 3)
+        launched = observed["launched"]
+        assert [g is old for g in launched[:8]] == [True] * 8
+        assert [g is new for g in launched[8:]] == [True] * 6
+        # ... and the resumed ranks bound the new world's verified plans.
+        for plan in observed["bound"][-12:]:
+            assert plan is new.plans[plan.rank]
+
+    def test_restart_in_place_reuses_the_verified_geometry(
+        self, observed, tmp_path
+    ):
+        run = run_executed(
+            _problem(), "layout", timesteps=4, checkpoint_dir=tmp_path,
+            checkpoint_period=1, fabric_timeout=15.0, check="strict",
+            fault_plan=FaultPlan(seed=1, crashes=((1, 2),)),
+        )
+        assert run.restarts == 1
+        (geometry,) = observed["verified"]
+        assert len(observed["launched"]) == 16
+        assert all(g is geometry for g in observed["launched"])
+
+
+# ----------------------------------------------------------------------
+# Shared means read-only; scratch is never shared
+# ----------------------------------------------------------------------
+class TestFrozenGeometry:
+    @pytest.mark.parametrize("method", ["layout", "memmap", "yask"])
+    def test_every_exposed_array_is_read_only(self, method):
+        geometry = RunGeometry(_problem(), method)
+        arrays = [geometry.initial(0)]
+        if geometry.decomp is not None:
+            arrays += [
+                geometry.brick_info.adjacency,
+                geometry.assignment.grid_index,
+                geometry.assignment.slot_coords,
+                geometry.permutation,
+            ]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr.reshape(-1)[0] = 0
+        assert geometry.initial(0) is arrays[0]  # built once
+
+    def test_ladder_rungs_come_from_the_geometry(self):
+        geometry = RunGeometry(_problem(), "memmap")
+        assert geometry.schedule("memmap")[0] is geometry.plans
+        basic, _ = geometry.schedule("basic")
+        assert geometry.schedule("basic")[0] is basic  # derived once
+        assert {p.method for p in basic} == {"basic"}
+        pack, _ = geometry.schedule("brickpack")
+        assert len(pack[0].sends) == 26 < len(basic[0].sends)
+
+    def test_distinct_plans_are_priced_once(self):
+        periodic = RunGeometry(_problem(), "layout")
+        assert len({id(r) for r in periodic.results}) == 1
+        # Open 1x2x3: corner, edge and face ranks differ; equal partner
+        # sets share one result object.
+        opened = RunGeometry(
+            StencilProblem((32, 32, 48), (1, 2, 3), SEVEN_POINT, periodic=False),
+            "layout",
+        )
+        partners = [
+            frozenset(m.spec.neighbor for m in p.sends) for p in opened.plans
+        ]
+        assert len({id(r) for r in opened.results}) == len(set(partners))
+
+
+@pytest.mark.parametrize("backend", ["auto", "numpy"])
+@pytest.mark.parametrize("stencil", [SEVEN_POINT, CUBE125], ids=["7pt", "125pt"])
+def test_shared_geometry_is_not_a_data_race(stencil, backend, monkeypatch):
+    """20 back-to-back 8-rank runs per method: with one BrickInfo shared
+    by the rank threads, a plan cached on it (or a conversion scratch on
+    the decomp) made a handful of runs per hundred differ from the
+    reference -- the C kernel writes its halo tile with the GIL
+    released.  Each rank now compiles its own plan."""
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+    problem = _problem(stencil=stencil)
+    reference = apply_periodic_reference(problem.initial_global(0), stencil, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # provoke interleavings the default hides
+    try:
+        for method in BRICK_METHODS:
+            for _ in range(20):
+                run = run_executed(problem, method, timesteps=2)
+                np.testing.assert_array_equal(run.global_result, reference)
+    finally:
+        sys.setswitchinterval(interval)

@@ -10,6 +10,7 @@ launches, batched fabric semantics, and the compiled (C) kernel backend.
 """
 
 import functools
+import gc
 import os
 from contextlib import nullcontext
 
@@ -17,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.check import build_rank_plans
 from repro.core.driver import run_executed
+from repro.core.geometry import RunGeometry
 from repro.core.problem import StencilProblem
 from repro.core.runplan import RankRunPlan
 from repro.exchange.envelope import seal
@@ -64,7 +65,7 @@ class TestPlanBitExactness:
         of the static message plan ``repro check`` verifies."""
         run = _run(method)
         np.testing.assert_array_equal(run.global_result, _reference())
-        sends = build_rank_plans(_problem(), method)[0].sends
+        sends = RunGeometry(_problem(), method).plans[0].sends
         assert run.messages_per_rank == len(sends)
         assert run.wire_bytes_per_rank == sum(m.nbytes for m in sends)
 
@@ -276,6 +277,23 @@ class TestFailedLaunchesReleaseMappings:
         )
         assert run.restarts == 2
         assert _maps_and_fds() == before
+
+    def test_healed_run(self, tmp_path):
+        """A detected wire fault is raised out of the fabric and caught
+        by the retry hook; the error must not pin the rank's frames (and
+        mappings) in a traceback cycle.  The collector is off, so a
+        lucky pass cannot hide one."""
+        before = self._steady(tmp_path)
+        gc.disable()
+        try:
+            run = _run(
+                "memmap", fabric_timeout=15.0,
+                fault_plan=FaultPlan(seed=3, drop=0.02, corrupt=0.02),
+            )
+            assert run.faults["events"]["healed"] > 0
+            assert _maps_and_fds() == before
+        finally:
+            gc.enable()
 
     def test_run_that_raises(self, tmp_path):
         before = self._steady(tmp_path)

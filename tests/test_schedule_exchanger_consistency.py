@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.brick.decomp import BrickDecomp
+from repro.exchange import schedule_template
 from repro.exchange.layout_ex import LayoutExchanger
 from repro.exchange.memmap_ex import MemMapExchanger
 from repro.exchange.mpitypes import MPITypesExchanger
@@ -36,21 +37,26 @@ def _build(mode, page=4096):
 
     def fn(comm):
         cart = comm.Create_cart((2, 2, 2))
+
+        def plan(base, *geometry):
+            return schedule_template(base, SUB, 8, 8, *geometry).for_rank(
+                cart.rank, cart.dims, cart.periods
+            )
+
         if mode in ("pack", "mpi_types"):
             arr = np.zeros(tuple(s + 16 for s in reversed(SUB)))
             cls = PackExchanger if mode == "pack" else MPITypesExchanger
-            ex = cls(cart, arr, SUB, 8, profile)
-            return sorted(_spec_key(m) for m in ex.send_specs())
+            base = "yask" if mode == "pack" else mode
+            ex = cls(cart, plan(base), arr, SUB, 8, profile)
+            return sorted(_spec_key(m.spec) for m in ex.plan.sends)
         d = BrickDecomp(SUB, (8, 8, 8), 8)
         if mode == "memmap":
             st, asn = d.mmap_alloc(page)
-            ex = MemMapExchanger(cart, d, st, asn, profile, page)
+            ex = MemMapExchanger(cart, plan(mode, d, asn, page), st, profile)
         else:
             st, asn = d.allocate()
-            ex = LayoutExchanger(
-                cart, d, st, asn, profile, merge_runs=(mode == "layout")
-            )
-        out = sorted(_spec_key(m) for m in ex.send_specs())
+            ex = LayoutExchanger(cart, plan(mode, d, asn), st, profile)
+        out = sorted(_spec_key(m.spec) for m in ex.plan.sends)
         if mode == "memmap":
             ex.close()
         st.close()

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.brick.convert import (
     bricks_to_extended,
-    conversion_scratch,
     extended_shape,
     extended_to_bricks,
 )
@@ -186,16 +185,24 @@ class TestBrickPlanBitIdentity:
                 got.data[slots], ref.data[slots]
             )
 
-    def test_plan_cache_per_geometry(self, small_decomp):
+    def test_every_compile_owns_its_scratch(self, small_decomp):
+        """Nothing caches a plan on the (shareable) BrickInfo: two
+        compiles over one info are two plans with their own mutable
+        buffers, so two rank threads can never step through one tile."""
         info = small_decomp.brick_info()
         slots = small_decomp.compute_slots()
         a = compile_brick_plan(SEVEN_POINT, info, slots)
         b = compile_brick_plan(SEVEN_POINT, info, slots)
-        assert a is b
-        c = compile_brick_plan(SEVEN_POINT, info, slots[:4])
-        assert c is not a
-        d = compile_brick_plan(CUBE125, info, slots)
-        assert d is not a
+        assert a is not b
+        assert a.info is b.info is info
+        scratch = [
+            name for name in ("_tile", "_halo", "_acc", "_tmp")
+            if hasattr(a, name)
+        ]
+        assert scratch
+        for name in scratch:
+            assert not np.shares_memory(getattr(a, name), getattr(b, name))
+        assert not [k for k in vars(info) if "cache" in k]
 
     def test_validation(self, small_decomp):
         info = small_decomp.brick_info()
@@ -320,15 +327,14 @@ class TestBrickPlanCTier:
                 part.execute(src, cover)
             self._same_bits(cover, whole)
 
-    def test_plan_cache_keyed_by_kernel_environment(self, monkeypatch):
-        """One BrickInfo, one slot set: the cached plan of one backend /
-        guard setting is not handed out under another."""
+    def test_plan_follows_kernel_environment(self, monkeypatch):
+        """One BrickInfo, one slot set: each compile steps on the tier
+        and guard variant the environment names at that moment (no plan
+        of another setting can be handed out: nothing caches plans)."""
         info = grid_info((3, 3), (4, 3))
         spec, slots = star_stencil(2, 1), np.arange(9)
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        on_numpy = compile_brick_plan(spec, info, slots)
-        assert on_numpy.kernel_backend == "numpy"
-        assert compile_brick_plan(spec, info, slots) is on_numpy
+        assert compile_brick_plan(spec, info, slots).kernel_backend == "numpy"
         if cbackend.cffi is None or cbackend._compiler() is None:
             return
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
@@ -337,11 +343,11 @@ class TestBrickPlanCTier:
         assert plain.kernel_backend == "cffi"
         monkeypatch.setenv("REPRO_CC_BOUNDS", "1")
         guarded = compile_brick_plan(spec, info, slots)
-        assert guarded is not plain
         assert "src_elems" in guarded._ckernel.__source__
         assert "src_elems" not in plain._ckernel.__source__
         monkeypatch.setenv("REPRO_CC_BOUNDS", "0")
-        assert compile_brick_plan(spec, info, slots) is plain
+        again = compile_brick_plan(spec, info, slots)
+        assert "src_elems" not in again._ckernel.__source__
 
     @needs_cc
     def test_bounds_guard_names_a_poisoned_adjacency_row(self, monkeypatch):
@@ -636,11 +642,11 @@ class TestConversionScratch:
         st, asn = d.allocate()
         st.data[:] = rng.random(st.data.shape)
         fresh = bricks_to_extended(d, st, asn)
-        scratch = conversion_scratch(d)
+        scratch = np.empty(extended_shape(d), dtype=d.dtype)  # the caller's
         got = bricks_to_extended(d, st, asn, out=scratch)
         assert got is scratch
         np.testing.assert_array_equal(got, fresh)
-        assert conversion_scratch(d) is scratch  # cached
+        assert not [k for k in vars(d) if "scratch" in k]  # none on the decomp
 
     def test_out_validated(self, small_decomp):
         d = small_decomp

@@ -2,7 +2,7 @@
 """AST lint for the repo's typed-error and fabric-chokepoint invariants.
 
 Plain Python on purpose: the CI lint job has ruff, local dev containers
-may not, and these rules are project-specific anyway.  Four checks:
+may not, and these rules are project-specific anyway.  Five checks:
 
 1. **No bare raises in the communication layers.**  Inside
    ``src/repro/simmpi`` and ``src/repro/exchange``, ``raise
@@ -44,6 +44,26 @@ may not, and these rules are project-specific anyway.  Four checks:
    nowhere outside ``simmpi/fabric.py``: no layer above the fabric forks
    on verified mode -- a guarded run binds and fires what a plain one
    does.
+
+5. **One geometry construction.**  What every rank of a run shares is
+   built once per launched world, by ``core/geometry.py``
+   (``RunGeometry``); a second constructor is a second copy that tests
+   would have to keep equal.  So under ``src/repro`` the calls
+   ``BrickDecomp(...)`` / ``.brick_decomp()`` / ``.brick_info(...)`` /
+   ``.initial_global(...)`` appear only there, and in:
+   ``core/problem.py`` (``brick_decomp`` is the definition the geometry
+   calls); ``elastic/placement.py`` (validates *candidate* rank grids
+   with a trial ``brick_decomp()`` that builds no assignment -- no world
+   is launched from it); ``ckpt/bench.py`` (a store micro-benchmark over
+   a bare decomposition, no run); ``exchange/hierarchical.py`` and
+   ``exchange/local.py`` (intra-node grids that are not ``Exchanger``s
+   and own their decomposition, until ROADMAP item 6's second half
+   decides them); and, for ``.initial_global(...)`` only, the serial
+   reference oracles of ``cli.py``, ``faults/chaos.py`` and
+   ``elastic/bench.py`` (they compute what a run is compared *against*).
+   And ``SimFabric(...)`` is constructed nowhere under
+   ``src/repro/check``: a schedule is data, the verifier needs no
+   fabric.
 
 Exit status 1 when any violation is found.  ``--list`` prints the file
 set without checking (CI sanity).
@@ -102,6 +122,22 @@ HEALING_KINDS = (
 #: how the fabric knows it is verified, and the one file that may ask
 VERIFIED_MODE_ATTRS = ("envelope_enabled", "_guard")
 VERIFIED_MODE_HOME = "simmpi/fabric.py"
+
+#: calls that build rank-invariant geometry, and who may make them
+#: (reasons in the module docstring, rule 5)
+GEOMETRY_HOME = "core/geometry.py"
+GEOMETRY_METHODS = ("brick_decomp", "brick_info", "initial_global")
+GEOMETRY_ALLOWLIST = {
+    GEOMETRY_HOME: GEOMETRY_METHODS,
+    "core/problem.py": ("BrickDecomp",),
+    "elastic/placement.py": ("brick_decomp",),
+    "ckpt/bench.py": ("BrickDecomp",),
+    "exchange/hierarchical.py": ("BrickDecomp", "brick_info"),
+    "exchange/local.py": ("BrickDecomp", "brick_info"),
+    "cli.py": ("initial_global",),
+    "faults/chaos.py": ("initial_global",),
+    "elastic/bench.py": ("initial_global",),
+}
 
 Violation = Tuple[Path, int, str]
 
@@ -277,6 +313,43 @@ def check_one_blocking_site(path: Path, tree: ast.AST) -> List[Violation]:
     return out
 
 
+def check_one_geometry(path: Path, tree: ast.AST) -> List[Violation]:
+    rel = path.relative_to(SRC).as_posix()
+    allowed = GEOMETRY_ALLOWLIST.get(rel, ())
+    out: List[Violation] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        # The constructors are called by bare name, the rest as methods.
+        name = fn.id if isinstance(fn, ast.Name) else None
+        if name == "SimFabric" and rel.startswith("check/"):
+            out.append(
+                (
+                    path,
+                    node.lineno,
+                    "`SimFabric(...)` under check/: a schedule is data --"
+                    " verify the RunGeometry's plans, no fabric needed",
+                )
+            )
+        if name != "BrickDecomp":
+            name = fn.attr if isinstance(fn, ast.Attribute) else None
+            if name not in GEOMETRY_METHODS:
+                continue
+        if name not in allowed:
+            out.append(
+                (
+                    path,
+                    node.lineno,
+                    f"`{name}(...)` outside {GEOMETRY_HOME}: what every rank"
+                    " shares is built once per world by RunGeometry; read"
+                    " it from the geometry instead of constructing a"
+                    " second copy",
+                )
+            )
+    return out
+
+
 def lint_file(path: Path) -> List[Violation]:
     tree = ast.parse(path.read_text(), filename=str(path))
     rel = path.relative_to(SRC).as_posix()
@@ -286,6 +359,7 @@ def lint_file(path: Path) -> List[Violation]:
     out += check_fabric_chokepoint(path, tree)
     out += check_message_path(path, tree)
     out += check_one_blocking_site(path, tree)
+    out += check_one_geometry(path, tree)
     return out
 
 
