@@ -1,8 +1,9 @@
 """Measured steady-state speedup of compiled execution plans.
 
-Times the per-step brick compute path -- planned (on the C tier the
-stage-then-sweep kernel over adjacency rows, on the NumPy tier a fused
-``np.take`` gather + persistent buffers + specialized kernel) vs generic
+Times the per-step brick compute path -- planned (stage a halo tile
+through the adjacency rows, then sweep the taps over it: one generated
+kernel call on the C tier, one fancy-index copy per reached direction
+and a tap loop into persistent buffers on the NumPy tier) vs generic
 (:func:`apply_brick_stencil`) -- on the Fig. 9-style strong-scaled
 configuration: a 16^3 subdomain of 8^3 bricks with ghost 8, where the
 halo dominates and on-node data movement is the whole game.

@@ -103,7 +103,7 @@ def traced_run_stats(
 
     untraced_s = None
     if overhead:
-        # Warm numpy/codegen caches, then interleave untraced/traced
+        # Warm the compiled-kernel cache, then interleave untraced/traced
         # pairs and take the best of each, so the ratio measures the
         # hooks rather than cold start or scheduler drift.  The trace
         # exported afterwards is the final traced run's.

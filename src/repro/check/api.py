@@ -11,8 +11,8 @@ what is proved is the object the ranks then bind, not a reconstruction.
 1. ``schedule`` -- the global send/recv multigraph pairs up, byte counts
    and partition splits agree, tags are collision-free, no edge touches
    a dead rank (:mod:`repro.check.schedule`);
-2. ``memory`` -- the adjacency rows and gather tables the compiled
-   plans read stay inside the arena, phase splits partition exactly,
+2. ``memory`` -- the adjacency rows the compiled plans of either
+   kernel tier read stay inside the arena, phase splits partition exactly,
    wire-visible storage ranges stay inside the sections they belong to
    (:mod:`repro.check.memory`);
 3. ``cbackend`` -- the C kernel environment parses, the toolchain is

@@ -7,17 +7,13 @@ adjacency, the run geometry's, which every rank's plans slice their rows
 from -- so it is checked once, on that very array; only the wire ranges
 are a rank's own:
 
-* **adjacency rows in bounds** -- what the C brick kernel consumes:
-  every entry of the compute slots' ``(n, 3^D)`` adjacency rows is the
-  ``-1`` absent sentinel or a slot of the arena (``< total_slots``),
-  and the plan's field window fits inside a brick
+* **adjacency rows in bounds** -- what the brick kernel of either tier
+  consumes, and all it addresses neighbours through: every entry of the
+  compute slots' ``(n, 3^D)`` adjacency rows is the ``-1`` absent
+  sentinel or a slot of the arena (``< total_slots``), and the plan's
+  field window fits inside a brick
   (``field_offset + volume <= brick_elems``), so every sub-box the
   kernel stages from a neighbour stays inside that neighbour's brick;
-* **gather tables in bounds** -- what the NumPy tier consumes: every
-  flat source index of the compiled brick plan's gather chunks lands
-  inside the storage arena (``[0, total_slots * brick_elems)``), inside
-  its source slot's padded span, and inside the plan's field window;
-  the only negative value is the ``-1`` absent sentinel;
 * **phase split sound** -- the interior/surface slot partition used by
   compute-comm overlap is disjoint and jointly covers the unphased slot
   set (an overlap double-computes a brick, a gap leaves one stale);
@@ -38,7 +34,7 @@ violations are caught.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +43,6 @@ from repro.check.report import CheckReport
 from repro.core.geometry import RunGeometry
 from repro.exchange.base import RankMessagePlan
 from repro.stencil.plan import (
-    _build_gather_chunk,
     ghost_slot_mask,
     split_array_region,
     split_brick_slots,
@@ -56,7 +51,6 @@ from repro.stencil.plan import (
 __all__ = [
     "verify_memory",
     "check_adjacency_rows",
-    "check_gather_tables",
     "check_phase_split",
     "check_ranges",
 ]
@@ -76,7 +70,7 @@ def check_adjacency_rows(
     report: CheckReport,
     rank: int,
 ) -> None:
-    """Validate the adjacency rows the C brick kernel stages through."""
+    """Validate the adjacency rows the brick kernels stage through."""
     rows = np.asarray(rows)
     bad = (rows < -1) | (rows >= total_slots)
     if bad.any():
@@ -100,61 +94,6 @@ def check_adjacency_rows(
             hint="field_offset/volume disagree between the plan and the"
                  " storage",
         )
-
-
-def check_gather_tables(
-    chunks: Iterable,
-    total_slots: int,
-    brick_elems: int,
-    field_offset: int,
-    volume: int,
-    report: CheckReport,
-    rank: int,
-) -> None:
-    """Validate compiled gather chunks against the arena geometry."""
-    total_elems = total_slots * brick_elems
-    lo_f = field_offset
-    hi_f = field_offset + volume
-    for chunk in chunks:
-        idx = np.asarray(chunk.index).reshape(-1)
-        present = idx >= 0
-        bad_neg = idx < -1
-        if bad_neg.any():
-            report.error(
-                PASS, "oob-index",
-                f"rank {rank}: gather table holds {int(bad_neg.sum())}"
-                " negative index value(s) other than the -1 absent"
-                " sentinel",
-                ranks=(rank,),
-                hint="absent halo cells must carry exactly -1",
-            )
-        vals = idx[present]
-        if vals.size == 0:
-            continue
-        oob = (vals >= total_elems).sum()
-        if oob:
-            worst = int(vals.max())
-            report.error(
-                PASS, "oob-index",
-                f"rank {rank}: {int(oob)} gather index value(s) reach"
-                f" past the storage arena ({worst} >="
-                f" {total_elems} elements)",
-                ranks=(rank,), slot=worst // brick_elems,
-                hint="the index table must be rebuilt for this"
-                     " assignment's total_slots",
-            )
-        within = vals % brick_elems
-        off_field = (within < lo_f) | (within >= hi_f)
-        if off_field.any():
-            report.error(
-                PASS, "field-window",
-                f"rank {rank}: {int(off_field.sum())} gather index"
-                " value(s) read outside the plan's field window"
-                f" [{lo_f}, {hi_f}) within their brick",
-                ranks=(rank,),
-                hint="field_offset/volume disagree between the plan and"
-                     " the table",
-            )
 
 
 def check_phase_split(
@@ -369,21 +308,12 @@ def verify_memory(geometry: RunGeometry, report: CheckReport) -> None:
         return
     for plan in geometry.plans:
         check_ranges(plan, decomp, asn, report)
-    radius = geometry.problem.stencil.radius
     slots = decomp.compute_slots(asn)
     check_adjacency_rows(
         binfo.adjacency[slots], asn.total_slots, decomp.brick_elems, 0,
         decomp.brick_volume, report, 0,
     )
-    chunks = (
-        _build_gather_chunk(
-            binfo, slots[lo: lo + 512], radius, 0, decomp.brick_elems
-        )
-        for lo in range(0, len(slots), 512)
-    )
-    check_gather_tables(
-        chunks, asn.total_slots, decomp.brick_elems, 0,
-        decomp.brick_volume, report, 0,
-    )
+    if report.has("oob-adjacency"):
+        return  # the phase split looks slots up through these very rows
     interior, surface = split_brick_slots(binfo, ghost_slot_mask(asn), slots)
     check_phase_split(interior, surface, slots, report, 0)

@@ -4,10 +4,10 @@ A static checker that silently passes everything is worse than none.
 ``run_selftest`` takes a known-clean geometry, injects one violation of
 each class the verifier claims to detect -- a tag collision, a dropped
 receive, a byte-count disagreement, a partition split disagreement, a
-dead rank, a tag in the partition region, an off-by-one gather index,
-an adjacency entry one past the arena, an overlapping phase split --
-and asserts the corresponding finding
-code appears.  CI gates on 100% detection (``repro check --selftest``).
+dead rank, a tag in the partition region, an adjacency entry one past
+the arena, a field window one element past its brick, an overlapping
+phase split -- and asserts the corresponding finding code appears.  CI
+gates on 100% detection (``repro check --selftest``).
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.check.memory import (
-    check_adjacency_rows,
-    check_gather_tables,
-    check_phase_split,
-)
+from repro.check.memory import check_adjacency_rows, check_phase_split
 from repro.check.report import CheckReport
 from repro.check.schedule import verify_schedule
 from repro.core.geometry import RunGeometry
@@ -144,24 +140,6 @@ def _inject_dead_rank(problem, method) -> Tuple[CheckReport, str]:
     return report, "dead-rank-edge"
 
 
-def _inject_oob_index(problem, method) -> Tuple[CheckReport, str]:
-    """Forge a gather chunk whose last index overruns the arena by one."""
-
-    class _Chunk:
-        pass
-
-    total_slots, brick_elems, volume = 64, 512, 512
-    chunk = _Chunk()
-    idx = np.arange(27, dtype=np.int64)
-    idx[-1] = total_slots * brick_elems  # one past the last element
-    chunk.index = idx
-    report = CheckReport()
-    check_gather_tables(
-        [chunk], total_slots, brick_elems, 0, volume, report, rank=0
-    )
-    return report, "oob-index"
-
-
 def _inject_oob_adjacency(problem, method) -> Tuple[CheckReport, str]:
     """Forge an adjacency row naming the slot one past the arena."""
     total_slots, brick_elems, volume = 64, 512, 512
@@ -173,6 +151,19 @@ def _inject_oob_adjacency(problem, method) -> Tuple[CheckReport, str]:
         rows, total_slots, brick_elems, 0, volume, report, rank=0
     )
     return report, "oob-adjacency"
+
+
+def _inject_field_window(problem, method) -> Tuple[CheckReport, str]:
+    """Forge a plan whose field window overruns its brick by one."""
+    total_slots, brick_elems, volume = 64, 1024, 512
+    rows = np.full((1, 27), -1, dtype=np.int64)
+    rows[0, 13] = 0
+    report = CheckReport()
+    check_adjacency_rows(
+        rows, total_slots, brick_elems, brick_elems - volume + 1, volume,
+        report, rank=0,
+    )
+    return report, "field-window"
 
 
 def _inject_overlapping_split(problem, method) -> Tuple[CheckReport, str]:
@@ -193,8 +184,8 @@ MUTATIONS: Dict[str, Callable] = {
     "partition_split": _inject_partition_split,
     "tag_overflow": _inject_tag_overflow,
     "dead_rank": _inject_dead_rank,
-    "oob_index": _inject_oob_index,
     "oob_adjacency": _inject_oob_adjacency,
+    "field_window": _inject_field_window,
     "overlapping_split": _inject_overlapping_split,
 }
 

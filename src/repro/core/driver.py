@@ -276,10 +276,9 @@ def _brick_state(geometry: RunGeometry, period: int) -> _RankState:
 
     return _RankState(
         buffers=storages,
-        # Whatever the kernel tier reads per step (adjacency rows + halo
-        # tile, or fused gather tables + persistent buffers) and the
-        # specialized kernel, built once per cycle position; the scratch
-        # is this rank's, the adjacency the geometry's.
+        # What a step reads on either kernel tier (the slot set's
+        # adjacency rows, a halo tile), built once per cycle position;
+        # the scratch is this rank's, the adjacency the geometry's.
         plans=[
             compile_brick_plan(spec, binfo, slots, 0, problem.dtype)
             for slots in cycle_slots

@@ -17,7 +17,6 @@ from repro.stencil.spec import (
 )
 from repro.stencil.kernels import apply_array_stencil
 from repro.stencil.brick_kernels import apply_brick_stencil, gather_halo_batch
-from repro.stencil.codegen import generate_batch_plan_kernel
 from repro.stencil.plan import (
     ArrayStencilPlan,
     BrickStencilPlan,
@@ -40,6 +39,5 @@ __all__ = [
     "compile_brick_plan",
     "cube_stencil",
     "gather_halo_batch",
-    "generate_batch_plan_kernel",
     "star_stencil",
 ]

@@ -1,7 +1,7 @@
 """Optional compiled (C) kernel backend for stencil plans, both layouts.
 
 The planned NumPy paths make full passes over their data per tap (bricks:
-gather via ``np.take``, multiply, add over the halo batch; arrays:
+stage a chunk's halo tile, then multiply and add over it; arrays:
 multiply and add over a strided box view).  This module generates one
 C kernel per specialization instead:
 
@@ -55,6 +55,7 @@ with the system ``cc`` straight into a shared object and loaded through
 from __future__ import annotations
 
 import atexit
+import functools
 import math
 import os
 import shutil
@@ -241,11 +242,12 @@ def _accumulate(terms: Sequence[Tuple[int, float]], indent: str) -> List[str]:
     return lines
 
 
+@functools.lru_cache(maxsize=None)
 def brick_stage_boxes(
-    taps: Sequence[Tuple[Tuple[int, ...], float]],
+    taps: Tuple[Tuple[Tuple[int, ...], float], ...],
     np_bd: Tuple[int, ...],
     radius: int,
-) -> List[Tuple[int, int, int, Tuple[int, ...]]]:
+) -> Tuple[Tuple[int, int, int, Tuple[int, ...]], ...]:
     """The sub-boxes a brick's halo tile is staged from, one per
     adjacency direction some tap reaches (7 of 27 for a 3-D star).
 
@@ -253,7 +255,8 @@ def brick_stage_boxes(
     the neighbour brick's field, extent per numpy axis)``: the
     :func:`~repro.stencil.brick_kernels._margin_slices` geometry of the
     generic gather, flattened.  Tile cells no row covers are never read
-    by a tap and are left as they are.
+    by a tap and are left as they are.  Both kernel tiers stage from
+    this one list (every plan compile asks for it, hence the memo).
     """
     ndim = len(np_bd)
     bd = tuple(reversed(np_bd))
@@ -276,7 +279,7 @@ def brick_stage_boxes(
             sum(n.start * s for (_, n), s in zip(pairs, brick_strides)),
             tuple(t.stop - t.start for t, _ in pairs),
         ))
-    return rows
+    return tuple(rows)
 
 
 def _loop_nest(
@@ -726,22 +729,17 @@ def batch_step_kernel(
     dtype: np.dtype,
 ) -> Optional[Callable]:
     """The stage-then-sweep C brick kernel for this specialization, or
-    ``None`` (see :func:`_kernel_for`).  ``kernel.staged_cells`` is the
-    number of tile cells it stages per brick."""
+    ``None`` (see :func:`_kernel_for`)."""
     spec = (
         tuple(taps), tuple(np_bd), int(radius), int(field_offset),
         int(brick_elems),
     )
-
-    def build(sanitize, guard):
-        step = _build(batch_step_source(*spec, guard=guard), guard, sanitize)
-        step.staged_cells = sum(
-            math.prod(extent)
-            for *_, extent in brick_stage_boxes(*spec[:3])
-        )
-        return step
-
-    return _kernel_for(("brick",) + spec, dtype, build)
+    return _kernel_for(
+        ("brick",) + spec, dtype,
+        lambda sanitize, guard: _build(
+            batch_step_source(*spec, guard=guard), guard, sanitize
+        ),
+    )
 
 
 def array_step_kernel(

@@ -6,26 +6,27 @@ reproduction's own hottest Python path.  The generic kernels re-derive
 slices, allocate halo/accumulator temporaries, and issue ``3^D`` separate
 fancy-index gathers on every chunk of every timestep.  A *plan* hoists all
 of that out of the loop, once per ``(stencil spec, brick geometry, slot
-set, field offset)`` key, on one of two tiers:
+set, field offset)``.  It steps on one of two tiers, which address
+memory the same way and differ only in who runs the loops:
 
-* **C tier** (:mod:`repro.stencil.cbackend`) -- a brick plan holds the
-  slot set's ``(n, 3^D)`` adjacency rows and one plan-owned halo-tile
-  scratch; a step is one call of the stage-then-sweep kernel, which
-  copies each brick's reached neighbour sub-boxes into the tile and
-  runs the unrolled tap loop over it unit-stride.  No per-cell index
-  table is built.  An array plan hands its box list to the C box
-  kernel of its extended shape.
-* **NumPy tier** (the fallback) -- a **fused gather plan**: a flat int64
-  ``(n, halo)`` source-index table built once, so the per-step halo
-  gather is a single ``np.take`` into a persistent buffer instead of
-  ``3^D`` direction-wise fancy-index assignments (halo cells whose
-  source brick is absent, adjacency ``-1``, are located at plan build
-  and re-zeroed per step with one small fancy write); **persistent work
-  buffers** for halo batch, accumulator and tap scratch; and the tap
-  loop as a codegen-compiled, fully-unrolled kernel
-  (:mod:`repro.stencil.codegen`) that accumulates with
-  ``np.multiply(..., out=)`` / in-place ``np.add``, making zero
-  temporaries per step.
+* **bricks** -- *stage, then sweep*.  The plan holds the slot set's
+  ``(n, 3^D)`` adjacency rows (``info.adjacency[slots]``, the array
+  ``repro check`` validates) and a plan-owned halo tile.  Each direction
+  some tap reaches (:func:`repro.stencil.cbackend.brick_stage_boxes`)
+  has its sub-box copied from the neighbour the row names into the
+  tile, zeros where the entry is ``-1``; the taps then sweep the tile.
+  No per-cell index table exists on either tier.
+* **extended arrays** -- the taps sweep a list of boxes in place.
+
+The **C tier** (:mod:`repro.stencil.cbackend`) does both per brick /
+per box in one generated kernel call.  The **NumPy tier** (the fallback
+``auto`` takes without a compiler, and what non-contiguous or
+non-float64 arrays step on) stages a chunk of bricks with one
+fancy-index copy per reached direction and runs the taps as a plain
+loop over precomputed ``(coeff, slices)`` pairs, accumulating with
+``np.multiply(..., out=)`` / in-place ``np.add`` into persistent
+scratch: the canonical order of :mod:`repro.stencil.spec`, zero
+temporaries per tap.
 
 The generic kernels in :mod:`repro.stencil.kernels` and
 :mod:`repro.stencil.brick_kernels` remain the bit-identity reference; the
@@ -40,25 +41,19 @@ geometry shares between the ranks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.brick.info import BrickInfo, all_direction_vectors, direction_index
+from repro.brick.info import BrickInfo
 from repro.brick.storage import BrickStorage
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
-from repro.stencil.brick_kernels import _margin_slices
 from repro.stencil.cbackend import (
     array_step_kernel,
     backend_choice,
     batch_step_kernel,
-)
-from repro.stencil.codegen import (
-    checked_box,
-    generate_array_box_kernel,
-    generate_batch_plan_kernel,
+    brick_stage_boxes,
 )
 from repro.stencil.spec import StencilSpec
 
@@ -76,118 +71,61 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
+# The NumPy tier's tap loop, shared by both plan kinds
+# ----------------------------------------------------------------------
+
+def _tap_windows(
+    spec: StencilSpec, lo: Sequence[int], shape: Sequence[int], lead: Tuple = ()
+) -> List[Tuple[float, Tuple]]:
+    """``(coeff, slices)`` per tap: the *shape*-sized window whose corner
+    sits at *lo* + the tap's offset (numpy axis order), behind *lead*."""
+
+    def window(off):
+        return lead + tuple(
+            slice(at + o, at + o + n) for at, o, n in zip(lo, reversed(off), shape)
+        )
+
+    return [(coeff, window(off)) for off, coeff in spec.taps]
+
+
+def _run_taps(taps, src: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> None:
+    """``acc = sum(coeff * src[window])`` in the canonical order: same tap
+    and scalar-times-slice operand order as the generic loops, every
+    intermediate in a caller-owned buffer."""
+    coeff, window = taps[0]
+    np.multiply(coeff, src[window], out=acc)
+    for coeff, window in taps[1:]:
+        np.multiply(coeff, src[window], out=tmp)
+        np.add(acc, tmp, out=acc)
+
+
+# ----------------------------------------------------------------------
 # Brick-storage plans
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _GatherChunk:
-    """One chunk's precomputed gather/scatter tables (NumPy tier)."""
-
-    slots: np.ndarray  # the batch of brick slots, in compute order
-    index: np.ndarray  # (n, *halo_np) flat source indices into storage
-    absent: Optional[np.ndarray]  # flat halo positions with no source brick
-    scatter: Union[slice, np.ndarray]  # row selector into the dst brick view
-
-    @property
-    def n(self) -> int:
-        return len(self.slots)
-
-
-# Per-(brick shape, radius) halo template maps, shared by every chunk and
-# every plan: for each flattened halo position, which of the 3^D adjacency
-# directions it reads from and the ravelled within-brick source offset.
-# Building these once turns per-chunk index-table construction from 3^D
-# meshgrid assemblies into two vectorized lookups -- the difference between
-# a ~77 ms and a ~2 ms plan compile per run.  The tables are read-only:
-# rank threads share them.
-_halo_templates: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _halo_template(
-    bd: Tuple[int, ...], radius: int, ndim: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    key = (tuple(bd), int(radius))
-    tpl = _halo_templates.get(key)
-    if tpl is not None:
-        return tpl
-    np_bd = tuple(reversed(bd))
-    halo_np = tuple(b + 2 * radius for b in np_bd)
-    dir_map = np.empty(halo_np, dtype=np.int64)
-    within = np.empty(halo_np, dtype=np.int64)
-    for vec in all_direction_vectors(ndim):
-        if radius == 0 and any(vec):
-            continue
-        tgt_slices, src_slices = [], []
-        for axis in range(ndim - 1, -1, -1):  # numpy order: axis D first
-            t, s = _margin_slices(vec[axis], bd[axis], radius)
-            tgt_slices.append(t)
-            src_slices.append(s)
-        coords = np.meshgrid(
-            *(np.arange(s.start, s.stop) for s in src_slices), indexing="ij"
-        )
-        within[tuple(tgt_slices)] = np.ravel_multi_index(coords, np_bd)
-        dir_map[tuple(tgt_slices)] = direction_index(vec)
-    tpl = (dir_map.reshape(-1), within.reshape(-1))
-    for table in tpl:
-        table.flags.writeable = False
-    _halo_templates[key] = tpl
-    return tpl
-
-
-def _build_gather_chunk(
-    info: BrickInfo,
-    slots: np.ndarray,
-    radius: int,
-    field_offset: int,
-    brick_elems: int,
-) -> _GatherChunk:
-    """Index tables for one NumPy-tier batch, mirroring
-    ``gather_halo_batch``."""
-    bd = info.brick_dim
-    ndim = info.ndim
-    np_bd = tuple(reversed(bd))
-    halo_np = tuple(b + 2 * radius for b in np_bd)
-    n = len(slots)
-    dir_map, within = _halo_template(bd, radius, ndim)
-    src = info.adjacency[slots][:, dir_map]  # (n, halo cells) source bricks
-    index = src * brick_elems
-    index += within + field_offset
-    absent_flat: Optional[np.ndarray] = None
-    mask = src < 0
-    if mask.any():
-        absent_flat = np.flatnonzero(mask)
-        # Sentinel -1: np.take reads the last element, which execute()
-        # then re-zeroes in the halo.  (Assigned through the mask: the
-        # fancy-indexed table is not C-ordered, so a reshape(-1) of it
-        # would be a copy.)
-        index[mask] = -1
-    index = np.ascontiguousarray(index.reshape((n,) + halo_np))
-    # Contiguous slot batches scatter with one slice assignment.
-    scatter: Union[slice, np.ndarray]
-    if n and slots[-1] - slots[0] + 1 == n and np.all(np.diff(slots) == 1):
-        scatter = slice(int(slots[0]), int(slots[0]) + n)
-    else:
-        scatter = slots
-    return _GatherChunk(slots, index, absent_flat, scatter)
+def _box_slices(
+    offset: int, shape: Sequence[int], extent: Sequence[int]
+) -> Tuple[slice, ...]:
+    """The *extent*-sized box at flat row-major *offset* of *shape*."""
+    corner = np.unravel_index(offset, shape)
+    return tuple(slice(int(c), int(c) + n) for c, n in zip(corner, extent))
 
 
 class BrickStencilPlan:
     """Compiled executor of one stencil over a fixed brick slot set.
 
-    On the C tier the plan holds the slot set's ``(n, 3^D)`` adjacency
-    rows and one halo-tile scratch; a step is one call of the
-    stage-then-sweep kernel (:func:`repro.stencil.cbackend
-    .batch_step_source`), which addresses neighbours per brick through
-    those rows.  On the NumPy tier it holds fused ``(n, halo)`` gather
-    tables and persistent halo/accumulator/tap buffers, and a step is
-    one ``np.take`` gather per chunk, the unrolled in-place tap loop and
-    one scatter into the destination bricks (``chunks`` is empty on the
-    C tier, which never builds the tables).
+    The plan holds the slot set's ``(n, 3^D)`` adjacency rows and a
+    halo-tile scratch, and addresses neighbours through those rows
+    alone.  On the C tier a step is one call of the stage-then-sweep
+    kernel (:func:`repro.stencil.cbackend.batch_step_source`) over a
+    one-brick tile.  On the NumPy tier the tile spans a chunk of bricks:
+    a step stages it with one fancy-index copy per reached direction,
+    runs the tap loop into a persistent accumulator and scatters that
+    into the destination bricks.
 
-    ``plan.halo_cells_gathered`` counts the halo cells a step stages:
-    on the C tier bricks x the tile cells of the directions some tap
-    reaches (a star skips edge and corner sub-boxes), on the NumPy tier
-    bricks x the whole ``prod(bd + 2r)`` halo block ``np.take`` fills.
+    ``plan.halo_cells_gathered`` counts the tile cells a step stages:
+    bricks x the cells of the directions some tap reaches (a star skips
+    edge and corner sub-boxes), the same on both tiers.
     """
 
     def __init__(
@@ -225,40 +163,48 @@ class BrickStencilPlan:
         self.dtype = np.dtype(dtype)
         self.brick_elems = brick_elems
         self.volume = volume
-        self._np_bd = tuple(reversed(bd))
+        self._np_bd = np_bd = tuple(reversed(bd))
         slots = np.asarray(slots, dtype=np.int64)
         self.slots = slots
-        self.chunks: List[_GatherChunk] = []
-        halo_np = tuple(b + 2 * r for b in self._np_bd)
-        # Codegen seam: the C kernel replaces the whole per-chunk
-        # gather/taps/scatter sequence when available (and allowed by
-        # REPRO_KERNEL_BACKEND); otherwise the NumPy plan path below runs
-        # with its persistent scratch.  Results are bit-identical.
-        self._ckernel = batch_step_kernel(
-            spec.taps, self._np_bd, r, self.field_offset, brick_elems,
-            self.dtype,
+        self._adjacency = np.ascontiguousarray(
+            info.adjacency[slots], dtype=np.int64
         )
+        tile_np = tuple(b + 2 * r for b in np_bd)
+        boxes = brick_stage_boxes(spec.taps, np_bd, r)
+        self._staged_cells = len(slots) * sum(
+            math.prod(extent) for *_, extent in boxes
+        )
+        # The C kernel runs the whole stage/taps/store sequence per brick
+        # when available (and allowed by REPRO_KERNEL_BACKEND); otherwise
+        # the NumPy path below runs it per chunk.  Bit-identical.
+        self._ckernel = batch_step_kernel(
+            spec.taps, np_bd, r, self.field_offset, brick_elems, self.dtype
+        )
+        # Scratch is plan-owned, like every mutable step buffer: the tile's
+        # size follows the brick shape, so it is no C stack array.
         if self._ckernel is not None:
-            self._adjacency = np.ascontiguousarray(
-                info.adjacency[slots], dtype=np.int64
+            self._tile = np.empty(math.prod(tile_np), dtype=self.dtype)
+            return
+        self._chunk = chunk
+        nmax = min(chunk, len(slots))
+        self._tile = np.empty((nmax,) + tile_np, dtype=self.dtype)
+        self._acc = np.empty((nmax,) + np_bd, dtype=self.dtype)
+        self._tmp = np.empty_like(self._acc)
+        # Per staged direction: adjacency column, the sub-box in the tile
+        # and in the neighbour brick, and whether any planned brick lacks
+        # that neighbour (its sub-box is then re-zeroed per step).
+        absent = (self._adjacency < 0).any(axis=0)
+        self._stage = [
+            (
+                column,
+                (slice(None),) + _box_slices(tile_off, tile_np, extent),
+                _box_slices(brick_off, np_bd, extent),
+                bool(absent[column]),
             )
-            # Plan-owned, like every other mutable step buffer: its size
-            # follows the brick shape, so it is no C stack array.
-            self._tile = np.empty(math.prod(halo_np), dtype=self.dtype)
-            self._staged_cells = len(slots) * self._ckernel.staged_cells
-        else:
-            self.chunks = [
-                _build_gather_chunk(
-                    info, slots[lo : lo + chunk], r, self.field_offset,
-                    brick_elems,
-                )
-                for lo in range(0, len(slots), chunk)
-            ]
-            nmax = max((c.n for c in self.chunks), default=0)
-            self._halo = np.zeros((nmax,) + halo_np, dtype=self.dtype)
-            self._acc = np.empty((nmax,) + self._np_bd, dtype=self.dtype)
-            self._tmp = np.empty_like(self._acc)
-            self._kernel = generate_batch_plan_kernel(spec, bd)
+            for column, tile_off, brick_off, extent in boxes
+        ]
+        centre = (r,) * len(np_bd)
+        self._taps = _tap_windows(spec, centre, np_bd, (slice(None),))
 
     @property
     def kernel_backend(self) -> str:
@@ -281,6 +227,13 @@ class BrickStencilPlan:
                 f" spans {self.info.nslots}"
             )
 
+    def _field(self, storage: BrickStorage) -> np.ndarray:
+        """The planned field of every brick, ``(nslots, bd_D, ..., bd_1)``."""
+        fo = self.field_offset
+        return storage.data[:, fo : fo + self.volume].reshape(
+            (storage.nslots,) + self._np_bd
+        )
+
     def execute(self, src: BrickStorage, dst: BrickStorage) -> None:
         """Apply the stencil to every planned slot, reading *src*,
         writing *dst* (which must be distinct storages)."""
@@ -288,29 +241,25 @@ class BrickStencilPlan:
             raise ValueError("plans require distinct src and dst storages")
         self._check_storage(src, "src")
         self._check_storage(dst, "dst")
-        track = _METRICS.enabled
+        if _METRICS.enabled:
+            _METRICS.count("plan.halo_cells_gathered", self._staged_cells)
         ck = self._ckernel
         if ck is not None:
-            if track:
-                _METRICS.count("plan.halo_cells_gathered", self._staged_cells)
             ck(src.data, dst.data, self._adjacency, self.slots, self._tile)
             return
-        src_flat = src.data.reshape(-1)
-        fo, vol = self.field_offset, self.volume
-        dst_bricks = dst.data[:, fo : fo + vol].reshape(
-            (dst.nslots,) + self._np_bd
-        )
-        for ch in self.chunks:
-            n = ch.n
-            halo = self._halo[:n]
-            np.take(src_flat, ch.index, out=halo)
-            if track:
-                _METRICS.count("plan.halo_cells_gathered", int(ch.index.size))
-            if ch.absent is not None:
-                halo.reshape(-1)[ch.absent] = 0.0
-            acc = self._acc[:n]
-            self._kernel(halo, acc, self._tmp[:n])
-            dst_bricks[ch.scatter] = acc
+        src_bricks, dst_bricks = self._field(src), self._field(dst)
+        for lo in range(0, len(self.slots), self._chunk):
+            rows = self._adjacency[lo : lo + self._chunk]
+            n = len(rows)
+            tile, acc = self._tile[:n], self._acc[:n]
+            for column, to, frm, some_absent in self._stage:
+                nb = rows[:, column]
+                # An absent neighbour (-1) reads the last slot, then zeros.
+                tile[to] = src_bricks[(nb,) + frm]
+                if some_absent:
+                    tile[(nb < 0,) + to[1:]] = 0.0
+            _run_taps(self._taps, tile, acc, self._tmp[:n])
+            dst_bricks[self.slots[lo : lo + self._chunk]] = acc
 
 
 def compile_brick_plan(
@@ -324,9 +273,9 @@ def compile_brick_plan(
     """Build a brick plan over *info* (the compiled kernel inside is
     cached globally; the scratch-owning plan object is per caller).
 
-    Every call returns a new plan: the halo tile, or the halo / tap
-    buffers of the NumPy tier, are written while a step runs -- the C
-    kernel with the GIL released -- so a plan belongs to the rank that
+    Every call returns a new plan: the halo tile, and the tap buffers
+    of the NumPy tier, are written while a step runs -- the C kernel
+    with the GIL released -- so a plan belongs to the rank that
     compiled it, while *info* may be one table shared by all of them.
     """
     with _TRACER.span("plan.compile", nslots=len(slots)):
@@ -391,9 +340,9 @@ def compile_brick_phase_plans(
     """``(interior plan, surface plan)`` for one cycle position's slots.
 
     Either part may be ``None`` when empty (tiny subdomains have no
-    interior bricks; a neighborless rank has no surface).  Compiled
-    through :func:`compile_brick_plan`, so the sub-plans share the
-    per-geometry cache with the unphased plan.
+    interior bricks; a neighborless rank has no surface).  Each part is
+    a plan of its own through :func:`compile_brick_plan`, over the same
+    *info* as the unphased plan.
     """
     interior, surface = split_brick_slots(info, ghost_slot_mask(assignment), slots)
     return (
@@ -455,10 +404,12 @@ class ArrayStencilPlan:
     slabs of that region instead.  Like a brick plan it steps on the C
     kernel tier when ``REPRO_KERNEL_BACKEND`` allows -- one compiled
     function per extended shape, handed the box list per call -- and
-    otherwise on the codegen NumPy box kernels with a persistent
-    box-shaped tap scratch each.  Results are bit-identical to
+    otherwise runs the NumPy tap loop per box, accumulating straight
+    into the box of the output with a persistent box-shaped tap scratch.
+    Results are bit-identical to
     :func:`repro.stencil.kernels.apply_array_stencil` on those cells
-    either way.
+    either way: cells are independent, so a disjoint box cover of a
+    region equals one sweep of the whole region.
     """
 
     def __init__(
@@ -496,7 +447,7 @@ class ArrayStencilPlan:
         self.dtype = np.dtype(dtype)
         self._expected = tuple(e + 2 * ghost for e in reversed(extent))
         self.boxes = tuple(
-            checked_box(box, self._expected, spec.radius) for box in boxes
+            _checked_box(box, self._expected, spec.radius) for box in boxes
         )
         self.cells = int(
             sum(math.prod(hi - lo for lo, hi in box) for box in self.boxes)
@@ -513,15 +464,17 @@ class ArrayStencilPlan:
         return "cffi" if self._ckernel is not None else "numpy"
 
     def _numpy_steps(self) -> list:
-        return [
-            (
-                generate_array_box_kernel(
-                    self.spec, self.extent, self.ghost, box
-                ),
-                np.empty(tuple(hi - lo for lo, hi in box), dtype=self.dtype),
-            )
-            for box in self.boxes
-        ]
+        """Per box: its slices, its tap windows and its tap scratch."""
+        steps = []
+        for box in self.boxes:
+            lo = [lo for lo, _ in box]
+            shape = tuple(hi - lo for lo, hi in box)
+            steps.append((
+                tuple(slice(lo, hi) for lo, hi in box),
+                _tap_windows(self.spec, lo, shape),
+                np.empty(shape, dtype=self.dtype),
+            ))
+        return steps
 
     def execute(self, arr: np.ndarray, out: np.ndarray) -> None:
         """``out[box] = stencil(arr)`` over every planned box; *arr* and
@@ -547,12 +500,30 @@ class ArrayStencilPlan:
                 )
             if self._steps is None:
                 self._steps = self._numpy_steps()
-        for kernel, tmp in self._steps:
-            kernel(arr, out, tmp)
+        for region, taps, tmp in self._steps:
+            _run_taps(taps, arr, out[region], tmp)
 
 
 def _c_addressable(a: np.ndarray) -> bool:
     return a.dtype == np.float64 and a.flags.c_contiguous
+
+
+def _checked_box(
+    box: Sequence[Tuple[int, int]], shape: Sequence[int], radius: int
+) -> Tuple[Tuple[int, int], ...]:
+    """*box* as int pairs, or ``ValueError`` when it is empty or a
+    radius-*radius* stencil on it reads outside an array of *shape*."""
+    box = tuple((int(lo), int(hi)) for lo, hi in box)
+    if len(box) != len(shape):
+        raise ValueError("box/extent dimensionality mismatch")
+    for (lo, hi), n in zip(box, shape):
+        if lo >= hi:
+            raise ValueError(f"empty box range ({lo}, {hi})")
+        if lo - radius < 0 or hi + radius > n:
+            raise ValueError(
+                f"box range ({lo}, {hi}) reads outside the extended array"
+            )
+    return box
 
 
 def compile_array_plan(

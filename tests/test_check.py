@@ -12,15 +12,18 @@ from repro.check import (
     run_checks,
     run_selftest,
 )
+from repro.check.api import check_geometry
 from repro.check.cback import verify_cbackend
 from repro.check.report import Finding
 from repro.core.driver import run_executed
+from repro.core.geometry import RunGeometry
 from repro.core.problem import StencilProblem
 from repro.faults.errors import SplitMismatchError
 from repro.hardware.profiles import generic_host
 from repro.simmpi.fabric import SimFabric, partition_bounds
 from repro.simmpi.launcher import RankFailedError, run_spmd
 from repro.stencil import cbackend
+from repro.stencil.plan import compile_brick_plan
 from repro.stencil.spec import SEVEN_POINT
 
 
@@ -114,6 +117,35 @@ class TestSelftest:
     def test_all_mutations_detected_per_method(self, method):
         results = run_selftest(methods=(method,))
         assert all(results.values()), results
+
+
+class TestCheckedAdjacencyIsWhatRuns:
+    """Both kernel tiers address neighbours through ``info.adjacency``
+    rows alone, so the one array ``repro check`` validates is the one a
+    step reads, whichever backend is chosen."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "cffi"])
+    def test_forged_entry_is_found_and_is_what_the_plan_holds(
+        self, backend, monkeypatch
+    ):
+        if backend == "cffi" and (
+            cbackend.cffi is None or cbackend._compiler() is None
+        ):
+            pytest.skip("no C toolchain")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+        geometry = RunGeometry(problem(), "layout")
+        asn, info = geometry.assignment, geometry.brick_info
+        slots = geometry.decomp.compute_slots(asn)
+        assert check_geometry(geometry, passes=("memory",)).ok
+        info.adjacency.setflags(write=True)
+        info.adjacency[slots[3], 14] = asn.total_slots
+        report = check_geometry(geometry, passes=("memory",))
+        assert report.codes() == ["oob-adjacency"], report.render()
+        plan = compile_brick_plan(SEVEN_POINT, info, slots)
+        assert plan.kernel_backend == backend
+        assert plan._adjacency[3, 14] == asn.total_slots
+        held = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+        assert not [a for a in held if a.dtype.kind == "i" and a.ndim > 2]
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +359,7 @@ class TestCBackend:
         real = cbackend.brick_stage_boxes
 
         def wrong_face(taps, np_bd, radius):
-            rows = real(taps, np_bd, radius)
+            rows = list(real(taps, np_bd, radius))
             k = [row[0] for row in rows].index(12)  # the -x face
             column, tile_off, brick_off, extent = rows[k]
             assert brick_off != 0  # it reads the neighbour's far end

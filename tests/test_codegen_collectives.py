@@ -1,4 +1,6 @@
-"""Generated stencil kernels and simulated collectives."""
+"""The NumPy kernel tier against hand-written loops, and simulated
+collectives.  (The tier is a plain tap loop, not generated code; the
+file and class names are the ids the test floor records.)"""
 
 import numpy as np
 import pytest
@@ -7,14 +9,14 @@ from hypothesis import strategies as st
 
 from repro.simmpi import allgather, allreduce, broadcast, reduce_to_root, run_spmd
 from repro.stencil.brick_kernels import gather_halo_batch
-from repro.stencil.codegen import (
-    array_box_kernel_source,
-    batch_plan_kernel_source,
-    generate_array_box_kernel,
-    generate_batch_plan_kernel,
-)
 from repro.stencil.kernels import apply_array_stencil
+from repro.stencil.plan import ArrayStencilPlan, compile_brick_plan
 from repro.stencil.spec import CUBE125, SEVEN_POINT, star_stencil
+
+
+@pytest.fixture
+def numpy_tier(monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
 
 
 def region_box(extent, g, margin=0):
@@ -23,60 +25,43 @@ def region_box(extent, g, margin=0):
 
 
 class TestGeneratedArrayKernel:
-    """The NumPy-tier array box kernel (the C tier's fallback)."""
+    """The NumPy-tier array box sweep (the C tier's fallback)."""
 
     @pytest.mark.parametrize("spec", [SEVEN_POINT, CUBE125])
     @pytest.mark.parametrize("margin", [0, 3])
-    def test_bit_identical_to_generic(self, spec, margin):
+    def test_bit_identical_to_generic(self, spec, margin, numpy_tier):
         extent, g = (16, 16, 16), 8
         rng = np.random.default_rng(0)
         arr = rng.random(tuple(e + 2 * g for e in reversed(extent)))
         generic = np.zeros_like(arr)
         apply_array_stencil(arr, generic, spec, extent, g, margin=margin)
         fast = np.zeros_like(arr)
-        box = region_box(extent, g, margin)
-        tmp = np.empty(tuple(hi - lo for lo, hi in box))
-        generate_array_box_kernel(spec, extent, g, box)(arr, fast, tmp)
-        np.testing.assert_array_equal(generic, fast)
-
-    def test_source_is_unrolled(self):
-        src = array_box_kernel_source(
-            SEVEN_POINT, (8, 8, 8), 8, region_box((8, 8, 8), 8)
+        plan = ArrayStencilPlan(
+            spec, extent, g, boxes=[region_box(extent, g, margin)]
         )
-        assert src.count("np.multiply") == 7  # one per tap
-        assert src.count("np.add") == 6
-        assert "for " not in src
-
-    def test_cached(self):
-        box = region_box((8, 8, 8), 8)
-        a = generate_array_box_kernel(SEVEN_POINT, (8, 8, 8), 8, box)
-        b = generate_array_box_kernel(SEVEN_POINT, (8, 8, 8), 8, box)
-        assert a is b
-
-    def test_identical_stencil_content_shares_cache(self):
-        s1 = star_stencil(3, 1, name="a")
-        s2 = star_stencil(3, 1, name="b")  # same taps, different object
-        box = region_box((8, 8, 8), 8)
-        assert generate_array_box_kernel(
-            s1, (8, 8, 8), 8, box
-        ) is generate_array_box_kernel(s2, (8, 8, 8), 8, box)
+        assert plan.kernel_backend == "numpy"
+        plan.execute(arr, fast)
+        np.testing.assert_array_equal(generic, fast)
 
     def test_margin_validation(self):
         with pytest.raises(ValueError, match="outside the extended array"):
-            array_box_kernel_source(
-                SEVEN_POINT, (8, 8, 8), 8, region_box((8, 8, 8), 8, margin=8)
+            ArrayStencilPlan(
+                SEVEN_POINT, (8, 8, 8), 8,
+                boxes=[region_box((8, 8, 8), 8, margin=8)],
             )
 
     def test_dim_validation(self):
-        with pytest.raises(ValueError):
-            array_box_kernel_source(SEVEN_POINT, (8, 8), 8, ((8, 16), (8, 16)))
+        with pytest.raises(ValueError, match="dimensionality"):
+            ArrayStencilPlan(
+                SEVEN_POINT, (8, 8, 8), 8, boxes=[((8, 16), (8, 16))]
+            )
 
 
 class TestGeneratedBatchKernel:
-    """The NumPy-tier halo-batch kernel (the C tier's fallback)."""
+    """The NumPy-tier staged brick sweep (the C tier's fallback)."""
 
     @pytest.mark.parametrize("spec", [SEVEN_POINT, CUBE125])
-    def test_bit_identical_to_generic_loop(self, spec, small_decomp):
+    def test_bit_identical_to_generic_loop(self, spec, small_decomp, numpy_tier):
         from repro.brick.convert import extended_shape, extended_to_bricks
 
         d = small_decomp
@@ -99,15 +84,20 @@ class TestGeneratedBatchKernel:
             term = coeff * halo[slices]
             acc = term if acc is None else acc + term
 
-        fast = np.full_like(acc, 9.99)  # dirty accumulator
-        generate_batch_plan_kernel(spec, d.brick_dim)(
-            halo, fast, np.empty_like(acc)
+        fast, _ = d.allocate()
+        fast.data[:] = 9.99  # dirty destination
+        plan = compile_brick_plan(spec, info, slots)
+        assert plan.kernel_backend == "numpy"
+        plan.execute(storage, fast)
+        np.testing.assert_array_equal(
+            acc.reshape(len(slots), -1), fast.data[slots]
         )
-        np.testing.assert_array_equal(acc, fast)
 
-    def test_radius_check(self):
-        with pytest.raises(ValueError):
-            batch_plan_kernel_source(star_stencil(3, 9), (8, 8, 8))
+    def test_radius_check(self, small_decomp):
+        with pytest.raises(ValueError, match="radius"):
+            compile_brick_plan(
+                star_stencil(3, 9), small_decomp.brick_info(), np.arange(4)
+            )
 
 
 class TestCollectives:

@@ -25,12 +25,9 @@ from repro.brick.storage import BrickStorage
 from repro.core.driver import run_executed
 from repro.core.expansion import brick_cycle_slots
 from repro.core.problem import StencilProblem
+from repro import obs
 from repro.stencil import cbackend
 from repro.stencil.brick_kernels import apply_brick_stencil, gather_halo_batch
-from repro.stencil.codegen import (
-    array_box_kernel_source,
-    batch_plan_kernel_source,
-)
 from repro.stencil.kernels import apply_array_stencil
 from repro.stencil.plan import (
     ArrayStencilPlan,
@@ -91,6 +88,11 @@ def random_storage(info, rng, nfields=1):
     return st
 
 
+def same_bits(got, ref):
+    """Equal as raw ``uint64``: no tolerance, and NaNs / signed zeros count."""
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 CASES = [
     # (grid, brick_dim, spec builder) -- mixes dims 1-3, radii 0-2 and
     # non-cubic bricks
@@ -125,16 +127,23 @@ class TestBrickPlanBitIdentity:
         np.testing.assert_array_equal(got.data, ref.data)
 
     def test_absent_neighbours_carry_the_sentinel(self, monkeypatch):
-        """Halo cells with no source brick are exactly ``-1`` in the
-        NumPy tier's gather table (the only tier that builds one)."""
+        """A brick with no neighbour in some direction is addressed
+        through the ``-1`` of its adjacency row, the only table the
+        NumPy tier holds, and that direction's sub-box stages as zeros
+        whatever the slot ``-1`` would index holds."""
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
         info = grid_info((3, 3), (4, 3), periodic=False)
         plan = compile_brick_plan(star_stencil(2, 1), info, np.arange(9))
-        assert plan.chunks
-        for ch in plan.chunks:
-            assert ch.absent is not None and ch.index.min() == -1
-            assert (ch.index.reshape(-1)[ch.absent] == -1).all()
-            assert (np.delete(ch.index.reshape(-1), ch.absent) >= 0).all()
+        np.testing.assert_array_equal(plan._adjacency, info.adjacency)
+        assert plan._adjacency.min() == -1
+        src = BrickStorage.allocate(info.nslots + 1, 12)
+        src.data[:] = np.random.default_rng(1).random(src.data.shape)
+        src.data[-1] = np.nan  # what a wrapped -1 index reads
+        dst = BrickStorage.allocate(info.nslots + 1, 12)
+        plan.execute(src, dst)
+        tile = plan._tile[0]  # slot 0: the grid's low corner
+        assert (tile[0, 1:-1] == 0).all() and (tile[1:-1, 0] == 0).all()
+        assert np.isfinite(dst.data[:9]).all()
 
     def test_repeated_steps_reuse_buffers(self):
         """Dirty internal buffers must not leak between steps."""
@@ -249,12 +258,6 @@ class TestBrickPlanCTier:
     def _demand_c(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
 
-    @staticmethod
-    def _same_bits(got, ref):
-        np.testing.assert_array_equal(
-            got.data.view(np.uint64), ref.data.view(np.uint64)
-        )
-
     @needs_cc
     @pytest.mark.parametrize(
         "grid,brick_dim,spec,nfields,field,periodic", GEOMETRIES, ids=IDS
@@ -282,7 +285,7 @@ class TestBrickPlanCTier:
         assert plan.kernel_backend == "cffi"
         plan._tile.fill(np.nan)  # unstaged tile cells must never be read
         plan.execute(src, got)
-        self._same_bits(got, ref)
+        same_bits(got.data, ref.data)
 
     @needs_cc
     def test_holds_adjacency_rows_and_no_gather_table(self):
@@ -291,7 +294,7 @@ class TestBrickPlanCTier:
         info = grid_info((3, 3, 3), (4, 2, 3), periodic=False)
         slots = np.array([5, 0, 26, 13])
         plan = compile_brick_plan(star_stencil(3, 1), info, slots)
-        assert plan.kernel_backend == "cffi" and plan.chunks == []
+        assert plan.kernel_backend == "cffi"
         np.testing.assert_array_equal(plan._adjacency, info.adjacency[slots])
         halo = 6 * 4 * 5
         assert plan._tile.shape == (halo,)
@@ -325,7 +328,7 @@ class TestBrickPlanCTier:
             for part in (interior, surface):
                 assert part.kernel_backend == "cffi"
                 part.execute(src, cover)
-            self._same_bits(cover, whole)
+            same_bits(cover.data, whole.data)
 
     def test_plan_follows_kernel_environment(self, monkeypatch):
         """One BrickInfo, one slot set: each compile steps on the tier
@@ -363,6 +366,114 @@ class TestBrickPlanCTier:
         plan._adjacency[4, info.center_index + 1] = info.nslots
         with pytest.raises(cbackend.KernelBoundsError, match="1 out-of-range"):
             plan.execute(src, dst)
+
+
+@pytest.fixture(params=["numpy", "cffi"])
+def tier(request, monkeypatch):
+    """Run the test once per kernel tier."""
+    if request.param == "cffi" and (
+        cbackend.cffi is None or cbackend._compiler() is None
+    ):
+        pytest.skip("no C toolchain in this environment")
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
+    return request.param
+
+
+class TestBothTiers:
+    """One addressing scheme, two tiers: every plan shape the driver
+    compiles is bit-identical to the generic kernels on the NumPy tier
+    and on the C tier alike."""
+
+    SPECS = [SEVEN_POINT, CUBE125, TWENTY_FIVE_POINT_2D]
+    IDS = ["7pt", "125pt", "25pt-2d"]
+
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_brick_plan(self, tier, spec, periodic):
+        """A shuffled slot subset of the second interleaved field, in
+        chunks with a short tail, absent neighbours on the open grid,
+        dirty destination, unstaged tile cells poisoned."""
+        grid, bd = (3,) * spec.ndim, (4, 3, 5)[: spec.ndim]
+        info = grid_info(grid, bd, nfields=2, periodic=periodic)
+        rng = np.random.default_rng(31)
+        slots = rng.permutation(info.nslots)[: info.nslots - 2]
+        offset = math.prod(bd)
+        src = random_storage(info, rng, 2)
+        ref = random_storage(info, rng, 2)
+        got = random_storage(info, rng, 2)
+        got.data[:] = ref.data
+        apply_brick_stencil(spec, src, ref, info, slots, field_offset=offset)
+        plan = compile_brick_plan(spec, info, slots, offset, chunk=4)
+        assert plan.kernel_backend == tier
+        np.testing.assert_array_equal(plan._adjacency, info.adjacency[slots])
+        plan._tile.fill(np.nan)
+        plan.execute(src, got)
+        same_bits(got.data, ref.data)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_brick_phase_cover(self, tier, spec):
+        """Every ghost-expansion cycle position, whole and as interior +
+        surface, against the generic kernel."""
+        nd = spec.ndim
+        d = BrickDecomp((16,) * nd, (4,) * nd, 8)
+        rng = np.random.default_rng(32)
+        src, asn = d.allocate()
+        src.data[:] = rng.random(src.data.shape)
+        info = d.brick_info(asn)
+        for slots in brick_cycle_slots(d, asn, spec.radius):
+            ref, whole, cover = (d.allocate()[0] for _ in range(3))
+            ref.data[:] = whole.data[:] = cover.data[:] = rng.random(
+                ref.data.shape
+            )
+            apply_brick_stencil(spec, src, ref, info, slots)
+            compile_brick_plan(spec, info, slots).execute(src, whole)
+            parts = compile_brick_phase_plans(spec, info, asn, slots)
+            assert sum(len(p.slots) for p in parts if p) == len(slots)
+            for part in parts:
+                if part is not None:
+                    assert part.kernel_backend == tier
+                    part.execute(src, cover)
+            same_bits(whole.data, ref.data)
+            same_bits(cover.data, ref.data)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_array_plan(self, tier, spec):
+        """Whole region at every ghost-expansion margin, and the
+        interior + surface cover of each."""
+        extent, ghost = (10, 6, 8)[: spec.ndim], 4
+        rng = np.random.default_rng(33)
+        shape = tuple(e + 2 * ghost for e in reversed(extent))
+        arr, dirty = rng.random(shape), rng.random(shape)
+        for margin in range(ghost - spec.radius + 1):
+            ref, whole, cover = dirty.copy(), dirty.copy(), dirty.copy()
+            apply_array_stencil(arr, ref, spec, extent, ghost, margin=margin)
+            plan = compile_array_plan(spec, extent, ghost, margin)
+            assert plan.kernel_backend == tier
+            plan.execute(arr, whole)
+            for part in compile_array_phase_plans(spec, extent, ghost, margin):
+                if part is not None:
+                    part.execute(arr, cover)
+            same_bits(whole, ref)
+            same_bits(cover, ref)
+
+    @pytest.mark.parametrize(
+        "spec,cells", [(SEVEN_POINT, 8**3 + 6 * 8**2), (CUBE125, 12**3)],
+        ids=["7pt", "125pt"],
+    )
+    def test_staged_cells_counted_alike(self, tier, spec, cells, small_decomp):
+        """``plan.halo_cells_gathered`` is bricks x the tile cells of the
+        reached directions, whichever tier stages them."""
+        d = small_decomp
+        src, asn = d.allocate()
+        dst, _ = d.allocate()
+        slots = d.compute_slots(asn)
+        plan = compile_brick_plan(spec, d.brick_info(asn), slots)
+        with obs.observed(trace=False):
+            plan.execute(src, dst)
+            plan.execute(src, dst)
+        total = obs.METRICS.counter_total("plan.halo_cells_gathered")
+        obs.METRICS.clear()
+        assert total == 2 * len(slots) * cells
 
 
 class TestArrayPlanBitIdentity:
@@ -445,10 +556,6 @@ class TestArrayPlanCTier:
         shape = tuple(e + 2 * ghost for e in reversed(extent))
         return rng.random(shape), rng.random(shape)  # source, dirty dest
 
-    @staticmethod
-    def _same_bits(got, ref):
-        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
-
     @needs_cc
     @pytest.mark.parametrize("spec,extent,ghost", CASES, ids=IDS)
     def test_bit_identical_all_margins(self, spec, extent, ghost):
@@ -459,7 +566,7 @@ class TestArrayPlanCTier:
             plan = compile_array_plan(spec, extent, ghost, margin)
             assert plan.kernel_backend == "cffi"
             plan.execute(arr, got)
-            self._same_bits(got, ref)
+            same_bits(got, ref)
 
     # (a radius-0 stencil has no surface shell to split off)
     @needs_cc
@@ -477,7 +584,7 @@ class TestArrayPlanCTier:
                 if part is not None:
                     assert part.kernel_backend == "cffi"
                     part.execute(arr, cover)
-            self._same_bits(cover, whole)
+            same_bits(cover, whole)
             assert full.cells == surface.cells + (
                 interior.cells if interior is not None else 0
             )
@@ -508,7 +615,7 @@ class TestArrayPlanCTier:
         plan = compile_array_plan(SEVEN_POINT, (8, 6, 10), 4, 2)
         assert plan.kernel_backend == "numpy"
         plan.execute(arr, got_np)
-        self._same_bits(got_c, got_np)
+        same_bits(got_c, got_np)
 
     @needs_cc
     def test_unaddressable_input_never_reaches_c(self, monkeypatch):
@@ -532,7 +639,7 @@ class TestArrayPlanCTier:
             (arr, np.asfortranarray(dirty)),
         ):
             plan.execute(bad_arr, bad_out)
-            self._same_bits(np.ascontiguousarray(bad_out), ref)
+            same_bits(np.ascontiguousarray(bad_out), ref)
         # float32 data through a float64 plan: computed, not reinterpreted.
         out32 = dirty.astype(np.float32)
         plan.execute(arr.astype(np.float32), out32)
@@ -570,12 +677,12 @@ class TestArrayPlanCTier:
         a, b = dirty.copy(), dirty.copy()
         plain(arr, a, good)
         guarded(arr, b, good)
-        self._same_bits(a, b)
+        same_bits(a, b)
         for bad in ([(1, 7), (2, 8), (2, 9)], [(2, 7), (2, 8), (2, 10)]):
             out = dirty.copy()
             with pytest.raises(cbackend.KernelBoundsError, match="box"):
                 guarded(arr, out, np.array([bad], dtype=np.int64))
-            self._same_bits(out, dirty)
+            same_bits(out, dirty)
         with pytest.raises(cbackend.KernelBoundsError):
             guarded(arr[1:].copy(), dirty.copy(), good)  # array too small
 
@@ -586,17 +693,6 @@ class TestArrayPlanCTier:
             compile_array_plan(spec, (6, 6, 6), 1)
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
         assert compile_array_plan(spec, (6, 6, 6), 1).kernel_backend == "numpy"
-
-
-class TestPlanKernelSources:
-    def test_inplace_ops_only(self):
-        src = batch_plan_kernel_source(SEVEN_POINT, (8, 8, 8))
-        assert "np.multiply" in src and "out=acc" in src
-        assert " + " not in src  # no temporary-producing arithmetic
-        src = array_box_kernel_source(
-            SEVEN_POINT, (8, 8, 8), 2, ((2, 10), (2, 10), (2, 10))
-        )
-        assert "np.multiply" in src and "out=tmp" in src
 
 
 class TestGatherMarginClearing:
