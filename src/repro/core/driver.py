@@ -3,11 +3,11 @@
 Runs a :class:`~repro.core.problem.StencilProblem` for a number of
 timesteps with a chosen exchange method.  Each rank is a thread in the
 :mod:`repro.simmpi` fabric; data really moves; stencils are really applied
-(vectorized).  Per-timestep *times* are modelled via
-:func:`repro.core.model.model_timestep` (the single source of truth the
-figure benches also use), while the run additionally verifies itself: the
-assembled global result must equal the serial periodic reference
-bit-for-bit.
+(vectorized).  Per-timestep *times* are modelled: each exchange a rank
+fires is charged, into the rank's one ledger, the price of the plan it
+bound (the pricer the figure benches' model also uses), while the run
+additionally verifies itself: the assembled global result must equal the
+serial periodic reference bit-for-bit.
 
 This module sets a run up and never steps time itself.  The launching
 thread builds one :class:`~repro.core.geometry.RunGeometry` per launched
@@ -21,7 +21,8 @@ binds its plan to each buffer, wraps the exchange engines into a
 :class:`~repro.core.runplan.RankRunPlan`, attaches the requested
 features as step hooks (crash check, checkpoint save, degradation vote,
 envelope retry, dirty tracking) and replays the plan.  Every run,
-whatever is switched on, goes through that one loop.
+whatever is switched on, goes through that one loop, and returns its
+ledger (:class:`~repro.core.metrics.RankMetrics`), result and coords.
 """
 
 from __future__ import annotations
@@ -41,14 +42,9 @@ from repro.core.expansion import (
     resolve_period,
 )
 from repro.core.geometry import RunGeometry
-from repro.core.methods import MethodInfo, method_info
+from repro.core.methods import method_info
 from repro.core.metrics import RankMetrics, RunMetrics
-from repro.core.model import (
-    compute_time,
-    compute_time_table,
-    exchange_breakdown,
-    first_touch_penalty,
-)
+from repro.core.model import compute_time
 from repro.core.problem import StencilProblem
 from repro.core.runplan import DEFAULT_PARTITIONS, RankRunPlan, make_engines
 from repro.ckpt import (
@@ -73,7 +69,6 @@ from repro.faults.runtime import FaultInjector
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 from repro.exchange.base import ExchangeChannel, ExchangeResult
-from repro.exchange.costs import overlap_times
 from repro.hardware.profiles import MachineProfile, generic_host
 from repro.simmpi.collectives import allreduce
 from repro.simmpi.comm import SimComm
@@ -93,16 +88,13 @@ __all__ = ["ExecutedRun", "run_executed"]
 
 @dataclass
 class ExecutedRun:
-    """Everything one executed run produced."""
+    """Everything one executed run produced; the per-exchange message
+    figures and ``hidden_comm_s`` are rank 0's, read off its ledger."""
 
     method: str
     global_result: np.ndarray
     metrics: RunMetrics
     fabric: SimFabric
-    messages_per_rank: int
-    wire_bytes_per_rank: int
-    padding_fraction: float
-    mapping_count: int  # MemMap only; 0 otherwise
     exchange_period: int = 1  # steps between exchanges (ghost expansion)
     final_method: str = ""  # exchange engine in use at the end of the run
     demotions: int = 0  # total degradation-ladder steps across all ranks
@@ -112,7 +104,6 @@ class ExecutedRun:
     checkpoint_saves: int = 0  # snapshots committed by rank 0
     checkpoint_bytes: int = 0  # snapshot bytes written across all ranks
     overlap: bool = False  # phased (interior/surface) execution ran
-    hidden_comm_s: float = 0.0  # modelled wait hidden behind interior calc
     reshapes: int = 0  # elastic reshapes after permanent rank deaths
     final_rank_dims: Tuple[int, ...] = ()  # decomposition the run ended on
     dead_ranks: Tuple[int, ...] = ()  # old-world ranks lost permanently
@@ -121,12 +112,31 @@ class ExecutedRun:
     kernel_backend: str = ""
 
     @property
-    def hidden_comm_fraction(self) -> float:
-        """Modelled fraction of wire wait hidden by interior compute.
+    def messages_per_rank(self) -> int:
+        return self.metrics.ranks[0].messages_per_exchange
 
-        Rank 0's run totals, like the message counters: hidden over
-        (hidden + still-visible wait).  Zero for unphased runs.
-        """
+    @property
+    def wire_bytes_per_rank(self) -> int:
+        return self.metrics.ranks[0].wire_bytes_per_exchange
+
+    @property
+    def padding_fraction(self) -> float:
+        return self.metrics.ranks[0].padding_fraction
+
+    @property
+    def mapping_count(self) -> int:
+        """Live stitched-view mappings (MemMap only; 0 otherwise)."""
+        return self.metrics.ranks[0].mappings
+
+    @property
+    def hidden_comm_s(self) -> float:
+        return self.metrics.ranks[0].hidden_s
+
+    @property
+    def hidden_comm_fraction(self) -> float:
+        """Modelled fraction of wire wait hidden by interior compute:
+        hidden over (hidden + still-visible wait).  Zero for unphased
+        runs."""
         visible = self.metrics.ranks[0].totals.wait
         total = self.hidden_comm_s + visible
         return self.hidden_comm_s / total if total > 0.0 else 0.0
@@ -171,6 +181,10 @@ class _RankState:
     result: Callable[[int], np.ndarray]  # copy of buffer i's owned region
     exchangers: list = field(default_factory=list)
     ladder_level: Optional[int] = None  # None: no degradation ladder
+    # What the launching thread reads once the world has joined.
+    checkpointer: Optional[RankCheckpointer] = None
+    resumed_epoch: int = -1  # negotiated restore epoch (-1: from scratch)
+    phased: bool = False  # the run ended on interior/surface phasing
 
     def close(self) -> None:
         """Unmap the views and release the arenas.
@@ -299,13 +313,13 @@ def _brick_state(geometry: RunGeometry, period: int) -> _RankState:
 _LADDER = ("memmap", "basic", "brickpack")
 
 
-def _demote(level: int, rank: int, injector, counters: dict, step: int) -> int:
-    """Account one collective step down the ladder; returns the new level."""
+def _demote(level: int, rank: int, injector, step: int) -> int:
+    """Record one collective step down the ladder; returns the new level
+    (a rank's demotion count *is* its ladder level)."""
     if level + 1 >= len(_LADDER):
         raise RuntimeError(
             "degradation ladder exhausted: even brick packing failed"
         )
-    counters["demotions"] += 1
     if injector is not None:
         injector.record("demoted", src=rank, step=step)
     if _METRICS.enabled:
@@ -315,8 +329,7 @@ def _demote(level: int, rank: int, injector, counters: dict, step: int) -> int:
 
 
 def _build_ladder(
-    cart, geometry: RunGeometry, state: _RankState, level, injector, counters,
-    step,
+    cart, geometry: RunGeometry, state: _RankState, level, injector, step
 ):
     """Bind *state* to exchangers at *level*, demoting collectively on
     failure.
@@ -337,7 +350,7 @@ def _build_ladder(
             state.exchangers, state.ladder_level = built, level
             return
         _close_all(built)
-        level = _demote(level, cart.rank, injector, counters, step)
+        level = _demote(level, cart.rank, injector, step)
 
 
 def _vmem_probe_failed(storage) -> bool:
@@ -351,7 +364,7 @@ def _vmem_probe_failed(storage) -> bool:
 
 
 def _ladder_vote(
-    cart, geometry: RunGeometry, state: _RankState, injector, counters, t, src
+    cart, geometry: RunGeometry, state: _RankState, injector, t, src
 ) -> bool:
     """Degradation vote: a rank whose mapping machinery fails a live
     probe asks for demotion; allreduce-max keeps every rank on the same
@@ -370,8 +383,8 @@ def _ladder_vote(
     if not int(allreduce(cart, np.asarray(want), np.maximum)):
         return False
     _close_all(state.exchangers)
-    level = _demote(state.ladder_level, rank, injector, counters, t)
-    _build_ladder(cart, geometry, state, level, injector, counters, t)
+    level = _demote(state.ladder_level, rank, injector, t)
+    _build_ladder(cart, geometry, state, level, injector, t)
     return True
 
 
@@ -447,79 +460,9 @@ def _require_healable(geometry: RunGeometry) -> None:
         )
 
 
-def _modelled_totals(
-    profile: MachineProfile,
-    info: MethodInfo,
-    problem: StencilProblem,
-    page_size: Optional[int],
-    timesteps: int,
-    period: int,
-    computed_points: list,
-    overlap_points: Optional[int] = None,
-) -> Tuple[TimeBreakdown, float]:
-    """Accumulate modelled time over a run with exchange period *period*.
-
-    ``computed_points[pos]`` is the number of stencil points evaluated at
-    cycle position *pos* (redundant computation included).
-
-    *overlap_points* (phased runs only) is the number of interior stencil
-    points computed while the exchange is in flight: the modelled wire
-    wait shrinks by the interior kernel time it hides behind, and the
-    hidden seconds are returned separately so the run can report an
-    overlap-efficiency figure.  Returns ``(totals, hidden_seconds)``.
-    """
-    ext = problem.subdomain_extent
-    spec = problem.stencil
-    exch = exchange_breakdown(
-        profile, info.name, ext, problem.brick_dim, problem.ghost,
-        problem.layout, page_size, spec.itemsize,
-    )
-    um_penalty = first_touch_penalty(
-        profile, info, ext, problem.brick_dim, problem.ghost,
-        problem.layout, page_size, spec.itemsize,
-    )
-
-    interior_calc = (
-        compute_time(profile, info, int(overlap_points), spec)
-        if overlap_points is not None
-        else None
-    )
-
-    # Per-cycle-position kernel times, priced once (the timing analogue
-    # of the compiled execution plans: O(period) model evaluations, not
-    # O(timesteps)).  Accumulation order is unchanged, so totals stay
-    # bit-identical to the per-step evaluation.
-    calc_table = compute_time_table(profile, info, computed_points, spec)
-    totals = TimeBreakdown()
-    hidden_total = 0.0
-    for t in range(timesteps):
-        pos = t % period
-        calc = calc_table[pos]
-        if pos == 0:
-            calc += um_penalty
-            wait = exch.wait
-            if interior_calc is not None:
-                # Phased execution: only the interior kernel time runs
-                # while the wire completes, so exactly that much wait is
-                # hidden (an explicit price, replacing the whole-calc
-                # discount the overlapping GPU methods model).
-                wait, hidden = overlap_times(wait, interior_calc)
-                hidden_total += hidden
-            elif info.overlaps:
-                wait = max(0.0, wait - calc)
-            totals.charge("pack", exch.pack)
-            totals.charge("call", exch.call)
-            totals.charge("wait", wait)
-            totals.charge("move", exch.move)
-        totals.charge("calc", calc)
-    return totals, hidden_total
-
-
-
 def _ckpt_meta(
     t: int,
-    counters: dict,
-    measured: TimeBreakdown,
+    ledger: RankMetrics,
     ladder_level,
     period: int,
     adjacency_crc: int,
@@ -528,8 +471,7 @@ def _ckpt_meta(
     """Everything besides the field bytes a resumed rank needs back."""
     return {
         "step": int(t),
-        "counters": {k: int(v) for k, v in counters.items()},
-        "measured": measured.as_dict(),
+        "ledger": ledger.record(),
         "ladder_level": ladder_level,
         "period": int(period),
         "adjacency_crc": int(adjacency_crc),
@@ -539,8 +481,7 @@ def _ckpt_meta(
 
 def _ckpt_apply_meta(
     meta: dict,
-    counters: dict,
-    measured: TimeBreakdown,
+    ledger: RankMetrics,
     period: int,
     adjacency_crc: int,
     injector: Optional[FaultInjector],
@@ -556,9 +497,12 @@ def _ckpt_apply_meta(
             "snapshot adjacency/layout permutation does not match the"
             " rebuilt BrickInfo"
         )
-    counters.update({k: int(v) for k, v in meta["counters"].items()})
-    for phase, seconds in meta["measured"].items():
-        setattr(measured, phase, seconds)
+    if "ledger" not in meta:
+        raise CheckpointError(
+            "snapshot carries no run ledger: it was written before the"
+            " ledger was checkpointed as one record and cannot be resumed"
+        )
+    ledger.restore(meta["ledger"])
     if injector is not None:
         injector.mark_fired(meta.get("fired_crashes") or ())
     return int(meta["step"])
@@ -572,14 +516,13 @@ def _rank_fn(
     exchange_period,
     overlap: bool,
     injector: Optional[FaultInjector],
-    envelope: bool,
-    retry: Optional[RetryPolicy],
+    retry: Optional[RetryPolicy],  # None: no envelope on the fabric
     degrade_enabled: bool,
     ckpt: Optional[CheckpointConfig],
     states: List[_RankState],
 ):
     problem, method, profile = geometry.problem, geometry.method, geometry.profile
-    info = method_info(method)
+    info, spec = method_info(method), problem.stencil
     cart = comm.Create_cart(
         problem.rank_dims, periods=[problem.periodic] * problem.ndim
     )
@@ -593,10 +536,10 @@ def _rank_fn(
     # The launching thread closes the state once every rank has joined.
     states.append(state)
 
-    counters = {"msgs": 0, "wire": 0, "payload": 0, "maps": 0, "demotions": 0}
-    measured = TimeBreakdown()  # wall-clock of the real kernel path
+    # The one ledger of this rank: the run loop charges it, the
+    # checkpoint meta saves and restores it as one record.
+    ledger = RankMetrics(rank, measured=TimeBreakdown())
     start_step = 0
-    resumed_epoch = -1
     restore_level = 0
     cp = snap = None
     if ckpt is not None:
@@ -604,6 +547,7 @@ def _rank_fn(
         slot_key = geometry.slot_key
         key = problem_key(problem, seed, method, *slot_key, period)
         cp = RankCheckpointer(ckpt, rank, snap.chunk_specs, key, slot_key[1])
+        state.checkpointer = cp
         adjacency_crc = geometry.adjacency_crc
         if ckpt.resume:
             epoch = negotiate_epoch(cart, cp.verified_epochs(), allreduce)
@@ -613,21 +557,19 @@ def _rank_fn(
                 # (vmem re-attach).
                 meta = cp.restore(epoch, snap.chunks[0])
                 start_step = _ckpt_apply_meta(
-                    meta, counters, measured, period, adjacency_crc, injector
+                    meta, ledger, period, adjacency_crc, injector
                 )
                 restore_level = int(meta.get("ladder_level") or 0)
-                resumed_epoch = epoch
+                state.resumed_epoch = epoch
 
     # Bind this rank's frozen plan to each buffer.  A MemMap binding can
     # fail here (mapping budget, mmap refusal): the ladder catches that.
     if degrade_enabled and info.base == "memmap":
-        _build_ladder(
-            cart, geometry, state, restore_level, injector, counters, -1
-        )
+        _build_ladder(cart, geometry, state, restore_level, injector, -1)
     else:
         for buf in state.buffers:
             state.exchangers.append(geometry.bind(info.base, cart, buf))
-    if resumed_epoch < 0:
+    if state.resumed_epoch < 0:
         state.fill(geometry.initial(seed)[problem.owned_slices(cart.coords)])
 
     # Persistent channels (negotiated once, re-fired batched every step)
@@ -636,11 +578,15 @@ def _rank_fn(
     partitions = DEFAULT_PARTITIONS if overlap else 1
     engines = make_engines(state.exchangers, partitions)
     channels = all(isinstance(e, ExchangeChannel) for e in engines)
-    split, overlap_points = None, None
+    split, interior_cost = None, 0.0
     if overlap and channels:
-        split, overlap_points = state.compile_split()
+        split, interior_points = state.compile_split()
+        interior_cost = compute_time(profile, info, interior_points, spec)
     rp = RankRunPlan(
-        engines, state.plans, state.buffers, period, split, rank, info.name
+        engines, state.plans, state.buffers, period, split, rank, info.name,
+        # Kernel time per cycle position, priced once per run.
+        [compute_time(profile, info, n, spec) for n in state.computed_points],
+        interior_cost, info.overlaps,
     )
 
     def pre_step(t: int, src: int):
@@ -655,20 +601,20 @@ def _rank_fn(
                 t,
                 snap.chunks[src],
                 _ckpt_meta(
-                    t, counters, measured, state.ladder_level, period,
-                    adjacency_crc, injector,
+                    t, ledger, state.ladder_level, period, adjacency_crc,
+                    injector,
                 ),
             )
         if (
             state.ladder_level is not None
             and t % period == 0
-            and _ladder_vote(cart, geometry, state, injector, counters, t, src)
+            and _ladder_vote(cart, geometry, state, injector, t, src)
         ):
             return make_engines(state.exchangers, partitions)
 
     if injector is not None or cp is not None or state.ladder_level is not None:
         rp.pre_step = pre_step
-    if envelope and channels:
+    if retry is not None and channels:
         # Healing lives on the bound item; Shift's per-message rounds are
         # verified as detection only, so there is nothing to re-fire.
         rp.around_exchange = lambda t, fire: _exchange_with_retry(
@@ -679,33 +625,15 @@ def _rank_fn(
         rp.post_exchange = lambda: dirty.mark_slots(snap.ghost_slots)
         rp.post_calc = lambda pos: dirty.mark_slots(snap.dirty_slots[pos])
 
-    src = rp.run(start_step, timesteps, counters, measured)
+    src = rp.run(start_step, timesteps, ledger)
 
     if info.base == "memmap":
         # After a demotion the live engine may have no mappings at all.
-        counters["maps"] = getattr(state.exchangers[0], "mapping_count", 0)
+        ledger.mappings = getattr(state.exchangers[0], "mapping_count", 0)
         if _METRICS.enabled:
-            _METRICS.gauge("memmap.regions", counters["maps"], rank=rank)
-    phased = rp.splits is not None  # a demotion may have ended phasing
-    totals, hidden_s = _modelled_totals(
-        profile, info, problem, geometry.page_size, timesteps, period,
-        state.computed_points, overlap_points if phased else None,
-    )
-    return {
-        "coords": cart.coords,
-        "result": state.result(src),
-        "totals": totals,
-        "measured": measured,
-        "counters": counters,
-        "period": period,
-        "final_method": state.exchangers[0].method,
-        "resumed_epoch": resumed_epoch,
-        "ckpt_saves": cp.saves if cp is not None else 0,
-        "ckpt_bytes": cp.saved_bytes if cp is not None else 0,
-        "overlap": phased,
-        "hidden_s": hidden_s,
-        "kernel_backend": state.plans[0].kernel_backend,
-    }
+            _METRICS.gauge("memmap.regions", ledger.mappings, rank=rank)
+    state.phased = rp.splits is not None  # a demotion may have ended phasing
+    return ledger, state.result(src), cart.coords
 
 
 def _elastic_reshape(
@@ -714,15 +642,14 @@ def _elastic_reshape(
     seed: int,
     exchange_period,
     injector: FaultInjector,
-    topology,
     n: int,
 ):
     """One elastic recovery round after a permanent rank death.
 
-    Plans the shrunken world, builds its geometry, negotiates the newest
-    epoch verified on every old rank, re-bricks it into a fresh store
-    under the old one (``reshape<n>/``) and returns ``(new_geometry,
-    new_ckpt, dead)`` for the relaunch.  No common epoch degrades to a
+    Plans the shrunken world (one rank per node), builds its geometry,
+    negotiates the newest epoch verified on every old rank, re-bricks it
+    into a fresh store under the old one (``reshape<n>/``) and returns
+    ``(new_geometry, new_ckpt, dead)`` for the relaunch.  No common epoch degrades to a
     from-scratch reshape: the new world starts empty and recomputes --
     still bit-exact.  Imported lazily: :mod:`repro.elastic` sits above
     this module.
@@ -739,7 +666,7 @@ def _elastic_reshape(
         injector.death_due(r, s)
     dead = sorted({r for r, _ in injector.died()})
     problem, profile = geometry.problem, geometry.profile
-    plan = plan_recovery(problem, dead, topology, profile.network)
+    plan = plan_recovery(problem, dead, None, profile.network)
     new_geometry = RunGeometry(
         plan.new_problem, geometry.method, profile, geometry.page_size
     )
@@ -801,17 +728,13 @@ def run_executed(
     overlap: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     verify_wire: bool = False,
-    retry: Optional[RetryPolicy] = None,
     degrade: Optional[bool] = None,
     fabric_timeout: Optional[float] = None,
     checkpoint_dir=None,
     checkpoint_period: Optional[int] = None,
     checkpoint_mode: str = "incr",
     resume: bool = False,
-    max_restarts: Optional[int] = None,
     elastic: bool = False,
-    topology=None,
-    max_reshapes: Optional[int] = None,
     check: Optional[str] = None,
 ) -> ExecutedRun:
     """Run the problem end-to-end on simulated ranks; see module docs.
@@ -841,16 +764,14 @@ def run_executed(
     (enveloped) exchange.  *verify_wire* turns envelopes on without any
     injection.  Envelope headers and retries cost wall-clock only:
     modelled bytes/times and the numerical results are unchanged.
-    Wire faults are injected into, and healed on, a channel's bound
-    items; a multi-phase schedule (Shift) has no channel and its
-    per-message rounds are verified as detection only, so a plan with
-    wire-fault probabilities is refused for it up front with
+    Detected faults are healed by the standard
+    :class:`~repro.faults.RetryPolicy`.  Wire faults are injected into,
+    and healed on, a channel's bound items; a multi-phase schedule
+    (Shift) has no channel and its per-message rounds are verified as
+    detection only, so a plan with wire-fault probabilities is refused
+    for it up front with
     :class:`~repro.faults.errors.ExchangeConfigError` (crash- and
     death-only plans are fine).
-
-    *retry*: :class:`~repro.faults.RetryPolicy` healing detected faults
-    (defaults to the standard policy whenever envelopes are on; pass
-    ``RetryPolicy(max_retries=0)`` to fail on first detection).
 
     *degrade*: enable the MemMap->Layout->Pack demotion ladder (defaults
     to on exactly when the plan schedules degradation events).
@@ -867,8 +788,8 @@ def run_executed(
     scheduled crashes in *fault_plan* become survivable: the world is
     relaunched from the latest globally consistent epoch and the run
     continues bit-exactly.  *resume* restores from an existing store
-    before the first step (cold restart).  *max_restarts* bounds the
-    relaunches (default: the number of distinct scheduled crashes).
+    before the first step (cold restart).  Relaunches are bounded by
+    the number of distinct scheduled crashes.
 
     *check*: ahead-of-run static verification (``repro.check``).
     ``"strict"`` verifies the schedule and plan memory of every world
@@ -884,16 +805,17 @@ def run_executed(
 
     *elastic*: survive *permanent* rank deaths (``fault_plan.deaths``).
     Requires a checkpoint store.  When a rank dies, the survivors agree
-    on a shrunken decomposition that avoids the failed nodes
-    (*topology*, a :class:`~repro.elastic.ClusterTopology`; default one
-    rank per node), negotiate the newest epoch verified on every old
-    rank, re-brick that epoch's snapshots onto the new decomposition and
+    on a shrunken decomposition that avoids the failed nodes (one rank
+    per node), negotiate the newest epoch verified on every old rank,
+    re-brick that epoch's snapshots onto the new decomposition and
     relaunch.  With no common epoch the reshaped world recomputes from
-    the seeded initial state -- still bit-exact, just slower.
-    *max_reshapes* bounds reshape rounds (default: the number of
-    distinct scheduled deaths).  Elastic restart requires a periodic
-    problem (ghost shells are rebuilt by periodic wrap).  Without a
-    checkpoint store a death is still *detected* -- peers fail fast with
+    the seeded initial state -- still bit-exact, just slower.  Reshape
+    rounds are bounded by the number of distinct scheduled deaths.  The
+    reshaped world's ledger starts at the restored epoch, so per-step
+    and per-exchange figures describe the world that finished.
+    Elastic restart requires a periodic problem (ghost shells are
+    rebuilt by periodic wrap).  Without a checkpoint store a death is
+    still *detected* -- peers fail fast with
     :class:`~repro.faults.RankDeadError` -- but not recovered.
     """
     if timesteps <= 0:
@@ -909,8 +831,7 @@ def run_executed(
         raise ValueError(f"check={check!r}: expected None, 'strict' or 'warn'")
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     envelope = verify_wire or injector is not None
-    if envelope and retry is None:
-        retry = RetryPolicy()
+    retry = RetryPolicy() if envelope else None
     if degrade is None:
         degrade = bool(fault_plan is not None and fault_plan.degrade)
 
@@ -930,18 +851,13 @@ def run_executed(
         # Checkpointing turns scheduled crashes into survivable events:
         # each fires once, then the relaunched world sails past it.
         injector.survivable = True
-    if max_restarts is None:
-        max_restarts = (
-            len(set(fault_plan.crashes))
-            if ckpt is not None and fault_plan is not None
-            else 0
-        )
-    if max_reshapes is None:
-        max_reshapes = (
-            len({r for r, _ in fault_plan.deaths})
-            if elastic and fault_plan is not None
-            else 0
-        )
+    # Each scheduled crash / death is survived at most once.
+    max_restarts = max_reshapes = 0
+    if fault_plan is not None:
+        if ckpt is not None:
+            max_restarts = len(set(fault_plan.crashes))
+        if elastic:
+            max_reshapes = len({r for r, _ in fault_plan.deaths})
 
     # Everything the ranks of this world share, built once, here.
     geometry = RunGeometry(problem, method, profile, page_size)
@@ -968,7 +884,7 @@ def run_executed(
         try:
             outs = run_spmd(
                 nranks, _rank_fn, geometry, timesteps, seed, exchange_period,
-                overlap, injector, envelope, retry, degrade, cur_ckpt, states,
+                overlap, injector, retry, degrade, cur_ckpt, states,
                 fabric=fabric,
             )
             break
@@ -1001,7 +917,7 @@ def run_executed(
                 # A different world is a different schedule: verify it too.
                 geometry, cur_ckpt, newly_dead = _elastic_reshape(
                     geometry, cur_ckpt, seed, exchange_period, injector,
-                    topology, reshapes + 1,
+                    reshapes + 1,
                 )
                 _preflight(geometry, check, overlap)
                 dead_total.extend(newly_dead)
@@ -1015,50 +931,38 @@ def run_executed(
     global_result = np.empty(
         tuple(reversed(cur_problem.global_extent)), dtype=cur_problem.dtype
     )
-    for out in outs:
-        global_result[cur_problem.owned_slices(out["coords"])] = out["result"]
+    for _, result, coords in outs:
+        global_result[cur_problem.owned_slices(coords)] = result
 
-    ranks = [
-        RankMetrics(
-            rank=i,
-            timesteps=timesteps,
-            totals=out["totals"],
-            measured=out["measured"],
-        )
-        for i, out in enumerate(outs)
-    ]
-    metrics = RunMetrics(
-        method=method,
-        points_per_rank=cur_problem.points_per_rank,
-        nranks=cur_problem.nranks,
-        timesteps=timesteps,
-        ranks=ranks,
+    # Collective facts: every rank of the launch that finished agrees on
+    # them, so any rank's state tells (they join in no particular order).
+    state = states[0]
+    final_base = (
+        info.base if state.ladder_level is None else _LADDER[state.ladder_level]
     )
-    c0 = outs[0]["counters"]
-    payload = c0["payload"]
-    period = outs[0]["period"]
-    n_exchanges = max(1, -(-timesteps // period))
+    checkpointers = [s.checkpointer for s in states if s.checkpointer is not None]
     return ExecutedRun(
         method=method,
         global_result=global_result,
-        metrics=metrics,
+        metrics=RunMetrics(
+            method=method,
+            points_per_rank=cur_problem.points_per_rank,
+            nranks=cur_problem.nranks,
+            timesteps=timesteps,
+            ranks=[ledger for ledger, _, _ in outs],
+        ),
         fabric=fabric,
-        messages_per_rank=c0["msgs"] // n_exchanges,
-        wire_bytes_per_rank=c0["wire"] // n_exchanges,
-        padding_fraction=(c0["wire"] - payload) / payload if payload else 0.0,
-        mapping_count=c0["maps"],
-        exchange_period=period,
-        final_method=outs[0]["final_method"],
-        demotions=sum(out["counters"]["demotions"] for out in outs),
+        exchange_period=resolve_period(cur_problem, method, exchange_period),
+        final_method=geometry.schedule(final_base)[0][0].method,
+        demotions=sum(s.ladder_level or 0 for s in states),
         faults=injector.summary() if injector is not None else None,
         restarts=restarts,
-        resumed_epoch=outs[0]["resumed_epoch"],
-        checkpoint_saves=outs[0]["ckpt_saves"],
-        checkpoint_bytes=sum(out["ckpt_bytes"] for out in outs),
-        overlap=outs[0]["overlap"],
-        hidden_comm_s=outs[0]["hidden_s"],
+        resumed_epoch=state.resumed_epoch,
+        checkpoint_saves=checkpointers[0].saves if checkpointers else 0,
+        checkpoint_bytes=sum(cp.saved_bytes for cp in checkpointers),
+        overlap=state.phased,
         reshapes=reshapes,
         final_rank_dims=tuple(cur_problem.rank_dims),
         dead_ranks=tuple(sorted(set(dead_total))),
-        kernel_backend=outs[0]["kernel_backend"],
+        kernel_backend=state.plans[0].kernel_backend,
     )

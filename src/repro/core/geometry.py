@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.brick.convert import element_permutation
 from repro.core.methods import method_info, resolve_page_size
+from repro.core.model import make_transport
 from repro.core.problem import StencilProblem
 from repro.exchange import make_exchanger, schedule_template
 from repro.exchange.base import (
@@ -94,6 +95,11 @@ class RunGeometry:
         self.problem = problem
         self.method = method
         self.profile = profile or generic_host()
+        # A GPU method's plans are priced over its transport (raises for
+        # a profile without a GPU, before any rank starts).
+        self.transport = (
+            make_transport(info, self.profile) if info is not None else None
+        )
         self.extent = problem.subdomain_extent
         self.ghost = problem.ghost
         self.extended_shape = tuple(
@@ -146,7 +152,9 @@ class RunGeometry:
             # Equal partnered directions, equal specs, equal price.
             present = tuple(m.spec.neighbor for m in plan.sends)
             if present not in priced:
-                priced[present] = price_plan(plan, self.profile)
+                priced[present] = price_plan(
+                    plan, self.profile, self.transport
+                )
             plans.append(plan)
             results.append(priced[present])
         return tuple(plans), tuple(results)

@@ -1,4 +1,4 @@
-"""Run metrics in the paper artifact's format.
+"""Run metrics in the paper artifact's format, and the per-rank ledger.
 
 The artifact reports, per run: ``calc``, ``pack``, ``call``, ``wait``
 (seconds per timestep, ``[minimum, average, maximum]`` across ranks) and
@@ -9,7 +9,7 @@ GPU staging and communication/computation totals used by the figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.util.stats import MinAvgMax, summarize
@@ -20,23 +20,62 @@ __all__ = ["RankMetrics", "RunMetrics"]
 
 @dataclass
 class RankMetrics:
-    """One rank's accumulated phase times over a run.
+    """One rank's ledger: everything an executed run counted and priced.
 
     ``totals`` holds *modelled* virtual seconds (the single source of
     truth for figures); ``measured``, when present, holds wall-clock
-    seconds the run plan clocked around the real kernel path -- how
-    kernel speed is observed without perturbing the model.
+    seconds the run plan clocked around the real kernel path.  The run
+    loop (:meth:`repro.core.runplan.RankRunPlan.run`) is the only
+    writer: per step the calc, per fired exchange the counts and price
+    of the :class:`~repro.exchange.base.ExchangeResult` the engine that
+    fired was bound with.  ``timesteps`` / ``exchanges`` are what the
+    ledger covers -- after an elastic reshape, the world that finished
+    -- and every per-step / per-exchange figure divides by them.
     """
 
     rank: int
-    timesteps: int
-    totals: TimeBreakdown
+    timesteps: int = 0
+    totals: TimeBreakdown = field(default_factory=TimeBreakdown)
     measured: Optional[TimeBreakdown] = None
+    exchanges: int = 0
+    messages: int = 0
+    wire_bytes: int = 0
+    payload_bytes: int = 0
+    hidden_s: float = 0.0  # modelled wait hidden behind interior calc
+    mappings: int = 0  # live MemMap view mappings at the end of the run
 
     def per_timestep(self) -> TimeBreakdown:
         if self.timesteps <= 0:
             raise ValueError("no timesteps recorded")
         return self.totals.scaled(1.0 / self.timesteps)
+
+    @property
+    def messages_per_exchange(self) -> int:
+        return self.messages // max(1, self.exchanges)
+
+    @property
+    def wire_bytes_per_exchange(self) -> int:
+        return self.wire_bytes // max(1, self.exchanges)
+
+    @property
+    def padding_fraction(self) -> float:
+        if not self.payload_bytes:
+            return 0.0
+        return (self.wire_bytes - self.payload_bytes) / self.payload_bytes
+
+    def record(self) -> dict:
+        """What a checkpoint saves (JSON round-trips floats exactly, so
+        a resumed run accumulates the same bits)."""
+        return asdict(self)
+
+    def restore(self, record: dict) -> None:
+        """Re-install a :meth:`record`; an empty one restarts the ledger
+        (a re-bricked snapshot: the old world's traffic means nothing
+        under the new decomposition)."""
+        for name, value in record.items():
+            if name in ("totals", "measured"):
+                value = TimeBreakdown(**value)
+            setattr(self, name, value)
 
 
 @dataclass

@@ -6,17 +6,17 @@ allocated), using the combinatorial schedules and the machine profile's
 cost models.  This powers every figure bench, including the strong-scaling
 sweeps up to 1024 nodes that cannot be executed in-process.
 
-The executed driver reports the same quantities from the exchangers'
-internal plans; the test suite asserts the two agree.
+An executed run charges the same quantities from the plans its ranks
+bound, through the same pricer, ``exchange.costs.price_exchange``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.core.methods import MethodInfo, method_info, resolve_page_size
-from repro.exchange.costs import exchange_times
+from repro.exchange.costs import price_exchange
 from repro.exchange.schedule import (
     array_schedule,
     basic_brick_schedule,
@@ -39,9 +39,7 @@ from repro.util.timing import TimeBreakdown
 
 __all__ = [
     "compute_time",
-    "compute_time_table",
     "exchange_breakdown",
-    "first_touch_penalty",
     "model_timestep",
     "make_transport",
 ]
@@ -96,26 +94,6 @@ def compute_time(
     )
 
 
-def compute_time_table(
-    profile: MachineProfile,
-    info: MethodInfo,
-    points_per_position: Sequence[int],
-    stencil: StencilSpec,
-) -> List[float]:
-    """Kernel time per exchange-cycle position, evaluated once.
-
-    The timing analogue of a compiled execution plan
-    (:mod:`repro.stencil.plan`): the executed driver's accounting loop
-    looks the per-step cost up in this table instead of re-pricing the
-    roofline model every timestep, so the modelled bookkeeping is
-    ``O(period)`` model evaluations rather than ``O(timesteps)``.
-    """
-    return [
-        compute_time(profile, info, int(points), stencil)
-        for points in points_per_position
-    ]
-
-
 def _schedules(
     info: MethodInfo,
     profile: MachineProfile,
@@ -157,6 +135,26 @@ def _schedules(
     return [(specs, mirror_schedule(specs))]
 
 
+def _priced(
+    profile: MachineProfile,
+    info: MethodInfo,
+    extent: Sequence[int],
+    brick_dim: Sequence[int],
+    ghost: int,
+    layout: Optional[Sequence[BitSet]],
+    page_size: Optional[int],
+    itemsize: int,
+) -> Tuple[TimeBreakdown, float]:
+    """The one pricer over the method's combinatorial phases:
+    ``(exchange breakdown, first-touch penalty)``."""
+    phases = _schedules(
+        info, profile, extent, brick_dim, ghost, layout, page_size, itemsize
+    )
+    return price_exchange(
+        profile, phases, info.copy, make_transport(info, profile)
+    )
+
+
 def exchange_breakdown(
     profile: MachineProfile,
     method: str,
@@ -168,41 +166,10 @@ def exchange_breakdown(
     itemsize: int = 8,
 ) -> TimeBreakdown:
     """Modelled pack/call/wait/move of one exchange (no calc)."""
-    info = method_info(method)
-    transport = make_transport(info, profile)
-    net = transport.network() if transport else profile.network
-    phases = _schedules(
-        info, profile, extent, brick_dim, ghost, layout, page_size, itemsize
-    )
-    bd = exchange_times(profile, net, phases, info.copy)
-    if transport is not None:
-        sends = [m for phase_sends, _ in phases for m in phase_sends]
-        recvs = [m for _, phase_recvs in phases for m in phase_recvs]
-        bd.charge("wait", transport.extra_wait(sends, recvs))
-        bd.charge("move", transport.move(sends, recvs))
-    return bd
-
-
-def first_touch_penalty(
-    profile: MachineProfile,
-    info: MethodInfo,
-    extent: Sequence[int],
-    brick_dim: Sequence[int],
-    ghost: int,
-    layout: Optional[Sequence[BitSet]],
-    page_size: Optional[int],
-    itemsize: int,
-) -> float:
-    """Kernel time the step after an exchange pays to fault the received
-    pages onto the GPU; zero except under Unified Memory."""
-    if info.transport != "um":
-        return 0.0
-    phases = _schedules(
-        info, profile, extent, brick_dim, ghost, layout, page_size, itemsize
-    )
-    return make_transport(info, profile).compute_penalty(
-        [m for _, phase_recvs in phases for m in phase_recvs]
-    )
+    return _priced(
+        profile, method_info(method), extent, brick_dim, ghost, layout,
+        page_size, itemsize,
+    )[0]
 
 
 def model_timestep(
@@ -218,16 +185,12 @@ def model_timestep(
     """Full modelled timestep: calc + exchange (+ GPU penalties/overlap)."""
     info = method_info(method)
     extent = tuple(int(e) for e in extent)
-    points = math.prod(extent)
-    bd = exchange_breakdown(
-        profile, method, extent, brick_dim, ghost, layout, page_size,
-        stencil.itemsize,
-    )
-    calc = compute_time(profile, info, points, stencil)
-    calc += first_touch_penalty(
+    bd, first_touch = _priced(
         profile, info, extent, brick_dim, ghost, layout, page_size,
         stencil.itemsize,
     )
+    calc = compute_time(profile, info, math.prod(extent), stencil)
+    calc += first_touch
     if info.overlaps:
         # Communication/computation overlap hides wire time behind the
         # kernel; posting and packing stay on the critical path.

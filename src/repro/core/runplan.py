@@ -17,6 +17,11 @@ only restarts it.
 * **A rank run plan** (:class:`RankRunPlan`) binds, per cycle position,
   the engine and the compiled stencil plan to the two double-buffer
   slots.  One step is: one engine fire, one plan execution, one flip.
+* **One ledger**: the loop is the only writer of the rank's
+  :class:`~repro.core.metrics.RankMetrics` -- per step the modelled and
+  measured calc, per fired exchange the counts and the price of the
+  :class:`~repro.exchange.base.ExchangeResult` the engine that fired
+  was bound with.  Nothing re-derives a schedule to account for a run.
 * **Step hooks**: features attach as optional callables that are
   ``None`` when the feature is off (see :class:`RankRunPlan`).  Tracing
   and metrics ride the same loop through the process-wide tracer, whose
@@ -31,10 +36,11 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional, Sequence, Tuple
 
+from repro.core.metrics import RankMetrics
 from repro.exchange.base import ExchangeChannel, Exchanger, ExchangeResult
+from repro.exchange.costs import overlap_times
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
-from repro.util.timing import TimeBreakdown
 
 __all__ = ["RankRunPlan", "make_engines"]
 
@@ -67,7 +73,11 @@ class RankRunPlan:
     ``plans[pos]`` is the stencil plan for cycle position *pos*;
     ``buffers`` are the two storage/array operands the plans read and
     write.  *rank* and *method* label the ``driver.*`` spans and
-    counters.
+    counters.  ``calc_costs[pos]`` is the modelled kernel time of cycle
+    position *pos*, *interior_cost* that of the interior sweep of a
+    phased step, and *hides_wait* says the method's own model hides
+    wire wait behind the whole kernel (``yask_ol``): what the ledger is
+    charged per step beside the fired exchange's price.
 
     With *splits* -- an ``(interior plan, surface plan)`` pair replacing
     ``plans[0]`` -- the exchange step runs *phased*: ``channel.start()``
@@ -98,8 +108,8 @@ class RankRunPlan:
     """
 
     __slots__ = ("engines", "plans", "buffers", "period", "splits", "rank",
-                 "method", "pre_step", "around_exchange", "post_exchange",
-                 "post_calc")
+                 "method", "calc_costs", "interior_cost", "hides_wait",
+                 "pre_step", "around_exchange", "post_exchange", "post_calc")
 
     def __init__(
         self,
@@ -110,6 +120,9 @@ class RankRunPlan:
         splits: Optional[Tuple] = None,
         rank: Optional[int] = None,
         method: str = "",
+        calc_costs: Optional[Sequence[float]] = None,
+        interior_cost: float = 0.0,
+        hides_wait: bool = False,
     ) -> None:
         if len(engines) != len(buffers):
             raise ValueError("one exchange engine per double-buffer slot")
@@ -132,6 +145,11 @@ class RankRunPlan:
         self.splits = tuple(splits) if splits is not None else None
         self.rank = rank
         self.method = method
+        self.calc_costs = (
+            list(calc_costs) if calc_costs is not None else [0.0] * self.period
+        )
+        self.interior_cost = interior_cost
+        self.hides_wait = hides_wait
         self.pre_step: Optional[Callable[[int, int], Optional[Sequence]]] = None
         self.around_exchange: Optional[
             Callable[[int, Callable[[], ExchangeResult]], ExchangeResult]
@@ -145,86 +163,109 @@ class RankRunPlan:
         if not _all_channels(self.engines):
             self.splits = None
 
-    def run(
-        self,
-        start_step: int,
-        timesteps: int,
-        counters: dict,
-        measured: TimeBreakdown,
-    ) -> int:
+    def run(self, start_step: int, timesteps: int, ledger: RankMetrics) -> int:
         """Replay steps ``[start_step, timesteps)``; returns the final
         source buffer index.
 
-        Message/byte counters accumulate into *counters* and the
-        measured calc seconds into *measured* step by step, so a
-        ``pre_step`` hook (the checkpoint save) reads current values.
-        The replay always starts from buffer 0, which is also where a
-        checkpoint resume restores into.
+        Every step is charged to *ledger* as it completes, so a
+        ``pre_step`` hook (the checkpoint save) reads current values: the
+        modelled and measured calc, and at an exchange step the counts
+        and the modelled pack / call / wait / move of the engine that
+        fired.  The replay always starts from buffer 0, which is also
+        where a checkpoint resume restores into.
         """
         plans = self.plans
         bufs = self.buffers
         period = self.period
         rank = self.rank
         method = self.method
+        calc_costs = self.calc_costs
         pre_step = self.pre_step
         around = self.around_exchange
         post_exchange = self.post_exchange
         post_calc = self.post_calc
+        totals = ledger.totals
+        measured = ledger.measured
         span = _TRACER.span
         perf = time.perf_counter
+        before = {
+            n: getattr(ledger, n) for n in ("exchanges", "messages", "wire_bytes")
+        }
         src, dst = 0, 1
-        for t in range(start_step, timesteps):
-            pos = t % period
-            if pre_step is not None:
-                rebuilt = pre_step(t, src)
-                if rebuilt is not None:
-                    self.set_engines(rebuilt)
-            with span("driver.step", rank=rank, step=t):
-                sweep = plans[pos]  # stencil work not yet run this step
-                if pos == 0:
-                    eng = self.engines[src]
-                    fire = eng.exchange
-                    if self.splits is not None:
-                        # Phased: the interior taps run inside the
-                        # exchange, while the partitioned messages are
-                        # in flight; only the surface sweep is left for
-                        # after every receive completed.
-                        interior, sweep = self.splits
+        try:
+            for t in range(start_step, timesteps):
+                pos = t % period
+                if pre_step is not None:
+                    rebuilt = pre_step(t, src)
+                    if rebuilt is not None:
+                        self.set_engines(rebuilt)
+                with span("driver.step", rank=rank, step=t):
+                    sweep = plans[pos]  # stencil work not yet run this step
+                    calc = calc_costs[pos]
+                    if pos == 0:
+                        eng = self.engines[src]
+                        fire = eng.exchange
+                        phased = self.splits is not None
+                        if phased:
+                            # The interior taps run inside the exchange,
+                            # while the partitioned messages are in
+                            # flight; only the surface sweep is left for
+                            # after every receive completed.
+                            interior, sweep = self.splits
 
-                        def fire(eng=eng, interior=interior, src=src, dst=dst):
-                            if not eng.started:  # else: a retry's re-fire
-                                eng.start()
-                                if interior is not None:
-                                    t0 = perf()
-                                    interior.execute(bufs[src], bufs[dst])
-                                    measured.calc += perf() - t0
-                            return eng.complete()
+                            def fire(eng=eng, interior=interior, src=src, dst=dst):
+                                if not eng.started:  # else: a retry's re-fire
+                                    eng.start()
+                                    if interior is not None:
+                                        t0 = perf()
+                                        interior.execute(bufs[src], bufs[dst])
+                                        measured.calc += perf() - t0
+                                return eng.complete()
 
-                    with span("driver.exchange", rank=rank, step=t,
-                              method=method):
-                        res = around(t, fire) if around is not None else fire()
-                    counters["msgs"] += res.messages_sent
-                    counters["wire"] += res.wire_bytes_sent
-                    counters["payload"] += res.payload_bytes_sent
-                    if _METRICS.enabled:
-                        _METRICS.count("driver.exchanges", 1, rank=rank)
-                        _METRICS.count(
-                            "driver.messages", res.messages_sent, rank=rank
-                        )
-                        _METRICS.count(
-                            "driver.wire_bytes", res.wire_bytes_sent,
-                            rank=rank,
-                        )
-                    if post_exchange is not None:
-                        post_exchange()
-                if sweep is not None:
-                    with span("driver.calc", rank=rank, step=t):
-                        t0 = perf()
-                        sweep.execute(bufs[src], bufs[dst])
-                        measured.calc += perf() - t0
-                if post_calc is not None:
-                    post_calc(pos)
-            src, dst = dst, src
+                        with span("driver.exchange", rank=rank, step=t,
+                                  method=method):
+                            res = around(t, fire) if around is not None else fire()
+                        # Charge what fired: its counts and its price.
+                        price = res.breakdown
+                        calc += res.first_touch
+                        wait = price.wait
+                        if phased:
+                            # Exactly the interior kernel time of wait is
+                            # hidden (an explicit price, replacing the
+                            # whole-calc discount of the methods whose
+                            # own model overlaps).
+                            wait, hidden = overlap_times(wait, self.interior_cost)
+                            ledger.hidden_s += hidden
+                        elif self.hides_wait:
+                            wait = max(0.0, wait - calc)
+                        totals.pack += price.pack
+                        totals.call += price.call
+                        totals.wait += wait
+                        totals.move += price.move
+                        ledger.exchanges += 1
+                        ledger.messages += res.messages_sent
+                        ledger.wire_bytes += res.wire_bytes_sent
+                        ledger.payload_bytes += res.payload_bytes_sent
+                        if post_exchange is not None:
+                            post_exchange()
+                    if sweep is not None:
+                        with span("driver.calc", rank=rank, step=t):
+                            t0 = perf()
+                            sweep.execute(bufs[src], bufs[dst])
+                            measured.calc += perf() - t0
+                    if post_calc is not None:
+                        post_calc(pos)
+                    totals.calc += calc
+                    ledger.timesteps += 1
+                src, dst = dst, src
+        finally:
+            # The registry is a view of the ledger: what this launch
+            # added to it, also when the rank raised.
+            if _METRICS.enabled:
+                for name, was in before.items():
+                    _METRICS.count(
+                        f"driver.{name}", getattr(ledger, name) - was, rank=rank
+                    )
         return src
 
 

@@ -162,8 +162,8 @@ def rebrick(
     so the snapshots written here match, by construction, the layout the
     resumed ranks restore into.  Writes one full-mode snapshot per new
     rank into *dst_store*, stamped with the new decomposition's problem
-    key and a meta doc the resumed driver accepts (step, zeroed
-    counters/timings, the new layout's adjacency CRC, and the
+    key and a meta doc the resumed driver accepts (step, a restarted
+    ledger, the new layout's adjacency CRC, and the
     carried-forward ``fired_crashes`` so already-fired fault sites do
     not refire).  Returns a summary dict.
     """
@@ -227,16 +227,13 @@ def _rebrick_meta(
 ) -> dict:
     """Meta doc for a re-bricked snapshot.
 
-    Counters and measured timings restart at zero: they described the
-    old decomposition's traffic and mean nothing under the new one.
-    ``step`` makes the resumed loop continue at *epoch*.
+    The run ledger restarts (an empty record): its counts and timings
+    described the old decomposition's traffic and mean nothing under the
+    new one.  ``step`` makes the resumed loop continue at *epoch*.
     """
     return {
         "step": int(epoch),
-        "counters": {
-            "msgs": 0, "wire": 0, "payload": 0, "maps": 0, "demotions": 0
-        },
-        "measured": {},
+        "ledger": {},
         "ladder_level": None,
         "period": int(period),
         "adjacency_crc": int(adjacency_crc),

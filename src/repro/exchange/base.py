@@ -11,11 +11,13 @@ object that was proved (:mod:`repro.core.geometry`).  Everything else is
 derived from the plan here:
 
 * the modelled :class:`ExchangeResult` (:func:`price_plan`), priced by
-  :func:`repro.exchange.costs.exchange_times` (the function the modelled
-  driver calls too) and split into the artifact's phases: ``pack``
-  (on-node copies the scheme performs), ``call`` (posting MPI
-  operations), ``wait`` (wire time plus any in-library processing) and
-  ``move`` (explicit CPU-GPU staging, zero on CPU paths);
+  :func:`repro.exchange.costs.price_exchange` (the function
+  :mod:`repro.core.model` prices the combinatorial schedules with) and
+  split into the artifact's phases: ``pack`` (on-node copies the scheme
+  performs), ``call`` (posting MPI operations), ``wait`` (wire time
+  plus any in-library processing) and ``move`` (explicit CPU-GPU
+  staging, zero on CPU paths).  It is the only thing an executed run
+  counts and prices an exchange from;
 * the static verifier's input (``geometry.plans``; an exchanger keeps
   the one it was handed as :attr:`Exchanger.plan`);
 * an :class:`Exchanger`: a plan bound to one buffer.  Its constructor
@@ -33,7 +35,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exchange.costs import exchange_times
+from repro.exchange.costs import price_exchange
 from repro.exchange.schedule import MessageSpec
 from repro.faults.errors import ExchangeConfigError, ProtocolError
 from repro.hardware.profiles import MachineProfile
@@ -195,13 +197,18 @@ class ScheduleTemplate:
 
 @dataclass
 class ExchangeResult:
-    """Outcome of one exchange: modelled times plus actual counters."""
+    """Outcome of one exchange: modelled times plus actual counters.
+
+    ``first_touch`` is the kernel time the step after the exchange pays
+    to fault the received pages onto the GPU (Unified Memory only).
+    """
 
     breakdown: TimeBreakdown
     messages_sent: int
     messages_received: int
     payload_bytes_sent: int
     wire_bytes_sent: int
+    first_touch: float = 0.0
 
     @property
     def padding_fraction(self) -> float:
@@ -223,25 +230,26 @@ def _phases(plan: RankMessagePlan):
     ]
 
 
-def price_plan(plan: RankMessagePlan, profile: MachineProfile) -> ExchangeResult:
-    """The modelled outcome of one exchange of *plan* on *profile*: a
-    function of the messages' specs, not of who the peers are, so ranks
-    with the same partnered directions can share one (never mutated)
-    result."""
+def price_plan(
+    plan: RankMessagePlan, profile: MachineProfile, transport=None
+) -> ExchangeResult:
+    """The modelled outcome of one exchange of *plan* on *profile* (over
+    the method's GPU *transport*, if it has one): a function of the
+    messages' specs, not of who the peers are, so ranks with the same
+    partnered directions can share one (never mutated) result."""
+    breakdown, first_touch = price_exchange(
+        profile,
+        [([m.spec for m in s], [m.spec for m in r]) for s, r in _phases(plan)],
+        plan.copy,
+        transport,
+    )
     return ExchangeResult(
-        exchange_times(
-            profile,
-            profile.network,
-            [
-                ([m.spec for m in s], [m.spec for m in r])
-                for s, r in _phases(plan)
-            ],
-            plan.copy,
-        ),
+        breakdown,
         messages_sent=len(plan.sends),
         messages_received=len(plan.recvs),
         payload_bytes_sent=sum(m.spec.payload_bytes for m in plan.sends),
         wire_bytes_sent=sum(m.nbytes for m in plan.sends),
+        first_touch=first_touch,
     )
 
 

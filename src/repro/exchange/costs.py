@@ -1,9 +1,10 @@
 """Shared modelled-cost functions over message schedules.
 
-:func:`exchange_times` is the one pricer: the executed exchangers call it
-on their plan (to report per-exchange breakdowns) and the pure-modelled
-driver calls it on the combinatorial schedules (to price arbitrary scales
-without allocating data), so the two agree by construction.
+:func:`price_exchange` is the one pricer.  ``exchange.base.price_plan``
+calls it on a rank's bound plan (what an executed run charges per fired
+exchange) and :mod:`repro.core.model` calls it on the combinatorial
+schedules (to price arbitrary scales without allocating data): the same
+function of the same specs.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from repro.hardware.profiles import MachineProfile
 from repro.util.timing import TimeBreakdown
 
 __all__ = [
+    "price_exchange",
     "exchange_times",
-    "network_times",
     "pack_cost",
     "datatype_cost",
     "overlap_times",
@@ -38,19 +39,6 @@ def overlap_times(wait: float, interior_calc: float) -> Tuple[float, float]:
     """
     hidden = min(max(wait, 0.0), max(interior_calc, 0.0))
     return wait - hidden, hidden
-
-
-def network_times(
-    net: NetworkModel,
-    sends: Sequence[MessageSpec],
-    recvs: Sequence[MessageSpec],
-) -> Tuple[float, float]:
-    """``(call, wait)`` seconds for one bulk-synchronous exchange."""
-    call = net.call_time(len(sends), len(recvs))
-    wait = net.wait_time(
-        [m.wire_bytes for m in sends], [m.wire_bytes for m in recvs]
-    )
-    return call, wait
 
 
 def pack_cost(profile: MachineProfile, specs: Sequence[MessageSpec]) -> float:
@@ -95,9 +83,38 @@ def exchange_times(
     for sends, recvs in phases:
         if copy == "pack":
             bd.charge("pack", pack_cost(profile, sends) * 2)
-        call, wait = network_times(net, sends, recvs)
+        call = net.call_time(len(sends), len(recvs))
+        wait = net.wait_time(
+            [m.wire_bytes for m in sends], [m.wire_bytes for m in recvs]
+        )
         if copy == "datatype":
             wait += 2 * datatype_cost(profile, sends)
         bd.charge("call", call)
         bd.charge("wait", wait)
     return bd
+
+
+def price_exchange(
+    profile: MachineProfile,
+    phases: Sequence[Tuple[Sequence[MessageSpec], Sequence[MessageSpec]]],
+    copy: str,
+    transport=None,
+) -> Tuple[TimeBreakdown, float]:
+    """``(pack / call / wait / move of one exchange, first-touch seconds)``.
+
+    *transport* is the method's ``gpu.transports.GpuTransport``,
+    ``None`` on CPU paths: it prices the wire on its own (derated)
+    network, adds what the memory kind costs inside the wait and as
+    explicit staging, and says what the *next kernel* pays to fault the
+    received pages onto the device -- the second value, charged to
+    ``calc`` by whoever steps time.
+    """
+    net = profile.network if transport is None else transport.network()
+    bd = exchange_times(profile, net, phases, copy)
+    if transport is None:
+        return bd, 0.0
+    sends = [m for phase_sends, _ in phases for m in phase_sends]
+    recvs = [m for _, phase_recvs in phases for m in phase_recvs]
+    bd.charge("wait", transport.extra_wait(sends, recvs))
+    bd.charge("move", transport.move(sends, recvs))
+    return bd, transport.compute_penalty(recvs)

@@ -8,7 +8,11 @@ to 1024 nodes) uses these schedules directly, and the executed exchangers'
 plans are asserted equal to them in the test suite.
 
 All schedules describe *sends*; by symmetry a rank's receives in a
-periodic cubical decomposition have identical sizes.
+periodic cubical decomposition have identical sizes
+(:func:`mirror_schedule`).  The brick schedules list neighbours in
+*layout* order and the mirror lists receives in the sender's order, as
+the templates the ranks bind do: a wire time is a float sum over the
+messages, so only the same order prices bit-equal.
 """
 
 from __future__ import annotations
@@ -72,9 +76,8 @@ def brick_send_schedule(
     Empty runs (possible when the subdomain has no interior span on some
     axis) are dropped, matching the executed exchanger.
     """
-    ndim = len(tuple(grid))
     out: List[MessageSpec] = []
-    for neighbor in all_regions(ndim):
+    for neighbor in layout:
         for start, length in message_runs(layout, neighbor):
             nb = sum(
                 _region_bricks(layout[i], grid, width)
@@ -97,9 +100,18 @@ def brick_send_schedule(
 
 def mirror_schedule(sends: Sequence[MessageSpec]) -> List[MessageSpec]:
     """Receive specs of a send schedule: in a periodic uniform
-    decomposition every receive mirrors the send of the same size to the
-    opposite neighbor."""
-    return [replace(m, neighbor=m.neighbor.opposite()) for m in sends]
+    decomposition what arrives from a neighbor is what the rank there
+    sends to *its* opposite neighbor -- this rank's own sends to the
+    opposite direction, relabelled, in the sender's message order (the
+    order the brick templates list their receives in)."""
+    by_neighbor: dict = {}
+    for m in sends:
+        by_neighbor.setdefault(m.neighbor, []).append(m)
+    return [
+        replace(m, neighbor=neighbor)
+        for neighbor in by_neighbor
+        for m in by_neighbor.get(neighbor.opposite(), ())
+    ]
 
 
 def basic_brick_schedule(
@@ -113,9 +125,8 @@ def basic_brick_schedule(
     ``5^D - 3^D`` messages in total (Eq. 3); relative region order is
     irrelevant, so no layout optimization is involved.
     """
-    ndim = len(tuple(grid))
     out: List[MessageSpec] = []
-    for neighbor in all_regions(ndim):
+    for neighbor in layout:
         for region in layout:
             if not neighbor.issubset(region):
                 continue
@@ -195,12 +206,11 @@ def memmap_schedule(
     adjacent regions coalesce into single mappings (Section 4: layout
     optimization minimises the mapping count).
     """
-    ndim = len(tuple(grid))
     if page_size <= 0:
         raise ExchangeConfigError("page_size must be positive")
     align = math.lcm(brick_bytes, page_size)
     out: List[MessageSpec] = []
-    for neighbor in all_regions(ndim):
+    for neighbor in layout:
         payload = 0
         wire = 0
         nmappings = 0

@@ -13,6 +13,7 @@ import pytest
 
 from repro.brick.decomp import BrickDecomp
 from repro.core.driver import run_executed
+from repro.core.geometry import RunGeometry
 from repro.core.problem import StencilProblem
 from repro.exchange.brickpack import BrickPackExchanger, brickpack_template
 from repro.exchange.layout_ex import LayoutExchanger, layout_template
@@ -79,6 +80,26 @@ class TestMidRunDegradation:
         np.testing.assert_array_equal(
             run.global_result, _reference(problem, STEPS)
         )
+
+    def test_demoted_run_is_priced_engine_by_engine(self):
+        """Demoted after one exchange: the run fired one MemMap and five
+        Basic exchanges, and is priced as exactly that -- not as six
+        MemMap exchanges."""
+        problem = _problem()
+        run = run_executed(problem, "memmap", timesteps=6, seed=0,
+                           fault_plan=FaultPlan(seed=2, degrade=((3, 1),)),
+                           fabric_timeout=10.0)
+        geometry = RunGeometry(problem, "memmap")
+        for rank, ledger in enumerate(run.metrics.ranks):
+            fired = [geometry.schedule("memmap")[1][rank]]
+            fired += [geometry.schedule("basic")[1][rank]] * 5
+            for phase in ("call", "wait"):
+                want = 0.0
+                for res in fired:
+                    want += getattr(res.breakdown, phase)
+                assert getattr(ledger.totals, phase) == want
+            assert ledger.messages == sum(r.messages_sent for r in fired)
+        assert run.messages_per_rank == run.metrics.ranks[0].messages // 6
 
     def test_full_ladder_to_brickpack(self):
         problem = _problem()

@@ -447,6 +447,43 @@ class TestElasticRestartBitExact:
         )
         np.testing.assert_array_equal(run.global_result, reference)
 
+    def test_reshaped_run_reports_the_world_that_finished(self, tmp_path):
+        """8 -> 6 at epoch 4 of 8: the ledger restarts with the new
+        world, so per-exchange figures are the 1x2x3 world's (rank 0
+        sends 42 Layout messages) and per-step figures divide by the
+        four steps that world ran -- not by the eight requested."""
+        problem = StencilProblem((32, 32, 48), (2, 2, 2), SEVEN_POINT, (8, 8, 8), 8)
+        run = run_executed(
+            problem, "layout", timesteps=8, seed=0,
+            fault_plan=FaultPlan(seed=1, deaths=((3, 5),)),
+            checkpoint_dir=tmp_path, checkpoint_period=2, elastic=True,
+            fabric_timeout=15.0,
+        )
+        assert (run.reshapes, run.resumed_epoch) == (1, 4)
+        new_world = StencilProblem(
+            (32, 32, 48), run.final_rank_dims, SEVEN_POINT, (8, 8, 8), 8
+        )
+        results = RunGeometry(new_world, "layout").results
+        assert run.messages_per_rank == results[0].messages_sent == 42
+        assert run.wire_bytes_per_rank == results[0].wire_bytes_sent
+        for ledger, fired in zip(run.metrics.ranks, results):
+            assert (ledger.timesteps, ledger.exchanges) == (4, 4)
+            assert ledger.per_timestep().call == fired.breakdown.call
+
+    def test_crash_restart_in_place_keeps_the_whole_ledger(self, tmp_path):
+        """A restart in place restores the ledger from the snapshot meta:
+        the same world, the same 39 messages per exchange, all 8 steps."""
+        problem = StencilProblem((32, 32, 32), (2, 2, 2), SEVEN_POINT, (8, 8, 8), 8)
+        run = run_executed(
+            problem, "layout", timesteps=8, seed=0,
+            fault_plan=FaultPlan(seed=1, crashes=((3, 5),)),
+            checkpoint_dir=tmp_path, checkpoint_period=2, fabric_timeout=15.0,
+        )
+        assert (run.restarts, run.messages_per_rank) == (1, 39)
+        assert all(
+            (r.timesteps, r.exchanges) == (8, 8) for r in run.metrics.ranks
+        )
+
     def test_not_elastic_death_is_fatal(self):
         """Without --elastic a permanent death surfaces as the typed
         root cause instead of being absorbed."""

@@ -251,10 +251,55 @@ def test_fabric_in_the_verifier_flagged():
     assert lint_invariants.check_one_geometry(driver, tree) == []
 
 
+def test_second_accounting_path_flagged():
+    src = (
+        "from repro.core.model import exchange_breakdown, compute_time\n"
+        "from repro.exchange.schedule import memmap_schedule\n"
+        "import repro.exchange.schedule\n"
+        "def _modelled_totals(profile, net, phases, counters, ledger, res):\n"
+        "    bd = exchange_times(profile, net, phases, 'none')\n"
+        "    counters['msgs'] += res.messages_sent\n"
+        "    ledger.wire_bytes += res.wire_bytes_sent\n"
+        "    ledger.timesteps += 1\n"
+    )
+    tree = ast.parse(src)
+    for rel in ("core/driver.py", "core/runplan.py"):
+        violations = lint_invariants.check_one_ledger(
+            lint_invariants.SRC / rel, tree
+        )
+        ledger = [] if rel == lint_invariants.LEDGER_HOME else [6, 7]
+        assert sorted(v[1] for v in violations) == [1, 2, 3, 5] + ledger
+    # Anyone else may import the model, nobody may keep a second count.
+    violations = sorted(
+        lint_invariants.check_one_ledger(
+            lint_invariants.SRC / "bench" / "experiments.py", tree
+        ),
+        key=lambda v: v[1],
+    )
+    assert [v[1] for v in violations] == [5, 6, 7]
+    assert "one pricer" in violations[0][2]
+    assert all("only writer" in v[2] for v in violations[1:])
+
+
+def test_exchange_times_only_inside_the_shared_pricer():
+    src = (
+        "def price_exchange(profile, phases, copy, transport=None):\n"
+        "    return exchange_times(profile, profile.network, phases, copy)\n"
+        "def price_plan(plan, profile):\n"
+        "    return exchange_times(profile, profile.network, [], plan.copy)\n"
+    )
+    tree = ast.parse(src)
+    home = lint_invariants.SRC / lint_invariants.PRICER_HOME
+    assert [v[1] for v in lint_invariants.check_one_ledger(home, tree)] == [4]
+    base = lint_invariants.SRC / "exchange" / "base.py"
+    assert [v[1] for v in lint_invariants.check_one_ledger(base, tree)] == [2, 4]
+
+
 def test_lint_file_on_real_sources():
     # Spot-check two real files through the full per-file path.
     for rel in (
         "simmpi/fabric.py", "exchange/envelope.py", "check/schedule.py",
-        "core/geometry.py", "core/driver.py",
+        "core/geometry.py", "core/driver.py", "core/runplan.py",
+        "exchange/costs.py",
     ):
         assert lint_invariants.lint_file(lint_invariants.SRC / rel) == []

@@ -2,7 +2,7 @@
 """AST lint for the repo's typed-error and fabric-chokepoint invariants.
 
 Plain Python on purpose: the CI lint job has ruff, local dev containers
-may not, and these rules are project-specific anyway.  Five checks:
+may not, and these rules are project-specific anyway.  Six checks:
 
 1. **No bare raises in the communication layers.**  Inside
    ``src/repro/simmpi`` and ``src/repro/exchange``, ``raise
@@ -57,13 +57,28 @@ may not, and these rules are project-specific anyway.  Five checks:
    is launched from it); ``ckpt/bench.py`` (a store micro-benchmark over
    a bare decomposition, no run); ``exchange/hierarchical.py`` and
    ``exchange/local.py`` (intra-node grids that are not ``Exchanger``s
-   and own their decomposition, until ROADMAP item 6's second half
-   decides them); and, for ``.initial_global(...)`` only, the serial
-   reference oracles of ``cli.py``, ``faults/chaos.py`` and
-   ``elastic/bench.py`` (they compute what a run is compared *against*).
+   and own their decomposition, until ROADMAP item 8 decides them);
+   and, for ``.initial_global(...)`` only, the serial reference oracles
+   of ``cli.py``, ``faults/chaos.py`` and ``elastic/bench.py`` (they
+   compute what a run is compared *against*).
    And ``SimFabric(...)`` is constructed nowhere under
    ``src/repro/check``: a schedule is data, the verifier needs no
    fabric.
+
+6. **One price, one ledger.**  What an exchange costs is a property of
+   the plan a rank bound, priced once by ``exchange/costs.py``
+   (``price_exchange``), and an executed run counts and prices what it
+   fired in one place, the loop of ``core/runplan.py``.  So under
+   ``src/repro`` ``exchange_times(...)`` is called only inside
+   ``price_exchange``; ``core/driver.py`` and ``core/runplan.py`` import
+   nothing from ``repro.exchange.schedule`` and neither
+   ``exchange_breakdown`` nor ``model_timestep`` (nor the retired
+   ``first_touch_penalty``: re-deriving a schedule to account for a run
+   is a second accounting path); and the
+   ledger's accumulations (``+=`` on ``.exchanges`` / ``.messages`` /
+   ``.wire_bytes`` / ``.payload_bytes`` / ``.hidden_s``, or on a
+   ``["msgs"]`` / ``["wire"]`` / ``["payload"]`` counter) appear in
+   ``core/runplan.py`` only.
 
 Exit status 1 when any violation is found.  ``--list`` prints the file
 set without checking (CI sanity).
@@ -138,6 +153,24 @@ GEOMETRY_ALLOWLIST = {
     "faults/chaos.py": ("initial_global",),
     "elastic/bench.py": ("initial_global",),
 }
+
+#: the one pricer, its home, and the primitive only it may call
+PRICER_HOME = "exchange/costs.py"
+PRICER = "price_exchange"
+PRICER_PRIMITIVE = "exchange_times"
+#: who steps and sets up an executed run, and what they may not import
+RUN_FILES = ("core/driver.py", "core/runplan.py")
+REDERIVATION_MODULE = "repro.exchange.schedule"
+REDERIVATION_NAMES = (
+    "exchange_breakdown", "model_timestep", "first_touch_penalty",  # retired
+)
+#: the ledger's accumulated fields (and the retired dict's keys), and
+#: the one file that may add to them
+LEDGER_HOME = "core/runplan.py"
+LEDGER_FIELDS = (
+    "exchanges", "messages", "wire_bytes", "payload_bytes", "hidden_s",
+)
+LEDGER_KEYS = ("msgs", "wire", "payload")
 
 Violation = Tuple[Path, int, str]
 
@@ -350,6 +383,73 @@ def check_one_geometry(path: Path, tree: ast.AST) -> List[Violation]:
     return out
 
 
+def check_one_ledger(path: Path, tree: ast.AST) -> List[Violation]:
+    rel = path.relative_to(SRC).as_posix()
+    out: List[Violation] = []
+    in_pricer = set()
+    if rel == PRICER_HOME:
+        in_pricer = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == PRICER
+            for node in ast.walk(fn)
+        }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = getattr(fn, "id", None) or getattr(fn, "attr", None)
+            if name == PRICER_PRIMITIVE and id(node) not in in_pricer:
+                out.append(
+                    (
+                        path,
+                        node.lineno,
+                        f"`{PRICER_PRIMITIVE}(...)` outside {PRICER_HOME}::"
+                        f"{PRICER}: price a plan or a schedule through the"
+                        " one pricer, so GPU transport terms cannot be left"
+                        " out of one side",
+                    )
+                )
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and rel in RUN_FILES:
+            module = getattr(node, "module", None)
+            names = [alias.name for alias in node.names]
+            if (
+                module == REDERIVATION_MODULE
+                or REDERIVATION_MODULE in names
+                or any(n in REDERIVATION_NAMES for n in names)
+            ):
+                out.append(
+                    (
+                        path,
+                        node.lineno,
+                        "the executed run re-derives no schedule: it charges"
+                        " the ExchangeResult of the plan the rank bound"
+                        " (geometry.results), not exchange_breakdown /"
+                        f" model_timestep / {REDERIVATION_MODULE}",
+                    )
+                )
+        elif isinstance(node, ast.AugAssign) and rel != LEDGER_HOME:
+            target = node.target
+            if isinstance(target, ast.Attribute):
+                hit = target.attr in LEDGER_FIELDS
+            else:
+                hit = (
+                    isinstance(target, ast.Subscript)
+                    and isinstance(target.slice, ast.Constant)
+                    and target.slice.value in LEDGER_KEYS
+                )
+            if hit:
+                out.append(
+                    (
+                        path,
+                        node.lineno,
+                        f"ledger accumulation outside {LEDGER_HOME}: the run"
+                        " loop is the only writer of RankMetrics; read the"
+                        " ledger instead of keeping a second count",
+                    )
+                )
+    return out
+
+
 def lint_file(path: Path) -> List[Violation]:
     tree = ast.parse(path.read_text(), filename=str(path))
     rel = path.relative_to(SRC).as_posix()
@@ -360,6 +460,7 @@ def lint_file(path: Path) -> List[Violation]:
     out += check_message_path(path, tree)
     out += check_one_blocking_site(path, tree)
     out += check_one_geometry(path, tree)
+    out += check_one_ledger(path, tree)
     return out
 
 
