@@ -14,7 +14,11 @@ verifies what *can* be verified ahead of a run:
   bit-for-bit on deterministic data -- the same invariant the full
   test suite asserts, checked here in milliseconds on the target
   machine's actual compiler.  Each probe is its own finding, and a
-  failed build carries the compiler's reason.
+  failed build carries the compiler's reason;
+* the exchange's movers -- the box gather, its scatter and
+  ``copy_list``, which ride in those translation units -- load and
+  move a patterned array exactly as NumPy slicing does
+  (``mover-probe``).
 """
 
 from __future__ import annotations
@@ -107,6 +111,7 @@ def verify_cbackend(report: CheckReport, probe: bool = True) -> None:
 
     _probe_brick(report, guard, sanitize)
     _probe_array(report, guard, sanitize)
+    _probe_movers(report, guard, sanitize)
 
 
 _ASAN_HINT = (
@@ -192,4 +197,57 @@ def _probe_array(report: CheckReport, guard: bool, sanitize) -> None:
             f"the compiled array probe kernel differs from the NumPy tap"
             f" arithmetic on {diff} of {int(np.prod(_PROBE_BD))} cells",
             hint=_FP_HINT,
+        )
+
+
+def _probe_movers(report: CheckReport, guard: bool, sanitize) -> None:
+    """Load-and-compare: pack two boxes of a patterned 6^3 array (a face
+    with 1-element rows, a slab of whole rows), unpack them into a blank
+    one and wire-copy the buffers, each against NumPy slicing."""
+    try:
+        movers = cbackend._load_movers(sanitize, guard)
+    except cbackend.KernelBuildError as err:
+        report.error(
+            PASS, "mover-probe",
+            f"the exchange movers failed to compile or load: {err}",
+            hint=_ASAN_HINT,
+        )
+        return
+    shape = tuple(b + 2 for b in reversed(_PROBE_BD))
+    arr = np.arange(float(np.prod(shape))).reshape(shape)
+    boxes = np.array(
+        [[(1, 5), (1, 5), (0, 1)], [(4, 6), (0, 6), (0, 6)]], dtype=np.int64
+    )
+    regions = [tuple(slice(lo, hi) for lo, hi in box) for box in boxes.tolist()]
+    # What NumPy slicing packs, and where it unpacks it to: each mover
+    # is fed these, so one that differs is named alone.
+    packed = [arr[region].reshape(-1).copy() for region in regions]
+    unpacked = np.zeros(shape)
+    for region in regions:
+        unpacked[region] = arr[region]
+    bufs = [np.zeros_like(p) for p in packed]
+    wire = [np.zeros_like(p) for p in packed]
+    out = np.zeros(shape)
+    refused = []
+    try:
+        movers.gather(arr, boxes, bufs)()
+        if any((b != p).any() for b, p in zip(bufs, packed)):
+            refused.append("gather")
+        movers.copy_list(
+            [p.view(np.uint8) for p in packed], [w.view(np.uint8) for w in wire]
+        )()
+        if any((w != p).any() for w, p in zip(wire, packed)):
+            refused.append("copy_list")
+        movers.scatter(out, boxes, packed)()
+        if (out != unpacked).any():
+            refused.append("scatter")
+    except cbackend.KernelBoundsError as err:
+        refused.append(f"the bounds guard ({err})")
+    if refused:
+        report.error(
+            PASS, "mover-probe",
+            "the loaded exchange movers do not move a patterned array the"
+            f" way NumPy slicing does: {', '.join(refused)} differ(s)",
+            hint="the C movers and the NumPy tier must be byte-identical;"
+                 " set REPRO_KERNEL_BACKEND=numpy to run without them",
         )

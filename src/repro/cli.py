@@ -152,6 +152,7 @@ def _cmd_run(args) -> int:
     if run.mapping_count:
         print(f"mmap views: {run.mapping_count} kernel mappings")
     print(f"kernel backend: {run.kernel_backend}")
+    print(f"copy backend: {run.copy_backend}")
     exact = None
     if problem.periodic:
         ref = apply_periodic_reference(
@@ -176,6 +177,7 @@ def _cmd_run(args) -> int:
             "padding_fraction": run.padding_fraction,
             "mapping_count": run.mapping_count,
             "kernel_backend": run.kernel_backend,
+            "copy_backend": run.copy_backend,
             "gstencils_per_s": m.gstencils_per_s,
             "phases_s": {
                 p: vars(m.phase(p))

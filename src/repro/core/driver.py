@@ -110,6 +110,11 @@ class ExecutedRun:
     # Tier the stencil plans stepped on ("cffi" | "numpy"), as compiled --
     # under REPRO_KERNEL_BACKEND=auto a fallback shows up here.
     kernel_backend: str = ""
+    # Tier the exchange moved bytes on -- pack / unpack / datatype hooks
+    # and the fabric's wire copy, as the engines that finished the run
+    # were bound; "cffi+numpy" when the parts differ (Shift packs in C
+    # and wires per message; brick packing has a NumPy tier only).
+    copy_backend: str = ""
 
     @property
     def messages_per_rank(self) -> int:
@@ -185,6 +190,7 @@ class _RankState:
     checkpointer: Optional[RankCheckpointer] = None
     resumed_epoch: int = -1  # negotiated restore epoch (-1: from scratch)
     phased: bool = False  # the run ended on interior/surface phasing
+    copy_backend: str = ""  # tier(s) of the engines the run ended on
 
     def close(self) -> None:
         """Unmap the views and release the arenas.
@@ -633,6 +639,7 @@ def _rank_fn(
         if _METRICS.enabled:
             _METRICS.gauge("memmap.regions", ledger.mappings, rank=rank)
     state.phased = rp.splits is not None  # a demotion may have ended phasing
+    state.copy_backend = rp.engines[0].copy_backend
     return ledger, state.result(src), cart.coords
 
 
@@ -965,4 +972,5 @@ def run_executed(
         final_rank_dims=tuple(cur_problem.rank_dims),
         dead_ranks=tuple(sorted(set(dead_total))),
         kernel_backend=state.plans[0].kernel_backend,
+        copy_backend=state.copy_backend,
     )

@@ -42,6 +42,7 @@ from repro.hardware.profiles import MachineProfile
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
+from repro.stencil.cbackend import mover_kernel
 from repro.util.indexing import cart_neighbor, unravel_index
 from repro.util.timing import TimeBreakdown
 
@@ -259,10 +260,11 @@ class Binding(NamedTuple):
     ``send_bufs`` / ``recv_bufs`` are the wire buffer of each send and
     each receive of the phase, in plan order: a storage slot view, a
     stitched view's array, or a persistent staging buffer.  ``pre`` runs
-    before the sends go out (pack, ``extract_into``, refresh) and
+    before the sends go out (pack, datatype gather, refresh) and
     ``post`` after every receive has landed (unpack, ``insert``, flush),
     under the tracer spans named by ``spans``; ``packed_bytes`` is what
-    the two move on-node per exchange.
+    the two move on-node per exchange, and ``backend`` the tier they move
+    it on (``"cffi"`` / ``"numpy"``; empty when they copy nothing).
     """
 
     send_bufs: Sequence[np.ndarray]
@@ -271,9 +273,16 @@ class Binding(NamedTuple):
     post: Optional[Callable[[], None]] = None
     packed_bytes: int = 0
     spans: Tuple[str, str] = ("exchange.pack", "exchange.unpack")
+    backend: str = ""
 
 
 _Wire = Sequence[Tuple[int, int, np.ndarray]]  # (peer, tag, wire buffer)
+
+
+def _tiers(wire: str, *bindings: Binding) -> str:
+    """``"cffi"``, ``"numpy"``, or both joined by ``+`` when the wire
+    copy and some binding's hooks run on different tiers."""
+    return "+".join(sorted({wire, *(b.backend for b in bindings if b.backend)}))
 
 
 def _count_exchange(rank: int, hooks: Binding, nmsgs: int) -> None:
@@ -309,10 +318,16 @@ class ExchangeChannel:
     -- the compute-comm overlap the phased timestep is built on.  With
     *partitions* > 1, each flattened buffer travels as that many
     independently-released sub-region partitions (``Pready`` semantics).
+
+    The channel is also where the fabric gets its wire-copy tier: it
+    resolves the movers (:func:`repro.stencil.cbackend.mover_kernel`, the
+    point the kernels and the pack movers are resolved at) and hands
+    ``copy_list`` to :meth:`~repro.simmpi.fabric.SimFabric.bind_request`,
+    so :mod:`repro.simmpi` itself knows no backend.
     """
 
     __slots__ = ("comm", "method", "_fabric", "_rank", "_request",
-                 "_result", "_hooks", "_nmsgs")
+                 "_result", "_hooks", "_nmsgs", "copy_backend")
 
     def __init__(
         self,
@@ -335,9 +350,16 @@ class ExchangeChannel:
         # halves of the byte split, so a cross-rank disagreement (byte
         # counts or partition bounds) surfaces at negotiation as a typed
         # SplitMismatchError instead of a DeadlockError on the first wait.
+        movers = mover_kernel()
         self._request = self._fabric.bind_request(
-            self._rank, posts, recvs, int(partitions)
+            self._rank, posts, recvs, int(partitions),
+            movers.copy_list if movers is not None else None,
         )
+        #: The tier(s) an exchange of this channel moves bytes on: its
+        #: wire copy's (per item, in NumPy, on a verified fabric), and
+        #: its hooks' where they copy anything.
+        batched = movers is not None and self._request.copies_in_one_call
+        self.copy_backend = _tiers("cffi" if batched else "numpy", hooks)
 
     @property
     def started(self) -> bool:
@@ -467,6 +489,12 @@ class Exchanger(abc.ABC):
     @abc.abstractmethod
     def _bind(self, buffer) -> Sequence[Binding]:
         """Bind the plan to *buffer*: one :class:`Binding` per phase."""
+
+    @property
+    def copy_backend(self) -> str:
+        """Tier(s) of the per-message :meth:`exchange`: each phase's
+        hooks', and NumPy for the fabric's per-message wire copy."""
+        return _tiers("numpy", *(hooks for *_, hooks in self._bound))
 
     def make_channel(self, partitions: int = 1) -> Optional[ExchangeChannel]:
         """Persistent-channel form of this exchanger's bound plan.

@@ -11,12 +11,20 @@ axis-aligned box per neighbor.  In an extended array of shape
 
 Send and recv boxes of opposite directions have equal shapes, which is
 what makes the one-box-per-neighbor exchange well-formed.
+
+Moving the boxes -- pack, unpack, and the datatype engine's gather and
+scatter, which are the same movement -- is bound once
+(:func:`bind_gather` / :func:`bind_scatter`): every array, box and
+buffer is checked where the table is built, and the call that comes
+back moves all of a side's boxes, on the C tier
+(:class:`repro.stencil.cbackend.Movers`) as one table-driven call, on
+the NumPy tier as one strided copy per box.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +38,7 @@ from repro.exchange.base import (
 )
 from repro.exchange.schedule import array_schedule
 from repro.faults.errors import ExchangeConfigError
+from repro.stencil.cbackend import Movers, array_movers
 from repro.util.bitset import BitSet
 
 __all__ = [
@@ -39,6 +48,8 @@ __all__ = [
     "box_slices",
     "box_template",
     "extended_array_of",
+    "bind_gather",
+    "bind_scatter",
     "stage_boxes",
 ]
 
@@ -145,35 +156,152 @@ def extended_array_of(
     return extent, ghost
 
 
+def _box_table(
+    arr: np.ndarray, boxes: Sequence, bufs: Sequence[np.ndarray], writes: str
+) -> np.ndarray:
+    """*boxes* as an ``(nboxes, ndim, 2)`` int64 ``(lo, hi)`` table, after
+    checking everything a mover would otherwise take on trust: each box
+    lies in *arr*, its buffer is C-contiguous, of *arr*'s dtype and
+    exactly the box's size, and whatever the move writes (*writes*:
+    ``"array"`` or ``"buffers"``) is writeable.  The C tier moves through
+    raw pointers, so this is the last place a mistake is an error and
+    not memory corruption; the NumPy tier gets the same refusal instead
+    of a silent cast or a reshape failure mid-run.
+    """
+    if len(boxes) != len(bufs):
+        raise ExchangeConfigError(
+            f"{len(boxes)} boxes bound to {len(bufs)} buffers"
+        )
+    try:
+        table = np.asarray(boxes, dtype=np.int64).reshape(len(bufs), arr.ndim, 2)
+    except (TypeError, ValueError):
+        raise ExchangeConfigError(
+            f"boxes are not (lo, hi) pairs per axis of a {arr.ndim}-D array"
+        ) from None
+    lo, hi = table[..., 0], table[..., 1]
+    if ((lo < 0) | (hi < lo) | (hi > np.array(arr.shape))).any():
+        raise ExchangeConfigError(
+            f"a box leaves the array of shape {arr.shape}: {table.tolist()}"
+        )
+    counts = (hi - lo).prod(axis=1).tolist()
+    sizes = [buf.size for buf in bufs]
+    if sizes != counts:
+        raise ExchangeConfigError(
+            f"buffers of {sizes} elements bound to boxes of {counts}"
+        )
+    if any(buf.dtype != arr.dtype for buf in bufs):
+        raise ExchangeConfigError(
+            f"{[str(buf.dtype) for buf in bufs]} buffers bound to boxes of a"
+            f" {arr.dtype} array"
+        )
+    if not all(buf.flags.c_contiguous for buf in bufs):
+        raise ExchangeConfigError("box buffers must be C-contiguous")
+    if writes == "array" and not arr.flags.writeable:
+        raise ExchangeConfigError("cannot unpack into a read-only array")
+    if writes == "buffers" and not all(buf.flags.writeable for buf in bufs):
+        raise ExchangeConfigError("cannot pack into a read-only buffer")
+    return table
+
+
+def _box_views(arr: np.ndarray, table: np.ndarray, bufs) -> list:
+    """Per box: its selection of *arr* and its buffer in the box's shape."""
+    return [
+        (
+            tuple(slice(lo, hi) for lo, hi in box),
+            buf.reshape([hi - lo for lo, hi in box]),
+        )
+        for box, buf in zip(table.tolist(), bufs)
+    ]
+
+
+def _numpy_gather(arr: np.ndarray, table: np.ndarray, bufs) -> Callable[[], None]:
+    """The NumPy tier of :func:`bind_gather`: one strided copy per box."""
+    pairs = _box_views(arr, table, bufs)
+
+    def gather() -> None:
+        for slc, view in pairs:
+            np.copyto(view, arr[slc])
+
+    return gather
+
+
+def _numpy_scatter(arr: np.ndarray, table: np.ndarray, bufs) -> Callable[[], None]:
+    """The NumPy tier of :func:`bind_scatter`."""
+    pairs = _box_views(arr, table, bufs)
+
+    def scatter() -> None:
+        for slc, view in pairs:
+            arr[slc] = view
+
+    return scatter
+
+
+def bind_gather(
+    arr: np.ndarray,
+    boxes: Sequence,
+    bufs: Sequence[np.ndarray],
+    movers: Optional[Movers],
+) -> Callable[[], None]:
+    """The call that copies box *b* of *arr* into flat ``bufs[b]``, every
+    *b*.  *boxes* holds per-axis ``(lo, hi)`` ranges (numpy axis order);
+    a mismatch between array, boxes and buffers is refused here, once,
+    with :class:`ExchangeConfigError`.  *movers* picks the tier
+    (:func:`~repro.stencil.cbackend.array_movers`; ``None``: NumPy);
+    both leave the same bytes.
+    """
+    table = _box_table(arr, boxes, bufs, writes="buffers")
+    if movers is None:
+        return _numpy_gather(arr, table, bufs)
+    return movers.gather(arr, table, bufs)
+
+
+def bind_scatter(
+    arr: np.ndarray,
+    boxes: Sequence,
+    bufs: Sequence[np.ndarray],
+    movers: Optional[Movers],
+) -> Callable[[], None]:
+    """The inverse of :func:`bind_gather`: flat ``bufs[b]`` into box *b*."""
+    table = _box_table(arr, boxes, bufs, writes="array")
+    if movers is None:
+        return _numpy_scatter(arr, table, bufs)
+    return movers.scatter(arr, table, bufs)
+
+
 def stage_boxes(
     arr: np.ndarray, boxes: Sequence[Tuple[Slices, Slices]]
 ) -> Binding:
     """Bind box messages to *arr* through persistent staging buffers.
 
     *boxes* holds each message's ``(send, recv)`` selections of *arr*.
-    The flat staging buffers go on the wire; box-shaped reshapes of the
-    same memory let the pack and the unpack run as one strided copy per
-    message, with no per-step temporaries.
+    The flat staging buffers go on the wire; the pack before and the
+    unpack after are one bound call each (:func:`bind_gather`,
+    :func:`bind_scatter`) over tables built here, with no per-step
+    temporaries.
     """
-    send_bufs, recv_bufs, packs, unpacks = [], [], [], []
-    for send_slc, recv_slc in boxes:
-        shape = arr[send_slc].shape
-        send_bufs.append(np.empty(arr[send_slc].size, dtype=arr.dtype))
-        recv_bufs.append(np.empty(arr[recv_slc].size, dtype=arr.dtype))
-        packs.append((send_bufs[-1].reshape(shape), send_slc))
-        unpacks.append((recv_slc, recv_bufs[-1].reshape(shape)))
 
-    def pack() -> None:
-        for view, slc in packs:
-            np.copyto(view, arr[slc])
+    def side(which: int):
+        """``(lo, hi)`` table and fresh flat buffers of every message's
+        send (0) or recv (1) selection."""
+        edges = [
+            edge
+            for pair in boxes
+            for slc in pair[which]
+            for edge in (slc.start, slc.stop)
+        ]
+        table = np.array(edges, dtype=np.int64).reshape(len(boxes), arr.ndim, 2)
+        counts = (table[..., 1] - table[..., 0]).prod(axis=1).tolist()
+        return table, [np.empty(n, dtype=arr.dtype) for n in counts]
 
-    def unpack() -> None:
-        for slc, view in unpacks:
-            arr[slc] = view
-
+    (send_table, send_bufs), (recv_table, recv_bufs) = side(0), side(1)
+    movers = array_movers(arr)
     return Binding(
-        send_bufs, recv_bufs, pack, unpack,
+        send_bufs,
+        recv_bufs,
+        bind_gather(arr, send_table, send_bufs, movers),
+        bind_scatter(arr, recv_table, recv_bufs, movers),
         sum(b.nbytes for b in send_bufs + recv_bufs),
+        backend="numpy" if movers is None else "cffi",
     )
 
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.exchange.base import Binding, Exchanger, ExchangeResult, RankMessagePlan
-from repro.exchange.boxes import extended_array_of, neighbor_boxes
+from repro.exchange.boxes import extended_array_of, neighbor_boxes, stage_boxes
 from repro.hardware.profiles import MachineProfile
 from repro.simmpi.comm import CartComm
 from repro.simmpi.datatypes import SubarrayType
@@ -46,11 +46,12 @@ class MPITypesExchanger(Exchanger):
 
     def _bind(self, arr: np.ndarray) -> List[Binding]:
         """Persistent wire buffers the datatype engine re-fills each
-        step: per message its (send, recv) derived datatypes.  The
-        engine's gathers and scatters are on-node movement too, just
-        hidden inside the library."""
+        step: per message its (send, recv) derived datatypes, committed
+        against *arr* once.  The engine's gathers and scatters are
+        on-node movement too, just hidden inside the library -- the same
+        bound box moves as an application's pack and unpack."""
 
-        def subarray(box):
+        def subarray(box) -> SubarrayType:
             lo, ext = box
             return SubarrayType(
                 shape=arr.shape,
@@ -62,17 +63,12 @@ class MPITypesExchanger(Exchanger):
             neighbor_boxes(m.spec.neighbor, self.extent, self.ghost)
             for m in self.plan.sends
         )
-        types = [(subarray(send), subarray(recv)) for send, recv in boxes]
-        send_bufs = [np.empty(s.count, dtype=arr.dtype) for s, _ in types]
-        recv_bufs = [np.empty(r.count, dtype=arr.dtype) for _, r in types]
-
-        def extract() -> None:  # "inside MPI": gather each selection
-            for (send_type, _), buf in zip(types, send_bufs):
-                send_type.extract_into(arr, buf)
-
-        def insert() -> None:
-            for (_, recv_type), buf in zip(types, recv_bufs):
-                recv_type.insert(arr, buf)
-
-        moved = sum(b.nbytes for b in send_bufs + recv_bufs)
-        return [Binding(send_bufs, recv_bufs, extract, insert, moved)]
+        return [
+            stage_boxes(
+                arr,
+                [
+                    (subarray(send).slices, subarray(recv).slices)
+                    for send, recv in boxes
+                ],
+            )
+        ]

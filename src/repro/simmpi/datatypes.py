@@ -6,7 +6,12 @@ within MPI").  We implement the three types a ghost-zone exchange needs --
 contiguous, vector, subarray -- with two faces:
 
 * **executed**: ``extract``/``insert`` really move the data via NumPy
-  slicing, standing in for the MPI library's internal pack loop;
+  slicing, one selection per call.  A persistent exchange does not call
+  them per step: it commits its subarrays against the array once
+  (:attr:`SubarrayType.slices` into
+  :func:`repro.exchange.boxes.stage_boxes`) and the engine's whole
+  gather, and its whole scatter, is then one bound call per exchange --
+  where buffer sizes, dtypes and contiguity are checked, once;
 * **modelled**: ``segment_profile`` reports the number of contiguous
   segments and their run length, which the cost model multiplies by the
   profile's interpretive datatype-engine constants.
@@ -41,15 +46,6 @@ class Datatype(abc.ABC):
     @abc.abstractmethod
     def extract(self, arr: np.ndarray) -> np.ndarray:
         """Pack the selection of *arr* into a fresh contiguous buffer."""
-
-    def extract_into(self, arr: np.ndarray, out: np.ndarray) -> None:
-        """Pack the selection of *arr* into caller-owned contiguous *out*.
-
-        Persistent-request form of :meth:`extract`: exchange channels
-        keep one wire buffer per message and re-fill it every step, so
-        the per-step datatype processing allocates nothing.
-        """
-        out.reshape(-1)[:] = self.extract(arr)
 
     @abc.abstractmethod
     def insert(self, arr: np.ndarray, buf: np.ndarray) -> None:
@@ -159,26 +155,27 @@ class SubarrayType(Datatype):
         nseg = max(1, self.count // run)
         return nseg, run
 
-    def _slices(self) -> Tuple[slice, ...]:
+    @property
+    def slices(self) -> Tuple[slice, ...]:
+        """The selection as numpy slices of an array of ``shape``."""
         return tuple(slice(s, s + sub) for s, sub in zip(self.start, self.subshape))
 
-    def extract(self, arr: np.ndarray) -> np.ndarray:
+    def _check(self, arr: np.ndarray) -> None:
         if arr.shape != self.shape:
             raise ExchangeConfigError(
                 f"expected array of shape {self.shape}, got {arr.shape}"
             )
-        return np.ascontiguousarray(arr[self._slices()]).reshape(-1)
 
-    def extract_into(self, arr: np.ndarray, out: np.ndarray) -> None:
-        if arr.shape != self.shape:
-            raise ExchangeConfigError(
-                f"expected array of shape {self.shape}, got {arr.shape}"
-            )
-        np.copyto(out.reshape(self.subshape), arr[self._slices()])
+    def extract(self, arr: np.ndarray) -> np.ndarray:
+        self._check(arr)
+        return np.ascontiguousarray(arr[self.slices]).reshape(-1)
 
     def insert(self, arr: np.ndarray, buf: np.ndarray) -> None:
-        if arr.shape != self.shape:
+        self._check(arr)
+        if buf.size != self.count or buf.dtype != arr.dtype:
             raise ExchangeConfigError(
-                f"expected array of shape {self.shape}, got {arr.shape}"
+                f"a {buf.size}-element {buf.dtype} buffer does not hold the"
+                f" {self.count} {arr.dtype} elements of subarray"
+                f" {self.subshape}@{self.start}"
             )
-        arr[self._slices()] = buf.reshape(self.subshape)
+        arr[self.slices] = buf.reshape(self.subshape)

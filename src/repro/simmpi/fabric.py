@@ -17,7 +17,13 @@ because the two kinds of traffic match differently:
     them, swaps the list out and copies outside the lock; *wait* blocks
     until the rank's ``outstanding`` count is back to zero.  At most one
     epoch per edge is in flight; a stray or surplus arrival is a
-    :class:`ProtocolError`, not an assumption.
+    :class:`ProtocolError`, not an assumption.  The copy itself is one
+    call over a ``(sender view -> receive view)`` table frozen on the
+    receiver's cut (:meth:`SimFabric._freeze`): bound items are prebuilt
+    objects, so an epoch whose arrivals are the very items the table was
+    built from has already passed every per-item check.  Who makes that
+    call -- a C ``copy_list`` or the NumPy loop -- is the binder handed
+    to :meth:`SimFabric.bind_request`; this package knows no backend.
 
 ``queues`` (per-message: Shift, collectives)
     ``post_send`` appends a :class:`_SendEntry` -- a *reference* to the
@@ -190,6 +196,17 @@ def _flat_bytes(buf: np.ndarray) -> np.ndarray:
     return buf.reshape(-1).view(np.uint8)
 
 
+def _numpy_copy_list(srcs, dsts) -> Callable[[], None]:
+    """The NumPy tier of a cut's wire copy: one assignment per item."""
+    pairs = list(zip(dsts, srcs))
+
+    def copy() -> None:
+        for recv, sent in pairs:
+            recv[:] = sent
+
+    return copy
+
+
 class _Port:
     """One rank's end of the fabric, the only place a message waits; every
     field is guarded by the fabric lock, which ``cond`` is built on."""
@@ -214,12 +231,19 @@ class _Cut:
     ``(dst, items, nbytes)`` and an item ``((src, wire tag), byte view)``.
     ``rmap`` maps each expected item key to its receive view, ``rkeys[m]``
     lists the keys of receive *m*, ``sources`` is ``(src, item count)``.
+
+    ``copy`` is the plain path's whole wire copy, one call, built by
+    ``copy_list`` (a ``(srcs, dsts) -> call`` binder) from the arrivals
+    in ``frozen`` -- kept alive here so that ``frozen_ids``, their
+    ``id()`` s, name exactly those objects and no later one.
     """
 
     __slots__ = ("rank", "rows", "groups", "nsend", "send_bytes",
-                 "rmap", "rkeys", "recv_bytes", "sources")
+                 "rmap", "rkeys", "recv_bytes", "sources",
+                 "copy_list", "copy", "frozen", "frozen_ids")
 
-    def __init__(self, rank: int, posts, recvs, partitions: int) -> None:
+    def __init__(self, rank: int, posts, recvs, partitions: int,
+                 copy_list=None) -> None:
         def wire(tag: int, part: int) -> int:
             return tag if partitions == 1 else partition_tag(tag, part)
 
@@ -244,6 +268,11 @@ class _Cut:
         self.rkeys: List[list] = []
         counts: Dict[int, int] = {}
         for src, tag, buf in recvs:
+            if not buf.flags.writeable:
+                raise ExchangeConfigError(
+                    f"rank {rank} binds a read-only buffer to the receive"
+                    f" (src={src}, tag={tag})"
+                )
             flat = _flat_bytes(buf)
             keys = []
             for p, (lo, hi) in enumerate(partition_bounds(flat.size, partitions)):
@@ -259,6 +288,10 @@ class _Cut:
             counts[src] = counts.get(src, 0) + len(keys)
         self.recv_bytes = sum(view.size for view in self.rmap.values())
         self.sources = list(counts.items())
+        self.copy_list = copy_list or _numpy_copy_list
+        self.copy: Optional[Callable[[], None]] = None
+        self.frozen: list = []
+        self.frozen_ids: frozenset = frozenset()
 
 
 class BoundRequest:
@@ -277,11 +310,13 @@ class BoundRequest:
     __slots__ = ("_fabric", "bulk", "parts", "started", "_ready", "_all_ready")
 
     def __init__(self, fabric: "SimFabric", rank: int, posts, recvs,
-                 partitions: int) -> None:
+                 partitions: int, copy_list=None) -> None:
         self._fabric = fabric
-        self.bulk = _Cut(rank, posts, recvs, 1)
+        self.bulk = _Cut(rank, posts, recvs, 1, copy_list)
         self.parts = (
-            self.bulk if partitions == 1 else _Cut(rank, posts, recvs, partitions)
+            self.bulk
+            if partitions == 1
+            else _Cut(rank, posts, recvs, partitions, copy_list)
         )
         self.started = False
         self._ready: set = set()
@@ -293,6 +328,13 @@ class BoundRequest:
         sends first, then receives."""
         cut = self.parts
         return [len(row) for row in cut.rows] + [len(k) for k in cut.rkeys]
+
+    @property
+    def copies_in_one_call(self) -> bool:
+        """Whether a receive of this request is one ``copy_list`` call
+        over the frozen table (a plain fabric); a verified fabric copies
+        and checks item by item whatever binder was handed in."""
+        return self._fabric._guard is None
 
     def _need_started(self, what: str) -> None:
         if not self.started:
@@ -641,16 +683,22 @@ class SimFabric:
     # Bound requests (module docstring): ExchangeChannel's per-step calls,
     # on a plain fabric and -- each item under the guard -- a verified one.
     # ------------------------------------------------------------------
-    def bind_request(self, rank: int, posts, recvs,
-                     partitions: int = 1) -> BoundRequest:
+    def bind_request(self, rank: int, posts, recvs, partitions: int = 1,
+                     copy_list=None) -> BoundRequest:
         """Bind a channel's whole message plan into a persistent request.
 
         *posts* are ``(dst, tag, buf)`` and *recvs* ``(src, tag, buf)``
         exactly as the channel will fire them; the buffers must be
-        C-contiguous and stay alive with the handle.  Both halves of each
+        C-contiguous, the receive buffers writeable, and all stay alive
+        and unmoved with the handle.  Both halves of each
         edge's byte split are registered here, so a byte-count or
         partition disagreement between two ranks surfaces at negotiation
         as a :class:`SplitMismatchError`, before any message is posted.
+
+        *copy_list* is who performs the plain path's wire copy: a binder
+        ``(sender views, receive views) -> call`` whose call copies every
+        pair (:meth:`repro.stencil.cbackend.Movers.copy_list`, handed
+        down by the channel); ``None`` is the NumPy loop.
         """
         self._check_rank(rank)
         if partitions < 1:
@@ -662,7 +710,7 @@ class SimFabric:
         for src, tag, buf in recvs:
             self._check_rank(src)
             self.register_split(src, rank, tag, buf.nbytes, partitions, "recv")
-        return BoundRequest(self, rank, posts, recvs, partitions)
+        return BoundRequest(self, rank, posts, recvs, partitions, copy_list)
 
     def post_send_batch(self, cut: _Cut, groups=None) -> None:
         """Put *groups* of *cut* (default: all of it) on the wire.
@@ -726,13 +774,45 @@ class SimFabric:
             f" tag={key[1]}): sent {sent.size} bytes, receiving {recv.size}"
         )
 
+    def _freeze(self, cut: _Cut, items: list) -> None:
+        """Check *items* against *cut*'s receives and build its copy table.
+
+        The per-epoch checks of the bound path, run when the arrivals are
+        not the very objects the table was last built from: exactly one
+        item per bound receive (else more than one epoch sits on an
+        edge, or the peer's request does not mirror this one), each the
+        size of its receive view.  Items are the senders' prebuilt
+        tuples, alive and unchanged for as long as ``frozen`` holds
+        them, so a later epoch that delivers the same objects has passed
+        these checks already (DESIGN.md, "Data-movement tier").
+        """
+        rmap = cut.rmap
+        dst = cut.rank
+        sent = dict(items)  # a repeated key shows in the count
+        if len(items) != len(rmap) or sent.keys() != rmap.keys():
+            self.abort()
+            raise ProtocolError(
+                f"rank {dst}: arrivals (src, tag)"
+                f" {sorted(item[0] for item in items)} do not match"
+                f" its {len(rmap)} bound receives"
+            )
+        srcs = [sent[key] for key in rmap]
+        dsts = list(rmap.values())
+        for key, view, recv in zip(rmap, srcs, dsts):
+            if view.size != recv.size:
+                raise self._size_mismatch(key, dst, view, recv)
+        cut.copy = cut.copy_list(srcs, dsts)
+        cut.frozen = items
+        cut.frozen_ids = frozenset(map(id, items))
+
     def complete_recv_batch(self, cut: _Cut) -> None:
         """Deliver one epoch of *cut*'s receives into their buffers.
 
         Blocks on the rank's own condition until all ``n`` arrivals are
         in (one wake-up per exchange, not one per message), swaps the
-        list out and copies outside the lock, so ranks' wire copies
-        overlap.  Buffers are disjoint, so arrival order cannot matter.
+        list out and copies outside the lock -- one call over the cut's
+        frozen table (:meth:`_freeze`) -- so ranks' wire copies overlap.
+        Buffers are disjoint, so arrival order cannot matter.
         """
         n = len(cut.rmap)
         if n == 0:
@@ -755,21 +835,11 @@ class SimFabric:
                         port.expect = 0
                 items = port.arrivals
                 port.arrivals = []
-            rmap = cut.rmap
-            if len(items) != n or {item[0] for item in items} != rmap.keys():
-                # More than one epoch on an edge, or a peer's request
-                # that does not mirror this one.
-                self.abort()
-                raise ProtocolError(
-                    f"rank {dst}: arrivals (src, tag)"
-                    f" {sorted(item[0] for item in items)} do not match"
-                    f" its {n} bound receives"
-                )
-            for key, sent in items:
-                recv = rmap[key]
-                if sent.size != recv.size:
-                    raise self._size_mismatch(key, dst, sent, recv)
-                recv[:] = sent  # the single wire copy
+            if len(items) != n or set(map(id, items)) != cut.frozen_ids:
+                # Not the n items the copy table was built from: a first
+                # fire, a re-bound peer -- or a protocol violation.
+                self._freeze(cut, items)
+            cut.copy()  # the single wire copy, every item in one call
             ports = self._ports
             with self._lock:
                 st = self.stats[dst]

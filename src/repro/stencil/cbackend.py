@@ -24,6 +24,16 @@ Both layouts compute on the same tier with the same tap loop over
 contiguous rows; what the brick kernel pays on top is the staging copy
 (EXPERIMENTS.md, "Stage, then sweep", has its measured share).
 
+The exchange moves its data on the same tier.  The first translation
+unit a process builds (per set of sanitize flags) ends with one constant
+text (:data:`MOVER_SOURCE`): three table-driven functions -- a box
+gather, its scatter and a ``copy_list`` -- that pack, unpack and
+wire-copy one exchange side per call over tables frozen at bind
+(:class:`Movers`, resolved by :func:`mover_kernel` at the same point as
+the kernels).  Riding in a kernel's translation unit means a cold run
+invokes the compiler no more often than it did without them; a
+stand-alone build happens only in a process that never loaded a kernel.
+
 Bit-exactness with the NumPy path is by construction:
 
 * identical tap order and operand order (``acc = c0*x0`` then
@@ -72,6 +82,9 @@ from repro.stencil.brick_kernels import _margin_slices
 __all__ = [
     "KernelBoundsError",
     "KernelBuildError",
+    "MOVER_SOURCE",
+    "Movers",
+    "array_movers",
     "array_step_kernel",
     "array_step_source",
     "backend_choice",
@@ -80,6 +93,7 @@ __all__ = [
     "bounds_guard_enabled",
     "brick_stage_boxes",
     "kernel_env",
+    "mover_kernel",
     "sanitize_flags",
 ]
 
@@ -120,7 +134,10 @@ class KernelBoundsError(RuntimeError):
     variant, which checks every adjacency entry it stages through and
     every destination slot (bricks) or every box's read footprint
     (arrays) against the storage extents at runtime and reports the
-    violation count instead of touching memory out of bounds.
+    violation count instead of touching memory out of bounds.  The
+    exchange's movers are guarded the same way: every box against its
+    array and its buffer, every ``copy_list`` length against both of
+    its views, checked before the first byte moves.
     """
 
 
@@ -551,6 +568,156 @@ def array_step_source(
     return "\n".join(body) + "\n"
 
 
+#: Most axes a box mover walks (its odometer is a fixed stack array).
+MOVER_MAX_NDIM = 8
+
+#: The exchange's data movers: constant text, the tail of the first
+#: translation unit :func:`_load` builds with given sanitize flags (any
+#: kernel's: the text depends on no specialization; ~40 ms of compiler
+#: time, which a second unit need not pay again).  ``boxes`` is an
+#: ``(nboxes, ndim, 2)`` table of per-axis ``(lo, hi)`` element ranges in
+#: a row-major double array of extents ``shape``; box *b* travels through
+#: the flat buffer ``bufs[b]``, a ``memcpy`` per innermost row (an inline
+#: loop for rows of up to 16 elements: the x-faces' ghost-wide rows, where
+#: a libc call per 64 bytes cost a 48^3 unpack 13%).  The
+#: capacity tables are the bounds guard: given them (``REPRO_CC_BOUNDS``)
+#: a call checks every entry first, and on any violation writes nothing
+#: and returns the count.  ``copy_list`` uses ``memmove``: a sender's and
+#: a receiver's view come from different binds of (possibly) one arena.
+MOVER_SOURCE = "\n#define REPRO_MOVER_MAX_NDIM %d\n" % MOVER_MAX_NDIM + """
+#include <stdint.h>
+#include <string.h>
+
+static int64_t repro_box_violations(int64_t arr_elems, const int64_t *shape,
+                                    int64_t ndim, const int64_t *boxes,
+                                    int64_t nboxes, const int64_t *buf_elems)
+{
+    int64_t total = 1, bad = 0, a, b;
+    if (ndim < 1 || ndim > REPRO_MOVER_MAX_NDIM)
+        return nboxes + 1;
+    for (a = 0; a < ndim; ++a)
+        total *= shape[a];
+    if (arr_elems < total)
+        return nboxes + 1;
+    for (b = 0; b < nboxes; ++b) {
+        const int64_t *box = boxes + b * 2 * ndim;
+        int64_t volume = 1, ok = 1;
+        for (a = 0; a < ndim; ++a) {
+            const int64_t lo = box[2 * a], hi = box[2 * a + 1];
+            if (lo < 0 || hi < lo || hi > shape[a])
+                ok = 0;
+            volume *= hi - lo;
+        }
+        if (!ok || buf_elems[b] < volume)
+            ++bad;
+    }
+    return bad;
+}
+
+static int64_t repro_box_move(double *arr, int64_t arr_elems,
+                              const int64_t *shape, int64_t ndim,
+                              const int64_t *boxes, int64_t nboxes,
+                              char *const *bufs, const int64_t *buf_elems,
+                              int scatter)
+{
+    int64_t stride[REPRO_MOVER_MAX_NDIM], at[REPRO_MOVER_MAX_NDIM], a, b, r;
+    const int64_t last = ndim - 1;
+    if (buf_elems) {
+        const int64_t bad = repro_box_violations(
+            arr_elems, shape, ndim, boxes, nboxes, buf_elems);
+        if (bad)
+            return bad;
+    }
+    stride[last] = 1;
+    for (a = last - 1; a >= 0; --a)
+        stride[a] = stride[a + 1] * shape[a + 1];
+    for (b = 0; b < nboxes; ++b) {
+        const int64_t *box = boxes + b * 2 * ndim;
+        const int64_t row = box[2 * last + 1] - box[2 * last];
+        double *buf = (double *)bufs[b];
+        int64_t rows = 1, base = box[2 * last];
+        for (a = 0; a < last; ++a) {
+            at[a] = box[2 * a];
+            rows *= box[2 * a + 1] - box[2 * a];
+            base += box[2 * a] * stride[a];
+        }
+        if (row <= 0 || rows <= 0)
+            continue;
+        for (r = 0; r < rows; ++r) {
+            double *restrict to = scatter ? arr + base : buf;
+            const double *restrict from = scatter ? buf : arr + base;
+            if (row <= 16) {  /* a face's ghost-wide rows: cheaper than a call */
+                int64_t i;
+                for (i = 0; i < row; ++i)
+                    to[i] = from[i];
+            } else
+                memcpy(to, from, row * sizeof(double));
+            buf += row;
+            for (a = last - 1; a >= 0; --a) {
+                base += stride[a];
+                if (++at[a] < box[2 * a + 1])
+                    break;
+                base -= (box[2 * a + 1] - box[2 * a]) * stride[a];
+                at[a] = box[2 * a];
+            }
+        }
+    }
+    return 0;
+}
+
+int64_t repro_gather(const double *arr, int64_t arr_elems,
+                     const int64_t *shape, int64_t ndim,
+                     const int64_t *boxes, int64_t nboxes,
+                     char *const *bufs, const int64_t *buf_elems)
+{
+    return repro_box_move((double *)arr, arr_elems, shape, ndim, boxes,
+                          nboxes, bufs, buf_elems, 0);
+}
+
+int64_t repro_scatter(double *arr, int64_t arr_elems,
+                      const int64_t *shape, int64_t ndim,
+                      const int64_t *boxes, int64_t nboxes,
+                      char *const *bufs, const int64_t *buf_elems)
+{
+    return repro_box_move(arr, arr_elems, shape, ndim, boxes, nboxes, bufs,
+                          buf_elems, 1);
+}
+
+int64_t repro_copy_list(char *const *src, char *const *dst,
+                        const int64_t *nbytes, int64_t n,
+                        const int64_t *src_bytes, const int64_t *dst_bytes)
+{
+    int64_t i, bad = 0;
+    if (src_bytes) {
+        for (i = 0; i < n; ++i)
+            if (nbytes[i] < 0 || nbytes[i] > src_bytes[i]
+                    || nbytes[i] > dst_bytes[i])
+                ++bad;
+        if (bad)
+            return bad;
+    }
+    for (i = 0; i < n; ++i)
+        memmove(dst[i], src[i], nbytes[i]);
+    return 0;
+}
+"""
+_MOVER_CDEF = """
+int64_t repro_gather(const double *arr, int64_t arr_elems,
+                     const int64_t *shape, int64_t ndim,
+                     const int64_t *boxes, int64_t nboxes,
+                     char *const *bufs, const int64_t *buf_elems);
+int64_t repro_scatter(double *arr, int64_t arr_elems,
+                      const int64_t *shape, int64_t ndim,
+                      const int64_t *boxes, int64_t nboxes,
+                      char *const *bufs, const int64_t *buf_elems);
+int64_t repro_copy_list(char *const *src, char *const *dst,
+                        const int64_t *nbytes, int64_t n,
+                        const int64_t *src_bytes, const int64_t *dst_bytes);
+"""
+# sanitize flags -> (ffi, lib) of a loaded translation unit built with
+# them: where mover_kernel finds the movers without a build of its own.
+_mover_libs: Dict[Tuple, Tuple] = {}
+
 _BATCH_ARGS = (
     "const double *src, double *dst, const int64_t *adj,"
     " const int64_t *slots, int64_t nbricks, double *tile"
@@ -564,7 +731,10 @@ _GUARD_ARGS = ", int64_t src_elems, int64_t dst_elems"
 def _load(
     source: str, name: str, args: str, guard: bool, extra_flags: Sequence[str]
 ):
-    """Compile *source* and return ``(ffi, lib.<name>, lib)``.
+    """Compile *source* and return ``(ffi, lib.<name>, lib)``.  The
+    first unit built with *extra_flags* also carries
+    :data:`MOVER_SOURCE` and is where :func:`mover_kernel` finds the
+    movers (*name* ``""``: the movers alone, no kernel function).
 
     Raises :class:`KernelBuildError` naming what refused: no ``cffi``,
     no compiler, or the compiler's / loader's own first words.
@@ -578,8 +748,10 @@ def _load(
     _build_dirs.append(workdir)
     c_path = os.path.join(workdir, "kernel.c")
     so_path = os.path.join(workdir, "kernel.so")
+    flags = tuple(extra_flags)
+    carries_movers = flags not in _mover_libs
     with open(c_path, "w") as fh:
-        fh.write(source)
+        fh.write(source + MOVER_SOURCE if carries_movers else source)
     cmd = [
         cc, *_OPT_FLAGS, "-fPIC", "-shared", "-ffp-contract=off",
         *extra_flags,
@@ -596,13 +768,18 @@ def _load(
     except (OSError, subprocess.SubprocessError) as err:
         raise KernelBuildError(f"{cc} did not run: {err}") from None
     ffi = cffi.FFI()
-    ret = "int64_t" if guard else "void"
-    ffi.cdef(f"{ret} {name}({args}{_GUARD_ARGS if guard else ''});")
+    if carries_movers:
+        ffi.cdef(_MOVER_CDEF)
+    if name:
+        ret = "int64_t" if guard else "void"
+        ffi.cdef(f"{ret} {name}({args}{_GUARD_ARGS if guard else ''});")
     try:
         lib = ffi.dlopen(so_path)
     except OSError as err:
         raise KernelBuildError(f"dlopen of the built kernel: {err}") from None
-    return ffi, getattr(lib, name), lib
+    if carries_movers:
+        _mover_libs[flags] = (ffi, lib)
+    return ffi, getattr(lib, name) if name else None, lib
 
 
 def _finish(call: Callable, lib, guard: bool, source: str, what: str):
@@ -677,6 +854,96 @@ def _build_array(
     return _finish(call, lib, guard, source, "box(es)")
 
 
+class Movers:
+    """The exchange's three C movers, as binders over frozen tables.
+
+    Each method freezes one exchange side -- every pointer, extent and
+    length it will ever need -- into C tables and returns the zero-argument
+    call that moves it: what a :class:`~repro.exchange.base.Binding` runs
+    as ``pre`` / ``post`` and the fabric as its wire copy, once per
+    exchange instead of once per message.  The tables hold raw addresses:
+    a buffer export is taken only long enough to read the address, so no
+    table pins an arena mapping (closing one is a raw ``munmap`` once the
+    world has joined).  A box call keeps its array and buffers
+    referenced; a ``copy_list`` call references nothing -- the fabric's
+    cut holds both ends' views for as long as it may fire it.  Callers
+    validate shapes, dtypes and contiguity first
+    (:func:`repro.exchange.boxes.bind_gather`, the fabric's size check);
+    under the bounds guard the C side re-checks every entry per call and
+    a violation raises :class:`KernelBoundsError` before anything moved.
+    The calls release the GIL.
+    """
+
+    def __init__(self, ffi, lib, guard: bool) -> None:
+        self._ffi = ffi
+        self._lib = lib
+        self.guard = guard
+
+    def _pointers(self, arrays: Sequence[np.ndarray]):
+        """``char *[]`` of the arrays' addresses; holds none of them."""
+        return self._ffi.new("char *[]", list(map(self._ffi.from_buffer, arrays)))
+
+    def _sizes(self, sizes: Sequence[int]):
+        return self._ffi.new("int64_t[]", [int(n) for n in sizes])
+
+    def _frozen(self, fn, args: tuple, what: str, keep=()) -> Callable[[], None]:
+        """*fn* over *args*: the cdata tables in *args*, the dlopen
+        handle and the arrays in *keep* live as long as the call."""
+        call = functools.partial(fn, *args)
+        if self.guard:
+            unguarded = call
+
+            def call() -> None:
+                violations = unguarded()
+                if violations:
+                    raise KernelBoundsError(
+                        f"bounds-guarded mover observed {violations}"
+                        f" out-of-range {what} (REPRO_CC_BOUNDS=1)"
+                    )
+
+        call.__keep__ = (self._lib, keep)
+        return call
+
+    def _boxes(self, fn, arr: np.ndarray, boxes, bufs, ctype: str):
+        ffi = self._ffi
+        args = (
+            ffi.cast(ctype, ffi.from_buffer(arr)),
+            arr.size,
+            self._sizes(arr.shape),
+            arr.ndim,
+            self._sizes(np.asarray(boxes).reshape(-1).tolist()),
+            len(bufs),
+            self._pointers(bufs),
+            self._sizes([b.size for b in bufs]) if self.guard else ffi.NULL,
+        )
+        return self._frozen(fn, args, "box(es) / buffer(s)", (arr, list(bufs)))
+
+    def gather(self, arr: np.ndarray, boxes, bufs) -> Callable[[], None]:
+        """The call copying box *b* of *arr* into flat ``bufs[b]``, all
+        of them; *boxes* is ``(len(bufs), arr.ndim, 2)`` ``(lo, hi)``."""
+        return self._boxes(
+            self._lib.repro_gather, arr, boxes, bufs, "const double *"
+        )
+
+    def scatter(self, arr: np.ndarray, boxes, bufs) -> Callable[[], None]:
+        """The call copying flat ``bufs[b]`` into box *b* of *arr*."""
+        return self._boxes(self._lib.repro_scatter, arr, boxes, bufs, "double *")
+
+    def copy_list(self, srcs, dsts) -> Callable[[], None]:
+        """The call copying ``dsts[i].nbytes`` bytes of ``srcs[i]`` into
+        ``dsts[i]``, every *i*."""
+        nbytes = self._sizes([d.nbytes for d in dsts])
+        args = (
+            self._pointers(srcs),
+            self._pointers(dsts),
+            nbytes,
+            len(dsts),
+            self._sizes([s.nbytes for s in srcs]) if self.guard else self._ffi.NULL,
+            nbytes if self.guard else self._ffi.NULL,
+        )
+        return self._frozen(self._lib.repro_copy_list, args, "copy length(s)")
+
+
 @atexit.register
 def _cleanup() -> None:  # pragma: no cover - exit path
     for d in _build_dirs:
@@ -718,6 +985,48 @@ def _kernel_for(key: Tuple, dtype, build: Callable[[Tuple, bool], Callable]):
             )
         return None
     return fn
+
+
+def mover_kernel(dtype=np.float64) -> Optional[Movers]:
+    """The C movers, or ``None`` for the NumPy tier (see
+    :func:`_kernel_for`; *dtype* is that of the array a box mover will
+    walk -- the wire copy moves bytes and passes none).
+
+    They are taken from the translation unit this process first loaded
+    with the same sanitize flags -- it carries them -- and built
+    stand-alone only when there is none (a process that binds a channel
+    before any stencil plan, as fabric unit tests do).
+    """
+
+    return _kernel_for(("mover",), dtype, _load_movers)
+
+
+def _load_movers(sanitize: Tuple[str, ...], guard: bool) -> Movers:
+    if sanitize not in _mover_libs:
+        _load("", "", "", False, sanitize)
+    return Movers(*_mover_libs[sanitize], guard)
+
+
+def array_movers(arr: np.ndarray) -> Optional[Movers]:
+    """The C movers for packing out of / unpacking into *arr*, or
+    ``None`` for the NumPy tier.
+
+    The box movers walk raw row-major float64 memory, so anything else
+    follows :meth:`~repro.stencil.plan.ArrayStencilPlan.execute`'s rule:
+    the NumPy tier under ``auto``, an error under ``cffi``.
+    """
+    movers = mover_kernel(arr.dtype)
+    if movers is None or (
+        arr.flags.c_contiguous and 1 <= arr.ndim <= MOVER_MAX_NDIM
+    ):
+        return movers
+    if backend_choice() == "cffi":
+        raise KernelBuildError(
+            "REPRO_KERNEL_BACKEND=cffi but the box movers cannot engage:"
+            f" they walk C-contiguous arrays of 1 to {MOVER_MAX_NDIM} axes,"
+            f" got {arr.ndim} axes, strides {arr.strides}"
+        )
+    return None
 
 
 def batch_step_kernel(

@@ -400,6 +400,49 @@ class TestCBackend:
         assert rep.codes() == ["array-probe-mismatch"], rep.render()
 
     @needs_cc
+    def test_mover_probe_names_the_mover_that_differs(self, monkeypatch):
+        """The movers ride in the probe kernels' translation units: one
+        whose gather reads every row one element early is a finding of
+        its own, naming which of the three differs from NumPy slicing."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        monkeypatch.setattr(cbackend, "_mover_libs", {})  # force a fresh load
+        monkeypatch.setattr(
+            cbackend, "MOVER_SOURCE",
+            cbackend.MOVER_SOURCE.replace(
+                "scatter ? buf : arr + base;",
+                "scatter ? buf : arr + (base > 0 ? base - 1 : 0);",
+            ),
+        )
+        rep = CheckReport()
+        verify_cbackend(rep)
+        assert rep.codes() == ["mover-probe"], rep.render()
+        assert "gather" in rep.findings[0].message
+        assert "scatter" not in rep.findings[0].message
+
+    @needs_cc
+    def test_movers_cost_no_compiler_invocation_of_their_own(self, monkeypatch):
+        """They ride in the kernels' translation units: a process that
+        builds a kernel first -- every run does -- builds nothing for
+        the movers; only one that asks for them cold builds stand-alone."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        monkeypatch.setattr(cbackend, "_mover_libs", {})
+        monkeypatch.setattr(cbackend, "_kernels", {})
+        loads = []
+        real = cbackend._load
+        monkeypatch.setattr(
+            cbackend, "_load",
+            lambda source, name, *rest: loads.append(name)
+            or real(source, name, *rest),
+        )
+        assert cbackend.array_step_kernel(SEVEN_POINT.taps, (6, 6, 6), np.float64)
+        assert cbackend.mover_kernel() is not None
+        assert loads == ["repro_array_step"]
+        monkeypatch.setattr(cbackend, "_mover_libs", {})
+        monkeypatch.setattr(cbackend, "_kernels", {})
+        assert cbackend.mover_kernel() is not None
+        assert loads == ["repro_array_step", ""]
+
+    @needs_cc
     def test_array_probe_runs_under_env_flags(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         seen = []

@@ -2,9 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.exchange.boxes import box_slices, neighbor_recv_box, neighbor_send_box
+from repro.exchange.boxes import (
+    bind_gather,
+    bind_scatter,
+    box_slices,
+    neighbor_recv_box,
+    neighbor_send_box,
+    stage_boxes,
+)
+from repro.faults.errors import ExchangeConfigError
 from repro.exchange.schedule import (
     array_schedule,
     basic_brick_schedule,
@@ -14,7 +25,13 @@ from repro.exchange.schedule import (
 )
 from repro.layout.order import SURFACE3D, lexicographic_order
 from repro.layout.regions import all_regions
+from repro.stencil import cbackend
 from repro.util.bitset import BitSet
+
+needs_cc = pytest.mark.skipif(
+    cbackend.cffi is None or cbackend._compiler() is None,
+    reason="no C toolchain in this environment",
+)
 
 
 class TestBoxes:
@@ -185,3 +202,224 @@ class TestShiftSchedule:
         shift_total = sum(m.payload_bytes for p in phases for m in p)
         full = sum(m.payload_bytes for m in array_schedule((16, 16, 16), 8))
         assert shift_total == full == (32**3 - 16**3) * 8
+
+
+# ----------------------------------------------------------------------
+# The data-movement tier: C movers against the NumPy tier
+# ----------------------------------------------------------------------
+@st.composite
+def _arrays_and_boxes(draw):
+    """A random 1- to 3-D array and a list of boxes in it: random ones
+    (zero-extent included) plus a ghost-width shell face and the whole
+    array, the shapes an exchange binds."""
+    ndim = draw(st.integers(1, 3))
+    ghost = draw(st.integers(1, 2))
+    shape = tuple(draw(st.integers(1, 5)) + 2 * ghost for _ in range(ndim))
+
+    def box():
+        out = []
+        for n in shape:
+            lo = draw(st.integers(0, n))
+            out.append((lo, draw(st.integers(lo, n))))
+        return tuple(out)
+
+    boxes = draw(st.lists(st.builds(box), max_size=5))
+    boxes.append(tuple((0, n) for n in shape))  # the full array
+    boxes.append(((0, ghost),) + tuple((ghost, n - ghost) for n in shape[1:]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random(shape), boxes
+
+
+def _volume(box):
+    return math.prod(hi - lo for lo, hi in box)
+
+
+def _c_movers(guard=False):
+    """The C movers whatever tier the environment selects -- what
+    ``mover_kernel`` resolves to under ``cffi``, built with the
+    environment's sanitizers (the CI sanitizer job runs this file)."""
+    return cbackend._load_movers(cbackend.sanitize_flags(), guard)
+
+
+@needs_cc
+class TestMoversMatchNumPy:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_arrays_and_boxes())
+    def test_gather_scatter_copy_list_byte_identical(self, case):
+        arr, boxes = case
+        movers = _c_movers()
+        c_bufs = [np.full(_volume(b), np.nan) for b in boxes]
+        np_bufs = [np.full(_volume(b), np.nan) for b in boxes]
+        bind_gather(arr, boxes, c_bufs, movers)()
+        bind_gather(arr, boxes, np_bufs, None)()
+        for got, ref in zip(c_bufs, np_bufs):
+            assert got.tobytes() == ref.tobytes()
+
+        wire_c = [np.empty_like(b) for b in c_bufs]
+        wire_np = [np.empty_like(b) for b in c_bufs]
+        as_bytes = lambda bufs: [b.view(np.uint8) for b in bufs]  # noqa: E731
+        movers.copy_list(as_bytes(c_bufs), as_bytes(wire_c))()
+        for dst, src in zip(as_bytes(wire_np), as_bytes(c_bufs)):
+            dst[:] = src
+        for got, ref in zip(wire_c, wire_np):
+            assert got.tobytes() == ref.tobytes()
+
+        out_c = np.full(arr.shape, -1.0)
+        out_np = np.full(arr.shape, -1.0)
+        bind_scatter(out_c, boxes, wire_c, movers)()
+        bind_scatter(out_np, boxes, wire_np, None)()
+        assert out_c.tobytes() == out_np.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_arrays_and_boxes(), tier=st.sampled_from(["cffi", "numpy"]))
+    def test_scatter_of_gather_over_disjoint_boxes_is_identity(self, case, tier):
+        arr, _ = case
+        movers = _c_movers() if tier == "cffi" else None
+        # Two slabs that tile the array along its first axis.
+        cut = arr.shape[0] // 2
+        rest = tuple((0, n) for n in arr.shape[1:])
+        boxes = [((0, cut),) + rest, ((cut, arr.shape[0]),) + rest]
+        bufs = [np.empty(_volume(b)) for b in boxes]
+        bind_gather(arr, boxes, bufs, movers)()
+        out = np.full(arr.shape, np.nan)
+        bind_scatter(out, boxes, bufs, movers)()
+        assert out.tobytes() == arr.tobytes()
+
+    def test_stage_boxes_resolves_the_tier_from_the_environment(self, monkeypatch):
+        arr = np.arange(6.0 * 6).reshape(6, 6)
+        slabs = [((slice(1, 2), slice(1, 5)), (slice(0, 1), slice(1, 5)))]
+        images = {}
+        for tier in ("cffi", "numpy"):
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", tier)
+            work = arr.copy()
+            hooks = stage_boxes(work, slabs)
+            assert hooks.backend == tier
+            hooks.pre()
+            hooks.recv_bufs[0][:] = hooks.send_bufs[0]
+            hooks.post()
+            images[tier] = work.tobytes()
+            assert (work[0, 1:5] == arr[1, 1:5]).all()
+        assert images["cffi"] == images["numpy"]
+
+    def test_cffi_refuses_what_the_movers_cannot_walk(self, monkeypatch):
+        """No silent fallback: demanding the C tier for an array it
+        cannot address names why; ``auto`` takes the NumPy tier and says
+        so in the binding."""
+        strided = np.zeros((6, 12))[:, ::2]
+        slabs = [((slice(1, 2), slice(1, 5)), (slice(0, 1), slice(1, 5)))]
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        with pytest.raises(cbackend.KernelBuildError, match="C-contiguous"):
+            stage_boxes(strided, slabs)
+        with pytest.raises(RuntimeError, match="float64"):
+            stage_boxes(np.zeros((6, 6), dtype=np.float32), slabs)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
+        assert stage_boxes(strided, slabs).backend == "numpy"
+        assert stage_boxes(np.zeros((6, 6), np.float32), slabs).backend == "numpy"
+
+
+@pytest.mark.parametrize("tier", ["cffi", "numpy"])
+class TestBindRefusesAtBind:
+    """What a raw pointer would turn into memory corruption -- and NumPy
+    into a silent cast or a reshape error mid-run -- is a typed error
+    where the table is built, on either tier."""
+
+    @pytest.fixture
+    def movers(self, tier):
+        if tier == "numpy":
+            return None
+        if cbackend.cffi is None or cbackend._compiler() is None:
+            pytest.skip("no C toolchain in this environment")
+        return _c_movers()
+
+    ARR = np.zeros((4, 6))
+    BOX = [((1, 3), (2, 5))]
+
+    @pytest.mark.parametrize(
+        "bufs,match",
+        [
+            ([np.zeros(5)], "elements"),  # wrong size
+            ([np.zeros(6, dtype=np.float32)], "float32"),  # would cast
+            ([np.zeros(12)[::2]], "C-contiguous"),
+            ([np.zeros(6), np.zeros(6)], "2 buffers"),
+        ],
+    )
+    def test_buffer_mismatch(self, movers, bufs, match):
+        for bind in (bind_gather, bind_scatter):
+            with pytest.raises(ExchangeConfigError, match=match):
+                bind(self.ARR, self.BOX, bufs, movers)
+
+    def test_box_outside_the_array(self, movers):
+        for box in ([((1, 5), (2, 5))], [((2, 1), (2, 5))], [((1, 3),)]):
+            with pytest.raises(ExchangeConfigError):
+                bind_gather(self.ARR, box, [np.zeros(6)], movers)
+
+    def test_read_only_targets(self, movers):
+        frozen = np.zeros(6)
+        frozen.flags.writeable = False
+        with pytest.raises(ExchangeConfigError, match="read-only"):
+            bind_gather(self.ARR, self.BOX, [frozen], movers)
+        arr = np.zeros((4, 6))
+        arr.flags.writeable = False
+        with pytest.raises(ExchangeConfigError, match="read-only"):
+            bind_scatter(arr, self.BOX, [np.zeros(6)], movers)
+        bind_gather(arr, self.BOX, [np.zeros(6)], movers)()  # reading is fine
+
+
+@needs_cc
+class TestMoverBoundsGuard:
+    """``REPRO_CC_BOUNDS=1``: tables the binders would never build --
+    forged past their checks -- raise and write nothing."""
+
+    @pytest.fixture
+    def guarded(self):
+        return _c_movers(guard=True)
+
+    def test_env_selects_the_guard(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        monkeypatch.setenv("REPRO_CC_BOUNDS", "1")
+        assert cbackend.mover_kernel().guard
+        monkeypatch.setenv("REPRO_CC_BOUNDS", "0")
+        assert not cbackend.mover_kernel().guard
+
+    def test_guarded_moves_are_byte_identical(self, guarded):
+        arr = np.arange(4.0 * 6).reshape(4, 6)
+        boxes = np.array([[(1, 3), (2, 5)], [(0, 4), (0, 6)]])
+        bufs = [np.zeros(6), np.zeros(24)]
+        guarded.gather(arr, boxes, bufs)()
+        assert bufs[0].tolist() == arr[1:3, 2:5].reshape(-1).tolist()
+        out = np.zeros_like(arr)
+        guarded.scatter(out, boxes, bufs)()
+        assert out.tobytes() == arr.tobytes()
+
+    def test_forged_box_leaving_the_array(self, guarded):
+        arr = np.arange(4.0 * 6).reshape(4, 6)
+        good, forged = [(1, 3), (2, 5)], [(1, 5), (2, 5)]  # rows 1..5 of 4
+        bufs = [np.full(6, -1.0), np.full(12, -1.0)]
+        boxes = np.array([good, forged])
+        with pytest.raises(cbackend.KernelBoundsError, match="1 out-of-range"):
+            guarded.gather(arr, boxes, bufs)()
+        assert all((b == -1.0).all() for b in bufs)  # not even the good box
+        out = np.zeros_like(arr)
+        with pytest.raises(cbackend.KernelBoundsError, match="1 out-of-range"):
+            guarded.scatter(out, boxes, bufs)()
+        assert not out.any()
+
+    def test_buffer_shorter_than_its_box(self, guarded):
+        arr = np.arange(4.0 * 6).reshape(4, 6)
+        boxes = np.array([[(1, 3), (2, 5)]])  # 6 elements
+        short = [np.full(5, -1.0)]
+        with pytest.raises(cbackend.KernelBoundsError, match="1 out-of-range"):
+            guarded.gather(arr, boxes, short)()
+        assert (short[0] == -1.0).all()
+        out = np.zeros_like(arr)
+        with pytest.raises(cbackend.KernelBoundsError, match="1 out-of-range"):
+            guarded.scatter(out, boxes, short)()
+        assert not out.any()
+
+    def test_copy_list_length_past_its_view(self, guarded):
+        src = [np.arange(8, dtype=np.uint8), np.arange(4, dtype=np.uint8)]
+        dst = [np.zeros(8, dtype=np.uint8), np.zeros(6, dtype=np.uint8)]
+        # The second copy would read 6 bytes of a 4-byte view.
+        with pytest.raises(cbackend.KernelBoundsError, match="1 out-of-range"):
+            guarded.copy_list(src, dst)()
+        assert not dst[0].any() and not dst[1].any()

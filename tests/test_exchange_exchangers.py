@@ -12,6 +12,9 @@ import pytest
 
 from repro.brick.convert import bricks_to_extended, extended_to_bricks
 from repro.brick.decomp import BrickDecomp
+from repro.core.driver import run_executed
+from repro.core.problem import StencilProblem
+from repro.exchange import boxes as boxes_mod
 from repro.exchange import schedule_template
 from repro.exchange.brickpack import BrickPackExchanger
 from repro.exchange.layout_ex import LayoutExchanger, layout_template
@@ -20,8 +23,11 @@ from repro.exchange.mpitypes import MPITypesExchanger
 from repro.exchange.pack import PackExchanger
 from repro.exchange.shift import ShiftExchanger
 from repro.hardware.profiles import theta_knl
+from repro.simmpi import fabric as fabric_mod
 from repro.simmpi.fabric import SimFabric
 from repro.simmpi.launcher import run_spmd
+from repro.stencil import cbackend
+from repro.stencil.spec import SEVEN_POINT
 
 RANK_DIMS = (2, 2, 2)
 SUB = (16, 16, 16)
@@ -348,3 +354,106 @@ class TestRepeatedExchanges:
             storage.close()
 
         run_spmd(8, fn)
+
+
+# ----------------------------------------------------------------------
+# The data-movement tier: C movers and the NumPy loops, end to end
+# ----------------------------------------------------------------------
+needs_cc = pytest.mark.skipif(
+    cbackend.cffi is None or cbackend._compiler() is None,
+    reason="no C toolchain in this environment",
+)
+
+_TIER_STEPS = 3
+
+
+def _tier_problem(periodic):
+    return StencilProblem(
+        (32, 32, 32), RANK_DIMS, SEVEN_POINT, brick_dim=(8, 8, 8), ghost=G,
+        periodic=periodic,
+    )
+
+
+@needs_cc
+class TestBothCopyTiers:
+    """Every method runs on either tier of the one data-movement path --
+    one gather, one scatter and one ``copy_list`` call per exchange side
+    on the C tier, the per-message NumPy loops on the other -- and leaves
+    the same field and the same ledger."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls made through each C mover, and each NumPy-tier loop."""
+        counts = dict.fromkeys(
+            ("gather", "scatter", "copy_list", "numpy_boxes", "numpy_wire"), 0
+        )
+
+        def count(owner, attr, key):
+            binder = getattr(owner, attr)
+
+            def counting_binder(*args):
+                call = binder(*args)
+
+                def counted():
+                    counts[key] += 1
+                    return call()
+
+                return counted
+
+            monkeypatch.setattr(owner, attr, counting_binder)
+
+        for name in ("gather", "scatter", "copy_list"):
+            count(cbackend.Movers, name, name)
+        count(boxes_mod, "_numpy_gather", "numpy_boxes")
+        count(boxes_mod, "_numpy_scatter", "numpy_boxes")
+        count(fabric_mod, "_numpy_copy_list", "numpy_wire")
+        return counts
+
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
+    @pytest.mark.parametrize(
+        "method", ["yask", "mpi_types", "shift", "layout", "memmap"]
+    )
+    def test_same_field_same_ledger_one_call_per_side(
+        self, method, periodic, calls, monkeypatch
+    ):
+        problem = _tier_problem(periodic)
+        runs = {}
+        for tier in ("numpy", "cffi"):
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", tier)
+            before = dict(calls)
+            runs[tier] = run_executed(problem, method, timesteps=_TIER_STEPS)
+            made = {key: calls[key] - before[key] for key in calls}
+            fired = problem.nranks * _TIER_STEPS  # exchanges, all ranks
+            packs = method in ("yask", "mpi_types", "shift")
+            if tier == "numpy":
+                assert runs[tier].copy_backend == "numpy"
+                assert made["gather"] == made["scatter"] == made["copy_list"] == 0
+                continue
+            # One call per side per fired exchange (Shift: per axis
+            # round, and its per-message wire is no bound request).
+            rounds = 3 if method == "shift" else 1
+            assert made["gather"] == made["scatter"] == packs * fired * rounds
+            assert made["copy_list"] == (method != "shift") * fired
+            # ... and no per-message NumPy copy on this tier.
+            assert made["numpy_boxes"] == made["numpy_wire"] == 0
+            assert runs[tier].copy_backend == (
+                "cffi+numpy" if method == "shift" else "cffi"
+            )
+        c, n = runs["cffi"], runs["numpy"]
+        assert c.global_result.tobytes() == n.global_result.tobytes()
+        for mine, theirs in zip(c.metrics.ranks, n.metrics.ranks):
+            a, b = mine.record(), theirs.record()
+            a.pop("measured"), b.pop("measured")  # wall clock
+            assert a == b
+        assert c.fabric.total_stats() == n.fabric.total_stats()
+
+    def test_cffi_demand_refuses_a_float32_field(self, monkeypatch):
+        """No silent fallback: the stencil plans and the movers follow
+        one rule for what the C tier cannot address."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        problem = StencilProblem(
+            (32, 32, 32), RANK_DIMS, SEVEN_POINT, brick_dim=(8, 8, 8), ghost=G,
+            dtype=np.float32,
+        )
+        with pytest.raises(RuntimeError, match="float64"):
+            run_executed(problem, "yask", timesteps=1)

@@ -28,6 +28,7 @@ from repro.simmpi import SimComm, SimFabric, run_spmd
 from repro.simmpi import fabric as fabric_mod
 from repro.simmpi.collectives import allreduce
 from repro.simmpi.fabric import AbortedError, DeadlockError
+from repro.stencil import cbackend
 
 
 def _fire(fab, cut):
@@ -457,3 +458,158 @@ def test_per_message_send_does_not_match_a_bound_receive():
     assert time.monotonic() - start < 5.0
     np.testing.assert_array_equal(out, -1.0)
     assert fab.pending_messages == 1  # still in its per-message queue
+
+
+# ----------------------------------------------------------------------
+# (f) the wire copy: one call over a table frozen on the cut
+# ----------------------------------------------------------------------
+class _CountingCopyList:
+    """A ``copy_list`` binder that counts tables built and copies made."""
+
+    def __init__(self, binder):
+        self.binder = binder
+        self.built = 0
+        self.calls = 0
+
+    def __call__(self, srcs, dsts):
+        self.built += 1
+        call = self.binder(srcs, dsts)
+
+        def counted():
+            self.calls += 1
+            call()
+
+        return counted
+
+
+@pytest.fixture(params=["cffi", "numpy"])
+def copy_list(request):
+    """Either tier's binder, as ``ExchangeChannel`` hands it down."""
+    if request.param == "numpy":
+        return fabric_mod._numpy_copy_list
+    if cbackend.cffi is None or cbackend._compiler() is None:
+        pytest.skip("no C toolchain in this environment")
+    return cbackend._load_movers(cbackend.sanitize_flags(), False).copy_list
+
+
+class TestFrozenCopyTable:
+    def test_one_mover_call_per_receive_after_the_first_fire(self, copy_list):
+        steps = 5
+
+        def fn(comm):
+            fab, rank, n = comm.fabric, comm.rank, comm.fabric.nranks
+            counter = _CountingCopyList(copy_list)
+            sends = [np.zeros(6), np.zeros(3)]
+            recvs = [np.full(6, -1.0), np.full(3, -1.0)]
+            right, left = (rank + 1) % n, (rank - 1) % n
+            cut = fab.bind_request(
+                rank,
+                [(right, 5, sends[0]), (left, 6, sends[1])],
+                [(left, 5, recvs[0]), (right, 6, recvs[1])],
+                copy_list=counter,
+            ).bulk
+            for step in range(steps):
+                sends[0][:] = 100 * step + rank
+                sends[1][:] = -(100 * step + rank)
+                _fire(fab, cut)
+                np.testing.assert_array_equal(recvs[0], 100 * step + left)
+                np.testing.assert_array_equal(recvs[1], -(100 * step + right))
+                # The table is built by the first receive and then
+                # only called: one mover call per complete_recv_batch.
+                assert (counter.built, counter.calls) == (1, step + 1)
+
+        fab = SimFabric(3, timeout=5.0)
+        run_spmd(3, fn, fabric=fab)
+        assert fab.pending_messages == 0
+
+    def test_a_rebound_peer_rebuilds_the_table(self, copy_list):
+        """The table is good for the very items it was built from: a peer
+        that binds again (a ladder rung, a new buffer) delivers new
+        objects, which are checked and frozen afresh."""
+        fab = SimFabric(2, timeout=5.0)
+        counter = _CountingCopyList(copy_list)
+        out = np.full(4, -1.0)
+        receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter).bulk
+        for epoch, value in enumerate((1.0, 2.0)):
+            sender = fab.bind_request(0, [(1, 3, np.full(4, value))], []).bulk
+            for _ in range(2):
+                fab.post_send_batch(sender)
+                fab.complete_recv_batch(receiver)
+                np.testing.assert_array_equal(out, value)
+            assert counter.built == epoch + 1
+        assert counter.calls == 4
+
+    def test_size_mismatched_peer_is_refused_before_any_byte(self, copy_list):
+        fab = SimFabric(2, timeout=5.0)
+        counter = _CountingCopyList(copy_list)
+        out = np.full(4, -1.0)
+        receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter).bulk
+        sender = fab.bind_request(0, [(1, 3, np.full(4, 1.0))], []).bulk
+        fab.post_send_batch(sender)
+        fab.complete_recv_batch(receiver)  # frozen on the 4-element peer
+        # Re-binding a changed split drops the receiver's stale half at
+        # negotiation, so only the wire's own size guard is left.
+        grown = fab.bind_request(0, [(1, 3, np.full(5, 2.0))], []).bulk
+        fab.post_send_batch(grown)
+        with pytest.raises(SplitMismatchError, match="sent 40 bytes, receiving 32"):
+            fab.complete_recv_batch(receiver)
+        np.testing.assert_array_equal(out, 1.0)
+        assert (counter.built, counter.calls) == (1, 1)
+
+    def test_protocol_errors_come_before_any_byte(self, copy_list):
+        fab = SimFabric(2, timeout=5.0)
+        counter = _CountingCopyList(copy_list)
+        data, out = np.full(4, 1.0), np.full(4, -1.0)
+        receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter).bulk
+        sender = fab.bind_request(0, [(1, 3, data)], []).bulk
+        fab.post_send_batch(sender)
+        fab.complete_recv_batch(receiver)
+        data[:] = 2.0
+        # A duplicate of the very item the table was built from ...
+        fab.post_send_batch(sender)
+        fab.post_send_batch(sender)
+        with pytest.raises(ProtocolError, match="do not match"):
+            fab.complete_recv_batch(receiver)
+        np.testing.assert_array_equal(out, 1.0)
+        assert (counter.built, counter.calls) == (1, 1)
+
+    def test_stray_key_after_freeze_is_a_protocol_error(self, copy_list):
+        fab = SimFabric(2, timeout=5.0)
+        counter = _CountingCopyList(copy_list)
+        out = np.full(4, -1.0)
+        receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter).bulk
+        sender = fab.bind_request(0, [(1, 3, np.full(4, 1.0))], []).bulk
+        fab.post_send_batch(sender)
+        fab.complete_recv_batch(receiver)
+        stray = fab.bind_request(0, [(1, 4, np.full(4, 9.0))], []).bulk
+        fab.post_send_batch(stray)
+        with pytest.raises(ProtocolError, match=r"\(0, 4\)"):
+            fab.complete_recv_batch(receiver)
+        np.testing.assert_array_equal(out, 1.0)
+        assert counter.calls == 1
+
+    def test_read_only_receive_buffer_is_refused_at_bind(self):
+        frozen = np.zeros(4)
+        frozen.flags.writeable = False
+        with pytest.raises(ExchangeConfigError, match="read-only"):
+            SimFabric(2).bind_request(1, [], [(0, 3, frozen)])
+
+    def test_table_pins_no_export_on_an_arena(self, copy_list):
+        """Tables are raw addresses: an arena whose slot views were bound,
+        fired and dropped closes like one that never was."""
+        from repro.vmem import default_arena, realmap_available
+
+        if not realmap_available():
+            pytest.skip("real arena unavailable")
+        arena = default_arena(8 * 4096, 4096)
+        fab = SimFabric(1, timeout=5.0)
+        buf = arena.buffer.view(np.float64)
+        cut = fab.bind_request(
+            0, [(0, 1, buf[:512])], [(0, 1, buf[512:1024])], copy_list=copy_list
+        ).bulk
+        buf[:512] = 3.0
+        _fire(fab, cut)
+        assert (buf[512:1024] == 3.0).all()
+        del cut, buf, fab
+        arena.close()
+        assert arena._base is None  # the mmap really closed: nothing pinned it

@@ -295,6 +295,38 @@ def test_exchange_times_only_inside_the_shared_pricer():
     assert [v[1] for v in lint_invariants.check_one_ledger(base, tree)] == [2, 4]
 
 
+def test_per_message_copy_loop_outside_the_numpy_tier_flagged():
+    src = (
+        "import numpy as np\n"
+        "def _bind(arr, packs, unpacks, recv, sent):\n"
+        "    def pack():\n"
+        "        for view, slc in packs:\n"
+        "            np.copyto(view, arr[slc])\n"
+        "    def unpack():\n"
+        "        for lo, hi, view in unpacks:\n"
+        "            arr[lo:hi, :] = view\n"
+        "    for r, s in zip(recv, sent):\n"
+        "        r[:] = s\n"
+        "    for k, v in packs:\n"
+        "        arr[k] = v\n"  # a bare-name store: could be a dict
+        "    recv[0][:] = sent[0]\n"  # not in a loop
+        "    return pack, unpack\n"
+    )
+    path = lint_invariants.SRC / "exchange" / "synthetic.py"
+    violations = lint_invariants.check_copy_tier(path, ast.parse(src))
+    assert sorted(v[1] for v in violations) == [5, 8, 10]
+    assert all("NumPy tier" in v[2] for v in violations)
+    # The same loops are the other tier of a bound call where named ...
+    named = lint_invariants.SRC / "exchange" / "brickpack.py"
+    assert lint_invariants.check_copy_tier(named, ast.parse(src)) == []
+    gather = src.replace("def _bind", "def _numpy_gather")
+    boxes = lint_invariants.SRC / "exchange" / "boxes.py"
+    assert lint_invariants.check_copy_tier(boxes, ast.parse(gather)) == []
+    # ... and the rule is about the communication layers only.
+    elsewhere = lint_invariants.SRC / "stencil" / "synthetic.py"
+    assert lint_invariants.check_copy_tier(elsewhere, ast.parse(src)) == []
+
+
 def test_lint_file_on_real_sources():
     # Spot-check two real files through the full per-file path.
     for rel in (

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.exchange.boxes import stage_boxes
+from repro.faults.errors import ExchangeConfigError
 from repro.simmpi.datatypes import ContiguousType, SubarrayType, VectorType
+from repro.stencil import cbackend
 
 
 class TestContiguous:
@@ -83,6 +86,52 @@ class TestSubarray:
         t = SubarrayType((4, 4), (2, 2), (0, 0))
         with pytest.raises(ValueError):
             t.extract(np.zeros((5, 5)))
+
+    def test_insert_refuses_a_buffer_that_is_not_the_selection(self):
+        """A wrong-sized buffer was a bare NumPy reshape error and a
+        float32 one a silent cast; both are typed refusals."""
+        t = SubarrayType((4, 4), (2, 3), (1, 0))
+        arr = np.zeros((4, 4))
+        with pytest.raises(ExchangeConfigError, match="7-element"):
+            t.insert(arr, np.zeros(7))
+        with pytest.raises(ExchangeConfigError, match="float32"):
+            t.insert(arr, np.zeros(6, dtype=np.float32))
+        assert not arr.any()
+
+    @pytest.mark.parametrize("tier", ["cffi", "numpy"])
+    def test_committed_subarrays_move_like_extract_and_insert(
+        self, tier, monkeypatch
+    ):
+        """The persistent form: subarrays committed against the array
+        once, the whole gather and the whole scatter one bound call each,
+        on either tier the bytes ``extract`` / ``insert`` move."""
+        if tier == "cffi" and (
+            cbackend.cffi is None or cbackend._compiler() is None
+        ):
+            pytest.skip("no C toolchain in this environment")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", tier)
+        arr = np.random.default_rng(5).random((5, 6, 7))
+        sends = [
+            SubarrayType(arr.shape, (2, 3, 4), (1, 1, 1)),
+            SubarrayType(arr.shape, (5, 6, 1), (0, 0, 6)),
+        ]
+        recvs = [
+            SubarrayType(arr.shape, (2, 3, 4), (3, 3, 3)),
+            SubarrayType(arr.shape, (5, 6, 1), (0, 0, 0)),
+        ]
+        hooks = stage_boxes(
+            arr, [(s.slices, r.slices) for s, r in zip(sends, recvs)]
+        )
+        assert hooks.backend == tier
+        hooks.pre()
+        for t, buf in zip(sends, hooks.send_bufs):
+            assert buf.tobytes() == t.extract(arr).tobytes()
+        expected = arr.copy()
+        for t, recv, sent in zip(recvs, hooks.recv_bufs, hooks.send_bufs):
+            recv[:] = sent
+            t.insert(expected, sent)
+        hooks.post()
+        assert arr.tobytes() == expected.tobytes()
 
 
 @given(

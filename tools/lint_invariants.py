@@ -2,7 +2,7 @@
 """AST lint for the repo's typed-error and fabric-chokepoint invariants.
 
 Plain Python on purpose: the CI lint job has ruff, local dev containers
-may not, and these rules are project-specific anyway.  Six checks:
+may not, and these rules are project-specific anyway.  Seven checks:
 
 1. **No bare raises in the communication layers.**  Inside
    ``src/repro/simmpi`` and ``src/repro/exchange``, ``raise
@@ -79,6 +79,23 @@ may not, and these rules are project-specific anyway.  Six checks:
    ``.wire_bytes`` / ``.payload_bytes`` / ``.hidden_s``, or on a
    ``["msgs"]`` / ``["wire"]`` / ``["payload"]`` counter) appear in
    ``core/runplan.py`` only.
+
+7. **One data-movement tier.**  An exchange side -- pack, unpack, the
+   datatype engine, the wire copy -- moves in one bound call over
+   tables frozen at bind; a per-message NumPy loop is the *other tier*
+   of that same call, never a path of its own.  So under
+   ``src/repro/exchange`` and ``src/repro/simmpi`` a ``for`` loop whose
+   body copies into a buffer (``np.copyto(...)``, ``x[:] = ...`` or any
+   slice-subscript store) appears only inside the functions named as
+   that tier: ``exchange/boxes.py`` ``_numpy_gather`` /
+   ``_numpy_scatter``, ``simmpi/fabric.py`` ``_numpy_copy_list`` and
+   ``_complete_recv_verified`` (the verified receive copies and
+   checksums item by item -- an item is accepted or re-queued on its
+   own), and ``exchange/brickpack.py`` ``_bind`` (the ladder's last
+   rung has a NumPy tier only until its section gather moves onto
+   ``copy_list``; ROADMAP item 2).  A store through a bare name
+   (``arr[slc] = view``) cannot be told from a dict store and is not
+   matched; the loops this rule is about all have a matched twin.
 
 Exit status 1 when any violation is found.  ``--list`` prints the file
 set without checking (CI sanity).
@@ -171,6 +188,15 @@ LEDGER_FIELDS = (
     "exchanges", "messages", "wire_bytes", "payload_bytes", "hidden_s",
 )
 LEDGER_KEYS = ("msgs", "wire", "payload")
+
+#: packages whose per-message copy loops are one tier of a bound call,
+#: and the functions that are that tier (reasons: docstring, rule 7)
+COPY_TIER_PACKAGES = ("exchange", "simmpi")
+NUMPY_TIER = {
+    "exchange/boxes.py": ("_numpy_gather", "_numpy_scatter"),
+    "simmpi/fabric.py": ("_numpy_copy_list", "_complete_recv_verified"),
+    "exchange/brickpack.py": ("_bind",),
+}
 
 Violation = Tuple[Path, int, str]
 
@@ -450,6 +476,53 @@ def check_one_ledger(path: Path, tree: ast.AST) -> List[Violation]:
     return out
 
 
+def _is_buffer_copy(node: ast.AST) -> bool:
+    """``np.copyto(...)``, or a store through a slice subscript."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Attribute) and node.func.attr == "copyto"
+    if not isinstance(node, ast.Assign):
+        return False
+    for target in node.targets:
+        if not isinstance(target, ast.Subscript):
+            continue
+        index = target.slice
+        parts = index.elts if isinstance(index, ast.Tuple) else [index]
+        if any(isinstance(part, ast.Slice) for part in parts):
+            return True
+    return False
+
+
+def check_copy_tier(path: Path, tree: ast.AST) -> List[Violation]:
+    rel = path.relative_to(SRC).as_posix()
+    if rel.split("/", 1)[0] not in COPY_TIER_PACKAGES:
+        return []
+    tier = NUMPY_TIER.get(rel, ())
+    inside_tier = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in tier
+        for node in ast.walk(fn)
+    }
+    out: List[Violation] = []
+    for loop in ast.walk(tree):
+        if not isinstance(loop, ast.For) or id(loop) in inside_tier:
+            continue
+        for node in ast.walk(loop):
+            if _is_buffer_copy(node):
+                out.append(
+                    (
+                        path,
+                        node.lineno,
+                        "a per-message copy loop outside the NumPy tier:"
+                        " bind the side once (exchange/boxes.py bind_gather"
+                        " / bind_scatter, or the fabric's copy table) so it"
+                        " moves in one call on either tier, or name the"
+                        " function in NUMPY_TIER with its reason",
+                    )
+                )
+    return out
+
+
 def lint_file(path: Path) -> List[Violation]:
     tree = ast.parse(path.read_text(), filename=str(path))
     rel = path.relative_to(SRC).as_posix()
@@ -461,6 +534,7 @@ def lint_file(path: Path) -> List[Violation]:
     out += check_one_blocking_site(path, tree)
     out += check_one_geometry(path, tree)
     out += check_one_ledger(path, tree)
+    out += check_copy_tier(path, tree)
     return out
 
 

@@ -1,17 +1,30 @@
 #!/usr/bin/env python
-"""Step and compile time of the NumPy kernel tier, one source tree or two.
+"""Step and compile time of the NumPy kernel tier, and what an exchange
+side costs on each data-movement tier, one source tree or two.
 
     PYTHONPATH=src python tools/numpy_tier_bench.py strong16
+    PYTHONPATH=src python tools/numpy_tier_bench.py copy strong16
     python tools/numpy_tier_bench.py --ab PARENT/src CHANGE/src [REPS]
 
-No halobench workload reaches this tier (halobench pins ``cffi``), so
-this is where a change to it is measured (EXPERIMENTS.md, "One
+No halobench workload reaches the NumPy tier (halobench pins ``cffi``),
+so this is where a change to it is measured (EXPERIMENTS.md, "One
 addressing scheme").  One geometry per fresh process pinned to CPU 0:
 the process's first ("cold") brick and array plan compile, then medians
 of 15 warm compiles and of 15 samples of 40 steps, each result checked
-bit-for-bit against the generic kernels.  ``--ab`` alternates two trees,
-REPS fresh processes each per geometry (default 7), and prints the
-medians of those.
+bit-for-bit against the generic kernels.
+
+The ``copy`` section (EXPERIMENTS.md, "One data-movement tier") times,
+on one rank exchanging with itself across its periodic boundary, what
+each method's bound plan moves per exchange side -- pack, unpack, the
+datatype engine's extract / insert, and the fabric's post + receive +
+send-wait over the messages of ``yask`` / ``layout`` / ``memmap`` --
+under ``REPRO_KERNEL_BACKEND=numpy`` and ``=cffi``: us per side, GB/s
+(read + write) beside a flat ``np.copyto`` of the same bytes, and the
+interpreter share ``1 - cffi / numpy``.  A tree without the C movers
+ignores the variable and reads the same on both.
+
+``--ab`` alternates two trees, REPS fresh processes each per geometry and
+section (default 7), and prints the medians of those.
 """
 
 import json
@@ -88,23 +101,95 @@ def measure(name):
     }
 
 
+def measure_copy(name):
+    """One rank, 26 neighbours all itself: every message of the real
+    per-rank schedule, none of the thread handoff."""
+    import numpy as np
+
+    from repro.core.geometry import RunGeometry
+    from repro.core.problem import StencilProblem
+    from repro.exchange.base import ExchangeChannel
+    from repro.hardware.profiles import generic_host
+    from repro.simmpi import SimComm, SimFabric
+    from repro.stencil import spec as specs
+
+    n, stencil = GEOMETRIES[name]
+    problem = StencilProblem(
+        (n,) * 3, (1, 1, 1), getattr(specs, stencil), brick_dim=(8, 8, 8), ghost=8
+    )
+    rng = np.random.default_rng(0)
+    out = {}
+
+    def side_us(fn):
+        return median_ms(fn, calls=20) * 1e3
+
+    def bound(method):
+        """``(hooks, wire-only fire, modelled result, what to keep alive)``
+        of *method*'s plan bound to a fresh buffer on a one-rank fabric."""
+        geometry = RunGeometry(problem, method, generic_host())
+        cart = SimComm(SimFabric(1, timeout=5.0), 0).Create_cart((1, 1, 1))
+        if geometry.decomp is None:
+            buffer = rng.random(geometry.extended_shape)
+        elif geometry.base == "memmap":
+            buffer = geometry.decomp.mmap_alloc(geometry.page_size)[0]
+        else:
+            buffer = geometry.decomp.allocate()[0]
+        ex = geometry.bind(geometry.base, cart, buffer)
+        ((posts, recvs, hooks),) = ex._bound
+        # The same wire buffers on a channel without the hooks: post +
+        # receive (the wire copy) + send-wait, nothing else.
+        wire = ExchangeChannel(cart, method, posts, recvs, ex.result)
+        return hooks, wire.exchange, ex.result, (ex, buffer)
+
+    for tier in ("numpy", "cffi"):
+        os.environ["REPRO_KERNEL_BACKEND"] = tier
+        keep = []
+        for method, pre, post in (
+            ("yask", "pack", "unpack"), ("mpi_types", "extract", "insert")
+        ):
+            hooks, _, result, alive = bound(method)
+            keep.append(alive)
+            out[f"{pre}_us.{tier}"] = side_us(hooks.pre)
+            out[f"{post}_us.{tier}"] = side_us(hooks.post)
+            out["side_bytes"] = result.wire_bytes_sent
+        for method in ("yask", "layout", "memmap"):
+            _, fire, result, alive = bound(method)
+            keep.append(alive)
+            out[f"wire_{method}_us.{tier}"] = side_us(fire)
+            out[f"wire_{method}_msgs"] = result.messages_sent
+            out[f"wire_{method}_bytes"] = result.wire_bytes_sent
+    flat_src = rng.random(out["side_bytes"] // 8)
+    flat_dst = np.empty_like(flat_src)
+    out["flat_copy_us"] = side_us(lambda: np.copyto(flat_dst, flat_src))
+    for key in [k for k in out if k.endswith("_us.cffi")]:
+        row = key[: -len("_us.cffi")]
+        nbytes = out.get(f"{row}_bytes", out["side_bytes"])
+        out[f"{row}_gbs.cffi"] = 2 * nbytes / out[key] / 1e3
+        out[f"{row}_gbs.numpy"] = 2 * nbytes / out[f"{row}_us.numpy"] / 1e3
+        out[f"{row}_interpreter_share"] = 1 - out[key] / out[f"{row}_us.numpy"]
+    out["flat_copy_gbs"] = 2 * out["side_bytes"] / out["flat_copy_us"] / 1e3
+    return out
+
+
 def compare(parent_src, change_src, reps):
     trees = {"parent": parent_src, "change": change_src}
-    for name in GEOMETRIES:
-        runs = {side: [] for side in trees}
-        for i in range(reps):
-            for side in ("parent", "change") if i % 2 else ("change", "parent"):
-                proc = subprocess.run(
-                    [sys.executable, __file__, name],
-                    env={**os.environ, "PYTHONPATH": trees[side]},
-                    capture_output=True, text=True, check=True,
+    for section in ((), ("copy",)):
+        for name in GEOMETRIES:
+            runs = {side: [] for side in trees}
+            for i in range(reps):
+                for side in ("parent", "change") if i % 2 else ("change", "parent"):
+                    proc = subprocess.run(
+                        [sys.executable, __file__, *section, name],
+                        env={**os.environ, "PYTHONPATH": trees[side]},
+                        capture_output=True, text=True, check=True,
+                    )
+                    runs[side].append(json.loads(proc.stdout))
+            for key in runs["parent"][0]:
+                p, c = (
+                    statistics.median(r[key] for r in runs[side]) for side in trees
                 )
-                runs[side].append(json.loads(proc.stdout))
-        for key in runs["parent"][0]:
-            p, c = (
-                statistics.median(r[key] for r in runs[side]) for side in trees
-            )
-            print(f"{name:9s} {key:22s} {p:8.3f} -> {c:8.3f}  {c / p:.2f}x")
+                ratio = f"{c / p:.2f}x" if p else ""
+                print(f"{name:9s} {key:30s} {p:10.3f} -> {c:10.3f}  {ratio}")
 
 
 if __name__ == "__main__":
@@ -112,5 +197,7 @@ if __name__ == "__main__":
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     if sys.argv[1] == "--ab":
         compare(sys.argv[2], sys.argv[3], int((sys.argv[4:] or [7])[0]))
+    elif sys.argv[1] == "copy":
+        print(json.dumps(measure_copy(sys.argv[2])))
     else:
         print(json.dumps(measure(sys.argv[1])))
