@@ -17,11 +17,14 @@ verifies what *can* be verified ahead of a run:
   failed build carries the compiler's reason;
 * the exchange's movers -- the box gather, its scatter and
   ``copy_list``, which ride in those translation units -- load and
-  move a patterned array exactly as NumPy slicing does
-  (``mover-probe``).
+  move a patterned array exactly as NumPy slicing does, and the CRC
+  pair (``crc_list``, ``copy_crc_list``) agrees with ``zlib.crc32`` or
+  says why it cannot engage (``mover-probe``).
 """
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 
@@ -200,10 +203,39 @@ def _probe_array(report: CheckReport, guard: bool, sanitize) -> None:
         )
 
 
+def _probe_crc(report: CheckReport, movers, arr: np.ndarray) -> list:
+    """The CRC movers against ``zlib.crc32`` on runs of the patterned
+    array's bytes: under 64 bytes, not a multiple of 16, odd starts.
+    Returns the names that differ; one that cannot engage is a finding
+    of its own (an error when the backend is demanded)."""
+    if movers.crc_refusal:
+        demanded = cbackend.backend_choice() == "cffi"
+        (report.error if demanded else report.note)(
+            PASS, "mover-probe",
+            f"the CRC movers (crc_list, copy_crc_list) cannot engage:"
+            f" {movers.crc_refusal}; a verified fabric seals and checks"
+            " on the NumPy tier (zlib.crc32 per item)",
+        )
+        return []
+    raw = arr.reshape(-1).view(np.uint8)
+    views = [raw[lo : lo + n] for lo, n in ((0, 0), (1, 5), (3, 67), (8, 1000))]
+    want = [zlib.crc32(v) for v in views]
+    landed = [np.zeros_like(v) for v in views]
+    differ = []
+    if movers.crc_list(views)() != want:
+        differ.append("crc_list")
+    if movers.copy_crc_list(views, landed)() != want or any(
+        (a != b).any() for a, b in zip(landed, views)
+    ):
+        differ.append("copy_crc_list")
+    return differ
+
+
 def _probe_movers(report: CheckReport, guard: bool, sanitize) -> None:
     """Load-and-compare: pack two boxes of a patterned 6^3 array (a face
     with 1-element rows, a slab of whole rows), unpack them into a blank
-    one and wire-copy the buffers, each against NumPy slicing."""
+    one and wire-copy the buffers, each against NumPy slicing; then the
+    CRC pair against ``zlib.crc32``."""
     try:
         movers = cbackend._load_movers(sanitize, guard)
     except cbackend.KernelBuildError as err:
@@ -241,13 +273,15 @@ def _probe_movers(report: CheckReport, guard: bool, sanitize) -> None:
         movers.scatter(out, boxes, packed)()
         if (out != unpacked).any():
             refused.append("scatter")
+        refused += _probe_crc(report, movers, arr)
     except cbackend.KernelBoundsError as err:
         refused.append(f"the bounds guard ({err})")
     if refused:
         report.error(
             PASS, "mover-probe",
-            "the loaded exchange movers do not move a patterned array the"
-            f" way NumPy slicing does: {', '.join(refused)} differ(s)",
+            "the loaded exchange movers do not move (or checksum) a"
+            " patterned array the way NumPy slicing (zlib.crc32) does:"
+            f" {', '.join(refused)} differ(s)",
             hint="the C movers and the NumPy tier must be byte-identical;"
                  " set REPRO_KERNEL_BACKEND=numpy to run without them",
         )

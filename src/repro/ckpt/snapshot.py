@@ -106,20 +106,34 @@ class DirtyTracker:
     """
 
     def __init__(self, nslots: int) -> None:
-        self._dirty = np.zeros(int(nslots), dtype=bool)
+        # One slot past the end stays clean: a section that ends at the
+        # last slot then has a valid end index for ``reduceat``.
+        self._dirty = np.zeros(int(nslots) + 1, dtype=bool)
+        self._bounds = (None, None)  # (specs, their [start, end) pairs)
 
     def mark_slots(self, slots) -> None:
-        self._dirty[np.asarray(slots, dtype=np.int64)] = True
+        if not isinstance(slots, np.ndarray):  # () would index everything
+            slots = np.asarray(slots, dtype=np.int64)
+        self._dirty[slots] = True
 
     def clear(self) -> None:
         self._dirty[:] = False
 
     def names(self, specs: Sequence[ChunkSpec]) -> List[str]:
-        """Chunk names containing at least one dirty slot."""
+        """Chunk names containing at least one dirty slot: one
+        ``logical_or.reduceat`` over the chunks' ``[start, end)`` pairs
+        (the odd results, end to next start, are dropped; an empty
+        chunk's result is one slot's and is dropped too)."""
+        if self._bounds[0] is not specs:
+            pairs = [(s.start_slot, s.start_slot + s.nslots) for s in specs]
+            self._bounds = (specs, np.array(pairs, dtype=np.intp).reshape(-1))
+        if not specs:
+            return []
+        hit = np.logical_or.reduceat(self._dirty, self._bounds[1])[::2]
         return [
             spec.name
-            for spec in specs
-            if bool(self._dirty[spec.start_slot : spec.start_slot + spec.nslots].any())
+            for spec, dirty in zip(specs, hit.tolist())
+            if dirty and spec.nslots
         ]
 
 

@@ -42,7 +42,7 @@ from repro.hardware.profiles import MachineProfile
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
-from repro.stencil.cbackend import mover_kernel
+from repro.stencil.cbackend import crc_movers, mover_kernel
 from repro.util.indexing import cart_neighbor, unravel_index
 from repro.util.timing import TimeBreakdown
 
@@ -306,9 +306,9 @@ class ExchangeChannel:
     The modelled :class:`ExchangeResult` is a function of the (static)
     message plan, so it is the exchanger's, returned by reference.
     Channels carry no wire-verification machinery of their own: on a
-    verified fabric the same three calls seal, verify and heal each bound
-    item (the fabric's envelope guard), so a guarded run fires this
-    handle exactly as a plain one does, and a retry is a re-fire.
+    verified fabric the same three calls seal, verify and heal the cut
+    (the fabric's envelope guard), so a guarded run fires this handle
+    exactly as a plain one does, and a retry is a re-fire.
 
     Beyond the bulk-synchronous :meth:`exchange`, a channel can run one
     exchange *phased*: :meth:`start` packs (if the scheme packs), arms the
@@ -319,11 +319,13 @@ class ExchangeChannel:
     *partitions* > 1, each flattened buffer travels as that many
     independently-released sub-region partitions (``Pready`` semantics).
 
-    The channel is also where the fabric gets its wire-copy tier: it
-    resolves the movers (:func:`repro.stencil.cbackend.mover_kernel`, the
-    point the kernels and the pack movers are resolved at) and hands
-    ``copy_list`` to :meth:`~repro.simmpi.fabric.SimFabric.bind_request`,
-    so :mod:`repro.simmpi` itself knows no backend.
+    The channel is also where the fabric gets its wire tier: it
+    resolves the movers (:func:`repro.stencil.cbackend.mover_kernel` /
+    :func:`~repro.stencil.cbackend.crc_movers`, the point the kernels
+    and the pack movers are resolved at) and hands ``copy_list`` and the
+    verified path's ``crc_list`` / ``copy_crc_list`` to
+    :meth:`~repro.simmpi.fabric.SimFabric.bind_request`, so
+    :mod:`repro.simmpi` itself knows no backend.
     """
 
     __slots__ = ("comm", "method", "_fabric", "_rank", "_request",
@@ -351,15 +353,22 @@ class ExchangeChannel:
         # counts or partition bounds) surfaces at negotiation as a typed
         # SplitMismatchError instead of a DeadlockError on the first wait.
         movers = mover_kernel()
+        sealers = crc_movers()
         self._request = self._fabric.bind_request(
             self._rank, posts, recvs, int(partitions),
             movers.copy_list if movers is not None else None,
+            sealers.crc_list if sealers is not None else None,
+            sealers.copy_crc_list if sealers is not None else None,
         )
         #: The tier(s) an exchange of this channel moves bytes on: its
-        #: wire copy's (per item, in NumPy, on a verified fabric), and
-        #: its hooks' where they copy anything.
-        batched = movers is not None and self._request.copies_in_one_call
-        self.copy_backend = _tiers("cffi" if batched else "numpy", hooks)
+        #: wire calls' (the copy; on a verified fabric the seal and the
+        #: copy-and-check), and its hooks' where they copy anything.
+        wired = self._request.copies_in_one_call
+        self.copy_backend = _tiers("cffi" if wired else "numpy", hooks)
+        if movers is not None and not wired:
+            # No silent fallback: the C tier is on and this fabric's
+            # calls are not on it.
+            self.copy_backend += f" (wire on numpy: {movers.crc_refusal})"
 
     @property
     def started(self) -> bool:

@@ -31,9 +31,11 @@ from repro.exchange.base import (
     ScheduleTemplate,
     exchange_tag,
 )
+from repro.exchange.boxes import bind_copy
 from repro.exchange.layout_ex import neighbor_sections
 from repro.exchange.schedule import MessageSpec
 from repro.faults.errors import ExchangeConfigError
+from repro.stencil.cbackend import mover_kernel
 
 __all__ = ["BrickPackExchanger", "brickpack_template"]
 
@@ -94,37 +96,34 @@ class BrickPackExchanger(Exchanger):
 
     def _bind(self, st: BrickStorage) -> List[Binding]:
         """Persistent staging, gathered from / scattered into the slot
-        ranges of each message section by section."""
+        ranges of each message: every section is a contiguous run, so a
+        side is one bound ``copy_list`` (:func:`bind_copy`)."""
         bb = st.brick_bytes
 
         def stage(messages):
-            """Per message a staging buffer; per section the
-            ``(staging slice, storage slot view)`` pair of equal size."""
-            bufs, pairs = [], []
+            """Per message a staging buffer; per section its slice of the
+            buffer and the storage slot view of equal size."""
+            bufs, staged, slots = [], [], []
             for m in messages:
                 buf = np.empty(m.nbytes // st.dtype.itemsize, dtype=st.dtype)
                 pos = 0
                 for off, nbytes in m.ranges:
-                    slots = st.slot_view(off // bb, nbytes // bb)
-                    pairs.append((buf[pos : pos + slots.size], slots))
-                    pos += slots.size
+                    section = st.slot_view(off // bb, nbytes // bb)
+                    staged.append(buf[pos : pos + section.size])
+                    slots.append(section)
+                    pos += section.size
                 bufs.append(buf)
-            return bufs, pairs
+            return bufs, staged, slots
 
-        send_bufs, gathers = stage(self.plan.sends)
-        recv_bufs, scatters = stage(self.plan.recvs)
-
-        def pack() -> None:
-            for staged, slots in gathers:
-                staged[:] = slots
-
-        def unpack() -> None:
-            for staged, slots in scatters:
-                slots[:] = staged
-
+        send_bufs, packed, surface = stage(self.plan.sends)
+        recv_bufs, unpacked, ghost = stage(self.plan.recvs)
+        movers = mover_kernel()  # contiguous runs: bytes, whatever the dtype
         return [
             Binding(
-                send_bufs, recv_bufs, pack, unpack,
+                send_bufs, recv_bufs,
+                bind_copy(surface, packed, movers),
+                bind_copy(unpacked, ghost, movers),
                 sum(b.nbytes for b in send_bufs + recv_bufs),
+                backend="numpy" if movers is None else "cffi",
             )
         ]

@@ -15,12 +15,27 @@ transmission carries:
 
 Validation failures raise the typed errors from
 :mod:`repro.faults.errors` (re-exported here).  :class:`EnvelopeGuard` is
-the protocol: the one object a verified fabric consults.  It works **per
-bound item** -- the unit a persistent request
-(:class:`~repro.simmpi.fabric.BoundRequest`) puts on the wire -- so a
-guarded exchange fires the same handle as a plain one, and it owns the
-per-edge state that makes a re-fired exchange idempotent (DESIGN.md,
-"Why retried exchanges are idempotent"):
+the protocol: the one object a verified fabric consults.  The unit it
+seals, sifts and judges is a **cut** -- one side of one persistent
+request (:class:`~repro.simmpi.fabric.BoundRequest`) -- so a guarded
+exchange fires the same handle as a plain one and costs its bytes, not
+its messages: a post is one vector increment of the cut's sequence
+numbers and **one** checksum call over its send views (frozen at bind,
+:class:`_Sealed`), a receive one copy-and-checksum call over the cut's
+frozen table and one comparison of ``(sequence number, CRC, size)``
+vectors (:meth:`EnvelopeGuard.accept_landed`).  Who makes those two
+calls -- C functions folding the CRC by carry-less multiply, or
+``zlib.crc32`` per view around the cut's copy -- is the pair of binders
+the cut was handed; :func:`checksum` / :func:`seal` / :func:`verify`
+stay the per-message path and the reference both agree with bit for bit.
+Per-item Python is left for the items that are not the common case: a
+transmission the injector touched, an item the vector verdict fails, a
+re-fire, a partially released (``pready``) cut.  Which items those are
+is decided from what arrived, never from a setting.
+
+The guard owns the per-edge state that makes a re-fired exchange
+idempotent (DESIGN.md, "Why retried exchanges are idempotent"), in
+per-rank tables indexed in cut order (:class:`_RankTable`):
 
 * **post suppression** -- within one exchange *epoch* (set per rank by the
   driver), a second post of an item is a re-fire of data already on the
@@ -50,7 +65,10 @@ from __future__ import annotations
 
 import time
 import zlib
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from functools import partial
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -100,13 +118,18 @@ def verify(env: Envelope, received: np.ndarray, expected_seq: int,
     the landed bytes (not the sender's copy) is what catches corruption
     introduced anywhere along the path.
     """
+    _judge(env, checksum(received), expected_seq, edge)
+
+
+def _judge(env: Envelope, crc: int, expected_seq: int, edge: tuple) -> None:
+    """The one sequence / CRC comparison; *crc* is the CRC32 of the
+    bytes that landed."""
     src, dst, tag = edge
     if env.seq != expected_seq:
         raise ExchangeIntegrityError(
             f"sequence gap on (src={src}, dst={dst}, tag={tag}):"
             f" got seq {env.seq}, expected {expected_seq}"
         )
-    crc = checksum(received)
     if crc != env.crc:
         raise ExchangeIntegrityError(
             f"checksum mismatch on (src={src}, dst={dst}, tag={tag},"
@@ -119,10 +142,103 @@ _Key = Tuple[int, int]  # (src, wire tag): how a port names an arrival
 
 #: A verified bound item on the wire: the plain item's ``(key, send
 #: view)`` plus its envelope and what the receiver will see -- the view
-#: itself, a corrupted copy beside it, or ``None`` for a lost transmission.
+#: itself (a *pristine* transmission), a corrupted copy beside it, or
+#: ``None`` for a lost one.
 _Item = Tuple[_Key, np.ndarray, Envelope, Optional[np.ndarray]]
 
-_NEVER = (0, None)  # (last sequence number, epoch) of an edge not yet used
+#: ``Envelope._make`` without its Python frame (a cut stamps dozens).
+_envelope = partial(tuple.__new__, Envelope)
+
+#: How the tables store "no epoch" (epochs are step numbers).
+_NO_EPOCH = np.iinfo(np.int64).min
+
+
+def _code(epoch: Optional[int]) -> int:
+    return _NO_EPOCH if epoch is None else epoch
+
+
+class _RankTable:
+    """One rank's half of the edge state, a row per edge it is an end of.
+
+    ``seq[row]`` is the last sequence number the rank stamped on (sender
+    half) or accepted from (receiver half) the edge, ``epoch[row]`` the
+    epoch it did so in.  ``rows`` maps ``(peer, wire tag)`` to the row
+    and only ever grows, so the state outlives the requests bound over
+    it.  Touched by its rank's thread only -- bind, post and receive
+    alike -- which is why growing the arrays needs no lock.
+    """
+
+    __slots__ = ("rows", "seq", "epoch")
+
+    def __init__(self) -> None:
+        self.rows: Dict[_Key, int] = {}
+        self.seq = np.zeros(0, dtype=np.int64)
+        self.epoch = np.zeros(0, dtype=np.int64)
+
+    def index(self, edges: Sequence[_Key]) -> np.ndarray:
+        """Rows of *edges*, in order; an edge not seen before gets one."""
+        rows = self.rows
+        for edge in edges:
+            rows.setdefault(edge, len(rows))
+        grown = len(rows) - self.seq.size
+        if grown:
+            self.seq = np.concatenate([self.seq, np.zeros(grown, np.int64)])
+            self.epoch = np.concatenate(
+                [self.epoch, np.full(grown, _NO_EPOCH, np.int64)]
+            )
+        return np.fromiter(map(rows.__getitem__, edges), np.intp, len(edges))
+
+    def last(self, edge: _Key) -> int:
+        """Last sequence number of *edge* (0: never used)."""
+        row = self.rows.get(edge)
+        return 0 if row is None else int(self.seq[row])
+
+
+class _Sealed:
+    """The send half of a cut as the guard stamps it: everything but the
+    bytes frozen at bind, in cut order (``cut.groups``, flattened)."""
+
+    __slots__ = ("table", "rows", "keys", "views", "dsts", "sizes",
+                 "bounds", "place", "crcs")
+
+    def __init__(self, cut, table: _RankTable) -> None:
+        items = [(dst, item) for dst, group, _n in cut.groups for item in group]
+        self.table = table
+        self.keys = [item[0] for _dst, item in items]
+        self.views = [item[1] for _dst, item in items]
+        self.dsts = [dst for dst, _item in items]
+        self.sizes = [view.size for view in self.views]
+        self.rows = table.index(
+            [(dst, key[1]) for dst, key in zip(self.dsts, self.keys)]
+        )
+        # Per destination: where its items sit in the flattened order.
+        self.bounds = []
+        lo = 0
+        for dst, group, nbytes in cut.groups:
+            self.bounds.append((dst, lo, lo + len(group), nbytes))
+            lo += len(group)
+        self.place = {id(item): i for i, (_dst, item) in enumerate(items)}
+        self.crcs = cut.crc_list(self.views)  # one call seals the side
+
+
+class _Checked:
+    """The receive half of a cut as the guard judges it, in ``cut.rmap``
+    order.  ``copy_crcs`` -- the one call that lands every item and
+    returns the CRCs of what landed -- exists once the peers' send views
+    (``srcs``) have been seen; it is good for exactly those objects."""
+
+    __slots__ = ("table", "rows", "keys", "recvs", "sizes", "place",
+                 "srcs", "copy_crcs")
+
+    def __init__(self, cut, table: _RankTable) -> None:
+        self.table = table
+        self.keys = list(cut.rmap)
+        self.recvs = list(cut.rmap.values())
+        self.sizes = [view.size for view in self.recvs]
+        self.rows = table.index(self.keys)
+        self.place = {key: i for i, key in enumerate(self.keys)}
+        self.srcs: list = []
+        self.copy_crcs: Optional[Callable[[], List[int]]] = None
 
 
 class Sifted(NamedTuple):
@@ -132,16 +248,27 @@ class Sifted(NamedTuple):
     rest: List[_Item]         # later epochs: stay queued, order kept
     stale: List[_Item]        # wire duplicates, to discard
     stray: Optional[_Key]     # an arrival no bound receive matches
+    #: ``taken``'s items -- in the cut's order when that is one of every
+    #: bound receive
+    items: List[_Item]
+    #: the next sequence number of every edge of the cut, when the
+    #: common-case comparison found each of ``items`` to carry its own
+    expect: Optional[np.ndarray] = None
 
 
 class EnvelopeGuard:
     """Sequence/CRC protocol state of one verified fabric.
 
-    Keyed by edge and kept here, not on a request, so it survives a
-    channel rebuilt on the same fabric (ladder demotion); partitions are
-    edges of their own through ``partition_tag``.  No lock: an edge's
-    sender-side entry is touched only by its source rank's thread and its
-    receiver-side entry only by its destination's.  Bound items and
+    The unit it seals and judges is a **cut** -- one side of one bound
+    request -- with per-item work only for the items that are not the
+    common case.  State is kept per rank, in tables indexed in cut order
+    (:class:`_RankTable`; the edge -> row map lives here, not on a
+    request, so it survives a channel rebuilt on the same fabric --
+    ladder demotion); partitions are edges of their own through
+    ``partition_tag``.  No lock: a rank's sender table is touched only
+    by that rank's thread and its receiver table likewise, so an edge's
+    sender-side entry is written by its source rank's thread only and
+    its receiver-side entry by its destination's.  Bound items and
     per-message entries wait in different port containers -- two wire
     streams, even on equal ``(src, dst, tag)`` -- so each numbers its
     edges separately.  *injector* is an optional
@@ -151,9 +278,8 @@ class EnvelopeGuard:
 
     def __init__(self, injector=None) -> None:
         self.injector = injector
-        self._sent: Dict[_Edge, Tuple[int, Optional[int]]] = {}
-        #: item edge -> (last sequence number accepted, epoch it was accepted in)
-        self.delivered: Dict[_Edge, Tuple[int, Optional[int]]] = {}
+        self._senders: Dict[int, _RankTable] = {}    # src -> rows (dst, tag)
+        self._receivers: Dict[int, _RankTable] = {}  # dst -> rows (src, tag)
         self._msg_sent: Dict[_Edge, int] = {}
         self._msg_delivered: Dict[_Edge, int] = {}
 
@@ -162,101 +288,186 @@ class EnvelopeGuard:
             src, dst, tag = edge
             self.injector.record(kind, src=src, dst=dst, tag=tag, **fields)
 
+    @property
+    def delivered(self) -> Dict[_Edge, Tuple[int, Optional[int]]]:
+        """Item edge -> (last sequence number accepted, epoch it was
+        accepted in), for every edge that has accepted anything."""
+        out = {}
+        for dst, table in self._receivers.items():
+            for (src, tag), row in table.rows.items():
+                seq, epoch = int(table.seq[row]), int(table.epoch[row])
+                if seq:
+                    out[(src, dst, tag)] = (
+                        seq, None if epoch == _NO_EPOCH else epoch
+                    )
+        return out
+
+    # -- bind: everything but the bytes ------------------------------------
+    def bind(self, cut) -> None:
+        """Freeze *cut*'s two halves in cut order (idempotent; a cut
+        first fired without this is bound then)."""
+        if cut.sealed is None:
+            rank = cut.rank
+            cut.sealed = _Sealed(
+                cut, self._senders.setdefault(rank, _RankTable())
+            )
+            cut.checked = _Checked(
+                cut, self._receivers.setdefault(rank, _RankTable())
+            )
+
     # -- bound items: sender ---------------------------------------------
-    def seal_items(self, src: int, groups, epoch: Optional[int]):
-        """What a post of *groups* (``(dst, plain items, nbytes)``) puts on
-        the wire: ``(wire groups, logical items, bytes)``.
+    def seal_items(self, cut, groups, epoch: Optional[int]):
+        """What a post of *groups* of *cut* (``(dst, plain items,
+        nbytes)``; ``None``: the whole cut) puts on the wire: ``(wire
+        groups, logical items, bytes)``.
 
         An item already posted in *epoch* is absorbed (nothing deposited,
-        not counted).  Every other one is stamped with its edge's next
-        sequence number and the CRC32 of its send view as it is now, and,
-        for a post carrying an epoch, faulted as the injector's plan
-        says: ``delay`` sleeps, ``corrupt`` deposits a flipped copy beside
-        the pristine view, ``drop`` a lost marker, ``duplicate`` the item
+        not counted).  The rest are stamped with their edges' next
+        sequence numbers in one vector increment and with the CRC32 of
+        their send views as they are now -- for the whole cut one call
+        over the views frozen at bind -- and, for a post carrying an
+        epoch, faulted item by item as the injector's plan says:
+        ``delay`` sleeps, ``corrupt`` deposits a flipped copy beside the
+        pristine view, ``drop`` a lost marker, ``duplicate`` the item
         twice.  Header and CRC are wall-clock only: modelled bytes and
         times never include them.
         """
-        sent = self._sent
+        self.bind(cut)
+        sealed = cut.sealed
+        table = sealed.table
+        code = _code(epoch)
+        # Which items of the flattened cut this post is about.
+        picked = None if groups is None else [
+            sealed.place[id(item)] for _dst, items, _n in groups for item in items
+        ]
+        rows = sealed.rows if picked is None else sealed.rows[picked]
+        if epoch is not None:
+            again = table.epoch[rows] == code
+            if again.any():  # a re-fire: absorb what this epoch already posted
+                posted = []
+                for at, absorbed in zip(picked or range(len(rows)), again.tolist()):
+                    if absorbed:
+                        key = sealed.keys[at]
+                        self._record(
+                            "resend_suppressed", (key[0], sealed.dsts[at], key[1])
+                        )
+                    else:
+                        posted.append(at)
+                if not posted:
+                    return [], 0, 0
+                picked, rows = posted, rows[~again]
+        seqs = table.seq[rows] + 1
+        table.seq[rows] = seqs
+        table.epoch[rows] = code
+        keys, views, sizes = sealed.keys, sealed.views, sealed.sizes
+        if picked is None:
+            crcs = sealed.crcs()
+        else:  # the other tier of that call serves any subset
+            keys, views, sizes = (
+                [column[at] for at in picked] for column in (keys, views, sizes)
+            )
+            crcs = map(checksum, views)
+        envelopes = map(_envelope, zip(seqs.tolist(), crcs, sizes))
+        wire = list(zip(keys, views, envelopes, views))
         injector = self.injector if epoch is not None else None
-        out = []
-        n = nbytes = 0
-        for dst, items, _nbytes in groups:
-            wire = []
-            posted_bytes = 0
-            for key, view in items:
-                tag = key[1]
-                edge = (src, dst, tag)
-                seq, posted = sent.get(edge, _NEVER)
-                if posted == epoch and epoch is not None:
-                    self._record("resend_suppressed", edge)
-                    continue
-                seq += 1
-                sent[edge] = (seq, epoch)
-                seen, copies = view, 1
-                if injector is not None:
-                    action = injector.on_post(src, dst, tag, seq)
-                    if action == "delay":
-                        time.sleep(injector.plan.delay_s)
-                    elif action == "corrupt":
-                        seen = injector.corrupt(view, src, dst, tag, seq)
-                    elif action == "drop":
-                        seen = None
-                    elif action == "duplicate":
-                        copies = 2
-                wire.extend([(key, view, seal(view, seq), seen)] * copies)
-                n += 1
-                posted_bytes += view.size
-            if wire:
-                out.append((dst, wire, posted_bytes))
-                nbytes += posted_bytes
-        return out, n, nbytes
+        if picked is None and injector is None:
+            return (
+                [(dst, wire[lo:hi], n) for dst, lo, hi, n in sealed.bounds],
+                cut.nsend, cut.send_bytes,
+            )
+        src = cut.rank
+        out: Dict[int, list] = {}
+        for at, item in zip(picked or range(len(wire)), wire):
+            key, view, env, _seen = item
+            dst = sealed.dsts[at]
+            copies = 1
+            if injector is not None:
+                action = injector.on_post(src, dst, key[1], env.seq)
+                if action == "delay":
+                    time.sleep(injector.plan.delay_s)
+                elif action == "corrupt":
+                    seen = injector.corrupt(view, src, dst, key[1], env.seq)
+                    item = (key, view, env, seen)
+                elif action == "drop":
+                    item = (key, view, env, None)
+                elif action == "duplicate":
+                    copies = 2
+            group = out.setdefault(dst, [[], 0])
+            group[0].extend([item] * copies)
+            group[1] += view.size
+        return (
+            [(dst, items, n) for dst, (items, n) in out.items()],
+            len(wire), sum(sizes),
+        )
 
     # -- bound items: receiver -------------------------------------------
-    def owed(self, dst: int, keys: Iterable[_Key], epoch: Optional[int]) -> set:
-        """The receives of *keys* not yet accepted in *epoch*.
+    def owed(self, cut, epoch: Optional[int]):
+        """The receive keys of *cut* not yet accepted in *epoch*.
 
         A re-fire skips the rest: their bytes already sit in the
-        persistent receive buffer.  Without an epoch every receive is owed.
+        persistent receive buffer.  Without an epoch, and in an epoch
+        that has accepted nothing yet (one vector compare), every
+        receive is owed.
         """
+        self.bind(cut)
+        checked = cut.checked
         if epoch is None:
-            return set(keys)
-        delivered = self.delivered
+            return cut.rmap.keys()
+        done = checked.table.epoch[checked.rows] == epoch
+        if not done.any():
+            return cut.rmap.keys()
         owed = set()
-        for key in keys:
-            edge = (key[0], dst, key[1])
-            if delivered.get(edge, _NEVER)[1] == epoch:
-                self._record("replayed", edge)
+        for key, replayed in zip(checked.keys, done.tolist()):
+            if replayed:
+                self._record("replayed", (key[0], cut.rank, key[1]))
             else:
                 owed.add(key)
         return owed
 
     def fresh(self, dst: int, item: _Item) -> bool:
         """Is *item* a transmission *dst* has not accepted yet?"""
-        key = item[0]
-        return item[2].seq > self.delivered.get((key[0], dst, key[1]), _NEVER)[0]
+        table = self._receivers.get(dst)
+        return item[2].seq > (table.last(item[0]) if table is not None else 0)
 
-    def sift(self, dst: int, arrivals: List[_Item], owed: set, keys) -> Sifted:
-        """Sort *dst*'s *arrivals* for a receive that still owes *owed*.
+    def sift(self, cut, arrivals: List[_Item], owed) -> Sifted:
+        """Sort *cut*'s rank's *arrivals* for a receive that still owes
+        *owed*.
 
-        Per arrival: the first fresh item of an owed key is taken; a
-        sequence number already accepted, or a second copy of the item
-        just taken, is a wire duplicate; anything else of a bound key
-        (*keys*) belongs to a later epoch -- a peer that finished this
+        The common case is one comparison each of counts, key sets and
+        sequence vectors: exactly one arrival per bound receive, each
+        the next in sequence on its edge -- everything is taken.
+        Otherwise, per arrival: the first fresh item of an owed key is
+        taken; a sequence number already accepted, or a second copy of
+        the item just taken, is a wire duplicate; anything else of a
+        bound key belongs to a later epoch -- a peer that finished this
         one may already have posted the next -- and stays queued in
         order.  No side effects: the caller may sift again after a wait.
         """
+        checked = cut.checked
+        table = checked.table
+        keys = cut.rmap
+        if len(arrivals) == len(owed) == len(keys):
+            taken = {item[0]: item for item in arrivals}
+            try:
+                items = list(map(taken.__getitem__, keys))  # the cut's order
+            except KeyError:
+                items = ()  # a stray key, or two of one: sorted out below
+            expect = table.seq[checked.rows] + 1
+            if len(taken) == len(items) and (
+                [item[2][0] for item in items] == expect.tolist()
+            ):
+                return Sifted(taken, [], [], None, items, expect)
         taken: Dict[_Key, _Item] = {}
         rest: List[_Item] = []
         stale: List[_Item] = []
         stray = None
-        delivered = self.delivered
         for item in arrivals:
             key = item[0]
             seq = item[2].seq
             if key not in keys:
                 stray = stray or key
                 rest.append(item)
-            elif seq <= delivered.get((key[0], dst, key[1]), _NEVER)[0]:
+            elif seq <= table.last(key):
                 stale.append(item)  # already accepted
             elif key not in owed:
                 rest.append(item)  # accepted this epoch, so: the next one's
@@ -266,27 +477,68 @@ class EnvelopeGuard:
                 rest.append(item)  # a later epoch of an owed edge
             else:
                 stale.append(item)  # second copy of the item just taken
-        return Sifted(taken, rest, stale, stray)
+        if len(taken) == len(keys):  # every bound receive: the cut's order
+            return Sifted(taken, rest, stale, stray, [taken[key] for key in keys])
+        return Sifted(taken, rest, stale, stray, list(taken.values()))
 
     def discard(self, dst: int, stale: List[_Item]) -> None:
         """Record the wire duplicates a receive dropped."""
         for key, _view, env, _wire in stale:
             self._record("duplicate_discarded", (key[0], dst, key[1]), seq=env.seq)
 
-    def accept(self, dst: int, item: _Item, landed: Optional[np.ndarray],
+    def accept_landed(self, cut, at: Optional[Sequence[int]],
+                      items: Sequence[_Item], crcs: Sequence[int],
+                      epoch: Optional[int], expect=None) -> List[int]:
+        """The vector verdict over pristine *items* -- at positions *at*
+        of the cut (``None``: all of it, in order) -- whose bytes landed
+        with checksums *crcs*: one comparison of ``(sequence number,
+        CRC, size)`` per item against ``(last accepted + 1, landed CRC,
+        receive size)``.  With *expect* -- the next sequence numbers the
+        sift already found every item to carry (:attr:`Sifted.expect`)
+        -- the CRCs alone are left to compare (the sizes are the landing
+        call's guard).  Records the delivery of every item that passes;
+        returns the indices into *items* of those that do not, for
+        :meth:`accept` to name what is wrong with each.
+        """
+        checked = cut.checked
+        table = checked.table
+        rows = checked.rows if at is None else checked.rows[at]
+        if expect is not None:
+            got, want = [item[2][1] for item in items], crcs
+        else:
+            sizes = checked.sizes
+            if at is not None:
+                sizes = [sizes[i] for i in at]
+            expect = table.seq[rows] + 1
+            got = [item[2] for item in items]
+            want = list(zip(expect.tolist(), crcs, sizes))
+        failed = []
+        if got != want:
+            failed = [i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]]
+            passed = np.ones(len(got), dtype=bool)
+            passed[failed] = False
+            rows, expect = rows[passed], expect[passed]
+        table.seq[rows] = expect
+        table.epoch[rows] = _code(epoch)
+        return failed
+
+    def accept(self, cut, item: _Item, landed: Optional[int],
                epoch: Optional[int]) -> None:
-        """Judge *item* by the bytes that *landed* in the receive buffer
-        (``None``: the transmission was lost on the wire); raises the
-        typed error, or records the delivery."""
+        """Judge one *item* by the CRC32 of the bytes that *landed* in
+        its receive buffer (``None``: the transmission was lost on the
+        wire); raises the typed error, or records the delivery."""
         key, _view, env, _wire = item
-        edge = (key[0], dst, key[1])
+        edge = (key[0], cut.rank, key[1])
         if landed is None:
             raise ExchangeTimeoutError(
-                f"message (src={edge[0]}, dst={dst}, tag={edge[2]},"
+                f"message (src={edge[0]}, dst={edge[1]}, tag={edge[2]},"
                 f" seq={env.seq}) lost on the wire; retransmit queued"
             )
-        verify(env, landed, self.delivered.get(edge, _NEVER)[0] + 1, edge)
-        self.delivered[edge] = (env.seq, epoch)
+        table = cut.checked.table
+        row = table.rows[key]
+        _judge(env, landed, int(table.seq[row]) + 1, edge)
+        table.seq[row] = env.seq
+        table.epoch[row] = _code(epoch)
 
     def pristine(self, dst: int, item: _Item) -> _Item:
         """The retransmission of a failed *item*: the bound send view

@@ -24,6 +24,8 @@ because the two kinds of traffic match differently:
     built from has already passed every per-item check.  Who makes that
     call -- a C ``copy_list`` or the NumPy loop -- is the binder handed
     to :meth:`SimFabric.bind_request`; this package knows no backend.
+    Binding registers both halves of every edge's byte split under one
+    acquisition of the fabric lock.
 
 ``queues`` (per-message: Shift, collectives)
     ``post_send`` appends a :class:`_SendEntry` -- a *reference* to the
@@ -51,24 +53,42 @@ clocks use them and the tests assert on them.
 Verified mode (the chaos fabric)
 --------------------------------
 ``enable_envelope()`` installs an
-:class:`~repro.exchange.envelope.EnvelopeGuard`, consulted **per bound
-item**: the same request is bound and fired by the same three calls, so
-a guarded exchange is the plain one plus the guard.  ``post_send_batch``
-asks it what to deposit (each item sealed with its edge's sequence
-number and the CRC32 of its send view; under an exchange epoch possibly
-faulted by the injector, or absorbed as a re-fire -- the dead-destination
-check still shares the deposit's lock acquisition).
-``complete_recv_batch`` waits until every receive it still *owes* (not
-yet accepted this epoch) has a fresh arrival -- a count is not enough
-once a wire duplicate, or the next epoch's item of a peer that finished
-first, can sit in ``arrivals`` -- takes those, drops duplicates, leaves
-later epochs queued in order, and verifies in its copy loop the bytes
-that *landed*.  Only accepted items are counted and credited to their
-sender's ``outstanding``; every failed one goes back pristine to the
-front of the port, and the typed error from :mod:`repro.faults.errors`
-is raised once, after the whole take was judged, so one bounded retry
-of the exchange heals the whole cut.  Per-message delivery is sealed and
-verified too, as *detection* only: typed error, no healing.
+:class:`~repro.exchange.envelope.EnvelopeGuard`, which seals and judges
+a **cut** -- one side of one bound request -- and goes item by item only
+for what is not the common case.  The same request is bound and fired by
+the same three calls, so a guarded exchange is the plain one plus the
+guard.  Both ends' buffers are persistent, so everything but the bytes
+is frozen at bind: the guard's per-rank sequence / epoch tables in cut
+order, and the two bound calls a cut is handed (*crc_list*,
+*copy_crc_list*: C functions or their NumPy tier, as for ``copy_list``).
+
+``post_send_batch`` asks the guard what to deposit: one vector increment
+stamps the cut's edges with their next sequence numbers, **one**
+``crc_list`` call takes the CRC32 of every send view, and the wire items
+``(key, send view, envelope, what the receiver will see)`` are zipped
+from those -- under an exchange epoch each possibly faulted by the
+injector, or absorbed as a re-fire (the dead-destination check still
+shares the deposit's lock acquisition).  ``complete_recv_batch`` waits
+until every receive it still *owes* (not yet accepted this epoch) has a
+fresh arrival -- a count is not enough once a wire duplicate, or the
+next epoch's item of a peer that finished first, can sit in
+``arrivals`` -- takes those, drops duplicates and leaves later epochs
+queued in order.  Every taken item that is *pristine* (its wire object
+is the bound send view) then lands through **one** ``copy_crc_list``
+call over a table frozen on the cut -- the CRC taken over the bytes that
+*landed* -- and gets one vector verdict on sequence number, CRC and
+size; per source it is credited from ``cut.sources``.  An item that
+verdict fails, every transmission the injector touched (a corrupted
+copy, a lost marker), and the remainder of a cut part of which was
+accepted by an earlier attempt go through the per-item judgement
+(:meth:`SimFabric._land_faulted`,
+:meth:`~repro.exchange.envelope.EnvelopeGuard.accept`): only accepted
+items are counted and credited to their sender's ``outstanding``; every
+failed one goes back pristine to the front of the port, and the typed
+error from :mod:`repro.faults.errors` is raised once, after the whole
+take was judged, so one bounded retry of the exchange heals the whole
+cut.  Per-message delivery is sealed and verified too, as *detection*
+only: typed error, no healing.
 """
 
 from __future__ import annotations
@@ -76,8 +96,10 @@ from __future__ import annotations
 import os
 import threading
 import time
+import zlib
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from operator import is_
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -207,6 +229,27 @@ def _numpy_copy_list(srcs, dsts) -> Callable[[], None]:
     return copy
 
 
+def _numpy_crc_list(views) -> Callable[[], List[int]]:
+    """The NumPy tier of a cut's seal: one ``zlib.crc32`` per view."""
+
+    def crcs() -> List[int]:
+        return list(map(zlib.crc32, views))
+
+    return crcs
+
+
+def _numpy_copy_crc_list(srcs, dsts) -> Callable[[], List[int]]:
+    """The NumPy tier of a verified cut's receive: the wire copy, then
+    one ``zlib.crc32`` per receive view -- of the bytes that landed."""
+    copy = _numpy_copy_list(srcs, dsts)
+
+    def copy_crcs() -> List[int]:
+        copy()
+        return list(map(zlib.crc32, dsts))
+
+    return copy_crcs
+
+
 class _Port:
     """One rank's end of the fabric, the only place a message waits; every
     field is guarded by the fabric lock, which ``cond`` is built on."""
@@ -235,15 +278,20 @@ class _Cut:
     ``copy`` is the plain path's whole wire copy, one call, built by
     ``copy_list`` (a ``(srcs, dsts) -> call`` binder) from the arrivals
     in ``frozen`` -- kept alive here so that ``frozen_ids``, their
-    ``id()`` s, name exactly those objects and no later one.
+    ``id()`` s, name exactly those objects and no later one.  On a
+    verified fabric the guard freezes its own view of the two halves in
+    ``sealed`` / ``checked``, over the ``crc_list`` (``views -> call
+    returning their CRC32s``) and ``copy_crc_list`` (``(srcs, dsts) ->
+    call that copies and returns the CRC32s of what landed``) binders.
     """
 
     __slots__ = ("rank", "rows", "groups", "nsend", "send_bytes",
                  "rmap", "rkeys", "recv_bytes", "sources",
-                 "copy_list", "copy", "frozen", "frozen_ids")
+                 "copy_list", "copy", "frozen", "frozen_ids",
+                 "crc_list", "copy_crc_list", "sealed", "checked")
 
     def __init__(self, rank: int, posts, recvs, partitions: int,
-                 copy_list=None) -> None:
+                 copy_list=None, crc_list=None, copy_crc_list=None) -> None:
         def wire(tag: int, part: int) -> int:
             return tag if partitions == 1 else partition_tag(tag, part)
 
@@ -292,6 +340,9 @@ class _Cut:
         self.copy: Optional[Callable[[], None]] = None
         self.frozen: list = []
         self.frozen_ids: frozenset = frozenset()
+        self.crc_list = crc_list or _numpy_crc_list
+        self.copy_crc_list = copy_crc_list or _numpy_copy_crc_list
+        self.sealed = self.checked = None  # EnvelopeGuard.bind fills them
 
 
 class BoundRequest:
@@ -307,16 +358,28 @@ class BoundRequest:
     a partition reaches its peer only once it is marked ready.
     """
 
-    __slots__ = ("_fabric", "bulk", "parts", "started", "_ready", "_all_ready")
+    __slots__ = ("_fabric", "bulk", "parts", "started", "_ready", "_all_ready",
+                 "copies_in_one_call")
 
     def __init__(self, fabric: "SimFabric", rank: int, posts, recvs,
-                 partitions: int, copy_list=None) -> None:
+                 partitions: int, copy_list=None, crc_list=None,
+                 copy_crc_list=None) -> None:
         self._fabric = fabric
-        self.bulk = _Cut(rank, posts, recvs, 1, copy_list)
+        binders = (copy_list, crc_list, copy_crc_list)
+        self.bulk = _Cut(rank, posts, recvs, 1, *binders)
         self.parts = (
             self.bulk
             if partitions == 1
-            else _Cut(rank, posts, recvs, partitions, copy_list)
+            else _Cut(rank, posts, recvs, partitions, *binders)
+        )
+        #: Whether every call this fabric makes per exchange side of the
+        #: request -- the wire copy on a plain fabric, the seal and the
+        #: copy-and-check on a verified one -- goes through a binder
+        #: that was handed in, rather than the fabric's own NumPy tier.
+        self.copies_in_one_call = (
+            copy_list is not None
+            if fabric._guard is None
+            else crc_list is not None and copy_crc_list is not None
         )
         self.started = False
         self._ready: set = set()
@@ -328,13 +391,6 @@ class BoundRequest:
         sends first, then receives."""
         cut = self.parts
         return [len(row) for row in cut.rows] + [len(k) for k in cut.rkeys]
-
-    @property
-    def copies_in_one_call(self) -> bool:
-        """Whether a receive of this request is one ``copy_list`` call
-        over the frozen table (a plain fabric); a verified fabric copies
-        and checks item by item whatever binder was handed in."""
-        return self._fabric._guard is None
 
     def _need_started(self, what: str) -> None:
         if not self.started:
@@ -681,36 +737,56 @@ class SimFabric:
 
     # ------------------------------------------------------------------
     # Bound requests (module docstring): ExchangeChannel's per-step calls,
-    # on a plain fabric and -- each item under the guard -- a verified one.
+    # on a plain fabric and -- each cut under the guard -- a verified one.
     # ------------------------------------------------------------------
     def bind_request(self, rank: int, posts, recvs, partitions: int = 1,
-                     copy_list=None) -> BoundRequest:
+                     copy_list=None, crc_list=None,
+                     copy_crc_list=None) -> BoundRequest:
         """Bind a channel's whole message plan into a persistent request.
 
         *posts* are ``(dst, tag, buf)`` and *recvs* ``(src, tag, buf)``
         exactly as the channel will fire them; the buffers must be
         C-contiguous, the receive buffers writeable, and all stay alive
-        and unmoved with the handle.  Both halves of each
-        edge's byte split are registered here, so a byte-count or
-        partition disagreement between two ranks surfaces at negotiation
-        as a :class:`SplitMismatchError`, before any message is posted.
+        and unmoved with the handle.  Both halves of each edge's byte
+        split are registered here -- all of them under one acquisition
+        of the fabric lock -- so a byte-count or partition disagreement
+        between two ranks surfaces at negotiation as a
+        :class:`SplitMismatchError`, before any message is posted.  On a
+        verified fabric the guard's cut-order tables are built here too,
+        for the cut a run fires (``parts``; ``bulk`` on its first fire).
 
         *copy_list* is who performs the plain path's wire copy: a binder
         ``(sender views, receive views) -> call`` whose call copies every
-        pair (:meth:`repro.stencil.cbackend.Movers.copy_list`, handed
-        down by the channel); ``None`` is the NumPy loop.
+        pair; *crc_list* and *copy_crc_list* are a verified fabric's
+        seal and copy-and-check binders (:class:`_Cut`).  All three are
+        :class:`repro.stencil.cbackend.Movers` methods handed down by
+        the channel; ``None`` is the NumPy tier of the same call.
         """
         self._check_rank(rank)
         if partitions < 1:
             raise ExchangeConfigError("partitions must be >= 1")
         posts, recvs = list(posts), list(recvs)
+        splits = []
         for dst, tag, buf in posts:
             self._check_rank(dst)
-            self.register_split(rank, dst, tag, buf.nbytes, partitions, "send")
+            splits.append(
+                ((rank, dst, tag), partition_bounds(buf.nbytes, partitions), "send")
+            )
         for src, tag, buf in recvs:
             self._check_rank(src)
-            self.register_split(src, rank, tag, buf.nbytes, partitions, "recv")
-        return BoundRequest(self, rank, posts, recvs, partitions, copy_list)
+            splits.append(
+                ((src, rank, tag), partition_bounds(buf.nbytes, partitions), "recv")
+            )
+        with self._lock:
+            for edge, bounds, side in splits:
+                self._negotiate(edge, bounds, side)
+        request = BoundRequest(
+            self, rank, posts, recvs, partitions, copy_list, crc_list,
+            copy_crc_list,
+        )
+        if self._guard is not None:
+            self._guard.bind(request.parts)
+        return request
 
     def post_send_batch(self, cut: _Cut, groups=None) -> None:
         """Put *groups* of *cut* (default: all of it) on the wire.
@@ -722,16 +798,16 @@ class SimFabric:
         On a verified fabric the guard turns the prebuilt items into
         what goes on the wire first (module docstring).
         """
-        if groups is None:
+        src = cut.rank
+        if self._guard is not None:
+            groups, n, nbytes = self._guard.seal_items(
+                cut, groups, self._epochs[src]
+            )
+        elif groups is None:
             groups, n, nbytes = cut.groups, cut.nsend, cut.send_bytes
         else:
             n = sum(len(group[1]) for group in groups)
             nbytes = sum(group[2] for group in groups)
-        src = cut.rank
-        if self._guard is not None:
-            groups, n, nbytes = self._guard.seal_items(
-                src, groups, self._epochs[src]
-            )
         ports = self._ports
         with self._lock:
             if self._dead:
@@ -865,28 +941,31 @@ class SimFabric:
         port = self._ports[dst]
         rmap = cut.rmap
         epoch = self._epochs[dst]
-        owed = guard.owed(dst, rmap, epoch)
+        owed = guard.owed(cut, epoch)
         if not owed:
             return
         sifted = None
 
         def ready() -> bool:
             nonlocal sifted
-            sifted = guard.sift(dst, port.arrivals, owed, rmap)
+            if len(port.arrivals) < len(owed):  # necessary, as the wake is
+                return False
+            sifted = guard.sift(cut, port.arrivals, owed)
             return sifted.stray is not None or len(sifted.taken) == len(owed)
+
+        def missing() -> list:
+            taken = guard.sift(cut, port.arrivals, owed).taken
+            return [key for key in owed if key not in taken]
 
         with _TRACER.span("fabric.recv", rank=dst, n=len(owed)):
             with self._lock:
                 if not ready():
                     port.expect = len(owed)
                     try:
-                        self._await(
-                            dst, ready,
-                            lambda: [k for k in owed if k not in sifted.taken],
-                        )
+                        self._await(dst, ready, missing)
                     finally:
                         port.expect = 0
-                taken, rest, stale, stray = sifted
+                taken, rest, stale, stray, items, expect = sifted
                 if stray is None:
                     port.arrivals = rest
             if stray is not None:
@@ -896,33 +975,50 @@ class SimFabric:
                     f" of its {len(rmap)} bound receives"
                 )
             guard.discard(dst, stale)
+            # Pristine transmissions -- the wire object is the bound
+            # send view -- land in one call and get one vector verdict;
+            # what the injector touched, and whatever that verdict
+            # fails, is judged item by item.
+            pristine = [item for item in items if item[3] is item[1]]
+            if len(pristine) == len(rmap):
+                at, crcs = None, self._land(cut, pristine)
+            else:
+                place = cut.checked.place
+                at = [place[item[0]] for item in pristine]
+                crcs = self._land_items(cut, pristine, at)
+                expect = None  # the sift's is the whole cut's
+            singly = [
+                (pristine[i], crcs[i])
+                for i in guard.accept_landed(cut, at, pristine, crcs, epoch, expect)
+            ]
+            if len(pristine) != len(items):
+                singly += self._land_faulted(
+                    cut, [item for item in items if item[3] is not item[1]]
+                )
             failed = []
             error = None
-            nbytes = 0
-            credit: Dict[int, int] = {}
-            for key, item in taken.items():
-                recv = rmap[key]
-                sent, wire = item[1], item[3]
-                if sent.size != recv.size:
-                    raise self._size_mismatch(key, dst, sent, recv)
-                landed = None
-                if wire is not None:
-                    recv[:] = wire  # the single wire copy
-                    landed = recv
+            for item, crc in singly:
                 try:
-                    guard.accept(dst, item, landed, epoch)
+                    guard.accept(cut, item, crc, epoch)
                 except (ExchangeIntegrityError, ExchangeTimeoutError) as err:
                     failed.append(guard.pristine(dst, item))
                     error = error or err
-                    continue
-                nbytes += recv.size
-                credit[key[0]] = credit.get(key[0], 0) + 1
+            if failed or at is not None:
+                lost = {item[0] for item in failed}
+                accepted = [key for key in taken if key not in lost]
+                nbytes = sum(rmap[key].size for key in accepted)
+                credit: Dict[int, int] = {}
+                for src, _tag in accepted:
+                    credit[src] = credit.get(src, 0) + 1
+                sources = credit.items()
+            else:  # the whole cut, accepted
+                accepted, nbytes, sources = rmap, cut.recv_bytes, cut.sources
             ports = self._ports
             with self._lock:
                 st = self.stats[dst]
-                st.recvs += len(taken) - len(failed)
+                st.recvs += len(accepted)
                 st.bytes_received += nbytes
-                for src, count in credit.items():
+                for src, count in sources:
                     sender = ports[src]
                     sender.outstanding -= count
                     if sender.outstanding == 0:
@@ -938,6 +1034,58 @@ class SimFabric:
                 raise error
             finally:
                 del error
+
+    def _sizes_match(self, cut: _Cut, items, recvs) -> None:
+        """The wire's own size guard, before any byte of *items* lands."""
+        for item, recv in zip(items, recvs):
+            if item[1].size != recv.size:
+                raise self._size_mismatch(item[0], cut.rank, item[1], recv)
+
+    def _land(self, cut: _Cut, items: list) -> List[int]:
+        """Copy the whole of *cut* in -- *items*, pristine and in the
+        cut's order -- and return the CRC32s of the bytes that landed:
+        one ``copy_crc_list`` call over a table frozen on the cut.
+
+        The table is good for the very send views it was built from
+        (kept alive in ``checked.srcs``): a view's size and address
+        never change, so identity carries the size guard.  Any other
+        view -- the first fire, a peer that bound again -- is checked
+        and frozen afresh before a byte moves.
+        """
+        checked = cut.checked
+        srcs = [item[1] for item in items]
+        if len(srcs) != len(checked.srcs) or not all(map(is_, srcs, checked.srcs)):
+            self._sizes_match(cut, items, checked.recvs)
+            checked.copy_crcs = cut.copy_crc_list(srcs, checked.recvs)
+            checked.srcs = srcs
+        return checked.copy_crcs()
+
+    def _land_items(self, cut: _Cut, items: list, at: List[int]) -> List[int]:
+        """:meth:`_land` for a proper subset of the cut (its neighbours
+        were faulted, or accepted in an earlier attempt), at positions
+        *at*: the other tier of the same call, which needs no table."""
+        recvs = cut.checked.recvs
+        recvs = [recvs[i] for i in at]
+        self._sizes_match(cut, items, recvs)
+        return _numpy_copy_crc_list([item[1] for item in items], recvs)()
+
+    def _land_faulted(self, cut: _Cut, items: list) -> list:
+        """The per-item fault path: what the injector put on the wire
+        beside each of *items* -- a corrupted copy, or nothing -- lands
+        (or does not) in its receive view.  Returns ``(item, CRC32 of
+        the landed bytes or None)`` for the guard to judge one by one."""
+        rmap = cut.rmap
+        self._sizes_match(cut, items, [rmap[item[0]] for item in items])
+        landed = []
+        for item in items:
+            wire = item[3]
+            crc = None
+            if wire is not None:
+                recv = rmap[item[0]]
+                recv[:] = wire  # the single wire copy
+                crc = zlib.crc32(recv)
+            landed.append((item, crc))
+        return landed
 
     def wait_send_batch(self, cut: _Cut) -> None:
         """Block until every item this rank posted has been consumed."""
@@ -971,20 +1119,25 @@ class SimFabric:
         peer's stale half so the peer's own re-negotiation re-arms the
         comparison instead of tripping on outdated state.
         """
-        bounds = partition_bounds(nbytes, partitions)
-        edge = (src, dst, tag)
-        other = "recv" if side == "send" else "send"
         with self._lock:
-            sides = self._splits.setdefault(edge, {})
-            prev = sides.get(side)
-            if prev is not None and prev != bounds:
-                sides.pop(other, None)
-            sides[side] = bounds
-            peer = sides.get(other)
+            self._negotiate(
+                (src, dst, tag), partition_bounds(nbytes, partitions), side
+            )
+
+    def _negotiate(self, edge, bounds, side: str) -> None:
+        """Under the lock: :meth:`register_split` of one computed split."""
+        other = "recv" if side == "send" else "send"
+        sides = self._splits.setdefault(edge, {})
+        prev = sides.get(side)
+        if prev is not None and prev != bounds:
+            sides.pop(other, None)
+        sides[side] = bounds
+        peer = sides.get(other)
         if peer is not None and peer != bounds:
+            src, dst, tag = edge
             raise SplitMismatchError(
                 f"byte split disagreement on (src={src}, dst={dst},"
-                f" tag={tag}): {side} side splits {nbytes} bytes into"
+                f" tag={tag}): {side} side splits {bounds[-1][1]} bytes into"
                 f" {len(bounds)} partition(s), {other} side negotiated"
                 f" {peer[-1][1]} bytes in {len(peer)} partition(s)"
             )

@@ -26,10 +26,13 @@ contiguous rows; what the brick kernel pays on top is the staging copy
 
 The exchange moves its data on the same tier.  The first translation
 unit a process builds (per set of sanitize flags) ends with one constant
-text (:data:`MOVER_SOURCE`): three table-driven functions -- a box
-gather, its scatter and a ``copy_list`` -- that pack, unpack and
-wire-copy one exchange side per call over tables frozen at bind
-(:class:`Movers`, resolved by :func:`mover_kernel` at the same point as
+text (:data:`MOVER_SOURCE`): table-driven functions -- a box gather, its
+scatter and a ``copy_list`` that pack, unpack and wire-copy one
+exchange side per call over tables frozen at bind, and for a verified
+fabric a ``crc_list`` that seals a side and a ``copy_crc_list`` that
+copies it and checksums what landed, CRC-32 folded by carry-less
+multiply (:class:`Movers`, resolved by :func:`mover_kernel` /
+:func:`crc_movers` at the same point as
 the kernels).  Riding in a kernel's translation unit means a cold run
 invokes the compiler no more often than it did without them; a
 stand-alone build happens only in a process that never loaded a kernel.
@@ -92,6 +95,7 @@ __all__ = [
     "batch_step_source",
     "bounds_guard_enabled",
     "brick_stage_boxes",
+    "crc_movers",
     "kernel_env",
     "mover_kernel",
     "sanitize_flags",
@@ -571,10 +575,28 @@ def array_step_source(
 #: Most axes a box mover walks (its odometer is a fixed stack array).
 MOVER_MAX_NDIM = 8
 
+
+def _crc_table_rows() -> str:
+    """The 256-entry byte table of the reflected CRC-32 polynomial, as
+    the rows of a C initializer."""
+    table = []
+    for byte in range(256):
+        c = byte
+        for _ in range(8):
+            c = (c >> 1) ^ (0xEDB88320 if c & 1 else 0)
+        table.append(c)
+    return "\n".join(
+        "    " + ", ".join(f"0x{c:08x}u" for c in table[i : i + 6]) + ","
+        for i in range(0, 256, 6)
+    )
+
+
 #: The exchange's data movers: constant text, the tail of the first
 #: translation unit :func:`_load` builds with given sanitize flags (any
 #: kernel's: the text depends on no specialization; ~40 ms of compiler
-#: time, which a second unit need not pay again).  ``boxes`` is an
+#: time for the copies and ~35 for the checksums -- ``<wmmintrin.h>``
+#: alone, ``<immintrin.h>`` would be 360 -- which a second unit need not
+#: pay again).  ``boxes`` is an
 #: ``(nboxes, ndim, 2)`` table of per-axis ``(lo, hi)`` element ranges in
 #: a row-major double array of extents ``shape``; box *b* travels through
 #: the flat buffer ``bufs[b]``, a ``memcpy`` per innermost row (an inline
@@ -584,6 +606,12 @@ MOVER_MAX_NDIM = 8
 #: a call checks every entry first, and on any violation writes nothing
 #: and returns the count.  ``copy_list`` uses ``memmove``: a sender's and
 #: a receiver's view come from different binds of (possibly) one arena.
+#: ``crc_list`` seals one exchange side (the CRC-32 of every send view)
+#: and ``copy_crc_list`` receives one on a verified fabric: the copy,
+#: then the CRC-32 of the bytes that *landed*.  The folding needs a CPU
+#: with carry-less multiply; ``repro_crc_engaged`` is the probe, asked
+#: once per :class:`Movers`, and a build for anything but x86-64 carries
+#: the byte table only and answers no.
 MOVER_SOURCE = "\n#define REPRO_MOVER_MAX_NDIM %d\n" % MOVER_MAX_NDIM + """
 #include <stdint.h>
 #include <string.h>
@@ -683,16 +711,27 @@ int64_t repro_scatter(double *arr, int64_t arr_elems,
                           buf_elems, 1);
 }
 
+/* Lengths that overrun a view (dst_bytes NULL: nothing is written). */
+static int64_t repro_list_violations(const int64_t *nbytes, int64_t n,
+                                     const int64_t *src_bytes,
+                                     const int64_t *dst_bytes)
+{
+    int64_t i, bad = 0;
+    for (i = 0; i < n; ++i)
+        if (nbytes[i] < 0 || nbytes[i] > src_bytes[i]
+                || (dst_bytes && nbytes[i] > dst_bytes[i]))
+            ++bad;
+    return bad;
+}
+
 int64_t repro_copy_list(char *const *src, char *const *dst,
                         const int64_t *nbytes, int64_t n,
                         const int64_t *src_bytes, const int64_t *dst_bytes)
 {
-    int64_t i, bad = 0;
+    int64_t i;
     if (src_bytes) {
-        for (i = 0; i < n; ++i)
-            if (nbytes[i] < 0 || nbytes[i] > src_bytes[i]
-                    || nbytes[i] > dst_bytes[i])
-                ++bad;
+        const int64_t bad = repro_list_violations(nbytes, n, src_bytes,
+                                                  dst_bytes);
         if (bad)
             return bad;
     }
@@ -700,7 +739,129 @@ int64_t repro_copy_list(char *const *src, char *const *dst,
         memmove(dst[i], src[i], nbytes[i]);
     return 0;
 }
-"""
+
+/* CRC-32 (IEEE 802.3, reflected 0xEDB88320; zlib.crc32's function): four
+   128-bit lanes folded by carry-less multiply, then Barrett reduction
+   (Intel, "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ");
+   the byte table takes what folding cannot: a view under 64 bytes, and
+   the under-16-byte tail of any other. */
+static const uint32_t REPRO_CRC_TABLE[256] = {
+%s
+};
+
+static uint32_t repro_crc_bytes(uint32_t state, const unsigned char *p,
+                                int64_t n)
+{
+    while (n-- > 0)
+        state = REPRO_CRC_TABLE[(state ^ *p++) & 0xff] ^ (state >> 8);
+    return state;
+}
+
+#if defined(__x86_64__)
+#include <wmmintrin.h>
+
+#define REPRO_CRC_LOAD(p) _mm_loadu_si128((const __m128i *)(p))
+#define REPRO_CRC_FOLD(x, k, data) \
+    _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00), \
+                                _mm_clmulepi64_si128(x, k, 0x11)), data)
+
+/* n >= 64 and a multiple of 16 */
+__attribute__((target("pclmul")))
+static uint32_t repro_crc_fold(uint32_t state, const unsigned char *p,
+                               int64_t n)
+{
+    const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+    const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+    const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+    const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+    const __m128i low32 = _mm_set_epi32(0, ~0, 0, ~0);
+    __m128i x1 = _mm_xor_si128(REPRO_CRC_LOAD(p),
+                               _mm_cvtsi32_si128((int)state));
+    __m128i x2 = REPRO_CRC_LOAD(p + 16), x3 = REPRO_CRC_LOAD(p + 32);
+    __m128i x4 = REPRO_CRC_LOAD(p + 48), t;
+    for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+        x1 = REPRO_CRC_FOLD(x1, k1k2, REPRO_CRC_LOAD(p));
+        x2 = REPRO_CRC_FOLD(x2, k1k2, REPRO_CRC_LOAD(p + 16));
+        x3 = REPRO_CRC_FOLD(x3, k1k2, REPRO_CRC_LOAD(p + 32));
+        x4 = REPRO_CRC_FOLD(x4, k1k2, REPRO_CRC_LOAD(p + 48));
+    }
+    x1 = REPRO_CRC_FOLD(x1, k3k4, x2);
+    x1 = REPRO_CRC_FOLD(x1, k3k4, x3);
+    x1 = REPRO_CRC_FOLD(x1, k3k4, x4);
+    for (; n >= 16; p += 16, n -= 16)
+        x1 = REPRO_CRC_FOLD(x1, k3k4, REPRO_CRC_LOAD(p));
+    /* 128 -> 64 -> 32 bits; SSE2 shifts, so no <smmintrin.h> extract */
+    t = _mm_clmulepi64_si128(x1, k3k4, 0x10);
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), t);
+    t = _mm_srli_si128(x1, 4);
+    x1 = _mm_xor_si128(
+        _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00), t);
+    t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+    return (uint32_t)_mm_cvtsi128_si32(
+        _mm_srli_si128(_mm_xor_si128(x1, t), 4));
+}
+#endif
+
+/* Whether the list functions below may be called on this CPU (the
+   builtin returns a bit mask, not 1). */
+int64_t repro_crc_engaged(void)
+{
+#if defined(__x86_64__)
+    return __builtin_cpu_supports("pclmul") != 0;
+#else
+    return 0;
+#endif
+}
+
+static uint32_t repro_crc32(const unsigned char *p, int64_t n)
+{
+    uint32_t state = 0xffffffffu;
+#if defined(__x86_64__)
+    if (n >= 64) {
+        const int64_t folded = n & ~(int64_t)15;
+        state = repro_crc_fold(state, p, folded);
+        p += folded;
+        n -= folded;
+    }
+#endif
+    return ~repro_crc_bytes(state, p, n);
+}
+
+int64_t repro_crc_list(char *const *src, const int64_t *nbytes, int64_t n,
+                       uint32_t *out, const int64_t *src_bytes)
+{
+    int64_t i;
+    if (src_bytes) {
+        const int64_t bad = repro_list_violations(nbytes, n, src_bytes, 0);
+        if (bad)
+            return bad;
+    }
+    for (i = 0; i < n; ++i)
+        out[i] = repro_crc32((const unsigned char *)src[i], nbytes[i]);
+    return 0;
+}
+
+/* Copy, then checksum what landed: out[i] is the CRC of dst[i]. */
+int64_t repro_copy_crc_list(char *const *src, char *const *dst,
+                            const int64_t *nbytes, int64_t n, uint32_t *out,
+                            const int64_t *src_bytes,
+                            const int64_t *dst_bytes)
+{
+    int64_t i;
+    if (src_bytes) {
+        const int64_t bad = repro_list_violations(nbytes, n, src_bytes,
+                                                  dst_bytes);
+        if (bad)
+            return bad;
+    }
+    for (i = 0; i < n; ++i) {
+        memmove(dst[i], src[i], nbytes[i]);
+        out[i] = repro_crc32((const unsigned char *)dst[i], nbytes[i]);
+    }
+    return 0;
+}
+""" % _crc_table_rows()
 _MOVER_CDEF = """
 int64_t repro_gather(const double *arr, int64_t arr_elems,
                      const int64_t *shape, int64_t ndim,
@@ -713,6 +874,13 @@ int64_t repro_scatter(double *arr, int64_t arr_elems,
 int64_t repro_copy_list(char *const *src, char *const *dst,
                         const int64_t *nbytes, int64_t n,
                         const int64_t *src_bytes, const int64_t *dst_bytes);
+int64_t repro_crc_engaged(void);
+int64_t repro_crc_list(char *const *src, const int64_t *nbytes, int64_t n,
+                       uint32_t *out, const int64_t *src_bytes);
+int64_t repro_copy_crc_list(char *const *src, char *const *dst,
+                            const int64_t *nbytes, int64_t n, uint32_t *out,
+                            const int64_t *src_bytes,
+                            const int64_t *dst_bytes);
 """
 # sanitize flags -> (ffi, lib) of a loaded translation unit built with
 # them: where mover_kernel finds the movers without a build of its own.
@@ -855,12 +1023,13 @@ def _build_array(
 
 
 class Movers:
-    """The exchange's three C movers, as binders over frozen tables.
+    """The exchange's C movers, as binders over frozen tables.
 
     Each method freezes one exchange side -- every pointer, extent and
     length it will ever need -- into C tables and returns the zero-argument
     call that moves it: what a :class:`~repro.exchange.base.Binding` runs
-    as ``pre`` / ``post`` and the fabric as its wire copy, once per
+    as ``pre`` / ``post`` and the fabric as its wire copy (on a verified
+    fabric: its seal and its copy-and-check), once per
     exchange instead of once per message.  The tables hold raw addresses:
     a buffer export is taken only long enough to read the address, so no
     table pins an arena mapping (closing one is a raw ``munmap`` once the
@@ -878,6 +1047,13 @@ class Movers:
         self._ffi = ffi
         self._lib = lib
         self.guard = guard
+        #: Why :meth:`crc_list` / :meth:`copy_crc_list` cannot engage
+        #: here (empty: they can); see :func:`crc_movers`.
+        self.crc_refusal = (
+            "" if lib.repro_crc_engaged()
+            else "the CRC movers fold by carry-less multiply and this CPU"
+                 " (or a build for something other than x86-64) has none"
+        )
 
     def _pointers(self, arrays: Sequence[np.ndarray]):
         """``char *[]`` of the arrays' addresses; holds none of them."""
@@ -943,6 +1119,49 @@ class Movers:
         )
         return self._frozen(self._lib.repro_copy_list, args, "copy length(s)")
 
+    def _crcs(self, fn, tables: tuple, n: int, caps: tuple, what: str):
+        """*fn* over *tables*, a fresh ``uint32_t[n]`` and *caps* (the
+        capacity tables, under the guard): the call returns the *n*
+        checksums as a list."""
+        if self.crc_refusal:
+            raise KernelBuildError(
+                f"the CRC movers cannot engage: {self.crc_refusal}"
+                " (REPRO_KERNEL_BACKEND=auto runs them on the NumPy tier)"
+            )
+        out = self._ffi.new("uint32_t[]", n)
+        null = (self._ffi.NULL,) * len(caps)
+        run = self._frozen(
+            fn, (*tables, n, out, *(caps if self.guard else null)), what
+        )
+        unpack = self._ffi.unpack
+
+        def crcs() -> List[int]:
+            run()
+            return unpack(out, n)
+
+        crcs.__keep__ = run.__keep__
+        return crcs
+
+    def crc_list(self, views) -> Callable[[], List[int]]:
+        """The call returning the CRC-32 of every one of *views* as it
+        is now (``zlib.crc32``'s function): a cut's seal."""
+        nbytes = self._sizes([v.nbytes for v in views])
+        return self._crcs(
+            self._lib.repro_crc_list, (self._pointers(views), nbytes),
+            len(views), (nbytes,), "checksum length(s)",
+        )
+
+    def copy_crc_list(self, srcs, dsts) -> Callable[[], List[int]]:
+        """:meth:`copy_list` that also returns, per pair, the CRC-32 of
+        the bytes that landed in ``dsts[i]``: a verified cut's receive."""
+        nbytes = self._sizes([d.nbytes for d in dsts])
+        return self._crcs(
+            self._lib.repro_copy_crc_list,
+            (self._pointers(srcs), self._pointers(dsts), nbytes), len(dsts),
+            (self._sizes([s.nbytes for s in srcs]), nbytes),
+            "copy length(s)",
+        )
+
 
 @atexit.register
 def _cleanup() -> None:  # pragma: no cover - exit path
@@ -1005,6 +1224,24 @@ def _load_movers(sanitize: Tuple[str, ...], guard: bool) -> Movers:
     if sanitize not in _mover_libs:
         _load("", "", "", False, sanitize)
     return Movers(*_mover_libs[sanitize], guard)
+
+
+def crc_movers() -> Optional[Movers]:
+    """The C movers for sealing and checking a cut on a verified
+    fabric, or ``None`` for the other tier of those calls
+    (``zlib.crc32`` per view around the cut's copy).
+
+    :func:`mover_kernel`'s answer, except where the CRC pair cannot
+    engage (:attr:`Movers.crc_refusal`): then the NumPy tier under
+    ``auto``.  Under ``cffi`` the movers are returned all the same and,
+    as for :func:`array_movers`, demanding what cannot engage is an
+    error -- raised by the binders, i.e. only where a verified fabric
+    really binds a cut, so a plain run on such a host is not refused.
+    """
+    movers = mover_kernel()
+    if movers is not None and movers.crc_refusal and backend_choice() != "cffi":
+        return None
+    return movers
 
 
 def array_movers(arr: np.ndarray) -> Optional[Movers]:

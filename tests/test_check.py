@@ -420,6 +420,42 @@ class TestCBackend:
         assert "scatter" not in rep.findings[0].message
 
     @needs_cc
+    def test_mover_probe_checks_the_crc_against_zlib(self, monkeypatch):
+        """A fold constant off by one bit: the copies still match NumPy
+        slicing, the CRC pair no longer matches ``zlib.crc32``."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        monkeypatch.setattr(cbackend, "_mover_libs", {})  # force a fresh load
+        assert "0x01751997d0" in cbackend.MOVER_SOURCE
+        monkeypatch.setattr(
+            cbackend, "MOVER_SOURCE",
+            cbackend.MOVER_SOURCE.replace("0x01751997d0", "0x01751997d1"),
+        )
+        rep = CheckReport()
+        verify_cbackend(rep)
+        assert rep.codes() == ["mover-probe"], rep.render()
+        message = rep.findings[0].message
+        assert "crc_list" in message and "copy_crc_list" in message
+        assert "gather" not in message and "scatter" not in message
+
+    @needs_cc
+    def test_mover_probe_names_a_crc_mover_that_cannot_engage(self, monkeypatch):
+        real = cbackend.Movers.__init__
+
+        def no_pclmul(self, ffi, lib, guard):
+            real(self, ffi, lib, guard)
+            self.crc_refusal = "probe forced false"
+
+        monkeypatch.setattr(cbackend.Movers, "__init__", no_pclmul)
+        for choice, ok in (("auto", True), ("cffi", False)):
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", choice)
+            rep = CheckReport()
+            verify_cbackend(rep)
+            assert rep.ok is ok, rep.render()
+            (finding,) = [f for f in rep.findings if f.code == "mover-probe"]
+            assert "probe forced false" in finding.message
+            assert "zlib.crc32" in finding.message
+
+    @needs_cc
     def test_movers_cost_no_compiler_invocation_of_their_own(self, monkeypatch):
         """They ride in the kernels' translation units: a process that
         builds a kernel first -- every run does -- builds nothing for

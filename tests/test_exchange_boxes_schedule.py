@@ -1,6 +1,7 @@
 """Array boxes and combinatorial message schedules."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -423,3 +424,109 @@ class TestMoverBoundsGuard:
         with pytest.raises(cbackend.KernelBoundsError, match="1 out-of-range"):
             guarded.copy_list(src, dst)()
         assert not dst[0].any() and not dst[1].any()
+
+    def test_crc_length_past_its_view(self, guarded):
+        if guarded.crc_refusal:
+            pytest.skip(guarded.crc_refusal)
+        src = [np.arange(8, dtype=np.uint8), np.arange(4, dtype=np.uint8)]
+        dst = [np.zeros(8, dtype=np.uint8), np.zeros(6, dtype=np.uint8)]
+        # The second copy would read 6 bytes of a 4-byte view: nothing
+        # moves, no CRC is written (the call never returns its list).
+        with pytest.raises(cbackend.KernelBoundsError, match="1 out-of-range"):
+            guarded.copy_crc_list(src, dst)()
+        assert not dst[0].any() and not dst[1].any()
+        # The seal takes each length from its own view, so it takes a
+        # forged length table to overrun one.
+        forged = guarded._crcs(
+            guarded._lib.repro_crc_list,
+            (guarded._pointers(src), guarded._sizes([8, 6])), 2,
+            (guarded._sizes([8, 4]),), "checksum length(s)",
+        )
+        with pytest.raises(cbackend.KernelBoundsError, match="1 out-of-range"):
+            forged()
+        assert guarded.crc_list(src)() == [zlib.crc32(v) for v in src]
+
+
+# ----------------------------------------------------------------------
+# The CRC movers: zlib.crc32's function, on both tiers of the bound call
+# ----------------------------------------------------------------------
+@st.composite
+def _byte_runs(draw):
+    """Views of one random byte pool: lengths under 64 (the byte table
+    alone), non-multiples of 16 (its tail) and up to 70 000, at odd
+    start offsets."""
+    length = st.one_of(
+        st.integers(0, 70), st.integers(0, 5000), st.integers(0, 70_000)
+    )
+    runs = draw(st.lists(st.tuples(st.integers(0, 33), length), min_size=1, max_size=6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    pool = np.random.default_rng(seed).integers(
+        0, 256, 34 + max(n for _lo, n in runs), dtype=np.uint8
+    )
+    return [pool[lo : lo + n] for lo, n in runs]
+
+
+def _crc_tiers():
+    """``(name, crc_list, copy_crc_list)`` per tier of the bound calls."""
+    from repro.simmpi import fabric as fabric_mod
+
+    tiers = [("numpy", fabric_mod._numpy_crc_list, fabric_mod._numpy_copy_crc_list)]
+    if cbackend.cffi is not None and cbackend._compiler() is not None:
+        movers = _c_movers()
+        if not movers.crc_refusal:
+            tiers.append(("cffi", movers.crc_list, movers.copy_crc_list))
+    return tiers
+
+
+class TestCrcMoversMatchZlib:
+    @settings(max_examples=60, deadline=None)
+    @given(views=_byte_runs())
+    def test_seal_and_landed_crcs_equal_zlib(self, views):
+        from repro.exchange.envelope import checksum
+
+        want = [zlib.crc32(v.tobytes()) for v in views]
+        assert [checksum(v) for v in views] == want
+        for name, crc_list, copy_crc_list in _crc_tiers():
+            assert crc_list(views)() == want, name
+            landed = [np.full(v.size, 0xA5, dtype=np.uint8) for v in views]
+            assert copy_crc_list(views, landed)() == want, name
+            for got, src in zip(landed, views):
+                assert got.tobytes() == src.tobytes(), name
+
+    @needs_cc
+    def test_fixed_lengths_around_the_fold_boundaries(self):
+        movers = _c_movers()
+        if movers.crc_refusal:
+            pytest.skip(movers.crc_refusal)
+        pool = np.random.default_rng(7).integers(0, 256, 230_000, dtype=np.uint8)
+        lengths = list(range(300)) + [4096, 4097, 8191, 12345, 32768, 229_376]
+        for start in (0, 1, 3):
+            views = [pool[start : start + n] for n in lengths]
+            assert movers.crc_list(views)() == [zlib.crc32(v) for v in views]
+
+    @needs_cc
+    def test_a_cpu_without_carry_less_multiply_runs_the_numpy_tier(
+        self, monkeypatch
+    ):
+        """The probe forced false: ``auto`` takes the other tier of the
+        same bound calls, ``cffi`` says why it cannot have what it
+        demanded, and the copies stay in C either way."""
+        monkeypatch.setattr(cbackend, "_kernels", {})
+        real = cbackend.Movers.__init__
+
+        def no_pclmul(self, ffi, lib, guard):
+            real(self, ffi, lib, guard)
+            self.crc_refusal = "probe forced false"
+
+        monkeypatch.setattr(cbackend.Movers, "__init__", no_pclmul)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
+        assert cbackend.mover_kernel() is not None
+        assert cbackend.crc_movers() is None
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        demanded = cbackend.crc_movers()  # refused where a cut is bound
+        view = np.zeros(8, dtype=np.uint8)
+        with pytest.raises(cbackend.KernelBuildError, match="probe forced false"):
+            demanded.crc_list([view])
+        with pytest.raises(cbackend.KernelBuildError, match="probe forced false"):
+            demanded.copy_crc_list([view], [view.copy()])
+        demanded.copy_list([view], [view.copy()])()  # the copies engage

@@ -385,7 +385,8 @@ class TestBothCopyTiers:
     def calls(self, monkeypatch):
         """Calls made through each C mover, and each NumPy-tier loop."""
         counts = dict.fromkeys(
-            ("gather", "scatter", "copy_list", "numpy_boxes", "numpy_wire"), 0
+            ("gather", "scatter", "copy_list", "crc_list", "copy_crc_list",
+             "numpy_boxes", "numpy_wire"), 0
         )
 
         def count(owner, attr, key):
@@ -402,38 +403,47 @@ class TestBothCopyTiers:
 
             monkeypatch.setattr(owner, attr, counting_binder)
 
-        for name in ("gather", "scatter", "copy_list"):
+        for name in ("gather", "scatter", "copy_list", "crc_list", "copy_crc_list"):
             count(cbackend.Movers, name, name)
         count(boxes_mod, "_numpy_gather", "numpy_boxes")
         count(boxes_mod, "_numpy_scatter", "numpy_boxes")
         count(fabric_mod, "_numpy_copy_list", "numpy_wire")
+        count(fabric_mod, "_numpy_crc_list", "numpy_wire")
         return counts
 
+    @pytest.mark.parametrize("verify_wire", [False, True], ids=["plain", "verified"])
     @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
     @pytest.mark.parametrize(
         "method", ["yask", "mpi_types", "shift", "layout", "memmap"]
     )
     def test_same_field_same_ledger_one_call_per_side(
-        self, method, periodic, calls, monkeypatch
+        self, method, periodic, verify_wire, calls, monkeypatch
     ):
         problem = _tier_problem(periodic)
         runs = {}
+        c_calls = ("gather", "scatter", "copy_list", "crc_list", "copy_crc_list")
         for tier in ("numpy", "cffi"):
             monkeypatch.setenv("REPRO_KERNEL_BACKEND", tier)
             before = dict(calls)
-            runs[tier] = run_executed(problem, method, timesteps=_TIER_STEPS)
+            runs[tier] = run_executed(
+                problem, method, timesteps=_TIER_STEPS, verify_wire=verify_wire
+            )
             made = {key: calls[key] - before[key] for key in calls}
             fired = problem.nranks * _TIER_STEPS  # exchanges, all ranks
             packs = method in ("yask", "mpi_types", "shift")
             if tier == "numpy":
                 assert runs[tier].copy_backend == "numpy"
-                assert made["gather"] == made["scatter"] == made["copy_list"] == 0
+                assert not any(made[name] for name in c_calls)
                 continue
             # One call per side per fired exchange (Shift: per axis
-            # round, and its per-message wire is no bound request).
+            # round, and its per-message wire is no bound request); on a
+            # verified fabric the wire's two calls are the seal and the
+            # copy-and-check instead of the copy.
             rounds = 3 if method == "shift" else 1
+            wired = (method != "shift") * fired
             assert made["gather"] == made["scatter"] == packs * fired * rounds
-            assert made["copy_list"] == (method != "shift") * fired
+            assert made["copy_list"] == (not verify_wire) * wired
+            assert made["crc_list"] == made["copy_crc_list"] == verify_wire * wired
             # ... and no per-message NumPy copy on this tier.
             assert made["numpy_boxes"] == made["numpy_wire"] == 0
             assert runs[tier].copy_backend == (
@@ -446,6 +456,34 @@ class TestBothCopyTiers:
             a.pop("measured"), b.pop("measured")  # wall clock
             assert a == b
         assert c.fabric.total_stats() == n.fabric.total_stats()
+
+    def test_a_declined_crc_mover_is_reported_not_silent(self, monkeypatch):
+        """A CPU (or toolchain) that cannot fold a CRC: under ``auto`` a
+        verified run seals and checks on the NumPy tier of the same
+        bound calls, says so where the tiers are reported, and computes
+        the same field; a plain run never asked; ``cffi`` refuses."""
+        monkeypatch.setattr(cbackend, "_kernels", {})
+        real = cbackend.Movers.__init__
+
+        def no_pclmul(self, ffi, lib, guard):
+            real(self, ffi, lib, guard)
+            self.crc_refusal = "probe forced false"
+
+        monkeypatch.setattr(cbackend.Movers, "__init__", no_pclmul)
+        problem = _tier_problem(True)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
+        plain = run_executed(problem, "layout", timesteps=_TIER_STEPS)
+        guarded = run_executed(
+            problem, "layout", timesteps=_TIER_STEPS, verify_wire=True
+        )
+        assert plain.copy_backend == "cffi"
+        assert guarded.copy_backend == "numpy (wire on numpy: probe forced false)"
+        assert guarded.global_result.tobytes() == plain.global_result.tobytes()
+        assert guarded.fabric.total_stats() == plain.fabric.total_stats()
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        assert run_executed(problem, "layout", timesteps=1).copy_backend == "cffi"
+        with pytest.raises(RuntimeError, match="probe forced false"):
+            run_executed(problem, "layout", timesteps=1, verify_wire=True)
 
     def test_cffi_demand_refuses_a_float32_field(self, monkeypatch):
         """No silent fallback: the stencil plans and the movers follow

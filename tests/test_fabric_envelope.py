@@ -431,3 +431,218 @@ def test_guard_tables_lose_no_update_under_contention():
     assert events["injected_duplicate"] == events["duplicate_discarded"] > 0
     total = fab.total_stats()
     assert total.sends == total.recvs == steps * nranks * (nranks - 1)
+
+
+# ----------------------------------------------------------------------
+# The guard judges a cut: one seal call per post, one copy-and-check
+# call per receive, per-item judgement for what is not the common case
+# ----------------------------------------------------------------------
+class _Counting:
+    """A binder that counts the tables it built and the calls made."""
+
+    def __init__(self, binder):
+        self.binder = binder
+        self.built = 0
+        self.calls = 0
+
+    def __call__(self, *views):
+        self.built += 1
+        call = self.binder(*views)
+
+        def counted():
+            self.calls += 1
+            return call()
+
+        return counted
+
+
+@pytest.fixture(params=["cffi", "numpy"])
+def binders(request):
+    """``(crc_list, copy_crc_list)`` of either tier, counted, as
+    ``ExchangeChannel`` hands them down."""
+    from repro.simmpi import fabric as fabric_mod
+    from repro.stencil import cbackend
+
+    if request.param == "numpy":
+        pair = (fabric_mod._numpy_crc_list, fabric_mod._numpy_copy_crc_list)
+    else:
+        if cbackend.cffi is None or cbackend._compiler() is None:
+            pytest.skip("no C toolchain in this environment")
+        movers = cbackend._load_movers(cbackend.sanitize_flags(), False)
+        if movers.crc_refusal:
+            pytest.skip(movers.crc_refusal)
+        pair = (movers.crc_list, movers.copy_crc_list)
+    return tuple(_Counting(binder) for binder in pair)
+
+
+class _Cut39:
+    """Rank 0 sends 39 Layout-sized items to rank 1 (three senders' worth
+    of tags on one edge pair keeps it single-threaded)."""
+
+    N = 39
+
+    def __init__(self, binders, plan=None):
+        self.seal, self.check = binders
+        self.injector = FaultInjector(plan) if plan is not None else None
+        self.fab = fab = SimFabric(2, timeout=5.0)
+        fab.enable_envelope(self.injector)
+        sizes = [512 + 64 * (tag % 5) + tag % 3 for tag in range(self.N)]
+        self.data = [_payload(n, seed=tag) for tag, n in enumerate(sizes)]
+        self.out = [np.zeros_like(d) for d in self.data]
+        kw = {"crc_list": self.seal, "copy_crc_list": self.check}
+        self.sender = fab.bind_request(
+            0, [(1, tag, d) for tag, d in enumerate(self.data)], [], **kw
+        ).bulk
+        self.receiver = fab.bind_request(
+            1, [], [(0, tag, o) for tag, o in enumerate(self.out)], **kw
+        ).bulk
+
+    def delivered(self):
+        return all((o == d).all() for o, d in zip(self.out, self.data))
+
+
+class TestTheGuardJudgesACut:
+    def test_one_seal_call_per_post_one_check_call_per_receive(self, binders):
+        cut = _Cut39(binders)
+        fab = cut.fab
+        for step in range(4):
+            for d in cut.data:
+                d += 1.0
+            fab.post_send_batch(cut.sender)
+            fab.complete_recv_batch(cut.receiver)
+            fab.wait_send_batch(cut.sender)
+            assert cut.delivered()
+            # Bound once (each side's table: the seal at bind, the
+            # copy-and-check on the first receive), then only called.
+            assert (cut.seal.built, cut.seal.calls) == (2, step + 1)
+            assert (cut.check.built, cut.check.calls) == (1, step + 1)
+        assert fab.stats[1].recvs == 4 * cut.N and fab.pending_messages == 0
+        assert all(seq == 4 for seq, _ in fab._guard.delivered.values())
+
+    @pytest.mark.parametrize("fault", ["corrupt", "drop", "duplicate"])
+    def test_a_faulted_item_is_judged_alone(self, binders, fault, monkeypatch):
+        cut = _Cut39(binders, FaultPlan())
+        fab, guard = cut.fab, cut.fab._guard
+        cut.injector.on_post = (
+            lambda src, dst, tag, seq: fault if (tag, seq) == (17, 1) else None
+        )
+        judged, verdicts = [], []
+        real_accept, real_landed = guard.accept, guard.accept_landed
+        monkeypatch.setattr(
+            guard, "accept",
+            lambda c, item, crc, epoch: judged.append(item[0])
+            or real_accept(c, item, crc, epoch),
+        )
+        monkeypatch.setattr(
+            guard, "accept_landed",
+            lambda c, at, items, *rest: verdicts.append(len(items))
+            or real_landed(c, at, items, *rest),
+        )
+        for rank in (0, 1):
+            fab.set_epoch(rank, 0)
+        fab.post_send_batch(cut.sender)
+        if fault == "duplicate":
+            fab.complete_recv_batch(cut.receiver)  # the copy is dropped
+            assert (judged, verdicts) == ([], [cut.N])
+            assert cut.delivered() and fab.pending_messages == 0
+            return
+        error = ExchangeIntegrityError if fault == "corrupt" else ExchangeTimeoutError
+        with pytest.raises(error):
+            fab.complete_recv_batch(cut.receiver)
+        # Its 38 neighbours landed in one call, got one vector verdict
+        # and were credited; item 17 alone went through accept().
+        assert (judged, verdicts) == ([(0, 17)], [cut.N - 1])
+        assert fab.stats[1].recvs == cut.N - 1
+        assert fab._ports[0].outstanding == 1 and fab.pending_messages == 1
+        assert cut.check.calls == 0  # a proper subset: the other tier
+        fab.complete_recv_batch(cut.receiver)  # the retry: 38 replayed
+        assert cut.delivered() and fab.pending_messages == 0
+        assert verdicts == [cut.N - 1, 1]
+        events = cut.injector.event_counts()
+        assert events["retransmit"] == 1 and events["replayed"] == cut.N - 1
+
+    def test_an_item_the_vector_verdict_fails_is_named(self, binders):
+        # No injector: a send view that changes after its seal fails the
+        # vector verdict, and the per-item judgement says which and why.
+        cut = _Cut39(binders)
+        fab = cut.fab
+        for rank in (0, 1):
+            fab.set_epoch(rank, 0)  # a retry replays what it accepted
+        fab.post_send_batch(cut.sender)
+        cut.data[5][0] += 1.0
+        with pytest.raises(ExchangeIntegrityError, match=r"checksum.*tag=5,"):
+            fab.complete_recv_batch(cut.receiver)
+        assert fab.stats[1].recvs == cut.N - 1 and fab.pending_messages == 1
+        cut.data[5][0] -= 1.0
+        fab.complete_recv_batch(cut.receiver)
+        assert cut.delivered() and fab.stats[1].recvs == cut.N
+
+    def test_stray_key_is_a_protocol_error_before_any_byte(self, binders):
+        from repro.simmpi.fabric import ProtocolError
+
+        cut = _Cut39(binders)
+        fab = cut.fab
+        stray = fab.bind_request(0, [(1, 99, np.ones(4))], []).bulk
+        fab.post_send_batch(stray)
+        fab.post_send_batch(cut.sender)
+        with pytest.raises(ProtocolError, match=r"\(0, 99\)"):
+            fab.complete_recv_batch(cut.receiver)
+        assert not any(o.any() for o in cut.out) and cut.check.calls == 0
+
+    def test_size_mismatched_peer_is_refused_before_any_byte(self, binders):
+        from repro.simmpi.fabric import SplitMismatchError
+
+        seal, check = binders
+        fab = SimFabric(2, timeout=5.0)
+        fab.enable_envelope()
+        outs = [np.full(4, -1.0), np.full(4, -1.0)]
+        kw = {"crc_list": seal, "copy_crc_list": check}
+        receiver = fab.bind_request(
+            1, [], [(0, 3, outs[0]), (0, 4, outs[1])], **kw
+        ).bulk
+        good = fab.bind_request(
+            0, [(1, 3, np.full(4, 1.0)), (1, 4, np.full(4, 2.0))], [], **kw
+        ).bulk
+        fab.post_send_batch(good)
+        fab.complete_recv_batch(receiver)
+        # Re-binding a changed split drops the receiver's stale half at
+        # negotiation, so only the wire's own size guard is left.
+        grown = fab.bind_request(
+            0, [(1, 3, np.full(4, 7.0)), (1, 4, np.full(5, 8.0))], [], **kw
+        ).bulk
+        fab.post_send_batch(grown)
+        with pytest.raises(SplitMismatchError, match="sent 40 bytes, receiving 32"):
+            fab.complete_recv_batch(receiver)
+        assert outs[0].tolist() == [1.0] * 4 and outs[1].tolist() == [2.0] * 4
+        assert check.calls == 1
+
+    def test_a_rebound_peer_rebuilds_the_check_table(self, binders):
+        seal, check = binders
+        fab = SimFabric(2, timeout=5.0)
+        fab.enable_envelope()
+        out = np.full(4, -1.0)
+        receiver = fab.bind_request(
+            1, [], [(0, 3, out)], crc_list=seal, copy_crc_list=check
+        ).bulk
+        for epoch, value in enumerate((1.0, 2.0)):
+            sender = fab.bind_request(0, [(1, 3, np.full(4, value))], []).bulk
+            for _ in range(2):
+                fab.post_send_batch(sender)
+                fab.complete_recv_batch(receiver)
+                np.testing.assert_array_equal(out, value)
+            assert check.built == epoch + 1
+        assert check.calls == 4
+        assert fab._guard.delivered[(0, 1, 3)] == (4, None)
+
+    def test_partial_pready_groups_go_item_by_item(self, binders):
+        cut = _Cut39(binders)
+        fab = cut.fab
+        # Two single-item posts, then the rest: three seals, none of
+        # them the whole cut's bound call until everything is posted.
+        fab.post_send_batch(cut.sender, [cut.sender.rows[0][0]])
+        fab.post_send_batch(cut.sender, [cut.sender.rows[7][0]])
+        assert cut.seal.calls == 0 and fab.pending_messages == 2
+        rest = [row[0] for m, row in enumerate(cut.sender.rows) if m not in (0, 7)]
+        fab.post_send_batch(cut.sender, rest)
+        fab.complete_recv_batch(cut.receiver)
+        assert cut.delivered() and cut.seal.calls == 0 and cut.check.calls == 1

@@ -1,0 +1,124 @@
+"""Golden guard events: what a faulted run injects, heals and computes.
+
+``golden_guard_events.json`` was recorded at commit 357e537, *before*
+the envelope guard moved from judging an item to judging a cut (one seal
+call per post, one copy-and-check call per receive, per-item judgement
+only for the items that are not the common case).  That move may have
+changed no event: for every wire-fault preset x method x seed, phased
+and unphased, the injector's full event-count dict, its order-independent
+schedule digest (every event's kind / src / dst / tag / seq / step), the
+``retry`` / ``healed`` count per rank and the CRC32 of the final field
+compare exactly, on the C tier and on the NumPy tier of the same bound
+calls.  A change that means to alter the healing protocol re-records the
+file (``python tests/test_golden_guard_events.py``) and says why.
+"""
+
+import json
+import zlib
+from pathlib import Path
+
+import pytest
+
+import repro.core.driver as driver
+from repro.core.problem import StencilProblem
+from repro.faults import FaultPlan
+from repro.faults.chaos import PRESETS
+from repro.stencil.spec import SEVEN_POINT
+
+GOLDEN_PATH = Path(__file__).parent / "golden_guard_events.json"
+WIRE_PRESETS = ("corrupt", "drop", "duplicate", "delay", "mixed")
+METHODS = ("layout", "memmap", "yask", "mpi_types")
+SEEDS = (0, 1, 2)
+STEPS = 2
+
+
+def _problem():
+    return StencilProblem(
+        (32, 32, 32), (2, 2, 2), SEVEN_POINT, brick_dim=(8, 8, 8), ghost=8
+    )
+
+
+def _key(preset, method, seed, overlap):
+    return f"{preset}|{method}|{seed}|{'phased' if overlap else 'unphased'}"
+
+
+def observe(preset, method, seed, overlap):
+    """One faulted run's record (the injector is the run's own: captured
+    where ``run_executed`` constructs it)."""
+    made = []
+
+    class Capturing(driver.FaultInjector):
+        def __init__(self, plan):
+            super().__init__(plan)
+            made.append(self)
+
+    original = driver.FaultInjector
+    driver.FaultInjector = Capturing
+    try:
+        run = driver.run_executed(
+            _problem(), method, timesteps=STEPS, seed=0, overlap=overlap,
+            fault_plan=FaultPlan(seed=seed, **PRESETS[preset]),
+            fabric_timeout=20.0,
+        )
+    finally:
+        driver.FaultInjector = original
+    (injector,) = made
+    per_rank = {"retry": {}, "healed": {}}
+    for event in injector.events():
+        if event.kind in per_rank:
+            counts = per_rank[event.kind]
+            counts[str(event.src)] = counts.get(str(event.src), 0) + 1
+    return {
+        "events": injector.event_counts(),
+        "schedule_digest": injector.schedule_digest(),
+        "retry": dict(sorted(per_rank["retry"].items())),
+        "healed": dict(sorted(per_rank["healed"].items())),
+        "field_crc": zlib.crc32(run.global_result.tobytes()),
+        "phased": bool(run.overlap),
+    }
+
+
+def _cases():
+    return [
+        (preset, method, seed, overlap)
+        for preset in WIRE_PRESETS
+        for method in METHODS
+        for seed in SEEDS
+        for overlap in (False, True)
+    ]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("tier", ["cffi", "numpy"])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("preset", WIRE_PRESETS)
+def test_guard_events_unchanged(preset, method, tier, golden, monkeypatch):
+    from repro.stencil import cbackend
+
+    if tier == "cffi" and (cbackend.cffi is None or cbackend._compiler() is None):
+        pytest.skip("no C toolchain in this environment")
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", tier)
+    for seed in SEEDS:
+        for overlap in (False, True):
+            key = _key(preset, method, seed, overlap)
+            assert observe(preset, method, seed, overlap) == golden[key], key
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(_key(*case) for case in _cases())
+    # The recording is not vacuous, and every retried cut healed.
+    for key, record in golden.items():
+        assert record["retry"] == record["healed"]
+        assert any(kind.startswith("injected_") for kind in record["events"]), key
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(
+        json.dumps({_key(*case): observe(*case) for case in _cases()},
+                   indent=1, sort_keys=True) + "\n"
+    )
+    print(f"recorded {len(_cases())} cases to {GOLDEN_PATH}")

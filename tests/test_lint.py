@@ -316,12 +316,22 @@ def test_per_message_copy_loop_outside_the_numpy_tier_flagged():
     violations = lint_invariants.check_copy_tier(path, ast.parse(src))
     assert sorted(v[1] for v in violations) == [5, 8, 10]
     assert all("NumPy tier" in v[2] for v in violations)
-    # The same loops are the other tier of a bound call where named ...
-    named = lint_invariants.SRC / "exchange" / "brickpack.py"
-    assert lint_invariants.check_copy_tier(named, ast.parse(src)) == []
+    # The same loops are the other tier of a bound call where named:
+    # the box and run movers' NumPy tier, the fabric's per-item fault
+    # path -- and no method file (brick packing binds a copy_list).
     gather = src.replace("def _bind", "def _numpy_gather")
     boxes = lint_invariants.SRC / "exchange" / "boxes.py"
     assert lint_invariants.check_copy_tier(boxes, ast.parse(gather)) == []
+    faulted = src.replace("def _bind", "def _land_faulted")
+    fabric = lint_invariants.SRC / "simmpi" / "fabric.py"
+    assert lint_invariants.check_copy_tier(fabric, ast.parse(faulted)) == []
+    verified = src.replace("def _bind", "def _complete_recv_verified")
+    assert len(lint_invariants.check_copy_tier(fabric, ast.parse(verified))) == 3
+    brickpack = lint_invariants.SRC / "exchange" / "brickpack.py"
+    assert len(lint_invariants.check_copy_tier(brickpack, ast.parse(src))) == 3
+    assert sorted(lint_invariants.NUMPY_TIER) == [
+        "exchange/boxes.py", "simmpi/fabric.py",
+    ]
     # ... and the rule is about the communication layers only.
     elsewhere = lint_invariants.SRC / "stencil" / "synthetic.py"
     assert lint_invariants.check_copy_tier(elsewhere, ast.parse(src)) == []
@@ -332,6 +342,6 @@ def test_lint_file_on_real_sources():
     for rel in (
         "simmpi/fabric.py", "exchange/envelope.py", "check/schedule.py",
         "core/geometry.py", "core/driver.py", "core/runplan.py",
-        "exchange/costs.py",
+        "exchange/costs.py", "exchange/brickpack.py", "exchange/boxes.py",
     ):
         assert lint_invariants.lint_file(lint_invariants.SRC / rel) == []

@@ -88,12 +88,14 @@ may not, and these rules are project-specific anyway.  Seven checks:
    body copies into a buffer (``np.copyto(...)``, ``x[:] = ...`` or any
    slice-subscript store) appears only inside the functions named as
    that tier: ``exchange/boxes.py`` ``_numpy_gather`` /
-   ``_numpy_scatter``, ``simmpi/fabric.py`` ``_numpy_copy_list`` and
-   ``_complete_recv_verified`` (the verified receive copies and
-   checksums item by item -- an item is accepted or re-queued on its
-   own), and ``exchange/brickpack.py`` ``_bind`` (the ladder's last
-   rung has a NumPy tier only until its section gather moves onto
-   ``copy_list``; ROADMAP item 2).  A store through a bare name
+   ``_numpy_scatter`` / ``_numpy_copy``, and ``simmpi/fabric.py``
+   ``_numpy_copy_list`` (which the verified receive's NumPy tier,
+   ``_numpy_copy_crc_list``, calls) and ``_land_faulted`` -- the
+   per-item fault path: a transmission the injector touched travels
+   *beside* its bound send view (a corrupted copy, a lost marker), so
+   no table frozen at bind can name it, and it is judged alone while
+   its neighbours land in the cut's one copy-and-check call.  No method
+   file is on the list.  A store through a bare name
    (``arr[slc] = view``) cannot be told from a dict store and is not
    matched; the loops this rule is about all have a matched twin.
 
@@ -193,9 +195,8 @@ LEDGER_KEYS = ("msgs", "wire", "payload")
 #: and the functions that are that tier (reasons: docstring, rule 7)
 COPY_TIER_PACKAGES = ("exchange", "simmpi")
 NUMPY_TIER = {
-    "exchange/boxes.py": ("_numpy_gather", "_numpy_scatter"),
-    "simmpi/fabric.py": ("_numpy_copy_list", "_complete_recv_verified"),
-    "exchange/brickpack.py": ("_bind",),
+    "exchange/boxes.py": ("_numpy_gather", "_numpy_scatter", "_numpy_copy"),
+    "simmpi/fabric.py": ("_numpy_copy_list", "_land_faulted"),
 }
 
 Violation = Tuple[Path, int, str]

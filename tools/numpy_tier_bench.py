@@ -4,6 +4,7 @@ side costs on each data-movement tier, one source tree or two.
 
     PYTHONPATH=src python tools/numpy_tier_bench.py strong16
     PYTHONPATH=src python tools/numpy_tier_bench.py copy strong16
+    PYTHONPATH=src python tools/numpy_tier_bench.py guard strong16
     python tools/numpy_tier_bench.py --ab PARENT/src CHANGE/src [REPS]
 
 No halobench workload reaches the NumPy tier (halobench pins ``cffi``),
@@ -16,12 +17,22 @@ bit-for-bit against the generic kernels.
 The ``copy`` section (EXPERIMENTS.md, "One data-movement tier") times,
 on one rank exchanging with itself across its periodic boundary, what
 each method's bound plan moves per exchange side -- pack, unpack, the
-datatype engine's extract / insert, and the fabric's post + receive +
-send-wait over the messages of ``yask`` / ``layout`` / ``memmap`` --
+datatype engine's extract / insert, brick packing's section gather /
+scatter (the ladder's last rung, which no halobench workload reaches),
+and the fabric's post + receive + send-wait over the messages of
+``yask`` / ``layout`` / ``memmap`` --
 under ``REPRO_KERNEL_BACKEND=numpy`` and ``=cffi``: us per side, GB/s
 (read + write) beside a flat ``np.copyto`` of the same bytes, and the
 interpreter share ``1 - cffi / numpy``.  A tree without the C movers
 ignores the variable and reads the same on both.
+
+The ``guard`` section (EXPERIMENTS.md, "The guard judges a cut") times
+the same self-exchange on a *verified* fabric, for the Layout (39 items
+on ``strong16``) and Pack (26) item lists: the post (sequence stamp +
+seal) and the receive (copy + check + credit) per exchange side on each
+tier, in us and in GB/s of bytes sealed / landed, beside ``zlib.crc32``
+over one flat buffer of the same bytes and the flat copy.  On a tree
+whose guard works per item both tiers read alike.
 
 ``--ab`` alternates two trees, REPS fresh processes each per geometry and
 section (default 7), and prints the medians of those.
@@ -101,9 +112,11 @@ def measure(name):
     }
 
 
-def measure_copy(name):
-    """One rank, 26 neighbours all itself: every message of the real
-    per-rank schedule, none of the thread handoff."""
+def _self_exchange(name, verified=False):
+    """``bound(method)`` for one rank whose 26 neighbours are all itself:
+    every message of the real per-rank schedule, none of the thread
+    handoff.  Returns ``(hooks, wire-only channel, modelled result, what
+    to keep alive)`` of *method*'s plan bound to a fresh buffer."""
     import numpy as np
 
     from repro.core.geometry import RunGeometry
@@ -118,44 +131,57 @@ def measure_copy(name):
         (n,) * 3, (1, 1, 1), getattr(specs, stencil), brick_dim=(8, 8, 8), ghost=8
     )
     rng = np.random.default_rng(0)
-    out = {}
-
-    def side_us(fn):
-        return median_ms(fn, calls=20) * 1e3
 
     def bound(method):
-        """``(hooks, wire-only fire, modelled result, what to keep alive)``
-        of *method*'s plan bound to a fresh buffer on a one-rank fabric."""
         geometry = RunGeometry(problem, method, generic_host())
-        cart = SimComm(SimFabric(1, timeout=5.0), 0).Create_cart((1, 1, 1))
+        fabric = SimFabric(1, timeout=5.0)
+        if verified:
+            fabric.enable_envelope()
+        cart = SimComm(fabric, 0).Create_cart((1, 1, 1))
         if geometry.decomp is None:
             buffer = rng.random(geometry.extended_shape)
         elif geometry.base == "memmap":
             buffer = geometry.decomp.mmap_alloc(geometry.page_size)[0]
         else:
             buffer = geometry.decomp.allocate()[0]
+            buffer.data[:] = rng.random(buffer.data.shape)
         ex = geometry.bind(geometry.base, cart, buffer)
         ((posts, recvs, hooks),) = ex._bound
         # The same wire buffers on a channel without the hooks: post +
         # receive (the wire copy) + send-wait, nothing else.
         wire = ExchangeChannel(cart, method, posts, recvs, ex.result)
-        return hooks, wire.exchange, ex.result, (ex, buffer)
+        return hooks, wire, ex.result, (ex, buffer)
 
+    return bound, rng
+
+
+def side_us(fn):
+    return median_ms(fn, calls=20) * 1e3
+
+
+def measure_copy(name):
+    import numpy as np
+
+    bound, rng = _self_exchange(name)
+    out = {}
     for tier in ("numpy", "cffi"):
         os.environ["REPRO_KERNEL_BACKEND"] = tier
         keep = []
         for method, pre, post in (
-            ("yask", "pack", "unpack"), ("mpi_types", "extract", "insert")
+            ("yask", "pack", "unpack"), ("mpi_types", "extract", "insert"),
+            ("brickpack", "brick_pack", "brick_unpack"),
         ):
             hooks, _, result, alive = bound(method)
             keep.append(alive)
             out[f"{pre}_us.{tier}"] = side_us(hooks.pre)
             out[f"{post}_us.{tier}"] = side_us(hooks.post)
-            out["side_bytes"] = result.wire_bytes_sent
+            out[f"{pre}_bytes"] = out[f"{post}_bytes"] = result.wire_bytes_sent
+            if method == "yask":
+                out["side_bytes"] = result.wire_bytes_sent
         for method in ("yask", "layout", "memmap"):
-            _, fire, result, alive = bound(method)
+            _, wire, result, alive = bound(method)
             keep.append(alive)
-            out[f"wire_{method}_us.{tier}"] = side_us(fire)
+            out[f"wire_{method}_us.{tier}"] = side_us(wire.exchange)
             out[f"wire_{method}_msgs"] = result.messages_sent
             out[f"wire_{method}_bytes"] = result.wire_bytes_sent
     flat_src = rng.random(out["side_bytes"] // 8)
@@ -171,9 +197,69 @@ def measure_copy(name):
     return out
 
 
+def measure_guard(name):
+    """Seal and verified receive of one cut, per side, per tier."""
+    import zlib
+
+    import numpy as np
+
+    bound, rng = _self_exchange(name, verified=True)
+    out = {}
+    for tier in ("numpy", "cffi"):
+        os.environ["REPRO_KERNEL_BACKEND"] = tier
+        for method, row in (("layout", "layout"), ("yask", "pack")):
+            _, wire, result, alive = bound(method)
+            fabric, cut = wire._fabric, wire._request.bulk
+            nbytes = result.wire_bytes_sent
+            wire.exchange()  # the first fire freezes the tables
+            seal, check = [], []
+            for _ in range(15):
+                stamps = [time.perf_counter()]
+                for _ in range(20):
+                    fabric.post_send_batch(cut)
+                    stamps.append(time.perf_counter())
+                    fabric.complete_recv_batch(cut)
+                    fabric.wait_send_batch(cut)
+                    stamps.append(time.perf_counter())
+                spans = np.diff(stamps) * 1e6
+                seal.append(spans[0::2].mean())
+                check.append(spans[1::2].mean())
+            out[f"{row}_items"] = result.messages_sent
+            out[f"{row}_bytes"] = nbytes
+            out[f"seal_{row}_us.{tier}"] = statistics.median(seal)
+            out[f"check_{row}_us.{tier}"] = statistics.median(check)
+            out[f"seal_{row}_gbs.{tier}"] = nbytes / statistics.median(seal) / 1e3
+            out[f"check_{row}_gbs.{tier}"] = nbytes / statistics.median(check) / 1e3
+            out[f"cut_{row}_us.{tier}"] = out[f"seal_{row}_us.{tier}"] + out[
+                f"check_{row}_us.{tier}"
+            ]
+            # The two bound calls alone (a tree whose guard judges a cut).
+            for call, table, attr in (
+                ("seal", "sealed", "crcs"), ("check", "checked", "copy_crcs")
+            ):
+                bound_call = getattr(getattr(cut, table, None), attr, None)
+                if bound_call is not None:
+                    us = side_us(bound_call)
+                    out[f"{call}_call_{row}_us.{tier}"] = us
+                    out[f"{call}_call_{row}_gbs.{tier}"] = nbytes / us / 1e3
+            del alive
+    flat = rng.integers(0, 256, out["layout_bytes"], dtype=np.uint8)
+    landed = np.empty_like(flat)
+    out["zlib_flat_us"] = side_us(lambda: zlib.crc32(flat))
+    out["zlib_flat_gbs"] = flat.size / out["zlib_flat_us"] / 1e3
+    out["flat_copy_us"] = side_us(lambda: np.copyto(landed, flat))
+    out["host_copy_gbs"] = 2 * flat.size / out["flat_copy_us"] / 1e3
+    for row in ("layout", "pack"):
+        if f"seal_call_{row}_gbs.cffi" in out:
+            out[f"seal_call_{row}_vs_zlib.cffi"] = (
+                out[f"seal_call_{row}_gbs.cffi"] / out["zlib_flat_gbs"]
+            )
+    return out
+
+
 def compare(parent_src, change_src, reps):
     trees = {"parent": parent_src, "change": change_src}
-    for section in ((), ("copy",)):
+    for section in ((), ("copy",), ("guard",)):
         for name in GEOMETRIES:
             runs = {side: [] for side in trees}
             for i in range(reps):
@@ -184,7 +270,11 @@ def compare(parent_src, change_src, reps):
                         capture_output=True, text=True, check=True,
                     )
                     runs[side].append(json.loads(proc.stdout))
-            for key in runs["parent"][0]:
+            for key in runs["change"][0]:
+                if key not in runs["parent"][0]:  # a row the parent lacks
+                    c = statistics.median(r[key] for r in runs["change"])
+                    print(f"{name:9s} {key:30s} {'-':>10s} -> {c:10.3f}")
+                    continue
                 p, c = (
                     statistics.median(r[key] for r in runs[side]) for side in trees
                 )
@@ -199,5 +289,7 @@ if __name__ == "__main__":
         compare(sys.argv[2], sys.argv[3], int((sys.argv[4:] or [7])[0]))
     elif sys.argv[1] == "copy":
         print(json.dumps(measure_copy(sys.argv[2])))
+    elif sys.argv[1] == "guard":
+        print(json.dumps(measure_guard(sys.argv[2])))
     else:
         print(json.dumps(measure(sys.argv[1])))
