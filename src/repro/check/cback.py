@@ -13,8 +13,16 @@ verifies what *can* be verified ahead of a run:
   environment selects) and reproduces the NumPy tap arithmetic
   bit-for-bit on deterministic data -- the same invariant the full
   test suite asserts, checked here in milliseconds on the target
-  machine's actual compiler.  Each probe is its own finding, and a
-  failed build carries the compiler's reason;
+  machine's actual compiler, on the code paths a run takes: brick rows
+  as long as an 8^3 brick's, so the sweep is built with the vector
+  width a run's is, and array rows two host vectors plus a scalar tail
+  long, so the vector body runs and not only the remainder loop.  Each
+  probe is its own finding, and a failed build carries the compiler's
+  reason;
+* the flags those units were built with -- the host's, or the
+  portable ones and why the compiler refused the host's -- are a
+  ``kernel-flags`` note (absent when no unit built: each probe's
+  compile error already carries the compiler's reason);
 * the exchange's movers -- the box gather, its scatter and
   ``copy_list``, which ride in those translation units -- load and
   move a patterned array exactly as NumPy slicing does, and the CRC
@@ -40,7 +48,7 @@ __all__ = ["verify_cbackend"]
 
 PASS = "cbackend"
 
-#: probe specialization: 7-point taps on an 4x4x4 brick
+#: probe specialization: 7-point taps
 _PROBE_TAPS = (
     ((0, 0, 0), 0.5),
     ((1, 0, 0), 1.0 / 12.0),
@@ -50,7 +58,10 @@ _PROBE_TAPS = (
     ((0, 0, 1), 1.0 / 12.0),
     ((0, 0, -1), 1.0 / 12.0),
 )
-_PROBE_BD = (4, 4, 4)
+#: the brick probe's brick, x first: rows of 8, as in an 8^3 brick
+_PROBE_BD = (8, 4, 4)
+#: the array probe's region, x first: 19 = two 512-bit vectors + a tail
+_PROBE_EXTENT = (19, 4, 4)
 
 
 _PROBE_SPEC = StencilSpec("probe", 3, _PROBE_TAPS, 13.0, 16.0)
@@ -115,6 +126,7 @@ def verify_cbackend(report: CheckReport, probe: bool = True) -> None:
     _probe_brick(report, guard, sanitize)
     _probe_array(report, guard, sanitize)
     _probe_movers(report, guard, sanitize)
+    _note_flags(report, sanitize)
 
 
 _ASAN_HINT = (
@@ -172,8 +184,9 @@ def _probe_brick(report: CheckReport, guard: bool, sanitize) -> None:
 
 
 def _probe_array(report: CheckReport, guard: bool, sanitize) -> None:
-    """Compile-and-compare: two boxes of a 6^3 extended array."""
-    shape = tuple(b + 2 for b in reversed(_PROBE_BD))
+    """Compile-and-compare: two boxes of a 6 x 6 x 21 extended array,
+    each sweeping rows of 19."""
+    shape = tuple(b + 2 for b in reversed(_PROBE_EXTENT))
     source = cbackend.array_step_source(_PROBE_TAPS, shape, guard=guard)
     try:
         fn = cbackend._build_array(source, guard=guard, extra_flags=sanitize)
@@ -188,18 +201,40 @@ def _probe_array(report: CheckReport, guard: bool, sanitize) -> None:
     got = np.zeros(shape)
     # Two boxes covering the interior, split along the slowest axis.
     boxes = np.array(
-        [[(1, 3), (1, 5), (1, 5)], [(3, 5), (1, 5), (1, 5)]], dtype=np.int64
+        [[(1, 3), (1, 5), (1, 20)], [(3, 5), (1, 5), (1, 20)]], dtype=np.int64
     )
     fn(arr, got, boxes)
     ref = np.zeros(shape)
-    apply_array_stencil(arr, ref, _PROBE_SPEC, _PROBE_BD, 1)
+    apply_array_stencil(arr, ref, _PROBE_SPEC, _PROBE_EXTENT, 1)
     if not np.array_equal(got, ref):
         diff = int((got != ref).sum())
         report.error(
             PASS, "array-probe-mismatch",
             f"the compiled array probe kernel differs from the NumPy tap"
-            f" arithmetic on {diff} of {int(np.prod(_PROBE_BD))} cells",
+            f" arithmetic on {diff} of {int(np.prod(_PROBE_EXTENT))} cells",
             hint=_FP_HINT,
+        )
+
+
+def _note_flags(report: CheckReport, sanitize) -> None:
+    """What the units were built with: the host flags, or the portable
+    ones and the compiler's refusal of the host's.  Nothing when no unit
+    built -- the probe findings above carry the compiler's reason."""
+    flags, refusal = cbackend.kernel_flags()
+    if not flags:
+        return
+    built = " ".join((*flags, "-ffp-contract=off", *sanitize))
+    if refusal:
+        report.note(
+            PASS, "kernel-flags",
+            f"units are built with the portable flags {built}: the"
+            f" compiler refused {' '.join(cbackend._HOST_FLAGS)} ({refusal});"
+            " the kernels are bit-identical, slower, and runs report"
+            " kernel backend 'cffi (portable flags: ...)'",
+        )
+    else:
+        report.note(
+            PASS, "kernel-flags", f"units are built for this host: {built}"
         )
 
 
@@ -245,7 +280,7 @@ def _probe_movers(report: CheckReport, guard: bool, sanitize) -> None:
             hint=_ASAN_HINT,
         )
         return
-    shape = tuple(b + 2 for b in reversed(_PROBE_BD))
+    shape = (6, 6, 6)
     arr = np.arange(float(np.prod(shape))).reshape(shape)
     boxes = np.array(
         [[(1, 5), (1, 5), (0, 1)], [(4, 6), (0, 6), (0, 6)]], dtype=np.int64

@@ -108,7 +108,8 @@ class ExecutedRun:
     final_rank_dims: Tuple[int, ...] = ()  # decomposition the run ended on
     dead_ranks: Tuple[int, ...] = ()  # old-world ranks lost permanently
     # Tier the stencil plans stepped on ("cffi" | "numpy"), as compiled --
-    # under REPRO_KERNEL_BACKEND=auto a fallback shows up here.
+    # under REPRO_KERNEL_BACKEND=auto a fallback shows up here, and a C
+    # tier built without the host flags reads "cffi (portable flags: ...)".
     kernel_backend: str = ""
     # Tier the exchange moved bytes on -- pack / unpack / datatype hooks
     # and the fabric's wire copy, as the engines that finished the run

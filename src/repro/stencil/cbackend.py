@@ -37,11 +37,20 @@ the kernels).  Riding in a kernel's translation unit means a cold run
 invokes the compiler no more often than it did without them; a
 stand-alone build happens only in a process that never loaded a kernel.
 
-Bit-exactness with the NumPy path is by construction:
+Every unit is built for the host that runs it (``-march=native``, loop
+remainders scalar; :data:`_HOST_FLAGS`).  A compiler that refuses those
+flags gets the unit again with portable ones, once per process, and
+every plan on the C tier says so: its ``kernel_backend`` reads
+``"cffi (portable flags: <the compiler's first words>)"``
+(:func:`c_tier`, :func:`kernel_flags`).
+
+Bit-exactness with the NumPy path is by construction, whatever the
+vector width:
 
 * identical tap order and operand order (``acc = c0*x0`` then
   ``t = ci*xi; acc = acc + t`` per tap -- the scalar form of the plan
   kernels' ``np.multiply(out=)`` / in-place ``np.add`` sequence);
+  SIMD lanes are neighbouring cells, never terms of one cell's sum;
 * ``-ffp-contract=off`` so no FMA contraction reorders roundings;
 * coefficients embedded as C99 hex float literals (exact bit patterns);
 * halo cells of an absent neighbour (adjacency ``-1``) are staged as
@@ -95,8 +104,10 @@ __all__ = [
     "batch_step_source",
     "bounds_guard_enabled",
     "brick_stage_boxes",
+    "c_tier",
     "crc_movers",
     "kernel_env",
+    "kernel_flags",
     "mover_kernel",
     "sanitize_flags",
 ]
@@ -118,15 +129,33 @@ _SANITIZERS = {
 }
 
 #: The kernels are straight-line unrolled tap loops: what they need from
-#: the optimizer is register allocation and SIMD on the unit-stride axis.
-#: Measured against -O3 (EXPERIMENTS "One kernel tier"): identical bits
-#: and run time for the brick and the array kernel, 7- and 125-point,
-#: at 0.55-0.8x the compile time -- which pays for the second build.
-#: Re-measured on the stage-then-sweep brick kernel (EXPERIMENTS "Stage,
-#: then sweep"): plain -O1 is now 1.2x (125-point) to 1.75x (7-point)
-#: slower -- the scalar lead PR 16 found belonged to the table kernel's
-#: vectorized gathers, which no longer exist.
-_OPT_FLAGS = ("-O1", "-ftree-vectorize")
+#: the optimizer is register allocation and SIMD on the unit-stride axis
+#: -- as wide as the host that runs them has (``-march=native``), with
+#: the loops' remainders left scalar (``vect-epilogues-nomask=0``: a
+#: second, narrower vector epilogue per loop costs compile time and buys
+#: nothing on 8- to 48-element rows).  Measured per kernel (EXPERIMENTS
+#: "Kernels for the host"; AVX-512 host, one rank's compute slots):
+#: against ``-O1 -ftree-vectorize`` (2-wide SSE2) the 125-point brick
+#: and array kernels run 3-4x faster, the 7-point brick kernel 1.7x and
+#: the 7-point array kernel ~1.2x; ``cc`` time is about the same but
+#: for the 125-point kernels (brick 0.5x, array 1.2x; without the
+#: ``--param`` the array one is 2x).  ``-O2`` leaves the array loops
+#: unvectorized (7-point 2.2x slower) and ``-O3`` makes the 7-point
+#: brick kernel 1.9x slower.  Every flag set gives the same bits:
+#: ``-ffp-contract=off`` and the canonical tap order fix every rounding,
+#: SIMD only runs cells side by side.
+_HOST_FLAGS = (
+    "-O1", "-ftree-vectorize", "-march=native",
+    "--param", "vect-epilogues-nomask=0",
+)
+#: What a unit is rebuilt with when the compiler refuses the host flags
+#: (GCC on POWER spells it ``-mcpu=native``; ``--param`` is GCC's own):
+#: baseline SIMD for the target, the same bits.
+_PORTABLE_FLAGS = ("-O1", "-ftree-vectorize")
+# Whether the compiler took _HOST_FLAGS in this process: None until a
+# unit has been built, "" once it did, else the first line of its
+# refusal -- after which every unit is built with _PORTABLE_FLAGS.
+_flags_refusal: Optional[str] = None
 #: lines of the compiler's stderr a KernelBuildError carries
 _STDERR_LINES = 3
 
@@ -616,6 +645,17 @@ MOVER_SOURCE = "\n#define REPRO_MOVER_MAX_NDIM %d\n" % MOVER_MAX_NDIM + """
 #include <stdint.h>
 #include <string.h>
 
+/* The bounds checks loop over at most eight axes or one call's list:
+   vectorizing them for AVX-512 buys nothing at run time and cost the
+   movers' unit ~12 ms of compiler time, all of what -march=native added
+   to it (GCC 12; other compilers keep their default). */
+#if defined(__GNUC__) && !defined(__clang__)
+#define REPRO_SCALAR __attribute__((optimize("no-tree-vectorize")))
+#else
+#define REPRO_SCALAR
+#endif
+
+REPRO_SCALAR
 static int64_t repro_box_violations(int64_t arr_elems, const int64_t *shape,
                                     int64_t ndim, const int64_t *boxes,
                                     int64_t nboxes, const int64_t *buf_elems)
@@ -712,6 +752,7 @@ int64_t repro_scatter(double *arr, int64_t arr_elems,
 }
 
 /* Lengths that overrun a view (dst_bytes NULL: nothing is written). */
+REPRO_SCALAR
 static int64_t repro_list_violations(const int64_t *nbytes, int64_t n,
                                      const int64_t *src_bytes,
                                      const int64_t *dst_bytes)
@@ -896,6 +937,43 @@ _ARRAY_ARGS = (
 _GUARD_ARGS = ", int64_t src_elems, int64_t dst_elems"
 
 
+def kernel_flags() -> Tuple[Tuple[str, ...], str]:
+    """``(optimisation flags, refusal)`` of the units this process
+    builds: the host flags and ``""``, or -- once the compiler refused
+    those -- the portable flags and the first line of its refusal.
+    ``((), "")`` while no unit has been built yet."""
+    if _flags_refusal is None:
+        return (), ""
+    if _flags_refusal:
+        return _PORTABLE_FLAGS, _flags_refusal
+    return _HOST_FLAGS, ""
+
+
+def c_tier() -> str:
+    """What a plan stepping on a compiled kernel reports as its
+    ``kernel_backend``: ``"cffi"``, or ``"cffi (portable flags: <the
+    compiler's refusal of the host flags>)"``."""
+    refusal = kernel_flags()[1]
+    return f"cffi (portable flags: {refusal})" if refusal else "cffi"
+
+
+def _compile(cmd: List[str]) -> Optional[Tuple[KernelBuildError, str]]:
+    """Run the compiler: ``None`` when it built, else the error to raise
+    and the first line of its diagnostic (a compiler that did not run at
+    all raises the error)."""
+    try:
+        subprocess.run(cmd, check=True, capture_output=True, timeout=120)
+    except subprocess.CalledProcessError as err:
+        stderr = err.stderr.decode(errors="replace").strip().splitlines()
+        return KernelBuildError(
+            f"{' '.join(cmd[:-3])} exited {err.returncode}: "
+            + (" | ".join(stderr[:_STDERR_LINES]) or "no diagnostics")
+        ), (stderr or [f"exited {err.returncode}"])[0]
+    except (OSError, subprocess.SubprocessError) as err:
+        raise KernelBuildError(f"{cmd[0]} did not run: {err}") from None
+    return None
+
+
 def _load(
     source: str, name: str, args: str, guard: bool, extra_flags: Sequence[str]
 ):
@@ -904,9 +982,14 @@ def _load(
     :data:`MOVER_SOURCE` and is where :func:`mover_kernel` finds the
     movers (*name* ``""``: the movers alone, no kernel function).
 
-    Raises :class:`KernelBuildError` naming what refused: no ``cffi``,
-    no compiler, or the compiler's / loader's own first words.
+    Built with the host flags; if the process's first build is refused
+    and the portable flags build the same unit, the refusal is kept and
+    every later unit goes straight to the portable flags -- one extra
+    compiler invocation per process, none where the host flags are
+    taken.  Raises :class:`KernelBuildError` naming what refused: no
+    ``cffi``, no compiler, or the compiler's / loader's own first words.
     """
+    global _flags_refusal
     if cffi is None:
         raise KernelBuildError("cffi is not installed")
     cc = _compiler()
@@ -920,21 +1003,24 @@ def _load(
     carries_movers = flags not in _mover_libs
     with open(c_path, "w") as fh:
         fh.write(source + MOVER_SOURCE if carries_movers else source)
-    cmd = [
-        cc, *_OPT_FLAGS, "-fPIC", "-shared", "-ffp-contract=off",
-        *extra_flags,
-        "-o", so_path, c_path,
-    ]
-    try:
-        subprocess.run(cmd, check=True, capture_output=True, timeout=120)
-    except subprocess.CalledProcessError as err:
-        stderr = err.stderr.decode(errors="replace").strip().splitlines()
-        raise KernelBuildError(
-            f"{' '.join(cmd[:-3])} exited {err.returncode}: "
-            + (" | ".join(stderr[:_STDERR_LINES]) or "no diagnostics")
-        ) from None
-    except (OSError, subprocess.SubprocessError) as err:
-        raise KernelBuildError(f"{cc} did not run: {err}") from None
+
+    def build(opt: Tuple[str, ...]):
+        return _compile([
+            cc, *opt, "-fPIC", "-shared", "-ffp-contract=off", *flags,
+            "-o", so_path, c_path,
+        ])
+
+    refused = build(_PORTABLE_FLAGS if _flags_refusal else _HOST_FLAGS)
+    if refused is not None and _flags_refusal is None:
+        # No unit has answered yet: were the host flags what it refused?
+        retry = build(_PORTABLE_FLAGS)
+        if retry is None:
+            _flags_refusal = refused[1]
+        refused = retry
+    if refused is not None:
+        raise refused[0]
+    if _flags_refusal is None:
+        _flags_refusal = ""
     ffi = cffi.FFI()
     if carries_movers:
         ffi.cdef(_MOVER_CDEF)

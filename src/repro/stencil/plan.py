@@ -54,6 +54,7 @@ from repro.stencil.cbackend import (
     backend_choice,
     batch_step_kernel,
     brick_stage_boxes,
+    c_tier,
 )
 from repro.stencil.spec import StencilSpec
 
@@ -208,8 +209,10 @@ class BrickStencilPlan:
 
     @property
     def kernel_backend(self) -> str:
-        """The tier this plan steps on: ``"cffi"`` or ``"numpy"``."""
-        return "cffi" if self._ckernel is not None else "numpy"
+        """The tier this plan steps on: ``"numpy"``, or ``"cffi"`` --
+        with ``" (portable flags: <why>)"`` appended when the compiler
+        refused the host flags (:func:`~repro.stencil.cbackend.c_tier`)."""
+        return "numpy" if self._ckernel is None else c_tier()
 
     def _check_storage(self, storage: BrickStorage, role: str) -> None:
         if storage.brick_elems != self.brick_elems:
@@ -460,8 +463,10 @@ class ArrayStencilPlan:
 
     @property
     def kernel_backend(self) -> str:
-        """The tier this plan steps on: ``"cffi"`` or ``"numpy"``."""
-        return "cffi" if self._ckernel is not None else "numpy"
+        """The tier this plan steps on: ``"numpy"``, or ``"cffi"`` --
+        with ``" (portable flags: <why>)"`` appended when the compiler
+        refused the host flags (:func:`~repro.stencil.cbackend.c_tier`)."""
+        return "numpy" if self._ckernel is None else c_tier()
 
     def _numpy_steps(self) -> list:
         """Per box: its slices, its tap windows and its tap scratch."""

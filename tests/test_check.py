@@ -142,7 +142,9 @@ class TestCheckedAdjacencyIsWhatRuns:
         report = check_geometry(geometry, passes=("memory",))
         assert report.codes() == ["oob-adjacency"], report.render()
         plan = compile_brick_plan(SEVEN_POINT, info, slots)
-        assert plan.kernel_backend == backend
+        assert plan.kernel_backend == (
+            cbackend.c_tier() if backend == "cffi" else backend
+        )
         assert plan._adjacency[3, 14] == asn.total_slots
         held = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
         assert not [a for a in held if a.dtype.kind == "i" and a.ndim > 2]
@@ -265,6 +267,12 @@ needs_cc = pytest.mark.skipif(
 )
 
 
+def probe_codes(rep):
+    """*rep*'s codes but the ``kernel-flags`` note every probed pass
+    ends with."""
+    return [c for c in rep.codes() if c != "kernel-flags"]
+
+
 class TestCBackend:
     def test_pass_clean_here(self):
         rep = CheckReport()
@@ -369,7 +377,7 @@ class TestCBackend:
         monkeypatch.setattr(cbackend, "brick_stage_boxes", wrong_face)
         rep = CheckReport()
         verify_cbackend(rep)
-        assert rep.codes() == ["probe-mismatch"], rep.render()
+        assert probe_codes(rep) == ["probe-mismatch"], rep.render()
 
     @needs_cc
     def test_array_probe_is_its_own_finding(self, monkeypatch):
@@ -384,7 +392,7 @@ class TestCBackend:
         )
         rep = CheckReport()
         verify_cbackend(rep)
-        assert rep.codes() == ["array-probe-compile"], rep.render()
+        assert probe_codes(rep) == ["array-probe-compile"], rep.render()
         assert "error" in rep.findings[0].message  # cc's diagnostic
 
     @needs_cc
@@ -397,7 +405,7 @@ class TestCBackend:
         )
         rep = CheckReport()
         verify_cbackend(rep)
-        assert rep.codes() == ["array-probe-mismatch"], rep.render()
+        assert probe_codes(rep) == ["array-probe-mismatch"], rep.render()
 
     @needs_cc
     def test_mover_probe_names_the_mover_that_differs(self, monkeypatch):
@@ -415,7 +423,7 @@ class TestCBackend:
         )
         rep = CheckReport()
         verify_cbackend(rep)
-        assert rep.codes() == ["mover-probe"], rep.render()
+        assert probe_codes(rep) == ["mover-probe"], rep.render()
         assert "gather" in rep.findings[0].message
         assert "scatter" not in rep.findings[0].message
 
@@ -432,7 +440,7 @@ class TestCBackend:
         )
         rep = CheckReport()
         verify_cbackend(rep)
-        assert rep.codes() == ["mover-probe"], rep.render()
+        assert probe_codes(rep) == ["mover-probe"], rep.render()
         message = rep.findings[0].message
         assert "crc_list" in message and "copy_crc_list" in message
         assert "gather" not in message and "scatter" not in message

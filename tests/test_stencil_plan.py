@@ -282,7 +282,7 @@ class TestBrickPlanCTier:
         got.data[:] = ref.data
         apply_brick_stencil(spec, src, ref, info, slots, field_offset=offset)
         plan = compile_brick_plan(spec, info, slots, field_offset=offset)
-        assert plan.kernel_backend == "cffi"
+        assert plan.kernel_backend == cbackend.c_tier()
         plan._tile.fill(np.nan)  # unstaged tile cells must never be read
         plan.execute(src, got)
         same_bits(got.data, ref.data)
@@ -294,7 +294,7 @@ class TestBrickPlanCTier:
         info = grid_info((3, 3, 3), (4, 2, 3), periodic=False)
         slots = np.array([5, 0, 26, 13])
         plan = compile_brick_plan(star_stencil(3, 1), info, slots)
-        assert plan.kernel_backend == "cffi"
+        assert plan.kernel_backend == cbackend.c_tier()
         np.testing.assert_array_equal(plan._adjacency, info.adjacency[slots])
         halo = 6 * 4 * 5
         assert plan._tile.shape == (halo,)
@@ -326,7 +326,7 @@ class TestBrickPlanCTier:
             assert interior is not None and surface is not None
             assert len(interior.slots) + len(surface.slots) == len(slots)
             for part in (interior, surface):
-                assert part.kernel_backend == "cffi"
+                assert part.kernel_backend == cbackend.c_tier()
                 part.execute(src, cover)
             same_bits(cover.data, whole.data)
 
@@ -343,7 +343,7 @@ class TestBrickPlanCTier:
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         monkeypatch.setenv("REPRO_CC_BOUNDS", "0")
         plain = compile_brick_plan(spec, info, slots)
-        assert plain.kernel_backend == "cffi"
+        assert plain.kernel_backend == cbackend.c_tier()
         monkeypatch.setenv("REPRO_CC_BOUNDS", "1")
         guarded = compile_brick_plan(spec, info, slots)
         assert "src_elems" in guarded._ckernel.__source__
@@ -379,6 +379,12 @@ def tier(request, monkeypatch):
     return request.param
 
 
+def reported(tier):
+    """What a plan stepping on *tier* reports as its ``kernel_backend``
+    (the C tier names a refusal of the host flags)."""
+    return cbackend.c_tier() if tier == "cffi" else tier
+
+
 class TestBothTiers:
     """One addressing scheme, two tiers: every plan shape the driver
     compiles is bit-identical to the generic kernels on the NumPy tier
@@ -404,7 +410,7 @@ class TestBothTiers:
         got.data[:] = ref.data
         apply_brick_stencil(spec, src, ref, info, slots, field_offset=offset)
         plan = compile_brick_plan(spec, info, slots, offset, chunk=4)
-        assert plan.kernel_backend == tier
+        assert plan.kernel_backend == reported(tier)
         np.testing.assert_array_equal(plan._adjacency, info.adjacency[slots])
         plan._tile.fill(np.nan)
         plan.execute(src, got)
@@ -431,7 +437,7 @@ class TestBothTiers:
             assert sum(len(p.slots) for p in parts if p) == len(slots)
             for part in parts:
                 if part is not None:
-                    assert part.kernel_backend == tier
+                    assert part.kernel_backend == reported(tier)
                     part.execute(src, cover)
             same_bits(whole.data, ref.data)
             same_bits(cover.data, ref.data)
@@ -448,7 +454,7 @@ class TestBothTiers:
             ref, whole, cover = dirty.copy(), dirty.copy(), dirty.copy()
             apply_array_stencil(arr, ref, spec, extent, ghost, margin=margin)
             plan = compile_array_plan(spec, extent, ghost, margin)
-            assert plan.kernel_backend == tier
+            assert plan.kernel_backend == reported(tier)
             plan.execute(arr, whole)
             for part in compile_array_phase_plans(spec, extent, ghost, margin):
                 if part is not None:
@@ -564,7 +570,7 @@ class TestArrayPlanCTier:
             ref, got = dirty.copy(), dirty.copy()
             apply_array_stencil(arr, ref, spec, extent, ghost, margin=margin)
             plan = compile_array_plan(spec, extent, ghost, margin)
-            assert plan.kernel_backend == "cffi"
+            assert plan.kernel_backend == cbackend.c_tier()
             plan.execute(arr, got)
             same_bits(got, ref)
 
@@ -582,7 +588,7 @@ class TestArrayPlanCTier:
             )
             for part in (interior, surface):
                 if part is not None:
-                    assert part.kernel_backend == "cffi"
+                    assert part.kernel_backend == cbackend.c_tier()
                     part.execute(arr, cover)
             same_bits(cover, whole)
             assert full.cells == surface.cells + (
@@ -778,7 +784,7 @@ class TestDriverIntegration:
             small_problem, method, theta, timesteps=steps,
             overlap=True, exchange_period=2,
         )
-        assert run.kernel_backend == "cffi"
+        assert run.kernel_backend == cbackend.c_tier()
         assert run.exchange_period == 2
         ref = apply_periodic_reference(
             small_problem.initial_global(0), small_problem.stencil, steps
@@ -808,7 +814,7 @@ class TestDriverIntegration:
             problem, method, theta, timesteps=steps,
             overlap=True, exchange_period=period,
         )
-        assert run.kernel_backend == "cffi" and run.overlap is True
+        assert run.kernel_backend == cbackend.c_tier() and run.overlap is True
         assert run.exchange_period == period
         ref = apply_periodic_reference(
             problem.initial_global(0), CUBE125, steps

@@ -3,6 +3,7 @@
 side costs on each data-movement tier, one source tree or two.
 
     PYTHONPATH=src python tools/numpy_tier_bench.py strong16
+    PYTHONPATH=src python tools/numpy_tier_bench.py kernel cube16
     PYTHONPATH=src python tools/numpy_tier_bench.py copy strong16
     PYTHONPATH=src python tools/numpy_tier_bench.py guard strong16
     python tools/numpy_tier_bench.py --ab PARENT/src CHANGE/src [REPS]
@@ -13,6 +14,14 @@ addressing scheme").  One geometry per fresh process pinned to CPU 0:
 the process's first ("cold") brick and array plan compile, then medians
 of 15 warm compiles and of 15 samples of 40 steps, each result checked
 bit-for-bit against the generic kernels.
+
+The ``kernel`` section (EXPERIMENTS.md, "Kernels for the host") is the
+C tier's side of the same question, on the same slots and array: the
+brick and array step time (medians as above, bits checked), ``cc`` +
+load time per kernel, each kernel's GB/s (``bytes_per_point`` per
+cell) as a fraction of a flat ``np.copyto`` of the rank's extended
+array -- how far the kernels are from the copy ceiling (ROADMAP item
+3) -- and its GFLOP/s, the ceiling a tap-bound kernel meets first.
 
 The ``copy`` section (EXPERIMENTS.md, "One data-movement tier") times,
 on one rank exchanging with itself across its periodic boundary, what
@@ -68,15 +77,14 @@ def median_ms(fn, reps=15, calls=1):
     return statistics.median(timed(sample)[0] / calls for _ in range(reps))
 
 
-def measure(name):
-    os.environ["REPRO_KERNEL_BACKEND"] = "numpy"
+def _rank(name):
+    """*name*'s stencil on one rank: ``(spec, extent, ghost, bricks,
+    arrays)`` -- the brick plan's inputs ``(src, dst, ref, info, slots)``
+    and an extended array ``(arr, out, out_ref)``, filled."""
     import numpy as np
 
     from repro.brick.decomp import BrickDecomp
     from repro.stencil import spec as specs
-    from repro.stencil.brick_kernels import apply_brick_stencil
-    from repro.stencil.kernels import apply_array_stencil
-    from repro.stencil.plan import compile_array_plan, compile_brick_plan
 
     n, stencil = GEOMETRIES[name]
     spec, extent, ghost = getattr(specs, stencil), (n,) * 3, 8
@@ -88,16 +96,36 @@ def measure(name):
     info, slots = decomp.brick_info(asn), decomp.compute_slots(asn)
     arr = rng.random((n + 2 * ghost,) * 3)
     out, out_ref = np.zeros_like(arr), np.zeros_like(arr)
+    return spec, extent, ghost, (src, dst, ref, info, slots), (arr, out, out_ref)
 
-    brick_cold, plan = timed(lambda: compile_brick_plan(spec, info, slots))
-    array_cold, aplan = timed(lambda: compile_array_plan(spec, extent, ghost))
-    assert plan.kernel_backend == aplan.kernel_backend == "numpy"
+
+def check_bits(spec, extent, ghost, bricks, arrays, plan, aplan):
+    """One step of each plan, bit-for-bit against the generic kernels."""
+    import numpy as np
+
+    from repro.stencil.brick_kernels import apply_brick_stencil
+    from repro.stencil.kernels import apply_array_stencil
+
+    (src, dst, ref, info, slots), (arr, out, out_ref) = bricks, arrays
     plan.execute(src, dst)
     aplan.execute(arr, out)
     apply_brick_stencil(spec, src, ref, info, slots)
     apply_array_stencil(arr, out_ref, spec, extent, ghost)
     assert (dst.data.view(np.uint64) == ref.data.view(np.uint64)).all()
     assert (out.view(np.uint64) == out_ref.view(np.uint64)).all()
+
+
+def measure(name):
+    os.environ["REPRO_KERNEL_BACKEND"] = "numpy"
+    from repro.stencil.plan import compile_array_plan, compile_brick_plan
+
+    spec, extent, ghost, bricks, arrays = _rank(name)
+    src, dst, _, info, slots = bricks
+    arr, out, _ = arrays
+    brick_cold, plan = timed(lambda: compile_brick_plan(spec, info, slots))
+    array_cold, aplan = timed(lambda: compile_array_plan(spec, extent, ghost))
+    assert plan.kernel_backend == aplan.kernel_backend == "numpy"
+    check_bits(spec, extent, ghost, bricks, arrays, plan, aplan)
     return {
         "brick_step_ms": median_ms(lambda: plan.execute(src, dst), calls=40),
         "array_step_ms": median_ms(lambda: aplan.execute(arr, out), calls=40),
@@ -110,6 +138,50 @@ def measure(name):
             lambda: compile_array_plan(spec, extent, ghost)
         ),
     }
+
+
+def measure_kernel(name):
+    """The C tier on one rank's compute slots: step time, ``cc`` + load
+    per kernel (median of 3 builds of its source, the movers' unit built
+    first so neither carries them), GB/s -- ``bytes_per_point`` per
+    computed cell -- against a flat ``np.copyto`` of the rank's extended
+    array (read + write), and GFLOP/s (``flops_per_point``)."""
+    os.environ["REPRO_KERNEL_BACKEND"] = "cffi"
+    import numpy as np
+
+    from repro.stencil import cbackend
+    from repro.stencil.plan import compile_array_plan, compile_brick_plan
+
+    spec, extent, ghost, bricks, arrays = _rank(name)
+    src, dst, _, info, slots = bricks
+    arr, out, _ = arrays
+    assert cbackend.mover_kernel() is not None
+    plan = compile_brick_plan(spec, info, slots)
+    aplan = compile_array_plan(spec, extent, ghost)
+    assert plan.kernel_backend.startswith("cffi"), plan.kernel_backend
+    assert aplan.kernel_backend.startswith("cffi"), aplan.kernel_backend
+    check_bits(spec, extent, ghost, bricks, arrays, plan, aplan)
+    result = {
+        "brick_step_ms": median_ms(lambda: plan.execute(src, dst), calls=40),
+        "array_step_ms": median_ms(lambda: aplan.execute(arr, out), calls=40),
+    }
+    for row, build, source in (
+        ("brick", cbackend._build, plan._ckernel.__source__),
+        ("array", cbackend._build_array, aplan._ckernel.__source__),
+    ):
+        result[f"{row}_cc_ms"] = statistics.median(
+            timed(lambda: build(source))[0] for _ in range(3)
+        )
+    flat = np.empty_like(arr)
+    copy_ms = median_ms(lambda: np.copyto(flat, arr), calls=40)
+    result["flat_copy_gbs"] = 2 * arr.nbytes / copy_ms / 1e6
+    cells = int(np.prod(extent))
+    for row in ("brick", "array"):
+        step_ms = result[f"{row}_step_ms"]
+        result[f"{row}_gbs"] = cells * spec.bytes_per_point / step_ms / 1e6
+        result[f"{row}_of_copy"] = result[f"{row}_gbs"] / result["flat_copy_gbs"]
+        result[f"{row}_gflops"] = cells * spec.flops_per_point / step_ms / 1e6
+    return result
 
 
 def _self_exchange(name, verified=False):
@@ -259,7 +331,7 @@ def measure_guard(name):
 
 def compare(parent_src, change_src, reps):
     trees = {"parent": parent_src, "change": change_src}
-    for section in ((), ("copy",), ("guard",)):
+    for section in ((), ("kernel",), ("copy",), ("guard",)):
         for name in GEOMETRIES:
             runs = {side: [] for side in trees}
             for i in range(reps):
@@ -287,6 +359,8 @@ if __name__ == "__main__":
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     if sys.argv[1] == "--ab":
         compare(sys.argv[2], sys.argv[3], int((sys.argv[4:] or [7])[0]))
+    elif sys.argv[1] == "kernel":
+        print(json.dumps(measure_kernel(sys.argv[2])))
     elif sys.argv[1] == "copy":
         print(json.dumps(measure_copy(sys.argv[2])))
     elif sys.argv[1] == "guard":
