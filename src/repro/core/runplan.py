@@ -17,6 +17,18 @@ only restarts it.
 * **A rank run plan** (:class:`RankRunPlan`) binds, per cycle position,
   the engine and the compiled stencil plan to the two double-buffer
   slots.  One step is: one engine fire, one plan execution, one flip.
+* **Where a send completes**: an engine's sends are still in flight
+  when its exchange returns.  The loop completes the sends of slot *X*
+  (``engines[X].wait_sends()``) before any sweep writes slot *X*, before
+  it installs rebuilt engines, and when it returns; an engine completes
+  its own previous epoch before it packs and posts again.  With an
+  exchange every step the wait before the sweep is already satisfied --
+  the receive that just completed waited for every neighbour's next
+  post, and a neighbour posts again only after it consumed this rank's
+  items -- so a rank blocks once per step, in its receive.  With
+  ``exchange_period`` > 1 the step after an exchange writes the slot it
+  just sent from with no receive in between, and that wait really
+  blocks.
 * **One ledger**: the loop is the only writer of the rank's
   :class:`~repro.core.metrics.RankMetrics` -- per step the modelled and
   measured calc, per fired exchange the counts and the price of the
@@ -83,7 +95,7 @@ class RankRunPlan:
     ``plans[0]`` -- the exchange step runs *phased*: ``channel.start()``
     (pack + release every send partition), interior stencil work while
     the messages are in flight, ``channel.complete()`` (drain receives,
-    await send consumption, unpack), then the surface sweep that reads
+    unpack), then the surface sweep that reads
     the fresh ghost data.  Interior work reads no ghost cells by
     construction, and interior + surface cover ``plans[0]`` exactly, so
     phased replay is bit-identical to the unphased one.  Phased plans
@@ -158,7 +170,10 @@ class RankRunPlan:
         self.post_calc: Optional[Callable[[int], None]] = None
 
     def set_engines(self, engines: Sequence) -> None:
-        """Install rebuilt engines; phasing survives only on channels."""
+        """Install rebuilt engines once the current ones' sends completed;
+        phasing survives only on channels."""
+        for eng in self.engines:
+            eng.wait_sends()
         self.engines = list(engines)
         if not _all_channels(self.engines):
             self.splits = None
@@ -213,10 +228,12 @@ class RankRunPlan:
                             # after every receive completed.
                             interior, sweep = self.splits
 
-                            def fire(eng=eng, interior=interior, src=src, dst=dst):
+                            def fire(eng=eng, interior=interior, src=src, dst=dst,
+                                     writes=self.engines[dst]):
                                 if not eng.started:  # else: a retry's re-fire
                                     eng.start()
                                     if interior is not None:
+                                        writes.wait_sends()
                                         t0 = perf()
                                         interior.execute(bufs[src], bufs[dst])
                                         measured.calc += perf() - t0
@@ -249,6 +266,7 @@ class RankRunPlan:
                         if post_exchange is not None:
                             post_exchange()
                     if sweep is not None:
+                        self.engines[dst].wait_sends()
                         with span("driver.calc", rank=rank, step=t):
                             t0 = perf()
                             sweep.execute(bufs[src], bufs[dst])
@@ -258,6 +276,8 @@ class RankRunPlan:
                     totals.calc += calc
                     ledger.timesteps += 1
                 src, dst = dst, src
+            for eng in self.engines:
+                eng.wait_sends()
         finally:
             # The registry is a view of the ledger: what this launch
             # added to it, also when the rank raised.

@@ -298,10 +298,18 @@ class ExchangeChannel:
     (storage views for the pack-free schemes, staging buffers for the
     packing ones) -- is bound to the fabric as one
     :class:`~repro.simmpi.fabric.BoundRequest`; each step re-fires that
-    handle -- one posting call, one receive drain, one send wait --
-    instead of ``N`` point-to-point request objects through the
-    per-message chokepoint.  *hooks* is the :class:`Binding` whose
-    ``pre`` / ``post`` callables bracket the wire.
+    handle -- one posting call, one receive drain -- instead of ``N``
+    point-to-point request objects through the per-message chokepoint.
+    *hooks* is the :class:`Binding` whose ``pre`` / ``post`` callables
+    bracket the wire.
+
+    A send completes where its buffer is next written, not when the
+    exchange returns: :meth:`exchange` and :meth:`start` first complete
+    this channel's previous epoch (before ``pre`` rewrites a staging
+    buffer and before the cut is posted again), and whoever writes the
+    buffers in between -- the run plan's sweeps -- calls
+    :meth:`wait_sends` first (:mod:`repro.core.runplan` says why that
+    wait costs nothing with an exchange every step).
 
     The modelled :class:`ExchangeResult` is a function of the (static)
     message plan, so it is the exchanger's, returned by reference.
@@ -329,7 +337,7 @@ class ExchangeChannel:
     """
 
     __slots__ = ("comm", "method", "_fabric", "_rank", "_request",
-                 "_result", "_hooks", "_nmsgs", "copy_backend")
+                 "_result", "_hooks", "_nmsgs", "_posted", "copy_backend")
 
     def __init__(
         self,
@@ -348,6 +356,10 @@ class ExchangeChannel:
         self._result = result
         self._hooks = hooks
         self._nmsgs = len(posts)
+        # The bulk cut is on the wire and its receive has not returned:
+        # the next exchange() is a re-fire of that epoch (a retry after
+        # a detected fault), whose own sends are not waited for.
+        self._posted = False
         # Bind now: the fabric validates the buffers and registers both
         # halves of the byte split, so a cross-rank disagreement (byte
         # counts or partition bounds) surfaces at negotiation as a typed
@@ -376,8 +388,21 @@ class ExchangeChannel:
         :meth:`complete` has not returned yet."""
         return self._request.started
 
+    def wait_sends(self) -> None:
+        """Complete this channel's sends: return once its peers consumed
+        every item it posted.  Call it before writing the channel's send
+        buffers -- or freeing them -- outside :meth:`exchange` /
+        :meth:`start`, which complete their own previous epoch."""
+        fabric, request = self._fabric, self._request
+        fabric.wait_send_batch(request.bulk)
+        if request.parts is not request.bulk:
+            fabric.wait_send_batch(request.parts)
+
     def exchange(self) -> ExchangeResult:
-        """Re-fire the negotiated plan; returns the precomputed result."""
+        """Re-fire the negotiated plan; returns the precomputed result.
+
+        Its sends are still in flight when it returns (:meth:`wait_sends`).
+        """
         if self._request.started:
             raise ProtocolError(
                 "channel has a phased exchange in flight; complete() it"
@@ -387,14 +412,17 @@ class ExchangeChannel:
         rank = self._rank
         hooks = self._hooks
         cut = self._request.bulk
+        if not self._posted:
+            self.wait_sends()  # the previous epoch's
         if hooks.pre is not None:
             with _TRACER.span(hooks.spans[0], rank=rank, method=self.method):
                 hooks.pre()
         with _TRACER.span("exchange.post", rank=rank, method=self.method):
             fabric.post_send_batch(cut)
+        self._posted = True
         with _TRACER.span("exchange.wait", rank=rank, method=self.method):
             fabric.complete_recv_batch(cut)
-            fabric.wait_send_batch(cut)
+        self._posted = False
         if hooks.post is not None:
             with _TRACER.span(hooks.spans[1], rank=rank, method=self.method):
                 hooks.post()
@@ -406,7 +434,8 @@ class ExchangeChannel:
     # Phased exchange: start -> (caller's interior compute) -> complete
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Pack, arm the bound request's epoch, release every partition.
+        """Complete the previous epoch's sends, pack, arm the bound
+        request's epoch, release every partition.
 
         Returns as soon as every send partition is on the wire; nothing
         has been received yet.  The caller may compute any stencil work
@@ -418,6 +447,7 @@ class ExchangeChannel:
                 "channel already started; complete() the in-flight"
                 " exchange first"
             )
+        self.wait_sends()
         rank = self._rank
         hooks = self._hooks
         if hooks.pre is not None:
@@ -428,14 +458,15 @@ class ExchangeChannel:
             request.pready_all()
 
     def complete(self) -> ExchangeResult:
-        """Drain every receive partition, await send consumption, unpack.
+        """Drain every receive partition, unpack; the sends stay in
+        flight (:meth:`wait_sends`).
 
         A detected wire fault leaves the exchange in flight, so the
         caller heals it by calling :meth:`complete` again."""
         rank = self._rank
         hooks = self._hooks
         with _TRACER.span("exchange.complete", rank=rank, method=self.method):
-            self._request.complete()
+            self._request.complete_receives()
         if hooks.post is not None:
             with _TRACER.span(hooks.spans[1], rank=rank, method=self.method):
                 hooks.post()
@@ -520,6 +551,10 @@ class Exchanger(abc.ABC):
             self.comm, self.method, posts, recvs, self.result, hooks,
             int(partitions),
         )
+
+    def wait_sends(self) -> None:
+        """Nothing to complete: :meth:`exchange` waits for every send
+        before it returns (the channel's twin, for the run plan)."""
 
     def exchange(self) -> ExchangeResult:
         """Run one ghost-zone exchange, message by message.

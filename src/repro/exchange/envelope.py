@@ -47,7 +47,8 @@ per-rank tables indexed in cut order (:class:`_RankTable`):
   the current epoch: its bytes already sit in the persistent receive
   buffer;
 * **retransmit** -- an item that failed goes back *pristine* (the bound
-  send view itself) to the front of the receiver's port, and the typed
+  send view itself) to the front of its source's FIFO in the receiver's
+  port, and the typed
   error is raised once per receive, after every item it took was judged.
 
 Only posts carrying an epoch are subject to injection, suppression and
@@ -214,8 +215,8 @@ class _Sealed:
         # Per destination: where its items sit in the flattened order.
         self.bounds = []
         lo = 0
-        for dst, group, nbytes in cut.groups:
-            self.bounds.append((dst, lo, lo + len(group), nbytes))
+        for dst, group, _nbytes in cut.groups:
+            self.bounds.append((dst, lo, lo + len(group)))
             lo += len(group)
         self.place = {id(item): i for i, (_dst, item) in enumerate(items)}
         self.crcs = cut.crc_list(self.views)  # one call seals the side
@@ -318,8 +319,9 @@ class EnvelopeGuard:
     # -- bound items: sender ---------------------------------------------
     def seal_items(self, cut, groups, epoch: Optional[int]):
         """What a post of *groups* of *cut* (``(dst, plain items,
-        nbytes)``; ``None``: the whole cut) puts on the wire: ``(wire
-        groups, logical items, bytes)``.
+        nbytes)``; ``None``: the whole cut) puts on the wire: ``(deposits,
+        logical items, bytes)``, one deposit ``(dst, (cut.credit, wire
+        items))`` per destination.
 
         An item already posted in *epoch* is absorbed (nothing deposited,
         not counted).  The rest are stamped with their edges' next
@@ -370,9 +372,10 @@ class EnvelopeGuard:
         envelopes = map(_envelope, zip(seqs.tolist(), crcs, sizes))
         wire = list(zip(keys, views, envelopes, views))
         injector = self.injector if epoch is not None else None
+        credit = cut.credit
         if picked is None and injector is None:
             return (
-                [(dst, wire[lo:hi], n) for dst, lo, hi, n in sealed.bounds],
+                [(dst, (credit, wire[lo:hi])) for dst, lo, hi in sealed.bounds],
                 cut.nsend, cut.send_bytes,
             )
         src = cut.rank
@@ -392,11 +395,9 @@ class EnvelopeGuard:
                     item = (key, view, env, None)
                 elif action == "duplicate":
                     copies = 2
-            group = out.setdefault(dst, [[], 0])
-            group[0].extend([item] * copies)
-            group[1] += view.size
+            out.setdefault(dst, []).extend([item] * copies)
         return (
-            [(dst, items, n) for dst, (items, n) in out.items()],
+            [(dst, (credit, items)) for dst, items in out.items()],
             len(wire), sum(sizes),
         )
 
@@ -542,8 +543,8 @@ class EnvelopeGuard:
 
     def pristine(self, dst: int, item: _Item) -> _Item:
         """The retransmission of a failed *item*: the bound send view
-        itself, which cannot have changed -- its sender is still waiting
-        for this very item to be consumed."""
+        itself, which cannot have changed -- its sender writes it next
+        only once this very item was consumed."""
         key, view, env, _wire = item
         self._record("retransmit", (key[0], dst, key[1]), seq=env.seq)
         return (key, view, env, view)

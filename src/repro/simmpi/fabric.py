@@ -2,28 +2,34 @@
 
 Ports: one primitive, two containers
 ------------------------------------
-Every rank owns one :class:`_Port` -- a condition on the fabric's single
-lock -- and a message waits nowhere else.  A port holds two containers,
-because the two kinds of traffic match differently:
+Every rank owns one :class:`_Port` -- its wake (:class:`_Wake`, a raw
+lock used as a binary semaphore beside the fabric's single lock) -- and
+a message waits nowhere else.  A port holds two containers, because the
+two kinds of traffic match differently:
 
-``arrivals`` (bound requests, the halo-exchange path)
+``fifos`` (bound requests, the halo-exchange path)
     A channel's whole message plan is *bound* once
     (:meth:`SimFabric.bind_request`) into a :class:`BoundRequest`: per
-    send a prebuilt ``((src, tag), flat byte view)`` item grouped by
-    destination, per receive a map from ``(src, tag)`` to the flat byte
-    view of its ghost buffer.  Each step re-fires the handle with
-    O(ranks) synchronisation and no per-message object: *post* extends
-    each destination's ``arrivals``; *complete* waits for all ``n`` of
-    them, swaps the list out and copies outside the lock; *wait* blocks
-    until the rank's ``outstanding`` count is back to zero.  At most one
-    epoch per edge is in flight; a stray or surplus arrival is a
-    :class:`ProtocolError`, not an assumption.  The copy itself is one
-    call over a ``(sender view -> receive view)`` table frozen on the
-    receiver's cut (:meth:`SimFabric._freeze`): bound items are prebuilt
-    objects, so an epoch whose arrivals are the very items the table was
-    built from has already passed every per-item check.  Who makes that
-    call -- a C ``copy_list`` or the NumPy loop -- is the binder handed
-    to :meth:`SimFabric.bind_request`; this package knows no backend.
+    destination one prebuilt *deposit* ``(credit, items)`` -- an item is
+    ``((src, tag), flat byte view)``, the credit the sending cut's count
+    of items not yet consumed (:class:`_Credit`) -- and per receive a map
+    from ``(src, tag)`` to the flat byte view of its ghost buffer.  Each
+    step re-fires the handle with O(ranks) synchronisation and no
+    per-message object: *post* appends one deposit per destination to
+    that port's FIFO of the poster; *complete* waits until every source
+    has queued the items the cut owes it (``cut.sources``), takes exactly
+    those, oldest first, and copies outside the lock; *wait* blocks until
+    the cut's credit is back to zero.  A FIFO may hold two epochs of one
+    edge -- the two cuts of a ping-pong pair -- and keeps them in order; a
+    second epoch of *one* cut before its first was consumed, and an
+    arrival no bound receive matches, are a :class:`ProtocolError`, not
+    an assumption.  The copy itself is one call over a ``(sender view ->
+    receive view)`` table frozen on the receiver's cut
+    (:meth:`SimFabric._freeze`): deposits are prebuilt objects, so an
+    epoch that delivers the very deposits the table was built from has
+    already passed every per-item check.  Who makes that call -- a C
+    ``copy_list`` or the NumPy loop -- is the binder handed to
+    :meth:`SimFabric.bind_request`; this package knows no backend.
     Binding registers both halves of every edge's byte split under one
     acquisition of the fabric lock.
 
@@ -31,21 +37,27 @@ because the two kinds of traffic match differently:
     ``post_send`` appends a :class:`_SendEntry` -- a *reference* to the
     send buffer -- to the destination port's queue keyed ``(src, tag)``;
     ``complete_recv`` pops it, copies, marks it done; ``wait_send``
-    returns once it is done.  Entries never enter ``arrivals``: a bound
-    receive counts arrivals, so a rank that already left the exchange
-    and posted the next collective must not be counted as a halo
-    arrival.  For the same reason bound and per-message operations do
-    not match each other on one edge.
+    returns once it is done.  Entries never enter ``fifos``: a bound
+    receive counts what its sources queued, so a rank that already left
+    the exchange and posted the next collective must not be counted as a
+    halo arrival.  For the same reason bound and per-message operations
+    do not match each other on one edge.
 
 Who waits where, who wakes whom: a rank only ever blocks on its *own*
 port, in :meth:`SimFabric._await` -- the one wait in this package, so
 abort, dead peer, stale heartbeat and timeout are classified once, for
-receives and send waits, bound and per-message alike.  A poster notifies
-the destination's port (a bound post only when it completes the count
-the destination is blocked on); a receiver notifies exactly the source's
-port when it consumes (a bound receive only when that source's
-``outstanding`` reaches zero).  ``abort`` and ``mark_dead`` wake every
-port.
+receives and send waits, bound and per-message alike.  A bound post
+notifies a destination only when the destination is blocked in
+*complete* and this deposit brings in the last source it still lacks
+(the port's ``need``); a bound receive notifies a sender only when it
+consumes the last outstanding item of the cut that sender is blocked on
+(``credit.waiting``).  A per-message post or receive notifies the peer's
+port.  ``abort`` and ``mark_dead`` wake every port.
+
+Where a send completes is the sender's business, not the exchange's: a
+cut's items stay outstanding after its receive returned, and
+:class:`~repro.exchange.base.ExchangeChannel` waits for them where their
+buffers are next written (DESIGN.md, "Ports").
 
 Statistics (message and byte counts) are recorded per rank; the modelled
 clocks use them and the tests assert on them.
@@ -70,21 +82,21 @@ from those -- under an exchange epoch each possibly faulted by the
 injector, or absorbed as a re-fire (the dead-destination check still
 shares the deposit's lock acquisition).  ``complete_recv_batch`` waits
 until every receive it still *owes* (not yet accepted this epoch) has a
-fresh arrival -- a count is not enough once a wire duplicate, or the
-next epoch's item of a peer that finished first, can sit in
-``arrivals`` -- takes those, drops duplicates and leaves later epochs
+fresh item in its source's FIFO -- a count is not enough once a wire
+duplicate, or the next epoch's item of a peer that finished first, can
+sit there -- takes those, drops duplicates and leaves later epochs
 queued in order.  Every taken item that is *pristine* (its wire object
 is the bound send view) then lands through **one** ``copy_crc_list``
 call over a table frozen on the cut -- the CRC taken over the bytes that
 *landed* -- and gets one vector verdict on sequence number, CRC and
-size; per source it is credited from ``cut.sources``.  An item that
-verdict fails, every transmission the injector touched (a corrupted
-copy, a lost marker), and the remainder of a cut part of which was
-accepted by an earlier attempt go through the per-item judgement
+size; each deposit taken whole is credited whole.  An item that verdict
+fails, every transmission the injector touched (a corrupted copy, a
+lost marker), and the remainder of a cut part of which was accepted by
+an earlier attempt go through the per-item judgement
 (:meth:`SimFabric._land_faulted`,
 :meth:`~repro.exchange.envelope.EnvelopeGuard.accept`): only accepted
-items are counted and credited to their sender's ``outstanding``; every
-failed one goes back pristine to the front of the port, and the typed
+items are counted and credited to the cut that sent them; every failed
+one goes back pristine to the front of its source's FIFO, and the typed
 error from :mod:`repro.faults.errors` is raised once, after the whole
 take was judged, so one bounded retry of the exchange heals the whole
 cut.  Per-message delivery is sealed and verified too, as *detection*
@@ -93,12 +105,14 @@ only: typed error, no healing.
 
 from __future__ import annotations
 
+import _thread
 import os
 import threading
 import time
 import zlib
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import chain
 from operator import is_
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -250,20 +264,119 @@ def _numpy_copy_crc_list(srcs, dsts) -> Callable[[], List[int]]:
     return copy_crcs
 
 
-class _Port:
-    """One rank's end of the fabric, the only place a message waits; every
-    field is guarded by the fabric lock, which ``cond`` is built on."""
+class _Wake:
+    """A port's wake-up: a raw lock used as a binary semaphore.
 
-    __slots__ = ("cond", "arrivals", "expect", "outstanding", "queues")
+    Only the port's owner waits on it, from :meth:`SimFabric._await`
+    with the fabric lock held once; everyone else notifies it under that
+    lock.  Released means a wake is pending.  A notify that finds none
+    pending makes one -- so a notify between the owner dropping the
+    fabric lock and blocking is not lost -- and one that finds one
+    pending adds nothing: the owner re-tests its predicate on every
+    wake.  Unlike ``threading.Condition`` it allocates nothing per wait.
+    The ``Condition`` method names are kept (``notify_all`` is
+    ``notify``: there is one waiter).
+    """
+
+    __slots__ = ("_lock", "_pending")
 
     def __init__(self, lock) -> None:
-        self.cond = threading.Condition(lock)
-        # Items not yet consumed: ((src, tag), send view), followed on a
+        self._lock = lock
+        self._pending = _thread.allocate_lock()
+        self._pending.acquire(False)  # held: no wake pending
+
+    def notify(self, n: int = 1) -> None:
+        if self._pending.locked():
+            self._pending.release()
+
+    notify_all = notify
+
+    def wait(self, timeout: float) -> None:
+        self._lock.release()
+        try:
+            self._pending.acquire(True, timeout)
+        finally:
+            self._lock.acquire()
+
+
+class _Credit:
+    """A cut's send side, as its deposits name it to their receivers.
+
+    ``outstanding`` counts the items the cut posted that no receiver has
+    consumed yet; the receiver that consumes the last of them notifies
+    the sender's port only if the sender is ``waiting`` on this credit.
+    ``nsend`` is one epoch's items: more outstanding is a second epoch
+    of the cut on the wire.  ``posted``: the cut posted since its sender
+    last waited on it, so a traced run records one send wait per epoch,
+    wherever the epoch completes.  Kept apart from the cut, so that a
+    deposit does not reference the cut that holds it.
+    """
+
+    __slots__ = ("rank", "nsend", "outstanding", "waiting", "posted")
+
+    def __init__(self, rank: int, nsend: int) -> None:
+        self.rank = rank
+        self.nsend = nsend
+        self.outstanding = 0
+        self.waiting = False
+        self.posted = False
+
+
+class _Port:
+    """One rank's end of the fabric, the only place a message waits; every
+    field is guarded by the fabric lock."""
+
+    __slots__ = ("cond", "fifos", "need", "queues")
+
+    def __init__(self, lock, nranks: int) -> None:
+        self.cond = _Wake(lock)
+        # Per source: bound deposits (credit, items) not yet consumed,
+        # oldest first; an item is ((src, tag), send view), followed on a
         # verified fabric by (envelope, what the receiver will see).
-        self.arrivals: list = []
-        self.expect = 0           # arrivals the owner is blocked on (0: none)
-        self.outstanding = 0      # items this rank posted, not yet consumed
+        self.fifos = [deque() for _ in range(nranks)]
+        # While the owner is blocked in a bound receive: per source it
+        # still lacks, how many more items must arrive from it.
+        self.need: Optional[Dict[int, int]] = None
         self.queues = defaultdict(deque)  # (src, tag) -> _SendEntry's to consume
+
+    def items(self, sources) -> list:
+        """The bound items queued from *sources*, oldest first per source."""
+        fifos = self.fifos
+        return [item for src in sources for _c, items in fifos[src] for item in items]
+
+
+def _heads(fifos, sources) -> Tuple[list, Dict[int, int]]:
+    """Per ``(src, items owed)`` of *sources*: the oldest deposits of its
+    FIFO in *fifos* that hold that many items (all it has, if fewer), as
+    ``(src, deposit)`` pairs; and per source that holds fewer, how many
+    more items must arrive (empty: none)."""
+    heads, need = [], {}
+    for src, count in sources:
+        for deposit in fifos[src]:
+            heads.append((src, deposit))
+            count -= len(deposit[1])
+            if count <= 0:
+                break
+        else:
+            need[src] = count
+    return heads, need
+
+
+def _owners(heads) -> Dict[int, "_Credit"]:
+    """``id(item) -> credit`` of the cut that sent it, over the deposits
+    of *heads* (``(src, deposit)`` pairs)."""
+    return {id(item): credit for _src, (credit, items) in heads for item in items}
+
+
+def _requeue(fifos, owners, items) -> None:
+    """Queue *items* at the back of their sources' FIFOs, in order, one
+    deposit per run of items from one sending cut (*owners*)."""
+    for item in items:
+        fifo, credit = fifos[item[0][0]], owners[id(item)]
+        if fifo and fifo[-1][0] is credit:
+            fifo[-1][1].append(item)
+        else:
+            fifo.append((credit, [item]))
 
 
 class _Cut:
@@ -272,22 +385,25 @@ class _Cut:
     ``rows[m][p]`` is the single-item group of partition *p* of send *m*
     and ``groups`` the same items gathered per destination; a group is
     ``(dst, items, nbytes)`` and an item ``((src, wire tag), byte view)``.
+    ``deposits`` are the groups as a post queues them, ``(dst, (credit,
+    items))``, built once; ``credit`` is the cut's :class:`_Credit`.
     ``rmap`` maps each expected item key to its receive view, ``rkeys[m]``
     lists the keys of receive *m*, ``sources`` is ``(src, item count)``.
 
     ``copy`` is the plain path's whole wire copy, one call, built by
-    ``copy_list`` (a ``(srcs, dsts) -> call`` binder) from the arrivals
-    in ``frozen`` -- kept alive here so that ``frozen_ids``, their
-    ``id()`` s, name exactly those objects and no later one.  On a
-    verified fabric the guard freezes its own view of the two halves in
-    ``sealed`` / ``checked``, over the ``crc_list`` (``views -> call
-    returning their CRC32s``) and ``copy_crc_list`` (``(srcs, dsts) ->
-    call that copies and returns the CRC32s of what landed``) binders.
+    ``copy_list`` (a ``(srcs, dsts) -> call`` binder) from the deposits
+    in ``frozen`` -- kept alive here, so that an epoch whose deposits
+    are those very objects is known to carry the very items the table
+    was checked against.  On a verified fabric the guard freezes its own
+    view of the two halves in ``sealed`` / ``checked``, over the
+    ``crc_list`` (``views -> call returning their CRC32s``) and
+    ``copy_crc_list`` (``(srcs, dsts) -> call that copies and returns
+    the CRC32s of what landed``) binders.
     """
 
-    __slots__ = ("rank", "rows", "groups", "nsend", "send_bytes",
-                 "rmap", "rkeys", "recv_bytes", "sources",
-                 "copy_list", "copy", "frozen", "frozen_ids",
+    __slots__ = ("rank", "rows", "groups", "nsend", "send_bytes", "credit",
+                 "deposits", "rmap", "rkeys", "recv_bytes", "sources",
+                 "copy_list", "copy", "frozen",
                  "crc_list", "copy_crc_list", "sealed", "checked")
 
     def __init__(self, rank: int, posts, recvs, partitions: int,
@@ -312,6 +428,8 @@ class _Cut:
         ]
         self.nsend = sum(len(row) for row in self.rows)
         self.send_bytes = sum(g[2] for g in self.groups)
+        self.credit = _Credit(rank, self.nsend)
+        self.deposits = [(dst, (self.credit, items)) for dst, items, _n in self.groups]
         self.rmap: Dict[Tuple[int, int], np.ndarray] = {}
         self.rkeys: List[list] = []
         counts: Dict[int, int] = {}
@@ -339,7 +457,6 @@ class _Cut:
         self.copy_list = copy_list or _numpy_copy_list
         self.copy: Optional[Callable[[], None]] = None
         self.frozen: list = []
-        self.frozen_ids: frozenset = frozenset()
         self.crc_list = crc_list or _numpy_crc_list
         self.copy_crc_list = copy_crc_list or _numpy_copy_crc_list
         self.sealed = self.checked = None  # EnvelopeGuard.bind fills them
@@ -444,16 +561,23 @@ class BoundRequest:
         with fabric._lock:
             return any(
                 item[0] == key and (guard is None or guard.fresh(rank, item))
-                for item in fabric._ports[rank].arrivals
+                for item in fabric._ports[rank].items((key[0],))
             )
 
     def complete(self) -> None:
         """End the epoch: every receive partition delivered into its
         sub-view, every released send partition consumed by its peer."""
+        self.complete_receives()
+        self._fabric.wait_send_batch(self.parts)
+
+    def complete_receives(self) -> None:
+        """End the epoch at its receives: every receive partition
+        delivered into its sub-view.  The released send partitions stay
+        in flight until their sender waits for them
+        (:meth:`SimFabric.wait_send_batch`) -- a channel does so where it
+        next writes their buffers."""
         self._need_started("complete")
-        fabric = self._fabric
-        fabric.complete_recv_batch(self.parts)
-        fabric.wait_send_batch(self.parts)
+        self._fabric.complete_recv_batch(self.parts)
         self.started = False
 
 
@@ -476,7 +600,7 @@ class SimFabric:
         self.set_timeout(timeout)
         # One lock for everything; a rank blocks only on its own port.
         self._lock = threading.RLock()
-        self._ports = [_Port(self._lock) for _ in range(nranks)]
+        self._ports = [_Port(self._lock, nranks) for _ in range(nranks)]
         self.stats: List[FabricStats] = [FabricStats() for _ in range(nranks)]
         self.barrier = threading.Barrier(nranks)
         self._failed = False
@@ -606,7 +730,8 @@ class SimFabric:
 
     def _await(self, rank: int, ready: Callable[[], object],
                missing: Callable[[], list], sending: bool = False) -> None:
-        """Under the lock: block on *rank*'s port until ``ready()``.
+        """Under the lock (held once): block on *rank*'s port until
+        ``ready()``.
 
         The one wait of the fabric.  *missing* lists the ``(peer, tag)``
         keys still awaited -- sources of a receive, destinations of a
@@ -791,34 +916,46 @@ class SimFabric:
     def post_send_batch(self, cut: _Cut, groups=None) -> None:
         """Put *groups* of *cut* (default: all of it) on the wire.
 
-        One lock acquisition covers the dead-destination check and the
-        deposit, so a rank that dies first gets nothing queued.  A
+        One deposit per destination, appended to its FIFO of this rank;
+        one lock acquisition covers the dead-destination check and the
+        deposits, so a rank that dies first gets nothing queued.  A
         destination is notified only if it is blocked in
-        :meth:`complete_recv_batch` and this post completes its count.
-        On a verified fabric the guard turns the prebuilt items into
-        what goes on the wire first (module docstring).
+        :meth:`complete_recv_batch` and this deposit brings in the last
+        source it lacked.  On a verified fabric the guard turns the
+        prebuilt items into what goes on the wire first (module
+        docstring).
         """
         src = cut.rank
+        credit = cut.credit
         if self._guard is not None:
-            groups, n, nbytes = self._guard.seal_items(
+            deposits, n, nbytes = self._guard.seal_items(
                 cut, groups, self._epochs[src]
             )
         elif groups is None:
-            groups, n, nbytes = cut.groups, cut.nsend, cut.send_bytes
+            deposits, n, nbytes = cut.deposits, cut.nsend, cut.send_bytes
         else:
+            deposits = [(dst, (credit, items)) for dst, items, _n in groups]
             n = sum(len(group[1]) for group in groups)
             nbytes = sum(group[2] for group in groups)
         ports = self._ports
         with self._lock:
             if self._dead:
-                for dst, _items, _nbytes in groups:
+                for dst, _deposit in deposits:
                     self._check_dst_alive(src, dst)
-            for dst, items, _nbytes in groups:
+            for dst, deposit in deposits:
                 port = ports[dst]
-                port.arrivals.extend(items)
-                if port.expect and len(port.arrivals) >= port.expect:
-                    port.cond.notify()
-            ports[src].outstanding += n
+                port.fifos[src].append(deposit)
+                need = port.need
+                if need and src in need:
+                    left = need[src] - len(deposit[1])
+                    if left > 0:
+                        need[src] = left
+                    else:
+                        del need[src]
+                        if not need:
+                            port.cond.notify()
+            credit.outstanding += n
+            credit.posted = True
             st = self.stats[src]
             st.sends += n
             st.bytes_sent += nbytes
@@ -827,18 +964,20 @@ class SimFabric:
             _METRICS.count("fabric.wire_bytes", nbytes, rank=src)
 
     def _missing(self, cut: _Cut) -> List[Tuple[int, int]]:
-        """Under the lock: receive keys of *cut* with no arrival yet."""
-        arrived = {item[0] for item in self._ports[cut.rank].arrivals}
+        """Under the lock: receive keys of *cut* with nothing queued yet."""
+        queued = self._ports[cut.rank].items(src for src, _n in cut.sources)
+        arrived = {item[0] for item in queued}
         return [key for key in cut.rmap if key not in arrived]
 
     def _unconsumed(self, cut: _Cut) -> List[Tuple[int, int]]:
-        """Under the lock: ``(dst, tag)`` of *cut*'s items still in a port."""
-        rank, ports = cut.rank, self._ports
+        """Under the lock: ``(dst, tag)`` of *cut*'s items still queued."""
+        rank, credit, ports = cut.rank, cut.credit, self._ports
         return [
-            (dst, key[1])
+            (dst, item[0][1])
             for dst in {group[0] for group in cut.groups}
-            for key, *_ in ports[dst].arrivals
-            if key[0] == rank
+            for owner, items in ports[dst].fifos[rank]
+            if owner is credit
+            for item in items
         ]
 
     def _size_mismatch(self, key, dst: int, sent, recv) -> SplitMismatchError:
@@ -850,27 +989,35 @@ class SimFabric:
             f" tag={key[1]}): sent {sent.size} bytes, receiving {recv.size}"
         )
 
-    def _freeze(self, cut: _Cut, items: list) -> None:
-        """Check *items* against *cut*'s receives and build its copy table.
+    def _freeze(self, cut: _Cut, taken: list) -> None:
+        """Check the *taken* deposits against *cut*'s receives and build
+        its copy table.
 
-        The per-epoch checks of the bound path, run when the arrivals are
-        not the very objects the table was last built from: exactly one
-        item per bound receive (else more than one epoch sits on an
-        edge, or the peer's request does not mirror this one), each the
-        size of its receive view.  Items are the senders' prebuilt
-        tuples, alive and unchanged for as long as ``frozen`` holds
-        them, so a later epoch that delivers the same objects has passed
-        these checks already (DESIGN.md, "Data-movement tier").
+        The per-epoch checks of the bound path, run when the deposits are
+        not the very objects the table was last built from, or one of
+        them comes from a cut with more than one epoch on the wire:
+        exactly one item per bound receive (else the peer's request does
+        not mirror this one), each the size of its receive view, and
+        every sender cut in its first unconsumed epoch (else it posted
+        again before this rank took the previous one).  Deposits are the
+        senders' prebuilt tuples, alive and unchanged for as long as
+        ``frozen`` holds them, so a later epoch that delivers the same
+        objects has passed these checks already (DESIGN.md,
+        "Data-movement tier").
         """
         rmap = cut.rmap
         dst = cut.rank
+        items = [item for _credit, its in taken for item in its]
         sent = dict(items)  # a repeated key shows in the count
-        if len(items) != len(rmap) or sent.keys() != rmap.keys():
+        doubled = any(credit.outstanding > credit.nsend for credit, _ in taken)
+        if doubled or len(items) != len(rmap) or sent.keys() != rmap.keys():
             self.abort()
             raise ProtocolError(
                 f"rank {dst}: arrivals (src, tag)"
                 f" {sorted(item[0] for item in items)} do not match"
                 f" its {len(rmap)} bound receives"
+                + (": a sender posted a cut again before its previous"
+                   " epoch was consumed" if doubled else "")
             )
         srcs = [sent[key] for key in rmap]
         dsts = list(rmap.values())
@@ -878,17 +1025,19 @@ class SimFabric:
             if view.size != recv.size:
                 raise self._size_mismatch(key, dst, view, recv)
         cut.copy = cut.copy_list(srcs, dsts)
-        cut.frozen = items
-        cut.frozen_ids = frozenset(map(id, items))
+        cut.frozen = taken
 
     def complete_recv_batch(self, cut: _Cut) -> None:
         """Deliver one epoch of *cut*'s receives into their buffers.
 
-        Blocks on the rank's own condition until all ``n`` arrivals are
-        in (one wake-up per exchange, not one per message), swaps the
-        list out and copies outside the lock -- one call over the cut's
-        frozen table (:meth:`_freeze`) -- so ranks' wire copies overlap.
-        Buffers are disjoint, so arrival order cannot matter.
+        Blocks on the rank's own port until every source has queued the
+        items the cut owes it (one wake-up per exchange, not one per
+        message or per source), takes exactly those, oldest first --
+        a peer's next epoch stays queued behind them -- and copies
+        outside the lock: one call over the cut's frozen table
+        (:meth:`_freeze`), so ranks' wire copies overlap.  Buffers are
+        disjoint, so arrival order cannot matter.  Each deposit is then
+        credited to the cut that sent it.
         """
         n = len(cut.rmap)
         if n == 0:
@@ -897,35 +1046,40 @@ class SimFabric:
             return self._complete_recv_verified(cut, self._guard)
         dst = cut.rank
         port = self._ports[dst]
+        fifos = port.fifos
         with _TRACER.span("fabric.recv", rank=dst, n=n):
             with self._lock:
-                if len(port.arrivals) < n:
-                    port.expect = n
+                heads, need = _heads(fifos, cut.sources)
+                if need:
+                    port.need = need
                     try:
                         self._await(
-                            dst,
-                            lambda: len(port.arrivals) >= n,
-                            lambda: self._missing(cut),
+                            dst, lambda: not need, lambda: self._missing(cut)
                         )
                     finally:
-                        port.expect = 0
-                items = port.arrivals
-                port.arrivals = []
-            if len(items) != n or set(map(id, items)) != cut.frozen_ids:
-                # Not the n items the copy table was built from: a first
+                        port.need = None
+                    heads = _heads(fifos, cut.sources)[0]
+                doubled = False
+                for src, (credit, _items) in heads:
+                    fifos[src].popleft()
+                    doubled |= credit.outstanding > credit.nsend
+            taken = [deposit for _src, deposit in heads]
+            frozen = cut.frozen
+            if doubled or len(taken) != len(frozen) or not all(map(is_, taken, frozen)):
+                # Not the deposits the copy table was built from: a first
                 # fire, a re-bound peer -- or a protocol violation.
-                self._freeze(cut, items)
+                self._freeze(cut, taken)
             cut.copy()  # the single wire copy, every item in one call
             ports = self._ports
             with self._lock:
                 st = self.stats[dst]
                 st.recvs += n
                 st.bytes_received += cut.recv_bytes
-                for src, count in cut.sources:
-                    sender = ports[src]
-                    sender.outstanding -= count
-                    if sender.outstanding == 0:
-                        sender.cond.notify()
+                for credit, items in taken:
+                    left = credit.outstanding - len(items)
+                    credit.outstanding = left
+                    if not left and credit.waiting:
+                        ports[credit.rank].cond.notify()
         if _METRICS.enabled:
             _METRICS.count("fabric.bytes_received", cut.recv_bytes, rank=dst)
 
@@ -933,41 +1087,75 @@ class SimFabric:
         """:meth:`complete_recv_batch` under the guard (module docstring).
 
         The wake stays count-based -- a poster cannot judge freshness --
-        which is a necessary condition only, so the wait re-sifts on
-        every wake.  A re-fire finds the items it failed at the front of
-        its own port and does not block.
+        which is a necessary condition only: each owed key the sift found
+        no fresh item for needs one more item from its source, and the
+        wait re-sifts on every wake.  A re-fire finds the items it failed
+        at the front of their sources' FIFOs and does not block.
         """
         dst = cut.rank
         port = self._ports[dst]
+        fifos = port.fifos
         rmap = cut.rmap
         epoch = self._epochs[dst]
         owed = guard.owed(cut, epoch)
         if not owed:
             return
-        sifted = None
+        whole = len(owed) == len(rmap)  # nothing replayed
+        owes = cut.sources
+        if not whole:
+            per_source: Dict[int, int] = {}
+            for src, _tag in owed:
+                per_source[src] = per_source.get(src, 0) + 1
+            owes = per_source.items()
+        sifted = examined = None
+
+        def sift(heads=None) -> None:
+            """Sift the items of *heads* -- ``(src, deposit)`` pairs, a
+            prefix of each source's FIFO; default: all of them."""
+            nonlocal sifted, examined
+            if heads is None:
+                heads = [(src, dep) for src, _n in owes for dep in fifos[src]]
+            examined = heads
+            arrivals = list(chain.from_iterable([dep[1] for _src, dep in heads]))
+            sifted = guard.sift(cut, arrivals, owed)
 
         def ready() -> bool:
-            nonlocal sifted
-            if len(port.arrivals) < len(owed):  # necessary, as the wake is
-                return False
-            sifted = guard.sift(cut, port.arrivals, owed)
-            return sifted.stray is not None or len(sifted.taken) == len(owed)
+            heads, need = _heads(fifos, owes)  # necessary: the counts first
+            if not need:
+                if whole:
+                    # The oldest deposits that can hold the cut first: a
+                    # peer's next epoch may queue behind them.
+                    sift(heads)
+                    if sifted.expect is not None:  # the sift's common case
+                        return True
+                sift()
+                if sifted.stray is not None or len(sifted.taken) == len(owed):
+                    return True
+                for key in owed:  # each needs one more item from its source
+                    if key not in sifted.taken:
+                        need[key[0]] = need.get(key[0], 0) + 1
+            port.need = need
+            return False
 
         def missing() -> list:
-            taken = guard.sift(cut, port.arrivals, owed).taken
-            return [key for key in owed if key not in taken]
+            sift()
+            return [key for key in owed if key not in sifted.taken]
 
         with _TRACER.span("fabric.recv", rank=dst, n=len(owed)):
             with self._lock:
                 if not ready():
-                    port.expect = len(owed)
                     try:
                         self._await(dst, ready, missing)
                     finally:
-                        port.expect = 0
+                        port.need = None
                 taken, rest, stale, stray, items, expect = sifted
+                owners = None
                 if stray is None:
-                    port.arrivals = rest
+                    for src, _deposit in examined:
+                        fifos[src].popleft()
+                    if rest:  # later epochs: back in order, by sending cut
+                        owners = _owners(examined)
+                        _requeue(fifos, owners, rest)
             if stray is not None:
                 self.abort()
                 raise ProtocolError(
@@ -995,35 +1183,39 @@ class SimFabric:
                 singly += self._land_faulted(
                     cut, [item for item in items if item[3] is not item[1]]
                 )
-            failed = []
+            failed = []  # (item, its pristine retransmission)
             error = None
             for item, crc in singly:
                 try:
                     guard.accept(cut, item, crc, epoch)
                 except (ExchangeIntegrityError, ExchangeTimeoutError) as err:
-                    failed.append(guard.pristine(dst, item))
+                    failed.append((item, guard.pristine(dst, item)))
                     error = error or err
-            if failed or at is not None:
-                lost = {item[0] for item in failed}
+            if failed or stale or rest or at is not None:
+                owners = owners or _owners(examined)
+                lost = {item[0] for item, _retransmit in failed}
                 accepted = [key for key in taken if key not in lost]
                 nbytes = sum(rmap[key].size for key in accepted)
-                credit: Dict[int, int] = {}
-                for src, _tag in accepted:
-                    credit[src] = credit.get(src, 0) + 1
-                sources = credit.items()
-            else:  # the whole cut, accepted
-                accepted, nbytes, sources = rmap, cut.recv_bytes, cut.sources
+                counts: Dict[_Credit, int] = {}
+                for key in accepted:
+                    credit = owners[id(taken[key])]
+                    counts[credit] = counts.get(credit, 0) + 1
+                credits = counts.items()
+            else:  # the whole cut, every deposit taken whole and accepted
+                accepted, nbytes = rmap, cut.recv_bytes
+                credits = [(credit, len(its)) for _src, (credit, its) in examined]
             ports = self._ports
             with self._lock:
                 st = self.stats[dst]
                 st.recvs += len(accepted)
                 st.bytes_received += nbytes
-                for src, count in sources:
-                    sender = ports[src]
-                    sender.outstanding -= count
-                    if sender.outstanding == 0:
-                        sender.cond.notify()
-                port.arrivals[:0] = failed
+                for credit, count in credits:
+                    left = credit.outstanding - count
+                    credit.outstanding = left
+                    if not left and credit.waiting:
+                        ports[credit.rank].cond.notify()
+                for item, retransmit in reversed(failed):
+                    fifos[item[0][0]].appendleft((owners[id(item)], [retransmit]))
         if _METRICS.enabled:
             _METRICS.count("fabric.bytes_received", nbytes, rank=dst)
         if error is not None:
@@ -1088,21 +1280,26 @@ class SimFabric:
         return landed
 
     def wait_send_batch(self, cut: _Cut) -> None:
-        """Block until every item this rank posted has been consumed."""
-        rank = cut.rank
-        port = self._ports[rank]
+        """Block until every item *cut* posted has been consumed."""
+        credit = cut.credit
         # Unlocked read: only this thread raises the count, so a zero
         # seen here is final.
-        if not port.outstanding and not _TRACER.enabled:
+        if not credit.outstanding and not (credit.posted and _TRACER.enabled):
             return
-        with _TRACER.span("fabric.send_wait", rank=rank, n=port.outstanding):
+        credit.posted = False
+        rank = cut.rank
+        with _TRACER.span("fabric.send_wait", rank=rank, n=credit.outstanding):
             with self._lock:
-                self._await(
-                    rank,
-                    lambda: not port.outstanding,
-                    lambda: self._unconsumed(cut),
-                    sending=True,
-                )
+                credit.waiting = True
+                try:
+                    self._await(
+                        rank,
+                        lambda: not credit.outstanding,
+                        lambda: self._unconsumed(cut),
+                        sending=True,
+                    )
+                finally:
+                    credit.waiting = False
 
     def register_split(self, src: int, dst: int, tag: int, nbytes: int,
                        partitions: int, side: str) -> None:
@@ -1157,9 +1354,10 @@ class SimFabric:
     @property
     def pending_messages(self) -> int:
         """Posted but unconsumed messages, over both containers of every port."""
+        every = range(self.nranks)
         with self._lock:
             return sum(
-                len(port.arrivals) + sum(map(len, port.queues.values()))
+                len(port.items(every)) + sum(map(len, port.queues.values()))
                 for port in self._ports
             )
 

@@ -203,7 +203,7 @@ class TestVerifiedFabricBinds:
     def test_batched_posting_sealed(self):
         fab, sender, _receiver, data, _out = self._verified_pair()
         fab.post_send_batch(sender.bulk)
-        ((key, view, env, wire),) = fab._ports[1].arrivals
+        ((key, view, env, wire),) = fab._ports[1].items([0])
         assert key == (0, 0) and wire is view
         assert env == seal(data, seq=1)
         assert fab.stats[0].sends == 1
@@ -224,7 +224,7 @@ class TestVerifiedFabricBinds:
         sender.start()
         sender.pready(0, 1)
         sender.pready_all()
-        arrivals = fab._ports[1].arrivals
+        arrivals = fab._ports[1].items([0])
         assert [item[0][1] for item in arrivals] == [
             partition_tag(0, 1), partition_tag(0, 0)
         ]

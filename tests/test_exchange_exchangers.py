@@ -206,13 +206,20 @@ class TestBrickExchangers:
 
 
 def _channel(ex):
-    return ex.make_channel().exchange()
+    channel = ex.make_channel()
+    result = channel.exchange()
+    # A channel's sends complete where its buffers are next written or
+    # freed: the caller closes (MemMap: unmaps) them next.
+    channel.wait_sends()
+    return result
 
 
 def _phased(ex):
     channel = ex.make_channel(partitions=4)
     channel.start()
-    return channel.complete()
+    result = channel.complete()
+    channel.wait_sends()
+    return result
 
 
 def _fallback(ex):

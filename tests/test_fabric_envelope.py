@@ -138,7 +138,7 @@ class TestVerifiedDelivery:
         pair.recv()
         again = _Pair(fab=pair.fab)
         again.post()
-        ((_key, _view, env, _wire),) = pair.fab._ports[1].arrivals
+        ((_key, _view, env, _wire),) = pair.fab._ports[1].items([0])
         assert env.seq == 2
         again.recv()
         assert again.delivered()
@@ -191,11 +191,11 @@ class TestVerifiedDelivery:
         assert pair.events["retransmit"] == 12
         assert pair.fab.pending_messages == 12
         assert pair.fab.stats[1].recvs == 0
-        assert pair.fab._ports[0].outstanding == 12
+        assert pair.sender.bulk.credit.outstanding == 12
         pair.recv()
         assert pair.delivered()
         assert pair.fab.pending_messages == 0
-        assert pair.fab._ports[0].outstanding == 0
+        assert pair.sender.bulk.credit.outstanding == 0
 
     def test_injected_duplicate_discarded(self):
         pair = _Pair(FaultPlan(seed=1, duplicate=1.0))
@@ -207,7 +207,7 @@ class TestVerifiedDelivery:
         assert pair.delivered()
         assert pair.fab.pending_messages == 0
         assert pair.events["duplicate_discarded"] == 1
-        assert pair.fab._ports[0].outstanding == 0
+        assert pair.sender.bulk.credit.outstanding == 0
 
     def test_parrived_answers_for_a_fresh_item_only(self):
         pair = _Pair(FaultPlan(seed=1, duplicate=1.0), partitions=2)
@@ -219,10 +219,10 @@ class TestVerifiedDelivery:
         assert pair.receiver.parrived(0, 0) and pair.receiver.parrived(0, 1)
         # A wire duplicate of something already accepted (here: planted,
         # the receive itself leaves none behind) is not an arrival.
-        planted = list(pair.fab._ports[1].arrivals[:1])
+        planted = pair.fab._ports[1].items([0])[:1]
         pair.receiver.complete()
         pair.sender.complete()
-        pair.fab._ports[1].arrivals.extend(planted)
+        pair.fab._ports[1].fifos[0].append((pair.sender.parts.credit, planted))
         pair.receiver.start()
         assert not pair.receiver.parrived(0, 0)
 
@@ -233,7 +233,7 @@ class TestVerifiedDelivery:
         pair.post()  # retry re-post, same epoch: absorbed
         assert pair.fab.pending_messages == 1  # only the original on the wire
         assert pair.fab.stats[0].sends == 1
-        assert pair.fab._ports[0].outstanding == 1
+        assert pair.sender.bulk.credit.outstanding == 1
         assert pair.events["resend_suppressed"] == 1
 
         pair.epoch(8)  # new epoch: posts flow again
@@ -289,7 +289,7 @@ class TestVerifiedDelivery:
         fab.set_epoch(0, 1)
         fab.post_send_batch(pair.sender.bulk, [pair.sender.bulk.rows[1][0]])
         pair.recv()  # the retry: takes the pristine (0, 5) only
-        assert [(item[0], item[2].seq) for item in fab._ports[1].arrivals] == [
+        assert [(item[0], item[2].seq) for item in fab._ports[1].items([0])] == [
             ((0, 6), 2)
         ]
         fab.post_send_batch(pair.sender.bulk, [pair.sender.bulk.rows[0][0]])
@@ -553,7 +553,7 @@ class TestTheGuardJudgesACut:
         # and were credited; item 17 alone went through accept().
         assert (judged, verdicts) == ([(0, 17)], [cut.N - 1])
         assert fab.stats[1].recvs == cut.N - 1
-        assert fab._ports[0].outstanding == 1 and fab.pending_messages == 1
+        assert cut.sender.credit.outstanding == 1 and fab.pending_messages == 1
         assert cut.check.calls == 0  # a proper subset: the other tier
         fab.complete_recv_batch(cut.receiver)  # the retry: 38 replayed
         assert cut.delivered() and fab.pending_messages == 0

@@ -260,6 +260,53 @@ def test_wakeups_go_only_to_peers_and_once_per_exchange():
         assert sum(port == owner for port, _ in log) <= 2 * steps
 
 
+def test_two_alternating_cuts_wake_each_rank_once_per_exchange():
+    """The run plan's shape: two cuts over the same edges, fired in
+    turn; a cut's sends are completed where its buffers are next
+    written -- before the other slot's sweep and before its own next
+    post -- and both at the end.  A rank is then notified at most once
+    per exchange (its receive) plus once for the final drain: the wait
+    before a sweep is already satisfied, because the receive that just
+    completed waited for every neighbour's next post, and a neighbour
+    posts again only after it consumed this rank's items."""
+    steps = 6
+    fab = SimFabric(3, timeout=5.0)
+    log = []
+    for rank, port in enumerate(fab._ports):
+        port.cond = _CountingCondition(port.cond, log, rank)
+    peers = {0: [1], 1: [0, 2], 2: [1]}
+
+    def fn(comm):
+        rank, fab = comm.rank, comm.fabric
+        sends = [{p: np.zeros(4) for p in peers[rank]} for _ in range(2)]
+        recvs = [{p: np.zeros(4) for p in peers[rank]} for _ in range(2)]
+        cuts = [
+            fab.bind_request(
+                rank,
+                [(p, 9, sends[slot][p]) for p in peers[rank]],
+                [(p, 9, recvs[slot][p]) for p in peers[rank]],
+            ).bulk
+            for slot in (0, 1)
+        ]
+        for step in range(steps):
+            cut, other = cuts[step % 2], cuts[1 - step % 2]
+            fab.wait_send_batch(cut)  # its own previous epoch
+            for buf in sends[step % 2].values():
+                buf[:] = 10 * step + rank
+            fab.post_send_batch(cut)
+            fab.complete_recv_batch(cut)
+            for p in peers[rank]:
+                np.testing.assert_array_equal(recvs[step % 2][p], 10 * step + p)
+            fab.wait_send_batch(other)  # before the sweep writes its slot
+        for cut in cuts:
+            fab.wait_send_batch(cut)
+
+    run_spmd(3, fn, fabric=fab)
+    assert fab.pending_messages == 0
+    for owner in range(3):
+        assert sum(port == owner for port, _ in log) <= steps + 1
+
+
 # ----------------------------------------------------------------------
 # (d) failure modes of the bound path
 # ----------------------------------------------------------------------
@@ -401,7 +448,7 @@ class TestBoundFailureModes:
         fab.post_send_batch(sender)
         fab.post_send_batch(sender)
         fab.complete_recv_batch(receiver)
-        assert [item[2].seq for item in fab._ports[1].arrivals] == [2]
+        assert [item[2].seq for item in fab._ports[1].items([0])] == [2]
         fab.complete_recv_batch(receiver)
         assert fab.pending_messages == 0
         assert fab._guard.delivered[(0, 1, 3)] == (2, None)

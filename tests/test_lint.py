@@ -133,6 +133,50 @@ def test_wait_outside_the_one_helper_flagged():
         ) == []
 
 
+def test_blocking_acquire_outside_the_wake_primitive_flagged():
+    src = (
+        "class _Wake:\n"
+        "    def __init__(self, lock):\n"
+        "        self._pending.acquire(False)\n"
+        "    def wait(self, timeout):\n"
+        "        self._lock.release()\n"
+        "        self._pending.acquire(True, timeout)\n"
+        "        self._lock.acquire()\n"
+        "class SimFabric:\n"
+        "    def complete_recv_batch(self, cut):\n"
+        "        self._ports[cut.rank].cond._pending.acquire()\n"
+        "        self._ports[cut.rank].cond._pending.acquire(timeout=1.0)\n"
+        "        self._ports[cut.rank].cond._pending.acquire(blocking=False)\n"
+    )
+    tree = ast.parse(src)
+    fabric = lint_invariants.SRC / "simmpi" / "fabric.py"
+    violations = lint_invariants.check_one_blocking_site(fabric, tree)
+    assert [v[1] for v in violations] == [10, 11]
+    assert all("_Wake.wait" in v[2] for v in violations)
+    # Only the fabric has ports to block on.
+    assert lint_invariants.check_one_blocking_site(
+        lint_invariants.SRC / "simmpi" / "collectives.py", tree
+    ) == []
+
+
+def test_condition_in_the_fabric_flagged():
+    src = (
+        "import threading\n"
+        "from threading import Condition\n"
+        "class _Port:\n"
+        "    def __init__(self, lock):\n"
+        "        self.cond = threading.Condition(lock)\n"
+    )
+    tree = ast.parse(src)
+    fabric = lint_invariants.SRC / "simmpi" / "fabric.py"
+    violations = lint_invariants.check_one_blocking_site(fabric, tree)
+    assert sorted(v[1] for v in violations) == [2, 5]
+    assert all("binary semaphore" in v[2] for v in violations)
+    assert lint_invariants.check_one_blocking_site(
+        lint_invariants.SRC / "simmpi" / "launcher.py", tree
+    ) == []
+
+
 def test_per_message_event_flagged():
     src = (
         "import threading\n"

@@ -343,7 +343,7 @@ class TestBatchedFabric:
         receiver = fabric.bind_request(1, [], [(0, 7, out)]).bulk
         fabric.enable_envelope()
         fabric.post_send_batch(sender)
-        ((_key, _view, env, _wire),) = fabric._ports[1].arrivals
+        ((_key, _view, env, _wire),) = fabric._ports[1].items([0])
         assert env == seal(buf, seq=1)
         buf[0] = -1.0  # changed in flight: the landed bytes do not verify
         with pytest.raises(RuntimeError, match="checksum mismatch"):

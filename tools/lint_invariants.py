@@ -31,10 +31,14 @@ may not, and these rules are project-specific anyway.  Seven checks:
 4. **One blocking site, one envelope protocol.**  In
    ``src/repro/simmpi/fabric.py`` a ``.wait(...)`` call may appear only
    inside ``SimFabric._await`` -- abort, dead peer, stale heartbeat and
-   timeout are classified there, once -- and ``threading.Event`` appears
-   nowhere under ``src/repro/simmpi`` (a message waits in a port, not on
-   a per-message event; ``SimRequest.wait`` and ``barrier.wait`` in
-   ``request.py`` / ``comm.py`` are not fabric waits).  The texts of the
+   timeout are classified there, once -- and a blocking ``.acquire(...)``
+   only inside the wake primitive ``_await`` calls (``_Wake.wait``, a
+   port's raw lock used as a binary semaphore: a second blocking acquire
+   is a second place to block); the file builds no
+   ``threading.Condition``.  ``threading.Event`` appears nowhere under
+   ``src/repro/simmpi`` (a message waits in a port, not on a per-message
+   event; ``SimRequest.wait`` and ``barrier.wait`` in ``request.py`` /
+   ``comm.py`` are not fabric waits).  The texts of the
    sequence-gap and checksum-mismatch errors are spelled in
    ``exchange/envelope.py`` only: a second copy is a second
    implementation of ``verify``.  So are the healing event kinds
@@ -146,6 +150,9 @@ MESSAGE_ALLOWLIST = (
 #: the one function of simmpi/fabric.py allowed to block on a condition
 WAIT_FILE = "simmpi/fabric.py"
 WAIT_HELPER = "_await"
+#: ``(class, method)`` of the wake primitive the helper blocks in: the
+#: one place of the file a lock is acquired blocking
+WAKE_PRIMITIVE = ("_Wake", "wait")
 #: error texts of the envelope check, and the one file that spells them
 ENVELOPE_PHRASES = ("sequence gap on", "checksum mismatch on")
 ENVELOPE_HOME = "exchange/envelope.py"
@@ -354,13 +361,30 @@ def check_one_blocking_site(path: Path, tree: ast.AST) -> List[Violation]:
         if isinstance(fn, ast.FunctionDef) and fn.name == WAIT_HELPER
         for node in ast.walk(fn)
     }
+    wake_class, wake_method = WAKE_PRIMITIVE
+    in_wake = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == wake_class
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == wake_method
+        for node in ast.walk(fn)
+    }
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "wait"
-            and id(node) not in in_helper
-        ):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            if _is_condition(node):
+                out.append(
+                    (
+                        path,
+                        node.lineno,
+                        "`threading.Condition` in the fabric: a port wakes"
+                        f" through {wake_class}, a raw lock used as a binary"
+                        " semaphore, which allocates nothing per wait",
+                    )
+                )
+            continue
+        attr = node.func.attr
+        if attr == "wait" and id(node) not in in_helper:
             out.append(
                 (
                     path,
@@ -370,7 +394,42 @@ def check_one_blocking_site(path: Path, tree: ast.AST) -> List[Violation]:
                     " heartbeat / timeout are classified in one place",
                 )
             )
+        elif attr == "acquire" and _blocking(node) and id(node) not in in_wake:
+            out.append(
+                (
+                    path,
+                    node.lineno,
+                    f"blocking `.acquire()` outside {wake_class}.{wake_method}:"
+                    f" block only through SimFabric.{WAIT_HELPER}, which"
+                    " waits on the port's wake",
+                )
+            )
     return out
+
+
+def _is_condition(node: ast.AST) -> bool:
+    """``threading.Condition`` or ``from threading import Condition``."""
+    if isinstance(node, ast.Attribute):
+        return (
+            node.attr == "Condition"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "threading"
+        )
+    return (
+        isinstance(node, ast.ImportFrom)
+        and node.module == "threading"
+        and any(alias.name == "Condition" for alias in node.names)
+    )
+
+
+def _blocking(call: ast.Call) -> bool:
+    """An ``acquire`` call that may block: not ``acquire(False)`` nor
+    ``acquire(blocking=False)``."""
+    flags = list(call.args[:1])
+    flags += [k.value for k in call.keywords if k.arg == "blocking"]
+    return not any(
+        isinstance(flag, ast.Constant) and flag.value is False for flag in flags
+    )
 
 
 def check_one_geometry(path: Path, tree: ast.AST) -> List[Violation]:

@@ -6,6 +6,7 @@ side costs on each data-movement tier, one source tree or two.
     PYTHONPATH=src python tools/numpy_tier_bench.py kernel cube16
     PYTHONPATH=src python tools/numpy_tier_bench.py copy strong16
     PYTHONPATH=src python tools/numpy_tier_bench.py guard strong16
+    PYTHONPATH=src python tools/numpy_tier_bench.py fabric strong16
     python tools/numpy_tier_bench.py --ab PARENT/src CHANGE/src [REPS]
 
 No halobench workload reaches the NumPy tier (halobench pins ``cffi``),
@@ -42,6 +43,19 @@ seal) and the receive (copy + check + credit) per exchange side on each
 tier, in us and in GB/s of bytes sealed / landed, beside ``zlib.crc32``
 over one flat buffer of the same bytes and the flat copy.  On a tree
 whose guard works per item both tiers read alike.
+
+The ``fabric`` section (EXPERIMENTS.md, "One handoff per exchange") is
+the bound fabric alone, with no kernel and no hooks: 8 rank threads --
+on the one CPU this process is pinned to -- exchange the geometry's
+Layout item list (39 items per rank-side on a 2 x 2 x 2 world) over two
+alternating bound cuts, as the run plan fires the two slots' channels
+(each exchange, then the other slot's send wait before its sweep would
+write it).  Once with 8 B per item (312 B per side) and once with the
+real bytes: us per step and per rank-side, voluntary context switches
+per step (``getrusage``: the handoffs), and the same items
+self-exchanged by one rank, which has no handoff.  Before the timed
+steps, checked steps stamp every send buffer and compare every landed
+byte; after them, every ghost buffer holds its sender's last stamp.
 
 ``--ab`` alternates two trees, REPS fresh processes each per geometry and
 section (default 7), and prints the medians of those.
@@ -329,9 +343,110 @@ def measure_guard(name):
     return out
 
 
+def _stamp(step, src, tag):
+    """What *src* writes into its send buffer for *tag* at checked *step*."""
+    return float((step * 64 + src) * (1 << 20) + tag)
+
+
+def measure_fabric(name, checked=4, samples=5, steps=60):
+    """The bound fabric alone: per step and per rank-side, in us; voluntary
+    context switches per step; the self-exchanged rank beside it."""
+    import resource
+
+    import numpy as np
+
+    from repro.core.geometry import RunGeometry
+    from repro.core.problem import StencilProblem
+    from repro.exchange.base import ExchangeChannel
+    from repro.hardware.profiles import generic_host
+    from repro.simmpi import SimComm, SimFabric, run_spmd
+    from repro.stencil import spec as specs
+
+    n, stencil = GEOMETRIES[name]
+    problem = StencilProblem(
+        (2 * n,) * 3, (2, 2, 2), getattr(specs, stencil), brick_dim=(8, 8, 8), ghost=8
+    )
+    plans = RunGeometry(problem, "layout", generic_host()).plans
+
+    def clock():
+        return time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw
+
+    def wait(channel):  # a tree whose exchange() waits for its own sends has none
+        getattr(channel, "wait_sends", lambda: None)()
+
+    def drive(comm, sends, recvs, per_item):
+        """Two slots' channels over ``(peer, tag, nbytes)`` lists, fired as
+        the run plan fires them; returns ``(seconds, switches)`` per
+        sample of *steps* timed steps."""
+        rank, slots = comm.rank, []
+        for _ in range(2):
+            posts = [(p, t, np.zeros(per_item(b) // 8)) for p, t, b in sends]
+            gets = [(p, t, np.zeros(per_item(b) // 8)) for p, t, b in recvs]
+            channel = ExchangeChannel(comm, "layout", posts, gets, None)
+            slots.append((channel, posts, gets))
+
+        def landed(step, gets):
+            for peer, tag, buf in gets:
+                if not (buf == _stamp(step, peer, tag)).all():
+                    raise SystemExit(f"rank {rank}: bytes from {peer} tag {tag} differ")
+
+        for step in range(checked):
+            channel, posts, gets = slots[step % 2]
+            wait(channel)
+            for _peer, tag, buf in posts:
+                buf.fill(_stamp(step, rank, tag))
+            channel.exchange()
+            landed(step, gets)
+            wait(slots[1 - step % 2][0])
+        out, step = [], checked
+        for _ in range(samples):
+            comm.Barrier()
+            start = clock()
+            for _ in range(steps):
+                slots[step % 2][0].exchange()
+                wait(slots[1 - step % 2][0])
+                step += 1
+            comm.Barrier()
+            out.append([b - a for a, b in zip(start, clock())])
+        for channel, _posts, gets in slots:
+            wait(channel)
+        for slot in (0, 1):  # the last checked step that stamped each slot
+            landed(checked - 2 + slot, slots[slot][2])
+        return out
+
+    def per_step(samples_):
+        seconds, switches = zip(*samples_)
+        median = statistics.median
+        return median(seconds) / steps * 1e6, median(switches) / steps
+
+    out = {"items_per_side": len(plans[0].sends)}
+    for label, per_item in (("8B_items", lambda b: 8), ("real", lambda b: b)):
+        out[f"bytes_per_side.{label}"] = sum(per_item(m.nbytes) for m in plans[0].sends)
+
+        def rank_fn(comm):
+            plan = plans[comm.rank]
+            return drive(
+                comm,
+                [(m.peer, m.tag, m.nbytes) for m in plan.sends],
+                [(m.peer, m.tag, m.nbytes) for m in plan.recvs],
+                per_item,
+            )
+
+        world = run_spmd(8, rank_fn, fabric=SimFabric(8, timeout=30.0))
+        step_us, switches = per_step(world[0])
+        out[f"step_us.{label}"] = step_us
+        out[f"side_us.{label}"] = step_us / 8
+        out[f"switches_per_step.{label}"] = switches
+        # Rank 0's receives, each from itself: the same items, no handoff.
+        items = [(0, m.tag, m.nbytes) for m in plans[0].recvs]
+        alone = drive(SimComm(SimFabric(1, timeout=30.0), 0), items, items, per_item)
+        out[f"self_side_us.{label}"] = per_step(alone)[0]
+    return out
+
+
 def compare(parent_src, change_src, reps):
     trees = {"parent": parent_src, "change": change_src}
-    for section in ((), ("kernel",), ("copy",), ("guard",)):
+    for section in ((), ("kernel",), ("copy",), ("guard",), ("fabric",)):
         for name in GEOMETRIES:
             runs = {side: [] for side in trees}
             for i in range(reps):
@@ -365,5 +480,7 @@ if __name__ == "__main__":
         print(json.dumps(measure_copy(sys.argv[2])))
     elif sys.argv[1] == "guard":
         print(json.dumps(measure_guard(sys.argv[2])))
+    elif sys.argv[1] == "fabric":
+        print(json.dumps(measure_fabric(sys.argv[2])))
     else:
         print(json.dumps(measure(sys.argv[1])))
