@@ -3,11 +3,14 @@ of brick storage plus the consistency protocol for elastic SPMD restart.
 
 Layering:
 
-* :mod:`repro.ckpt.store` -- the on-disk format: per-rank manifests with
-  per-chunk CRC32, atomic rename commits, full/incremental snapshots.
-* :mod:`repro.ckpt.snapshot` -- run semantics: section-granular chunk
-  layout over a :class:`~repro.brick.decomp.SlotAssignment`, dirty-slot
-  tracking, the epoch-negotiation allreduce, problem fingerprinting.
+* :mod:`repro.ckpt.store` -- the on-disk format: one file per rank
+  snapshot (manifest, then payload runs with one CRC32 each), committed
+  by one write, two fsyncs and a rename; full/incremental snapshots.
+* :mod:`repro.ckpt.snapshot` -- run semantics: the rule of what a
+  snapshot at a step holds (:func:`snapshot_runs`: live sections of a
+  :class:`~repro.brick.decomp.SlotAssignment` as maximal slot runs),
+  dirty-slot tracking, the epoch-negotiation allreduce, problem
+  fingerprinting.
 * :mod:`repro.ckpt.bench` -- the overhead benchmark behind
   ``BENCH_ckpt.json``.
 
@@ -21,13 +24,17 @@ from repro.ckpt.snapshot import (
     DirtyTracker,
     NoCommonEpochError,
     RankCheckpointer,
+    RunSpec,
+    group_runs,
     negotiate_epoch,
     problem_key,
+    snapshot_runs,
     storage_chunks,
 )
 from repro.ckpt.store import (
     CheckpointCorruptionError,
     CheckpointError,
+    CheckpointFormatError,
     CheckpointStore,
 )
 
@@ -35,12 +42,16 @@ __all__ = [
     "CheckpointStore",
     "CheckpointError",
     "CheckpointCorruptionError",
+    "CheckpointFormatError",
     "CheckpointConfig",
     "ChunkSpec",
     "DirtyTracker",
     "NoCommonEpochError",
     "RankCheckpointer",
+    "RunSpec",
+    "group_runs",
     "negotiate_epoch",
     "problem_key",
+    "snapshot_runs",
     "storage_chunks",
 ]

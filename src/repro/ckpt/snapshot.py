@@ -3,11 +3,19 @@
 This module knows what a *rank's* checkpoint means for an executed SPMD
 stencil run:
 
-* :func:`storage_chunks` names one chunk per non-empty
-  :class:`~repro.brick.decomp.Section` of the slot assignment, so a
-  snapshot is section-granular -- alignment padding slots are never
-  written, and dirty tracking can skip whole regions the workload did
-  not touch.
+* :func:`storage_chunks` names one section per non-empty
+  :class:`~repro.brick.decomp.Section` of the slot assignment --
+  alignment padding slots are never written, and dirty tracking can
+  skip whole regions the workload did not touch.
+* :func:`snapshot_runs` is the one rule of what a snapshot holds: the
+  sections a restore at its step reads, grouped into maximal runs of
+  adjacent slots, each written as one chunk.  At an exchange step the
+  ghost sections the rank's plan receives into are dead (the exchange
+  at that step rewrites them before any sweep reads them), so a brick
+  rank of a periodic world writes its owned slot run alone -- the
+  paper's layout keeps it contiguous.  The driver's saves and restores
+  and elastic re-bricking all ask this function, never
+  :func:`storage_chunks` directly.
 * :class:`DirtyTracker` accumulates touched slots between checkpoints;
   :class:`RankCheckpointer` turns that into the ``dirty_names`` hint the
   store uses to write incremental snapshots.
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +42,9 @@ from repro.obs import TRACER as _TRACER
 
 __all__ = [
     "ChunkSpec",
+    "RunSpec",
+    "group_runs",
+    "snapshot_runs",
     "storage_chunks",
     "DirtyTracker",
     "NoCommonEpochError",
@@ -67,42 +79,135 @@ class NoCommonEpochError(CheckpointError):
 
 @dataclass(frozen=True)
 class ChunkSpec:
-    """One named contiguous slot range of the brick storage."""
+    """One named contiguous slot range of the brick storage (a section)."""
 
     name: str
     start_slot: int
     nslots: int
 
 
-def storage_chunks(assignment) -> List[ChunkSpec]:
-    """Section-granular chunk layout for one slot assignment.
+@dataclass(frozen=True)
+class RunSpec:
+    """Adjacent sections written as one chunk: slots ``[start_slot,
+    start_slot + nslots)``."""
 
-    Chunk names are stable across runs of the same layout (derived from
-    region/neighbor set notation, not slot numbers), which is what lets
-    an incremental manifest reference its parent's chunks by name.
-    Padding slots hold no data and are excluded.
+    start_slot: int
+    nslots: int
+    sections: Tuple[ChunkSpec, ...]
+
+    def chunk(self, slot_bytes: Callable, slot_nbytes: int):
+        """``(section table, buffer)`` the store writes for this run, out
+        of a buffer whose slot range ``slot_bytes(start, n)`` views."""
+        return (
+            [(s.name, s.nslots * slot_nbytes) for s in self.sections],
+            slot_bytes(self.start_slot, self.nslots),
+        )
+
+
+#: An array rank's snapshot: its whole extended array, one "slot".
+_ARRAY_RUNS = [RunSpec(0, 1, (ChunkSpec("array", 0, 1),))]
+
+
+def storage_chunks(assignment) -> List[ChunkSpec]:
+    """Section-granular layout for one slot assignment.
+
+    Section names are stable across runs of the same layout (derived
+    from region/neighbor set notation, not slot numbers), which is what
+    lets an incremental manifest reference its parent's sections by
+    name.  Padding slots hold no data and are excluded.
     """
-    specs: List[ChunkSpec] = []
-    for sec in assignment.sections:
-        if sec.nbricks == 0:
-            continue
-        if sec.kind == "interior":
-            name = "interior"
-        elif sec.kind == "surface":
-            name = f"surface:{sec.region.notation()}"
+    return [
+        ChunkSpec(
+            _section_name(sec.kind, sec.region, sec.neighbor), sec.start, sec.nbricks
+        )
+        for sec in assignment.sections
+        if sec.nbricks
+    ]
+
+
+@lru_cache(maxsize=None)
+def _section_name(kind: str, region, neighbor) -> str:
+    """A section's name: a few hundred distinct ones, each spelled once."""
+    if kind == "interior":
+        return "interior"
+    if kind == "surface":
+        return f"surface:{region.notation()}"
+    return f"ghost:{neighbor.notation()}:{region.notation()}"
+
+
+def group_runs(specs: Iterable[ChunkSpec]) -> List[RunSpec]:
+    """*specs* as maximal runs of slot-adjacent sections."""
+    runs: List[List[ChunkSpec]] = []
+    for spec in sorted(specs, key=lambda s: s.start_slot):
+        last = runs[-1][-1] if runs else None
+        if last is not None and last.start_slot + last.nslots == spec.start_slot:
+            runs[-1].append(spec)
         else:
-            name = f"ghost:{sec.neighbor.notation()}:{sec.region.notation()}"
-        specs.append(ChunkSpec(name, sec.start, sec.nbricks))
-    return specs
+            runs.append([spec])
+    return [
+        RunSpec(run[0].start_slot, sum(s.nslots for s in run), tuple(run))
+        for run in runs
+    ]
+
+
+def _received_slots(geometry, rank: int) -> np.ndarray:
+    """Per slot: does *rank*'s plan receive into every byte of it?"""
+    asn = geometry.assignment
+    slot_nbytes = geometry.decomp.brick_elems * np.dtype(geometry.decomp.dtype).itemsize
+    got = np.zeros(asn.total_slots, dtype=bool)
+    for m in geometry.plans[rank].recvs:
+        for off, nbytes in m.ranges:
+            got[-(-off // slot_nbytes) : (off + nbytes) // slot_nbytes] = True
+    return got
+
+
+def snapshot_runs(geometry, rank: int, step: int, period: int) -> List[RunSpec]:
+    """What a snapshot of *rank* taken before *step* holds, as runs.
+
+    The one rule every snapshot writer and reader follows (driver save
+    and restore, elastic re-bricking): a snapshot holds what a restore
+    at that step reads.
+
+    * At an exchange step (``step % period == 0``) a ghost section that
+      the rank's plan (of *geometry*) receives into is dead: the
+      exchange of that step rewrites it before any sweep reads it --
+      phased (the interior sweep reads no ghost slot) and retried (a
+      re-fire rewrites the same bytes) alike.  It is not written.
+    * Mid-cycle, ghost sections hold the redundantly computed margins
+      the next sweep reads, so every section is live.  Ghost sections
+      no receive covers (the boundary of a non-periodic problem) are
+      live at every step.
+
+    Live sections are grouped into maximal runs of adjacent slots: on a
+    periodic Layout world an exchange-step snapshot is the owned slot
+    run alone.  An array rank keeps its single ``array`` run: its owned
+    box is strided rows, which a write could only reach through a pack.
+    """
+    asn = geometry.assignment
+    if asn is None:
+        return _ARRAY_RUNS
+    specs = storage_chunks(asn)
+    if step % period == 0:
+        got = _received_slots(geometry, rank)
+        ghost = {
+            s.start for s in asn.sections if s.kind == "ghost" and s.nbricks
+        }
+        specs = [
+            s
+            for s in specs
+            if s.start_slot not in ghost
+            or not got[s.start_slot : s.start_slot + s.nslots].all()
+        ]
+    return group_runs(specs)
 
 
 class DirtyTracker:
     """Which slots were written since the last checkpoint, as a bitmap.
 
     The driver marks ghost sections after each exchange and computed
-    slots after each stencil application; :meth:`names` projects the
-    bitmap onto the chunk layout so the store can skip clean sections
-    without hashing them.
+    slots after each stencil application, each in the tracker of the
+    buffer written; :meth:`names` projects the bitmap onto the section
+    layout so the store can skip clean sections without hashing them.
     """
 
     def __init__(self, nslots: int) -> None:
@@ -120,10 +225,10 @@ class DirtyTracker:
         self._dirty[:] = False
 
     def names(self, specs: Sequence[ChunkSpec]) -> List[str]:
-        """Chunk names containing at least one dirty slot: one
-        ``logical_or.reduceat`` over the chunks' ``[start, end)`` pairs
+        """Section names containing at least one dirty slot: one
+        ``logical_or.reduceat`` over the sections' ``[start, end)`` pairs
         (the odd results, end to next start, are dropped; an empty
-        chunk's result is one slot's and is dropped too)."""
+        section's result is one slot's and is dropped too)."""
         if self._bounds[0] is not specs:
             pairs = [(s.start_slot, s.start_slot + s.nslots) for s in specs]
             self._bounds = (specs, np.array(pairs, dtype=np.intp).reshape(-1))
@@ -205,7 +310,7 @@ def problem_key(
     """
     uses_bricks = method not in ("basic",)
     parts = [
-        "format=1",
+        "format=2",
         f"extent={tuple(problem.global_extent)}",
         f"ranks={tuple(problem.rank_dims)}",
         f"brick={tuple(problem.brick_dim)}",
@@ -248,11 +353,17 @@ class CheckpointConfig:
 
 
 class RankCheckpointer:
-    """One rank's save/restore engine, bound to a chunk layout.
+    """One rank's save/restore engine, bound to a section layout.
 
-    Keeps the parent manifest between saves so every checkpoint after
-    the first can be incremental, and owns the rank's
-    :class:`DirtyTracker`.
+    A rank steps a double buffer and a snapshot is of the buffer a step
+    reads, so the engine keeps one parent manifest and one
+    :class:`DirtyTracker` per buffer (``dirty[b]`` marks the slots
+    written into buffer *b*): an incremental snapshot of a buffer
+    references only what that same buffer held at its own last
+    snapshot and has not rewritten since -- the other buffer's bytes
+    are not the same bytes.  What a save writes and a restore fills are
+    the store's ``(section table, buffer)`` runs, built from
+    :func:`snapshot_runs` for the step.
     """
 
     def __init__(
@@ -267,44 +378,43 @@ class RankCheckpointer:
         self.rank = int(rank)
         self.specs = list(specs)
         self.key = key
-        self.dirty = DirtyTracker(nslots)
-        self._parent: Optional[dict] = None
+        self.dirty = [DirtyTracker(nslots), DirtyTracker(nslots)]
+        self._parent: List[Optional[dict]] = [None, None]
         self.saves = 0
         self.saved_bytes = 0
 
     # ------------------------------------------------------------------
     def save(
-        self,
-        epoch: int,
-        chunks: Sequence[Tuple[str, np.ndarray]],
-        meta: Mapping,
+        self, epoch: int, runs: Sequence[tuple], meta: Mapping, buf: int = 0
     ) -> dict:
-        """Commit one snapshot; returns its manifest.
+        """Commit one snapshot of buffer *buf*; returns its manifest.
 
-        Mode is the configured one, except the first save of a run (or
-        after a restore) which is necessarily full.  The dirty bitmap is
-        consumed: it is cleared only after the store commits, so a save
-        that raises leaves the dirt in place for the next attempt.
+        Mode is the configured one, except the first save of a buffer in
+        a run (or after a restore) which is necessarily full.  The
+        buffer's dirty bitmap is consumed: it is cleared only after the
+        store commits, so a save that raises leaves the dirt in place for
+        the next attempt.
         """
-        mode = self.config.mode if self._parent is not None else "full"
+        parent = self._parent[buf]
+        mode = self.config.mode if parent is not None else "full"
         dirty_names = None
         if mode == "incr":
-            dirty_names = self.dirty.names(self.specs)
+            dirty_names = self.dirty[buf].names(self.specs)
         with _TRACER.span(
             "ckpt.save", rank=self.rank, epoch=epoch, mode=mode
         ):
             manifest = self.config.store.save(
                 self.rank,
                 epoch,
-                chunks,
+                runs,
                 meta=meta,
                 mode=mode,
                 problem_key=self.key,
-                parent=self._parent,
+                parent=parent,
                 dirty_names=dirty_names,
             )
-        self._parent = manifest
-        self.dirty.clear()
+        self._parent[buf] = manifest
+        self.dirty[buf].clear()
         self.saves += 1
         self.saved_bytes += int(manifest["data_bytes"])
         if _METRICS.enabled:
@@ -318,13 +428,16 @@ class RankCheckpointer:
     def verified_epochs(self) -> List[int]:
         return self.config.store.verified_epochs(self.rank, self.key)
 
-    def restore(self, epoch: int, chunks: Sequence[Tuple[str, np.ndarray]]) -> dict:
-        """Load *epoch* into the given chunk views; returns the meta doc.
+    def restore(self, epoch: int, runs: Sequence[tuple]) -> dict:
+        """Load *epoch* into the given runs' views; returns the meta doc.
 
-        The chunk views must be the same layout the snapshot was written
-        with (names and byte sizes are checked); writing through them
-        re-fills the live arena, so MemMap stitched views built over the
-        arena afterwards see the restored bytes with no extra copy.
+        *runs* are what a save at *epoch* writes (:func:`snapshot_runs`),
+        so the sections written are exactly the ones the snapshot holds
+        (names and byte sizes are checked); a dead ghost section is left
+        to the exchange that opens the resumed step.  Writing through
+        the views re-fills the live arena, so MemMap stitched views built
+        over the arena afterwards see the restored bytes with no extra
+        copy.
         """
         with _TRACER.span("ckpt.restore", rank=self.rank, epoch=epoch):
             manifest = self.config.store.manifest(self.rank, epoch)
@@ -335,29 +448,34 @@ class RankCheckpointer:
                 )
             state = self.config.store.read_state(self.rank, manifest, verify=True)
             names = set(state)
-            for name, view in chunks:
-                if name not in state:
-                    raise CheckpointError(
-                        f"snapshot rank {self.rank} epoch {epoch} is missing"
-                        f" chunk {name!r}"
-                    )
-                data = state[name]
+            for sections, view in runs:
                 flat = view.reshape(-1).view(np.uint8)
-                if flat.nbytes != len(data):
-                    raise CheckpointError(
-                        f"chunk {name!r} is {len(data)} bytes on disk but"
-                        f" {flat.nbytes} bytes live"
-                    )
-                flat[:] = np.frombuffer(data, dtype=np.uint8)
-                names.discard(name)
+                pos = 0
+                for name, nbytes in sections:
+                    data = state.get(name)
+                    if data is None:
+                        raise CheckpointError(
+                            f"snapshot rank {self.rank} epoch {epoch} is"
+                            f" missing section {name!r}"
+                        )
+                    if nbytes != len(data):
+                        raise CheckpointError(
+                            f"section {name!r} is {len(data)} bytes on disk"
+                            f" but {nbytes} bytes live"
+                        )
+                    flat[pos : pos + nbytes] = np.frombuffer(data, dtype=np.uint8)
+                    names.discard(name)
+                    pos += nbytes
             if names:
                 raise CheckpointError(
                     f"snapshot rank {self.rank} epoch {epoch} has extra"
-                    f" chunks {sorted(names)}"
+                    f" sections {sorted(names)}"
                 )
-        # Future incrementals hang off the restored snapshot.
-        self._parent = manifest
-        self.dirty.clear()
+        # Future incrementals of buffer 0 hang off the restored snapshot;
+        # buffer 1 holds nothing a snapshot recorded.
+        self._parent = [manifest, None]
+        for tracker in self.dirty:
+            tracker.clear()
         if _METRICS.enabled:
             _METRICS.count("ckpt.restores", 1, rank=self.rank)
         return manifest["meta"]

@@ -1,34 +1,46 @@
-"""Content-verified checkpoint store: per-rank snapshot files on disk.
+"""Content-verified checkpoint store: one file per rank snapshot.
 
 One store is a directory tree::
 
-    <root>/rank0000/ep00000002.bin    chunk payloads, concatenated
-    <root>/rank0000/ep00000002.json   manifest (the commit record)
+    <root>/rank0000/ep00000002.snap   header, manifest, payload runs
 
-A *snapshot* is a set of named byte chunks (one per brick-storage
-section, plus whatever metadata the driver attaches).  Every chunk
-carries a CRC32 in the manifest, and the manifest itself is the commit
-point of a write: payloads are written to a temp file, fsynced and
-renamed first, then the manifest -- so a crash mid-write can never leave
-a manifest that refers to missing or half-written data.  A manifest that
-exists is, by construction, a complete snapshot (modulo later disk
-corruption, which :meth:`CheckpointStore.verify` detects chunk by
-chunk).
+A *snapshot* is a set of named byte *sections* (brick-storage sections,
+or one dense array) written as *runs*: a run is one contiguous buffer
+of adjacent sections, stored as one chunk with one CRC32 and one
+manifest entry whose offset table names the sections inside it.  The
+file holds a 16-byte header (magic, manifest length, manifest CRC32),
+the JSON manifest, then the payload runs, concatenated.
 
-Incremental snapshots write only the chunks that changed since their
-*parent* snapshot; an unchanged chunk is recorded as a reference to the
-epoch whose ``.bin`` file physically holds its bytes (references always
-point at the writing epoch, never at another reference, so restore
-touches at most one file per source epoch and pruning needs no chain
-walk).  Change detection is per-chunk CRC32 against the parent manifest;
-callers that track dirty bricks can pass ``dirty_names`` to skip even
-hashing chunks the run provably never touched.
+A commit is one write of the whole file to a temp name, ``fsync``,
+``rename``, and an ``fsync`` of the directory: two fsyncs, and the
+rename is the commit point.  A crash mid-write leaves at worst a
+``.tmp``, which enumeration ignores and :meth:`CheckpointStore.prune`
+sweeps, so a ``.snap`` that exists is a complete snapshot (modulo later
+disk corruption, which :meth:`CheckpointStore.verify` detects run by
+run, and the manifest's own CRC32 detects in the manifest).
+
+Incremental snapshots write only the sections that changed since their
+*parent* snapshot; an unchanged section is recorded as a reference into
+the run of the epoch whose file physically holds its bytes (references
+always point at the writing epoch, never at another reference, so
+restore touches at most one file per source epoch and pruning needs no
+chain walk).  Callers that track dirty bricks pass ``dirty_names``:
+sections not named are referenced without being hashed, adjacent dirty
+sections become one written run, and a dirty run whose sections and
+CRC32 equal a whole run of the parent is referenced instead.
+
+Two invariants tie this format to what a restart reads (see
+:func:`repro.ckpt.snapshot.snapshot_runs`): a snapshot holds exactly the
+sections a restore at its step needs, and it holds them in one file.
+A format-1 store (``ep*.json`` manifests beside ``ep*.bin`` payloads) is
+refused with :class:`CheckpointFormatError`, not migrated.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
 import zlib
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -37,13 +49,21 @@ __all__ = [
     "CheckpointStore",
     "CheckpointError",
     "CheckpointCorruptionError",
+    "CheckpointFormatError",
     "FORMAT_VERSION",
 ]
 
 #: manifest schema version; bump on incompatible layout changes
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MODES = ("full", "incr")
+
+#: magic, manifest bytes, manifest CRC32
+_HEADER = struct.Struct("<8sII")
+_MAGIC = b"REPROCK2"
+
+#: the buffers one ``os.writev`` call may take
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 class CheckpointError(RuntimeError):
@@ -51,19 +71,19 @@ class CheckpointError(RuntimeError):
 
 
 class CheckpointCorruptionError(CheckpointError):
-    """Stored bytes fail their manifest CRC32 (or are missing/truncated)."""
+    """Stored bytes fail their CRC32 (or are missing/truncated)."""
+
+
+class CheckpointFormatError(CheckpointError):
+    """The store was written in a format this version does not read."""
 
 
 def _rank_dirname(rank: int) -> str:
     return f"rank{rank:04d}"
 
 
-def _manifest_name(epoch: int) -> str:
-    return f"ep{epoch:08d}.json"
-
-
-def _data_name(epoch: int) -> str:
-    return f"ep{epoch:08d}.bin"
+def _snapshot_name(epoch: int) -> str:
+    return f"ep{epoch:08d}.snap"
 
 
 def _jsonable(value):
@@ -77,18 +97,66 @@ def _jsonable(value):
     return value
 
 
+def encode_head(manifest: Mapping) -> bytes:
+    """Header plus manifest: the bytes a snapshot file starts with."""
+    body = json.dumps(manifest).encode()
+    return _HEADER.pack(_MAGIC, len(body), zlib.crc32(body)) + body
+
+
+def read_head(fh, path: Path) -> Tuple[dict, int]:
+    """``(manifest, payload offset)`` of the open snapshot file *fh*."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise CheckpointCorruptionError(f"snapshot {path} is truncated in its header")
+    magic, nbytes, crc = _HEADER.unpack(head)
+    if magic != _MAGIC:
+        raise CheckpointCorruptionError(f"{path} is not a format-2 snapshot file")
+    body = fh.read(nbytes)
+    if len(body) != nbytes or zlib.crc32(body) != crc:
+        raise CheckpointCorruptionError(f"manifest of {path} fails CRC32")
+    try:
+        return json.loads(body), _HEADER.size + nbytes
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CheckpointCorruptionError(
+            f"manifest of {path} is not valid JSON: {exc}"
+        ) from exc
+
+
+def _write_all(fd: int, buffers: List) -> None:
+    """``os.writev`` *buffers* to *fd*, looping on short writes."""
+    views = [memoryview(b) for b in buffers if len(b)]
+    first = 0
+    while first < len(views):
+        n = os.writev(fd, views[first : first + _IOV_MAX])
+        while n:
+            size = views[first].nbytes
+            if n < size:
+                views[first] = views[first][n:]
+                break
+            n -= size
+            first += 1
+
+
 class CheckpointStore:
     """Filesystem-backed snapshot store for one run (all ranks, one dir).
 
-    The store is format-agnostic about what the chunks *mean*: it maps
-    ``(rank, epoch)`` to named verified byte blobs plus a JSON ``meta``
-    document.  The driver decides what goes in (see
+    The store is format-agnostic about what the sections *mean*: it maps
+    ``(rank, epoch)`` to named verified byte sections plus a JSON
+    ``meta`` document.  The driver decides what goes in (see
     :mod:`repro.ckpt.snapshot`).
     """
 
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        for pattern in ("rank[0-9]*/ep[0-9]*.json", "rank[0-9]*/ep[0-9]*.bin"):
+            old = next(self.root.glob(pattern), None)
+            if old is not None:
+                raise CheckpointFormatError(
+                    f"{self.root} is a format-1 checkpoint store ({old.name});"
+                    f" format {FORMAT_VERSION} keeps one .snap file per"
+                    " snapshot and does not read it: start the run afresh"
+                )
 
     # ------------------------------------------------------------------
     # paths
@@ -96,11 +164,8 @@ class CheckpointStore:
     def _rank_dir(self, rank: int) -> Path:
         return self.root / _rank_dirname(rank)
 
-    def data_path(self, rank: int, epoch: int) -> Path:
-        return self._rank_dir(rank) / _data_name(epoch)
-
-    def manifest_path(self, rank: int, epoch: int) -> Path:
-        return self._rank_dir(rank) / _manifest_name(epoch)
+    def snapshot_path(self, rank: int, epoch: int) -> Path:
+        return self._rank_dir(rank) / _snapshot_name(epoch)
 
     # ------------------------------------------------------------------
     # write path
@@ -109,7 +174,7 @@ class CheckpointStore:
         self,
         rank: int,
         epoch: int,
-        chunks: Sequence[Tuple[str, object]],
+        runs: Sequence[Tuple[Sequence[Tuple[str, int]], object]],
         meta: Optional[Mapping] = None,
         *,
         mode: str = "full",
@@ -119,14 +184,14 @@ class CheckpointStore:
     ) -> dict:
         """Commit one rank snapshot; returns the manifest dict.
 
-        *chunks* is a sequence of ``(name, buffer)`` pairs; each buffer
-        must be C-contiguous and support the buffer protocol (a NumPy
-        view is written zero-copy).  *parent* is the rank's previous
-        manifest and is required for ``mode="incr"`` (a parentless
-        incremental silently degrades to a full snapshot).  When
-        *dirty_names* is given, chunks **not** named in it are assumed
-        byte-identical to the parent and recorded as references without
-        being hashed; chunks named in it are still CRC-deduplicated.
+        *runs* is a sequence of ``(sections, buffer)`` pairs: one
+        C-contiguous buffer (written zero-copy) and the ``(name,
+        nbytes)`` of the adjacent sections it holds, in order.  *parent*
+        is the rank's previous manifest and is required for
+        ``mode="incr"`` (a parentless incremental silently degrades to a
+        full snapshot).  When *dirty_names* is given, sections **not**
+        named in it are assumed byte-identical to the parent and
+        recorded as references without being hashed.
         """
         if mode not in _MODES:
             raise CheckpointError(f"unknown snapshot mode {mode!r}")
@@ -134,7 +199,10 @@ class CheckpointStore:
             raise CheckpointError(f"epoch must be >= 0, got {epoch}")
         if mode == "incr" and parent is None:
             mode = "full"
-        parent_entries: Dict[str, dict] = {}
+        # name -> (parent run, the section's [name, start, nbytes] in it)
+        held: Dict[str, Tuple[dict, list]] = {}
+        # (name, nbytes) of every section -> a parent run holding exactly those
+        whole: Dict[tuple, dict] = {}
         if mode == "incr":
             if parent.get("problem_key") != problem_key:
                 raise CheckpointError(
@@ -142,45 +210,79 @@ class CheckpointStore:
                     f" (problem key {parent.get('problem_key')!r} !="
                     f" {problem_key!r})"
                 )
-            parent_entries = {c["name"]: c for c in parent["chunks"]}
+            for run in parent["runs"]:
+                for sec in run["sections"]:
+                    held[sec[0]] = (run, sec)
+                if sum(s[2] for s in run["sections"]) == run["nbytes"]:
+                    whole[tuple((s[0], s[2]) for s in run["sections"])] = run
         dirty = None if dirty_names is None else set(dirty_names)
 
         entries: List[dict] = []
+        refs: Dict[Tuple[int, int], dict] = {}  # parent run -> its entry here
         blobs: List[memoryview] = []
         offset = 0
-        for name, buf in chunks:
-            view = memoryview(buf)
-            if not view.contiguous:
-                raise CheckpointError(
-                    f"chunk {name!r} is not contiguous; cannot snapshot"
-                    " zero-copy"
-                )
-            view = view.cast("B")
-            nbytes = view.nbytes
-            prev = parent_entries.get(name)
-            if prev is not None and prev["nbytes"] == nbytes:
-                if dirty is not None and name not in dirty:
-                    # Provably untouched since the parent: reference the
-                    # epoch that physically wrote it, skip hashing.
-                    entries.append(dict(prev, name=name))
-                    continue
-                crc = zlib.crc32(view)
-                if crc == prev["crc32"]:
-                    entries.append(dict(prev, name=name))
-                    continue
-            else:
-                crc = zlib.crc32(view)
+
+        def reference(run: dict, secs) -> None:
+            key = (run["epoch"], run["offset"])
+            if key not in refs:
+                refs[key] = dict(run, sections=[])
+                entries.append(refs[key])
+            refs[key]["sections"].extend(list(s) for s in secs)
+
+        def write(view: memoryview, table: list) -> None:
+            nonlocal offset
+            crc = zlib.crc32(view)
+            prev = whole.get(tuple((s[0], s[2]) for s in table))
+            if prev is not None and prev["crc32"] == crc:
+                reference(prev, prev["sections"])
+                return
             entries.append(
                 {
-                    "name": name,
-                    "nbytes": nbytes,
-                    "crc32": crc,
                     "epoch": epoch,
                     "offset": offset,
+                    "nbytes": view.nbytes,
+                    "crc32": crc,
+                    "sections": table,
                 }
             )
             blobs.append(view)
-            offset += nbytes
+            offset += view.nbytes
+
+        for sections, buf in runs:
+            view = memoryview(buf)
+            if not view.contiguous:
+                raise CheckpointError(
+                    f"run {[n for n, _ in sections]} is not contiguous;"
+                    " cannot snapshot zero-copy"
+                )
+            view = view.cast("B")
+            pos, start, table = 0, 0, []
+            for name, nbytes in sections:
+                prev = held.get(name)
+                if (
+                    prev is not None
+                    and dirty is not None
+                    and name not in dirty
+                    and prev[1][2] == nbytes
+                ):
+                    # Provably untouched since the parent: reference the
+                    # epoch that physically wrote it, skip hashing.
+                    if table:
+                        write(view[start:pos], table)
+                    reference(prev[0], [prev[1]])
+                    table = []
+                else:
+                    if not table:
+                        start = pos
+                    table.append([name, pos - start, int(nbytes)])
+                pos += nbytes
+            if pos != view.nbytes:
+                raise CheckpointError(
+                    f"run {[n for n, _ in sections]} names {pos} bytes of a"
+                    f" {view.nbytes}-byte buffer"
+                )
+            if table:
+                write(view[start:pos], table)
 
         manifest = {
             "format": FORMAT_VERSION,
@@ -191,38 +293,28 @@ class CheckpointStore:
             "problem_key": problem_key,
             "data_bytes": offset,
             "meta": _jsonable(dict(meta or {})),
-            "chunks": entries,
+            "runs": entries,
         }
 
         rank_dir = self._rank_dir(rank)
         rank_dir.mkdir(parents=True, exist_ok=True)
-        # Atomic commit: payload first (write temp, fsync, rename), then
-        # the manifest the same way.  The manifest rename is the commit
-        # point; readers that find a manifest always find its bytes.
-        data_path = rank_dir / _data_name(epoch)
-        tmp = rank_dir / (_data_name(epoch) + ".tmp")
-        with open(tmp, "wb") as fh:
-            for blob in blobs:
-                fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, data_path)
-        man_path = rank_dir / _manifest_name(epoch)
-        tmp = rank_dir / (_manifest_name(epoch) + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            # One write of the C encoder's output: ``json.dump(indent=)``
-            # falls back to the Python encoder and writes token by token
-            # (a 64-chunk manifest: ~1 600 writes, 4x the time).
-            fh.write(json.dumps(manifest) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, man_path)
+        # Atomic commit: the whole file to a temp name (one writev),
+        # fsync, rename -- the commit point -- then the directory.
+        path = rank_dir / _snapshot_name(epoch)
+        tmp = rank_dir / (_snapshot_name(epoch) + ".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        try:
+            _write_all(fd, [encode_head(manifest), *blobs])
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
         self._fsync_dir(rank_dir)
         return manifest
 
     @staticmethod
     def _fsync_dir(path: Path) -> None:
-        """Make the renames themselves durable (POSIX dirs need fsync)."""
+        """Make the rename itself durable (POSIX dirs need fsync)."""
         try:
             fd = os.open(path, os.O_RDONLY)
         except OSError:  # pragma: no cover - exotic filesystems
@@ -239,19 +331,16 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     def manifest(self, rank: int, epoch: int) -> dict:
         """Load and structurally validate one manifest."""
-        path = self.manifest_path(rank, epoch)
+        path = self.snapshot_path(rank, epoch)
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            with open(path, "rb") as fh:
+                doc, _ = read_head(fh, path)
         except OSError as exc:
             raise CheckpointError(
                 f"no manifest for rank {rank} epoch {epoch}: {exc}"
             ) from exc
-        except json.JSONDecodeError as exc:
-            raise CheckpointCorruptionError(
-                f"manifest {path} is not valid JSON: {exc}"
-            ) from exc
         if doc.get("format") != FORMAT_VERSION:
-            raise CheckpointError(
+            raise CheckpointFormatError(
                 f"manifest {path} has format {doc.get('format')!r},"
                 f" expected {FORMAT_VERSION}"
             )
@@ -260,50 +349,55 @@ class CheckpointStore:
                 f"manifest {path} identifies as rank {doc.get('rank')}"
                 f" epoch {doc.get('epoch')}"
             )
-        if not isinstance(doc.get("chunks"), list):
-            raise CheckpointCorruptionError(f"manifest {path} has no chunks")
+        if not isinstance(doc.get("runs"), list):
+            raise CheckpointCorruptionError(f"manifest {path} has no runs")
         return doc
 
     def read_state(
         self, rank: int, manifest: Mapping, verify: bool = True
-    ) -> Dict[str, bytes]:
-        """Read every chunk of *manifest*, following references.
+    ) -> Dict[str, memoryview]:
+        """Read every section of *manifest*, following references.
 
-        Returns ``{chunk name: bytes}``.  With *verify* (the default)
-        every chunk is CRC32-checked; a single flipped byte anywhere in
-        the closure raises :class:`CheckpointCorruptionError`.
+        Returns ``{section name: bytes}`` (zero-copy slices of the runs
+        read).  With *verify* (the default) every run is CRC32-checked;
+        a single flipped byte anywhere in the closure raises
+        :class:`CheckpointCorruptionError`.
         """
         by_epoch: Dict[int, List[Mapping]] = {}
-        for entry in manifest["chunks"]:
+        for entry in manifest["runs"]:
             by_epoch.setdefault(int(entry["epoch"]), []).append(entry)
-        out: Dict[str, bytes] = {}
+        out: Dict[str, memoryview] = {}
         for src_epoch, entries in sorted(by_epoch.items()):
-            path = self.data_path(rank, src_epoch)
+            path = self.snapshot_path(rank, src_epoch)
             try:
                 fh = open(path, "rb")
             except OSError as exc:
                 raise CheckpointCorruptionError(
                     f"rank {rank} epoch {manifest['epoch']}: missing data"
                     f" file {path} (referenced for"
-                    f" {[e['name'] for e in entries]})"
+                    f" {[s[0] for e in entries for s in e['sections']]})"
                 ) from exc
             with fh:
+                _, base = read_head(fh, path)
                 for entry in sorted(entries, key=lambda e: e["offset"]):
-                    fh.seek(entry["offset"])
+                    fh.seek(base + entry["offset"])
                     data = fh.read(entry["nbytes"])
+                    names = [s[0] for s in entry["sections"]]
                     if len(data) != entry["nbytes"]:
                         raise CheckpointCorruptionError(
-                            f"chunk {entry['name']!r} truncated in {path}:"
+                            f"run {names} truncated in {path}:"
                             f" wanted {entry['nbytes']} bytes,"
                             f" got {len(data)}"
                         )
                     if verify and zlib.crc32(data) != entry["crc32"]:
                         raise CheckpointCorruptionError(
-                            f"chunk {entry['name']!r} of rank {rank} epoch"
+                            f"run {names} of rank {rank} epoch"
                             f" {manifest['epoch']} fails CRC32"
                             f" (stored in {path.name})"
                         )
-                    out[entry["name"]] = data
+                    run = memoryview(data)
+                    for name, start, nbytes in entry["sections"]:
+                        out[name] = run[start : start + nbytes]
         return out
 
     # ------------------------------------------------------------------
@@ -320,9 +414,9 @@ class CheckpointStore:
         return out
 
     def epochs(self, rank: int) -> List[int]:
-        """Epochs with a committed manifest, ascending (not yet verified)."""
+        """Epochs with a committed snapshot, ascending (not yet verified)."""
         out = []
-        for path in self._rank_dir(rank).glob("ep[0-9]*.json"):
+        for path in self._rank_dir(rank).glob("ep[0-9]*.snap"):
             try:
                 out.append(int(path.stem[2:]))
             except ValueError:  # pragma: no cover - stray files
@@ -332,7 +426,7 @@ class CheckpointStore:
     def verified_epochs(
         self, rank: int, problem_key: Optional[str] = None
     ) -> List[int]:
-        """Epochs whose full chunk closure reads back CRC-clean.
+        """Epochs whose full run closure reads back CRC-clean.
 
         This is what a restarting rank feeds into the epoch negotiation:
         a snapshot that fails verification is as good as absent.
@@ -418,24 +512,15 @@ class CheckpointStore:
             try:
                 for epoch in kept:
                     man = self.manifest(rank, epoch)
-                    closure.update(
-                        int(c["epoch"]) for c in man["chunks"]
-                    )
+                    closure.update(int(r["epoch"]) for r in man["runs"])
             except CheckpointError:
                 continue
             rank_dir = self._rank_dir(rank)
             for epoch in epochs:
-                if epoch in closure:
-                    continue
-                for path in (
-                    self.manifest_path(rank, epoch),
-                    self.data_path(rank, epoch),
-                ):
-                    # Manifest first so a partial prune can't leave a
-                    # manifest whose bytes are gone.
-                    if path.exists():
-                        path.unlink()
-                        removed.append(path)
+                if epoch not in closure:
+                    path = self.snapshot_path(rank, epoch)
+                    path.unlink()
+                    removed.append(path)
             for stray in rank_dir.glob("*.tmp"):
                 stray.unlink()
                 removed.append(stray)

@@ -394,9 +394,13 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_ckpt(args) -> int:
-    from repro.ckpt import CheckpointStore
+    from repro.ckpt import CheckpointFormatError, CheckpointStore
 
-    store = CheckpointStore(args.dir)
+    try:
+        store = CheckpointStore(args.dir)
+    except CheckpointFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.ckpt_cmd == "ls":
         rows = store.ls_rows(nranks=args.nranks)
         if not rows:

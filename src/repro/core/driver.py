@@ -15,7 +15,7 @@ world -- decomposition, slot assignment, adjacency, every rank's frozen
 message plan, the initial condition -- has ``repro.check`` verify that
 object when asked to, and hands it to the ranks.  A rank does only what
 is per rank: it builds one :class:`_RankState` -- the two buffers, the
-compiled stencil plan per cycle position, the checkpoint chunk layout --
+compiled stencil plan per cycle position, the checkpoint run layout --
 from either storage kind (:func:`_array_state`, :func:`_brick_state`),
 binds its plan to each buffer, wraps the exchange engines into a
 :class:`~repro.core.runplan.RankRunPlan`, attaches the requested
@@ -55,6 +55,7 @@ from repro.ckpt import (
     RankCheckpointer,
     negotiate_epoch,
     problem_key,
+    snapshot_runs,
     storage_chunks,
 )
 from repro.faults.errors import (
@@ -158,12 +159,39 @@ def _close_all(resources: Sequence) -> None:
 
 @dataclass
 class _SnapshotLayout:
-    """How a rank state is checkpointed: its chunks and what dirties them."""
+    """How a rank state is checkpointed: its runs and what dirties them."""
 
-    chunk_specs: List[ChunkSpec]
-    chunks: list  # per buffer: (name, zero-copy uint8 view) pairs
+    sections: List[ChunkSpec]  # every section: what dirty tracking names
+    # [exchange step, mid-cycle] -> per buffer: the store's (section
+    # table, zero-copy uint8 view) runs, as :func:`snapshot_runs` rules
+    runs: list
+    period: int
     ghost_slots: Sequence[int]  # slots an exchange rewrites
     dirty_slots: list  # slots the calc of each cycle position rewrites
+
+    def at(self, step: int, buf: int) -> list:
+        """The runs a snapshot of buffer *buf* before *step* holds."""
+        return self.runs[step % self.period != 0][buf]
+
+
+def _snapshot_layout(
+    geometry: RunGeometry, rank: int, period: int, buffers, sections,
+    ghost_slots, dirty_slots,
+) -> _SnapshotLayout:
+    """*buffers* are ``(slot_bytes, slot_nbytes)`` per buffer."""
+    return _SnapshotLayout(
+        sections=sections,
+        runs=[
+            [[run.chunk(*buf) for run in runs] for buf in buffers]
+            for runs in (
+                snapshot_runs(geometry, rank, step, period)
+                for step in range(min(period, 2))  # exchange step, mid-cycle
+            )
+        ],
+        period=period,
+        ghost_slots=ghost_slots,
+        dirty_slots=dirty_slots,
+    )
 
 
 @dataclass
@@ -182,7 +210,7 @@ class _RankState:
     computed_points: List[int]  # stencil points evaluated per position
     # () -> ((interior plan, surface plan) of position 0, interior points)
     compile_split: Callable[[], Tuple[tuple, int]]
-    snapshot_layout: Callable[[], _SnapshotLayout]  # checkpointed runs only
+    snapshot_layout: Callable[[int], _SnapshotLayout]  # of a rank; checkpointed runs
     fill: Callable[[np.ndarray], None]  # owned initial values into buffer 0
     result: Callable[[int], np.ndarray]  # copy of buffer i's owned region
     exchangers: list = field(default_factory=list)
@@ -231,13 +259,15 @@ def _array_state(geometry: RunGeometry, period: int) -> _RankState:
         computed_points=[int(np.prod([e + 2 * m for e in ext])) for m in margins],
         compile_split=compile_split,
         # The whole extended subdomain (ghost margins included) is one
-        # chunk, rewritten by every step; the margins make mid-cycle
-        # restores of period>1 runs self-contained.
-        snapshot_layout=lambda: _SnapshotLayout(
-            chunk_specs=[ChunkSpec("array", 0, 1)],
-            chunks=[[("array", a.reshape(-1).view(np.uint8))] for a in arrays],
-            ghost_slots=(),
-            dirty_slots=[[0]] * period,
+        # run of one "slot", rewritten by every step; the margins make
+        # mid-cycle restores of period>1 runs self-contained.
+        snapshot_layout=lambda rank: _snapshot_layout(
+            geometry, rank, period,
+            [
+                (lambda start, n, a=a: a.reshape(-1).view(np.uint8), a.nbytes)
+                for a in arrays
+            ],
+            [ChunkSpec("array", 0, 1)], (), [[0]] * period,
         ),
         fill=fill,
         result=lambda src: arrays[src][own].copy(),
@@ -273,26 +303,19 @@ def _brick_state(geometry: RunGeometry, period: int) -> _RankState:
         interior = len(split[0].slots) if split[0] is not None else 0
         return split, interior * decomp.brick_volume
 
-    def snapshot_layout() -> _SnapshotLayout:
-        # Section-granular snapshots of the src storage only: the
-        # ghost-expansion invariant (bricks read at cycle position pos+1
-        # were computed at pos) means the dst buffer never contributes
-        # bytes a resumed run could read.
-        specs = storage_chunks(asn)
-        return _SnapshotLayout(
-            chunk_specs=specs,
-            chunks=[
-                [(c.name, st.slot_bytes(c.start_slot, c.nslots)) for c in specs]
-                for st in storages
-            ],
-            ghost_slots=np.concatenate(
-                [
-                    np.arange(s.start, s.end)
-                    for s in asn.sections
-                    if s.kind == "ghost"
-                ]
+    def snapshot_layout(rank: int) -> _SnapshotLayout:
+        # Snapshots of the src storage only: the ghost-expansion
+        # invariant (bricks read at cycle position pos+1 were computed at
+        # pos) means the dst buffer never contributes bytes a resumed run
+        # could read.
+        return _snapshot_layout(
+            geometry, rank, period,
+            [(st.slot_bytes, st.brick_bytes) for st in storages],
+            storage_chunks(asn),
+            np.concatenate(
+                [np.arange(s.start, s.end) for s in asn.sections if s.kind == "ghost"]
             ),
-            dirty_slots=cycle_slots,
+            cycle_slots,
         )
 
     return _RankState(
@@ -550,10 +573,10 @@ def _rank_fn(
     restore_level = 0
     cp = snap = None
     if ckpt is not None:
-        snap = state.snapshot_layout()
+        snap = state.snapshot_layout(rank)
         slot_key = geometry.slot_key
         key = problem_key(problem, seed, method, *slot_key, period)
-        cp = RankCheckpointer(ckpt, rank, snap.chunk_specs, key, slot_key[1])
+        cp = RankCheckpointer(ckpt, rank, snap.sections, key, slot_key[1])
         state.checkpointer = cp
         adjacency_crc = geometry.adjacency_crc
         if ckpt.resume:
@@ -562,7 +585,7 @@ def _rank_fn(
                 # Restoring writes through the arena, so MemMap stitched
                 # views built below alias the restored bytes directly
                 # (vmem re-attach).
-                meta = cp.restore(epoch, snap.chunks[0])
+                meta = cp.restore(epoch, snap.at(epoch, 0))
                 start_step = _ckpt_apply_meta(
                     meta, ledger, period, adjacency_crc, injector
                 )
@@ -606,11 +629,12 @@ def _rank_fn(
             # must not be double-counted).
             cp.save(
                 t,
-                snap.chunks[src],
+                snap.at(t, src),
                 _ckpt_meta(
                     t, ledger, state.ladder_level, period, adjacency_crc,
                     injector,
                 ),
+                src,
             )
         if (
             state.ladder_level is not None
@@ -629,8 +653,8 @@ def _rank_fn(
         )
     if cp is not None:
         dirty = cp.dirty
-        rp.post_exchange = lambda: dirty.mark_slots(snap.ghost_slots)
-        rp.post_calc = lambda pos: dirty.mark_slots(snap.dirty_slots[pos])
+        rp.post_exchange = lambda src: dirty[src].mark_slots(snap.ghost_slots)
+        rp.post_calc = lambda pos, dst: dirty[dst].mark_slots(snap.dirty_slots[pos])
 
     src = rp.run(start_step, timesteps, ledger)
 

@@ -114,9 +114,10 @@ class RankRunPlan:
         epoch spans ``start()`` -> ``complete()``, the interior work
         runs once, and a repeated ``fire()`` re-fires ``complete()``
         only.
-    ``post_exchange()`` / ``post_calc(pos)``
-        after the ghost sections / the slots of cycle position *pos*
-        were rewritten (checkpoint dirty tracking).
+    ``post_exchange(src)`` / ``post_calc(pos, dst)``
+        after the ghost sections of buffer *src* / the slots of cycle
+        position *pos* in buffer *dst* were rewritten (checkpoint dirty
+        tracking, per buffer).
     """
 
     __slots__ = ("engines", "plans", "buffers", "period", "splits", "rank",
@@ -166,8 +167,8 @@ class RankRunPlan:
         self.around_exchange: Optional[
             Callable[[int, Callable[[], ExchangeResult]], ExchangeResult]
         ] = None
-        self.post_exchange: Optional[Callable[[], None]] = None
-        self.post_calc: Optional[Callable[[int], None]] = None
+        self.post_exchange: Optional[Callable[[int], None]] = None
+        self.post_calc: Optional[Callable[[int, int], None]] = None
 
     def set_engines(self, engines: Sequence) -> None:
         """Install rebuilt engines once the current ones' sends completed;
@@ -264,7 +265,7 @@ class RankRunPlan:
                         ledger.wire_bytes += res.wire_bytes_sent
                         ledger.payload_bytes += res.payload_bytes_sent
                         if post_exchange is not None:
-                            post_exchange()
+                            post_exchange(src)
                     if sweep is not None:
                         self.engines[dst].wait_sends()
                         with span("driver.calc", rank=rank, step=t):
@@ -272,7 +273,7 @@ class RankRunPlan:
                             sweep.execute(bufs[src], bufs[dst])
                             measured.calc += perf() - t0
                     if post_calc is not None:
-                        post_calc(pos)
+                        post_calc(pos, dst)
                     totals.calc += calc
                     ledger.timesteps += 1
                 src, dst = dst, src

@@ -1,29 +1,35 @@
 """Re-brick a consistent snapshot epoch onto a new decomposition.
 
 The elastic pivot: an N-rank world's per-rank snapshots are read back
-chunk by chunk, assembled into the global field through each old rank's
+run by run, assembled into the global field through each old rank's
 owned region, and re-sliced, re-bricked and re-saved as an M-rank
 snapshot of the *same epoch* under the new decomposition's problem key.
 The relaunched M-rank world then restores it through the ordinary
 checkpoint path -- restart-after-reshape is just restart.
 
-Correctness rests on two invariants of the snapshot format:
+Correctness rests on two invariants of the snapshot format, and both
+hold for the writer as much as for the reader, because both sides ask
+the one rule :func:`~repro.ckpt.snapshot.snapshot_runs` what a snapshot
+at a step holds:
 
-* The **owned region is always current**: every cycle position computes
-  all interior and surface bricks, so the src storage at epoch ``t``
-  holds timestep-``t`` values for every owned element regardless of the
-  exchange period.  The global field is therefore exactly recoverable
-  from owned regions alone.
+* The **owned region is always current and always held**: every cycle
+  position computes all interior and surface bricks, so the src storage
+  at epoch ``t`` holds timestep-``t`` values for every owned element
+  regardless of the exchange period, and no snapshot leaves an owned
+  section out.  The global field is therefore exactly recoverable from
+  owned regions alone -- which is all :func:`restore_global` reads.
 * **Ghost margins are reconstructible by periodic wrap**: the redundant
   computation of ghost-cell expansion is bit-identical to the owning
   neighbor's computation of the same cells, so filling the new ranks'
   ghost shells from the global field with periodic indexing reproduces
   every byte a resumed mid-cycle step may read.  (This is why elastic
-  restart requires a periodic problem.)
+  restart requires a periodic problem.)  At an exchange-step epoch the
+  rule drops the received ghost sections from the written snapshot: the
+  resumed world's first exchange rewrites them.
 
 Data moves through the same zero-copy paths the checkpointer uses:
-chunks load into a scratch arena via ``BrickStorage.load_slot_bytes``
-(an ``Arena.write_bytes`` under the hood), and the new chunks are saved
+sections load into a scratch arena via ``BrickStorage.load_slot_bytes``
+(an ``Arena.write_bytes`` under the hood), and the new runs are saved
 straight from ``BrickStorage.slot_bytes`` arena views.
 """
 
@@ -39,7 +45,7 @@ from repro.ckpt import (
     CheckpointError,
     CheckpointStore,
     problem_key,
-    storage_chunks,
+    snapshot_runs,
 )
 from repro.core.expansion import resolve_period
 from repro.core.geometry import RunGeometry
@@ -58,16 +64,13 @@ def snapshot_key(geometry: RunGeometry, seed: int, period: int) -> str:
     )
 
 
-def _scratch(geometry: RunGeometry):
-    """``(scratch storage, its snapshot chunks)`` a brick world's
-    snapshots pass through; ``(None, None)`` for an array world."""
+def _scratch(geometry: RunGeometry) -> Optional[BrickStorage]:
+    """The scratch storage a brick world's snapshots pass through;
+    ``None`` for an array world."""
     decomp, asn = geometry.decomp, geometry.assignment
     if decomp is None:
-        return None, None
-    return (
-        BrickStorage.allocate(asn.total_slots, decomp.brick_elems, decomp.dtype),
-        storage_chunks(asn),
-    )
+        return None
+    return BrickStorage.allocate(asn.total_slots, decomp.brick_elems, decomp.dtype)
 
 
 def restore_global(
@@ -81,7 +84,7 @@ def restore_global(
     """Assemble the global field of *epoch* from the snapshot set of the
     world *geometry* describes.
 
-    Returns ``(global array, rank-0 meta)``.  Every rank's chunks are
+    Returns ``(global array, rank-0 meta)``.  Every rank's runs are
     CRC-verified on read and checked against the configuration's problem
     key, so a snapshot from a different run shape is refused, not
     misinterpreted.
@@ -94,7 +97,7 @@ def restore_global(
         tuple(reversed(problem.global_extent)), dtype=problem.dtype
     )
     decomp, asn = geometry.decomp, geometry.assignment
-    scratch, specs = _scratch(geometry)
+    scratch = _scratch(geometry)
     meta0: dict = {}
     try:
         for rank in range(problem.nranks):
@@ -105,15 +108,23 @@ def restore_global(
                     " different run configuration; cannot re-brick"
                 )
             state = store.read_state(rank, manifest, verify=True)
+            held = [
+                (spec, state.get(spec.name))
+                for run in snapshot_runs(geometry, rank, epoch, period)
+                for spec in run.sections
+            ]
+            missing = [spec.name for spec, data in held if data is None]
+            if missing:
+                raise CheckpointError(
+                    f"rank {rank} epoch {epoch} is missing sections {missing}"
+                )
             if scratch is not None:
-                for spec in specs:
-                    scratch.load_slot_bytes(
-                        spec.start_slot, spec.nslots, state[spec.name]
-                    )
+                for spec, data in held:
+                    scratch.load_slot_bytes(spec.start_slot, spec.nslots, data)
                 ext_arr = bricks_to_extended(decomp, scratch, asn)
             else:
                 ext_arr = np.frombuffer(
-                    state["array"], dtype=problem.dtype
+                    held[0][1], dtype=problem.dtype
                 ).reshape(geometry.extended_shape)
             coords = unravel_index(rank, problem.rank_dims)
             global_arr[problem.owned_slices(coords)] = ext_arr[own_slc]
@@ -188,7 +199,7 @@ def rebrick(
         key = snapshot_key(new_geometry, seed, period)
         meta = _rebrick_meta(epoch, period, new_geometry.adjacency_crc, fired)
         decomp, asn = new_geometry.decomp, new_geometry.assignment
-        scratch, specs = _scratch(new_geometry)
+        scratch = _scratch(new_geometry)
         bytes_written = 0
         try:
             for rank in range(new_problem.nranks):
@@ -196,17 +207,16 @@ def rebrick(
                 ext_arr = _wrapped_extended(global_arr, new_problem, coords)
                 if scratch is not None:
                     extended_to_bricks(ext_arr, decomp, scratch, asn)
-                    chunks = [
-                        (
-                            spec.name,
-                            scratch.slot_bytes(spec.start_slot, spec.nslots),
-                        )
-                        for spec in specs
-                    ]
+                    buf = (scratch.slot_bytes, scratch.brick_bytes)
                 else:
-                    chunks = [("array", ext_arr.reshape(-1).view(np.uint8))]
+                    flat = ext_arr.reshape(-1).view(np.uint8)
+                    buf = (lambda start, n, flat=flat: flat, flat.nbytes)
+                runs = [
+                    run.chunk(*buf)
+                    for run in snapshot_runs(new_geometry, rank, epoch, period)
+                ]
                 manifest = dst_store.save(
-                    rank, epoch, chunks, meta=meta, mode="full",
+                    rank, epoch, runs, meta=meta, mode="full",
                     problem_key=key,
                 )
                 bytes_written += int(manifest["data_bytes"])

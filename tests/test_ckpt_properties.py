@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.brick.storage import BrickStorage
-from repro.ckpt import CheckpointStore, ChunkSpec, DirtyTracker
+from repro.ckpt import CheckpointStore, ChunkSpec, DirtyTracker, group_runs
 
 DTYPES = ("float64", "float32", "int32", "int16")
 ARENAS = ("plain", "mapped")
@@ -68,10 +68,10 @@ class TestSnapshotRoundTrip:
 
         root = tmp_path_factory.mktemp("ckpt")
         store = CheckpointStore(root)
-        chunks = [
-            (s.name, src.slot_bytes(s.start_slot, s.nslots)) for s in specs
+        runs = [
+            run.chunk(src.slot_bytes, src.brick_bytes) for run in group_runs(specs)
         ]
-        man = store.save(0, 0, chunks, problem_key="prop")
+        man = store.save(0, 0, runs, problem_key="prop")
 
         dst = _make_storage(arena_kind, nslots, brick_elems, dtype)
         sentinel = _fill(dst, seed + 1)
@@ -106,10 +106,11 @@ class TestSnapshotRoundTrip:
         specs = [ChunkSpec(f"s{i}", i, 1) for i in range(nslots)]
 
         store = CheckpointStore(tmp_path_factory.mktemp("ckpt"))
-        chunks = lambda: [  # noqa: E731 - tiny local helper
-            (s.name, src.slot_bytes(s.start_slot, s.nslots)) for s in specs
+        # Six adjacent one-slot sections: one run, split by dirtiness.
+        runs = [
+            run.chunk(src.slot_bytes, src.brick_bytes) for run in group_runs(specs)
         ]
-        parent = store.save(0, 0, chunks(), problem_key="prop")
+        parent = store.save(0, 0, runs, problem_key="prop")
 
         # Mutate exactly the dirty slots, then snapshot incrementally.
         tracker = DirtyTracker(nslots)
@@ -118,7 +119,7 @@ class TestSnapshotRoundTrip:
             src.data[slot] = src.data[slot] + np.asarray(1, src.dtype)
             tracker.mark_slots([slot])
         man = store.save(
-            0, 1, chunks(), mode="incr", problem_key="prop", parent=parent,
+            0, 1, runs, mode="incr", problem_key="prop", parent=parent,
             dirty_names=tracker.names(specs),
         )
 

@@ -114,22 +114,25 @@ class TestResumeSemantics:
             run_executed(_problem(), "layout", timesteps=1, resume=True)
 
     def test_incremental_writes_fewer_bytes_than_full(self, tmp_path):
-        # Ghost-expansion workload: with exchange period 2, the cycle
-        # position that skips the exchange leaves outer ghost sections
-        # untouched, so incremental snapshots reference them instead of
-        # rewriting.
+        # Open boundaries: the ghost sections no neighbour sends into are
+        # live in every snapshot and, with no ghost-expansion margin to
+        # recompute them, never change, so incremental snapshots
+        # reference them instead of rewriting.  (The ghost sections a
+        # periodic exchange-step snapshot used to reference are dead
+        # there: no mode writes them.)
         problem = StencilProblem(
             global_extent=(32, 32, 32),
             rank_dims=(2, 2, 2),
             stencil=SEVEN_POINT,
             brick_dim=(4, 4, 4),
             ghost=8,
+            periodic=False,
         )
         bytes_by_mode = {}
         for mode in ("full", "incr"):
             run = run_executed(
                 problem, "layout", timesteps=STEPS, seed=0,
-                exchange_period=2, checkpoint_dir=tmp_path / mode,
+                exchange_period=1, checkpoint_dir=tmp_path / mode,
                 checkpoint_period=1, checkpoint_mode=mode,
             )
             bytes_by_mode[mode] = run.checkpoint_bytes

@@ -1,6 +1,7 @@
 """Checkpoint store unit tests: commits, incrementals, corruption, prune."""
 
-import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -8,56 +9,117 @@ import pytest
 from repro.ckpt import (
     CheckpointCorruptionError,
     CheckpointError,
+    CheckpointFormatError,
     CheckpointStore,
     negotiate_epoch,
 )
+from repro.ckpt.store import read_head
 from repro.simmpi.collectives import allreduce
 from repro.simmpi.launcher import run_spmd
 
+SIZES = {"interior": 512, "surface:a": 128, "surface:b": 128, "ghost:c": 64}
+#: How the sections lie in storage: each tuple is one contiguous run.
+RUNS = (("interior", "surface:a"), ("surface:b",), ("ghost:c",))
 
-def _chunks(seed, sizes):
+
+def _runs(seed, layout=RUNS):
+    """The store's ``(section table, buffer)`` runs, filled from *seed*."""
     rng = np.random.default_rng(seed)
     return [
-        (name, rng.integers(0, 256, size=n, dtype=np.uint8))
-        for name, n in sizes.items()
+        (
+            [(name, SIZES[name]) for name in names],
+            rng.integers(0, 256, size=sum(SIZES[n] for n in names), dtype=np.uint8),
+        )
+        for names in layout
     ]
 
 
-SIZES = {"interior": 512, "surface:a": 128, "surface:b": 128, "ghost:c": 64}
+def _sections(runs):
+    """``{section name: bytes}`` that *runs* hold."""
+    out = {}
+    for table, buf in runs:
+        pos = 0
+        for name, nbytes in table:
+            out[name] = buf[pos : pos + nbytes].tobytes()
+            pos += nbytes
+    return out
+
+
+def _written_by(manifest):
+    """``{section name: epoch whose file holds it}``."""
+    return {
+        s[0]: run["epoch"] for run in manifest["runs"] for s in run["sections"]
+    }
 
 
 class TestCommit:
     def test_full_round_trip(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        chunks = _chunks(0, SIZES)
-        man = store.save(0, 0, chunks, meta={"step": 0}, problem_key="k")
+        runs = _runs(0)
+        man = store.save(0, 0, runs, meta={"step": 0}, problem_key="k")
         assert man["mode"] == "full"
         assert man["data_bytes"] == sum(SIZES.values())
+        # One chunk (one CRC, one manifest entry) per run, not per section.
+        assert len(man["runs"]) == len(RUNS)
         state = store.read_state(0, store.manifest(0, 0))
-        for name, buf in chunks:
-            assert state[name] == buf.tobytes()
+        for name, data in _sections(runs).items():
+            assert state[name] == data
         assert store.manifest(0, 0)["meta"] == {"step": 0}
 
     def test_commit_leaves_no_temp_files(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, _chunks(0, SIZES))
+        store.save(0, 0, _runs(0))
         assert not list(tmp_path.rglob("*.tmp"))
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [
+            "ep00000000.snap"
+        ]
 
     def test_manifest_is_the_commit_point(self, tmp_path):
-        # Data without a manifest (a simulated mid-commit crash) is
-        # invisible: the epoch is not listed and not negotiable.
+        # The rename of the whole file commits it: a half-written temp
+        # file (a simulated mid-commit crash) is invisible -- the epoch
+        # is not listed and not negotiable.
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, _chunks(0, SIZES))
-        store.data_path(0, 1).parent.mkdir(exist_ok=True)
-        store.data_path(0, 1).write_bytes(b"half-written")
+        store.save(0, 0, _runs(0))
+        tmp = store.snapshot_path(0, 1).with_name("ep00000001.snap.tmp")
+        tmp.write_bytes(b"half-written")
         assert store.epochs(0) == [0]
         assert store.verified_epochs(0) == [0]
+        store.prune(keep=1)
+        assert not tmp.exists()
+
+    def test_one_save_is_one_write_two_fsyncs_one_rename(self, tmp_path, monkeypatch):
+        store = CheckpointStore(tmp_path)
+        calls = {"fsync": 0, "replace": 0, "writev": 0}
+        for name in calls:
+            real = getattr(os, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(os, name, counted)
+        store.save(0, 0, _runs(0), meta={"step": 0}, problem_key="k")
+        assert calls == {"fsync": 2, "replace": 1, "writev": 1}
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        real = os.writev
+
+        def short(fd, buffers):  # the kernel takes 100 bytes at a time
+            first = memoryview(buffers[0]).cast("B")
+            return real(fd, [first[:100]])
+
+        monkeypatch.setattr(os, "writev", short)
+        store = CheckpointStore(tmp_path)
+        runs = _runs(0)
+        store.save(0, 0, runs, problem_key="k")
+        monkeypatch.setattr(os, "writev", real)
+        assert store.read_state(0, store.manifest(0, 0)) == _sections(runs)
 
     def test_meta_jsonified(self, tmp_path):
         store = CheckpointStore(tmp_path)
         meta = {"step": np.int64(3), "vals": (np.float64(1.5), 2)}
-        store.save(0, 0, _chunks(0, SIZES), meta=meta)
-        doc = json.loads(store.manifest_path(0, 0).read_text())
+        store.save(0, 0, _runs(0), meta=meta)
+        doc = store.manifest(0, 0)
         assert doc["meta"] == {"step": 3, "vals": [1.5, 2]}
 
     def test_bad_inputs(self, tmp_path):
@@ -68,126 +130,152 @@ class TestCommit:
             store.save(0, -1, [])
         with pytest.raises(CheckpointError, match="no manifest"):
             store.manifest(0, 42)
+        with pytest.raises(CheckpointError, match="names 64 bytes"):
+            store.save(0, 0, [([("ghost:c", 64)], np.zeros(65, np.uint8))])
 
 
 class TestIncremental:
     def test_surface_only_change_writes_strictly_fewer_bytes(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        chunks = _chunks(0, SIZES)
-        parent = store.save(0, 0, chunks, problem_key="k")
+        runs = _runs(0)
+        parent = store.save(0, 0, runs, problem_key="k")
         # Workload where only surface bricks change between periods.
         changed = []
-        for name, buf in chunks:
+        for table, buf in runs:
             buf = buf.copy()
-            if name.startswith("surface:"):
-                buf[0] ^= 0xFF
-            changed.append((name, buf))
+            pos = 0
+            for name, nbytes in table:
+                if name.startswith("surface:"):
+                    buf[pos] ^= 0xFF
+                pos += nbytes
+            changed.append((table, buf))
         man = store.save(
             0, 1, changed, mode="incr", problem_key="k", parent=parent,
-            dirty_names=[n for n, _ in changed if n.startswith("surface:")],
+            dirty_names=[n for n in SIZES if n.startswith("surface:")],
         )
         assert man["mode"] == "incr"
         full_bytes = parent["data_bytes"]
         assert 0 < man["data_bytes"] < full_bytes
         assert man["data_bytes"] == SIZES["surface:a"] + SIZES["surface:b"]
-        # Unchanged chunks are references to the epoch that wrote them.
-        by_name = {c["name"]: c for c in man["chunks"]}
-        assert by_name["interior"]["epoch"] == 0
-        assert by_name["ghost:c"]["epoch"] == 0
-        assert by_name["surface:a"]["epoch"] == 1
+        # Unchanged sections are references to the epoch that wrote them,
+        # also where the parent wrote them inside a larger run.
+        by_name = _written_by(man)
+        assert by_name["interior"] == 0
+        assert by_name["ghost:c"] == 0
+        assert by_name["surface:a"] == 1
         # The reconstructed state follows references transparently.
         state = store.read_state(0, man)
-        for name, buf in changed:
-            assert state[name] == buf.tobytes()
+        for name, data in _sections(changed).items():
+            assert state[name] == data
+
+    def test_adjacent_dirty_sections_are_one_run(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        layout = (("interior", "surface:a", "surface:b", "ghost:c"),)
+        runs = _runs(0, layout)
+        parent = store.save(0, 0, runs, problem_key="k")
+        assert len(parent["runs"]) == 1
+        runs[0][1][:] += 1
+        man = store.save(
+            0, 1, runs, mode="incr", problem_key="k", parent=parent,
+            dirty_names=["surface:a", "surface:b"],
+        )
+        written = [r for r in man["runs"] if r["epoch"] == 1]
+        assert [[s[0] for s in r["sections"]] for r in written] == [
+            ["surface:a", "surface:b"]
+        ]
+        assert man["data_bytes"] == 256
+        # Both clean ends reference the one parent run.
+        assert [r["epoch"] for r in man["runs"]].count(0) == 1
 
     def test_crc_dedup_inside_dirty_set(self, tmp_path):
-        # A chunk marked dirty whose bytes did not actually change is
+        # A run marked dirty whose bytes did not actually change is
         # still deduplicated by CRC comparison against the parent.
         store = CheckpointStore(tmp_path)
-        chunks = _chunks(0, SIZES)
-        parent = store.save(0, 0, chunks, problem_key="k")
+        runs = _runs(0)
+        parent = store.save(0, 0, runs, problem_key="k")
         man = store.save(
-            0, 1, chunks, mode="incr", problem_key="k", parent=parent,
-            dirty_names=[n for n, _ in chunks],
+            0, 1, runs, mode="incr", problem_key="k", parent=parent,
+            dirty_names=list(SIZES),
         )
         assert man["data_bytes"] == 0
-        assert all(c["epoch"] == 0 for c in man["chunks"])
+        assert all(c["epoch"] == 0 for c in man["runs"])
 
     def test_parentless_incremental_degrades_to_full(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        man = store.save(0, 0, _chunks(0, SIZES), mode="incr")
+        man = store.save(0, 0, _runs(0), mode="incr")
         assert man["mode"] == "full"
 
     def test_incremental_rejects_foreign_parent(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        parent = store.save(0, 0, _chunks(0, SIZES), problem_key="run-a")
+        parent = store.save(0, 0, _runs(0), problem_key="run-a")
         with pytest.raises(CheckpointError, match="different run"):
             store.save(
-                0, 1, _chunks(1, SIZES), mode="incr", problem_key="run-b",
+                0, 1, _runs(1), mode="incr", problem_key="run-b",
                 parent=parent,
             )
 
 
 class TestCorruption:
     def test_single_flipped_byte_detected_in_any_chunk(self, tmp_path):
-        offsets = {}
         store = CheckpointStore(tmp_path)
-        man = store.save(0, 0, _chunks(0, SIZES), problem_key="k")
-        for entry in man["chunks"]:
-            # Flip one byte in the middle of this chunk, check detection,
-            # then restore the original byte for the next round.
-            offsets[entry["name"]] = entry["offset"] + entry["nbytes"] // 2
-        path = store.data_path(0, 0)
+        man = store.save(0, 0, _runs(0), problem_key="k")
+        path = store.snapshot_path(0, 0)
+        with open(path, "rb") as fh:
+            _, base = read_head(fh, path)
+        # Flip one byte in the middle of each run -- and one inside the
+        # manifest -- check detection, then restore the original byte.
+        offsets = [base + r["offset"] + r["nbytes"] // 2 for r in man["runs"]]
+        offsets.append(base // 2)
         pristine = path.read_bytes()
-        for name, off in offsets.items():
+        for off in offsets:
             blob = bytearray(pristine)
             blob[off] ^= 0x01
             path.write_bytes(bytes(blob))
             with pytest.raises(CheckpointCorruptionError, match="CRC32"):
                 store.read_state(0, store.manifest(0, 0))
             rows = store.verify()
-            assert [r["ok"] for r in rows] == [False], name
+            assert [r["ok"] for r in rows] == [False], off
             assert store.verified_epochs(0) == []
         path.write_bytes(pristine)
         assert store.verified_epochs(0) == [0]
 
     def test_truncated_data_detected(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, _chunks(0, SIZES))
-        path = store.data_path(0, 0)
+        store.save(0, 0, _runs(0))
+        path = store.snapshot_path(0, 0)
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(CheckpointCorruptionError, match="truncated"):
             store.read_state(0, store.manifest(0, 0))
 
     def test_missing_referenced_data_file_detected(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        parent = store.save(0, 0, _chunks(0, SIZES), problem_key="k")
+        parent = store.save(0, 0, _runs(0), problem_key="k")
         man = store.save(
-            0, 1, _chunks(0, SIZES), mode="incr", problem_key="k",
+            0, 1, _runs(0), mode="incr", problem_key="k",
             parent=parent, dirty_names=[],
         )
-        store.data_path(0, 0).unlink()
+        store.snapshot_path(0, 0).unlink()
         with pytest.raises(CheckpointCorruptionError, match="missing data"):
             store.read_state(0, man)
 
     def test_manifest_identity_mismatch_detected(self, tmp_path):
+        # Rank 0's snapshot file under rank 5's name.
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, _chunks(0, SIZES))
-        doc = json.loads(store.manifest_path(0, 0).read_text())
-        doc["rank"] = 5
-        store.manifest_path(0, 0).write_text(json.dumps(doc))
+        store.save(0, 0, _runs(0))
+        store.snapshot_path(5, 0).parent.mkdir()
+        shutil.copy(store.snapshot_path(0, 0), store.snapshot_path(5, 0))
         with pytest.raises(CheckpointCorruptionError, match="identifies"):
-            store.manifest(0, 0)
+            store.manifest(5, 0)
 
 
 class TestMaintenance:
     def test_prune_keeps_reference_closure(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        chunks = _chunks(0, SIZES)
-        man = store.save(0, 0, chunks, problem_key="k")
+        runs = _runs(0)
+        man = store.save(0, 0, runs, problem_key="k")
         for epoch in (1, 2, 3):
             man = store.save(
-                0, epoch, chunks, mode="incr", problem_key="k", parent=man,
+                0, epoch, runs, mode="incr", problem_key="k", parent=man,
                 dirty_names=[],
             )
         removed = store.prune(keep=1)
@@ -196,8 +284,8 @@ class TestMaintenance:
         assert store.epochs(0) == [0, 3]
         assert removed
         state = store.read_state(0, store.manifest(0, 3))
-        for name, buf in chunks:
-            assert state[name] == buf.tobytes()
+        for name, data in _sections(runs).items():
+            assert state[name] == data
 
     def test_prune_requires_keep(self, tmp_path):
         with pytest.raises(CheckpointError, match="at least one"):
@@ -205,8 +293,8 @@ class TestMaintenance:
 
     def test_verified_epochs_filter_by_problem_key(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, _chunks(0, SIZES), problem_key="run-a")
-        store.save(0, 1, _chunks(1, SIZES), problem_key="run-b")
+        store.save(0, 0, _runs(0), problem_key="run-a")
+        store.save(0, 1, _runs(1), problem_key="run-b")
         assert store.verified_epochs(0, "run-a") == [0]
         assert store.verified_epochs(0, "run-b") == [1]
         assert store.verified_epochs(0) == [0, 1]
@@ -215,7 +303,7 @@ class TestMaintenance:
         store = CheckpointStore(tmp_path)
         for rank, epochs in ((0, (1, 2)), (1, (1,))):
             for e in epochs:
-                store.save(rank, e, _chunks(e, SIZES))
+                store.save(rank, e, _runs(e))
         assert store.consistent_epochs(2) == [1]
         assert store.latest_consistent(2) == 1
         # A rank directory missing entirely means no consistent epoch.
@@ -223,12 +311,67 @@ class TestMaintenance:
 
     def test_ls_rows(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save(0, 0, _chunks(0, SIZES))
-        store.save(1, 0, _chunks(1, SIZES))
-        store.save(0, 1, _chunks(2, SIZES))
+        store.save(0, 0, _runs(0))
+        store.save(1, 0, _runs(1))
+        store.save(0, 1, _runs(2))
         rows = store.ls_rows(nranks=2)
         assert [r["epoch"] for r in rows] == [0, 1]
         assert rows[0]["consistent"] and not rows[1]["consistent"]
+
+
+def _format_one_store(root):
+    """A store as format 1 wrote it: a manifest beside a payload file."""
+    rank_dir = root / "rank0000"
+    rank_dir.mkdir(parents=True)
+    (rank_dir / "ep00000001.bin").write_bytes(bytes(64))
+    (rank_dir / "ep00000001.json").write_text('{"format": 1}\n')
+    return root
+
+
+class TestFormatOneRefused:
+    """One store format: every entry point refuses a format-1 store with
+    the typed error (or a non-zero exit), none migrates it."""
+
+    def test_store(self, tmp_path):
+        with pytest.raises(CheckpointFormatError, match="format-1"):
+            CheckpointStore(_format_one_store(tmp_path))
+
+    def test_resume(self, tmp_path):
+        from repro.core.driver import run_executed
+        from repro.core.problem import StencilProblem
+        from repro.stencil.spec import SEVEN_POINT
+
+        problem = StencilProblem((16, 16, 16), (1, 1, 1), SEVEN_POINT, (8, 8, 8), 8)
+        with pytest.raises(CheckpointFormatError):
+            run_executed(
+                problem, "layout", timesteps=2,
+                checkpoint_dir=_format_one_store(tmp_path), resume=True,
+            )
+
+    @pytest.mark.parametrize("cmd", [["ls"], ["verify"], ["prune", "--keep", "1"]])
+    def test_cli(self, tmp_path, capsys, cmd):
+        from repro.cli import main
+
+        root = _format_one_store(tmp_path)
+        assert main(["ckpt", cmd[0], str(root), *cmd[1:]]) != 0
+        assert "format-1" in capsys.readouterr().err
+        assert (root / "rank0000" / "ep00000001.json").exists()
+
+    def test_rebrick(self, tmp_path):
+        from repro.core.geometry import RunGeometry
+        from repro.core.problem import StencilProblem
+        from repro.elastic import rebrick
+        from repro.stencil.spec import SEVEN_POINT
+
+        old = StencilProblem((32, 32, 32), (2, 1, 1), SEVEN_POINT, (8, 8, 8), 8)
+        new = StencilProblem((32, 32, 32), (1, 1, 1), SEVEN_POINT, (8, 8, 8), 8)
+        with pytest.raises(CheckpointFormatError):
+            rebrick(
+                CheckpointStore(_format_one_store(tmp_path / "old")),
+                RunGeometry(old, "layout"), 1,
+                CheckpointStore(tmp_path / "new"), RunGeometry(new, "layout"),
+                seed=0,
+            )
 
 
 class TestNegotiation:

@@ -181,10 +181,10 @@ class TestCheckpointCli:
     def test_verify_detects_flipped_byte(self, capsys, tmp_path):
         assert self._run_with_store(tmp_path) == 0
         capsys.readouterr()
-        bins = sorted(tmp_path.rglob("*.bin"))
-        blob = bytearray(bins[0].read_bytes())
-        blob[len(blob) // 2] ^= 0x01
-        bins[0].write_bytes(bytes(blob))
+        snaps = sorted(tmp_path.rglob("*.snap"))
+        blob = bytearray(snaps[0].read_bytes())
+        blob[-100] ^= 0x01  # inside the payload run
+        snaps[0].write_bytes(bytes(blob))
         assert main(["ckpt", "verify", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "CORRUPT" in out and "CRC32" in out

@@ -1,11 +1,11 @@
 """Executed driver: end-to-end distributed runs vs the serial oracle."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
+from repro.ckpt.store import encode_head, read_head
 from repro.core.driver import run_executed
 from repro.core.expansion import (
     brick_cycle_slots,
@@ -267,11 +267,13 @@ def test_snapshot_without_a_ledger_is_refused(small_problem, tmp_path):
         small_problem, "layout", timesteps=2, checkpoint_dir=tmp_path,
         checkpoint_period=1,
     )
-    for manifest in tmp_path.rglob("*.json"):
-        doc = json.loads(manifest.read_text())
+    for snap in tmp_path.rglob("*.snap"):
+        with open(snap, "rb") as fh:
+            doc, _ = read_head(fh, snap)
+            payload = fh.read()
         if "ledger" in doc.get("meta", {}):
             del doc["meta"]["ledger"]
-            manifest.write_text(json.dumps(doc))
+            snap.write_bytes(encode_head(doc) + payload)
     with pytest.raises(RuntimeError, match="no run ledger"):
         run_executed(
             small_problem, "layout", timesteps=3, checkpoint_dir=tmp_path,

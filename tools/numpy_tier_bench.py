@@ -7,6 +7,7 @@ side costs on each data-movement tier, one source tree or two.
     PYTHONPATH=src python tools/numpy_tier_bench.py copy strong16
     PYTHONPATH=src python tools/numpy_tier_bench.py guard strong16
     PYTHONPATH=src python tools/numpy_tier_bench.py fabric strong16
+    PYTHONPATH=src python tools/numpy_tier_bench.py ckpt strong16
     python tools/numpy_tier_bench.py --ab PARENT/src CHANGE/src [REPS]
 
 No halobench workload reaches the NumPy tier (halobench pins ``cffi``),
@@ -56,6 +57,17 @@ per step (``getrusage``: the handoffs), and the same items
 self-exchanged by one rank, which has no handoff.  Before the timed
 steps, checked steps stamp every send buffer and compare every landed
 byte; after them, every ghost buffer holds its sender's last stamp.
+
+The ``ckpt`` section (EXPERIMENTS.md, "A checkpoint writes what a
+restart reads") is the checkpoint commit alone: 8 rank threads -- on
+the one CPU -- each save one rank snapshot of the geometry's 2 x 2 x 2
+world at once, as a checkpoint step does, through the run's own
+``RankCheckpointer`` and each method's snapshot layout at an exchange
+step, into a directory on the checkout's filesystem (not ``/dev/shm``:
+the fsyncs are the point).  Per method: wall per 8-rank round and the
+ranks' CPU summed (medians), bytes, chunks and fsyncs per save.  Every
+snapshot is read back CRC-checked and compared with the bytes saved; a
+difference exits non-zero.
 
 ``--ab`` alternates two trees, REPS fresh processes each per geometry and
 section (default 7), and prints the medians of those.
@@ -444,9 +456,113 @@ def measure_fabric(name, checked=4, samples=5, steps=60):
     return out
 
 
+def measure_ckpt(name, rounds=10):
+    """The checkpoint commit alone: 8 rank threads on one CPU save at
+    once, one snapshot each per round."""
+    import shutil
+    import tempfile
+    import threading
+
+    import numpy as np
+
+    import repro.core.driver as driver
+    from repro.ckpt import CheckpointConfig, CheckpointStore, RankCheckpointer
+    from repro.core.geometry import RunGeometry
+    from repro.core.metrics import RankMetrics
+    from repro.core.problem import StencilProblem
+    from repro.stencil import spec as specs
+    from repro.util.timing import TimeBreakdown
+
+    n, stencil = GEOMETRIES[name]
+    problem = StencilProblem(
+        (2 * n,) * 3, (2, 2, 2), getattr(specs, stencil), brick_dim=(8, 8, 8), ghost=8
+    )
+    fsyncs, real_fsync = [0], os.fsync
+
+    def counted_fsync(fd):
+        fsyncs[0] += 1
+        return real_fsync(fd)
+
+    os.fsync = counted_fsync
+    checkout = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    rng = np.random.default_rng(0)
+    out = {}
+    for method in ("layout", "memmap", "yask", "mpi_types"):
+        geometry = RunGeometry(problem, method)
+        make = driver._array_state if geometry.decomp is None else driver._brick_state
+        root = tempfile.mkdtemp(prefix=".ckpt-bench-", dir=checkout)
+        config = CheckpointConfig(CheckpointStore(root), period=8, mode="full")
+        ranks = []
+        for rank in range(8):
+            state = make(geometry, 1)
+            buf = state.buffers[0]
+            data = buf if geometry.decomp is None else buf.data
+            data[:] = rng.random(data.shape)
+            try:
+                snap = state.snapshot_layout(rank)
+                runs, sections = snap.at(8, 0), snap.sections
+            except TypeError:  # a tree whose snapshots hold every section
+                snap = state.snapshot_layout()
+                runs, sections = snap.chunks[0], snap.chunk_specs
+            cp = RankCheckpointer(config, rank, sections, "bench", geometry.slot_key[1])
+            ledger = RankMetrics(rank, measured=TimeBreakdown())
+            ranks.append((state, runs, cp, ledger))
+        start, end = threading.Barrier(9), threading.Barrier(9)
+        cpu = np.zeros((rounds, 8))
+        manifests = [None] * 8
+
+        def rank_thread(rank):
+            _, runs, cp, ledger = ranks[rank]
+            for r in range(rounds):
+                epoch = 8 * (r + 1)
+                meta = driver._ckpt_meta(epoch, ledger, None, 1, 0, None)
+                start.wait()
+                c0 = time.thread_time()
+                manifests[rank] = cp.save(epoch, runs, meta)
+                cpu[r, rank] = time.thread_time() - c0
+                end.wait()
+
+        threads = [threading.Thread(target=rank_thread, args=(r,)) for r in range(8)]
+        for t in threads:
+            t.start()
+        wall, fsyncs[0] = [], 0
+        for _ in range(rounds):
+            start.wait()
+            t0 = time.perf_counter()
+            end.wait()
+            wall.append(time.perf_counter() - t0)
+        for t in threads:
+            t.join()
+        store = config.store
+        for rank, (state, runs, _cp, _ledger) in enumerate(ranks):
+            man = manifests[rank]
+            got = store.read_state(rank, store.manifest(rank, man["epoch"]))
+            for first, view in runs:
+                # a (section table, view) run, or a tree's (name, view) section
+                flat, pos = memoryview(view).cast("B"), 0
+                table = [(first, flat.nbytes)] if isinstance(first, str) else first
+                for section, nbytes in table:
+                    if bytes(got[section]) != bytes(flat[pos : pos + nbytes]):
+                        raise SystemExit(f"{method} rank {rank}: {section} differs")
+                    pos += nbytes
+            state.close()
+        if not all(row["ok"] for row in store.verify()):
+            raise SystemExit(f"{method}: a snapshot fails its CRC32")
+        shutil.rmtree(root)
+        out[f"{method}_wall_ms"] = statistics.median(wall) * 1e3
+        out[f"{method}_cpu_ms"] = statistics.median(cpu.sum(axis=1)) * 1e3
+        out[f"{method}_bytes_per_save"] = int(manifests[0]["data_bytes"])
+        out[f"{method}_chunks_per_save"] = len(
+            manifests[0].get("runs", manifests[0].get("chunks", ()))
+        )
+        out[f"{method}_fsyncs_per_save"] = fsyncs[0] / (8 * rounds)
+    os.fsync = real_fsync
+    return out
+
+
 def compare(parent_src, change_src, reps):
     trees = {"parent": parent_src, "change": change_src}
-    for section in ((), ("kernel",), ("copy",), ("guard",), ("fabric",)):
+    for section in ((), ("kernel",), ("copy",), ("guard",), ("fabric",), ("ckpt",)):
         for name in GEOMETRIES:
             runs = {side: [] for side in trees}
             for i in range(reps):
@@ -482,5 +598,7 @@ if __name__ == "__main__":
         print(json.dumps(measure_guard(sys.argv[2])))
     elif sys.argv[1] == "fabric":
         print(json.dumps(measure_fabric(sys.argv[2])))
+    elif sys.argv[1] == "ckpt":
+        print(json.dumps(measure_ckpt(sys.argv[2])))
     else:
         print(json.dumps(measure(sys.argv[1])))
