@@ -11,8 +11,10 @@ Layering:
   :class:`~repro.brick.decomp.SlotAssignment` as maximal slot runs),
   dirty-slot tracking, the epoch-negotiation allreduce, problem
   fingerprinting.
-* :mod:`repro.ckpt.bench` -- the overhead benchmark behind
-  ``BENCH_ckpt.json``.
+
+What a save costs is measured by ``tools/numpy_tier_bench.py ckpt`` and
+halobench's ``ckpt.save`` row; ``tests/golden_counts.json`` pins the
+bytes and chunks of a store and of a checkpointed run.
 
 The driver-side wiring (checkpoint period inside the timestep loop,
 relaunch after an injected crash) lives in :mod:`repro.core.driver`.

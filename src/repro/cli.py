@@ -7,12 +7,10 @@ Commands
 ``run``
     Execute a distributed stencil run on simulated ranks, validate it
     bit-for-bit against the serial reference, and print the artifact
-    metrics.  ``--trace`` additionally records an observability trace.
-``trace``
-    Execute a run with the span tracer and metrics registry enabled;
-    write a Chrome trace-event JSON timeline (chrome://tracing), print a
-    flame summary, and optionally write machine-readable stats
-    (``BENCH_trace.json``) for the CI perf-regression gate.
+    metrics.  ``--trace`` additionally records the run with the span
+    tracer and metrics registry enabled, writes a Chrome trace-event
+    JSON timeline (``--trace-out``; chrome://tracing or Perfetto) and
+    prints a flame summary.
 ``advise``
     Strong-scaling advisor: best exchange scheme per node count.
 ``search-layout``
@@ -189,115 +187,6 @@ def _cmd_run(args) -> int:
             json.dump(payload, fh, indent=2)
         print(f"wrote {args.json}")
     return 1 if exact is False else 0
-
-
-def _cmd_trace(args) -> int:
-    import json
-
-    from repro import obs
-    from repro.bench.tracebench import traced_run_stats
-
-    stats, run = traced_run_stats(
-        method=args.method,
-        domain=tuple(args.domain),
-        ranks=tuple(args.ranks),
-        steps=args.steps,
-        brick=args.brick,
-        ghost=args.ghost,
-        stencil=args.stencil,
-        machine=args.machine,
-        exchange_period=args.exchange_period,
-        overhead=args.overhead,
-    )
-    obs.write_chrome_trace(args.out, obs.TRACER, obs.METRICS)
-    print(f"wrote {args.out} (load in chrome://tracing or Perfetto)")
-    if args.bench_json:
-        with open(args.bench_json, "w") as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.bench_json}")
-    print(obs.flame_summary(obs.TRACER))
-    counts = stats["counts"]
-    print(
-        f"spans: {counts['spans_total']} across"
-        f" {counts['ranks_traced']} ranks;"
-        f" traced wall-clock {stats['wall_s']:.3f}s"
-    )
-    if "overhead" in stats:
-        oh = stats["overhead"]
-        print(
-            f"tracing overhead: {oh['traced_s']:.3f}s traced vs"
-            f" {oh['untraced_s']:.3f}s untraced"
-            f" ({100 * (oh['overhead_ratio'] - 1):+.1f}%)"
-        )
-    print(run.metrics.report())
-    return 0
-
-
-def _cmd_bench_overlap(args) -> int:
-    import json
-
-    from repro.bench.overlapbench import measure_overlap_stats
-
-    stats = measure_overlap_stats(quick=args.quick)
-    out = args.json
-    if out:
-        with open(out, "w") as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out}")
-    ex = stats["phased_layout"]
-    mod = stats["modelled_strong_scaling"]
-    print(
-        f"phased_layout ({ex['timesteps']} steps,"
-        f" {ex['interior_bricks_per_rank']}/{ex['bricks_per_rank']} interior"
-        f" bricks): phased={ex['phased']},"
-        f" bit_identical={ex['bit_identical']},"
-        f" hidden_comm_positive={ex['hidden_comm_positive']}"
-    )
-    for row in mod["scales"]:
-        print(
-            f"  {row['ranks']:>4} ranks: wait {row['wait_s'] * 1e3:7.3f}ms,"
-            f" interior {row['interior_calc_s'] * 1e3:7.3f}ms ->"
-            f" hidden {100 * row['hidden_fraction']:5.1f}%"
-        )
-    print(
-        f"modelled_strong_scaling aggregate hidden fraction:"
-        f" {mod['aggregate_hidden_fraction']:.3f}"
-        f" (gate > 0.5: {'pass' if mod['hidden_fraction_gate'] else 'FAIL'})"
-    )
-    ok = (
-        ex["phased"] and ex["bit_identical"]
-        and ex["hidden_comm_positive"] and mod["hidden_fraction_gate"]
-    )
-    return 0 if ok else 1
-
-
-def _cmd_bench_elastic(args) -> int:
-    import json
-
-    from repro.elastic.bench import measure_elastic_stats
-
-    stats = measure_elastic_stats(quick=args.quick)
-    out = args.json
-    if out:
-        with open(out, "w") as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out}")
-    rb, rn = stats["rebrick"], stats["run"]
-    print(
-        f"rebrick {rb['old_ranks']} -> {rb['new_ranks']} ranks"
-        f" (dims {'x'.join(map(str, rb['new_rank_dims']))}):"
-        f" epoch {rb['epoch']}, {rb['bytes_written']} bytes,"
-        f" best {rb['rebrick_s'] * 1e3:.1f}ms"
-    )
-    print(
-        f"elastic run: {rn['dead_ranks']} death(s), {rn['reshapes']}"
-        f" reshape(s) -> {rn['final_nranks']} ranks, resumed epoch"
-        f" {rn['resumed_epoch']}, bit_exact={bool(rn['exact'])}"
-    )
-    return 0 if rn["exact"] and rn["reshapes"] >= 1 else 1
 
 
 def _cmd_advise(args) -> int:
@@ -542,21 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Chrome trace-event output path for --trace")
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser(
-        "trace",
-        help="traced executed run: Chrome timeline + flame summary",
-    )
-    add_run_args(p)
-    p.set_defaults(method="layout", steps=4)
-    p.add_argument("--out", metavar="PATH", default="trace.json",
-                   help="Chrome trace-event JSON output path")
-    p.add_argument("--bench-json", metavar="PATH", default=None,
-                   help="also write machine-readable trace stats"
-                        " (BENCH_trace.json schema)")
-    p.add_argument("--overhead", action="store_true",
-                   help="also run untraced and report tracing overhead")
-    p.set_defaults(fn=_cmd_trace)
-
     p = sub.add_parser("advise", help="strong-scaling advisor")
     p.add_argument("--domain", type=int, default=1024)
     p.add_argument("--machine", choices=("theta", "summit"), default="theta")
@@ -612,31 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated preset subset to cycle"
                         " (e.g. 'crash_restart')")
     p.set_defaults(fn=_cmd_chaos)
-
-    p = sub.add_parser("bench", help="measured performance baselines")
-    bsub = p.add_subparsers(dest="bench_cmd", required=True)
-    bp = bsub.add_parser(
-        "overlap",
-        help="phased interior/surface overlap efficiency"
-             " (BENCH_overlap.json)",
-    )
-    bp.add_argument("--quick", action="store_true",
-                    help="fewer repetitions (same configuration)")
-    bp.add_argument("--json", metavar="PATH", default="BENCH_overlap.json",
-                    help="output JSON path (default BENCH_overlap.json;"
-                         " '' to skip writing)")
-    bp.set_defaults(fn=_cmd_bench_overlap)
-    bp = bsub.add_parser(
-        "elastic",
-        help="re-brick cost + end-to-end elastic recovery"
-             " (BENCH_elastic.json)",
-    )
-    bp.add_argument("--quick", action="store_true",
-                    help="fewer repetitions (same configuration)")
-    bp.add_argument("--json", metavar="PATH", default="BENCH_elastic.json",
-                    help="output JSON path (default BENCH_elastic.json;"
-                         " '' to skip writing)")
-    bp.set_defaults(fn=_cmd_bench_elastic)
 
     p = sub.add_parser("ckpt", help="checkpoint store maintenance")
     cksub = p.add_subparsers(dest="ckpt_cmd", required=True)

@@ -77,9 +77,9 @@ PRESETS: Dict[str, dict] = {
 }
 
 # crash_restart and node_loss are appended last on purpose: for
-# index < 7 the preset cycle is unchanged, so committed BENCH_chaos
-# baselines (7 trials) and existing seeded soaks keep their exact
-# event sets.
+# index < 7 the preset cycle is unchanged, so the 7-trial soak pinned
+# by tests/golden_counts.json and existing seeded soaks keep their
+# exact event sets.
 _PRESET_ORDER = ("corrupt", "drop", "mixed", "duplicate", "degrade", "crash",
                  "delay", "crash_restart", "node_loss")
 

@@ -10,8 +10,7 @@ Usage (library)::
 
 Usage (CLI)::
 
-    python -m repro trace --method layout --steps 4   # writes trace.json
-    python -m repro run --trace ...
+    python -m repro run --method layout --steps 4 --trace   # writes trace.json
 
 Two module-level singletons, :data:`TRACER` and :data:`METRICS`, are
 bound by the instrumented modules (driver, exchangers, simmpi fabric,

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON, flame summary, bench stats.
+"""Trace exporters: Chrome trace-event JSON, flame summary, counts.
 
 Three views of one recorded trace:
 
@@ -7,10 +7,8 @@ Three views of one recorded trace:
   simulated rank (complete ``"X"`` events, microsecond timestamps);
 * :func:`flame_summary` -- a text flame view aggregated by span path,
   with total and self time (total minus child spans);
-* :func:`trace_stats` -- the machine-readable summary written to
-  ``BENCH_trace.json`` and diffed by ``benchmarks/compare_bench.py``:
-  deterministic span/counter counts (exact-compared in CI) plus timing
-  totals (tolerance-compared).
+* :func:`trace_stats` -- the deterministic counts: spans per name,
+  ranks traced, counter and gauge totals.
 """
 
 from __future__ import annotations
@@ -164,40 +162,32 @@ def flame_summary(tracer: Tracer, top: int = 40) -> str:
 
 
 def trace_stats(
-    tracer: Tracer,
-    metrics: Optional[MetricsRegistry] = None,
-    config: Optional[Dict[str, Any]] = None,
+    tracer: Tracer, metrics: Optional[MetricsRegistry] = None
 ) -> Dict[str, Any]:
-    """Machine-readable trace summary (the ``BENCH_trace.json`` payload).
+    """The trace's counts: spans per name, ranks traced, and the
+    metrics' counter / gauge totals.
 
-    ``counts`` are deterministic for a fixed configuration and compared
-    exactly by ``compare_bench.py``; ``span_s`` totals are wall-clock and
-    compared with a tolerance band.
+    They are deterministic for a fixed configuration;
+    ``tests/golden_counts.json`` pins them for one run.
     """
     events = tracer.events()
     span_counts: Dict[str, int] = {}
-    span_totals: Dict[str, float] = {}
     ranks = set()
     for ev in events:
         span_counts[ev.name] = span_counts.get(ev.name, 0) + 1
-        span_totals[ev.name] = span_totals.get(ev.name, 0.0) + ev.dur_ns / 1e9
         if ev.rank is not None:
             ranks.add(ev.rank)
     stats: Dict[str, Any] = {
-        "config": dict(config or {}),
-        "counts": {
-            "spans_total": len(events),
-            "ranks_traced": len(ranks),
-            "spans_by_name": dict(sorted(span_counts.items())),
-        },
-        "span_s": {k: span_totals[k] for k in sorted(span_totals)},
+        "spans_total": len(events),
+        "ranks_traced": len(ranks),
+        "spans_by_name": dict(sorted(span_counts.items())),
     }
     if metrics is not None:
         snap = metrics.snapshot()
-        stats["counts"]["counters"] = {
+        stats["counters"] = {
             name: rec["total"] for name, rec in snap["counters"].items()
         }
-        stats["counts"]["gauges"] = {
+        stats["gauges"] = {
             name: rec["total"] for name, rec in snap["gauges"].items()
         }
     return stats

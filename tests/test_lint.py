@@ -280,6 +280,21 @@ def test_second_geometry_constructor_flagged():
     assert sorted(v[1] for v in flagged) == [2, 3, 4]
 
 
+def test_stale_allowlist_entry_flagged(monkeypatch, capsys):
+    assert lint_invariants.check_allowlists() == []
+    stale = dict(lint_invariants.GEOMETRY_ALLOWLIST)
+    stale["ckpt/bench.py"] = ("BrickDecomp",)
+    monkeypatch.setattr(lint_invariants, "GEOMETRY_ALLOWLIST", stale)
+    monkeypatch.setattr(lint_invariants, "MESSAGE_ALLOWLIST", ("exchange/gone.py",))
+    violations = lint_invariants.check_allowlists()
+    assert [v[0] for v in violations] == [
+        lint_invariants.SRC / "exchange/gone.py", lint_invariants.SRC / "ckpt/bench.py"
+    ]
+    assert all("stale entry" in v[2] for v in violations)
+    assert lint_invariants.main([]) == 1
+    assert "GEOMETRY_ALLOWLIST names ckpt/bench.py" in capsys.readouterr().out
+
+
 def test_fabric_in_the_verifier_flagged():
     src = (
         "def iter_rank_geometries(problem):\n"

@@ -1,4 +1,4 @@
-"""Observability end to end: traced executed runs, exports, CLI, gating.
+"""Observability end to end: traced executed runs, exports, CLI.
 
 The contract under test (DESIGN.md Section 6 extension): tracing is an
 *observer*.  A traced run must produce bit-identical modelled metrics and
@@ -143,23 +143,20 @@ class TestChromeExport:
 
 
 class TestCli:
-    def test_trace_command_smoke(self, tmp_path, capsys):
+    def test_run_trace_layout_smoke(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "t.json"
-        bench = tmp_path / "b.json"
         rc = main(
-            ["trace", "--method", "layout", "--steps", "4",
-             "--out", str(out), "--bench-json", str(bench)]
+            ["run", "--method", "layout", "--steps", "4",
+             "--trace", "--trace-out", str(out)]
         )
         assert rc == 0
-        doc = json.loads(out.read_text())
-        assert any(ev["ph"] == "X" for ev in doc["traceEvents"])
-        stats = json.loads(bench.read_text())
-        assert stats["counts"]["ranks_traced"] == 8
-        assert stats["counts"]["spans_by_name"]["driver.step"] == 32
-        captured = capsys.readouterr().out
-        assert "flame summary" in captured
+        events = json.loads(out.read_text())["traceEvents"]
+        rows = {ev["args"]["name"] for ev in events if ev["name"] == "thread_name"}
+        assert rows == {f"rank {r}" for r in range(8)}
+        assert sum(ev["name"] == "driver.step" for ev in events) == 32
+        assert "flame summary" in capsys.readouterr().out
 
     def test_run_trace_flag_smoke(self, tmp_path, capsys):
         from repro.cli import main

@@ -58,13 +58,12 @@ may not, and these rules are project-specific anyway.  Seven checks:
    ``core/problem.py`` (``brick_decomp`` is the definition the geometry
    calls); ``elastic/placement.py`` (validates *candidate* rank grids
    with a trial ``brick_decomp()`` that builds no assignment -- no world
-   is launched from it); ``ckpt/bench.py`` (a store micro-benchmark over
-   a bare decomposition, no run); ``exchange/hierarchical.py`` and
+   is launched from it); ``exchange/hierarchical.py`` and
    ``exchange/local.py`` (intra-node grids that are not ``Exchanger``s
    and own their decomposition, until ROADMAP item 8 decides them);
    and, for ``.initial_global(...)`` only, the serial reference oracles
-   of ``cli.py``, ``faults/chaos.py`` and ``elastic/bench.py`` (they
-   compute what a run is compared *against*).
+   of ``cli.py`` and ``faults/chaos.py`` (they compute what a run is
+   compared *against*).
    And ``SimFabric(...)`` is constructed nowhere under
    ``src/repro/check``: a schedule is data, the verifier needs no
    fabric.
@@ -102,6 +101,9 @@ may not, and these rules are project-specific anyway.  Seven checks:
    file is on the list.  A store through a bare name
    (``arr[slc] = view``) cannot be told from a dict store and is not
    matched; the loops this rule is about all have a matched twin.
+
+Every file an allowlist names must exist under ``src/repro``: a stale
+entry would silently exempt whatever file lands at that path later.
 
 Exit status 1 when any violation is found.  ``--list`` prints the file
 set without checking (CI sanity).
@@ -172,12 +174,10 @@ GEOMETRY_ALLOWLIST = {
     GEOMETRY_HOME: GEOMETRY_METHODS,
     "core/problem.py": ("BrickDecomp",),
     "elastic/placement.py": ("brick_decomp",),
-    "ckpt/bench.py": ("BrickDecomp",),
     "exchange/hierarchical.py": ("BrickDecomp", "brick_info"),
     "exchange/local.py": ("BrickDecomp", "brick_info"),
     "cli.py": ("initial_global",),
     "faults/chaos.py": ("initial_global",),
-    "elastic/bench.py": ("initial_global",),
 }
 
 #: the one pricer, its home, and the primitive only it may call
@@ -583,6 +583,26 @@ def check_copy_tier(path: Path, tree: ast.AST) -> List[Violation]:
     return out
 
 
+def check_allowlists() -> List[Violation]:
+    allowlists = {
+        "FABRIC_ALLOWLIST": FABRIC_ALLOWLIST,
+        "MESSAGE_ALLOWLIST": MESSAGE_ALLOWLIST,
+        "GEOMETRY_ALLOWLIST": tuple(GEOMETRY_ALLOWLIST),
+        "NUMPY_TIER": tuple(NUMPY_TIER),
+    }
+    return [
+        (
+            SRC / rel,
+            0,
+            f"{name} names {rel}, which is not a file under src/repro:"
+            " drop the stale entry before another file lands at that path",
+        )
+        for name, rels in allowlists.items()
+        for rel in rels
+        if not (SRC / rel).is_file()
+    ]
+
+
 def lint_file(path: Path) -> List[Violation]:
     tree = ast.parse(path.read_text(), filename=str(path))
     rel = path.relative_to(SRC).as_posix()
@@ -608,7 +628,7 @@ def main(argv=None) -> int:
         for f in files:
             print(f.relative_to(REPO))
         return 0
-    violations: List[Violation] = []
+    violations = check_allowlists()
     for f in files:
         violations += lint_file(f)
     for path, line, msg in violations:
