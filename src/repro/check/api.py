@@ -9,12 +9,11 @@ geometry and Cartesian arithmetic alone (no storage, no fabric).
 what is proved is the object the ranks then bind, not a reconstruction.
 
 1. ``schedule`` -- the global send/recv multigraph pairs up, byte counts
-   and partition splits agree, tags are collision-free, no edge touches
-   a dead rank (:mod:`repro.check.schedule`);
+   agree, tags are collision-free, no edge touches a dead rank
+   (:mod:`repro.check.schedule`);
 2. ``memory`` -- the adjacency rows the compiled plans of either
-   kernel tier read stay inside the arena, phase splits partition exactly,
-   wire-visible storage ranges stay inside the sections they belong to
-   (:mod:`repro.check.memory`);
+   kernel tier read stay inside the arena, wire-visible storage ranges
+   stay inside the sections they belong to (:mod:`repro.check.memory`);
 3. ``cbackend`` -- the C kernel environment parses, the toolchain is
    usable and a probe kernel is bit-identical to NumPy
    (:mod:`repro.check.cback`).
@@ -43,19 +42,16 @@ DEFAULT_PASSES = ("schedule", "memory", "cbackend")
 
 def check_geometry(
     geometry: RunGeometry,
-    partitions: int = 1,
     dead_ranks: Iterable[int] = (),
     passes: Sequence[str] = DEFAULT_PASSES,
     strict: bool = False,
 ) -> CheckReport:
     """Statically verify the world *geometry* describes.
 
-    *partitions* is the channel partition count the run will negotiate
-    (phased runs use ``DEFAULT_PARTITIONS``); *dead_ranks* marks ranks
-    known lost, so elastic pre-flights can prove the old decomposition
-    unrunnable and the re-bricked one clean.  With *strict* the call
-    raises :class:`CheckFailedError` instead of returning a failed
-    report.
+    *dead_ranks* marks ranks known lost, so elastic pre-flights can
+    prove the old decomposition unrunnable and the re-bricked one clean.
+    With *strict* the call raises :class:`CheckFailedError` instead of
+    returning a failed report.
     """
     unknown = [p for p in passes if p not in DEFAULT_PASSES]
     if unknown:
@@ -74,7 +70,6 @@ def check_geometry(
         verify_schedule(
             dict(enumerate(geometry.plans)),
             report,
-            partitions=partitions,
             dead_ranks=dead_ranks,
         )
     if "memory" in passes:
@@ -93,7 +88,6 @@ def run_checks(
     method: str,
     page_size: Optional[int] = None,
     profile: Optional[MachineProfile] = None,
-    partitions: int = 1,
     dead_ranks: Iterable[int] = (),
     passes: Sequence[str] = DEFAULT_PASSES,
     strict: bool = False,
@@ -102,5 +96,5 @@ def run_checks(
     :func:`check_geometry` of the geometry a run of it would build."""
     return check_geometry(
         RunGeometry(problem, method, profile, page_size),
-        partitions, dead_ranks, passes, strict,
+        dead_ranks, passes, strict,
     )

@@ -14,9 +14,6 @@ are a rank's own:
   field window fits inside a brick
   (``field_offset + volume <= brick_elems``), so every sub-box the
   kernel stages from a neighbour stays inside that neighbour's brick;
-* **phase split sound** -- the interior/surface slot partition used by
-  compute-comm overlap is disjoint and jointly covers the unphased slot
-  set (an overlap double-computes a brick, a gap leaves one stale);
 * **wire ranges in bounds** -- the storage byte ranges a zero-copy
   scheme wires directly (``PlannedMessage.ranges``) fall inside the
   arena, sends read only surface sections (padding included for the
@@ -42,16 +39,10 @@ from repro.brick.decomp import BrickDecomp, SlotAssignment
 from repro.check.report import CheckReport
 from repro.core.geometry import RunGeometry
 from repro.exchange.base import RankMessagePlan
-from repro.stencil.plan import (
-    ghost_slot_mask,
-    split_array_region,
-    split_brick_slots,
-)
 
 __all__ = [
     "verify_memory",
     "check_adjacency_rows",
-    "check_phase_split",
     "check_ranges",
 ]
 
@@ -93,46 +84,6 @@ def check_adjacency_rows(
             ranks=(rank,),
             hint="field_offset/volume disagree between the plan and the"
                  " storage",
-        )
-
-
-def check_phase_split(
-    interior: np.ndarray,
-    surface: np.ndarray,
-    slots: np.ndarray,
-    report: CheckReport,
-    rank: int,
-) -> None:
-    """Interior/surface must partition the unphased slot set exactly."""
-    si = set(int(s) for s in np.asarray(interior).reshape(-1))
-    ss = set(int(s) for s in np.asarray(surface).reshape(-1))
-    sall = set(int(s) for s in np.asarray(slots).reshape(-1))
-    both = si & ss
-    if both:
-        report.error(
-            PASS, "phase-split-overlap",
-            f"rank {rank}: {len(both)} slot(s) appear in both the"
-            " interior and surface phase plans (first:"
-            f" {min(both)}); the phased step would compute them twice",
-            ranks=(rank,), slot=min(both),
-            hint="split_brick_slots must partition, not duplicate",
-        )
-    missing = sall - (si | ss)
-    if missing:
-        report.error(
-            PASS, "phase-split-gap",
-            f"rank {rank}: {len(missing)} slot(s) of the unphased plan"
-            f" are in neither phase plan (first: {min(missing)}); the"
-            " phased step would leave them stale",
-            ranks=(rank,), slot=min(missing),
-        )
-    extra = (si | ss) - sall
-    if extra:
-        report.error(
-            PASS, "phase-split-extra",
-            f"rank {rank}: {len(extra)} phased slot(s) are not part of"
-            f" the unphased plan (first: {min(extra)})",
-            ranks=(rank,), slot=min(extra),
         )
 
 
@@ -256,55 +207,18 @@ def check_ranges(
 # ----------------------------------------------------------------------
 # The pass itself
 # ----------------------------------------------------------------------
-def _check_array_split(geometry: RunGeometry, report: CheckReport) -> None:
-    """Array schemes: the interior/surface region split covers the owned
-    box exactly (the same boxes on every rank; reported as rank 0's)."""
-    ext, g = geometry.extent, geometry.ghost
-    interior, surf_boxes = split_array_region(
-        ext, g, 0, geometry.problem.stencil.radius
-    )
-    mask = np.zeros(geometry.extended_shape, dtype=np.int32)
-    boxes = ([interior] if interior is not None else []) + list(surf_boxes)
-    for box in boxes:
-        mask[tuple(slice(lo, hi) for lo, hi in box)] += 1
-    owned = tuple(slice(g, g + e) for e in reversed(ext))
-    outside = mask.copy()
-    outside[owned] = 0  # only the ghost shell remains
-    mask = mask[owned]
-    if (outside > 0).any():
-        report.error(
-            PASS, "phase-split-extra",
-            "rank 0: array phase regions touch"
-            f" {int((outside > 0).sum())} cell(s) outside the owned box",
-            ranks=(0,),
-        )
-    if (mask > 1).any():
-        report.error(
-            PASS, "phase-split-overlap",
-            "rank 0: array phase regions overlap on"
-            f" {int((mask > 1).sum())} cell(s)",
-            ranks=(0,),
-        )
-    if (mask == 0).any():
-        report.error(
-            PASS, "phase-split-gap",
-            "rank 0: array phase regions miss"
-            f" {int((mask == 0).sum())} owned cell(s)",
-            ranks=(0,),
-        )
-
-
 def verify_memory(geometry: RunGeometry, report: CheckReport) -> None:
     """Run every memory check over the run geometry.
 
     The kernel-side checks read ``geometry.brick_info`` -- the adjacency
     the run's stencil plans are compiled over, not a rebuilt copy -- and
     run once (a finding there is every rank's; it is reported as rank
-    0's); the wire ranges are checked per rank plan.
+    0's); the wire ranges are checked per rank plan.  Array schemes
+    have neither: their plans sweep one box the constructor bounds, and
+    their wire buffers are separate staging.
     """
     decomp, asn, binfo = geometry.decomp, geometry.assignment, geometry.brick_info
     if decomp is None:
-        _check_array_split(geometry, report)
         return
     for plan in geometry.plans:
         check_ranges(plan, decomp, asn, report)
@@ -313,7 +227,3 @@ def verify_memory(geometry: RunGeometry, report: CheckReport) -> None:
         binfo.adjacency[slots], asn.total_slots, decomp.brick_elems, 0,
         decomp.brick_volume, report, 0,
     )
-    if report.has("oob-adjacency"):
-        return  # the phase split looks slots up through these very rows
-    interior, surface = split_brick_slots(binfo, ghost_slot_mask(asn), slots)
-    check_phase_split(interior, surface, slots, report, 0)

@@ -8,19 +8,12 @@ fabric traffic:
   ``(phase, src, dst, tag)`` edge and vice versa (orphan sends and
   starved recvs are the two halves of a deadlock: the fabric's sends are
   synchronous-mode, so an unmatched post blocks its poster forever);
-* **byte agreement** -- both endpoints of an edge agree on the payload
-  byte count (the fabric raises at copy time otherwise; here it is a
-  finding with both counts);
-* **partition symmetry** -- with partitioned channels, both endpoints
-  derive the same partition bounds from the same
-  :func:`~repro.simmpi.fabric.partition_bounds` helper the runtime
-  negotiation uses, so a split disagreement found here is exactly the
-  ``SplitMismatchError`` the fabric would raise;
+* **byte agreement** -- both endpoints of an edge agree on the byte
+  count, exactly the comparison the fabric's negotiation makes when a
+  channel binds (``SplitMismatchError``); here it is a finding with
+  both counts;
 * **tag-space hygiene** -- no duplicate ``(peer, tag)`` within one
-  rank's sends (or recvs) of one phase, and every base tag below the
-  partitioned-request tag region (``partition_tag`` maps partition *p*
-  of tag *t* to ``(p+1)*2^20 + t``, so a base tag at or above ``2^20``
-  can collide with another message's partition 0);
+  rank's sends (or recvs) of one phase, and every peer inside the world;
 * **liveness** -- no edge touches a rank marked dead (elastic restart
   must re-brick onto a decomposition that avoids lost nodes; an edge to
   a dead rank would raise ``RankDeadError`` on first contact).
@@ -33,7 +26,6 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.check.report import CheckReport
 from repro.exchange.base import PlannedMessage, RankMessagePlan
-from repro.simmpi.fabric import _PARTITION_TAG_BASE, partition_bounds
 
 __all__ = ["verify_schedule"]
 
@@ -60,16 +52,9 @@ def _edges(
 def verify_schedule(
     plans: Dict[int, RankMessagePlan],
     report: CheckReport,
-    partitions: int = 1,
     dead_ranks: Iterable[int] = (),
 ) -> None:
-    """Run every schedule check over *plans*, appending to *report*.
-
-    *partitions* is the channel partition count the run will negotiate
-    (1 for unphased runs); per-message ``PlannedMessage.partitions``
-    overrides it, which the mutation harness uses to model endpoint
-    disagreement.
-    """
+    """Run every schedule check over *plans*, appending to *report*."""
     dead = frozenset(int(r) for r in dead_ranks)
     nranks = len(plans)
 
@@ -96,18 +81,6 @@ def verify_schedule(
 
         for kind in ("sends", "recvs"):
             for m in getattr(plan, kind):
-                if not 0 <= m.tag < _PARTITION_TAG_BASE:
-                    report.error(
-                        PASS, "tag-overflow",
-                        f"rank {rank} {kind[:-1]} tag {m.tag} is outside"
-                        f" the base tag space [0, {_PARTITION_TAG_BASE});"
-                        " partitioned requests map partition p of tag t"
-                        f" to (p+1)*{_PARTITION_TAG_BASE} + t, so this"
-                        " tag aliases another message's partition",
-                        ranks=(rank,), tag=m.tag,
-                        hint="keep base tags below 2**20; the partition"
-                             " tag region is reserved",
-                    )
                 if not 0 <= m.peer < nranks:
                     report.error(
                         PASS, "bad-peer",
@@ -116,7 +89,7 @@ def verify_schedule(
                         ranks=(rank,), tag=m.tag,
                     )
 
-    # Global pairing + byte/split agreement on each (phase,src,dst,tag).
+    # Global pairing + byte agreement on each (phase,src,dst,tag).
     sends = _edges(plans, "sends")
     recvs = _edges(plans, "recvs")
     for key in sorted(set(sends) | set(recvs)):
@@ -194,20 +167,4 @@ def verify_schedule(
                     hint="both endpoints must derive the message from"
                          " the same geometry (ghost width, brick size,"
                          " padding)",
-                )
-                continue
-            ps = s.partitions if s.partitions is not None else partitions
-            pr = r.partitions if r.partitions is not None else partitions
-            if partition_bounds(s.nbytes, ps) != partition_bounds(
-                r.nbytes, pr
-            ):
-                report.error(
-                    PASS, "partition-split-mismatch",
-                    f"rank {src} splits its {s.nbytes}-byte send to rank"
-                    f" {dst} (tag {tag}) into {ps} partition(s), rank"
-                    f" {dst} expects {pr}; partitioned channel"
-                    " negotiation would raise SplitMismatchError",
-                    ranks=(src, dst), tag=tag,
-                    hint="pass the same partitions= to make_engines /"
-                         " make_channel on every rank",
                 )

@@ -3,10 +3,9 @@
 A static checker that silently passes everything is worse than none.
 ``run_selftest`` takes a known-clean geometry, injects one violation of
 each class the verifier claims to detect -- a tag collision, a dropped
-receive, a byte-count disagreement, a partition split disagreement, a
-dead rank, a tag in the partition region, an adjacency entry one past
-the arena, a field window one element past its brick, an overlapping
-phase split -- and asserts the corresponding finding code appears.  CI
+receive, a dropped send, a byte-count disagreement, a dead rank, an
+adjacency entry one past the arena, a field window one element past its
+brick -- and asserts the corresponding finding code appears.  CI
 gates on 100% detection (``repro check --selftest``).
 """
 
@@ -17,12 +16,11 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.check.memory import check_adjacency_rows, check_phase_split
+from repro.check.memory import check_adjacency_rows
 from repro.check.report import CheckReport
 from repro.check.schedule import verify_schedule
 from repro.core.geometry import RunGeometry
 from repro.core.problem import StencilProblem
-from repro.simmpi.fabric import _PARTITION_TAG_BASE
 from repro.stencil.spec import SEVEN_POINT
 
 __all__ = ["run_selftest", "MUTATIONS"]
@@ -105,34 +103,6 @@ def _inject_byte_mismatch(problem, method) -> Tuple[CheckReport, str]:
     return report, "byte-mismatch"
 
 
-def _inject_partition_split(problem, method) -> Tuple[CheckReport, str]:
-    plans = _plans(problem, method)
-    plans = _mutate_first_send(plans, partitions=3)
-    report = CheckReport()
-    verify_schedule(plans, report, partitions=4)
-    return report, "partition-split-mismatch"
-
-
-def _inject_tag_overflow(problem, method) -> Tuple[CheckReport, str]:
-    plans = _plans(problem, method)
-    target = plans[0].sends[0]
-    bad = _PARTITION_TAG_BASE + target.tag
-    plans = _mutate_first_send(plans, tag=bad)
-    # Keep the pairing intact on the peer so only the overflow fires.
-    peer_plan = plans[target.peer]
-    recvs = tuple(
-        replace(m, tag=bad)
-        if (m.peer == 0 and m.tag == target.tag
-            and m.phase == target.phase)
-        else m
-        for m in peer_plan.recvs
-    )
-    plans[target.peer] = replace(peer_plan, recvs=recvs)
-    report = CheckReport()
-    verify_schedule(plans, report)
-    return report, "tag-overflow"
-
-
 def _inject_dead_rank(problem, method) -> Tuple[CheckReport, str]:
     plans = _plans(problem, method)
     report = CheckReport()
@@ -166,27 +136,15 @@ def _inject_field_window(problem, method) -> Tuple[CheckReport, str]:
     return report, "field-window"
 
 
-def _inject_overlapping_split(problem, method) -> Tuple[CheckReport, str]:
-    slots = np.arange(16, dtype=np.int64)
-    interior = slots[:9]  # slot 8 claimed by both phases
-    surface = slots[8:]
-    report = CheckReport()
-    check_phase_split(interior, surface, slots, report, rank=0)
-    return report, "phase-split-overlap"
-
-
 #: every violation class the verifier claims to catch
 MUTATIONS: Dict[str, Callable] = {
     "tag_collision": _inject_tag_collision,
     "dropped_recv": _inject_dropped_recv,
     "dropped_send": _inject_dropped_send,
     "byte_mismatch": _inject_byte_mismatch,
-    "partition_split": _inject_partition_split,
-    "tag_overflow": _inject_tag_overflow,
     "dead_rank": _inject_dead_rank,
     "oob_adjacency": _inject_oob_adjacency,
     "field_window": _inject_field_window,
-    "overlapping_split": _inject_overlapping_split,
 }
 
 

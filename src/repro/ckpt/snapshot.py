@@ -171,8 +171,8 @@ def snapshot_runs(geometry, rank: int, step: int, period: int) -> List[RunSpec]:
     * At an exchange step (``step % period == 0``) a ghost section that
       the rank's plan (of *geometry*) receives into is dead: the
       exchange of that step rewrites it before any sweep reads it --
-      phased (the interior sweep reads no ghost slot) and retried (a
-      re-fire rewrites the same bytes) alike.  It is not written.
+      retried (a re-fire rewrites the same bytes) or not.  It is not
+      written.
     * Mid-cycle, ghost sections hold the redundantly computed margins
       the next sweep reads, so every section is live.  Ghost sections
       no receive covers (the boundary of a non-periodic problem) are

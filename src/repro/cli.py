@@ -351,7 +351,6 @@ def _cmd_check(args) -> int:
         report = run_checks(
             problem, method,
             profile=_profile(args.machine),
-            partitions=args.partitions,
             dead_ranks=dead,
         )
         failed = failed or not report.ok
@@ -456,9 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_run_args(p)
     p.add_argument("--open-boundaries", action="store_true")
-    p.add_argument("--partitions", type=int, default=1,
-                   help="channel partition count the run will negotiate"
-                        " (phased runs use 4)")
     p.add_argument("--dead", type=int, action="append", default=None,
                    metavar="RANK",
                    help="treat RANK as permanently dead (repeatable);"

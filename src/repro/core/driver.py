@@ -46,7 +46,7 @@ from repro.core.methods import method_info
 from repro.core.metrics import RankMetrics, RunMetrics
 from repro.core.model import compute_time
 from repro.core.problem import StencilProblem
-from repro.core.runplan import DEFAULT_PARTITIONS, RankRunPlan, make_engines
+from repro.core.runplan import RankRunPlan, make_engines
 from repro.ckpt import (
     CheckpointConfig,
     CheckpointError,
@@ -76,12 +76,7 @@ from repro.simmpi.comm import SimComm
 from repro.simmpi.fabric import SimFabric
 from repro.simmpi.launcher import RankFailedError, run_spmd
 from repro.stencil.kernels import owned_slices
-from repro.stencil.plan import (
-    compile_array_phase_plans,
-    compile_array_plan,
-    compile_brick_phase_plans,
-    compile_brick_plan,
-)
+from repro.stencil.plan import compile_array_plan, compile_brick_plan
 from repro.util.timing import TimeBreakdown
 
 __all__ = ["ExecutedRun", "run_executed"]
@@ -90,7 +85,7 @@ __all__ = ["ExecutedRun", "run_executed"]
 @dataclass
 class ExecutedRun:
     """Everything one executed run produced; the per-exchange message
-    figures and ``hidden_comm_s`` are rank 0's, read off its ledger."""
+    figures are rank 0's, read off its ledger."""
 
     method: str
     global_result: np.ndarray
@@ -104,7 +99,6 @@ class ExecutedRun:
     resumed_epoch: int = -1  # negotiated restore epoch (-1: from scratch)
     checkpoint_saves: int = 0  # snapshots committed by rank 0
     checkpoint_bytes: int = 0  # snapshot bytes written across all ranks
-    overlap: bool = False  # phased (interior/surface) execution ran
     reshapes: int = 0  # elastic reshapes after permanent rank deaths
     final_rank_dims: Tuple[int, ...] = ()  # decomposition the run ended on
     dead_ranks: Tuple[int, ...] = ()  # old-world ranks lost permanently
@@ -134,19 +128,6 @@ class ExecutedRun:
     def mapping_count(self) -> int:
         """Live stitched-view mappings (MemMap only; 0 otherwise)."""
         return self.metrics.ranks[0].mappings
-
-    @property
-    def hidden_comm_s(self) -> float:
-        return self.metrics.ranks[0].hidden_s
-
-    @property
-    def hidden_comm_fraction(self) -> float:
-        """Modelled fraction of wire wait hidden by interior compute:
-        hidden over (hidden + still-visible wait).  Zero for unphased
-        runs."""
-        visible = self.metrics.ranks[0].totals.wait
-        total = self.hidden_comm_s + visible
-        return self.hidden_comm_s / total if total > 0.0 else 0.0
 
 
 def _close_all(resources: Sequence) -> None:
@@ -208,8 +189,6 @@ class _RankState:
     buffers: list  # the two extended arrays / BrickStorages
     plans: list  # compiled stencil plan per cycle position
     computed_points: List[int]  # stencil points evaluated per position
-    # () -> ((interior plan, surface plan) of position 0, interior points)
-    compile_split: Callable[[], Tuple[tuple, int]]
     snapshot_layout: Callable[[int], _SnapshotLayout]  # of a rank; checkpointed runs
     fill: Callable[[np.ndarray], None]  # owned initial values into buffer 0
     result: Callable[[int], np.ndarray]  # copy of buffer i's owned region
@@ -218,7 +197,6 @@ class _RankState:
     # What the launching thread reads once the world has joined.
     checkpointer: Optional[RankCheckpointer] = None
     resumed_epoch: int = -1  # negotiated restore epoch (-1: from scratch)
-    phased: bool = False  # the run ended on interior/surface phasing
     copy_backend: str = ""  # tier(s) of the engines the run ended on
 
     def close(self) -> None:
@@ -245,19 +223,12 @@ def _array_state(geometry: RunGeometry, period: int) -> _RankState:
     def fill(owned: np.ndarray) -> None:
         arrays[0][own] = owned
 
-    def compile_split():
-        split = compile_array_phase_plans(
-            spec, ext, g, margins[0], problem.dtype
-        )
-        return split, split[0].cells if split[0] is not None else 0
-
     return _RankState(
         buffers=arrays,
         plans=[
             compile_array_plan(spec, ext, g, m, problem.dtype) for m in margins
         ],
         computed_points=[int(np.prod([e + 2 * m for e in ext])) for m in margins],
-        compile_split=compile_split,
         # The whole extended subdomain (ghost margins included) is one
         # run of one "slot", rewritten by every step; the margins make
         # mid-cycle restores of period>1 runs self-contained.
@@ -294,15 +265,6 @@ def _brick_state(geometry: RunGeometry, period: int) -> _RankState:
         tmp[own] = owned
         extended_to_bricks(tmp, decomp, storages[0], asn)
 
-    def compile_split():
-        # Interior bricks are the slots whose adjacency references no
-        # ghost-section slot.
-        split = compile_brick_phase_plans(
-            spec, binfo, asn, cycle_slots[0], 0, problem.dtype
-        )
-        interior = len(split[0].slots) if split[0] is not None else 0
-        return split, interior * decomp.brick_volume
-
     def snapshot_layout(rank: int) -> _SnapshotLayout:
         # Snapshots of the src storage only: the ghost-expansion
         # invariant (bricks read at cycle position pos+1 were computed at
@@ -328,7 +290,6 @@ def _brick_state(geometry: RunGeometry, period: int) -> _RankState:
             for slots in cycle_slots
         ],
         computed_points=[len(s) * decomp.brick_volume for s in cycle_slots],
-        compile_split=compile_split,
         snapshot_layout=snapshot_layout,
         fill=fill,
         result=lambda src: bricks_to_extended(decomp, storages[src], asn)[own].copy(),
@@ -446,12 +407,12 @@ def _exchange_with_retry(
 ) -> ExchangeResult:
     """One enveloped exchange, healed by bounded retry-with-backoff.
 
-    *fire* is a channel's exchange (or a phased step's start / interior /
-    complete).  Safe because a receive that detects faults judges every
-    item it took, leaves the failed ones queued pristine and raises
-    once, and a re-fire in the same epoch is idempotent (posts absorbed,
-    accepted receives skipped): one retry heals a whole cut, however
-    many of its items were faulted; see DESIGN.md.
+    *fire* is a channel's exchange.  Safe because a receive that detects
+    faults judges every item it took, leaves the failed ones queued
+    pristine and raises once, and a re-fire in the same epoch is
+    idempotent (posts absorbed, accepted receives skipped): one retry
+    heals a whole cut, however many of its items were faulted; see
+    DESIGN.md.
     """
     rank = comm.rank
     comm.set_epoch(t)
@@ -544,7 +505,6 @@ def _rank_fn(
     timesteps: int,
     seed: int,
     exchange_period,
-    overlap: bool,
     injector: Optional[FaultInjector],
     retry: Optional[RetryPolicy],  # None: no envelope on the fabric
     degrade_enabled: bool,
@@ -603,20 +563,14 @@ def _rank_fn(
         state.fill(geometry.initial(seed)[problem.owned_slices(cart.coords)])
 
     # Persistent channels (negotiated once, re-fired batched every step)
-    # wherever the method allows.  Phased (interior/surface) execution
-    # engages exactly when every slot got one.
-    partitions = DEFAULT_PARTITIONS if overlap else 1
-    engines = make_engines(state.exchangers, partitions)
+    # wherever the method allows.
+    engines = make_engines(state.exchangers)
     channels = all(isinstance(e, ExchangeChannel) for e in engines)
-    split, interior_cost = None, 0.0
-    if overlap and channels:
-        split, interior_points = state.compile_split()
-        interior_cost = compute_time(profile, info, interior_points, spec)
     rp = RankRunPlan(
-        engines, state.plans, state.buffers, period, split, rank, info.name,
+        engines, state.plans, state.buffers, period, rank, info.name,
         # Kernel time per cycle position, priced once per run.
         [compute_time(profile, info, n, spec) for n in state.computed_points],
-        interior_cost, info.overlaps,
+        info.overlaps,
     )
 
     def pre_step(t: int, src: int):
@@ -641,7 +595,7 @@ def _rank_fn(
             and t % period == 0
             and _ladder_vote(cart, geometry, state, injector, t, src)
         ):
-            return make_engines(state.exchangers, partitions)
+            return make_engines(state.exchangers)
 
     if injector is not None or cp is not None or state.ladder_level is not None:
         rp.pre_step = pre_step
@@ -663,7 +617,6 @@ def _rank_fn(
         ledger.mappings = getattr(state.exchangers[0], "mapping_count", 0)
         if _METRICS.enabled:
             _METRICS.gauge("memmap.regions", ledger.mappings, rank=rank)
-    state.phased = rp.splits is not None  # a demotion may have ended phasing
     state.copy_backend = rp.engines[0].copy_backend
     return ledger, state.result(src), cart.coords
 
@@ -731,17 +684,16 @@ def _elastic_reshape(
     return new_geometry, new_ckpt, dead
 
 
-def _preflight(geometry: RunGeometry, check: Optional[str], overlap: bool) -> None:
-    """``check=``: verify the world about to launch -- this very object,
-    partition count included -- so a clean check proves deadlock freedom
-    and split agreement for what the ranks then bind."""
+def _preflight(geometry: RunGeometry, check: Optional[str]) -> None:
+    """``check=``: verify the world about to launch -- this very object --
+    so a clean check proves deadlock freedom and byte-count agreement for
+    what the ranks then bind."""
     if check is None:
         return
     from repro.check import check_geometry
 
     report = check_geometry(
         geometry,
-        partitions=DEFAULT_PARTITIONS if overlap else 1,
         passes=("schedule", "memory"),
         strict=(check == "strict"),
     )
@@ -757,7 +709,6 @@ def run_executed(
     seed: int = 0,
     page_size: Optional[int] = None,
     exchange_period=None,
-    overlap: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     verify_wire: bool = False,
     degrade: Optional[bool] = None,
@@ -776,18 +727,6 @@ def run_executed(
     expansion / communication avoiding).  ``"auto"`` uses the maximum
     period the ghost width supports; the default (None) exchanges every
     step as the paper's main experiments do.
-
-    *overlap*: phase each exchange step for compute-comm overlap --
-    start the partitioned persistent channel, compute the interior
-    stencil work while messages are in flight, complete the receives,
-    then sweep the surface.  Results are bit-identical to the unphased
-    step.  Phasing engages exactly when every buffer's exchange engine
-    is a persistent channel, whatever else is on (checkpoints, tracing,
-    metrics, the degradation ladder, *verify_wire*, *fault_plan*: the
-    envelope rides the channel's bound items, the retry epoch spans
-    start -> complete and a retry re-fires the completion only); it
-    cannot with Shift, whose rounds are barrier-separated.
-    ``ExecutedRun.overlap`` reports which happened.
 
     Chaos-fabric knobs (see README "Robustness"):
 
@@ -829,9 +768,9 @@ def run_executed(
     elastic reshape lands on -- and raises
     :class:`~repro.check.CheckFailedError` on any violation;
     ``"warn"`` prints the findings and runs anyway.  What is verified
-    is the run geometry the ranks then bind their plans from (partition
-    count included), so a clean check proves deadlock freedom and split
-    agreement for this exact configuration.
+    is the run geometry the ranks then bind their plans from, so a clean
+    check proves deadlock freedom and byte-count agreement for this
+    exact configuration.
 
     Elastic restart knobs (see README "Robustness" and DESIGN.md 10):
 
@@ -893,7 +832,7 @@ def run_executed(
 
     # Everything the ranks of this world share, built once, here.
     geometry = RunGeometry(problem, method, profile, page_size)
-    _preflight(geometry, check, overlap)
+    _preflight(geometry, check)
     if fault_plan is not None and fault_plan.any_wire_faults:
         _require_healable(geometry)
 
@@ -916,7 +855,7 @@ def run_executed(
         try:
             outs = run_spmd(
                 nranks, _rank_fn, geometry, timesteps, seed, exchange_period,
-                overlap, injector, retry, degrade, cur_ckpt, states,
+                injector, retry, degrade, cur_ckpt, states,
                 fabric=fabric,
             )
             break
@@ -951,7 +890,7 @@ def run_executed(
                     geometry, cur_ckpt, seed, exchange_period, injector,
                     reshapes + 1,
                 )
-                _preflight(geometry, check, overlap)
+                _preflight(geometry, check)
                 dead_total.extend(newly_dead)
                 reshapes += 1
             else:
@@ -992,7 +931,6 @@ def run_executed(
         resumed_epoch=state.resumed_epoch,
         checkpoint_saves=checkpointers[0].saves if checkpointers else 0,
         checkpoint_bytes=sum(cp.saved_bytes for cp in checkpointers),
-        overlap=state.phased,
         reshapes=reshapes,
         final_rank_dims=tuple(cur_problem.rank_dims),
         dead_ranks=tuple(sorted(set(dead_total))),

@@ -41,7 +41,6 @@ class RankMetrics:
     messages: int = 0
     wire_bytes: int = 0
     payload_bytes: int = 0
-    hidden_s: float = 0.0  # modelled wait hidden behind interior calc
     mappings: int = 0  # live MemMap view mappings at the end of the run
 
     def per_timestep(self) -> TimeBreakdown:

@@ -46,35 +46,25 @@ buffers); build one per simulated rank, never share across threads.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 from repro.core.metrics import RankMetrics
-from repro.exchange.base import ExchangeChannel, Exchanger, ExchangeResult
-from repro.exchange.costs import overlap_times
+from repro.exchange.base import Exchanger, ExchangeResult
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 
 __all__ = ["RankRunPlan", "make_engines"]
 
-#: Default per-message partition count of phased channels.  Any value
-#: works (partitions are equal byte splits of the bound request's
-#: buffers, released together by ``pready_all``); a handful keeps the
-#: per-partition wire items few while still exercising genuinely
-#: partitioned transfer.
-DEFAULT_PARTITIONS = 4
 
-
-def make_engines(exchangers: Sequence[Exchanger], partitions: int = 1) -> list:
+def make_engines(exchangers: Sequence[Exchanger]) -> list:
     """The per-buffer exchange engines a run fires each exchange step.
 
     Every exchanger that can be replayed as a persistent batch is
-    replaced by its :class:`ExchangeChannel`; the rest (``make_channel``
-    returns ``None`` for Shift's barrier-separated rounds) keep their
-    per-message ``exchange()`` entry point.
-    *partitions* is forwarded to the channels for phased
-    (start/complete) use.
+    replaced by its :class:`~repro.exchange.base.ExchangeChannel`; the
+    rest (``make_channel`` returns ``None`` for Shift's barrier-separated
+    rounds) keep their per-message ``exchange()`` entry point.
     """
-    return [ex.make_channel(partitions) or ex for ex in exchangers]
+    return [ex.make_channel() or ex for ex in exchangers]
 
 
 class RankRunPlan:
@@ -86,20 +76,9 @@ class RankRunPlan:
     ``buffers`` are the two storage/array operands the plans read and
     write.  *rank* and *method* label the ``driver.*`` spans and
     counters.  ``calc_costs[pos]`` is the modelled kernel time of cycle
-    position *pos*, *interior_cost* that of the interior sweep of a
-    phased step, and *hides_wait* says the method's own model hides
+    position *pos*, and *hides_wait* says the method's own model hides
     wire wait behind the whole kernel (``yask_ol``): what the ledger is
     charged per step beside the fired exchange's price.
-
-    With *splits* -- an ``(interior plan, surface plan)`` pair replacing
-    ``plans[0]`` -- the exchange step runs *phased*: ``channel.start()``
-    (pack + release every send partition), interior stencil work while
-    the messages are in flight, ``channel.complete()`` (drain receives,
-    unpack), then the surface sweep that reads
-    the fresh ghost data.  Interior work reads no ghost cells by
-    construction, and interior + surface cover ``plans[0]`` exactly, so
-    phased replay is bit-identical to the unphased one.  Phased plans
-    require every engine to be an :class:`ExchangeChannel`.
 
     The hook attributes are set by the driver after construction:
 
@@ -110,19 +89,16 @@ class RankRunPlan:
     ``around_exchange(t, fire)``
         runs the exchange by calling ``fire()``, possibly repeatedly
         (envelope epoch, retry-with-backoff); returns its
-        :class:`ExchangeResult`.  A phased step goes through it too: the
-        epoch spans ``start()`` -> ``complete()``, the interior work
-        runs once, and a repeated ``fire()`` re-fires ``complete()``
-        only.
+        :class:`ExchangeResult`.
     ``post_exchange(src)`` / ``post_calc(pos, dst)``
         after the ghost sections of buffer *src* / the slots of cycle
         position *pos* in buffer *dst* were rewritten (checkpoint dirty
         tracking, per buffer).
     """
 
-    __slots__ = ("engines", "plans", "buffers", "period", "splits", "rank",
-                 "method", "calc_costs", "interior_cost", "hides_wait",
-                 "pre_step", "around_exchange", "post_exchange", "post_calc")
+    __slots__ = ("engines", "plans", "buffers", "period", "rank", "method",
+                 "calc_costs", "hides_wait", "pre_step", "around_exchange",
+                 "post_exchange", "post_calc")
 
     def __init__(
         self,
@@ -130,38 +106,24 @@ class RankRunPlan:
         plans: Sequence,
         buffers: Sequence,
         period: int,
-        splits: Optional[Tuple] = None,
         rank: Optional[int] = None,
         method: str = "",
         calc_costs: Optional[Sequence[float]] = None,
-        interior_cost: float = 0.0,
         hides_wait: bool = False,
     ) -> None:
         if len(engines) != len(buffers):
             raise ValueError("one exchange engine per double-buffer slot")
         if len(plans) != period:
             raise ValueError("one stencil plan per cycle position")
-        if splits is not None:
-            if len(splits) != 2:
-                raise ValueError(
-                    "splits must be an (interior, surface) plan pair"
-                )
-            if not _all_channels(engines):
-                raise ValueError(
-                    "phased replay requires exchange channels on every"
-                    " double-buffer slot"
-                )
         self.engines = list(engines)
         self.plans = list(plans)
         self.buffers = list(buffers)
         self.period = int(period)
-        self.splits = tuple(splits) if splits is not None else None
         self.rank = rank
         self.method = method
         self.calc_costs = (
             list(calc_costs) if calc_costs is not None else [0.0] * self.period
         )
-        self.interior_cost = interior_cost
         self.hides_wait = hides_wait
         self.pre_step: Optional[Callable[[int, int], Optional[Sequence]]] = None
         self.around_exchange: Optional[
@@ -171,13 +133,10 @@ class RankRunPlan:
         self.post_calc: Optional[Callable[[int, int], None]] = None
 
     def set_engines(self, engines: Sequence) -> None:
-        """Install rebuilt engines once the current ones' sends completed;
-        phasing survives only on channels."""
+        """Install rebuilt engines once the current ones' sends completed."""
         for eng in self.engines:
             eng.wait_sends()
         self.engines = list(engines)
-        if not _all_channels(self.engines):
-            self.splits = None
 
     def run(self, start_step: int, timesteps: int, ledger: RankMetrics) -> int:
         """Replay steps ``[start_step, timesteps)``; returns the final
@@ -216,30 +175,9 @@ class RankRunPlan:
                     if rebuilt is not None:
                         self.set_engines(rebuilt)
                 with span("driver.step", rank=rank, step=t):
-                    sweep = plans[pos]  # stencil work not yet run this step
                     calc = calc_costs[pos]
                     if pos == 0:
-                        eng = self.engines[src]
-                        fire = eng.exchange
-                        phased = self.splits is not None
-                        if phased:
-                            # The interior taps run inside the exchange,
-                            # while the partitioned messages are in
-                            # flight; only the surface sweep is left for
-                            # after every receive completed.
-                            interior, sweep = self.splits
-
-                            def fire(eng=eng, interior=interior, src=src, dst=dst,
-                                     writes=self.engines[dst]):
-                                if not eng.started:  # else: a retry's re-fire
-                                    eng.start()
-                                    if interior is not None:
-                                        writes.wait_sends()
-                                        t0 = perf()
-                                        interior.execute(bufs[src], bufs[dst])
-                                        measured.calc += perf() - t0
-                                return eng.complete()
-
+                        fire = self.engines[src].exchange
                         with span("driver.exchange", rank=rank, step=t,
                                   method=method):
                             res = around(t, fire) if around is not None else fire()
@@ -247,14 +185,7 @@ class RankRunPlan:
                         price = res.breakdown
                         calc += res.first_touch
                         wait = price.wait
-                        if phased:
-                            # Exactly the interior kernel time of wait is
-                            # hidden (an explicit price, replacing the
-                            # whole-calc discount of the methods whose
-                            # own model overlaps).
-                            wait, hidden = overlap_times(wait, self.interior_cost)
-                            ledger.hidden_s += hidden
-                        elif self.hides_wait:
+                        if self.hides_wait:
                             wait = max(0.0, wait - calc)
                         totals.pack += price.pack
                         totals.call += price.call
@@ -266,12 +197,11 @@ class RankRunPlan:
                         ledger.payload_bytes += res.payload_bytes_sent
                         if post_exchange is not None:
                             post_exchange(src)
-                    if sweep is not None:
-                        self.engines[dst].wait_sends()
-                        with span("driver.calc", rank=rank, step=t):
-                            t0 = perf()
-                            sweep.execute(bufs[src], bufs[dst])
-                            measured.calc += perf() - t0
+                    self.engines[dst].wait_sends()
+                    with span("driver.calc", rank=rank, step=t):
+                        t0 = perf()
+                        plans[pos].execute(bufs[src], bufs[dst])
+                        measured.calc += perf() - t0
                     if post_calc is not None:
                         post_calc(pos, dst)
                     totals.calc += calc
@@ -289,6 +219,3 @@ class RankRunPlan:
                     )
         return src
 
-
-def _all_channels(engines: Sequence) -> bool:
-    return all(isinstance(eng, ExchangeChannel) for eng in engines)

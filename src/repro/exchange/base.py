@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.exchange.costs import price_exchange
 from repro.exchange.schedule import MessageSpec
-from repro.faults.errors import ExchangeConfigError, ProtocolError
+from repro.faults.errors import ExchangeConfigError
 from repro.hardware.profiles import MachineProfile
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
@@ -88,10 +88,7 @@ class PlannedMessage:
     for schemes whose wire buffer is separate staging (pack / mpi_types
     / shift), where storage aliasing is structurally impossible.
     ``phase`` orders barrier-separated sub-exchanges (Shift's per-axis
-    rounds); schedules with a single phase use 0.  ``partitions``
-    overrides the plan-wide partition count for this message (``None`` =
-    inherit), which the mutation harness uses to model split
-    disagreements.
+    rounds); schedules with a single phase use 0.
     """
 
     peer: int
@@ -99,7 +96,6 @@ class PlannedMessage:
     spec: MessageSpec
     phase: int = 0
     ranges: Optional[Tuple[Tuple[int, int], ...]] = None
-    partitions: Optional[int] = None
 
     @property
     def nbytes(self) -> int:
@@ -184,9 +180,7 @@ class ScheduleTemplate:
                     # Field by field: dataclasses.replace costs twice as
                     # much, per message per rank per run.
                     out.append(
-                        PlannedMessage(
-                            peer, m.tag, m.spec, m.phase, m.ranges, m.partitions
-                        )
+                        PlannedMessage(peer, m.tag, m.spec, m.phase, m.ranges)
                     )
             return tuple(out)
 
@@ -304,12 +298,12 @@ class ExchangeChannel:
     bracket the wire.
 
     A send completes where its buffer is next written, not when the
-    exchange returns: :meth:`exchange` and :meth:`start` first complete
-    this channel's previous epoch (before ``pre`` rewrites a staging
-    buffer and before the cut is posted again), and whoever writes the
-    buffers in between -- the run plan's sweeps -- calls
-    :meth:`wait_sends` first (:mod:`repro.core.runplan` says why that
-    wait costs nothing with an exchange every step).
+    exchange returns: :meth:`exchange` first completes this channel's
+    previous epoch (before ``pre`` rewrites a staging buffer and before
+    the request is posted again), and whoever writes the buffers in
+    between -- the run plan's sweeps -- calls :meth:`wait_sends` first
+    (:mod:`repro.core.runplan` says why that wait costs nothing with an
+    exchange every step).
 
     The modelled :class:`ExchangeResult` is a function of the (static)
     message plan, so it is the exchanger's, returned by reference.
@@ -317,15 +311,6 @@ class ExchangeChannel:
     verified fabric the same three calls seal, verify and heal the cut
     (the fabric's envelope guard), so a guarded run fires this handle
     exactly as a plain one does, and a retry is a re-fire.
-
-    Beyond the bulk-synchronous :meth:`exchange`, a channel can run one
-    exchange *phased*: :meth:`start` packs (if the scheme packs), arms the
-    bound request's partitioned epoch and releases every send partition;
-    :meth:`complete` drains the receives, awaits send consumption and
-    unpacks.  The caller computes interior stencil work between the two
-    -- the compute-comm overlap the phased timestep is built on.  With
-    *partitions* > 1, each flattened buffer travels as that many
-    independently-released sub-region partitions (``Pready`` semantics).
 
     The channel is also where the fabric gets its wire tier: it
     resolves the movers (:func:`repro.stencil.cbackend.mover_kernel` /
@@ -347,7 +332,6 @@ class ExchangeChannel:
         recvs: _Wire,
         result: ExchangeResult,
         hooks: Binding = Binding((), ()),
-        partitions: int = 1,
     ) -> None:
         self.comm = comm
         self.method = method
@@ -356,18 +340,18 @@ class ExchangeChannel:
         self._result = result
         self._hooks = hooks
         self._nmsgs = len(posts)
-        # The bulk cut is on the wire and its receive has not returned:
+        # The request is on the wire and its receive has not returned:
         # the next exchange() is a re-fire of that epoch (a retry after
         # a detected fault), whose own sends are not waited for.
         self._posted = False
         # Bind now: the fabric validates the buffers and registers both
-        # halves of the byte split, so a cross-rank disagreement (byte
-        # counts or partition bounds) surfaces at negotiation as a typed
-        # SplitMismatchError instead of a DeadlockError on the first wait.
+        # ends' byte counts, so a cross-rank disagreement surfaces at
+        # negotiation as a typed SplitMismatchError instead of a
+        # DeadlockError on the first wait.
         movers = mover_kernel()
         sealers = crc_movers()
         self._request = self._fabric.bind_request(
-            self._rank, posts, recvs, int(partitions),
+            self._rank, posts, recvs,
             movers.copy_list if movers is not None else None,
             sealers.crc_list if sealers is not None else None,
             sealers.copy_crc_list if sealers is not None else None,
@@ -382,36 +366,22 @@ class ExchangeChannel:
             # calls are not on it.
             self.copy_backend += f" (wire on numpy: {movers.crc_refusal})"
 
-    @property
-    def started(self) -> bool:
-        """A phased exchange is in flight: :meth:`start` ran and
-        :meth:`complete` has not returned yet."""
-        return self._request.started
-
     def wait_sends(self) -> None:
         """Complete this channel's sends: return once its peers consumed
         every item it posted.  Call it before writing the channel's send
-        buffers -- or freeing them -- outside :meth:`exchange` /
-        :meth:`start`, which complete their own previous epoch."""
-        fabric, request = self._fabric, self._request
-        fabric.wait_send_batch(request.bulk)
-        if request.parts is not request.bulk:
-            fabric.wait_send_batch(request.parts)
+        buffers -- or freeing them -- outside :meth:`exchange`, which
+        completes its own previous epoch."""
+        self._fabric.wait_send_batch(self._request)
 
     def exchange(self) -> ExchangeResult:
         """Re-fire the negotiated plan; returns the precomputed result.
 
         Its sends are still in flight when it returns (:meth:`wait_sends`).
         """
-        if self._request.started:
-            raise ProtocolError(
-                "channel has a phased exchange in flight; complete() it"
-                " before exchanging"
-            )
         fabric = self._fabric
         rank = self._rank
         hooks = self._hooks
-        cut = self._request.bulk
+        cut = self._request
         if not self._posted:
             self.wait_sends()  # the previous epoch's
         if hooks.pre is not None:
@@ -423,50 +393,6 @@ class ExchangeChannel:
         with _TRACER.span("exchange.wait", rank=rank, method=self.method):
             fabric.complete_recv_batch(cut)
         self._posted = False
-        if hooks.post is not None:
-            with _TRACER.span(hooks.spans[1], rank=rank, method=self.method):
-                hooks.post()
-        if _METRICS.enabled:
-            _count_exchange(rank, hooks, self._nmsgs)
-        return self._result
-
-    # ------------------------------------------------------------------
-    # Phased exchange: start -> (caller's interior compute) -> complete
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Complete the previous epoch's sends, pack, arm the bound
-        request's epoch, release every partition.
-
-        Returns as soon as every send partition is on the wire; nothing
-        has been received yet.  The caller may compute any stencil work
-        that reads no ghost data before calling :meth:`complete`.
-        """
-        request = self._request
-        if request.started:
-            raise ProtocolError(
-                "channel already started; complete() the in-flight"
-                " exchange first"
-            )
-        self.wait_sends()
-        rank = self._rank
-        hooks = self._hooks
-        if hooks.pre is not None:
-            with _TRACER.span(hooks.spans[0], rank=rank, method=self.method):
-                hooks.pre()
-        with _TRACER.span("exchange.start", rank=rank, method=self.method):
-            request.start()
-            request.pready_all()
-
-    def complete(self) -> ExchangeResult:
-        """Drain every receive partition, unpack; the sends stay in
-        flight (:meth:`wait_sends`).
-
-        A detected wire fault leaves the exchange in flight, so the
-        caller heals it by calling :meth:`complete` again."""
-        rank = self._rank
-        hooks = self._hooks
-        with _TRACER.span("exchange.complete", rank=rank, method=self.method):
-            self._request.complete_receives()
         if hooks.post is not None:
             with _TRACER.span(hooks.spans[1], rank=rank, method=self.method):
                 hooks.post()
@@ -536,21 +462,17 @@ class Exchanger(abc.ABC):
         hooks', and NumPy for the fabric's per-message wire copy."""
         return _tiers("numpy", *(hooks for *_, hooks in self._bound))
 
-    def make_channel(self, partitions: int = 1) -> Optional[ExchangeChannel]:
+    def make_channel(self) -> Optional[ExchangeChannel]:
         """Persistent-channel form of this exchanger's bound plan.
 
         ``None`` means the plan cannot be replayed as one batch and the
         caller keeps the per-step :meth:`exchange` path: a plan with
-        intra-exchange barriers (Shift).  *partitions* is the
-        per-message partition count phased exchanges will use.
+        intra-exchange barriers (Shift).
         """
         if self.plan.nphases > 1:
             return None
         ((posts, recvs, hooks),) = self._bound
-        return ExchangeChannel(
-            self.comm, self.method, posts, recvs, self.result, hooks,
-            int(partitions),
-        )
+        return ExchangeChannel(self.comm, self.method, posts, recvs, self.result, hooks)
 
     def wait_sends(self) -> None:
         """Nothing to complete: :meth:`exchange` waits for every send

@@ -22,23 +22,10 @@ __all__ = [
     "exchange_times",
     "pack_cost",
     "datatype_cost",
-    "overlap_times",
 ]
 
 #: Where a scheme's on-node copy happens (``RankMessagePlan.copy``).
 COPY_KINDS = ("none", "pack", "datatype")
-
-
-def overlap_times(wait: float, interior_calc: float) -> Tuple[float, float]:
-    """``(visible_wait, hidden)`` when interior compute overlaps the wire.
-
-    A phased exchange hides at most *interior_calc* seconds of the
-    modelled *wait* behind the interior stencil sweep (posting, packing
-    and unpacking stay on the critical path); whatever wait remains is
-    still visible.  ``visible_wait + hidden == wait`` always.
-    """
-    hidden = min(max(wait, 0.0), max(interior_calc, 0.0))
-    return wait - hidden, hidden
 
 
 def pack_cost(profile: MachineProfile, specs: Sequence[MessageSpec]) -> float:

@@ -16,8 +16,8 @@ transmission carries:
 Validation failures raise the typed errors from
 :mod:`repro.faults.errors` (re-exported here).  :class:`EnvelopeGuard` is
 the protocol: the one object a verified fabric consults.  The unit it
-seals, sifts and judges is a **cut** -- one side of one persistent
-request (:class:`~repro.simmpi.fabric.BoundRequest`) -- so a guarded
+seals, sifts and judges is a **cut** -- one rank's persistent request
+(:class:`~repro.simmpi.fabric.BoundRequest`) -- so a guarded
 exchange fires the same handle as a plain one and costs its bytes, not
 its messages: a post is one vector increment of the cut's sequence
 numbers and **one** checksum call over its send views (frozen at bind,
@@ -30,8 +30,8 @@ the cut was handed; :func:`checksum` / :func:`seal` / :func:`verify`
 stay the per-message path and the reference both agree with bit for bit.
 Per-item Python is left for the items that are not the common case: a
 transmission the injector touched, an item the vector verdict fails, a
-re-fire, a partially released (``pready``) cut.  Which items those are
-is decided from what arrived, never from a setting.
+re-fire.  Which items those are is decided from what arrived, never from
+a setting.
 
 The guard owns the per-edge state that makes a re-fired exchange
 idempotent (DESIGN.md, "Why retried exchanges are idempotent"), in
@@ -200,7 +200,7 @@ class _Sealed:
     bytes frozen at bind, in cut order (``cut.groups``, flattened)."""
 
     __slots__ = ("table", "rows", "keys", "views", "dsts", "sizes",
-                 "bounds", "place", "crcs")
+                 "bounds", "crcs")
 
     def __init__(self, cut, table: _RankTable) -> None:
         items = [(dst, item) for dst, group, _n in cut.groups for item in group]
@@ -218,7 +218,6 @@ class _Sealed:
         for dst, group, _nbytes in cut.groups:
             self.bounds.append((dst, lo, lo + len(group)))
             lo += len(group)
-        self.place = {id(item): i for i, (_dst, item) in enumerate(items)}
         self.crcs = cut.crc_list(self.views)  # one call seals the side
 
 
@@ -260,13 +259,12 @@ class Sifted(NamedTuple):
 class EnvelopeGuard:
     """Sequence/CRC protocol state of one verified fabric.
 
-    The unit it seals and judges is a **cut** -- one side of one bound
+    The unit it seals and judges is a **cut** -- one rank's bound
     request -- with per-item work only for the items that are not the
     common case.  State is kept per rank, in tables indexed in cut order
     (:class:`_RankTable`; the edge -> row map lives here, not on a
     request, so it survives a channel rebuilt on the same fabric --
-    ladder demotion); partitions are edges of their own through
-    ``partition_tag``.  No lock: a rank's sender table is touched only
+    ladder demotion).  No lock: a rank's sender table is touched only
     by that rank's thread and its receiver table likewise, so an edge's
     sender-side entry is written by its source rank's thread only and
     its receiver-side entry by its destination's.  Bound items and
@@ -317,11 +315,10 @@ class EnvelopeGuard:
             )
 
     # -- bound items: sender ---------------------------------------------
-    def seal_items(self, cut, groups, epoch: Optional[int]):
-        """What a post of *groups* of *cut* (``(dst, plain items,
-        nbytes)``; ``None``: the whole cut) puts on the wire: ``(deposits,
-        logical items, bytes)``, one deposit ``(dst, (cut.credit, wire
-        items))`` per destination.
+    def seal_items(self, cut, epoch: Optional[int]):
+        """What a post of *cut* puts on the wire: ``(deposits, logical
+        items, bytes)``, one deposit ``(dst, (cut.credit, wire items))``
+        per destination.
 
         An item already posted in *epoch* is absorbed (nothing deposited,
         not counted).  The rest are stamped with their edges' next
@@ -338,16 +335,13 @@ class EnvelopeGuard:
         sealed = cut.sealed
         table = sealed.table
         code = _code(epoch)
-        # Which items of the flattened cut this post is about.
-        picked = None if groups is None else [
-            sealed.place[id(item)] for _dst, items, _n in groups for item in items
-        ]
-        rows = sealed.rows if picked is None else sealed.rows[picked]
+        picked = None  # which items of the flattened cut go out: all of them
+        rows = sealed.rows
         if epoch is not None:
             again = table.epoch[rows] == code
             if again.any():  # a re-fire: absorb what this epoch already posted
                 posted = []
-                for at, absorbed in zip(picked or range(len(rows)), again.tolist()):
+                for at, absorbed in enumerate(again.tolist()):
                     if absorbed:
                         key = sealed.keys[at]
                         self._record(
@@ -424,11 +418,6 @@ class EnvelopeGuard:
             else:
                 owed.add(key)
         return owed
-
-    def fresh(self, dst: int, item: _Item) -> bool:
-        """Is *item* a transmission *dst* has not accepted yet?"""
-        table = self._receivers.get(dst)
-        return item[2].seq > (table.last(item[0]) if table is not None else 0)
 
     def sift(self, cut, arrivals: List[_Item], owed) -> Sifted:
         """Sort *cut*'s rank's *arrivals* for a receive that still owes

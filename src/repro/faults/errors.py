@@ -28,25 +28,24 @@ class FaultError(RuntimeError):
 class ProtocolError(RuntimeError):
     """The fabric/channel call protocol was violated by the caller.
 
-    Covers call-order misuse of the partitioned persistent requests
-    (``pready`` before ``start``, double ``start``) and of the phased
-    channel entry points (``complete`` without ``start``).  These are
-    caller bugs, not injected or detected faults, so this deliberately
+    Covers arrivals a bound request does not expect: an item no bound
+    receive matches, or a peer that posted its request again before the
+    previous epoch was consumed.  These are caller bugs, not injected or
+    detected faults, so this deliberately
     does *not* derive from :class:`FaultError` -- a ``ProtocolError``
     must never be classified as a detected fault by the chaos report.
     """
 
 
 class SplitMismatchError(ProtocolError, ValueError):
-    """The two endpoints of a message disagree on its byte split.
+    """The two endpoints of a message disagree on its byte count.
 
     Raised at *negotiation* time (channel construction, i.e.
     ``SimFabric.bind_request``) when the sender and receiver register
-    different byte counts or partition bounds for the same
-    ``(src, dst, tag)`` edge -- the static schedule verifier
-    (:mod:`repro.check`) computes the same
-    :func:`~repro.simmpi.fabric.partition_bounds` split, so a run
-    admitted by ``repro check`` can never raise this.  Also a
+    different byte counts for the same ``(src, dst, tag)`` edge -- the
+    static schedule verifier (:mod:`repro.check`) compares the same
+    counts (its ``byte-mismatch`` finding), so a run admitted by
+    ``repro check`` can never raise this.  Also a
     ``ValueError`` so pre-existing handlers of the fabric's message
     size-mismatch guard keep working.
     """

@@ -28,8 +28,6 @@ from repro.simmpi.fabric import (
     RankDeadError,
     SimFabric,
     SplitMismatchError,
-    partition_bounds,
-    partition_tag,
 )
 from repro.simmpi.launcher import run_spmd
 from repro.simmpi.request import SimRequest
@@ -50,8 +48,6 @@ __all__ = [
     "SimFabric",
     "SimRequest",
     "SubarrayType",
-    "partition_bounds",
-    "partition_tag",
     "VectorType",
     "allgather",
     "allreduce",

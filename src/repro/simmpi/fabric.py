@@ -30,7 +30,7 @@ two kinds of traffic match differently:
     already passed every per-item check.  Who makes that call -- a C
     ``copy_list`` or the NumPy loop -- is the binder handed to
     :meth:`SimFabric.bind_request`; this package knows no backend.
-    Binding registers both halves of every edge's byte split under one
+    Binding registers both ends' byte count of every edge under one
     acquisition of the fabric lock.
 
 ``queues`` (per-message: Shift, collectives)
@@ -66,7 +66,7 @@ Verified mode (the chaos fabric)
 --------------------------------
 ``enable_envelope()`` installs an
 :class:`~repro.exchange.envelope.EnvelopeGuard`, which seals and judges
-a **cut** -- one side of one bound request -- and goes item by item only
+a **cut** -- one rank's bound request -- and goes item by item only
 for what is not the common case.  The same request is bound and fired by
 the same three calls, so a guarded exchange is the plain one plus the
 guard.  Both ends' buffers are persistent, so everything but the bytes
@@ -133,8 +133,6 @@ __all__ = [
     "SimFabric",
     "FabricStats",
     "BoundRequest",
-    "partition_tag",
-    "partition_bounds",
     "DeadlockError",
     "AbortedError",
     "ExchangeIntegrityError",
@@ -185,44 +183,6 @@ class _SendEntry:
 
 class AbortedError(RuntimeError):
     """Another rank failed; this operation was abandoned."""
-
-
-#: Partition tags live above every plain exchange tag: exchange_tag() values
-#: are bounded by 3^ndim * 4096 (< 2^20), so shifting the partition index to
-#: bit 20 keeps the two tag spaces disjoint on the same port.
-_PARTITION_TAG_BASE = 1 << 20
-
-
-def partition_tag(tag: int, part: int) -> int:
-    """Wire tag of partition *part* of a message with base tag *tag*."""
-    if not 0 <= tag < _PARTITION_TAG_BASE:
-        raise ExchangeConfigError(
-            f"base tag {tag} collides with the partition tag space"
-        )
-    if part < 0:
-        raise ExchangeConfigError("partition index cannot be negative")
-    return (part + 1) * _PARTITION_TAG_BASE + tag
-
-
-def partition_bounds(nbytes: int, partitions: int) -> Tuple[Tuple[int, int], ...]:
-    """Equal byte-count partition intervals ``(lo, hi)`` of a message.
-
-    The single source of truth for the byte split: both wire endpoints
-    and the negotiation (:meth:`SimFabric.bind_request`) and the static
-    schedule verifier (:mod:`repro.check`) derive their split from it,
-    so "checker says the split matches" and "the wire splits match" are
-    the same statement.  The partition count is clamped to the byte
-    count (every partition carries at least one byte; a zero-byte
-    message has exactly one empty partition).
-    """
-    n = int(nbytes)
-    if n < 0:
-        raise ExchangeConfigError("message byte count cannot be negative")
-    k = max(1, min(int(partitions), n)) if n else 1
-    if k == 1:  # every unphased message: keep binding a channel cheap
-        return ((0, n),)
-    cuts = [(n * p) // k for p in range(k + 1)]
-    return tuple((cuts[p], cuts[p + 1]) for p in range(k))
 
 
 def _flat_bytes(buf: np.ndarray) -> np.ndarray:
@@ -379,16 +339,21 @@ def _requeue(fifos, owners, items) -> None:
             fifo.append((credit, [item]))
 
 
-class _Cut:
-    """A request's buffers cut into wire items at one partition count.
+class BoundRequest:
+    """A channel's messages bound to the fabric once, fired every step.
 
-    ``rows[m][p]`` is the single-item group of partition *p* of send *m*
-    and ``groups`` the same items gathered per destination; a group is
-    ``(dst, items, nbytes)`` and an item ``((src, wire tag), byte view)``.
+    One rank's persistent request (the ``MPI_Send_init`` / ``Recv_init``
+    analogue in one handle), built by :meth:`SimFabric.bind_request` and
+    fired through ``post_send_batch`` / ``complete_recv_batch`` /
+    ``wait_send_batch``.  The fabric and its guard call it a *cut*: the
+    channel's buffers cut into wire items, one per message.
+
+    ``groups`` are the items gathered per destination; a group is
+    ``(dst, items, nbytes)`` and an item ``((src, tag), byte view)``.
     ``deposits`` are the groups as a post queues them, ``(dst, (credit,
     items))``, built once; ``credit`` is the cut's :class:`_Credit`.
-    ``rmap`` maps each expected item key to its receive view, ``rkeys[m]``
-    lists the keys of receive *m*, ``sources`` is ``(src, item count)``.
+    ``rmap`` maps each expected item key to its receive view, ``sources``
+    is ``(src, item count)``.
 
     ``copy`` is the plain path's whole wire copy, one call, built by
     ``copy_list`` (a ``(srcs, dsts) -> call`` binder) from the deposits
@@ -398,40 +363,34 @@ class _Cut:
     view of the two halves in ``sealed`` / ``checked``, over the
     ``crc_list`` (``views -> call returning their CRC32s``) and
     ``copy_crc_list`` (``(srcs, dsts) -> call that copies and returns
-    the CRC32s of what landed``) binders.
+    the CRC32s of what landed``) binders.  ``copies_in_one_call`` says
+    whether every call the fabric makes per exchange side -- the wire
+    copy on a plain fabric, the seal and the copy-and-check on a
+    verified one -- goes through a binder that was handed in, rather
+    than the fabric's own NumPy tier.
     """
 
-    __slots__ = ("rank", "rows", "groups", "nsend", "send_bytes", "credit",
-                 "deposits", "rmap", "rkeys", "recv_bytes", "sources",
+    __slots__ = ("rank", "groups", "nsend", "send_bytes", "credit",
+                 "deposits", "rmap", "recv_bytes", "sources",
                  "copy_list", "copy", "frozen",
-                 "crc_list", "copy_crc_list", "sealed", "checked")
+                 "crc_list", "copy_crc_list", "sealed", "checked",
+                 "copies_in_one_call")
 
-    def __init__(self, rank: int, posts, recvs, partitions: int,
+    def __init__(self, rank: int, posts, recvs, verified: bool,
                  copy_list=None, crc_list=None, copy_crc_list=None) -> None:
-        def wire(tag: int, part: int) -> int:
-            return tag if partitions == 1 else partition_tag(tag, part)
-
         self.rank = rank
-        self.rows: List[list] = []
         by_dst: Dict[int, list] = {}
         for dst, tag, buf in posts:
-            flat = _flat_bytes(buf)
-            row = []
-            for p, (lo, hi) in enumerate(partition_bounds(flat.size, partitions)):
-                item = ((rank, wire(tag, p)), flat[lo:hi])
-                by_dst.setdefault(dst, []).append(item)
-                row.append((dst, [item], hi - lo))
-            self.rows.append(row)
+            by_dst.setdefault(dst, []).append(((rank, tag), _flat_bytes(buf)))
         self.groups = [
             (dst, items, sum(view.size for _, view in items))
             for dst, items in by_dst.items()
         ]
-        self.nsend = sum(len(row) for row in self.rows)
+        self.nsend = len(posts)
         self.send_bytes = sum(g[2] for g in self.groups)
         self.credit = _Credit(rank, self.nsend)
         self.deposits = [(dst, (self.credit, items)) for dst, items, _n in self.groups]
         self.rmap: Dict[Tuple[int, int], np.ndarray] = {}
-        self.rkeys: List[list] = []
         counts: Dict[int, int] = {}
         for src, tag, buf in recvs:
             if not buf.flags.writeable:
@@ -439,19 +398,13 @@ class _Cut:
                     f"rank {rank} binds a read-only buffer to the receive"
                     f" (src={src}, tag={tag})"
                 )
-            flat = _flat_bytes(buf)
-            keys = []
-            for p, (lo, hi) in enumerate(partition_bounds(flat.size, partitions)):
-                key = (src, wire(tag, p))
-                if key in self.rmap:
-                    raise ExchangeConfigError(
-                        f"rank {rank} binds two receives to (src={src},"
-                        f" tag={tag}); one request matches an edge once"
-                    )
-                self.rmap[key] = flat[lo:hi]
-                keys.append(key)
-            self.rkeys.append(keys)
-            counts[src] = counts.get(src, 0) + len(keys)
+            if (src, tag) in self.rmap:
+                raise ExchangeConfigError(
+                    f"rank {rank} binds two receives to (src={src},"
+                    f" tag={tag}); one request matches an edge once"
+                )
+            self.rmap[(src, tag)] = _flat_bytes(buf)
+            counts[src] = counts.get(src, 0) + 1
         self.recv_bytes = sum(view.size for view in self.rmap.values())
         self.sources = list(counts.items())
         self.copy_list = copy_list or _numpy_copy_list
@@ -460,125 +413,11 @@ class _Cut:
         self.crc_list = crc_list or _numpy_crc_list
         self.copy_crc_list = copy_crc_list or _numpy_copy_crc_list
         self.sealed = self.checked = None  # EnvelopeGuard.bind fills them
-
-
-class BoundRequest:
-    """A channel's messages bound to the fabric once, fired every step.
-
-    One rank's persistent request (the ``MPI_Psend_init`` / ``Precv_init``
-    analogue in one handle), built by :meth:`SimFabric.bind_request`.
-    ``bulk`` is the whole-message cut a bulk-synchronous exchange fires
-    through ``post_send_batch`` / ``complete_recv_batch`` /
-    ``wait_send_batch``; ``parts`` is the same buffers cut by
-    :func:`partition_bounds` for the phased epoch ``start()`` ->
-    ``pready(msg, part)`` / ``pready_all()`` -> ``complete()``, in which
-    a partition reaches its peer only once it is marked ready.
-    """
-
-    __slots__ = ("_fabric", "bulk", "parts", "started", "_ready", "_all_ready",
-                 "copies_in_one_call")
-
-    def __init__(self, fabric: "SimFabric", rank: int, posts, recvs,
-                 partitions: int, copy_list=None, crc_list=None,
-                 copy_crc_list=None) -> None:
-        self._fabric = fabric
-        binders = (copy_list, crc_list, copy_crc_list)
-        self.bulk = _Cut(rank, posts, recvs, 1, *binders)
-        self.parts = (
-            self.bulk
-            if partitions == 1
-            else _Cut(rank, posts, recvs, partitions, *binders)
-        )
-        #: Whether every call this fabric makes per exchange side of the
-        #: request -- the wire copy on a plain fabric, the seal and the
-        #: copy-and-check on a verified one -- goes through a binder
-        #: that was handed in, rather than the fabric's own NumPy tier.
         self.copies_in_one_call = (
-            copy_list is not None
-            if fabric._guard is None
-            else crc_list is not None and copy_crc_list is not None
+            crc_list is not None and copy_crc_list is not None
+            if verified
+            else copy_list is not None
         )
-        self.started = False
-        self._ready: set = set()
-        self._all_ready = False
-
-    @property
-    def partitions(self) -> List[int]:
-        """Partition count per message (clamped to the message's bytes),
-        sends first, then receives."""
-        cut = self.parts
-        return [len(row) for row in cut.rows] + [len(k) for k in cut.rkeys]
-
-    def _need_started(self, what: str) -> None:
-        if not self.started:
-            raise ProtocolError(f"{what} before start on a bound request")
-
-    def start(self) -> None:
-        """Arm a new epoch; every partition becomes not-ready."""
-        if self.started:
-            raise ProtocolError(
-                "bound request already started; complete() the previous"
-                " epoch first"
-            )
-        self._ready.clear()
-        self._all_ready = False
-        self.started = True
-
-    def pready(self, msg: int, part: int) -> None:
-        """Mark one partition ready: its bytes go on the wire now."""
-        self._need_started("pready")
-        if self._all_ready or (msg, part) in self._ready:
-            raise ProtocolError(
-                f"partition ({msg}, {part}) already marked ready this epoch"
-            )
-        group = self.parts.rows[msg][part]
-        self._fabric.post_send_batch(self.parts, [group])
-        self._ready.add((msg, part))
-
-    def pready_all(self) -> None:
-        """Mark every not-yet-ready partition ready in one lock round."""
-        self._need_started("pready")
-        if self._all_ready:
-            return
-        groups = None  # nothing released yet: the prebuilt per-rank groups
-        if self._ready:
-            groups = [
-                group
-                for m, row in enumerate(self.parts.rows)
-                for p, group in enumerate(row)
-                if (m, p) not in self._ready
-            ]
-        self._fabric.post_send_batch(self.parts, groups)
-        self._all_ready = True
-
-    def parrived(self, msg: int, part: int) -> bool:
-        """Non-blocking: has this partition's transmission arrived?"""
-        self._need_started("parrived")
-        key = self.parts.rkeys[msg][part]
-        fabric = self._fabric
-        rank = self.parts.rank
-        guard = fabric._guard
-        with fabric._lock:
-            return any(
-                item[0] == key and (guard is None or guard.fresh(rank, item))
-                for item in fabric._ports[rank].items((key[0],))
-            )
-
-    def complete(self) -> None:
-        """End the epoch: every receive partition delivered into its
-        sub-view, every released send partition consumed by its peer."""
-        self.complete_receives()
-        self._fabric.wait_send_batch(self.parts)
-
-    def complete_receives(self) -> None:
-        """End the epoch at its receives: every receive partition
-        delivered into its sub-view.  The released send partitions stay
-        in flight until their sender waits for them
-        (:meth:`SimFabric.wait_send_batch`) -- a channel does so where it
-        next writes their buffers."""
-        self._need_started("complete")
-        self._fabric.complete_recv_batch(self.parts)
-        self.started = False
 
 
 class SimFabric:
@@ -611,15 +450,12 @@ class SimFabric:
         # -- verified mode: the envelope guard (None: plain delivery) ----
         self._guard = None
         self._epochs: List[Optional[int]] = [None] * nranks
-        # -- negotiated byte splits, per edge and side -------------------
-        # (src, dst, tag) -> {"send"/"recv": partition_bounds(...)}.  Both
-        # endpoints of every persistent channel / partitioned request
-        # register their half; a disagreement surfaces here, at
-        # negotiation time, as a typed SplitMismatchError instead of a
-        # DeadlockError at wait time.
-        self._splits: Dict[
-            Tuple[int, int, int], Dict[str, Tuple[Tuple[int, int], ...]]
-        ] = {}
+        # -- negotiated byte counts, per edge and side -------------------
+        # (src, dst, tag) -> {"send"/"recv": nbytes}.  Both endpoints of
+        # every persistent channel register their count; a disagreement
+        # surfaces here, at negotiation time, as a typed
+        # SplitMismatchError instead of a DeadlockError at wait time.
+        self._splits: Dict[Tuple[int, int, int], Dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -653,8 +489,7 @@ class SimFabric:
 
         Epochs scope the idempotency machinery of the bound requests:
         only items posted under an epoch are subject to injection,
-        suppression and replay.  A phased exchange keeps its epoch from
-        ``start()`` to ``complete()``.
+        suppression and replay.
         """
         self._check_rank(rank)
         self._epochs[rank] = epoch
@@ -864,57 +699,49 @@ class SimFabric:
     # Bound requests (module docstring): ExchangeChannel's per-step calls,
     # on a plain fabric and -- each cut under the guard -- a verified one.
     # ------------------------------------------------------------------
-    def bind_request(self, rank: int, posts, recvs, partitions: int = 1,
-                     copy_list=None, crc_list=None,
-                     copy_crc_list=None) -> BoundRequest:
+    def bind_request(self, rank: int, posts, recvs, copy_list=None,
+                     crc_list=None, copy_crc_list=None) -> BoundRequest:
         """Bind a channel's whole message plan into a persistent request.
 
         *posts* are ``(dst, tag, buf)`` and *recvs* ``(src, tag, buf)``
         exactly as the channel will fire them; the buffers must be
         C-contiguous, the receive buffers writeable, and all stay alive
-        and unmoved with the handle.  Both halves of each edge's byte
-        split are registered here -- all of them under one acquisition
-        of the fabric lock -- so a byte-count or partition disagreement
-        between two ranks surfaces at negotiation as a
-        :class:`SplitMismatchError`, before any message is posted.  On a
-        verified fabric the guard's cut-order tables are built here too,
-        for the cut a run fires (``parts``; ``bulk`` on its first fire).
+        and unmoved with the handle.  Both ends' byte count of each edge
+        is registered here -- all of them under one acquisition of the
+        fabric lock -- so a byte-count disagreement between two ranks
+        surfaces at negotiation as a :class:`SplitMismatchError`, before
+        any message is posted.  On a verified fabric the guard's
+        cut-order tables are built here too.
 
         *copy_list* is who performs the plain path's wire copy: a binder
         ``(sender views, receive views) -> call`` whose call copies every
         pair; *crc_list* and *copy_crc_list* are a verified fabric's
-        seal and copy-and-check binders (:class:`_Cut`).  All three are
-        :class:`repro.stencil.cbackend.Movers` methods handed down by
-        the channel; ``None`` is the NumPy tier of the same call.
+        seal and copy-and-check binders (:class:`BoundRequest`).  All
+        three are :class:`repro.stencil.cbackend.Movers` methods handed
+        down by the channel; ``None`` is the NumPy tier of the same call.
         """
         self._check_rank(rank)
-        if partitions < 1:
-            raise ExchangeConfigError("partitions must be >= 1")
         posts, recvs = list(posts), list(recvs)
-        splits = []
+        counts = []
         for dst, tag, buf in posts:
             self._check_rank(dst)
-            splits.append(
-                ((rank, dst, tag), partition_bounds(buf.nbytes, partitions), "send")
-            )
+            counts.append(((rank, dst, tag), buf.nbytes, "send"))
         for src, tag, buf in recvs:
             self._check_rank(src)
-            splits.append(
-                ((src, rank, tag), partition_bounds(buf.nbytes, partitions), "recv")
-            )
+            counts.append(((src, rank, tag), buf.nbytes, "recv"))
         with self._lock:
-            for edge, bounds, side in splits:
-                self._negotiate(edge, bounds, side)
+            for edge, nbytes, side in counts:
+                self._negotiate(edge, nbytes, side)
         request = BoundRequest(
-            self, rank, posts, recvs, partitions, copy_list, crc_list,
+            rank, posts, recvs, self._guard is not None, copy_list, crc_list,
             copy_crc_list,
         )
         if self._guard is not None:
-            self._guard.bind(request.parts)
+            self._guard.bind(request)
         return request
 
-    def post_send_batch(self, cut: _Cut, groups=None) -> None:
-        """Put *groups* of *cut* (default: all of it) on the wire.
+    def post_send_batch(self, cut: BoundRequest) -> None:
+        """Put *cut* on the wire.
 
         One deposit per destination, appended to its FIFO of this rank;
         one lock acquisition covers the dead-destination check and the
@@ -928,15 +755,9 @@ class SimFabric:
         src = cut.rank
         credit = cut.credit
         if self._guard is not None:
-            deposits, n, nbytes = self._guard.seal_items(
-                cut, groups, self._epochs[src]
-            )
-        elif groups is None:
-            deposits, n, nbytes = cut.deposits, cut.nsend, cut.send_bytes
+            deposits, n, nbytes = self._guard.seal_items(cut, self._epochs[src])
         else:
-            deposits = [(dst, (credit, items)) for dst, items, _n in groups]
-            n = sum(len(group[1]) for group in groups)
-            nbytes = sum(group[2] for group in groups)
+            deposits, n, nbytes = cut.deposits, cut.nsend, cut.send_bytes
         ports = self._ports
         with self._lock:
             if self._dead:
@@ -963,13 +784,13 @@ class SimFabric:
             _METRICS.count("fabric.messages", n, rank=src)
             _METRICS.count("fabric.wire_bytes", nbytes, rank=src)
 
-    def _missing(self, cut: _Cut) -> List[Tuple[int, int]]:
+    def _missing(self, cut: BoundRequest) -> List[Tuple[int, int]]:
         """Under the lock: receive keys of *cut* with nothing queued yet."""
         queued = self._ports[cut.rank].items(src for src, _n in cut.sources)
         arrived = {item[0] for item in queued}
         return [key for key in cut.rmap if key not in arrived]
 
-    def _unconsumed(self, cut: _Cut) -> List[Tuple[int, int]]:
+    def _unconsumed(self, cut: BoundRequest) -> List[Tuple[int, int]]:
         """Under the lock: ``(dst, tag)`` of *cut*'s items still queued."""
         rank, credit, ports = cut.rank, cut.credit, self._ports
         return [
@@ -989,7 +810,7 @@ class SimFabric:
             f" tag={key[1]}): sent {sent.size} bytes, receiving {recv.size}"
         )
 
-    def _freeze(self, cut: _Cut, taken: list) -> None:
+    def _freeze(self, cut: BoundRequest, taken: list) -> None:
         """Check the *taken* deposits against *cut*'s receives and build
         its copy table.
 
@@ -1027,7 +848,7 @@ class SimFabric:
         cut.copy = cut.copy_list(srcs, dsts)
         cut.frozen = taken
 
-    def complete_recv_batch(self, cut: _Cut) -> None:
+    def complete_recv_batch(self, cut: BoundRequest) -> None:
         """Deliver one epoch of *cut*'s receives into their buffers.
 
         Blocks on the rank's own port until every source has queued the
@@ -1083,7 +904,7 @@ class SimFabric:
         if _METRICS.enabled:
             _METRICS.count("fabric.bytes_received", cut.recv_bytes, rank=dst)
 
-    def _complete_recv_verified(self, cut: _Cut, guard) -> None:
+    def _complete_recv_verified(self, cut: BoundRequest, guard) -> None:
         """:meth:`complete_recv_batch` under the guard (module docstring).
 
         The wake stays count-based -- a poster cannot judge freshness --
@@ -1227,13 +1048,13 @@ class SimFabric:
             finally:
                 del error
 
-    def _sizes_match(self, cut: _Cut, items, recvs) -> None:
+    def _sizes_match(self, cut: BoundRequest, items, recvs) -> None:
         """The wire's own size guard, before any byte of *items* lands."""
         for item, recv in zip(items, recvs):
             if item[1].size != recv.size:
                 raise self._size_mismatch(item[0], cut.rank, item[1], recv)
 
-    def _land(self, cut: _Cut, items: list) -> List[int]:
+    def _land(self, cut: BoundRequest, items: list) -> List[int]:
         """Copy the whole of *cut* in -- *items*, pristine and in the
         cut's order -- and return the CRC32s of the bytes that landed:
         one ``copy_crc_list`` call over a table frozen on the cut.
@@ -1252,7 +1073,7 @@ class SimFabric:
             checked.srcs = srcs
         return checked.copy_crcs()
 
-    def _land_items(self, cut: _Cut, items: list, at: List[int]) -> List[int]:
+    def _land_items(self, cut: BoundRequest, items: list, at: List[int]) -> List[int]:
         """:meth:`_land` for a proper subset of the cut (its neighbours
         were faulted, or accepted in an earlier attempt), at positions
         *at*: the other tier of the same call, which needs no table."""
@@ -1261,7 +1082,7 @@ class SimFabric:
         self._sizes_match(cut, items, recvs)
         return _numpy_copy_crc_list([item[1] for item in items], recvs)()
 
-    def _land_faulted(self, cut: _Cut, items: list) -> list:
+    def _land_faulted(self, cut: BoundRequest, items: list) -> list:
         """The per-item fault path: what the injector put on the wire
         beside each of *items* -- a corrupted copy, or nothing -- lands
         (or does not) in its receive view.  Returns ``(item, CRC32 of
@@ -1279,7 +1100,7 @@ class SimFabric:
             landed.append((item, crc))
         return landed
 
-    def wait_send_batch(self, cut: _Cut) -> None:
+    def wait_send_batch(self, cut: BoundRequest) -> None:
         """Block until every item *cut* posted has been consumed."""
         credit = cut.credit
         # Unlocked read: only this thread raises the count, so a zero
@@ -1301,42 +1122,32 @@ class SimFabric:
                 finally:
                     credit.waiting = False
 
-    def register_split(self, src: int, dst: int, tag: int, nbytes: int,
-                       partitions: int, side: str) -> None:
-        """Record one endpoint's byte split of edge ``(src, dst, tag)``.
+    def _negotiate(self, edge, nbytes: int, side: str) -> None:
+        """Under the lock: record one endpoint's byte count of *edge*.
 
-        *side* is ``"send"`` (registered by *src*) or ``"recv"``
-        (registered by *dst*).  The first endpoint to negotiate records
-        its :func:`partition_bounds`; the second is compared against it
-        and a disagreement raises :class:`SplitMismatchError`
-        immediately -- the same split the static schedule verifier
-        computes, so this is the runtime backstop of the
-        ``partition-split-mismatch`` check.  Re-registering a *changed*
-        split (a rebuilt channel, e.g. after ladder demotion) drops the
-        peer's stale half so the peer's own re-negotiation re-arms the
-        comparison instead of tripping on outdated state.
+        *side* is ``"send"`` (registered by the source) or ``"recv"``
+        (registered by the destination).  The first endpoint to negotiate
+        records its count; the second is compared against it and a
+        disagreement raises :class:`SplitMismatchError` immediately -- the
+        runtime backstop of the static verifier's ``byte-mismatch``
+        check.  Re-registering a *changed* count (a rebuilt channel, e.g.
+        after ladder demotion) drops the peer's stale half so the peer's
+        own re-negotiation re-arms the comparison instead of tripping on
+        outdated state.
         """
-        with self._lock:
-            self._negotiate(
-                (src, dst, tag), partition_bounds(nbytes, partitions), side
-            )
-
-    def _negotiate(self, edge, bounds, side: str) -> None:
-        """Under the lock: :meth:`register_split` of one computed split."""
         other = "recv" if side == "send" else "send"
         sides = self._splits.setdefault(edge, {})
         prev = sides.get(side)
-        if prev is not None and prev != bounds:
+        if prev is not None and prev != nbytes:
             sides.pop(other, None)
-        sides[side] = bounds
+        sides[side] = nbytes
         peer = sides.get(other)
-        if peer is not None and peer != bounds:
+        if peer is not None and peer != nbytes:
             src, dst, tag = edge
             raise SplitMismatchError(
-                f"byte split disagreement on (src={src}, dst={dst},"
-                f" tag={tag}): {side} side splits {bounds[-1][1]} bytes into"
-                f" {len(bounds)} partition(s), {other} side negotiated"
-                f" {peer[-1][1]} bytes in {len(peer)} partition(s)"
+                f"byte count disagreement on (src={src}, dst={dst},"
+                f" tag={tag}): {side} side binds {nbytes} bytes, {other}"
+                f" side negotiated {peer} bytes"
             )
 
     def _wake_all(self) -> None:

@@ -16,9 +16,8 @@ C kernel per specialization instead:
   table exists on this tier;
 * **extended arrays** -- per ``(stencil taps, extended shape)``: the
   unrolled tap loop as a unit-stride sweep over a list of boxes whose
-  bounds arrive at call time, so a whole-region plan, every
-  ghost-expansion margin and the interior + surface slabs of a phased
-  run share one build (:func:`array_step_source`).
+  bounds arrive at call time, so a whole-region plan and every
+  ghost-expansion margin share one build (:func:`array_step_source`).
 
 Both layouts compute on the same tier with the same tap loop over
 contiguous rows; what the brick kernel pays on top is the staging copy

@@ -16,7 +16,7 @@ memory the same way and differ only in who runs the loops:
   has its sub-box copied from the neighbour the row names into the
   tile, zeros where the entry is ``-1``; the taps then sweep the tile.
   No per-cell index table exists on either tier.
-* **extended arrays** -- the taps sweep a list of boxes in place.
+* **extended arrays** -- the taps sweep one box in place.
 
 The **C tier** (:mod:`repro.stencil.cbackend`) does both per brick /
 per box in one generated kernel call.  The **NumPy tier** (the fallback
@@ -41,7 +41,7 @@ geometry shares between the ranks.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,11 +63,6 @@ __all__ = [
     "BrickStencilPlan",
     "compile_array_plan",
     "compile_brick_plan",
-    "compile_array_phase_plans",
-    "compile_brick_phase_plans",
-    "split_array_region",
-    "split_brick_slots",
-    "ghost_slot_mask",
 ]
 
 
@@ -286,133 +281,21 @@ def compile_brick_plan(
 
 
 # ----------------------------------------------------------------------
-# Interior/surface phase split (compute-comm overlap)
-#
-# A phased timestep starts the exchange, computes every cell whose taps
-# read no exchanged ghost data while the messages are in flight, completes
-# the receives, then sweeps the rest.  The split below classifies compute
-# work by what it *reads*: a brick is interior when no adjacency neighbor
-# is a ghost-section slot; an array cell is interior when its stencil
-# footprint stays inside the owned box.  Interior and surface partitions
-# are disjoint and cover the unphased plan exactly, and each cell/brick is
-# computed by the same kernel with the same tap order either way, so
-# phased results are bit-identical to the unphased sweep.
-# ----------------------------------------------------------------------
-
-def split_brick_slots(
-    info: BrickInfo, ghost_mask: np.ndarray, slots: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Partition *slots* into ``(interior, surface)`` by ghost reads.
-
-    *ghost_mask* is a boolean array over storage slots, true for slots
-    belonging to ghost sections (see :func:`ghost_slot_mask`).  A slot
-    whose ``3^D`` adjacency row references any ghost slot -- including
-    itself, via the central direction -- is surface; absent neighbors
-    (adjacency ``-1``) read zeros the exchange never touches and do not
-    force a slot to surface.  Original slot order is preserved within
-    each part (plans chunk independently; per-brick results do not depend
-    on batch composition).
-    """
-    slots = np.asarray(slots, dtype=np.int64)
-    if len(slots) == 0:
-        return slots, slots
-    mask = np.asarray(ghost_mask, dtype=bool)
-    adj = info.adjacency[slots]
-    present = adj >= 0
-    reads_ghost = (mask[np.where(present, adj, 0)] & present).any(axis=1)
-    return slots[~reads_ghost], slots[reads_ghost]
-
-
-def ghost_slot_mask(assignment) -> np.ndarray:
-    """Boolean mask over storage slots: true for ghost-section slots."""
-    mask = np.zeros(assignment.total_slots, dtype=bool)
-    for s in assignment.sections:
-        if s.kind == "ghost" and s.nbricks:
-            mask[s.start: s.end] = True
-    return mask
-
-
-def compile_brick_phase_plans(
-    spec: StencilSpec,
-    info: BrickInfo,
-    assignment,
-    slots: np.ndarray,
-    field_offset: int = 0,
-    dtype=np.float64,
-) -> Tuple[Optional["BrickStencilPlan"], Optional["BrickStencilPlan"]]:
-    """``(interior plan, surface plan)`` for one cycle position's slots.
-
-    Either part may be ``None`` when empty (tiny subdomains have no
-    interior bricks; a neighborless rank has no surface).  Each part is
-    a plan of its own through :func:`compile_brick_plan`, over the same
-    *info* as the unphased plan.
-    """
-    interior, surface = split_brick_slots(info, ghost_slot_mask(assignment), slots)
-    return (
-        compile_brick_plan(spec, info, interior, field_offset, dtype)
-        if len(interior)
-        else None,
-        compile_brick_plan(spec, info, surface, field_offset, dtype)
-        if len(surface)
-        else None,
-    )
-
-
-def split_array_region(
-    extent: Sequence[int], ghost: int, margin: int, radius: int
-) -> Tuple[Optional[Tuple], List[Tuple]]:
-    """``(interior box, surface boxes)`` of one cycle-position region.
-
-    Boxes are per-numpy-axis ``(lo, hi)`` ranges in extended-array
-    coordinates.  The computed region is the owned box grown by *margin*;
-    the interior is the owned box shrunk by *radius* (the cells whose
-    taps stay inside owned data), and the surface shell is decomposed
-    into at most ``2 * ndim`` disjoint slabs (axis ``a``'s slabs span the
-    interior range on axes before ``a`` and the full region after it).
-    ``(None, [region])`` when the subdomain is too thin for any interior.
-    """
-    ext_np = tuple(int(e) for e in reversed(tuple(extent)))
-    lo = [ghost - margin] * len(ext_np)
-    hi = [ghost + e + margin for e in ext_np]
-    ilo = [ghost + radius] * len(ext_np)
-    ihi = [ghost + e - radius for e in ext_np]
-    region = tuple(zip(lo, hi))
-    if any(l >= h for l, h in zip(ilo, ihi)):
-        return None, [region]
-    boxes: List[Tuple] = []
-    for a in range(len(ext_np)):
-        for blo, bhi in ((lo[a], ilo[a]), (ihi[a], hi[a])):
-            if bhi <= blo:
-                continue
-            box = [
-                (ilo[j], ihi[j]) if j < a else (lo[j], hi[j])
-                for j in range(len(ext_np))
-            ]
-            box[a] = (blo, bhi)
-            boxes.append(tuple(box))
-    return tuple(zip(ilo, ihi)), boxes
-
-
-# ----------------------------------------------------------------------
 # Extended-array plans
 # ----------------------------------------------------------------------
 
 class ArrayStencilPlan:
-    """Compiled executor of one stencil over boxes of an extended array.
+    """Compiled executor of one stencil over one box of an extended array.
 
-    A plan is a list of boxes (per-numpy-axis ``(lo, hi)`` ranges in
-    extended-array coordinates).  The default is the one box the
-    pack/mpi_types/shift executed paths sweep, the owned region grown by
-    *margin*; the phase split passes the interior box or the surface
-    slabs of that region instead.  Like a brick plan it steps on the C
-    kernel tier when ``REPRO_KERNEL_BACKEND`` allows -- one compiled
-    function per extended shape, handed the box list per call -- and
-    otherwise runs the NumPy tap loop per box, accumulating straight
-    into the box of the output with a persistent box-shaped tap scratch.
-    Results are bit-identical to
-    :func:`repro.stencil.kernels.apply_array_stencil` on those cells
-    either way: cells are independent, so a disjoint box cover of a
-    region equals one sweep of the whole region.
+    The box (per-numpy-axis ``(lo, hi)`` ranges in extended-array
+    coordinates) is the region the pack/mpi_types/shift executed paths
+    sweep: the owned region grown by *margin*.  Like a brick plan it
+    steps on the C kernel tier when ``REPRO_KERNEL_BACKEND`` allows --
+    one compiled function per extended shape, handed the box per call --
+    and otherwise runs the NumPy tap loop, accumulating straight into the
+    box of the output with a persistent box-shaped tap scratch.  Results
+    are bit-identical to :func:`repro.stencil.kernels.apply_array_stencil`
+    on those cells either way.
     """
 
     def __init__(
@@ -422,7 +305,6 @@ class ArrayStencilPlan:
         ghost: int,
         margin: int = 0,
         dtype=np.float64,
-        boxes: Optional[Sequence[Tuple]] = None,
     ) -> None:
         extent = tuple(int(e) for e in extent)
         if spec.ndim != len(extent):
@@ -436,30 +318,18 @@ class ArrayStencilPlan:
                 f"stencil radius {spec.radius} plus margin {margin} exceeds"
                 f" ghost width {ghost}"
             )
-        if boxes is None:
-            boxes = [
-                tuple((ghost - margin, ghost + e + margin)
-                      for e in reversed(extent))
-            ]
-        elif not boxes:
-            raise ValueError("an array plan needs at least one box")
         self.spec = spec
         self.extent = extent
         self.ghost = int(ghost)
         self.margin = int(margin)
         self.dtype = np.dtype(dtype)
         self._expected = tuple(e + 2 * ghost for e in reversed(extent))
-        self.boxes = tuple(
-            _checked_box(box, self._expected, spec.radius) for box in boxes
-        )
-        self.cells = int(
-            sum(math.prod(hi - lo for lo, hi in box) for box in self.boxes)
-        )
-        self._box_table = np.array(self.boxes, dtype=np.int64)
+        self.box = tuple((ghost - margin, ghost + e + margin) for e in reversed(extent))
+        self._box_table = np.array([self.box], dtype=np.int64)
         self._ckernel = array_step_kernel(
             spec.taps, self._expected, self.dtype
         )
-        self._steps = None if self._ckernel is not None else self._numpy_steps()
+        self._step = None if self._ckernel is not None else self._numpy_step()
 
     @property
     def kernel_backend(self) -> str:
@@ -468,22 +338,19 @@ class ArrayStencilPlan:
         refused the host flags (:func:`~repro.stencil.cbackend.c_tier`)."""
         return "numpy" if self._ckernel is None else c_tier()
 
-    def _numpy_steps(self) -> list:
-        """Per box: its slices, its tap windows and its tap scratch."""
-        steps = []
-        for box in self.boxes:
-            lo = [lo for lo, _ in box]
-            shape = tuple(hi - lo for lo, hi in box)
-            steps.append((
-                tuple(slice(lo, hi) for lo, hi in box),
-                _tap_windows(self.spec, lo, shape),
-                np.empty(shape, dtype=self.dtype),
-            ))
-        return steps
+    def _numpy_step(self) -> tuple:
+        """The box's slices, its tap windows and its tap scratch."""
+        lo = [lo for lo, _ in self.box]
+        shape = tuple(hi - lo for lo, hi in self.box)
+        return (
+            tuple(slice(lo, hi) for lo, hi in self.box),
+            _tap_windows(self.spec, lo, shape),
+            np.empty(shape, dtype=self.dtype),
+        )
 
     def execute(self, arr: np.ndarray, out: np.ndarray) -> None:
-        """``out[box] = stencil(arr)`` over every planned box; *arr* and
-        *out* must be distinct extended arrays."""
+        """``out[box] = stencil(arr)``; *arr* and *out* must be distinct
+        extended arrays."""
         if arr is out:
             raise ValueError("plans require distinct arr and out arrays")
         if arr.shape != self._expected or out.shape != self._expected:
@@ -503,32 +370,14 @@ class ArrayStencilPlan:
                     "REPRO_KERNEL_BACKEND=cffi supports C-contiguous"
                     " float64 extended arrays only"
                 )
-            if self._steps is None:
-                self._steps = self._numpy_steps()
-        for region, taps, tmp in self._steps:
-            _run_taps(taps, arr, out[region], tmp)
+            if self._step is None:
+                self._step = self._numpy_step()
+        region, taps, tmp = self._step
+        _run_taps(taps, arr, out[region], tmp)
 
 
 def _c_addressable(a: np.ndarray) -> bool:
     return a.dtype == np.float64 and a.flags.c_contiguous
-
-
-def _checked_box(
-    box: Sequence[Tuple[int, int]], shape: Sequence[int], radius: int
-) -> Tuple[Tuple[int, int], ...]:
-    """*box* as int pairs, or ``ValueError`` when it is empty or a
-    radius-*radius* stencil on it reads outside an array of *shape*."""
-    box = tuple((int(lo), int(hi)) for lo, hi in box)
-    if len(box) != len(shape):
-        raise ValueError("box/extent dimensionality mismatch")
-    for (lo, hi), n in zip(box, shape):
-        if lo >= hi:
-            raise ValueError(f"empty box range ({lo}, {hi})")
-        if lo - radius < 0 or hi + radius > n:
-            raise ValueError(
-                f"box range ({lo}, {hi}) reads outside the extended array"
-            )
-    return box
 
 
 def compile_array_plan(
@@ -542,26 +391,3 @@ def compile_array_plan(
     the scratch-owning plan object is per caller)."""
     return ArrayStencilPlan(spec, extent, ghost, margin, dtype)
 
-
-def compile_array_phase_plans(
-    spec: StencilSpec,
-    extent: Sequence[int],
-    ghost: int,
-    margin: int = 0,
-    dtype=np.float64,
-) -> Tuple[Optional[ArrayStencilPlan], ArrayStencilPlan]:
-    """``(interior plan, surface plan)`` for one array cycle position.
-
-    Executing the interior plan and then the surface plan touches every
-    region cell exactly once, bit-identically to the unsplit plan.
-    """
-    interior_box, surface_boxes = split_array_region(
-        extent, ghost, margin, spec.radius
-    )
-    interior = (
-        ArrayStencilPlan(spec, extent, ghost, margin, dtype, [interior_box])
-        if interior_box is not None
-        else None
-    )
-    surface = ArrayStencilPlan(spec, extent, ghost, margin, dtype, surface_boxes)
-    return interior, surface

@@ -20,7 +20,7 @@ from repro.core.geometry import RunGeometry
 from repro.core.problem import StencilProblem
 from repro.faults.errors import SplitMismatchError
 from repro.hardware.profiles import generic_host
-from repro.simmpi.fabric import SimFabric, partition_bounds
+from repro.simmpi.fabric import SimFabric
 from repro.simmpi.launcher import RankFailedError, run_spmd
 from repro.stencil import cbackend
 from repro.stencil.plan import compile_brick_plan
@@ -38,8 +38,7 @@ class TestCleanGeometries:
     @pytest.mark.parametrize("method", CHECKABLE_METHODS)
     def test_multirank_clean(self, method):
         rep = run_checks(
-            problem(), method, partitions=4,
-            passes=("schedule", "memory"),
+            problem(), method, passes=("schedule", "memory"),
         )
         assert rep.ok, rep.render()
         assert rep.passes_run == ["schedule", "memory"]
@@ -206,56 +205,37 @@ class TestDriverPreflight:
 # Runtime negotiation raises the checker-consistent typed error
 # ----------------------------------------------------------------------
 class TestNegotiation:
-    def test_send_recv_init_split_mismatch(self):
-        fabric = SimFabric(2)
-        buf = np.zeros(64)
-        fabric.bind_request(0, [(1, 5, buf)], [], partitions=2)
-        with pytest.raises(SplitMismatchError, match="split disagreement"):
-            fabric.bind_request(1, [], [(0, 5, np.zeros(64))], partitions=3)
-
-    def test_register_split_byte_disagreement(self):
-        fabric = SimFabric(2)
-        fabric.register_split(0, 1, 9, 512, 1, "send")
-        with pytest.raises(SplitMismatchError):
-            fabric.register_split(0, 1, 9, 520, 1, "recv")
-
     def test_reregistration_drops_stale_peer(self):
         # Ladder demotion rebuilds a channel with different byte counts
         # on the same tags; a same-side re-registration must not trip on
         # the peer's stale entry.
         fabric = SimFabric(2)
-        fabric.register_split(0, 1, 9, 512, 1, "send")
-        fabric.register_split(0, 1, 9, 512, 1, "recv")
-        fabric.register_split(0, 1, 9, 768, 1, "send")  # demoted engine
-        fabric.register_split(0, 1, 9, 768, 1, "recv")  # peer follows
+        fabric.bind_request(0, [(1, 9, np.zeros(64))], [])
+        fabric.bind_request(1, [], [(0, 9, np.zeros(64))])
+        fabric.bind_request(0, [(1, 9, np.zeros(96))], [])  # demoted engine
+        fabric.bind_request(1, [], [(0, 9, np.zeros(96))])  # peer follows
 
     def test_channel_negotiation_mismatch_in_spmd(self):
         from repro.exchange.boxes import box_template
         from repro.exchange.pack import PackExchanger
 
-        ext, g = (16, 16, 8), 8
-        shape = tuple(e + 2 * g for e in reversed(ext))
+        g = 8
 
         def fn(comm):
             cart = comm.Create_cart((1, 1, 2))
-            arr = np.zeros(shape)
+            # Endpoint disagreement -- the checker's byte-mismatch
+            # finding, at runtime: the ranks' faces are not the same size.
+            ext = (16, 16, 8) if cart.rank == 0 else (16, 8, 8)
+            arr = np.zeros(tuple(e + 2 * g for e in reversed(ext)))
             plan = box_template("pack", "pack", ext, g, 8).for_rank(
                 cart.rank, cart.dims
             )
             ex = PackExchanger(cart, plan, arr, ext, g, generic_host())
-            # Endpoint disagreement: the checker's
-            # partition-split-mismatch finding, at runtime.
-            ex.make_channel(partitions=2 + cart.rank)
+            ex.make_channel()
 
         with pytest.raises(RankFailedError) as exc:
             run_spmd(2, fn, timeout=20.0)
         assert isinstance(exc.value.__cause__, SplitMismatchError)
-
-    def test_partition_bounds_shared_helper(self):
-        # The schedule verifier and the fabric must agree by
-        # construction: same helper, same bounds.
-        assert partition_bounds(10, 4) == ((0, 2), (2, 5), (5, 7), (7, 10))
-        assert partition_bounds(0, 4) == ((0, 0),)
 
 
 # ----------------------------------------------------------------------

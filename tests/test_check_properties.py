@@ -45,13 +45,9 @@ def problems(draw):
 @given(
     problem=problems(),
     method=st.sampled_from(CHECKABLE_METHODS),
-    partitions=st.integers(min_value=1, max_value=6),
 )
-def test_valid_geometries_check_clean(problem, method, partitions):
-    report = run_checks(
-        problem, method, partitions=partitions,
-        passes=("schedule", "memory"),
-    )
+def test_valid_geometries_check_clean(problem, method):
+    report = run_checks(problem, method, passes=("schedule", "memory"))
     assert report.ok, report.render()
 
 

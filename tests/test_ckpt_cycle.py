@@ -55,18 +55,18 @@ def _problem(periodic=True):
 _BASELINES = {}
 
 
-def _baseline(method, periodic=True, overlap=False):
-    key = (method, periodic, overlap)
+def _baseline(method, periodic=True):
+    key = (method, periodic)
     if key not in _BASELINES:
         _BASELINES[key] = run_executed(
             _problem(periodic), method, timesteps=STEPS, seed=0,
-            exchange_period=PERIOD, overlap=overlap,
+            exchange_period=PERIOD,
         )
     return _BASELINES[key]
 
 
 def _crash_resume(tmp_path, method, ckpt_period, at, *, periodic=True,
-                  overlap=False, degrade=()):
+                  degrade=()):
     """Crash once so the world resumes from the epoch ``EPOCHS`` names;
     checks the resumed run against the uninterrupted one (demoted at
     the same steps, when *degrade* asks for it)."""
@@ -74,8 +74,7 @@ def _crash_resume(tmp_path, method, ckpt_period, at, *, periodic=True,
     crash = epoch + 1
     assert (crash % PERIOD == 0) == (at == "mid")
     kwargs = dict(
-        timesteps=STEPS, seed=0, exchange_period=PERIOD, overlap=overlap,
-        fabric_timeout=15.0,
+        timesteps=STEPS, seed=0, exchange_period=PERIOD, fabric_timeout=15.0,
     )
     run = run_executed(
         _problem(periodic), method,
@@ -88,7 +87,7 @@ def _crash_resume(tmp_path, method, ckpt_period, at, *, periodic=True,
             fault_plan=FaultPlan(seed=3, degrade=degrade), **kwargs,
         )
     else:
-        base = _baseline(method, periodic, overlap)
+        base = _baseline(method, periodic)
     assert (run.restarts, run.resumed_epoch) == (1, epoch)
     np.testing.assert_array_equal(run.global_result, base.global_result)
     for r0, r1 in zip(base.metrics.ranks, run.metrics.ranks):
@@ -141,13 +140,6 @@ class TestRestartAtEveryCyclePosition:
         _, store = _crash_resume(tmp_path, method, ckpt_period, at)
         if ckpt_period == 1:
             _assert_holds_what_restore_reads(store, method)
-
-    @pytest.mark.parametrize("at", ["exchange", "mid"])
-    @pytest.mark.parametrize("method", ["layout", "memmap", "yask"])
-    def test_overlap(self, tmp_path, method, at):
-        run, store = _crash_resume(tmp_path, method, 1, at, overlap=True)
-        assert run.overlap
-        _assert_holds_what_restore_reads(store, method)
 
     @pytest.mark.parametrize("at", ["exchange", "mid"])
     @pytest.mark.parametrize("method", ["layout", "memmap", "yask"])

@@ -19,11 +19,6 @@ def numpy_tier(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
 
 
-def region_box(extent, g, margin=0):
-    """The owned region grown by *margin*, as a numpy-axis-order box."""
-    return tuple((g - margin, g + e + margin) for e in reversed(extent))
-
-
 class TestGeneratedArrayKernel:
     """The NumPy-tier array box sweep (the C tier's fallback)."""
 
@@ -36,25 +31,18 @@ class TestGeneratedArrayKernel:
         generic = np.zeros_like(arr)
         apply_array_stencil(arr, generic, spec, extent, g, margin=margin)
         fast = np.zeros_like(arr)
-        plan = ArrayStencilPlan(
-            spec, extent, g, boxes=[region_box(extent, g, margin)]
-        )
+        plan = ArrayStencilPlan(spec, extent, g, margin=margin)
         assert plan.kernel_backend == "numpy"
         plan.execute(arr, fast)
         np.testing.assert_array_equal(generic, fast)
 
     def test_margin_validation(self):
-        with pytest.raises(ValueError, match="outside the extended array"):
-            ArrayStencilPlan(
-                SEVEN_POINT, (8, 8, 8), 8,
-                boxes=[region_box((8, 8, 8), 8, margin=8)],
-            )
+        with pytest.raises(ValueError, match="exceeds ghost width"):
+            ArrayStencilPlan(SEVEN_POINT, (8, 8, 8), 8, margin=8)
 
     def test_dim_validation(self):
-        with pytest.raises(ValueError, match="dimensionality"):
-            ArrayStencilPlan(
-                SEVEN_POINT, (8, 8, 8), 8, boxes=[((8, 16), (8, 16))]
-            )
+        with pytest.raises(ValueError, match="domain is 2-D"):
+            ArrayStencilPlan(SEVEN_POINT, (8, 8), 8)
 
 
 class TestGeneratedBatchKernel:

@@ -28,7 +28,7 @@ from repro.exchange.envelope import seal
 from repro.faults import FaultPlan, RankDeadError
 from repro.faults.runtime import FaultInjector
 from repro.hardware.profiles import generic_host
-from repro.simmpi import SimFabric, partition_tag, run_spmd
+from repro.simmpi import SimFabric, run_spmd
 from repro.simmpi.collectives import allreduce
 from repro.simmpi.fabric import DeadlockError
 from repro.stencil.reference import apply_periodic_reference
@@ -93,37 +93,11 @@ class TestFabricLiveness:
         fab.set_epoch(0, 0)
         cut = fab.bind_request(
             0, [(1, 0, np.zeros(4)), (2, 0, np.zeros(4))], []
-        ).bulk
+        )
         with pytest.raises(RankDeadError, match="permanently dead"):
             fab.post_send_batch(cut)
         assert fab.pending_messages == 0
         assert fab.stats[0].sends == 0
-
-    def test_batch_and_partitioned_posts_check_liveness(self):
-        fab = SimFabric(2, timeout=5.0)
-        bound = fab.bind_request(0, [(1, 0, np.zeros(4))], [], partitions=2)
-        fab.mark_dead(1)
-        with pytest.raises(RankDeadError):
-            fab.post_send_batch(bound.bulk)
-        bound.start()
-        with pytest.raises(RankDeadError):
-            bound.pready_all()
-        assert fab.pending_messages == 0
-
-    def test_pready_to_rank_dead_after_negotiation(self):
-        """A rank that dies after the request was bound refuses each
-        later partition at post time -- nothing is queued for nobody and
-        the sender does not burn the deadlock timeout in complete()."""
-        fab = SimFabric(2, timeout=30.0)
-        bound = fab.bind_request(0, [(1, 0, np.zeros(4))], [], partitions=2)
-        bound.start()
-        bound.pready(0, 0)
-        fab.mark_dead(1)
-        start = time.monotonic()
-        with pytest.raises(RankDeadError, match="permanently dead"):
-            bound.pready(0, 1)
-        assert time.monotonic() - start < 5.0
-        assert fab.pending_messages == 1  # only the partition sent in time
 
     def test_recv_from_dead_rank_fails_fast(self):
         """An empty edge from a dead peer raises immediately -- the
@@ -192,17 +166,17 @@ class TestVerifiedFabricBinds:
     fires the fast paths it used to refuse, each item sealed at post
     time and verified where it lands."""
 
-    def _verified_pair(self, partitions=1):
+    def _verified_pair(self):
         fab = SimFabric(2, timeout=5.0)
         fab.enable_envelope()
         data, out = np.arange(4.0), np.zeros(4)
-        sender = fab.bind_request(0, [(1, 0, data)], [], partitions)
-        receiver = fab.bind_request(1, [], [(0, 0, out)], partitions)
+        sender = fab.bind_request(0, [(1, 0, data)], [])
+        receiver = fab.bind_request(1, [], [(0, 0, out)])
         return fab, sender, receiver, data, out
 
     def test_batched_posting_sealed(self):
         fab, sender, _receiver, data, _out = self._verified_pair()
-        fab.post_send_batch(sender.bulk)
+        fab.post_send_batch(sender)
         ((key, view, env, wire),) = fab._ports[1].items([0])
         assert key == (0, 0) and wire is view
         assert env == seal(data, seq=1)
@@ -212,37 +186,12 @@ class TestVerifiedFabricBinds:
         fab, sender, receiver, data, out = self._verified_pair()
         for step in (1, 2):
             data += step
-            fab.post_send_batch(sender.bulk)
-            fab.complete_recv_batch(receiver.bulk)
-            fab.wait_send_batch(sender.bulk)
+            fab.post_send_batch(sender)
+            fab.complete_recv_batch(receiver)
+            fab.wait_send_batch(sender)
             np.testing.assert_array_equal(out, data)
             assert fab._guard.delivered[(0, 1, 0)] == (step, None)
         assert fab.pending_messages == 0
-
-    def test_partitioned_sends_sealed_per_partition(self):
-        fab, sender, _receiver, data, _out = self._verified_pair(partitions=2)
-        sender.start()
-        sender.pready(0, 1)
-        sender.pready_all()
-        arrivals = fab._ports[1].items([0])
-        assert [item[0][1] for item in arrivals] == [
-            partition_tag(0, 1), partition_tag(0, 0)
-        ]
-        flat = data.view(np.uint8)
-        assert [item[2] for item in arrivals] == [
-            seal(flat[16:], seq=1), seal(flat[:16], seq=1)
-        ]
-
-    def test_partitioned_receives_verified(self):
-        fab, sender, receiver, data, out = self._verified_pair(partitions=2)
-        sender.start()
-        receiver.start()
-        sender.pready_all()
-        assert receiver.parrived(0, 0) and receiver.parrived(0, 1)
-        receiver.complete()
-        sender.complete()
-        np.testing.assert_array_equal(out, data)
-        assert fab.stats[1].recvs == 2 and fab.pending_messages == 0
 
 
 class TestFaultPlanDeaths:

@@ -214,14 +214,6 @@ def _channel(ex):
     return result
 
 
-def _phased(ex):
-    channel = ex.make_channel(partitions=4)
-    channel.start()
-    result = channel.complete()
-    channel.wait_sends()
-    return result
-
-
 def _fallback(ex):
     """What make_engines does when an exchanger declines a channel."""
     assert ex.make_channel() is None
@@ -236,11 +228,10 @@ _ARRAY_CLASSES = {
 
 
 class TestThreeWaysToFire:
-    """Per-message ``exchange()``, ``channel.exchange()`` and the phased
-    ``start()`` / ``complete()`` run the same binding of the same plan,
-    on a plain and on a verified fabric: from the same field they leave
-    the same bytes, return the same :class:`ExchangeResult` and (MemMap)
-    hold the same mappings."""
+    """Per-message ``exchange()`` and ``channel.exchange()`` run the same
+    binding of the same plan, on a plain and on a verified fabric: from
+    the same field they leave the same bytes, return the same
+    :class:`ExchangeResult` and (MemMap) hold the same mappings."""
 
     @staticmethod
     def _run(method, fire, envelope=False):
@@ -262,7 +253,7 @@ class TestThreeWaysToFire:
         # Shift's barrier-separated phases cannot be one persistent
         # batch: it declines a channel -- the only reason left to -- and
         # the per-message path still fills the ghosts.
-        ways = [_fallback] if method == "shift" else [_exchange, _channel, _phased]
+        ways = [_fallback] if method == "shift" else [_exchange, _channel]
         runs = [
             self._run(method, fire, envelope)
             for envelope in (False, True)

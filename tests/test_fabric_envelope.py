@@ -17,7 +17,6 @@ from repro.simmpi.fabric import (
     ExchangeIntegrityError,
     ExchangeTimeoutError,
     SimFabric,
-    partition_tag,
 )
 
 
@@ -60,7 +59,7 @@ class TestEnvelopeHelpers:
 class _Pair:
     """Rank 0 sends *tags* to rank 1 over one bound request each."""
 
-    def __init__(self, plan=None, tags=(5,), partitions=1, fab=None):
+    def __init__(self, plan=None, tags=(5,), fab=None):
         self.injector = FaultInjector(plan) if plan is not None else None
         if fab is None:
             fab = SimFabric(2, timeout=5.0)
@@ -69,10 +68,10 @@ class _Pair:
         self.data = [_payload(seed=tag) for tag in tags]
         self.out = [np.zeros_like(d) for d in self.data]
         self.sender = fab.bind_request(
-            0, [(1, tag, d) for tag, d in zip(tags, self.data)], [], partitions
+            0, [(1, tag, d) for tag, d in zip(tags, self.data)], []
         )
         self.receiver = fab.bind_request(
-            1, [], [(0, tag, o) for tag, o in zip(tags, self.out)], partitions
+            1, [], [(0, tag, o) for tag, o in zip(tags, self.out)]
         )
 
     def epoch(self, e, ranks=(0, 1)):
@@ -80,10 +79,10 @@ class _Pair:
             self.fab.set_epoch(rank, e)
 
     def post(self):
-        self.fab.post_send_batch(self.sender.bulk)
+        self.fab.post_send_batch(self.sender)
 
     def recv(self):
-        self.fab.complete_recv_batch(self.receiver.bulk)
+        self.fab.complete_recv_batch(self.receiver)
 
     def delivered(self):
         for got, want in zip(self.out, self.data):
@@ -102,7 +101,7 @@ class TestVerifiedDelivery:
         for pair in (plain, verified):
             pair.post()
             pair.recv()
-            pair.fab.wait_send_batch(pair.sender.bulk)
+            pair.fab.wait_send_batch(pair.sender)
             assert pair.delivered() and pair.fab.pending_messages == 0
         assert plain.fab.stats[0].bytes_sent == verified.fab.stats[0].bytes_sent
         assert plain.fab.stats[1].recvs == verified.fab.stats[1].recvs == 1
@@ -143,19 +142,6 @@ class TestVerifiedDelivery:
         again.recv()
         assert again.delivered()
 
-    def test_partitions_are_edges_of_their_own(self):
-        pair = _Pair(partitions=2)
-        for _ in range(2):
-            for request in (pair.sender, pair.receiver):
-                request.start()
-            pair.sender.pready_all()
-            pair.receiver.complete()
-            pair.sender.complete()
-        delivered = pair.fab._guard.delivered
-        assert set(delivered) == {(0, 1, partition_tag(5, p)) for p in (0, 1)}
-        assert all(seq == 2 for seq, _epoch in delivered.values())
-        assert pair.delivered()
-
     def test_injected_corruption_detected_and_healed(self):
         pair = _Pair(FaultPlan(seed=1, corrupt=1.0))
         pair.epoch(0)
@@ -191,11 +177,11 @@ class TestVerifiedDelivery:
         assert pair.events["retransmit"] == 12
         assert pair.fab.pending_messages == 12
         assert pair.fab.stats[1].recvs == 0
-        assert pair.sender.bulk.credit.outstanding == 12
+        assert pair.sender.credit.outstanding == 12
         pair.recv()
         assert pair.delivered()
         assert pair.fab.pending_messages == 0
-        assert pair.sender.bulk.credit.outstanding == 0
+        assert pair.sender.credit.outstanding == 0
 
     def test_injected_duplicate_discarded(self):
         pair = _Pair(FaultPlan(seed=1, duplicate=1.0))
@@ -207,24 +193,7 @@ class TestVerifiedDelivery:
         assert pair.delivered()
         assert pair.fab.pending_messages == 0
         assert pair.events["duplicate_discarded"] == 1
-        assert pair.sender.bulk.credit.outstanding == 0
-
-    def test_parrived_answers_for_a_fresh_item_only(self):
-        pair = _Pair(FaultPlan(seed=1, duplicate=1.0), partitions=2)
-        pair.epoch(0)
-        for request in (pair.sender, pair.receiver):
-            request.start()
-        assert not pair.receiver.parrived(0, 0)
-        pair.sender.pready_all()
-        assert pair.receiver.parrived(0, 0) and pair.receiver.parrived(0, 1)
-        # A wire duplicate of something already accepted (here: planted,
-        # the receive itself leaves none behind) is not an arrival.
-        planted = pair.fab._ports[1].items([0])[:1]
-        pair.receiver.complete()
-        pair.sender.complete()
-        pair.fab._ports[1].fifos[0].append((pair.sender.parts.credit, planted))
-        pair.receiver.start()
-        assert not pair.receiver.parrived(0, 0)
+        assert pair.sender.credit.outstanding == 0
 
     def test_repost_within_epoch_suppressed(self):
         pair = _Pair(FaultPlan())
@@ -233,7 +202,7 @@ class TestVerifiedDelivery:
         pair.post()  # retry re-post, same epoch: absorbed
         assert pair.fab.pending_messages == 1  # only the original on the wire
         assert pair.fab.stats[0].sends == 1
-        assert pair.sender.bulk.credit.outstanding == 1
+        assert pair.sender.credit.outstanding == 1
         assert pair.events["resend_suppressed"] == 1
 
         pair.epoch(8)  # new epoch: posts flow again
@@ -274,25 +243,31 @@ class TestVerifiedDelivery:
         assert pair.delivered()
 
     def test_next_epoch_of_a_finished_peer_waits_behind_a_retry(self):
-        # Two edges into rank 1; (0, 5) is dropped, (0, 6) arrives.  The
-        # peer behind (0, 6) finishes and posts its next epoch while
-        # rank 1 still retries: that item is neither owed nor stale.
+        # Two edges into rank 1, each posted by a request of its own;
+        # (0, 5) is dropped, (0, 6) arrives.  The request behind (0, 6)
+        # finishes and posts its next epoch while rank 1 still retries:
+        # that item is neither owed nor stale.
         pair = _Pair(FaultPlan(), tags=(5, 6))
+        fab = pair.fab
+        five, six = (
+            fab.bind_request(0, [(1, tag, d)], [])
+            for tag, d in zip((5, 6), pair.data)
+        )
         pair.injector.on_post = (
             lambda src, dst, tag, seq: "drop" if (tag, seq) == (5, 1) else None
         )
         pair.epoch(0)
-        pair.post()
+        fab.post_send_batch(five)
+        fab.post_send_batch(six)
         with pytest.raises(ExchangeTimeoutError):
             pair.recv()
-        fab = pair.fab
         fab.set_epoch(0, 1)
-        fab.post_send_batch(pair.sender.bulk, [pair.sender.bulk.rows[1][0]])
+        fab.post_send_batch(six)
         pair.recv()  # the retry: takes the pristine (0, 5) only
         assert [(item[0], item[2].seq) for item in fab._ports[1].items([0])] == [
             ((0, 6), 2)
         ]
-        fab.post_send_batch(pair.sender.bulk, [pair.sender.bulk.rows[0][0]])
+        fab.post_send_batch(five)
         fab.set_epoch(1, 1)
         pair.recv()
         assert fab.pending_messages == 0 and fab.stats[1].recvs == 4
@@ -395,7 +370,7 @@ def test_guard_tables_lose_no_update_under_contention():
             rank,
             [(p, 3, send[p]) for p in peers],
             [(p, 3, recv[p]) for p in peers],
-        ).bulk
+        )
         for step in range(steps):
             for p in peers:
                 send[p][:] = 1000 * step + 10 * rank + p
@@ -492,10 +467,10 @@ class _Cut39:
         kw = {"crc_list": self.seal, "copy_crc_list": self.check}
         self.sender = fab.bind_request(
             0, [(1, tag, d) for tag, d in enumerate(self.data)], [], **kw
-        ).bulk
+        )
         self.receiver = fab.bind_request(
             1, [], [(0, tag, o) for tag, o in enumerate(self.out)], **kw
-        ).bulk
+        )
 
     def delivered(self):
         return all((o == d).all() for o, d in zip(self.out, self.data))
@@ -582,7 +557,7 @@ class TestTheGuardJudgesACut:
 
         cut = _Cut39(binders)
         fab = cut.fab
-        stray = fab.bind_request(0, [(1, 99, np.ones(4))], []).bulk
+        stray = fab.bind_request(0, [(1, 99, np.ones(4))], [])
         fab.post_send_batch(stray)
         fab.post_send_batch(cut.sender)
         with pytest.raises(ProtocolError, match=r"\(0, 99\)"):
@@ -599,17 +574,17 @@ class TestTheGuardJudgesACut:
         kw = {"crc_list": seal, "copy_crc_list": check}
         receiver = fab.bind_request(
             1, [], [(0, 3, outs[0]), (0, 4, outs[1])], **kw
-        ).bulk
+        )
         good = fab.bind_request(
             0, [(1, 3, np.full(4, 1.0)), (1, 4, np.full(4, 2.0))], [], **kw
-        ).bulk
+        )
         fab.post_send_batch(good)
         fab.complete_recv_batch(receiver)
         # Re-binding a changed split drops the receiver's stale half at
         # negotiation, so only the wire's own size guard is left.
         grown = fab.bind_request(
             0, [(1, 3, np.full(4, 7.0)), (1, 4, np.full(5, 8.0))], [], **kw
-        ).bulk
+        )
         fab.post_send_batch(grown)
         with pytest.raises(SplitMismatchError, match="sent 40 bytes, receiving 32"):
             fab.complete_recv_batch(receiver)
@@ -623,9 +598,9 @@ class TestTheGuardJudgesACut:
         out = np.full(4, -1.0)
         receiver = fab.bind_request(
             1, [], [(0, 3, out)], crc_list=seal, copy_crc_list=check
-        ).bulk
+        )
         for epoch, value in enumerate((1.0, 2.0)):
-            sender = fab.bind_request(0, [(1, 3, np.full(4, value))], []).bulk
+            sender = fab.bind_request(0, [(1, 3, np.full(4, value))], [])
             for _ in range(2):
                 fab.post_send_batch(sender)
                 fab.complete_recv_batch(receiver)
@@ -633,16 +608,3 @@ class TestTheGuardJudgesACut:
             assert check.built == epoch + 1
         assert check.calls == 4
         assert fab._guard.delivered[(0, 1, 3)] == (4, None)
-
-    def test_partial_pready_groups_go_item_by_item(self, binders):
-        cut = _Cut39(binders)
-        fab = cut.fab
-        # Two single-item posts, then the rest: three seals, none of
-        # them the whole cut's bound call until everything is posted.
-        fab.post_send_batch(cut.sender, [cut.sender.rows[0][0]])
-        fab.post_send_batch(cut.sender, [cut.sender.rows[7][0]])
-        assert cut.seal.calls == 0 and fab.pending_messages == 2
-        rest = [row[0] for m, row in enumerate(cut.sender.rows) if m not in (0, 7)]
-        fab.post_send_batch(cut.sender, rest)
-        fab.complete_recv_batch(cut.receiver)
-        assert cut.delivered() and cut.seal.calls == 0 and cut.check.calls == 1

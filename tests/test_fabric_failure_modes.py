@@ -26,7 +26,7 @@ _TAG = 3
 
 
 def _bound_recv(fab):
-    cut = fab.bind_request(0, [], [(1, _TAG, np.empty(4))]).bulk
+    cut = fab.bind_request(0, [], [(1, _TAG, np.empty(4))])
     return lambda: fab.complete_recv_batch(cut)
 
 
@@ -45,7 +45,7 @@ def _verified_bound_recv(fab):
 
 
 def _bound_send_wait(fab):
-    cut = fab.bind_request(0, [(1, _TAG, np.zeros(4))], []).bulk
+    cut = fab.bind_request(0, [(1, _TAG, np.zeros(4))], [])
     fab.post_send_batch(cut)
     return lambda: fab.wait_send_batch(cut)
 

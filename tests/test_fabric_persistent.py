@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.brick.decomp import BrickDecomp
-from repro.exchange.base import ExchangeChannel
 from repro.exchange.layout_ex import LayoutExchanger, layout_template
 from repro.faults.errors import (
     ExchangeConfigError,
@@ -24,7 +23,7 @@ from repro.faults.errors import (
     SplitMismatchError,
 )
 from repro.hardware.profiles import generic_host
-from repro.simmpi import SimComm, SimFabric, run_spmd
+from repro.simmpi import SimFabric, run_spmd
 from repro.simmpi import fabric as fabric_mod
 from repro.simmpi.collectives import allreduce
 from repro.simmpi.fabric import AbortedError, DeadlockError
@@ -38,12 +37,11 @@ def _fire(fab, cut):
     fab.wait_send_batch(cut)
 
 
-def _ring_request(fab, rank, send, recv, tag=5, partitions=1):
+def _ring_request(fab, rank, send, recv, tag=5):
     """Send to the right neighbour, receive from the left one."""
     n = fab.nranks
     return fab.bind_request(
-        rank, [((rank + 1) % n, tag, send)], [((rank - 1) % n, tag, recv)],
-        partitions,
+        rank, [((rank + 1) % n, tag, send)], [((rank - 1) % n, tag, recv)]
     )
 
 
@@ -63,7 +61,7 @@ def test_two_handles_on_the_same_edges_keep_their_own_buffers():
             cur, other = step % 2, 1 - step % 2
             sends[cur][:] = 100 * step + rank
             before = recvs[other].copy()
-            _fire(fab, handles[cur].bulk)
+            _fire(fab, handles[cur])
             np.testing.assert_array_equal(recvs[cur], 100 * step + left)
             # The idle handle's ghost buffer still holds the previous step.
             np.testing.assert_array_equal(recvs[other], before)
@@ -72,31 +70,6 @@ def test_two_handles_on_the_same_edges_keep_their_own_buffers():
     run_spmd(3, fn, fabric=fab)
     assert fab.pending_messages == 0
     assert fab.total_stats().sends == fab.total_stats().recvs == 12
-
-
-def test_channel_epoch_misuse_is_a_protocol_error():
-    # One rank sending to itself: the channel's bulk and phased modes
-    # fire the same bound request and refuse to interleave.
-    comm = SimComm(SimFabric(1, timeout=5.0), 0)
-    send, recv = np.arange(4.0), np.zeros(4)
-    channel = ExchangeChannel(
-        comm, "test", [(0, 1, send)], [(0, 1, recv)], result=None,
-        partitions=2,
-    )
-    with pytest.raises(ProtocolError, match="before start"):
-        channel.complete()
-    channel.start()
-    with pytest.raises(ProtocolError, match="in flight"):
-        channel.exchange()
-    with pytest.raises(ProtocolError, match="already started"):
-        channel.start()
-    channel.complete()
-    np.testing.assert_array_equal(recv, send)
-    send += 1.0
-    channel.exchange()
-    np.testing.assert_array_equal(recv, send)
-    assert comm.fabric.total_stats().sends == 2 + 1
-    assert comm.fabric.pending_messages == 0
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +212,7 @@ def test_wakeups_go_only_to_peers_and_once_per_exchange():
             rank,
             [(p, 9, send[p]) for p in peers[rank]],
             [(p, 9, recv[p]) for p in peers[rank]],
-        ).bulk
+        )
         for _ in range(steps):
             _fire(comm.fabric, cut)
         for p in peers[rank]:
@@ -285,7 +258,7 @@ def test_two_alternating_cuts_wake_each_rank_once_per_exchange():
                 rank,
                 [(p, 9, sends[slot][p]) for p in peers[rank]],
                 [(p, 9, recvs[slot][p]) for p in peers[rank]],
-            ).bulk
+            )
             for slot in (0, 1)
         ]
         for step in range(steps):
@@ -323,7 +296,7 @@ class TestBoundFailureModes:
             if rank == 2:
                 time.sleep(0.1)  # so rank 1's deadline is the first to pass
             try:
-                _fire(fab, request.bulk)
+                _fire(fab, request)
             except (DeadlockError, AbortedError) as err:
                 errors[rank] = err
                 raise
@@ -344,7 +317,7 @@ class TestBoundFailureModes:
         fab.set_heartbeat_deadline(0.05)
         fab.heartbeat(1)
         time.sleep(0.1)
-        cut = fab.bind_request(0, [], [(1, 0, np.empty(2))]).bulk
+        cut = fab.bind_request(0, [], [(1, 0, np.empty(2))])
         with pytest.raises(RankDeadError, match="heartbeat deadline"):
             fab.complete_recv_batch(cut)
         assert fab.is_dead(1)
@@ -352,8 +325,8 @@ class TestBoundFailureModes:
     def test_message_on_the_wire_outlives_its_sender_then_edge_drains(self):
         fab = SimFabric(2, timeout=30.0)
         out = np.empty(4)
-        sender = fab.bind_request(1, [(0, 0, np.full(4, 7.0))], []).bulk
-        receiver = fab.bind_request(0, [], [(1, 0, out)]).bulk
+        sender = fab.bind_request(1, [(0, 0, np.full(4, 7.0))], [])
+        receiver = fab.bind_request(0, [], [(1, 0, out)])
         fab.post_send_batch(sender)
         fab.mark_dead(1)
         fab.complete_recv_batch(receiver)
@@ -367,7 +340,7 @@ class TestBoundFailureModes:
         fab = SimFabric(3, timeout=5.0)
         cut = fab.bind_request(
             0, [(1, 0, np.zeros(4)), (2, 0, np.zeros(4))], []
-        ).bulk
+        )
         killer = threading.Thread(target=fab.mark_dead, args=(2,))
         killer.start()
         killer.join(timeout=5.0)
@@ -382,7 +355,7 @@ class TestBoundFailureModes:
     def test_byte_count_disagreement_fails_at_negotiation(self):
         fab = SimFabric(2)
         fab.bind_request(0, [(1, 3, np.zeros(8))], [])
-        with pytest.raises(SplitMismatchError, match="split disagreement"):
+        with pytest.raises(SplitMismatchError, match="byte count disagreement"):
             fab.bind_request(1, [], [(0, 3, np.zeros(9))])
 
     def test_duplicate_receive_key_is_a_config_error(self):
@@ -399,16 +372,16 @@ class TestBoundFailureModes:
 
     def test_arrival_with_no_bound_receive_is_a_protocol_error(self):
         fab = SimFabric(2, timeout=5.0)
-        stray = fab.bind_request(0, [(1, 4, np.zeros(4))], []).bulk
-        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))]).bulk
+        stray = fab.bind_request(0, [(1, 4, np.zeros(4))], [])
+        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))])
         fab.post_send_batch(stray)
         with pytest.raises(ProtocolError, match=r"\(0, 4\)"):
             fab.complete_recv_batch(receiver)
 
     def test_second_epoch_on_an_edge_is_a_protocol_error(self):
         fab = SimFabric(2, timeout=5.0)
-        sender = fab.bind_request(0, [(1, 3, np.zeros(4))], []).bulk
-        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))]).bulk
+        sender = fab.bind_request(0, [(1, 3, np.zeros(4))], [])
+        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))])
         fab.post_send_batch(sender)
         fab.post_send_batch(sender)  # did not wait for consumption
         with pytest.raises(ProtocolError, match="do not match"):
@@ -421,18 +394,16 @@ class TestBoundFailureModes:
         fab = SimFabric(2)
         fab.enable_envelope()
         fab.bind_request(0, [(1, 3, np.zeros(4))], [])
-        with pytest.raises(SplitMismatchError, match="split disagreement"):
+        with pytest.raises(SplitMismatchError, match="byte count disagreement"):
             fab.bind_request(1, [], [(0, 3, np.zeros(5))])
         with pytest.raises(ExchangeConfigError, match="C-contiguous"):
             fab.bind_request(1, [], [(0, 4, np.zeros((4, 4))[:, ::2])])
-        with pytest.raises(ExchangeConfigError, match="partitions"):
-            fab.bind_request(1, [], [(0, 5, np.zeros(4))], partitions=0)
 
     def test_verified_stray_arrival_is_a_protocol_error(self):
         fab = SimFabric(2, timeout=5.0)
         fab.enable_envelope()
-        stray = fab.bind_request(0, [(1, 4, np.zeros(4))], []).bulk
-        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))]).bulk
+        stray = fab.bind_request(0, [(1, 4, np.zeros(4))], [])
+        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))])
         fab.post_send_batch(stray)
         with pytest.raises(ProtocolError, match=r"\(0, 4\)"):
             fab.complete_recv_batch(receiver)
@@ -443,8 +414,8 @@ class TestBoundFailureModes:
         fab = SimFabric(2, timeout=5.0)
         fab.enable_envelope()
         data, out = np.zeros(4), np.full(4, -1.0)
-        sender = fab.bind_request(0, [(1, 3, data)], []).bulk
-        receiver = fab.bind_request(1, [], [(0, 3, out)]).bulk
+        sender = fab.bind_request(0, [(1, 3, data)], [])
+        receiver = fab.bind_request(1, [], [(0, 3, out)])
         fab.post_send_batch(sender)
         fab.post_send_batch(sender)
         fab.complete_recv_batch(receiver)
@@ -472,7 +443,7 @@ def test_collective_posted_after_the_exchange_is_not_a_halo_arrival():
         recv = np.full(8, -1.0)
         posts = {0: [(1, 5, send)], 1: [], 2: [(0, 5, send)]}[rank]
         recvs = {0: [(2, 5, recv)], 1: [(0, 5, recv)], 2: []}[rank]
-        cut = fab.bind_request(rank, posts, recvs).bulk
+        cut = fab.bind_request(rank, posts, recvs)
         totals = []
         for step in range(steps):
             if rank == 2:
@@ -497,7 +468,7 @@ def test_collective_posted_after_the_exchange_is_not_a_halo_arrival():
 def test_per_message_send_does_not_match_a_bound_receive():
     fab = SimFabric(2, timeout=0.5)
     out = np.full(4, -1.0)
-    receiver = fab.bind_request(1, [], [(0, 3, out)]).bulk
+    receiver = fab.bind_request(1, [], [(0, 3, out)])
     fab.post_send(0, 1, 3, np.zeros(4))
     start = time.monotonic()
     with pytest.raises(DeadlockError, match=r"\(src=0, tag=3\)"):
@@ -554,7 +525,7 @@ class TestFrozenCopyTable:
                 [(right, 5, sends[0]), (left, 6, sends[1])],
                 [(left, 5, recvs[0]), (right, 6, recvs[1])],
                 copy_list=counter,
-            ).bulk
+            )
             for step in range(steps):
                 sends[0][:] = 100 * step + rank
                 sends[1][:] = -(100 * step + rank)
@@ -576,9 +547,9 @@ class TestFrozenCopyTable:
         fab = SimFabric(2, timeout=5.0)
         counter = _CountingCopyList(copy_list)
         out = np.full(4, -1.0)
-        receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter).bulk
+        receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter)
         for epoch, value in enumerate((1.0, 2.0)):
-            sender = fab.bind_request(0, [(1, 3, np.full(4, value))], []).bulk
+            sender = fab.bind_request(0, [(1, 3, np.full(4, value))], [])
             for _ in range(2):
                 fab.post_send_batch(sender)
                 fab.complete_recv_batch(receiver)
@@ -590,13 +561,13 @@ class TestFrozenCopyTable:
         fab = SimFabric(2, timeout=5.0)
         counter = _CountingCopyList(copy_list)
         out = np.full(4, -1.0)
-        receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter).bulk
-        sender = fab.bind_request(0, [(1, 3, np.full(4, 1.0))], []).bulk
+        receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter)
+        sender = fab.bind_request(0, [(1, 3, np.full(4, 1.0))], [])
         fab.post_send_batch(sender)
         fab.complete_recv_batch(receiver)  # frozen on the 4-element peer
         # Re-binding a changed split drops the receiver's stale half at
         # negotiation, so only the wire's own size guard is left.
-        grown = fab.bind_request(0, [(1, 3, np.full(5, 2.0))], []).bulk
+        grown = fab.bind_request(0, [(1, 3, np.full(5, 2.0))], [])
         fab.post_send_batch(grown)
         with pytest.raises(SplitMismatchError, match="sent 40 bytes, receiving 32"):
             fab.complete_recv_batch(receiver)
@@ -607,8 +578,8 @@ class TestFrozenCopyTable:
         fab = SimFabric(2, timeout=5.0)
         counter = _CountingCopyList(copy_list)
         data, out = np.full(4, 1.0), np.full(4, -1.0)
-        receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter).bulk
-        sender = fab.bind_request(0, [(1, 3, data)], []).bulk
+        receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter)
+        sender = fab.bind_request(0, [(1, 3, data)], [])
         fab.post_send_batch(sender)
         fab.complete_recv_batch(receiver)
         data[:] = 2.0
@@ -624,11 +595,11 @@ class TestFrozenCopyTable:
         fab = SimFabric(2, timeout=5.0)
         counter = _CountingCopyList(copy_list)
         out = np.full(4, -1.0)
-        receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter).bulk
-        sender = fab.bind_request(0, [(1, 3, np.full(4, 1.0))], []).bulk
+        receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter)
+        sender = fab.bind_request(0, [(1, 3, np.full(4, 1.0))], [])
         fab.post_send_batch(sender)
         fab.complete_recv_batch(receiver)
-        stray = fab.bind_request(0, [(1, 4, np.full(4, 9.0))], []).bulk
+        stray = fab.bind_request(0, [(1, 4, np.full(4, 9.0))], [])
         fab.post_send_batch(stray)
         with pytest.raises(ProtocolError, match=r"\(0, 4\)"):
             fab.complete_recv_batch(receiver)
@@ -653,7 +624,7 @@ class TestFrozenCopyTable:
         buf = arena.buffer.view(np.float64)
         cut = fab.bind_request(
             0, [(0, 1, buf[:512])], [(0, 1, buf[512:1024])], copy_list=copy_list
-        ).bulk
+        )
         buf[:512] = 3.0
         _fire(fab, cut)
         assert (buf[512:1024] == 3.0).all()

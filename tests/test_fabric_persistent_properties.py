@@ -1,10 +1,10 @@
 """Property-based coverage of the bound fabric requests (hypothesis).
 
 Random message plans -- any peers (self-sends included), any tags, zero
-to 4096 byte messages, 1-4 partitions, bulk or phased steps, two
-alternating handles per rank over the same edges -- must deliver every
-payload into the right buffer, count one send and one receive per
-message (partition) with the plan's bytes, and leave nothing queued: on
+to 4096 byte messages, one to three steps, two alternating handles per
+rank over the same edges -- must deliver every payload into the right
+buffer, count one send and one receive per message with the plan's
+bytes, and leave nothing queued: on
 a plain fabric, on a verified one, and on a verified one whose drawn
 :class:`FaultPlan` drops, corrupts, duplicates and delays items while
 every rank heals by re-firing inside its epoch.
@@ -17,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.faults import FaultError, FaultInjector, FaultPlan  # noqa: E402
-from repro.simmpi import SimFabric, partition_bounds, run_spmd  # noqa: E402
+from repro.simmpi import SimFabric, run_spmd  # noqa: E402
 
 
 @st.composite
@@ -35,9 +35,8 @@ def plans(draw):
         st.integers(min_value=0, max_value=4096),
     )
     messages = [(src, dst, tag, draw(size)) for src, dst, tag in edges]
-    partitions = draw(st.integers(min_value=1, max_value=4))
-    phased = draw(st.lists(st.booleans(), min_size=1, max_size=3))
-    return nranks, messages, partitions, phased
+    steps = draw(st.integers(min_value=1, max_value=3))
+    return nranks, messages, steps
 
 
 #: None: plain fabric.  Else the injector's plan (a fault-free plan is
@@ -70,11 +69,11 @@ def _healed(fire, max_retries=4):
 @settings(max_examples=60, deadline=None)
 @given(plan=plans(), faults=fault_plans)
 def test_random_plans_deliver_count_and_drain(plan, faults):
-    nranks, messages, partitions, phased = plan
-    rng = np.random.default_rng(len(messages) * 31 + partitions)
+    nranks, messages, steps = plan
+    rng = np.random.default_rng(len(messages) * 31 + steps)
     payload = [
         [rng.integers(0, 256, size=n, dtype=np.uint8) for *_, n in messages]
-        for _ in phased
+        for _ in range(steps)
     ]
 
     def fn(comm):
@@ -89,31 +88,20 @@ def test_random_plans_deliver_count_and_drain(plan, faults):
                 rank,
                 [(messages[m][1], messages[m][2], send[m]) for m in mine_out],
                 [(messages[m][0], messages[m][2], recv[m]) for m in mine_in],
-                partitions,
             )
             handles.append((request, send, recv))
-        for step, phase in enumerate(phased):
-            request, send, recv = handles[step % 2]
+        for step in range(steps):
+            cut, send, recv = handles[step % 2]
             for m in mine_out:
                 send[m][:] = payload[step][m]
             comm.set_epoch(step)
-            if phase:
-                request.start()
-                if rank % 2:  # odd ranks release last partitions first
-                    counts = request.partitions
-                    for i in reversed(range(len(mine_out))):
-                        request.pready(i, counts[i] - 1)
-                request.pready_all()
-                _healed(request.complete)
-            else:
-                cut = request.bulk
 
-                def fire():
-                    comm.fabric.post_send_batch(cut)
-                    comm.fabric.complete_recv_batch(cut)
-                    comm.fabric.wait_send_batch(cut)
+            def fire():
+                comm.fabric.post_send_batch(cut)
+                comm.fabric.complete_recv_batch(cut)
+                comm.fabric.wait_send_batch(cut)
 
-                _healed(fire)
+            _healed(fire)
             comm.set_epoch(None)
             for m in mine_in:
                 np.testing.assert_array_equal(recv[m], payload[step][m])
@@ -124,13 +112,8 @@ def test_random_plans_deliver_count_and_drain(plan, faults):
         injector = FaultInjector(faults)
         fab.enable_envelope(injector)
     run_spmd(nranks, fn, fabric=fab)
-    per_phased_step = sum(
-        len(partition_bounds(n, partitions)) for *_, n in messages
-    )
-    expected_msgs = sum(
-        per_phased_step if phase else len(messages) for phase in phased
-    )
-    expected_bytes = len(phased) * sum(n for *_, n in messages)
+    expected_msgs = steps * len(messages)
+    expected_bytes = steps * sum(n for *_, n in messages)
     total = fab.total_stats()
     assert total.sends == total.recvs == expected_msgs
     assert total.bytes_sent == total.bytes_received == expected_bytes

@@ -212,9 +212,9 @@ def observed(monkeypatch):
 
     make_channel = Exchanger.make_channel
 
-    def binding(self, partitions=1):
+    def binding(self):
         seen["bound"].append(self.plan)
-        return make_channel(self, partitions)
+        return make_channel(self)
 
     compile_brick_plan = driver.compile_brick_plan
 

@@ -140,13 +140,6 @@ FEATURES = {
         "fabric_timeout": 15.0,
     },
     "period2": {"exchange_period": 2},
-    "overlap": {"overlap": True},
-    "overlap_verify_wire": {"overlap": True, "verify_wire": True},
-    "overlap_chaos": {
-        "overlap": True,
-        "fault_plan": FaultPlan(seed=3, drop=0.02, corrupt=0.02, duplicate=0.02),
-        "fabric_timeout": 10.0,
-    },
 }
 
 
@@ -159,7 +152,7 @@ class TestComposition:
         kwargs = dict(FEATURES[feature])
         if kwargs.get("checkpoint_dir"):
             kwargs["checkpoint_dir"] = tmp_path
-        if method == "shift" and feature.endswith("chaos"):
+        if method == "shift" and feature == "chaos":
             # No silent fallback: Shift's barrier-separated rounds have
             # no channel to heal on, so wire faults are refused up
             # front, by name, instead of burning the fabric timeout.
@@ -176,7 +169,7 @@ class TestComposition:
         np.testing.assert_array_equal(run.global_result, _reference())
         launches = 1 + run.restarts
         assert run.restarts == (1 if feature == "crash_restart" else 0)
-        if feature.endswith("chaos"):
+        if feature == "chaos":
             events = run.faults["events"]
             assert events["healed"] == events["retry"] > 0
             assert events["injected_drop"] > 0 and events["injected_corrupt"] > 0
@@ -184,7 +177,6 @@ class TestComposition:
         assert sorted(loop_entries) == sorted(
             list(range(problem.nranks)) * launches
         )
-        assert run.overlap == (feature.startswith("overlap") and method != "shift")
         if feature == "period2":
             # Another brick size is another layout: only the cadence is
             # comparable with the plain run.
@@ -194,37 +186,19 @@ class TestComposition:
         assert run.wire_bytes_per_rank == plain.wire_bytes_per_rank
         assert run.mapping_count == plain.mapping_count
         for got, want in zip(run.metrics.ranks, plain.metrics.ranks):
-            got, want = got.totals.as_dict(), want.totals.as_dict()
-            if run.overlap:
-                # Phasing hides part of the modelled wait, nothing else.
-                assert got.pop("wait") <= want.pop("wait")
-            assert got == want
-
-    @pytest.mark.parametrize(
-        "feature", ["checkpoint", "observed", "verify_wire", "chaos"]
-    )
-    def test_overlap_engages_under_features(self, feature, tmp_path):
-        # Phasing depends on the engines being channels, nothing else.
-        kwargs = dict(FEATURES[feature])
-        if kwargs.get("checkpoint_dir"):
-            kwargs["checkpoint_dir"] = tmp_path
-        with obs.observed() if feature == "observed" else nullcontext():
-            run = _run("layout", overlap=True, **kwargs)
-        assert run.overlap is True
-        np.testing.assert_array_equal(run.global_result, _reference())
+            assert got.totals.as_dict() == want.totals.as_dict()
 
     @pytest.mark.parametrize("method", ["layout", "memmap", "yask", "mpi_types"])
-    def test_overlap_heals_on_all_26_neighbours(self, method):
-        # 125-pt reads edge and corner ghosts: a phased, enveloped,
-        # faulted run must heal every one of them, on partition edges.
+    def test_heals_on_all_26_neighbours(self, method):
+        # 125-pt reads edge and corner ghosts: an enveloped, faulted run
+        # must heal every one of them.
         problem = _problem(stencil=CUBE125)
         plain = run_executed(problem, method, timesteps=2, seed=0)
         run = run_executed(
-            problem, method, timesteps=2, seed=0, overlap=True,
+            problem, method, timesteps=2, seed=0,
             fault_plan=FaultPlan(seed=5, drop=0.05, corrupt=0.05, duplicate=0.05),
             fabric_timeout=10.0,
         )
-        assert run.overlap is True
         np.testing.assert_array_equal(
             run.global_result, _reference(2, CUBE125)
         )
@@ -322,10 +296,10 @@ class TestBatchedFabric:
         outs = [np.zeros(16), np.zeros(8)]
         sender = fabric.bind_request(
             0, [(1, 11, sends[0]), (1, 12, sends[1])], []
-        ).bulk
+        )
         receiver = fabric.bind_request(
             1, [], [(0, 11, outs[0]), (0, 12, outs[1])]
-        ).bulk
+        )
         fabric.post_send_batch(sender)
         fabric.complete_recv_batch(receiver)
         fabric.wait_send_batch(sender)
@@ -339,8 +313,8 @@ class TestBatchedFabric:
         # verified where they land, like any other's.
         fabric = SimFabric(2, timeout=5.0)
         buf, out = np.arange(4.0), np.zeros(4)
-        sender = fabric.bind_request(0, [(1, 7, buf)], []).bulk
-        receiver = fabric.bind_request(1, [], [(0, 7, out)]).bulk
+        sender = fabric.bind_request(0, [(1, 7, buf)], [])
+        receiver = fabric.bind_request(1, [], [(0, 7, out)])
         fabric.enable_envelope()
         fabric.post_send_batch(sender)
         ((_key, _view, env, _wire),) = fabric._ports[1].items([0])

@@ -72,13 +72,12 @@ def send_waits(monkeypatch):
 # ----------------------------------------------------------------------
 # Exchange periods > 1: the same slot is written before any receive
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("feature", ["plain", "overlap", "checkpoint"])
+@pytest.mark.parametrize("feature", ["plain", "checkpoint"])
 @pytest.mark.parametrize("period", [2, 3])
 @pytest.mark.parametrize("method", METHODS)
 def test_periodic_exchange_is_bit_identical(method, period, feature, tmp_path):
     kwargs = {
         "plain": {},
-        "overlap": {"overlap": True},
         "checkpoint": {"checkpoint_dir": tmp_path, "checkpoint_period": 2},
     }[feature]
     run = run_executed(
@@ -86,7 +85,6 @@ def test_periodic_exchange_is_bit_identical(method, period, feature, tmp_path):
         fabric_timeout=20.0, **kwargs,
     )
     assert run.exchange_period == period
-    assert run.overlap == (feature == "overlap")
     np.testing.assert_array_equal(run.global_result, _reference())
     assert run.fabric.pending_messages == 0
 
@@ -115,8 +113,8 @@ def test_two_cuts_epochs_on_one_edge_are_taken_in_order(verified):
         fab.enable_envelope()
     data = [np.full(4, 1.0), np.full(4, 2.0)]
     outs = [np.full(4, -1.0), np.full(4, -1.0)]
-    senders = [fab.bind_request(0, [(1, 3, d)], []).bulk for d in data]
-    receivers = [fab.bind_request(1, [], [(0, 3, o)]).bulk for o in outs]
+    senders = [fab.bind_request(0, [(1, 3, d)], []) for d in data]
+    receivers = [fab.bind_request(1, [], [(0, 3, o)]) for o in outs]
     for sender in senders:  # the second slot's epoch before the first is taken
         fab.post_send_batch(sender)
     assert len(fab._ports[1].fifos[0]) == 2
@@ -150,7 +148,7 @@ def test_deferred_sends_lose_no_wake_under_contention():
             recv = {p: np.zeros(16) for p in peers}
             cut = fab.bind_request(
                 rank, [(p, 3, send[p]) for p in peers], [(p, 3, recv[p]) for p in peers]
-            ).bulk
+            )
             slots.append((cut, send, recv))
         for step in range(steps):
             cut, send, recv = slots[step % 2]
@@ -181,8 +179,8 @@ def test_a_cut_posted_again_before_its_epoch_was_taken_is_refused():
     plain fabric: the receive refuses it before any byte lands."""
     fab = SimFabric(2, timeout=5.0)
     data, out = np.full(4, 1.0), np.full(4, -1.0)
-    sender = fab.bind_request(0, [(1, 3, data)], []).bulk
-    receiver = fab.bind_request(1, [], [(0, 3, out)]).bulk
+    sender = fab.bind_request(0, [(1, 3, data)], [])
+    receiver = fab.bind_request(1, [], [(0, 3, out)])
     fab.post_send_batch(sender)
     fab.complete_recv_batch(receiver)  # frozen on this very deposit
     fab.post_send_batch(sender)

@@ -19,7 +19,6 @@ from repro.brick.convert import (
     extended_shape,
     extended_to_bricks,
 )
-from repro.brick.decomp import BrickDecomp
 from repro.brick.info import BrickInfo, all_direction_vectors, direction_index
 from repro.brick.storage import BrickStorage
 from repro.core.driver import run_executed
@@ -31,9 +30,7 @@ from repro.stencil.brick_kernels import apply_brick_stencil, gather_halo_batch
 from repro.stencil.kernels import apply_array_stencil
 from repro.stencil.plan import (
     ArrayStencilPlan,
-    compile_array_phase_plans,
     compile_array_plan,
-    compile_brick_phase_plans,
     compile_brick_plan,
 )
 from repro.stencil.reference import apply_periodic_reference
@@ -301,35 +298,6 @@ class TestBrickPlanCTier:
         held = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
         assert all(a.size < len(slots) * halo for a in held)
 
-    @needs_cc
-    @pytest.mark.parametrize("spec", [SEVEN_POINT, cube_stencil(3, 1)],
-                             ids=["7pt", "cube27"])
-    def test_phase_cover_equals_unsplit(self, spec):
-        """Interior + surface plans of every ghost-expansion cycle
-        position (the deeper one computes the inner ghost layer too)
-        write the bits of the unsplit plan."""
-        d = BrickDecomp((16, 16, 16), (4, 4, 4), 8)
-        rng = np.random.default_rng(21)
-        src, asn = d.allocate()
-        src.data[:] = rng.random(src.data.shape)
-        info = d.brick_info(asn)
-        positions = brick_cycle_slots(d, asn, spec.radius)
-        assert len(positions) == 2
-        for slots in positions:
-            whole, _ = d.allocate()
-            cover, _ = d.allocate()
-            whole.data[:] = cover.data[:] = rng.random(whole.data.shape)
-            compile_brick_plan(spec, info, slots).execute(src, whole)
-            interior, surface = compile_brick_phase_plans(
-                spec, info, asn, slots
-            )
-            assert interior is not None and surface is not None
-            assert len(interior.slots) + len(surface.slots) == len(slots)
-            for part in (interior, surface):
-                assert part.kernel_backend == cbackend.c_tier()
-                part.execute(src, cover)
-            same_bits(cover.data, whole.data)
-
     def test_plan_follows_kernel_environment(self, monkeypatch):
         """One BrickInfo, one slot set: each compile steps on the tier
         and guard variant the environment names at that moment (no plan
@@ -417,50 +385,19 @@ class TestBothTiers:
         same_bits(got.data, ref.data)
 
     @pytest.mark.parametrize("spec", SPECS, ids=IDS)
-    def test_brick_phase_cover(self, tier, spec):
-        """Every ghost-expansion cycle position, whole and as interior +
-        surface, against the generic kernel."""
-        nd = spec.ndim
-        d = BrickDecomp((16,) * nd, (4,) * nd, 8)
-        rng = np.random.default_rng(32)
-        src, asn = d.allocate()
-        src.data[:] = rng.random(src.data.shape)
-        info = d.brick_info(asn)
-        for slots in brick_cycle_slots(d, asn, spec.radius):
-            ref, whole, cover = (d.allocate()[0] for _ in range(3))
-            ref.data[:] = whole.data[:] = cover.data[:] = rng.random(
-                ref.data.shape
-            )
-            apply_brick_stencil(spec, src, ref, info, slots)
-            compile_brick_plan(spec, info, slots).execute(src, whole)
-            parts = compile_brick_phase_plans(spec, info, asn, slots)
-            assert sum(len(p.slots) for p in parts if p) == len(slots)
-            for part in parts:
-                if part is not None:
-                    assert part.kernel_backend == reported(tier)
-                    part.execute(src, cover)
-            same_bits(whole.data, ref.data)
-            same_bits(cover.data, ref.data)
-
-    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
     def test_array_plan(self, tier, spec):
-        """Whole region at every ghost-expansion margin, and the
-        interior + surface cover of each."""
+        """Whole region at every ghost-expansion margin."""
         extent, ghost = (10, 6, 8)[: spec.ndim], 4
         rng = np.random.default_rng(33)
         shape = tuple(e + 2 * ghost for e in reversed(extent))
         arr, dirty = rng.random(shape), rng.random(shape)
         for margin in range(ghost - spec.radius + 1):
-            ref, whole, cover = dirty.copy(), dirty.copy(), dirty.copy()
+            ref, whole = dirty.copy(), dirty.copy()
             apply_array_stencil(arr, ref, spec, extent, ghost, margin=margin)
             plan = compile_array_plan(spec, extent, ghost, margin)
             assert plan.kernel_backend == reported(tier)
             plan.execute(arr, whole)
-            for part in compile_array_phase_plans(spec, extent, ghost, margin):
-                if part is not None:
-                    part.execute(arr, cover)
             same_bits(whole, ref)
-            same_bits(cover, ref)
 
     @pytest.mark.parametrize(
         "spec,cells", [(SEVEN_POINT, 8**3 + 6 * 8**2), (CUBE125, 12**3)],
@@ -574,31 +511,10 @@ class TestArrayPlanCTier:
             plan.execute(arr, got)
             same_bits(got, ref)
 
-    # (a radius-0 stencil has no surface shell to split off)
-    @needs_cc
-    @pytest.mark.parametrize("spec,extent,ghost", CASES[1:], ids=IDS[1:])
-    def test_phase_cover_equals_unsplit(self, spec, extent, ghost):
-        arr, dirty = self._arrays(extent, ghost, 6)
-        for margin in range(0, ghost - spec.radius + 1):
-            whole, cover = dirty.copy(), dirty.copy()
-            full = compile_array_plan(spec, extent, ghost, margin)
-            full.execute(arr, whole)
-            interior, surface = compile_array_phase_plans(
-                spec, extent, ghost, margin
-            )
-            for part in (interior, surface):
-                if part is not None:
-                    assert part.kernel_backend == cbackend.c_tier()
-                    part.execute(arr, cover)
-            same_bits(cover, whole)
-            assert full.cells == surface.cells + (
-                interior.cells if interior is not None else 0
-            )
-
     @needs_cc
     def test_one_build_per_extended_shape(self, monkeypatch):
-        """Whole region, every margin and the phase split of one array
-        shape trigger a single compiler run."""
+        """Whole region and every margin of one array shape trigger a
+        single compiler run."""
         builds = []
         real = cbackend._load
         monkeypatch.setattr(
@@ -609,7 +525,6 @@ class TestArrayPlanCTier:
         extent, ghost = (10, 6, 8), 3  # a shape no other test compiles
         for margin in range(0, ghost - spec.radius + 1):
             compile_array_plan(spec, extent, ghost, margin)
-            compile_array_phase_plans(spec, extent, ghost, margin)
         assert builds == ["repro_array_step"]
 
     @needs_cc
@@ -776,13 +691,12 @@ class TestDriverIntegration:
     def test_array_methods_step_on_c(
         self, method, small_problem, theta, monkeypatch
     ):
-        """Array methods compute on the C tier -- phased and with ghost
-        expansion -- and say so in the run record."""
+        """Array methods compute on the C tier -- with ghost expansion --
+        and say so in the run record."""
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         steps = 4
         run = run_executed(
-            small_problem, method, theta, timesteps=steps,
-            overlap=True, exchange_period=2,
+            small_problem, method, theta, timesteps=steps, exchange_period=2,
         )
         assert run.kernel_backend == cbackend.c_tier()
         assert run.exchange_period == 2
@@ -802,7 +716,7 @@ class TestDriverIntegration:
         self, method, brick, period, theta, monkeypatch
     ):
         """Brick methods compute on the C tier with all 27 directions
-        staged (125-point), phased; with 4^3 bricks and period 2 the
+        staged (125-point); with 4^3 bricks and period 2 the
         deeper cycle position sweeps the inner ghost layer too."""
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         problem = StencilProblem(
@@ -811,10 +725,9 @@ class TestDriverIntegration:
         )
         steps = 4
         run = run_executed(
-            problem, method, theta, timesteps=steps,
-            overlap=True, exchange_period=period,
+            problem, method, theta, timesteps=steps, exchange_period=period,
         )
-        assert run.kernel_backend == cbackend.c_tier() and run.overlap is True
+        assert run.kernel_backend == cbackend.c_tier()
         assert run.exchange_period == period
         ref = apply_periodic_reference(
             problem.initial_global(0), CUBE125, steps

@@ -79,8 +79,8 @@ may not, and these rules are project-specific anyway.  Seven checks:
    ``first_touch_penalty``: re-deriving a schedule to account for a run
    is a second accounting path); and the
    ledger's accumulations (``+=`` on ``.exchanges`` / ``.messages`` /
-   ``.wire_bytes`` / ``.payload_bytes`` / ``.hidden_s``, or on a
-   ``["msgs"]`` / ``["wire"]`` / ``["payload"]`` counter) appear in
+   ``.wire_bytes`` / ``.payload_bytes``, or on a ``["msgs"]`` /
+   ``["wire"]`` / ``["payload"]`` counter) appear in
    ``core/runplan.py`` only.
 
 7. **One data-movement tier.**  An exchange side -- pack, unpack, the
@@ -193,9 +193,7 @@ REDERIVATION_NAMES = (
 #: the ledger's accumulated fields (and the retired dict's keys), and
 #: the one file that may add to them
 LEDGER_HOME = "core/runplan.py"
-LEDGER_FIELDS = (
-    "exchanges", "messages", "wire_bytes", "payload_bytes", "hidden_s",
-)
+LEDGER_FIELDS = ("exchanges", "messages", "wire_bytes", "payload_bytes")
 LEDGER_KEYS = ("msgs", "wire", "payload")
 
 #: packages whose per-message copy loops are one tier of a bound call,
