@@ -1,15 +1,17 @@
-"""Checkpoint/restart subsystem: content-verified incremental snapshots
-of brick storage plus the consistency protocol for elastic SPMD restart.
+"""Checkpoint/restart subsystem: content-verified snapshots of brick
+storage, deduplicated run by run against each buffer's previous
+snapshot, plus the consistency protocol for elastic SPMD restart.
 
 Layering:
 
 * :mod:`repro.ckpt.store` -- the on-disk format: one file per rank
   snapshot (manifest, then payload runs with one CRC32 each), committed
-  by one write, two fsyncs and a rename; full/incremental snapshots.
+  by one write, two fsyncs and a rename; a run whose bytes equal a run
+  of the parent snapshot is a reference, not a copy.
 * :mod:`repro.ckpt.snapshot` -- run semantics: the rule of what a
   snapshot at a step holds (:func:`snapshot_runs`: live sections of a
   :class:`~repro.brick.decomp.SlotAssignment` as maximal slot runs),
-  dirty-slot tracking, the epoch-negotiation allreduce, problem
+  the per-buffer checkpointer, the epoch-negotiation allreduce, problem
   fingerprinting.
 
 What a save costs is measured by ``tools/numpy_tier_bench.py ckpt`` and
@@ -23,7 +25,6 @@ relaunch after an injected crash) lives in :mod:`repro.core.driver`.
 from repro.ckpt.snapshot import (
     CheckpointConfig,
     ChunkSpec,
-    DirtyTracker,
     NoCommonEpochError,
     RankCheckpointer,
     RunSpec,
@@ -47,7 +48,6 @@ __all__ = [
     "CheckpointFormatError",
     "CheckpointConfig",
     "ChunkSpec",
-    "DirtyTracker",
     "NoCommonEpochError",
     "RankCheckpointer",
     "RunSpec",

@@ -5,8 +5,7 @@ stencil run:
 
 * :func:`storage_chunks` names one section per non-empty
   :class:`~repro.brick.decomp.Section` of the slot assignment --
-  alignment padding slots are never written, and dirty tracking can
-  skip whole regions the workload did not touch.
+  alignment padding slots are never written.
 * :func:`snapshot_runs` is the one rule of what a snapshot holds: the
   sections a restore at its step reads, grouped into maximal runs of
   adjacent slots, each written as one chunk.  At an exchange step the
@@ -16,9 +15,9 @@ stencil run:
   paper's layout keeps it contiguous.  The driver's saves and restores
   and elastic re-bricking all ask this function, never
   :func:`storage_chunks` directly.
-* :class:`DirtyTracker` accumulates touched slots between checkpoints;
-  :class:`RankCheckpointer` turns that into the ``dirty_names`` hint the
-  store uses to write incremental snapshots.
+* :class:`RankCheckpointer` saves each buffer of the double buffer
+  against that buffer's previous snapshot, so the store references the
+  runs whose bytes did not change.
 * :func:`negotiate_epoch` is the restart-consistency protocol: an
   iterative allreduce that finds the newest epoch *every* rank holds a
   verified snapshot of (gaps per rank are fine -- pruning and mid-write
@@ -46,7 +45,6 @@ __all__ = [
     "group_runs",
     "snapshot_runs",
     "storage_chunks",
-    "DirtyTracker",
     "NoCommonEpochError",
     "negotiate_epoch",
     "problem_key",
@@ -113,8 +111,9 @@ def storage_chunks(assignment) -> List[ChunkSpec]:
 
     Section names are stable across runs of the same layout (derived
     from region/neighbor set notation, not slot numbers), which is what
-    lets an incremental manifest reference its parent's sections by
-    name.  Padding slots hold no data and are excluded.
+    lets a manifest reference a parent run by its section table and a
+    re-bricked or restored snapshot be read by name.  Padding slots hold
+    no data and are excluded.
     """
     return [
         ChunkSpec(
@@ -199,47 +198,6 @@ def snapshot_runs(geometry, rank: int, step: int, period: int) -> List[RunSpec]:
             or not got[s.start_slot : s.start_slot + s.nslots].all()
         ]
     return group_runs(specs)
-
-
-class DirtyTracker:
-    """Which slots were written since the last checkpoint, as a bitmap.
-
-    The driver marks ghost sections after each exchange and computed
-    slots after each stencil application, each in the tracker of the
-    buffer written; :meth:`names` projects the bitmap onto the section
-    layout so the store can skip clean sections without hashing them.
-    """
-
-    def __init__(self, nslots: int) -> None:
-        # One slot past the end stays clean: a section that ends at the
-        # last slot then has a valid end index for ``reduceat``.
-        self._dirty = np.zeros(int(nslots) + 1, dtype=bool)
-        self._bounds = (None, None)  # (specs, their [start, end) pairs)
-
-    def mark_slots(self, slots) -> None:
-        if not isinstance(slots, np.ndarray):  # () would index everything
-            slots = np.asarray(slots, dtype=np.int64)
-        self._dirty[slots] = True
-
-    def clear(self) -> None:
-        self._dirty[:] = False
-
-    def names(self, specs: Sequence[ChunkSpec]) -> List[str]:
-        """Section names containing at least one dirty slot: one
-        ``logical_or.reduceat`` over the sections' ``[start, end)`` pairs
-        (the odd results, end to next start, are dropped; an empty
-        section's result is one slot's and is dropped too)."""
-        if self._bounds[0] is not specs:
-            pairs = [(s.start_slot, s.start_slot + s.nslots) for s in specs]
-            self._bounds = (specs, np.array(pairs, dtype=np.intp).reshape(-1))
-        if not specs:
-            return []
-        hit = np.logical_or.reduceat(self._dirty, self._bounds[1])[::2]
-        return [
-            spec.name
-            for spec, dirty in zip(specs, hit.tolist())
-            if dirty and spec.nslots
-        ]
 
 
 def negotiate_epoch(
@@ -338,7 +296,6 @@ class CheckpointConfig:
 
     store: CheckpointStore
     period: int = 1
-    mode: str = "incr"
     resume: bool = False
 
     def due(self, step: int, start_step: int) -> bool:
@@ -356,29 +313,20 @@ class RankCheckpointer:
     """One rank's save/restore engine, bound to a section layout.
 
     A rank steps a double buffer and a snapshot is of the buffer a step
-    reads, so the engine keeps one parent manifest and one
-    :class:`DirtyTracker` per buffer (``dirty[b]`` marks the slots
-    written into buffer *b*): an incremental snapshot of a buffer
-    references only what that same buffer held at its own last
-    snapshot and has not rewritten since -- the other buffer's bytes
-    are not the same bytes.  What a save writes and a restore fills are
-    the store's ``(section table, buffer)`` runs, built from
-    :func:`snapshot_runs` for the step.
+    reads, so the engine keeps one parent manifest per buffer: a
+    snapshot of a buffer references only whole runs that same buffer
+    held, byte for byte, at its own last snapshot -- the other buffer's
+    bytes are not the same bytes, and at exchange period 2 its
+    snapshots (mid-cycle against exchange step) do not even have the
+    same runs.  What a save writes and a restore fills are the store's
+    ``(section table, buffer)`` runs, built from :func:`snapshot_runs`
+    for the step.
     """
 
-    def __init__(
-        self,
-        config: CheckpointConfig,
-        rank: int,
-        specs: Sequence[ChunkSpec],
-        key: str,
-        nslots: int,
-    ) -> None:
+    def __init__(self, config: CheckpointConfig, rank: int, key: str) -> None:
         self.config = config
         self.rank = int(rank)
-        self.specs = list(specs)
         self.key = key
-        self.dirty = [DirtyTracker(nslots), DirtyTracker(nslots)]
         self._parent: List[Optional[dict]] = [None, None]
         self.saves = 0
         self.saved_bytes = 0
@@ -389,32 +337,24 @@ class RankCheckpointer:
     ) -> dict:
         """Commit one snapshot of buffer *buf*; returns its manifest.
 
-        Mode is the configured one, except the first save of a buffer in
-        a run (or after a restore) which is necessarily full.  The
-        buffer's dirty bitmap is consumed: it is cleared only after the
-        store commits, so a save that raises leaves the dirt in place for
-        the next attempt.
+        Runs whose bytes equal the buffer's previous snapshot's are
+        referenced; the first save of a buffer in a run (or of buffer 1
+        after a restore) writes everything.
         """
         parent = self._parent[buf]
-        mode = self.config.mode if parent is not None else "full"
-        dirty_names = None
-        if mode == "incr":
-            dirty_names = self.dirty[buf].names(self.specs)
         with _TRACER.span(
-            "ckpt.save", rank=self.rank, epoch=epoch, mode=mode
+            "ckpt.save", rank=self.rank, epoch=epoch,
+            mode="full" if parent is None else "incr",
         ):
             manifest = self.config.store.save(
                 self.rank,
                 epoch,
                 runs,
                 meta=meta,
-                mode=mode,
                 problem_key=self.key,
                 parent=parent,
-                dirty_names=dirty_names,
             )
         self._parent[buf] = manifest
-        self.dirty[buf].clear()
         self.saves += 1
         self.saved_bytes += int(manifest["data_bytes"])
         if _METRICS.enabled:
@@ -471,11 +411,9 @@ class RankCheckpointer:
                     f"snapshot rank {self.rank} epoch {epoch} has extra"
                     f" sections {sorted(names)}"
                 )
-        # Future incrementals of buffer 0 hang off the restored snapshot;
+        # Future saves of buffer 0 dedup against the restored snapshot;
         # buffer 1 holds nothing a snapshot recorded.
         self._parent = [manifest, None]
-        for tracker in self.dirty:
-            tracker.clear()
         if _METRICS.enabled:
             _METRICS.count("ckpt.restores", 1, rank=self.rank)
         return manifest["meta"]

@@ -19,15 +19,13 @@ sweeps, so a ``.snap`` that exists is a complete snapshot (modulo later
 disk corruption, which :meth:`CheckpointStore.verify` detects run by
 run, and the manifest's own CRC32 detects in the manifest).
 
-Incremental snapshots write only the sections that changed since their
-*parent* snapshot; an unchanged section is recorded as a reference into
-the run of the epoch whose file physically holds its bytes (references
-always point at the writing epoch, never at another reference, so
-restore touches at most one file per source epoch and pruning needs no
-chain walk).  Callers that track dirty bricks pass ``dirty_names``:
-sections not named are referenced without being hashed, adjacent dirty
-sections become one written run, and a dirty run whose sections and
-CRC32 equal a whole run of the parent is referenced instead.
+A snapshot with a *parent* (the previous snapshot of the same buffer)
+deduplicates whole runs: a run whose section table equals a whole run
+of the parent and whose bytes equal the bytes that run stores is
+recorded as a reference to the epoch whose file physically holds it
+(references always point at the writing epoch, never at another
+reference, so restore touches at most one file per source epoch and
+pruning needs no chain walk).  Every other run is written.
 
 Two invariants tie this format to what a restart reads (see
 :func:`repro.ckpt.snapshot.snapshot_runs`): a snapshot holds exactly the
@@ -43,7 +41,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "CheckpointStore",
@@ -55,8 +53,6 @@ __all__ = [
 
 #: manifest schema version; bump on incompatible layout changes
 FORMAT_VERSION = 2
-
-_MODES = ("full", "incr")
 
 #: magic, manifest bytes, manifest CRC32
 _HEADER = struct.Struct("<8sII")
@@ -177,65 +173,65 @@ class CheckpointStore:
         runs: Sequence[Tuple[Sequence[Tuple[str, int]], object]],
         meta: Optional[Mapping] = None,
         *,
-        mode: str = "full",
         problem_key: str = "",
         parent: Optional[Mapping] = None,
-        dirty_names: Optional[Iterable[str]] = None,
     ) -> dict:
         """Commit one rank snapshot; returns the manifest dict.
 
         *runs* is a sequence of ``(sections, buffer)`` pairs: one
         C-contiguous buffer (written zero-copy) and the ``(name,
         nbytes)`` of the adjacent sections it holds, in order.  *parent*
-        is the rank's previous manifest and is required for
-        ``mode="incr"`` (a parentless incremental silently degrades to a
-        full snapshot).  When *dirty_names* is given, sections **not**
-        named in it are assumed byte-identical to the parent and
-        recorded as references without being hashed.
+        is the manifest of the rank's previous snapshot of the same
+        bytes: a run whose section table and bytes equal a whole run of
+        it is referenced, not written.  A CRC32 match is confirmed by
+        reading the parent's run back, so a collision is written.
+        Without a parent every run is written (``mode`` ``"full"``;
+        ``"incr"`` with one).
         """
-        if mode not in _MODES:
-            raise CheckpointError(f"unknown snapshot mode {mode!r}")
         if epoch < 0:
             raise CheckpointError(f"epoch must be >= 0, got {epoch}")
-        if mode == "incr" and parent is None:
-            mode = "full"
-        # name -> (parent run, the section's [name, start, nbytes] in it)
-        held: Dict[str, Tuple[dict, list]] = {}
         # (name, nbytes) of every section -> a parent run holding exactly those
         whole: Dict[tuple, dict] = {}
-        if mode == "incr":
+        if parent is not None:
             if parent.get("problem_key") != problem_key:
                 raise CheckpointError(
-                    "incremental parent belongs to a different run"
+                    "parent snapshot belongs to a different run"
                     f" (problem key {parent.get('problem_key')!r} !="
                     f" {problem_key!r})"
                 )
             for run in parent["runs"]:
-                for sec in run["sections"]:
-                    held[sec[0]] = (run, sec)
                 if sum(s[2] for s in run["sections"]) == run["nbytes"]:
                     whole[tuple((s[0], s[2]) for s in run["sections"])] = run
-        dirty = None if dirty_names is None else set(dirty_names)
 
         entries: List[dict] = []
-        refs: Dict[Tuple[int, int], dict] = {}  # parent run -> its entry here
         blobs: List[memoryview] = []
         offset = 0
-
-        def reference(run: dict, secs) -> None:
-            key = (run["epoch"], run["offset"])
-            if key not in refs:
-                refs[key] = dict(run, sections=[])
-                entries.append(refs[key])
-            refs[key]["sections"].extend(list(s) for s in secs)
-
-        def write(view: memoryview, table: list) -> None:
-            nonlocal offset
+        for sections, buf in runs:
+            view = memoryview(buf)
+            if not view.contiguous:
+                raise CheckpointError(
+                    f"run {[n for n, _ in sections]} is not contiguous;"
+                    " cannot snapshot zero-copy"
+                )
+            view = view.cast("B")
+            table, pos = [], 0
+            for name, nbytes in sections:
+                table.append([name, pos, int(nbytes)])
+                pos += nbytes
+            if pos != view.nbytes:
+                raise CheckpointError(
+                    f"run {[n for n, _ in sections]} names {pos} bytes of a"
+                    f" {view.nbytes}-byte buffer"
+                )
             crc = zlib.crc32(view)
             prev = whole.get(tuple((s[0], s[2]) for s in table))
-            if prev is not None and prev["crc32"] == crc:
-                reference(prev, prev["sections"])
-                return
+            if (
+                prev is not None
+                and prev["crc32"] == crc
+                and self._stored(rank, prev) == view
+            ):
+                entries.append(dict(prev))
+                continue
             entries.append(
                 {
                     "epoch": epoch,
@@ -248,48 +244,12 @@ class CheckpointStore:
             blobs.append(view)
             offset += view.nbytes
 
-        for sections, buf in runs:
-            view = memoryview(buf)
-            if not view.contiguous:
-                raise CheckpointError(
-                    f"run {[n for n, _ in sections]} is not contiguous;"
-                    " cannot snapshot zero-copy"
-                )
-            view = view.cast("B")
-            pos, start, table = 0, 0, []
-            for name, nbytes in sections:
-                prev = held.get(name)
-                if (
-                    prev is not None
-                    and dirty is not None
-                    and name not in dirty
-                    and prev[1][2] == nbytes
-                ):
-                    # Provably untouched since the parent: reference the
-                    # epoch that physically wrote it, skip hashing.
-                    if table:
-                        write(view[start:pos], table)
-                    reference(prev[0], [prev[1]])
-                    table = []
-                else:
-                    if not table:
-                        start = pos
-                    table.append([name, pos - start, int(nbytes)])
-                pos += nbytes
-            if pos != view.nbytes:
-                raise CheckpointError(
-                    f"run {[n for n, _ in sections]} names {pos} bytes of a"
-                    f" {view.nbytes}-byte buffer"
-                )
-            if table:
-                write(view[start:pos], table)
-
         manifest = {
             "format": FORMAT_VERSION,
             "rank": int(rank),
             "epoch": int(epoch),
-            "mode": mode,
-            "parent": int(parent["epoch"]) if mode == "incr" else None,
+            "mode": "full" if parent is None else "incr",
+            "parent": None if parent is None else int(parent["epoch"]),
             "problem_key": problem_key,
             "data_bytes": offset,
             "meta": _jsonable(dict(meta or {})),
@@ -311,6 +271,18 @@ class CheckpointStore:
         os.replace(tmp, path)
         self._fsync_dir(rank_dir)
         return manifest
+
+    def _stored(self, rank: int, run: Mapping) -> Optional[bytes]:
+        """The bytes *run* names, read from the file that holds them
+        (None when that file cannot be read: the run is then written)."""
+        path = self.snapshot_path(rank, run["epoch"])
+        try:
+            with open(path, "rb") as fh:
+                _, base = read_head(fh, path)
+                fh.seek(base + run["offset"])
+                return fh.read(run["nbytes"])
+        except (OSError, CheckpointError):
+            return None
 
     @staticmethod
     def _fsync_dir(path: Path) -> None:
@@ -496,7 +468,7 @@ class CheckpointStore:
     def prune(self, keep: int = 1) -> List[Path]:
         """Delete all but the newest *keep* epochs per rank.
 
-        Epochs outside the kept set survive if a kept incremental still
+        Epochs outside the kept set survive if a kept snapshot still
         references their bytes (references point directly at the writing
         epoch, so the closure is one hop).  Returns the deleted paths.
         If any kept manifest is unreadable the rank is skipped -- pruning

@@ -114,7 +114,6 @@ def _cmd_run(args) -> int:
             timesteps=args.steps, exchange_period=args.exchange_period,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_period=args.checkpoint_period,
-            checkpoint_mode=args.checkpoint_mode,
             resume=args.resume,
             fault_plan=fault_plan,
             elastic=args.elastic,
@@ -408,9 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write content-verified snapshots to this store")
     p.add_argument("--checkpoint-period", type=int, default=None,
                    help="snapshot every N steps (default 1)")
-    p.add_argument("--checkpoint-mode", choices=("full", "incr"),
-                   default="incr",
-                   help="full snapshots, or dirty-section incremental")
     p.add_argument("--resume", action="store_true",
                    help="restore from the latest consistent epoch in"
                         " --checkpoint-dir before stepping")

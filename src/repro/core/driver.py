@@ -20,7 +20,7 @@ from either storage kind (:func:`_array_state`, :func:`_brick_state`),
 binds its plan to each buffer, wraps the exchange engines into a
 :class:`~repro.core.runplan.RankRunPlan`, attaches the requested
 features as step hooks (crash check, checkpoint save, degradation vote,
-envelope retry, dirty tracking) and replays the plan.  Every run,
+envelope retry) and replays the plan.  Every run,
 whatever is switched on, goes through that one loop, and returns its
 ledger (:class:`~repro.core.metrics.RankMetrics`), result and coords.
 """
@@ -51,12 +51,10 @@ from repro.ckpt import (
     CheckpointConfig,
     CheckpointError,
     CheckpointStore,
-    ChunkSpec,
     RankCheckpointer,
     negotiate_epoch,
     problem_key,
     snapshot_runs,
-    storage_chunks,
 )
 from repro.faults.errors import (
     ExchangeConfigError,
@@ -140,15 +138,12 @@ def _close_all(resources: Sequence) -> None:
 
 @dataclass
 class _SnapshotLayout:
-    """How a rank state is checkpointed: its runs and what dirties them."""
+    """How a rank state is checkpointed: its runs per step and buffer."""
 
-    sections: List[ChunkSpec]  # every section: what dirty tracking names
     # [exchange step, mid-cycle] -> per buffer: the store's (section
     # table, zero-copy uint8 view) runs, as :func:`snapshot_runs` rules
     runs: list
     period: int
-    ghost_slots: Sequence[int]  # slots an exchange rewrites
-    dirty_slots: list  # slots the calc of each cycle position rewrites
 
     def at(self, step: int, buf: int) -> list:
         """The runs a snapshot of buffer *buf* before *step* holds."""
@@ -156,12 +151,10 @@ class _SnapshotLayout:
 
 
 def _snapshot_layout(
-    geometry: RunGeometry, rank: int, period: int, buffers, sections,
-    ghost_slots, dirty_slots,
+    geometry: RunGeometry, rank: int, period: int, buffers
 ) -> _SnapshotLayout:
     """*buffers* are ``(slot_bytes, slot_nbytes)`` per buffer."""
     return _SnapshotLayout(
-        sections=sections,
         runs=[
             [[run.chunk(*buf) for run in runs] for buf in buffers]
             for runs in (
@@ -170,8 +163,6 @@ def _snapshot_layout(
             )
         ],
         period=period,
-        ghost_slots=ghost_slots,
-        dirty_slots=dirty_slots,
     )
 
 
@@ -238,7 +229,6 @@ def _array_state(geometry: RunGeometry, period: int) -> _RankState:
                 (lambda start, n, a=a: a.reshape(-1).view(np.uint8), a.nbytes)
                 for a in arrays
             ],
-            [ChunkSpec("array", 0, 1)], (), [[0]] * period,
         ),
         fill=fill,
         result=lambda src: arrays[src][own].copy(),
@@ -273,11 +263,6 @@ def _brick_state(geometry: RunGeometry, period: int) -> _RankState:
         return _snapshot_layout(
             geometry, rank, period,
             [(st.slot_bytes, st.brick_bytes) for st in storages],
-            storage_chunks(asn),
-            np.concatenate(
-                [np.arange(s.start, s.end) for s in asn.sections if s.kind == "ghost"]
-            ),
-            cycle_slots,
         )
 
     return _RankState(
@@ -534,9 +519,8 @@ def _rank_fn(
     cp = snap = None
     if ckpt is not None:
         snap = state.snapshot_layout(rank)
-        slot_key = geometry.slot_key
-        key = problem_key(problem, seed, method, *slot_key, period)
-        cp = RankCheckpointer(ckpt, rank, snap.sections, key, slot_key[1])
+        key = problem_key(problem, seed, method, *geometry.slot_key, period)
+        cp = RankCheckpointer(ckpt, rank, key)
         state.checkpointer = cp
         adjacency_crc = geometry.adjacency_crc
         if ckpt.resume:
@@ -605,10 +589,6 @@ def _rank_fn(
         rp.around_exchange = lambda t, fire: _exchange_with_retry(
             comm, fire, t, retry, injector
         )
-    if cp is not None:
-        dirty = cp.dirty
-        rp.post_exchange = lambda src: dirty[src].mark_slots(snap.ghost_slots)
-        rp.post_calc = lambda pos, dst: dirty[dst].mark_slots(snap.dirty_slots[pos])
 
     src = rp.run(start_step, timesteps, ledger)
 
@@ -678,7 +658,6 @@ def _elastic_reshape(
     new_ckpt = CheckpointConfig(
         store=new_store,
         period=cur_ckpt.period,
-        mode=cur_ckpt.mode,
         resume=epoch >= 0,
     )
     return new_geometry, new_ckpt, dead
@@ -715,7 +694,6 @@ def run_executed(
     fabric_timeout: Optional[float] = None,
     checkpoint_dir=None,
     checkpoint_period: Optional[int] = None,
-    checkpoint_mode: str = "incr",
     resume: bool = False,
     elastic: bool = False,
     check: Optional[str] = None,
@@ -754,8 +732,8 @@ def run_executed(
 
     *checkpoint_dir*: directory for the content-verified snapshot store;
     enables checkpointing.  *checkpoint_period* snapshots every N steps
-    (default 1).  *checkpoint_mode* is ``"incr"`` (dirty-section
-    incremental, the default) or ``"full"``.  With a checkpoint store,
+    (default 1); a snapshot references each run whose bytes equal
+    the same buffer's previous snapshot's.  With a checkpoint store,
     scheduled crashes in *fault_plan* become survivable: the world is
     relaunched from the latest globally consistent epoch and the run
     continues bit-exactly.  *resume* restores from an existing store
@@ -811,7 +789,6 @@ def run_executed(
         ckpt = CheckpointConfig(
             store=CheckpointStore(checkpoint_dir),
             period=int(checkpoint_period if checkpoint_period is not None else 1),
-            mode=checkpoint_mode,
             resume=bool(resume),
         )
     elif resume or checkpoint_period is not None:

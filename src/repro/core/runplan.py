@@ -90,15 +90,10 @@ class RankRunPlan:
         runs the exchange by calling ``fire()``, possibly repeatedly
         (envelope epoch, retry-with-backoff); returns its
         :class:`ExchangeResult`.
-    ``post_exchange(src)`` / ``post_calc(pos, dst)``
-        after the ghost sections of buffer *src* / the slots of cycle
-        position *pos* in buffer *dst* were rewritten (checkpoint dirty
-        tracking, per buffer).
     """
 
     __slots__ = ("engines", "plans", "buffers", "period", "rank", "method",
-                 "calc_costs", "hides_wait", "pre_step", "around_exchange",
-                 "post_exchange", "post_calc")
+                 "calc_costs", "hides_wait", "pre_step", "around_exchange")
 
     def __init__(
         self,
@@ -129,8 +124,6 @@ class RankRunPlan:
         self.around_exchange: Optional[
             Callable[[int, Callable[[], ExchangeResult]], ExchangeResult]
         ] = None
-        self.post_exchange: Optional[Callable[[int], None]] = None
-        self.post_calc: Optional[Callable[[int, int], None]] = None
 
     def set_engines(self, engines: Sequence) -> None:
         """Install rebuilt engines once the current ones' sends completed."""
@@ -157,8 +150,6 @@ class RankRunPlan:
         calc_costs = self.calc_costs
         pre_step = self.pre_step
         around = self.around_exchange
-        post_exchange = self.post_exchange
-        post_calc = self.post_calc
         totals = ledger.totals
         measured = ledger.measured
         span = _TRACER.span
@@ -195,15 +186,11 @@ class RankRunPlan:
                         ledger.messages += res.messages_sent
                         ledger.wire_bytes += res.wire_bytes_sent
                         ledger.payload_bytes += res.payload_bytes_sent
-                        if post_exchange is not None:
-                            post_exchange(src)
                     self.engines[dst].wait_sends()
                     with span("driver.calc", rank=rank, step=t):
                         t0 = perf()
                         plans[pos].execute(bufs[src], bufs[dst])
                         measured.calc += perf() - t0
-                    if post_calc is not None:
-                        post_calc(pos, dst)
                     totals.calc += calc
                     ledger.timesteps += 1
                 src, dst = dst, src

@@ -216,8 +216,7 @@ def rebrick(
                     for run in snapshot_runs(new_geometry, rank, epoch, period)
                 ]
                 manifest = dst_store.save(
-                    rank, epoch, runs, meta=meta, mode="full",
-                    problem_key=key,
+                    rank, epoch, runs, meta=meta, problem_key=key
                 )
                 bytes_written += int(manifest["data_bytes"])
         finally:

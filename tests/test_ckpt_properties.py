@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.brick.storage import BrickStorage
-from repro.ckpt import CheckpointStore, ChunkSpec, DirtyTracker, group_runs
+from repro.ckpt import CheckpointStore, ChunkSpec, group_runs
 
 DTYPES = ("float64", "float32", "int32", "int16")
 ARENAS = ("plain", "mapped")
@@ -106,22 +106,19 @@ class TestSnapshotRoundTrip:
         specs = [ChunkSpec(f"s{i}", i, 1) for i in range(nslots)]
 
         store = CheckpointStore(tmp_path_factory.mktemp("ckpt"))
-        # Six adjacent one-slot sections: one run, split by dirtiness.
+        # Six one-slot runs, so the store dedups slot by slot.
         runs = [
-            run.chunk(src.slot_bytes, src.brick_bytes) for run in group_runs(specs)
+            run.chunk(src.slot_bytes, src.brick_bytes)
+            for spec in specs
+            for run in group_runs([spec])
         ]
         parent = store.save(0, 0, runs, problem_key="prop")
 
-        # Mutate exactly the dirty slots, then snapshot incrementally.
-        tracker = DirtyTracker(nslots)
+        # Change a byte of each dirty slot, then snapshot against the parent.
         rng = np.random.default_rng(seed + 1)
         for slot in set(dirty_slots):
-            src.data[slot] = src.data[slot] + np.asarray(1, src.dtype)
-            tracker.mark_slots([slot])
-        man = store.save(
-            0, 1, runs, mode="incr", problem_key="prop", parent=parent,
-            dirty_names=tracker.names(specs),
-        )
+            src.slot_bytes(slot, 1)[0] ^= 0xFF
+        man = store.save(0, 1, runs, problem_key="prop", parent=parent)
 
         dst = _make_storage(arena_kind, nslots, brick_elems, dtype)
         _fill(dst, rng.integers(0, 2**31))
@@ -132,5 +129,12 @@ class TestSnapshotRoundTrip:
             dst.data.reshape(-1).view(np.uint8),
             src.data.reshape(-1).view(np.uint8),
         )
-        # Clean slots were referenced, not rewritten.
-        assert man["data_bytes"] <= len(set(dirty_slots)) * src.brick_bytes
+        # Unchanged runs were referenced, changed ones written.
+        written = {
+            sec[0]
+            for run in man["runs"]
+            if run["epoch"] == 1
+            for sec in run["sections"]
+        }
+        assert written == {f"s{slot}" for slot in dirty_slots}
+        assert man["data_bytes"] == len(written) * src.brick_bytes

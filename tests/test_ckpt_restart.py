@@ -116,10 +116,10 @@ class TestResumeSemantics:
     def test_incremental_writes_fewer_bytes_than_full(self, tmp_path):
         # Open boundaries: the ghost sections no neighbour sends into are
         # live in every snapshot and, with no ghost-expansion margin to
-        # recompute them, never change, so incremental snapshots
-        # reference them instead of rewriting.  (The ghost sections a
-        # periodic exchange-step snapshot used to reference are dead
-        # there: no mode writes them.)
+        # recompute them, never change, so a snapshot after the first of
+        # its buffer references the runs they fill instead of rewriting.
+        # (A rank whose boundary ghosts share a run with owned slots
+        # writes that run whole.)
         problem = StencilProblem(
             global_extent=(32, 32, 32),
             rank_dims=(2, 2, 2),
@@ -128,15 +128,25 @@ class TestResumeSemantics:
             ghost=8,
             periodic=False,
         )
-        bytes_by_mode = {}
-        for mode in ("full", "incr"):
-            run = run_executed(
-                problem, "layout", timesteps=STEPS, seed=0,
-                exchange_period=1, checkpoint_dir=tmp_path / mode,
-                checkpoint_period=1, checkpoint_mode=mode,
-            )
-            bytes_by_mode[mode] = run.checkpoint_bytes
-        assert bytes_by_mode["incr"] < bytes_by_mode["full"]
+        run_executed(
+            problem, "layout", timesteps=6, seed=0, exchange_period=1,
+            checkpoint_dir=tmp_path, checkpoint_period=1,
+        )
+        store = CheckpointStore(tmp_path)
+        written = held = 0
+        for rank in range(problem.nranks):
+            assert store.epochs(rank) == [1, 2, 3, 4, 5]
+            for epoch in store.epochs(rank):
+                man = store.manifest(rank, epoch)
+                total = sum(s[2] for run in man["runs"] for s in run["sections"])
+                if epoch <= 2:  # the first snapshot of each buffer
+                    assert (man["parent"], man["data_bytes"]) == (None, total)
+                else:
+                    assert man["parent"] == epoch - 2
+                    assert 0 < man["data_bytes"] <= total
+                    written += man["data_bytes"]
+                    held += total
+        assert written < held
 
     def test_array_method_crash_resume(self, tmp_path):
         problem = _problem()

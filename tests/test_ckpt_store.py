@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -43,6 +44,30 @@ def _sections(runs):
             out[name] = buf[pos : pos + nbytes].tobytes()
             pos += nbytes
     return out
+
+
+def _forge(data, pos, target):
+    """Set ``data[pos:pos + 4]`` so that ``zlib.crc32(data) == target``:
+    CRC32 is affine in the data bits, so 32 free bits reach any value."""
+    data[pos : pos + 4] = bytes(4)
+    base = zlib.crc32(data)
+    basis = {}  # top bit -> (CRC change, the free bits that make it)
+    for bit in range(32):
+        data[pos + bit // 8] ^= 1 << bit % 8
+        value, bits = zlib.crc32(data) ^ base, 1 << bit
+        data[pos + bit // 8] ^= 1 << bit % 8
+        while value and value.bit_length() - 1 in basis:
+            top = basis[value.bit_length() - 1]
+            value, bits = value ^ top[0], bits ^ top[1]
+        if value:
+            basis[value.bit_length() - 1] = (value, bits)
+    want, bits = target ^ base, 0
+    while want:
+        value, combo = basis[want.bit_length() - 1]
+        want, bits = want ^ value, bits ^ combo
+    for bit in range(32):
+        if bits >> bit & 1:
+            data[pos + bit // 8] ^= 1 << bit % 8
 
 
 def _written_by(manifest):
@@ -124,8 +149,6 @@ class TestCommit:
 
     def test_bad_inputs(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        with pytest.raises(CheckpointError, match="mode"):
-            store.save(0, 0, [], mode="weird")
         with pytest.raises(CheckpointError, match="epoch"):
             store.save(0, -1, [])
         with pytest.raises(CheckpointError, match="no manifest"):
@@ -135,84 +158,58 @@ class TestCommit:
 
 
 class TestIncremental:
-    def test_surface_only_change_writes_strictly_fewer_bytes(self, tmp_path):
+    def test_crc_dedup_of_unchanged_runs(self, tmp_path):
+        # A save with a parent references every whole run whose bytes
+        # equal the parent's -- at the epoch whose file holds them --
+        # and writes the rest.
         store = CheckpointStore(tmp_path)
         runs = _runs(0)
         parent = store.save(0, 0, runs, problem_key="k")
-        # Workload where only surface bricks change between periods.
-        changed = []
-        for table, buf in runs:
-            buf = buf.copy()
-            pos = 0
-            for name, nbytes in table:
-                if name.startswith("surface:"):
-                    buf[pos] ^= 0xFF
-                pos += nbytes
-            changed.append((table, buf))
-        man = store.save(
-            0, 1, changed, mode="incr", problem_key="k", parent=parent,
-            dirty_names=[n for n in SIZES if n.startswith("surface:")],
-        )
-        assert man["mode"] == "incr"
-        full_bytes = parent["data_bytes"]
-        assert 0 < man["data_bytes"] < full_bytes
-        assert man["data_bytes"] == SIZES["surface:a"] + SIZES["surface:b"]
-        # Unchanged sections are references to the epoch that wrote them,
-        # also where the parent wrote them inside a larger run.
-        by_name = _written_by(man)
-        assert by_name["interior"] == 0
-        assert by_name["ghost:c"] == 0
-        assert by_name["surface:a"] == 1
-        # The reconstructed state follows references transparently.
-        state = store.read_state(0, man)
-        for name, data in _sections(changed).items():
-            assert state[name] == data
-
-    def test_adjacent_dirty_sections_are_one_run(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        layout = (("interior", "surface:a", "surface:b", "ghost:c"),)
-        runs = _runs(0, layout)
-        parent = store.save(0, 0, runs, problem_key="k")
-        assert len(parent["runs"]) == 1
-        runs[0][1][:] += 1
-        man = store.save(
-            0, 1, runs, mode="incr", problem_key="k", parent=parent,
-            dirty_names=["surface:a", "surface:b"],
-        )
-        written = [r for r in man["runs"] if r["epoch"] == 1]
-        assert [[s[0] for s in r["sections"]] for r in written] == [
-            ["surface:a", "surface:b"]
-        ]
-        assert man["data_bytes"] == 256
-        # Both clean ends reference the one parent run.
-        assert [r["epoch"] for r in man["runs"]].count(0) == 1
-
-    def test_crc_dedup_inside_dirty_set(self, tmp_path):
-        # A run marked dirty whose bytes did not actually change is
-        # still deduplicated by CRC comparison against the parent.
-        store = CheckpointStore(tmp_path)
-        runs = _runs(0)
-        parent = store.save(0, 0, runs, problem_key="k")
-        man = store.save(
-            0, 1, runs, mode="incr", problem_key="k", parent=parent,
-            dirty_names=list(SIZES),
-        )
-        assert man["data_bytes"] == 0
+        man = store.save(0, 1, runs, problem_key="k", parent=parent)
+        assert (man["mode"], man["parent"], man["data_bytes"]) == ("incr", 0, 0)
         assert all(c["epoch"] == 0 for c in man["runs"])
+        runs[1][1][0] ^= 0xFF
+        man = store.save(0, 2, runs, problem_key="k", parent=man)
+        assert man["data_bytes"] == SIZES["surface:b"]
+        assert _written_by(man) == {
+            "interior": 0, "surface:a": 0, "surface:b": 2, "ghost:c": 0
+        }
+        assert store.read_state(0, man) == _sections(runs)
+
+    def test_crc_collision_is_written_not_referenced(self, tmp_path):
+        # Other bytes forged to the parent run's CRC32: same section
+        # table, same CRC, so only reading the parent's bytes back tells
+        # them apart.  A reference would restore the stale bytes.
+        store = CheckpointStore(tmp_path)
+        runs = _runs(0)
+        parent = store.save(0, 0, runs, problem_key="k")
+        table, buf = runs[1]
+        forged = bytearray(buf.tobytes())
+        forged[0] ^= 0xFF
+        _forge(forged, 8, zlib.crc32(buf))
+        assert zlib.crc32(forged) == zlib.crc32(buf) and forged != buf.tobytes()
+        changed = [runs[0], (table, np.frombuffer(forged, np.uint8)), runs[2]]
+        man = store.save(0, 1, changed, problem_key="k", parent=parent)
+        assert _written_by(man) == {
+            "interior": 0, "surface:a": 0, "surface:b": 1, "ghost:c": 0
+        }
+        assert store.read_state(0, store.manifest(0, 1)) == _sections(changed)
 
     def test_parentless_incremental_degrades_to_full(self, tmp_path):
+        # No parent: every run is written, even where an earlier
+        # snapshot holds the same bytes.
         store = CheckpointStore(tmp_path)
-        man = store.save(0, 0, _runs(0), mode="incr")
-        assert man["mode"] == "full"
+        store.save(0, 0, _runs(0), problem_key="k")
+        man = store.save(0, 1, _runs(0), problem_key="k")
+        assert (man["mode"], man["parent"]) == ("full", None)
+        assert man["data_bytes"] == sum(SIZES.values())
+        assert set(_written_by(man).values()) == {1}
 
     def test_incremental_rejects_foreign_parent(self, tmp_path):
         store = CheckpointStore(tmp_path)
         parent = store.save(0, 0, _runs(0), problem_key="run-a")
         with pytest.raises(CheckpointError, match="different run"):
-            store.save(
-                0, 1, _runs(1), mode="incr", problem_key="run-b",
-                parent=parent,
-            )
+            store.save(0, 1, _runs(1), problem_key="run-b", parent=parent)
 
 
 class TestCorruption:
@@ -250,10 +247,7 @@ class TestCorruption:
     def test_missing_referenced_data_file_detected(self, tmp_path):
         store = CheckpointStore(tmp_path)
         parent = store.save(0, 0, _runs(0), problem_key="k")
-        man = store.save(
-            0, 1, _runs(0), mode="incr", problem_key="k",
-            parent=parent, dirty_names=[],
-        )
+        man = store.save(0, 1, _runs(0), problem_key="k", parent=parent)
         store.snapshot_path(0, 0).unlink()
         with pytest.raises(CheckpointCorruptionError, match="missing data"):
             store.read_state(0, man)
@@ -274,10 +268,7 @@ class TestMaintenance:
         runs = _runs(0)
         man = store.save(0, 0, runs, problem_key="k")
         for epoch in (1, 2, 3):
-            man = store.save(
-                0, epoch, runs, mode="incr", problem_key="k", parent=man,
-                dirty_names=[],
-            )
+            man = store.save(0, epoch, runs, problem_key="k", parent=man)
         removed = store.prune(keep=1)
         # Epoch 3 is kept; its references point at epoch 0 (the writing
         # epoch), which must survive; 1 and 2 go.

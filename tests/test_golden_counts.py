@@ -54,41 +54,31 @@ def chaos_outcomes():
 
 
 def ckpt_counts():
-    """A store's full snapshot of a 16^3 decomposition (every section
-    live), an incremental one after only the surface bricks changed, and
-    a Layout run checkpointing every step at exchange period 2."""
+    """A store's snapshot of a 16^3 decomposition (every section live)
+    and a Layout run checkpointing every step at exchange period 2."""
     from repro.brick.decomp import BrickDecomp
     from repro.ckpt import CheckpointStore, group_runs, storage_chunks
 
     storage, asn = BrickDecomp((16, 16, 16), (8, 8, 8), 8).allocate()
     storage.data[:] = np.random.default_rng(0).random(storage.data.shape)
     specs = storage_chunks(asn)
-    surface = [s for s in specs if s.name.startswith("surface:")]
     runs = group_runs(specs)
-
-    def chunks():
-        return [run.chunk(storage.slot_bytes, storage.brick_bytes) for run in runs]
-
     with tempfile.TemporaryDirectory() as root:
-        store = CheckpointStore(root)
-        full = store.save(0, 0, chunks(), problem_key="golden")
-        for s in surface:
-            storage.data[s.start_slot : s.start_slot + s.nslots] += 1.0
-        incr = store.save(0, 1, chunks(), mode="incr", problem_key="golden",
-                          parent=full, dirty_names=[s.name for s in surface])
+        full = CheckpointStore(root).save(
+            0, 0, [run.chunk(storage.slot_bytes, storage.brick_bytes) for run in runs],
+            problem_key="golden",
+        )
     out = {"nslots": storage.nslots, "brick_bytes": storage.brick_bytes,
-           "chunks": len(runs), "surface_chunks": len(surface),
-           "full_bytes": full["data_bytes"], "incr_surface_bytes": incr["data_bytes"],
-           "incr_chunks_written": sum(c["epoch"] == 1 for c in incr["runs"])}
-    for mode in ("full", "incr"):
-        with tempfile.TemporaryDirectory() as root:
-            run = run_executed(
-                _problem((32, 32, 32), brick=4), "layout", timesteps=4, seed=0,
-                exchange_period=2, checkpoint_dir=root, checkpoint_period=1,
-                checkpoint_mode=mode,
-            )
-        out[f"run_{mode}_bytes"] = run.checkpoint_bytes
-        out[f"run_{mode}_saves"] = run.checkpoint_saves
+           "chunks": len(runs),
+           "surface_chunks": sum(s.name.startswith("surface:") for s in specs),
+           "full_bytes": full["data_bytes"]}
+    with tempfile.TemporaryDirectory() as root:
+        run = run_executed(
+            _problem((32, 32, 32), brick=4), "layout", timesteps=4, seed=0,
+            exchange_period=2, checkpoint_dir=root, checkpoint_period=1,
+        )
+    out["run_full_bytes"] = run.checkpoint_bytes
+    out["run_full_saves"] = run.checkpoint_saves
     return out
 
 

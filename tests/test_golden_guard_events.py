@@ -9,10 +9,10 @@ injector's full event-count dict, its order-independent schedule digest
 (every event's kind / src / dst / tag / seq / step), the ``retry`` /
 ``healed`` count per rank and the CRC32 of the final field compare
 exactly, on the C tier and on the NumPy tier of the same bound calls.
-The file also holds the records of phased runs (``...|phased`` keys, and
-a ``phased`` flag in every record) from when a run could split its
-exchange step around interior compute; that path is gone, so only the
-``...|unphased`` records are compared.  A change that means to alter the
+Keys end in ``|unphased`` and every record carries ``"phased": false``
+from when a run could also split its exchange step around interior
+compute; that path and its records are gone, and the flag is not
+compared.  A change that means to alter the
 healing protocol re-records the file
 (``python tests/test_golden_guard_events.py``) and says why.
 """
@@ -92,11 +92,10 @@ def _cases():
 
 @pytest.fixture(scope="module")
 def golden():
-    """The unphased records, without their ``phased`` flag."""
+    """The records, without their ``phased`` flag."""
     return {
         key: {field: v for field, v in record.items() if field != "phased"}
         for key, record in json.loads(GOLDEN_PATH.read_text()).items()
-        if key.endswith("|unphased")
     }
 
 

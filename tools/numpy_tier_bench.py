@@ -493,31 +493,34 @@ def measure_ckpt(name, rounds=10):
         geometry = RunGeometry(problem, method)
         make = driver._array_state if geometry.decomp is None else driver._brick_state
         root = tempfile.mkdtemp(prefix=".ckpt-bench-", dir=checkout)
-        config = CheckpointConfig(CheckpointStore(root), period=8, mode="full")
+        config = CheckpointConfig(CheckpointStore(root), period=8)
         ranks = []
         for rank in range(8):
             state = make(geometry, 1)
             buf = state.buffers[0]
             data = buf if geometry.decomp is None else buf.data
             data[:] = rng.random(data.shape)
-            try:
-                snap = state.snapshot_layout(rank)
-                runs, sections = snap.at(8, 0), snap.sections
-            except TypeError:  # a tree whose snapshots hold every section
-                snap = state.snapshot_layout()
-                runs, sections = snap.chunks[0], snap.chunk_specs
-            cp = RankCheckpointer(config, rank, sections, "bench", geometry.slot_key[1])
+            snap = state.snapshot_layout(rank)
             ledger = RankMetrics(rank, measured=TimeBreakdown())
-            ranks.append((state, runs, cp, ledger))
+            ranks.append((state, snap, ledger))
         start, end = threading.Barrier(9), threading.Barrier(9)
         cpu = np.zeros((rounds, 8))
         manifests = [None] * 8
 
         def rank_thread(rank):
-            _, runs, cp, ledger = ranks[rank]
+            _, snap, ledger = ranks[rank]
+            runs = snap.at(8, 0)
             for r in range(rounds):
                 epoch = 8 * (r + 1)
                 meta = driver._ckpt_meta(epoch, ledger, None, 1, 0, None)
+                # A fresh checkpointer: every round is a buffer's first
+                # save, which writes every run.
+                try:
+                    cp = RankCheckpointer(config, rank, "bench")
+                except TypeError:  # a tree that tracks dirty sections
+                    cp = RankCheckpointer(
+                        config, rank, snap.sections, "bench", geometry.slot_key[1]
+                    )
                 start.wait()
                 c0 = time.thread_time()
                 manifests[rank] = cp.save(epoch, runs, meta)
@@ -536,13 +539,11 @@ def measure_ckpt(name, rounds=10):
         for t in threads:
             t.join()
         store = config.store
-        for rank, (state, runs, _cp, _ledger) in enumerate(ranks):
+        for rank, (state, snap, _ledger) in enumerate(ranks):
             man = manifests[rank]
             got = store.read_state(rank, store.manifest(rank, man["epoch"]))
-            for first, view in runs:
-                # a (section table, view) run, or a tree's (name, view) section
+            for table, view in snap.at(8, 0):
                 flat, pos = memoryview(view).cast("B"), 0
-                table = [(first, flat.nbytes)] if isinstance(first, str) else first
                 for section, nbytes in table:
                     if bytes(got[section]) != bytes(flat[pos : pos + nbytes]):
                         raise SystemExit(f"{method} rank {rank}: {section} differs")
@@ -554,9 +555,7 @@ def measure_ckpt(name, rounds=10):
         out[f"{method}_wall_ms"] = statistics.median(wall) * 1e3
         out[f"{method}_cpu_ms"] = statistics.median(cpu.sum(axis=1)) * 1e3
         out[f"{method}_bytes_per_save"] = int(manifests[0]["data_bytes"])
-        out[f"{method}_chunks_per_save"] = len(
-            manifests[0].get("runs", manifests[0].get("chunks", ()))
-        )
+        out[f"{method}_chunks_per_save"] = len(manifests[0]["runs"])
         out[f"{method}_fsyncs_per_save"] = fsyncs[0] / (8 * rounds)
     os.fsync = real_fsync
     return out
