@@ -66,35 +66,6 @@ class BrickStorage:
         return cls(NumpyArena(nbytes, page_size), nslots, brick_elems, dtype)
 
     @classmethod
-    def from_view(
-        cls, view, nslots: int, brick_elems: int, dtype=np.float64
-    ) -> "BrickStorage":
-        """Storage whose slots live in a stitched view rather than a
-        plain arena -- used by the intra-node aliased-halo grids, where a
-        subdomain's ghost slots are mappings of its neighbor's surface.
-
-        The returned storage cannot build further views (``can_map`` is
-        False); callers keep the view (and its arena) alive.
-        """
-        dtype = np.dtype(dtype)
-        need = nslots * brick_elems * dtype.itemsize
-        if view.nbytes < need:
-            raise ValueError(
-                f"view of {view.nbytes} bytes too small for {nslots} slots"
-            )
-        self = cls.__new__(cls)
-        self.arena = None
-        self.nslots = int(nslots)
-        self.brick_elems = int(brick_elems)
-        self.dtype = dtype
-        self.brick_bytes = brick_elems * dtype.itemsize
-        self.view = view
-        self.data = view.array(dtype)[: nslots * brick_elems].reshape(
-            nslots, brick_elems
-        )
-        return self
-
-    @classmethod
     def mmap_alloc(
         cls, nslots: int, brick_elems: int, dtype=np.float64, page_size: int = 4096
     ) -> "BrickStorage":
@@ -111,7 +82,7 @@ class BrickStorage:
     @property
     def can_map(self) -> bool:
         """True when stitched views can be built over this storage."""
-        return self.arena is not None and not isinstance(self.arena, NumpyArena)
+        return not isinstance(self.arena, NumpyArena)
 
     def slot_range_bytes(self, start_slot: int, nslots: int) -> Tuple[int, int]:
         """Byte ``(offset, length)`` of a contiguous slot range."""
@@ -130,16 +101,11 @@ class BrickStorage:
         ]
 
     def slot_bytes(self, start_slot: int, nslots: int) -> np.ndarray:
-        """Zero-copy ``uint8`` view of a slot range's raw bytes.
-
-        Routed through the arena when there is one (the checkpoint
-        writer snapshots arena content directly); view-backed storage
-        falls back to its element view.
-        """
+        """Zero-copy ``uint8`` view of a slot range's raw bytes, routed
+        through the arena (the checkpoint writer snapshots arena content
+        directly)."""
         off, length = self.slot_range_bytes(start_slot, nslots)
-        if self.arena is not None:
-            return self.arena.read_bytes(off, length)
-        return self.slot_view(start_slot, nslots).view(np.uint8)
+        return self.arena.read_bytes(off, length)
 
     def load_slot_bytes(self, start_slot: int, nslots: int, data) -> None:
         """Overwrite a slot range with raw bytes (checkpoint restore)."""
@@ -154,15 +120,10 @@ class BrickStorage:
 
     def make_view(self, chunks: Sequence[Tuple[int, int]]):
         """Stitch page-aligned byte ranges into a contiguous view."""
-        if self.arena is None:
-            raise NotImplementedError(
-                "view-backed storage cannot build further views"
-            )
         return self.arena.make_view(chunks)
 
     def fill(self, value: float) -> None:
         self.data[:] = value
 
     def close(self) -> None:
-        if self.arena is not None:
-            self.arena.close()
+        self.arena.close()

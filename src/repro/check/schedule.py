@@ -118,8 +118,8 @@ def verify_schedule(
                     PASS, "phase-mismatch",
                     f"rank {src} sends to rank {dst} (tag {tag}) in phase"
                     f" {phase} but rank {dst} receives it in phase"
-                    f" {other_phases[0]}; the intervening barrier"
-                    " deadlocks both",
+                    f" {other_phases[0]}; each waits in its own round's"
+                    " receive for the other: deadlock",
                     ranks=(src, dst), tag=tag,
                 )
             else:

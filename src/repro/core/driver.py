@@ -57,7 +57,6 @@ from repro.ckpt import (
     snapshot_runs,
 )
 from repro.faults.errors import (
-    ExchangeConfigError,
     ExchangeIntegrityError,
     ExchangeTimeoutError,
     InjectedCrashError,
@@ -67,7 +66,7 @@ from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.faults.runtime import FaultInjector
 from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
-from repro.exchange.base import ExchangeChannel, ExchangeResult
+from repro.exchange.base import ExchangeResult
 from repro.hardware.profiles import MachineProfile, generic_host
 from repro.simmpi.collectives import allreduce
 from repro.simmpi.comm import SimComm
@@ -106,8 +105,8 @@ class ExecutedRun:
     kernel_backend: str = ""
     # Tier the exchange moved bytes on -- pack / unpack / datatype hooks
     # and the fabric's wire copy, as the engines that finished the run
-    # were bound; "cffi+numpy" when the parts differ (Shift packs in C
-    # and wires per message; brick packing has a NumPy tier only).
+    # were bound; "cffi+numpy" when the parts differ (brick packing has
+    # a NumPy tier only).
     copy_backend: str = ""
 
     @property
@@ -396,7 +395,8 @@ def _exchange_with_retry(
     faults judges every item it took, leaves the failed ones queued
     pristine and raises once, and a re-fire in the same epoch is
     idempotent (posts absorbed, accepted receives skipped): one retry
-    heals a whole cut, however many of its items were faulted; see
+    heals a whole cut, however many of its items were faulted; a chain
+    of cuts (Shift) resumes at the cut whose receive raised; see
     DESIGN.md.
     """
     rank = comm.rank
@@ -419,21 +419,6 @@ def _exchange_with_retry(
             return result
     finally:
         comm.set_epoch(None)
-
-
-def _require_healable(geometry: RunGeometry) -> None:
-    """Refuse wire faults on a schedule no retry can heal: one with
-    barrier-separated rounds (every rank's plan has the same number)."""
-    nphases = geometry.plans[0].nphases
-    if nphases > 1:
-        raise ExchangeConfigError(
-            f"fault_plan has wire-fault probabilities but {geometry.method!r}"
-            f" exchanges in {nphases} barrier-separated phases: it has no"
-            " persistent channel, so its per-message rounds are verified"
-            " (detection) but a fault could never be retried across the"
-            " barriers.  Use a crash / death / degrade-only plan, or a"
-            " single-phase method"
-        )
 
 
 def _ckpt_meta(
@@ -546,10 +531,8 @@ def _rank_fn(
     if state.resumed_epoch < 0:
         state.fill(geometry.initial(seed)[problem.owned_slices(cart.coords)])
 
-    # Persistent channels (negotiated once, re-fired batched every step)
-    # wherever the method allows.
+    # Persistent channels: negotiated once, re-fired every step.
     engines = make_engines(state.exchangers)
-    channels = all(isinstance(e, ExchangeChannel) for e in engines)
     rp = RankRunPlan(
         engines, state.plans, state.buffers, period, rank, info.name,
         # Kernel time per cycle position, priced once per run.
@@ -583,9 +566,7 @@ def _rank_fn(
 
     if injector is not None or cp is not None or state.ladder_level is not None:
         rp.pre_step = pre_step
-    if retry is not None and channels:
-        # Healing lives on the bound item; Shift's per-message rounds are
-        # verified as detection only, so there is nothing to re-fire.
+    if retry is not None:
         rp.around_exchange = lambda t, fire: _exchange_with_retry(
             comm, fire, t, retry, injector
         )
@@ -715,12 +696,10 @@ def run_executed(
     modelled bytes/times and the numerical results are unchanged.
     Detected faults are healed by the standard
     :class:`~repro.faults.RetryPolicy`.  Wire faults are injected into,
-    and healed on, a channel's bound items; a multi-phase schedule
-    (Shift) has no channel and its per-message rounds are verified as
-    detection only, so a plan with wire-fault probabilities is refused
-    for it up front with
-    :class:`~repro.faults.errors.ExchangeConfigError` (crash- and
-    death-only plans are fine).
+    and healed on, a channel's bound items, for every method: a retry of
+    Shift's per-axis cuts resumes at the round whose receive raised.
+    The fabric's per-message path carries collectives only, which are
+    never faulted.
 
     *degrade*: enable the MemMap->Layout->Pack demotion ladder (defaults
     to on exactly when the plan schedules degradation events).
@@ -810,8 +789,6 @@ def run_executed(
     # Everything the ranks of this world share, built once, here.
     geometry = RunGeometry(problem, method, profile, page_size)
     _preflight(geometry, check)
-    if fault_plan is not None and fault_plan.any_wire_faults:
-        _require_healable(geometry)
 
     cur_ckpt = ckpt
     reshapes = 0

@@ -7,13 +7,13 @@ everything a step needs is negotiated and compiled per run, and the loop
 only restarts it.
 
 * **Exchange engines** (:func:`make_engines`): each exchanger's bound
-  message plan as an :class:`~repro.exchange.base.ExchangeChannel` --
-  ``(peer, tag, buffer)`` tuples over persistent buffers, bound to the
-  fabric once as one persistent request and re-fired every step, on a
-  plain and on a verified fabric alike -- wherever the plan allows, the
-  exchanger's per-message ``exchange()`` over the same binding otherwise
-  (Shift's barrier-separated phases).  Both expose
-  ``exchange() -> ExchangeResult``.
+  message plan as its channel -- ``(peer, tag, buffer)`` tuples over
+  persistent buffers, bound to the fabric once as one persistent request
+  per round and re-fired every step, on a plain and on a verified fabric
+  alike: an :class:`~repro.exchange.base.ExchangeChannel`, or for
+  Shift's per-axis rounds a :class:`~repro.exchange.base.ChannelChain`
+  of them.  Both expose ``exchange() -> ExchangeResult`` and
+  ``wait_sends()``.
 * **A rank run plan** (:class:`RankRunPlan`) binds, per cycle position,
   the engine and the compiled stencil plan to the two double-buffer
   slots.  One step is: one engine fire, one plan execution, one flip.
@@ -57,14 +57,9 @@ __all__ = ["RankRunPlan", "make_engines"]
 
 
 def make_engines(exchangers: Sequence[Exchanger]) -> list:
-    """The per-buffer exchange engines a run fires each exchange step.
-
-    Every exchanger that can be replayed as a persistent batch is
-    replaced by its :class:`~repro.exchange.base.ExchangeChannel`; the
-    rest (``make_channel`` returns ``None`` for Shift's barrier-separated
-    rounds) keep their per-message ``exchange()`` entry point.
-    """
-    return [ex.make_channel() or ex for ex in exchangers]
+    """The per-buffer exchange engines a run fires each exchange step:
+    each exchanger's channel."""
+    return [ex.make_channel() for ex in exchangers]
 
 
 class RankRunPlan:

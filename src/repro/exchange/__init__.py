@@ -28,8 +28,6 @@ from repro.exchange.boxes import box_template, neighbor_recv_box, neighbor_send_
 from repro.exchange.brickpack import BrickPackExchanger, brickpack_template
 from repro.exchange.envelope import Envelope, checksum, seal, verify
 from repro.exchange.layout_ex import LayoutExchanger, layout_template
-from repro.exchange.hierarchical import RankDomainGrid
-from repro.exchange.local import LocalDomainGrid
 from repro.exchange.memmap_ex import MemMapExchanger, memmap_template
 from repro.exchange.mpitypes import MPITypesExchanger
 from repro.exchange.pack import PackExchanger
@@ -51,9 +49,7 @@ __all__ = [
     "ExchangeResult",
     "Exchanger",
     "LayoutExchanger",
-    "LocalDomainGrid",
     "MPITypesExchanger",
-    "RankDomainGrid",
     "MemMapExchanger",
     "MessageSpec",
     "PackExchanger",

@@ -22,16 +22,17 @@ derived from the plan here:
   the one it was handed as :attr:`Exchanger.plan`);
 * an :class:`Exchanger`: a plan bound to one buffer.  Its constructor
   takes the plan and the buffer and always binds -- there is no unbound
-  exchanger -- and the two ways to really move the data over
-  :mod:`repro.simmpi` run over that one :class:`Binding`: the persistent
-  :class:`ExchangeChannel` and the per-message :meth:`Exchanger.exchange`.
+  exchanger -- and the data really moves over :mod:`repro.simmpi` one
+  way: each round of the plan is one persistent :class:`ExchangeChannel`
+  (one bound cut), and a plan of several rounds fires its cuts in order
+  as a :class:`ChannelChain`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from repro.util.timing import TimeBreakdown
 
 __all__ = [
     "Binding",
+    "ChannelChain",
     "Exchanger",
     "ExchangeChannel",
     "ExchangeResult",
@@ -87,8 +89,8 @@ class PlannedMessage:
     it directly, brickpack gathers from and scatters into it); ``None``
     for schemes whose wire buffer is separate staging (pack / mpi_types
     / shift), where storage aliasing is structurally impossible.
-    ``phase`` orders barrier-separated sub-exchanges (Shift's per-axis
-    rounds); schedules with a single phase use 0.
+    ``phase`` orders the rounds of an exchange (Shift's per-axis
+    rounds, each one bound cut); schedules with a single phase use 0.
     """
 
     peer: int
@@ -111,9 +113,10 @@ class RankMessagePlan:
     (pack-free), ``"pack"`` (application pack and unpack) or
     ``"datatype"`` (inside the library's datatype engine) -- the one
     fact beyond the messages that pricing needs.  ``nphases`` is the
-    number of barrier-separated rounds: 1 for every flat schedule, which
-    :meth:`Exchanger.make_channel` binds as one persistent batch; more
-    for Shift, whose intra-exchange barriers serialize the phases.
+    number of rounds: 1 for every flat schedule, which
+    :meth:`Exchanger.make_channel` binds as one persistent cut; more for
+    Shift, whose rounds are cuts fired in order, each receive completing
+    before the next round packs.
     """
 
     rank: int
@@ -215,7 +218,7 @@ class ExchangeResult:
 
 
 def _phases(plan: RankMessagePlan):
-    """``(sends, recvs)`` of each barrier-separated round of *plan*."""
+    """``(sends, recvs)`` of each round of *plan*."""
     return [
         (
             [m for m in plan.sends if m.phase == p],
@@ -401,13 +404,55 @@ class ExchangeChannel:
         return self._result
 
 
+class ChannelChain:
+    """Cuts fired in order: the channel of a plan with several rounds.
+
+    Each round is an :class:`ExchangeChannel` of its own -- one bound
+    cut -- and :meth:`exchange` fires them one after another.  Round
+    *d*'s receive completes before round *d+1*'s ``pre`` reads what
+    round *d*'s ``post`` wrote (Shift's corner forwarding): the receive
+    is the only synchronisation between rounds.  Each round completes
+    its own previous epoch before its ``pre`` rewrites its staging
+    buffer, as a single cut does.  An exchange that raised resumes, when
+    fired again, at the round whose receive raised: a round whose
+    receive returned is not posted a second time in the same exchange.
+    """
+
+    __slots__ = ("rounds", "copy_backend", "_result", "_at")
+
+    def __init__(
+        self, rounds: Sequence[ExchangeChannel], result: ExchangeResult
+    ) -> None:
+        self.rounds = tuple(rounds)
+        self._result = result
+        self._at = 0  # the round the next exchange() fires first
+        self.copy_backend = "+".join(
+            sorted({channel.copy_backend for channel in self.rounds})
+        )
+
+    def wait_sends(self) -> None:
+        """Complete every round's sends (:meth:`ExchangeChannel.wait_sends`)."""
+        for channel in self.rounds:
+            channel.wait_sends()
+
+    def exchange(self) -> ExchangeResult:
+        """Fire the rounds in order, from the one an earlier attempt of
+        this exchange left off at; returns the precomputed result."""
+        rounds = self.rounds
+        while self._at < len(rounds):
+            rounds[self._at].exchange()
+            self._at += 1
+        self._at = 0
+        return self._result
+
+
 class Exchanger(abc.ABC):
     """One rank's ghost-zone exchange engine: a plan bound to a buffer.
 
     The plan arrives finished (:meth:`ScheduleTemplate.for_rank`); a
     subclass's only duty is :meth:`_bind`, which says which memory each
-    message goes through.  The modelled result, the channel and the
-    per-message exchange all live here.
+    message goes through.  The modelled result and the channel live
+    here.
     """
 
     def __init__(
@@ -430,8 +475,8 @@ class Exchanger(abc.ABC):
         self.plan = plan
         self.method = plan.method  # name used by benchmark tables
         self.result = result if result is not None else price_plan(plan, profile)
-        # Per phase: (peer, tag, buffer) of every send and every receive,
-        # plus the hooks -- what both firing paths run over.
+        # Per round: (peer, tag, buffer) of every send and every receive,
+        # plus the hooks -- what the channel binds to the fabric.
         self._bound: List[Tuple[_Wire, _Wire, Binding]] = [
             (
                 self._wire(sends, hooks.send_bufs),
@@ -440,6 +485,7 @@ class Exchanger(abc.ABC):
             )
             for (sends, recvs), hooks in zip(_phases(plan), self._bind(buffer))
         ]
+        self._channel: Optional[Union[ExchangeChannel, ChannelChain]] = None
 
     def _wire(self, messages: Sequence[PlannedMessage], bufs) -> _Wire:
         """Pair each planned message with its wire buffer; the buffer must
@@ -454,58 +500,36 @@ class Exchanger(abc.ABC):
 
     @abc.abstractmethod
     def _bind(self, buffer) -> Sequence[Binding]:
-        """Bind the plan to *buffer*: one :class:`Binding` per phase."""
+        """Bind the plan to *buffer*: one :class:`Binding` per round."""
 
-    @property
-    def copy_backend(self) -> str:
-        """Tier(s) of the per-message :meth:`exchange`: each phase's
-        hooks', and NumPy for the fabric's per-message wire copy."""
-        return _tiers("numpy", *(hooks for *_, hooks in self._bound))
+    def make_channel(self) -> Union[ExchangeChannel, ChannelChain]:
+        """This exchanger's channel: its bound plan as persistent cuts.
 
-    def make_channel(self) -> Optional[ExchangeChannel]:
-        """Persistent-channel form of this exchanger's bound plan.
-
-        ``None`` means the plan cannot be replayed as one batch and the
-        caller keeps the per-step :meth:`exchange` path: a plan with
-        intra-exchange barriers (Shift).
+        An :class:`ExchangeChannel` for a one-round plan, a
+        :class:`ChannelChain` of one per round otherwise (Shift's axes).
+        Bound to the fabric on the first call and returned by every
+        later one, so an exchanger never binds its edges twice.
         """
-        if self.plan.nphases > 1:
-            return None
-        ((posts, recvs, hooks),) = self._bound
-        return ExchangeChannel(self.comm, self.method, posts, recvs, self.result, hooks)
-
-    def wait_sends(self) -> None:
-        """Nothing to complete: :meth:`exchange` waits for every send
-        before it returns (the channel's twin, for the run plan)."""
+        if self._channel is None:
+            rounds = [
+                ExchangeChannel(
+                    self.comm, self.method, posts, recvs, self.result, hooks
+                )
+                for posts, recvs, hooks in self._bound
+            ]
+            self._channel = (
+                rounds[0] if len(rounds) == 1 else ChannelChain(rounds, self.result)
+            )
+        return self._channel
 
     def exchange(self) -> ExchangeResult:
-        """Run one ghost-zone exchange, message by message.
+        """Run one ghost-zone exchange and complete its sends.
 
-        The fallback for what :meth:`make_channel` declines, over the
-        same buffers and hooks.  Each phase posts every receive before
-        any send (deadlock-free); a multi-phase plan runs its phases in
-        order with a barrier after each, so phase *d+1*'s ``pre`` sees
-        what phase *d*'s ``post`` wrote (Shift's corner forwarding).
+        Fires :meth:`make_channel`'s channel, then waits until the peers
+        consumed every item it posted, so the caller may write or free
+        the buffers as soon as this returns.
         """
-        comm = self.comm
-        rank = comm.rank
-        method = self.method
-        bound = self._bound
-        for posts, recvs, hooks in bound:
-            with _TRACER.span("exchange.post", rank=rank, method=method):
-                reqs = [comm.Irecv(buf, peer, tag) for peer, tag, buf in recvs]
-            if hooks.pre is not None:
-                with _TRACER.span(hooks.spans[0], rank=rank, method=method):
-                    hooks.pre()
-            with _TRACER.span("exchange.post", rank=rank, method=method):
-                reqs += [comm.Isend(buf, peer, tag) for peer, tag, buf in posts]
-            with _TRACER.span("exchange.wait", rank=rank, method=method):
-                comm.Waitall(reqs)
-            if hooks.post is not None:
-                with _TRACER.span(hooks.spans[1], rank=rank, method=method):
-                    hooks.post()
-            if _METRICS.enabled:
-                _count_exchange(rank, hooks, len(posts))
-            if len(bound) > 1:
-                comm.Barrier()
-        return self.result
+        channel = self.make_channel()
+        result = channel.exchange()
+        channel.wait_sends()
+        return result

@@ -55,8 +55,8 @@ def exchange_times(
 ) -> TimeBreakdown:
     """Modelled pack / call / wait of one exchange of a plan-shaped schedule.
 
-    *phases* holds the ``(sends, recvs)`` of each barrier-separated
-    round; they serialize, so each pays its own copy and network round.
+    *phases* holds the ``(sends, recvs)`` of each round; they
+    serialize, so each pays its own copy and network round.
     *copy* says where the on-node copy happens: ``"pack"`` charges the
     application's pack and unpack to ``pack``; ``"datatype"`` charges
     the library's datatype engine -- send and receive side, serialized

@@ -52,9 +52,10 @@ per-rank tables indexed in cut order (:class:`_RankTable`):
   error is raised once per receive, after every item it took was judged.
 
 Only posts carrying an epoch are subject to injection, suppression and
-replay.  Per-message traffic (collectives, Shift's barrier-separated
-rounds) is sealed and verified too, but that is *detection* only: a
-mismatch raises the typed error and nothing heals it.
+replay.  Every halo exchange is bound cuts -- Shift's per-axis rounds
+too -- so the per-message traffic is the collectives only: sealed and
+verified, but as *detection* only (a mismatch raises the typed error
+and nothing heals it), and never faulted.
 
 Header fields are side-band metadata on the simulated wire: they never
 count toward modelled bytes or modelled times, exactly as the artifact's

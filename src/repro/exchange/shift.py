@@ -6,7 +6,10 @@ only the two face neighbors per dimension -- ``2 * D`` messages instead of
 exchanged, the axis-2 faces *include* the already-received axis-1 ghost
 bands, so diagonal data arrives in two hops.  The cost is synchronization:
 axis ``d+1`` cannot start until axis ``d`` has completed, so wire
-latencies serialize across dimensions.
+latencies serialize across dimensions.  Each axis is one bound cut; the
+exchanger's channel fires them in axis order
+(:class:`~repro.exchange.base.ChannelChain`), and axis ``d``'s receive
+completing is what lets axis ``d+1`` pack.
 
 Included as an ablation baseline; it still packs (the faces are
 non-contiguous boxes of a lexicographic array).

@@ -34,13 +34,11 @@ the small reference problem end-to-end, and classifies the outcome:
     a hang -- classified as ``detected``.  ``reshape_failed`` is gated
     to zero.
 
-Shift is excluded from the soak: healing lives on a persistent
-channel's bound items, and Shift's per-axis barrier phases have no
-channel -- a retry could not cross the barriers (peers may already sit
-at a later one), so its per-message rounds are verified as detection
-only and ``run_executed`` refuses a wire-fault plan for it up front.
-The other exchangers retry safely because the envelope guard makes a
-re-fired exchange idempotent, and one retry heals a whole cut.
+Every exchanger retries safely: healing lives on a channel's bound
+items, the envelope guard makes a re-fired exchange idempotent, and one
+retry heals a whole cut.  Shift's channel is one cut per axis, and its
+retry resumes at the axis whose receive raised.  The fabric's
+per-message path carries collectives only, which are never faulted.
 """
 
 from __future__ import annotations
@@ -57,7 +55,9 @@ from repro.faults.plan import FaultPlan
 
 __all__ = ["ChaosConfig", "TrialResult", "SoakReport", "run_soak", "PRESETS"]
 
-#: Exchange methods the soak cycles through (shift excluded, see above).
+#: Exchange methods the soak cycles through.  Shift takes the wire-fault
+#: trials of every second pass over the presets instead, so every trial
+#: of the first pass keeps its method, and seeded soaks their digests.
 _SOAK_METHODS = ("layout", "memmap", "yask", "mpi_types")
 
 #: Wire-fault probabilities are kept moderate so most trials *heal*
@@ -234,6 +234,7 @@ def _run_trial(problem, reference, config: ChaosConfig, index: int,
         # The reshape needs a global extent that also factorizes for
         # the shrunken rank count; the cubical soak problem does not.
         problem, reference = elastic_problem, elastic_reference
+    plan = _trial_plan(config, index, problem.nranks, preset)
     if preset == "degrade":
         method = "memmap"
     elif preset == "node_loss":
@@ -241,9 +242,10 @@ def _run_trial(problem, reference, config: ChaosConfig, index: int,
         # point); alternate with/without a store so the soak exercises
         # both the reshape and the detect-only contract.
         method = ("layout", "memmap", "basic")[index % 3]
+    elif plan.any_wire_faults and index // len(config.presets) % 2:
+        method = "shift"
     else:
         method = _SOAK_METHODS[index % len(_SOAK_METHODS)]
-    plan = _trial_plan(config, index, problem.nranks, preset)
     with_store = preset == "node_loss" and plan.seed % 2 == 0
     result = TrialResult(
         index=index, preset=preset, method=method, seed=plan.seed, outcome=""

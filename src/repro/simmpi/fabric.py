@@ -33,15 +33,18 @@ two kinds of traffic match differently:
     Binding registers both ends' byte count of every edge under one
     acquisition of the fabric lock.
 
-``queues`` (per-message: Shift, collectives)
+``queues`` (per-message: collectives only)
     ``post_send`` appends a :class:`_SendEntry` -- a *reference* to the
     send buffer -- to the destination port's queue keyed ``(src, tag)``;
     ``complete_recv`` pops it, copies, marks it done; ``wait_send``
-    returns once it is done.  Entries never enter ``fifos``: a bound
-    receive counts what its sources queued, so a rank that already left
-    the exchange and posted the next collective must not be counted as a
-    halo arrival.  For the same reason bound and per-message operations
-    do not match each other on one edge.
+    returns once it is done.  Every halo exchange -- Shift's per-axis
+    rounds included -- is a bound request, so this container carries the
+    collectives (:mod:`repro.simmpi.collectives`) and nothing else.
+    Entries never enter ``fifos``: a bound receive counts what its
+    sources queued, so a rank that already left the exchange and posted
+    the next collective must not be counted as a halo arrival.  For the
+    same reason bound and per-message operations do not match each other
+    on one edge.
 
 Who waits where, who wakes whom: a rank only ever blocks on its *own*
 port, in :meth:`SimFabric._await` -- the one wait in this package, so
@@ -99,8 +102,8 @@ items are counted and credited to the cut that sent them; every failed
 one goes back pristine to the front of its source's FIFO, and the typed
 error from :mod:`repro.faults.errors` is raised once, after the whole
 take was judged, so one bounded retry of the exchange heals the whole
-cut.  Per-message delivery is sealed and verified too, as *detection*
-only: typed error, no healing.
+cut.  Per-message delivery (collectives, which are never faulted) is
+sealed and verified too, as *detection* only: typed error, no healing.
 """
 
 from __future__ import annotations

@@ -35,14 +35,6 @@ def test_multifield_simulation():
 
 
 @pytest.mark.slow
-def test_halo_free_intranode():
-    res = _run("halo_free_intranode.py")
-    assert res.returncode == 0, res.stderr
-    assert "bit-exact vs serial reference: True" in res.stdout
-    assert "messages sent: 0" in res.stdout
-
-
-@pytest.mark.slow
 def test_jacobi_solver():
     res = _run("jacobi_solver.py")
     assert res.returncode == 0, res.stderr

@@ -214,12 +214,6 @@ def _channel(ex):
     return result
 
 
-def _fallback(ex):
-    """What make_engines does when an exchanger declines a channel."""
-    assert ex.make_channel() is None
-    return ex.exchange()
-
-
 _ARRAY_CLASSES = {
     "yask": PackExchanger,
     "mpi_types": MPITypesExchanger,
@@ -228,9 +222,9 @@ _ARRAY_CLASSES = {
 
 
 class TestThreeWaysToFire:
-    """Per-message ``exchange()`` and ``channel.exchange()`` run the same
-    binding of the same plan, on a plain and on a verified fabric: from
-    the same field they leave the same bytes, return the same
+    """The synchronous ``exchange()`` and ``channel.exchange()`` fire the
+    same channel of the same plan, on a plain and on a verified fabric:
+    from the same field they leave the same bytes, return the same
     :class:`ExchangeResult` and (MemMap) hold the same mappings."""
 
     @staticmethod
@@ -250,14 +244,11 @@ class TestThreeWaysToFire:
         ["layout", "basic", "memmap", "yask", "mpi_types", "brickpack", "shift"],
     )
     def test_one_outcome(self, method):
-        # Shift's barrier-separated phases cannot be one persistent
-        # batch: it declines a channel -- the only reason left to -- and
-        # the per-message path still fills the ghosts.
-        ways = [_fallback] if method == "shift" else [_exchange, _channel]
+        # Shift too: its channel fires one cut per axis round.
         runs = [
             self._run(method, fire, envelope)
             for envelope in (False, True)
-            for fire in ways
+            for fire in (_exchange, _channel)
         ]
         for other in runs[1:]:
             for mine, theirs in zip(runs[0], other):
@@ -433,20 +424,17 @@ class TestBothCopyTiers:
                 assert runs[tier].copy_backend == "numpy"
                 assert not any(made[name] for name in c_calls)
                 continue
-            # One call per side per fired exchange (Shift: per axis
-            # round, and its per-message wire is no bound request); on a
-            # verified fabric the wire's two calls are the seal and the
-            # copy-and-check instead of the copy.
+            # One call per side per fired cut (Shift: one cut per axis
+            # round); on a verified fabric the wire's two calls are the
+            # seal and the copy-and-check instead of the copy.
             rounds = 3 if method == "shift" else 1
-            wired = (method != "shift") * fired
-            assert made["gather"] == made["scatter"] == packs * fired * rounds
+            wired = fired * rounds
+            assert made["gather"] == made["scatter"] == packs * wired
             assert made["copy_list"] == (not verify_wire) * wired
             assert made["crc_list"] == made["copy_crc_list"] == verify_wire * wired
             # ... and no per-message NumPy copy on this tier.
             assert made["numpy_boxes"] == made["numpy_wire"] == 0
-            assert runs[tier].copy_backend == (
-                "cffi+numpy" if method == "shift" else "cffi"
-            )
+            assert runs[tier].copy_backend == "cffi"
         c, n = runs["cffi"], runs["numpy"]
         assert c.global_result.tobytes() == n.global_result.tobytes()
         for mine, theirs in zip(c.metrics.ranks, n.metrics.ranks):

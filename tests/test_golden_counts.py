@@ -1,8 +1,11 @@
 """Golden counts: what five seeded scenarios count, exactly.
 
 ``golden_counts.json`` was recorded at commit 9e71d4b by running the
-scenarios below: a traced Layout run's spans and counters; the 7-trial
-chaos soak's outcomes, events, digests, demotions and final methods;
+scenarios below: a traced Layout run's spans and counters; the chaos
+soak's outcomes, events, digests, demotions and final methods (7 trials
+then; trials 7-11 -- a crash restart, a node loss, and Shift under
+corrupt / drop / mixed wire faults -- were appended when Shift's
+exchange became bound cuts);
 checkpoint store and run bytes and chunks; a 64^3 Layout run's messages
 and wire bytes per rank (the ``overlap`` scenario, named after the
 phased run it was once compared with); the 8 -> 6 rank reshape plan,
@@ -46,7 +49,7 @@ def chaos_outcomes():
     from repro.faults.chaos import ChaosConfig, run_soak
 
     report = run_soak(
-        ChaosConfig(trials=7, seed=0, steps=2, timeout_s=20.0, check_determinism=False)
+        ChaosConfig(trials=12, seed=0, steps=2, timeout_s=20.0, check_determinism=False)
     )
     fields = "preset method outcome events digest demotions final_method".split()
     trials = [{k: getattr(t, k) for k in fields} for t in report.trials]

@@ -102,13 +102,20 @@ def test_per_message_loop_outside_base_flagged():
     method_file = lint_invariants.SRC / "exchange" / "synthetic.py"
     violations = lint_invariants.check_message_path(method_file, tree)
     assert sorted(v[1] for v in violations) == [2, 2, 3]
-    assert all("Exchanger.exchange" in v[2] for v in violations)
-    # The generic loop, the untouched intra-node grid, and code outside
-    # exchange/ (collectives, examples) may post messages.
-    for rel in lint_invariants.MESSAGE_ALLOWLIST + ("simmpi/collectives.py",):
-        assert lint_invariants.check_message_path(
-            lint_invariants.SRC / rel, tree
-        ) == []
+    assert all("bound cuts" in v[2] for v in violations)
+    # Code outside exchange/ (collectives, examples) may post messages.
+    assert lint_invariants.check_message_path(
+        lint_invariants.SRC / "simmpi" / "collectives.py", tree
+    ) == []
+
+
+def test_per_message_call_in_base_flagged():
+    # exchange/base.py is no exception: every exchanger fires bound cuts.
+    src = "def exchange(comm, buf):\n    comm.Waitall([comm.Isend(buf, 1, 7)])\n"
+    base = lint_invariants.SRC / "exchange" / "base.py"
+    violations = lint_invariants.check_message_path(base, ast.parse(src))
+    assert sorted(v[2].split("`")[1] for v in violations) == [".Isend()", ".Waitall()"]
+    assert not hasattr(lint_invariants, "MESSAGE_ALLOWLIST")
 
 
 def test_wait_outside_the_one_helper_flagged():
@@ -285,7 +292,7 @@ def test_stale_allowlist_entry_flagged(monkeypatch, capsys):
     stale = dict(lint_invariants.GEOMETRY_ALLOWLIST)
     stale["ckpt/bench.py"] = ("BrickDecomp",)
     monkeypatch.setattr(lint_invariants, "GEOMETRY_ALLOWLIST", stale)
-    monkeypatch.setattr(lint_invariants, "MESSAGE_ALLOWLIST", ("exchange/gone.py",))
+    monkeypatch.setattr(lint_invariants, "FABRIC_ALLOWLIST", ("exchange/gone.py",))
     violations = lint_invariants.check_allowlists()
     assert [v[0] for v in violations] == [
         lint_invariants.SRC / "exchange/gone.py", lint_invariants.SRC / "ckpt/bench.py"

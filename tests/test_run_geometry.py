@@ -136,7 +136,7 @@ class TestOneConstructionPerWorld:
 
     @pytest.mark.parametrize("method", ["layout", "yask"])
     def test_wire_fault_run(self, built, method):
-        # _require_healable reads nphases off the same geometry.
+        # Injection and healing build nothing twice either.
         plan = FaultPlan(seed=3, drop=0.01, corrupt=0.01)
         run = run_executed(
             _problem(), method, timesteps=2, fault_plan=plan,

@@ -24,7 +24,6 @@ from repro.core.problem import StencilProblem
 from repro.core.runplan import RankRunPlan
 from repro.exchange.envelope import seal
 from repro.faults import FaultPlan
-from repro.faults.errors import ExchangeConfigError
 from repro.simmpi.fabric import SimFabric
 from repro.simmpi.launcher import RankFailedError
 from repro.stencil.reference import apply_periodic_reference
@@ -152,13 +151,6 @@ class TestComposition:
         kwargs = dict(FEATURES[feature])
         if kwargs.get("checkpoint_dir"):
             kwargs["checkpoint_dir"] = tmp_path
-        if method == "shift" and feature == "chaos":
-            # No silent fallback: Shift's barrier-separated rounds have
-            # no channel to heal on, so wire faults are refused up
-            # front, by name, instead of burning the fabric timeout.
-            with pytest.raises(ExchangeConfigError, match="'shift'.*3 barrier"):
-                _run(method, **kwargs)
-            return
         # A 2-step cycle at brick granularity needs ghost = 2 bricks.
         problem = _problem(brick=4) if feature == "period2" else _problem()
         plain = _plain(method)

@@ -22,11 +22,11 @@ may not, and these rules are project-specific anyway.  Seven checks:
    ``SimComm``/``ExchangeChannel`` so envelopes, liveness checks and
    split negotiation cannot be bypassed.
 
-3. **One per-message path.**  Inside ``src/repro/exchange``, calls to
-   ``Isend`` / ``Irecv`` / ``Waitall`` appear only in ``base.py``: an
-   exchanger is a message plan plus a binding, and
-   ``Exchanger.exchange`` is the one loop that posts it, so a new
-   method cannot grow a private per-message loop unnoticed.
+3. **No per-message exchange.**  Inside ``src/repro/exchange``, no
+   call to ``Isend`` / ``Irecv`` / ``Waitall`` appears anywhere: an
+   exchanger is a message plan plus a binding, and its channel fires
+   the plan as bound cuts, so no method can grow a per-message loop
+   beside them.  The per-message path carries collectives only.
 
 4. **One blocking site, one envelope protocol.**  In
    ``src/repro/simmpi/fabric.py`` a ``.wait(...)`` call may appear only
@@ -58,10 +58,8 @@ may not, and these rules are project-specific anyway.  Seven checks:
    ``core/problem.py`` (``brick_decomp`` is the definition the geometry
    calls); ``elastic/placement.py`` (validates *candidate* rank grids
    with a trial ``brick_decomp()`` that builds no assignment -- no world
-   is launched from it); ``exchange/hierarchical.py`` and
-   ``exchange/local.py`` (intra-node grids that are not ``Exchanger``s
-   and own their decomposition, until ROADMAP item 8 decides them);
-   and, for ``.initial_global(...)`` only, the serial reference oracles
+   is launched from it); and, for ``.initial_global(...)`` only, the
+   serial reference oracles
    of ``cli.py`` and ``faults/chaos.py`` (they compute what a run is
    compared *against*).
    And ``SimFabric(...)`` is constructed nowhere under
@@ -142,12 +140,6 @@ FABRIC_ALLOWLIST = (
 
 #: point-to-point calls that make up a per-message exchange loop
 MESSAGE_OPS = ("Isend", "Irecv", "Waitall")
-#: files under src/repro/exchange allowed to make them: the one generic
-#: loop, and the intra-node grid that predates it (not an Exchanger)
-MESSAGE_ALLOWLIST = (
-    "exchange/base.py",
-    "exchange/hierarchical.py",
-)
 
 #: the one function of simmpi/fabric.py allowed to block on a condition
 WAIT_FILE = "simmpi/fabric.py"
@@ -174,8 +166,6 @@ GEOMETRY_ALLOWLIST = {
     GEOMETRY_HOME: GEOMETRY_METHODS,
     "core/problem.py": ("BrickDecomp",),
     "elastic/placement.py": ("brick_decomp",),
-    "exchange/hierarchical.py": ("BrickDecomp", "brick_info"),
-    "exchange/local.py": ("BrickDecomp", "brick_info"),
     "cli.py": ("initial_global",),
     "faults/chaos.py": ("initial_global",),
 }
@@ -268,7 +258,7 @@ def check_fabric_chokepoint(path: Path, tree: ast.AST) -> List[Violation]:
 
 def check_message_path(path: Path, tree: ast.AST) -> List[Violation]:
     rel = path.relative_to(SRC).as_posix()
-    if not rel.startswith("exchange/") or rel in MESSAGE_ALLOWLIST:
+    if not rel.startswith("exchange/"):
         return []
     out: List[Violation] = []
     for node in ast.walk(tree):
@@ -280,9 +270,9 @@ def check_message_path(path: Path, tree: ast.AST) -> List[Violation]:
                 (
                     path,
                     node.lineno,
-                    f"`.{fn.attr}()` outside exchange/base.py: build a"
-                    " RankMessagePlan and a Binding and let"
-                    " Exchanger.exchange post the messages",
+                    f"`.{fn.attr}()` under exchange/: build a"
+                    " RankMessagePlan and a Binding and let the"
+                    " exchanger's channel fire them as bound cuts",
                 )
             )
     return out
@@ -584,7 +574,6 @@ def check_copy_tier(path: Path, tree: ast.AST) -> List[Violation]:
 def check_allowlists() -> List[Violation]:
     allowlists = {
         "FABRIC_ALLOWLIST": FABRIC_ALLOWLIST,
-        "MESSAGE_ALLOWLIST": MESSAGE_ALLOWLIST,
         "GEOMETRY_ALLOWLIST": tuple(GEOMETRY_ALLOWLIST),
         "NUMPY_TIER": tuple(NUMPY_TIER),
     }
