@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,8 +108,6 @@ def extended_to_bricks(
     with _TRACER.span("convert.extended_to_bricks"):
         perm = element_permutation(decomp, assignment, fld)
         storage.data.reshape(-1)[perm.reshape(-1)] = arr.reshape(-1)
-    if _METRICS.enabled:
-        _METRICS.count("convert.elements", int(arr.size))
 
 
 def bricks_to_extended(
@@ -128,8 +125,6 @@ def bricks_to_extended(
     """
     with _TRACER.span("convert.bricks_to_extended"):
         perm = element_permutation(decomp, assignment, fld)
-        if _METRICS.enabled:
-            _METRICS.count("convert.elements", int(perm.size))
         if out is None:
             return storage.data.reshape(-1)[perm]
         if out.shape != perm.shape:

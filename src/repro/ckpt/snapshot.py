@@ -36,7 +36,6 @@ from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ckpt.store import CheckpointError, CheckpointStore
-from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 
 __all__ = [
@@ -357,11 +356,6 @@ class RankCheckpointer:
         self._parent[buf] = manifest
         self.saves += 1
         self.saved_bytes += int(manifest["data_bytes"])
-        if _METRICS.enabled:
-            _METRICS.count("ckpt.saves", 1, rank=self.rank)
-            _METRICS.count(
-                "ckpt.saved_bytes", int(manifest["data_bytes"]), rank=self.rank
-            )
         return manifest
 
     # ------------------------------------------------------------------
@@ -414,6 +408,4 @@ class RankCheckpointer:
         # Future saves of buffer 0 dedup against the restored snapshot;
         # buffer 1 holds nothing a snapshot recorded.
         self._parent = [manifest, None]
-        if _METRICS.enabled:
-            _METRICS.count("ckpt.restores", 1, rank=self.rank)
         return manifest["meta"]

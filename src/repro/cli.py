@@ -8,9 +8,10 @@ Commands
     Execute a distributed stencil run on simulated ranks, validate it
     bit-for-bit against the serial reference, and print the artifact
     metrics.  ``--trace`` additionally records the run with the span
-    tracer and metrics registry enabled, writes a Chrome trace-event
-    JSON timeline (``--trace-out``; chrome://tracing or Perfetto) and
-    prints a flame summary.
+    tracer enabled, writes a Chrome trace-event JSON timeline
+    (``--trace-out``; chrome://tracing or Perfetto) whose ``otherData``
+    holds the run's counters (``obs.counters``), and prints a flame
+    summary.
 ``advise``
     Strong-scaling advisor: best exchange scheme per node count.
 ``search-layout``
@@ -139,7 +140,7 @@ def _cmd_run(args) -> int:
         )
     if tracing:
         out = getattr(args, "trace_out", None) or "trace.json"
-        obs.write_chrome_trace(out, obs.TRACER, obs.METRICS)
+        obs.write_chrome_trace(out, obs.TRACER, run)
         print(f"wrote {out} (load in chrome://tracing)")
         print(obs.flame_summary(obs.TRACER))
     print(run.metrics.report())

@@ -64,7 +64,6 @@ from repro.faults.errors import (
 )
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.faults.runtime import FaultInjector
-from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 from repro.exchange.base import ExchangeResult
 from repro.hardware.profiles import MachineProfile, generic_host
@@ -297,9 +296,6 @@ def _demote(level: int, rank: int, injector, step: int) -> int:
         )
     if injector is not None:
         injector.record("demoted", src=rank, step=step)
-    if _METRICS.enabled:
-        _METRICS.count("faults.demoted", 1, rank=rank)
-        _METRICS.gauge("exchange.ladder_level", level + 1, rank=rank)
     return level + 1
 
 
@@ -576,8 +572,6 @@ def _rank_fn(
     if info.base == "memmap":
         # After a demotion the live engine may have no mappings at all.
         ledger.mappings = getattr(state.exchangers[0], "mapping_count", 0)
-        if _METRICS.enabled:
-            _METRICS.gauge("memmap.regions", ledger.mappings, rank=rank)
     state.copy_backend = rp.engines[0].copy_backend
     return ledger, state.result(src), cart.coords
 
@@ -633,9 +627,6 @@ def _elastic_reshape(
     # The plan's death schedule names old-world ranks; after the reshape
     # those nodes are excluded and ranks renumbered, so it is spent.
     injector.deaths_disabled = True
-    if _METRICS.enabled:
-        _METRICS.count("elastic.reshapes", 1)
-        _METRICS.gauge("elastic.nranks", plan.new_nranks)
     new_ckpt = CheckpointConfig(
         store=new_store,
         period=cur_ckpt.period,
@@ -827,8 +818,6 @@ def run_executed(
                 restarts += 1
                 if injector is not None:
                     injector.record("restarted", step=-1)
-                if _METRICS.enabled:
-                    _METRICS.count("ckpt.restarts", 1)
             elif (
                 elastic
                 and cur_ckpt is not None

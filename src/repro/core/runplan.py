@@ -36,8 +36,9 @@ only restarts it.
   was bound with.  Nothing re-derives a schedule to account for a run.
 * **Step hooks**: features attach as optional callables that are
   ``None`` when the feature is off (see :class:`RankRunPlan`).  Tracing
-  and metrics ride the same loop through the process-wide tracer, whose
-  disabled spans are a shared no-op.
+  rides the same loop through the process-wide tracer, whose disabled
+  spans are a shared no-op; a trace's ``driver.*`` counters are the
+  ledgers' sums (:func:`repro.obs.counters`).
 
 Run plans hold per-rank mutable state (the stencil plans' scratch
 buffers); build one per simulated rank, never share across threads.
@@ -50,7 +51,6 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.metrics import RankMetrics
 from repro.exchange.base import Exchanger, ExchangeResult
-from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 
 __all__ = ["RankRunPlan", "make_engines"]
@@ -149,55 +149,43 @@ class RankRunPlan:
         measured = ledger.measured
         span = _TRACER.span
         perf = time.perf_counter
-        before = {
-            n: getattr(ledger, n) for n in ("exchanges", "messages", "wire_bytes")
-        }
         src, dst = 0, 1
-        try:
-            for t in range(start_step, timesteps):
-                pos = t % period
-                if pre_step is not None:
-                    rebuilt = pre_step(t, src)
-                    if rebuilt is not None:
-                        self.set_engines(rebuilt)
-                with span("driver.step", rank=rank, step=t):
-                    calc = calc_costs[pos]
-                    if pos == 0:
-                        fire = self.engines[src].exchange
-                        with span("driver.exchange", rank=rank, step=t,
-                                  method=method):
-                            res = around(t, fire) if around is not None else fire()
-                        # Charge what fired: its counts and its price.
-                        price = res.breakdown
-                        calc += res.first_touch
-                        wait = price.wait
-                        if self.hides_wait:
-                            wait = max(0.0, wait - calc)
-                        totals.pack += price.pack
-                        totals.call += price.call
-                        totals.wait += wait
-                        totals.move += price.move
-                        ledger.exchanges += 1
-                        ledger.messages += res.messages_sent
-                        ledger.wire_bytes += res.wire_bytes_sent
-                        ledger.payload_bytes += res.payload_bytes_sent
-                    self.engines[dst].wait_sends()
-                    with span("driver.calc", rank=rank, step=t):
-                        t0 = perf()
-                        plans[pos].execute(bufs[src], bufs[dst])
-                        measured.calc += perf() - t0
-                    totals.calc += calc
-                    ledger.timesteps += 1
-                src, dst = dst, src
-            for eng in self.engines:
-                eng.wait_sends()
-        finally:
-            # The registry is a view of the ledger: what this launch
-            # added to it, also when the rank raised.
-            if _METRICS.enabled:
-                for name, was in before.items():
-                    _METRICS.count(
-                        f"driver.{name}", getattr(ledger, name) - was, rank=rank
-                    )
+        for t in range(start_step, timesteps):
+            pos = t % period
+            if pre_step is not None:
+                rebuilt = pre_step(t, src)
+                if rebuilt is not None:
+                    self.set_engines(rebuilt)
+            with span("driver.step", rank=rank, step=t):
+                calc = calc_costs[pos]
+                if pos == 0:
+                    fire = self.engines[src].exchange
+                    with span("driver.exchange", rank=rank, step=t,
+                              method=method):
+                        res = around(t, fire) if around is not None else fire()
+                    # Charge what fired: its counts and its price.
+                    price = res.breakdown
+                    calc += res.first_touch
+                    wait = price.wait
+                    if self.hides_wait:
+                        wait = max(0.0, wait - calc)
+                    totals.pack += price.pack
+                    totals.call += price.call
+                    totals.wait += wait
+                    totals.move += price.move
+                    ledger.exchanges += 1
+                    ledger.messages += res.messages_sent
+                    ledger.wire_bytes += res.wire_bytes_sent
+                    ledger.payload_bytes += res.payload_bytes_sent
+                self.engines[dst].wait_sends()
+                with span("driver.calc", rank=rank, step=t):
+                    t0 = perf()
+                    plans[pos].execute(bufs[src], bufs[dst])
+                    measured.calc += perf() - t0
+                totals.calc += calc
+                ledger.timesteps += 1
+            src, dst = dst, src
+        for eng in self.engines:
+            eng.wait_sends()
         return src
 

@@ -40,7 +40,6 @@ from repro.exchange.costs import price_exchange
 from repro.exchange.schedule import MessageSpec
 from repro.faults.errors import ExchangeConfigError
 from repro.hardware.profiles import MachineProfile
-from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
 from repro.stencil.cbackend import crc_movers, mover_kernel
@@ -259,16 +258,15 @@ class Binding(NamedTuple):
     stitched view's array, or a persistent staging buffer.  ``pre`` runs
     before the sends go out (pack, datatype gather, refresh) and
     ``post`` after every receive has landed (unpack, ``insert``, flush),
-    under the tracer spans named by ``spans``; ``packed_bytes`` is what
-    the two move on-node per exchange, and ``backend`` the tier they move
-    it on (``"cffi"`` / ``"numpy"``; empty when they copy nothing).
+    under the tracer spans named by ``spans``; ``backend`` is the tier
+    they move bytes on (``"cffi"`` / ``"numpy"``; empty when they copy
+    nothing).
     """
 
     send_bufs: Sequence[np.ndarray]
     recv_bufs: Sequence[np.ndarray]
     pre: Optional[Callable[[], None]] = None
     post: Optional[Callable[[], None]] = None
-    packed_bytes: int = 0
     spans: Tuple[str, str] = ("exchange.pack", "exchange.unpack")
     backend: str = ""
 
@@ -280,11 +278,6 @@ def _tiers(wire: str, *bindings: Binding) -> str:
     """``"cffi"``, ``"numpy"``, or both joined by ``+`` when the wire
     copy and some binding's hooks run on different tiers."""
     return "+".join(sorted({wire, *(b.backend for b in bindings if b.backend)}))
-
-
-def _count_exchange(rank: int, hooks: Binding, nmsgs: int) -> None:
-    _METRICS.count("exchange.bytes_packed", hooks.packed_bytes, rank=rank)
-    _METRICS.count("exchange.messages", nmsgs, rank=rank)
 
 
 class ExchangeChannel:
@@ -325,7 +318,7 @@ class ExchangeChannel:
     """
 
     __slots__ = ("comm", "method", "_fabric", "_rank", "_request",
-                 "_result", "_hooks", "_nmsgs", "_posted", "copy_backend")
+                 "_result", "_hooks", "_posted", "copy_backend")
 
     def __init__(
         self,
@@ -342,7 +335,6 @@ class ExchangeChannel:
         self._rank = comm.rank
         self._result = result
         self._hooks = hooks
-        self._nmsgs = len(posts)
         # The request is on the wire and its receive has not returned:
         # the next exchange() is a re-fire of that epoch (a retry after
         # a detected fault), whose own sends are not waited for.
@@ -399,8 +391,6 @@ class ExchangeChannel:
         if hooks.post is not None:
             with _TRACER.span(hooks.spans[1], rank=rank, method=self.method):
                 hooks.post()
-        if _METRICS.enabled:
-            _count_exchange(rank, hooks, self._nmsgs)
         return self._result
 
 

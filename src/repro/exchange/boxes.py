@@ -343,7 +343,6 @@ def stage_boxes(
         recv_bufs,
         bind_gather(arr, send_table, send_bufs, movers),
         bind_scatter(arr, recv_table, recv_bufs, movers),
-        sum(b.nbytes for b in send_bufs + recv_bufs),
         backend="numpy" if movers is None else "cffi",
     )
 

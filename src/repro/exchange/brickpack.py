@@ -123,7 +123,6 @@ class BrickPackExchanger(Exchanger):
                 send_bufs, recv_bufs,
                 bind_copy(surface, packed, movers),
                 bind_copy(unpacked, ghost, movers),
-                sum(b.nbytes for b in send_bufs + recv_bufs),
                 backend="numpy" if movers is None else "cffi",
             )
         ]

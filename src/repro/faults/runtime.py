@@ -4,10 +4,11 @@
 running fabric.  The fabric's envelope guard consults it for every bound
 item it puts on the wire; the driver consults it at step boundaries
 (scheduled crashes, degradation events).
-Every injected *and* healed event is recorded three ways -- an in-memory
-event log (the chaos report's source of truth), the PR 2 metrics registry
-(``faults.*`` counters), and a tracer span -- so a traced chaos run shows
-exactly where the wire misbehaved.
+Every injected *and* healed event is recorded twice -- in an in-memory
+event log (the chaos report's source of truth, and through
+:meth:`FaultInjector.summary` the run's ``faults.*`` counters) and as a
+tracer span -- so a traced chaos run shows exactly where the wire
+misbehaved.
 
 :data:`VMEM_FAULTS` is a set of *thread-locally* armable failure sites
 threaded through ``vmem/realmap.py`` and ``vmem/simmap.py``: arming
@@ -30,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.faults.plan import FaultPlan
-from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 
 __all__ = ["FaultInjector", "FaultEvent", "FaultPoints", "VMEM_FAULTS"]
@@ -112,7 +112,7 @@ VMEM_FAULTS = FaultPoints()
 
 
 class FaultInjector:
-    """One run's live injector: plan + event log + metrics/tracing."""
+    """One run's live injector: plan + event log + tracing."""
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
@@ -136,8 +136,6 @@ class FaultInjector:
         with self._lock:
             self._events.append(event)
         rank = src if src >= 0 else (dst if dst >= 0 else None)
-        if _METRICS.enabled:
-            _METRICS.count(f"faults.{kind}", 1, rank=rank)
         with _TRACER.span(f"fault.{kind}", rank=rank, src=src, dst=dst,
                           tag=tag, seq=seq, step=step):
             pass

@@ -1,6 +1,6 @@
 """Trace exporters: Chrome trace-event JSON, flame summary, counts.
 
-Three views of one recorded trace:
+Three views of one recorded trace, and one of the run it recorded:
 
 * :func:`chrome_trace` -- the Trace Event Format dict that
   ``chrome://tracing`` / Perfetto load directly, one timeline row per
@@ -8,18 +8,22 @@ Three views of one recorded trace:
 * :func:`flame_summary` -- a text flame view aggregated by span path,
   with total and self time (total minus child spans);
 * :func:`trace_stats` -- the deterministic counts: spans per name,
-  ranks traced, counter and gauge totals.
+  ranks traced, and the run's counter and gauge totals;
+* :func:`counters` -- those counters and gauges, read off what an
+  :class:`~repro.core.driver.ExecutedRun` already holds.  It is the one
+  place that spells a counter name: nothing counts twice.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+import math
+from typing import Any, Dict, List
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import SpanEvent, Tracer
 
 __all__ = [
+    "counters",
     "chrome_trace",
     "write_chrome_trace",
     "flame_summary",
@@ -44,10 +48,52 @@ def _rank_by_thread(events: List[SpanEvent]) -> Dict[int, int]:
     return mapping
 
 
-def chrome_trace(
-    tracer: Tracer, metrics: Optional[MetricsRegistry] = None
-) -> Dict[str, Any]:
-    """Trace Event Format dict (load in ``chrome://tracing`` / Perfetto)."""
+def counters(run) -> Dict[str, Dict[str, int]]:
+    """``{"counters": {...}, "gauges": {...}}`` of one executed run.
+
+    Every value is read off the run that finished (DESIGN.md Section 6
+    has the table): ``driver.*`` off the rank ledgers, so a step a
+    restart replayed counts once; ``fabric.*`` off the finishing
+    launch's fabric statistics, collectives included; the rest off the
+    run record.  A feature's names appear only when the run used it, so
+    a plain run's gauges are ``{}``.
+    """
+    ledgers = run.metrics.ranks
+    stats = run.fabric.total_stats()
+    counts = {
+        "driver.exchanges": sum(l.exchanges for l in ledgers),
+        "driver.messages": sum(l.messages for l in ledgers),
+        "driver.wire_bytes": sum(l.wire_bytes for l in ledgers),
+        "fabric.messages": stats.sends,
+        "fabric.wire_bytes": stats.bytes_sent,
+        "fabric.bytes_received": stats.bytes_received,
+    }
+    gauges = {}
+    if run.faults is not None:
+        for kind, n in run.faults["events"].items():
+            counts[f"faults.{kind}"] = n
+    if run.demotions:
+        counts["exchange.demotions"] = run.demotions
+    if run.checkpoint_saves:
+        counts["ckpt.saves"] = run.checkpoint_saves
+        counts["ckpt.saved_bytes"] = run.checkpoint_bytes
+    if run.restarts:
+        counts["ckpt.restarts"] = run.restarts
+    if run.reshapes:
+        counts["elastic.reshapes"] = run.reshapes
+        gauges["elastic.nranks"] = math.prod(run.final_rank_dims)
+    mappings = sum(l.mappings for l in ledgers)
+    if mappings:
+        gauges["memmap.regions"] = mappings
+    return {
+        "counters": dict(sorted(counts.items())),
+        "gauges": dict(sorted(gauges.items())),
+    }
+
+
+def chrome_trace(tracer: Tracer, run=None) -> Dict[str, Any]:
+    """Trace Event Format dict (load in ``chrome://tracing`` / Perfetto);
+    given the traced *run*, its :func:`counters` go in ``otherData``."""
     events: List[Dict[str, Any]] = []
     tids = set()
     all_events = tracer.events()
@@ -100,16 +146,14 @@ def chrome_trace(
         "traceEvents": meta + events,
         "displayTimeUnit": "ms",
     }
-    if metrics is not None:
-        doc["otherData"] = metrics.snapshot()
+    if run is not None:
+        doc["otherData"] = counters(run)
     return doc
 
 
-def write_chrome_trace(
-    path, tracer: Tracer, metrics: Optional[MetricsRegistry] = None
-) -> None:
+def write_chrome_trace(path, tracer: Tracer, run=None) -> None:
     with open(path, "w") as fh:
-        json.dump(chrome_trace(tracer, metrics), fh, indent=1)
+        json.dump(chrome_trace(tracer, run), fh, indent=1)
 
 
 def flame_summary(tracer: Tracer, top: int = 40) -> str:
@@ -161,11 +205,9 @@ def flame_summary(tracer: Tracer, top: int = 40) -> str:
     return "\n".join(lines)
 
 
-def trace_stats(
-    tracer: Tracer, metrics: Optional[MetricsRegistry] = None
-) -> Dict[str, Any]:
-    """The trace's counts: spans per name, ranks traced, and the
-    metrics' counter / gauge totals.
+def trace_stats(tracer: Tracer, run=None) -> Dict[str, Any]:
+    """The trace's counts: spans per name, ranks traced, and -- given
+    the traced *run* -- its :func:`counters`.
 
     They are deterministic for a fixed configuration;
     ``tests/golden_counts.json`` pins them for one run.
@@ -182,12 +224,6 @@ def trace_stats(
         "ranks_traced": len(ranks),
         "spans_by_name": dict(sorted(span_counts.items())),
     }
-    if metrics is not None:
-        snap = metrics.snapshot()
-        stats["counters"] = {
-            name: rec["total"] for name, rec in snap["counters"].items()
-        }
-        stats["gauges"] = {
-            name: rec["total"] for name, rec in snap["gauges"].items()
-        }
+    if run is not None:
+        stats.update(counters(run))
     return stats

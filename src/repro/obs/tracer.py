@@ -15,7 +15,7 @@ Design constraints, in order:
    code permanently.
 2. **Low cost enabled.**  Spans use the monotonic ``perf_counter_ns``
    clock and append to per-thread buffers (no lock on the span path; the
-   registry lock is taken once per thread, at first use).
+   tracer's lock is taken once per thread, at first use).
 3. **Nesting-aware.**  Each thread keeps a span stack; every finished
    span records its depth and full ``a;b;c`` path, which the flame
    summary and Chrome export consume directly.
@@ -25,14 +25,6 @@ Design constraints, in order:
 Simulated ranks are threads (:mod:`repro.simmpi.launcher`), so per-thread
 buffers double as per-rank timelines; spans additionally carry an
 explicit ``rank`` attribute wherever the caller knows it.
-
-For long executed runs, ``Tracer(sample_every=k)`` (or
-``enable(sample_every=k)``) keeps only every *k*-th **top-level** span per
-thread, suppressing the whole subtree of the dropped spans, so per-step
-instrumentation cost scales down by ~k while every kept step still
-records its complete driver -> exchange -> fabric path.  Sampling is
-decided at the top of each tree, never inside it: a kept step is kept
-whole (measured overheads are documented in EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -40,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 __all__ = ["SpanEvent", "Tracer"]
 
@@ -61,13 +53,6 @@ class SpanEvent:
     rank: Optional[int] = None
     step: Optional[int] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def parent(self) -> Optional[str]:
-        head, _, _ = self.path.rpartition(";")
-        if not head:
-            return None
-        return head.rsplit(";", 1)[-1]
 
 
 class _NullSpan:
@@ -96,7 +81,7 @@ class _Span:
     """
 
     __slots__ = ("_tracer", "_name", "_rank", "_step", "_attrs", "_state",
-                 "_start", "_suppressed")
+                 "_start")
 
     def __init__(self, tracer: "Tracer", name, rank, step, attrs) -> None:
         self._tracer = tracer
@@ -107,39 +92,16 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         state = self._tracer._thread_state()
-        samp = state[3]
-        if samp is not None:
-            # Sampling: the top-level span of each tree decides; a
-            # suppressed tree tracks its depth so every descendant (which
-            # sees an empty stack, since suppressed spans never push) is
-            # suppressed with it and no clock is read.
-            if samp[1] > 0:
-                samp[1] += 1
-                self._suppressed = True
-                self._state = state
-                return self
-            if not state[1]:
-                count = samp[0]
-                samp[0] = count + 1
-                if count % self._tracer.sample_every:
-                    samp[1] = 1
-                    self._suppressed = True
-                    self._state = state
-                    return self
-        self._suppressed = False
         state[1].append(self._name)
         self._state = state
         self._start = _now_ns()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._suppressed:
-            self._state[3][1] -= 1
-            return False  # re-raise
         # Record even when the body raised: the elapsed wall-clock is
         # real, and dropping it would hide exactly the spans one debugs.
         end = _now_ns()
-        records, stack, tid = self._state[0], self._state[1], self._state[2]
+        records, stack, tid = self._state
         stack.pop()
         records.append(
             (self._name, self._start, end - self._start, tuple(stack),
@@ -156,31 +118,16 @@ class Tracer:
     disabling must mutate this object in place rather than replacing it.
     """
 
-    def __init__(self, sample_every: int = 1) -> None:
+    def __init__(self) -> None:
         self.enabled = False
-        self.sample_every = self._check_rate(sample_every)
         self._origin_ns = 0
         self._lock = threading.Lock()
         self._buffers: List[List[tuple]] = []  # raw records, per thread
         self._tls = threading.local()
 
-    @staticmethod
-    def _check_rate(sample_every) -> int:
-        rate = int(sample_every)
-        if rate < 1:
-            raise ValueError("sample_every must be >= 1")
-        return rate
-
     # -- lifecycle -------------------------------------------------------
-    def enable(self, sample_every: Optional[int] = None) -> None:
-        """Clear any previous trace and start recording.
-
-        *sample_every*, when given, sets the top-level span sampling rate
-        for this recording (1 = keep everything); omitted, the tracer's
-        current rate is kept.
-        """
-        if sample_every is not None:
-            self.sample_every = self._check_rate(sample_every)
+    def enable(self) -> None:
+        """Clear any previous trace and start recording."""
         self.clear()
         self._origin_ns = time.perf_counter_ns()
         self.enabled = True
@@ -214,12 +161,8 @@ class Tracer:
     def _thread_state(self):
         state = getattr(self._tls, "state", None)
         if state is None:
-            # (raw records, span-name stack, cached thread ident,
-            #  sampling state) -- sampling state is [top-level span
-            #  count, live suppression depth], or None at rate 1 so the
-            #  unsampled hot path stays two tuple reads.
-            samp = [0, 0] if self.sample_every > 1 else None
-            state = ([], [], threading.get_ident(), samp)
+            # (raw records, span-name stack, cached thread ident)
+            state = ([], [], threading.get_ident())
             self._tls.state = state
             with self._lock:
                 self._buffers.append(state[0])

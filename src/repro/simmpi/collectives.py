@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.simmpi.comm import SimComm
 
-__all__ = ["allreduce", "reduce_to_root", "broadcast", "allgather", "barrier_all"]
+__all__ = ["allreduce", "reduce_to_root", "broadcast", "allgather"]
 
 _TAG_BASE = 1 << 20  # clear of the exchange tag space
 
@@ -105,8 +105,3 @@ def allgather(comm: SimComm, value: np.ndarray) -> np.ndarray:
         ]
         comm.Waitall(reqs)
     return out
-
-
-def barrier_all(comm: SimComm) -> None:
-    """Alias of the fabric barrier, for API symmetry."""
-    comm.Barrier()

@@ -62,8 +62,11 @@ cut's items stay outstanding after its receive returned, and
 :class:`~repro.exchange.base.ExchangeChannel` waits for them where their
 buffers are next written (DESIGN.md, "Ports").
 
-Statistics (message and byte counts) are recorded per rank; the modelled
-clocks use them and the tests assert on them.
+Statistics (message and byte counts) are recorded per rank
+(:class:`FabricStats`).  Nothing on the run path reads them: the tests
+assert on them, halobench reads its ``sends`` row off them, and
+:func:`repro.obs.counters` reports them as the run's ``fabric.*``
+counters.
 
 Verified mode (the chaos fabric)
 --------------------------------
@@ -129,7 +132,6 @@ from repro.faults.errors import (
     RankDeadError,
     SplitMismatchError,
 )
-from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 
 __all__ = [
@@ -633,9 +635,6 @@ class SimFabric:
             st = self.stats[src]
             st.sends += 1
             st.bytes_sent += nbytes
-        if _METRICS.enabled:
-            _METRICS.count("fabric.messages", 1, rank=src)
-            _METRICS.count("fabric.wire_bytes", nbytes, rank=src)
         return entry
 
     def complete_recv(self, src: int, dst: int, tag: int, buf: np.ndarray) -> None:
@@ -662,8 +661,6 @@ class SimFabric:
                 st.recvs += 1
                 st.bytes_received += buf.nbytes
                 self._consumed(entry)
-        if _METRICS.enabled:
-            _METRICS.count("fabric.bytes_received", buf.nbytes, rank=dst)
 
     def wait_send(self, entry: _SendEntry) -> None:
         """Block until *entry* is consumed by its receiver."""
@@ -783,9 +780,6 @@ class SimFabric:
             st = self.stats[src]
             st.sends += n
             st.bytes_sent += nbytes
-        if _METRICS.enabled:
-            _METRICS.count("fabric.messages", n, rank=src)
-            _METRICS.count("fabric.wire_bytes", nbytes, rank=src)
 
     def _missing(self, cut: BoundRequest) -> List[Tuple[int, int]]:
         """Under the lock: receive keys of *cut* with nothing queued yet."""
@@ -904,8 +898,6 @@ class SimFabric:
                     credit.outstanding = left
                     if not left and credit.waiting:
                         ports[credit.rank].cond.notify()
-        if _METRICS.enabled:
-            _METRICS.count("fabric.bytes_received", cut.recv_bytes, rank=dst)
 
     def _complete_recv_verified(self, cut: BoundRequest, guard) -> None:
         """:meth:`complete_recv_batch` under the guard (module docstring).
@@ -1040,8 +1032,6 @@ class SimFabric:
                         ports[credit.rank].cond.notify()
                 for item, retransmit in reversed(failed):
                     fifos[item[0][0]].appendleft((owners[id(item)], [retransmit]))
-        if _METRICS.enabled:
-            _METRICS.count("fabric.bytes_received", nbytes, rank=dst)
         if error is not None:
             # The error's traceback holds this frame: drop the frame's
             # reference back, or the cycle pins every frame up to the

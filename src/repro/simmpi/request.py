@@ -36,10 +36,6 @@ class SimRequest:
             self._complete()
             self.done = True
 
-    def test(self) -> bool:
-        """Non-standard convenience: completed yet? (no progress made)."""
-        return self.done
-
     def __repr__(self) -> str:
         state = "done" if self.done else "pending"
         return f"<SimRequest {self.kind} {state}>"

@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.brick.info import BrickInfo
 from repro.brick.storage import BrickStorage
-from repro.obs import METRICS as _METRICS
 from repro.obs import TRACER as _TRACER
 from repro.stencil.cbackend import (
     array_step_kernel,
@@ -118,10 +117,6 @@ class BrickStencilPlan:
     a step stages it with one fancy-index copy per reached direction,
     runs the tap loop into a persistent accumulator and scatters that
     into the destination bricks.
-
-    ``plan.halo_cells_gathered`` counts the tile cells a step stages:
-    bricks x the cells of the directions some tap reaches (a star skips
-    edge and corner sub-boxes), the same on both tiers.
     """
 
     def __init__(
@@ -166,10 +161,6 @@ class BrickStencilPlan:
             info.adjacency[slots], dtype=np.int64
         )
         tile_np = tuple(b + 2 * r for b in np_bd)
-        boxes = brick_stage_boxes(spec.taps, np_bd, r)
-        self._staged_cells = len(slots) * sum(
-            math.prod(extent) for *_, extent in boxes
-        )
         # The C kernel runs the whole stage/taps/store sequence per brick
         # when available (and allowed by REPRO_KERNEL_BACKEND); otherwise
         # the NumPy path below runs it per chunk.  Bit-identical.
@@ -190,6 +181,7 @@ class BrickStencilPlan:
         # and in the neighbour brick, and whether any planned brick lacks
         # that neighbour (its sub-box is then re-zeroed per step).
         absent = (self._adjacency < 0).any(axis=0)
+        boxes = brick_stage_boxes(spec.taps, np_bd, r)
         self._stage = [
             (
                 column,
@@ -239,8 +231,6 @@ class BrickStencilPlan:
             raise ValueError("plans require distinct src and dst storages")
         self._check_storage(src, "src")
         self._check_storage(dst, "dst")
-        if _METRICS.enabled:
-            _METRICS.count("plan.halo_cells_gathered", self._staged_cells)
         ck = self._ckernel
         if ck is not None:
             ck(src.data, dst.data, self._adjacency, self.slots, self._tile)

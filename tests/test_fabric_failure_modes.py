@@ -9,7 +9,7 @@ import pytest
 import repro.simmpi.fabric as fabric_mod
 from repro.faults.errors import RankDeadError
 from repro.simmpi import SimFabric, run_spmd
-from repro.simmpi.collectives import allreduce, barrier_all, broadcast
+from repro.simmpi.collectives import allreduce, broadcast
 from repro.simmpi.fabric import AbortedError, DeadlockError
 
 
@@ -250,7 +250,7 @@ class TestCollectiveAbortPropagation:
         def fn(comm):
             if comm.rank == 0:
                 raise RuntimeError("rank 0 died before the barrier")
-            barrier_all(comm)  # fabric-level barrier (point-to-point)
+            comm.Barrier()  # the fabric barrier
 
         with pytest.raises(RuntimeError, match="rank 0 died") as info:
             run_spmd(4, fn)

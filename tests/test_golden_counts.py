@@ -38,10 +38,9 @@ def _problem(extent, brick=8):
 
 def trace_counts():
     with obs.observed():
-        run_executed(_problem((32, 32, 32)), "layout", theta_knl(), timesteps=4)
-    counts = obs.trace_stats(obs.TRACER, obs.METRICS)
+        run = run_executed(_problem((32, 32, 32)), "layout", theta_knl(), timesteps=4)
+    counts = obs.trace_stats(obs.TRACER, run)
     obs.TRACER.clear()
-    obs.METRICS.clear()
     return counts
 
 

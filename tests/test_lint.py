@@ -347,6 +347,28 @@ def test_second_accounting_path_flagged():
     assert all("only writer" in v[2] for v in violations[1:])
 
 
+def test_second_count_beside_the_tracer_flagged():
+    src = (
+        "from repro.obs import TRACER as _TRACER\n"
+        "from repro.obs import METRICS as _METRICS\n"
+        "from repro.obs.tracer import Tracer\n"
+        "from repro import obs\n"
+        "import repro.obs\n"
+    )
+    tree = ast.parse(src)
+    for rel in ("simmpi/fabric.py", "core/runplan.py", "ckpt/snapshot.py"):
+        violations = lint_invariants.check_one_ledger(
+            lint_invariants.SRC / rel, tree
+        )
+        assert [v[1] for v in violations] == [2, 3, 4, 5]
+        assert "`METRICS` bound from repro.obs" in violations[0][2]
+    # The layer itself and the CLI that writes its trace may bind it all.
+    for rel in ("obs/export.py", "cli.py"):
+        assert not lint_invariants.check_one_ledger(
+            lint_invariants.SRC / rel, tree
+        )
+
+
 def test_exchange_times_only_inside_the_shared_pricer():
     src = (
         "def price_exchange(profile, phases, copy, transport=None):\n"

@@ -3,7 +3,8 @@
 The contract under test (DESIGN.md Section 6 extension): tracing is an
 *observer*.  A traced run must produce bit-identical modelled metrics and
 results, while the trace itself must cover every layer (driver ->
-exchanger -> fabric) on every rank.
+exchanger -> fabric) on every rank.  A run's counters are a view of what
+the run holds (``obs.counters``): the ledgers and the fabric agree.
 """
 
 import json
@@ -14,6 +15,7 @@ import pytest
 from repro import obs
 from repro.core.driver import run_executed
 from repro.core.problem import StencilProblem
+from repro.faults.plan import FaultPlan
 from repro.hardware.profiles import theta_knl
 from repro.stencil.spec import SEVEN_POINT
 
@@ -36,7 +38,6 @@ def obs_reset():
     yield
     obs.disable()
     obs.TRACER.clear()
-    obs.METRICS.clear()
 
 
 def traced_run(method="layout", steps=2):
@@ -77,12 +78,6 @@ class TestTracedRun:
             for p in paths
         ), f"no driver->exchange->fabric chain in {sorted(paths)[:10]}"
 
-    def test_deterministic_counters_agree_across_layers(self):
-        run = traced_run()
-        total_msgs = run.messages_per_rank * 8 * 2  # per rank/step, 8 ranks
-        assert obs.METRICS.counter_total("driver.messages") == total_msgs
-        assert obs.METRICS.counter_total("exchange.messages") == total_msgs
-        assert obs.METRICS.counter_total("fabric.messages") == total_msgs
 
     def test_modelled_metrics_bit_identical_traced_vs_untraced(self):
         baseline = run_executed(
@@ -96,11 +91,51 @@ class TestTracedRun:
         assert baseline.wire_bytes_per_rank == traced.wire_bytes_per_rank
 
 
+class TestCounters:
+    @pytest.mark.parametrize("verify_wire", [False, True], ids=["plain", "verified"])
+    @pytest.mark.parametrize(
+        "method", ["layout", "basic", "memmap", "yask", "mpi_types", "shift"]
+    )
+    def test_deterministic_counters_agree_across_layers(self, method, verify_wire):
+        run = run_executed(
+            small_problem(), method, theta_knl(), timesteps=2,
+            verify_wire=verify_wire,
+        )
+        counts = obs.counters(run)["counters"]
+        assert counts["driver.exchanges"] == 8 * 2
+        # per rank and exchange, 8 ranks, 2 steps
+        assert counts["driver.messages"] == run.messages_per_rank * 8 * 2
+        assert counts["driver.messages"] == counts["fabric.messages"]
+        assert counts["driver.wire_bytes"] == run.wire_bytes_per_rank * 8 * 2
+        assert (
+            counts["driver.wire_bytes"]
+            == counts["fabric.wire_bytes"]
+            == counts["fabric.bytes_received"]
+        )
+
+    def test_restarted_step_counts_once(self, tmp_path):
+        run = run_executed(
+            small_problem(), "layout", theta_knl(), timesteps=6,
+            checkpoint_dir=tmp_path, checkpoint_period=2,
+            fault_plan=FaultPlan(seed=1, crashes=((1, 5),)),
+        )
+        assert run.restarts == 1
+        counts = obs.counters(run)["counters"]
+        assert counts["driver.exchanges"] == 8 * 6 == 48
+        assert counts["ckpt.restarts"] == 1
+        assert counts["faults.injected_crash"] == 1
+
+    def test_memmap_gauge_is_the_ledger_mappings(self):
+        run = run_executed(small_problem(), "memmap", theta_knl(), timesteps=2)
+        gauges = obs.counters(run)["gauges"]
+        assert gauges == {"memmap.regions": run.mapping_count * 8}
+
+
 class TestChromeExport:
     def test_schema_round_trip(self, tmp_path):
-        traced_run()
         out = tmp_path / "trace.json"
-        obs.write_chrome_trace(out, obs.TRACER, obs.METRICS)
+        run = traced_run()
+        obs.write_chrome_trace(out, obs.TRACER, run)
         doc = json.loads(out.read_text())
         events = doc["traceEvents"]
         assert doc["displayTimeUnit"] == "ms"
@@ -121,12 +156,11 @@ class TestChromeExport:
         }
         for rank in range(8):
             assert named[rank] == f"rank {rank}"
-        # metrics ride along for tooling
-        assert "driver.messages" in doc["otherData"]["counters"]
+        # the run's counters ride along for tooling
+        assert doc["otherData"] == obs.counters(run)
 
     def test_unranked_spans_attributed_to_rank_rows(self, tmp_path):
-        traced_run()
-        doc = obs.chrome_trace(obs.TRACER, obs.METRICS)
+        doc = obs.chrome_trace(obs.TRACER, traced_run())
         compile_rows = {
             ev["tid"]
             for ev in doc["traceEvents"]
@@ -152,10 +186,13 @@ class TestCli:
              "--trace", "--trace-out", str(out)]
         )
         assert rc == 0
-        events = json.loads(out.read_text())["traceEvents"]
+        doc = json.loads(out.read_text())
+        events = doc["traceEvents"]
         rows = {ev["args"]["name"] for ev in events if ev["name"] == "thread_name"}
         assert rows == {f"rank {r}" for r in range(8)}
         assert sum(ev["name"] == "driver.step" for ev in events) == 32
+        counts = doc["otherData"]["counters"]
+        assert counts["driver.messages"] == counts["fabric.messages"] == 1248
         assert "flame summary" in capsys.readouterr().out
 
     def test_run_trace_flag_smoke(self, tmp_path, capsys):

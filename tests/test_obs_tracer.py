@@ -69,8 +69,6 @@ class TestNesting:
         assert by_name["mid"].depth == 1
         assert by_name["inner"].depth == 2
         assert by_name["inner"].path == "outer;mid;inner"
-        assert by_name["inner"].parent == "mid"
-        assert by_name["outer"].parent is None
 
     def test_siblings_share_parent(self, tracer):
         with tracer.span("p"):
@@ -159,67 +157,3 @@ class TestThreads:
         # Each rank ran on its own thread.
         assert len({ev.tid for ev in events}) == 4
 
-
-class TestSampling:
-    def test_keeps_every_kth_top_level_tree(self):
-        t = Tracer(sample_every=3)
-        t.enable()
-        for i in range(7):
-            with t.span("step", step=i):
-                with t.span("child"):
-                    pass
-        events = t.events()
-        steps = [ev for ev in events if ev.name == "step"]
-        assert [ev.step for ev in steps] == [0, 3, 6]
-        # Kept trees are kept whole: each surviving step has its child,
-        # with nesting intact.
-        children = [ev for ev in events if ev.name == "child"]
-        assert len(children) == 3
-        assert all(
-            ev.path == "step;child" and ev.depth == 1 for ev in children
-        )
-        assert len(events) == 6
-
-    def test_rate_one_keeps_everything(self):
-        t = Tracer(sample_every=1)
-        t.enable()
-        for i in range(5):
-            with t.span("step", step=i):
-                pass
-        assert [ev.step for ev in t.events()] == list(range(5))
-
-    def test_enable_overrides_rate(self):
-        t = Tracer()
-        t.enable(sample_every=2)
-        for i in range(4):
-            with t.span("step", step=i):
-                pass
-        assert [ev.step for ev in t.events()] == [0, 2]
-        # Re-enabling without a rate keeps the current one and clears.
-        t.enable()
-        with t.span("step", step=0):
-            pass
-        assert [ev.step for ev in t.events()] == [0]
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError, match="sample_every"):
-            Tracer(sample_every=0)
-        with pytest.raises(ValueError, match="sample_every"):
-            Tracer().enable(sample_every=-2)
-
-    def test_suppressed_span_is_exception_transparent(self):
-        t = Tracer(sample_every=2)
-        t.enable()
-        with t.span("step", step=0):
-            pass
-        # Step 1 is suppressed; an exception inside it must propagate and
-        # leave the sampling state consistent.
-        with pytest.raises(ValueError, match="boom"):
-            with t.span("step", step=1):
-                with t.span("child"):
-                    raise ValueError("boom")
-        with t.span("step", step=2):
-            pass
-        steps = [ev.step for ev in t.events() if ev.name == "step"]
-        assert steps == [0, 2]
-        assert all(ev.name != "child" for ev in t.events())

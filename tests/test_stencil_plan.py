@@ -24,7 +24,6 @@ from repro.brick.storage import BrickStorage
 from repro.core.driver import run_executed
 from repro.core.expansion import brick_cycle_slots
 from repro.core.problem import StencilProblem
-from repro import obs
 from repro.stencil import cbackend
 from repro.stencil.brick_kernels import apply_brick_stencil, gather_halo_batch
 from repro.stencil.kernels import apply_array_stencil
@@ -398,25 +397,6 @@ class TestBothTiers:
             assert plan.kernel_backend == reported(tier)
             plan.execute(arr, whole)
             same_bits(whole, ref)
-
-    @pytest.mark.parametrize(
-        "spec,cells", [(SEVEN_POINT, 8**3 + 6 * 8**2), (CUBE125, 12**3)],
-        ids=["7pt", "125pt"],
-    )
-    def test_staged_cells_counted_alike(self, tier, spec, cells, small_decomp):
-        """``plan.halo_cells_gathered`` is bricks x the tile cells of the
-        reached directions, whichever tier stages them."""
-        d = small_decomp
-        src, asn = d.allocate()
-        dst, _ = d.allocate()
-        slots = d.compute_slots(asn)
-        plan = compile_brick_plan(spec, d.brick_info(asn), slots)
-        with obs.observed(trace=False):
-            plan.execute(src, dst)
-            plan.execute(src, dst)
-        total = obs.METRICS.counter_total("plan.halo_cells_gathered")
-        obs.METRICS.clear()
-        assert total == 2 * len(slots) * cells
 
 
 class TestArrayPlanBitIdentity:

@@ -79,7 +79,11 @@ may not, and these rules are project-specific anyway.  Seven checks:
    ledger's accumulations (``+=`` on ``.exchanges`` / ``.messages`` /
    ``.wire_bytes`` / ``.payload_bytes``, or on a ``["msgs"]`` /
    ``["wire"]`` / ``["payload"]`` counter) appear in
-   ``core/runplan.py`` only.
+   ``core/runplan.py`` only.  Observation adds spans and never keeps a
+   second count: a run's counters are read off its ledgers, fabric
+   statistics and run record by ``obs.counters``.  So outside
+   ``src/repro/obs`` and ``cli.py`` a module binds nothing from
+   ``repro.obs`` but ``TRACER`` (neither another name nor the package).
 
 7. **One data-movement tier.**  An exchange side -- pack, unpack, the
    datatype engine, the wire copy -- moves in one bound call over
@@ -185,6 +189,11 @@ REDERIVATION_NAMES = (
 LEDGER_HOME = "core/runplan.py"
 LEDGER_FIELDS = ("exchanges", "messages", "wire_bytes", "payload_bytes")
 LEDGER_KEYS = ("msgs", "wire", "payload")
+#: the observability package, the one name others may bind from it, and
+#: the files that may bind the rest
+OBS_MODULE = "repro.obs"
+OBS_EXPORT = "TRACER"
+OBS_HOMES = ("obs/", "cli.py")
 
 #: packages whose per-message copy loops are one tier of a bound call,
 #: and the functions that are that tier (reasons: docstring, rule 7)
@@ -457,6 +466,21 @@ def check_one_geometry(path: Path, tree: ast.AST) -> List[Violation]:
     return out
 
 
+def _obs_bindings(node) -> List[str]:
+    """What an import binds from ``repro.obs`` other than the tracer."""
+    if isinstance(node, ast.Import):
+        return [
+            a.name for a in node.names
+            if (a.name + ".").startswith(OBS_MODULE + ".")
+        ]
+    module = node.module or ""
+    if module == "repro":
+        return [a.name for a in node.names if a.name == "obs"]
+    if (module + ".").startswith(OBS_MODULE + "."):
+        return [a.name for a in node.names if a.name != OBS_EXPORT]
+    return []
+
+
 def check_one_ledger(path: Path, tree: ast.AST) -> List[Violation]:
     rel = path.relative_to(SRC).as_posix()
     out: List[Violation] = []
@@ -483,10 +507,22 @@ def check_one_ledger(path: Path, tree: ast.AST) -> List[Violation]:
                         " out of one side",
                     )
                 )
-        elif isinstance(node, (ast.Import, ast.ImportFrom)) and rel in RUN_FILES:
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if not rel.startswith(OBS_HOMES):
+                for name in _obs_bindings(node):
+                    out.append(
+                        (
+                            path,
+                            node.lineno,
+                            f"`{name}` bound from {OBS_MODULE}: observation"
+                            f" adds spans ({OBS_EXPORT}) and keeps no second"
+                            " count; read a counter off the run"
+                            " (obs.counters)",
+                        )
+                    )
             module = getattr(node, "module", None)
             names = [alias.name for alias in node.names]
-            if (
+            if rel in RUN_FILES and (
                 module == REDERIVATION_MODULE
                 or REDERIVATION_MODULE in names
                 or any(n in REDERIVATION_NAMES for n in names)
