@@ -39,6 +39,7 @@ from repro.core.expansion import (
     brick_cycle_slots,
     depths_for_period,
     margins_for_period,
+    open_faces,
     resolve_period,
 )
 from repro.core.geometry import RunGeometry
@@ -200,10 +201,14 @@ class _RankState:
         self.exchangers = []
 
 
-def _array_state(geometry: RunGeometry, period: int) -> _RankState:
+def _array_state(geometry: RunGeometry, period: int, faces) -> _RankState:
+    """*faces*: the rank's :func:`open_faces`, which no margin grows past."""
     problem = geometry.problem
     ext, g, spec = geometry.extent, geometry.ghost, problem.stencil
-    margins = margins_for_period(period, spec.radius, g)
+    margins = [
+        [(0 if below else m, 0 if above else m) for below, above in faces]
+        for m in margins_for_period(period, spec.radius, g)
+    ]
     own = owned_slices(ext, g)
     arrays = [
         np.zeros(geometry.extended_shape, dtype=problem.dtype) for _ in range(2)
@@ -217,7 +222,10 @@ def _array_state(geometry: RunGeometry, period: int) -> _RankState:
         plans=[
             compile_array_plan(spec, ext, g, m, problem.dtype) for m in margins
         ],
-        computed_points=[int(np.prod([e + 2 * m for e in ext])) for m in margins],
+        computed_points=[
+            int(np.prod([e + lo + hi for e, (lo, hi) in zip(ext, m)]))
+            for m in margins
+        ],
         # The whole extended subdomain (ghost margins included) is one
         # run of one "slot", rewritten by every step; the margins make
         # mid-cycle restores of period>1 runs self-contained.
@@ -233,9 +241,10 @@ def _array_state(geometry: RunGeometry, period: int) -> _RankState:
     )
 
 
-def _brick_state(geometry: RunGeometry, period: int) -> _RankState:
+def _brick_state(geometry: RunGeometry, period: int, faces) -> _RankState:
     """Allocate and compile over the shared geometry; nothing here
-    derives a decomposition, an assignment or an adjacency."""
+    derives a decomposition, an assignment or an adjacency.  *faces*:
+    the rank's :func:`open_faces`, whose ghost bricks are never swept."""
     problem = geometry.problem
     ext, g, spec = geometry.extent, geometry.ghost, problem.stencil
     decomp, asn, binfo = geometry.decomp, geometry.assignment, geometry.brick_info
@@ -244,7 +253,7 @@ def _brick_state(geometry: RunGeometry, period: int) -> _RankState:
     else:
         storages = [decomp.allocate()[0] for _ in range(2)]
     cycle_slots = brick_cycle_slots(
-        decomp, asn, spec.radius, depths_for_period(period, decomp.width)
+        decomp, asn, spec.radius, depths_for_period(period, decomp.width), faces
     )
     own = owned_slices(ext, g)
 
@@ -485,10 +494,11 @@ def _rank_fn(
     rank = comm.rank
     # Raised here, by every rank, when the ghost width cannot support it.
     period = resolve_period(problem, method, exchange_period)
+    faces = open_faces(problem, cart.coords)
     if info.uses_bricks:
-        state = _brick_state(geometry, period)
+        state = _brick_state(geometry, period, faces)
     else:
-        state = _array_state(geometry, period)
+        state = _array_state(geometry, period, faces)
     # The launching thread closes the state once every rank has joined.
     states.append(state)
 
@@ -693,7 +703,8 @@ def run_executed(
     never faulted.
 
     *degrade*: enable the MemMap->Layout->Pack demotion ladder (defaults
-    to on exactly when the plan schedules degradation events).
+    to on exactly when the plan schedules degradation events); refused
+    for a method whose base is not ``memmap``.
 
     *fabric_timeout*: deadlock timeout in seconds (else the
     ``REPRO_FABRIC_TIMEOUT`` environment variable, else 30 s).
@@ -723,7 +734,8 @@ def run_executed(
     Elastic restart knobs (see README "Robustness" and DESIGN.md 10):
 
     *elastic*: survive *permanent* rank deaths (``fault_plan.deaths``).
-    Requires a checkpoint store.  When a rank dies, the survivors agree
+    Requires a checkpoint store and a periodic problem (refused up
+    front otherwise).  When a rank dies, the survivors agree
     on a shrunken decomposition that avoids the failed nodes (one rank
     per node), negotiate the newest epoch verified on every old rank,
     re-brick that epoch's snapshots onto the new decomposition and
@@ -732,10 +744,8 @@ def run_executed(
     rounds are bounded by the number of distinct scheduled deaths.  The
     reshaped world's ledger starts at the restored epoch, so per-step
     and per-exchange figures describe the world that finished.
-    Elastic restart requires a periodic problem (ghost shells are
-    rebuilt by periodic wrap).  Without a checkpoint store a death is
-    still *detected* -- peers fail fast with
-    :class:`~repro.faults.RankDeadError` -- but not recovered.
+    Without *elastic* a death is still *detected* -- peers fail fast
+    with :class:`~repro.faults.RankDeadError` -- but not recovered.
     """
     if timesteps <= 0:
         raise ValueError("timesteps must be positive")
@@ -764,6 +774,18 @@ def run_executed(
     elif resume or checkpoint_period is not None:
         raise ValueError(
             "resume/checkpoint_period require a checkpoint_dir"
+        )
+    # Feature requests that could not engage are refused before launch.
+    if elastic and ckpt is None:
+        raise ValueError("elastic restart requires a checkpoint_dir")
+    if elastic and not problem.periodic:
+        raise ValueError(
+            "elastic restart requires a periodic problem: ghost shells are"
+            " rebuilt by periodic wrap"
+        )
+    if degrade and info.base != "memmap":
+        raise ValueError(
+            f"degradation needs a memmap method; {method!r} has no ladder"
         )
     if ckpt is not None and injector is not None:
         # Checkpointing turns scheduled crashes into survivable events:

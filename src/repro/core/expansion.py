@@ -19,7 +19,7 @@ Two granularities:
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "cycle_period",
     "depths_for_period",
     "margins_for_period",
+    "open_faces",
     "resolve_period",
 ]
 
@@ -140,6 +141,16 @@ def margins_for_period(period: int, radius: int, ghost: int) -> List[int]:
     return [(period - 1 - s) * radius for s in range(period)]
 
 
+def open_faces(problem, coords) -> List[Tuple[bool, bool]]:
+    """Per axis, whether the rank at *coords* has no neighbour below /
+    above it.  Ghosts beyond such a face hold the application's
+    boundary condition: no step computes into them, so every exchange
+    period gives the answer of period 1."""
+    if problem.periodic:
+        return [(False, False)] * problem.ndim
+    return [(c == 0, c == n - 1) for c, n in zip(coords, problem.rank_dims)]
+
+
 def depths_for_period(period: int, width: int) -> List[int]:
     """Brick depths per cycle step for a chosen *period* (max = width)."""
     if period < 1:
@@ -156,13 +167,16 @@ def brick_cycle_slots(
     assignment: SlotAssignment,
     radius: int,
     depths: List[int] = None,
+    faces: Sequence[Tuple[bool, bool]] = (),
 ) -> List[np.ndarray]:
     """Per-cycle-step compute slot lists for brick storage.
 
     Entry ``s`` lists every brick to compute at cycle step ``s``: the
-    owned bricks plus all ghost bricks within the step's allowed depth.
-    ``len(result)`` is the exchange period.  *depths* defaults to the
-    maximum schedule :func:`brick_cycle_depths` allows.
+    owned bricks plus all ghost bricks within the step's allowed depth,
+    except those beyond an open face (*faces*, per axis, as
+    :func:`open_faces`).  ``len(result)`` is the exchange period.
+    *depths* defaults to the maximum schedule :func:`brick_cycle_depths`
+    allows.
     """
     if depths is None:
         depths = brick_cycle_depths(
@@ -177,6 +191,12 @@ def brick_cycle_slots(
         c = coords[:, axis]
         n = decomp.grid[axis]
         depth = np.maximum(depth, np.maximum(-c, c - (n - 1)))
+    for axis, (below, above) in enumerate(faces):
+        c = coords[:, axis]
+        if below:
+            valid_slot &= c >= 0
+        if above:
+            valid_slot &= c < decomp.grid[axis]
     slots_per_step = []
     for d in depths:
         mask = valid_slot & (depth <= d)

@@ -197,7 +197,10 @@ def rebrick(
             "fired_crashes", old_meta.get("fired_crashes") or []
         )
         key = snapshot_key(new_geometry, seed, period)
-        meta = _rebrick_meta(epoch, period, new_geometry.adjacency_crc, fired)
+        meta = _rebrick_meta(
+            epoch, period, new_geometry.adjacency_crc, fired,
+            old_meta.get("ladder_level"),
+        )
         decomp, asn = new_geometry.decomp, new_geometry.assignment
         scratch = _scratch(new_geometry)
         bytes_written = 0
@@ -232,18 +235,20 @@ def rebrick(
 
 
 def _rebrick_meta(
-    epoch: int, period: int, adjacency_crc: int, fired_crashes
+    epoch: int, period: int, adjacency_crc: int, fired_crashes, ladder_level
 ) -> dict:
     """Meta doc for a re-bricked snapshot.
 
     The run ledger restarts (an empty record): its counts and timings
     described the old decomposition's traffic and mean nothing under the
-    new one.  ``step`` makes the resumed loop continue at *epoch*.
+    new one.  ``step`` makes the resumed loop continue at *epoch*.  The
+    degradation-ladder rung carries over: a demotion is collective and
+    stays in force across a reshape as across a restart in place.
     """
     return {
         "step": int(epoch),
         "ledger": {},
-        "ladder_level": None,
+        "ladder_level": ladder_level,
         "period": int(period),
         "adjacency_crc": int(adjacency_crc),
         "fired_crashes": [list(c) for c in fired_crashes],

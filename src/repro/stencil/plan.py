@@ -41,7 +41,7 @@ geometry shares between the ranks.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -279,9 +279,11 @@ class ArrayStencilPlan:
 
     The box (per-numpy-axis ``(lo, hi)`` ranges in extended-array
     coordinates) is the region the pack/mpi_types/shift executed paths
-    sweep: the owned region grown by *margin*.  Like a brick plan it
-    steps on the C kernel tier when ``REPRO_KERNEL_BACKEND`` allows --
-    one compiled function per extended shape, handed the box per call --
+    sweep: the owned region grown by *margin* -- on every side, or per
+    axis by ``(below, above)`` pairs in domain order (an open face grows
+    by 0).  Like a brick plan it steps on the C kernel tier when
+    ``REPRO_KERNEL_BACKEND`` allows -- one compiled function per extended
+    shape, handed the box per call --
     and otherwise runs the NumPy tap loop, accumulating straight into the
     box of the output with a persistent box-shaped tap scratch.  Results
     are bit-identical to :func:`repro.stencil.kernels.apply_array_stencil`
@@ -293,7 +295,7 @@ class ArrayStencilPlan:
         spec: StencilSpec,
         extent: Sequence[int],
         ghost: int,
-        margin: int = 0,
+        margin: Union[int, Sequence[Tuple[int, int]]] = 0,
         dtype=np.float64,
     ) -> None:
         extent = tuple(int(e) for e in extent)
@@ -301,9 +303,16 @@ class ArrayStencilPlan:
             raise ValueError(
                 f"stencil is {spec.ndim}-D but the domain is {len(extent)}-D"
             )
-        if margin < 0:
+        # Per axis (domain order), how far below / above the owned
+        # region the box reaches.
+        sides = (
+            [(int(margin),) * 2] * len(extent)
+            if np.ndim(margin) == 0
+            else [(int(lo), int(hi)) for lo, hi in margin]
+        )
+        if min(map(min, sides)) < 0:
             raise ValueError("margin cannot be negative")
-        if spec.radius + margin > ghost:
+        if spec.radius + max(map(max, sides)) > ghost:
             raise ValueError(
                 f"stencil radius {spec.radius} plus margin {margin} exceeds"
                 f" ghost width {ghost}"
@@ -311,10 +320,12 @@ class ArrayStencilPlan:
         self.spec = spec
         self.extent = extent
         self.ghost = int(ghost)
-        self.margin = int(margin)
         self.dtype = np.dtype(dtype)
         self._expected = tuple(e + 2 * ghost for e in reversed(extent))
-        self.box = tuple((ghost - margin, ghost + e + margin) for e in reversed(extent))
+        self.box = tuple(
+            (ghost - lo, ghost + e + hi)
+            for e, (lo, hi) in zip(reversed(extent), reversed(sides))
+        )
         self._box_table = np.array([self.box], dtype=np.int64)
         self._ckernel = array_step_kernel(
             spec.taps, self._expected, self.dtype
@@ -374,7 +385,7 @@ def compile_array_plan(
     spec: StencilSpec,
     extent: Sequence[int],
     ghost: int,
-    margin: int = 0,
+    margin: Union[int, Sequence[Tuple[int, int]]] = 0,
     dtype=np.float64,
 ) -> ArrayStencilPlan:
     """Build an array plan (the compiled kernel inside is cached globally;

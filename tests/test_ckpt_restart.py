@@ -1,5 +1,8 @@
 """Crash-resume acceptance: restarted runs are bit-identical to
-uninterrupted ones, for every exchanger family, over several fault seeds.
+uninterrupted ones for the three families the paper compares, over
+several fault seeds; cold resumes, stores a crash leaves behind, and the
+views a relaunched MemMap world rebuilds.  Every other method crossed
+with restarts is the property in ``tests/test_composition.py``.
 """
 
 import numpy as np

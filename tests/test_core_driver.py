@@ -1,25 +1,13 @@
 """Executed driver: end-to-end distributed runs vs the serial oracle."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.ckpt.store import encode_head, read_head
 from repro.core.driver import run_executed
-from repro.core.expansion import (
-    brick_cycle_slots,
-    depths_for_period,
-    margins_for_period,
-)
-from repro.core.geometry import RunGeometry
-from repro.core.methods import method_info
-from repro.core.model import compute_time
 from repro.core.problem import StencilProblem
-from repro.faults import FaultPlan
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import CUBE125, SEVEN_POINT, star_stencil
-from repro.util.timing import TimeBreakdown
 
 EXEC_METHODS = ("yask", "yask_ol", "mpi_types", "shift", "basic", "layout", "memmap")
 
@@ -143,97 +131,6 @@ class TestExecutedMetadata:
     def test_timesteps_validated(self, small_problem, theta):
         with pytest.raises(ValueError):
             run_executed(small_problem, "yask", theta, timesteps=0)
-
-
-# ----------------------------------------------------------------------
-# One price, one ledger: a rank reports what its bound plans priced
-# ----------------------------------------------------------------------
-LEDGER_STEPS = 4
-LEDGER_FEATURES = {
-    # feature -> run_executed keywords (checkpoint_dir filled in per test)
-    "plain": {},
-    "period2": {"exchange_period": 2},
-    "demoted": {"fault_plan": FaultPlan(seed=2, degrade=((3, 1),))},
-    "restarted": {
-        "fault_plan": FaultPlan(seed=1, crashes=((1, 2),)),
-        "checkpoint_period": 1,
-    },
-    "demoted_restarted": {
-        "fault_plan": FaultPlan(seed=2, degrade=((3, 1),), crashes=((1, 3),)),
-        "checkpoint_period": 1,
-    },
-}
-
-
-def _calc_table(geometry, period):
-    """Modelled kernel seconds per cycle position, from the geometry."""
-    problem, spec = geometry.problem, geometry.problem.stencil
-    info = method_info(geometry.method)
-    if info.uses_bricks:
-        decomp = geometry.decomp
-        slots = brick_cycle_slots(
-            decomp, geometry.assignment, spec.radius,
-            depths_for_period(period, decomp.width),
-        )
-        points = [len(s) * decomp.brick_volume for s in slots]
-    else:
-        margins = margins_for_period(period, spec.radius, problem.ghost)
-        points = [
-            math.prod(e + 2 * m for e in geometry.extent) for m in margins
-        ]
-    return [compute_time(geometry.profile, info, n, spec) for n in points]
-
-
-@pytest.mark.parametrize("feature", LEDGER_FEATURES)
-@pytest.mark.parametrize("method", ["layout", "memmap", "yask", "mpi_types", "shift"])
-@pytest.mark.parametrize("boundaries", ["periodic", "open"])
-def test_rank_reports_what_its_bound_plans_priced(
-    boundaries, method, feature, tmp_path
-):
-    """Every rank's totals are, with ``==``, the sum over the exchanges
-    it fired of the price the engine that fired was bound with
-    (``geometry.schedule(base)[1][rank]``) plus the calc table; its
-    message and wire counts are the same results' counts."""
-    kwargs = dict(LEDGER_FEATURES[feature])
-    period = kwargs.get("exchange_period", 1)
-    problem = StencilProblem(
-        (32, 32, 32), (2, 2, 2), SEVEN_POINT,
-        # A 2-step cycle at brick granularity needs ghost = 2 bricks.
-        (4, 4, 4) if period == 2 else (8, 8, 8), 8,
-        periodic=(boundaries == "periodic"),
-    )
-    if "checkpoint_period" in kwargs:
-        kwargs["checkpoint_dir"] = tmp_path
-    run = run_executed(
-        problem, method, timesteps=LEDGER_STEPS, fabric_timeout=15.0, **kwargs
-    )
-    assert run.restarts == ("restarted" in feature)
-    demoted = feature.startswith("demoted") and method == "memmap"
-    assert (run.final_method == "basic") == demoted
-    assert run.demotions == (problem.nranks if demoted else 0)
-
-    geometry = RunGeometry(problem, method)
-    base = geometry.base
-    calc = _calc_table(geometry, period)
-    for rank, ledger in enumerate(run.metrics.ranks):
-        want = TimeBreakdown()
-        messages = wire = exchanges = 0
-        for t in range(LEDGER_STEPS):
-            if t % period == 0:
-                # The degradation vote at step 1 demotes every rank.
-                engine = "basic" if demoted and t >= 1 else base
-                fired = geometry.schedule(engine)[1][rank]
-                for phase in ("pack", "call", "wait", "move"):
-                    want.charge(phase, getattr(fired.breakdown, phase))
-                messages += fired.messages_sent
-                wire += fired.wire_bytes_sent
-                exchanges += 1
-            want.charge("calc", calc[t % period])
-        got, want = ledger.totals.as_dict(), want.as_dict()
-        assert got == want
-        assert (ledger.timesteps, ledger.exchanges) == (LEDGER_STEPS, exchanges)
-        assert (ledger.messages, ledger.wire_bytes) == (messages, wire)
-        assert ledger.per_timestep().call == want["call"] * (1.0 / LEDGER_STEPS)
 
 
 def test_open_boundary_rank_is_priced_for_the_messages_it_sends(host):

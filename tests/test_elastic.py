@@ -312,25 +312,24 @@ class TestEpochNegotiation:
 
 
 class TestElasticRestartBitExact:
-    """The ISSUE acceptance: crashed at N=8 by a permanent death,
-    resumed at M=6, bit-identical to the serial reference AND to a
-    fresh 6-rank run restored from the same re-bricked epoch."""
+    """Crashed at N=8 by a permanent death, resumed at M=6: bit-identical
+    to the serial reference AND to a fresh 6-rank run restored from the
+    same re-bricked epoch.  Every method, with every other feature, is
+    in the property of ``tests/test_composition.py``."""
 
-    @pytest.mark.parametrize("method", ["basic", "layout", "memmap"])
-    @pytest.mark.parametrize("fault_seed", [1, 2, 3])
-    def test_survives_permanent_rank_loss(self, tmp_path, method, fault_seed):
+    def test_survives_permanent_rank_loss(self, tmp_path):
         problem = _problem()
-        dead_rank = 1 + fault_seed % (problem.nranks - 1)
-        plan = FaultPlan(seed=fault_seed, deaths=((dead_rank, 3),))
+        dead_rank = 3
+        plan = FaultPlan(seed=1, deaths=((dead_rank, 3),))
         run = run_executed(
-            problem, method, timesteps=STEPS, seed=0, fault_plan=plan,
+            problem, "layout", timesteps=STEPS, seed=0, fault_plan=plan,
             checkpoint_dir=tmp_path, checkpoint_period=1, elastic=True,
             fabric_timeout=15.0,
         )
         assert run.reshapes == 1
         assert run.dead_ranks == (dead_rank,)
         assert run.final_rank_dims == (3, 1, 2)
-        assert run.resumed_epoch >= 0
+        assert run.resumed_epoch == 2
         assert run.faults["events"].get("injected_death") == 1
         assert run.faults["events"].get("reshaped") == 1
         reference = apply_periodic_reference(
@@ -346,12 +345,12 @@ class TestElasticRestartBitExact:
         recovery = plan_recovery(problem, [dead_rank], None, profile.network)
         fresh_store = CheckpointStore(tmp_path / "fresh")
         rebrick(
-            CheckpointStore(tmp_path), RunGeometry(problem, method, profile),
+            CheckpointStore(tmp_path), RunGeometry(problem, "layout", profile),
             run.resumed_epoch, fresh_store,
-            RunGeometry(recovery.new_problem, method, profile), seed=0,
+            RunGeometry(recovery.new_problem, "layout", profile), seed=0,
         )
         fresh = run_executed(
-            recovery.new_problem, method, timesteps=STEPS, seed=0,
+            recovery.new_problem, "layout", timesteps=STEPS, seed=0,
             checkpoint_dir=tmp_path / "fresh", checkpoint_period=1,
             resume=True, fabric_timeout=15.0,
         )

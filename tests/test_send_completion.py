@@ -6,11 +6,11 @@ again, the run plan completes a slot's sends before any sweep writes
 that slot (and before new engines, and at the end), and a FIFO may hold
 two epochs of one edge -- the two cuts of a ping-pong pair -- in order.
 With an exchange every step the wait before the sweep is already
-satisfied; with a longer exchange period it really blocks, and every
-method stays bit-identical.
+satisfied; with a longer exchange period it really blocks (that every
+method stays bit-identical at every period is the property in
+``tests/test_composition.py``).
 """
 
-import functools
 import sys
 import threading
 import time
@@ -27,21 +27,13 @@ from repro.simmpi.fabric import AbortedError
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import SEVEN_POINT
 
-METHODS = ("layout", "memmap", "yask", "mpi_types")
-STEPS = 6
-
 
 def _problem():
-    # 2^3 bricks and an 8-wide ghost: three steps per exchange fit at
-    # brick granularity.
+    # 2^3 bricks and an 8-wide ghost: a 2-step cycle fits at brick
+    # granularity.
     return StencilProblem(
         (32, 32, 32), (2, 2, 2), SEVEN_POINT, brick_dim=(2, 2, 2), ghost=8
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _reference(steps=STEPS):
-    return apply_periodic_reference(_problem().initial_global(0), SEVEN_POINT, steps)
 
 
 @pytest.fixture
@@ -72,23 +64,6 @@ def send_waits(monkeypatch):
 # ----------------------------------------------------------------------
 # Exchange periods > 1: the same slot is written before any receive
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("feature", ["plain", "checkpoint"])
-@pytest.mark.parametrize("period", [2, 3])
-@pytest.mark.parametrize("method", METHODS)
-def test_periodic_exchange_is_bit_identical(method, period, feature, tmp_path):
-    kwargs = {
-        "plain": {},
-        "checkpoint": {"checkpoint_dir": tmp_path, "checkpoint_period": 2},
-    }[feature]
-    run = run_executed(
-        _problem(), method, timesteps=STEPS, seed=0, exchange_period=period,
-        fabric_timeout=20.0, **kwargs,
-    )
-    assert run.exchange_period == period
-    np.testing.assert_array_equal(run.global_result, _reference())
-    assert run.fabric.pending_messages == 0
-
-
 def test_the_wait_before_the_sweep_blocks_only_with_a_period(send_waits):
     """Period 1: a rank's only blocking send wait is its final drain.
     Period 2: the sweep after an exchange writes the slot just sent
@@ -99,7 +74,10 @@ def test_the_wait_before_the_sweep_blocks_only_with_a_period(send_waits):
     assert len(send_waits) <= problem.nranks
     del send_waits[:]
     run = run_executed(problem, "layout", timesteps=24, seed=0, exchange_period=2)
-    np.testing.assert_array_equal(run.global_result, _reference(24))
+    np.testing.assert_array_equal(
+        run.global_result,
+        apply_periodic_reference(problem.initial_global(0), SEVEN_POINT, 24),
+    )
     assert len(send_waits) > problem.nranks
 
 
