@@ -40,7 +40,7 @@ def main() -> None:
         print(f"  messages/rank/step: {run.messages_per_rank}"
               f"   bit-exact vs serial reference: {exact}")
         if method == "memmap":
-            print(f"  live mmap views:    {run.mapping_count} kernel mappings"
+            print(f"  live mmap views:    {run.mapping_count} requested chunks"
                   f" (limit {profile.mmap_limit})")
         assert exact, "distributed result diverged from the reference!"
         print()

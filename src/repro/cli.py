@@ -148,7 +148,7 @@ def _cmd_run(args) -> int:
     if run.exchange_period > 1:
         print(f"exchange period: {run.exchange_period} (ghost-cell expansion)")
     if run.mapping_count:
-        print(f"mmap views: {run.mapping_count} kernel mappings")
+        print(f"mmap views: {run.mapping_count} requested chunks (vm.max_map_count)")
     print(f"kernel backend: {run.kernel_backend}")
     print(f"copy backend: {run.copy_backend}")
     exact = None

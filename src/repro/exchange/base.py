@@ -255,7 +255,7 @@ class Binding(NamedTuple):
 
     ``send_bufs`` / ``recv_bufs`` are the wire buffer of each send and
     each receive of the phase, in plan order: a storage slot view, a
-    stitched view's array, or a persistent staging buffer.  ``pre`` runs
+    slice of a stitched window, or a persistent staging buffer.  ``pre`` runs
     before the sends go out (pack, datatype gather, refresh) and
     ``post`` after every receive has landed (unpack, ``insert``, flush),
     under the tracer spans named by ``spans``; ``backend`` is the tier

@@ -1,18 +1,20 @@
 """MemMap exchange: stitched views, one message per neighbor (Section 4).
 
-For every neighbor, two stitched views are built once and reused every
-timestep (the paper: "these views can be reused throughout the application
-until the communication pattern changes"):
+Two stitched windows per buffer are built once and reused every timestep
+(the paper: "these views can be reused throughout the application until
+the communication pattern changes"):
 
-* the **send view** maps the padded surface regions bound for that
-  neighbor, run by run, into one virtually contiguous window;
-* the **recv view** maps the matching ghost subsections identically.
+* the **send window** maps every padded surface region of the plan,
+  neighbor by neighbor in plan order, into one virtually contiguous span;
+* the **receive window** maps the matching ghost subsections identically.
 
-With the real memfd arena the views alias brick storage, so
-``MPI_Send(view)`` / ``MPI_Recv(view)`` are genuinely zero-copy; with the
-simulated arena, refresh/flush copies stand in for the MMU (charged zero
-modelled time).  Costs relative to Layout: page padding inflates wire
-bytes (Table 2), and every chunk consumes one entry of the kernel's
+A neighbor's wire buffer is its consecutive slice of a window.  With the
+real memfd arena the windows alias brick storage, so ``MPI_Send(slice)`` /
+``MPI_Recv(slice)`` are genuinely zero-copy and the exchange runs no
+hooks; with the simulated arena, one refresh of the send window and one
+flush of the receive window stand in for the MMU (charged zero modelled
+time).  Costs relative to Layout: page padding inflates wire bytes
+(Table 2), and every chunk consumes one entry of the kernel's
 ``vm.max_map_count`` budget -- which the layout optimization keeps small
 by coalescing runs.
 """
@@ -20,6 +22,8 @@ by coalescing runs.
 from __future__ import annotations
 
 from typing import List, Optional
+
+import numpy as np
 
 from repro.brick.decomp import BrickDecomp, SlotAssignment
 from repro.brick.info import direction_index
@@ -116,7 +120,7 @@ class MemMapExchanger(Exchanger):
                 "MemMapExchanger needs mapping-capable storage; allocate it"
                 " with BrickDecomp.mmap_alloc"
             )
-        #: kernel mappings the exchange views of *plan* consume
+        #: requested chunks of the two windows: their vm.max_map_count charge
         self.mapping_count = sum(
             m.spec.nmappings for m in plan.sends + plan.recvs
         )
@@ -135,35 +139,27 @@ class MemMapExchanger(Exchanger):
     exchange = Exchanger.exchange
 
     def _bind(self, storage: BrickStorage) -> List[Binding]:
-        """The stitched views *are* the wire buffers; a neighbor's send
-        and receive sit at the same position of the plan and are mapped
-        together."""
-        sends: List[StitchedViewBase] = []
-        recvs: List[StitchedViewBase] = []
-        for send, recv in zip(self.plan.sends, self.plan.recvs):
-            sends.append(storage.make_view(send.ranges))
-            recvs.append(storage.make_view(recv.ranges))
-        self._views = sends + recvs
+        """The two windows are the wire buffers: one slice per message."""
+        self._views: List[StitchedViewBase] = []
 
-        def refresh() -> None:
-            for v in sends:
-                v.refresh()  # no-op on real mappings
+        def window(messages) -> List[np.ndarray]:
+            if not messages:
+                return []
+            view = storage.make_view([c for m in messages for c in m.ranges])
+            self._views.append(view)
+            ends = np.cumsum([m.nbytes for m in messages])
+            return np.split(view.array(), ends[:-1])
 
-        def flush() -> None:
-            for v in recvs:
-                v.flush()  # no-op on real mappings
-
-        # Pack-free through the MMU: no staged bytes (each view burns
-        # kernel mappings instead, the vm.max_map_count budget).
-        return [
-            Binding(
-                [v.array() for v in sends],
-                [v.array() for v in recvs],
-                refresh,
-                flush,
-                spans=("exchange.sync", "exchange.sync"),
-            )
-        ]
+        sends, recvs = window(self.plan.sends), window(self.plan.recvs)
+        if not self._views or self._views[0].zero_copy:
+            # Pack-free through the MMU: no staged bytes (the windows burn
+            # kernel mappings instead, the vm.max_map_count budget).
+            return [Binding(sends, recvs)]
+        # The simulated arena: one gather and one scatter per exchange
+        # stand in for the MMU.
+        send, recv = self._views
+        sync = ("exchange.sync", "exchange.sync")
+        return [Binding(sends, recvs, send.refresh, recv.flush, sync, "numpy")]
 
     def close(self) -> None:
         for v in self._views:

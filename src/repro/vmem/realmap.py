@@ -4,16 +4,21 @@ This is not a simulation.  Exactly as in the paper's Figure 5, the arena's
 "physical resources" are the contents of an anonymous in-memory file
 (created with :func:`os.memfd_create`); a stitched view reserves a
 contiguous span of virtual addresses (an anonymous ``PROT_NONE`` mapping)
-and then ``mmap``\\ s each requested file range over it with
-``MAP_SHARED | MAP_FIXED``.  The resulting NumPy array *aliases* the brick
+and then ``mmap``\\ s the requested file ranges over it with
+``MAP_SHARED | MAP_FIXED`` -- one call per run of chunks that are
+contiguous in the file as well, which leaves the kernel the same VMAs as
+one call per chunk would.  The resulting NumPy array *aliases* the brick
 storage: writing a brick changes what every view containing it sees, with
 no data movement whatsoever.
 
 Caveats handled here mirror the paper's Section 4 concerns: every range
 must be page-aligned (callers pad regions to page multiples -- the Table 2
-bandwidth waste), and each live view consumes ``len(chunks)`` entries of
-the kernel's ``vm.max_map_count`` budget (default 65530), which is exactly
-why Layout optimization is used to minimise the number of mappings.
+bandwidth waste), and each live view is charged ``len(chunks)`` -- its
+requested chunks -- against the kernel's ``vm.max_map_count`` budget
+(default 65530), which is exactly why Layout optimization is used to
+minimise the number of mappings.  The charge is the paper's; it is an
+upper bound on the live kernel VMAs once the kernel merges file-contiguous
+neighbours.
 """
 
 from __future__ import annotations
@@ -129,7 +134,9 @@ class MemfdArena(Arena):
 
     @property
     def mapping_count(self) -> int:
-        """Live kernel VMAs consumed by this arena's views (plus 1 base)."""
+        """Requested chunks of this arena's live views, plus 1 base: the
+        paper's ``vm.max_map_count`` charge, an upper bound on the kernel
+        VMAs once the kernel merges file-contiguous neighbours."""
         return 1 + sum(len(v.chunks) for v in self._views if not v.closed)
 
     def close(self) -> None:
@@ -157,6 +164,19 @@ class MemfdArena(Arena):
             pass
 
 
+def _file_runs(chunks: List[Tuple[int, int]]) -> List[Tuple[int, int, int]]:
+    """``(offset, length, nchunks)`` of each run of consecutive *chunks*
+    that also follow each other in the file: one ``mmap`` maps a run."""
+    runs: List[Tuple[int, int, int]] = []
+    for off, length in chunks:
+        if runs and runs[-1][0] + runs[-1][1] == off:
+            start, size, n = runs[-1]
+            runs[-1] = (start, size + length, n + 1)
+        else:
+            runs.append((off, length, 1))
+    return runs
+
+
 class RealStitchedView(StitchedViewBase):
     """Aliased contiguous window over selected pages of a :class:`MemfdArena`."""
 
@@ -166,7 +186,7 @@ class RealStitchedView(StitchedViewBase):
         self.closed = False
         libc = _LIBC
         total = self.nbytes
-        # Reserve a contiguous virtual span, then overlay each file range.
+        # Reserve a contiguous virtual span, then overlay each file run.
         VMEM_FAULTS.check("view_reserve")
         base = libc.mmap(
             None, total, _PROT_NONE, _MAP_PRIVATE | _MAP_ANONYMOUS, -1, 0
@@ -179,8 +199,9 @@ class RealStitchedView(StitchedViewBase):
         # reservation unmaps every chunk mapped so far in a single call.
         try:
             pos = 0
-            for off, length in chunks:
-                VMEM_FAULTS.check("view_map_chunk")
+            for off, length, nchunks in _file_runs(chunks):
+                for _ in range(nchunks):  # each requested chunk can fail
+                    VMEM_FAULTS.check("view_map_chunk")
                 addr = libc.mmap(
                     base + pos,
                     length,

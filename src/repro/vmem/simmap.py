@@ -46,7 +46,8 @@ class SimArena(Arena):
 
     @property
     def mapping_count(self) -> int:
-        """Simulated VMA count, mirroring :class:`MemfdArena`."""
+        """Requested chunks of the live views, plus 1 base: the paper's
+        ``vm.max_map_count`` charge, counted as :class:`MemfdArena` does."""
         return 1 + sum(len(v.chunks) for v in self._views if not v.closed)
 
     def close(self) -> None:
@@ -109,8 +110,8 @@ class SimStitchedView(StitchedViewBase):
         overlapping surface regions), the *last* virtual occurrence wins
         here.  Writing different values through two aliases of one page is
         a data race whose order is unspecified even on the real mapping;
-        the exchange never does it (recv views map disjoint ghost pages,
-        send views only read).
+        the exchange never does it (its receive window maps disjoint ghost
+        pages, its send window only reads).
 
         *up_to_bytes* (page-multiple) limits write-back to the leading
         pages -- used when the view's tail aliases foreign data.

@@ -60,3 +60,21 @@ def test_sim_views_report_not_zero_copy(monkeypatch):
     view = st.make_view([(0, 4096)])
     assert not view.zero_copy
     st.close()
+
+
+@pytest.mark.parametrize(
+    "tier, copy_backend", [("cffi", "cffi+numpy"), ("numpy", "numpy")]
+)
+def test_sim_arena_memmap_reports_its_copies(
+    problem, tier, copy_backend, monkeypatch
+):
+    """Without memfd the windows gather and scatter every exchange on
+    NumPy, and the run says so beside the wire's tier."""
+    from repro.stencil.reference import apply_periodic_reference
+
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", tier)
+    monkeypatch.setattr(storage_mod, "default_arena", SimArena)
+    run = run_executed(problem, "memmap", theta_knl(), timesteps=2)
+    ref = apply_periodic_reference(problem.initial_global(0), SEVEN_POINT, 2)
+    np.testing.assert_array_equal(run.global_result, ref)
+    assert run.copy_backend == copy_backend

@@ -12,7 +12,13 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.driver import _vmem_probe_failed
+from repro.core.geometry import RunGeometry
+from repro.core.problem import StencilProblem
 from repro.faults.runtime import VMEM_FAULTS, FaultPoints
+from repro.simmpi.comm import CartComm
+from repro.simmpi.fabric import SimFabric
+from repro.stencil.spec import SEVEN_POINT
 from repro.vmem.realmap import MemfdArena, realmap_available
 from repro.vmem.simmap import SimArena
 
@@ -133,6 +139,37 @@ class TestRealArenaCleanup:
             assert _n_maps() == baseline_maps
         finally:
             arena.close()
+
+    @pytest.mark.parametrize("into_run", [1, 25], ids=["second", "last"])
+    def test_fault_inside_a_coalesced_run_is_clean(self, into_run):
+        """A MemMap exchanger's receive window is its 26 ghost chunks
+        back to back in the file: one run, one ``mmap``.  Each requested
+        chunk still passes the fault site before the run is mapped, so
+        a fault armed at chunk k of the run fails there, and releasing
+        the storage releases everything."""
+        problem = StencilProblem(
+            (32, 32, 32), (2, 2, 2), SEVEN_POINT, brick_dim=(8, 8, 8), ghost=8
+        )
+        geometry = RunGeometry(problem, "memmap")
+        comm = CartComm(SimFabric(8), 0, (2, 2, 2))
+        plan = geometry.plans[0]
+        send_chunks = sum(len(m.ranges) for m in plan.sends)
+        assert sum(len(m.ranges) for m in plan.recvs) == 26
+        before = (_n_maps(), _open_fds())
+        storage = geometry.decomp.mmap_alloc(geometry.page_size)[0]
+        with VMEM_FAULTS.armed("view_map_chunk", skip=send_chunks + into_run):
+            with pytest.raises(OSError, match="view_map_chunk"):
+                geometry.bind("memmap", comm, storage)
+        # Only the send window survived the failure, in the arena's care.
+        assert storage.arena.mapping_count == 1 + send_chunks
+        # The degradation vote's probe over that storage still fails
+        # when armed (and so demotes), and maps cleanly when not.
+        with VMEM_FAULTS.armed("view_map_chunk"):
+            assert _vmem_probe_failed(storage)
+        assert not _vmem_probe_failed(storage)
+        storage.close()
+        del storage
+        assert (_n_maps(), _open_fds()) == before
 
     def test_close_after_failed_view_is_idempotent(self):
         arena = MemfdArena(4 * PAGE, PAGE)
