@@ -6,8 +6,9 @@
     python examples/paper_figures.py --list
 
 Thin wrapper around :mod:`repro.bench.render`, which holds one renderer
-per artifact; the benchmark suite asserts the quantitative shapes of the
-same data (see benchmarks/).
+per artifact (the same output as ``python -m repro figures``);
+``tests/test_paper_claims.py`` asserts the paper's claims on the same
+data.
 """
 
 import argparse
@@ -29,8 +30,7 @@ def main(argv=None) -> int:
     unknown = [n for n in names if n not in ARTIFACTS]
     if unknown:
         parser.error(f"unknown artifacts {unknown}; see --list")
-    for name in names:
-        print(render(name))
+    sys.stdout.write("\n".join(render(name) for name in names))
     return 0
 
 

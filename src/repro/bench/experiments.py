@@ -4,12 +4,17 @@ Every function evaluates the modelled cost of each scheme through the
 *same* machinery the executed driver uses (``repro.core.model``), at the
 paper's exact experimental configurations: 8-node K1/V1 sweeps over
 subdomain sizes 512^3 .. 16^3, strong scaling to 1024 nodes, page-size
-sweeps, and the padding/bandwidth table.  Results come back as plain
-dicts ready for :func:`repro.bench.harness.format_series`.
+sweeps, and the padding/bandwidth table -- plus the design ablations
+D1 (region order), D3 (ghost expansion, modelled and executed) and D4
+(brick size).  Results come back as plain dicts:
+:mod:`repro.bench.render` turns each into the committed
+``benchmarks/results/<id>.txt`` and ``tests/test_paper_claims.py``
+asserts the paper's claim on the same dict.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,7 +28,8 @@ from repro.hardware.profiles import (
 )
 from repro.layout.analysis import table1 as _table1
 from repro.layout.messages import messages_for_order
-from repro.layout.order import SURFACE3D, lexicographic_order
+from repro.layout.order import SURFACE3D, grouped_order, lexicographic_order
+from repro.layout.search import anneal_order
 from repro.stencil.spec import CUBE125, SEVEN_POINT, StencilSpec
 
 __all__ = [
@@ -43,6 +49,10 @@ __all__ = [
     "v2_strong_scaling",
     "fig18_pagesize",
     "table3_costs",
+    "d1_layout_order",
+    "d3_ghost_expansion",
+    "d3_expansion_executed",
+    "d4_brick_size",
 ]
 
 #: Subdomain dimensions of the 8-node sweeps (K1, V1, Figs. 1/4/18).
@@ -381,3 +391,111 @@ def table3_costs(profile: Optional[MachineProfile] = None) -> Dict:
                   " 64 KiB pages -- Section 7.3",
         },
     }
+
+
+# ---------------------------------------------------------------------------
+# Ablations beyond the paper's figures (DESIGN.md Section 5)
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _annealed_3d() -> tuple:
+    """The seeded 3-D annealing search (~0.6 s; deterministic, so once)."""
+    return tuple(anneal_order(3, seed=1, restarts=4, iters=2000, target=42)[0])
+
+
+def d1_layout_order(profile: Optional[MachineProfile] = None) -> Dict:
+    """D1: message count and 16^3 comm time of four 3-D region orders."""
+    profile = profile or theta_knl()
+    orders = {
+        "lexicographic": lexicographic_order(3),
+        "grouped": grouped_order(3),
+        "annealed": list(_annealed_3d()),
+        "surface3d": SURFACE3D,
+    }
+    return {
+        "order": list(orders),
+        "messages": [messages_for_order(o, 3) for o in orders.values()],
+        "comm_ms": [
+            exchange_breakdown(profile, "layout", (16, 16, 16), layout=o).comm
+            * 1e3
+            for o in orders.values()
+        ],
+    }
+
+
+def d3_ghost_expansion(profile: Optional[MachineProfile] = None) -> Dict:
+    """D3 (Ding & He): a g-wide ghost zone exchanged every g/8 steps
+    trades volume for frequency.  Per-step cost = exchange(g) amortized
+    plus redundant compute, bounded by the full shell each step; the
+    32^3 subdomain is startup-bound, where expansion pays."""
+    profile = profile or theta_knl()
+    n = 32
+    out = {
+        "ghost": [], "exch_ms": [], "per_step_ms": [],
+        "per_step+redundant_ms": [],
+    }
+    for bricks_wide in (w for w in (1, 2, 4) if n // 8 >= 2 * w):
+        g = 8 * bricks_wide
+        comm = exchange_breakdown(profile, "memmap", (n, n, n), ghost=g).comm
+        per_step = comm / bricks_wide
+        shell = (n + 2 * g) ** 3 - n**3
+        redundant = profile.brick_compute.stencil_time(
+            shell * (bricks_wide - 1) // (2 * bricks_wide), 8, 16
+        )
+        out["ghost"].append(g)
+        out["exch_ms"].append(comm * 1e3)
+        out["per_step_ms"].append(per_step * 1e3)
+        out["per_step+redundant_ms"].append((per_step + redundant) * 1e3)
+    return out
+
+
+def d3_expansion_executed(profile: Optional[MachineProfile] = None) -> Dict:
+    """D3, executed: 8-rank YASK runs on 16^3 subdomains at exchange
+    periods 1..8, with each run's modelled per-step comm and calc and
+    whether it is bit-exact against the serial reference."""
+    from repro.core.driver import run_executed
+    from repro.core.problem import StencilProblem
+    from repro.stencil.reference import apply_periodic_reference
+
+    profile = profile or theta_knl()
+    problem = StencilProblem((32, 32, 32), (2, 2, 2), SEVEN_POINT, (8, 8, 8), 8)
+    steps = 8
+    ref = apply_periodic_reference(problem.initial_global(0), SEVEN_POINT, steps)
+    out = {
+        "period": [], "sends/rank": [], "comm_ms/step": [],
+        "calc_ms/step": [], "total": [], "exact": [],
+    }
+    for period in (1, 2, 4, 8):
+        run = run_executed(
+            problem, "yask", profile, timesteps=steps, exchange_period=period
+        )
+        m = run.metrics
+        out["period"].append(period)
+        out["sends/rank"].append(run.fabric.stats[0].sends)
+        out["comm_ms/step"].append(m.comm_time * 1e3)
+        out["calc_ms/step"].append(m.calc.avg * 1e3)
+        out["total"].append((m.comm_time + m.calc.avg) * 1e3)
+        out["exact"].append(bool((run.global_result == ref).all()))
+    return out
+
+
+def d4_brick_size(profile: Optional[MachineProfile] = None) -> Dict:
+    """D4: brick edge 4/8/16 on 64^3 with 64 KiB pages -- page padding
+    against message granularity."""
+    profile = profile or theta_knl()
+    n, page = 64, 65536
+    out = {"brick": [], "ghost": [], "padding_%": [], "comm_ms": []}
+    for b in (4, 8, 16):
+        g = max(b, 8)
+        specs = memmap_schedule((n // b,) * 3, g // b, SURFACE3D, b**3 * 8, page)
+        pay = sum(m.payload_bytes for m in specs)
+        wire = sum(m.wire_bytes for m in specs)
+        comm = exchange_breakdown(
+            profile, "memmap", (n, n, n), brick_dim=(b,) * 3, ghost=g,
+            page_size=page,
+        ).comm
+        out["brick"].append(b)
+        out["ghost"].append(g)
+        out["padding_%"].append(100 * (wire - pay) / pay)
+        out["comm_ms"].append(comm * 1e3)
+    return out

@@ -1,18 +1,27 @@
 """Rendered (text) versions of every paper artifact.
 
-The single registry behind ``examples/paper_figures.py``, the ``repro
-figures`` CLI and parts of the benchmark suite: each entry returns the
-artifact as an aligned text table.
+The single registry behind ``repro figures`` and
+``examples/paper_figures.py``: each entry returns one artifact as an
+aligned text table, and ``benchmarks/results/<id>.txt`` is exactly that
+text (``tests/test_paper_claims.py`` checks both, and asserts the
+paper's claims on the same ``repro.bench.experiments`` data).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from repro.bench import experiments as E
 from repro.bench.harness import format_series, format_table
 
 __all__ = ["ARTIFACTS", "render"]
+
+
+def _columns(
+    title: str, d: Mapping[str, Sequence], columns: Optional[Sequence[str]] = None
+) -> str:
+    """A ``{column: values}`` dict as a table (headers default to its keys)."""
+    return format_table(title, columns or list(d), list(zip(*d.values())))
 
 
 def _fig1() -> str:
@@ -24,7 +33,7 @@ def _fig1() -> str:
         for i, n in enumerate(d["sizes"])
     ]
     return format_table(
-        "FIG1  Time breakdown, % of YASK total (8 KNL nodes)",
+        "FIG1  Time breakdown per timestep, % of YASK total (8 KNL nodes)",
         ["N", "yask:comp", "yask:mpi", "yask:pack", "prop:comp", "prop:mpi"],
         rows, spec=".1f",
     )
@@ -33,21 +42,22 @@ def _fig1() -> str:
 def _fig4() -> str:
     d = E.fig4_layout_vs_basic()
     return format_series(
-        "FIG4  Communication time (ms): YASK vs Basic(98) vs Layout(42)",
+        "FIG4  Communication time per timestep (ms), 8 KNL nodes",
         "N", d["sizes"], d["comm_ms"],
     )
 
 
 def _tab1() -> str:
-    d = E.table1_messages()
-    rows = list(zip(*(d[k] for k in d)))
-    return format_table("TAB1  Messages vs dimensionality", list(d), rows)
+    return _columns(
+        "TAB1  Messages per exchange vs dimensionality", E.table1_messages(),
+        ["D", "Neighbors (Eq.2)", "Layout (Eq.1)", "Basic (Eq.3)"],
+    )
 
 
 def _fig8() -> str:
     d = E.k1_scaling()
     return format_series(
-        "FIG8  (K1) 7-pt GStencil/s, 8 KNL nodes", "N", d["sizes"],
+        "FIG8  (K1) 7-pt throughput, GStencil/s on 8 KNL nodes", "N", d["sizes"],
         d["gstencils"],
     )
 
@@ -56,7 +66,7 @@ def _fig9() -> str:
     d = E.k1_comm_time()
     series = dict(d["comm_ms"], **{"comp(memmap)": d["comp_ms"]})
     return format_series(
-        "FIG9  (K1) Communication time (ms), 8 KNL nodes", "N", d["sizes"],
+        "FIG9  (K1) Communication time per timestep (ms), 8 KNL nodes", "N", d["sizes"],
         series,
     )
 
@@ -64,7 +74,7 @@ def _fig9() -> str:
 def _fig10() -> str:
     d = E.k1_compute_time()
     return format_series(
-        "FIG10  (K1) Compute time (ms), 8 KNL nodes", "N", d["sizes"],
+        "FIG10  (K1) Compute time per timestep (ms), 8 KNL nodes", "N", d["sizes"],
         d["comp_ms"],
     )
 
@@ -72,7 +82,7 @@ def _fig10() -> str:
 def _fig11() -> str:
     d = E.k2_strong_scaling()
     return format_series(
-        "FIG11  (K2) Strong scaling 1024^3, GStencil/s", "nodes", d["nodes"],
+        "FIG11  (K2) Strong scaling, 1024^3 domain, GStencil/s", "nodes", d["nodes"],
         d["gstencils"],
     )
 
@@ -80,7 +90,7 @@ def _fig11() -> str:
 def _fig12() -> str:
     d = E.k2_strong_scaling()
     return format_series(
-        "FIG12  (K2) comm vs comp per timestep (ms), 7-pt", "nodes",
+        "FIG12  (K2) 7-pt per-timestep comm vs comp (ms)", "nodes",
         d["nodes"],
         {
             "yask:comm": d["comm_ms"]["yask:7pt"],
@@ -94,7 +104,7 @@ def _fig12() -> str:
 def _fig13() -> str:
     d = E.v1_scaling()
     return format_series(
-        "FIG13  (V1) 7-pt GStencil/s, 8 V100s", "N", d["sizes"],
+        "FIG13  (V1) 7-pt throughput, GStencil/s on 8 V100s", "N", d["sizes"],
         d["gstencils"],
     )
 
@@ -103,7 +113,7 @@ def _fig14() -> str:
     d = E.v1_comm_time()
     series = dict(d["comm_ms"], **{"comp(memmap_um)": d["comp_ms"]})
     return format_series(
-        "FIG14  (V1) Communication time (ms), 8 V100s", "N", d["sizes"],
+        "FIG14  (V1) Communication time per timestep (ms), 8 V100s", "N", d["sizes"],
         series,
     )
 
@@ -111,7 +121,7 @@ def _fig14() -> str:
 def _fig15() -> str:
     d = E.v1_compute_time()
     return format_series(
-        "FIG15  (V1) Compute time (ms), 8 V100s", "N", d["sizes"],
+        "FIG15  (V1) Compute time per timestep (ms), 8 V100s", "N", d["sizes"],
         d["comp_ms"],
     )
 
@@ -125,8 +135,8 @@ def _tab2() -> str:
         for i, n in enumerate(d["sizes"])
     ]
     return format_table(
-        "TAB2  (V1) Padding (%) and achieved bandwidth (GB/s)",
-        ["N", "pad%:layout", "pad%:memmap", "bw:CA", "bw:L_UM", "bw:MM_UM"],
+        "TAB2  (V1) Padding overhead (%) and achieved bandwidth (GB/s)",
+        ["N", "pad% layout", "pad% memmap", "bw CA", "bw L_UM", "bw MM_UM"],
         rows, spec=".1f",
     )
 
@@ -134,19 +144,21 @@ def _tab2() -> str:
 def _fig16() -> str:
     d = E.v2_strong_scaling()
     return format_series(
-        "FIG16  (V2) Strong scaling 2048^3, GStencil/s", "nodes", d["nodes"],
-        d["gstencils"],
+        "FIG16  (V2) Strong scaling, 2048^3, 6 ranks/node, GStencil/s",
+        "nodes", d["nodes"], d["gstencils"],
     )
 
 
 def _fig17() -> str:
     d = E.v2_strong_scaling()
     return format_series(
-        "FIG17  (V2) comm vs comp per timestep (ms), 7-pt", "nodes",
+        "FIG17  (V2) 7-pt per-timestep comm vs comp (ms)", "nodes",
         d["nodes"],
         {
             "types:comm": d["comm_ms"]["mpi_types_um:7pt"],
+            "types:comp": d["comp_ms"]["mpi_types_um:7pt"],
             "memmap:comm": d["comm_ms"]["memmap_um:7pt"],
+            "memmap:comp": d["comp_ms"]["memmap_um:7pt"],
             "layout_ca:comm": d["comm_ms"]["layout_ca:7pt"],
             "layout_ca:comp": d["comp_ms"]["layout_ca:7pt"],
         },
@@ -156,7 +168,7 @@ def _fig17() -> str:
 def _fig18() -> str:
     d = E.fig18_pagesize()
     return format_series(
-        "FIG18  Page-size effect on MemMap comm (ms), 8 KNL nodes", "N",
+        "FIG18  Page-size effect on MemMap comm time (ms), 8 KNL nodes", "N",
         d["sizes"], d["comm_ms"],
     )
 
@@ -168,11 +180,35 @@ def _tab3() -> str:
         for i, name in enumerate(d["rows"])
     ]
     body = format_table(
-        "TAB3  Cost comparison", ["Cost Type", "Array", "Layout", "MemMap"],
+        "TAB3  Cost comparison: array practice vs Layout vs MemMap",
+        ["Cost Type", "Array", "Layout", "MemMap"],
         rows,
     )
     notes = "\n".join(f"{k} {v}" for k, v in d["notes"].items())
     return body + notes + "\n"
+
+
+def _d1() -> str:
+    return _columns(
+        "D1  Region-order quality (16^3 subdomain, Theta)", E.d1_layout_order()
+    )
+
+
+def _d3() -> str:
+    return _columns(
+        "D3  Ghost-cell expansion on 32^3 (Theta, MemMap)",
+        E.d3_ghost_expansion(),
+    ) + "\n" + _columns(
+        "D3 (executed)  Exchange period on 16^3 subdomains (YASK, Theta)",
+        E.d3_expansion_executed(),
+    )
+
+
+def _d4() -> str:
+    return _columns(
+        "D4  Brick size on 64^3 (Theta, MemMap, 64 KiB pages)",
+        E.d4_brick_size(),
+    )
 
 
 ARTIFACTS: Dict[str, Callable[[], str]] = {
@@ -182,6 +218,7 @@ ARTIFACTS: Dict[str, Callable[[], str]] = {
     "fig13": _fig13, "fig14": _fig14, "fig15": _fig15,
     "tab2": _tab2, "fig16": _fig16, "fig17": _fig17,
     "fig18": _fig18, "tab3": _tab3,
+    "d1": _d1, "d3": _d3, "d4": _d4,
 }
 
 

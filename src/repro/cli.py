@@ -3,7 +3,8 @@
 Commands
 --------
 ``figures [name ...]``
-    Regenerate paper artifacts as text tables (all 16 by default).
+    Regenerate paper artifacts as text tables (all 19 by default: the
+    16 paper tables and figures, and the D1, D3, D4 ablations).
 ``run``
     Execute a distributed stencil run on simulated ranks, validate it
     bit-for-bit against the serial reference, and print the artifact
@@ -57,8 +58,9 @@ def _cmd_figures(args) -> int:
         print(" ".join(ARTIFACTS))
         return 0
     names = args.names or list(ARTIFACTS)
-    for name in names:
-        print(render(name))
+    # A blank line between artifacts; one artifact's output is exactly
+    # its benchmarks/results/<id>.txt.
+    sys.stdout.write("\n".join(render(name) for name in names))
     return 0
 
 

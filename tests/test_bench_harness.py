@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.bench.advisor import AdviceRow, advise, render_advice
 from repro.bench.harness import dims_create, format_series, format_table
-from repro.bench.render import ARTIFACTS, render
+from repro.bench.render import render
 
 
 class TestDimsCreate:
@@ -57,18 +57,10 @@ class TestFormatting:
 
 
 class TestRenderRegistry:
-    def test_all_16_artifacts(self):
-        assert len(ARTIFACTS) == 16
-
+    # Every artifact's text is pinned by tests/test_paper_claims.py.
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             render("fig99")
-
-    @pytest.mark.parametrize("name", ["tab1", "fig4", "tab3"])
-    def test_cheap_artifacts_render(self, name):
-        out = render(name)
-        assert name.upper()[:3] in out.upper()
-        assert len(out.splitlines()) > 3
 
 
 class TestAdvisor:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from repro.bench.render import render
 from repro.cli import main
 
 
@@ -21,14 +22,15 @@ class TestFigures:
     def test_list(self, capsys):
         assert main(["figures", "--list"]) == 0
         out = capsys.readouterr().out.split()
-        assert len(out) == 16
-        assert "fig9" in out
+        assert len(out) == 19
+        assert "fig9" in out and "d3" in out
 
     def test_single_artifact(self, capsys):
         assert main(["figures", "tab1"]) == 0
         out = capsys.readouterr().out
         assert "TAB1" in out
         assert "1042" in out  # Eq. 1 at D=5
+        assert out == render("tab1")  # byte for byte benchmarks/results/tab1.txt
 
     def test_unknown_artifact(self):
         with pytest.raises(ValueError):

@@ -54,7 +54,7 @@ def test_paper_figures_list():
     assert res.returncode == 0
     names = res.stdout.split()
     assert "fig9" in names and "tab2" in names
-    assert len(names) == 16
+    assert len(names) == 19
 
 
 def test_paper_figures_rejects_unknown():

@@ -433,3 +433,20 @@ def test_lint_file_on_real_sources():
         "exchange/costs.py", "exchange/brickpack.py", "exchange/boxes.py",
     ):
         assert lint_invariants.lint_file(lint_invariants.SRC / rel) == []
+
+
+def test_backticked_doc_path_must_exist():
+    doc = lint_invariants.REPO / "DESIGN.md"
+    text = (
+        "| FIG12 | `benchmarks/test_k2_decomposition.py` |\n"
+        "see `tests/test_paper_claims.py::test_claim` and"
+        " `.github/workflows/ci.yml:334-337`,\n"
+        "`benchmarks/test_measured_*.py`, `benchmarks/results/<id>.txt`,\n"
+        "`core/runplan.py` (a module path) and `tests/gone_*.py`\n"
+    )
+    violations = lint_invariants.check_doc_paths(doc, text)
+    assert [(v[1], v[2].split("`")[1]) for v in violations] == [
+        (1, "benchmarks/test_k2_decomposition.py"),
+        (4, "tests/gone_*.py"),
+    ]
+    assert "does not exist" in violations[0][2]

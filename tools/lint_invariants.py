@@ -2,7 +2,7 @@
 """AST lint for the repo's typed-error and fabric-chokepoint invariants.
 
 Plain Python on purpose: the CI lint job has ruff, local dev containers
-may not, and these rules are project-specific anyway.  Seven checks:
+may not, and these rules are project-specific anyway.  Eight checks:
 
 1. **No bare raises in the communication layers.**  Inside
    ``src/repro/simmpi`` and ``src/repro/exchange``, ``raise
@@ -60,8 +60,8 @@ may not, and these rules are project-specific anyway.  Seven checks:
    with a trial ``brick_decomp()`` that builds no assignment -- no world
    is launched from it); and, for ``.initial_global(...)`` only, the
    serial reference oracles
-   of ``cli.py`` and ``faults/chaos.py`` (they compute what a run is
-   compared *against*).
+   of ``cli.py``, ``faults/chaos.py`` and ``bench/experiments.py`` (D3's
+   executed runs) -- they compute what a run is compared *against*.
    And ``SimFabric(...)`` is constructed nowhere under
    ``src/repro/check``: a schedule is data, the verifier needs no
    fabric.
@@ -104,6 +104,14 @@ may not, and these rules are project-specific anyway.  Seven checks:
    (``arr[slc] = view``) cannot be told from a dict store and is not
    matched; the loops this rule is about all have a matched twin.
 
+8. **The docs point at what exists.**  Every backticked repository
+   path in ``README.md`` and ``DESIGN.md`` -- a span whose first
+   component is one of the repository's top-level directories, with an
+   optional ``::name`` or ``:line`` suffix, globs allowed -- names a
+   file or directory that exists: a table row that cites a deleted
+   module sends the reader nowhere.  Spans with a placeholder (``<id>``,
+   ``{...}``, ``$VAR``) are templates, not paths, and are skipped.
+
 Every file an allowlist names must exist under ``src/repro``: a stale
 entry would silently exempt whatever file lands at that path later.
 
@@ -115,6 +123,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import re
 import sys
 from pathlib import Path
 from typing import List, Tuple
@@ -172,6 +181,7 @@ GEOMETRY_ALLOWLIST = {
     "elastic/placement.py": ("brick_decomp",),
     "cli.py": ("initial_global",),
     "faults/chaos.py": ("initial_global",),
+    "bench/experiments.py": ("initial_global",),
 }
 
 #: the one pricer, its home, and the primitive only it may call
@@ -202,6 +212,12 @@ NUMPY_TIER = {
     "exchange/boxes.py": ("_numpy_gather", "_numpy_scatter", "_numpy_copy"),
     "simmpi/fabric.py": ("_numpy_copy_list", "_land_faulted"),
 }
+
+#: docs whose backticked repository paths must resolve (rule 8)
+DOC_FILES = ("README.md", "DESIGN.md")
+DOC_PATH_ROOTS = (".github", "benchmarks", "examples", "src", "tests", "tools")
+_BACKTICKED = re.compile(r"`([^`\s]+)`")
+_PATH_SUFFIX = re.compile(r"(::.*|:[\d,-]+)$")
 
 Violation = Tuple[Path, int, str]
 
@@ -626,6 +642,28 @@ def check_allowlists() -> List[Violation]:
     ]
 
 
+def check_doc_paths(path: Path, text: str) -> List[Violation]:
+    out: List[Violation] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for span in _BACKTICKED.findall(line):
+            rel = _PATH_SUFFIX.sub("", span).rstrip("/")
+            if rel.split("/", 1)[0] not in DOC_PATH_ROOTS or "/" not in rel:
+                continue
+            if any(c in rel for c in "<{$"):
+                continue
+            if ("*" in rel and any(REPO.glob(rel))) or (REPO / rel).exists():
+                continue
+            out.append(
+                (
+                    path,
+                    lineno,
+                    f"`{span}` names {rel}, which does not exist: point the"
+                    " doc at what replaced it, or drop the reference",
+                )
+            )
+    return out
+
+
 def lint_file(path: Path) -> List[Violation]:
     tree = ast.parse(path.read_text(), filename=str(path))
     rel = path.relative_to(SRC).as_posix()
@@ -654,6 +692,8 @@ def main(argv=None) -> int:
     violations = check_allowlists()
     for f in files:
         violations += lint_file(f)
+    for doc in DOC_FILES:
+        violations += check_doc_paths(REPO / doc, (REPO / doc).read_text())
     for path, line, msg in violations:
         print(f"{path.relative_to(REPO)}:{line}: {msg}")
     if violations:
