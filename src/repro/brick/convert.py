@@ -60,35 +60,22 @@ def element_permutation(
         raise ValueError(f"field {fld} outside 0..{decomp.nfields - 1}")
 
     ndim = decomp.ndim
-    g = decomp.ghost_elems
-    # Per-axis element coordinate decomposition (axis order 1..D).
-    grid_axes = []  # brick-grid index along each axis (0 .. n+2W-1)
-    within_axes = []  # within-brick offset along each axis
-    for axis in range(ndim):
-        bd = decomp.brick_dim[axis]
-        n_ext = decomp.extent[axis] + 2 * g
-        e = np.arange(n_ext)
-        grid_axes.append(e // bd)
-        within_axes.append(e % bd)
-
-    # slot per element: expand grid_index through per-axis grid coords.
-    # grid_index is numpy-ordered (axis D first); use open meshes.
-    mesh = np.ix_(*(grid_axes[axis] for axis in range(ndim - 1, -1, -1)))
-    slots = assignment.grid_index[mesh]  # extended shape
-    if (slots < 0).any():
+    grid_index = assignment.grid_index  # (N_D, ..., N_1), axis 1 last
+    if (grid_index < 0).any():
         raise AssertionError("extended array element fell outside the grid")
-
-    # within-brick flat offset (axis 1 fastest), broadcast over axes.
-    offset = np.zeros((1,) * ndim, dtype=np.int64)
+    # Element (c_D, ..., c_1) sits in brick c // b at within-brick offset
+    # c % b: split every axis into (brick, within) and broadcast the
+    # brick's base over the within-brick offsets (axis 1 fastest).
+    offset = np.zeros((1,) * (2 * ndim), dtype=np.int64)
     stride = 1
     for axis in range(ndim):
-        shape = [1] * ndim
-        shape[ndim - 1 - axis] = within_axes[axis].size  # numpy axis position
-        offset = offset + within_axes[axis].reshape(shape) * stride
+        shape = [1] * (2 * ndim)
+        shape[2 * (ndim - 1 - axis) + 1] = decomp.brick_dim[axis]
+        offset = offset + np.arange(decomp.brick_dim[axis]).reshape(shape) * stride
         stride *= decomp.brick_dim[axis]
-
-    field_base = fld * decomp.brick_volume
-    perm = slots * decomp.brick_elems + field_base + offset
+    base = grid_index * decomp.brick_elems + fld * decomp.brick_volume
+    split = [d for n in grid_index.shape for d in (n, 1)]
+    perm = (base.reshape(split) + offset).reshape(extended_shape(decomp))
     perm.flags.writeable = False  # shared by every caller of this decomp
     cache[key] = perm
     return perm

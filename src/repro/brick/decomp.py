@@ -26,31 +26,30 @@ price of phantom padding slots (the Table 2 network-transfer waste).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.brick.info import BrickInfo
 from repro.brick.storage import BrickStorage
-from repro.layout.order import surface_order, validate_order
-from repro.layout.regions import all_regions, sending_regions
+from repro.layout.messages import runs_per_neighbor
+from repro.layout.order import check_order, surface_order
 from repro.util.bitset import BitSet
-from repro.util.indexing import ceil_div
 
 __all__ = ["Section", "SlotAssignment", "BrickDecomp"]
 
 _COORD_SENTINEL = np.iinfo(np.int32).min
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     """A contiguous slot range holding the bricks of one box.
 
     ``kind`` is ``"interior"``, ``"surface"`` or ``"ghost"``.  For surface
     sections ``region`` names ``r(S)``; for ghost sections ``region`` is
     the *sender's* region ``S'`` and ``neighbor`` the slab direction ``T``
-    (the neighbor the data comes from).
+    (the neighbor the data comes from).  A named tuple: an assignment
+    builds one per section key, ``5^D`` of them (125 in 3-D).
     """
 
     kind: str
@@ -173,157 +172,105 @@ class BrickDecomp:
 
         if layout is None:
             layout = surface_order(self.ndim)
-        self.layout: List[BitSet] = list(layout)
-        self.messages_per_exchange = validate_order(self.layout, self.ndim)
+        self.layout: List[BitSet] = check_order(layout, self.ndim)
+        #: every neighbor's message runs under the layout
+        self.runs = runs_per_neighbor(self.layout, self.ndim)
+        self.messages_per_exchange = sum(map(len, self.runs.values()))
+        self._vectors = np.array(
+            [region.to_vector(self.ndim) for region in self.layout], dtype=np.int64
+        ).reshape(len(self.layout), self.ndim)
         self._assignments: Dict[int, SlotAssignment] = {}
-
-    # ------------------------------------------------------------------
-    # Geometry
-    # ------------------------------------------------------------------
-    def region_box(self, region: BitSet) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Signed-coordinate (lo, extent) box of surface region ``r(region)``."""
-        lo, ext = [], []
-        for axis in range(self.ndim):
-            n, w = self.grid[axis], self.width
-            d = region.direction(axis + 1)
-            if d < 0:
-                lo.append(0)
-                ext.append(w)
-            elif d > 0:
-                lo.append(n - w)
-                ext.append(w)
-            else:
-                lo.append(w)
-                ext.append(n - 2 * w)
-        return tuple(lo), tuple(ext)
-
-    def interior_box(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        lo = tuple(self.width for _ in range(self.ndim))
-        ext = tuple(n - 2 * self.width for n in self.grid)
-        return lo, ext
-
-    def ghost_subsection_box(
-        self, neighbor: BitSet, sender_region: BitSet
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Box where ``N(neighbor)``'s region ``r(sender_region)`` lands.
-
-        The sender's region box shifted by ``neighbor * n``; valid only
-        when ``sender_region`` is a superset of ``opposite(neighbor)``.
-        """
-        if not neighbor.opposite().issubset(sender_region):
-            raise ValueError(
-                f"region {sender_region.notation()} is not sent to the"
-                f" neighbor opposite {neighbor.notation()}"
-            )
-        lo, ext = self.region_box(sender_region)
-        tvec = neighbor.to_vector(self.ndim)
-        lo = tuple(l + t * n for l, t, n in zip(lo, tvec, self.grid))
-        return lo, ext
 
     # ------------------------------------------------------------------
     # Slot assignment
     # ------------------------------------------------------------------
     def assignment(self, alignment: int = 1) -> SlotAssignment:
-        """Slot layout with section starts aligned to *alignment* slots."""
+        """Slot layout with section starts aligned to *alignment* slots.
+
+        Built from arrays: every cell of the ``(n + 2W)^D`` brick grid is
+        classified by its section key -- interior, surface region
+        ``r(S)``, or ghost subsection ``(T, S')`` -- one stable argsort
+        lays the sections out in key order (each box's cells stay in
+        C order, axis 1 fastest), and the aligned section starts are a
+        cumulative sum of the padded per-key counts.
+        """
         if alignment <= 0:
             raise ValueError("alignment must be positive")
         cached = self._assignments.get(alignment)
         if cached is not None:
             return cached
 
-        full = tuple(n + 2 * self.width for n in self.grid)
-        # numpy arrays index [axis_D, ..., axis_1] (axis 1 fastest/last)
-        np_shape = tuple(reversed(full))
-        grid_index = np.full(np_shape, -1, dtype=np.int64)
+        ndim, w = self.ndim, self.width
+        n = np.array(self.grid, dtype=np.int64)
+        vecs = self._vectors  # (R, ndim) layout regions, axis 1 first
+        nregions = len(self.layout)
+        # Ghost subsections in slot order: per neighbor T (layout order),
+        # every sender region S' that covers it -- opposite(T) a subset
+        # of S' -- in the sender's layout order.
+        covers = (
+            (vecs[:, None, :] == 0) | (vecs[None, :, :] == -vecs[:, None, :])
+        ).all(axis=2)
+        ghost_t, ghost_s = np.nonzero(covers)
+        nkeys = 1 + nregions + len(ghost_t)
+        # Per key: the direction vectors of its slab T (zero unless ghost)
+        # and of its region S (zero for the interior).
+        key_t = np.zeros((nkeys, ndim), dtype=np.int64)
+        key_s = np.zeros((nkeys, ndim), dtype=np.int64)
+        key_s[1 : 1 + nregions] = vecs
+        key_t[1 + nregions :] = vecs[ghost_t]
+        key_s[1 + nregions :] = vecs[ghost_s]
+        # (T, S) direction-index pair -> key.
+        weights = 3 ** np.arange(ndim, dtype=np.int64)
+        ndirs = 3**ndim
+        lookup = np.full(ndirs * ndirs, -1, dtype=np.int64)
+        lookup[(key_t + 1) @ weights * ndirs + (key_s + 1) @ weights] = np.arange(nkeys)
 
-        plan: List[Tuple[str, Optional[BitSet], Optional[BitSet], tuple, tuple]] = []
-        plan.append(("interior", None, None) + self.interior_box())
-        for region in self.layout:
-            plan.append(("surface", region, None) + self.region_box(region))
-        for neighbor in self.layout:
-            opp = neighbor.opposite()
-            wanted = {
-                s for s in sending_regions(opp, self.ndim)
-            }  # sender regions covering us
-            for sender_region in self.layout:
-                if sender_region in wanted:
-                    plan.append(
-                        ("ghost", sender_region, neighbor)
-                        + self.ghost_subsection_box(neighbor, sender_region)
-                    )
+        # Per axis, for each signed coordinate -W .. n+W-1: the slab it
+        # lies in (T_i) and the sender-frame region band (S_i).
+        np_shape = tuple(int(x) for x in reversed(n + 2 * w))
+        t_idx = s_idx = 0
+        for axis in range(ndim):
+            c = np.arange(-w, self.grid[axis] + w)
+            t = (c >= self.grid[axis]).astype(np.int64) - (c < 0)
+            s = np.where(
+                t != 0, -t, (c >= self.grid[axis] - w).astype(np.int64) - (c < w)
+            )
+            shape = [1] * ndim
+            shape[ndim - 1 - axis] = c.size  # numpy axis position
+            t_idx = t_idx + ((t + 1) * weights[axis]).reshape(shape)
+            s_idx = s_idx + ((s + 1) * weights[axis]).reshape(shape)
+        keys = lookup[(t_idx * ndirs + s_idx).reshape(-1)]
+        assert (keys >= 0).all(), "a brick-grid cell has no section"
 
-        sections: List[Section] = []
-        cursor = 0
-        coords_blocks: List[np.ndarray] = []
-        for kind, region, neighbor, lo, ext in plan:
-            nb = math.prod(ext)
-            aligned_start = ceil_div(cursor, alignment) * alignment
-            if kind == "interior":
-                # The interior needs no alignment of its own; it starts the
-                # buffer.  (cursor == 0 is always aligned.)
-                aligned_start = cursor
-            if nb == 0:
-                sections.append(
-                    Section(kind, aligned_start, 0, lo, ext, region, neighbor, 0)
-                )
-                continue
-            start = aligned_start
-            padded = ceil_div(nb, alignment) * alignment
-            sections.append(
-                Section(kind, start, nb, lo, ext, region, neighbor, padded)
-            )
-            # Fill grid_index for this box: slots are consecutive with
-            # axis 1 fastest, which is exactly numpy C-order over the
-            # reversed-axis slice.
-            slices = tuple(
-                slice(l + self.width, l + self.width + e)
-                for l, e in zip(reversed(lo), reversed(ext))
-            )
-            grid_index[slices] = np.arange(start, start + nb).reshape(
-                tuple(reversed(ext))
-            )
-            # Signed coordinates of each slot in the box, same ordering.
-            mesh = np.meshgrid(
-                *(np.arange(l, l + e) for l, e in zip(reversed(lo), reversed(ext))),
-                indexing="ij",
-            )
-            block = np.stack(
-                [m.reshape(-1) for m in reversed(mesh)], axis=1
-            )  # (nb, ndim) with axis 1 first
-            pad_rows = padded - nb
-            if pad_rows or start != cursor:
-                lead = start - cursor
-                if lead:
-                    coords_blocks.append(
-                        np.full((lead, self.ndim), _COORD_SENTINEL, dtype=np.int64)
-                    )
-                coords_blocks.append(block)
-                if pad_rows:
-                    coords_blocks.append(
-                        np.full((pad_rows, self.ndim), _COORD_SENTINEL, dtype=np.int64)
-                    )
-                cursor = start + padded
-            else:
-                coords_blocks.append(block)
-                cursor = start + nb
+        counts = np.bincount(keys, minlength=nkeys)
+        padded = -(-counts // alignment) * alignment
+        starts = np.concatenate(([0], np.cumsum(padded)[:-1]))
+        total = int(padded.sum())
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        first = np.cumsum(counts) - counts  # sorted position of each key's first cell
+        slots = starts[sorted_keys] + np.arange(keys.size) - first[sorted_keys]
+        grid_index = np.empty(keys.size, dtype=np.int64)
+        grid_index[order] = slots
+        grid_index = grid_index.reshape(np_shape)
+        # Signed coordinates of every cell, axis 1 first.
+        coords = np.indices(np_shape).reshape(ndim, -1)[::-1].T - w
+        slot_coords = np.full((total, ndim), _COORD_SENTINEL, dtype=np.int64)
+        slot_coords[slots] = coords[order]
 
-        total = ceil_div(cursor, alignment) * alignment
-        if total > cursor:
-            coords_blocks.append(
-                np.full((total - cursor, self.ndim), _COORD_SENTINEL, dtype=np.int64)
-            )
-        slot_coords = (
-            np.concatenate(coords_blocks, axis=0)
-            if coords_blocks
-            else np.empty((0, self.ndim), dtype=np.int64)
-        )
-        assert slot_coords.shape[0] == total, (slot_coords.shape, total)
-
-        interior = next(s for s in sections if s.kind == "interior")
-        surface = {s.region: s for s in sections if s.kind == "surface"}
-        ghost = {
-            (s.neighbor, s.region): s for s in sections if s.kind == "ghost"
-        }
+        # Box of each key: the region's box in the sender's frame,
+        # shifted by T * n.
+        lo = np.where(key_s < 0, 0, np.where(key_s > 0, n - w, w)) + key_t * n
+        ext = np.where(key_s == 0, n - 2 * w, w)
+        layout = self.layout
+        kinds = ["interior"] + ["surface"] * nregions + ["ghost"] * len(ghost_t)
+        regions = [None] + layout + [layout[i] for i in ghost_s.tolist()]
+        neighbors = [None] * (1 + nregions) + [layout[i] for i in ghost_t.tolist()]
+        sections = list(map(
+            Section, kinds, starts.tolist(), counts.tolist(),
+            map(tuple, lo.tolist()), map(tuple, ext.tolist()), regions,
+            neighbors, padded.tolist(),
+        ))
         # Cached and handed to every caller (every rank thread of a run):
         # a write would be a race, so make it an error.
         grid_index.flags.writeable = False
@@ -332,9 +279,9 @@ class BrickDecomp:
             alignment=alignment,
             total_slots=total,
             sections=sections,
-            interior=interior,
-            surface=surface,
-            ghost=ghost,
+            interior=sections[0],
+            surface=dict(zip(layout, sections[1 : 1 + nregions])),
+            ghost={(s.neighbor, s.region): s for s in sections[1 + nregions :]},
             grid_index=grid_index,
             slot_coords=slot_coords,
         )

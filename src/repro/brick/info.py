@@ -75,35 +75,18 @@ class BrickInfo:
     def from_assignment(
         cls, decomp: "BrickDecomp", assignment: "SlotAssignment"
     ) -> "BrickInfo":
-        """Build adjacency from a slot assignment's coordinate tables."""
+        """Build adjacency from a slot assignment's grid index: every
+        cell's ``3^D`` neighbourhood is one window of the grid index
+        padded with a ``-1`` border, so one copy fills every row."""
         ndim = decomp.ndim
-        total = assignment.total_slots
-        coords = assignment.slot_coords  # (total, ndim), sentinel rows = padding
-        grid_index = assignment.grid_index
-        full = tuple(n + 2 * decomp.width for n in decomp.grid)
-
-        sentinel = np.iinfo(np.int32).min
-        valid_slot = coords[:, 0] != sentinel
-
-        adjacency = np.full((total, 3**ndim), -1, dtype=np.int64)
-        for d, vec in enumerate(all_direction_vectors(ndim)):
-            ncoord = coords + np.asarray(vec, dtype=np.int64)
-            inside = valid_slot.copy()
-            for axis in range(ndim):
-                inside &= ncoord[:, axis] >= -decomp.width
-                inside &= ncoord[:, axis] < decomp.grid[axis] + decomp.width
-            if not inside.any():
-                continue
-            # grid_index is indexed [axis_D, ..., axis_1] with a +width shift
-            idx = tuple(
-                ncoord[inside, axis] + decomp.width
-                for axis in range(ndim - 1, -1, -1)
-            )
-            adjacency[inside, d] = grid_index[idx]
-        # Ensure full tables: a brick's centre entry is itself.
-        center = direction_index((0,) * ndim)
-        slots = np.arange(total)
-        adjacency[valid_slot, center] = slots[valid_slot]
+        grid_index = np.pad(assignment.grid_index, 1, constant_values=-1)
+        # Window axes in numpy order (axis D first, axis 1 last): in C
+        # order that is direction_index order, axis 1 fastest.
+        windows = np.lib.stride_tricks.sliding_window_view(
+            grid_index, (3,) * ndim
+        ).reshape(-1, 3**ndim)
+        adjacency = np.full((assignment.total_slots, 3**ndim), -1, dtype=np.int64)
+        adjacency[assignment.grid_index.reshape(-1)] = windows
         # One table serves every rank of a run: readers only.
         adjacency.flags.writeable = False
         return cls(ndim, decomp.brick_dim, adjacency, decomp.nfields)

@@ -41,11 +41,11 @@ def _plans(problem, method):
 
 
 def _mutate_first_send(plans, **changes):
-    """Return plans with rank 0's first send replaced via dataclass
-    replace(**changes)."""
+    """Return plans with rank 0's first send replaced via
+    ``_replace(**changes)``."""
     plan = plans[0]
     sends = list(plan.sends)
-    sends[0] = replace(sends[0], **changes)
+    sends[0] = sends[0]._replace(**changes)
     plans = dict(plans)
     plans[0] = replace(plan, sends=tuple(sends))
     return plans

@@ -16,28 +16,46 @@ afterwards.  It holds everything rank-invariant and period-independent:
 * array methods: subdomain extent, ghost width, extended shape;
 * all methods: the **schedule** -- the method's
   :class:`~repro.exchange.base.ScheduleTemplate`, instantiated for every
-  rank by Cartesian arithmetic, each distinct plan priced once -- and
+  rank by Cartesian arithmetic, each distinct plan priced once -- the
+  **bind tables** of each engine (:meth:`RunGeometry.tables`, built when
+  a rank first binds it, once per distinct partner set): the storage
+  byte ranges of Layout / Basic's wire views, MemMap's window chunks and
+  per-message slices, BrickPack's staging sizes and section runs, and
+  Pack / MPI_Types / Shift's checked send and receive box tables and
+  staging sizes (each ``SubarrayType`` built once per message) -- and
   the seeded initial condition, built on first use (a world resumed
   from a checkpoint never asks).
 
-What stays per rank is what is per rank: buffers, the binding of its
-frozen plan to each buffer, kernel scratch, the exchange period.  The
-same object is what ``repro check`` verifies, what the driver launches,
-what the degradation ladder takes its rungs from and what elastic
-re-bricking reads both worlds' decomposition from: the plan a rank binds
-*is* the plan that was proved, by identity.
+Each is derived once, with array operations where it is per brick or
+per rank: the slot assignment from one classification of the brick grid
+(:meth:`~repro.brick.decomp.BrickDecomp.assignment`), the adjacency and
+the permutation by broadcasting its grid index, every rank's partners
+by one array expression
+(:meth:`~repro.exchange.base.ScheduleTemplate.for_ranks`).
 
-Thread safety: built before launch, except the two on-demand products
-(ladder rungs, initial condition), built under a lock by whichever rank
-asks first; every array exposed is non-writeable, so a rank that writes
-one raises instead of racing.  DESIGN.md 5, "Run geometry".
+What stays per rank is what is per rank: buffers, the binding of its
+frozen plan to each buffer -- :meth:`RunGeometry.bind` refuses a buffer
+the plans do not describe, then only cuts that buffer's wire views (or
+allocates its staging), resolves the movers over them and hands the
+channel's items to the fabric, which negotiates every edge -- kernel
+scratch, the exchange period.  The same object is what ``repro check``
+verifies, what the driver launches, what the degradation ladder takes
+its rungs from and what elastic re-bricking reads both worlds'
+decomposition from: the plan a rank binds *is* the plan that was
+proved, by identity.
+
+Thread safety: built before launch, except the on-demand products
+(ladder rungs, bind tables, initial condition), built under a lock by
+whichever rank asks first; every array exposed is non-writeable and
+every table a tuple, so a rank that writes one raises instead of
+racing.  DESIGN.md 5, "Run geometry".
 """
 
 from __future__ import annotations
 
 import threading
 import zlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +63,7 @@ from repro.brick.convert import element_permutation
 from repro.core.methods import method_info, resolve_page_size
 from repro.core.model import make_transport
 from repro.core.problem import StencilProblem
-from repro.exchange import make_exchanger, schedule_template
+from repro.exchange import bind_tables, make_exchanger, schedule_template
 from repro.exchange.base import (
     Exchanger,
     ExchangeResult,
@@ -65,6 +83,13 @@ CHECKABLE_METHODS = (
 )
 
 _Schedule = Tuple[Tuple[RankMessagePlan, ...], Tuple[ExchangeResult, ...]]
+
+
+def _partners(plan: RankMessagePlan) -> tuple:
+    """Which of its template's messages *plan* kept -- a send's tag
+    names one: plans with equal partnered directions have equal specs,
+    so one price and one set of bind tables serve them all."""
+    return tuple(m.tag for m in plan.sends)
 
 
 class RunGeometry:
@@ -121,6 +146,7 @@ class RunGeometry:
             self.permutation = element_permutation(decomp, self.assignment)
         self._lock = threading.Lock()
         self._schedules: Dict[str, _Schedule] = {}
+        self._tables: Dict[str, Tuple[Sequence, ...]] = {}
         self._initial: Dict[int, np.ndarray] = {}
         self.plans, self.results = self.schedule(self.base)
 
@@ -145,28 +171,76 @@ class RunGeometry:
             self.decomp, self.assignment, self.page_size,
         )
         periods = (problem.periodic,) * problem.ndim
-        plans, results = [], []
+        plans = template.for_ranks(problem.rank_dims, periods)
+        results = []
         priced: Dict[tuple, ExchangeResult] = {}
-        for rank in range(problem.nranks):
-            plan = template.for_rank(rank, problem.rank_dims, periods)
-            # Equal partnered directions, equal specs, equal price.
-            present = tuple(m.spec.neighbor for m in plan.sends)
+        for plan in plans:
+            present = _partners(plan)
             if present not in priced:
                 priced[present] = price_plan(
                     plan, self.profile, self.transport
                 )
-            plans.append(plan)
             results.append(priced[present])
-        return tuple(plans), tuple(results)
+        return plans, tuple(results)
+
+    def tables(self, base: str) -> Tuple[Sequence, ...]:
+        """Per rank, the bind tables of engine *base*'s plan
+        (:func:`~repro.exchange.bind_tables`), derived when first asked
+        for: once per distinct partner set, shared by every rank with
+        that set and by both of its buffers."""
+        plans = self.schedule(base)[0]
+        return self._once(
+            self._tables, base, lambda: self._tabulate(base, plans)
+        )
+
+    def _tabulate(self, base: str, plans) -> Tuple[Sequence, ...]:
+        built: Dict[tuple, Sequence] = {}
+        out = []
+        for plan in plans:
+            present = _partners(plan)
+            if present not in built:
+                built[present] = bind_tables(base, plan, self.extent, self.ghost)
+            out.append(built[present])
+        return tuple(out)
 
     def bind(self, base: str, comm, buffer) -> Exchanger:
         """The exchanger of engine *base* over one of ``comm.rank``'s
-        buffers, bound from that rank's frozen plan."""
+        buffers, bound from that rank's frozen plan and its bind tables:
+        what is left per buffer is its views, staging and movers."""
         plans, results = self.schedule(base)
+        tables = self.tables(base)
+        self._check_buffer(buffer)
+        rank = comm.rank
         return make_exchanger(
-            base, comm, plans[comm.rank], buffer, self.extent, self.ghost,
-            self.profile, results[comm.rank],
+            base, comm, plans[rank], buffer, self.extent, self.ghost,
+            self.profile, results[rank], tables[rank],
         )
+
+    def _check_buffer(self, buffer) -> None:
+        """Refuse a buffer this geometry's plans do not describe: an
+        extended array (array methods) or brick storage (brick methods)
+        of another shape or dtype, or one that is not C-contiguous and
+        writeable -- every exchange receives into it."""
+        if self.decomp is None:
+            what, data, shape = "extended array", buffer, self.extended_shape
+        else:
+            what, data = "brick storage", getattr(buffer, "data", None)
+            shape = (self.assignment.total_slots, self.decomp.brick_elems)
+        if not isinstance(data, np.ndarray) or data.shape != shape:
+            raise ExchangeConfigError(
+                f"{what} of shape {getattr(data, 'shape', None)}, expected {shape}"
+            )
+        if data.dtype != self.problem.dtype:
+            raise ExchangeConfigError(
+                f"{data.dtype} {what} bound to a plan of {self.problem.dtype}"
+                " elements"
+            )
+        if not data.flags.c_contiguous:
+            raise ExchangeConfigError(f"{what} must be C-contiguous")
+        if not data.flags.writeable:
+            raise ExchangeConfigError(
+                f"cannot bind a read-only {what}: the exchange receives into it"
+            )
 
     def initial(self, seed: int) -> np.ndarray:
         """The seeded global initial condition (read-only), built once."""

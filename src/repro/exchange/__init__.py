@@ -20,7 +20,8 @@ Four strategies from the paper's evaluation plus one from related work:
 
 Each is a schedule -- data, from :func:`schedule_template` -- plus an
 exchanger that binds one rank's plan of it to a buffer
-(:func:`make_exchanger`).
+(:func:`make_exchanger`), over the plan's rank-invariant bind tables
+(:func:`bind_tables`).
 """
 
 from repro.exchange.base import ExchangeResult, Exchanger, ScheduleTemplate
@@ -57,6 +58,7 @@ __all__ = [
     "ShiftExchanger",
     "array_schedule",
     "basic_brick_schedule",
+    "bind_tables",
     "checksum",
     "make_exchanger",
     "schedule_template",
@@ -83,6 +85,15 @@ _BRICK_EXCHANGERS = {
     "memmap": MemMapExchanger,
     "brickpack": BrickPackExchanger,
 }
+
+
+def _exchanger_class(base):
+    cls = _ARRAY_EXCHANGERS.get(base) or _BRICK_EXCHANGERS.get(base)
+    if cls is None:
+        raise ExchangeConfigError(
+            f"method base {base!r} has no executable exchanger"
+        )
+    return cls
 
 
 def schedule_template(
@@ -124,8 +135,19 @@ def schedule_template(
     )
 
 
+def bind_tables(base, plan, extent, ghost):
+    """The bind tables of *plan* -- a rank's instance of
+    :func:`schedule_template` of *base* -- one per round: what binding
+    it to any buffer needs that does not depend on the buffer (storage
+    byte ranges and windows for the brick schemes, checked boxes and
+    staging sizes for the array schemes).  Equal for every rank with the
+    same partners, so :class:`~repro.core.geometry.RunGeometry` builds
+    them once per run and :func:`make_exchanger` hands them in."""
+    return _exchanger_class(base)._tables(plan, extent, ghost)
+
+
 def make_exchanger(
-    base, comm, plan, buffer, extent, ghost, profile, result=None
+    base, comm, plan, buffer, extent, ghost, profile, result=None, tables=None
 ) -> Exchanger:
     """Bind *plan* -- this rank's instance of :func:`schedule_template`
     of *base* -- to one buffer.
@@ -134,13 +156,10 @@ def make_exchanger(
     and its degradation ladder.  *buffer* is the extended array of a
     subdomain of *extent* with a *ghost*-wide shell (array schemes) or
     the :class:`~repro.brick.storage.BrickStorage` (brick schemes);
-    *result* is the plan's price where the caller already holds it.
+    *result* and *tables* are the plan's price and :func:`bind_tables`
+    where the caller already holds them.
     """
+    cls = _exchanger_class(base)
     if base in _ARRAY_EXCHANGERS:
-        cls = _ARRAY_EXCHANGERS[base]
-        return cls(comm, plan, buffer, extent, ghost, profile, result)
-    if base in _BRICK_EXCHANGERS:
-        return _BRICK_EXCHANGERS[base](comm, plan, buffer, profile, result)
-    raise ExchangeConfigError(
-        f"method base {base!r} has no executable exchanger"
-    )
+        return cls(comm, plan, buffer, extent, ghost, profile, result, tables)
+    return cls(comm, plan, buffer, profile, result, tables)

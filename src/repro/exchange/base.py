@@ -31,6 +31,7 @@ derived from the plan here:
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -43,7 +44,6 @@ from repro.hardware.profiles import MachineProfile
 from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
 from repro.stencil.cbackend import crc_movers, mover_kernel
-from repro.util.indexing import cart_neighbor, unravel_index
 from repro.util.timing import TimeBreakdown
 
 __all__ = [
@@ -70,8 +70,7 @@ def exchange_tag(slab_dir_index: int, run: int) -> int:
     return slab_dir_index * _MAX_RUNS_PER_NEIGHBOR + run
 
 
-@dataclass(frozen=True)
-class PlannedMessage:
+class PlannedMessage(NamedTuple):
     """One message of a rank's static exchange schedule.
 
     The single record of what an exchange puts on (or takes off) the
@@ -90,6 +89,8 @@ class PlannedMessage:
     / shift), where storage aliasing is structurally impossible.
     ``phase`` orders the rounds of an exchange (Shift's per-axis
     rounds, each one bound cut); schedules with a single phase use 0.
+    A named tuple: every rank's plan holds one per message, made per
+    run by :meth:`ScheduleTemplate.for_ranks`.
     """
 
     peer: int
@@ -154,41 +155,66 @@ class ScheduleTemplate:
         dims: Sequence[int],
         periods: Optional[Sequence[bool]] = None,
     ) -> RankMessagePlan:
-        """The plan of *rank* in a Cartesian grid of *dims* ranks.
+        """The plan of *rank* in a Cartesian grid of *dims* ranks
+        (:meth:`for_ranks`)."""
+        return self.for_ranks(dims, periods, (rank,))[0]
+
+    def for_ranks(
+        self,
+        dims: Sequence[int],
+        periods: Optional[Sequence[bool]] = None,
+        ranks: Optional[Sequence[int]] = None,
+    ) -> Tuple[RankMessagePlan, ...]:
+        """The plans of *ranks* (default: every rank) in a Cartesian grid
+        of *dims* ranks, axis 1 fastest.
 
         A direction with no partner (open boundary) drops its messages
         -- the ghost box there keeps whatever boundary condition the
         application wrote.  On a 1- or 2-wide periodic axis several
         directions reach the same peer (this rank itself, or one
         neighbor twice); their direction-unique tags keep the messages
-        apart.
+        apart.  Every rank's partner in every direction of the template
+        is one array expression; what is left per message is its record.
         """
         ndim = len(dims)
         if periods is None:
             periods = (True,) * ndim
-        coords = unravel_index(rank, dims)
-        peers: dict = {}
+        nranks = math.prod(dims)
+        ranks = np.arange(nranks) if ranks is None else np.asarray(ranks)
+        if ((ranks < 0) | (ranks >= nranks)).any():
+            raise IndexError(f"rank outside the grid of {tuple(dims)} ranks")
+        # Each distinct partner direction of the template is one column.
+        columns: dict = {}
 
-        def resolve(messages) -> Tuple[PlannedMessage, ...]:
-            out = []
-            for m in messages:
-                neighbor = m.spec.neighbor
-                if neighbor not in peers:
-                    peers[neighbor] = cart_neighbor(
-                        coords, dims, periods, neighbor.to_vector(ndim)
-                    )
-                peer = peers[neighbor]
-                if peer is not None:
-                    # Field by field: dataclasses.replace costs twice as
-                    # much, per message per rank per run.
-                    out.append(
-                        PlannedMessage(peer, m.tag, m.spec, m.phase, m.ranges)
-                    )
-            return tuple(out)
+        def column(m: PlannedMessage) -> int:
+            return columns.setdefault(m.spec.neighbor, len(columns))
 
-        return RankMessagePlan(
-            rank, self.method, resolve(self.sends), resolve(self.recvs),
-            self.copy, self.nphases,
+        send_cols = list(map(column, self.sends))
+        recv_cols = list(map(column, self.recvs))
+        steps = np.array(
+            [t.to_vector(ndim) for t in columns], dtype=np.int64
+        ).reshape(len(columns), ndim)
+        extent = np.array(dims, dtype=np.int64)
+        strides = np.cumprod(np.concatenate(([1], extent[:-1])))
+        coords = ranks[:, None] // strides % extent
+        moved = coords[:, None, :] + steps[None, :, :]
+        moved = np.where(np.asarray(periods, dtype=bool), moved % extent, moved)
+        inside = ((moved >= 0) & (moved < extent)).all(axis=2)
+        peers = np.where(inside, moved @ strides, UNRESOLVED).tolist()
+
+        def resolve(messages, cols, row) -> Tuple[PlannedMessage, ...]:
+            return tuple(
+                PlannedMessage(row[c], m.tag, m.spec, m.phase, m.ranges)
+                for m, c in zip(messages, cols)
+                if row[c] != UNRESOLVED
+            )
+
+        return tuple(
+            RankMessagePlan(
+                rank, self.method, resolve(self.sends, send_cols, row),
+                resolve(self.recvs, recv_cols, row), self.copy, self.nphases,
+            )
+            for rank, row in zip(ranks.tolist(), peers)
         )
 
 
@@ -439,11 +465,18 @@ class ChannelChain:
 class Exchanger(abc.ABC):
     """One rank's ghost-zone exchange engine: a plan bound to a buffer.
 
-    The plan arrives finished (:meth:`ScheduleTemplate.for_rank`); a
-    subclass's only duty is :meth:`_bind`, which says which memory each
-    message goes through.  The modelled result and the channel live
-    here.
+    The plan arrives finished (:meth:`ScheduleTemplate.for_ranks`); a
+    subclass says which memory each message goes through, in two
+    halves: :meth:`_tables`, what is the same for every buffer (built
+    once per run by :class:`~repro.core.geometry.RunGeometry`), and
+    :meth:`_bind`, one buffer's views, staging and movers over them.
+    The modelled result and the channel live here.
     """
+
+    #: an array scheme's subdomain extent and ghost width, set before
+    #: binding; a brick plan's tables need neither
+    extent: Optional[Tuple[int, ...]] = None
+    ghost: Optional[int] = None
 
     def __init__(
         self,
@@ -452,10 +485,12 @@ class Exchanger(abc.ABC):
         buffer,
         profile: MachineProfile,
         result: Optional[ExchangeResult] = None,
+        tables: Optional[Sequence] = None,
     ) -> None:
-        """Bind *plan* to *buffer* through :meth:`_bind`.  *result* is
-        the plan's price where the caller already holds it (the run
-        geometry prices each distinct plan once)."""
+        """Bind *plan* to *buffer* through :meth:`_bind`.  *result* and
+        *tables* are the plan's price and its rank-invariant bind tables
+        (:meth:`_tables`) where the caller already holds them: the run
+        geometry prices and tabulates each distinct plan once."""
         if plan.rank != comm.rank:
             raise ExchangeConfigError(
                 f"rank {comm.rank} was handed the plan of rank {plan.rank}"
@@ -465,6 +500,8 @@ class Exchanger(abc.ABC):
         self.plan = plan
         self.method = plan.method  # name used by benchmark tables
         self.result = result if result is not None else price_plan(plan, profile)
+        if tables is None:
+            tables = self._tables(plan, self.extent, self.ghost)
         # Per round: (peer, tag, buffer) of every send and every receive,
         # plus the hooks -- what the channel binds to the fabric.
         self._bound: List[Tuple[_Wire, _Wire, Binding]] = [
@@ -473,7 +510,9 @@ class Exchanger(abc.ABC):
                 self._wire(recvs, hooks.recv_bufs),
                 hooks,
             )
-            for (sends, recvs), hooks in zip(_phases(plan), self._bind(buffer))
+            for (sends, recvs), hooks in zip(
+                _phases(plan), self._bind(buffer, tables)
+            )
         ]
         self._channel: Optional[Union[ExchangeChannel, ChannelChain]] = None
 
@@ -488,9 +527,19 @@ class Exchanger(abc.ABC):
             )
         return [(m.peer, m.tag, b) for m, b in zip(messages, bufs)]
 
+    @staticmethod
     @abc.abstractmethod
-    def _bind(self, buffer) -> Sequence[Binding]:
-        """Bind the plan to *buffer*: one :class:`Binding` per round."""
+    def _tables(plan: RankMessagePlan, extent, ghost) -> Sequence:
+        """The rank-invariant half of binding *plan*, one table per
+        round: what every buffer of every rank with *plan*'s partners
+        binds alike (byte ranges, checked boxes, staging sizes).  The
+        one home of this derivation: :func:`~repro.exchange.bind_tables`
+        calls it too."""
+
+    @abc.abstractmethod
+    def _bind(self, buffer, tables: Sequence) -> Sequence[Binding]:
+        """Bind the plan to *buffer* over its *tables*: one
+        :class:`Binding` per round."""
 
     def make_channel(self) -> Union[ExchangeChannel, ChannelChain]:
         """This exchanger's channel: its bound plan as persistent cuts.

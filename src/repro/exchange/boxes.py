@@ -19,13 +19,15 @@ pieces are contiguous runs, brick storage's slot sections): every
 array, box and buffer is checked where the table is built, and the call
 that comes back moves all of a side's boxes, on the C tier
 (:class:`repro.stencil.cbackend.Movers`) as one table-driven call, on
-the NumPy tier as one strided copy per box.
+the NumPy tier as one strided copy per box.  The boxes themselves are
+rank-invariant: :func:`box_table` checks them once per run
+(:class:`BoxTable`, held by the run geometry) and :func:`stage_table`
+binds one array to them.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +54,9 @@ __all__ = [
     "bind_copy",
     "bind_gather",
     "bind_scatter",
-    "stage_boxes",
+    "box_table",
+    "BoxTable",
+    "stage_table",
 ]
 
 Box = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (lo, extent), axis order 1..D
@@ -99,13 +103,10 @@ def neighbor_recv_box(
     return tuple(lo), tuple(ext)
 
 
-@functools.lru_cache(maxsize=1024)
 def neighbor_boxes(
     neighbor: BitSet, extent: Tuple[int, ...], ghost: int
 ) -> Tuple[Box, Box]:
-    """``(send box, recv box)`` exchanged with *neighbor*: immutable
-    geometry, memoised -- every rank and both double-buffer slots of a
-    run bind the same ``3^D - 1`` pairs."""
+    """``(send box, recv box)`` exchanged with *neighbor*."""
     return (
         neighbor_send_box(neighbor, extent, ghost),
         neighbor_recv_box(neighbor, extent, ghost),
@@ -158,34 +159,46 @@ def extended_array_of(
     return extent, ghost
 
 
+def _checked_boxes(
+    shape: Tuple[int, ...], boxes: Sequence, nbufs: int
+) -> np.ndarray:
+    """*boxes* as an ``(nboxes, ndim, 2)`` int64 ``(lo, hi)`` table, after
+    checking there is one per buffer and each lies in an array of
+    *shape*: the half of :func:`_box_table` that holds for every array of
+    that shape."""
+    ndim = len(shape)
+    if len(boxes) != nbufs:
+        raise ExchangeConfigError(
+            f"{len(boxes)} boxes bound to {nbufs} buffers"
+        )
+    try:
+        table = np.asarray(boxes, dtype=np.int64).reshape(nbufs, ndim, 2)
+    except (TypeError, ValueError):
+        raise ExchangeConfigError(
+            f"boxes are not (lo, hi) pairs per axis of a {ndim}-D array"
+        ) from None
+    lo, hi = table[..., 0], table[..., 1]
+    if ((lo < 0) | (hi < lo) | (hi > np.array(shape))).any():
+        raise ExchangeConfigError(
+            f"a box leaves the array of shape {shape}: {table.tolist()}"
+        )
+    return table
+
+
 def _box_table(
     arr: np.ndarray, boxes: Sequence, bufs: Sequence[np.ndarray], writes: str
 ) -> np.ndarray:
     """*boxes* as an ``(nboxes, ndim, 2)`` int64 ``(lo, hi)`` table, after
     checking everything a mover would otherwise take on trust: each box
-    lies in *arr*, its buffer is C-contiguous, of *arr*'s dtype and
-    exactly the box's size, and whatever the move writes (*writes*:
-    ``"array"`` or ``"buffers"``) is writeable.  The C tier moves through
-    raw pointers, so this is the last place a mistake is an error and
-    not memory corruption; the NumPy tier gets the same refusal instead
-    of a silent cast or a reshape failure mid-run.
+    lies in *arr* (:func:`_checked_boxes`), its buffer is C-contiguous,
+    of *arr*'s dtype and exactly the box's size, and whatever the move
+    writes (*writes*: ``"array"`` or ``"buffers"``) is writeable.  The C
+    tier moves through raw pointers, so this is the last place a mistake
+    is an error and not memory corruption; the NumPy tier gets the same
+    refusal instead of a silent cast or a reshape failure mid-run.
     """
-    if len(boxes) != len(bufs):
-        raise ExchangeConfigError(
-            f"{len(boxes)} boxes bound to {len(bufs)} buffers"
-        )
-    try:
-        table = np.asarray(boxes, dtype=np.int64).reshape(len(bufs), arr.ndim, 2)
-    except (TypeError, ValueError):
-        raise ExchangeConfigError(
-            f"boxes are not (lo, hi) pairs per axis of a {arr.ndim}-D array"
-        ) from None
-    lo, hi = table[..., 0], table[..., 1]
-    if ((lo < 0) | (hi < lo) | (hi > np.array(arr.shape))).any():
-        raise ExchangeConfigError(
-            f"a box leaves the array of shape {arr.shape}: {table.tolist()}"
-        )
-    counts = (hi - lo).prod(axis=1).tolist()
+    table = _checked_boxes(arr.shape, boxes, len(bufs))
+    counts = (table[..., 1] - table[..., 0]).prod(axis=1).tolist()
     sizes = [buf.size for buf in bufs]
     if sizes != counts:
         raise ExchangeConfigError(
@@ -252,9 +265,7 @@ def bind_gather(
     both leave the same bytes.
     """
     table = _box_table(arr, boxes, bufs, writes="buffers")
-    if movers is None:
-        return _numpy_gather(arr, table, bufs)
-    return movers.gather(arr, table, bufs)
+    return _move(arr, table, bufs, movers, gather=True)
 
 
 def bind_scatter(
@@ -265,9 +276,21 @@ def bind_scatter(
 ) -> Callable[[], None]:
     """The inverse of :func:`bind_gather`: flat ``bufs[b]`` into box *b*."""
     table = _box_table(arr, boxes, bufs, writes="array")
+    return _move(arr, table, bufs, movers, gather=False)
+
+
+def _move(
+    arr: np.ndarray,
+    table: np.ndarray,
+    bufs: Sequence[np.ndarray],
+    movers: Optional[Movers],
+    gather: bool,
+) -> Callable[[], None]:
+    """The bound gather (or scatter) of a checked *table*, on the tier
+    *movers* picks (``None``: NumPy)."""
     if movers is None:
-        return _numpy_scatter(arr, table, bufs)
-    return movers.scatter(arr, table, bufs)
+        return (_numpy_gather if gather else _numpy_scatter)(arr, table, bufs)
+    return (movers.gather if gather else movers.scatter)(arr, table, bufs)
 
 
 def _numpy_copy(srcs, dsts) -> Callable[[], None]:
@@ -311,38 +334,66 @@ def bind_copy(
     return movers.copy_list(srcs, dsts)
 
 
-def stage_boxes(
-    arr: np.ndarray, boxes: Sequence[Tuple[Slices, Slices]]
-) -> Binding:
-    """Bind box messages to *arr* through persistent staging buffers.
+class BoxTable(NamedTuple):
+    """The rank-invariant half of binding one round of box messages.
 
-    *boxes* holds each message's ``(send, recv)`` selections of *arr*.
-    The flat staging buffers go on the wire; the pack before and the
-    unpack after are one bound call each (:func:`bind_gather`,
-    :func:`bind_scatter`) over tables built here, with no per-step
-    temporaries.
+    ``send`` / ``recv`` are the checked ``(nmsg, ndim, 2)`` ``(lo, hi)``
+    tables (numpy axis order) of each message's boxes in an array of
+    ``shape``; ``send_counts`` / ``recv_counts`` its staging elements
+    per message.  Read-only: one table serves every rank and buffer of a
+    run.
     """
 
-    def side(which: int):
-        """``(lo, hi)`` table and fresh flat buffers of every message's
-        send (0) or recv (1) selection."""
-        edges = [
-            edge
-            for pair in boxes
-            for slc in pair[which]
-            for edge in (slc.start, slc.stop)
-        ]
-        table = np.array(edges, dtype=np.int64).reshape(len(boxes), arr.ndim, 2)
-        counts = (table[..., 1] - table[..., 0]).prod(axis=1).tolist()
-        return table, [np.empty(n, dtype=arr.dtype) for n in counts]
+    shape: Tuple[int, ...]
+    send: np.ndarray
+    recv: np.ndarray
+    send_counts: Tuple[int, ...]
+    recv_counts: Tuple[int, ...]
 
-    (send_table, send_bufs), (recv_table, recv_bufs) = side(0), side(1)
+
+def box_table(
+    shape: Tuple[int, ...], boxes: Sequence[Tuple[Slices, Slices]]
+) -> BoxTable:
+    """The :class:`BoxTable` of *boxes* -- each message's ``(send,
+    recv)`` selections of an array of *shape* -- checked once."""
+    shape = tuple(shape)
+
+    def side(which: int):
+        """``(lo, hi)`` table and staging sizes of every message's send
+        (0) or recv (1) selection."""
+        edges = [[(slc.start, slc.stop) for slc in pair[which]] for pair in boxes]
+        table = _checked_boxes(shape, edges, len(boxes))
+        table.flags.writeable = False
+        return table, tuple((table[..., 1] - table[..., 0]).prod(axis=1).tolist())
+
+    (send, send_counts), (recv, recv_counts) = side(0), side(1)
+    return BoxTable(shape, send, recv, send_counts, recv_counts)
+
+
+def stage_table(arr: np.ndarray, table: BoxTable) -> Binding:
+    """Bind *arr* to the box messages of *table* through persistent
+    staging buffers.
+
+    The flat staging buffers go on the wire; the pack before and the
+    unpack after are one bound call each over the table's boxes, with no
+    per-step temporaries.  What is checked here is what differs per
+    array -- its shape, and that the unpack may write it; the staging
+    buffers are made to the table's sizes and in the array's dtype.
+    """
+    if arr.shape != table.shape:
+        raise ExchangeConfigError(
+            f"extended array shape {arr.shape}, expected {table.shape}"
+        )
+    if not arr.flags.writeable:
+        raise ExchangeConfigError("cannot unpack into a read-only array")
+    send_bufs = [np.empty(n, dtype=arr.dtype) for n in table.send_counts]
+    recv_bufs = [np.empty(n, dtype=arr.dtype) for n in table.recv_counts]
     movers = array_movers(arr)
     return Binding(
         send_bufs,
         recv_bufs,
-        bind_gather(arr, send_table, send_bufs, movers),
-        bind_scatter(arr, recv_table, recv_bufs, movers),
+        _move(arr, table.send, send_bufs, movers, gather=True),
+        _move(arr, table.recv, recv_bufs, movers, gather=False),
         backend="numpy" if movers is None else "cffi",
     )
 

@@ -16,7 +16,7 @@ the pack-free schemes eliminate.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -28,16 +28,22 @@ from repro.exchange.base import (
     Binding,
     Exchanger,
     PlannedMessage,
+    RankMessagePlan,
     ScheduleTemplate,
     exchange_tag,
 )
 from repro.exchange.boxes import bind_copy
-from repro.exchange.layout_ex import neighbor_sections
+from repro.exchange.layout_ex import neighbor_sections, storage_bytes
 from repro.exchange.schedule import MessageSpec
 from repro.faults.errors import ExchangeConfigError
 from repro.stencil.cbackend import mover_kernel
 
-__all__ = ["BrickPackExchanger", "brickpack_template"]
+__all__ = [
+    "BrickPackExchanger",
+    "StageTable",
+    "brickpack_tables",
+    "brickpack_template",
+]
 
 
 def brickpack_template(
@@ -91,32 +97,63 @@ def brickpack_template(
     return ScheduleTemplate("brickpack", tuple(sends), tuple(recvs), copy="pack")
 
 
+class StageTable(NamedTuple):
+    """The rank-invariant half of binding a BrickPack plan, per side:
+    each message's staging bytes, and each section as ``(message,
+    storage start, storage stop, staging start, staging stop)``, bytes
+    into the storage and into that message's staging buffer; and the
+    storage bytes the sections reach."""
+
+    send_sizes: Tuple[int, ...]
+    recv_sizes: Tuple[int, ...]
+    send_pieces: Tuple[Tuple[int, int, int, int, int], ...]
+    recv_pieces: Tuple[Tuple[int, int, int, int, int], ...]
+    reach: int
+
+
+def brickpack_tables(plan: RankMessagePlan, extent=None, ghost=None) -> Tuple[StageTable]:
+    """Each message staged in a buffer of its own, section after
+    section.  (*extent* and *ghost* size an array scheme's boxes; a
+    brick plan carries its byte ranges.)"""
+
+    def side(messages):
+        pieces = []
+        for k, m in enumerate(messages):
+            pos = 0
+            for off, n in m.ranges:
+                pieces.append((k, off, off + n, pos, pos + n))
+                pos += n
+        return tuple(m.nbytes for m in messages), tuple(pieces)
+
+    (send_sizes, send_pieces), (recv_sizes, recv_pieces) = (
+        side(plan.sends), side(plan.recvs)
+    )
+    reach = max((p[2] for p in send_pieces + recv_pieces), default=0)
+    return (StageTable(send_sizes, recv_sizes, send_pieces, recv_pieces, reach),)
+
+
 class BrickPackExchanger(Exchanger):
     """One staged message per neighbor over brick slot sections."""
 
-    def _bind(self, st: BrickStorage) -> List[Binding]:
+    _tables = staticmethod(brickpack_tables)
+
+    def _bind(self, st: BrickStorage, tables) -> List[Binding]:
         """Persistent staging, gathered from / scattered into the slot
         ranges of each message: every section is a contiguous run, so a
         side is one bound ``copy_list`` (:func:`bind_copy`)."""
-        bb = st.brick_bytes
+        (table,) = tables
+        flat = storage_bytes(st, table.reach)
 
-        def stage(messages):
-            """Per message a staging buffer; per section its slice of the
-            buffer and the storage slot view of equal size."""
-            bufs, staged, slots = [], [], []
-            for m in messages:
-                buf = np.empty(m.nbytes // st.dtype.itemsize, dtype=st.dtype)
-                pos = 0
-                for off, nbytes in m.ranges:
-                    section = st.slot_view(off // bb, nbytes // bb)
-                    staged.append(buf[pos : pos + section.size])
-                    slots.append(section)
-                    pos += section.size
-                bufs.append(buf)
-            return bufs, staged, slots
+        def stage(sizes, pieces):
+            """Per message a staging buffer; per section its slice of
+            that buffer and the storage run of equal size."""
+            bufs = [np.empty(n, dtype=np.uint8) for n in sizes]
+            staged = [bufs[k][c:d] for k, _a, _b, c, d in pieces]
+            runs = [flat[a:b] for _k, a, b, _c, _d in pieces]
+            return bufs, staged, runs
 
-        send_bufs, packed, surface = stage(self.plan.sends)
-        recv_bufs, unpacked, ghost = stage(self.plan.recvs)
+        send_bufs, packed, surface = stage(table.send_sizes, table.send_pieces)
+        recv_bufs, unpacked, ghost = stage(table.recv_sizes, table.recv_pieces)
         movers = mover_kernel()  # contiguous runs: bytes, whatever the dtype
         return [
             Binding(

@@ -10,7 +10,9 @@ messages (42 instead of 26 in 3-D under the optimal ``surface3d`` order).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
+
+import numpy as np
 
 from repro.brick.decomp import BrickDecomp, Section, SlotAssignment
 from repro.brick.info import direction_index
@@ -20,15 +22,22 @@ from repro.exchange.base import (
     Binding,
     Exchanger,
     PlannedMessage,
+    RankMessagePlan,
     ScheduleTemplate,
     exchange_tag,
 )
 from repro.exchange.schedule import MessageSpec
 from repro.faults.errors import ExchangeConfigError
-from repro.layout.messages import message_runs
 from repro.util.bitset import BitSet
 
-__all__ = ["LayoutExchanger", "layout_template", "neighbor_sections"]
+__all__ = [
+    "LayoutExchanger",
+    "RangeTable",
+    "layout_tables",
+    "layout_template",
+    "neighbor_sections",
+    "storage_bytes",
+]
 
 
 def neighbor_sections(
@@ -47,7 +56,7 @@ def neighbor_sections(
     def in_run_order(target: BitSet, section) -> List[Section]:
         return [
             sec
-            for start, length in message_runs(layout, target)
+            for start, length in decomp.runs[target]
             for i in range(start, start + length)
             if (sec := section(layout[i])).nbricks
         ]
@@ -88,7 +97,7 @@ def layout_template(
         if merge_runs:
             return [
                 list(range(start, start + length))
-                for start, length in message_runs(decomp.layout, target)
+                for start, length in decomp.runs[target]
             ]
         return [
             [i]
@@ -142,6 +151,50 @@ def layout_template(
     return ScheduleTemplate(method, tuple(sends), tuple(recvs))
 
 
+class RangeTable(NamedTuple):
+    """The rank-invariant half of binding a pack-free brick plan: the
+    storage byte ``(start, stop)`` of every wire view, sends and
+    receives in plan order, and the bytes they reach."""
+
+    sends: Tuple[Tuple[int, int], ...]
+    recvs: Tuple[Tuple[int, int], ...]
+    reach: int
+
+
+def layout_tables(plan: RankMessagePlan, extent=None, ghost=None) -> Tuple[RangeTable]:
+    """Every storage range of *plan*'s messages is one wire view.
+    (*extent* and *ghost* size an array scheme's boxes; a brick plan
+    carries its byte ranges.)"""
+
+    def ranges(messages) -> Tuple[Tuple[int, int], ...]:
+        return tuple((off, off + n) for m in messages for off, n in m.ranges)
+
+    sends, recvs = ranges(plan.sends), ranges(plan.recvs)
+    reach = max((stop for _start, stop in sends + recvs), default=0)
+    return (RangeTable(sends, recvs, reach),)
+
+
+def storage_bytes(storage: BrickStorage, reach: int) -> np.ndarray:
+    """*storage*'s bricks as one flat ``uint8`` view, the buffer every
+    wire view or staged run of a brick plan is cut from.  Refused unless
+    it is C-contiguous, writeable (every exchange receives into it) and
+    holds the *reach* bytes the plan's ranges touch."""
+    data = storage.data
+    if not data.flags.c_contiguous:
+        raise ExchangeConfigError("brick storage must be C-contiguous")
+    if not data.flags.writeable:
+        raise ExchangeConfigError(
+            "cannot bind read-only brick storage: the exchange receives into it"
+        )
+    flat = data.reshape(-1).view(np.uint8)
+    if reach > flat.size:
+        raise ExchangeConfigError(
+            f"the plan reaches byte {reach} of a brick storage of"
+            f" {flat.size} bytes"
+        )
+    return flat
+
+
 class LayoutExchanger(Exchanger):
     """Pack-free brick exchange using contiguous region runs."""
 
@@ -151,15 +204,15 @@ class LayoutExchanger(Exchanger):
     __init__ = Exchanger.__init__
     exchange = Exchanger.exchange
 
-    def _bind(self, st: BrickStorage) -> List[Binding]:
-        """Every message is a view of its slot range: nothing to copy."""
-        bb = st.brick_bytes
+    _tables = staticmethod(layout_tables)
 
-        def views(messages):
-            return [
-                st.slot_view(off // bb, n // bb)
-                for m in messages
-                for off, n in m.ranges
-            ]
-
-        return [Binding(views(self.plan.sends), views(self.plan.recvs))]
+    def _bind(self, st: BrickStorage, tables) -> List[Binding]:
+        """Every message is a view of its byte range: nothing to copy."""
+        (table,) = tables
+        flat = storage_bytes(st, table.reach)
+        return [
+            Binding(
+                [flat[a:b] for a, b in table.sends],
+                [flat[a:b] for a, b in table.recvs],
+            )
+        ]

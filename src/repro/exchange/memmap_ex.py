@@ -21,7 +21,7 @@ by coalescing runs.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.exchange.base import (
     ScheduleTemplate,
     exchange_tag,
 )
-from repro.exchange.layout_ex import neighbor_sections
+from repro.exchange.layout_ex import neighbor_sections, storage_bytes
 from repro.exchange.schedule import MessageSpec
 from repro.faults.errors import ExchangeConfigError
 from repro.hardware.profiles import MachineProfile
@@ -46,7 +46,7 @@ from repro.simmpi.comm import CartComm
 from repro.vmem.layout_plan import ViewPlan, plan_view
 from repro.vmem.view import StitchedViewBase
 
-__all__ = ["MemMapExchanger", "memmap_template"]
+__all__ = ["MemMapExchanger", "WindowTable", "memmap_tables", "memmap_template"]
 
 
 def memmap_template(
@@ -104,6 +104,37 @@ def memmap_template(
     return ScheduleTemplate("memmap", tuple(sends), tuple(recvs))
 
 
+class WindowTable(NamedTuple):
+    """The rank-invariant half of binding a MemMap plan: per window (send,
+    receive) the chunks it maps, neighbor by neighbor in plan order, and
+    each message's ``(start, stop)`` slice of it; and the storage bytes
+    the chunks reach."""
+
+    send_chunks: Tuple[Tuple[int, int], ...]
+    recv_chunks: Tuple[Tuple[int, int], ...]
+    send_cuts: Tuple[Tuple[int, int], ...]
+    recv_cuts: Tuple[Tuple[int, int], ...]
+    reach: int
+
+
+def memmap_tables(plan: RankMessagePlan, extent=None, ghost=None) -> Tuple[WindowTable]:
+    """The two windows of *plan*: its messages' chunks, concatenated.
+    (*extent* and *ghost* size an array scheme's boxes; a brick plan
+    carries its byte ranges.)"""
+
+    def window(messages):
+        chunks = tuple(c for m in messages for c in m.ranges)
+        ends = np.cumsum([m.nbytes for m in messages]).tolist()
+        cuts = tuple(zip([0] + ends[:-1], ends))
+        return chunks, cuts
+
+    (send_chunks, send_cuts), (recv_chunks, recv_cuts) = (
+        window(plan.sends), window(plan.recvs)
+    )
+    reach = max((off + n for off, n in send_chunks + recv_chunks), default=0)
+    return (WindowTable(send_chunks, recv_chunks, send_cuts, recv_cuts, reach),)
+
+
 class MemMapExchanger(Exchanger):
     """One-message-per-neighbor pack-free exchange through mapped views."""
 
@@ -114,6 +145,7 @@ class MemMapExchanger(Exchanger):
         storage: BrickStorage,
         profile: MachineProfile,
         result: Optional[ExchangeResult] = None,
+        tables: Optional[Sequence[WindowTable]] = None,
     ) -> None:
         if not storage.can_map:
             raise ExchangeConfigError(
@@ -132,25 +164,30 @@ class MemMapExchanger(Exchanger):
                 f" per-process limit of {profile.mmap_limit}"
                 " (vm.max_map_count); use a coarser layout or fewer fields"
             )
-        super().__init__(comm, plan, storage, profile, result)
+        super().__init__(comm, plan, storage, profile, result, tables)
 
     # benchmarks/halobench/spans.py wraps vars(MemMapExchanger)["exchange"],
     # a class-__dict__ lookup that does not see inherited attributes.
     exchange = Exchanger.exchange
 
-    def _bind(self, storage: BrickStorage) -> List[Binding]:
+    _tables = staticmethod(memmap_tables)
+
+    def _bind(self, storage: BrickStorage, tables) -> List[Binding]:
         """The two windows are the wire buffers: one slice per message."""
+        (table,) = tables
+        storage_bytes(storage, table.reach)  # the refusals of every brick plan
         self._views: List[StitchedViewBase] = []
 
-        def window(messages) -> List[np.ndarray]:
-            if not messages:
+        def window(chunks, cuts) -> List[np.ndarray]:
+            if not chunks:
                 return []
-            view = storage.make_view([c for m in messages for c in m.ranges])
+            view = storage.make_view(chunks)
             self._views.append(view)
-            ends = np.cumsum([m.nbytes for m in messages])
-            return np.split(view.array(), ends[:-1])
+            flat = view.array()
+            return [flat[a:b] for a, b in cuts]
 
-        sends, recvs = window(self.plan.sends), window(self.plan.recvs)
+        sends = window(table.send_chunks, table.send_cuts)
+        recvs = window(table.recv_chunks, table.recv_cuts)
         if not self._views or self._views[0].zero_copy:
             # Pack-free through the MMU: no staged bytes (the windows burn
             # kernel mappings instead, the vm.max_map_count budget).

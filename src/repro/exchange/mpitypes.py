@@ -11,17 +11,52 @@ slow on KNL (MemMap is "460x faster than MPI_Types"), which the profile's
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exchange.base import Binding, Exchanger, ExchangeResult, RankMessagePlan
-from repro.exchange.boxes import extended_array_of, neighbor_boxes, stage_boxes
+from repro.exchange.boxes import (
+    BoxTable,
+    box_table,
+    extended_array_of,
+    neighbor_boxes,
+    stage_table,
+)
 from repro.hardware.profiles import MachineProfile
 from repro.simmpi.comm import CartComm
 from repro.simmpi.datatypes import SubarrayType
 
-__all__ = ["MPITypesExchanger"]
+__all__ = ["MPITypesExchanger", "mpitypes_tables"]
+
+
+def mpitypes_tables(
+    plan: RankMessagePlan, extent: Sequence[int], ghost: int
+) -> Tuple[BoxTable]:
+    """The rank-invariant half of binding *plan*: per message its (send,
+    recv) derived datatypes, each :class:`SubarrayType` built once over
+    the extended array's shape and committed as its selection.  The
+    engine's gathers and scatters are on-node movement too, just hidden
+    inside the library -- the same bound box moves as an application's
+    pack and unpack."""
+    extent, ghost = tuple(int(e) for e in extent), int(ghost)
+    shape = tuple(e + 2 * ghost for e in reversed(extent))
+
+    def subarray(box) -> SubarrayType:
+        lo, ext = box
+        return SubarrayType(
+            shape=shape, subshape=tuple(reversed(ext)), start=tuple(reversed(lo))
+        )
+
+    boxes = [
+        neighbor_boxes(m.spec.neighbor, extent, ghost) for m in plan.sends
+    ]
+    return (
+        box_table(
+            shape,
+            [(subarray(send).slices, subarray(recv).slices) for send, recv in boxes],
+        ),
+    )
 
 
 class MPITypesExchanger(Exchanger):
@@ -36,39 +71,18 @@ class MPITypesExchanger(Exchanger):
         ghost: int,
         profile: MachineProfile,
         result: Optional[ExchangeResult] = None,
+        tables: Optional[Sequence[BoxTable]] = None,
     ) -> None:
         self.extent, self.ghost = extended_array_of(array, extent, ghost)
-        super().__init__(comm, plan, array, profile, result)
+        super().__init__(comm, plan, array, profile, result, tables)
 
     # benchmarks/halobench/spans.py wraps vars(MPITypesExchanger)["exchange"],
     # a class-__dict__ lookup that does not see inherited attributes.
     exchange = Exchanger.exchange
 
-    def _bind(self, arr: np.ndarray) -> List[Binding]:
+    _tables = staticmethod(mpitypes_tables)
+
+    def _bind(self, arr: np.ndarray, tables) -> List[Binding]:
         """Persistent wire buffers the datatype engine re-fills each
-        step: per message its (send, recv) derived datatypes, committed
-        against *arr* once.  The engine's gathers and scatters are
-        on-node movement too, just hidden inside the library -- the same
-        bound box moves as an application's pack and unpack."""
-
-        def subarray(box) -> SubarrayType:
-            lo, ext = box
-            return SubarrayType(
-                shape=arr.shape,
-                subshape=tuple(reversed(ext)),
-                start=tuple(reversed(lo)),
-            )
-
-        boxes = (
-            neighbor_boxes(m.spec.neighbor, self.extent, self.ghost)
-            for m in self.plan.sends
-        )
-        return [
-            stage_boxes(
-                arr,
-                [
-                    (subarray(send).slices, subarray(recv).slices)
-                    for send, recv in boxes
-                ],
-            )
-        ]
+        step, over the committed datatypes of *tables*."""
+        return [stage_table(arr, table) for table in tables]

@@ -14,21 +14,40 @@ themselves, not allocation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exchange.base import Binding, Exchanger, ExchangeResult, RankMessagePlan
 from repro.exchange.boxes import (
+    BoxTable,
     box_slices,
+    box_table,
     extended_array_of,
     neighbor_boxes,
-    stage_boxes,
+    stage_table,
 )
 from repro.hardware.profiles import MachineProfile
 from repro.simmpi.comm import CartComm
 
-__all__ = ["PackExchanger"]
+__all__ = ["PackExchanger", "pack_tables"]
+
+
+def pack_tables(
+    plan: RankMessagePlan, extent: Sequence[int], ghost: int
+) -> Tuple[BoxTable]:
+    """The rank-invariant half of binding *plan*: per message its (send,
+    recv) boxes of the extended array, checked once."""
+    extent, ghost = tuple(int(e) for e in extent), int(ghost)
+    shape = tuple(e + 2 * ghost for e in reversed(extent))
+    boxes = [
+        neighbor_boxes(m.spec.neighbor, extent, ghost) for m in plan.sends
+    ]
+    return (
+        box_table(
+            shape, [(box_slices(send), box_slices(recv)) for send, recv in boxes]
+        ),
+    )
 
 
 class PackExchanger(Exchanger):
@@ -43,23 +62,18 @@ class PackExchanger(Exchanger):
         ghost: int,
         profile: MachineProfile,
         result: Optional[ExchangeResult] = None,
+        tables: Optional[Sequence[BoxTable]] = None,
     ) -> None:
         self.extent, self.ghost = extended_array_of(array, extent, ghost)
-        super().__init__(comm, plan, array, profile, result)
+        super().__init__(comm, plan, array, profile, result, tables)
 
     # benchmarks/halobench/spans.py wraps vars(PackExchanger)["exchange"],
     # a class-__dict__ lookup that does not see inherited attributes.
     exchange = Exchanger.exchange
 
-    def _bind(self, arr: np.ndarray) -> List[Binding]:
-        """Staging allocated once and reused every timestep: per message
-        its (send, recv) boxes of the array."""
-        boxes = (
-            neighbor_boxes(m.spec.neighbor, self.extent, self.ghost)
-            for m in self.plan.sends
-        )
-        return [
-            stage_boxes(
-                arr, [(box_slices(send), box_slices(recv)) for send, recv in boxes]
-            )
-        ]
+    _tables = staticmethod(pack_tables)
+
+    def _bind(self, arr: np.ndarray, tables) -> List[Binding]:
+        """Staging allocated once and reused every timestep, over the
+        boxes of *tables*."""
+        return [stage_table(arr, table) for table in tables]

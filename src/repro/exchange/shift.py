@@ -17,7 +17,7 @@ non-contiguous boxes of a lexicographic array).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,12 +30,18 @@ from repro.exchange.base import (
     RankMessagePlan,
     ScheduleTemplate,
 )
-from repro.exchange.boxes import box_slices, extended_array_of, stage_boxes
+from repro.exchange.boxes import (
+    BoxTable,
+    box_slices,
+    box_table,
+    extended_array_of,
+    stage_table,
+)
 from repro.exchange.schedule import shift_schedule
 from repro.hardware.profiles import MachineProfile
 from repro.simmpi.comm import CartComm
 
-__all__ = ["ShiftExchanger", "shift_template"]
+__all__ = ["ShiftExchanger", "shift_tables", "shift_template"]
 
 
 def shift_template(
@@ -62,6 +68,50 @@ def shift_template(
     )
 
 
+def _face_boxes(extent: Tuple[int, ...], ghost: int, axis: int, high: bool):
+    """``(send, recv)`` slices of the face on side *high* of *axis*: axes
+    before it span the FULL extended range (forwarding corners already
+    received), *axis* the g-wide band, axes after it the owned span."""
+    g = ghost
+    lo, ext = [], []
+    for a, e in enumerate(extent):
+        if a < axis:
+            lo.append(0)
+            ext.append(e + 2 * g)
+        elif a == axis:
+            lo.append(e if high else g)  # the surface band
+            ext.append(g)
+        else:
+            lo.append(g)
+            ext.append(e)
+    recv_lo = list(lo)
+    recv_lo[axis] = g + extent[axis] if high else 0
+    return box_slices((lo, ext)), box_slices((recv_lo, ext))
+
+
+def shift_tables(
+    plan: RankMessagePlan, extent: Sequence[int], ghost: int
+) -> Tuple[BoxTable, ...]:
+    """The rank-invariant half of binding *plan*: per axis, the face
+    boxes of its messages, checked once.  Axis *d+1*'s pack reads what
+    axis *d*'s unpack wrote, which is the corner forwarding."""
+    extent, ghost = tuple(int(e) for e in extent), int(ghost)
+    shape = tuple(e + 2 * ghost for e in reversed(extent))
+    return tuple(
+        box_table(
+            shape,
+            [
+                _face_boxes(
+                    extent, ghost, axis, m.spec.neighbor.direction(axis + 1) > 0
+                )
+                for m in plan.sends
+                if m.phase == axis
+            ],
+        )
+        for axis in range(plan.nphases)
+    )
+
+
 class ShiftExchanger(Exchanger):
     """Dimension-by-dimension face exchange with corner forwarding."""
 
@@ -74,42 +124,13 @@ class ShiftExchanger(Exchanger):
         ghost: int,
         profile: MachineProfile,
         result: Optional[ExchangeResult] = None,
+        tables: Optional[Sequence[BoxTable]] = None,
     ) -> None:
         self.extent, self.ghost = extended_array_of(array, extent, ghost)
-        super().__init__(comm, plan, array, profile, result)
+        super().__init__(comm, plan, array, profile, result, tables)
 
-    def _face_boxes(self, axis: int, high: int):
-        """``(send, recv)`` slices of the face on side *high* of *axis*:
-        axes before it span the FULL extended range (forwarding corners
-        already received), *axis* the g-wide band, axes after it the
-        owned span."""
-        g = self.ghost
-        lo, ext = [], []
-        for a, e in enumerate(self.extent):
-            if a < axis:
-                lo.append(0)
-                ext.append(e + 2 * g)
-            elif a == axis:
-                lo.append(e if high else g)  # the surface band
-                ext.append(g)
-            else:
-                lo.append(g)
-                ext.append(e)
-        recv_lo = list(lo)
-        recv_lo[axis] = g + self.extent[axis] if high else 0
-        return box_slices((lo, ext)), box_slices((recv_lo, ext))
+    _tables = staticmethod(shift_tables)
 
-    def _bind(self, arr: np.ndarray) -> List[Binding]:
-        """Per-axis staging: axis *d+1*'s pack reads what axis *d*'s
-        unpack wrote, which is the corner forwarding."""
-        return [
-            stage_boxes(
-                arr,
-                [
-                    self._face_boxes(axis, m.spec.neighbor.direction(axis + 1) > 0)
-                    for m in self.plan.sends
-                    if m.phase == axis
-                ],
-            )
-            for axis in range(self.plan.nphases)
-        ]
+    def _bind(self, arr: np.ndarray, tables) -> List[Binding]:
+        """Per-axis staging over the face boxes of *tables*."""
+        return [stage_table(arr, table) for table in tables]

@@ -22,6 +22,7 @@ __all__ = [
     "SURFACE1D",
     "SURFACE2D",
     "SURFACE3D",
+    "check_order",
     "lexicographic_order",
     "basic_order",
     "grouped_order",
@@ -128,6 +129,12 @@ def surface_order(ndim: int) -> List[BitSet]:
 def validate_order(order: Sequence[BitSet], ndim: int) -> int:
     """Check *order* is a permutation of all regions; return its message
     count.  Raises ``ValueError`` on malformed layouts."""
+    return messages_for_order(check_order(order, ndim), ndim)
+
+
+def check_order(order: Sequence[BitSet], ndim: int) -> List[BitSet]:
+    """*order* as a list, after checking it is a permutation of all
+    regions.  Raises ``ValueError`` on malformed layouts."""
     expected = set(all_regions(ndim))
     got = list(order)
     if len(got) != len(expected) or set(got) != expected:
@@ -135,4 +142,4 @@ def validate_order(order: Sequence[BitSet], ndim: int) -> int:
             f"layout must be a permutation of the {len(expected)} regions"
             f" of a {ndim}-D subdomain"
         )
-    return messages_for_order(got, ndim)
+    return got

@@ -9,7 +9,8 @@ contiguous, vector, subarray -- with two faces:
   slicing, one selection per call.  A persistent exchange does not call
   them per step: it commits its subarrays against the array once
   (:attr:`SubarrayType.slices` into
-  :func:`repro.exchange.boxes.stage_boxes`) and the engine's whole
+  :func:`repro.exchange.boxes.box_table`, bound by
+  :func:`repro.exchange.boxes.stage_table`) and the engine's whole
   gather, and its whole scatter, is then one bound call per exchange --
   where buffer sizes, dtypes and contiguity are checked, once;
 * **modelled**: ``segment_profile`` reports the number of contiguous

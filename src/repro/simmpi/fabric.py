@@ -191,10 +191,17 @@ class AbortedError(RuntimeError):
 
 
 def _flat_bytes(buf: np.ndarray) -> np.ndarray:
-    """Flat byte view of a C-contiguous buffer (never a copy)."""
+    """Flat byte view of a C-contiguous buffer (never a copy): the
+    buffer itself when it is one already, as the pack-free exchangers'
+    views, cut from one byte view of their storage, are."""
     if not buf.flags.c_contiguous:
         raise ExchangeConfigError("bound buffers must be C-contiguous")
-    return buf.reshape(-1).view(np.uint8)
+    if buf.dtype is _BYTE and buf.ndim == 1:
+        return buf
+    return (buf if buf.ndim == 1 else buf.reshape(-1)).view(_BYTE)
+
+
+_BYTE = np.dtype(np.uint8)
 
 
 def _numpy_copy_list(srcs, dsts) -> Callable[[], None]:
@@ -385,32 +392,35 @@ class BoundRequest:
                  copy_list=None, crc_list=None, copy_crc_list=None) -> None:
         self.rank = rank
         by_dst: Dict[int, list] = {}
+        sizes: Dict[int, int] = {}
         for dst, tag, buf in posts:
-            by_dst.setdefault(dst, []).append(((rank, tag), _flat_bytes(buf)))
-        self.groups = [
-            (dst, items, sum(view.size for _, view in items))
-            for dst, items in by_dst.items()
-        ]
+            view = _flat_bytes(buf)
+            by_dst.setdefault(dst, []).append(((rank, tag), view))
+            sizes[dst] = sizes.get(dst, 0) + view.size
+        self.groups = [(dst, items, sizes[dst]) for dst, items in by_dst.items()]
         self.nsend = len(posts)
-        self.send_bytes = sum(g[2] for g in self.groups)
+        self.send_bytes = sum(sizes.values())
         self.credit = _Credit(rank, self.nsend)
         self.deposits = [(dst, (self.credit, items)) for dst, items, _n in self.groups]
-        self.rmap: Dict[Tuple[int, int], np.ndarray] = {}
+        rmap: Dict[Tuple[int, int], np.ndarray] = {}
         counts: Dict[int, int] = {}
+        recv_bytes = 0
         for src, tag, buf in recvs:
             if not buf.flags.writeable:
                 raise ExchangeConfigError(
                     f"rank {rank} binds a read-only buffer to the receive"
                     f" (src={src}, tag={tag})"
                 )
-            if (src, tag) in self.rmap:
+            if (src, tag) in rmap:
                 raise ExchangeConfigError(
                     f"rank {rank} binds two receives to (src={src},"
                     f" tag={tag}); one request matches an edge once"
                 )
-            self.rmap[(src, tag)] = _flat_bytes(buf)
+            view = rmap[(src, tag)] = _flat_bytes(buf)
+            recv_bytes += view.size
             counts[src] = counts.get(src, 0) + 1
-        self.recv_bytes = sum(view.size for view in self.rmap.values())
+        self.rmap = rmap
+        self.recv_bytes = recv_bytes
         self.sources = list(counts.items())
         self.copy_list = copy_list or _numpy_copy_list
         self.copy: Optional[Callable[[], None]] = None
@@ -722,16 +732,13 @@ class SimFabric:
         """
         self._check_rank(rank)
         posts, recvs = list(posts), list(recvs)
-        counts = []
-        for dst, tag, buf in posts:
-            self._check_rank(dst)
-            counts.append(((rank, dst, tag), buf.nbytes, "send"))
-        for src, tag, buf in recvs:
-            self._check_rank(src)
-            counts.append(((src, rank, tag), buf.nbytes, "recv"))
+        counts = [((rank, dst, tag), buf.nbytes, "send") for dst, tag, buf in posts]
+        counts += [((src, rank, tag), buf.nbytes, "recv") for src, tag, buf in recvs]
+        for (src, dst, _tag), _nbytes, side in counts:
+            if not (0 <= src < self.nranks and 0 <= dst < self.nranks):
+                self._check_rank(dst if side == "send" else src)
         with self._lock:
-            for edge, nbytes, side in counts:
-                self._negotiate(edge, nbytes, side)
+            self._negotiate(counts)
         request = BoundRequest(
             rank, posts, recvs, self._guard is not None, copy_list, crc_list,
             copy_crc_list,
@@ -1115,11 +1122,12 @@ class SimFabric:
                 finally:
                     credit.waiting = False
 
-    def _negotiate(self, edge, nbytes: int, side: str) -> None:
-        """Under the lock: record one endpoint's byte count of *edge*.
+    def _negotiate(self, counts) -> None:
+        """Under the lock: record each endpoint's byte count of its edge.
 
-        *side* is ``"send"`` (registered by the source) or ``"recv"``
-        (registered by the destination).  The first endpoint to negotiate
+        *counts* holds ``(edge, nbytes, side)`` per endpoint; *side* is
+        ``"send"`` (registered by the source) or ``"recv"`` (registered
+        by the destination).  The first endpoint to negotiate
         records its count; the second is compared against it and a
         disagreement raises :class:`SplitMismatchError` immediately -- the
         runtime backstop of the static verifier's ``byte-mismatch``
@@ -1128,20 +1136,25 @@ class SimFabric:
         own re-negotiation re-arms the comparison instead of tripping on
         outdated state.
         """
-        other = "recv" if side == "send" else "send"
-        sides = self._splits.setdefault(edge, {})
-        prev = sides.get(side)
-        if prev is not None and prev != nbytes:
-            sides.pop(other, None)
-        sides[side] = nbytes
-        peer = sides.get(other)
-        if peer is not None and peer != nbytes:
-            src, dst, tag = edge
-            raise SplitMismatchError(
-                f"byte count disagreement on (src={src}, dst={dst},"
-                f" tag={tag}): {side} side binds {nbytes} bytes, {other}"
-                f" side negotiated {peer} bytes"
-            )
+        splits = self._splits
+        for edge, nbytes, side in counts:
+            other = "recv" if side == "send" else "send"
+            sides = splits.get(edge)
+            if sides is None:
+                splits[edge] = {side: nbytes}
+                continue
+            prev = sides.get(side)
+            if prev is not None and prev != nbytes:
+                sides.pop(other, None)
+            sides[side] = nbytes
+            peer = sides.get(other)
+            if peer is not None and peer != nbytes:
+                src, dst, tag = edge
+                raise SplitMismatchError(
+                    f"byte count disagreement on (src={src}, dst={dst},"
+                    f" tag={tag}): {side} side binds {nbytes} bytes, {other}"
+                    f" side negotiated {peer} bytes"
+                )
 
     def _wake_all(self) -> None:
         """Under the lock: wake every port."""

@@ -1145,7 +1145,9 @@ class Movers:
         return self._ffi.new("char *[]", list(map(self._ffi.from_buffer, arrays)))
 
     def _sizes(self, sizes: Sequence[int]):
-        return self._ffi.new("int64_t[]", [int(n) for n in sizes])
+        """``int64_t[]`` of *sizes*, Python ints (shapes, ``.size``,
+        ``.nbytes``, ``tolist()``)."""
+        return self._ffi.new("int64_t[]", list(sizes))
 
     def _frozen(self, fn, args: tuple, what: str, keep=()) -> Callable[[], None]:
         """*fn* over *args*: the cdata tables in *args*, the dlopen

@@ -65,10 +65,10 @@ class BitSet:
 
     def to_vector(self, ndim: int) -> Tuple[int, ...]:
         """Direction vector of length *ndim* over ``{-1, 0, +1}``."""
-        if self._elems and max(abs(e) for e in self._elems) > ndim:
-            raise ValueError(f"{self} does not fit in {ndim} dimensions")
         vec = [0] * ndim
         for e in self._elems:
+            if abs(e) > ndim:
+                raise ValueError(f"{self} does not fit in {ndim} dimensions")
             vec[abs(e) - 1] = 1 if e > 0 else -1
         return tuple(vec)
 

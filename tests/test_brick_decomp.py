@@ -53,17 +53,22 @@ class TestConstruction:
 
 
 class TestBoxes:
+    """The section boxes the slot assignment derives."""
+
     def test_region_boxes_tile_surface(self, small_decomp):
-        d = small_decomp
+        asn = small_decomp.assignment(1)
         seen = set()
         for region in all_regions(3):
-            lo, ext = d.region_box(region)
+            s = asn.surface[region]
+            lo, ext = s.box_lo, s.box_extent
+            assert s.nbricks == math.prod(ext)
             for c1 in range(lo[0], lo[0] + ext[0]):
                 for c2 in range(lo[1], lo[1] + ext[1]):
                     for c3 in range(lo[2], lo[2] + ext[2]):
                         assert (c1, c2, c3) not in seen
                         seen.add((c1, c2, c3))
-        ilo, iext = d.interior_box()
+        ilo, iext = asn.interior.box_lo, asn.interior.box_extent
+        assert (ilo, iext) == ((1, 1, 1), (2, 2, 2))
         interior = {
             (a, b, c)
             for a in range(ilo[0], ilo[0] + iext[0])
@@ -74,14 +79,36 @@ class TestBoxes:
         assert len(seen) + len(interior) == 4**3
 
     def test_ghost_subsection_requires_cover(self, small_decomp):
-        with pytest.raises(ValueError):
-            small_decomp.ghost_subsection_box(BitSet([1]), BitSet([2]))
+        # Region {2} is not sent to the neighbor opposite {1}: no section.
+        ghost = small_decomp.assignment(1).ghost
+        assert (BitSet([1]), BitSet([2])) not in ghost
+        for neighbor, region in ghost:
+            assert neighbor.opposite().issubset(region)
+        assert len(ghost) == sum(
+            neighbor.opposite().issubset(region)
+            for neighbor in all_regions(3)
+            for region in all_regions(3)
+        )
 
     def test_ghost_subsection_location(self, small_decomp):
         # Neighbor above us on axis 3 sends its bottom face region.
-        lo, ext = small_decomp.ghost_subsection_box(BitSet([3]), BitSet([-3]))
-        assert lo[2] == 4  # one past our grid: the ghost shell
-        assert ext == (2, 2, 1)
+        asn = small_decomp.assignment(1)
+        s = asn.ghost[(BitSet([3]), BitSet([-3]))]
+        assert s.box_lo == (1, 1, 4)  # one past our grid: the ghost shell
+        assert s.box_extent == (2, 2, 1)
+        # Every ghost box is its sender region's box shifted by T * n.
+        for (neighbor, region), g in asn.ghost.items():
+            sent = asn.surface[region]
+            shift = tuple(4 * t for t in neighbor.to_vector(3))
+            assert g.box_extent == sent.box_extent
+            assert g.box_lo == tuple(l + t for l, t in zip(sent.box_lo, shift))
+            cells = asn.grid_index[
+                tuple(
+                    slice(l + 1, l + 1 + e)
+                    for l, e in zip(reversed(g.box_lo), reversed(g.box_extent))
+                )
+            ]
+            assert sorted(cells.reshape(-1).tolist()) == list(range(g.start, g.end))
 
 
 class TestAssignment:

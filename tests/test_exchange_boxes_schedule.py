@@ -12,9 +12,10 @@ from repro.exchange.boxes import (
     bind_gather,
     bind_scatter,
     box_slices,
+    box_table,
     neighbor_recv_box,
     neighbor_send_box,
-    stage_boxes,
+    stage_table,
 )
 from repro.faults.errors import ExchangeConfigError
 from repro.exchange.schedule import (
@@ -293,7 +294,7 @@ class TestMoversMatchNumPy:
         for tier in ("cffi", "numpy"):
             monkeypatch.setenv("REPRO_KERNEL_BACKEND", tier)
             work = arr.copy()
-            hooks = stage_boxes(work, slabs)
+            hooks = stage_table(work, box_table(work.shape, slabs))
             assert hooks.backend == tier
             hooks.pre()
             hooks.recv_bufs[0][:] = hooks.send_bufs[0]
@@ -310,12 +311,12 @@ class TestMoversMatchNumPy:
         slabs = [((slice(1, 2), slice(1, 5)), (slice(0, 1), slice(1, 5)))]
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         with pytest.raises(cbackend.KernelBuildError, match="C-contiguous"):
-            stage_boxes(strided, slabs)
+            stage_table(strided, box_table(strided.shape, slabs))
         with pytest.raises(RuntimeError, match="float64"):
-            stage_boxes(np.zeros((6, 6), dtype=np.float32), slabs)
+            stage_table(np.zeros((6, 6), np.float32), box_table((6, 6), slabs))
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        assert stage_boxes(strided, slabs).backend == "numpy"
-        assert stage_boxes(np.zeros((6, 6), np.float32), slabs).backend == "numpy"
+        assert stage_table(strided, box_table(strided.shape, slabs)).backend == "numpy"
+        assert stage_table(np.zeros((6, 6), np.float32), box_table((6, 6), slabs)).backend == "numpy"
 
 
 @pytest.mark.parametrize("tier", ["cffi", "numpy"])

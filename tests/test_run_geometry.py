@@ -2,10 +2,13 @@
 
 The launching thread builds what every rank shares -- decomposition,
 slot assignment, adjacency, permutation, schedule, initial condition --
-once per launched world; ``repro check``, the healability test, the
-ladder, re-bricking and the ranks all read that one frozen object.
+once per launched world, and each engine's rank-invariant bind tables
+once per world when a rank first binds it; ``repro check``, the
+healability test, the ladder, re-bricking and the ranks all read that
+one frozen object.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -17,11 +20,16 @@ import repro.core.driver as driver
 import repro.core.geometry as geometry_mod
 import repro.elastic.recovery as recovery
 from repro.brick.decomp import BrickDecomp
+from repro.brick.storage import BrickStorage
 from repro.core.driver import run_executed
 from repro.core.geometry import RunGeometry
 from repro.core.problem import StencilProblem
+from repro.exchange import make_exchanger
 from repro.exchange.base import Exchanger
 from repro.faults import FaultPlan
+from repro.faults.errors import ExchangeConfigError
+from repro.simmpi.comm import SimComm
+from repro.simmpi.fabric import SimFabric
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import CUBE125, SEVEN_POINT
 
@@ -56,6 +64,7 @@ def built(monkeypatch):
     names = ("decomp", "assignment", "brick_info", "permutation", "initial",
              "template")
     counts = dict.fromkeys(names + tuple("trial_" + n for n in names), 0)
+    counts["tables"] = {}  # per engine base: bind-table derivations
     placing = []
 
     def counted(name, fn, miss=lambda *a, **k: True):
@@ -65,6 +74,12 @@ def built(monkeypatch):
             return fn(*args, **kwargs)
 
         return wrapper
+
+    tabulate = RunGeometry._tabulate
+
+    def tabulating(self, base, plans):
+        counts["tables"][base] = counts["tables"].get(base, 0) + 1
+        return tabulate(self, base, plans)
 
     def choosing(fn):
         def wrapper(*args, **kwargs):
@@ -107,15 +122,17 @@ def built(monkeypatch):
     monkeypatch.setattr(
         recovery, "choose_rank_dims", choosing(recovery.choose_rank_dims)
     )
+    monkeypatch.setattr(RunGeometry, "_tabulate", tabulating)
     return counts
 
 
-def _expected(method, worlds=1, initial=None):
+def _expected(method, worlds=1, initial=None, engines=None):
     bricks = worlds if method in BRICK_METHODS else 0
     return {
         "decomp": bricks, "assignment": bricks, "brick_info": bricks,
-        "permutation": bricks, "template": worlds,
+        "permutation": bricks, "template": worlds * len(engines or (method,)),
         "initial": worlds if initial is None else initial,
+        "tables": {base: worlds for base in engines or (method,)},
     }
 
 
@@ -170,6 +187,18 @@ class TestOneConstructionPerWorld:
         np.testing.assert_array_equal(
             run.global_result,
             apply_periodic_reference(problem.initial_global(0), SEVEN_POINT, 8),
+        )
+
+    def test_degradation_ladder_tabulates_each_rung_once(self, built):
+        # Two demotions: every rung's schedule and bind tables are built
+        # once, by the first rank that binds it, for all eight.
+        run = run_executed(
+            _problem(), "memmap", timesteps=4, fabric_timeout=15.0,
+            fault_plan=FaultPlan(seed=2, degrade=((1, 1), (5, 2))),
+        )
+        assert run.final_method == "brickpack"
+        assert _without_trials(built) == _expected(
+            "memmap", engines=("memmap", "basic", "brickpack")
         )
 
     def test_resumed_run_builds_no_initial_condition(self, built, tmp_path):
@@ -283,7 +312,7 @@ class TestCheckedObjectIsBoundObject:
 # Shared means read-only; scratch is never shared
 # ----------------------------------------------------------------------
 class TestFrozenGeometry:
-    @pytest.mark.parametrize("method", ["layout", "memmap", "yask"])
+    @pytest.mark.parametrize("method", ["layout", "memmap", "yask", "mpi_types"])
     def test_every_exposed_array_is_read_only(self, method):
         geometry = RunGeometry(_problem(), method)
         arrays = [geometry.initial(0)]
@@ -294,6 +323,17 @@ class TestFrozenGeometry:
                 geometry.assignment.slot_coords,
                 geometry.permutation,
             ]
+        # The bind tables: shared by every rank -- tuples, and the box
+        # tables' arrays read-only.
+        tables = geometry.tables(geometry.base)
+        assert geometry.tables(geometry.base) is tables  # built once
+        assert all(t is tables[0] for t in tables)  # one partner set
+        for table in tables[0]:
+            assert isinstance(table, tuple)
+            arrays += [v for v in table if isinstance(v, np.ndarray)]
+            assert not any(isinstance(v, list) for v in table)
+        if geometry.decomp is None:
+            assert len(arrays) == 3  # the box tables' send and recv
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -344,3 +384,95 @@ def test_shared_geometry_is_not_a_data_race(stencil, backend, monkeypatch):
                 np.testing.assert_array_equal(run.global_result, reference)
     finally:
         sys.setswitchinterval(interval)
+
+
+# ----------------------------------------------------------------------
+# Binding from the geometry's tables refuses what binding always refused
+# ----------------------------------------------------------------------
+def _bound_geometry(method):
+    """The geometry whose engine *method* binds, and that engine's base:
+    ``basic`` and ``brickpack`` are the MemMap ladder's rungs, bound
+    over MemMap's padded storage."""
+    if method in ("basic", "brickpack"):
+        return RunGeometry(_problem(), "memmap"), method
+    return RunGeometry(_problem(), method), method
+
+
+def _storage(geometry, nslots=None, dtype=np.float64, nfields=1):
+    decomp = geometry.decomp
+    nslots = geometry.assignment.total_slots if nslots is None else nslots
+    elems = decomp.brick_volume * nfields
+    if geometry.base == "memmap":
+        return BrickStorage.mmap_alloc(nslots, elems, dtype, geometry.page_size)
+    return BrickStorage.allocate(nslots, elems, dtype)
+
+
+def _bad_buffer(geometry, case):
+    """A buffer of *geometry* spoiled as *case* says."""
+    if geometry.decomp is None:
+        shape = geometry.extended_shape
+        if case == "shape":
+            return np.zeros(shape[:-1] + (shape[-1] + 1,))
+        if case == "dtype":
+            return np.zeros(shape, np.float32)
+        if case == "read_only":
+            arr = np.zeros(shape)
+            arr.flags.writeable = False
+            return arr
+        if case == "non_contiguous":
+            return np.zeros(shape[:-1] + (2 * shape[-1],))[..., ::2]
+        # Eight bytes an element, but not the float64 elements planned.
+        return np.zeros(shape, np.int64)
+    if case == "shape":
+        return _storage(geometry, nslots=geometry.assignment.total_slots - 1)
+    if case == "dtype":
+        return _storage(geometry, dtype=np.float32)
+    if case == "bytes":
+        return _storage(geometry, nfields=2)  # bricks of twice the bytes
+    storage = _storage(geometry)
+    if case == "read_only":
+        storage.data.flags.writeable = False
+    else:  # every other element of storage twice the size
+        wide = np.zeros((storage.nslots, 2 * storage.brick_elems))
+        storage.data = wide[:, ::2]
+    return storage
+
+
+class TestBindRefusals:
+    """Binding one buffer over the geometry's shared tables refuses, with
+    ExchangeConfigError and before the fabric sees anything, every
+    buffer the plan does not describe."""
+
+    @pytest.mark.parametrize(
+        "case", ["shape", "dtype", "read_only", "non_contiguous", "bytes"]
+    )
+    @pytest.mark.parametrize(
+        "method",
+        ["layout", "memmap", "basic", "brickpack", "yask", "mpi_types", "shift"],
+    )
+    def test_refused(self, method, case):
+        geometry, base = _bound_geometry(method)
+        fabric = SimFabric(8)
+        cart = SimComm(fabric, 0).Create_cart((2, 2, 2))
+        with pytest.raises(ExchangeConfigError):
+            geometry.bind(base, cart, _bad_buffer(geometry, case))
+        assert not fabric._splits  # nothing negotiated
+
+    @pytest.mark.parametrize("method", ["layout", "memmap", "yask", "shift"])
+    def test_plan_bytes_must_match_the_bound_buffers(self, method):
+        """The last refusal before the fabric: the buffers a binding
+        hands back carry exactly the bytes the plan says."""
+        geometry, base = _bound_geometry(method)
+        cart = SimComm(SimFabric(8), 0).Create_cart((2, 2, 2))
+        buffer = (
+            np.zeros(geometry.extended_shape)
+            if geometry.decomp is None else _storage(geometry)
+        )
+        assert geometry.bind(base, cart, buffer).plan is geometry.plans[0]
+        plan = geometry.plans[0]
+        shorter = dataclasses.replace(plan, sends=plan.sends[:-1])
+        with pytest.raises(ExchangeConfigError, match="does not describe"):
+            make_exchanger(
+                base, cart, shorter, buffer, geometry.extent, geometry.ghost,
+                geometry.profile, geometry.results[0], geometry.tables(base)[0],
+            )

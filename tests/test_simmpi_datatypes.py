@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.exchange.boxes import stage_boxes
+from repro.exchange.boxes import box_table, stage_table
 from repro.faults.errors import ExchangeConfigError
 from repro.simmpi.datatypes import ContiguousType, SubarrayType, VectorType
 from repro.stencil import cbackend
@@ -119,8 +119,9 @@ class TestSubarray:
             SubarrayType(arr.shape, (2, 3, 4), (3, 3, 3)),
             SubarrayType(arr.shape, (5, 6, 1), (0, 0, 0)),
         ]
-        hooks = stage_boxes(
-            arr, [(s.slices, r.slices) for s, r in zip(sends, recvs)]
+        hooks = stage_table(
+            arr,
+            box_table(arr.shape, [(s.slices, r.slices) for s, r in zip(sends, recvs)]),
         )
         assert hooks.backend == tier
         hooks.pre()
