@@ -26,6 +26,7 @@ from repro.hardware.profiles import theta_knl
 from repro.simmpi import allreduce, run_spmd
 from repro.stencil.brick_kernels import apply_brick_stencil
 from repro.stencil.kernels import owned_slices
+from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import star_stencil
 
 GLOBAL = (32, 32, 32)
@@ -49,12 +50,7 @@ def serial_jacobi(u0, f):
     u = u0.copy()
     norms = []
     for _ in range(ITERS):
-        acc = None
-        for off, c in JACOBI.taps:
-            term = c * np.roll(u, tuple(-o for o in reversed(off)),
-                               axis=(0, 1, 2))
-            acc = term if acc is None else acc + term
-        new = acc + OMEGA / 6.0 * f
+        new = apply_periodic_reference(u, JACOBI) + OMEGA / 6.0 * f
         norms.append(float(np.sqrt(np.sum((new - u) ** 2))))
         u = new
     return u, norms

@@ -10,8 +10,10 @@ verifies what *can* be verified ahead of a run:
 * a toolchain is present when the backend is demanded;
 * a small probe kernel per layout -- the brick-batch kernel and the
   array-box kernel -- compiles (with whatever sanitize/guard flags the
-  environment selects) and reproduces the NumPy tap arithmetic
-  bit-for-bit on deterministic data -- the same invariant the full
+  environment selects) and reproduces the NumPy tap arithmetic --
+  the canonical order of :func:`~repro.stencil.spec.tap_groups`, on
+  taps whose shared coefficients alternate -- bit-for-bit on
+  deterministic data -- the same invariant the full
   test suite asserts, checked here in milliseconds on the target
   machine's actual compiler, on the code paths a run takes: brick rows
   as long as an 8^3 brick's, so the sweep is built with the vector
@@ -48,15 +50,17 @@ __all__ = ["verify_cbackend"]
 
 PASS = "cbackend"
 
-#: probe specialization: 7-point taps
+#: probe specialization: 7-point taps whose two shared coefficients
+#: alternate in tap order, so a unit that sums in tap order (or groups
+#: only runs of equal neighbours) misses the canonical grouped bits
 _PROBE_TAPS = (
     ((0, 0, 0), 0.5),
     ((1, 0, 0), 1.0 / 12.0),
+    ((0, 1, 0), 1.0 / 6.0),
     ((-1, 0, 0), 1.0 / 12.0),
-    ((0, 1, 0), 1.0 / 12.0),
-    ((0, -1, 0), 1.0 / 12.0),
+    ((0, -1, 0), 1.0 / 6.0),
     ((0, 0, 1), 1.0 / 12.0),
-    ((0, 0, -1), 1.0 / 12.0),
+    ((0, 0, -1), 1.0 / 6.0),
 )
 #: the brick probe's brick, x first: rows of 8, as in an 8^3 brick
 _PROBE_BD = (8, 4, 4)

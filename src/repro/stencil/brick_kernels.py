@@ -104,6 +104,8 @@ def apply_brick_stencil(
 
     Both storages must share the brick geometry of *info*.  Processing is
     chunked so the halo buffer stays small regardless of domain size.
+    Each cell is summed in the canonical order of
+    :attr:`StencilSpec.groups`.
     """
     bd = info.brick_dim
     ndim = info.ndim
@@ -136,11 +138,14 @@ def apply_brick_stencil(
             halo[: len(batch_slots)],
         )
         acc: Optional[np.ndarray] = None
-        for off, coeff in spec.taps:
-            slices = (slice(None),) + tuple(
-                slice(r + o, r + o + b)
-                for o, b in zip(reversed(off), np_bd)
-            )
-            term = coeff * batch_halo[slices]
+        for coeff, offsets in spec.groups:
+            total: Optional[np.ndarray] = None
+            for off in offsets:
+                window = batch_halo[(slice(None),) + tuple(
+                    slice(r + o, r + o + b)
+                    for o, b in zip(reversed(off), np_bd)
+                )]
+                total = window if total is None else total + window
+            term = coeff * total
             acc = term if acc is None else acc + term
         dst_bricks[batch_slots] = acc

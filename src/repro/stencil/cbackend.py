@@ -46,10 +46,12 @@ every plan on the C tier says so: its ``kernel_backend`` reads
 Bit-exactness with the NumPy path is by construction, whatever the
 vector width:
 
-* identical tap order and operand order (``acc = c0*x0`` then
-  ``t = ci*xi; acc = acc + t`` per tap -- the scalar form of the plan
-  kernels' ``np.multiply(out=)`` / in-place ``np.add`` sequence);
-  SIMD lanes are neighbouring cells, never terms of one cell's sum;
+* identical order of every add and multiply: the canonical order of
+  :func:`~repro.stencil.spec.tap_groups` (``acc = c0 * (x.. + x..)``
+  then ``t = ck * (x.. + x..); acc = acc + t`` per coefficient group,
+  each sum left to right -- the scalar form of the NumPy tier's
+  in-place ``np.add`` / ``np.multiply(out=)`` sequence); SIMD lanes
+  are neighbouring cells, never terms of one cell's sum;
 * ``-ffp-contract=off`` so no FMA contraction reorders roundings;
 * coefficients embedded as C99 hex float literals (exact bit patterns);
 * halo cells of an absent neighbour (adjacency ``-1``) are staged as
@@ -89,6 +91,7 @@ import numpy as np
 
 from repro.brick.info import all_direction_vectors, direction_index
 from repro.stencil.brick_kernels import _margin_slices
+from repro.stencil.spec import tap_groups
 
 __all__ = [
     "KernelBoundsError",
@@ -141,8 +144,8 @@ _SANITIZERS = {
 #: ``--param`` the array one is 2x).  ``-O2`` leaves the array loops
 #: unvectorized (7-point 2.2x slower) and ``-O3`` makes the 7-point
 #: brick kernel 1.9x slower.  Every flag set gives the same bits:
-#: ``-ffp-contract=off`` and the canonical tap order fix every rounding,
-#: SIMD only runs cells side by side.
+#: ``-ffp-contract=off`` and the canonical accumulation order fix every
+#: rounding, SIMD only runs cells side by side.
 _HOST_FLAGS = (
     "-O1", "-ftree-vectorize", "-march=native",
     "--param", "vect-epilogues-nomask=0",
@@ -259,34 +262,47 @@ def _row_major_strides(shape: Sequence[int]) -> List[int]:
 
 def _tap_terms(
     taps: Sequence[Tuple[Tuple[int, ...], float]], strides: Sequence[int]
-) -> Tuple[List[int], List[Tuple[int, float]]]:
-    """``(unique flat offsets, (offset slot, coeff) per tap)``.
+) -> Tuple[List[int], List[Tuple[float, List[int]]]]:
+    """``(unique flat offsets, (coeff, offset slots) per tap group)``.
 
     Redundancy elimination across taps: every tap is a constant flat
     offset from the cell's own position, and taps landing on the same
-    cell share one load (offsets are in first-use order, terms in tap
-    order).  The per-tap arithmetic then degenerates to one load, one
-    multiply, one add.
+    cell share one load (offsets are in first-use order).  Arithmetic
+    shared by taps of one coefficient is done once: the groups are
+    :func:`~repro.stencil.spec.tap_groups`, the canonical order.
     """
     offsets: List[int] = []
-    terms: List[Tuple[int, float]] = []
-    for off, coeff in taps:
+    slot = {}
+    for off, _ in taps:
         rel = sum(o * s for o, s in zip(reversed(off), strides))
         if rel not in offsets:
             offsets.append(rel)
-        terms.append((offsets.index(rel), coeff))
-    return offsets, terms
+        slot[off] = offsets.index(rel)
+    groups = [
+        (coeff, [slot[off] for off in members])
+        for coeff, members in tap_groups(taps)
+    ]
+    return offsets, groups
 
 
-def _accumulate(terms: Sequence[Tuple[int, float]], indent: str) -> List[str]:
-    """The canonical tap loop over loaded ``x<slot>`` values, unrolled:
-    ``acc = c0*x0`` then ``t = ci*xi; acc = acc + t`` per tap."""
-    slot0, c0 = terms[0]
-    lines = [f"{indent}double acc = {_hexf(c0)} * x{slot0};"]
-    if len(terms) > 1:
+def _accumulate(
+    groups: Sequence[Tuple[float, List[int]]], indent: str
+) -> List[str]:
+    """The canonical accumulation over loaded ``x<slot>`` values,
+    unrolled: ``acc = c0 * (x.. + x..)`` for the first group, then
+    ``t = ck * (x.. + x..); acc = acc + t`` per later one -- each sum
+    left to right, as C evaluates ``+`` (a singleton group is a plain
+    ``ck * xk``)."""
+
+    def term(coeff: float, slots: List[int]) -> str:
+        loads = " + ".join(f"x{k}" for k in slots)
+        return f"{_hexf(coeff)} * " + (loads if len(slots) == 1 else f"({loads})")
+
+    lines = [f"{indent}double acc = {term(*groups[0])};"]
+    if len(groups) > 1:
         lines.append(f"{indent}double t;")
-        for slot, coeff in terms[1:]:
-            lines.append(f"{indent}t = {_hexf(coeff)} * x{slot};")
+        for coeff, slots in groups[1:]:
+            lines.append(f"{indent}t = {term(coeff, slots)};")
             lines.append(f"{indent}acc = acc + t;")
     return lines
 
@@ -377,7 +393,7 @@ def batch_step_source(
       (:func:`brick_stage_boxes`, emitted as one ``static const`` table
       driving a copy loop nest) is copied from the neighbour brick into
       the tile, or zero-filled when the neighbour is absent;
-    * **sweep** -- the canonical unrolled tap loop runs over the tile
+    * **sweep** -- the canonical accumulation, unrolled, runs over the tile
       with compile-time strides, unit-stride innermost, exactly like the
       array kernel, and stores the destination brick.
 
@@ -521,7 +537,7 @@ def array_step_source(
     tap's flat offset -- is a compile-time constant; the box bounds are
     call-time data, so one build serves every box of that array.  The
     innermost loop is the unit-stride axis: loads at constant offsets
-    from the cell, the canonical unrolled tap loop, one store.
+    from the cell, the canonical accumulation unrolled, one store.
 
     With *guard* (``REPRO_CC_BOUNDS=1``) the signature grows
     ``src_elems``/``dst_elems`` and the function returns the number of

@@ -35,7 +35,8 @@ def apply_array_stencil(
     ghost: int,
     margin: int = 0,
 ) -> None:
-    """``out[region] = sum_t c_t * arr[region + offset_t]``.
+    """``out[region] = sum_t c_t * arr[region + offset_t]``, summed in
+    the canonical order of :attr:`StencilSpec.groups`.
 
     *arr* and *out* are extended arrays of identical shape; the computed
     region is the owned box grown by *margin* elements per side (margin 0
@@ -63,12 +64,15 @@ def apply_array_stencil(
 
     lo = ghost - margin
     acc: Optional[np.ndarray] = None
-    for off, coeff in spec.taps:
-        slices = tuple(
-            slice(lo + o, lo + o + e + 2 * margin)
-            for o, e in zip(reversed(off), reversed(extent))
-        )
-        term = coeff * arr[slices]
+    for coeff, offsets in spec.groups:
+        total: Optional[np.ndarray] = None
+        for off in offsets:
+            window = arr[tuple(
+                slice(lo + o, lo + o + e + 2 * margin)
+                for o, e in zip(reversed(off), reversed(extent))
+            )]
+            total = window if total is None else total + window
+        term = coeff * total
         acc = term if acc is None else acc + term
     region = tuple(
         slice(lo, lo + e + 2 * margin) for e in reversed(extent)

@@ -23,10 +23,12 @@ per box in one generated kernel call.  The **NumPy tier** (the fallback
 ``auto`` takes without a compiler, and what non-contiguous or
 non-float64 arrays step on) stages a chunk of bricks with one
 fancy-index copy per reached direction and runs the taps as a plain
-loop over precomputed ``(coeff, slices)`` pairs, accumulating with
-``np.multiply(..., out=)`` / in-place ``np.add`` into persistent
-scratch: the canonical order of :mod:`repro.stencil.spec`, zero
-temporaries per tap.
+loop over precomputed ``(coeff, member slices)`` groups: each group's
+windows summed with in-place ``np.add``, then one
+``np.multiply(..., out=)`` and one ``np.add`` into the accumulator, in
+persistent scratch -- the canonical order of
+:attr:`repro.stencil.spec.StencilSpec.groups`, zero temporaries per
+tap.
 
 The generic kernels in :mod:`repro.stencil.kernels` and
 :mod:`repro.stencil.brick_kernels` remain the bit-identity reference; the
@@ -71,26 +73,39 @@ __all__ = [
 
 def _tap_windows(
     spec: StencilSpec, lo: Sequence[int], shape: Sequence[int], lead: Tuple = ()
-) -> List[Tuple[float, Tuple]]:
-    """``(coeff, slices)`` per tap: the *shape*-sized window whose corner
-    sits at *lo* + the tap's offset (numpy axis order), behind *lead*."""
+) -> List[Tuple[float, List[Tuple]]]:
+    """``(coeff, member slices)`` per tap group (:attr:`StencilSpec.groups`):
+    each the *shape*-sized window whose corner sits at *lo* + the tap's
+    offset (numpy axis order), behind *lead*."""
 
     def window(off):
         return lead + tuple(
             slice(at + o, at + o + n) for at, o, n in zip(lo, reversed(off), shape)
         )
 
-    return [(coeff, window(off)) for off, coeff in spec.taps]
+    return [
+        (coeff, [window(off) for off in offsets]) for coeff, offsets in spec.groups
+    ]
 
 
-def _run_taps(taps, src: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> None:
-    """``acc = sum(coeff * src[window])`` in the canonical order: same tap
-    and scalar-times-slice operand order as the generic loops, every
-    intermediate in a caller-owned buffer."""
-    coeff, window = taps[0]
-    np.multiply(coeff, src[window], out=acc)
-    for coeff, window in taps[1:]:
-        np.multiply(coeff, src[window], out=tmp)
+def _group_term(coeff: float, windows, src: np.ndarray, out: np.ndarray) -> None:
+    """``out = coeff * (src[w0] + src[w1] + ...)``, summed left to right."""
+    if len(windows) == 1:
+        np.multiply(coeff, src[windows[0]], out=out)
+        return
+    np.add(src[windows[0]], src[windows[1]], out=out)
+    for window in windows[2:]:
+        np.add(out, src[window], out=out)
+    np.multiply(coeff, out, out=out)
+
+
+def _run_taps(groups, src: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> None:
+    """``acc = c0*s0``, then ``acc = acc + ck*sk`` per later group: the
+    canonical order of the generic loops, every intermediate in a
+    caller-owned buffer."""
+    _group_term(*groups[0], src, acc)
+    for coeff, windows in groups[1:]:
+        _group_term(coeff, windows, src, tmp)
         np.add(acc, tmp, out=acc)
 
 

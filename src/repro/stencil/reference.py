@@ -4,7 +4,9 @@ The oracle for every distributed test: apply the stencil to the *entire*
 global domain with periodic boundary conditions, with no decomposition, no
 ghost zones and no communication.  ``np.roll`` implements the periodic
 shifts exactly, so any exchange + local-compute pipeline must reproduce
-this bit-for-bit (same dtype, same tap order).
+this bit-for-bit (same dtype, same canonical accumulation order:
+:attr:`StencilSpec.groups`, each coefficient's shifted grids summed
+before the one multiply).
 """
 
 from __future__ import annotations
@@ -16,6 +18,13 @@ import numpy as np
 from repro.stencil.spec import StencilSpec
 
 __all__ = ["apply_periodic_reference"]
+
+
+def _shifted(grid: np.ndarray, off) -> np.ndarray:
+    """A new array: *grid* read at tap offset *off* (axis order)."""
+    return np.roll(
+        grid, shift=tuple(-o for o in reversed(off)), axis=tuple(range(grid.ndim))
+    )
 
 
 def apply_periodic_reference(
@@ -34,12 +43,17 @@ def apply_periodic_reference(
         raise ValueError("steps cannot be negative")
     cur = grid.astype(np.float64, copy=True)
     for _ in range(steps):
+        # In place on the fresh rolled grids (same bits as ``acc + c *
+        # (a + b)``): four global-size arrays live at a time.
         acc: Optional[np.ndarray] = None
-        for off, coeff in spec.taps:
-            shifted = np.roll(
-                cur, shift=tuple(-o for o in reversed(off)), axis=tuple(range(cur.ndim))
-            )
-            term = coeff * shifted
-            acc = term if acc is None else acc + term
+        for coeff, offsets in spec.groups:
+            total = _shifted(cur, offsets[0])
+            for off in offsets[1:]:
+                total += _shifted(cur, off)
+            total *= coeff
+            if acc is None:
+                acc = total
+            else:
+                acc += total
         cur = acc
     return cur

@@ -1,6 +1,14 @@
-"""Stencil specifications: taps, radius, and roofline accounting.
+"""Stencil specifications: taps, radius, the canonical accumulation
+order, and roofline accounting.
 
-A stencil is a list of ``(offset_vector, coefficient)`` taps.  The
+A stencil is a list of ``(offset_vector, coefficient)`` taps.  Every
+kernel tier sums a point the same way, fixed here by :func:`tap_groups`:
+taps whose coefficients are bit-for-bit equal form a group, groups come
+in order of first appearance and members keep tap order, and a point's
+value is ``acc = c0*s0`` then ``acc = acc + ck*sk`` per later group,
+where ``sk`` is the left-to-right sum of group *k*'s loads.  A stencil
+whose coefficients are all distinct has singleton groups -- one
+multiply and one add per tap, in tap order.  The
 roofline inputs (``flops_per_point``, ``bytes_per_point``) default to the
 structural count (one multiply per tap, one add per extra tap; one read +
 one write of 8 bytes per point under perfect cache reuse) but can be
@@ -12,6 +20,7 @@ arithmetic intensities of 8/16 and 139/16 flop/byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -19,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "StencilSpec",
+    "tap_groups",
     "star_stencil",
     "cube_stencil",
     "SEVEN_POINT",
@@ -26,7 +36,23 @@ __all__ = [
     "TWENTY_FIVE_POINT_2D",
 ]
 
-Tap = Tuple[Tuple[int, ...], float]
+Offset = Tuple[int, ...]
+Tap = Tuple[Offset, float]
+#: ``(coefficient, member offsets in tap order)``
+TapGroup = Tuple[float, Tuple[Offset, ...]]
+
+
+def tap_groups(taps: Sequence[Tap]) -> Tuple[TapGroup, ...]:
+    """The canonical accumulation order: *taps* grouped by coefficient.
+
+    Coefficients are compared by bit pattern (``float.hex``), so ``0.0``
+    and ``-0.0`` stay apart.  Groups come in order of their first tap,
+    members in tap order.
+    """
+    groups: Dict[str, Tuple[float, list]] = {}
+    for off, coeff in taps:
+        groups.setdefault(float(coeff).hex(), (coeff, []))[1].append(off)
+    return tuple((coeff, tuple(offs)) for coeff, offs in groups.values())
 
 
 @dataclass(frozen=True)
@@ -63,6 +89,11 @@ class StencilSpec:
     def arithmetic_intensity(self) -> float:
         """Flop per byte of memory traffic (the paper's AI)."""
         return self.flops_per_point / self.bytes_per_point
+
+    @cached_property
+    def groups(self) -> Tuple[TapGroup, ...]:
+        """The taps in the canonical accumulation order (:func:`tap_groups`)."""
+        return tap_groups(self.taps)
 
     def coefficients(self) -> Dict[Tuple[int, ...], float]:
         return {off: c for off, c in self.taps}

@@ -376,6 +376,22 @@ class TestCBackend:
         assert "error" in rep.findings[0].message  # cc's diagnostic
 
     @needs_cc
+    def test_probe_catches_a_tap_order_unit(self, monkeypatch):
+        """Units that accumulate in tap order -- one multiply per tap,
+        not one per coefficient -- miss the canonical grouped bits on
+        the probe's alternating coefficients: both kernel probes say so."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        monkeypatch.setattr(
+            cbackend, "tap_groups",
+            lambda taps: tuple((coeff, (off,)) for off, coeff in taps),
+        )
+        rep = CheckReport()
+        verify_cbackend(rep)
+        assert probe_codes(rep) == [
+            "probe-mismatch", "array-probe-mismatch"
+        ], rep.render()
+
+    @needs_cc
     def test_array_probe_mismatch_detected(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         real = cbackend.array_step_source

@@ -62,14 +62,18 @@ class TestGeneratedBatchKernel:
         r = spec.radius
         halo = gather_halo_batch(storage, info, slots, r)
 
-        # generic tap loop (same accumulation order)
+        # generic loop in the canonical order: per coefficient group,
+        # sum the windows left to right, then one multiply and one add
         acc = None
         np_bd = tuple(reversed(d.brick_dim))
-        for off, coeff in spec.taps:
-            slices = (slice(None),) + tuple(
-                slice(r + o, r + o + b) for o, b in zip(reversed(off), np_bd)
-            )
-            term = coeff * halo[slices]
+        for coeff, offsets in spec.groups:
+            total = None
+            for off in offsets:
+                window = halo[(slice(None),) + tuple(
+                    slice(r + o, r + o + b) for o, b in zip(reversed(off), np_bd)
+                )]
+                total = window if total is None else total + window
+            term = coeff * total
             acc = term if acc is None else acc + term
 
         fast, _ = d.allocate()

@@ -27,6 +27,7 @@ import repro.core.driver as driver
 from repro.core.problem import StencilProblem
 from repro.faults import FaultPlan
 from repro.faults.chaos import PRESETS
+from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import SEVEN_POINT
 
 GOLDEN_PATH = Path(__file__).parent / "golden_guard_events.json"
@@ -115,15 +116,23 @@ def test_guard_events_unchanged(preset, method, tier, golden, monkeypatch):
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(_key(*case) for case in _cases())
-    # The recording is not vacuous, and every retried cut healed.
+    # The recording is not vacuous, every retried cut healed, and every
+    # healed run computed the serial reference's field.
+    problem = _problem()
+    reference = apply_periodic_reference(
+        problem.initial_global(0), problem.stencil, STEPS
+    )
+    want_crc = zlib.crc32(reference.tobytes())
     for key, record in golden.items():
         assert record["retry"] == record["healed"]
         assert any(kind.startswith("injected_") for kind in record["events"]), key
+        assert record["field_crc"] == want_crc, key
 
 
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(
-        json.dumps({_key(*case): observe(*case) for case in _cases()},
+        json.dumps({_key(*case): {**observe(*case), "phased": False}
+                    for case in _cases()},
                    indent=1, sort_keys=True) + "\n"
     )
     print(f"recorded {len(_cases())} cases to {GOLDEN_PATH}")
