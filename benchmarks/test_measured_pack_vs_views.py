@@ -76,7 +76,6 @@ def test_bench_memmap_view_send_prep(benchmark):
     def prep():
         total = 0
         for v in views:
-            v.refresh()  # no-op on the real arena
             total += v.array().nbytes
         return total
 

@@ -12,7 +12,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.vmem import NumpyArena, default_arena
+from repro.vmem import MemfdArena, NumpyArena
 from repro.vmem.arena import Arena
 
 __all__ = ["BrickStorage"]
@@ -69,14 +69,13 @@ class BrickStorage:
     def mmap_alloc(
         cls, nslots: int, brick_elems: int, dtype=np.float64, page_size: int = 4096
     ) -> "BrickStorage":
-        """Mapping-capable allocation (the paper's ``mmap_alloc``).
-
-        Uses a real memfd-backed arena when the platform allows, else the
-        simulated page-table arena -- both support ``make_view``.
+        """Mapping-capable allocation (the paper's ``mmap_alloc``): a
+        :class:`~repro.vmem.MemfdArena`, which raises ``OSError`` where
+        ``memfd_create`` / ``mmap(MAP_FIXED)`` are unavailable.
         """
         dtype = np.dtype(dtype)
         nbytes = nslots * brick_elems * dtype.itemsize
-        return cls(default_arena(nbytes, page_size), nslots, brick_elems, dtype)
+        return cls(MemfdArena(nbytes, page_size), nslots, brick_elems, dtype)
 
     # ------------------------------------------------------------------
     @property

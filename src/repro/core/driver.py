@@ -75,6 +75,7 @@ from repro.simmpi.launcher import RankFailedError, run_spmd
 from repro.stencil.kernels import owned_slices
 from repro.stencil.plan import compile_array_plan, compile_brick_plan
 from repro.util.timing import TimeBreakdown
+from repro.vmem import realmap_available
 
 __all__ = ["ExecutedRun", "run_executed"]
 
@@ -688,6 +689,10 @@ def run_executed(
     period the ghost width supports; the default (None) exchanges every
     step as the paper's main experiments do.
 
+    A method whose base is ``memmap`` needs ``memfd_create`` and
+    ``mmap(MAP_FIXED)`` (:func:`~repro.vmem.realmap_available`); where
+    they are missing it is refused before launch.
+
     Chaos-fabric knobs (see README "Robustness"):
 
     *fault_plan*: a seeded :class:`~repro.faults.FaultPlan` to inject
@@ -782,6 +787,12 @@ def run_executed(
         raise ValueError(
             "elastic restart requires a periodic problem: ghost shells are"
             " rebuilt by periodic wrap"
+        )
+    if info.base == "memmap" and not realmap_available():
+        raise ValueError(
+            f"{method!r} stitches its windows with memfd_create and"
+            " mmap(MAP_FIXED), which this platform lacks; 'layout' runs the"
+            " same pack-free exchange without mappings"
         )
     if degrade and info.base != "memmap":
         raise ValueError(

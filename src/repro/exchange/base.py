@@ -282,8 +282,8 @@ class Binding(NamedTuple):
     ``send_bufs`` / ``recv_bufs`` are the wire buffer of each send and
     each receive of the phase, in plan order: a storage slot view, a
     slice of a stitched window, or a persistent staging buffer.  ``pre`` runs
-    before the sends go out (pack, datatype gather, refresh) and
-    ``post`` after every receive has landed (unpack, ``insert``, flush),
+    before the sends go out (pack, datatype gather) and
+    ``post`` after every receive has landed (unpack, ``insert``),
     under the tracer spans named by ``spans``; ``backend`` is the tier
     they move bytes on (``"cffi"`` / ``"numpy"``; empty when they copy
     nothing).

@@ -8,13 +8,11 @@ the communication pattern changes"):
   neighbor by neighbor in plan order, into one virtually contiguous span;
 * the **receive window** maps the matching ghost subsections identically.
 
-A neighbor's wire buffer is its consecutive slice of a window.  With the
-real memfd arena the windows alias brick storage, so ``MPI_Send(slice)`` /
-``MPI_Recv(slice)`` are genuinely zero-copy and the exchange runs no
-hooks; with the simulated arena, one refresh of the send window and one
-flush of the receive window stand in for the MMU (charged zero modelled
-time).  Costs relative to Layout: page padding inflates wire bytes
-(Table 2), and every chunk consumes one entry of the kernel's
+A neighbor's wire buffer is its consecutive slice of a window.  The
+windows map the memfd arena's pages, so they alias brick storage:
+``MPI_Send(slice)`` / ``MPI_Recv(slice)`` are genuinely zero-copy and the
+exchange runs no hooks.  Costs relative to Layout: page padding inflates
+wire bytes (Table 2), and every chunk consumes one entry of the kernel's
 ``vm.max_map_count`` budget -- which the layout optimization keeps small
 by coalescing runs.
 """
@@ -44,7 +42,7 @@ from repro.faults.errors import ExchangeConfigError
 from repro.hardware.profiles import MachineProfile
 from repro.simmpi.comm import CartComm
 from repro.vmem.layout_plan import ViewPlan, plan_view
-from repro.vmem.view import StitchedViewBase
+from repro.vmem.realmap import RealStitchedView
 
 __all__ = ["MemMapExchanger", "WindowTable", "memmap_tables", "memmap_template"]
 
@@ -176,7 +174,7 @@ class MemMapExchanger(Exchanger):
         """The two windows are the wire buffers: one slice per message."""
         (table,) = tables
         storage_bytes(storage, table.reach)  # the refusals of every brick plan
-        self._views: List[StitchedViewBase] = []
+        self._views: List[RealStitchedView] = []
 
         def window(chunks, cuts) -> List[np.ndarray]:
             if not chunks:
@@ -186,17 +184,11 @@ class MemMapExchanger(Exchanger):
             flat = view.array()
             return [flat[a:b] for a, b in cuts]
 
+        # Pack-free through the MMU: no hooks, no staged bytes (the
+        # windows burn kernel mappings instead, the vm.max_map_count budget).
         sends = window(table.send_chunks, table.send_cuts)
         recvs = window(table.recv_chunks, table.recv_cuts)
-        if not self._views or self._views[0].zero_copy:
-            # Pack-free through the MMU: no staged bytes (the windows burn
-            # kernel mappings instead, the vm.max_map_count budget).
-            return [Binding(sends, recvs)]
-        # The simulated arena: one gather and one scatter per exchange
-        # stand in for the MMU.
-        send, recv = self._views
-        sync = ("exchange.sync", "exchange.sync")
-        return [Binding(sends, recvs, send.refresh, recv.flush, sync, "numpy")]
+        return [Binding(sends, recvs)]
 
     def close(self) -> None:
         for v in self._views:

@@ -11,7 +11,7 @@ tracer span -- so a traced chaos run shows exactly where the wire
 misbehaved.
 
 :data:`VMEM_FAULTS` is a set of *thread-locally* armable failure sites
-threaded through ``vmem/realmap.py`` and ``vmem/simmap.py``: arming
+threaded through ``vmem/realmap.py``: arming
 ``"view_map_chunk"`` makes the next stitched-view construction on this
 thread fail mid-stitch with ``OSError``, exercising the real cleanup
 paths (munmap of the reserved span, memfd close).  Thread-local arming

@@ -16,7 +16,6 @@ device:
   host buffers (the pre-CUDA-aware world the paper's prior work measured).
 """
 
-from repro.gpu.device import DeviceBuffer, SimDevice
 from repro.gpu.transports import (
     CudaAwareTransport,
     GpuTransport,
@@ -26,9 +25,7 @@ from repro.gpu.transports import (
 
 __all__ = [
     "CudaAwareTransport",
-    "DeviceBuffer",
     "GpuTransport",
-    "SimDevice",
     "StagedTransport",
     "UnifiedMemoryTransport",
 ]

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.indexing import ceil_div
-
 __all__ = ["GpuModel"]
 
 
@@ -77,25 +75,3 @@ class GpuModel:
         if nbytes == 0 or ncopies == 0:
             return 0.0
         return ncopies * self.host_link_latency + nbytes / self.host_link_bw
-
-    def um_touch_time(self, nbytes: int, resident: bool = False) -> float:
-        """Cost of the first touch of *nbytes* of UM data on the other side.
-
-        Pages already resident cost nothing; otherwise each page pays a
-        fault plus migration at ``um_bw``.
-        """
-        if nbytes < 0:
-            raise ValueError("nbytes cannot be negative")
-        if resident or nbytes == 0:
-            return 0.0
-        npages = ceil_div(nbytes, self.page_size)
-        # Migration is page-granular: a partial page still moves whole.
-        return npages * self.fault_overhead + npages * self.page_size / self.um_bw
-
-    def padded_bytes(self, nbytes: int) -> int:
-        """Size of *nbytes* after padding up to the UM page size."""
-        if nbytes < 0:
-            raise ValueError("nbytes cannot be negative")
-        if nbytes == 0:
-            return 0
-        return ceil_div(nbytes, self.page_size) * self.page_size

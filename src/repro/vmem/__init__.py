@@ -6,49 +6,24 @@ consecutive virtual addresses -- so the surface regions bound for one
 neighbor *appear* contiguous and a single ``MPI_Send`` covers them with
 zero copies.
 
-Two interchangeable implementations:
-
-* :mod:`repro.vmem.realmap` -- the genuine mechanism: ``os.memfd_create``
-  plus ``libc.mmap(MAP_FIXED | MAP_SHARED)`` through :mod:`ctypes`, giving
-  truly aliased NumPy views.  Linux-only; selected automatically when
-  available.
-* :mod:`repro.vmem.simmap` -- a pure-Python page-table model whose views
-  materialize by gather/scatter copies.  Functionally identical (the test
-  suite asserts so); used for cost accounting and as a portable fallback.
+:mod:`repro.vmem.realmap` is that mechanism: ``os.memfd_create`` plus
+``libc.mmap(MAP_FIXED | MAP_SHARED)`` through :mod:`ctypes`, giving truly
+aliased NumPy views.  It is Linux-only, and it is the one arena that
+maps: where :func:`realmap_available` is false a MemMap run is refused
+before launch.  :mod:`repro.vmem.layout_plan` turns byte ranges into the
+page-granular chunks (and mapping counts) a view maps.
 """
 
 from repro.vmem.arena import Arena, NumpyArena
 from repro.vmem.layout_plan import ViewPlan, plan_view
-from repro.vmem.simmap import SimArena, SimStitchedView
-from repro.vmem.view import StitchedViewBase
-
-try:  # pragma: no cover - platform dependent
-    from repro.vmem.realmap import MemfdArena, RealStitchedView, realmap_available
-except (ImportError, OSError):  # pragma: no cover
-    MemfdArena = None  # type: ignore[assignment]
-    RealStitchedView = None  # type: ignore[assignment]
-
-    def realmap_available() -> bool:
-        return False
-
-
-def default_arena(nbytes: int, page_size: int):
-    """Best available arena: memfd-backed if the platform supports it."""
-    if realmap_available():
-        return MemfdArena(nbytes, page_size)
-    return SimArena(nbytes, page_size)
-
+from repro.vmem.realmap import MemfdArena, RealStitchedView, realmap_available
 
 __all__ = [
     "Arena",
     "MemfdArena",
     "NumpyArena",
     "RealStitchedView",
-    "SimArena",
-    "SimStitchedView",
-    "StitchedViewBase",
     "ViewPlan",
-    "default_arena",
     "plan_view",
     "realmap_available",
 ]

@@ -1,12 +1,10 @@
 """Arena abstraction: a chunk of "physical" memory views are built over.
 
 An arena owns one flat byte buffer (exposed as a NumPy array) and knows its
-page size.  Concrete arenas differ in what backs the buffer:
+page size.  The two concrete arenas differ in what backs the buffer:
 
 * :class:`NumpyArena` -- plain ``numpy`` allocation; cannot build views
   (used by the non-MemMap storage paths).
-* :class:`~repro.vmem.simmap.SimArena` -- plain allocation plus a simulated
-  page table; builds copy-based views.
 * :class:`~repro.vmem.realmap.MemfdArena` -- ``memfd_create`` file mapping;
   builds genuinely aliased views.
 """
@@ -46,8 +44,8 @@ class Arena(abc.ABC):
         """Stitch page-aligned ``(offset, length)`` byte ranges into a view.
 
         Every offset and length must be page-multiples; ranges may repeat
-        and may overlap (that is the point).  Returns an object with the
-        :class:`~repro.vmem.view.StitchedViewBase` interface.
+        and may overlap (that is the point).  Returns a
+        :class:`~repro.vmem.realmap.RealStitchedView`.
         """
 
     def check_chunks(self, chunks: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -125,5 +123,5 @@ class NumpyArena(Arena):
     def make_view(self, chunks: Sequence[Tuple[int, int]]):
         raise NotImplementedError(
             "NumpyArena cannot build stitched views; allocate the storage"
-            " with mmap_alloc (SimArena/MemfdArena) for MemMap"
+            " with mmap_alloc (a MemfdArena) for MemMap"
         )

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.faults.runtime import VMEM_FAULTS
 from repro.vmem.arena import Arena
-from repro.vmem.view import StitchedViewBase
 
 __all__ = ["MemfdArena", "RealStitchedView", "realmap_available"]
 
@@ -71,15 +70,18 @@ def realmap_available() -> bool:
     """True when this platform supports the real mapping path."""
     global _AVAILABLE, _LIBC
     if _AVAILABLE is None:
-        _AVAILABLE = False
+        # Probe into locals and publish once: rank threads race to this
+        # first call, and none may read a half-done probe as "no memfd".
+        available = False
         if sys.platform.startswith("linux") and hasattr(os, "memfd_create"):
             try:
                 _LIBC = _load_libc()
                 fd = os.memfd_create("repro-probe")
                 os.close(fd)
-                _AVAILABLE = True
+                available = True
             except (OSError, AttributeError):  # pragma: no cover
-                _AVAILABLE = False
+                pass
+        _AVAILABLE = available
     return _AVAILABLE
 
 
@@ -177,11 +179,15 @@ def _file_runs(chunks: List[Tuple[int, int]]) -> List[Tuple[int, int, int]]:
     return runs
 
 
-class RealStitchedView(StitchedViewBase):
-    """Aliased contiguous window over selected pages of a :class:`MemfdArena`."""
+class RealStitchedView:
+    """Aliased contiguous window over selected pages of a :class:`MemfdArena`:
+    the page-aligned ``(offset, length)`` *chunks*, in order, as one
+    NumPy array.  Writes through either side are visible to the other at
+    once; there is no data movement to request."""
 
     def __init__(self, arena: MemfdArena, chunks: List[Tuple[int, int]]) -> None:
-        super().__init__(chunks)
+        self.chunks = list(chunks)
+        self.nbytes = sum(length for _, length in self.chunks)
         self._arena = arena
         self.closed = False
         libc = _LIBC
@@ -221,26 +227,26 @@ class RealStitchedView(StitchedViewBase):
             libc.munmap(base, total)
             raise
 
-    @property
-    def zero_copy(self) -> bool:
-        return True
-
     def array(self, dtype=np.uint8) -> np.ndarray:
+        """The view contents as one flat contiguous array of *dtype*."""
         if self.closed:
             raise ValueError("view is closed")
         return self._array.view(dtype)
-
-    def refresh(self) -> None:
-        """No-op: the view aliases the arena pages."""
-
-    def flush(self, up_to_bytes: int = None) -> None:
-        """No-op: the view aliases the arena pages."""
 
     def close(self) -> None:
         if not self.closed:
             self.closed = True
             self._array = None
             _LIBC.munmap(self._base_addr, self.nbytes)
+
+    def __enter__(self) -> "RealStitchedView":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __len__(self) -> int:
+        return self.nbytes
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:

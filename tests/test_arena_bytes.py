@@ -11,17 +11,20 @@ import numpy as np
 import pytest
 
 from repro.brick.decomp import BrickDecomp
-from repro.vmem import NumpyArena, default_arena
+from repro.vmem import MemfdArena, NumpyArena, realmap_available
 
 PAGE = 4096
 
 
 @pytest.fixture(params=["numpy", "default"])
 def arena(request):
+    """Plain storage's arena, and ``mmap_alloc``'s (the memfd one)."""
     if request.param == "numpy":
         a = NumpyArena(2 * PAGE, PAGE)
+    elif not realmap_available():
+        pytest.skip("memfd/MAP_FIXED unavailable")
     else:
-        a = default_arena(2 * PAGE, PAGE)
+        a = MemfdArena(2 * PAGE, PAGE)
     yield a
     a.close()
 
@@ -99,6 +102,8 @@ class TestPaddedSlotBytes:
     def _padded_storage(self):
         # 4^3 bricks of float64 are 512 bytes; page alignment then needs
         # 8 slots per aligned unit, so the layout has real padding gaps.
+        if not realmap_available():
+            pytest.skip("memfd/MAP_FIXED unavailable")
         decomp = BrickDecomp((16, 16, 16), (4, 4, 4), 4)
         storage, asn = decomp.mmap_alloc(PAGE)
         assert asn.alignment > 1 and asn.padding_slots > 0

@@ -304,6 +304,8 @@ def _kwargs(case, steps, crash, death, tmp_path):
 def test_composes(case, tmp_path, monkeypatch):
     if case.tier == "cffi" and (cbackend.cffi is None or cbackend._compiler() is None):
         pytest.skip("no C toolchain in this environment")
+    if case.method == "memmap" and not driver.realmap_available():
+        pytest.skip("no memfd_create / mmap(MAP_FIXED): MemMap is refused")
     steps, crash, death, epoch = _plan(case)
     problem = _problem(case)
     open_period = case.period * (case.bounds == "open")
@@ -369,3 +371,24 @@ def test_refused_up_front(name, tmp_path, monkeypatch):
         with pytest.raises(ValueError, match=words):
             driver.run_executed(_problem(case), case.method, **kwargs)
     assert not launched
+
+
+def test_memmap_refused_without_memfd(monkeypatch):
+    """A host without memfd refuses MemMap before any rank starts, ladder
+    or not (``REFUSED`` rules are functions of the row, this one of the
+    host); Layout still runs there, bit-exact."""
+    monkeypatch.setattr(driver, "realmap_available", lambda: False)
+    launched, real_spmd = [], driver.run_spmd
+    monkeypatch.setattr(
+        driver, "run_spmd", lambda *a, **k: launched.append(a) or real_spmd(*a, **k)
+    )
+    problem = _problem(_PLAIN)
+    for kwargs in ({}, dict(degrade=True)):
+        with pytest.raises(ValueError, match="memfd_create"):
+            driver.run_executed(problem, "memmap", **kwargs)
+    assert not launched
+    run = driver.run_executed(problem, "layout", timesteps=STEPS)
+    np.testing.assert_array_equal(
+        run.global_result.view(np.uint64),
+        _answer(_PLAIN.stencil, False, 0, STEPS).view(np.uint64),
+    )

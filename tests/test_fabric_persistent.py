@@ -616,11 +616,11 @@ class TestFrozenCopyTable:
     def test_table_pins_no_export_on_an_arena(self, copy_list):
         """Tables are raw addresses: an arena whose slot views were bound,
         fired and dropped closes like one that never was."""
-        from repro.vmem import default_arena, realmap_available
+        from repro.vmem import MemfdArena, realmap_available
 
         if not realmap_available():
             pytest.skip("real arena unavailable")
-        arena = default_arena(8 * 4096, 4096)
+        arena = MemfdArena(8 * 4096, 4096)
         fab = SimFabric(1, timeout=5.0)
         buf = arena.buffer.view(np.float64)
         cut = fab.bind_request(

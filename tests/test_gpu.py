@@ -1,9 +1,8 @@
-"""Simulated GPU device and transport strategies."""
+"""GPU transport strategies."""
 
 import pytest
 
 from repro.exchange.schedule import MessageSpec
-from repro.gpu.device import DeviceBuffer, Residency, SimDevice
 from repro.gpu.transports import (
     CudaAwareTransport,
     StagedTransport,
@@ -28,51 +27,6 @@ def spec(nbytes, wire=None, nmappings=1):
     return MessageSpec(
         BitSet([1]), nbytes, wire or nbytes, nmappings=nmappings
     )
-
-
-class TestDevice:
-    def test_managed_starts_on_host(self, gpu):
-        dev = SimDevice(gpu)
-        buf = dev.alloc(4 * gpu.page_size)
-        assert buf.resident_fraction(Residency.HOST) == 1.0
-
-    def test_first_touch_faults_then_free(self, gpu):
-        dev = SimDevice(gpu)
-        buf = dev.alloc(4 * gpu.page_size)
-        cost1 = buf.touch(Residency.DEVICE)
-        assert cost1 > 0
-        cost2 = buf.touch(Residency.DEVICE)
-        assert cost2 == 0.0
-        assert buf.resident_fraction(Residency.DEVICE) == 1.0
-
-    def test_partial_touch(self, gpu):
-        dev = SimDevice(gpu)
-        buf = dev.alloc(4 * gpu.page_size)
-        buf.touch(Residency.DEVICE, 0, gpu.page_size)
-        assert buf.resident_fraction(Residency.DEVICE) == 0.25
-
-    def test_ping_pong_costs_both_ways(self, gpu):
-        dev = SimDevice(gpu)
-        buf = dev.alloc(gpu.page_size)
-        buf.touch(Residency.DEVICE)
-        assert buf.touch(Residency.HOST) > 0
-
-    def test_device_memory_host_access_forbidden(self, gpu):
-        dev = SimDevice(gpu)
-        buf = dev.alloc(gpu.page_size, kind="device")
-        with pytest.raises(RuntimeError):
-            buf.touch(Residency.HOST)
-        assert buf.touch(Residency.DEVICE) == 0.0
-
-    def test_range_validation(self, gpu):
-        dev = SimDevice(gpu)
-        buf = dev.alloc(gpu.page_size)
-        with pytest.raises(ValueError):
-            buf.touch(Residency.DEVICE, 0, 2 * gpu.page_size)
-
-    def test_bad_kind(self, gpu):
-        with pytest.raises(ValueError):
-            DeviceBuffer(SimDevice(gpu), 16, kind="weird")
 
 
 class TestCudaAware:

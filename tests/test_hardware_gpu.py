@@ -28,30 +28,9 @@ class TestStagedCopies:
 
 
 class TestUnifiedMemory:
-    def test_resident_is_free(self, v100):
-        assert v100.um_touch_time(1 << 20, resident=True) == 0.0
-
-    def test_fault_cost_per_page(self, v100):
-        one_page = v100.um_touch_time(v100.page_size)
-        assert one_page == pytest.approx(
-            v100.fault_overhead + v100.page_size / v100.um_bw
-        )
-
-    def test_partial_page_rounds_up(self, v100):
-        assert v100.um_touch_time(1) == v100.um_touch_time(v100.page_size)
-
-    def test_padded_bytes(self, v100):
-        assert v100.padded_bytes(0) == 0
-        assert v100.padded_bytes(1) == 64 * 1024
-        assert v100.padded_bytes(64 * 1024) == 64 * 1024
-        assert v100.padded_bytes(64 * 1024 + 1) == 128 * 1024
-
     def test_paper_padding_example(self, v100):
-        """Section 7.2: an 8^3 double brick is 1/16 of a 64 KiB page."""
-        brick = 8**3 * 8
-        assert brick * 16 == v100.page_size
-        waste = v100.padded_bytes(brick) - brick
-        assert waste == 15 * brick
+        """Section 7.2: an 8^3 double brick is 1/16 of a 64 KiB UM page."""
+        assert 8**3 * 8 * 16 == v100.page_size
 
 
 class TestValidation:

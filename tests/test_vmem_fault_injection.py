@@ -20,7 +20,6 @@ from repro.simmpi.comm import CartComm
 from repro.simmpi.fabric import SimFabric
 from repro.stencil.spec import SEVEN_POINT
 from repro.vmem.realmap import MemfdArena, realmap_available
-from repro.vmem.simmap import SimArena
 
 requires_realmap = pytest.mark.skipif(
     not realmap_available(), reason="memfd_create/mmap(MAP_FIXED) unavailable"
@@ -178,15 +177,3 @@ class TestRealArenaCleanup:
                 arena.make_view([(0, PAGE)])
         arena.close()
         arena.close()  # second close must not raise / double-free
-
-
-class TestSimArenaParity:
-    def test_sim_view_shares_the_failure_site(self):
-        arena = SimArena(4 * PAGE, PAGE)
-        with VMEM_FAULTS.armed("view_map_chunk"):
-            with pytest.raises(OSError, match="view_map_chunk"):
-                arena.make_view([(0, PAGE)])
-        # Clean retry works, like the real path.
-        view = arena.make_view([(0, PAGE)])
-        assert view.array(np.uint8).size == PAGE
-        arena.close()

@@ -1,20 +1,22 @@
 """Arena/view lifecycle: close semantics, budgets, large mappings."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro.vmem import SimArena, default_arena, realmap_available
+from repro.vmem import MemfdArena, realmap_available
 
 PAGE = 4096
 
 
 class TestLifecycle:
-    @pytest.fixture(params=["sim", "real"])
-    def arena(self, request):
-        if request.param == "real" and not realmap_available():
+    @pytest.fixture(params=["real"])
+    def arena(self):
+        if not realmap_available():
             pytest.skip("real arena unavailable")
-        make = SimArena if request.param == "sim" else default_arena
-        a = make(64 * PAGE, PAGE)
+        a = MemfdArena(64 * PAGE, PAGE)
         yield a
         a.close()
 
@@ -37,7 +39,6 @@ class TestLifecycle:
             arena.make_view([(p * PAGE, PAGE)]) for p in range(60)
         ]
         arena.buffer.view(np.float64)[: PAGE // 8] = 5.0
-        views[0].refresh()
         assert views[0].array(np.float64)[0] == 5.0
         assert arena.mapping_count == 1 + 60
         for v in views:
@@ -48,42 +49,41 @@ class TestLifecycle:
         assert v.nbytes == 64 * PAGE
 
     def test_interleaved_reads_writes(self, arena):
-        """Two views of the same page stay coherent through the
-        refresh/flush protocol on both arena kinds."""
+        """Two views of the same page stay coherent, both ways, with no
+        data movement requested."""
         v1 = arena.make_view([(3 * PAGE, PAGE)])
         v2 = arena.make_view([(3 * PAGE, PAGE)])
-        a1 = v1.array(np.float64)
+        a1, a2 = v1.array(np.float64), v2.array(np.float64)
         a1[:] = 7.0
-        v1.flush()
-        v2.refresh()
-        assert v2.array(np.float64)[0] == 7.0
+        assert (a2 == 7.0).all()
+        a2[5] = -1.0
+        assert a1[5] == -1.0
 
 
-class TestPartialFlush:
-    def test_sim_flush_prefix_only(self):
-        arena = SimArena(8 * PAGE, PAGE)
-        v = arena.make_view([(0, PAGE), (4 * PAGE, PAGE)])
-        a = v.array(np.float64)
-        a[:] = 9.0
-        v.flush(up_to_bytes=PAGE)  # only the first page writes back
-        phys = arena.buffer.view(np.float64)
-        assert phys[0] == 9.0
-        assert phys[4 * PAGE // 8] == 0.0
-        arena.close()
+class TestProbe:
+    def test_concurrent_first_probe_never_reads_unavailable(self, monkeypatch):
+        """Rank threads race to the first ``realmap_available()``: a
+        thread arriving mid-probe must not read "no memfd" (that refused
+        a rank's ``mmap_alloc`` on a host that has it)."""
+        from repro.vmem import realmap
 
-    def test_sim_flush_prefix_must_be_page_multiple(self):
-        arena = SimArena(4 * PAGE, PAGE)
-        v = arena.make_view([(0, 2 * PAGE)])
-        with pytest.raises(ValueError):
-            v.flush(up_to_bytes=100)
-        arena.close()
-
-    def test_real_flush_prefix_noop(self):
         if not realmap_available():
             pytest.skip("real arena unavailable")
-        arena = default_arena(4 * PAGE, PAGE)
-        v = arena.make_view([(0, PAGE)])
-        v.array(np.float64)[0] = 3.0
-        v.flush(up_to_bytes=PAGE)  # aliased anyway
-        assert arena.buffer.view(np.float64)[0] == 3.0
-        arena.close()
+        slow_load = realmap._load_libc
+
+        def load():
+            time.sleep(0.05)  # hold the probe open while the others arrive
+            return slow_load()
+
+        monkeypatch.setattr(realmap, "_AVAILABLE", None)
+        monkeypatch.setattr(realmap, "_load_libc", load)
+        seen = []
+        threads = [
+            threading.Thread(target=lambda: seen.append(realmap_available()))
+            for _ in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert seen == [True] * 4

@@ -1,9 +1,8 @@
-"""Stitched views: real mmap vs simulated page table.
+"""Stitched views over the memfd arena.
 
-The critical property: both implementations expose identical data through
-identical interfaces, so every exchange result is independent of which one
-backs the storage.  The real one must additionally prove genuine aliasing
-(no copies).
+A view presents its chunks' bytes, in order, as one contiguous array, and
+aliases them: writes through either side are visible to the other with
+no data movement.  The oracle is the arena's own bytes.
 """
 
 import numpy as np
@@ -11,17 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vmem import SimArena, default_arena, realmap_available
+from repro.vmem import MemfdArena, realmap_available
 from repro.vmem.arena import NumpyArena
 
 PAGE = 4096
 NPAGES = 32
 
-pytestmark = []
+requires_realmap = pytest.mark.skipif(
+    not realmap_available(), reason="memfd/MAP_FIXED unavailable"
+)
 
 
-def _filled_arena(make):
-    arena = make(NPAGES * PAGE, PAGE)
+def _filled_arena():
+    arena = MemfdArena(NPAGES * PAGE, PAGE)
     per = PAGE // 8
     phys = arena.buffer.view(np.float64)
     for p in range(NPAGES):
@@ -29,16 +30,11 @@ def _filled_arena(make):
     return arena
 
 
-@pytest.fixture(params=["sim", "real"])
-def arena(request):
-    if request.param == "real":
-        if not realmap_available():
-            pytest.skip("memfd/MAP_FIXED unavailable")
-        a = _filled_arena(lambda n, p: default_arena(n, p))
-        if isinstance(a, SimArena):
-            pytest.skip("default arena is not the real one here")
-    else:
-        a = _filled_arena(SimArena)
+@pytest.fixture(params=["real"])
+def arena():
+    if not realmap_available():
+        pytest.skip("memfd/MAP_FIXED unavailable")
+    a = _filled_arena()
     yield a
     a.close()
 
@@ -64,13 +60,11 @@ class TestViewContents:
         v = arena.make_view([(7 * PAGE, PAGE)])
         a = v.array(np.float64)
         a[3] = 123.5
-        v.flush()
         assert arena.buffer.view(np.float64)[7 * PAGE // 8 + 3] == 123.5
 
     def test_arena_write_visible_in_view(self, arena):
         v = arena.make_view([(4 * PAGE, PAGE)])
         arena.buffer.view(np.float64)[4 * PAGE // 8] = -7.0
-        v.refresh()
         assert v.array(np.float64)[0] == -7.0
 
     def test_multi_page_chunk(self, arena):
@@ -105,35 +99,24 @@ class TestViewValidation:
 
 
 class TestRealAliasing:
+    @requires_realmap
     def test_zero_copy_no_flush_needed(self):
-        if not realmap_available():
-            pytest.skip("memfd/MAP_FIXED unavailable")
-        arena = _filled_arena(default_arena)
+        arena = _filled_arena()
         try:
             v = arena.make_view([(1 * PAGE, PAGE)])
-            assert v.zero_copy
             a = v.array(np.float64)
-            # No refresh: arena writes appear instantly.
+            # Arena writes appear in the view at once...
             arena.buffer.view(np.float64)[PAGE // 8 + 5] = 42.0
             assert a[5] == 42.0
-            # No flush: view writes appear instantly.
+            # ... and view writes in the arena.
             a[6] = 43.0
             assert arena.buffer.view(np.float64)[PAGE // 8 + 6] == 43.0
         finally:
             arena.close()
 
-    def test_sim_is_not_aliased(self):
-        arena = _filled_arena(SimArena)
-        v = arena.make_view([(0, PAGE)])
-        assert not v.zero_copy
-        arena.buffer.view(np.float64)[0] = 99.0
-        assert v.array(np.float64)[0] != 99.0  # until refresh
-        v.refresh()
-        assert v.array(np.float64)[0] == 99.0
-        arena.close()
-
 
 class TestEquivalence:
+    @requires_realmap
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(
@@ -143,42 +126,31 @@ class TestEquivalence:
         ),
         st.integers(0, 2**32 - 1),
     )
-    def test_real_and_sim_views_identical(self, chunks, seed):
-        """Property: any chunk list yields identical view contents on both
-        arenas; write-back is additionally identical when no physical page
-        is mapped twice.  (Writing *different* values through two aliases
-        of one page is a data race with unspecified order even on the real
-        mapping -- glibc may copy in either direction -- and the exchange
-        never does it: recv views map disjoint ghost pages.)"""
-        if not realmap_available():
-            pytest.skip("memfd/MAP_FIXED unavailable")
+    def test_view_is_the_concatenated_chunks(self, chunks, seed):
+        """Property: any chunk list's view holds the arena's chunk bytes
+        concatenated; when no physical page is mapped twice, a pattern
+        written through the view lands at those chunks in the arena.
+        (Writing *different* values through two aliases of one page is a
+        data race with unspecified order -- glibc may copy in either
+        direction -- and the exchange never does it: recv views map
+        disjoint ghost pages.)"""
         rng = np.random.default_rng(seed)
-        content = rng.random(NPAGES * PAGE // 8)
         byte_chunks = [(p * PAGE, n * PAGE) for p, n in chunks]
         covered = [set(range(p, p + n)) for p, n in chunks]
         has_overlap = sum(len(c) for c in covered) != len(set().union(*covered))
 
-        results = []
-        for make in (default_arena, SimArena):
-            arena = make(NPAGES * PAGE, PAGE)
-            arena.buffer.view(np.float64)[:] = content
+        with MemfdArena(NPAGES * PAGE, PAGE) as arena:
+            arena.buffer.view(np.float64)[:] = rng.random(NPAGES * PAGE // 8)
+
+            def chunk_bytes():
+                return np.concatenate([arena.buffer[o : o + n] for o, n in byte_chunks])
+
             v = arena.make_view(byte_chunks)
-            v.refresh()
-            a = v.array(np.float64).copy()
-            phys = None
+            np.testing.assert_array_equal(v.array(), chunk_bytes())
             if not has_overlap:
-                # write a pattern through the view, read the arena back
-                v.array(np.float64)[:] = np.arange(
-                    v.nbytes // 8, dtype=np.float64
-                )
-                v.flush()
-                phys = arena.buffer.view(np.float64).copy()
-            results.append((a, phys))
-            arena.close()
-        (a_real, phys_real), (a_sim, phys_sim) = results
-        np.testing.assert_array_equal(a_real, a_sim)
-        if not has_overlap:
-            np.testing.assert_array_equal(phys_real, phys_sim)
+                pattern = rng.integers(0, 256, v.nbytes, dtype=np.uint8)
+                v.array()[:] = pattern
+                np.testing.assert_array_equal(chunk_bytes(), pattern)
 
 
 class TestArenaBasics:
@@ -191,8 +163,9 @@ class TestArenaBasics:
         with pytest.raises(ValueError):
             NumpyArena(PAGE + 1, PAGE)
 
+    @requires_realmap
     def test_mapping_count(self):
-        arena = SimArena(8 * PAGE, PAGE)
+        arena = MemfdArena(8 * PAGE, PAGE)
         assert arena.mapping_count == 1
         arena.make_view([(0, PAGE), (2 * PAGE, PAGE)])
         assert arena.mapping_count == 3
