@@ -33,6 +33,7 @@ Version: {VERSION}
 Summary: Pack-free ghost-zone exchange via data-layout optimization (PPoPP'21 reproduction)
 Requires-Python: >=3.9
 Requires-Dist: numpy>=1.21
+Requires-Dist: cffi
 Provides-Extra: test
 Requires-Dist: pytest; extra == "test"
 Requires-Dist: pytest-benchmark; extra == "test"

@@ -17,11 +17,9 @@ memfd-backed with page-aligned regions (``mmap_alloc`` -- MemMap mode).
 from repro.brick.convert import bricks_to_extended, extended_to_bricks
 from repro.brick.decomp import BrickDecomp, Section, SlotAssignment
 from repro.brick.info import BrickInfo
-from repro.brick.accessor import Brick
 from repro.brick.storage import BrickStorage
 
 __all__ = [
-    "Brick",
     "BrickDecomp",
     "BrickInfo",
     "BrickStorage",

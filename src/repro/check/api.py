@@ -11,11 +11,11 @@ what is proved is the object the ranks then bind, not a reconstruction.
 1. ``schedule`` -- the global send/recv multigraph pairs up, byte counts
    agree, tags are collision-free, no edge touches a dead rank
    (:mod:`repro.check.schedule`);
-2. ``memory`` -- the adjacency rows the compiled plans of either
-   kernel tier read stay inside the arena, wire-visible storage ranges
-   stay inside the sections they belong to (:mod:`repro.check.memory`);
+2. ``memory`` -- the adjacency rows the compiled plans read stay
+   inside the arena, wire-visible storage ranges stay inside the
+   sections they belong to (:mod:`repro.check.memory`);
 3. ``cbackend`` -- the C kernel environment parses, the toolchain is
-   usable and a probe kernel is bit-identical to NumPy
+   usable and a probe kernel is bit-identical to the generic kernels
    (:mod:`repro.check.cback`).
 
 What is *not* provable statically: values (the checker never looks at

@@ -4,13 +4,13 @@ The compiled backend is the one subsystem the schedule/memory passes
 cannot reason about symbolically -- it is generated C.  This pass
 verifies what *can* be verified ahead of a run:
 
-* the ``REPRO_KERNEL_BACKEND`` / ``REPRO_CC_SANITIZE`` /
-  ``REPRO_CC_BOUNDS`` environment contracts parse (a typo would
-  otherwise surface mid-run);
-* a toolchain is present when the backend is demanded;
+* the ``REPRO_CC_SANITIZE`` / ``REPRO_CC_BOUNDS`` environment
+  contracts parse (a typo would otherwise surface mid-run);
+* a toolchain is present (``cffi`` and a C compiler: a run without
+  them is refused);
 * a small probe kernel per layout -- the brick-batch kernel and the
   array-box kernel -- compiles (with whatever sanitize/guard flags the
-  environment selects) and reproduces the NumPy tap arithmetic --
+  environment selects) and reproduces the generic kernels' arithmetic --
   the canonical order of :func:`~repro.stencil.spec.tap_groups`, on
   taps whose shared coefficients alternate -- bit-for-bit on
   deterministic data -- the same invariant the full
@@ -74,14 +74,6 @@ _PROBE_SPEC = StencilSpec("probe", 3, _PROBE_TAPS, 13.0, 16.0)
 def verify_cbackend(report: CheckReport, probe: bool = True) -> None:
     """Validate the backend environment and (optionally) bit identity."""
     try:
-        choice = cbackend.backend_choice()
-    except ValueError as err:
-        report.error(
-            PASS, "backend-env", str(err),
-            hint="REPRO_KERNEL_BACKEND must be auto, numpy or cffi",
-        )
-        return
-    try:
         sanitize = cbackend.sanitize_flags()
     except ValueError as err:
         report.error(
@@ -99,30 +91,14 @@ def verify_cbackend(report: CheckReport, probe: bool = True) -> None:
         )
         return
 
-    if choice == "numpy":
-        report.note(
-            PASS, "backend-off",
-            "REPRO_KERNEL_BACKEND=numpy: the C backend is disabled, so"
-            " the kernel probe is skipped",
+    missing = cbackend.toolchain_missing()
+    if missing:
+        report.error(
+            PASS, "toolchain-missing",
+            f"{missing}: every run is refused, because the stencil"
+            " kernels and the exchange movers are compiled C",
+            hint="install cffi and a C compiler (cc or gcc)",
         )
-        return
-    cc = cbackend._compiler()
-    if cc is None or cbackend.cffi is None:
-        missing = "a C compiler" if cbackend.cffi else "cffi"
-        if choice == "cffi":
-            report.error(
-                PASS, "toolchain-missing",
-                f"REPRO_KERNEL_BACKEND=cffi demands the compiled"
-                f" backend but {missing} is unavailable",
-                hint="install a toolchain or set"
-                     " REPRO_KERNEL_BACKEND=numpy",
-            )
-        else:
-            report.note(
-                PASS, "toolchain-missing",
-                f"{missing} unavailable: runs will use the NumPy"
-                " fallback (bit-identical, slower)",
-            )
         return
     if not probe:
         return
@@ -147,7 +123,7 @@ def _probe_brick(report: CheckReport, guard: bool, sanitize) -> None:
     """Compile-and-compare: a periodic line of 3 bricks along x (each
     its own neighbour along y and z) with nothing below it in z, so
     every staged face sub-box is read from a real neighbour and one
-    direction is absent, against the generic NumPy brick kernel."""
+    direction is absent, against the generic brick kernel."""
     volume = int(np.prod(_PROBE_BD))
     r = _PROBE_SPEC.radius
     source = cbackend.batch_step_source(
@@ -181,8 +157,8 @@ def _probe_brick(report: CheckReport, guard: bool, sanitize) -> None:
         diff = int((got.data != ref.data).sum())
         report.error(
             PASS, "probe-mismatch",
-            f"the compiled brick probe kernel differs from the NumPy tap"
-            f" arithmetic on {diff} of {got.data.size} cells",
+            f"the compiled brick probe kernel differs from the generic"
+            f" kernel on {diff} of {got.data.size} cells",
             hint=_FP_HINT,
         )
 
@@ -214,8 +190,8 @@ def _probe_array(report: CheckReport, guard: bool, sanitize) -> None:
         diff = int((got != ref).sum())
         report.error(
             PASS, "array-probe-mismatch",
-            f"the compiled array probe kernel differs from the NumPy tap"
-            f" arithmetic on {diff} of {int(np.prod(_PROBE_EXTENT))} cells",
+            f"the compiled array probe kernel differs from the generic"
+            f" kernel on {diff} of {int(np.prod(_PROBE_EXTENT))} cells",
             hint=_FP_HINT,
         )
 
@@ -245,15 +221,14 @@ def _note_flags(report: CheckReport, sanitize) -> None:
 def _probe_crc(report: CheckReport, movers, arr: np.ndarray) -> list:
     """The CRC movers against ``zlib.crc32`` on runs of the patterned
     array's bytes: under 64 bytes, not a multiple of 16, odd starts.
-    Returns the names that differ; one that cannot engage is a finding
-    of its own (an error when the backend is demanded)."""
+    Returns the names that differ; a pair that cannot engage is a note
+    of its own."""
     if movers.crc_refusal:
-        demanded = cbackend.backend_choice() == "cffi"
-        (report.error if demanded else report.note)(
+        report.note(
             PASS, "mover-probe",
             f"the CRC movers (crc_list, copy_crc_list) cannot engage:"
             f" {movers.crc_refusal}; a verified fabric seals and checks"
-            " on the NumPy tier (zlib.crc32 per item)",
+            " with zlib.crc32 per item around the C copy",
         )
         return []
     raw = arr.reshape(-1).view(np.uint8)
@@ -321,6 +296,6 @@ def _probe_movers(report: CheckReport, guard: bool, sanitize) -> None:
             "the loaded exchange movers do not move (or checksum) a"
             " patterned array the way NumPy slicing (zlib.crc32) does:"
             f" {', '.join(refused)} differ(s)",
-            hint="the C movers and the NumPy tier must be byte-identical;"
-                 " set REPRO_KERNEL_BACKEND=numpy to run without them",
+            hint="the C movers must move what NumPy slicing moves;"
+                 " every run binds its exchange through them",
         )

@@ -7,8 +7,8 @@ adjacency, the run geometry's, which every rank's plans slice their rows
 from -- so it is checked once, on that very array; only the wire ranges
 are a rank's own:
 
-* **adjacency rows in bounds** -- what the brick kernel of either tier
-  consumes, and all it addresses neighbours through: every entry of the
+* **adjacency rows in bounds** -- what the brick kernel consumes, and
+  all it addresses neighbours through: every entry of the
   compute slots' ``(n, 3^D)`` adjacency rows is the ``-1`` absent
   sentinel or a slot of the arena (``< total_slots``), and the plan's
   field window fits inside a brick

@@ -72,6 +72,7 @@ from repro.simmpi.collectives import allreduce
 from repro.simmpi.comm import SimComm
 from repro.simmpi.fabric import SimFabric
 from repro.simmpi.launcher import RankFailedError, run_spmd
+from repro.stencil import cbackend
 from repro.stencil.kernels import owned_slices
 from repro.stencil.plan import compile_array_plan, compile_brick_plan
 from repro.util.timing import TimeBreakdown
@@ -100,14 +101,12 @@ class ExecutedRun:
     reshapes: int = 0  # elastic reshapes after permanent rank deaths
     final_rank_dims: Tuple[int, ...] = ()  # decomposition the run ended on
     dead_ranks: Tuple[int, ...] = ()  # old-world ranks lost permanently
-    # Tier the stencil plans stepped on ("cffi" | "numpy"), as compiled --
-    # under REPRO_KERNEL_BACKEND=auto a fallback shows up here, and a C
-    # tier built without the host flags reads "cffi (portable flags: ...)".
+    # What the stencil plans stepped on: "cffi", or "cffi (portable
+    # flags: ...)" when the compiler refused the host flags.
     kernel_backend: str = ""
-    # Tier the exchange moved bytes on -- pack / unpack / datatype hooks
-    # and the fabric's wire copy, as the engines that finished the run
-    # were bound; "cffi+numpy" when the parts differ (brick packing has
-    # a NumPy tier only).
+    # What the exchange moved bytes with, as the engines that finished
+    # the run were bound: "cffi", with the reason appended where a
+    # verified fabric checksums with zlib.crc32 (no carry-less multiply).
     copy_backend: str = ""
 
     @property
@@ -188,7 +187,7 @@ class _RankState:
     # What the launching thread reads once the world has joined.
     checkpointer: Optional[RankCheckpointer] = None
     resumed_epoch: int = -1  # negotiated restore epoch (-1: from scratch)
-    copy_backend: str = ""  # tier(s) of the engines the run ended on
+    copy_backend: str = ""  # what the engines the run ended on moved bytes with
 
     def close(self) -> None:
         """Unmap the views and release the arenas.
@@ -221,7 +220,7 @@ def _array_state(geometry: RunGeometry, period: int, faces) -> _RankState:
     return _RankState(
         buffers=arrays,
         plans=[
-            compile_array_plan(spec, ext, g, m, problem.dtype) for m in margins
+            compile_array_plan(spec, ext, g, m) for m in margins
         ],
         computed_points=[
             int(np.prod([e + lo + hi for e, (lo, hi) in zip(ext, m)]))
@@ -275,11 +274,11 @@ def _brick_state(geometry: RunGeometry, period: int, faces) -> _RankState:
 
     return _RankState(
         buffers=storages,
-        # What a step reads on either kernel tier (the slot set's
-        # adjacency rows, a halo tile), built once per cycle position;
+        # What a step reads (the slot set's adjacency rows, a halo
+        # tile), built once per cycle position;
         # the scratch is this rank's, the adjacency the geometry's.
         plans=[
-            compile_brick_plan(spec, binfo, slots, 0, problem.dtype)
+            compile_brick_plan(spec, binfo, slots)
             for slots in cycle_slots
         ],
         computed_points=[len(s) * decomp.brick_volume for s in cycle_slots],
@@ -691,7 +690,11 @@ def run_executed(
 
     A method whose base is ``memmap`` needs ``memfd_create`` and
     ``mmap(MAP_FIXED)`` (:func:`~repro.vmem.realmap_available`); where
-    they are missing it is refused before launch.
+    they are missing it is refused before launch.  So is every run on a
+    host without ``cffi`` or a C compiler, and every problem that is not
+    float64: the stencil kernels and the exchange's movers are compiled
+    C over double-precision memory (:mod:`repro.stencil.cbackend`), and
+    there is no other tier.
 
     Chaos-fabric knobs (see README "Robustness"):
 
@@ -787,6 +790,17 @@ def run_executed(
         raise ValueError(
             "elastic restart requires a periodic problem: ghost shells are"
             " rebuilt by periodic wrap"
+        )
+    missing = cbackend.toolchain_missing()
+    if missing:
+        raise ValueError(
+            f"the stencil kernels and the exchange movers are compiled C,"
+            f" and {missing}"
+        )
+    if problem.dtype != np.float64:
+        raise ValueError(
+            f"the compiled kernels step float64 fields; the problem is"
+            f" {problem.dtype}"
         )
     if info.base == "memmap" and not realmap_available():
         raise ValueError(

@@ -43,7 +43,7 @@ from repro.faults.errors import ExchangeConfigError
 from repro.hardware.profiles import MachineProfile
 from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
-from repro.stencil.cbackend import crc_movers, mover_kernel
+from repro.stencil.cbackend import mover_kernel
 from repro.util.timing import TimeBreakdown
 
 __all__ = [
@@ -284,9 +284,7 @@ class Binding(NamedTuple):
     slice of a stitched window, or a persistent staging buffer.  ``pre`` runs
     before the sends go out (pack, datatype gather) and
     ``post`` after every receive has landed (unpack, ``insert``),
-    under the tracer spans named by ``spans``; ``backend`` is the tier
-    they move bytes on (``"cffi"`` / ``"numpy"``; empty when they copy
-    nothing).
+    under the tracer spans named by ``spans``.
     """
 
     send_bufs: Sequence[np.ndarray]
@@ -294,16 +292,9 @@ class Binding(NamedTuple):
     pre: Optional[Callable[[], None]] = None
     post: Optional[Callable[[], None]] = None
     spans: Tuple[str, str] = ("exchange.pack", "exchange.unpack")
-    backend: str = ""
 
 
 _Wire = Sequence[Tuple[int, int, np.ndarray]]  # (peer, tag, wire buffer)
-
-
-def _tiers(wire: str, *bindings: Binding) -> str:
-    """``"cffi"``, ``"numpy"``, or both joined by ``+`` when the wire
-    copy and some binding's hooks run on different tiers."""
-    return "+".join(sorted({wire, *(b.backend for b in bindings if b.backend)}))
 
 
 class ExchangeChannel:
@@ -334,11 +325,11 @@ class ExchangeChannel:
     (the fabric's envelope guard), so a guarded run fires this handle
     exactly as a plain one does, and a retry is a re-fire.
 
-    The channel is also where the fabric gets its wire tier: it
-    resolves the movers (:func:`repro.stencil.cbackend.mover_kernel` /
-    :func:`~repro.stencil.cbackend.crc_movers`, the point the kernels
-    and the pack movers are resolved at) and hands ``copy_list`` and the
-    verified path's ``crc_list`` / ``copy_crc_list`` to
+    The channel is also where the fabric gets its wire copy: it
+    resolves the movers (:func:`repro.stencil.cbackend.mover_kernel`,
+    the point the kernels and the pack movers are resolved at) and hands
+    ``copy_list`` and, where this CPU can fold them, the verified path's
+    ``crc_list`` / ``copy_crc_list`` to
     :meth:`~repro.simmpi.fabric.SimFabric.bind_request`, so
     :mod:`repro.simmpi` itself knows no backend.
     """
@@ -370,22 +361,18 @@ class ExchangeChannel:
         # negotiation as a typed SplitMismatchError instead of a
         # DeadlockError on the first wait.
         movers = mover_kernel()
-        sealers = crc_movers()
+        folds = not movers.crc_refusal
         self._request = self._fabric.bind_request(
-            self._rank, posts, recvs,
-            movers.copy_list if movers is not None else None,
-            sealers.crc_list if sealers is not None else None,
-            sealers.copy_crc_list if sealers is not None else None,
+            self._rank, posts, recvs, movers.copy_list,
+            movers.crc_list if folds else None,
+            movers.copy_crc_list if folds else None,
         )
-        #: The tier(s) an exchange of this channel moves bytes on: its
-        #: wire calls' (the copy; on a verified fabric the seal and the
-        #: copy-and-check), and its hooks' where they copy anything.
-        wired = self._request.copies_in_one_call
-        self.copy_backend = _tiers("cffi" if wired else "numpy", hooks)
-        if movers is not None and not wired:
-            # No silent fallback: the C tier is on and this fabric's
-            # calls are not on it.
-            self.copy_backend += f" (wire on numpy: {movers.crc_refusal})"
+        #: What an exchange of this channel moves bytes with: the C
+        #: movers -- and, on a verified fabric whose CPU cannot fold the
+        #: CRC, ``zlib.crc32`` around their copy, with the reason.
+        self.copy_backend = "cffi"
+        if self._request.checksums_on_zlib:
+            self.copy_backend += f" (checksums on zlib: {movers.crc_refusal})"
 
     def wait_sends(self) -> None:
         """Complete this channel's sends: return once its peers consumed

@@ -17,9 +17,8 @@ scatter, which are the same movement -- is bound once
 (:func:`bind_gather` / :func:`bind_scatter`; :func:`bind_copy` where the
 pieces are contiguous runs, brick storage's slot sections): every
 array, box and buffer is checked where the table is built, and the call
-that comes back moves all of a side's boxes, on the C tier
-(:class:`repro.stencil.cbackend.Movers`) as one table-driven call, on
-the NumPy tier as one strided copy per box.  The boxes themselves are
+that comes back moves all of a side's boxes as one table-driven C call
+(:class:`repro.stencil.cbackend.Movers`).  The boxes themselves are
 rank-invariant: :func:`box_table` checks them once per run
 (:class:`BoxTable`, held by the run geometry) and :func:`stage_table`
 binds one array to them.
@@ -27,7 +26,7 @@ binds one array to them.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -192,10 +191,9 @@ def _box_table(
     checking everything a mover would otherwise take on trust: each box
     lies in *arr* (:func:`_checked_boxes`), its buffer is C-contiguous,
     of *arr*'s dtype and exactly the box's size, and whatever the move
-    writes (*writes*: ``"array"`` or ``"buffers"``) is writeable.  The C
-    tier moves through raw pointers, so this is the last place a mistake
-    is an error and not memory corruption; the NumPy tier gets the same
-    refusal instead of a silent cast or a reshape failure mid-run.
+    writes (*writes*: ``"array"`` or ``"buffers"``) is writeable.  The
+    movers move through raw pointers, so this is the last place a mistake
+    is an error and not memory corruption.
     """
     table = _checked_boxes(arr.shape, boxes, len(bufs))
     counts = (table[..., 1] - table[..., 0]).prod(axis=1).tolist()
@@ -218,96 +216,37 @@ def _box_table(
     return table
 
 
-def _box_views(arr: np.ndarray, table: np.ndarray, bufs) -> list:
-    """Per box: its selection of *arr* and its buffer in the box's shape."""
-    return [
-        (
-            tuple(slice(lo, hi) for lo, hi in box),
-            buf.reshape([hi - lo for lo, hi in box]),
-        )
-        for box, buf in zip(table.tolist(), bufs)
-    ]
-
-
-def _numpy_gather(arr: np.ndarray, table: np.ndarray, bufs) -> Callable[[], None]:
-    """The NumPy tier of :func:`bind_gather`: one strided copy per box."""
-    pairs = _box_views(arr, table, bufs)
-
-    def gather() -> None:
-        for slc, view in pairs:
-            np.copyto(view, arr[slc])
-
-    return gather
-
-
-def _numpy_scatter(arr: np.ndarray, table: np.ndarray, bufs) -> Callable[[], None]:
-    """The NumPy tier of :func:`bind_scatter`."""
-    pairs = _box_views(arr, table, bufs)
-
-    def scatter() -> None:
-        for slc, view in pairs:
-            arr[slc] = view
-
-    return scatter
-
-
 def bind_gather(
     arr: np.ndarray,
     boxes: Sequence,
     bufs: Sequence[np.ndarray],
-    movers: Optional[Movers],
+    movers: Movers,
 ) -> Callable[[], None]:
     """The call that copies box *b* of *arr* into flat ``bufs[b]``, every
     *b*.  *boxes* holds per-axis ``(lo, hi)`` ranges (numpy axis order);
     a mismatch between array, boxes and buffers is refused here, once,
-    with :class:`ExchangeConfigError`.  *movers* picks the tier
-    (:func:`~repro.stencil.cbackend.array_movers`; ``None``: NumPy);
-    both leave the same bytes.
+    with :class:`ExchangeConfigError`.  *movers* are
+    :func:`~repro.stencil.cbackend.array_movers`' answer for *arr*.
     """
     table = _box_table(arr, boxes, bufs, writes="buffers")
-    return _move(arr, table, bufs, movers, gather=True)
+    return movers.gather(arr, table, bufs)
 
 
 def bind_scatter(
     arr: np.ndarray,
     boxes: Sequence,
     bufs: Sequence[np.ndarray],
-    movers: Optional[Movers],
+    movers: Movers,
 ) -> Callable[[], None]:
     """The inverse of :func:`bind_gather`: flat ``bufs[b]`` into box *b*."""
     table = _box_table(arr, boxes, bufs, writes="array")
-    return _move(arr, table, bufs, movers, gather=False)
-
-
-def _move(
-    arr: np.ndarray,
-    table: np.ndarray,
-    bufs: Sequence[np.ndarray],
-    movers: Optional[Movers],
-    gather: bool,
-) -> Callable[[], None]:
-    """The bound gather (or scatter) of a checked *table*, on the tier
-    *movers* picks (``None``: NumPy)."""
-    if movers is None:
-        return (_numpy_gather if gather else _numpy_scatter)(arr, table, bufs)
-    return (movers.gather if gather else movers.scatter)(arr, table, bufs)
-
-
-def _numpy_copy(srcs, dsts) -> Callable[[], None]:
-    """The NumPy tier of :func:`bind_copy`: one assignment per pair."""
-    pairs = list(zip(dsts, srcs))
-
-    def copy() -> None:
-        for dst, src in pairs:
-            dst[:] = src
-
-    return copy
+    return movers.scatter(arr, table, bufs)
 
 
 def bind_copy(
     srcs: Sequence[np.ndarray],
     dsts: Sequence[np.ndarray],
-    movers: Optional[Movers],
+    movers: Movers,
 ) -> Callable[[], None]:
     """The call that copies flat ``srcs[i]`` into flat ``dsts[i]``, every
     *i*: a gather or scatter whose pieces are contiguous runs rather
@@ -329,8 +268,6 @@ def bind_copy(
             raise ExchangeConfigError("copied runs must be C-contiguous")
         if not dst.flags.writeable:
             raise ExchangeConfigError("cannot copy into a read-only run")
-    if movers is None:
-        return _numpy_copy(srcs, dsts)
     return movers.copy_list(srcs, dsts)
 
 
@@ -377,8 +314,10 @@ def stage_table(arr: np.ndarray, table: BoxTable) -> Binding:
     The flat staging buffers go on the wire; the pack before and the
     unpack after are one bound call each over the table's boxes, with no
     per-step temporaries.  What is checked here is what differs per
-    array -- its shape, and that the unpack may write it; the staging
-    buffers are made to the table's sizes and in the array's dtype.
+    array -- its shape, that the unpack may write it, and that the
+    movers can walk it (:func:`~repro.stencil.cbackend.array_movers`);
+    the staging buffers are made to the table's sizes and in the array's
+    dtype.
     """
     if arr.shape != table.shape:
         raise ExchangeConfigError(
@@ -386,15 +325,14 @@ def stage_table(arr: np.ndarray, table: BoxTable) -> Binding:
         )
     if not arr.flags.writeable:
         raise ExchangeConfigError("cannot unpack into a read-only array")
+    movers = array_movers(arr)
     send_bufs = [np.empty(n, dtype=arr.dtype) for n in table.send_counts]
     recv_bufs = [np.empty(n, dtype=arr.dtype) for n in table.recv_counts]
-    movers = array_movers(arr)
     return Binding(
         send_bufs,
         recv_bufs,
-        _move(arr, table.send, send_bufs, movers, gather=True),
-        _move(arr, table.recv, recv_bufs, movers, gather=False),
-        backend="numpy" if movers is None else "cffi",
+        movers.gather(arr, table.send, send_bufs),
+        movers.scatter(arr, table.recv, recv_bufs),
     )
 
 

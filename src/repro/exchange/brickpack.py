@@ -160,6 +160,5 @@ class BrickPackExchanger(Exchanger):
                 send_bufs, recv_bufs,
                 bind_copy(surface, packed, movers),
                 bind_copy(unpacked, ghost, movers),
-                backend="numpy" if movers is None else "cffi",
             )
         ]

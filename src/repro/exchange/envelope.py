@@ -359,7 +359,7 @@ class EnvelopeGuard:
         keys, views, sizes = sealed.keys, sealed.views, sealed.sizes
         if picked is None:
             crcs = sealed.crcs()
-        else:  # the other tier of that call serves any subset
+        else:  # zlib.crc32 per view serves any subset
             keys, views, sizes = (
                 [column[at] for at in picked] for column in (keys, views, sizes)
             )

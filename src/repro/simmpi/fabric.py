@@ -27,8 +27,8 @@ two kinds of traffic match differently:
     receive view)`` table frozen on the receiver's cut
     (:meth:`SimFabric._freeze`): deposits are prebuilt objects, so an
     epoch that delivers the very deposits the table was built from has
-    already passed every per-item check.  Who makes that call -- a C
-    ``copy_list`` or the NumPy loop -- is the binder handed to
+    already passed every per-item check.  Who makes that call -- the C
+    ``copy_list`` -- is the binder handed to
     :meth:`SimFabric.bind_request`; this package knows no backend.
     Binding registers both ends' byte count of every edge under one
     acquisition of the fabric lock.
@@ -78,7 +78,8 @@ the same three calls, so a guarded exchange is the plain one plus the
 guard.  Both ends' buffers are persistent, so everything but the bytes
 is frozen at bind: the guard's per-rank sequence / epoch tables in cut
 order, and the two bound calls a cut is handed (*crc_list*,
-*copy_crc_list*: C functions or their NumPy tier, as for ``copy_list``).
+*copy_crc_list*: C functions, or -- on a CPU that cannot fold the CRC --
+``zlib.crc32`` per view around the cut's ``copy_list``).
 
 ``post_send_batch`` asks the guard what to deposit: one vector increment
 stamps the cut's edges with their next sequence numbers, **one**
@@ -118,6 +119,7 @@ import time
 import zlib
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from operator import is_
 from typing import Callable, Dict, List, Optional, Tuple
@@ -204,19 +206,8 @@ def _flat_bytes(buf: np.ndarray) -> np.ndarray:
 _BYTE = np.dtype(np.uint8)
 
 
-def _numpy_copy_list(srcs, dsts) -> Callable[[], None]:
-    """The NumPy tier of a cut's wire copy: one assignment per item."""
-    pairs = list(zip(dsts, srcs))
-
-    def copy() -> None:
-        for recv, sent in pairs:
-            recv[:] = sent
-
-    return copy
-
-
-def _numpy_crc_list(views) -> Callable[[], List[int]]:
-    """The NumPy tier of a cut's seal: one ``zlib.crc32`` per view."""
+def _zlib_crc_list(views) -> Callable[[], List[int]]:
+    """A cut's seal without the C CRC: one ``zlib.crc32`` per view."""
 
     def crcs() -> List[int]:
         return list(map(zlib.crc32, views))
@@ -224,10 +215,11 @@ def _numpy_crc_list(views) -> Callable[[], List[int]]:
     return crcs
 
 
-def _numpy_copy_crc_list(srcs, dsts) -> Callable[[], List[int]]:
-    """The NumPy tier of a verified cut's receive: the wire copy, then
-    one ``zlib.crc32`` per receive view -- of the bytes that landed."""
-    copy = _numpy_copy_list(srcs, dsts)
+def _zlib_copy_crc_list(copy_list, srcs, dsts) -> Callable[[], List[int]]:
+    """A verified cut's receive without the C CRC: *copy_list*'s call,
+    then one ``zlib.crc32`` per receive view -- of the bytes that
+    landed."""
+    copy = copy_list(srcs, dsts)
 
     def copy_crcs() -> List[int]:
         copy()
@@ -375,21 +367,19 @@ class BoundRequest:
     view of the two halves in ``sealed`` / ``checked``, over the
     ``crc_list`` (``views -> call returning their CRC32s``) and
     ``copy_crc_list`` (``(srcs, dsts) -> call that copies and returns
-    the CRC32s of what landed``) binders.  ``copies_in_one_call`` says
-    whether every call the fabric makes per exchange side -- the wire
-    copy on a plain fabric, the seal and the copy-and-check on a
-    verified one -- goes through a binder that was handed in, rather
-    than the fabric's own NumPy tier.
+    the CRC32s of what landed``) binders -- ``zlib.crc32`` around
+    ``copy_list`` where none was handed in, which ``checksums_on_zlib``
+    says of a verified cut.
     """
 
     __slots__ = ("rank", "groups", "nsend", "send_bytes", "credit",
                  "deposits", "rmap", "recv_bytes", "sources",
                  "copy_list", "copy", "frozen",
                  "crc_list", "copy_crc_list", "sealed", "checked",
-                 "copies_in_one_call")
+                 "checksums_on_zlib")
 
-    def __init__(self, rank: int, posts, recvs, verified: bool,
-                 copy_list=None, crc_list=None, copy_crc_list=None) -> None:
+    def __init__(self, rank: int, posts, recvs, verified: bool, copy_list,
+                 crc_list=None, copy_crc_list=None) -> None:
         self.rank = rank
         by_dst: Dict[int, list] = {}
         sizes: Dict[int, int] = {}
@@ -422,17 +412,15 @@ class BoundRequest:
         self.rmap = rmap
         self.recv_bytes = recv_bytes
         self.sources = list(counts.items())
-        self.copy_list = copy_list or _numpy_copy_list
+        self.copy_list = copy_list
         self.copy: Optional[Callable[[], None]] = None
         self.frozen: list = []
-        self.crc_list = crc_list or _numpy_crc_list
-        self.copy_crc_list = copy_crc_list or _numpy_copy_crc_list
-        self.sealed = self.checked = None  # EnvelopeGuard.bind fills them
-        self.copies_in_one_call = (
-            crc_list is not None and copy_crc_list is not None
-            if verified
-            else copy_list is not None
+        self.crc_list = crc_list or _zlib_crc_list
+        self.copy_crc_list = copy_crc_list or partial(
+            _zlib_copy_crc_list, copy_list
         )
+        self.sealed = self.checked = None  # EnvelopeGuard.bind fills them
+        self.checksums_on_zlib = verified and crc_list is None
 
 
 class SimFabric:
@@ -709,7 +697,7 @@ class SimFabric:
     # Bound requests (module docstring): ExchangeChannel's per-step calls,
     # on a plain fabric and -- each cut under the guard -- a verified one.
     # ------------------------------------------------------------------
-    def bind_request(self, rank: int, posts, recvs, copy_list=None,
+    def bind_request(self, rank: int, posts, recvs, copy_list,
                      crc_list=None, copy_crc_list=None) -> BoundRequest:
         """Bind a channel's whole message plan into a persistent request.
 
@@ -728,7 +716,8 @@ class SimFabric:
         pair; *crc_list* and *copy_crc_list* are a verified fabric's
         seal and copy-and-check binders (:class:`BoundRequest`).  All
         three are :class:`repro.stencil.cbackend.Movers` methods handed
-        down by the channel; ``None`` is the NumPy tier of the same call.
+        down by the channel; a ``None`` CRC binder is ``zlib.crc32`` per
+        view, around *copy_list*'s call for the receive.
         """
         self._check_rank(rank)
         posts, recvs = list(posts), list(recvs)
@@ -1076,11 +1065,11 @@ class SimFabric:
     def _land_items(self, cut: BoundRequest, items: list, at: List[int]) -> List[int]:
         """:meth:`_land` for a proper subset of the cut (its neighbours
         were faulted, or accepted in an earlier attempt), at positions
-        *at*: the other tier of the same call, which needs no table."""
+        *at*: the same call over a table of the subset, used once."""
         recvs = cut.checked.recvs
         recvs = [recvs[i] for i in at]
         self._sizes_match(cut, items, recvs)
-        return _numpy_copy_crc_list([item[1] for item in items], recvs)()
+        return cut.copy_crc_list([item[1] for item in items], recvs)()
 
     def _land_faulted(self, cut: BoundRequest, items: list) -> list:
         """The per-item fault path: what the injector put on the wire

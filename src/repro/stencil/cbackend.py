@@ -1,9 +1,7 @@
-"""Optional compiled (C) kernel backend for stencil plans, both layouts.
+"""The compiled (C) tier: every stencil step and every exchange copy.
 
-The planned NumPy paths make full passes over their data per tap (bricks:
-stage a chunk's halo tile, then multiply and add over it; arrays:
-multiply and add over a strided box view).  This module generates one
-C kernel per specialization instead:
+A plan (:mod:`repro.stencil.plan`) steps on one C kernel per
+specialization, generated here:
 
 * **bricks** -- per ``(stencil taps, brick shape, radius, field offset,
   brick elems)``: *stage, then sweep*.  Neighbours are addressed per
@@ -13,15 +11,15 @@ C kernel per specialization instead:
   (zeros where the neighbour is absent); the unrolled tap loop then
   sweeps the tile unit-stride at compile-time offsets and writes the
   destination brick (:func:`batch_step_source`).  No per-cell index
-  table exists on this tier;
+  table exists;
 * **extended arrays** -- per ``(stencil taps, extended shape)``: the
   unrolled tap loop as a unit-stride sweep over a list of boxes whose
   bounds arrive at call time, so a whole-region plan and every
   ghost-expansion margin share one build (:func:`array_step_source`).
 
-Both layouts compute on the same tier with the same tap loop over
-contiguous rows; what the brick kernel pays on top is the staging copy
-(EXPERIMENTS.md, "Stage, then sweep", has its measured share).
+Both layouts compute with the same tap loop over contiguous rows; what
+the brick kernel pays on top is the staging copy (EXPERIMENTS.md,
+"Stage, then sweep", has its measured share).
 
 The exchange moves its data on the same tier.  The first translation
 unit a process builds (per set of sanitize flags) ends with one constant
@@ -30,45 +28,41 @@ scatter and a ``copy_list`` that pack, unpack and wire-copy one
 exchange side per call over tables frozen at bind, and for a verified
 fabric a ``crc_list`` that seals a side and a ``copy_crc_list`` that
 copies it and checksums what landed, CRC-32 folded by carry-less
-multiply (:class:`Movers`, resolved by :func:`mover_kernel` /
-:func:`crc_movers` at the same point as
-the kernels).  Riding in a kernel's translation unit means a cold run
-invokes the compiler no more often than it did without them; a
+multiply (:class:`Movers`, resolved by :func:`mover_kernel` at the same
+point as the kernels).  Riding in a kernel's translation unit means a
+cold run invokes the compiler no more often than it did without them; a
 stand-alone build happens only in a process that never loaded a kernel.
 
 Every unit is built for the host that runs it (``-march=native``, loop
 remainders scalar; :data:`_HOST_FLAGS`).  A compiler that refuses those
 flags gets the unit again with portable ones, once per process, and
-every plan on the C tier says so: its ``kernel_backend`` reads
+every plan says so: its ``kernel_backend`` reads
 ``"cffi (portable flags: <the compiler's first words>)"``
 (:func:`c_tier`, :func:`kernel_flags`).
 
-Bit-exactness with the NumPy path is by construction, whatever the
+Bit-exactness with the generic kernels (:mod:`repro.stencil.kernels`,
+:mod:`repro.stencil.brick_kernels`) is by construction, whatever the
 vector width:
 
 * identical order of every add and multiply: the canonical order of
   :func:`~repro.stencil.spec.tap_groups` (``acc = c0 * (x.. + x..)``
   then ``t = ck * (x.. + x..); acc = acc + t`` per coefficient group,
-  each sum left to right -- the scalar form of the NumPy tier's
-  in-place ``np.add`` / ``np.multiply(out=)`` sequence); SIMD lanes
-  are neighbouring cells, never terms of one cell's sum;
+  each sum left to right); SIMD lanes are neighbouring cells, never
+  terms of one cell's sum;
 * ``-ffp-contract=off`` so no FMA contraction reorders roundings;
 * coefficients embedded as C99 hex float literals (exact bit patterns);
 * halo cells of an absent neighbour (adjacency ``-1``) are staged as
-  ``0.0`` and contribute ``coeff * 0.0``, exactly like the re-zeroed
-  cells on the NumPy path.
+  ``0.0`` and contribute ``coeff * 0.0``, exactly like the generic
+  gather's zero-filled halo.
 
-Backend selection (:func:`backend_choice`) honours the
-``REPRO_KERNEL_BACKEND`` environment variable: ``auto`` (default) uses C
-when ``cffi`` and a C compiler are available and otherwise falls back to
-NumPy (a plan's ``kernel_backend`` says which it got); ``numpy`` forces
-the fallback; ``cffi`` demands the compiled backend and raises
-:class:`KernelBuildError`, carrying the compiler's reason, if it cannot
-be built.  Compiled kernels are stateless (all mutable state, the brick
-kernel's tile scratch included, stays in caller-owned arrays), so the
-per-process module cache may hand the same kernel to every rank thread;
-calls release the GIL, so rank threads genuinely overlap inside the
-kernel.
+There is no other tier: a specialization that cannot be built raises
+:class:`KernelBuildError`, carrying the compiler's reason, and
+:func:`repro.core.driver.run_executed` refuses a run up front where
+:func:`toolchain_missing` names a missing piece.  Compiled kernels are
+stateless (all mutable state, the brick kernel's tile scratch included,
+stays in caller-owned arrays), so the per-process module cache may hand
+the same kernel to every rank thread; calls release the GIL, so rank
+threads genuinely overlap inside the kernel.
 
 No build-system dependency: the generated translation unit is compiled
 with the system ``cc`` straight into a shared object and loaded through
@@ -90,6 +84,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.brick.info import all_direction_vectors, direction_index
+from repro.faults.errors import ExchangeConfigError
 from repro.stencil.brick_kernels import _margin_slices
 from repro.stencil.spec import tap_groups
 
@@ -107,15 +102,15 @@ __all__ = [
     "bounds_guard_enabled",
     "brick_stage_boxes",
     "c_tier",
-    "crc_movers",
     "kernel_env",
     "kernel_flags",
     "mover_kernel",
     "sanitize_flags",
+    "toolchain_missing",
 ]
 
-try:  # cffi ships with the baked toolchain, but stay importable without it
-    import cffi
+try:  # a declared dependency; without it the module still imports, and
+    import cffi  # run_executed refuses the run naming what is missing
 except ImportError:  # pragma: no cover - environment without cffi
     cffi = None
 
@@ -177,11 +172,7 @@ class KernelBoundsError(RuntimeError):
 
 
 class KernelBuildError(RuntimeError):
-    """No compiled kernel: the message says what the toolchain refused.
-
-    Raised to the caller only when ``REPRO_KERNEL_BACKEND=cffi`` demands
-    the compiled backend; under ``auto`` the plan takes the NumPy tier.
-    """
+    """No compiled kernel: the message says what the toolchain refused."""
 
 
 def sanitize_flags() -> Tuple[str, ...]:
@@ -225,27 +216,29 @@ def bounds_guard_enabled() -> bool:
 
 
 def backend_choice() -> str:
-    """Resolve ``REPRO_KERNEL_BACKEND`` to ``auto``/``numpy``/``cffi``."""
-    choice = os.environ.get("REPRO_KERNEL_BACKEND", "auto").strip().lower()
-    if choice not in ("auto", "numpy", "cffi"):
-        raise ValueError(
-            f"REPRO_KERNEL_BACKEND={choice!r}: expected auto, numpy or cffi"
-        )
-    return choice
+    """The one tier every plan and mover runs on: ``"cffi"``.  Builds
+    nothing and reads no environment (kept as the name run records
+    read)."""
+    return "cffi"
 
 
-def kernel_env() -> Tuple[str, Tuple[str, ...], bool]:
-    """``(backend choice, sanitize flags, bounds guard)``: everything the
-    environment contributes to which kernel a specialization gets (the
-    ``REPRO_CC_*`` variables are not read when the C tier is off)."""
-    choice = backend_choice()
-    if choice == "numpy":
-        return choice, (), False
-    return choice, sanitize_flags(), bounds_guard_enabled()
+def kernel_env() -> Tuple[Tuple[str, ...], bool]:
+    """``(sanitize flags, bounds guard)``: everything the environment
+    contributes to which kernel a specialization gets."""
+    return sanitize_flags(), bounds_guard_enabled()
 
 
 def _compiler() -> Optional[str]:
     return shutil.which("cc") or shutil.which("gcc")
+
+
+def toolchain_missing() -> str:
+    """What this host lacks to build any unit (``""``: nothing)."""
+    if cffi is None:
+        return "cffi is not installed"
+    if _compiler() is None:
+        return "no C compiler (cc or gcc) on PATH"
+    return ""
 
 
 def _hexf(x: float) -> str:
@@ -320,7 +313,7 @@ def brick_stage_boxes(
     the neighbour brick's field, extent per numpy axis)``: the
     :func:`~repro.stencil.brick_kernels._margin_slices` geometry of the
     generic gather, flattened.  Tile cells no row covers are never read
-    by a tap and are left as they are.  Both kernel tiers stage from
+    by a tap and are left as they are.  Every brick kernel stages from
     this one list (every plan compile asks for it, hence the memo).
     """
     ndim = len(np_bd)
@@ -1005,11 +998,10 @@ def _load(
     ``cffi``, no compiler, or the compiler's / loader's own first words.
     """
     global _flags_refusal
-    if cffi is None:
-        raise KernelBuildError("cffi is not installed")
+    missing = toolchain_missing()
+    if missing:
+        raise KernelBuildError(missing)
     cc = _compiler()
-    if cc is None:
-        raise KernelBuildError("no C compiler (cc or gcc) on PATH")
     workdir = tempfile.mkdtemp(prefix="repro-ckernel-")
     _build_dirs.append(workdir)
     c_path = os.path.join(workdir, "kernel.c")
@@ -1149,7 +1141,7 @@ class Movers:
         self._lib = lib
         self.guard = guard
         #: Why :meth:`crc_list` / :meth:`copy_crc_list` cannot engage
-        #: here (empty: they can); see :func:`crc_movers`.
+        #: here (empty: they can); see :func:`mover_kernel`.
         self.crc_refusal = (
             "" if lib.repro_crc_engaged()
             else "the CRC movers fold by carry-less multiply and this CPU"
@@ -1229,7 +1221,7 @@ class Movers:
         if self.crc_refusal:
             raise KernelBuildError(
                 f"the CRC movers cannot engage: {self.crc_refusal}"
-                " (REPRO_KERNEL_BACKEND=auto runs them on the NumPy tier)"
+                " (a verified fabric then checksums with zlib.crc32)"
             )
         out = self._ffi.new("uint32_t[]", n)
         null = (self._ffi.NULL,) * len(caps)
@@ -1272,24 +1264,13 @@ def _cleanup() -> None:  # pragma: no cover - exit path
         shutil.rmtree(d, ignore_errors=True)
 
 
-def _kernel_for(key: Tuple, dtype, build: Callable[[Tuple, bool], Callable]):
-    """Resolve one specialization under ``REPRO_KERNEL_BACKEND``.
-
-    ``None`` means "use the NumPy plan path": backend forced off, a
-    non-double dtype, or (under ``auto``) a toolchain that refused.
-    *build* gets the sanitize flags and the guard switch, which join
-    *key* in the per-process cache; a refusal is cached too, so a broken
-    toolchain is asked once per specialization, not once per plan.
+def _kernel_for(key: Tuple, build: Callable[[Tuple, bool], Callable]):
+    """Resolve one specialization: *build* gets the sanitize flags and
+    the guard switch, which join *key* in the per-process cache.  A
+    refusal is cached too, so a broken toolchain is asked once per
+    specialization, and every ask raises its :class:`KernelBuildError`.
     """
-    choice, sanitize, guard = kernel_env()
-    if choice == "numpy":
-        return None
-    if np.dtype(dtype) != np.float64:
-        if choice == "cffi":
-            raise RuntimeError(
-                "REPRO_KERNEL_BACKEND=cffi supports float64 plans only"
-            )
-        return None
+    sanitize, guard = kernel_env()
     key += (sanitize, guard)
     with _lock:
         fn = _kernels.get(key)
@@ -1300,27 +1281,22 @@ def _kernel_for(key: Tuple, dtype, build: Callable[[Tuple, bool], Callable]):
                 fn = err
             _kernels[key] = fn
     if isinstance(fn, KernelBuildError):
-        if choice == "cffi":
-            raise KernelBuildError(
-                "REPRO_KERNEL_BACKEND=cffi but the compiled kernel backend"
-                f" is unavailable: {fn}"
-            )
-        return None
+        raise KernelBuildError(str(fn))  # a fresh one: no growing traceback
     return fn
 
 
-def mover_kernel(dtype=np.float64) -> Optional[Movers]:
-    """The C movers, or ``None`` for the NumPy tier (see
-    :func:`_kernel_for`; *dtype* is that of the array a box mover will
-    walk -- the wire copy moves bytes and passes none).
+def mover_kernel() -> Movers:
+    """The C movers (see :func:`_kernel_for`).
 
     They are taken from the translation unit this process first loaded
     with the same sanitize flags -- it carries them -- and built
     stand-alone only when there is none (a process that binds a channel
-    before any stencil plan, as fabric unit tests do).
+    before any stencil plan, as fabric unit tests do).  On a CPU without
+    carry-less multiply their CRC pair cannot engage
+    (:attr:`Movers.crc_refusal`): a verified fabric then checksums with
+    ``zlib.crc32`` around their ``copy_list``.
     """
-
-    return _kernel_for(("mover",), dtype, _load_movers)
+    return _kernel_for(("mover",), _load_movers)
 
 
 def _load_movers(sanitize: Tuple[str, ...], guard: bool) -> Movers:
@@ -1329,44 +1305,23 @@ def _load_movers(sanitize: Tuple[str, ...], guard: bool) -> Movers:
     return Movers(*_mover_libs[sanitize], guard)
 
 
-def crc_movers() -> Optional[Movers]:
-    """The C movers for sealing and checking a cut on a verified
-    fabric, or ``None`` for the other tier of those calls
-    (``zlib.crc32`` per view around the cut's copy).
+def array_movers(arr: np.ndarray) -> Movers:
+    """The C movers for packing out of / unpacking into *arr*.
 
-    :func:`mover_kernel`'s answer, except where the CRC pair cannot
-    engage (:attr:`Movers.crc_refusal`): then the NumPy tier under
-    ``auto``.  Under ``cffi`` the movers are returned all the same and,
-    as for :func:`array_movers`, demanding what cannot engage is an
-    error -- raised by the binders, i.e. only where a verified fabric
-    really binds a cut, so a plain run on such a host is not refused.
+    The box movers walk raw row-major float64 memory, so any other array
+    is refused here, at bind, with :class:`ExchangeConfigError`.
     """
-    movers = mover_kernel()
-    if movers is not None and movers.crc_refusal and backend_choice() != "cffi":
-        return None
-    return movers
-
-
-def array_movers(arr: np.ndarray) -> Optional[Movers]:
-    """The C movers for packing out of / unpacking into *arr*, or
-    ``None`` for the NumPy tier.
-
-    The box movers walk raw row-major float64 memory, so anything else
-    follows :meth:`~repro.stencil.plan.ArrayStencilPlan.execute`'s rule:
-    the NumPy tier under ``auto``, an error under ``cffi``.
-    """
-    movers = mover_kernel(arr.dtype)
-    if movers is None or (
-        arr.flags.c_contiguous and 1 <= arr.ndim <= MOVER_MAX_NDIM
+    if not (
+        arr.dtype == np.float64
+        and arr.flags.c_contiguous
+        and 1 <= arr.ndim <= MOVER_MAX_NDIM
     ):
-        return movers
-    if backend_choice() == "cffi":
-        raise KernelBuildError(
-            "REPRO_KERNEL_BACKEND=cffi but the box movers cannot engage:"
-            f" they walk C-contiguous arrays of 1 to {MOVER_MAX_NDIM} axes,"
-            f" got {arr.ndim} axes, strides {arr.strides}"
+        raise ExchangeConfigError(
+            "the box movers walk C-contiguous float64 arrays of 1 to"
+            f" {MOVER_MAX_NDIM} axes, got {arr.dtype} with {arr.ndim} axes,"
+            f" strides {arr.strides}"
         )
-    return None
+    return mover_kernel()
 
 
 def batch_step_kernel(
@@ -1375,16 +1330,15 @@ def batch_step_kernel(
     radius: int,
     field_offset: int,
     brick_elems: int,
-    dtype: np.dtype,
-) -> Optional[Callable]:
-    """The stage-then-sweep C brick kernel for this specialization, or
-    ``None`` (see :func:`_kernel_for`)."""
+) -> Callable:
+    """The stage-then-sweep C brick kernel for this specialization (see
+    :func:`_kernel_for`)."""
     spec = (
         tuple(taps), tuple(np_bd), int(radius), int(field_offset),
         int(brick_elems),
     )
     return _kernel_for(
-        ("brick",) + spec, dtype,
+        ("brick",) + spec,
         lambda sanitize, guard: _build(
             batch_step_source(*spec, guard=guard), guard, sanitize
         ),
@@ -1394,14 +1348,13 @@ def batch_step_kernel(
 def array_step_kernel(
     taps: Sequence[Tuple[Tuple[int, ...], float]],
     shape: Tuple[int, ...],
-    dtype: np.dtype,
-) -> Optional[Callable]:
-    """The C array-box kernel for extended arrays of *shape*, or ``None``
-    (see :func:`_kernel_for`).  One build per ``(taps, shape, flags)``:
-    boxes are call-time data."""
+) -> Callable:
+    """The C array-box kernel for extended arrays of *shape* (see
+    :func:`_kernel_for`).  One build per ``(taps, shape, flags)``: boxes
+    are call-time data."""
     spec = (tuple(taps), tuple(int(n) for n in shape))
     return _kernel_for(
-        ("array",) + spec, dtype,
+        ("array",) + spec,
         lambda sanitize, guard: _build_array(
             array_step_source(*spec, guard=guard), guard, sanitize
         ),

@@ -2,7 +2,8 @@
 order, and roofline accounting.
 
 A stencil is a list of ``(offset_vector, coefficient)`` taps.  Every
-kernel tier sums a point the same way, fixed here by :func:`tap_groups`:
+kernel -- the generic references and the compiled C -- sums a point the
+same way, fixed here by :func:`tap_groups`:
 taps whose coefficients are bit-for-bit equal form a group, groups come
 in order of first appearance and members keep tap order, and a point's
 value is ``acc = c0*s0`` then ``acc = acc + ck*sk`` per later group,

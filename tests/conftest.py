@@ -6,6 +6,7 @@ import pytest
 from repro.brick.decomp import BrickDecomp
 from repro.core.problem import StencilProblem
 from repro.hardware.profiles import generic_host, summit_v100, theta_knl
+from repro.stencil.cbackend import mover_kernel
 from repro.stencil.spec import SEVEN_POINT, star_stencil
 
 
@@ -69,3 +70,9 @@ def medium_problem():
 @pytest.fixture
 def star5_2d():
     return star_stencil(2, 1, name="5pt-2d")
+
+
+def wire_copy(srcs, dsts):
+    """The wire copy ``ExchangeChannel`` hands a fabric's bound request:
+    the C movers' ``copy_list`` binder."""
+    return mover_kernel().copy_list(srcs, dsts)

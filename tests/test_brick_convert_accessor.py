@@ -1,11 +1,12 @@
-"""Array<->brick conversion and the element accessor."""
+"""Array<->brick conversion.  (Cross-brick reads through the adjacency
+are covered by ``tests/test_stencil_kernels.py::TestHaloGather``; the
+file name is the id the test floor records.)"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.brick.accessor import Brick
 from repro.brick.convert import (
     bricks_to_extended,
     extended_shape,
@@ -76,58 +77,6 @@ class TestConversion:
         st_, asn = small_decomp.allocate()
         with pytest.raises(ValueError):
             bricks_to_extended(small_decomp, st_, asn, fld=1)
-
-
-class TestAccessor:
-    @pytest.fixture
-    def loaded(self, small_decomp):
-        st_, asn = small_decomp.allocate()
-        arr = _random_extended(small_decomp, 7)
-        extended_to_bricks(arr, small_decomp, st_, asn)
-        info = small_decomp.brick_info(asn)
-        return Brick(info, st_), arr, asn, small_decomp
-
-    def test_in_brick_access(self, loaded):
-        brick, arr, asn, d = loaded
-        slot = int(asn.grid_index[1, 1, 1])
-        # element (i1=2, i2=3, i3=4) of grid brick (1,1,1)
-        assert brick[slot][2, 3, 4] == arr[8 + 4, 8 + 3, 8 + 2]
-
-    def test_cross_brick_access(self, loaded):
-        brick, arr, asn, d = loaded
-        slot = int(asn.grid_index[1, 1, 1])
-        assert brick[slot][-1, 0, 0] == arr[8, 8, 7]
-        assert brick[slot][8, 0, 0] == arr[8, 8, 16]
-        assert brick[slot][8, -1, 8] == arr[16, 7, 16]
-
-    def test_write(self, loaded):
-        brick, arr, asn, d = loaded
-        slot = int(asn.grid_index[1, 1, 1])
-        brick[slot][0, 0, 0] = 42.0
-        assert brick[slot][0, 0, 0] == 42.0
-
-    def test_beyond_adjacent_rejected(self, loaded):
-        brick, _, asn, _ = loaded
-        slot = int(asn.grid_index[1, 1, 1])
-        with pytest.raises(IndexError):
-            brick[slot][17, 0, 0]
-
-    def test_off_grid_rejected(self, loaded):
-        brick, _, asn, _ = loaded
-        corner = int(asn.grid_index[0, 0, 0])
-        with pytest.raises(IndexError):
-            brick[corner][-1, 0, 0]
-
-    def test_slot_bounds(self, loaded):
-        brick, _, _, _ = loaded
-        with pytest.raises(IndexError):
-            brick[10**6]
-
-    def test_wrong_arity(self, loaded):
-        brick, _, asn, _ = loaded
-        slot = int(asn.grid_index[1, 1, 1])
-        with pytest.raises(IndexError):
-            brick[slot][1, 2]
 
 
 @settings(max_examples=10, deadline=None)

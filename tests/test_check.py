@@ -25,6 +25,7 @@ from repro.simmpi.launcher import RankFailedError, run_spmd
 from repro.stencil import cbackend
 from repro.stencil.plan import compile_brick_plan
 from repro.stencil.spec import SEVEN_POINT
+from tests.conftest import wire_copy
 
 
 def problem(extent=(32, 32, 32), ranks=(2, 2, 2), **kw):
@@ -119,19 +120,11 @@ class TestSelftest:
 
 
 class TestCheckedAdjacencyIsWhatRuns:
-    """Both kernel tiers address neighbours through ``info.adjacency``
+    """The brick kernel addresses neighbours through ``info.adjacency``
     rows alone, so the one array ``repro check`` validates is the one a
-    step reads, whichever backend is chosen."""
+    step reads."""
 
-    @pytest.mark.parametrize("backend", ["numpy", "cffi"])
-    def test_forged_entry_is_found_and_is_what_the_plan_holds(
-        self, backend, monkeypatch
-    ):
-        if backend == "cffi" and (
-            cbackend.cffi is None or cbackend._compiler() is None
-        ):
-            pytest.skip("no C toolchain")
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+    def test_forged_entry_is_found_and_is_what_the_plan_holds(self):
         geometry = RunGeometry(problem(), "layout")
         asn, info = geometry.assignment, geometry.brick_info
         slots = geometry.decomp.compute_slots(asn)
@@ -141,9 +134,7 @@ class TestCheckedAdjacencyIsWhatRuns:
         report = check_geometry(geometry, passes=("memory",))
         assert report.codes() == ["oob-adjacency"], report.render()
         plan = compile_brick_plan(SEVEN_POINT, info, slots)
-        assert plan.kernel_backend == (
-            cbackend.c_tier() if backend == "cffi" else backend
-        )
+        assert plan.kernel_backend == cbackend.c_tier()
         assert plan._adjacency[3, 14] == asn.total_slots
         held = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
         assert not [a for a in held if a.dtype.kind == "i" and a.ndim > 2]
@@ -210,10 +201,10 @@ class TestNegotiation:
         # on the same tags; a same-side re-registration must not trip on
         # the peer's stale entry.
         fabric = SimFabric(2)
-        fabric.bind_request(0, [(1, 9, np.zeros(64))], [])
-        fabric.bind_request(1, [], [(0, 9, np.zeros(64))])
-        fabric.bind_request(0, [(1, 9, np.zeros(96))], [])  # demoted engine
-        fabric.bind_request(1, [], [(0, 9, np.zeros(96))])  # peer follows
+        fabric.bind_request(0, [(1, 9, np.zeros(64))], [], wire_copy)
+        fabric.bind_request(1, [], [(0, 9, np.zeros(64))], wire_copy)
+        fabric.bind_request(0, [(1, 9, np.zeros(96))], [], wire_copy)  # demoted engine
+        fabric.bind_request(1, [], [(0, 9, np.zeros(96))], wire_copy)  # peer follows
 
     def test_channel_negotiation_mismatch_in_spmd(self):
         from repro.exchange.boxes import box_template
@@ -241,12 +232,6 @@ class TestNegotiation:
 # ----------------------------------------------------------------------
 # C backend pass + sanitize/bounds modes
 # ----------------------------------------------------------------------
-needs_cc = pytest.mark.skipif(
-    cbackend._compiler() is None or cbackend.cffi is None,
-    reason="no C toolchain",
-)
-
-
 def probe_codes(rep):
     """*rep*'s codes but the ``kernel-flags`` note every probed pass
     ends with."""
@@ -286,11 +271,8 @@ class TestCBackend:
             taps, np_bd, r, 0, be, guard=True
         )
         assert "int64_t repro_step" in guard_src
-        try:
-            plain = cbackend._build(plain_src)
-            guarded = cbackend._build(guard_src, guard=True)
-        except cbackend.KernelBuildError as err:
-            pytest.skip(f"no C toolchain: {err}")
+        plain = cbackend._build(plain_src)
+        guarded = cbackend._build(guard_src, guard=True)
         rng = np.random.default_rng(0)
         nb = 2
         src = rng.random((nb, be))
@@ -328,22 +310,14 @@ class TestCBackend:
         assert np.array_equal(d2[0], good[0]) and (d2[1] == 7.0).all()
 
     def test_bounds_env_selects_guard_in_kernel_cache(self, monkeypatch):
-        if cbackend._compiler() is None or cbackend.cffi is None:
-            pytest.skip("no C toolchain")
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         monkeypatch.setenv("REPRO_CC_BOUNDS", "1")
-        fn = cbackend.batch_step_kernel(
-            SEVEN_POINT.taps, (8, 8, 8), 1, 0, 512, np.float64
-        )
-        assert fn is not None
+        fn = cbackend.batch_step_kernel(SEVEN_POINT.taps, (8, 8, 8), 1, 0, 512)
         assert "src_elems" in fn.__source__
 
-    @needs_cc
     def test_brick_probe_notices_a_wrong_neighbour_sub_box(self, monkeypatch):
         """The probe reads real neighbours through adjacency rows: a
         staging table that copies one face from the wrong end of the
         neighbour brick is a mismatch, not a pass."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         real = cbackend.brick_stage_boxes
 
         def wrong_face(taps, np_bd, radius):
@@ -359,12 +333,10 @@ class TestCBackend:
         verify_cbackend(rep)
         assert probe_codes(rep) == ["probe-mismatch"], rep.render()
 
-    @needs_cc
     def test_array_probe_is_its_own_finding(self, monkeypatch):
         """The brick and the array kernel are probed separately: break
         only the array build and only its finding appears, carrying the
         compiler's own words."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         real = cbackend.array_step_source
         monkeypatch.setattr(
             cbackend, "array_step_source",
@@ -375,12 +347,10 @@ class TestCBackend:
         assert probe_codes(rep) == ["array-probe-compile"], rep.render()
         assert "error" in rep.findings[0].message  # cc's diagnostic
 
-    @needs_cc
     def test_probe_catches_a_tap_order_unit(self, monkeypatch):
         """Units that accumulate in tap order -- one multiply per tap,
         not one per coefficient -- miss the canonical grouped bits on
         the probe's alternating coefficients: both kernel probes say so."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         monkeypatch.setattr(
             cbackend, "tap_groups",
             lambda taps: tuple((coeff, (off,)) for off, coeff in taps),
@@ -391,9 +361,7 @@ class TestCBackend:
             "probe-mismatch", "array-probe-mismatch"
         ], rep.render()
 
-    @needs_cc
     def test_array_probe_mismatch_detected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         real = cbackend.array_step_source
         monkeypatch.setattr(
             cbackend, "array_step_source",
@@ -403,12 +371,10 @@ class TestCBackend:
         verify_cbackend(rep)
         assert probe_codes(rep) == ["array-probe-mismatch"], rep.render()
 
-    @needs_cc
     def test_mover_probe_names_the_mover_that_differs(self, monkeypatch):
         """The movers ride in the probe kernels' translation units: one
         whose gather reads every row one element early is a finding of
         its own, naming which of the three differs from NumPy slicing."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         monkeypatch.setattr(cbackend, "_mover_libs", {})  # force a fresh load
         monkeypatch.setattr(
             cbackend, "MOVER_SOURCE",
@@ -423,11 +389,9 @@ class TestCBackend:
         assert "gather" in rep.findings[0].message
         assert "scatter" not in rep.findings[0].message
 
-    @needs_cc
     def test_mover_probe_checks_the_crc_against_zlib(self, monkeypatch):
         """A fold constant off by one bit: the copies still match NumPy
         slicing, the CRC pair no longer matches ``zlib.crc32``."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         monkeypatch.setattr(cbackend, "_mover_libs", {})  # force a fresh load
         assert "0x01751997d0" in cbackend.MOVER_SOURCE
         monkeypatch.setattr(
@@ -441,7 +405,6 @@ class TestCBackend:
         assert "crc_list" in message and "copy_crc_list" in message
         assert "gather" not in message and "scatter" not in message
 
-    @needs_cc
     def test_mover_probe_names_a_crc_mover_that_cannot_engage(self, monkeypatch):
         real = cbackend.Movers.__init__
 
@@ -450,21 +413,17 @@ class TestCBackend:
             self.crc_refusal = "probe forced false"
 
         monkeypatch.setattr(cbackend.Movers, "__init__", no_pclmul)
-        for choice, ok in (("auto", True), ("cffi", False)):
-            monkeypatch.setenv("REPRO_KERNEL_BACKEND", choice)
-            rep = CheckReport()
-            verify_cbackend(rep)
-            assert rep.ok is ok, rep.render()
-            (finding,) = [f for f in rep.findings if f.code == "mover-probe"]
-            assert "probe forced false" in finding.message
-            assert "zlib.crc32" in finding.message
+        rep = CheckReport()
+        verify_cbackend(rep)
+        assert rep.ok, rep.render()  # a verified fabric checksums with zlib
+        (finding,) = [f for f in rep.findings if f.code == "mover-probe"]
+        assert "probe forced false" in finding.message
+        assert "zlib.crc32" in finding.message
 
-    @needs_cc
     def test_movers_cost_no_compiler_invocation_of_their_own(self, monkeypatch):
         """They ride in the kernels' translation units: a process that
         builds a kernel first -- every run does -- builds nothing for
         the movers; only one that asks for them cold builds stand-alone."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         monkeypatch.setattr(cbackend, "_mover_libs", {})
         monkeypatch.setattr(cbackend, "_kernels", {})
         loads = []
@@ -474,7 +433,7 @@ class TestCBackend:
             lambda source, name, *rest: loads.append(name)
             or real(source, name, *rest),
         )
-        assert cbackend.array_step_kernel(SEVEN_POINT.taps, (6, 6, 6), np.float64)
+        assert cbackend.array_step_kernel(SEVEN_POINT.taps, (6, 6, 6))
         assert cbackend.mover_kernel() is not None
         assert loads == ["repro_array_step"]
         monkeypatch.setattr(cbackend, "_mover_libs", {})
@@ -482,9 +441,7 @@ class TestCBackend:
         assert cbackend.mover_kernel() is not None
         assert loads == ["repro_array_step", ""]
 
-    @needs_cc
     def test_array_probe_runs_under_env_flags(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         seen = []
         real = cbackend._build_array
         monkeypatch.setattr(
@@ -500,23 +457,33 @@ class TestCBackend:
         assert rep.ok, rep.render()
         assert seen == [(True, cbackend.sanitize_flags())]
 
-    @needs_cc
     def test_compile_failure_says_why(self, monkeypatch):
-        """A refused build names the compiler's reason, and demanding
-        the backend surfaces it instead of a bare 'compilation failed'."""
+        """A refused build names the compiler's reason, instead of a bare
+        'compilation failed' -- and so does every later ask of that
+        specialization, from the cache, without a second build."""
         with pytest.raises(cbackend.KernelBuildError, match="error") as exc:
             cbackend._build("int repro_step(void) { return undeclared; }\n")
         assert "undeclared" in str(exc.value)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
+        builds = []
         monkeypatch.setattr(
-            cbackend, "batch_step_source", lambda *a, **k: "not C at all\n"
+            cbackend, "batch_step_source",
+            lambda *a, **k: builds.append(a) or "not C at all\n",
         )
-        with pytest.raises(RuntimeError, match="unavailable: .*exited"):
-            cbackend.batch_step_kernel(
-                SEVEN_POINT.taps, (3, 5, 7), 1, 0, 105, np.float64
-            )
-        # The refusal is cached per specialization; auto falls back.
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        assert cbackend.batch_step_kernel(
-            SEVEN_POINT.taps, (3, 5, 7), 1, 0, 105, np.float64
-        ) is None
+        for _ in range(2):
+            with pytest.raises(cbackend.KernelBuildError, match="exited"):
+                cbackend.batch_step_kernel(SEVEN_POINT.taps, (3, 5, 7), 1, 0, 105)
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("lacks", ["_compiler", "cffi"])
+    def test_a_missing_toolchain_is_an_error(self, lacks, monkeypatch):
+        """Without ``cffi`` or a compiler no run can start: an error, not
+        a note, naming what is missing."""
+        monkeypatch.setattr(
+            cbackend, lacks, (lambda: None) if lacks == "_compiler" else None
+        )
+        rep = CheckReport()
+        verify_cbackend(rep)
+        assert rep.codes() == ["toolchain-missing"] and not rep.ok
+        assert ("compiler" if lacks == "_compiler" else "cffi") in (
+            rep.findings[0].message
+        )

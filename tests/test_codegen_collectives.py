@@ -1,6 +1,6 @@
-"""The NumPy kernel tier against hand-written loops, and simulated
-collectives.  (The tier is a plain tap loop, not generated code; the
-file and class names are the ids the test floor records.)"""
+"""The compiled kernels against the generic kernel and a hand-written
+loop, and simulated collectives.  (The file and class names are the ids
+the test floor records.)"""
 
 import numpy as np
 import pytest
@@ -8,23 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simmpi import allgather, allreduce, broadcast, reduce_to_root, run_spmd
+from repro.stencil import cbackend
 from repro.stencil.brick_kernels import gather_halo_batch
 from repro.stencil.kernels import apply_array_stencil
 from repro.stencil.plan import ArrayStencilPlan, compile_brick_plan
 from repro.stencil.spec import CUBE125, SEVEN_POINT, star_stencil
 
 
-@pytest.fixture
-def numpy_tier(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-
-
 class TestGeneratedArrayKernel:
-    """The NumPy-tier array box sweep (the C tier's fallback)."""
+    """The generated array box sweep."""
 
     @pytest.mark.parametrize("spec", [SEVEN_POINT, CUBE125])
     @pytest.mark.parametrize("margin", [0, 3])
-    def test_bit_identical_to_generic(self, spec, margin, numpy_tier):
+    def test_bit_identical_to_generic(self, spec, margin):
         extent, g = (16, 16, 16), 8
         rng = np.random.default_rng(0)
         arr = rng.random(tuple(e + 2 * g for e in reversed(extent)))
@@ -32,7 +28,7 @@ class TestGeneratedArrayKernel:
         apply_array_stencil(arr, generic, spec, extent, g, margin=margin)
         fast = np.zeros_like(arr)
         plan = ArrayStencilPlan(spec, extent, g, margin=margin)
-        assert plan.kernel_backend == "numpy"
+        assert plan.kernel_backend == cbackend.c_tier()
         plan.execute(arr, fast)
         np.testing.assert_array_equal(generic, fast)
 
@@ -46,10 +42,10 @@ class TestGeneratedArrayKernel:
 
 
 class TestGeneratedBatchKernel:
-    """The NumPy-tier staged brick sweep (the C tier's fallback)."""
+    """The generated stage-then-sweep brick kernel."""
 
     @pytest.mark.parametrize("spec", [SEVEN_POINT, CUBE125])
-    def test_bit_identical_to_generic_loop(self, spec, small_decomp, numpy_tier):
+    def test_bit_identical_to_generic_loop(self, spec, small_decomp):
         from repro.brick.convert import extended_shape, extended_to_bricks
 
         d = small_decomp
@@ -79,7 +75,7 @@ class TestGeneratedBatchKernel:
         fast, _ = d.allocate()
         fast.data[:] = 9.99  # dirty destination
         plan = compile_brick_plan(spec, info, slots)
-        assert plan.kernel_backend == "numpy"
+        assert plan.kernel_backend == cbackend.c_tier()
         plan.execute(storage, fast)
         np.testing.assert_array_equal(
             acc.reshape(len(slots), -1), fast.data[slots]

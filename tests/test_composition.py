@@ -45,7 +45,6 @@ AXES = {
     "degrade": (False, True),  # one MemMap degradation event
     "elastic": (False, True),  # one permanent death, reshaped around
     "trace": (False, True),
-    "tier": ("cffi", "numpy"),
 }
 Case = namedtuple("Case", AXES)
 
@@ -55,12 +54,11 @@ BRICK = {1: 8, 2: 4, 3: 2}  # per exchange period: the cycle fits a ghost of 8
 CRASH_RANK, DEATH_RANK, DEGRADE_RANK = 1, 3, 0
 ELASTIC_EXTENT, ELASTIC_DIMS = (32, 32, 48), (1, 2, 3)
 WIRE_FAULTS = dict(drop=0.01, corrupt=0.01, duplicate=0.01)
-_PLAIN = Case(
-    "layout", "7pt", 1, "periodic", 0, "none", "plain", False, False, False, "cffi"
-)
+_PLAIN = Case("layout", "7pt", 1, "periodic", 0, "none", "plain", False, False, False)
 
 #: Refused before any rank starts: name -> (rule, words of the
-#: ``ValueError``, an example row), each with the reason.
+#: ``ValueError``, an example row), each with the reason.  The host
+#: and problem refusals no row can express are ``HOST_REFUSED``.
 REFUSED = {
     # A reshape re-bricks a checkpoint epoch.
     "elastic-without-store": (lambda c: c.elastic and not c.ckpt, "elastic",
@@ -128,13 +126,11 @@ SEEDS = tuple(
 
 
 def _cost(case):
-    """Rough run time in plain launches (measured): relaunches, reshapes,
-    125-pt sweeps on the NumPy tier (over 2^3 bricks most of all) and
-    125-pt kernels built for the reshaped worlds' shapes."""
+    """Rough run time in plain launches (measured): relaunches, reshapes
+    and 125-pt kernels built for the reshaped worlds' shapes."""
     cube = case.stencil == "125pt"
-    slow = 4 * (cube and case.tier == "numpy")
-    return (1 + 2 * (case.resume != "none") + 4 * case.elastic * (1 + cube) + slow
-            + slow * (BRICK[case.period] == 2) + (case.wire == "faults"))
+    return (1 + 2 * (case.resume != "none") + 4 * case.elastic * (1 + cube)
+            + (case.wire == "faults"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,7 +169,7 @@ def _row_id(case):
     parts += [f"ck{case.ckpt}"] * bool(case.ckpt)
     parts += [f"resume_{case.resume}"] * (case.resume != "none")
     flags = [a for a in ("degrade", "elastic", "trace") if getattr(case, a)]
-    return "-".join(parts + [case.wire] + flags + [case.tier])
+    return "-".join(parts + [case.wire] + flags)
 
 
 ROWS = _pairwise_rows()
@@ -302,15 +298,12 @@ def _kwargs(case, steps, crash, death, tmp_path):
 
 @pytest.mark.parametrize("case", ROWS, ids=_row_id)
 def test_composes(case, tmp_path, monkeypatch):
-    if case.tier == "cffi" and (cbackend.cffi is None or cbackend._compiler() is None):
-        pytest.skip("no C toolchain in this environment")
     if case.method == "memmap" and not driver.realmap_available():
         pytest.skip("no memfd_create / mmap(MAP_FIXED): MemMap is refused")
     steps, crash, death, epoch = _plan(case)
     problem = _problem(case)
     open_period = case.period * (case.bounds == "open")
     want = _answer(case.stencil, case.elastic, open_period, steps).view(np.uint64)
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", case.tier)
     entries, real_run = [], RankRunPlan.run
     monkeypatch.setattr(
         RankRunPlan, "run", lambda rp, *a: entries.append(rp.rank) or real_run(rp, *a)
@@ -322,7 +315,7 @@ def test_composes(case, tmp_path, monkeypatch):
         spans = [ev.name for ev in tracer.events()] if case.trace else []
 
     np.testing.assert_array_equal(run.global_result.view(np.uint64), want)
-    assert run.kernel_backend.split()[0] == case.tier
+    assert run.kernel_backend.split()[0] == "cffi"
     restarts, reshapes = int(crash is not None), int(death is not None)
     final = _problem(case, ELASTIC_DIMS) if reshapes else problem
     assert (run.restarts, run.resumed_epoch, run.reshapes, run.dead_ranks) == (
@@ -370,6 +363,33 @@ def test_refused_up_front(name, tmp_path, monkeypatch):
     for kwargs in requests:
         with pytest.raises(ValueError, match=words):
             driver.run_executed(_problem(case), case.method, **kwargs)
+    assert not launched
+
+
+#: Refused before any rank starts, whatever the row: name -> (what the
+#: host lacks, as a patch of ``cbackend``, or the problem's dtype; words
+#: of the ``ValueError``).  The kernels and movers are compiled C over
+#: float64 memory, and there is no other tier to step on.
+HOST_REFUSED = {
+    "no-compiler": (("_compiler", lambda: None), None, "C compiler"),
+    "no-cffi": (("cffi", None), None, "cffi"),
+    "float32": (None, np.float32, "float32"),
+}
+
+
+@pytest.mark.parametrize("name", HOST_REFUSED)
+def test_host_refused_up_front(name, monkeypatch):
+    patch, dtype, words = HOST_REFUSED[name]
+    if patch is not None:
+        monkeypatch.setattr(cbackend, *patch)
+    problem = _problem(_PLAIN)
+    if dtype is not None:
+        problem.dtype = np.dtype(dtype)
+    launched = []
+    monkeypatch.setattr(driver, "run_spmd", lambda *a, **k: launched.append(a))
+    for method in ("layout", "memmap", "yask"):
+        with pytest.raises(ValueError, match=words):
+            driver.run_executed(problem, method, timesteps=STEPS)
     assert not launched
 
 

@@ -33,6 +33,7 @@ from repro.simmpi.collectives import allreduce
 from repro.simmpi.fabric import DeadlockError
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import SEVEN_POINT
+from tests.conftest import wire_copy
 
 STEPS = 4
 
@@ -92,7 +93,7 @@ class TestFabricLiveness:
         fab.enable_envelope(DiesWhileSealing(FaultPlan()))
         fab.set_epoch(0, 0)
         cut = fab.bind_request(
-            0, [(1, 0, np.zeros(4)), (2, 0, np.zeros(4))], []
+            0, [(1, 0, np.zeros(4)), (2, 0, np.zeros(4))], [], wire_copy
         )
         with pytest.raises(RankDeadError, match="permanently dead"):
             fab.post_send_batch(cut)
@@ -170,8 +171,8 @@ class TestVerifiedFabricBinds:
         fab = SimFabric(2, timeout=5.0)
         fab.enable_envelope()
         data, out = np.arange(4.0), np.zeros(4)
-        sender = fab.bind_request(0, [(1, 0, data)], [])
-        receiver = fab.bind_request(1, [], [(0, 0, out)])
+        sender = fab.bind_request(0, [(1, 0, data)], [], wire_copy)
+        receiver = fab.bind_request(1, [], [(0, 0, out)], wire_copy)
         return fab, sender, receiver, data, out
 
     def test_batched_posting_sealed(self):

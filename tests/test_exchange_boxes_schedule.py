@@ -1,5 +1,6 @@
 """Array boxes and combinatorial message schedules."""
 
+import functools
 import math
 import zlib
 
@@ -29,11 +30,7 @@ from repro.layout.order import SURFACE3D, lexicographic_order
 from repro.layout.regions import all_regions
 from repro.stencil import cbackend
 from repro.util.bitset import BitSet
-
-needs_cc = pytest.mark.skipif(
-    cbackend.cffi is None or cbackend._compiler() is None,
-    reason="no C toolchain in this environment",
-)
+from tests.conftest import wire_copy
 
 
 class TestBoxes:
@@ -237,46 +234,45 @@ def _volume(box):
 
 
 def _c_movers(guard=False):
-    """The C movers whatever tier the environment selects -- what
-    ``mover_kernel`` resolves to under ``cffi``, built with the
+    """The C movers ``mover_kernel`` resolves to, built with the
     environment's sanitizers (the CI sanitizer job runs this file)."""
     return cbackend._load_movers(cbackend.sanitize_flags(), guard)
 
 
-@needs_cc
+def _regions(boxes):
+    return [tuple(slice(lo, hi) for lo, hi in box) for box in boxes]
+
+
 class TestMoversMatchNumPy:
     @settings(max_examples=60, deadline=None)
     @given(case=_arrays_and_boxes())
     def test_gather_scatter_copy_list_byte_identical(self, case):
+        """Each C mover against NumPy slicing: pack, wire copy, unpack."""
         arr, boxes = case
         movers = _c_movers()
-        c_bufs = [np.full(_volume(b), np.nan) for b in boxes]
-        np_bufs = [np.full(_volume(b), np.nan) for b in boxes]
-        bind_gather(arr, boxes, c_bufs, movers)()
-        bind_gather(arr, boxes, np_bufs, None)()
-        for got, ref in zip(c_bufs, np_bufs):
-            assert got.tobytes() == ref.tobytes()
+        bufs = [np.full(_volume(b), np.nan) for b in boxes]
+        bind_gather(arr, boxes, bufs, movers)()
+        for got, region in zip(bufs, _regions(boxes)):
+            assert got.tobytes() == arr[region].tobytes()
 
-        wire_c = [np.empty_like(b) for b in c_bufs]
-        wire_np = [np.empty_like(b) for b in c_bufs]
+        wire = [np.empty_like(b) for b in bufs]
         as_bytes = lambda bufs: [b.view(np.uint8) for b in bufs]  # noqa: E731
-        movers.copy_list(as_bytes(c_bufs), as_bytes(wire_c))()
-        for dst, src in zip(as_bytes(wire_np), as_bytes(c_bufs)):
-            dst[:] = src
-        for got, ref in zip(wire_c, wire_np):
+        movers.copy_list(as_bytes(bufs), as_bytes(wire))()
+        for got, ref in zip(wire, bufs):
             assert got.tobytes() == ref.tobytes()
 
-        out_c = np.full(arr.shape, -1.0)
-        out_np = np.full(arr.shape, -1.0)
-        bind_scatter(out_c, boxes, wire_c, movers)()
-        bind_scatter(out_np, boxes, wire_np, None)()
-        assert out_c.tobytes() == out_np.tobytes()
+        out = np.full(arr.shape, -1.0)
+        want = out.copy()
+        for buf, region in zip(wire, _regions(boxes)):
+            want[region] = buf.reshape(want[region].shape)
+        bind_scatter(out, boxes, wire, movers)()
+        assert out.tobytes() == want.tobytes()
 
     @settings(max_examples=30, deadline=None)
-    @given(case=_arrays_and_boxes(), tier=st.sampled_from(["cffi", "numpy"]))
-    def test_scatter_of_gather_over_disjoint_boxes_is_identity(self, case, tier):
+    @given(case=_arrays_and_boxes())
+    def test_scatter_of_gather_over_disjoint_boxes_is_identity(self, case):
         arr, _ = case
-        movers = _c_movers() if tier == "cffi" else None
+        movers = _c_movers()
         # Two slabs that tile the array along its first axis.
         cut = arr.shape[0] // 2
         rest = tuple((0, n) for n in arr.shape[1:])
@@ -287,50 +283,37 @@ class TestMoversMatchNumPy:
         bind_scatter(out, boxes, bufs, movers)()
         assert out.tobytes() == arr.tobytes()
 
-    def test_stage_boxes_resolves_the_tier_from_the_environment(self, monkeypatch):
+    def test_stage_table_moves_a_side_in_one_call_each_way(self):
+        """The staged binding: one gather fills the send buffer, one
+        scatter lands the receive buffer, as NumPy slicing would."""
         arr = np.arange(6.0 * 6).reshape(6, 6)
         slabs = [((slice(1, 2), slice(1, 5)), (slice(0, 1), slice(1, 5)))]
-        images = {}
-        for tier in ("cffi", "numpy"):
-            monkeypatch.setenv("REPRO_KERNEL_BACKEND", tier)
-            work = arr.copy()
-            hooks = stage_table(work, box_table(work.shape, slabs))
-            assert hooks.backend == tier
-            hooks.pre()
-            hooks.recv_bufs[0][:] = hooks.send_bufs[0]
-            hooks.post()
-            images[tier] = work.tobytes()
-            assert (work[0, 1:5] == arr[1, 1:5]).all()
-        assert images["cffi"] == images["numpy"]
+        work = arr.copy()
+        hooks = stage_table(work, box_table(work.shape, slabs))
+        hooks.pre()
+        assert hooks.send_bufs[0].tobytes() == arr[1, 1:5].tobytes()
+        hooks.recv_bufs[0][:] = hooks.send_bufs[0]
+        hooks.post()
+        assert (work[0, 1:5] == arr[1, 1:5]).all()
 
-    def test_cffi_refuses_what_the_movers_cannot_walk(self, monkeypatch):
-        """No silent fallback: demanding the C tier for an array it
-        cannot address names why; ``auto`` takes the NumPy tier and says
-        so in the binding."""
+    def test_cffi_refuses_what_the_movers_cannot_walk(self):
+        """No silent fallback: an array the C movers cannot address --
+        strided, or not float64 -- is refused at bind, naming why."""
         strided = np.zeros((6, 12))[:, ::2]
         slabs = [((slice(1, 2), slice(1, 5)), (slice(0, 1), slice(1, 5)))]
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
-        with pytest.raises(cbackend.KernelBuildError, match="C-contiguous"):
+        with pytest.raises(ExchangeConfigError, match="C-contiguous"):
             stage_table(strided, box_table(strided.shape, slabs))
-        with pytest.raises(RuntimeError, match="float64"):
+        with pytest.raises(ExchangeConfigError, match="float32"):
             stage_table(np.zeros((6, 6), np.float32), box_table((6, 6), slabs))
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        assert stage_table(strided, box_table(strided.shape, slabs)).backend == "numpy"
-        assert stage_table(np.zeros((6, 6), np.float32), box_table((6, 6), slabs)).backend == "numpy"
 
 
-@pytest.mark.parametrize("tier", ["cffi", "numpy"])
+@pytest.mark.parametrize("tier", ["cffi"])  # the one tier: the ids the floor records
 class TestBindRefusesAtBind:
-    """What a raw pointer would turn into memory corruption -- and NumPy
-    into a silent cast or a reshape error mid-run -- is a typed error
-    where the table is built, on either tier."""
+    """What a raw pointer would turn into memory corruption is a typed
+    error where the table is built."""
 
     @pytest.fixture
     def movers(self, tier):
-        if tier == "numpy":
-            return None
-        if cbackend.cffi is None or cbackend._compiler() is None:
-            pytest.skip("no C toolchain in this environment")
         return _c_movers()
 
     ARR = np.zeros((4, 6))
@@ -367,7 +350,6 @@ class TestBindRefusesAtBind:
         bind_gather(arr, self.BOX, [np.zeros(6)], movers)()  # reading is fine
 
 
-@needs_cc
 class TestMoverBoundsGuard:
     """``REPRO_CC_BOUNDS=1``: tables the binders would never build --
     forged past their checks -- raise and write nothing."""
@@ -377,7 +359,6 @@ class TestMoverBoundsGuard:
         return _c_movers(guard=True)
 
     def test_env_selects_the_guard(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         monkeypatch.setenv("REPRO_CC_BOUNDS", "1")
         assert cbackend.mover_kernel().guard
         monkeypatch.setenv("REPRO_CC_BOUNDS", "0")
@@ -449,7 +430,7 @@ class TestMoverBoundsGuard:
 
 
 # ----------------------------------------------------------------------
-# The CRC movers: zlib.crc32's function, on both tiers of the bound call
+# The CRC movers: zlib.crc32's function, and zlib.crc32 around the C copy
 # ----------------------------------------------------------------------
 @st.composite
 def _byte_runs(draw):
@@ -468,14 +449,18 @@ def _byte_runs(draw):
 
 
 def _crc_tiers():
-    """``(name, crc_list, copy_crc_list)`` per tier of the bound calls."""
+    """``(name, crc_list, copy_crc_list)``: the C pair where this CPU
+    folds, and the fabric's ``zlib.crc32`` pair around the C copy."""
     from repro.simmpi import fabric as fabric_mod
 
-    tiers = [("numpy", fabric_mod._numpy_crc_list, fabric_mod._numpy_copy_crc_list)]
-    if cbackend.cffi is not None and cbackend._compiler() is not None:
-        movers = _c_movers()
-        if not movers.crc_refusal:
-            tiers.append(("cffi", movers.crc_list, movers.copy_crc_list))
+    tiers = [(
+        "zlib",
+        fabric_mod._zlib_crc_list,
+        functools.partial(fabric_mod._zlib_copy_crc_list, wire_copy),
+    )]
+    movers = _c_movers()
+    if not movers.crc_refusal:
+        tiers.append(("cffi", movers.crc_list, movers.copy_crc_list))
     return tiers
 
 
@@ -494,7 +479,6 @@ class TestCrcMoversMatchZlib:
             for got, src in zip(landed, views):
                 assert got.tobytes() == src.tobytes(), name
 
-    @needs_cc
     def test_fixed_lengths_around_the_fold_boundaries(self):
         movers = _c_movers()
         if movers.crc_refusal:
@@ -505,13 +489,17 @@ class TestCrcMoversMatchZlib:
             views = [pool[start : start + n] for n in lengths]
             assert movers.crc_list(views)() == [zlib.crc32(v) for v in views]
 
-    @needs_cc
-    def test_a_cpu_without_carry_less_multiply_runs_the_numpy_tier(
+    def test_a_cpu_without_carry_less_multiply_checksums_with_zlib(
         self, monkeypatch
     ):
-        """The probe forced false: ``auto`` takes the other tier of the
-        same bound calls, ``cffi`` says why it cannot have what it
-        demanded, and the copies stay in C either way."""
+        """The probe forced false: the movers still resolve and their
+        copies engage; the CRC binders say why they cannot, and a
+        verified channel seals and checks with ``zlib.crc32`` around
+        the C copy -- and says so."""
+        from repro.exchange.base import ExchangeChannel, ExchangeResult
+        from repro.simmpi import SimFabric, run_spmd
+        from repro.util.timing import TimeBreakdown
+
         monkeypatch.setattr(cbackend, "_kernels", {})
         real = cbackend.Movers.__init__
 
@@ -520,14 +508,31 @@ class TestCrcMoversMatchZlib:
             self.crc_refusal = "probe forced false"
 
         monkeypatch.setattr(cbackend.Movers, "__init__", no_pclmul)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        assert cbackend.mover_kernel() is not None
-        assert cbackend.crc_movers() is None
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
-        demanded = cbackend.crc_movers()  # refused where a cut is bound
+        movers = cbackend.mover_kernel()
         view = np.zeros(8, dtype=np.uint8)
         with pytest.raises(cbackend.KernelBuildError, match="probe forced false"):
-            demanded.crc_list([view])
+            movers.crc_list([view])
         with pytest.raises(cbackend.KernelBuildError, match="probe forced false"):
-            demanded.copy_crc_list([view], [view.copy()])
-        demanded.copy_list([view], [view.copy()])()  # the copies engage
+            movers.copy_crc_list([view], [view.copy()])
+        movers.copy_list([view], [view.copy()])()  # the copies engage
+
+        fab = SimFabric(2, timeout=5.0)
+        fab.enable_envelope()
+        payload = np.arange(16.0)
+        landed = np.zeros(16)
+
+        def fn(comm):
+            other = 1 - comm.rank
+            send = payload if comm.rank == 0 else np.zeros(16)
+            recv = landed if comm.rank == 1 else np.zeros(16)
+            channel = ExchangeChannel(
+                comm, "probe", [(other, 3, send)], [(other, 3, recv)],
+                ExchangeResult(TimeBreakdown(), 1, 1, 128, 128),
+            )
+            channel.exchange()
+            channel.wait_sends()
+            return channel.copy_backend
+
+        backends = run_spmd(2, fn, fabric=fab)
+        assert backends == ["cffi (checksums on zlib: probe forced false)"] * 2
+        assert landed.tobytes() == payload.tobytes()

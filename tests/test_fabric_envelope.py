@@ -8,6 +8,8 @@ verified path without launcher machinery.  Per-message delivery
 (collectives, Shift) is detection only.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.simmpi.fabric import (
     ExchangeTimeoutError,
     SimFabric,
 )
+from tests.conftest import wire_copy
 
 
 def _payload(n=16, seed=0):
@@ -68,10 +71,10 @@ class _Pair:
         self.data = [_payload(seed=tag) for tag in tags]
         self.out = [np.zeros_like(d) for d in self.data]
         self.sender = fab.bind_request(
-            0, [(1, tag, d) for tag, d in zip(tags, self.data)], []
+            0, [(1, tag, d) for tag, d in zip(tags, self.data)], [], wire_copy
         )
         self.receiver = fab.bind_request(
-            1, [], [(0, tag, o) for tag, o in zip(tags, self.out)]
+            1, [], [(0, tag, o) for tag, o in zip(tags, self.out)], wire_copy
         )
 
     def epoch(self, e, ranks=(0, 1)):
@@ -250,7 +253,7 @@ class TestVerifiedDelivery:
         pair = _Pair(FaultPlan(), tags=(5, 6))
         fab = pair.fab
         five, six = (
-            fab.bind_request(0, [(1, tag, d)], [])
+            fab.bind_request(0, [(1, tag, d)], [], wire_copy)
             for tag, d in zip((5, 6), pair.data)
         )
         pair.injector.on_post = (
@@ -369,7 +372,7 @@ def test_guard_tables_lose_no_update_under_contention():
         cut = fab.bind_request(
             rank,
             [(p, 3, send[p]) for p in peers],
-            [(p, 3, recv[p]) for p in peers],
+            [(p, 3, recv[p]) for p in peers], wire_copy,
         )
         for step in range(steps):
             for p in peers:
@@ -431,18 +434,20 @@ class _Counting:
         return counted
 
 
-@pytest.fixture(params=["cffi", "numpy"])
+@pytest.fixture(params=["cffi", "zlib"])
 def binders(request):
-    """``(crc_list, copy_crc_list)`` of either tier, counted, as
-    ``ExchangeChannel`` hands them down."""
+    """``(crc_list, copy_crc_list)``, counted: the C movers' as
+    ``ExchangeChannel`` hands them down, or what the fabric falls to on
+    a CPU that cannot fold the CRC (``zlib.crc32`` around the C copy)."""
     from repro.simmpi import fabric as fabric_mod
     from repro.stencil import cbackend
 
-    if request.param == "numpy":
-        pair = (fabric_mod._numpy_crc_list, fabric_mod._numpy_copy_crc_list)
+    if request.param == "zlib":
+        pair = (
+            fabric_mod._zlib_crc_list,
+            functools.partial(fabric_mod._zlib_copy_crc_list, wire_copy),
+        )
     else:
-        if cbackend.cffi is None or cbackend._compiler() is None:
-            pytest.skip("no C toolchain in this environment")
         movers = cbackend._load_movers(cbackend.sanitize_flags(), False)
         if movers.crc_refusal:
             pytest.skip(movers.crc_refusal)
@@ -466,10 +471,10 @@ class _Cut39:
         self.out = [np.zeros_like(d) for d in self.data]
         kw = {"crc_list": self.seal, "copy_crc_list": self.check}
         self.sender = fab.bind_request(
-            0, [(1, tag, d) for tag, d in enumerate(self.data)], [], **kw
+            0, [(1, tag, d) for tag, d in enumerate(self.data)], [], wire_copy, **kw
         )
         self.receiver = fab.bind_request(
-            1, [], [(0, tag, o) for tag, o in enumerate(self.out)], **kw
+            1, [], [(0, tag, o) for tag, o in enumerate(self.out)], wire_copy, **kw
         )
 
     def delivered(self):
@@ -529,7 +534,8 @@ class TestTheGuardJudgesACut:
         assert (judged, verdicts) == ([(0, 17)], [cut.N - 1])
         assert fab.stats[1].recvs == cut.N - 1
         assert cut.sender.credit.outstanding == 1 and fab.pending_messages == 1
-        assert cut.check.calls == 0  # a proper subset: the other tier
+        # A proper subset: the same binder, over a table of its own.
+        assert (cut.check.built, cut.check.calls) == (1, 1)
         fab.complete_recv_batch(cut.receiver)  # the retry: 38 replayed
         assert cut.delivered() and fab.pending_messages == 0
         assert verdicts == [cut.N - 1, 1]
@@ -557,7 +563,7 @@ class TestTheGuardJudgesACut:
 
         cut = _Cut39(binders)
         fab = cut.fab
-        stray = fab.bind_request(0, [(1, 99, np.ones(4))], [])
+        stray = fab.bind_request(0, [(1, 99, np.ones(4))], [], wire_copy)
         fab.post_send_batch(stray)
         fab.post_send_batch(cut.sender)
         with pytest.raises(ProtocolError, match=r"\(0, 99\)"):
@@ -573,17 +579,17 @@ class TestTheGuardJudgesACut:
         outs = [np.full(4, -1.0), np.full(4, -1.0)]
         kw = {"crc_list": seal, "copy_crc_list": check}
         receiver = fab.bind_request(
-            1, [], [(0, 3, outs[0]), (0, 4, outs[1])], **kw
+            1, [], [(0, 3, outs[0]), (0, 4, outs[1])], wire_copy, **kw
         )
         good = fab.bind_request(
-            0, [(1, 3, np.full(4, 1.0)), (1, 4, np.full(4, 2.0))], [], **kw
+            0, [(1, 3, np.full(4, 1.0)), (1, 4, np.full(4, 2.0))], [], wire_copy, **kw
         )
         fab.post_send_batch(good)
         fab.complete_recv_batch(receiver)
         # Re-binding a changed split drops the receiver's stale half at
         # negotiation, so only the wire's own size guard is left.
         grown = fab.bind_request(
-            0, [(1, 3, np.full(4, 7.0)), (1, 4, np.full(5, 8.0))], [], **kw
+            0, [(1, 3, np.full(4, 7.0)), (1, 4, np.full(5, 8.0))], [], wire_copy, **kw
         )
         fab.post_send_batch(grown)
         with pytest.raises(SplitMismatchError, match="sent 40 bytes, receiving 32"):
@@ -597,10 +603,10 @@ class TestTheGuardJudgesACut:
         fab.enable_envelope()
         out = np.full(4, -1.0)
         receiver = fab.bind_request(
-            1, [], [(0, 3, out)], crc_list=seal, copy_crc_list=check
+            1, [], [(0, 3, out)], wire_copy, crc_list=seal, copy_crc_list=check
         )
         for epoch, value in enumerate((1.0, 2.0)):
-            sender = fab.bind_request(0, [(1, 3, np.full(4, value))], [])
+            sender = fab.bind_request(0, [(1, 3, np.full(4, value))], [], wire_copy)
             for _ in range(2):
                 fab.post_send_batch(sender)
                 fab.complete_recv_batch(receiver)

@@ -11,6 +11,7 @@ from repro.faults.errors import RankDeadError
 from repro.simmpi import SimFabric, run_spmd
 from repro.simmpi.collectives import allreduce, broadcast
 from repro.simmpi.fabric import AbortedError, DeadlockError
+from tests.conftest import wire_copy
 
 
 @pytest.fixture
@@ -26,7 +27,7 @@ _TAG = 3
 
 
 def _bound_recv(fab):
-    cut = fab.bind_request(0, [], [(1, _TAG, np.empty(4))])
+    cut = fab.bind_request(0, [], [(1, _TAG, np.empty(4))], wire_copy)
     return lambda: fab.complete_recv_batch(cut)
 
 
@@ -45,7 +46,7 @@ def _verified_bound_recv(fab):
 
 
 def _bound_send_wait(fab):
-    cut = fab.bind_request(0, [(1, _TAG, np.zeros(4))], [])
+    cut = fab.bind_request(0, [(1, _TAG, np.zeros(4))], [], wire_copy)
     fab.post_send_batch(cut)
     return lambda: fab.wait_send_batch(cut)
 

@@ -29,6 +29,7 @@ from repro.simmpi import fabric as fabric_mod
 from repro.simmpi.collectives import allreduce
 from repro.simmpi.fabric import AbortedError, DeadlockError
 from repro.stencil import cbackend
+from tests.conftest import wire_copy
 
 
 def _fire(fab, cut):
@@ -42,7 +43,7 @@ def _ring_request(fab, rank, send, recv, tag=5):
     """Send to the right neighbour, receive from the left one."""
     n = fab.nranks
     return fab.bind_request(
-        rank, [((rank + 1) % n, tag, send)], [((rank - 1) % n, tag, recv)]
+        rank, [((rank + 1) % n, tag, send)], [((rank - 1) % n, tag, recv)], wire_copy
     )
 
 
@@ -212,7 +213,7 @@ def test_wakeups_go_only_to_peers_and_once_per_exchange():
         cut = comm.fabric.bind_request(
             rank,
             [(p, 9, send[p]) for p in peers[rank]],
-            [(p, 9, recv[p]) for p in peers[rank]],
+            [(p, 9, recv[p]) for p in peers[rank]], wire_copy,
         )
         for _ in range(steps):
             _fire(comm.fabric, cut)
@@ -258,7 +259,7 @@ def test_two_alternating_cuts_wake_each_rank_once_per_exchange():
             fab.bind_request(
                 rank,
                 [(p, 9, sends[slot][p]) for p in peers[rank]],
-                [(p, 9, recvs[slot][p]) for p in peers[rank]],
+                [(p, 9, recvs[slot][p]) for p in peers[rank]], wire_copy,
             )
             for slot in (0, 1)
         ]
@@ -318,7 +319,7 @@ class TestBoundFailureModes:
         fab.set_heartbeat_deadline(0.05)
         fab.heartbeat(1)
         time.sleep(0.1)
-        cut = fab.bind_request(0, [], [(1, 0, np.empty(2))])
+        cut = fab.bind_request(0, [], [(1, 0, np.empty(2))], wire_copy)
         with pytest.raises(RankDeadError, match="heartbeat deadline"):
             fab.complete_recv_batch(cut)
         assert fab.is_dead(1)
@@ -326,8 +327,8 @@ class TestBoundFailureModes:
     def test_message_on_the_wire_outlives_its_sender_then_edge_drains(self):
         fab = SimFabric(2, timeout=30.0)
         out = np.empty(4)
-        sender = fab.bind_request(1, [(0, 0, np.full(4, 7.0))], [])
-        receiver = fab.bind_request(0, [], [(1, 0, out)])
+        sender = fab.bind_request(1, [(0, 0, np.full(4, 7.0))], [], wire_copy)
+        receiver = fab.bind_request(0, [], [(1, 0, out)], wire_copy)
         fab.post_send_batch(sender)
         fab.mark_dead(1)
         fab.complete_recv_batch(receiver)
@@ -340,7 +341,7 @@ class TestBoundFailureModes:
     def test_destination_marked_dead_between_bind_and_fire(self):
         fab = SimFabric(3, timeout=5.0)
         cut = fab.bind_request(
-            0, [(1, 0, np.zeros(4)), (2, 0, np.zeros(4))], []
+            0, [(1, 0, np.zeros(4)), (2, 0, np.zeros(4))], [], wire_copy
         )
         killer = threading.Thread(target=fab.mark_dead, args=(2,))
         killer.start()
@@ -355,34 +356,34 @@ class TestBoundFailureModes:
 
     def test_byte_count_disagreement_fails_at_negotiation(self):
         fab = SimFabric(2)
-        fab.bind_request(0, [(1, 3, np.zeros(8))], [])
+        fab.bind_request(0, [(1, 3, np.zeros(8))], [], wire_copy)
         with pytest.raises(SplitMismatchError, match="byte count disagreement"):
-            fab.bind_request(1, [], [(0, 3, np.zeros(9))])
+            fab.bind_request(1, [], [(0, 3, np.zeros(9))], wire_copy)
 
     def test_duplicate_receive_key_is_a_config_error(self):
         fab = SimFabric(2)
         with pytest.raises(ExchangeConfigError, match="two receives"):
             fab.bind_request(
-                1, [], [(0, 3, np.zeros(4)), (0, 3, np.zeros(4))]
+                1, [], [(0, 3, np.zeros(4)), (0, 3, np.zeros(4))], wire_copy
             )
 
     def test_non_contiguous_buffer_is_a_config_error(self):
         fab = SimFabric(2)
         with pytest.raises(ExchangeConfigError, match="C-contiguous"):
-            fab.bind_request(1, [], [(0, 3, np.zeros((4, 4))[:, ::2])])
+            fab.bind_request(1, [], [(0, 3, np.zeros((4, 4))[:, ::2])], wire_copy)
 
     def test_arrival_with_no_bound_receive_is_a_protocol_error(self):
         fab = SimFabric(2, timeout=5.0)
-        stray = fab.bind_request(0, [(1, 4, np.zeros(4))], [])
-        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))])
+        stray = fab.bind_request(0, [(1, 4, np.zeros(4))], [], wire_copy)
+        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))], wire_copy)
         fab.post_send_batch(stray)
         with pytest.raises(ProtocolError, match=r"\(0, 4\)"):
             fab.complete_recv_batch(receiver)
 
     def test_second_epoch_on_an_edge_is_a_protocol_error(self):
         fab = SimFabric(2, timeout=5.0)
-        sender = fab.bind_request(0, [(1, 3, np.zeros(4))], [])
-        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))])
+        sender = fab.bind_request(0, [(1, 3, np.zeros(4))], [], wire_copy)
+        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))], wire_copy)
         fab.post_send_batch(sender)
         fab.post_send_batch(sender)  # did not wait for consumption
         with pytest.raises(ProtocolError, match="do not match"):
@@ -394,17 +395,17 @@ class TestBoundFailureModes:
         # malformed one.
         fab = SimFabric(2)
         fab.enable_envelope()
-        fab.bind_request(0, [(1, 3, np.zeros(4))], [])
+        fab.bind_request(0, [(1, 3, np.zeros(4))], [], wire_copy)
         with pytest.raises(SplitMismatchError, match="byte count disagreement"):
-            fab.bind_request(1, [], [(0, 3, np.zeros(5))])
+            fab.bind_request(1, [], [(0, 3, np.zeros(5))], wire_copy)
         with pytest.raises(ExchangeConfigError, match="C-contiguous"):
-            fab.bind_request(1, [], [(0, 4, np.zeros((4, 4))[:, ::2])])
+            fab.bind_request(1, [], [(0, 4, np.zeros((4, 4))[:, ::2])], wire_copy)
 
     def test_verified_stray_arrival_is_a_protocol_error(self):
         fab = SimFabric(2, timeout=5.0)
         fab.enable_envelope()
-        stray = fab.bind_request(0, [(1, 4, np.zeros(4))], [])
-        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))])
+        stray = fab.bind_request(0, [(1, 4, np.zeros(4))], [], wire_copy)
+        receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))], wire_copy)
         fab.post_send_batch(stray)
         with pytest.raises(ProtocolError, match=r"\(0, 4\)"):
             fab.complete_recv_batch(receiver)
@@ -415,8 +416,8 @@ class TestBoundFailureModes:
         fab = SimFabric(2, timeout=5.0)
         fab.enable_envelope()
         data, out = np.zeros(4), np.full(4, -1.0)
-        sender = fab.bind_request(0, [(1, 3, data)], [])
-        receiver = fab.bind_request(1, [], [(0, 3, out)])
+        sender = fab.bind_request(0, [(1, 3, data)], [], wire_copy)
+        receiver = fab.bind_request(1, [], [(0, 3, out)], wire_copy)
         fab.post_send_batch(sender)
         fab.post_send_batch(sender)
         fab.complete_recv_batch(receiver)
@@ -444,7 +445,7 @@ def test_collective_posted_after_the_exchange_is_not_a_halo_arrival():
         recv = np.full(8, -1.0)
         posts = {0: [(1, 5, send)], 1: [], 2: [(0, 5, send)]}[rank]
         recvs = {0: [(2, 5, recv)], 1: [(0, 5, recv)], 2: []}[rank]
-        cut = fab.bind_request(rank, posts, recvs)
+        cut = fab.bind_request(rank, posts, recvs, wire_copy)
         totals = []
         for step in range(steps):
             if rank == 2:
@@ -469,7 +470,7 @@ def test_collective_posted_after_the_exchange_is_not_a_halo_arrival():
 def test_per_message_send_does_not_match_a_bound_receive():
     fab = SimFabric(2, timeout=0.5)
     out = np.full(4, -1.0)
-    receiver = fab.bind_request(1, [], [(0, 3, out)])
+    receiver = fab.bind_request(1, [], [(0, 3, out)], wire_copy)
     fab.post_send(0, 1, 3, np.zeros(4))
     start = time.monotonic()
     with pytest.raises(DeadlockError, match=r"\(src=0, tag=3\)"):
@@ -501,13 +502,9 @@ class _CountingCopyList:
         return counted
 
 
-@pytest.fixture(params=["cffi", "numpy"])
+@pytest.fixture(params=["cffi"])  # the one tier; the ids the test floor records
 def copy_list(request):
-    """Either tier's binder, as ``ExchangeChannel`` hands it down."""
-    if request.param == "numpy":
-        return fabric_mod._numpy_copy_list
-    if cbackend.cffi is None or cbackend._compiler() is None:
-        pytest.skip("no C toolchain in this environment")
+    """The C movers' binder, as ``ExchangeChannel`` hands it down."""
     return cbackend._load_movers(cbackend.sanitize_flags(), False).copy_list
 
 
@@ -550,7 +547,7 @@ class TestFrozenCopyTable:
         out = np.full(4, -1.0)
         receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter)
         for epoch, value in enumerate((1.0, 2.0)):
-            sender = fab.bind_request(0, [(1, 3, np.full(4, value))], [])
+            sender = fab.bind_request(0, [(1, 3, np.full(4, value))], [], wire_copy)
             for _ in range(2):
                 fab.post_send_batch(sender)
                 fab.complete_recv_batch(receiver)
@@ -563,12 +560,12 @@ class TestFrozenCopyTable:
         counter = _CountingCopyList(copy_list)
         out = np.full(4, -1.0)
         receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter)
-        sender = fab.bind_request(0, [(1, 3, np.full(4, 1.0))], [])
+        sender = fab.bind_request(0, [(1, 3, np.full(4, 1.0))], [], wire_copy)
         fab.post_send_batch(sender)
         fab.complete_recv_batch(receiver)  # frozen on the 4-element peer
         # Re-binding a changed split drops the receiver's stale half at
         # negotiation, so only the wire's own size guard is left.
-        grown = fab.bind_request(0, [(1, 3, np.full(5, 2.0))], [])
+        grown = fab.bind_request(0, [(1, 3, np.full(5, 2.0))], [], wire_copy)
         fab.post_send_batch(grown)
         with pytest.raises(SplitMismatchError, match="sent 40 bytes, receiving 32"):
             fab.complete_recv_batch(receiver)
@@ -580,7 +577,7 @@ class TestFrozenCopyTable:
         counter = _CountingCopyList(copy_list)
         data, out = np.full(4, 1.0), np.full(4, -1.0)
         receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter)
-        sender = fab.bind_request(0, [(1, 3, data)], [])
+        sender = fab.bind_request(0, [(1, 3, data)], [], wire_copy)
         fab.post_send_batch(sender)
         fab.complete_recv_batch(receiver)
         data[:] = 2.0
@@ -597,10 +594,10 @@ class TestFrozenCopyTable:
         counter = _CountingCopyList(copy_list)
         out = np.full(4, -1.0)
         receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter)
-        sender = fab.bind_request(0, [(1, 3, np.full(4, 1.0))], [])
+        sender = fab.bind_request(0, [(1, 3, np.full(4, 1.0))], [], wire_copy)
         fab.post_send_batch(sender)
         fab.complete_recv_batch(receiver)
-        stray = fab.bind_request(0, [(1, 4, np.full(4, 9.0))], [])
+        stray = fab.bind_request(0, [(1, 4, np.full(4, 9.0))], [], wire_copy)
         fab.post_send_batch(stray)
         with pytest.raises(ProtocolError, match=r"\(0, 4\)"):
             fab.complete_recv_batch(receiver)
@@ -611,7 +608,7 @@ class TestFrozenCopyTable:
         frozen = np.zeros(4)
         frozen.flags.writeable = False
         with pytest.raises(ExchangeConfigError, match="read-only"):
-            SimFabric(2).bind_request(1, [], [(0, 3, frozen)])
+            SimFabric(2).bind_request(1, [], [(0, 3, frozen)], wire_copy)
 
     def test_table_pins_no_export_on_an_arena(self, copy_list):
         """Tables are raw addresses: an arena whose slot views were bound,
@@ -641,10 +638,10 @@ class TestBatchedFabric:
         sends = [rng.random(16), rng.random(8)]
         outs = [np.zeros(16), np.zeros(8)]
         sender = fabric.bind_request(
-            0, [(1, 11, sends[0]), (1, 12, sends[1])], []
+            0, [(1, 11, sends[0]), (1, 12, sends[1])], [], wire_copy
         )
         receiver = fabric.bind_request(
-            1, [], [(0, 11, outs[0]), (0, 12, outs[1])]
+            1, [], [(0, 11, outs[0]), (0, 12, outs[1])], wire_copy
         )
         fabric.post_send_batch(sender)
         fabric.complete_recv_batch(receiver)
@@ -658,8 +655,8 @@ class TestBatchedFabric:
         # items are sealed at post time and verified where they land.
         fabric = SimFabric(2, timeout=5.0)
         buf, out = np.arange(4.0), np.zeros(4)
-        sender = fabric.bind_request(0, [(1, 7, buf)], [])
-        receiver = fabric.bind_request(1, [], [(0, 7, out)])
+        sender = fabric.bind_request(0, [(1, 7, buf)], [], wire_copy)
+        receiver = fabric.bind_request(1, [], [(0, 7, out)], wire_copy)
         fabric.enable_envelope()
         fabric.post_send_batch(sender)
         ((_key, _view, env, _wire),) = fabric._ports[1].items([0])

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.faults import FaultError, FaultInjector, FaultPlan  # noqa: E402
 from repro.simmpi import SimFabric, run_spmd  # noqa: E402
+from tests.conftest import wire_copy
 
 
 @st.composite
@@ -87,7 +88,7 @@ def test_random_plans_deliver_count_and_drain(plan, faults):
             request = comm.fabric.bind_request(
                 rank,
                 [(messages[m][1], messages[m][2], send[m]) for m in mine_out],
-                [(messages[m][0], messages[m][2], recv[m]) for m in mine_in],
+                [(messages[m][0], messages[m][2], recv[m]) for m in mine_in], wire_copy,
             )
             handles.append((request, send, recv))
         for step in range(steps):

@@ -97,7 +97,6 @@ def test_slices_alias_the_storage_with_no_hooks():
         ex = _bind(geometry, storage)
         ((posts, recvs, hooks),) = ex._bound
         assert hooks.pre is None and hooks.post is None
-        assert hooks.backend == ""
         # A neighbour past the first, so its slice starts mid-window.
         k = len(ex.plan.sends) - 1
         message = ex.plan.sends[k]

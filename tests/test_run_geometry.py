@@ -364,15 +364,13 @@ class TestFrozenGeometry:
         assert len({id(r) for r in opened.results}) == len(set(partners))
 
 
-@pytest.mark.parametrize("backend", ["auto", "numpy"])
 @pytest.mark.parametrize("stencil", [SEVEN_POINT, CUBE125], ids=["7pt", "125pt"])
-def test_shared_geometry_is_not_a_data_race(stencil, backend, monkeypatch):
+def test_shared_geometry_is_not_a_data_race(stencil):
     """20 back-to-back 8-rank runs per method: with one BrickInfo shared
     by the rank threads, a plan cached on it (or a conversion scratch on
     the decomp) made a handful of runs per hundred differ from the
     reference -- the C kernel writes its halo tile with the GIL
     released.  Each rank now compiles its own plan."""
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
     problem = _problem(stencil=stencil)
     reference = apply_periodic_reference(problem.initial_global(0), stencil, 2)
     interval = sys.getswitchinterval()

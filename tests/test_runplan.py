@@ -131,57 +131,3 @@ class TestCheckpointComposition:
             resumed.global_result,
             apply_periodic_reference(_problem().initial_global(0), SEVEN_POINT, STEPS),
         )
-
-
-class TestKernelBackends:
-    def _plan_under(self, monkeypatch, backend):
-        from repro.brick.decomp import BrickDecomp
-        from repro.stencil.plan import compile_brick_plan
-
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-        decomp = BrickDecomp((16, 16, 16), (8, 8, 8), 8)
-        src, asn = decomp.allocate()
-        dst, _ = decomp.allocate()
-        src.data[:] = np.random.default_rng(0).random(src.data.shape)
-        info = decomp.brick_info(asn)
-        slots = decomp.compute_slots(asn)
-        plan = compile_brick_plan(SEVEN_POINT, info, slots)
-        plan.execute(src, dst)
-        return plan, dst.data.copy()
-
-    def test_c_and_numpy_backends_bit_identical(self, monkeypatch):
-        from repro.stencil.cbackend import _compiler, cffi
-
-        if cffi is None or _compiler() is None:
-            pytest.skip("no C toolchain in this environment")
-        plan_np, out_np = self._plan_under(monkeypatch, "numpy")
-        plan_c, out_c = self._plan_under(monkeypatch, "cffi")
-        assert plan_np._ckernel is None
-        assert plan_c._ckernel is not None
-        np.testing.assert_array_equal(out_c, out_np)
-
-    def test_backend_choice_validation(self, monkeypatch):
-        from repro.stencil.cbackend import backend_choice
-
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "fortran")
-        with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
-            backend_choice()
-
-    def test_cffi_forced_rejects_non_float64(self, monkeypatch):
-        from repro.stencil.cbackend import batch_step_kernel
-
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
-        with pytest.raises(RuntimeError, match="float64"):
-            batch_step_kernel(
-                SEVEN_POINT.taps, (8, 8, 8), SEVEN_POINT.radius, 0, 512,
-                np.float32,
-            )
-
-    def test_auto_skips_non_float64(self, monkeypatch):
-        from repro.stencil.cbackend import batch_step_kernel
-
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        assert batch_step_kernel(
-            SEVEN_POINT.taps, (8, 8, 8), SEVEN_POINT.radius, 0, 512,
-            np.float32,
-        ) is None

@@ -26,6 +26,7 @@ from repro.simmpi import SimComm, SimFabric, run_spmd
 from repro.simmpi.fabric import AbortedError
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import SEVEN_POINT
+from tests.conftest import wire_copy
 
 
 def _problem():
@@ -91,8 +92,8 @@ def test_two_cuts_epochs_on_one_edge_are_taken_in_order(verified):
         fab.enable_envelope()
     data = [np.full(4, 1.0), np.full(4, 2.0)]
     outs = [np.full(4, -1.0), np.full(4, -1.0)]
-    senders = [fab.bind_request(0, [(1, 3, d)], []) for d in data]
-    receivers = [fab.bind_request(1, [], [(0, 3, o)]) for o in outs]
+    senders = [fab.bind_request(0, [(1, 3, d)], [], wire_copy) for d in data]
+    receivers = [fab.bind_request(1, [], [(0, 3, o)], wire_copy) for o in outs]
     for sender in senders:  # the second slot's epoch before the first is taken
         fab.post_send_batch(sender)
     assert len(fab._ports[1].fifos[0]) == 2
@@ -125,7 +126,8 @@ def test_deferred_sends_lose_no_wake_under_contention():
             send = {p: np.zeros(16) for p in peers}
             recv = {p: np.zeros(16) for p in peers}
             cut = fab.bind_request(
-                rank, [(p, 3, send[p]) for p in peers], [(p, 3, recv[p]) for p in peers]
+                rank, [(p, 3, send[p]) for p in peers],
+                [(p, 3, recv[p]) for p in peers], wire_copy,
             )
             slots.append((cut, send, recv))
         for step in range(steps):
@@ -157,8 +159,8 @@ def test_a_cut_posted_again_before_its_epoch_was_taken_is_refused():
     plain fabric: the receive refuses it before any byte lands."""
     fab = SimFabric(2, timeout=5.0)
     data, out = np.full(4, 1.0), np.full(4, -1.0)
-    sender = fab.bind_request(0, [(1, 3, data)], [])
-    receiver = fab.bind_request(1, [], [(0, 3, out)])
+    sender = fab.bind_request(0, [(1, 3, data)], [], wire_copy)
+    receiver = fab.bind_request(1, [], [(0, 3, out)], wire_copy)
     fab.post_send_batch(sender)
     fab.complete_recv_batch(receiver)  # frozen on this very deposit
     fab.post_send_batch(sender)

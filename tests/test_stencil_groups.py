@@ -1,9 +1,9 @@
-"""One canonical accumulation order, grouped by coefficient, on every tier.
+"""One canonical accumulation order, grouped by coefficient, everywhere.
 
 :func:`repro.stencil.spec.tap_groups` fixes how a point is summed: the
 taps of one coefficient are added first, left to right, and multiplied
-once.  The serial reference, both generic kernels and both plan kinds on
-both kernel tiers must produce the same bits from it -- on the paper's
+once.  The serial reference, both generic kernels and both compiled plan
+kinds must produce the same bits from it -- on the paper's
 stencils, on one whose shared coefficients interleave in tap order, and
 on one whose coefficients are all distinct (whose bits are those of the
 plain one-multiply-per-tap loop).
@@ -79,13 +79,6 @@ class TestTapGroups:
 # Every implementation on one periodic field
 # ----------------------------------------------------------------------
 
-def _tier(monkeypatch, tier):
-    if tier == "cffi" and (cbackend.cffi is None or cbackend._compiler() is None):
-        pytest.skip("no C toolchain in this environment")
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", tier)
-    return cbackend.c_tier() if tier == "cffi" else tier
-
-
 #: bricks per axis of the periodic brick grid covering the field
 GRID = 3
 
@@ -130,44 +123,42 @@ def _join(storage, np_bd):
     return blocks.transpose(order).reshape([GRID * b for b in np_bd])
 
 
-def _array(spec, plan_tier, monkeypatch):
+def _array(spec, plan):
     field = _field(spec)
     extent, ghost = tuple(reversed(field.shape)), spec.radius
     ext = np.pad(field, ghost, mode="wrap")
     out = np.full_like(ext, np.nan)
-    if plan_tier is None:
-        apply_array_stencil(ext, out, spec, extent, ghost)
-    else:
-        backend = _tier(monkeypatch, plan_tier)
+    if plan:
         plan = compile_array_plan(spec, extent, ghost)
-        assert plan.kernel_backend == backend
+        assert plan.kernel_backend == cbackend.c_tier()
         plan.execute(ext, out)
+    else:
+        apply_array_stencil(ext, out, spec, extent, ghost)
     return out[owned_slices(extent, ghost)]
 
 
-def _bricks(spec, plan_tier, monkeypatch):
+def _bricks(spec, plan):
     info, np_bd = _periodic_bricks(spec), _brick_shape(spec)
     src = _split(_field(spec), np_bd)
     dst = BrickStorage.allocate(info.nslots, src.data.shape[1])
     dst.data[:] = np.nan
     slots = np.arange(info.nslots)
-    if plan_tier is None:
-        apply_brick_stencil(spec, src, dst, info, slots)
-    else:
-        backend = _tier(monkeypatch, plan_tier)
-        plan = compile_brick_plan(spec, info, slots, chunk=5)
-        assert plan.kernel_backend == backend
+    if plan:
+        plan = compile_brick_plan(spec, info, slots)
+        assert plan.kernel_backend == cbackend.c_tier()
         plan.execute(src, dst)
+    else:
+        apply_brick_stencil(spec, src, dst, info, slots)
     return _join(dst, np_bd)
 
 
+#: the generic kernels and the compiled plans ("_cffi": the id the test
+#: floor records)
 IMPLEMENTATIONS = {
-    "array_kernel": lambda spec, mp: _array(spec, None, mp),
-    "brick_kernel": lambda spec, mp: _bricks(spec, None, mp),
-    "array_plan_numpy": lambda spec, mp: _array(spec, "numpy", mp),
-    "brick_plan_numpy": lambda spec, mp: _bricks(spec, "numpy", mp),
-    "array_plan_cffi": lambda spec, mp: _array(spec, "cffi", mp),
-    "brick_plan_cffi": lambda spec, mp: _bricks(spec, "cffi", mp),
+    "array_kernel": lambda spec: _array(spec, plan=False),
+    "brick_kernel": lambda spec: _bricks(spec, plan=False),
+    "array_plan_cffi": lambda spec: _array(spec, plan=True),
+    "brick_plan_cffi": lambda spec: _bricks(spec, plan=True),
 }
 
 
@@ -177,9 +168,9 @@ def same_bits(got, ref):
 
 @pytest.mark.parametrize("impl", sorted(IMPLEMENTATIONS))
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
-def test_every_tier_matches_the_reference(spec, impl, monkeypatch):
+def test_every_tier_matches_the_reference(spec, impl):
     ref = apply_periodic_reference(_field(spec), spec)
-    same_bits(IMPLEMENTATIONS[impl](spec, monkeypatch), ref)
+    same_bits(IMPLEMENTATIONS[impl](spec), ref)
 
 
 def test_distinct_coefficients_keep_the_tap_order_bits():

@@ -42,12 +42,6 @@ from repro.stencil.spec import (
     star_stencil,
 )
 
-needs_cc = pytest.mark.skipif(
-    cbackend.cffi is None or cbackend._compiler() is None,
-    reason="no C toolchain in this environment",
-)
-
-
 def identity_spec(ndim: int) -> StencilSpec:
     """A radius-0 stencil (single centre tap)."""
     return StencilSpec(f"id-{ndim}d", ndim, (((0,) * ndim, 0.75),), 1.0, 16.0)
@@ -118,28 +112,29 @@ class TestBrickPlanBitIdentity:
         got = random_storage(info, rng)  # dirty destination
         slots = np.arange(info.nslots)
         apply_brick_stencil(spec, src, ref, info, slots, chunk=5)
-        plan = compile_brick_plan(spec, info, slots, chunk=5)
+        plan = compile_brick_plan(spec, info, slots)
         plan.execute(src, got)
         np.testing.assert_array_equal(got.data, ref.data)
 
-    def test_absent_neighbours_carry_the_sentinel(self, monkeypatch):
+    def test_absent_neighbours_carry_the_sentinel(self):
         """A brick with no neighbour in some direction is addressed
-        through the ``-1`` of its adjacency row, the only table the
-        NumPy tier holds, and that direction's sub-box stages as zeros
-        whatever the slot ``-1`` would index holds."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        through the ``-1`` of its adjacency row, the only table the plan
+        holds, and that direction's sub-box stages as zeros whatever the
+        slot ``-1`` would index holds."""
+        spec = star_stencil(2, 1)
         info = grid_info((3, 3), (4, 3), periodic=False)
-        plan = compile_brick_plan(star_stencil(2, 1), info, np.arange(9))
+        plan = compile_brick_plan(spec, info, np.arange(9))
         np.testing.assert_array_equal(plan._adjacency, info.adjacency)
         assert plan._adjacency.min() == -1
         src = BrickStorage.allocate(info.nslots + 1, 12)
         src.data[:] = np.random.default_rng(1).random(src.data.shape)
         src.data[-1] = np.nan  # what a wrapped -1 index reads
         dst = BrickStorage.allocate(info.nslots + 1, 12)
+        ref = BrickStorage.allocate(info.nslots + 1, 12)
         plan.execute(src, dst)
-        tile = plan._tile[0]  # slot 0: the grid's low corner
-        assert (tile[0, 1:-1] == 0).all() and (tile[1:-1, 0] == 0).all()
+        apply_brick_stencil(spec, src, ref, info, np.arange(9))
         assert np.isfinite(dst.data[:9]).all()
+        same_bits(dst.data[:9], ref.data[:9])
 
     def test_repeated_steps_reuse_buffers(self):
         """Dirty internal buffers must not leak between steps."""
@@ -147,7 +142,7 @@ class TestBrickPlanBitIdentity:
         info = grid_info((4, 4), (3, 3), periodic=False)
         rng = np.random.default_rng(7)
         slots = np.arange(info.nslots)
-        plan = compile_brick_plan(spec, info, slots, chunk=6)
+        plan = compile_brick_plan(spec, info, slots)
         for trial in range(3):
             src = random_storage(info, rng)
             ref = random_storage(info, rng)
@@ -250,11 +245,6 @@ class TestBrickPlanCTier:
     IDS = ["1d-r1", "1d-r=bd", "2d-star", "2d-cube-r=bd-field1", "3d-star",
            "3d-star-r=bd-field1", "3d-cube27", "3d-cube125-r=bd"]
 
-    @pytest.fixture(autouse=True)
-    def _demand_c(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
-
-    @needs_cc
     @pytest.mark.parametrize(
         "grid,brick_dim,spec,nfields,field,periodic", GEOMETRIES, ids=IDS
     )
@@ -283,10 +273,9 @@ class TestBrickPlanCTier:
         plan.execute(src, got)
         same_bits(got.data, ref.data)
 
-    @needs_cc
     def test_holds_adjacency_rows_and_no_gather_table(self):
-        """The ``(n, halo)`` int64 table is the NumPy tier's: a C-tier
-        plan keeps the ``(n, 3^D)`` adjacency rows and one tile."""
+        """No ``(n, halo)`` int64 gather table: a plan keeps the
+        ``(n, 3^D)`` adjacency rows and one tile."""
         info = grid_info((3, 3, 3), (4, 2, 3), periodic=False)
         slots = np.array([5, 0, 26, 13])
         plan = compile_brick_plan(star_stencil(3, 1), info, slots)
@@ -298,16 +287,11 @@ class TestBrickPlanCTier:
         assert all(a.size < len(slots) * halo for a in held)
 
     def test_plan_follows_kernel_environment(self, monkeypatch):
-        """One BrickInfo, one slot set: each compile steps on the tier
-        and guard variant the environment names at that moment (no plan
-        of another setting can be handed out: nothing caches plans)."""
+        """One BrickInfo, one slot set: each compile steps on the guard
+        variant the environment names at that moment (no plan of another
+        setting can be handed out: nothing caches plans)."""
         info = grid_info((3, 3), (4, 3))
         spec, slots = star_stencil(2, 1), np.arange(9)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        assert compile_brick_plan(spec, info, slots).kernel_backend == "numpy"
-        if cbackend.cffi is None or cbackend._compiler() is None:
-            return
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         monkeypatch.setenv("REPRO_CC_BOUNDS", "0")
         plain = compile_brick_plan(spec, info, slots)
         assert plain.kernel_backend == cbackend.c_tier()
@@ -319,7 +303,6 @@ class TestBrickPlanCTier:
         again = compile_brick_plan(spec, info, slots)
         assert "src_elems" not in again._ckernel.__source__
 
-    @needs_cc
     def test_bounds_guard_names_a_poisoned_adjacency_row(self, monkeypatch):
         """REPRO_CC_BOUNDS=1 through the plan: an adjacency entry past
         the storage is a typed error, not a stray read."""
@@ -335,27 +318,15 @@ class TestBrickPlanCTier:
             plan.execute(src, dst)
 
 
-@pytest.fixture(params=["numpy", "cffi"])
-def tier(request, monkeypatch):
-    """Run the test once per kernel tier."""
-    if request.param == "cffi" and (
-        cbackend.cffi is None or cbackend._compiler() is None
-    ):
-        pytest.skip("no C toolchain in this environment")
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
+@pytest.fixture(params=["cffi"])
+def tier(request):
+    """The one kernel tier (the id the test floor records)."""
     return request.param
 
 
-def reported(tier):
-    """What a plan stepping on *tier* reports as its ``kernel_backend``
-    (the C tier names a refusal of the host flags)."""
-    return cbackend.c_tier() if tier == "cffi" else tier
-
-
 class TestBothTiers:
-    """One addressing scheme, two tiers: every plan shape the driver
-    compiles is bit-identical to the generic kernels on the NumPy tier
-    and on the C tier alike."""
+    """Every plan shape the driver compiles is bit-identical to the
+    generic kernels.  (The class name is the id the test floor records.)"""
 
     SPECS = [SEVEN_POINT, CUBE125, TWENTY_FIVE_POINT_2D]
     IDS = ["7pt", "125pt", "25pt-2d"]
@@ -363,9 +334,9 @@ class TestBothTiers:
     @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
     @pytest.mark.parametrize("spec", SPECS, ids=IDS)
     def test_brick_plan(self, tier, spec, periodic):
-        """A shuffled slot subset of the second interleaved field, in
-        chunks with a short tail, absent neighbours on the open grid,
-        dirty destination, unstaged tile cells poisoned."""
+        """A shuffled slot subset of the second interleaved field,
+        absent neighbours on the open grid, dirty destination, unstaged
+        tile cells poisoned."""
         grid, bd = (3,) * spec.ndim, (4, 3, 5)[: spec.ndim]
         info = grid_info(grid, bd, nfields=2, periodic=periodic)
         rng = np.random.default_rng(31)
@@ -376,8 +347,8 @@ class TestBothTiers:
         got = random_storage(info, rng, 2)
         got.data[:] = ref.data
         apply_brick_stencil(spec, src, ref, info, slots, field_offset=offset)
-        plan = compile_brick_plan(spec, info, slots, offset, chunk=4)
-        assert plan.kernel_backend == reported(tier)
+        plan = compile_brick_plan(spec, info, slots, offset)
+        assert plan.kernel_backend == cbackend.c_tier()
         np.testing.assert_array_equal(plan._adjacency, info.adjacency[slots])
         plan._tile.fill(np.nan)
         plan.execute(src, got)
@@ -394,7 +365,7 @@ class TestBothTiers:
             ref, whole = dirty.copy(), dirty.copy()
             apply_array_stencil(arr, ref, spec, extent, ghost, margin=margin)
             plan = compile_array_plan(spec, extent, ghost, margin)
-            assert plan.kernel_backend == reported(tier)
+            assert plan.kernel_backend == cbackend.c_tier()
             plan.execute(arr, whole)
             same_bits(whole, ref)
 
@@ -469,17 +440,12 @@ class TestArrayPlanCTier:
     IDS = ["id1d", "star1d-r2", "star2d", "25pt-2d", "7pt", "star3d-r2",
            "cube27", "125pt"]
 
-    @pytest.fixture(autouse=True)
-    def _demand_c(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
-
     @staticmethod
     def _arrays(extent, ghost, seed):
         rng = np.random.default_rng(seed)
         shape = tuple(e + 2 * ghost for e in reversed(extent))
         return rng.random(shape), rng.random(shape)  # source, dirty dest
 
-    @needs_cc
     @pytest.mark.parametrize("spec,extent,ghost", CASES, ids=IDS)
     def test_bit_identical_all_margins(self, spec, extent, ghost):
         arr, dirty = self._arrays(extent, ghost, 5)
@@ -491,7 +457,6 @@ class TestArrayPlanCTier:
             plan.execute(arr, got)
             same_bits(got, ref)
 
-    @needs_cc
     def test_one_build_per_extended_shape(self, monkeypatch):
         """Whole region and every margin of one array shape trigger a
         single compiler run."""
@@ -507,60 +472,36 @@ class TestArrayPlanCTier:
             compile_array_plan(spec, extent, ghost, margin)
         assert builds == ["repro_array_step"]
 
-    @needs_cc
-    def test_numpy_tier_same_bits(self, monkeypatch):
-        arr, dirty = self._arrays((8, 6, 10), 4, 7)
-        got_c, got_np = dirty.copy(), dirty.copy()
-        compile_array_plan(SEVEN_POINT, (8, 6, 10), 4, 2).execute(arr, got_c)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        plan = compile_array_plan(SEVEN_POINT, (8, 6, 10), 4, 2)
-        assert plan.kernel_backend == "numpy"
-        plan.execute(arr, got_np)
-        same_bits(got_c, got_np)
-
-    @needs_cc
-    def test_unaddressable_input_never_reaches_c(self, monkeypatch):
+    def test_unaddressable_input_never_reaches_c(self):
         """Fortran-ordered or float32 arrays have the right shape but not
-        the memory the C kernel walks: NumPy tier under auto, typed
-        error under cffi."""
+        the memory the C kernel walks: refused, naming why, before the
+        kernel runs."""
         spec, extent, ghost = SEVEN_POINT, (8, 6, 10), 2
         arr, dirty = self._arrays(extent, ghost, 8)
-        ref = dirty.copy()
-        apply_array_stencil(arr, ref, spec, extent, ghost)
         plan = compile_array_plan(spec, extent, ghost)
         for bad_arr, bad_out in (
             (np.asfortranarray(arr), dirty.copy()),
             (arr, np.asfortranarray(dirty)),
+            (arr.astype(np.float32), dirty.copy()),
+            (arr, dirty.astype(np.float32)),
         ):
-            with pytest.raises(RuntimeError, match="C-contiguous float64"):
+            before = bad_out.copy()
+            with pytest.raises(ValueError, match="C-contiguous float64"):
                 plan.execute(bad_arr, bad_out)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        for bad_arr, bad_out in (
-            (np.asfortranarray(arr), dirty.copy()),
-            (arr, np.asfortranarray(dirty)),
-        ):
-            plan.execute(bad_arr, bad_out)
-            same_bits(np.ascontiguousarray(bad_out), ref)
-        # float32 data through a float64 plan: computed, not reinterpreted.
-        out32 = dirty.astype(np.float32)
-        plan.execute(arr.astype(np.float32), out32)
-        own = tuple(slice(ghost, -ghost) for _ in extent)
-        np.testing.assert_allclose(out32[own], ref[own], rtol=1e-5)
+            same_bits(bad_out.astype(np.float64), before.astype(np.float64))
 
-    def test_non_float64_plan(self, monkeypatch):
-        with pytest.raises(RuntimeError, match="float64"):
-            compile_array_plan(SEVEN_POINT, (8, 8, 8), 2, dtype=np.float32)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        plan = compile_array_plan(SEVEN_POINT, (8, 8, 8), 2, dtype=np.float32)
-        assert plan.kernel_backend == "numpy"
-        arr, dirty = self._arrays((8, 8, 8), 2, 9)
-        arr, ref = arr.astype(np.float32), dirty.astype(np.float32)
-        got = ref.copy()
-        apply_array_stencil(arr, ref, SEVEN_POINT, (8, 8, 8), 2)
-        plan.execute(arr, got)
-        np.testing.assert_array_equal(got, ref)
+    def test_non_float64_plan(self, small_decomp):
+        """A plan is float64: float32 storage is refused by a brick plan
+        as float32 arrays are by an array plan."""
+        info, slots = small_decomp.brick_info(), small_decomp.compute_slots()
+        src, _ = small_decomp.allocate()
+        f32, _ = small_decomp.allocate(dtype=np.float32)
+        with pytest.raises(ValueError, match="float64"):
+            compile_brick_plan(SEVEN_POINT, info, slots).execute(src, f32)
+        arr = np.zeros((12, 12, 12), dtype=np.float32)
+        with pytest.raises(ValueError, match="float64"):
+            compile_array_plan(SEVEN_POINT, (8, 8, 8), 2).execute(arr, arr.copy())
 
-    @needs_cc
     def test_bounds_guard_refuses_out_of_range_box(self, monkeypatch):
         """REPRO_CC_BOUNDS=1: same bits on in-bounds boxes, and a box
         whose taps would read outside the array (the plan constructor
@@ -568,9 +509,9 @@ class TestArrayPlanCTier:
         that leaves the destination untouched."""
         spec, shape = CUBE125, (9, 10, 11)
         monkeypatch.setenv("REPRO_CC_BOUNDS", "0")
-        plain = cbackend.array_step_kernel(spec.taps, shape, np.float64)
+        plain = cbackend.array_step_kernel(spec.taps, shape)
         monkeypatch.setenv("REPRO_CC_BOUNDS", "1")
-        guarded = cbackend.array_step_kernel(spec.taps, shape, np.float64)
+        guarded = cbackend.array_step_kernel(spec.taps, shape)
         assert guarded is not plain and "src_elems" in guarded.__source__
         rng = np.random.default_rng(10)
         arr, dirty = rng.random(shape), rng.random(shape)
@@ -592,8 +533,6 @@ class TestArrayPlanCTier:
         spec = star_stencil(3, 1, coefficients=[0.5] + [1.0 / 16] * 6)
         with pytest.raises(cbackend.KernelBuildError, match="no C compiler"):
             compile_array_plan(spec, (6, 6, 6), 1)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-        assert compile_array_plan(spec, (6, 6, 6), 1).kernel_backend == "numpy"
 
 
 class TestGatherMarginClearing:
@@ -666,14 +605,10 @@ class TestDriverIntegration:
         )
         np.testing.assert_array_equal(planned.global_result, ref)
 
-    @needs_cc
     @pytest.mark.parametrize("method", ["yask", "yask_ol", "mpi_types", "shift"])
-    def test_array_methods_step_on_c(
-        self, method, small_problem, theta, monkeypatch
-    ):
+    def test_array_methods_step_on_c(self, method, small_problem, theta):
         """Array methods compute on the C tier -- with ghost expansion --
         and say so in the run record."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         steps = 4
         run = run_executed(
             small_problem, method, theta, timesteps=steps, exchange_period=2,
@@ -687,18 +622,14 @@ class TestDriverIntegration:
             run.global_result.view(np.uint64), ref.view(np.uint64)
         )
 
-    @needs_cc
     @pytest.mark.parametrize("method", ["layout", "memmap", "basic"])
     @pytest.mark.parametrize(
         "brick,period", [(8, 1), (4, 2)], ids=["brick8", "brick4-period2"]
     )
-    def test_brick_methods_step_on_c(
-        self, method, brick, period, theta, monkeypatch
-    ):
+    def test_brick_methods_step_on_c(self, method, brick, period, theta):
         """Brick methods compute on the C tier with all 27 directions
         staged (125-point); with 4^3 bricks and period 2 the
         deeper cycle position sweeps the inner ghost layer too."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cffi")
         problem = StencilProblem(
             global_extent=(32, 32, 32), rank_dims=(2, 2, 2), stencil=CUBE125,
             brick_dim=(brick,) * 3, ghost=8,
@@ -715,14 +646,6 @@ class TestDriverIntegration:
         np.testing.assert_array_equal(
             run.global_result.view(np.uint64), ref.view(np.uint64)
         )
-
-    def test_kernel_backend_reports_numpy_fallback(
-        self, small_problem, theta, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        for method in ("yask", "layout"):
-            run = run_executed(small_problem, method, theta, timesteps=1)
-            assert run.kernel_backend == "numpy"
 
     def test_exchange_period_cycles_planned(self, theta):
         """Every cycle position (margins > 0, brick depths > 0) runs

@@ -86,17 +86,14 @@ may not, and these rules are project-specific anyway.  Eight checks:
    ``repro.obs`` but ``TRACER`` (neither another name nor the package).
 
 7. **One data-movement tier.**  An exchange side -- pack, unpack, the
-   datatype engine, the wire copy -- moves in one bound call over
-   tables frozen at bind; a per-message NumPy loop is the *other tier*
-   of that same call, never a path of its own.  So under
+   datatype engine, the wire copy -- moves in one bound C call over
+   tables frozen at bind (:class:`repro.stencil.cbackend.Movers`); a
+   per-message NumPy loop is no path of its own.  So under
    ``src/repro/exchange`` and ``src/repro/simmpi`` a ``for`` loop whose
    body copies into a buffer (``np.copyto(...)``, ``x[:] = ...`` or any
-   slice-subscript store) appears only inside the functions named as
-   that tier: ``exchange/boxes.py`` ``_numpy_gather`` /
-   ``_numpy_scatter`` / ``_numpy_copy``, and ``simmpi/fabric.py``
-   ``_numpy_copy_list`` (which the verified receive's NumPy tier,
-   ``_numpy_copy_crc_list``, calls) and ``_land_faulted`` -- the
-   per-item fault path: a transmission the injector touched travels
+   slice-subscript store) appears only inside the one function named
+   in ``NUMPY_TIER``: ``simmpi/fabric.py`` ``_land_faulted``, the
+   per-item fault path -- a transmission the injector touched travels
    *beside* its bound send view (a corrupted copy, a lost marker), so
    no table frozen at bind can name it, and it is judged alone while
    its neighbours land in the cut's one copy-and-check call.  No method
@@ -205,12 +202,11 @@ OBS_MODULE = "repro.obs"
 OBS_EXPORT = "TRACER"
 OBS_HOMES = ("obs/", "cli.py")
 
-#: packages whose per-message copy loops are one tier of a bound call,
-#: and the functions that are that tier (reasons: docstring, rule 7)
+#: packages whose exchange sides move in one bound C call, and the one
+#: function that copies per item in a loop (reason: docstring, rule 7)
 COPY_TIER_PACKAGES = ("exchange", "simmpi")
 NUMPY_TIER = {
-    "exchange/boxes.py": ("_numpy_gather", "_numpy_scatter", "_numpy_copy"),
-    "simmpi/fabric.py": ("_numpy_copy_list", "_land_faulted"),
+    "simmpi/fabric.py": ("_land_faulted",),
 }
 
 #: docs whose backticked repository paths must resolve (rule 8)
@@ -613,11 +609,11 @@ def check_copy_tier(path: Path, tree: ast.AST) -> List[Violation]:
                     (
                         path,
                         node.lineno,
-                        "a per-message copy loop outside the NumPy tier:"
-                        " bind the side once (exchange/boxes.py bind_gather"
-                        " / bind_scatter, or the fabric's copy table) so it"
-                        " moves in one call on either tier, or name the"
-                        " function in NUMPY_TIER with its reason",
+                        "a per-message copy loop: bind the side once"
+                        " (exchange/boxes.py bind_gather / bind_scatter /"
+                        " bind_copy, or the fabric's copy table) so it"
+                        " moves in one C call, or name the function in"
+                        " NUMPY_TIER with its reason",
                     )
                 )
     return out

@@ -1,8 +1,7 @@
 #!/usr/bin/env python
-"""Step and compile time of the NumPy kernel tier, and what an exchange
-side costs on each data-movement tier, one source tree or two.
+"""What the C kernels, an exchange side, the verified guard, the bound
+fabric and the checkpoint commit cost, one source tree or two.
 
-    PYTHONPATH=src python tools/numpy_tier_bench.py strong16
     PYTHONPATH=src python tools/numpy_tier_bench.py kernel cube16
     PYTHONPATH=src python tools/numpy_tier_bench.py copy strong16
     PYTHONPATH=src python tools/numpy_tier_bench.py guard strong16
@@ -10,20 +9,18 @@ side costs on each data-movement tier, one source tree or two.
     PYTHONPATH=src python tools/numpy_tier_bench.py ckpt strong16
     python tools/numpy_tier_bench.py --ab PARENT/src CHANGE/src [REPS]
 
-No halobench workload reaches the NumPy tier (halobench pins ``cffi``),
-so this is where a change to it is measured (EXPERIMENTS.md, "One
-addressing scheme").  One geometry per fresh process pinned to CPU 0:
-the process's first ("cold") brick and array plan compile, then medians
-of 15 warm compiles and of 15 samples of 40 steps, each result checked
-bit-for-bit against the generic kernels.
+One geometry per fresh process pinned to CPU 0.  (The file keeps the
+name it had when it also timed a NumPy kernel tier; CI's smoke steps
+call it by that name.)
 
-The ``kernel`` section (EXPERIMENTS.md, "Kernels for the host") is the
-C tier's side of the same question, on the same slots and array: the
-brick and array step time (medians as above, bits checked), ``cc`` +
-load time per kernel, each kernel's GB/s (``bytes_per_point`` per
-cell) as a fraction of a flat ``np.copyto`` of the rank's extended
-array -- how far the kernels are from the copy ceiling (ROADMAP item
-3) -- and its GFLOP/s, the ceiling a tap-bound kernel meets first.
+The ``kernel`` section (EXPERIMENTS.md, "Kernels for the host") times
+the C kernels on one rank's compute slots and extended array: the brick
+and array step time (medians of 15 samples of 40 steps, each result
+checked bit-for-bit against the generic kernels), ``cc`` + load time per
+kernel, each kernel's GB/s (``bytes_per_point`` per cell) as a fraction
+of a flat ``np.copyto`` of the rank's extended array -- how far the
+kernels are from the copy ceiling (ROADMAP item 3) -- and its GFLOP/s,
+the ceiling a tap-bound kernel meets first.
 
 The ``copy`` section (EXPERIMENTS.md, "One data-movement tier") times,
 on one rank exchanging with itself across its periodic boundary, what
@@ -31,19 +28,15 @@ each method's bound plan moves per exchange side -- pack, unpack, the
 datatype engine's extract / insert, brick packing's section gather /
 scatter (the ladder's last rung, which no halobench workload reaches),
 and the fabric's post + receive + send-wait over the messages of
-``yask`` / ``layout`` / ``memmap`` --
-under ``REPRO_KERNEL_BACKEND=numpy`` and ``=cffi``: us per side, GB/s
-(read + write) beside a flat ``np.copyto`` of the same bytes, and the
-interpreter share ``1 - cffi / numpy``.  A tree without the C movers
-ignores the variable and reads the same on both.
+``yask`` / ``layout`` / ``memmap``: us per side and GB/s (read + write)
+beside a flat ``np.copyto`` of the same bytes.
 
 The ``guard`` section (EXPERIMENTS.md, "The guard judges a cut") times
 the same self-exchange on a *verified* fabric, for the Layout (39 items
 on ``strong16``) and Pack (26) item lists: the post (sequence stamp +
-seal) and the receive (copy + check + credit) per exchange side on each
-tier, in us and in GB/s of bytes sealed / landed, beside ``zlib.crc32``
-over one flat buffer of the same bytes and the flat copy.  On a tree
-whose guard works per item both tiers read alike.
+seal) and the receive (copy + check + credit) per exchange side, in us
+and in GB/s of bytes sealed / landed, beside ``zlib.crc32`` over one
+flat buffer of the same bytes and the flat copy.
 
 The ``fabric`` section (EXPERIMENTS.md, "One handoff per exchange") is
 the bound fabric alone, with no kernel and no hooks: 8 rank threads --
@@ -141,38 +134,12 @@ def check_bits(spec, extent, ghost, bricks, arrays, plan, aplan):
     assert (out.view(np.uint64) == out_ref.view(np.uint64)).all()
 
 
-def measure(name):
-    os.environ["REPRO_KERNEL_BACKEND"] = "numpy"
-    from repro.stencil.plan import compile_array_plan, compile_brick_plan
-
-    spec, extent, ghost, bricks, arrays = _rank(name)
-    src, dst, _, info, slots = bricks
-    arr, out, _ = arrays
-    brick_cold, plan = timed(lambda: compile_brick_plan(spec, info, slots))
-    array_cold, aplan = timed(lambda: compile_array_plan(spec, extent, ghost))
-    assert plan.kernel_backend == aplan.kernel_backend == "numpy"
-    check_bits(spec, extent, ghost, bricks, arrays, plan, aplan)
-    return {
-        "brick_step_ms": median_ms(lambda: plan.execute(src, dst), calls=40),
-        "array_step_ms": median_ms(lambda: aplan.execute(arr, out), calls=40),
-        "brick_compile_cold_ms": brick_cold,
-        "brick_compile_warm_ms": median_ms(
-            lambda: compile_brick_plan(spec, info, slots)
-        ),
-        "array_compile_cold_ms": array_cold,
-        "array_compile_warm_ms": median_ms(
-            lambda: compile_array_plan(spec, extent, ghost)
-        ),
-    }
-
-
 def measure_kernel(name):
     """The C tier on one rank's compute slots: step time, ``cc`` + load
     per kernel (median of 3 builds of its source, the movers' unit built
     first so neither carries them), GB/s -- ``bytes_per_point`` per
     computed cell -- against a flat ``np.copyto`` of the rank's extended
     array (read + write), and GFLOP/s (``flops_per_point``)."""
-    os.environ["REPRO_KERNEL_BACKEND"] = "cffi"
     import numpy as np
 
     from repro.stencil import cbackend
@@ -181,11 +148,9 @@ def measure_kernel(name):
     spec, extent, ghost, bricks, arrays = _rank(name)
     src, dst, _, info, slots = bricks
     arr, out, _ = arrays
-    assert cbackend.mover_kernel() is not None
+    cbackend.mover_kernel()
     plan = compile_brick_plan(spec, info, slots)
     aplan = compile_array_plan(spec, extent, ghost)
-    assert plan.kernel_backend.startswith("cffi"), plan.kernel_backend
-    assert aplan.kernel_backend.startswith("cffi"), aplan.kernel_backend
     check_bits(spec, extent, ghost, bricks, arrays, plan, aplan)
     result = {
         "brick_step_ms": median_ms(lambda: plan.execute(src, dst), calls=40),
@@ -261,88 +226,79 @@ def measure_copy(name):
     import numpy as np
 
     bound, rng = _self_exchange(name)
-    out = {}
-    for tier in ("numpy", "cffi"):
-        os.environ["REPRO_KERNEL_BACKEND"] = tier
-        keep = []
-        for method, pre, post in (
-            ("yask", "pack", "unpack"), ("mpi_types", "extract", "insert"),
-            ("brickpack", "brick_pack", "brick_unpack"),
-        ):
-            hooks, _, result, alive = bound(method)
-            keep.append(alive)
-            out[f"{pre}_us.{tier}"] = side_us(hooks.pre)
-            out[f"{post}_us.{tier}"] = side_us(hooks.post)
-            out[f"{pre}_bytes"] = out[f"{post}_bytes"] = result.wire_bytes_sent
-            if method == "yask":
-                out["side_bytes"] = result.wire_bytes_sent
-        for method in ("yask", "layout", "memmap"):
-            _, wire, result, alive = bound(method)
-            keep.append(alive)
-            out[f"wire_{method}_us.{tier}"] = side_us(wire.exchange)
-            out[f"wire_{method}_msgs"] = result.messages_sent
-            out[f"wire_{method}_bytes"] = result.wire_bytes_sent
+    out, keep = {}, []
+    for method, pre, post in (
+        ("yask", "pack", "unpack"), ("mpi_types", "extract", "insert"),
+        ("brickpack", "brick_pack", "brick_unpack"),
+    ):
+        hooks, _, result, alive = bound(method)
+        keep.append(alive)
+        out[f"{pre}_us"] = side_us(hooks.pre)
+        out[f"{post}_us"] = side_us(hooks.post)
+        out[f"{pre}_bytes"] = out[f"{post}_bytes"] = result.wire_bytes_sent
+        if method == "yask":
+            out["side_bytes"] = result.wire_bytes_sent
+    for method in ("yask", "layout", "memmap"):
+        _, wire, result, alive = bound(method)
+        keep.append(alive)
+        out[f"wire_{method}_us"] = side_us(wire.exchange)
+        out[f"wire_{method}_msgs"] = result.messages_sent
+        out[f"wire_{method}_bytes"] = result.wire_bytes_sent
     flat_src = rng.random(out["side_bytes"] // 8)
     flat_dst = np.empty_like(flat_src)
     out["flat_copy_us"] = side_us(lambda: np.copyto(flat_dst, flat_src))
-    for key in [k for k in out if k.endswith("_us.cffi")]:
-        row = key[: -len("_us.cffi")]
+    for key in [k for k in out if k.endswith("_us") and k != "flat_copy_us"]:
+        row = key[: -len("_us")]
         nbytes = out.get(f"{row}_bytes", out["side_bytes"])
-        out[f"{row}_gbs.cffi"] = 2 * nbytes / out[key] / 1e3
-        out[f"{row}_gbs.numpy"] = 2 * nbytes / out[f"{row}_us.numpy"] / 1e3
-        out[f"{row}_interpreter_share"] = 1 - out[key] / out[f"{row}_us.numpy"]
+        out[f"{row}_gbs"] = 2 * nbytes / out[key] / 1e3
     out["flat_copy_gbs"] = 2 * out["side_bytes"] / out["flat_copy_us"] / 1e3
     return out
 
 
 def measure_guard(name):
-    """Seal and verified receive of one cut, per side, per tier."""
+    """Seal and verified receive of one cut, per side."""
     import zlib
 
     import numpy as np
 
     bound, rng = _self_exchange(name, verified=True)
     out = {}
-    for tier in ("numpy", "cffi"):
-        os.environ["REPRO_KERNEL_BACKEND"] = tier
-        for method, row in (("layout", "layout"), ("yask", "pack")):
-            _, wire, result, alive = bound(method)
-            # A tree whose request wraps its cut holds it as ``bulk``.
-            cut = getattr(wire._request, "bulk", wire._request)
-            fabric = wire._fabric
-            nbytes = result.wire_bytes_sent
-            wire.exchange()  # the first fire freezes the tables
-            seal, check = [], []
-            for _ in range(15):
-                stamps = [time.perf_counter()]
-                for _ in range(20):
-                    fabric.post_send_batch(cut)
-                    stamps.append(time.perf_counter())
-                    fabric.complete_recv_batch(cut)
-                    fabric.wait_send_batch(cut)
-                    stamps.append(time.perf_counter())
-                spans = np.diff(stamps) * 1e6
-                seal.append(spans[0::2].mean())
-                check.append(spans[1::2].mean())
-            out[f"{row}_items"] = result.messages_sent
-            out[f"{row}_bytes"] = nbytes
-            out[f"seal_{row}_us.{tier}"] = statistics.median(seal)
-            out[f"check_{row}_us.{tier}"] = statistics.median(check)
-            out[f"seal_{row}_gbs.{tier}"] = nbytes / statistics.median(seal) / 1e3
-            out[f"check_{row}_gbs.{tier}"] = nbytes / statistics.median(check) / 1e3
-            out[f"cut_{row}_us.{tier}"] = out[f"seal_{row}_us.{tier}"] + out[
-                f"check_{row}_us.{tier}"
-            ]
-            # The two bound calls alone (a tree whose guard judges a cut).
-            for call, table, attr in (
-                ("seal", "sealed", "crcs"), ("check", "checked", "copy_crcs")
-            ):
-                bound_call = getattr(getattr(cut, table, None), attr, None)
-                if bound_call is not None:
-                    us = side_us(bound_call)
-                    out[f"{call}_call_{row}_us.{tier}"] = us
-                    out[f"{call}_call_{row}_gbs.{tier}"] = nbytes / us / 1e3
-            del alive
+    for method, row in (("layout", "layout"), ("yask", "pack")):
+        _, wire, result, alive = bound(method)
+        # A tree whose request wraps its cut holds it as ``bulk``.
+        cut = getattr(wire._request, "bulk", wire._request)
+        fabric = wire._fabric
+        nbytes = result.wire_bytes_sent
+        wire.exchange()  # the first fire freezes the tables
+        seal, check = [], []
+        for _ in range(15):
+            stamps = [time.perf_counter()]
+            for _ in range(20):
+                fabric.post_send_batch(cut)
+                stamps.append(time.perf_counter())
+                fabric.complete_recv_batch(cut)
+                fabric.wait_send_batch(cut)
+                stamps.append(time.perf_counter())
+            spans = np.diff(stamps) * 1e6
+            seal.append(spans[0::2].mean())
+            check.append(spans[1::2].mean())
+        out[f"{row}_items"] = result.messages_sent
+        out[f"{row}_bytes"] = nbytes
+        out[f"seal_{row}_us"] = statistics.median(seal)
+        out[f"check_{row}_us"] = statistics.median(check)
+        out[f"seal_{row}_gbs"] = nbytes / statistics.median(seal) / 1e3
+        out[f"check_{row}_gbs"] = nbytes / statistics.median(check) / 1e3
+        out[f"cut_{row}_us"] = out[f"seal_{row}_us"] + out[f"check_{row}_us"]
+        # The two bound calls alone (a tree whose guard judges a cut).
+        for call, table, attr in (
+            ("seal", "sealed", "crcs"), ("check", "checked", "copy_crcs")
+        ):
+            bound_call = getattr(getattr(cut, table, None), attr, None)
+            if bound_call is not None:
+                us = side_us(bound_call)
+                out[f"{call}_call_{row}_us"] = us
+                out[f"{call}_call_{row}_gbs"] = nbytes / us / 1e3
+        del alive
     flat = rng.integers(0, 256, out["layout_bytes"], dtype=np.uint8)
     landed = np.empty_like(flat)
     out["zlib_flat_us"] = side_us(lambda: zlib.crc32(flat))
@@ -350,9 +306,9 @@ def measure_guard(name):
     out["flat_copy_us"] = side_us(lambda: np.copyto(landed, flat))
     out["host_copy_gbs"] = 2 * flat.size / out["flat_copy_us"] / 1e3
     for row in ("layout", "pack"):
-        if f"seal_call_{row}_gbs.cffi" in out:
-            out[f"seal_call_{row}_vs_zlib.cffi"] = (
-                out[f"seal_call_{row}_gbs.cffi"] / out["zlib_flat_gbs"]
+        if f"seal_call_{row}_gbs" in out:
+            out[f"seal_call_{row}_vs_zlib"] = (
+                out[f"seal_call_{row}_gbs"] / out["zlib_flat_gbs"]
             )
     return out
 
@@ -563,13 +519,13 @@ def measure_ckpt(name, rounds=10):
 
 def compare(parent_src, change_src, reps):
     trees = {"parent": parent_src, "change": change_src}
-    for section in ((), ("kernel",), ("copy",), ("guard",), ("fabric",), ("ckpt",)):
+    for section in SECTIONS:
         for name in GEOMETRIES:
             runs = {side: [] for side in trees}
             for i in range(reps):
                 for side in ("parent", "change") if i % 2 else ("change", "parent"):
                     proc = subprocess.run(
-                        [sys.executable, __file__, *section, name],
+                        [sys.executable, __file__, section, name],
                         env={**os.environ, "PYTHONPATH": trees[side]},
                         capture_output=True, text=True, check=True,
                     )
@@ -586,20 +542,22 @@ def compare(parent_src, change_src, reps):
                 print(f"{name:9s} {key:30s} {p:10.3f} -> {c:10.3f}  {ratio}")
 
 
+SECTIONS = {
+    "kernel": measure_kernel,
+    "copy": measure_copy,
+    "guard": measure_guard,
+    "fabric": measure_fabric,
+    "ckpt": measure_ckpt,
+}
+
+
 if __name__ == "__main__":
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     if sys.argv[1] == "--ab":
         compare(sys.argv[2], sys.argv[3], int((sys.argv[4:] or [7])[0]))
-    elif sys.argv[1] == "kernel":
-        print(json.dumps(measure_kernel(sys.argv[2])))
-    elif sys.argv[1] == "copy":
-        print(json.dumps(measure_copy(sys.argv[2])))
-    elif sys.argv[1] == "guard":
-        print(json.dumps(measure_guard(sys.argv[2])))
-    elif sys.argv[1] == "fabric":
-        print(json.dumps(measure_fabric(sys.argv[2])))
-    elif sys.argv[1] == "ckpt":
-        print(json.dumps(measure_ckpt(sys.argv[2])))
+    elif sys.argv[1] in SECTIONS and len(sys.argv) == 3:
+        print(json.dumps(SECTIONS[sys.argv[1]](sys.argv[2])))
     else:
-        print(json.dumps(measure(sys.argv[1])))
+        sys.exit(f"usage: {sys.argv[0]} {{{','.join(SECTIONS)}}} GEOMETRY"
+                 " | --ab PARENT/src CHANGE/src [REPS]")
