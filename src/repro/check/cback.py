@@ -218,11 +218,20 @@ def _note_flags(report: CheckReport, sanitize) -> None:
         )
 
 
-def _probe_crc(report: CheckReport, movers, arr: np.ndarray) -> list:
-    """The CRC movers against ``zlib.crc32`` on runs of the patterned
-    array's bytes: under 64 bytes, not a multiple of 16, odd starts.
-    Returns the names that differ; a pair that cannot engage is a note
-    of its own."""
+#: ``(start, length)`` runs the CRC probe checksums: under 64 bytes (the
+#: byte table alone), then either side of every fold stage's entry -- 64
+#: for the 128-bit lanes, 256 for the 512-bit ones -- and a run past
+#: 4 KiB, none a multiple of 16 but the stage entries, all at odd starts
+_CRC_RUNS = (
+    (0, 0), (1, 5), (3, 67), (8, 1000), (1, 63), (3, 64),
+    (5, 255), (7, 256), (9, 257), (11, 4096 + 80),
+)
+
+
+def _probe_crc(report: CheckReport, movers) -> list:
+    """The CRC movers against ``zlib.crc32`` on patterned runs of bytes
+    (:data:`_CRC_RUNS`).  Returns the names that differ; a pair that
+    cannot engage is a note of its own."""
     if movers.crc_refusal:
         report.note(
             PASS, "mover-probe",
@@ -231,9 +240,9 @@ def _probe_crc(report: CheckReport, movers, arr: np.ndarray) -> list:
             " with zlib.crc32 per item around the C copy",
         )
         return []
-    raw = arr.reshape(-1).view(np.uint8)
-    views = [raw[lo : lo + n] for lo, n in ((0, 0), (1, 5), (3, 67), (8, 1000))]
-    want = [zlib.crc32(v) for v in views]
+    raw = ((np.arange(4096 + 128) * 131 + 7) % 256).astype(np.uint8)
+    views = [raw[lo : lo + n] for lo, n in _CRC_RUNS]
+    want = np.array([zlib.crc32(v) for v in views], dtype=np.uint32).tobytes()
     landed = [np.zeros_like(v) for v in views]
     differ = []
     if movers.crc_list(views)() != want:
@@ -287,7 +296,7 @@ def _probe_movers(report: CheckReport, guard: bool, sanitize) -> None:
         movers.scatter(out, boxes, packed)()
         if (out != unpacked).any():
             refused.append("scatter")
-        refused += _probe_crc(report, movers, arr)
+        refused += _probe_crc(report, movers)
     except cbackend.KernelBoundsError as err:
         refused.append(f"the bounds guard ({err})")
     if refused:

@@ -368,11 +368,14 @@ class ExchangeChannel:
             movers.copy_crc_list if folds else None,
         )
         #: What an exchange of this channel moves bytes with: the C
-        #: movers -- and, on a verified fabric whose CPU cannot fold the
-        #: CRC, ``zlib.crc32`` around their copy, with the reason.
+        #: movers -- on a verified fabric with the CRC fold they seal and
+        #: check with, in bits, or, where this CPU cannot fold it,
+        #: ``zlib.crc32`` around their copy, with the reason.
         self.copy_backend = "cffi"
         if self._request.checksums_on_zlib:
             self.copy_backend += f" (checksums on zlib: {movers.crc_refusal})"
+        elif self._request.sealed is not None:
+            self.copy_backend += f" (crc fold {movers.crc_fold})"
 
     def wait_sends(self) -> None:
         """Complete this channel's sends: return once its peers consumed

@@ -16,22 +16,33 @@ transmission carries:
 Validation failures raise the typed errors from
 :mod:`repro.faults.errors` (re-exported here).  :class:`EnvelopeGuard` is
 the protocol: the one object a verified fabric consults.  The unit it
-seals, sifts and judges is a **cut** -- one rank's persistent request
-(:class:`~repro.simmpi.fabric.BoundRequest`) -- so a guarded
-exchange fires the same handle as a plain one and costs its bytes, not
-its messages: a post is one vector increment of the cut's sequence
-numbers and **one** checksum call over its send views (frozen at bind,
-:class:`_Sealed`), a receive one copy-and-checksum call over the cut's
-frozen table and one comparison of ``(sequence number, CRC, size)``
-vectors (:meth:`EnvelopeGuard.accept_landed`).  Who makes those two
-calls -- C functions folding the CRC by carry-less multiply, or
-``zlib.crc32`` per view around the cut's copy -- is the pair of binders
-the cut was handed; :func:`checksum` / :func:`seal` / :func:`verify`
-stay the per-message path and the reference both agree with bit for bit.
-Per-item Python is left for the items that are not the common case: a
-transmission the injector touched, an item the vector verdict fails, a
-re-fire.  Which items those are is decided from what arrived, never from
-a setting.
+seals and judges is a **cut** -- one rank's persistent request
+(:class:`~repro.simmpi.fabric.BoundRequest`) -- so a clean verified
+exchange is the plain bound exchange plus two calls and two compares:
+
+* a **post** stamps the cut's edges with their next sequence numbers in
+  one vector increment, seals every send view in **one** checksum call
+  (frozen at bind, :class:`_Sealed`), and queues the cut's prebuilt
+  plain deposits -- the very objects a plain post queues -- beside one
+  :class:`CutEnvelope` (those two vectors, packed) on the cut's credit;
+* a **receive** takes its head deposits as the plain path does, under
+  the same identity check against the deposits its table was frozen
+  from, lands them in **one** copy-and-checksum call over that table,
+  and compares the landed CRCs with the sent ones in one ``bytes ==``
+  and the sequence vector with ``last accepted + 1`` in one more
+  (:meth:`EnvelopeGuard.accept_cut`).
+
+Who makes the two calls -- C functions folding the CRC by carry-less
+multiply, or ``zlib.crc32`` per view around the cut's copy -- is the
+pair of binders the cut was handed; :func:`checksum` / :func:`seal` /
+:func:`verify` stay the per-message path and the reference both agree
+with bit for bit.  Everything else expands to the per-item path, where
+each wire item carries its own :class:`Envelope`: a re-fire, a
+transmission the injector touched (those posts build per-item deposits
+themselves), a wire duplicate, a later epoch queued ahead, or a cut
+whose vector compare fails (its plain deposits are expanded from their
+envelope, :meth:`EnvelopeGuard.expand`).  Which path runs is decided
+from what arrived, never from a setting.
 
 The guard owns the per-edge state that makes a re-fired exchange
 idempotent (DESIGN.md, "Why retried exchanges are idempotent"), in
@@ -82,6 +93,7 @@ from repro.faults.errors import (
 
 __all__ = [
     "Envelope",
+    "CutEnvelope",
     "checksum",
     "seal",
     "verify",
@@ -142,10 +154,10 @@ def _judge(env: Envelope, crc: int, expected_seq: int, edge: tuple) -> None:
 _Edge = Tuple[int, int, int]
 _Key = Tuple[int, int]  # (src, wire tag): how a port names an arrival
 
-#: A verified bound item on the wire: the plain item's ``(key, send
-#: view)`` plus its envelope and what the receiver will see -- the view
-#: itself (a *pristine* transmission), a corrupted copy beside it, or
-#: ``None`` for a lost one.
+#: A verified bound item on the per-item path: the plain item's ``(key,
+#: send view)`` plus its envelope and what the receiver will see -- the
+#: view itself (a *pristine* transmission), a corrupted copy beside it,
+#: or ``None`` for a lost one.
 _Item = Tuple[_Key, np.ndarray, Envelope, Optional[np.ndarray]]
 
 #: ``Envelope._make`` without its Python frame (a cut stamps dozens).
@@ -198,10 +210,10 @@ class _RankTable:
 
 class _Sealed:
     """The send half of a cut as the guard stamps it: everything but the
-    bytes frozen at bind, in cut order (``cut.groups``, flattened)."""
+    bytes frozen at bind, in cut order (``cut.groups``, flattened -- the
+    order of ``cut.deposits``' items)."""
 
-    __slots__ = ("table", "rows", "keys", "views", "dsts", "sizes",
-                 "bounds", "crcs")
+    __slots__ = ("table", "rows", "keys", "views", "dsts", "sizes", "crcs")
 
     def __init__(self, cut, table: _RankTable) -> None:
         items = [(dst, item) for dst, group, _n in cut.groups for item in group]
@@ -213,23 +225,32 @@ class _Sealed:
         self.rows = table.index(
             [(dst, key[1]) for dst, key in zip(self.dsts, self.keys)]
         )
-        # Per destination: where its items sit in the flattened order.
-        self.bounds = []
-        lo = 0
-        for dst, group, _nbytes in cut.groups:
-            self.bounds.append((dst, lo, lo + len(group)))
-            lo += len(group)
         self.crcs = cut.crc_list(self.views)  # one call seals the side
+
+
+class CutEnvelope(NamedTuple):
+    """The side-band header of one clean post of a cut, for all of its
+    items at once, in cut order (:class:`_Sealed`): the sequence numbers
+    it stamped (packed ``int64``) and the seal call's CRC32s (packed
+    ``uint32``).  It rides on the cut's credit beside the plain deposits
+    (:class:`~repro.simmpi.fabric._Credit`); ``sealed`` says where a
+    deposit's items sit in it (the first item bound for its
+    destination)."""
+
+    seqs: bytes
+    crcs: bytes
+    sealed: _Sealed
 
 
 class _Checked:
     """The receive half of a cut as the guard judges it, in ``cut.rmap``
-    order.  ``copy_crcs`` -- the one call that lands every item and
-    returns the CRCs of what landed -- exists once the peers' send views
-    (``srcs``) have been seen; it is good for exactly those objects."""
+    order; and, once the fabric froze the cut's copy-and-check table over
+    a set of deposits (:meth:`EnvelopeGuard.freeze`), the same in the
+    order of their items: ``order`` the rows, ``spans`` per deposit its
+    credit and its slices of that credit's :class:`CutEnvelope`."""
 
     __slots__ = ("table", "rows", "keys", "recvs", "sizes", "place",
-                 "srcs", "copy_crcs")
+                 "order", "spans")
 
     def __init__(self, cut, table: _RankTable) -> None:
         self.table = table
@@ -238,8 +259,8 @@ class _Checked:
         self.sizes = [view.size for view in self.recvs]
         self.rows = table.index(self.keys)
         self.place = {key: i for i, key in enumerate(self.keys)}
-        self.srcs: list = []
-        self.copy_crcs: Optional[Callable[[], List[int]]] = None
+        self.order = self.rows
+        self.spans: list = []
 
 
 class Sifted(NamedTuple):
@@ -252,16 +273,13 @@ class Sifted(NamedTuple):
     #: ``taken``'s items -- in the cut's order when that is one of every
     #: bound receive
     items: List[_Item]
-    #: the next sequence number of every edge of the cut, when the
-    #: common-case comparison found each of ``items`` to carry its own
-    expect: Optional[np.ndarray] = None
 
 
 class EnvelopeGuard:
     """Sequence/CRC protocol state of one verified fabric.
 
     The unit it seals and judges is a **cut** -- one rank's bound
-    request -- with per-item work only for the items that are not the
+    request -- with per-item work only for the cuts that are not the
     common case.  State is kept per rank, in tables indexed in cut order
     (:class:`_RankTable`; the edge -> row map lives here, not on a
     request, so it survives a channel rebuilt on the same fabric --
@@ -318,28 +336,35 @@ class EnvelopeGuard:
     # -- bound items: sender ---------------------------------------------
     def seal_items(self, cut, epoch: Optional[int]):
         """What a post of *cut* puts on the wire: ``(deposits, logical
-        items, bytes)``, one deposit ``(dst, (cut.credit, wire items))``
-        per destination.
+        items, bytes)``, one deposit ``(dst, (cut.credit, items))`` per
+        destination.
 
         An item already posted in *epoch* is absorbed (nothing deposited,
         not counted).  The rest are stamped with their edges' next
-        sequence numbers in one vector increment and with the CRC32 of
-        their send views as they are now -- for the whole cut one call
-        over the views frozen at bind -- and, for a post carrying an
-        epoch, faulted item by item as the injector's plan says:
-        ``delay`` sleeps, ``corrupt`` deposits a flipped copy beside the
-        pristine view, ``drop`` a lost marker, ``duplicate`` the item
-        twice.  Header and CRC are wall-clock only: modelled bytes and
-        times never include them.
+        sequence numbers in one vector increment and sealed with the
+        CRC32 of their send views as they are now -- for the whole cut
+        one call over the views frozen at bind -- and, for a post
+        carrying an epoch, faulted item by item as the injector's plan
+        says: ``delay`` sleeps, ``corrupt`` deposits a flipped copy
+        beside the pristine view, ``drop`` a lost marker, ``duplicate``
+        the item twice.
+
+        The common case -- the whole cut, nothing corrupted, dropped or
+        duplicated, and none of the cut's items still on the wire -- is
+        the plain post: ``cut.deposits`` themselves, with the cut's one
+        :class:`CutEnvelope` on its credit.  Any other post deposits
+        per-item wire items, each with its :class:`Envelope`.  Header
+        and CRC are wall-clock only: modelled bytes and times never
+        include them.
         """
         self.bind(cut)
         sealed = cut.sealed
         table = sealed.table
         code = _code(epoch)
-        picked = None  # which items of the flattened cut go out: all of them
+        picked = range(len(sealed.keys))  # which items go out: all of them
         rows = sealed.rows
         if epoch is not None:
-            again = table.epoch[rows] == code
+            again = table.epoch.take(rows) == code
             if again.any():  # a re-fire: absorb what this epoch already posted
                 posted = []
                 for at, absorbed in enumerate(again.tolist()):
@@ -353,47 +378,49 @@ class EnvelopeGuard:
                 if not posted:
                     return [], 0, 0
                 picked, rows = posted, rows[~again]
-        seqs = table.seq[rows] + 1
+        seqs = table.seq.take(rows) + 1
         table.seq[rows] = seqs
         table.epoch[rows] = code
-        keys, views, sizes = sealed.keys, sealed.views, sealed.sizes
-        if picked is None:
-            crcs = sealed.crcs()
-        else:  # zlib.crc32 per view serves any subset
-            keys, views, sizes = (
-                [column[at] for at in picked] for column in (keys, views, sizes)
-            )
-            crcs = map(checksum, views)
-        envelopes = map(_envelope, zip(seqs.tolist(), crcs, sizes))
-        wire = list(zip(keys, views, envelopes, views))
-        injector = self.injector if epoch is not None else None
-        credit = cut.credit
-        if picked is None and injector is None:
-            return (
-                [(dst, (credit, wire[lo:hi])) for dst, lo, hi in sealed.bounds],
-                cut.nsend, cut.send_bytes,
-            )
         src = cut.rank
-        out: Dict[int, list] = {}
-        for at, item in zip(picked or range(len(wire)), wire):
-            key, view, env, _seen = item
-            dst = sealed.dsts[at]
-            copies = 1
-            if injector is not None:
-                action = injector.on_post(src, dst, key[1], env.seq)
+        injector = self.injector if epoch is not None else None
+        faults = {}  # position in the cut -> what the injector does to it
+        if injector is not None:
+            for at, seq in zip(picked, seqs.tolist()):
+                action = injector.on_post(
+                    src, sealed.dsts[at], sealed.keys[at][1], seq
+                )
                 if action == "delay":
                     time.sleep(injector.plan.delay_s)
-                elif action == "corrupt":
-                    seen = injector.corrupt(view, src, dst, key[1], env.seq)
-                    item = (key, view, env, seen)
-                elif action == "drop":
-                    item = (key, view, env, None)
-                elif action == "duplicate":
-                    copies = 2
+                elif action is not None:
+                    faults[at] = action
+        whole = len(picked) == len(sealed.keys)
+        credit = cut.credit
+        if whole and not faults and not credit.outstanding:
+            # Unlocked read: only this thread raises the count, so a zero
+            # seen here is final -- no receiver still reads the envelope.
+            credit.envelope = CutEnvelope(seqs.tobytes(), sealed.crcs(), sealed)
+            return cut.deposits, cut.nsend, cut.send_bytes
+        if whole:
+            crcs = np.frombuffer(sealed.crcs(), np.uint32).tolist()
+        else:  # zlib.crc32 per view serves any subset
+            crcs = [checksum(sealed.views[at]) for at in picked]
+        out: Dict[int, list] = {}
+        for at, seq, crc in zip(picked, seqs.tolist(), crcs):
+            key, view, dst = sealed.keys[at], sealed.views[at], sealed.dsts[at]
+            env = _envelope((seq, crc, sealed.sizes[at]))
+            item = (key, view, env, view)
+            copies = 1
+            action = faults.get(at)
+            if action == "corrupt":
+                item = (key, view, env, injector.corrupt(view, src, dst, key[1], seq))
+            elif action == "drop":
+                item = (key, view, env, None)
+            elif action == "duplicate":
+                copies = 2
             out.setdefault(dst, []).extend([item] * copies)
         return (
             [(dst, (credit, items)) for dst, items in out.items()],
-            len(wire), sum(sizes),
+            len(picked), sum(sealed.sizes[at] for at in picked),
         )
 
     # -- bound items: receiver -------------------------------------------
@@ -409,7 +436,7 @@ class EnvelopeGuard:
         checked = cut.checked
         if epoch is None:
             return cut.rmap.keys()
-        done = checked.table.epoch[checked.rows] == epoch
+        done = checked.table.epoch.take(checked.rows) == epoch
         if not done.any():
             return cut.rmap.keys()
         owed = set()
@@ -420,34 +447,36 @@ class EnvelopeGuard:
                 owed.add(key)
         return owed
 
-    def sift(self, cut, arrivals: List[_Item], owed) -> Sifted:
-        """Sort *cut*'s rank's *arrivals* for a receive that still owes
-        *owed*.
+    def expand(self, dst: int, deposit):
+        """*deposit* -- ``(credit, items)`` queued for rank *dst* -- with
+        per-item wire items: a clean post's plain deposit gets each item's
+        :class:`Envelope` from its cut's :class:`CutEnvelope`; any other
+        already has them."""
+        credit, items = deposit
+        if not items or len(items[0]) != 2:
+            return deposit
+        seqs, crcs, sealed = credit.envelope
+        lo, n = sealed.dsts.index(dst), len(items)
+        seq = np.frombuffer(seqs, np.int64, n, 8 * lo).tolist()
+        crc = np.frombuffer(crcs, np.uint32, n, 4 * lo).tolist()
+        return credit, [
+            (key, view, _envelope((s, c, view.size)), view)
+            for (key, view), s, c in zip(items, seq, crc)
+        ]
 
-        The common case is one comparison each of counts, key sets and
-        sequence vectors: exactly one arrival per bound receive, each
-        the next in sequence on its edge -- everything is taken.
-        Otherwise, per arrival: the first fresh item of an owed key is
-        taken; a sequence number already accepted, or a second copy of
-        the item just taken, is a wire duplicate; anything else of a
-        bound key belongs to a later epoch -- a peer that finished this
-        one may already have posted the next -- and stays queued in
-        order.  No side effects: the caller may sift again after a wait.
+    def sift(self, cut, arrivals: List[_Item], owed) -> Sifted:
+        """Sort *cut*'s rank's *arrivals* (per-item wire items,
+        :meth:`expand`) for a receive that still owes *owed*.
+
+        Per arrival: the first fresh item of an owed key is taken; a
+        sequence number already accepted, or a second copy of the item
+        just taken, is a wire duplicate; anything else of a bound key
+        belongs to a later epoch -- a peer that finished this one may
+        already have posted the next -- and stays queued in order.  No
+        side effects: the caller may sift again after a wait.
         """
-        checked = cut.checked
-        table = checked.table
+        table = cut.checked.table
         keys = cut.rmap
-        if len(arrivals) == len(owed) == len(keys):
-            taken = {item[0]: item for item in arrivals}
-            try:
-                items = list(map(taken.__getitem__, keys))  # the cut's order
-            except KeyError:
-                items = ()  # a stray key, or two of one: sorted out below
-            expect = table.seq[checked.rows] + 1
-            if len(taken) == len(items) and (
-                [item[2][0] for item in items] == expect.tolist()
-            ):
-                return Sifted(taken, [], [], None, items, expect)
         taken: Dict[_Key, _Item] = {}
         rest: List[_Item] = []
         stale: List[_Item] = []
@@ -477,32 +506,66 @@ class EnvelopeGuard:
         for key, _view, env, _wire in stale:
             self._record("duplicate_discarded", (key[0], dst, key[1]), seq=env.seq)
 
-    def accept_landed(self, cut, at: Optional[Sequence[int]],
-                      items: Sequence[_Item], crcs: Sequence[int],
-                      epoch: Optional[int], expect=None) -> List[int]:
+    def freeze(self, cut, taken: list) -> None:
+        """Order *cut*'s receive half as the fabric just froze its
+        copy-and-check table: over the *taken* deposits -- clean posts'
+        plain ones, one item per bound receive -- in the order of their
+        items."""
+        checked = cut.checked
+        place, dst = checked.place, cut.rank
+        checked.order = checked.rows[
+            [place[item[0]] for _credit, items in taken for item in items]
+        ]
+        spans = []
+        for credit, items in taken:
+            lo = credit.envelope.sealed.dsts.index(dst)
+            hi = lo + len(items)
+            spans.append((credit, slice(8 * lo, 8 * hi), slice(4 * lo, 4 * hi)))
+        checked.spans = spans
+
+    def accept_cut(self, cut, land: Callable[[], bytes],
+                   epoch: Optional[int]) -> bool:
+        """The common-case receive of *cut*, whose head deposits are the
+        very ones :meth:`freeze` saw: the senders' stamped sequence
+        numbers against ``last accepted + 1`` in one compare; then
+        *land* -- the one copy-and-check call -- and the CRCs of what
+        landed against the sent ones in one ``bytes ==``.  Records the
+        delivery of the whole cut and returns ``True``; or, on either
+        mismatch, changes no state and returns ``False`` (nothing has
+        landed if the sequence numbers differ) -- the per-item path then
+        takes the same deposits and names what is wrong."""
+        checked = cut.checked
+        table, rows, spans = checked.table, checked.order, checked.spans
+        expect = table.seq.take(rows) + 1
+        if expect.tobytes() != b"".join(
+            [credit.envelope[0][seqs] for credit, seqs, _crcs in spans]
+        ):
+            return False
+        if land() != b"".join(
+            [credit.envelope[1][crcs] for credit, _seqs, crcs in spans]
+        ):
+            return False
+        table.seq[rows] = expect
+        table.epoch[rows] = _code(epoch)
+        return True
+
+    def accept_landed(self, cut, at: Sequence[int], items: Sequence[_Item],
+                      crcs: Sequence[int], epoch: Optional[int]) -> List[int]:
         """The vector verdict over pristine *items* -- at positions *at*
-        of the cut (``None``: all of it, in order) -- whose bytes landed
-        with checksums *crcs*: one comparison of ``(sequence number,
-        CRC, size)`` per item against ``(last accepted + 1, landed CRC,
-        receive size)``.  With *expect* -- the next sequence numbers the
-        sift already found every item to carry (:attr:`Sifted.expect`)
-        -- the CRCs alone are left to compare (the sizes are the landing
-        call's guard).  Records the delivery of every item that passes;
-        returns the indices into *items* of those that do not, for
-        :meth:`accept` to name what is wrong with each.
+        of the cut -- whose bytes landed with checksums *crcs*: one
+        comparison of ``(sequence number, CRC, size)`` per item against
+        ``(last accepted + 1, landed CRC, receive size)``.  Records the
+        delivery of every item that passes; returns the indices into
+        *items* of those that do not, for :meth:`accept` to name what is
+        wrong with each.
         """
         checked = cut.checked
         table = checked.table
-        rows = checked.rows if at is None else checked.rows[at]
-        if expect is not None:
-            got, want = [item[2][1] for item in items], crcs
-        else:
-            sizes = checked.sizes
-            if at is not None:
-                sizes = [sizes[i] for i in at]
-            expect = table.seq[rows] + 1
-            got = [item[2] for item in items]
-            want = list(zip(expect.tolist(), crcs, sizes))
+        rows = checked.rows[at]
+        sizes = [checked.sizes[i] for i in at]
+        expect = table.seq[rows] + 1
+        got = [item[2] for item in items]
+        want = list(zip(expect.tolist(), crcs, sizes))
         failed = []
         if got != want:
             failed = [i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]]

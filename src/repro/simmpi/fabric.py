@@ -72,42 +72,56 @@ Verified mode (the chaos fabric)
 --------------------------------
 ``enable_envelope()`` installs an
 :class:`~repro.exchange.envelope.EnvelopeGuard`, which seals and judges
-a **cut** -- one rank's bound request -- and goes item by item only
-for what is not the common case.  The same request is bound and fired by
-the same three calls, so a guarded exchange is the plain one plus the
-guard.  Both ends' buffers are persistent, so everything but the bytes
-is frozen at bind: the guard's per-rank sequence / epoch tables in cut
-order, and the two bound calls a cut is handed (*crc_list*,
-*copy_crc_list*: C functions, or -- on a CPU that cannot fold the CRC --
-``zlib.crc32`` per view around the cut's ``copy_list``).
+a **cut** -- one rank's bound request.  The same request is bound and
+fired by the same three calls, so a guarded exchange is the plain one
+plus the guard.  Both ends' buffers are persistent, so everything but
+the bytes is frozen at bind: the guard's per-rank sequence / epoch
+tables in cut order, and the two bound calls a cut is handed
+(*crc_list*, *copy_crc_list*: C functions, or -- on a CPU that cannot
+fold the CRC -- ``zlib.crc32`` per view around the cut's
+``copy_list``).
 
-``post_send_batch`` asks the guard what to deposit: one vector increment
-stamps the cut's edges with their next sequence numbers, **one**
-``crc_list`` call takes the CRC32 of every send view, and the wire items
-``(key, send view, envelope, what the receiver will see)`` are zipped
-from those -- under an exchange epoch each possibly faulted by the
-injector, or absorbed as a re-fire (the dead-destination check still
-shares the deposit's lock acquisition).  ``complete_recv_batch`` waits
-until every receive it still *owes* (not yet accepted this epoch) has a
-fresh item in its source's FIFO -- a count is not enough once a wire
-duplicate, or the next epoch's item of a peer that finished first, can
-sit there -- takes those, drops duplicates and leaves later epochs
-queued in order.  Every taken item that is *pristine* (its wire object
-is the bound send view) then lands through **one** ``copy_crc_list``
-call over a table frozen on the cut -- the CRC taken over the bytes that
-*landed* -- and gets one vector verdict on sequence number, CRC and
-size; each deposit taken whole is credited whole.  An item that verdict
-fails, every transmission the injector touched (a corrupted copy, a
-lost marker), and the remainder of a cut part of which was accepted by
-an earlier attempt go through the per-item judgement
-(:meth:`SimFabric._land_faulted`,
+A clean exchange is the plain bound exchange plus two calls and two
+vector compares.  ``post_send_batch`` asks the guard what to deposit:
+one vector increment stamps the cut's edges with their next sequence
+numbers, **one** ``crc_list`` call takes the CRC32 of every send view,
+and the deposits are the cut's prebuilt plain ones, with the cut's one
+envelope (those two vectors, packed) on its credit.
+``complete_recv_batch`` takes the head deposits as the plain path does
+(:meth:`SimFabric._take`), under the same identity check against the
+deposits its table was frozen from (:meth:`SimFabric._freeze`, which
+builds the table over **one** ``copy_crc_list`` call), and the guard
+compares the sequence vector with ``last accepted + 1`` and the CRCs
+of what landed with the sent ones, one compare each.
+
+Everything else goes item by item, each wire item ``(key, send view,
+envelope, what the receiver will see)`` carrying its own envelope.  A
+post deposits such items for a re-fire inside the exchange epoch
+(absorbing what it already posted), a cut the injector corrupted,
+dropped or duplicated an item of, and a cut with items still on the
+wire.  A receive goes item by item when it owes less than the whole cut
+(the rest was accepted by an earlier attempt), or when its head
+deposits are not the clean posts it mirrors or a compare fails -- those
+deposits go back to the front of their FIFOs first
+(:meth:`SimFabric._recv_items`).  It waits until every receive it still
+*owes* has a fresh item in its source's FIFO -- a count is not enough
+once a wire duplicate, or the next epoch's item of a peer that finished
+first, can sit there -- takes those (plain deposits expanded from their
+cut's envelope), drops duplicates and leaves later epochs queued in
+order.  Its pristine items (the wire object is the bound send view)
+land through one ``copy_crc_list`` call over a table of them and get
+one vector verdict; every transmission the injector touched (a
+corrupted copy, a lost marker) and every item that verdict fails go
+through the per-item judgement (:meth:`SimFabric._land_faulted`,
 :meth:`~repro.exchange.envelope.EnvelopeGuard.accept`): only accepted
 items are counted and credited to the cut that sent them; every failed
 one goes back pristine to the front of its source's FIFO, and the typed
 error from :mod:`repro.faults.errors` is raised once, after the whole
 take was judged, so one bounded retry of the exchange heals the whole
-cut.  Per-message delivery (collectives, which are never faulted) is
-sealed and verified too, as *detection* only: typed error, no healing.
+cut.  Which path runs is decided from what arrived, never from a
+setting.  Per-message delivery (collectives, which are never faulted)
+is sealed and verified too, as *detection* only: typed error, no
+healing.
 """
 
 from __future__ import annotations
@@ -206,24 +220,26 @@ def _flat_bytes(buf: np.ndarray) -> np.ndarray:
 _BYTE = np.dtype(np.uint8)
 
 
-def _zlib_crc_list(views) -> Callable[[], List[int]]:
+def _packed_crcs(views) -> bytes:
+    """``zlib.crc32`` of every one of *views*, packed as the C movers
+    pack theirs (native ``uint32``)."""
+    return np.fromiter(map(zlib.crc32, views), np.uint32, len(views)).tobytes()
+
+
+def _zlib_crc_list(views) -> Callable[[], bytes]:
     """A cut's seal without the C CRC: one ``zlib.crc32`` per view."""
-
-    def crcs() -> List[int]:
-        return list(map(zlib.crc32, views))
-
-    return crcs
+    return partial(_packed_crcs, views)
 
 
-def _zlib_copy_crc_list(copy_list, srcs, dsts) -> Callable[[], List[int]]:
+def _zlib_copy_crc_list(copy_list, srcs, dsts) -> Callable[[], bytes]:
     """A verified cut's receive without the C CRC: *copy_list*'s call,
     then one ``zlib.crc32`` per receive view -- of the bytes that
     landed."""
     copy = copy_list(srcs, dsts)
 
-    def copy_crcs() -> List[int]:
+    def copy_crcs() -> bytes:
         copy()
-        return list(map(zlib.crc32, dsts))
+        return _packed_crcs(dsts)
 
     return copy_crcs
 
@@ -272,11 +288,15 @@ class _Credit:
     ``nsend`` is one epoch's items: more outstanding is a second epoch
     of the cut on the wire.  ``posted``: the cut posted since its sender
     last waited on it, so a traced run records one send wait per epoch,
-    wherever the epoch completes.  Kept apart from the cut, so that a
-    deposit does not reference the cut that holds it.
+    wherever the epoch completes.  ``envelope``: on a verified fabric,
+    the :class:`~repro.exchange.envelope.CutEnvelope` of the cut's last
+    clean post, whose plain deposits carry none of their own -- written
+    only while none of the cut's items is on the wire.  Kept apart from
+    the cut, so that a deposit does not reference the cut that holds it.
     """
 
-    __slots__ = ("rank", "nsend", "outstanding", "waiting", "posted")
+    __slots__ = ("rank", "nsend", "outstanding", "waiting", "posted",
+                 "envelope")
 
     def __init__(self, rank: int, nsend: int) -> None:
         self.rank = rank
@@ -284,6 +304,7 @@ class _Credit:
         self.outstanding = 0
         self.waiting = False
         self.posted = False
+        self.envelope = None
 
 
 class _Port:
@@ -295,8 +316,9 @@ class _Port:
     def __init__(self, lock, nranks: int) -> None:
         self.cond = _Wake(lock)
         # Per source: bound deposits (credit, items) not yet consumed,
-        # oldest first; an item is ((src, tag), send view), followed on a
-        # verified fabric by (envelope, what the receiver will see).
+        # oldest first; an item is ((src, tag), send view), followed --
+        # on a verified fabric, in a deposit that is not a clean post's
+        # plain one -- by (envelope, what the receiver will see).
         self.fifos = [deque() for _ in range(nranks)]
         # While the owner is blocked in a bound receive: per source it
         # still lacks, how many more items must arrive from it.
@@ -359,16 +381,17 @@ class BoundRequest:
     ``rmap`` maps each expected item key to its receive view, ``sources``
     is ``(src, item count)``.
 
-    ``copy`` is the plain path's whole wire copy, one call, built by
-    ``copy_list`` (a ``(srcs, dsts) -> call`` binder) from the deposits
-    in ``frozen`` -- kept alive here, so that an epoch whose deposits
-    are those very objects is known to carry the very items the table
-    was checked against.  On a verified fabric the guard freezes its own
-    view of the two halves in ``sealed`` / ``checked``, over the
-    ``crc_list`` (``views -> call returning their CRC32s``) and
-    ``copy_crc_list`` (``(srcs, dsts) -> call that copies and returns
-    the CRC32s of what landed``) binders -- ``zlib.crc32`` around
-    ``copy_list`` where none was handed in, which ``checksums_on_zlib``
+    ``copy`` is the whole wire copy, one call over a table in the order
+    of the items of the deposits in ``frozen`` -- kept alive here, so
+    that an epoch whose deposits are those very objects is known to
+    carry the very items the table was checked against.  It is built by
+    ``copy_list`` (a ``(srcs, dsts) -> call`` binder); on a verified
+    fabric by ``copy_crc_list`` (``(srcs, dsts) -> call that copies and
+    returns the CRC32s of what landed``, packed), and the guard freezes
+    its own view of the two halves in ``sealed`` / ``checked``, the send
+    half over ``crc_list`` (``views -> call returning their CRC32s``,
+    packed).  Where no CRC binders were handed in, both are
+    ``zlib.crc32`` around ``copy_list``, which ``checksums_on_zlib``
     says of a verified cut.
     """
 
@@ -803,55 +826,113 @@ class SimFabric:
             f" tag={key[1]}): sent {sent.size} bytes, receiving {recv.size}"
         )
 
-    def _freeze(self, cut: BoundRequest, taken: list) -> None:
+    def _freeze(self, cut: BoundRequest, taken: list, doubled: bool) -> bool:
         """Check the *taken* deposits against *cut*'s receives and build
-        its copy table.
+        its copy table over them.
 
         The per-epoch checks of the bound path, run when the deposits are
         not the very objects the table was last built from, or one of
-        them comes from a cut with more than one epoch on the wire:
-        exactly one item per bound receive (else the peer's request does
-        not mirror this one), each the size of its receive view, and
-        every sender cut in its first unconsumed epoch (else it posted
-        again before this rank took the previous one).  Deposits are the
-        senders' prebuilt tuples, alive and unchanged for as long as
-        ``frozen`` holds them, so a later epoch that delivers the same
+        them comes from a cut with more than one epoch on the wire
+        (*doubled*): exactly one item per bound receive (else the peer's
+        request does not mirror this one), each the size of its receive
+        view, and every sender cut in its first unconsumed epoch (else it
+        posted again before this rank took the previous one).  Deposits
+        are the senders' prebuilt tuples, alive and unchanged for as long
+        as ``frozen`` holds them, so a later epoch that delivers the same
         objects has passed these checks already (DESIGN.md,
-        "Data-movement tier").
+        "Data-movement tier").  A plain cut's table runs in the order
+        of its receives (``rmap``), a verified cut's in the order of the
+        deposits' items -- the order their senders' envelopes list them
+        in.
+
+        A plain cut raises :class:`ProtocolError` where a check fails; a
+        verified one returns ``False`` (the per-item path sorts the
+        deposits out), as it does for deposits that are not clean posts'
+        plain ones.  A size mismatch raises either way.
         """
         rmap = cut.rmap
         dst = cut.rank
+        verified = cut.checked is not None
         items = [item for _credit, its in taken for item in its]
-        sent = dict(items)  # a repeated key shows in the count
-        doubled = any(credit.outstanding > credit.nsend for credit, _ in taken)
-        if doubled or len(items) != len(rmap) or sent.keys() != rmap.keys():
+        keys = [item[0] for item in items]
+        if doubled or len(keys) != len(rmap) or set(keys) != rmap.keys() or (
+            verified and any(len(item) != 2 for item in items)
+        ):
+            if verified:
+                return False
             self.abort()
             raise ProtocolError(
-                f"rank {dst}: arrivals (src, tag)"
-                f" {sorted(item[0] for item in items)} do not match"
+                f"rank {dst}: arrivals (src, tag) {sorted(keys)} do not match"
                 f" its {len(rmap)} bound receives"
                 + (": a sender posted a cut again before its previous"
                    " epoch was consumed" if doubled else "")
             )
-        srcs = [sent[key] for key in rmap]
-        dsts = list(rmap.values())
-        for key, view, recv in zip(rmap, srcs, dsts):
+        if verified:
+            srcs = [item[1] for item in items]
+            dsts = [rmap[key] for key in keys]
+        else:
+            sent = dict(items)
+            keys = list(rmap)
+            srcs = [sent[key] for key in keys]
+            dsts = list(rmap.values())
+        for key, view, recv in zip(keys, srcs, dsts):
             if view.size != recv.size:
                 raise self._size_mismatch(key, dst, view, recv)
-        cut.copy = cut.copy_list(srcs, dsts)
+        cut.copy = (cut.copy_crc_list if verified else cut.copy_list)(srcs, dsts)
         cut.frozen = taken
+        if verified:
+            self._guard.freeze(cut, taken)
+        return True
+
+    def _take(self, cut: BoundRequest):
+        """Under one lock acquisition: block until every source has
+        queued the items *cut* owes it (one wake-up per exchange, not one
+        per message or per source), then pop exactly those deposits,
+        oldest first -- a peer's next epoch stays queued behind them.
+        Returns the ``(src, deposit)`` pairs and whether a sending cut
+        had more than one epoch on the wire."""
+        port = self._ports[cut.rank]
+        fifos = port.fifos
+        with self._lock:
+            heads, need = _heads(fifos, cut.sources)
+            if need:
+                port.need = need
+                try:
+                    self._await(
+                        cut.rank, lambda: not need, lambda: self._missing(cut)
+                    )
+                finally:
+                    port.need = None
+                heads = _heads(fifos, cut.sources)[0]
+            doubled = False
+            for src, (credit, _items) in heads:
+                fifos[src].popleft()
+                doubled |= credit.outstanding > credit.nsend
+        return heads, doubled
+
+    def _credit(self, dst: int, n: int, nbytes: int, credits) -> None:
+        """Under the lock: count *n* items of *nbytes* received by *dst*
+        and hand each ``(credit, count)`` of *credits* back to the cut
+        that sent them, waking a sender blocked on the last of them."""
+        st = self.stats[dst]
+        st.recvs += n
+        st.bytes_received += nbytes
+        ports = self._ports
+        for credit, count in credits:
+            left = credit.outstanding - count
+            credit.outstanding = left
+            if not left and credit.waiting:
+                ports[credit.rank].cond.notify()
 
     def complete_recv_batch(self, cut: BoundRequest) -> None:
         """Deliver one epoch of *cut*'s receives into their buffers.
 
-        Blocks on the rank's own port until every source has queued the
-        items the cut owes it (one wake-up per exchange, not one per
-        message or per source), takes exactly those, oldest first --
-        a peer's next epoch stays queued behind them -- and copies
-        outside the lock: one call over the cut's frozen table
+        Takes exactly the deposits the cut owes (:meth:`_take`) and
+        copies outside the lock: one call over the cut's frozen table
         (:meth:`_freeze`), so ranks' wire copies overlap.  Buffers are
         disjoint, so arrival order cannot matter.  Each deposit is then
-        credited to the cut that sent it.
+        credited to the cut that sent it.  On a verified fabric the
+        guard judges the cut first (module docstring).
         """
         n = len(cut.rmap)
         if n == 0:
@@ -859,30 +940,14 @@ class SimFabric:
         if self._guard is not None:
             return self._complete_recv_verified(cut, self._guard)
         dst = cut.rank
-        port = self._ports[dst]
-        fifos = port.fifos
         with _TRACER.span("fabric.recv", rank=dst, n=n):
-            with self._lock:
-                heads, need = _heads(fifos, cut.sources)
-                if need:
-                    port.need = need
-                    try:
-                        self._await(
-                            dst, lambda: not need, lambda: self._missing(cut)
-                        )
-                    finally:
-                        port.need = None
-                    heads = _heads(fifos, cut.sources)[0]
-                doubled = False
-                for src, (credit, _items) in heads:
-                    fifos[src].popleft()
-                    doubled |= credit.outstanding > credit.nsend
+            heads, doubled = self._take(cut)
             taken = [deposit for _src, deposit in heads]
             frozen = cut.frozen
             if doubled or len(taken) != len(frozen) or not all(map(is_, taken, frozen)):
                 # Not the deposits the copy table was built from: a first
                 # fire, a re-bound peer -- or a protocol violation.
-                self._freeze(cut, taken)
+                self._freeze(cut, taken, doubled)
             cut.copy()  # the single wire copy, every item in one call
             ports = self._ports
             with self._lock:
@@ -898,6 +963,44 @@ class SimFabric:
     def _complete_recv_verified(self, cut: BoundRequest, guard) -> None:
         """:meth:`complete_recv_batch` under the guard (module docstring).
 
+        A receive that owes the whole cut first tries the common case:
+        the plain path's take, its table, and the guard's two vector
+        compares (:meth:`~repro.exchange.envelope.EnvelopeGuard.accept_cut`).
+        Deposits that are not the clean posts the table was frozen from,
+        or that fail a compare, go back to the front of their FIFOs
+        untouched by the guard, and the per-item path takes them.
+        """
+        dst = cut.rank
+        epoch = self._epochs[dst]
+        owed = guard.owed(cut, epoch)
+        if not owed:
+            return
+        with _TRACER.span("fabric.recv", rank=dst, n=len(owed)):
+            if len(owed) == len(cut.rmap):  # nothing replayed
+                heads, doubled = self._take(cut)
+                taken = [deposit for _src, deposit in heads]
+                frozen = cut.frozen
+                same = not doubled and len(taken) == len(frozen) and all(
+                    map(is_, taken, frozen)
+                )
+                if same or self._freeze(cut, taken, doubled):
+                    if guard.accept_cut(cut, cut.copy, epoch):
+                        with self._lock:
+                            self._credit(
+                                dst, len(owed), cut.recv_bytes,
+                                [(credit, len(items)) for credit, items in taken],
+                            )
+                        return
+                fifos = self._ports[dst].fifos
+                with self._lock:
+                    for src, deposit in reversed(heads):
+                        fifos[src].appendleft(deposit)
+            self._recv_items(cut, guard, owed, epoch)
+
+    def _recv_items(self, cut: BoundRequest, guard, owed, epoch) -> None:
+        """The per-item receive: every queued deposit expanded to wire
+        items with their own envelopes, sifted, landed and judged.
+
         The wake stays count-based -- a poster cannot judge freshness --
         which is a necessary condition only: each owed key the sift found
         no fresh item for needs one more item from its source, and the
@@ -908,38 +1011,26 @@ class SimFabric:
         port = self._ports[dst]
         fifos = port.fifos
         rmap = cut.rmap
-        epoch = self._epochs[dst]
-        owed = guard.owed(cut, epoch)
-        if not owed:
-            return
-        whole = len(owed) == len(rmap)  # nothing replayed
         owes = cut.sources
-        if not whole:
+        if len(owed) != len(rmap):  # some were replayed
             per_source: Dict[int, int] = {}
             for src, _tag in owed:
                 per_source[src] = per_source.get(src, 0) + 1
             owes = per_source.items()
         sifted = examined = None
 
-        def sift(heads=None) -> None:
-            """Sift the items of *heads* -- ``(src, deposit)`` pairs, a
-            prefix of each source's FIFO; default: all of them."""
+        def sift() -> None:
+            """Sift every deposit queued from the sources *owes* names."""
             nonlocal sifted, examined
-            if heads is None:
-                heads = [(src, dep) for src, _n in owes for dep in fifos[src]]
-            examined = heads
-            arrivals = list(chain.from_iterable([dep[1] for _src, dep in heads]))
+            examined = [
+                (src, guard.expand(dst, dep)) for src, _n in owes for dep in fifos[src]
+            ]
+            arrivals = list(chain.from_iterable([dep[1] for _src, dep in examined]))
             sifted = guard.sift(cut, arrivals, owed)
 
         def ready() -> bool:
-            heads, need = _heads(fifos, owes)  # necessary: the counts first
+            need = _heads(fifos, owes)[1]  # necessary: the counts first
             if not need:
-                if whole:
-                    # The oldest deposits that can hold the cut first: a
-                    # peer's next epoch may queue behind them.
-                    sift(heads)
-                    if sifted.expect is not None:  # the sift's common case
-                        return True
                 sift()
                 if sifted.stray is not None or len(sifted.taken) == len(owed):
                     return True
@@ -953,81 +1044,63 @@ class SimFabric:
             sift()
             return [key for key in owed if key not in sifted.taken]
 
-        with _TRACER.span("fabric.recv", rank=dst, n=len(owed)):
-            with self._lock:
-                if not ready():
-                    try:
-                        self._await(dst, ready, missing)
-                    finally:
-                        port.need = None
-                taken, rest, stale, stray, items, expect = sifted
-                owners = None
-                if stray is None:
-                    for src, _deposit in examined:
-                        fifos[src].popleft()
-                    if rest:  # later epochs: back in order, by sending cut
-                        owners = _owners(examined)
-                        _requeue(fifos, owners, rest)
-            if stray is not None:
-                self.abort()
-                raise ProtocolError(
-                    f"rank {dst}: arrival (src, tag) {stray} matches none"
-                    f" of its {len(rmap)} bound receives"
-                )
-            guard.discard(dst, stale)
-            # Pristine transmissions -- the wire object is the bound
-            # send view -- land in one call and get one vector verdict;
-            # what the injector touched, and whatever that verdict
-            # fails, is judged item by item.
-            pristine = [item for item in items if item[3] is item[1]]
-            if len(pristine) == len(rmap):
-                at, crcs = None, self._land(cut, pristine)
-            else:
-                place = cut.checked.place
-                at = [place[item[0]] for item in pristine]
-                crcs = self._land_items(cut, pristine, at)
-                expect = None  # the sift's is the whole cut's
-            singly = [
-                (pristine[i], crcs[i])
-                for i in guard.accept_landed(cut, at, pristine, crcs, epoch, expect)
-            ]
-            if len(pristine) != len(items):
-                singly += self._land_faulted(
-                    cut, [item for item in items if item[3] is not item[1]]
-                )
-            failed = []  # (item, its pristine retransmission)
-            error = None
-            for item, crc in singly:
+        with self._lock:
+            if not ready():
                 try:
-                    guard.accept(cut, item, crc, epoch)
-                except (ExchangeIntegrityError, ExchangeTimeoutError) as err:
-                    failed.append((item, guard.pristine(dst, item)))
-                    error = error or err
-            if failed or stale or rest or at is not None:
-                owners = owners or _owners(examined)
-                lost = {item[0] for item, _retransmit in failed}
-                accepted = [key for key in taken if key not in lost]
-                nbytes = sum(rmap[key].size for key in accepted)
-                counts: Dict[_Credit, int] = {}
-                for key in accepted:
-                    credit = owners[id(taken[key])]
-                    counts[credit] = counts.get(credit, 0) + 1
-                credits = counts.items()
-            else:  # the whole cut, every deposit taken whole and accepted
-                accepted, nbytes = rmap, cut.recv_bytes
-                credits = [(credit, len(its)) for _src, (credit, its) in examined]
-            ports = self._ports
-            with self._lock:
-                st = self.stats[dst]
-                st.recvs += len(accepted)
-                st.bytes_received += nbytes
-                for credit, count in credits:
-                    left = credit.outstanding - count
-                    credit.outstanding = left
-                    if not left and credit.waiting:
-                        ports[credit.rank].cond.notify()
-                for item, retransmit in reversed(failed):
-                    fifos[item[0][0]].appendleft((owners[id(item)], [retransmit]))
+                    self._await(dst, ready, missing)
+                finally:
+                    port.need = None
+            taken, rest, stale, stray, items = sifted
+            if stray is None:
+                for src, _deposit in examined:
+                    fifos[src].popleft()
+                if rest:  # later epochs: back in order, by sending cut
+                    _requeue(fifos, _owners(examined), rest)
+        if stray is not None:
+            self.abort()
+            raise ProtocolError(
+                f"rank {dst}: arrival (src, tag) {stray} matches none"
+                f" of its {len(rmap)} bound receives"
+            )
+        guard.discard(dst, stale)
+        # Pristine transmissions -- the wire object is the bound send
+        # view -- land in one call and get one vector verdict; what the
+        # injector touched, and whatever that verdict fails, is judged
+        # item by item.
+        pristine = [item for item in items if item[3] is item[1]]
+        place = cut.checked.place
+        at = [place[item[0]] for item in pristine]
+        crcs = self._land_items(cut, pristine, at)
+        singly = [
+            (pristine[i], crcs[i])
+            for i in guard.accept_landed(cut, at, pristine, crcs, epoch)
+        ]
+        if len(pristine) != len(items):
+            singly += self._land_faulted(
+                cut, [item for item in items if item[3] is not item[1]]
+            )
+        failed = []  # (item, its pristine retransmission)
+        error = None
+        for item, crc in singly:
+            try:
+                guard.accept(cut, item, crc, epoch)
+            except (ExchangeIntegrityError, ExchangeTimeoutError) as err:
+                failed.append((item, guard.pristine(dst, item)))
+                error = error or err
+        owners = _owners(examined)
+        lost = {item[0] for item, _retransmit in failed}
+        accepted = [key for key in taken if key not in lost]
+        counts: Dict[_Credit, int] = {}
+        for key in accepted:
+            credit = owners[id(taken[key])]
+            counts[credit] = counts.get(credit, 0) + 1
+        with self._lock:
+            self._credit(
+                dst, len(accepted), sum(rmap[key].size for key in accepted),
+                counts.items(),
+            )
+            for item, retransmit in reversed(failed):
+                fifos[item[0][0]].appendleft((owners[id(item)], [retransmit]))
         if error is not None:
             # The error's traceback holds this frame: drop the frame's
             # reference back, or the cycle pins every frame up to the
@@ -1043,33 +1116,15 @@ class SimFabric:
             if item[1].size != recv.size:
                 raise self._size_mismatch(item[0], cut.rank, item[1], recv)
 
-    def _land(self, cut: BoundRequest, items: list) -> List[int]:
-        """Copy the whole of *cut* in -- *items*, pristine and in the
-        cut's order -- and return the CRC32s of the bytes that landed:
-        one ``copy_crc_list`` call over a table frozen on the cut.
-
-        The table is good for the very send views it was built from
-        (kept alive in ``checked.srcs``): a view's size and address
-        never change, so identity carries the size guard.  Any other
-        view -- the first fire, a peer that bound again -- is checked
-        and frozen afresh before a byte moves.
-        """
-        checked = cut.checked
-        srcs = [item[1] for item in items]
-        if len(srcs) != len(checked.srcs) or not all(map(is_, srcs, checked.srcs)):
-            self._sizes_match(cut, items, checked.recvs)
-            checked.copy_crcs = cut.copy_crc_list(srcs, checked.recvs)
-            checked.srcs = srcs
-        return checked.copy_crcs()
-
     def _land_items(self, cut: BoundRequest, items: list, at: List[int]) -> List[int]:
-        """:meth:`_land` for a proper subset of the cut (its neighbours
-        were faulted, or accepted in an earlier attempt), at positions
-        *at*: the same call over a table of the subset, used once."""
+        """Copy pristine *items* -- at positions *at* of the cut -- in and
+        return the CRC32s of the bytes that landed: one
+        ``copy_crc_list`` call over a table of them, used once."""
         recvs = cut.checked.recvs
         recvs = [recvs[i] for i in at]
         self._sizes_match(cut, items, recvs)
-        return cut.copy_crc_list([item[1] for item in items], recvs)()
+        landed = cut.copy_crc_list([item[1] for item in items], recvs)()
+        return np.frombuffer(landed, np.uint32).tolist()
 
     def _land_faulted(self, cut: BoundRequest, items: list) -> list:
         """The per-item fault path: what the injector put on the wire

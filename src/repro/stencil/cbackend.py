@@ -28,7 +28,8 @@ scatter and a ``copy_list`` that pack, unpack and wire-copy one
 exchange side per call over tables frozen at bind, and for a verified
 fabric a ``crc_list`` that seals a side and a ``copy_crc_list`` that
 copies it and checksums what landed, CRC-32 folded by carry-less
-multiply (:class:`Movers`, resolved by :func:`mover_kernel` at the same
+multiply, 512 bits at a time where the build targets AVX-512 with
+VPCLMULQDQ (:class:`Movers`, resolved by :func:`mover_kernel` at the same
 point as the kernels).  Riding in a kernel's translation unit means a
 cold run invokes the compiler no more often than it did without them; a
 stand-alone build happens only in a process that never loaded a kernel.
@@ -647,8 +648,12 @@ def _crc_table_rows() -> str:
 #: and ``copy_crc_list`` receives one on a verified fabric: the copy,
 #: then the CRC-32 of the bytes that *landed*.  The folding needs a CPU
 #: with carry-less multiply; ``repro_crc_engaged`` is the probe, asked
-#: once per :class:`Movers`, and a build for anything but x86-64 carries
-#: the byte table only and answers no.
+#: once per :class:`Movers`: it answers the widest fold the unit was
+#: built with -- 512 bits where the build flags name AVX-512 and
+#: VPCLMULQDQ (``-march=native`` on such a host: the macros decide at
+#: compile time, so there is no run-time dispatch), else 128 -- and a
+#: build for anything but x86-64 carries the byte table only and
+#: answers 0.
 MOVER_SOURCE = "\n#define REPRO_MOVER_MAX_NDIM %d\n" % MOVER_MAX_NDIM + """
 #include <stdint.h>
 #include <string.h>
@@ -789,11 +794,18 @@ int64_t repro_copy_list(char *const *src, char *const *dst,
     return 0;
 }
 
-/* CRC-32 (IEEE 802.3, reflected 0xEDB88320; zlib.crc32's function): four
-   128-bit lanes folded by carry-less multiply, then Barrett reduction
-   (Intel, "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ");
-   the byte table takes what folding cannot: a view under 64 bytes, and
-   the under-16-byte tail of any other. */
+/* CRC-32 (IEEE 802.3, reflected 0xEDB88320; zlib.crc32's function),
+   folded by carry-less multiply, then Barrett reduction (Intel, "Fast CRC
+   Computation for Generic Polynomials Using PCLMULQDQ").  A build whose
+   target has AVX-512 and VPCLMULQDQ (-march=native on such a host) folds
+   four 512-bit lanes -- 256 bytes -- per step, 64 bytes per instruction,
+   by x^2080 / x^2016 mod P; merges them by the 512-bit distance k1k2,
+   64 bytes at a time; and hands the four 128-bit lanes of the result to
+   the 128-bit tail.  Any other x86-64 build, and any view under 256
+   bytes, folds four 128-bit lanes per 64 bytes.  The tail reduces the
+   four lanes by k3k4, folds the last whole 16-byte blocks, and reduces
+   to 32 bits; the byte table takes what folding cannot: a view under 64
+   bytes, and the under-16-byte tail of any other. */
 static const uint32_t REPRO_CRC_TABLE[256] = {
 %s
 };
@@ -814,25 +826,75 @@ static uint32_t repro_crc_bytes(uint32_t state, const unsigned char *p,
     _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00), \
                                 _mm_clmulepi64_si128(x, k, 0x11)), data)
 
+/* The 512-bit fold through GCC's builtin and vector extensions: the
+   <immintrin.h> that spells it as intrinsics would cost the unit ~150 ms
+   of compiler time (GCC 12), nearly doubling it. */
+#if defined(__AVX512F__) && defined(__VPCLMULQDQ__) && defined(__has_builtin)
+#if __has_builtin(__builtin_ia32_vpclmulqdq_v8di) \
+    && __has_builtin(__builtin_shufflevector)
+#define REPRO_CRC_WIDE 1
+typedef long long repro_v8di __attribute__((vector_size(64)));
+typedef long long repro_v8di_u
+    __attribute__((vector_size(64), aligned(1), may_alias));
+#define REPRO_CRC_LOAD512(p) (*(const repro_v8di_u *)(p))
+#define REPRO_CRC_FOLD512(x, k, data) \
+    (__builtin_ia32_vpclmulqdq_v8di(x, k, 0x00) \
+     ^ __builtin_ia32_vpclmulqdq_v8di(x, k, 0x11) ^ (data))
+#endif
+#endif
+
 /* n >= 64 and a multiple of 16 */
 __attribute__((target("pclmul")))
 static uint32_t repro_crc_fold(uint32_t state, const unsigned char *p,
                                int64_t n)
 {
-    const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
     const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
     const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
     const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
     const __m128i low32 = _mm_set_epi32(0, ~0, 0, ~0);
-    __m128i x1 = _mm_xor_si128(REPRO_CRC_LOAD(p),
-                               _mm_cvtsi32_si128((int)state));
-    __m128i x2 = REPRO_CRC_LOAD(p + 16), x3 = REPRO_CRC_LOAD(p + 32);
-    __m128i x4 = REPRO_CRC_LOAD(p + 48), t;
-    for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
-        x1 = REPRO_CRC_FOLD(x1, k1k2, REPRO_CRC_LOAD(p));
-        x2 = REPRO_CRC_FOLD(x2, k1k2, REPRO_CRC_LOAD(p + 16));
-        x3 = REPRO_CRC_FOLD(x3, k1k2, REPRO_CRC_LOAD(p + 32));
-        x4 = REPRO_CRC_FOLD(x4, k1k2, REPRO_CRC_LOAD(p + 48));
+    __m128i x1, x2, x3, x4, t;
+#if REPRO_CRC_WIDE
+    if (n >= 256) {
+        const repro_v8di k1k2 = {
+            0x0154442bd4, 0x01c6e41596, 0x0154442bd4, 0x01c6e41596,
+            0x0154442bd4, 0x01c6e41596, 0x0154442bd4, 0x01c6e41596};
+        const repro_v8di k2048 = {
+            0x011542778a, 0x01322d1430, 0x011542778a, 0x01322d1430,
+            0x011542778a, 0x01322d1430, 0x011542778a, 0x01322d1430};
+        const repro_v8di seed = {(long long)state, 0, 0, 0, 0, 0, 0, 0};
+        repro_v8di z1 = REPRO_CRC_LOAD512(p) ^ seed;
+        repro_v8di z2 = REPRO_CRC_LOAD512(p + 64);
+        repro_v8di z3 = REPRO_CRC_LOAD512(p + 128);
+        repro_v8di z4 = REPRO_CRC_LOAD512(p + 192);
+        for (p += 256, n -= 256; n >= 256; p += 256, n -= 256) {
+            z1 = REPRO_CRC_FOLD512(z1, k2048, REPRO_CRC_LOAD512(p));
+            z2 = REPRO_CRC_FOLD512(z2, k2048, REPRO_CRC_LOAD512(p + 64));
+            z3 = REPRO_CRC_FOLD512(z3, k2048, REPRO_CRC_LOAD512(p + 128));
+            z4 = REPRO_CRC_FOLD512(z4, k2048, REPRO_CRC_LOAD512(p + 192));
+        }
+        z1 = REPRO_CRC_FOLD512(z1, k1k2, z2);
+        z1 = REPRO_CRC_FOLD512(z1, k1k2, z3);
+        z1 = REPRO_CRC_FOLD512(z1, k1k2, z4);
+        for (; n >= 64; p += 64, n -= 64)
+            z1 = REPRO_CRC_FOLD512(z1, k1k2, REPRO_CRC_LOAD512(p));
+        x1 = __builtin_shufflevector(z1, z1, 0, 1);
+        x2 = __builtin_shufflevector(z1, z1, 2, 3);
+        x3 = __builtin_shufflevector(z1, z1, 4, 5);
+        x4 = __builtin_shufflevector(z1, z1, 6, 7);
+    } else
+#endif
+    {
+        const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+        x1 = _mm_xor_si128(REPRO_CRC_LOAD(p), _mm_cvtsi32_si128((int)state));
+        x2 = REPRO_CRC_LOAD(p + 16);
+        x3 = REPRO_CRC_LOAD(p + 32);
+        x4 = REPRO_CRC_LOAD(p + 48);
+        for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+            x1 = REPRO_CRC_FOLD(x1, k1k2, REPRO_CRC_LOAD(p));
+            x2 = REPRO_CRC_FOLD(x2, k1k2, REPRO_CRC_LOAD(p + 16));
+            x3 = REPRO_CRC_FOLD(x3, k1k2, REPRO_CRC_LOAD(p + 32));
+            x4 = REPRO_CRC_FOLD(x4, k1k2, REPRO_CRC_LOAD(p + 48));
+        }
     }
     x1 = REPRO_CRC_FOLD(x1, k3k4, x2);
     x1 = REPRO_CRC_FOLD(x1, k3k4, x3);
@@ -852,12 +914,19 @@ static uint32_t repro_crc_fold(uint32_t state, const unsigned char *p,
 }
 #endif
 
-/* Whether the list functions below may be called on this CPU (the
-   builtin returns a bit mask, not 1). */
+/* The widest fold the list functions below take on this CPU, in bits:
+   512 (built for AVX-512 + VPCLMULQDQ), 128 (carry-less multiply), or 0
+   -- they may not be called (the builtin returns a bit mask, not 1). */
 int64_t repro_crc_engaged(void)
 {
 #if defined(__x86_64__)
-    return __builtin_cpu_supports("pclmul") != 0;
+    if (!__builtin_cpu_supports("pclmul"))
+        return 0;
+#if REPRO_CRC_WIDE
+    return 512;
+#else
+    return 128;
+#endif
 #else
     return 0;
 #endif
@@ -1140,10 +1209,13 @@ class Movers:
         self._ffi = ffi
         self._lib = lib
         self.guard = guard
-        #: Why :meth:`crc_list` / :meth:`copy_crc_list` cannot engage
-        #: here (empty: they can); see :func:`mover_kernel`.
+        #: The widest fold :meth:`crc_list` / :meth:`copy_crc_list` take,
+        #: in bits: 512, 128, or 0 where they cannot engage.
+        self.crc_fold = int(lib.repro_crc_engaged())
+        #: Why they cannot engage here (empty: they can); see
+        #: :func:`mover_kernel`.
         self.crc_refusal = (
-            "" if lib.repro_crc_engaged()
+            "" if self.crc_fold
             else "the CRC movers fold by carry-less multiply and this CPU"
                  " (or a build for something other than x86-64) has none"
         )
@@ -1217,7 +1289,8 @@ class Movers:
     def _crcs(self, fn, tables: tuple, n: int, caps: tuple, what: str):
         """*fn* over *tables*, a fresh ``uint32_t[n]`` and *caps* (the
         capacity tables, under the guard): the call returns the *n*
-        checksums as a list."""
+        checksums packed as native ``uint32`` -- ``bytes``, so a whole
+        side compares in one ``==``."""
         if self.crc_refusal:
             raise KernelBuildError(
                 f"the CRC movers cannot engage: {self.crc_refusal}"
@@ -1228,25 +1301,26 @@ class Movers:
         run = self._frozen(
             fn, (*tables, n, out, *(caps if self.guard else null)), what
         )
-        unpack = self._ffi.unpack
+        packed = self._ffi.buffer(out)
 
-        def crcs() -> List[int]:
+        def crcs() -> bytes:
             run()
-            return unpack(out, n)
+            return packed[:]
 
         crcs.__keep__ = run.__keep__
         return crcs
 
-    def crc_list(self, views) -> Callable[[], List[int]]:
+    def crc_list(self, views) -> Callable[[], bytes]:
         """The call returning the CRC-32 of every one of *views* as it
-        is now (``zlib.crc32``'s function): a cut's seal."""
+        is now (``zlib.crc32``'s function), packed (:meth:`_crcs`): a
+        cut's seal."""
         nbytes = self._sizes([v.nbytes for v in views])
         return self._crcs(
             self._lib.repro_crc_list, (self._pointers(views), nbytes),
             len(views), (nbytes,), "checksum length(s)",
         )
 
-    def copy_crc_list(self, srcs, dsts) -> Callable[[], List[int]]:
+    def copy_crc_list(self, srcs, dsts) -> Callable[[], bytes]:
         """:meth:`copy_list` that also returns, per pair, the CRC-32 of
         the bytes that landed in ``dsts[i]``: a verified cut's receive."""
         nbytes = self._sizes([d.nbytes for d in dsts])

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,25 @@ def wire_copy(srcs, dsts):
     """The wire copy ``ExchangeChannel`` hands a fabric's bound request:
     the C movers' ``copy_list`` binder."""
     return mover_kernel().copy_list(srcs, dsts)
+
+
+def zlib_crcs(views) -> bytes:
+    """``zlib.crc32`` of every view, packed as the C movers' CRC calls
+    return them (native ``uint32``, one ``bytes``)."""
+    return np.array([zlib.crc32(v) for v in views], dtype=np.uint32).tobytes()
+
+
+def crc_lengths_match_zlib(movers):
+    """*movers*' CRC pair against ``zlib.crc32`` at every length 0-1100
+    and every start offset 0-15, plus 4 KiB and 16 KiB: each fold
+    stage's entry and exit (64 B for the 128-bit lanes, 256 B for the
+    512-bit ones), whole and with every tail."""
+    pool = np.random.default_rng(42).integers(0, 256, 16_400, dtype=np.uint8)
+    lengths = list(range(1101)) + [4096, 16_384]
+    for start in range(16):
+        views = [pool[start : start + n] for n in lengths]
+        want = zlib_crcs(views)
+        assert movers.crc_list(views)() == want, start
+        landed = [np.full(n, 0xA5, dtype=np.uint8) for n in lengths]
+        assert movers.copy_crc_list(views, landed)() == want, start
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(landed, views))

@@ -405,6 +405,26 @@ class TestCBackend:
         assert "crc_list" in message and "copy_crc_list" in message
         assert "gather" not in message and "scatter" not in message
 
+    def test_mover_probe_checks_the_512_bit_fold_against_zlib(self, monkeypatch):
+        """One bit off in the 512-bit fold's x^2080 constant: only runs
+        of 256 bytes and more take that fold, and the probe's runs past
+        each fold stage catch it in both calls."""
+        monkeypatch.setattr(cbackend, "_mover_libs", {})  # force a fresh load
+        if cbackend.mover_kernel().crc_fold != 512:
+            pytest.skip("this build folds no 512-bit lanes")
+        assert "0x011542778a" in cbackend.MOVER_SOURCE
+        monkeypatch.setattr(cbackend, "_mover_libs", {})
+        monkeypatch.setattr(
+            cbackend, "MOVER_SOURCE",
+            cbackend.MOVER_SOURCE.replace("0x011542778a", "0x011542778b"),
+        )
+        rep = CheckReport()
+        verify_cbackend(rep)
+        assert probe_codes(rep) == ["mover-probe"], rep.render()
+        message = rep.findings[0].message
+        assert "crc_list" in message and "copy_crc_list" in message
+        assert "gather" not in message and "scatter" not in message
+
     def test_mover_probe_names_a_crc_mover_that_cannot_engage(self, monkeypatch):
         real = cbackend.Movers.__init__
 

@@ -178,7 +178,11 @@ class TestVerifiedFabricBinds:
     def test_batched_posting_sealed(self):
         fab, sender, _receiver, data, _out = self._verified_pair()
         fab.post_send_batch(sender)
-        ((key, view, env, wire),) = fab._ports[1].items([0])
+        # A clean post queues the plain post's own deposit; the envelope
+        # rides on the cut's credit, and expands to the item's.
+        ((_dst, deposit),) = sender.deposits
+        assert fab._ports[1].fifos[0][0] is deposit
+        ((key, view, env, wire),) = fab._guard.expand(1, deposit)[1]
         assert key == (0, 0) and wire is view
         assert env == seal(data, seq=1)
         assert fab.stats[0].sends == 1

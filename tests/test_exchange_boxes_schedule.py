@@ -30,7 +30,7 @@ from repro.layout.order import SURFACE3D, lexicographic_order
 from repro.layout.regions import all_regions
 from repro.stencil import cbackend
 from repro.util.bitset import BitSet
-from tests.conftest import wire_copy
+from tests.conftest import crc_lengths_match_zlib, wire_copy, zlib_crcs
 
 
 class TestBoxes:
@@ -426,7 +426,7 @@ class TestMoverBoundsGuard:
         )
         with pytest.raises(cbackend.KernelBoundsError, match="1 out-of-range"):
             forged()
-        assert guarded.crc_list(src)() == [zlib.crc32(v) for v in src]
+        assert guarded.crc_list(src)() == zlib_crcs(src)
 
 
 # ----------------------------------------------------------------------
@@ -470,8 +470,10 @@ class TestCrcMoversMatchZlib:
     def test_seal_and_landed_crcs_equal_zlib(self, views):
         from repro.exchange.envelope import checksum
 
-        want = [zlib.crc32(v.tobytes()) for v in views]
-        assert [checksum(v) for v in views] == want
+        want = zlib_crcs([v.tobytes() for v in views])
+        assert zlib_crcs(views) == np.array(
+            [checksum(v) for v in views], dtype=np.uint32
+        ).tobytes() == want
         for name, crc_list, copy_crc_list in _crc_tiers():
             assert crc_list(views)() == want, name
             landed = [np.full(v.size, 0xA5, dtype=np.uint8) for v in views]
@@ -487,7 +489,17 @@ class TestCrcMoversMatchZlib:
         lengths = list(range(300)) + [4096, 4097, 8191, 12345, 32768, 229_376]
         for start in (0, 1, 3):
             views = [pool[start : start + n] for n in lengths]
-            assert movers.crc_list(views)() == [zlib.crc32(v) for v in views]
+            assert movers.crc_list(views)() == zlib_crcs(views)
+
+    def test_every_length_to_1100_at_every_offset(self):
+        """The host build's fold -- the 512-bit one where this CPU and
+        compiler take AVX-512 with VPCLMULQDQ -- against ``zlib.crc32``;
+        ``tests/test_kernel_flags.py`` runs the same over the portable
+        build's 128-bit fold."""
+        movers = _c_movers()
+        if movers.crc_refusal:
+            pytest.skip(movers.crc_refusal)
+        crc_lengths_match_zlib(movers)
 
     def test_a_cpu_without_carry_less_multiply_checksums_with_zlib(
         self, monkeypatch

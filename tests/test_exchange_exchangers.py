@@ -423,7 +423,8 @@ class TestBothCopyTiers:
         assert made["gather"] == made["scatter"] == packs * wired
         assert made["copy_list"] == (not verify_wire) * wired
         assert made["crc_list"] == made["copy_crc_list"] == verify_wire * wired
-        assert run.copy_backend == "cffi"
+        fold = f" (crc fold {cbackend.mover_kernel().crc_fold})"
+        assert run.copy_backend == "cffi" + verify_wire * fold
         assert run.global_result.tobytes() == want
         ledger = run.metrics.ranks[0]
         assert (ledger.timesteps, ledger.exchanges) == (_TIER_STEPS, _TIER_STEPS)

@@ -59,6 +59,16 @@ class TestEnvelopeHelpers:
             verify(env, buf, expected_seq=4, edge=(0, 1, 42))
 
 
+def _queued(fab, dst, src):
+    """The wire items queued for *dst* from *src*, each with its own
+    envelope: a clean post's plain deposit is expanded from its cut's."""
+    return [
+        item
+        for deposit in fab._ports[dst].fifos[src]
+        for item in fab._guard.expand(dst, deposit)[1]
+    ]
+
+
 class _Pair:
     """Rank 0 sends *tags* to rank 1 over one bound request each."""
 
@@ -140,7 +150,7 @@ class TestVerifiedDelivery:
         pair.recv()
         again = _Pair(fab=pair.fab)
         again.post()
-        ((_key, _view, env, _wire),) = pair.fab._ports[1].items([0])
+        ((_key, _view, env, _wire),) = _queued(pair.fab, 1, 0)
         assert env.seq == 2
         again.recv()
         assert again.delivered()
@@ -267,7 +277,7 @@ class TestVerifiedDelivery:
         fab.set_epoch(0, 1)
         fab.post_send_batch(six)
         pair.recv()  # the retry: takes the pristine (0, 5) only
-        assert [(item[0], item[2].seq) for item in fab._ports[1].items([0])] == [
+        assert [(item[0], item[2].seq) for item in _queued(fab, 1, 0)] == [
             ((0, 6), 2)
         ]
         fab.post_send_batch(five)
@@ -558,6 +568,48 @@ class TestTheGuardJudgesACut:
         fab.complete_recv_batch(cut.receiver)
         assert cut.delivered() and fab.stats[1].recvs == cut.N
 
+    @pytest.mark.parametrize("forged", ["crc", "seq"])
+    def test_a_vector_envelope_that_fails_falls_to_the_item_path(
+        self, binders, forged, monkeypatch
+    ):
+        # A clean post's one envelope with item 17's CRC flipped, or its
+        # sequence number skipped: the vector compare fails, the same
+        # deposits go to the per-item path, and it names item 17 alone.
+        cut = _Cut39(binders)
+        fab, guard = cut.fab, cut.fab._guard
+        judged = []
+        real_accept = guard.accept
+        monkeypatch.setattr(
+            guard, "accept",
+            lambda c, item, crc, epoch: judged.append(item[0])
+            or real_accept(c, item, crc, epoch),
+        )
+        for rank in (0, 1):
+            fab.set_epoch(rank, 0)
+        fab.post_send_batch(cut.sender)
+        ((_dst, deposit),) = cut.sender.deposits
+        assert fab._ports[1].fifos[0][0] is deposit  # the plain post's own
+        stamp = cut.sender.credit.envelope
+        if forged == "crc":
+            crcs = bytearray(stamp.crcs)
+            crcs[4 * 17] ^= 1
+            cut.sender.credit.envelope = stamp._replace(crcs=bytes(crcs))
+            match = r"checksum mismatch on \(src=0, dst=1, tag=17, seq=1\)"
+        else:
+            seqs = np.frombuffer(stamp.seqs, np.int64).copy()
+            seqs[17] += 1
+            cut.sender.credit.envelope = stamp._replace(seqs=seqs.tobytes())
+            match = r"sequence gap on \(src=0, dst=1, tag=17\): got seq 2, expected 1"
+        with pytest.raises(ExchangeIntegrityError, match=match):
+            fab.complete_recv_batch(cut.receiver)
+        assert judged == [(0, 17)]
+        assert fab.stats[1].recvs == cut.N - 1 and fab.pending_messages == 1
+        assert cut.sender.credit.outstanding == 1
+        assert cut.delivered()
+        # The CRC compare follows the landing call; a sequence mismatch
+        # is found before it, so only the per-item path landed bytes.
+        assert cut.check.calls == (2 if forged == "crc" else 1)
+
     def test_stray_key_is_a_protocol_error_before_any_byte(self, binders):
         from repro.simmpi.fabric import ProtocolError
 
@@ -614,3 +666,44 @@ class TestTheGuardJudgesACut:
             assert check.built == epoch + 1
         assert check.calls == 4
         assert fab._guard.delivered[(0, 1, 3)] == (4, None)
+
+
+@pytest.mark.parametrize("method", ["layout", "memmap", "yask", "mpi_types", "shift"])
+def test_a_clean_verified_run_judges_no_item(method, monkeypatch):
+    """Every exchange of a clean verified 2 x 2 x 2 run takes the common
+    case -- one seal, one copy-and-check, two vector compares per cut --
+    and never reaches the per-item path; and the run is the plain run,
+    bit for bit, on the same ledger."""
+    from repro.core.driver import run_executed
+    from repro.core.problem import StencilProblem
+    from repro.exchange.envelope import EnvelopeGuard
+    from repro.stencil.spec import SEVEN_POINT
+    from repro.vmem import realmap_available
+
+    if method == "memmap" and not realmap_available():
+        pytest.skip("memmap needs memfd_create + mmap(MAP_FIXED)")
+    problem = StencilProblem(
+        (32, 32, 32), (2, 2, 2), SEVEN_POINT, brick_dim=(8, 8, 8), ghost=8
+    )
+    plain = run_executed(problem, method, timesteps=3)
+    judged = []
+    for owner, name in (
+        (EnvelopeGuard, "accept"), (EnvelopeGuard, "sift"),
+        (SimFabric, "_land_faulted"),
+    ):
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name, **kw):
+            judged.append(_name)
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(owner, name, counted)
+    guarded = run_executed(problem, method, timesteps=3, verify_wire=True)
+    assert judged == []
+    assert guarded.global_result.tobytes() == plain.global_result.tobytes()
+    assert guarded.fabric.total_stats() == plain.fabric.total_stats()
+    for want, got in zip(plain.metrics.ranks, guarded.metrics.ranks):
+        assert got.totals.as_dict() == want.totals.as_dict()
+        assert (got.timesteps, got.exchanges, got.messages, got.wire_bytes) == (
+            want.timesteps, want.exchanges, want.messages, want.wire_bytes
+        )

@@ -659,7 +659,8 @@ class TestBatchedFabric:
         receiver = fabric.bind_request(1, [], [(0, 7, out)], wire_copy)
         fabric.enable_envelope()
         fabric.post_send_batch(sender)
-        ((_key, _view, env, _wire),) = fabric._ports[1].items([0])
+        (deposit,) = fabric._ports[1].fifos[0]
+        ((_key, _view, env, _wire),) = fabric._guard.expand(1, deposit)[1]
         assert env == seal(buf, seq=1)
         buf[0] = -1.0  # changed in flight: the landed bytes do not verify
         with pytest.raises(RuntimeError, match="checksum mismatch"):

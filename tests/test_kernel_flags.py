@@ -14,6 +14,7 @@ from repro.stencil import cbackend
 from repro.stencil.plan import ArrayStencilPlan, compile_array_plan
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import SEVEN_POINT
+from tests.conftest import crc_lengths_match_zlib
 
 REFUSED = ("-O1", "-ftree-vectorize", "-march=no-such-cpu")
 
@@ -92,3 +93,17 @@ def test_refused_host_flags_rebuild_once_per_process(fresh_process, monkeypatch)
         np.testing.assert_array_equal(
             run.global_result.view(np.uint64), ref.view(np.uint64)
         )
+
+
+def test_the_portable_build_folds_128_bits_as_zlib_does(fresh_process, monkeypatch):
+    """The unit rebuilt with the portable flags names no AVX-512, so its
+    CRC pair takes the 128-bit fold (where the CPU has carry-less
+    multiply at all) -- and agrees with ``zlib.crc32`` at every length
+    and offset the host build is held to."""
+    monkeypatch.setattr(cbackend, "_HOST_FLAGS", REFUSED)
+    movers = cbackend.mover_kernel()
+    assert cbackend.kernel_flags()[0] == cbackend._PORTABLE_FLAGS
+    if movers.crc_refusal:
+        pytest.skip(movers.crc_refusal)
+    assert movers.crc_fold == 128
+    crc_lengths_match_zlib(movers)

@@ -31,12 +31,17 @@ and the fabric's post + receive + send-wait over the messages of
 ``yask`` / ``layout`` / ``memmap``: us per side and GB/s (read + write)
 beside a flat ``np.copyto`` of the same bytes.
 
-The ``guard`` section (EXPERIMENTS.md, "The guard judges a cut") times
-the same self-exchange on a *verified* fabric, for the Layout (39 items
-on ``strong16``) and Pack (26) item lists: the post (sequence stamp +
+The ``guard`` section (EXPERIMENTS.md, "The guard judges a cut" and
+"The verified cut at the plain cut's cost") times the same
+self-exchange on a *verified* fabric, for the Layout (39 items on
+``strong16``) and Pack (26) item lists: the post (sequence stamp +
 seal) and the receive (copy + check + credit) per exchange side, in us
-and in GB/s of bytes sealed / landed, beside ``zlib.crc32`` over one
-flat buffer of the same bytes and the flat copy.
+and in GB/s of bytes sealed / landed, and the two bound calls alone,
+beside ``zlib.crc32`` over one flat buffer of the same bytes and the
+flat copy.  Before the timed cuts, checked cuts fill every send view
+with fresh random bytes, then compare every landed byte with the view
+it came from and every CRC both calls return with ``zlib.crc32``; a
+difference exits non-zero.
 
 The ``fabric`` section (EXPERIMENTS.md, "One handoff per exchange") is
 the bound fabric alone, with no kernel and no hooks: 8 rank threads --
@@ -45,9 +50,11 @@ Layout item list (39 items per rank-side on a 2 x 2 x 2 world) over two
 alternating bound cuts, as the run plan fires the two slots' channels
 (each exchange, then the other slot's send wait before its sweep would
 write it).  Once with 8 B per item (312 B per side) and once with the
-real bytes: us per step and per rank-side, voluntary context switches
-per step (``getrusage``: the handoffs), and the same items
-self-exchanged by one rank, which has no handoff.  Before the timed
+real bytes, and once more with the real bytes on a *verified* fabric
+(each cut sealed on post and checked on receive): us per step and per
+rank-side, voluntary context switches per step (``getrusage``: the
+handoffs), and the same items self-exchanged by one rank, which has no
+handoff.  Before the timed
 steps, checked steps stamp every send buffer and compare every landed
 byte; after them, every ghost buffer holds its sender's last stamp.
 
@@ -255,6 +262,49 @@ def measure_copy(name):
     return out
 
 
+def _crc_ints(crcs):
+    """A CRC call's output as a list of ints: packed ``uint32`` bytes in a
+    tree whose calls return them, a list in one whose calls return that."""
+    import numpy as np
+
+    return np.frombuffer(crcs, np.uint32).tolist() if isinstance(crcs, bytes) else list(crcs)
+
+
+def _check_guard(cut, fabric, rng, rounds=3):
+    """Checked cuts: fresh random bytes in every send view, then every
+    landed byte against its send view and both bound calls' CRCs against
+    ``zlib.crc32``; exits non-zero on a difference."""
+    import zlib
+
+    import numpy as np
+
+    sends = {item[0]: item[1] for _dst, group, _n in cut.groups for item in group}
+    recvs = list(cut.rmap.items())
+    for _ in range(rounds):
+        for view in sends.values():
+            view[:] = rng.integers(0, 256, view.size, dtype=np.uint8)
+        fabric.post_send_batch(cut)
+        fabric.complete_recv_batch(cut)
+        fabric.wait_send_batch(cut)
+        for key, recv in recvs:
+            if recv.tobytes() != sends[key].tobytes():
+                raise SystemExit(f"landed bytes of {key} differ from the sent ones")
+        if _crc_ints(cut.sealed.crcs()) != [zlib.crc32(v) for v in sends.values()]:
+            raise SystemExit("the seal call's CRCs differ from zlib.crc32")
+        check = getattr(cut.checked, "copy_crcs", None) or cut.copy
+        if _crc_ints(check()) != [zlib.crc32(recv) for recv in _check_order(cut)]:
+            raise SystemExit("the copy-and-check call's CRCs differ from zlib.crc32")
+
+
+def _check_order(cut):
+    """The receive views in the order the copy-and-check call's table
+    lists them: the deposits' items (a tree that freezes it on the cut's
+    ``frozen`` deposits) or the cut's own order."""
+    if getattr(cut.checked, "copy_crcs", None) is None:
+        return [cut.rmap[item[0]] for _credit, items in cut.frozen for item in items]
+    return list(cut.rmap.values())
+
+
 def measure_guard(name):
     """Seal and verified receive of one cut, per side."""
     import zlib
@@ -270,6 +320,7 @@ def measure_guard(name):
         fabric = wire._fabric
         nbytes = result.wire_bytes_sent
         wire.exchange()  # the first fire freezes the tables
+        _check_guard(cut, fabric, rng)
         seal, check = [], []
         for _ in range(15):
             stamps = [time.perf_counter()]
@@ -289,15 +340,16 @@ def measure_guard(name):
         out[f"seal_{row}_gbs"] = nbytes / statistics.median(seal) / 1e3
         out[f"check_{row}_gbs"] = nbytes / statistics.median(check) / 1e3
         out[f"cut_{row}_us"] = out[f"seal_{row}_us"] + out[f"check_{row}_us"]
-        # The two bound calls alone (a tree whose guard judges a cut).
-        for call, table, attr in (
-            ("seal", "sealed", "crcs"), ("check", "checked", "copy_crcs")
+        # The two bound calls alone: the seal, and the copy-and-check --
+        # on the guard's view of the cut, or (a tree whose fabric freezes
+        # it) the cut's own wire call.
+        for call, bound_call in (
+            ("seal", cut.sealed.crcs),
+            ("check", getattr(cut.checked, "copy_crcs", None) or cut.copy),
         ):
-            bound_call = getattr(getattr(cut, table, None), attr, None)
-            if bound_call is not None:
-                us = side_us(bound_call)
-                out[f"{call}_call_{row}_us"] = us
-                out[f"{call}_call_{row}_gbs"] = nbytes / us / 1e3
+            us = side_us(bound_call)
+            out[f"{call}_call_{row}_us"] = us
+            out[f"{call}_call_{row}_gbs"] = nbytes / us / 1e3
         del alive
     flat = rng.integers(0, 256, out["layout_bytes"], dtype=np.uint8)
     landed = np.empty_like(flat)
@@ -389,8 +441,18 @@ def measure_fabric(name, checked=4, samples=5, steps=60):
         median = statistics.median
         return median(seconds) / steps * 1e6, median(switches) / steps
 
+    def fabric(nranks, verified):
+        made = SimFabric(nranks, timeout=30.0)
+        if verified:
+            made.enable_envelope()
+        return made
+
     out = {"items_per_side": len(plans[0].sends)}
-    for label, per_item in (("8B_items", lambda b: 8), ("real", lambda b: b)):
+    for label, per_item, verified in (
+        ("8B_items", lambda b: 8, False),
+        ("real", lambda b: b, False),
+        ("verified", lambda b: b, True),
+    ):
         out[f"bytes_per_side.{label}"] = sum(per_item(m.nbytes) for m in plans[0].sends)
 
         def rank_fn(comm):
@@ -402,14 +464,14 @@ def measure_fabric(name, checked=4, samples=5, steps=60):
                 per_item,
             )
 
-        world = run_spmd(8, rank_fn, fabric=SimFabric(8, timeout=30.0))
+        world = run_spmd(8, rank_fn, fabric=fabric(8, verified))
         step_us, switches = per_step(world[0])
         out[f"step_us.{label}"] = step_us
         out[f"side_us.{label}"] = step_us / 8
         out[f"switches_per_step.{label}"] = switches
         # Rank 0's receives, each from itself: the same items, no handoff.
         items = [(0, m.tag, m.nbytes) for m in plans[0].recvs]
-        alone = drive(SimComm(SimFabric(1, timeout=30.0), 0), items, items, per_item)
+        alone = drive(SimComm(fabric(1, verified), 0), items, items, per_item)
         out[f"self_side_us.{label}"] = per_step(alone)[0]
     return out
 
