@@ -90,6 +90,7 @@ def _build_problem(args):
 def _cmd_run(args) -> int:
     from repro import obs
     from repro.core.driver import run_executed
+    from repro.stencil import cbackend
     from repro.stencil.reference import apply_periodic_reference
 
     problem = _build_problem(args)
@@ -153,6 +154,7 @@ def _cmd_run(args) -> int:
         print(f"mmap views: {run.mapping_count} requested chunks (vm.max_map_count)")
     print(f"kernel backend: {run.kernel_backend}")
     print(f"copy backend: {run.copy_backend}")
+    print(f"kernel cache: {cbackend.cache_line()}")
     exact = None
     if problem.periodic:
         ref = apply_periodic_reference(
@@ -178,6 +180,7 @@ def _cmd_run(args) -> int:
             "mapping_count": run.mapping_count,
             "kernel_backend": run.kernel_backend,
             "copy_backend": run.copy_backend,
+            "kernel_cache": cbackend.cache_state(),
             "gstencils_per_s": m.gstencils_per_s,
             "phases_s": {
                 p: vars(m.phase(p))

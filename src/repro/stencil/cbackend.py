@@ -68,15 +68,28 @@ threads genuinely overlap inside the kernel.
 No build-system dependency: the generated translation unit is compiled
 with the system ``cc`` straight into a shared object and loaded through
 ``cffi``'s ABI mode (``dlopen``), sidestepping setuptools entirely.
+
+A unit is compiled once per host, not once per process: every unit that
+builds is published to ``${XDG_CACHE_HOME:-~/.cache}/repro/kernels/<key>.so``
+and later processes load it from there.  The key is a SHA-256 over all
+that decides the binary -- the C text, every compile flag, and the
+compiler's own account of its target (its ``-###`` dry run: version, and
+what ``-march=native`` means on this CPU); an entry ends with the digest
+of its bytes, and one that does not match it is rebuilt, never loaded.
+A directory not owned by the user, or writable by anyone else, is not
+used: the unit is built per process and :func:`cache_state` says why.
+Refusals are never stored.
 """
 
 from __future__ import annotations
 
 import atexit
 import functools
+import hashlib
 import math
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
 import threading
@@ -103,6 +116,8 @@ __all__ = [
     "bounds_guard_enabled",
     "brick_stage_boxes",
     "c_tier",
+    "cache_line",
+    "cache_state",
     "kernel_env",
     "kernel_flags",
     "mover_kernel",
@@ -118,7 +133,14 @@ except ImportError:  # pragma: no cover - environment without cffi
 _lock = threading.Lock()
 # specialization key -> loaded kernel, or the reason it could not be built
 _kernels: Dict[Tuple, Union[Callable, "KernelBuildError"]] = {}
+# build directories of units still being built: what a crash leaves
 _build_dirs: list = []
+# this process's units: how many it compiled and how many it loaded from
+# the cache, the cache directory the last one used, or why it could not
+_cache_state = {"built": 0, "loaded": 0, "dir": "", "off": ""}
+_count_lock = threading.Lock()  # _build / _build_array run unlocked
+#: what ends a published entry, before the SHA-256 of the bytes ahead
+_ENTRY_TAG = b"\0repro-kernel-sha256\0"
 
 #: sanitizers REPRO_CC_SANITIZE may request, mapped to compile flags
 _SANITIZERS = {
@@ -150,6 +172,8 @@ _HOST_FLAGS = (
 #: (GCC on POWER spells it ``-mcpu=native``; ``--param`` is GCC's own):
 #: baseline SIMD for the target, the same bits.
 _PORTABLE_FLAGS = ("-O1", "-ftree-vectorize")
+#: what every unit is built with besides its optimisation and extra flags
+_UNIT_FLAGS = ("-fPIC", "-shared", "-ffp-contract=off")
 # Whether the compiler took _HOST_FLAGS in this process: None until a
 # unit has been built, "" once it did, else the first line of its
 # refusal -- after which every unit is built with _PORTABLE_FLAGS.
@@ -1051,62 +1075,195 @@ def _compile(cmd: List[str]) -> Optional[Tuple[KernelBuildError, str]]:
     return None
 
 
+def cache_state() -> Dict[str, object]:
+    """This process's kernel cache: the units it ``built`` (compiled) and
+    ``loaded`` (taken from the cache) so far, the ``dir`` they go to, and
+    ``off`` -- why the last unit could not use the cache (``""``: it
+    could)."""
+    return dict(_cache_state)
+
+
+def cache_line() -> str:
+    """:func:`cache_state` as a run reports it: ``"0 built, 2 loaded
+    (~/.cache/repro/kernels)"`` or ``"off (<why>)"``."""
+    state = _cache_state
+    if state["off"]:
+        return f"off ({state['off']})"
+    home = os.path.expanduser("~")
+    where = state["dir"]
+    if where.startswith(home + os.sep):
+        where = "~" + where[len(home):]
+    return f"{state['built']} built, {state['loaded']} loaded ({where})"
+
+
+def _cache_dir() -> Tuple[str, str]:
+    """``(directory, "")`` of the kernel cache -- created ``0700`` if it
+    is missing -- or ``("", why it is not used)``: it cannot be made, or
+    it is not a directory of this user's that only this user can write.
+    A relative ``XDG_CACHE_HOME`` is ignored, as the XDG spec asks."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(base, "repro", "kernels")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.lstat(path)
+    except OSError as err:
+        return "", f"cannot create {path}: {err.strerror or err}"
+    if not stat.S_ISDIR(st.st_mode):
+        return "", f"{path} is not a directory"
+    if st.st_uid != os.getuid():
+        return "", f"{path} is not owned by this user"
+    if st.st_mode & 0o022:
+        return "", f"{path} is writable by group or others"
+    return path, ""
+
+
+@functools.lru_cache(maxsize=None)
+def _target(cc: str, flags: Tuple[str, ...]) -> str:
+    """The compiler's own account of what it builds with *flags*: the
+    stderr of its ``-###`` dry run, which names its version and what
+    ``-march=native`` expands to on this CPU (one ~2 ms run per flag set
+    and process)."""
+    try:
+        done = subprocess.run(
+            [cc, *flags, "-###", "-E", "-x", "c", os.devnull],
+            capture_output=True, timeout=120,
+        )
+    except (OSError, subprocess.SubprocessError) as err:
+        raise KernelBuildError(f"{cc} did not run: {err}") from None
+    return done.stderr.decode(errors="replace")
+
+
+def _entry_key(cc: str, text: str, flags: Tuple[str, ...]) -> str:
+    """The cache key of *text* built with *flags*."""
+    account = _target(cc, flags)
+    return hashlib.sha256(repr((text, flags, account)).encode()).hexdigest()
+
+
+def _whole(entry: str) -> bool:
+    """Whether *entry* is as it was published: its bytes end with
+    :data:`_ENTRY_TAG` and the SHA-256 of the bytes before them."""
+    try:
+        with open(entry, "rb") as fh:
+            blob = fh.read()
+    except OSError:
+        return False
+    cut = len(blob) - len(_ENTRY_TAG) - 32
+    return (
+        cut > 0
+        and blob[cut:-32] == _ENTRY_TAG
+        and hashlib.sha256(blob[:cut]).digest() == blob[-32:]
+    )
+
+
+def _publish(so_path: str, entry: str) -> None:
+    """Seal *so_path* with its digest and move it to *entry* in one
+    ``os.replace``: concurrent builders of one key leave one whole file,
+    and a process that has the old one loaded keeps its own inode."""
+    with open(so_path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).digest()
+    with open(so_path, "ab") as fh:
+        fh.write(_ENTRY_TAG + digest)
+    os.replace(so_path, entry)
+
+
+def _count(outcome: str) -> None:
+    with _count_lock:
+        _cache_state[outcome] += 1
+
+
 def _load(
     source: str, name: str, args: str, guard: bool, extra_flags: Sequence[str]
 ):
-    """Compile *source* and return ``(ffi, lib.<name>, lib)``.  The
-    first unit built with *extra_flags* also carries
-    :data:`MOVER_SOURCE` and is where :func:`mover_kernel` finds the
-    movers (*name* ``""``: the movers alone, no kernel function).
+    """Compile *source* -- or load it from the kernel cache -- and return
+    ``(ffi, lib.<name>, lib)``.  The first unit loaded with *extra_flags*
+    also carries :data:`MOVER_SOURCE` and is where :func:`mover_kernel`
+    finds the movers (*name* ``""``: the movers alone, no kernel
+    function).
 
     Built with the host flags; if the process's first build is refused
     and the portable flags build the same unit, the refusal is kept and
     every later unit goes straight to the portable flags -- one extra
     compiler invocation per process, none where the host flags are
-    taken.  Raises :class:`KernelBuildError` naming what refused: no
-    ``cffi``, no compiler, or the compiler's / loader's own first words.
+    taken.  A cache hit counts as the build it stands for.  Raises
+    :class:`KernelBuildError` naming what refused: no ``cffi``, no
+    compiler, or the compiler's / loader's own first words.
     """
     global _flags_refusal
     missing = toolchain_missing()
     if missing:
         raise KernelBuildError(missing)
     cc = _compiler()
-    workdir = tempfile.mkdtemp(prefix="repro-ckernel-")
-    _build_dirs.append(workdir)
-    c_path = os.path.join(workdir, "kernel.c")
-    so_path = os.path.join(workdir, "kernel.so")
     flags = tuple(extra_flags)
     carries_movers = flags not in _mover_libs
-    with open(c_path, "w") as fh:
-        fh.write(source + MOVER_SOURCE if carries_movers else source)
+    text = source + MOVER_SOURCE if carries_movers else source
+    cache, _cache_state["off"] = _cache_dir()
+    _cache_state["dir"] = cache
+    workdir = ""
 
-    def build(opt: Tuple[str, ...]):
-        return _compile([
-            cc, *opt, "-fPIC", "-shared", "-ffp-contract=off", *flags,
-            "-o", so_path, c_path,
+    def obtain(opt: Tuple[str, ...]):
+        """``(path of the unit built with *opt*, None)``, or ``("", the
+        refusal)``: a cache hit, else a build published to the cache."""
+        nonlocal cache, workdir
+        unit_flags = (*opt, *_UNIT_FLAGS, *flags)
+        entry = cache and os.path.join(
+            cache, _entry_key(cc, text, unit_flags) + ".so"
+        )
+        if entry and _whole(entry):
+            _count("loaded")
+            return entry, None
+        if not workdir:
+            try:
+                workdir = tempfile.mkdtemp(prefix="repro-ckernel-", dir=cache or None)
+            except OSError as err:
+                _cache_state["off"] = f"cannot write {cache}: {err.strerror or err}"
+                cache = entry = ""
+                workdir = tempfile.mkdtemp(prefix="repro-ckernel-")
+            _build_dirs.append(workdir)
+            with open(os.path.join(workdir, "kernel.c"), "w") as fh:
+                fh.write(text)
+        so_path = os.path.join(workdir, "kernel.so")
+        refused = _compile([
+            cc, *unit_flags, "-o", so_path, os.path.join(workdir, "kernel.c"),
         ])
+        if refused is not None:
+            return "", refused
+        _count("built")
+        if entry:
+            try:
+                _publish(so_path, entry)
+                return entry, None
+            except OSError as err:
+                _cache_state["off"] = f"cannot write {cache}: {err.strerror or err}"
+        return so_path, None
 
-    refused = build(_PORTABLE_FLAGS if _flags_refusal else _HOST_FLAGS)
-    if refused is not None and _flags_refusal is None:
-        # No unit has answered yet: were the host flags what it refused?
-        retry = build(_PORTABLE_FLAGS)
-        if retry is None:
-            _flags_refusal = refused[1]
-        refused = retry
-    if refused is not None:
-        raise refused[0]
-    if _flags_refusal is None:
-        _flags_refusal = ""
-    ffi = cffi.FFI()
-    if carries_movers:
-        ffi.cdef(_MOVER_CDEF)
-    if name:
-        ret = "int64_t" if guard else "void"
-        ffi.cdef(f"{ret} {name}({args}{_GUARD_ARGS if guard else ''});")
     try:
-        lib = ffi.dlopen(so_path)
-    except OSError as err:
-        raise KernelBuildError(f"dlopen of the built kernel: {err}") from None
+        path, refused = obtain(_PORTABLE_FLAGS if _flags_refusal else _HOST_FLAGS)
+        if refused is not None and _flags_refusal is None:
+            # No unit has answered yet: were the host flags what it refused?
+            path, retry = obtain(_PORTABLE_FLAGS)
+            if retry is None:
+                _flags_refusal = refused[1]
+            refused = retry
+        if refused is not None:
+            raise refused[0]
+        if _flags_refusal is None:
+            _flags_refusal = ""
+        ffi = cffi.FFI()
+        if carries_movers:
+            ffi.cdef(_MOVER_CDEF)
+        if name:
+            ret = "int64_t" if guard else "void"
+            ffi.cdef(f"{ret} {name}({args}{_GUARD_ARGS if guard else ''});")
+        try:
+            lib = ffi.dlopen(path)
+        except OSError as err:
+            raise KernelBuildError(f"dlopen of the built kernel: {err}") from None
+    finally:
+        if workdir:  # the loaded library outlives its file
+            shutil.rmtree(workdir, ignore_errors=True)
+            _build_dirs.remove(workdir)
     if carries_movers:
         _mover_libs[flags] = (ffi, lib)
     return ffi, getattr(lib, name) if name else None, lib
@@ -1334,6 +1491,8 @@ class Movers:
 
 @atexit.register
 def _cleanup() -> None:  # pragma: no cover - exit path
+    """Remove the build directories a build left when it was cut short;
+    every finished build removes its own."""
     for d in _build_dirs:
         shutil.rmtree(d, ignore_errors=True)
 

@@ -12,6 +12,23 @@ from repro.stencil.cbackend import mover_kernel
 from repro.stencil.spec import SEVEN_POINT, star_stencil
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache_home(tmp_path_factory):
+    """The session's kernel cache: a temporary ``XDG_CACHE_HOME``, so no
+    test -- nor any process a test starts -- writes the developer's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
+@pytest.fixture
+def empty_kernel_cache(monkeypatch, tmp_path):
+    """An empty kernel cache, for a test whose count of compiler runs
+    means one per unit: every unit it loads is a miss."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg-cache"))
+    return tmp_path / "xdg-cache" / "repro" / "kernels"
+
+
 @pytest.fixture
 def theta():
     return theta_knl()

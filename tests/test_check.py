@@ -440,7 +440,9 @@ class TestCBackend:
         assert "probe forced false" in finding.message
         assert "zlib.crc32" in finding.message
 
-    def test_movers_cost_no_compiler_invocation_of_their_own(self, monkeypatch):
+    def test_movers_cost_no_compiler_invocation_of_their_own(
+        self, monkeypatch, empty_kernel_cache
+    ):
         """They ride in the kernels' translation units: a process that
         builds a kernel first -- every run does -- builds nothing for
         the movers; only one that asks for them cold builds stand-alone."""

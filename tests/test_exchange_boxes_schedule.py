@@ -502,7 +502,7 @@ class TestCrcMoversMatchZlib:
         crc_lengths_match_zlib(movers)
 
     def test_a_cpu_without_carry_less_multiply_checksums_with_zlib(
-        self, monkeypatch
+        self, monkeypatch, empty_kernel_cache
     ):
         """The probe forced false: the movers still resolve and their
         copies engage; the CRC binders say why they cannot, and a

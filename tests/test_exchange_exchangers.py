@@ -429,7 +429,9 @@ class TestBothCopyTiers:
         ledger = run.metrics.ranks[0]
         assert (ledger.timesteps, ledger.exchanges) == (_TIER_STEPS, _TIER_STEPS)
 
-    def test_a_declined_crc_mover_is_reported_not_silent(self, monkeypatch):
+    def test_a_declined_crc_mover_is_reported_not_silent(
+        self, monkeypatch, empty_kernel_cache
+    ):
         """A CPU (or toolchain) that cannot fold a CRC: a verified run
         seals and checks with ``zlib.crc32`` around the C copy, says so
         where the movers are reported, and computes the same field; a

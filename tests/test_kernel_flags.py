@@ -20,10 +20,11 @@ REFUSED = ("-O1", "-ftree-vectorize", "-march=no-such-cpu")
 
 
 @pytest.fixture
-def fresh_process(monkeypatch):
-    """A process that has built nothing yet.  Returns ``(loads, runs)``,
-    filled as it builds: the kernel name of every :func:`cbackend._load`
-    call and the argv of every compiler run."""
+def fresh_process(monkeypatch, empty_kernel_cache):
+    """A process that has built nothing yet, over an empty kernel cache.
+    Returns ``(loads, runs)``, filled as it builds: the kernel name of
+    every :func:`cbackend._load` call and the argv of every compiler run
+    that builds (its ``-###`` account of its target builds nothing)."""
     monkeypatch.setattr(cbackend, "_flags_refusal", None)
     monkeypatch.setattr(cbackend, "_kernels", {})
     monkeypatch.setattr(cbackend, "_mover_libs", {})
@@ -35,7 +36,8 @@ def fresh_process(monkeypatch):
         return real_load(*args)
 
     def run(cmd, *args, **kw):
-        runs.append(cmd)
+        if "-###" not in cmd:
+            runs.append(cmd)
         return real_run(cmd, *args, **kw)
 
     monkeypatch.setattr(cbackend, "_load", load)

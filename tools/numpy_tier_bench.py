@@ -17,7 +17,8 @@ The ``kernel`` section (EXPERIMENTS.md, "Kernels for the host") times
 the C kernels on one rank's compute slots and extended array: the brick
 and array step time (medians of 15 samples of 40 steps, each result
 checked bit-for-bit against the generic kernels), ``cc`` + load time per
-kernel, each kernel's GB/s (``bytes_per_point`` per cell) as a fraction
+kernel built into an empty kernel cache and its load time from the
+cache, each kernel's GB/s (``bytes_per_point`` per cell) as a fraction
 of a flat ``np.copyto`` of the rank's extended array -- how far the
 kernels are from the copy ceiling (ROADMAP item 3) -- and its GFLOP/s,
 the ceiling a tap-bound kernel meets first.
@@ -75,9 +76,11 @@ section (default 7), and prints the medians of those.
 
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 GEOMETRIES = {  # halobench's per-rank subdomains: 8^3 bricks, ghost 8
@@ -143,10 +146,12 @@ def check_bits(spec, extent, ghost, bricks, arrays, plan, aplan):
 
 def measure_kernel(name):
     """The C tier on one rank's compute slots: step time, ``cc`` + load
-    per kernel (median of 3 builds of its source, the movers' unit built
-    first so neither carries them), GB/s -- ``bytes_per_point`` per
-    computed cell -- against a flat ``np.copyto`` of the rank's extended
-    array (read + write), and GFLOP/s (``flops_per_point``)."""
+    per kernel (median of 3 builds of its source into an empty kernel
+    cache, the movers' unit built first so neither carries them), load
+    per kernel from the cache (median of 3 hits), GB/s --
+    ``bytes_per_point`` per computed cell -- against a flat
+    ``np.copyto`` of the rank's extended array (read + write), and
+    GFLOP/s (``flops_per_point``)."""
     import numpy as np
 
     from repro.stencil import cbackend
@@ -163,13 +168,25 @@ def measure_kernel(name):
         "brick_step_ms": median_ms(lambda: plan.execute(src, dst), calls=40),
         "array_step_ms": median_ms(lambda: aplan.execute(arr, out), calls=40),
     }
-    for row, build, source in (
-        ("brick", cbackend._build, plan._ckernel.__source__),
-        ("array", cbackend._build_array, aplan._ckernel.__source__),
-    ):
-        result[f"{row}_cc_ms"] = statistics.median(
-            timed(lambda: build(source))[0] for _ in range(3)
-        )
+    # The builds go to an empty cache of their own: a cc time is a miss
+    # (the cache emptied before each), a load time a hit.
+    with tempfile.TemporaryDirectory() as home:
+        os.environ["XDG_CACHE_HOME"] = home
+
+        def miss(build, source):
+            shutil.rmtree(os.path.join(home, "repro"), ignore_errors=True)
+            return timed(lambda: build(source))[0]
+
+        for row, build, source in (
+            ("brick", cbackend._build, plan._ckernel.__source__),
+            ("array", cbackend._build_array, aplan._ckernel.__source__),
+        ):
+            result[f"{row}_cc_ms"] = statistics.median(
+                miss(build, source) for _ in range(3)
+            )
+            result[f"{row}_load_ms"] = statistics.median(
+                timed(lambda: build(source))[0] for _ in range(3)
+            )
     flat = np.empty_like(arr)
     copy_ms = median_ms(lambda: np.copyto(flat, arr), calls=40)
     result["flat_copy_gbs"] = 2 * arr.nbytes / copy_ms / 1e6
