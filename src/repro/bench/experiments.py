@@ -19,8 +19,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.harness import dims_create
-from repro.core.model import exchange_breakdown, model_timestep
-from repro.exchange.schedule import memmap_schedule
+from repro.core.model import exchange_breakdown, exchange_result, model_timestep
 from repro.hardware.profiles import (
     MachineProfile,
     summit_v100,
@@ -287,12 +286,10 @@ def table2_padding(profile: Optional[MachineProfile] = None) -> Dict:
         "bandwidth_gbs": {"layout_ca": [], "layout_um": [], "memmap_um": []},
     }
     for n in K1_SIZES:
-        grid = (n // 8,) * 3
         # Padding: Layout transmits exactly the payload; MemMap pads each
         # region to page multiples.
-        mm = memmap_schedule(grid, 1, SURFACE3D, 4096, page)
-        payload = sum(m.payload_bytes for m in mm)
-        wire = sum(m.wire_bytes for m in mm)
+        mm = exchange_result(profile, "memmap", (n, n, n), page_size=page)
+        payload, wire = mm.payload_bytes_sent, mm.wire_bytes_sent
         out["padding_pct"]["layout"].append(0.0)
         out["padding_pct"]["memmap"].append(100.0 * (wire - payload) / payload)
         # Achieved bandwidth: wire bytes / (call + wait).
@@ -359,16 +356,16 @@ def table3_costs(profile: Optional[MachineProfile] = None) -> Dict:
     n = 64
     yask = exchange_breakdown(profile, "yask", (n, n, n))
     layout = exchange_breakdown(profile, "layout", (n, n, n))
-    memmap = exchange_breakdown(profile, "memmap", (n, n, n), page_size=65536)
+    mm = exchange_result(profile, "memmap", (n, n, n), page_size=65536)
+    memmap = mm.breakdown
 
     def level(x: float, lo: float, hi: float) -> str:
         if x <= lo:
             return "-"
         return "Low" if x <= hi else "High"
 
-    mm_schedule = memmap_schedule((n // 8,) * 3, 1, SURFACE3D, 4096, 65536)
-    pad = sum(m.wire_bytes - m.payload_bytes for m in mm_schedule)
-    payload = sum(m.payload_bytes for m in mm_schedule)
+    payload = mm.payload_bytes_sent
+    pad = mm.wire_bytes_sent - payload
     extra_msgs_layout = 42 - 26
     return {
         "rows": ["Strided Packing", "Extra Msgs", "Manual CPU-GPU", "Large Page"],
@@ -487,13 +484,12 @@ def d4_brick_size(profile: Optional[MachineProfile] = None) -> Dict:
     out = {"brick": [], "ghost": [], "padding_%": [], "comm_ms": []}
     for b in (4, 8, 16):
         g = max(b, 8)
-        specs = memmap_schedule((n // b,) * 3, g // b, SURFACE3D, b**3 * 8, page)
-        pay = sum(m.payload_bytes for m in specs)
-        wire = sum(m.wire_bytes for m in specs)
-        comm = exchange_breakdown(
+        mm = exchange_result(
             profile, "memmap", (n, n, n), brick_dim=(b,) * 3, ghost=g,
             page_size=page,
-        ).comm
+        )
+        pay, wire = mm.payload_bytes_sent, mm.wire_bytes_sent
+        comm = mm.breakdown.comm
         out["brick"].append(b)
         out["ghost"].append(g)
         out["padding_%"].append(100 * (wire - pay) / pay)

@@ -49,10 +49,15 @@ Thread safety: built before launch, except the on-demand products
 whichever rank asks first; every array exposed is non-writeable and
 every table a tuple, so a rank that writes one raises instead of
 racing.  DESIGN.md 5, "Run geometry".
+
+:func:`subdomain_template` is the same derivation for one subdomain
+with no world launched -- the schedule the any-scale model prices
+(:mod:`repro.core.model`).
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import zlib
 from typing import Dict, Optional, Sequence, Tuple
@@ -60,20 +65,23 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.brick.convert import element_permutation
+from repro.brick.decomp import BrickDecomp
 from repro.core.methods import method_info, resolve_page_size
-from repro.core.model import make_transport
 from repro.core.problem import StencilProblem
 from repro.exchange import bind_tables, make_exchanger, schedule_template
 from repro.exchange.base import (
     Exchanger,
     ExchangeResult,
     RankMessagePlan,
+    ScheduleTemplate,
     price_plan,
 )
 from repro.faults.errors import ExchangeConfigError
+from repro.gpu.transports import make_transport
 from repro.hardware.profiles import MachineProfile, generic_host
+from repro.util.bitset import BitSet
 
-__all__ = ["CHECKABLE_METHODS", "RunGeometry"]
+__all__ = ["CHECKABLE_METHODS", "RunGeometry", "subdomain_template"]
 
 #: Methods with an executable schedule (and so a static check): every
 #: executable CPU scheme plus the degradation ladder's last rung.
@@ -90,6 +98,39 @@ def _partners(plan: RankMessagePlan) -> tuple:
     names one: plans with equal partnered directions have equal specs,
     so one price and one set of bind tables serve them all."""
     return tuple(m.tag for m in plan.sends)
+
+
+@functools.lru_cache(maxsize=None)
+def subdomain_template(
+    base: str,
+    extent: Tuple[int, ...],
+    ghost: int,
+    itemsize: int,
+    brick_dim: Optional[Tuple[int, ...]] = None,
+    layout: Optional[Tuple[BitSet, ...]] = None,
+    page_size: Optional[int] = None,
+) -> ScheduleTemplate:
+    """The :func:`~repro.exchange.schedule_template` of engine *base* for
+    one subdomain of *extent*, with no world launched: the schedule the
+    any-scale model (:mod:`repro.core.model`) prices.
+
+    Array bases take no *brick_dim*.  Brick bases decompose *extent*
+    into *brick_dim* bricks with regions in *layout* order (``None``:
+    the packaged optimal order) and take the slot assignment a launched
+    :class:`RunGeometry` would: page-aligned for *page_size* where one
+    is given (``memmap``), plain otherwise.  Cached per geometry -- the
+    figures price each subdomain for several methods and machines, and
+    one 512^3 assignment takes tens of milliseconds; only the template
+    is kept, not the decomposition's per-brick arrays.
+    """
+    if brick_dim is None:
+        return schedule_template(base, extent, ghost, itemsize)
+    decomp = BrickDecomp(extent, brick_dim, ghost, layout, dtype=f"V{itemsize}")
+    alignment = 1 if page_size is None else decomp.alignment_for_page(page_size)
+    return schedule_template(
+        base, extent, ghost, itemsize, decomp, decomp.assignment(alignment),
+        page_size,
+    )
 
 
 class RunGeometry:

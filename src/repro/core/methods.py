@@ -30,16 +30,8 @@ class MethodInfo:
     base: str  # yask / yask_ol / mpi_types / shift / basic / layout / memmap / network
     transport: Optional[str]  # None (CPU) / "ca" / "um" / "staged"
     uses_bricks: bool
-    uses_views: bool
-    #: where the on-node copy happens: "none" / "pack" (application) /
-    #: "datatype" (inside MPI); same vocabulary as RankMessagePlan.copy
-    copy: str
     overlaps: bool
     compute_kind: str  # "yask" or "brick"
-
-    @property
-    def packs(self) -> bool:
-        return self.copy == "pack"
 
     @property
     def name(self) -> str:
@@ -51,15 +43,15 @@ class MethodInfo:
 
 
 _BASES = {
-    # base: (uses_bricks, uses_views, copy, overlaps, compute_kind)
-    "yask": (False, False, "pack", False, "yask"),
-    "yask_ol": (False, False, "pack", True, "yask"),
-    "mpi_types": (False, False, "datatype", False, "yask"),
-    "shift": (False, False, "pack", False, "yask"),
-    "basic": (True, False, "none", False, "brick"),
-    "layout": (True, False, "none", False, "brick"),
-    "memmap": (True, True, "none", False, "brick"),
-    "network": (True, False, "none", False, "brick"),
+    # base: (uses_bricks, overlaps, compute_kind)
+    "yask": (False, False, "yask"),
+    "yask_ol": (False, True, "yask"),
+    "mpi_types": (False, False, "yask"),
+    "shift": (False, False, "yask"),
+    "basic": (True, False, "brick"),
+    "layout": (True, False, "brick"),
+    "memmap": (True, False, "brick"),
+    "network": (True, False, "brick"),
 }
 
 _TRANSPORTS = ("ca", "um", "staged")
@@ -82,14 +74,16 @@ def method_info(name: str) -> MethodInfo:
             "memmap_ca is not implementable: cudaMalloc memory has no host"
             " page-table mappings to stitch (paper Section 5)"
         )
-    uses_bricks, uses_views, copy, overlaps, compute = _BASES[base]
-    return MethodInfo(base, transport, uses_bricks, uses_views, copy, overlaps, compute)
+    return MethodInfo(base, transport, *_BASES[base])
 
 
 def resolve_page_size(info: MethodInfo, profile, requested: Optional[int]) -> int:
-    """Page size of a run: *requested*, else the machine's -- the GPU's
-    for GPU transports on a profile that has one."""
-    if requested:
+    """Page size of a run: *requested*, else (``None``) the machine's --
+    the GPU's for GPU transports on a profile that has one.  A requested
+    size that is not positive is refused, not replaced."""
+    if requested is not None:
+        if requested <= 0:
+            raise ValueError(f"page_size must be positive, got {requested}")
         return requested
     if info.is_gpu and profile.gpu:
         return profile.gpu.page_size

@@ -1,38 +1,26 @@
 """Modelled per-timestep cost of every method at any scale.
 
 ``model_timestep`` prices one rank's timestep -- computation plus one
-ghost-zone exchange -- purely from the decomposition arithmetic (no data
-allocated), using the combinatorial schedules and the machine profile's
-cost models.  This powers every figure bench, including the strong-scaling
-sweeps up to 1024 nodes that cannot be executed in-process.
-
-An executed run charges the same quantities from the plans its ranks
-bound, through the same pricer, ``exchange.costs.price_exchange``.
+ghost-zone exchange -- without allocating data or launching ranks.  The
+exchange is the schedule the ranks of that geometry bind: the method's
+:func:`~repro.exchange.schedule_template` over one subdomain
+(:func:`repro.core.geometry.subdomain_template`), priced by
+:func:`~repro.exchange.base.price_plan`, the function an executed run
+prices its bound plans with.  This powers every figure bench, including
+the strong-scaling sweeps up to 1024 nodes that cannot be executed
+in-process.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
+from repro.core.geometry import subdomain_template
 from repro.core.methods import MethodInfo, method_info, resolve_page_size
-from repro.exchange.costs import price_exchange
-from repro.exchange.schedule import (
-    array_schedule,
-    basic_brick_schedule,
-    brick_send_schedule,
-    memmap_schedule,
-    mirror_schedule,
-    shift_schedule,
-)
-from repro.gpu.transports import (
-    CudaAwareTransport,
-    GpuTransport,
-    StagedTransport,
-    UnifiedMemoryTransport,
-)
+from repro.exchange.base import ExchangeResult, ScheduleTemplate, price_plan
+from repro.gpu.transports import make_transport
 from repro.hardware.profiles import MachineProfile
-from repro.layout.order import surface_order
 from repro.stencil.spec import StencilSpec
 from repro.util.bitset import BitSet
 from repro.util.timing import TimeBreakdown
@@ -40,25 +28,9 @@ from repro.util.timing import TimeBreakdown
 __all__ = [
     "compute_time",
     "exchange_breakdown",
+    "exchange_result",
     "model_timestep",
-    "make_transport",
 ]
-
-
-def make_transport(info: MethodInfo, profile: MachineProfile) -> Optional[GpuTransport]:
-    """Build the GPU transport for a method, or ``None`` for CPU runs."""
-    if info.transport is None:
-        return None
-    if profile.gpu is None:
-        raise ValueError(
-            f"method {info.name!r} needs a GPU profile; {profile.name} has none"
-        )
-    cls = {
-        "ca": CudaAwareTransport,
-        "um": UnifiedMemoryTransport,
-        "staged": StagedTransport,
-    }[info.transport]
-    return cls(profile.network, profile.gpu)
 
 
 def compute_time(
@@ -94,65 +66,57 @@ def compute_time(
     )
 
 
-def _schedules(
+def _template(
     info: MethodInfo,
     profile: MachineProfile,
-    extent: Sequence[int],
-    brick_dim: Sequence[int],
-    ghost: int,
-    layout: Optional[Sequence[BitSet]],
-    page_size: Optional[int],
-    itemsize: int = 8,
-):
-    """One method's plan-shaped schedule: ``(sends, recvs)`` per phase."""
-    extent = tuple(int(e) for e in extent)
-    ndim = len(extent)
-    if info.base == "shift":
-        return [(ph, ph) for ph in shift_schedule(extent, ghost, itemsize)]
-    if not info.uses_bricks:
-        specs = array_schedule(extent, ghost, itemsize)
-        return [(specs, specs)]
-
-    if isinstance(brick_dim, int):
-        brick_dim = (brick_dim,) * ndim
-    grid = tuple(e // b for e, b in zip(extent, brick_dim))
-    width = ghost // brick_dim[0]
-    brick_bytes = math.prod(brick_dim) * itemsize
-    lay = list(layout) if layout is not None else surface_order(ndim)
-    if info.base == "layout":
-        specs = brick_send_schedule(grid, width, lay, brick_bytes)
-    elif info.base == "basic":
-        specs = basic_brick_schedule(grid, width, lay, brick_bytes)
-    elif info.base == "memmap":
-        page = resolve_page_size(info, profile, page_size)
-        specs = memmap_schedule(grid, width, lay, brick_bytes, page)
-    elif info.base == "network":
-        # The empirical floor: one message per neighbor carrying exactly
-        # the payload (message-sized buffers, no padding, no packing).
-        specs = memmap_schedule(grid, width, lay, brick_bytes, 1)
-    else:  # pragma: no cover - registry and model must stay in sync
-        raise AssertionError(f"unhandled brick method {info.base}")
-    return [(specs, mirror_schedule(specs))]
-
-
-def _priced(
-    profile: MachineProfile,
-    info: MethodInfo,
     extent: Sequence[int],
     brick_dim: Sequence[int],
     ghost: int,
     layout: Optional[Sequence[BitSet]],
     page_size: Optional[int],
     itemsize: int,
-) -> Tuple[TimeBreakdown, float]:
-    """The one pricer over the method's combinatorial phases:
-    ``(exchange breakdown, first-touch penalty)``."""
-    phases = _schedules(
+) -> ScheduleTemplate:
+    """The schedule one rank of *info*'s geometry binds."""
+    extent = tuple(int(e) for e in extent)
+    if not info.uses_bricks:
+        return subdomain_template(info.base, extent, ghost, itemsize)
+    if isinstance(brick_dim, int):
+        brick_dim = (brick_dim,) * len(extent)
+    brick_dim = tuple(int(b) for b in brick_dim)
+    # Bricks tile whole multiples of their edge: a subdomain exchanges
+    # the ghost zone of its brick-floored extent.
+    floored = tuple(e // b * b for e, b in zip(extent, brick_dim))
+    layout = tuple(layout) if layout is not None else None
+    base, page = info.base, None
+    if base == "memmap":
+        page = resolve_page_size(info, profile, page_size)
+    elif base == "network":
+        # The empirical floor: one message per neighbor carrying exactly
+        # the payload -- MemMap's schedule at 1-byte pages.
+        base, page = "memmap", 1
+    return subdomain_template(
+        base, floored, ghost, itemsize, brick_dim, layout, page
+    )
+
+
+def exchange_result(
+    profile: MachineProfile,
+    method: str,
+    extent: Sequence[int],
+    brick_dim: Sequence[int] = (8, 8, 8),
+    ghost: int = 8,
+    layout: Optional[Sequence[BitSet]] = None,
+    page_size: Optional[int] = None,
+    itemsize: int = 8,
+) -> ExchangeResult:
+    """Modelled outcome of one exchange of *method* on a subdomain of
+    *extent*: what a rank of that geometry with every neighbour present
+    charges (times, message and byte counts, first-touch seconds)."""
+    info = method_info(method)
+    template = _template(
         info, profile, extent, brick_dim, ghost, layout, page_size, itemsize
     )
-    return price_exchange(
-        profile, phases, info.copy, make_transport(info, profile)
-    )
+    return price_plan(template, profile, make_transport(info, profile))
 
 
 def exchange_breakdown(
@@ -166,10 +130,9 @@ def exchange_breakdown(
     itemsize: int = 8,
 ) -> TimeBreakdown:
     """Modelled pack/call/wait/move of one exchange (no calc)."""
-    return _priced(
-        profile, method_info(method), extent, brick_dim, ghost, layout,
-        page_size, itemsize,
-    )[0]
+    return exchange_result(
+        profile, method, extent, brick_dim, ghost, layout, page_size, itemsize
+    ).breakdown
 
 
 def model_timestep(
@@ -182,15 +145,21 @@ def model_timestep(
     layout: Optional[Sequence[BitSet]] = None,
     page_size: Optional[int] = None,
 ) -> TimeBreakdown:
-    """Full modelled timestep: calc + exchange (+ GPU penalties/overlap)."""
+    """Full modelled timestep: calc + exchange (+ GPU penalties/overlap).
+
+    A brick method's exchange is that of the brick-floored extent (a
+    170-wide axis of 8-bricks exchanges as a 168-wide one), while calc
+    prices every point of *extent*.
+    """
     info = method_info(method)
     extent = tuple(int(e) for e in extent)
-    bd, first_touch = _priced(
-        profile, info, extent, brick_dim, ghost, layout, page_size,
+    result = exchange_result(
+        profile, method, extent, brick_dim, ghost, layout, page_size,
         stencil.itemsize,
     )
+    bd = result.breakdown
     calc = compute_time(profile, info, math.prod(extent), stencil)
-    calc += first_touch
+    calc += result.first_touch
     if info.overlaps:
         # Communication/computation overlap hides wire time behind the
         # kernel; posting and packing stay on the critical path.

@@ -32,15 +32,7 @@ from repro.exchange.layout_ex import LayoutExchanger, layout_template
 from repro.exchange.memmap_ex import MemMapExchanger, memmap_template
 from repro.exchange.mpitypes import MPITypesExchanger
 from repro.exchange.pack import PackExchanger
-from repro.exchange.schedule import (
-    MessageSpec,
-    array_schedule,
-    basic_brick_schedule,
-    brick_send_schedule,
-    memmap_schedule,
-    mirror_schedule,
-    shift_schedule,
-)
+from repro.exchange.schedule import MessageSpec, array_schedule, shift_schedule
 from repro.exchange.shift import ShiftExchanger, shift_template
 from repro.faults.errors import ExchangeConfigError
 
@@ -57,16 +49,12 @@ __all__ = [
     "ScheduleTemplate",
     "ShiftExchanger",
     "array_schedule",
-    "basic_brick_schedule",
     "bind_tables",
     "checksum",
     "make_exchanger",
     "schedule_template",
     "seal",
     "verify",
-    "brick_send_schedule",
-    "memmap_schedule",
-    "mirror_schedule",
     "shift_schedule",
     "neighbor_recv_box",
     "neighbor_send_box",

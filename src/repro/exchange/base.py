@@ -10,9 +10,9 @@ per run, the static verifier proves it, and every rank binds the very
 object that was proved (:mod:`repro.core.geometry`).  Everything else is
 derived from the plan here:
 
-* the modelled :class:`ExchangeResult` (:func:`price_plan`), priced by
-  :func:`repro.exchange.costs.price_exchange` (the function
-  :mod:`repro.core.model` prices the combinatorial schedules with) and
+* the modelled :class:`ExchangeResult` (:func:`price_plan`, which
+  :mod:`repro.core.model` also calls, on the template of a subdomain at
+  any scale), priced by :func:`repro.exchange.costs.price_exchange` and
   split into the artifact's phases: ``pack`` (on-node copies the scheme
   performs), ``call`` (posting MPI operations), ``wait`` (wire time
   plus any in-library processing) and ``move`` (explicit CPU-GPU
@@ -254,12 +254,16 @@ def _phases(plan: RankMessagePlan):
 
 
 def price_plan(
-    plan: RankMessagePlan, profile: MachineProfile, transport=None
+    plan: Union[RankMessagePlan, ScheduleTemplate],
+    profile: MachineProfile,
+    transport=None,
 ) -> ExchangeResult:
     """The modelled outcome of one exchange of *plan* on *profile* (over
     the method's GPU *transport*, if it has one): a function of the
     messages' specs, not of who the peers are, so ranks with the same
-    partnered directions can share one (never mutated) result."""
+    partnered directions can share one (never mutated) result.  It reads
+    only ``sends`` / ``recvs`` / ``copy`` / ``nphases``, so a template
+    prices as the plan of a rank with every neighbour present."""
     breakdown, first_touch = price_exchange(
         profile,
         [([m.spec for m in s], [m.spec for m in r]) for s, r in _phases(plan)],

@@ -1,10 +1,10 @@
 """Shared modelled-cost functions over message schedules.
 
-:func:`price_exchange` is the one pricer.  ``exchange.base.price_plan``
-calls it on a rank's bound plan (what an executed run charges per fired
-exchange) and :mod:`repro.core.model` calls it on the combinatorial
-schedules (to price arbitrary scales without allocating data): the same
-function of the same specs.
+:func:`price_exchange` is the one pricer, called by
+``exchange.base.price_plan`` alone: on a rank's bound plan (what an
+executed run charges per fired exchange) and, from
+:mod:`repro.core.model`, on the schedule template of a subdomain at any
+scale -- the same function of the same specs.
 """
 
 from __future__ import annotations

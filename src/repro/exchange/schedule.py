@@ -1,41 +1,28 @@
-"""Combinatorial message schedules.
+"""Message specs and the array schemes' schedules.
 
-Everything a cost model needs to price one rank's ghost-zone exchange --
-message count, payload and wire sizes, contiguous-segment structure --
-follows from pure arithmetic on the decomposition parameters; no storage
-has to be allocated.  The modelled-scale driver (strong-scaling figures up
-to 1024 nodes) uses these schedules directly, and the executed exchangers'
-plans are asserted equal to them in the test suite.
-
-All schedules describe *sends*; by symmetry a rank's receives in a
-periodic cubical decomposition have identical sizes
-(:func:`mirror_schedule`).  The brick schedules list neighbours in
-*layout* order and the mirror lists receives in the sender's order, as
-the templates the ranks bind do: a wire time is a float sum over the
-messages, so only the same order prices bit-equal.
+A :class:`MessageSpec` is one message as the cost models see it: sizes
+and segment structure, no storage.  The array schemes' schedules are
+pure arithmetic on the subdomain extent and ghost width:
+:func:`array_schedule` (Pack, MPI_Types) and :func:`shift_schedule`
+(Shift).  Their templates (``exchange/boxes.py``, ``exchange/shift.py``)
+call them; the brick schemes' templates (``exchange/layout_ex.py``,
+``exchange/memmap_ex.py``, ``exchange/brickpack.py``) derive their specs
+from a decomposition's slot assignment.  Those templates are the only
+schedules: the any-scale model prices them too
+(:mod:`repro.core.model`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence
 
-from repro.layout.messages import message_runs
-from repro.layout.regions import all_regions, region_brick_extent
+from repro.layout.regions import all_regions
 from repro.util.bitset import BitSet
-from repro.util.indexing import ceil_div
 from repro.faults.errors import ExchangeConfigError
 
-__all__ = [
-    "MessageSpec",
-    "brick_send_schedule",
-    "mirror_schedule",
-    "basic_brick_schedule",
-    "memmap_schedule",
-    "array_schedule",
-    "shift_schedule",
-]
+__all__ = ["MessageSpec", "array_schedule", "shift_schedule"]
 
 
 @dataclass(frozen=True)
@@ -59,91 +46,6 @@ class MessageSpec:
     def __post_init__(self) -> None:
         if self.payload_bytes < 0 or self.wire_bytes < self.payload_bytes:
             raise ExchangeConfigError("wire size must be at least the payload size")
-
-
-def _region_bricks(region: BitSet, grid: Sequence[int], width: int) -> int:
-    return math.prod(region_brick_extent(region, tuple(grid), width))
-
-
-def brick_send_schedule(
-    grid: Sequence[int],
-    width: int,
-    layout: Sequence[BitSet],
-    brick_bytes: int,
-) -> List[MessageSpec]:
-    """Layout-mode sends: one message per contiguous run per neighbor.
-
-    Empty runs (possible when the subdomain has no interior span on some
-    axis) are dropped, matching the executed exchanger.
-    """
-    out: List[MessageSpec] = []
-    for neighbor in layout:
-        for start, length in message_runs(layout, neighbor):
-            nb = sum(
-                _region_bricks(layout[i], grid, width)
-                for i in range(start, start + length)
-            )
-            if nb == 0:
-                continue
-            nbytes = nb * brick_bytes
-            out.append(
-                MessageSpec(
-                    neighbor,
-                    payload_bytes=nbytes,
-                    wire_bytes=nbytes,
-                    nsegments=1,
-                    run_elems=nbytes // 8,
-                )
-            )
-    return out
-
-
-def mirror_schedule(sends: Sequence[MessageSpec]) -> List[MessageSpec]:
-    """Receive specs of a send schedule: in a periodic uniform
-    decomposition what arrives from a neighbor is what the rank there
-    sends to *its* opposite neighbor -- this rank's own sends to the
-    opposite direction, relabelled, in the sender's message order (the
-    order the brick templates list their receives in)."""
-    by_neighbor: dict = {}
-    for m in sends:
-        by_neighbor.setdefault(m.neighbor, []).append(m)
-    return [
-        replace(m, neighbor=neighbor)
-        for neighbor in by_neighbor
-        for m in by_neighbor.get(neighbor.opposite(), ())
-    ]
-
-
-def basic_brick_schedule(
-    grid: Sequence[int],
-    width: int,
-    layout: Sequence[BitSet],
-    brick_bytes: int,
-) -> List[MessageSpec]:
-    """Basic-mode sends: one message per (region, neighbor) pair.
-
-    ``5^D - 3^D`` messages in total (Eq. 3); relative region order is
-    irrelevant, so no layout optimization is involved.
-    """
-    out: List[MessageSpec] = []
-    for neighbor in layout:
-        for region in layout:
-            if not neighbor.issubset(region):
-                continue
-            nb = _region_bricks(region, grid, width)
-            if nb == 0:
-                continue
-            nbytes = nb * brick_bytes
-            out.append(
-                MessageSpec(
-                    neighbor,
-                    payload_bytes=nbytes,
-                    wire_bytes=nbytes,
-                    nsegments=1,
-                    run_elems=nbytes // 8,
-                )
-            )
-    return out
 
 
 def shift_schedule(
@@ -191,51 +93,6 @@ def shift_schedule(
             )
         phases.append(phase)
     return phases
-
-
-def memmap_schedule(
-    grid: Sequence[int],
-    width: int,
-    layout: Sequence[BitSet],
-    brick_bytes: int,
-    page_size: int,
-) -> List[MessageSpec]:
-    """MemMap sends: exactly one message per neighbor, page-padded.
-
-    Each region in the view is padded to a page multiple; runs of
-    adjacent regions coalesce into single mappings (Section 4: layout
-    optimization minimises the mapping count).
-    """
-    if page_size <= 0:
-        raise ExchangeConfigError("page_size must be positive")
-    align = math.lcm(brick_bytes, page_size)
-    out: List[MessageSpec] = []
-    for neighbor in layout:
-        payload = 0
-        wire = 0
-        nmappings = 0
-        for start, length in message_runs(layout, neighbor):
-            run_bricks = 0
-            for i in range(start, start + length):
-                nb = _region_bricks(layout[i], grid, width)
-                run_bricks += nb
-                wire += ceil_div(nb * brick_bytes, align) * align if nb else 0
-            if run_bricks:
-                payload += run_bricks * brick_bytes
-                nmappings += 1  # a run coalesces into one mapping
-        if payload == 0:
-            continue
-        out.append(
-            MessageSpec(
-                neighbor,
-                payload_bytes=payload,
-                wire_bytes=wire,
-                nsegments=1,
-                run_elems=payload // 8,
-                nmappings=nmappings,
-            )
-        )
-    return out
 
 
 def array_schedule(

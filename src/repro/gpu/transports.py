@@ -13,14 +13,14 @@ quantities:
   MPI_Types_UM regions straddle extra pages.
 
 ``network()`` returns the (possibly derated) network model to price the
-wire itself.
+wire itself; :func:`make_transport` picks a method's transport.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.exchange.schedule import MessageSpec
 from repro.hardware.gpu import GpuModel
@@ -32,6 +32,7 @@ __all__ = [
     "CudaAwareTransport",
     "UnifiedMemoryTransport",
     "StagedTransport",
+    "make_transport",
 ]
 
 
@@ -163,3 +164,21 @@ class StagedTransport(GpuTransport):
             sum(m.payload_bytes for m in recvs), len(recvs)
         )
         return down + up
+
+
+def make_transport(info, profile) -> Optional[GpuTransport]:
+    """The GPU transport of method *info* (a
+    :class:`~repro.core.methods.MethodInfo`) on *profile*, or ``None``
+    for CPU methods."""
+    if info.transport is None:
+        return None
+    if profile.gpu is None:
+        raise ValueError(
+            f"method {info.name!r} needs a GPU profile; {profile.name} has none"
+        )
+    cls = {
+        "ca": CudaAwareTransport,
+        "um": UnifiedMemoryTransport,
+        "staged": StagedTransport,
+    }[info.transport]
+    return cls(profile.network, profile.gpu)

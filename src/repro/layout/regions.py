@@ -88,7 +88,8 @@ def region_brick_extent(
     *grid* is the subdomain's brick-grid shape (interior + surface) and
     *width* the surface thickness in bricks.  Axes constrained by *region*
     contribute *width*; free axes contribute the interior span
-    ``grid[i] - 2 * width``.
+    ``grid[i] - 2 * width``.  A closed form the tests hold the slot
+    assignment's sections to; no schedule is derived from it.
     """
     vec = region.to_vector(len(grid))
     extent = []

@@ -7,6 +7,7 @@ import pytest
 
 from repro.brick.decomp import BrickDecomp
 from repro.core.problem import StencilProblem
+from repro.exchange import schedule_template
 from repro.hardware.profiles import generic_host, summit_v100, theta_knl
 from repro.stencil.cbackend import mover_kernel
 from repro.stencil.spec import SEVEN_POINT, star_stencil
@@ -89,6 +90,20 @@ def medium_problem():
 @pytest.fixture
 def star5_2d():
     return star_stencil(2, 1, name="5pt-2d")
+
+
+def brick_sends(base, grid, width, layout=None, page=None):
+    """The send specs of *base*'s :func:`schedule_template` over a
+    subdomain of *grid* float64 bricks of 8 elements per axis and a
+    *width*-brick ghost zone, on the slot assignment a run of that
+    method binds (page-aligned for *page*, plain without)."""
+    ndim = len(grid)
+    decomp = BrickDecomp(tuple(8 * g for g in grid), (8,) * ndim, 8 * width, layout)
+    asn = decomp.assignment(1 if page is None else decomp.alignment_for_page(page))
+    template = schedule_template(
+        base, decomp.extent, decomp.ghost_elems, 8, decomp, asn, page
+    )
+    return [m.spec for m in template.sends]
 
 
 def wire_copy(srcs, dsts):

@@ -116,6 +116,12 @@ class TestExecutedMetadata:
         )
         assert run.padding_fraction > 0
 
+    @pytest.mark.parametrize("page_size", [0, -4096])
+    def test_non_positive_page_size_refused(self, small_problem, theta, page_size):
+        """Refused before launch, not replaced by the machine's page."""
+        with pytest.raises(ValueError, match=f"positive, got {page_size}$"):
+            run_executed(small_problem, "memmap", theta, page_size=page_size)
+
     def test_network_not_executable(self, small_problem, theta):
         with pytest.raises(ValueError):
             run_executed(small_problem, "network", theta)

@@ -4,16 +4,23 @@ import pytest
 
 from repro.core.methods import ALL_METHODS, BRICK_METHODS, method_info
 from repro.core.metrics import RankMetrics, RunMetrics
+from repro.exchange import schedule_template
 from repro.util.timing import TimeBreakdown
 
 
 class TestMethodInfo:
-    def test_cpu_parsing(self):
+    def test_cpu_parsing(self, small_decomp):
         info = method_info("layout")
         assert info.base == "layout"
         assert info.transport is None
-        assert info.uses_bricks and not info.packs
+        assert info.uses_bricks
         assert not info.is_gpu
+        # Where the on-node copy happens is the schedule's to say.
+        template = schedule_template(
+            info.base, small_decomp.extent, 8, 8, small_decomp,
+            small_decomp.assignment(),
+        )
+        assert template.copy == "none"
 
     def test_gpu_parsing(self):
         info = method_info("layout_ca")
@@ -35,7 +42,7 @@ class TestMethodInfo:
             method_info("quantum")
 
     def test_yask_packs_and_overlap(self):
-        assert method_info("yask").packs
+        assert schedule_template("yask", (16, 16, 16), 8, 8).copy == "pack"
         assert not method_info("yask").overlaps
         assert method_info("yask_ol").overlaps
 

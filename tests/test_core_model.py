@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.model import compute_time, exchange_breakdown, model_timestep
+from repro.core.model import (
+    compute_time,
+    exchange_breakdown,
+    exchange_result,
+    model_timestep,
+)
 from repro.core.methods import method_info
 from repro.stencil.spec import CUBE125, SEVEN_POINT
 
@@ -77,6 +82,20 @@ class TestExchangeBreakdown:
         p64k = exchange_breakdown(theta, "memmap", ext, page_size=65536).comm
         assert p64k > p4k
 
+    @pytest.mark.parametrize("page_size", [0, -4096])
+    def test_non_positive_page_size_refused(self, theta, page_size):
+        """Refused, not replaced by the machine's page."""
+        with pytest.raises(ValueError, match=f"positive, got {page_size}$"):
+            exchange_breakdown(theta, "memmap", (64, 64, 64), page_size=page_size)
+
+    @pytest.mark.parametrize("method", ["layout", "basic", "memmap"])
+    def test_brick_exchange_is_that_of_whole_bricks(self, theta, method):
+        """Figs. 11/12 and K2 price 170/341/682-wide subdomains: a brick
+        method exchanges the ghost zone of its brick-floored extent."""
+        ragged = exchange_result(theta, method, (128, 128, 170))
+        floored = exchange_result(theta, method, (128, 128, 168))
+        assert ragged == floored
+
     def test_gpu_staged_charges_move(self, summit):
         bd = exchange_breakdown(summit, "layout_staged", (64, 64, 64))
         assert bd.move > 0
@@ -107,6 +126,19 @@ class TestModelTimestep:
             for m in ("layout", "memmap", "basic", "network")
         }
         assert len(calcs) == 1
+
+    @pytest.mark.parametrize("method", ["layout", "basic", "memmap"])
+    def test_calc_prices_every_point_of_a_ragged_extent(self, theta, method):
+        """Only the exchange is floored to whole bricks; the kernel
+        prices all 128 * 128 * 170 points."""
+        step = model_timestep(theta, method, (128, 128, 170), SEVEN_POINT)
+        points = 128 * 128 * 170
+        assert step.calc == compute_time(
+            theta, method_info(method), points, SEVEN_POINT
+        )
+        whole = model_timestep(theta, method, (128, 128, 168), SEVEN_POINT)
+        assert step.calc > whole.calc
+        assert step.comm == whole.comm
 
     def test_125pt_more_compute(self, theta):
         # Large enough that the roofline, not launch overhead, dominates:

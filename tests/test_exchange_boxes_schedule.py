@@ -1,4 +1,4 @@
-"""Array boxes and combinatorial message schedules."""
+"""Array boxes and the message schedules of every scheme."""
 
 import functools
 import math
@@ -19,18 +19,12 @@ from repro.exchange.boxes import (
     stage_table,
 )
 from repro.faults.errors import ExchangeConfigError
-from repro.exchange.schedule import (
-    array_schedule,
-    basic_brick_schedule,
-    brick_send_schedule,
-    memmap_schedule,
-    shift_schedule,
-)
+from repro.exchange.schedule import array_schedule, shift_schedule
 from repro.layout.order import SURFACE3D, lexicographic_order
 from repro.layout.regions import all_regions
 from repro.stencil import cbackend
 from repro.util.bitset import BitSet
-from tests.conftest import crc_lengths_match_zlib, wire_copy, zlib_crcs
+from tests.conftest import brick_sends, crc_lengths_match_zlib, wire_copy, zlib_crcs
 
 
 class TestBoxes:
@@ -77,35 +71,37 @@ class TestBoxes:
             neighbor_send_box(BitSet([1]), (8, 8), 0)
 
 
-GRID, WIDTH, BB = (8, 8, 8), 1, 4096
+GRID, WIDTH, BB = (8, 8, 8), 1, 4096  # 8^3 float64 bricks
 
 
 class TestBrickSchedules:
+    """The brick templates the ranks bind (``schedule_template``)."""
+
     def test_layout_message_count(self):
-        specs = brick_send_schedule(GRID, WIDTH, SURFACE3D, BB)
+        specs = brick_sends("layout", GRID, WIDTH, SURFACE3D)
         assert len(specs) == 42
 
     def test_basic_message_count(self):
-        specs = basic_brick_schedule(GRID, WIDTH, SURFACE3D, BB)
+        specs = brick_sends("basic", GRID, WIDTH, SURFACE3D)
         assert len(specs) == 98
 
     def test_lexicographic_layout_count(self):
         # 2-D figure-2 order needs 12 messages.
-        specs = brick_send_schedule((8, 8), 1, lexicographic_order(2), 512)
+        specs = brick_sends("layout", (8, 8), 1, lexicographic_order(2))
         assert len(specs) == 12
 
     def test_total_payload_independent_of_scheme(self):
         """Layout vs Basic move identical bytes, just in different
         message counts."""
-        lay = brick_send_schedule(GRID, WIDTH, SURFACE3D, BB)
-        bas = basic_brick_schedule(GRID, WIDTH, SURFACE3D, BB)
+        lay = brick_sends("layout", GRID, WIDTH, SURFACE3D)
+        bas = brick_sends("basic", GRID, WIDTH, SURFACE3D)
         assert sum(m.payload_bytes for m in lay) == sum(
             m.payload_bytes for m in bas
         )
 
     def test_payload_equals_ghost_volume(self):
         """Total sent bytes = total ghost bytes of one neighbor set."""
-        specs = brick_send_schedule(GRID, WIDTH, SURFACE3D, BB)
+        specs = brick_sends("layout", GRID, WIDTH, SURFACE3D)
         n = GRID[0]
         shell = (n + 2 * WIDTH) ** 3 - n**3
         # each (region, neighbor) instance is sent once; sum over
@@ -120,18 +116,18 @@ class TestBrickSchedules:
         assert per_region_instances == expected
 
     def test_degenerate_grid_drops_empty(self):
-        specs = brick_send_schedule((2, 2, 2), 1, SURFACE3D, BB)
+        specs = brick_sends("layout", (2, 2, 2), 1, SURFACE3D)
         assert 0 < len(specs) < 42
         assert all(m.payload_bytes > 0 for m in specs)
 
 
 class TestMemMapSchedule:
     def test_one_message_per_neighbor(self):
-        specs = memmap_schedule(GRID, WIDTH, SURFACE3D, BB, 65536)
+        specs = brick_sends("memmap", GRID, WIDTH, SURFACE3D, 65536)
         assert len(specs) == 26
 
     def test_padding_with_64k_pages(self):
-        specs = memmap_schedule(GRID, WIDTH, SURFACE3D, BB, 65536)
+        specs = brick_sends("memmap", GRID, WIDTH, SURFACE3D, 65536)
         assert all(m.wire_bytes >= m.payload_bytes for m in specs)
         assert any(m.wire_bytes > m.payload_bytes for m in specs)
         for m in specs:
@@ -139,13 +135,13 @@ class TestMemMapSchedule:
 
     def test_no_padding_when_brick_is_page(self):
         """On Theta an 8^3 double brick is exactly one 4 KiB page."""
-        specs = memmap_schedule(GRID, WIDTH, SURFACE3D, BB, 4096)
+        specs = brick_sends("memmap", GRID, WIDTH, SURFACE3D, 4096)
         assert all(m.wire_bytes == m.payload_bytes for m in specs)
 
     def test_mapping_counts_match_runs(self):
         from repro.layout.messages import message_runs
 
-        specs = memmap_schedule(GRID, WIDTH, SURFACE3D, BB, 65536)
+        specs = brick_sends("memmap", GRID, WIDTH, SURFACE3D, 65536)
         total_runs = sum(m.nmappings for m in specs)
         expected = sum(
             len(message_runs(SURFACE3D, t)) for t in all_regions(3)
@@ -153,7 +149,7 @@ class TestMemMapSchedule:
         assert total_runs == expected == 42
 
     def test_page1_equals_payload(self):
-        specs = memmap_schedule(GRID, WIDTH, SURFACE3D, BB, 1)
+        specs = brick_sends("memmap", GRID, WIDTH, SURFACE3D, 1)
         assert all(m.wire_bytes == m.payload_bytes for m in specs)
 
 

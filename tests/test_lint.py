@@ -276,8 +276,9 @@ def test_second_geometry_constructor_flagged():
         )
         assert sorted(v[1] for v in violations) == [2, 3, 4, 5]
         assert all("RunGeometry" in v[2] for v in violations)
+    # The geometry's home builds the modelled subdomain's decomposition.
     home = lint_invariants.SRC / lint_invariants.GEOMETRY_HOME
-    assert [v[1] for v in lint_invariants.check_one_geometry(home, tree)] == [3]
+    assert lint_invariants.check_one_geometry(home, tree) == []
     # Allowlisted files may make the calls their reason covers, only.
     placement = lint_invariants.SRC / "elastic" / "placement.py"
     flagged = lint_invariants.check_one_geometry(placement, tree)
@@ -285,6 +286,28 @@ def test_second_geometry_constructor_flagged():
     oracle = lint_invariants.SRC / "faults" / "chaos.py"
     flagged = lint_invariants.check_one_geometry(oracle, tree)
     assert sorted(v[1] for v in flagged) == [2, 3, 4]
+
+
+def test_second_schedule_derivation_flagged():
+    src = (
+        "def layout_sends(grid, width, layout, brick_bytes):\n"
+        "    nb = math.prod(region_brick_extent(layout[0], grid, width))\n"
+        "    return [MessageSpec(layout[0], nb * brick_bytes, nb * brick_bytes)]\n"
+        "def mirror(m, neighbor):\n"
+        "    return schedule.MessageSpec(neighbor, m.payload_bytes, m.wire_bytes)\n"
+    )
+    tree = ast.parse(src)
+    for rel in ("core/model.py", "core/geometry.py", "bench/experiments.py",
+                "exchange/costs.py", "exchange/boxes.py"):
+        violations = lint_invariants.check_one_schedule(
+            lint_invariants.SRC / rel, tree
+        )
+        assert sorted(v[1] for v in violations) == [3, 5]
+        assert all("second derivation" in v[2] for v in violations)
+    # The templates are where a message's spec is written down.
+    for rel in lint_invariants.SPEC_HOMES:
+        home = lint_invariants.SRC / rel
+        assert lint_invariants.check_one_schedule(home, tree) == []
 
 
 def test_stale_allowlist_entry_flagged(monkeypatch, capsys):
@@ -320,7 +343,7 @@ def test_fabric_in_the_verifier_flagged():
 def test_second_accounting_path_flagged():
     src = (
         "from repro.core.model import exchange_breakdown, compute_time\n"
-        "from repro.exchange.schedule import memmap_schedule\n"
+        "from repro.exchange.schedule import array_schedule\n"
         "import repro.exchange.schedule\n"
         "def _modelled_totals(profile, net, phases, counters, ledger, res):\n"
         "    bd = exchange_times(profile, net, phases, 'none')\n"

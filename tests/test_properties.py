@@ -9,21 +9,19 @@ from hypothesis import strategies as st
 
 from repro.core.driver import run_executed
 from repro.core.problem import StencilProblem
-from repro.exchange.schedule import (
-    array_schedule,
-    basic_brick_schedule,
-    brick_send_schedule,
-    memmap_schedule,
-)
+from repro.exchange.schedule import array_schedule
 from repro.hardware.profiles import generic_host
 from repro.layout.order import SURFACE2D, SURFACE3D, surface_order
 from repro.layout.regions import all_regions
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import star_stencil
+from tests.conftest import brick_sends
 
 
 def _ghost_volume_bytes(grid, width, brick_bytes, ndim):
-    """Total (region, neighbor)-pair payload: the overlap-weighted shell."""
+    """Total (region, neighbor)-pair payload: the overlap-weighted shell,
+    in closed form per region (``region_brick_extent``) -- the oracle the
+    templates' slot-assignment sections are held to."""
     from repro.layout.regions import receiving_neighbors, region_brick_extent
 
     total = 0
@@ -47,12 +45,12 @@ class TestScheduleConservation:
         if any(g < 2 * width for g in grid):
             return
         layout = surface_order(ndim)
-        bb = 4096
+        bb = 8**ndim * 8  # float64 bricks of edge 8
         expected = _ghost_volume_bytes(grid, width, bb, ndim)
-        for schedule in (brick_send_schedule, basic_brick_schedule):
-            specs = schedule(grid, width, layout, bb)
+        for base in ("layout", "basic"):
+            specs = brick_sends(base, grid, width, layout)
             assert sum(m.payload_bytes for m in specs) == expected
-        mm = memmap_schedule(grid, width, layout, bb, 4096)
+        mm = brick_sends("memmap", grid, width, layout, 4096)
         assert sum(m.payload_bytes for m in mm) == expected
 
     @settings(max_examples=30, deadline=None)
@@ -64,7 +62,7 @@ class TestScheduleConservation:
     def test_memmap_wire_dominates_payload(self, grid, width, page):
         if any(g < 2 * width for g in grid):
             return
-        specs = memmap_schedule(grid, width, SURFACE3D, 4096, page)
+        specs = brick_sends("memmap", grid, width, SURFACE3D, page)
         for m in specs:
             assert m.wire_bytes >= m.payload_bytes
             assert m.wire_bytes % math.gcd(page, 4096 * m.nmappings or page) == 0

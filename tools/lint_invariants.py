@@ -2,7 +2,7 @@
 """AST lint for the repo's typed-error and fabric-chokepoint invariants.
 
 Plain Python on purpose: the CI lint job has ruff, local dev containers
-may not, and these rules are project-specific anyway.  Eight checks:
+may not, and these rules are project-specific anyway.  Nine checks:
 
 1. **No bare raises in the communication layers.**  Inside
    ``src/repro/simmpi`` and ``src/repro/exchange``, ``raise
@@ -54,8 +54,10 @@ may not, and these rules are project-specific anyway.  Eight checks:
    (``RunGeometry``); a second constructor is a second copy that tests
    would have to keep equal.  So under ``src/repro`` the calls
    ``BrickDecomp(...)`` / ``.brick_decomp()`` / ``.brick_info(...)`` /
-   ``.initial_global(...)`` appear only there, and in:
-   ``core/problem.py`` (``brick_decomp`` is the definition the geometry
+   ``.initial_global(...)`` appear only there (``BrickDecomp(...)`` in
+   ``subdomain_template``: the any-scale model's decomposition of one
+   subdomain, built once per modelled geometry, no world launched), and
+   in: ``core/problem.py`` (``brick_decomp`` is the definition the geometry
    calls); ``elastic/placement.py`` (validates *candidate* rank grids
    with a trial ``brick_decomp()`` that builds no assignment -- no world
    is launched from it); and, for ``.initial_global(...)`` only, the
@@ -108,6 +110,17 @@ may not, and these rules are project-specific anyway.  Eight checks:
    file or directory that exists: a table row that cites a deleted
    module sends the reader nowhere.  Spans with a placeholder (``<id>``,
    ``{...}``, ``$VAR``) are templates, not paths, and are skipped.
+
+9. **One derivation of a rank's message schedule.**  A message's
+   spec -- sizes, segments, mappings -- is written down once, by the
+   method's schedule template; the static verifier checks the plans
+   instantiated from it, the fabric carries them and the any-scale model
+   prices them.  So under ``src/repro`` ``MessageSpec(...)`` is
+   constructed only in the template modules named in ``SPEC_HOMES``
+   (``exchange/layout_ex.py``, ``exchange/memmap_ex.py``,
+   ``exchange/brickpack.py``, and ``exchange/schedule.py`` for the
+   array schemes' boxes and faces): a spec built anywhere else is a
+   second derivation that a test would have to keep equal to the first.
 
 Every file an allowlist names must exist under ``src/repro``: a stale
 entry would silently exempt whatever file lands at that path later.
@@ -173,7 +186,7 @@ VERIFIED_MODE_HOME = "simmpi/fabric.py"
 GEOMETRY_HOME = "core/geometry.py"
 GEOMETRY_METHODS = ("brick_decomp", "brick_info", "initial_global")
 GEOMETRY_ALLOWLIST = {
-    GEOMETRY_HOME: GEOMETRY_METHODS,
+    GEOMETRY_HOME: GEOMETRY_METHODS + ("BrickDecomp",),
     "core/problem.py": ("BrickDecomp",),
     "elastic/placement.py": ("brick_decomp",),
     "cli.py": ("initial_global",),
@@ -208,6 +221,15 @@ COPY_TIER_PACKAGES = ("exchange", "simmpi")
 NUMPY_TIER = {
     "simmpi/fabric.py": ("_land_faulted",),
 }
+
+#: the modules that write a message's spec down: the schedule
+#: templates (rule 9)
+SPEC_HOMES = (
+    "exchange/layout_ex.py",
+    "exchange/memmap_ex.py",
+    "exchange/brickpack.py",
+    "exchange/schedule.py",
+)
 
 #: docs whose backticked repository paths must resolve (rule 8)
 DOC_FILES = ("README.md", "DESIGN.md")
@@ -619,11 +641,35 @@ def check_copy_tier(path: Path, tree: ast.AST) -> List[Violation]:
     return out
 
 
+def check_one_schedule(path: Path, tree: ast.AST) -> List[Violation]:
+    rel = path.relative_to(SRC).as_posix()
+    if rel in SPEC_HOMES:
+        return []
+    out: List[Violation] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+        if name == "MessageSpec":
+            out.append(
+                (
+                    path,
+                    node.lineno,
+                    "`MessageSpec(...)` outside the schedule templates: a"
+                    " second derivation of a message schedule; take the"
+                    " specs from exchange.schedule_template's plans",
+                )
+            )
+    return out
+
+
 def check_allowlists() -> List[Violation]:
     allowlists = {
         "FABRIC_ALLOWLIST": FABRIC_ALLOWLIST,
         "GEOMETRY_ALLOWLIST": tuple(GEOMETRY_ALLOWLIST),
         "NUMPY_TIER": tuple(NUMPY_TIER),
+        "SPEC_HOMES": SPEC_HOMES,
     }
     return [
         (
@@ -672,6 +718,7 @@ def lint_file(path: Path) -> List[Violation]:
     out += check_one_geometry(path, tree)
     out += check_one_ledger(path, tree)
     out += check_copy_tier(path, tree)
+    out += check_one_schedule(path, tree)
     return out
 
 
