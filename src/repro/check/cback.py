@@ -17,12 +17,14 @@ verifies what *can* be verified ahead of a run:
   test suite asserts, checked here in milliseconds on the target
   machine's actual compiler, on the code paths a run takes: brick rows
   as long as an 8^3 brick's, so the sweep is built with the vector
-  width a run's is, and array rows two host vectors plus a scalar tail
-  long, so the vector body runs and not only the remainder loop.  Each
-  probe is its own finding, and a failed build carries the compiler's
-  reason;
+  width a run's is (one 512-bit vector per row where the kernels are
+  built at full width), and array rows 19 long -- two 512-bit vectors
+  and a scalar tail there, more vectors at narrower widths -- so the
+  vector body runs and not only the remainder loop.  Each probe is its
+  own finding, and a failed build carries the compiler's reason;
 * the flags those units were built with -- the host's, or the
-  portable ones and why the compiler refused the host's -- are a
+  portable ones and why the compiler refused the host's -- and the
+  vector width the unit reports it was built at (512, 256, 128) are a
   ``kernel-flags`` note (absent when no unit built: each probe's
   compile error already carries the compiler's reason);
 * the exchange's movers -- the box gather, its scatter and
@@ -62,9 +64,11 @@ _PROBE_TAPS = (
     ((0, 0, 1), 1.0 / 12.0),
     ((0, 0, -1), 1.0 / 6.0),
 )
-#: the brick probe's brick, x first: rows of 8, as in an 8^3 brick
+#: the brick probe's brick, x first: rows of 8, as in an 8^3 brick (one
+#: 512-bit vector where the kernels are built at full width)
 _PROBE_BD = (8, 4, 4)
-#: the array probe's region, x first: 19 = two 512-bit vectors + a tail
+#: the array probe's region, x first: rows of 19 = two 512-bit vectors
+#: and a tail at full width (four 256-bit ones and a tail below it)
 _PROBE_EXTENT = (19, 4, 4)
 
 
@@ -105,8 +109,8 @@ def verify_cbackend(report: CheckReport, probe: bool = True) -> None:
 
     _probe_brick(report, guard, sanitize)
     _probe_array(report, guard, sanitize)
-    _probe_movers(report, guard, sanitize)
-    _note_flags(report, sanitize)
+    movers = _probe_movers(report, guard, sanitize)
+    _note_flags(report, sanitize, movers)
 
 
 _ASAN_HINT = (
@@ -196,14 +200,18 @@ def _probe_array(report: CheckReport, guard: bool, sanitize) -> None:
         )
 
 
-def _note_flags(report: CheckReport, sanitize) -> None:
+def _note_flags(report: CheckReport, sanitize, movers) -> None:
     """What the units were built with: the host flags, or the portable
-    ones and the compiler's refusal of the host's.  Nothing when no unit
-    built -- the probe findings above carry the compiler's reason."""
+    ones and the compiler's refusal of the host's, and the vector width
+    the unit reports (:attr:`~repro.stencil.cbackend.Movers.vector_bits`;
+    not where the movers did not load).  Nothing when no unit built --
+    the probe findings above carry the compiler's reason."""
     flags, refusal = cbackend.kernel_flags()
     if not flags:
         return
     built = " ".join((*flags, "-ffp-contract=off", *sanitize))
+    if movers is not None:
+        built += f" (vector width {movers.vector_bits} bits)"
     if refusal:
         report.note(
             PASS, "kernel-flags",
@@ -254,11 +262,12 @@ def _probe_crc(report: CheckReport, movers) -> list:
     return differ
 
 
-def _probe_movers(report: CheckReport, guard: bool, sanitize) -> None:
+def _probe_movers(report: CheckReport, guard: bool, sanitize):
     """Load-and-compare: pack two boxes of a patterned 6^3 array (a face
     with 1-element rows, a slab of whole rows), unpack them into a blank
     one and wire-copy the buffers, each against NumPy slicing; then the
-    CRC pair against ``zlib.crc32``."""
+    CRC pair against ``zlib.crc32``.  Returns the movers, or ``None``
+    where they did not load."""
     try:
         movers = cbackend._load_movers(sanitize, guard)
     except cbackend.KernelBuildError as err:
@@ -267,7 +276,7 @@ def _probe_movers(report: CheckReport, guard: bool, sanitize) -> None:
             f"the exchange movers failed to compile or load: {err}",
             hint=_ASAN_HINT,
         )
-        return
+        return None
     shape = (6, 6, 6)
     arr = np.arange(float(np.prod(shape))).reshape(shape)
     boxes = np.array(
@@ -308,3 +317,4 @@ def _probe_movers(report: CheckReport, guard: bool, sanitize) -> None:
             hint="the C movers must move what NumPy slicing moves;"
                  " every run binds its exchange through them",
         )
+    return movers

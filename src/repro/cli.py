@@ -152,7 +152,8 @@ def _cmd_run(args) -> int:
         print(f"exchange period: {run.exchange_period} (ghost-cell expansion)")
     if run.mapping_count:
         print(f"mmap views: {run.mapping_count} requested chunks (vm.max_map_count)")
-    print(f"kernel backend: {run.kernel_backend}")
+    vector_bits = cbackend.mover_kernel().vector_bits
+    print(f"kernel backend: {run.kernel_backend}, vector width {vector_bits} bits")
     print(f"copy backend: {run.copy_backend}")
     print(f"kernel cache: {cbackend.cache_line()}")
     exact = None
@@ -179,6 +180,7 @@ def _cmd_run(args) -> int:
             "padding_fraction": run.padding_fraction,
             "mapping_count": run.mapping_count,
             "kernel_backend": run.kernel_backend,
+            "kernel_vector_bits": vector_bits,
             "copy_backend": run.copy_backend,
             "kernel_cache": cbackend.cache_state(),
             "gstencils_per_s": m.gstencils_per_s,

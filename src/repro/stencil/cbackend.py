@@ -35,7 +35,11 @@ cold run invokes the compiler no more often than it did without them; a
 stand-alone build happens only in a process that never loaded a kernel.
 
 Every unit is built for the host that runs it (``-march=native``, loop
-remainders scalar; :data:`_HOST_FLAGS`).  A compiler that refuses those
+remainders scalar; :data:`_HOST_FLAGS`), its kernels at the widest
+vectors the build targets -- 512 bits where GCC builds for AVX-512,
+whose tuning alone would hold them at 256 (:data:`_FULL_WIDTH_OPEN`;
+the movers' ``repro_vector_bits`` answers the width, as
+:attr:`Movers.vector_bits`).  A compiler that refuses those
 flags gets the unit again with portable ones, once per process, and
 every plan says so: its ``kernel_backend`` reads
 ``"cffi (portable flags: <the compiler's first words>)"``
@@ -150,11 +154,14 @@ _SANITIZERS = {
 
 #: The kernels are straight-line unrolled tap loops: what they need from
 #: the optimizer is register allocation and SIMD on the unit-stride axis
-#: -- as wide as the host that runs them has (``-march=native``), with
-#: the loops' remainders left scalar (``vect-epilogues-nomask=0``: a
-#: second, narrower vector epilogue per loop costs compile time and buys
-#: nothing on 8- to 48-element rows).  Measured per kernel (EXPERIMENTS
-#: "Kernels for the host"; AVX-512 host, one rank's compute slots):
+#: -- the host's instruction set (``-march=native``; the width GCC's
+#: tuning picks for it is lifted to the whole register by
+#: :data:`_FULL_WIDTH_OPEN`), with the loops' remainders left scalar
+#: (``vect-epilogues-nomask=0``: a second, narrower vector epilogue per
+#: loop costs compile time and buys nothing on 8- to 48-element rows).
+#: Measured per kernel at 256 bits (EXPERIMENTS "Kernels for the host";
+#: AVX-512 host, one rank's compute slots; 512 bits: "Kernels at full
+#: width"):
 #: against ``-O1 -ftree-vectorize`` (2-wide SSE2) the 125-point brick
 #: and array kernels run 3-4x faster, the 7-point brick kernel 1.7x and
 #: the 7-point array kernel ~1.2x; ``cc`` time is about the same but
@@ -168,6 +175,26 @@ _HOST_FLAGS = (
     "-O1", "-ftree-vectorize", "-march=native",
     "--param", "vect-epilogues-nomask=0",
 )
+#: The C condition under which the kernels are built 512 bits wide: GCC
+#: (clang has no ``#pragma GCC target``) building for AVX-512.  The same
+#: compile-time ISA test as the CRC fold's: no run-time dispatch.
+_FULL_WIDTH_IF = (
+    "#if defined(__GNUC__) && !defined(__clang__) && defined(__AVX512F__)"
+)
+#: What every kernel's text opens and closes with.  GCC tunes AVX-512
+#: hosts (``sapphirerapids``, ``skylake-avx512``, ...) for 256-bit
+#: vectors (``-mprefer-vector-width=256``), which halves the lanes of
+#: every sweep; the pragma asks for the whole register, so an 8^3 brick
+#: row is one ``zmm`` -- one vector per row in the stage copy and in the
+#: tap sweep.  It covers the kernel text only (not :data:`MOVER_SOURCE`,
+#: whose copies keep the tuning's width) and leaves :data:`_HOST_FLAGS`
+#: alone: a compiler that does not know the option (GCC for aarch64 or
+#: POWER) never sees it, so is not pushed onto the portable flags.
+_FULL_WIDTH_OPEN = (
+    f"{_FULL_WIDTH_IF}\n#pragma GCC push_options\n"
+    '#pragma GCC target("prefer-vector-width=512")\n#endif'
+)
+_FULL_WIDTH_CLOSE = f"{_FULL_WIDTH_IF}\n#pragma GCC pop_options\n#endif"
 #: What a unit is rebuilt with when the compiler refuses the host flags
 #: (GCC on POWER spells it ``-mcpu=native``; ``--param`` is GCC's own):
 #: baseline SIMD for the target, the same bits.
@@ -441,6 +468,7 @@ def batch_step_source(
     pad = " " * (len(ret) + 12)
     body = [
         "#include <stdint.h>",
+        _FULL_WIDTH_OPEN,
         "",
         "/* per staged direction: adjacency column, tile offset, offset in",
         "   the neighbour's field, extent per axis but the unit-stride one */",
@@ -537,7 +565,7 @@ def batch_step_source(
     body.append("    }")
     if guard:
         body.append("    return violations;")
-    body.append("}")
+    body += ["}", _FULL_WIDTH_CLOSE]
     return "\n".join(body) + "\n"
 
 
@@ -573,6 +601,7 @@ def array_step_source(
     pad = " " * 22
     body = [
         "#include <stdint.h>",
+        _FULL_WIDTH_OPEN,
         "",
         f"{ret} repro_array_step(const double *restrict src,"
         " double *restrict dst,",
@@ -630,7 +659,7 @@ def array_step_source(
     body.append("    }")
     if guard:
         body.append("    return violations;")
-    body.append("}")
+    body += ["}", _FULL_WIDTH_CLOSE]
     return "\n".join(body) + "\n"
 
 
@@ -677,7 +706,8 @@ def _crc_table_rows() -> str:
 #: VPCLMULQDQ (``-march=native`` on such a host: the macros decide at
 #: compile time, so there is no run-time dispatch), else 128 -- and a
 #: build for anything but x86-64 carries the byte table only and
-#: answers 0.
+#: answers 0.  ``repro_vector_bits`` answers, the same way, the width the
+#: unit's kernels are built at (:data:`_FULL_WIDTH_OPEN`).
 MOVER_SOURCE = "\n#define REPRO_MOVER_MAX_NDIM %d\n" % MOVER_MAX_NDIM + """
 #include <stdint.h>
 #include <string.h>
@@ -956,6 +986,23 @@ int64_t repro_crc_engaged(void)
 #endif
 }
 
+/* The width the kernels' vectors are built at, in bits, read off the
+   ISA macros their pragma reads: 512 (GCC for AVX-512: the pragma), 256
+   (AVX), 128 (SSE2, NEON, AltiVec), or 0 where none of these is
+   defined. */
+int64_t repro_vector_bits(void)
+{
+%s
+    return 512;
+#elif defined(__AVX__)
+    return 256;
+#elif defined(__SSE2__) || defined(__ARM_NEON) || defined(__ALTIVEC__)
+    return 128;
+#else
+    return 0;
+#endif
+}
+
 static uint32_t repro_crc32(const unsigned char *p, int64_t n)
 {
     uint32_t state = 0xffffffffu;
@@ -1003,7 +1050,7 @@ int64_t repro_copy_crc_list(char *const *src, char *const *dst,
     }
     return 0;
 }
-""" % _crc_table_rows()
+""" % (_crc_table_rows(), _FULL_WIDTH_IF)
 _MOVER_CDEF = """
 int64_t repro_gather(const double *arr, int64_t arr_elems,
                      const int64_t *shape, int64_t ndim,
@@ -1017,6 +1064,7 @@ int64_t repro_copy_list(char *const *src, char *const *dst,
                         const int64_t *nbytes, int64_t n,
                         const int64_t *src_bytes, const int64_t *dst_bytes);
 int64_t repro_crc_engaged(void);
+int64_t repro_vector_bits(void);
 int64_t repro_crc_list(char *const *src, const int64_t *nbytes, int64_t n,
                        uint32_t *out, const int64_t *src_bytes);
 int64_t repro_copy_crc_list(char *const *src, char *const *dst,
@@ -1369,6 +1417,10 @@ class Movers:
         #: The widest fold :meth:`crc_list` / :meth:`copy_crc_list` take,
         #: in bits: 512, 128, or 0 where they cannot engage.
         self.crc_fold = int(lib.repro_crc_engaged())
+        #: The width, in bits, the kernels built with the same flags
+        #: vectorize at: 512, 256, 128, or 0 where no SIMD macro the
+        #: unit knows is defined.
+        self.vector_bits = int(lib.repro_vector_bits())
         #: Why they cannot engage here (empty: they can); see
         #: :func:`mover_kernel`.
         self.crc_refusal = (

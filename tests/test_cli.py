@@ -7,6 +7,7 @@ import pytest
 
 from repro.bench.render import render
 from repro.cli import main
+from repro.stencil import cbackend
 
 
 def run_cli(*args):
@@ -67,6 +68,21 @@ class TestRun:
         assert data["exchange_period"] == 8
         assert data["phases_s"]["pack"]["avg"] > 0
         assert data["messages_per_rank"] == 26
+
+    def test_the_kernel_backend_names_its_vector_width(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "run.json"
+        assert main(
+            ["run", "--method", "layout", "--steps", "1", "--json", str(path)]
+        ) == 0
+        bits = cbackend.mover_kernel().vector_bits
+        line = next(
+            text for text in capsys.readouterr().out.splitlines()
+            if text.startswith("kernel backend: ")
+        )
+        assert line.endswith(f", vector width {bits} bits")
+        assert json.loads(path.read_text())["kernel_vector_bits"] == bits
 
 
 class TestAdvise:

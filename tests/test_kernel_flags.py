@@ -3,6 +3,8 @@ compiler refuses: every unit is then rebuilt once with the portable
 flags, keeps its bits, and the run and ``repro check`` name the refusal.
 """
 
+import platform
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,16 @@ def test_the_portable_build_folds_128_bits_as_zlib_does(fresh_process, monkeypat
         pytest.skip(movers.crc_refusal)
     assert movers.crc_fold == 128
     crc_lengths_match_zlib(movers)
+
+
+def test_the_portable_build_names_its_128_bit_vectors(fresh_process, monkeypatch):
+    """Baseline x86-64 is SSE2: the portable unit reports 128-bit
+    vectors, and ``repro check``'s ``kernel-flags`` note says so."""
+    if platform.machine() != "x86_64":
+        pytest.skip("baseline SIMD is 128 bits wide on x86-64 only")
+    monkeypatch.setattr(cbackend, "_HOST_FLAGS", REFUSED)
+    rep = CheckReport()
+    verify_cbackend(rep)
+    assert cbackend.mover_kernel().vector_bits == 128
+    (note,) = [f for f in rep.findings if f.code == "kernel-flags"]
+    assert "(vector width 128 bits)" in note.message

@@ -13,10 +13,12 @@ One geometry per fresh process pinned to CPU 0.  (The file keeps the
 name it had when it also timed a NumPy kernel tier; CI's smoke steps
 call it by that name.)
 
-The ``kernel`` section (EXPERIMENTS.md, "Kernels for the host") times
-the C kernels on one rank's compute slots and extended array: the brick
-and array step time (medians of 15 samples of 40 steps, each result
-checked bit-for-bit against the generic kernels), ``cc`` + load time per
+The ``kernel`` section (EXPERIMENTS.md, "Kernels for the host" and
+"Kernels at full width") times the C kernels on one rank's compute
+slots and extended array: the brick and array step time (medians of 15
+samples of 40 steps, each result checked bit-for-bit against the
+generic kernels) beside the widest vectors the compiler reports for
+that kernel's loops (``*_vector_bits``), ``cc`` + load time per
 kernel built into an empty kernel cache and its load time from the
 cache, each kernel's GB/s (``bytes_per_point`` per cell) as a fraction
 of a flat ``np.copyto`` of the rank's extended array -- how far the
@@ -76,6 +78,7 @@ section (default 7), and prints the medians of those.
 
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -144,8 +147,25 @@ def check_bits(spec, extent, ghost, bricks, arrays, plan, aplan):
     assert (out.view(np.uint64) == out_ref.view(np.uint64)).all()
 
 
+def vector_bits(source, flags):
+    """The widest vectors, in bits, the compiler reports building for
+    the loops of *source* with *flags* (GCC's ``-fopt-info``; 0 where it
+    reports none)."""
+    from repro.stencil import cbackend
+
+    done = subprocess.run(
+        [cbackend._compiler(), *flags, "-ffp-contract=off",
+         "-fopt-info-vec-optimized", "-c", "-x", "c", "-", "-o", os.devnull],
+        input=source, capture_output=True, text=True,
+    )
+    found = re.findall(r"loop vectorized using (\d+) byte vectors", done.stderr)
+    return 8 * max(map(int, found), default=0)
+
+
 def measure_kernel(name):
-    """The C tier on one rank's compute slots: step time, ``cc`` + load
+    """The C tier on one rank's compute slots: step time and the widest
+    vectors the compiler reports for the kernel (:func:`vector_bits`,
+    with the flags this process built with), ``cc`` + load
     per kernel (median of 3 builds of its source into an empty kernel
     cache, the movers' unit built first so neither carries them), load
     per kernel from the cache (median of 3 hits), GB/s --
@@ -164,10 +184,11 @@ def measure_kernel(name):
     plan = compile_brick_plan(spec, info, slots)
     aplan = compile_array_plan(spec, extent, ghost)
     check_bits(spec, extent, ghost, bricks, arrays, plan, aplan)
-    result = {
-        "brick_step_ms": median_ms(lambda: plan.execute(src, dst), calls=40),
-        "array_step_ms": median_ms(lambda: aplan.execute(arr, out), calls=40),
-    }
+    flags = cbackend.kernel_flags()[0]
+    result = {}
+    for row, fn, args in (("brick", plan, (src, dst)), ("array", aplan, (arr, out))):
+        result[f"{row}_step_ms"] = median_ms(lambda: fn.execute(*args), calls=40)
+        result[f"{row}_vector_bits"] = vector_bits(fn._ckernel.__source__, flags)
     # The builds go to an empty cache of their own: a cc time is a miss
     # (the cache emptied before each), a load time a hit.
     with tempfile.TemporaryDirectory() as home:
@@ -504,6 +525,7 @@ def measure_ckpt(name, rounds=10):
 
     import repro.core.driver as driver
     from repro.ckpt import CheckpointConfig, CheckpointStore, RankCheckpointer
+    from repro.core.expansion import open_faces
     from repro.core.geometry import RunGeometry
     from repro.core.metrics import RankMetrics
     from repro.core.problem import StencilProblem
@@ -531,7 +553,7 @@ def measure_ckpt(name, rounds=10):
         config = CheckpointConfig(CheckpointStore(root), period=8)
         ranks = []
         for rank in range(8):
-            state = make(geometry, 1)
+            state = make(geometry, 1, open_faces(problem, (0, 0, 0)))  # periodic
             buf = state.buffers[0]
             data = buf if geometry.decomp is None else buf.data
             data[:] = rng.random(data.shape)
