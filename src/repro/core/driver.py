@@ -290,47 +290,43 @@ def _brick_state(geometry: RunGeometry, period: int, faces) -> _RankState:
 
 # Degradation ladder for MemMap runs: when the mapping machinery fails
 # (mmap refusal, vm.max_map_count budget), the run demotes -- collectively
-# -- to basic Layout exchange over the same padded storage, and from there
-# to staged brick packing.  Only the exchange engine changes; storage,
-# assignment and results stay identical.
-_LADDER = ("memmap", "basic", "brickpack")
+# -- to basic Layout exchange over the same padded storage, which maps
+# nothing.  Only the exchange engine changes; storage, assignment and
+# results stay identical.
+_LADDER = ("memmap", "basic")
 
 
-def _demote(level: int, rank: int, injector, step: int) -> int:
-    """Record one collective step down the ladder; returns the new level
-    (a rank's demotion count *is* its ladder level)."""
-    if level + 1 >= len(_LADDER):
-        raise RuntimeError(
-            "degradation ladder exhausted: even brick packing failed"
-        )
-    if injector is not None:
-        injector.record("demoted", src=rank, step=step)
-    return level + 1
+def _bind_rung(cart, geometry: RunGeometry, state: _RankState, level) -> bool:
+    """Bind *state* to the engine of ladder *level* on every rank or on
+    none (allreduce-max of the failures), so peers always run
+    wire-compatible engines; True when bound."""
+    built = []
+    try:
+        for buf in state.buffers:
+            built.append(geometry.bind(_LADDER[level], cart, buf))
+        failed = 0
+    except (OSError, ValueError):
+        failed = 1
+    if int(allreduce(cart, np.asarray(failed), np.maximum)):
+        _close_all(built)
+        return False
+    state.exchangers, state.ladder_level = built, level
+    return True
 
 
 def _build_ladder(
     cart, geometry: RunGeometry, state: _RankState, level, injector, step
 ):
-    """Bind *state* to exchangers at *level*, demoting collectively on
-    failure.
-
-    Every rank votes (allreduce-max) on whether any binding failed;
-    demotion is all-or-none so peers always run wire-compatible engines.
-    A rung's plans come from the geometry like the method's own.
-    """
-    while True:
-        built = []
-        try:
-            for buf in state.buffers:
-                built.append(geometry.bind(_LADDER[level], cart, buf))
-            failed = 0
-        except (OSError, ValueError):
-            failed = 1
-        if not int(allreduce(cart, np.asarray(failed), np.maximum)):
-            state.exchangers, state.ladder_level = built, level
-            return
-        _close_all(built)
-        level = _demote(level, cart.rank, injector, step)
+    """Bind *state* at ladder *level*: a MemMap binding that fails on any
+    rank demotes every rank to basic, and a basic one ends the run."""
+    if level == 0 and _bind_rung(cart, geometry, state, 0):
+        return
+    if level == 0 and injector is not None:
+        injector.record("demoted", src=cart.rank, step=step)
+    if not _bind_rung(cart, geometry, state, 1):
+        raise RuntimeError(
+            "degradation ladder exhausted: basic Layout exchange failed to bind"
+        )
 
 
 def _vmem_probe_failed(storage) -> bool:
@@ -346,16 +342,13 @@ def _vmem_probe_failed(storage) -> bool:
 def _ladder_vote(
     cart, geometry: RunGeometry, state: _RankState, injector, t, src
 ) -> bool:
-    """Degradation vote: a rank whose mapping machinery fails a live
-    probe asks for demotion; allreduce-max keeps every rank on the same
-    (wire-compatible) engine.  True when the exchangers were rebuilt."""
+    """Degradation vote of a run on MemMap: a rank whose mapping
+    machinery fails a live probe asks for demotion; allreduce-max keeps
+    every rank on the same (wire-compatible) engine.  True when the
+    exchangers were rebuilt."""
     rank = cart.rank
     want = 0
-    if (
-        injector is not None
-        and state.ladder_level + 1 < len(_LADDER)
-        and injector.degrade_due(rank, t)
-    ):
+    if injector is not None and injector.degrade_due(rank, t):
         with injector.vmem_armed("view_map_chunk"):
             if _vmem_probe_failed(state.buffers[src]):
                 injector.record("vmem_fault", src=rank, step=t)
@@ -363,8 +356,8 @@ def _ladder_vote(
     if not int(allreduce(cart, np.asarray(want), np.maximum)):
         return False
     _close_all(state.exchangers)
-    level = _demote(state.ladder_level, rank, injector, t)
-    _build_ladder(cart, geometry, state, level, injector, t)
+    injector.record("demoted", src=rank, step=t)  # one injector, all ranks
+    _build_ladder(cart, geometry, state, 1, injector, t)
     return True
 
 
@@ -462,6 +455,12 @@ def _ckpt_apply_meta(
         raise CheckpointError(
             "snapshot adjacency/layout permutation does not match the"
             " rebuilt BrickInfo"
+        )
+    level = meta.get("ladder_level")
+    if level not in (None, 0, 1):
+        raise CheckpointError(
+            f"snapshot was taken at degradation ladder level {level}; the"
+            f" ladder {_LADDER} has levels 0 and 1 only"
         )
     if "ledger" not in meta:
         raise CheckpointError(
@@ -563,14 +562,17 @@ def _rank_fn(
                 ),
                 src,
             )
+        # Only a run still on MemMap votes.  The ladder level is
+        # collective, so every rank of a demoted run skips the vote --
+        # and its allreduce -- alike.
         if (
-            state.ladder_level is not None
+            state.ladder_level == 0
             and t % period == 0
             and _ladder_vote(cart, geometry, state, injector, t, src)
         ):
             return make_engines(state.exchangers)
 
-    if injector is not None or cp is not None or state.ladder_level is not None:
+    if injector is not None or cp is not None or state.ladder_level == 0:
         rp.pre_step = pre_step
     if retry is not None:
         rp.around_exchange = lambda t, fire: _exchange_with_retry(
@@ -710,9 +712,10 @@ def run_executed(
     The fabric's per-message path carries collectives only, which are
     never faulted.
 
-    *degrade*: enable the MemMap->Layout->Pack demotion ladder (defaults
-    to on exactly when the plan schedules degradation events); refused
-    for a method whose base is not ``memmap``.
+    *degrade*: enable the MemMap->basic Layout demotion (defaults to on
+    exactly when the plan schedules degradation events); refused for a
+    method whose base is not ``memmap``, and for plan events on more
+    than one step or off the exchange steps, which could never fire.
 
     *fabric_timeout*: deadlock timeout in seconds (else the
     ``REPRO_FABRIC_TIMEOUT`` environment variable, else 30 s).
@@ -812,6 +815,23 @@ def run_executed(
         raise ValueError(
             f"degradation needs a memmap method; {method!r} has no ladder"
         )
+    # The vote runs on exchange steps only, and the first event demotes
+    # to the last rung: refuse degrade events that could never fire.
+    when = sorted({s for _, s in fault_plan.degrade}) if fault_plan else []
+    if when:
+        period = resolve_period(problem, method, exchange_period)
+        idle = [s for s in when if s % period]
+        if idle:
+            raise ValueError(
+                f"degrade events at steps {idle} never fire: the vote runs"
+                f" on multiples of the exchange period {period}"
+            )
+        if len(when) > 1:
+            raise ValueError(
+                f"degrade events at steps {when}: the first demotes the run"
+                f" to {_LADDER[-1]!r}, the last rung, so the later ones never"
+                " fire"
+            )
     if ckpt is not None and injector is not None:
         # Checkpointing turns scheduled crashes into survivable events:
         # each fires once, then the relaunched world sails past it.

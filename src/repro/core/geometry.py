@@ -20,11 +20,10 @@ afterwards.  It holds everything rank-invariant and period-independent:
   **bind tables** of each engine (:meth:`RunGeometry.tables`, built when
   a rank first binds it, once per distinct partner set): the storage
   byte ranges of Layout / Basic's wire views, MemMap's window chunks and
-  per-message slices, BrickPack's staging sizes and section runs, and
-  Pack / MPI_Types / Shift's checked send and receive box tables and
-  staging sizes (each ``SubarrayType`` built once per message) -- and
-  the seeded initial condition, built on first use (a world resumed
-  from a checkpoint never asks).
+  per-message slices, and Pack / MPI_Types / Shift's checked send and
+  receive box tables and staging sizes (each ``SubarrayType`` built
+  once per message) -- and the seeded initial condition, built on
+  first use (a world resumed from a checkpoint never asks).
 
 Each is derived once, with array operations where it is per brick or
 per rank: the slot assignment from one classification of the brick grid
@@ -40,15 +39,15 @@ allocates its staging), resolves the movers over them and hands the
 channel's items to the fabric, which negotiates every edge -- kernel
 scratch, the exchange period.  The same object is what ``repro check``
 verifies, what the driver launches, what the degradation ladder takes
-its rungs from and what elastic re-bricking reads both worlds'
+its rung from and what elastic re-bricking reads both worlds'
 decomposition from: the plan a rank binds *is* the plan that was
 proved, by identity.
 
 Thread safety: built before launch, except the on-demand products
-(ladder rungs, bind tables, initial condition), built under a lock by
-whichever rank asks first; every array exposed is non-writeable and
-every table a tuple, so a rank that writes one raises instead of
-racing.  DESIGN.md 5, "Run geometry".
+(the ladder's rung, bind tables, initial condition), built under a
+lock by whichever rank asks first; every array exposed is
+non-writeable and every table a tuple, so a rank that writes one
+raises instead of racing.  DESIGN.md 5, "Run geometry".
 
 :func:`subdomain_template` is the same derivation for one subdomain
 with no world launched -- the schedule the any-scale model prices
@@ -84,10 +83,9 @@ from repro.util.bitset import BitSet
 __all__ = ["CHECKABLE_METHODS", "RunGeometry", "subdomain_template"]
 
 #: Methods with an executable schedule (and so a static check): every
-#: executable CPU scheme plus the degradation ladder's last rung.
+#: executable CPU scheme, the degradation ladder's ``basic`` among them.
 CHECKABLE_METHODS = (
     "yask", "yask_ol", "mpi_types", "shift", "basic", "layout", "memmap",
-    "brickpack",
 )
 
 _Schedule = Tuple[Tuple[RankMessagePlan, ...], Tuple[ExchangeResult, ...]]
@@ -149,10 +147,8 @@ class RunGeometry:
         profile: Optional[MachineProfile] = None,
         page_size: Optional[int] = None,
     ) -> None:
-        # "brickpack" is the ladder's last rung, not a user-selectable
-        # method name: it has a base name but no MethodInfo.
-        info = None if method == "brickpack" else method_info(method)
-        self.base = info.base if info is not None else method
+        info = method_info(method)
+        self.base = info.base
         if self.base not in CHECKABLE_METHODS:
             raise ExchangeConfigError(
                 f"method {method!r} is not statically checkable;"
@@ -163,9 +159,7 @@ class RunGeometry:
         self.profile = profile or generic_host()
         # A GPU method's plans are priced over its transport (raises for
         # a profile without a GPU, before any rank starts).
-        self.transport = (
-            make_transport(info, self.profile) if info is not None else None
-        )
+        self.transport = make_transport(info, self.profile)
         self.extent = problem.subdomain_extent
         self.ghost = problem.ghost
         self.extended_shape = tuple(
@@ -173,7 +167,7 @@ class RunGeometry:
         )
         self.decomp = self.assignment = self.brick_info = None
         self.permutation = self.page_size = None
-        if info is None or info.uses_bricks:
+        if info.uses_bricks:
             self.decomp = decomp = problem.brick_decomp()
             if self.base == "memmap":
                 self.page_size = resolve_page_size(info, self.profile, page_size)

@@ -26,7 +26,6 @@ exchanger that binds one rank's plan of it to a buffer
 
 from repro.exchange.base import ExchangeResult, Exchanger, ScheduleTemplate
 from repro.exchange.boxes import box_template, neighbor_recv_box, neighbor_send_box
-from repro.exchange.brickpack import BrickPackExchanger, brickpack_template
 from repro.exchange.envelope import Envelope, checksum, seal, verify
 from repro.exchange.layout_ex import LayoutExchanger, layout_template
 from repro.exchange.memmap_ex import MemMapExchanger, memmap_template
@@ -37,7 +36,6 @@ from repro.exchange.shift import ShiftExchanger, shift_template
 from repro.faults.errors import ExchangeConfigError
 
 __all__ = [
-    "BrickPackExchanger",
     "Envelope",
     "ExchangeResult",
     "Exchanger",
@@ -71,7 +69,6 @@ _BRICK_EXCHANGERS = {
     "layout": LayoutExchanger,
     "basic": LayoutExchanger,
     "memmap": MemMapExchanger,
-    "brickpack": BrickPackExchanger,
 }
 
 
@@ -101,10 +98,10 @@ def schedule_template(
     :class:`~repro.brick.decomp.BrickDecomp` and the
     :class:`~repro.brick.decomp.SlotAssignment` of its storage (plus the
     *page_size* for ``memmap``) for the brick schemes, the degradation
-    ladder's rungs ``basic`` / ``brickpack`` included.  No communicator,
-    no fabric, no buffer: :meth:`ScheduleTemplate.for_rank` instantiates
-    it per rank, the static verifier checks those plans, and
-    :func:`make_exchanger` binds them.
+    ladder's rung ``basic`` included.  No communicator, no fabric, no
+    buffer: :meth:`ScheduleTemplate.for_rank` instantiates it per rank,
+    the static verifier checks those plans, and :func:`make_exchanger`
+    binds them.
     """
     if base in ("yask", "yask_ol"):
         return box_template("pack", "pack", extent, ghost, itemsize)
@@ -116,8 +113,6 @@ def schedule_template(
         return layout_template(decomp, assignment, merge_runs=(base == "layout"))
     if base == "memmap":
         return memmap_template(decomp, assignment, page_size)
-    if base == "brickpack":
-        return brickpack_template(decomp, assignment)
     raise ExchangeConfigError(
         f"method base {base!r} has no executable exchanger"
     )

@@ -84,7 +84,7 @@ class PlannedMessage(NamedTuple):
     ``ranges`` are the *storage* byte intervals ``(offset, length)`` the
     message reads from (sends) or writes into (receives) for the schemes
     whose payload lives in brick storage (layout / basic / memmap wire
-    it directly, brickpack gathers from and scatters into it); ``None``
+    it directly); ``None``
     for schemes whose wire buffer is separate staging (pack / mpi_types
     / shift), where storage aliasing is structurally impossible.
     ``phase`` orders the rounds of an exchange (Shift's per-axis

@@ -14,10 +14,9 @@ what makes the one-box-per-neighbor exchange well-formed.
 
 Moving the boxes -- pack, unpack, and the datatype engine's gather and
 scatter, which are the same movement -- is bound once
-(:func:`bind_gather` / :func:`bind_scatter`; :func:`bind_copy` where the
-pieces are contiguous runs, brick storage's slot sections): every
-array, box and buffer is checked where the table is built, and the call
-that comes back moves all of a side's boxes as one table-driven C call
+(:func:`bind_gather` / :func:`bind_scatter`): every array, box and
+buffer is checked where the table is built, and the call that comes
+back moves all of a side's boxes as one table-driven C call
 (:class:`repro.stencil.cbackend.Movers`).  The boxes themselves are
 rank-invariant: :func:`box_table` checks them once per run
 (:class:`BoxTable`, held by the run geometry) and :func:`stage_table`
@@ -50,7 +49,6 @@ __all__ = [
     "box_slices",
     "box_template",
     "extended_array_of",
-    "bind_copy",
     "bind_gather",
     "bind_scatter",
     "box_table",
@@ -241,34 +239,6 @@ def bind_scatter(
     """The inverse of :func:`bind_gather`: flat ``bufs[b]`` into box *b*."""
     table = _box_table(arr, boxes, bufs, writes="array")
     return movers.scatter(arr, table, bufs)
-
-
-def bind_copy(
-    srcs: Sequence[np.ndarray],
-    dsts: Sequence[np.ndarray],
-    movers: Movers,
-) -> Callable[[], None]:
-    """The call that copies flat ``srcs[i]`` into flat ``dsts[i]``, every
-    *i*: a gather or scatter whose pieces are contiguous runs rather
-    than boxes (brick storage's slot sections).  Refused here, once,
-    with :class:`ExchangeConfigError`: a pair that differs in size or
-    dtype, a view that is not C-contiguous, a read-only destination.
-    """
-    if len(srcs) != len(dsts):
-        raise ExchangeConfigError(
-            f"{len(srcs)} sources bound to {len(dsts)} destinations"
-        )
-    for src, dst in zip(srcs, dsts):
-        if src.size != dst.size or src.dtype != dst.dtype:
-            raise ExchangeConfigError(
-                f"a run of {src.size} {src.dtype} elements bound to one of"
-                f" {dst.size} {dst.dtype}"
-            )
-        if not (src.flags.c_contiguous and dst.flags.c_contiguous):
-            raise ExchangeConfigError("copied runs must be C-contiguous")
-        if not dst.flags.writeable:
-            raise ExchangeConfigError("cannot copy into a read-only run")
-    return movers.copy_list(srcs, dsts)
 
 
 class BoxTable(NamedTuple):

@@ -46,10 +46,9 @@ def neighbor_sections(
     """``(send, recv)`` brick sections exchanged with *neighbor*.
 
     The non-empty surface sections bound for it and the ghost sections
-    filled from it, each in message-run order -- the payload order the
-    one-message-per-neighbor brick schemes (MemMap, BrickPack) share
-    with Layout's runs, so a peer's receive order matches regardless of
-    its own method.
+    filled from it, each in message-run order -- the payload order
+    MemMap's one message per neighbor shares with Layout's runs, so a
+    peer's receive order matches regardless of its own method.
     """
     layout = decomp.layout
 
@@ -176,7 +175,7 @@ def layout_tables(plan: RankMessagePlan, extent=None, ghost=None) -> Tuple[Range
 
 def storage_bytes(storage: BrickStorage, reach: int) -> np.ndarray:
     """*storage*'s bricks as one flat ``uint8`` view, the buffer every
-    wire view or staged run of a brick plan is cut from.  Refused unless
+    wire view of a brick plan is cut from.  Refused unless
     it is C-contiguous, writeable (every exchange receives into it) and
     holds the *reach* bytes the plan's ranges touch."""
     data = storage.data

@@ -6,7 +6,7 @@ pure arithmetic on the subdomain extent and ghost width:
 :func:`array_schedule` (Pack, MPI_Types) and :func:`shift_schedule`
 (Shift).  Their templates (``exchange/boxes.py``, ``exchange/shift.py``)
 call them; the brick schemes' templates (``exchange/layout_ex.py``,
-``exchange/memmap_ex.py``, ``exchange/brickpack.py``) derive their specs
+``exchange/memmap_ex.py``) derive their specs
 from a decomposition's slot assignment.  Those templates are the only
 schedules: the any-scale model prices them too
 (:mod:`repro.core.model`).

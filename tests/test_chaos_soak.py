@@ -126,7 +126,7 @@ class TestSoak:
         report = run_soak(config)
         degrade = [t for t in report.trials if t.preset == "degrade"]
         assert degrade and degrade[0].demotions > 0
-        assert degrade[0].final_method in ("basic", "brickpack")
+        assert degrade[0].final_method == "basic"
 
     def test_presets_cover_config_order(self):
         assert set(ChaosConfig().presets) == set(PRESETS)

@@ -113,7 +113,7 @@ class TestSelftest:
         assert all(results.values()), results
         assert set(results) == set(MUTATIONS)
 
-    @pytest.mark.parametrize("method", ("layout", "brickpack", "yask"))
+    @pytest.mark.parametrize("method", ("layout", "yask"))
     def test_all_mutations_detected_per_method(self, method):
         results = run_selftest(methods=(method,))
         assert all(results.values()), results

@@ -1,24 +1,28 @@
-"""The degradation ladder: MemMap -> basic Layout -> staged brick packing.
+"""The degradation ladder: one demotion, MemMap -> basic Layout.
 
 Demotion is collective (allreduce vote) and changes only the exchange
 engine -- storage, assignment, and the numerical answer stay identical,
 so every test here gates on bit-exact agreement with the serial
-reference.
+reference.  A basic binding that fails ends the run, and a request the
+ladder could never act on is refused before launch.
 """
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 from repro.brick.decomp import BrickDecomp
+import repro.core.driver as driver
+from repro.ckpt import CheckpointError
 from repro.core.driver import run_executed
 from repro.core.geometry import RunGeometry
 from repro.core.problem import StencilProblem
-from repro.exchange.brickpack import BrickPackExchanger, brickpack_template
 from repro.exchange.layout_ex import LayoutExchanger, layout_template
 from repro.faults import FaultPlan
 from repro.hardware.profiles import generic_host
+from repro.simmpi.fabric import AbortedError
 from repro.simmpi.launcher import run_spmd
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import SEVEN_POINT
@@ -65,6 +69,42 @@ class TestSetupDemotion:
             run_executed(problem, "memmap", profile=tiny, timesteps=STEPS,
                          seed=0, fabric_timeout=10.0)
 
+    def test_failing_basic_binding_exhausts_the_ladder(self, monkeypatch):
+        """MemMap overflows its mapping budget and basic cannot bind
+        either: there is no rung below, so every rank ends -- with the
+        exhausted-ladder error, or the abort a peer's raised -- and none
+        waits out the fabric timeout."""
+
+        def refuse(self, storage, tables):
+            raise OSError("injected: basic cannot bind")
+
+        outcomes = {}
+        rank_fn = driver._rank_fn
+
+        def recording(comm, *args):
+            try:
+                return rank_fn(comm, *args)
+            except BaseException as exc:
+                outcomes[comm.rank] = exc
+                raise
+
+        monkeypatch.setattr(LayoutExchanger, "_bind", refuse)
+        monkeypatch.setattr(driver, "_rank_fn", recording)
+        problem = _problem()
+        tiny = dataclasses.replace(generic_host(), mmap_limit=4)
+        timeout = 10.0
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="ladder exhausted") as err:
+            run_executed(problem, "memmap", profile=tiny, timesteps=STEPS,
+                         seed=0, degrade=True, fabric_timeout=timeout)
+        assert time.monotonic() - start < timeout
+        assert "basic Layout exchange failed to bind" in str(err.value.__cause__)
+        assert sorted(outcomes) == list(range(problem.nranks))
+        for exc in outcomes.values():
+            assert isinstance(exc, AbortedError) or (
+                "ladder exhausted" in str(exc)
+            ), exc
+
 
 class TestMidRunDegradation:
     def test_single_demotion_to_basic(self):
@@ -101,18 +141,6 @@ class TestMidRunDegradation:
             assert ledger.messages == sum(r.messages_sent for r in fired)
         assert run.messages_per_rank == run.metrics.ranks[0].messages // 6
 
-    def test_full_ladder_to_brickpack(self):
-        problem = _problem()
-        steps = 3
-        plan = FaultPlan(seed=2, degrade=((1, 1), (5, 2)))
-        run = run_executed(problem, "memmap", timesteps=steps, seed=0,
-                           fault_plan=plan, fabric_timeout=10.0)
-        assert run.final_method == "brickpack"
-        assert run.demotions == 2 * problem.nranks
-        np.testing.assert_array_equal(
-            run.global_result, _reference(problem, steps)
-        )
-
     def test_degraded_run_matches_healthy_run(self):
         problem = _problem()
         healthy = run_executed(problem, "memmap", timesteps=STEPS, seed=0)
@@ -125,16 +153,52 @@ class TestMidRunDegradation:
             healthy.global_result, degraded.global_result
         )
 
+    def test_event_off_the_exchange_steps_is_refused(self):
+        # Exchange period 2: the vote runs at even steps only, so rank
+        # 3's event at step 1 could never fire.
+        problem = StencilProblem((64, 64, 64), (2, 2, 2), SEVEN_POINT,
+                                 brick_dim=(8, 8, 8), ghost=16)
+        with pytest.raises(ValueError, match=r"steps \[1\] never fire"):
+            run_executed(problem, "memmap", timesteps=4, exchange_period=2,
+                         fault_plan=FaultPlan(seed=2, degrade=((3, 1),)))
+
+    def test_events_on_a_second_step_are_refused(self):
+        # The first event demotes to basic, the last rung: one at a
+        # later step could never fire.
+        plan = FaultPlan(seed=2, degrade=((1, 1), (5, 2)))
+        with pytest.raises(ValueError, match="later ones never fire"):
+            run_executed(_problem(), "memmap", timesteps=3, fault_plan=plan)
+
+    def test_resumed_level_beyond_the_ladder_is_refused(
+        self, monkeypatch, tmp_path
+    ):
+        """A snapshot holding a ladder level this ladder lacks (a tree
+        with more rungs wrote it) is refused on resume, not indexed."""
+        ckpt_meta = driver._ckpt_meta
+
+        def two_demotions(*args):
+            return {**ckpt_meta(*args), "ladder_level": 2}
+
+        kwargs = dict(seed=0, degrade=True, checkpoint_dir=tmp_path,
+                      fabric_timeout=10.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(driver, "_ckpt_meta", two_demotions)
+            run_executed(_problem(), "memmap", timesteps=STEPS, **kwargs)
+        with pytest.raises(RuntimeError) as err:
+            run_executed(_problem(), "memmap", timesteps=STEPS + 1,
+                         resume=True, **kwargs)
+        assert isinstance(err.value.__cause__, CheckpointError)
+        assert "ladder level 2" in str(err.value.__cause__)
+
 
 class TestLadderEngines:
-    """The two fallback engines work directly on MemMap's padded storage."""
+    """The demotion target works directly on MemMap's padded storage."""
 
     @staticmethod
     def _rank_probe(comm, problem, page):
         cart = comm.Create_cart(
             problem.rank_dims, periods=[problem.periodic] * problem.ndim
         )
-        profile = generic_host()
         decomp = BrickDecomp(
             problem.subdomain_extent, problem.brick_dim, problem.ghost,
             problem.layout, problem.dtype,
@@ -148,22 +212,12 @@ class TestLadderEngines:
             out["merged_raised"] = False
         except ValueError:
             out["merged_raised"] = True
-
-        def plan(template):
-            return template.for_rank(cart.rank, cart.dims, cart.periods)
-
-        basic = LayoutExchanger(
-            cart, plan(layout_template(decomp, asn, merge_runs=False)),
-            storage, profile,
+        plan = layout_template(decomp, asn, merge_runs=False).for_rank(
+            cart.rank, cart.dims, cart.periods
         )
+        basic = LayoutExchanger(cart, plan, storage, generic_host())
         out["basic_method"] = basic.method
-        pack = BrickPackExchanger(
-            cart, plan(brickpack_template(decomp, asn)), storage, profile
-        )
-        out["pack_method"] = pack.method
-        out["pack_messages"] = len(pack.plan.sends)
-        out["basic_messages"] = len(basic.plan.sends)
-        pack.exchange()  # all ranks exchange: must complete, not deadlock
+        basic.exchange()  # all ranks exchange: must complete, not deadlock
         storage.close()
         return out
 
@@ -178,7 +232,3 @@ class TestLadderEngines:
         for out in outs:
             assert out["merged_raised"] is True
             assert out["basic_method"] == "basic"
-            assert out["pack_method"] == "brickpack"
-            # One staged message per neighbor; basic Layout sends one per
-            # contiguous section, so it is never the cheaper engine.
-            assert 0 < out["pack_messages"] <= out["basic_messages"]

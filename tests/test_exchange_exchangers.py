@@ -16,7 +16,6 @@ from repro.brick.decomp import BrickDecomp
 from repro.core.driver import run_executed
 from repro.core.problem import StencilProblem
 from repro.exchange import schedule_template
-from repro.exchange.brickpack import BrickPackExchanger
 from repro.exchange.layout_ex import LayoutExchanger, layout_template
 from repro.exchange.memmap_ex import MemMapExchanger, memmap_template
 from repro.exchange.mpitypes import MPITypesExchanger
@@ -106,9 +105,6 @@ def _run_brick_exchanger(
             storage, asn = d.mmap_alloc(page_size)
             plan = _plan(cart, mode, d, asn, page_size)
             ex = MemMapExchanger(cart, plan, storage, profile)
-        elif mode == "brickpack":
-            storage, asn = d.allocate()
-            ex = BrickPackExchanger(cart, _plan(cart, mode, d, asn), storage, profile)
         else:
             storage, asn = d.allocate()
             ex = LayoutExchanger(cart, _plan(cart, mode, d, asn), storage, profile)
@@ -240,7 +236,7 @@ class TestThreeWaysToFire:
 
     @pytest.mark.parametrize(
         "method",
-        ["layout", "basic", "memmap", "yask", "mpi_types", "brickpack", "shift"],
+        ["layout", "basic", "memmap", "yask", "mpi_types", "shift"],
     )
     def test_one_outcome(self, method):
         # Shift too: its channel fires one cut per axis round.
@@ -304,11 +300,15 @@ class TestExchangerValidation:
             other = template.for_rank((cart.rank + 1) % 8, cart.dims)
             with pytest.raises(ValueError, match="plan of rank"):
                 LayoutExchanger(cart, other, storage, theta_knl())
+            padded, page_asn = d.mmap_alloc(4096)
             with pytest.raises(ValueError, match="does not describe"):
-                # BrickPack's section-list messages over Layout's binding.
+                # MemMap's page-padded window messages over Layout's
+                # binding: one message per neighbor, several chunks each.
                 LayoutExchanger(
-                    cart, _plan(cart, "brickpack", d, asn), storage, theta_knl()
+                    cart, _plan(cart, "memmap", d, page_asn, 4096), padded,
+                    theta_knl(),
                 )
+            padded.close()
 
         run_spmd(8, fn)
 

@@ -101,7 +101,7 @@ def test_modelled_price(method, profile):
 )
 @pytest.mark.parametrize(
     "method",
-    ["layout", "basic", "memmap", "yask", "mpi_types", "shift", "brickpack"],
+    ["layout", "basic", "memmap", "yask", "mpi_types", "shift"],
 )
 def test_exchanger_result(method, geometry, boundaries, profile):
     """``ExchangeResult`` of every rank: the recording executed the

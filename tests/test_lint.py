@@ -428,8 +428,8 @@ def test_per_message_copy_loop_outside_the_numpy_tier_flagged():
     assert sorted(v[1] for v in violations) == [5, 8, 10]
     assert all("one C call" in v[2] for v in violations)
     # The same loops pass only where named: the fabric's per-item fault
-    # path -- not the box movers' home, and no method file (brick
-    # packing binds a copy_list).
+    # path -- not the box movers' home, and no method file (Pack binds
+    # its boxes through boxes.py's stage_table).
     boxes = lint_invariants.SRC / "exchange" / "boxes.py"
     for name in ("bind_gather", "stage_table"):
         renamed = src.replace("def _bind", f"def {name}")
@@ -439,8 +439,8 @@ def test_per_message_copy_loop_outside_the_numpy_tier_flagged():
     assert lint_invariants.check_copy_tier(fabric, ast.parse(faulted)) == []
     verified = src.replace("def _bind", "def _complete_recv_verified")
     assert len(lint_invariants.check_copy_tier(fabric, ast.parse(verified))) == 3
-    brickpack = lint_invariants.SRC / "exchange" / "brickpack.py"
-    assert len(lint_invariants.check_copy_tier(brickpack, ast.parse(src))) == 3
+    pack = lint_invariants.SRC / "exchange" / "pack.py"
+    assert len(lint_invariants.check_copy_tier(pack, ast.parse(src))) == 3
     assert lint_invariants.NUMPY_TIER == {"simmpi/fabric.py": ("_land_faulted",)}
     # ... and the rule is about the communication layers only.
     elsewhere = lint_invariants.SRC / "stencil" / "synthetic.py"
@@ -452,7 +452,7 @@ def test_lint_file_on_real_sources():
     for rel in (
         "simmpi/fabric.py", "exchange/envelope.py", "check/schedule.py",
         "core/geometry.py", "core/driver.py", "core/runplan.py",
-        "exchange/costs.py", "exchange/brickpack.py", "exchange/boxes.py",
+        "exchange/costs.py", "exchange/boxes.py",
     ):
         assert lint_invariants.lint_file(lint_invariants.SRC / rel) == []
 

@@ -190,15 +190,15 @@ class TestOneConstructionPerWorld:
         )
 
     def test_degradation_ladder_tabulates_each_rung_once(self, built):
-        # Two demotions: every rung's schedule and bind tables are built
+        # One demotion: each rung's schedule and bind tables are built
         # once, by the first rank that binds it, for all eight.
         run = run_executed(
             _problem(), "memmap", timesteps=4, fabric_timeout=15.0,
-            fault_plan=FaultPlan(seed=2, degrade=((1, 1), (5, 2))),
+            fault_plan=FaultPlan(seed=2, degrade=((1, 1),)),
         )
-        assert run.final_method == "brickpack"
+        assert run.final_method == "basic"
         assert _without_trials(built) == _expected(
-            "memmap", engines=("memmap", "basic", "brickpack")
+            "memmap", engines=("memmap", "basic")
         )
 
     def test_resumed_run_builds_no_initial_condition(self, built, tmp_path):
@@ -346,8 +346,7 @@ class TestFrozenGeometry:
         basic, _ = geometry.schedule("basic")
         assert geometry.schedule("basic")[0] is basic  # derived once
         assert {p.method for p in basic} == {"basic"}
-        pack, _ = geometry.schedule("brickpack")
-        assert len(pack[0].sends) == 26 < len(basic[0].sends)
+        assert len(geometry.plans[0].sends) == 26 < len(basic[0].sends)
 
     def test_distinct_plans_are_priced_once(self):
         periodic = RunGeometry(_problem(), "layout")
@@ -389,9 +388,9 @@ def test_shared_geometry_is_not_a_data_race(stencil):
 # ----------------------------------------------------------------------
 def _bound_geometry(method):
     """The geometry whose engine *method* binds, and that engine's base:
-    ``basic`` and ``brickpack`` are the MemMap ladder's rungs, bound
-    over MemMap's padded storage."""
-    if method in ("basic", "brickpack"):
+    ``basic`` is the MemMap ladder's rung, bound over MemMap's padded
+    storage."""
+    if method == "basic":
         return RunGeometry(_problem(), "memmap"), method
     return RunGeometry(_problem(), method), method
 
@@ -446,7 +445,7 @@ class TestBindRefusals:
     )
     @pytest.mark.parametrize(
         "method",
-        ["layout", "memmap", "basic", "brickpack", "yask", "mpi_types", "shift"],
+        ["layout", "memmap", "basic", "yask", "mpi_types", "shift"],
     )
     def test_refused(self, method, case):
         geometry, base = _bound_geometry(method)

@@ -117,10 +117,10 @@ may not, and these rules are project-specific anyway.  Nine checks:
    instantiated from it, the fabric carries them and the any-scale model
    prices them.  So under ``src/repro`` ``MessageSpec(...)`` is
    constructed only in the template modules named in ``SPEC_HOMES``
-   (``exchange/layout_ex.py``, ``exchange/memmap_ex.py``,
-   ``exchange/brickpack.py``, and ``exchange/schedule.py`` for the
-   array schemes' boxes and faces): a spec built anywhere else is a
-   second derivation that a test would have to keep equal to the first.
+   (``exchange/layout_ex.py``, ``exchange/memmap_ex.py``, and
+   ``exchange/schedule.py`` for the array schemes' boxes and faces): a
+   spec built anywhere else is a second derivation that a test would
+   have to keep equal to the first.
 
 Every file an allowlist names must exist under ``src/repro``: a stale
 entry would silently exempt whatever file lands at that path later.
@@ -227,7 +227,6 @@ NUMPY_TIER = {
 SPEC_HOMES = (
     "exchange/layout_ex.py",
     "exchange/memmap_ex.py",
-    "exchange/brickpack.py",
     "exchange/schedule.py",
 )
 
@@ -632,8 +631,8 @@ def check_copy_tier(path: Path, tree: ast.AST) -> List[Violation]:
                         path,
                         node.lineno,
                         "a per-message copy loop: bind the side once"
-                        " (exchange/boxes.py bind_gather / bind_scatter /"
-                        " bind_copy, or the fabric's copy table) so it"
+                        " (exchange/boxes.py bind_gather / bind_scatter,"
+                        " or the fabric's copy table) so it"
                         " moves in one C call, or name the function in"
                         " NUMPY_TIER with its reason",
                     )

@@ -28,11 +28,10 @@ the ceiling a tap-bound kernel meets first.
 The ``copy`` section (EXPERIMENTS.md, "One data-movement tier") times,
 on one rank exchanging with itself across its periodic boundary, what
 each method's bound plan moves per exchange side -- pack, unpack, the
-datatype engine's extract / insert, brick packing's section gather /
-scatter (the ladder's last rung, which no halobench workload reaches),
-and the fabric's post + receive + send-wait over the messages of
-``yask`` / ``layout`` / ``memmap``: us per side and GB/s (read + write)
-beside a flat ``np.copyto`` of the same bytes.
+datatype engine's extract / insert, and the fabric's post + receive +
+send-wait over the messages of ``yask`` / ``layout`` / ``memmap``: us
+per side and GB/s (read + write) beside a flat ``np.copyto`` of the
+same bytes.
 
 The ``guard`` section (EXPERIMENTS.md, "The guard judges a cut" and
 "The verified cut at the plain cut's cost") times the same
@@ -273,8 +272,7 @@ def measure_copy(name):
     bound, rng = _self_exchange(name)
     out, keep = {}, []
     for method, pre, post in (
-        ("yask", "pack", "unpack"), ("mpi_types", "extract", "insert"),
-        ("brickpack", "brick_pack", "brick_unpack"),
+        ("yask", "pack", "unpack"), ("mpi_types", "extract", "insert")
     ):
         hooks, _, result, alive = bound(method)
         keep.append(alive)
