@@ -29,7 +29,6 @@ from repro.core.methods import (
     MethodInfo,
     method_info,
 )
-from repro.core.expansion import cycle_period, element_cycle_margins
 from repro.core.metrics import RankMetrics, RunMetrics
 from repro.core.model import compute_time, model_timestep
 from repro.core.problem import StencilProblem
@@ -46,8 +45,6 @@ __all__ = [
     "RunMetrics",
     "StencilProblem",
     "compute_time",
-    "cycle_period",
-    "element_cycle_margins",
     "method_info",
     "model_timestep",
     "run_executed",

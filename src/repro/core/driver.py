@@ -253,7 +253,7 @@ def _brick_state(geometry: RunGeometry, period: int, faces) -> _RankState:
     else:
         storages = [decomp.allocate()[0] for _ in range(2)]
     cycle_slots = brick_cycle_slots(
-        decomp, asn, spec.radius, depths_for_period(period, decomp.width), faces
+        decomp, asn, depths_for_period(period, decomp.width), faces
     )
     own = owned_slices(ext, g)
 
@@ -342,13 +342,13 @@ def _vmem_probe_failed(storage) -> bool:
 def _ladder_vote(
     cart, geometry: RunGeometry, state: _RankState, injector, t, src
 ) -> bool:
-    """Degradation vote of a run on MemMap: a rank whose mapping
-    machinery fails a live probe asks for demotion; allreduce-max keeps
-    every rank on the same (wire-compatible) engine.  True when the
-    exchangers were rebuilt."""
+    """Degradation vote of a run on MemMap, at its plan's degrade step: a
+    rank whose mapping machinery fails a live probe asks for demotion;
+    allreduce-max keeps every rank on the same (wire-compatible) engine.
+    True when the exchangers were rebuilt."""
     rank = cart.rank
     want = 0
-    if injector is not None and injector.degrade_due(rank, t):
+    if injector.degrade_due(rank, t):
         with injector.vmem_armed("view_map_chunk"):
             if _vmem_probe_failed(state.buffers[src]):
                 injector.record("vmem_fault", src=rank, step=t)
@@ -545,6 +545,9 @@ def _rank_fn(
         info.overlaps,
     )
 
+    # ``run_executed`` refuses degrade events on more than one step.
+    vote_step = injector.plan.max_degrade_step if injector is not None else -1
+
     def pre_step(t: int, src: int):
         if injector is not None:
             _crash_check(comm, injector, t)
@@ -562,17 +565,18 @@ def _rank_fn(
                 ),
                 src,
             )
-        # Only a run still on MemMap votes.  The ladder level is
-        # collective, so every rank of a demoted run skips the vote --
-        # and its allreduce -- alike.
+        # Only a run still on MemMap votes, and only at its plan's one
+        # degrade step: no other step has a rank that could ask.  The
+        # ladder level is collective, so every rank of a demoted run
+        # skips the vote -- and its allreduce -- alike.
         if (
             state.ladder_level == 0
-            and t % period == 0
+            and t == vote_step
             and _ladder_vote(cart, geometry, state, injector, t, src)
         ):
             return make_engines(state.exchangers)
 
-    if injector is not None or cp is not None or state.ladder_level == 0:
+    if injector is not None or cp is not None:
         rp.pre_step = pre_step
     if retry is not None:
         rp.around_exchange = lambda t, fire: _exchange_with_retry(
@@ -714,8 +718,11 @@ def run_executed(
 
     *degrade*: enable the MemMap->basic Layout demotion (defaults to on
     exactly when the plan schedules degradation events); refused for a
-    method whose base is not ``memmap``, and for plan events on more
-    than one step or off the exchange steps, which could never fire.
+    method whose base is not ``memmap``, turned off (False) beside plan
+    events, and for plan events on more than one step or off the
+    exchange steps, which could never fire.  The ladder votes once, at
+    the plan's degrade step.  A plan's crash, death or degrade event at
+    a step ``>= timesteps`` is refused too.
 
     *fabric_timeout*: deadlock timeout in seconds (else the
     ``REPRO_FABRIC_TIMEOUT`` environment variable, else 30 s).
@@ -815,9 +822,29 @@ def run_executed(
         raise ValueError(
             f"degradation needs a memmap method; {method!r} has no ladder"
         )
-    # The vote runs on exchange steps only, and the first event demotes
-    # to the last rung: refuse degrade events that could never fire.
+    # Refuse scheduled events that could never fire: past the last step;
+    # degrade events without the ladder, off the exchange steps (where the
+    # vote runs) or on a second step (the first demotes to the last rung).
+    if fault_plan is not None:
+        late = [
+            f"{kind} at step {s}"
+            for kind, events in (("crash", fault_plan.crashes),
+                                 ("death", fault_plan.deaths),
+                                 ("degrade", fault_plan.degrade))
+            for s in sorted({s for _, s in events})
+            if s >= timesteps
+        ]
+        if late:
+            raise ValueError(
+                f"fault events past the last step never fire: {', '.join(late)}"
+                f" of a {timesteps}-step run (steps 0 to {timesteps - 1})"
+            )
     when = sorted({s for _, s in fault_plan.degrade}) if fault_plan else []
+    if when and not degrade:
+        raise ValueError(
+            f"degrade=False turns the ladder off: the degrade events at"
+            f" steps {when} would fire nothing"
+        )
     if when:
         period = resolve_period(problem, method, exchange_period)
         idle = [s for s in when if s % period]

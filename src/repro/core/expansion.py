@@ -13,8 +13,12 @@ Two granularities:
 * **element** (lexicographic arrays): validity shrinks by ``r`` elements
   per step, giving the full period ``floor(g / r)``.
 * **brick** (blocked storage): only whole bricks are computed, so the
-  valid depth snaps down to brick multiples and the period is shorter --
-  the brick-size/ghost-width trade the D3/D4 ablations explore.
+  valid depth snaps down to brick multiples and the period is
+  ``floor(g / bd)`` -- the brick-size/ghost-width trade the D3/D4
+  ablations explore.
+
+:func:`resolve_period` picks the period; :func:`margins_for_period` and
+:func:`depths_for_period` derive each cycle step's reach from it.
 """
 
 from __future__ import annotations
@@ -27,75 +31,12 @@ from repro.brick.decomp import BrickDecomp, SlotAssignment
 from repro.core.methods import method_info
 
 __all__ = [
-    "element_validity_schedule",
-    "element_cycle_margins",
-    "brick_validity_schedule",
-    "brick_cycle_depths",
     "brick_cycle_slots",
-    "cycle_period",
     "depths_for_period",
     "margins_for_period",
     "open_faces",
     "resolve_period",
 ]
-
-
-def element_validity_schedule(ghost: int, radius: int) -> List[int]:
-    """Valid ghost depth (elements) before each cycle step, element
-    granularity: ``g, g-r, g-2r, ...`` while at least ``r`` remains."""
-    _check(ghost, radius)
-    out = []
-    valid = ghost
-    while valid >= radius:
-        out.append(valid)
-        valid -= radius
-    return out
-
-
-def element_cycle_margins(ghost: int, radius: int) -> List[int]:
-    """How far beyond the owned region step ``s`` may compute
-    (elements): ``valid(s) - r``."""
-    return [v - radius for v in element_validity_schedule(ghost, radius)]
-
-
-def brick_validity_schedule(ghost: int, brick_dim: int, radius: int) -> List[int]:
-    """Valid ghost depth before each cycle step, brick granularity.
-
-    After a step, only whole computed bricks are trustworthy, so the
-    valid depth snaps down: ``valid' = floor((valid - r) / bd) * bd``.
-    """
-    _check(ghost, radius)
-    if brick_dim <= 0:
-        raise ValueError("brick_dim must be positive")
-    out = []
-    valid = ghost
-    while valid >= radius:
-        out.append(valid)
-        valid = (valid - radius) // brick_dim * brick_dim
-        if out and valid >= out[-1]:  # pragma: no cover - defensive
-            raise AssertionError("validity must strictly decrease")
-    return out
-
-
-def brick_cycle_depths(ghost: int, brick_dim: int, radius: int) -> List[int]:
-    """Max ghost *brick depth* computable at each cycle step.
-
-    Depth 0 = owned bricks only; depth d additionally computes ghost
-    bricks whose Chebyshev brick distance from the owned box is <= d.
-    A depth-d brick's outermost element sits ``d * bd`` deep, and its
-    halo needs ``d * bd + r`` of valid shell.
-    """
-    out = []
-    for valid in brick_validity_schedule(ghost, brick_dim, radius):
-        out.append(max(0, (valid - radius) // brick_dim))
-    return out
-
-
-def cycle_period(ghost: int, radius: int, brick_dim: int = 0) -> int:
-    """Steps per exchange: element granularity if ``brick_dim`` is 0."""
-    if brick_dim:
-        return len(brick_validity_schedule(ghost, brick_dim, radius))
-    return len(element_validity_schedule(ghost, radius))
 
 
 def resolve_period(problem, method: str, requested) -> int:
@@ -165,23 +106,17 @@ def depths_for_period(period: int, width: int) -> List[int]:
 def brick_cycle_slots(
     decomp: BrickDecomp,
     assignment: SlotAssignment,
-    radius: int,
-    depths: List[int] = None,
+    depths: Sequence[int],
     faces: Sequence[Tuple[bool, bool]] = (),
 ) -> List[np.ndarray]:
     """Per-cycle-step compute slot lists for brick storage.
 
     Entry ``s`` lists every brick to compute at cycle step ``s``: the
-    owned bricks plus all ghost bricks within the step's allowed depth,
-    except those beyond an open face (*faces*, per axis, as
-    :func:`open_faces`).  ``len(result)`` is the exchange period.
-    *depths* defaults to the maximum schedule :func:`brick_cycle_depths`
-    allows.
+    owned bricks plus all ghost bricks within ``depths[s]`` (as
+    :func:`depths_for_period`), except those beyond an open face
+    (*faces*, per axis, as :func:`open_faces`).  ``len(result)`` is the
+    exchange period.
     """
-    if depths is None:
-        depths = brick_cycle_depths(
-            decomp.ghost_elems, decomp.brick_dim[0], radius
-        )
     coords = assignment.slot_coords  # (total, ndim), sentinel for padding
     sentinel = np.iinfo(np.int32).min
     valid_slot = coords[:, 0] != sentinel
@@ -202,12 +137,3 @@ def brick_cycle_slots(
         mask = valid_slot & (depth <= d)
         slots_per_step.append(np.nonzero(mask)[0])
     return slots_per_step
-
-
-def _check(ghost: int, radius: int) -> None:
-    if ghost <= 0 or radius <= 0:
-        raise ValueError("ghost and radius must be positive")
-    if radius > ghost:
-        raise ValueError(
-            f"stencil radius {radius} exceeds the ghost width {ghost}"
-        )

@@ -21,8 +21,8 @@ afterwards.  It holds everything rank-invariant and period-independent:
   a rank first binds it, once per distinct partner set): the storage
   byte ranges of Layout / Basic's wire views, MemMap's window chunks and
   per-message slices, and Pack / MPI_Types / Shift's checked send and
-  receive box tables and staging sizes (each ``SubarrayType`` built
-  once per message) -- and the seeded initial condition, built on
+  receive box tables and staging sizes (Pack and MPI_Types bind the
+  same table) -- and the seeded initial condition, built on
   first use (a world resumed from a checkpoint never asks).
 
 Each is derived once, with array operations where it is per brick or

@@ -2,10 +2,10 @@
 
 Krylov-subspace solvers -- the other application family the paper's
 introduction names -- interleave ghost-zone exchanges with reductions
-(dot products, norms).  These collectives are implemented on top of the
-fabric's point-to-point layer using classic recursive-doubling /
-hypercube algorithms, so they work for any rank count (non-powers of two
-fall back to a gather-at-root + broadcast tree).
+(dot products, norms).  These collectives are built on the
+communicator's blocking ``Send`` / ``Recv`` / ``Sendrecv`` with binary
+trees (reduce, broadcast) and a ring (allgather), so they work for any
+rank count.
 
 All operate on NumPy arrays (buffer semantics, like the upper-case
 mpi4py calls).
@@ -97,11 +97,7 @@ def allgather(comm: SimComm, value: np.ndarray) -> np.ndarray:
     right = (rank + 1) % size
     left = (rank - 1) % size
     for step in range(size - 1):
-        src_block = (rank - step) % size
-        reqs = [
-            comm.Irecv(out[(rank - step - 1) % size], left, _TAG_BASE * 3 + step),
-            comm.Isend(np.ascontiguousarray(out[src_block]), right,
-                       _TAG_BASE * 3 + step),
-        ]
-        comm.Waitall(reqs)
+        tag = _TAG_BASE * 3 + step
+        comm.Sendrecv(out[(rank - step) % size], right, tag,
+                      out[(rank - step - 1) % size], left, tag)
     return out

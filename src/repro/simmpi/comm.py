@@ -1,25 +1,33 @@
 """Communicators: point-to-point plus Cartesian topology.
 
-Follows mpi4py's upper-case buffer interface: ``Isend``/``Irecv`` take
-NumPy arrays (any shape, contiguous) and return :class:`SimRequest`
-handles; ``Waitall`` completes a batch; ``Barrier`` synchronises; and
-:class:`CartComm` adds the periodic rank grid the paper's experiments use
-(a ``2^3`` cube for K1/V1, larger grids for strong scaling).
+Follows mpi4py's upper-case buffer interface, blocking calls only:
+``Send``/``Recv``/``Sendrecv`` take NumPy arrays (any shape, contiguous)
+and carry the collectives (:mod:`repro.simmpi.collectives`);
+``Barrier`` synchronises; and :class:`CartComm` adds the periodic rank
+grid the paper's experiments use (a ``2^3`` cube for K1/V1, larger grids
+for strong scaling).  A halo exchange calls none of the point-to-point
+methods: its channel fires the bound cuts of
+:meth:`~repro.simmpi.fabric.SimFabric.bind_request`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import TRACER as _TRACER
 from repro.faults.errors import ExchangeConfigError
 from repro.simmpi.fabric import SimFabric
-from repro.simmpi.request import SimRequest
 from repro.util.indexing import cart_neighbor, unravel_index
 
 __all__ = ["SimComm", "CartComm"]
+
+
+def _check_recv_buffer(buf: np.ndarray) -> None:
+    if not isinstance(buf, np.ndarray):
+        raise TypeError("Recv needs a NumPy buffer to receive into")
+    if not buf.flags.c_contiguous:
+        raise ExchangeConfigError("receive buffers must be C-contiguous")
 
 
 class SimComm:
@@ -38,33 +46,29 @@ class SimComm:
         return self.fabric.nranks
 
     # -- point to point --------------------------------------------------
-    def Isend(self, buf: np.ndarray, dest: int, tag: int = 0) -> SimRequest:
-        entry = self.fabric.post_send(self.rank, dest, tag, buf)
-        fabric = self.fabric
-        return SimRequest(lambda: fabric.wait_send(entry), "send")
-
-    def Irecv(self, buf: np.ndarray, source: int, tag: int = 0) -> SimRequest:
-        if not isinstance(buf, np.ndarray):
-            raise TypeError("Irecv needs a NumPy buffer to receive into")
-        if not buf.flags.c_contiguous:
-            raise ExchangeConfigError("receive buffers must be C-contiguous")
-        fabric, rank = self.fabric, self.rank
-
-        def complete() -> None:
-            fabric.complete_recv(source, rank, tag, buf)
-
-        return SimRequest(complete, "recv")
-
     def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
-        self.Isend(buf, dest, tag).wait()
+        """Blocks until *dest* has copied *buf* (synchronous mode)."""
+        self.fabric.wait_send(self.fabric.post_send(self.rank, dest, tag, buf))
 
     def Recv(self, buf: np.ndarray, source: int, tag: int = 0) -> None:
-        self.Irecv(buf, source, tag).wait()
+        _check_recv_buffer(buf)
+        self.fabric.complete_recv(source, self.rank, tag, buf)
 
-    def Waitall(self, requests: Sequence[SimRequest]) -> None:
-        with _TRACER.span("comm.waitall", rank=self.rank,
-                          n=len(requests)):
-            SimRequest.waitall(requests)
+    def Sendrecv(
+        self,
+        sendbuf: np.ndarray,
+        dest: int,
+        sendtag: int,
+        recvbuf: np.ndarray,
+        source: int,
+        recvtag: int,
+    ) -> None:
+        """Post the send, receive, then complete the send: the step of a
+        ring shift, deadlock-free when every rank of the ring calls it."""
+        _check_recv_buffer(recvbuf)
+        entry = self.fabric.post_send(self.rank, dest, sendtag, sendbuf)
+        self.fabric.complete_recv(source, self.rank, recvtag, recvbuf)
+        self.fabric.wait_send(entry)
 
     def Barrier(self) -> None:
         self.fabric.barrier.wait()

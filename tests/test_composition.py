@@ -56,19 +56,32 @@ ELASTIC_EXTENT, ELASTIC_DIMS = (32, 32, 48), (1, 2, 3)
 WIRE_FAULTS = dict(drop=0.01, corrupt=0.01, duplicate=0.01)
 _PLAIN = Case("layout", "7pt", 1, "periodic", 0, "none", "plain", False, False, False)
 
-#: Refused before any rank starts: name -> (rule, words of the
-#: ``ValueError``, an example row), each with the reason.  The host
-#: and problem refusals no row can express are ``HOST_REFUSED``.
+#: Refused before any rank starts: name -> (rule over rows, words of the
+#: ``ValueError``, an example row, what the request adds to the row's
+#: arguments), each with the reason.  A rule of None marks a valid row
+#: that the added arguments make a refused request.  The host and
+#: problem refusals no row can express are ``HOST_REFUSED``.
 REFUSED = {
     # A reshape re-bricks a checkpoint epoch.
     "elastic-without-store": (lambda c: c.elastic and not c.ckpt, "elastic",
-                              _PLAIN._replace(elastic=True)),
+                              _PLAIN._replace(elastic=True), {}),
     # Re-bricking rebuilds ghost shells by periodic wrap.
     "elastic-open-boundaries": (lambda c: c.elastic and c.bounds == "open", "periodic",
-                                _PLAIN._replace(elastic=True, ckpt=1, bounds="open")),
+                                _PLAIN._replace(elastic=True, ckpt=1, bounds="open"), {}),
     # Only MemMap has a degradation ladder.
     "degrade-not-memmap": (lambda c: c.degrade and c.method != "memmap", "memmap",
-                           _PLAIN._replace(degrade=True)),
+                           _PLAIN._replace(degrade=True), {}),
+    # Without the ladder the scheduled degrade event fires nothing.
+    "degrade-event-ladder-off": (None, "ladder off",
+                                 _PLAIN._replace(method="memmap", degrade=True),
+                                 dict(degrade=False)),
+    # An event on a step the run never reaches fires nothing.
+    "events-past-the-last-step": (
+        None, f"crash at step {STEPS}, death at step {STEPS + 1}, degrade at step {STEPS}",
+        _PLAIN._replace(method="memmap"),
+        dict(fault_plan=FaultPlan(crashes=((CRASH_RANK, STEPS),),
+                                  deaths=((DEATH_RANK, STEPS + 1),),
+                                  degrade=((DEGRADE_RANK, STEPS),)))),
 }
 
 
@@ -138,7 +151,7 @@ def _valid_rows():
     """Rows that run: the resume epoch exists and nothing refuses them."""
     rows = map(Case._make, itertools.product(*AXES.values()))
     return [c for c in rows if (c.resume == "none" or _resume_epoch(c) is not None)
-            and not any(rule(c) for rule, *_ in REFUSED.values())]
+            and not any(rule and rule(c) for rule, *_ in REFUSED.values())]
 
 
 def _pairs(case):
@@ -215,9 +228,7 @@ def _calc_table(geometry, period, rank):
     if info.uses_bricks:
         decomp = geometry.decomp
         depths = expansion.depths_for_period(period, decomp.width)
-        slots = expansion.brick_cycle_slots(
-            decomp, geometry.assignment, spec.radius, depths, faces
-        )
+        slots = expansion.brick_cycle_slots(decomp, geometry.assignment, depths, faces)
         points = [len(s) * decomp.brick_volume for s in slots]
     else:
         points = [
@@ -353,12 +364,13 @@ def test_composes(case, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", REFUSED)
 def test_refused_up_front(name, tmp_path, monkeypatch):
-    rule, words, case = REFUSED[name]
-    assert [n for n, (r, *_) in REFUSED.items() if r(case)] == [name]
+    rule, words, case, added = REFUSED[name]
+    refusing = [n for n, (r, *_) in REFUSED.items() if r and r(case)]
+    assert refusing == ([name] if rule else [])
     launched = []
     monkeypatch.setattr(driver, "run_spmd", lambda *a, **k: launched.append(a))
-    requests = [_kwargs(case, STEPS, None, None, tmp_path)]
-    if case.degrade:
+    requests = [dict(_kwargs(case, STEPS, None, None, tmp_path), **added)]
+    if rule and case.degrade:
         requests.append(dict(degrade=True))  # the flag alone, without a plan
     for kwargs in requests:
         with pytest.raises(ValueError, match=words):

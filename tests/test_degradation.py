@@ -169,6 +169,27 @@ class TestMidRunDegradation:
         with pytest.raises(ValueError, match="later ones never fire"):
             run_executed(_problem(), "memmap", timesteps=3, fault_plan=plan)
 
+    def test_votes_once_at_the_degrade_step(self, monkeypatch):
+        """Every rank agrees once on its set-up binding; with no event
+        nothing else is collective, and an event at step 4 adds one vote
+        and the agreement on the basic binding -- not a vote per step."""
+        problem = _problem()
+        calls, real = [], driver.allreduce
+        monkeypatch.setattr(
+            driver, "allreduce", lambda *a: calls.append(1) or real(*a)
+        )
+        run = run_executed(problem, "memmap", timesteps=6, seed=0,
+                           degrade=True, fabric_timeout=10.0)
+        assert (len(calls), run.final_method) == (problem.nranks, "memmap")
+        calls.clear()
+        run = run_executed(problem, "memmap", timesteps=6, seed=0,
+                           fault_plan=FaultPlan(seed=2, degrade=((3, 4),)),
+                           fabric_timeout=10.0)
+        assert len(calls) == 3 * problem.nranks
+        assert (run.final_method, run.demotions) == ("basic", problem.nranks)
+        assert run.faults["events"] == {"demoted": problem.nranks, "vmem_fault": 1}
+        np.testing.assert_array_equal(run.global_result, _reference(problem, 6))
+
     def test_resumed_level_beyond_the_ladder_is_refused(
         self, monkeypatch, tmp_path
     ):

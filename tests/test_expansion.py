@@ -5,12 +5,10 @@ import pytest
 
 from repro.core.driver import run_executed
 from repro.core.expansion import (
-    brick_cycle_depths,
     brick_cycle_slots,
-    brick_validity_schedule,
-    cycle_period,
-    element_cycle_margins,
-    element_validity_schedule,
+    depths_for_period,
+    margins_for_period,
+    resolve_period,
 )
 from repro.core.problem import StencilProblem
 from repro.stencil.reference import apply_periodic_reference
@@ -18,36 +16,28 @@ from repro.stencil.spec import CUBE125, SEVEN_POINT
 
 
 class TestSchedules:
-    def test_element_validity(self):
-        assert element_validity_schedule(8, 1) == [8, 7, 6, 5, 4, 3, 2, 1]
-        assert element_validity_schedule(8, 2) == [8, 6, 4, 2]
-        assert element_validity_schedule(8, 8) == [8]
-
     def test_element_margins(self):
-        assert element_cycle_margins(8, 1) == [7, 6, 5, 4, 3, 2, 1, 0]
-
-    def test_brick_validity_snaps_to_bricks(self):
-        # g=8, bd=8, r=1: one step only (a partial brick can't be computed)
-        assert brick_validity_schedule(8, 8, 1) == [8]
-        # g=16: two steps (paper's ghost-cell-expansion configuration)
-        assert brick_validity_schedule(16, 8, 1) == [16, 8]
-        assert brick_validity_schedule(32, 8, 1) == [32, 24, 16, 8]
-        assert brick_validity_schedule(16, 8, 2) == [16, 8]
+        assert margins_for_period(8, 1, 8) == [7, 6, 5, 4, 3, 2, 1, 0]
+        assert margins_for_period(4, 2, 8) == [6, 4, 2, 0]
+        with pytest.raises(ValueError, match="needs 10 of ghost"):
+            margins_for_period(5, 2, 8)
 
     def test_brick_depths(self):
-        assert brick_cycle_depths(16, 8, 1) == [1, 0]
-        assert brick_cycle_depths(32, 8, 2) == [3, 2, 1, 0]
+        assert depths_for_period(2, 2) == [1, 0]
+        assert depths_for_period(4, 4) == [3, 2, 1, 0]
+        with pytest.raises(ValueError, match="ghost width of 2 bricks"):
+            depths_for_period(3, 2)
 
     def test_cycle_period(self):
-        assert cycle_period(8, 1) == 8  # element granularity
-        assert cycle_period(8, 1, brick_dim=8) == 1
-        assert cycle_period(16, 1, brick_dim=8) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            element_validity_schedule(0, 1)
-        with pytest.raises(ValueError):
-            element_validity_schedule(4, 8)
+        for method, ghost, brick, period in (
+            ("yask", 8, 8, 8),  # element granularity: floor(g / r)
+            ("layout", 8, 8, 1),  # brick granularity: floor(g / bd)
+            ("layout", 16, 8, 2),
+        ):
+            problem = StencilProblem(
+                (64, 64, 64), (2, 2, 2), SEVEN_POINT, (brick,) * 3, ghost
+            )
+            assert resolve_period(problem, method, "auto") == period
 
 
 class TestBrickCycleSlots:
@@ -56,7 +46,7 @@ class TestBrickCycleSlots:
 
         d = BrickDecomp((32, 32, 32), (8, 8, 8), 16)
         asn = d.assignment(1)
-        per_step = brick_cycle_slots(d, asn, radius=1)
+        per_step = brick_cycle_slots(d, asn, depths_for_period(2, d.width))
         assert len(per_step) == 2
         # step 0: owned (4^3) plus the depth-1 ghost shell (6^3 - 4^3)
         assert len(per_step[0]) == 6**3
@@ -69,7 +59,7 @@ class TestBrickCycleSlots:
         d = BrickDecomp((32, 32, 32), (8, 8, 8), 16)
         asn = d.assignment(1)
         owned = set(d.compute_slots(asn).tolist())
-        for slots in brick_cycle_slots(d, asn, 1):
+        for slots in brick_cycle_slots(d, asn, depths_for_period(2, d.width)):
             assert owned <= set(slots.tolist())
 
 

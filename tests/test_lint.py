@@ -95,8 +95,8 @@ def test_fabric_call_in_allowlisted_file_ok():
 def test_per_message_loop_outside_base_flagged():
     src = (
         "def exchange(comm, buf):\n"
-        "    reqs = [comm.Irecv(buf, 1, 7), comm.Isend(buf, 1, 7)]\n"
-        "    comm.Waitall(reqs)\n"
+        "    comm.Send(buf, 1, 7); comm.Recv(buf, 1, 7)\n"
+        "    comm.Sendrecv(buf, 1, 7, buf, 1, 7)\n"
     )
     tree = ast.parse(src)
     method_file = lint_invariants.SRC / "exchange" / "synthetic.py"
@@ -111,10 +111,10 @@ def test_per_message_loop_outside_base_flagged():
 
 def test_per_message_call_in_base_flagged():
     # exchange/base.py is no exception: every exchanger fires bound cuts.
-    src = "def exchange(comm, buf):\n    comm.Waitall([comm.Isend(buf, 1, 7)])\n"
+    src = "def exchange(comm, buf):\n    comm.Send(buf, 1, 7)\n    comm.Recv(buf, 1, 7)\n"
     base = lint_invariants.SRC / "exchange" / "base.py"
     violations = lint_invariants.check_message_path(base, ast.parse(src))
-    assert sorted(v[2].split("`")[1] for v in violations) == [".Isend()", ".Waitall()"]
+    assert sorted(v[2].split("`")[1] for v in violations) == [".Recv()", ".Send()"]
     assert not hasattr(lint_invariants, "MESSAGE_ALLOWLIST")
 
 
@@ -133,11 +133,10 @@ def test_wait_outside_the_one_helper_flagged():
     violations = lint_invariants.check_one_blocking_site(fabric, tree)
     assert [v[1] for v in violations] == [7]
     assert "_await" in violations[0][2]
-    # SimRequest.wait / barrier.wait in the shim files are not fabric waits.
-    for rel in ("simmpi/request.py", "simmpi/comm.py"):
-        assert lint_invariants.check_one_blocking_site(
-            lint_invariants.SRC / rel, tree
-        ) == []
+    # barrier.wait in the communicator shim is not a fabric wait.
+    assert lint_invariants.check_one_blocking_site(
+        lint_invariants.SRC / "simmpi" / "comm.py", tree
+    ) == []
 
 
 def test_blocking_acquire_outside_the_wake_primitive_flagged():

@@ -13,11 +13,7 @@ class TestPointToPoint:
             n = comm.size
             data = np.full(8, float(comm.rank))
             out = np.empty(8)
-            reqs = [
-                comm.Irecv(out, (comm.rank - 1) % n, tag=1),
-                comm.Isend(data, (comm.rank + 1) % n, tag=1),
-            ]
-            comm.Waitall(reqs)
+            comm.Sendrecv(data, (comm.rank + 1) % n, 1, out, (comm.rank - 1) % n, 1)
             return out[0]
 
         res = run_spmd(4, ring)
@@ -25,15 +21,17 @@ class TestPointToPoint:
 
     def test_tags_disambiguate(self):
         def fn(comm):
+            fabric = comm.fabric
             if comm.rank == 0:
-                comm.Isend(np.array([1.0]), 1, tag=5)
-                comm.Isend(np.array([2.0]), 1, tag=6)
+                sent = [fabric.post_send(0, 1, tag, np.array([v]))
+                        for tag, v in ((5, 1.0), (6, 2.0))]
+                for entry in sent:
+                    fabric.wait_send(entry)
                 return None
             a, b = np.empty(1), np.empty(1)
             # receive in reverse tag order
-            rb = comm.Irecv(b, 0, tag=6)
-            ra = comm.Irecv(a, 0, tag=5)
-            comm.Waitall([rb, ra])
+            comm.Recv(b, 0, tag=6)
+            comm.Recv(a, 0, tag=5)
             return (a[0], b[0])
 
         res = run_spmd(2, fn)
@@ -179,11 +177,11 @@ class TestValidation:
         fab = SimFabric(1)
         comm = SimComm(fab, 0)
         with pytest.raises(TypeError):
-            comm.Irecv([1, 2, 3], 0, 0)
+            comm.Recv([1, 2, 3], 0, 0)
 
     def test_recv_requires_contiguous(self):
         fab = SimFabric(1)
         comm = SimComm(fab, 0)
         arr = np.empty((4, 4))[:, ::2]
         with pytest.raises(ValueError):
-            comm.Irecv(arr, 0, 0)
+            comm.Recv(arr, 0, 0)

@@ -22,7 +22,7 @@ from repro.brick.convert import (
 from repro.brick.info import BrickInfo, all_direction_vectors, direction_index
 from repro.brick.storage import BrickStorage
 from repro.core.driver import run_executed
-from repro.core.expansion import brick_cycle_slots
+from repro.core.expansion import brick_cycle_slots, depths_for_period
 from repro.core.problem import StencilProblem
 from repro.stencil import cbackend
 from repro.stencil.brick_kernels import apply_brick_stencil, gather_halo_batch
@@ -178,7 +178,7 @@ class TestBrickPlanBitIdentity:
         got, _ = d.allocate()
         extended_to_bricks(ext, d, src, asn)
         info = d.brick_info(asn)
-        for slots in brick_cycle_slots(d, asn, 1):
+        for slots in brick_cycle_slots(d, asn, depths_for_period(d.width, d.width)):
             apply_brick_stencil(SEVEN_POINT, src, ref, info, slots)
             compile_brick_plan(SEVEN_POINT, info, slots).execute(src, got)
             np.testing.assert_array_equal(

@@ -23,7 +23,7 @@ may not, and these rules are project-specific anyway.  Nine checks:
    split negotiation cannot be bypassed.
 
 3. **No per-message exchange.**  Inside ``src/repro/exchange``, no
-   call to ``Isend`` / ``Irecv`` / ``Waitall`` appears anywhere: an
+   call to ``Send`` / ``Recv`` / ``Sendrecv`` appears anywhere: an
    exchanger is a message plan plus a binding, and its channel fires
    the plan as bound cuts, so no method can grow a per-message loop
    beside them.  The per-message path carries collectives only.
@@ -37,8 +37,8 @@ may not, and these rules are project-specific anyway.  Nine checks:
    is a second place to block); the file builds no
    ``threading.Condition``.  ``threading.Event`` appears nowhere under
    ``src/repro/simmpi`` (a message waits in a port, not on a per-message
-   event; ``SimRequest.wait`` and ``barrier.wait`` in ``request.py`` /
-   ``comm.py`` are not fabric waits).  The texts of the
+   event; ``barrier.wait`` in ``comm.py`` is not a fabric wait).  The
+   texts of the
    sequence-gap and checksum-mismatch errors are spelled in
    ``exchange/envelope.py`` only: a second copy is a second
    implementation of ``verify``.  So are the healing event kinds
@@ -162,7 +162,7 @@ FABRIC_ALLOWLIST = (
 )
 
 #: point-to-point calls that make up a per-message exchange loop
-MESSAGE_OPS = ("Isend", "Irecv", "Waitall")
+MESSAGE_OPS = ("Send", "Recv", "Sendrecv")
 
 #: the one function of simmpi/fabric.py allowed to block on a condition
 WAIT_FILE = "simmpi/fabric.py"
