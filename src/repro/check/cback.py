@@ -12,7 +12,8 @@ verifies what *can* be verified ahead of a run:
   array-box kernel -- compiles (with whatever sanitize/guard flags the
   environment selects) and reproduces the generic kernels' arithmetic --
   the canonical order of :func:`~repro.stencil.spec.tap_groups`, on
-  taps whose shared coefficients alternate -- bit-for-bit on
+  taps whose shared coefficients alternate and whose x pairs are split
+  in tap order (so the brick probe runs its pair pass) -- bit-for-bit on
   deterministic data -- the same invariant the full
   test suite asserts, checked here in milliseconds on the target
   machine's actual compiler, on the code paths a run takes: brick rows
@@ -52,17 +53,22 @@ __all__ = ["verify_cbackend"]
 
 PASS = "cbackend"
 
-#: probe specialization: 7-point taps whose two shared coefficients
-#: alternate in tap order, so a unit that sums in tap order (or groups
-#: only runs of equal neighbours) misses the canonical grouped bits
+#: probe specialization: taps whose two shared coefficients alternate
+#: in tap order, so a unit that sums in tap order (or groups only runs
+#: of equal neighbours) misses the canonical grouped bits; the 1/12
+#: group holds two x pairs -- at dz = 0, split in tap order by the
+#: group's ``(0, 0, 1)``, and at dz = 1 -- so the brick unit builds its
+#: pair pass, and a unit that sums a pair in tap order misses too
 _PROBE_TAPS = (
     ((0, 0, 0), 0.5),
     ((1, 0, 0), 1.0 / 12.0),
     ((0, 1, 0), 1.0 / 6.0),
-    ((-1, 0, 0), 1.0 / 12.0),
-    ((0, -1, 0), 1.0 / 6.0),
     ((0, 0, 1), 1.0 / 12.0),
+    ((0, -1, 0), 1.0 / 6.0),
+    ((-1, 0, 0), 1.0 / 12.0),
     ((0, 0, -1), 1.0 / 6.0),
+    ((-1, 0, 1), 1.0 / 12.0),
+    ((1, 0, 1), 1.0 / 12.0),
 )
 #: the brick probe's brick, x first: rows of 8, as in an 8^3 brick (one
 #: 512-bit vector where the kernels are built at full width)
@@ -72,7 +78,7 @@ _PROBE_BD = (8, 4, 4)
 _PROBE_EXTENT = (19, 4, 4)
 
 
-_PROBE_SPEC = StencilSpec("probe", 3, _PROBE_TAPS, 13.0, 16.0)
+_PROBE_SPEC = StencilSpec("probe", 3, _PROBE_TAPS, 17.0, 16.0)
 
 
 def verify_cbackend(report: CheckReport, probe: bool = True) -> None:
@@ -154,7 +160,9 @@ def _probe_brick(report: CheckReport, guard: bool, sanitize) -> None:
     got = BrickStorage.allocate(nslots, volume)
     ref = BrickStorage.allocate(nslots, volume)
     slots = np.arange(nslots, dtype=np.int64)
-    tile = np.empty(int(np.prod([b + 2 * r for b in _PROBE_BD])))
+    tile = np.empty(
+        cbackend.brick_scratch(_PROBE_TAPS, tuple(reversed(_PROBE_BD)), r).elems
+    )
     fn(src.data, got.data, adjacency, slots, tile)
     apply_brick_stencil(_PROBE_SPEC, src, ref, info, slots)
     if not np.array_equal(got.data, ref.data):

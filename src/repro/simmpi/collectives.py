@@ -98,6 +98,9 @@ def allgather(comm: SimComm, value: np.ndarray) -> np.ndarray:
     left = (rank - 1) % size
     for step in range(size - 1):
         tag = _TAG_BASE * 3 + step
-        comm.Sendrecv(out[(rank - step) % size], right, tag,
-                      out[(rank - step - 1) % size], left, tag)
+        # One-block slices, never ``out[i]``: for a 0-d *value* that is a
+        # scalar, not a buffer to receive into.
+        send, recv = (rank - step) % size, (rank - step - 1) % size
+        comm.Sendrecv(out[send : send + 1], right, tag,
+                      out[recv : recv + 1], left, tag)
     return out

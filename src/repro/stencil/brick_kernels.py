@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.brick.info import BrickInfo, all_direction_vectors, direction_index
 from repro.brick.storage import BrickStorage
-from repro.stencil.spec import StencilSpec
+from repro.stencil.spec import StencilSpec, group_terms
 
 __all__ = ["gather_halo_batch", "apply_brick_stencil"]
 
@@ -105,7 +105,8 @@ def apply_brick_stencil(
     Both storages must share the brick geometry of *info*.  Processing is
     chunked so the halo buffer stays small regardless of domain size.
     Each cell is summed in the canonical order of
-    :attr:`StencilSpec.groups`.
+    :attr:`StencilSpec.groups` (x pairs first:
+    :func:`~repro.stencil.spec.group_terms`).
     """
     bd = info.brick_dim
     ndim = info.ndim
@@ -137,15 +138,19 @@ def apply_brick_stencil(
             src, info, batch_slots, r, field_offset,
             halo[: len(batch_slots)],
         )
+        def window(off):
+            return batch_halo[(slice(None),) + tuple(
+                slice(r + o, r + o + b) for o, b in zip(reversed(off), np_bd)
+            )]
+
         acc: Optional[np.ndarray] = None
         for coeff, offsets in spec.groups:
             total: Optional[np.ndarray] = None
-            for off in offsets:
-                window = batch_halo[(slice(None),) + tuple(
-                    slice(r + o, r + o + b)
-                    for o, b in zip(reversed(off), np_bd)
-                )]
-                total = window if total is None else total + window
+            for term in group_terms(offsets):
+                summand = window(term[0])
+                for off in term[1:]:
+                    summand = summand + window(off)
+                total = summand if total is None else total + summand
             term = coeff * total
             acc = term if acc is None else acc + term
         dst_bricks[batch_slots] = acc

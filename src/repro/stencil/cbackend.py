@@ -4,14 +4,17 @@ A plan (:mod:`repro.stencil.plan`) steps on one C kernel per
 specialization, generated here:
 
 * **bricks** -- per ``(stencil taps, brick shape, radius, field offset,
-  brick elems)``: *stage, then sweep*.  Neighbours are addressed per
+  brick elems)``: *stage, pair, sweep*.  Neighbours are addressed per
   brick, the way the paper's brick library does it: through the brick's
   ``3^D`` adjacency row, each direction some tap reaches has its
   sub-box copied into one small contiguous ``(bd + 2r)^D`` halo tile
-  (zeros where the neighbour is absent); the unrolled tap loop then
-  sweeps the tile unit-stride at compile-time offsets and writes the
-  destination brick (:func:`batch_step_source`).  No per-cell index
-  table exists;
+  (zeros where the neighbour is absent); where the stencil's x pairs
+  repeat across the other axes (the 125-point cube) a pair pass writes
+  each pair distance's sum ``u[x-a] + u[x+a]`` once per tile row into
+  aligned scratch after the tile (:func:`brick_scratch`); the unrolled
+  tap loop then sweeps the tile and the sums unit-stride at
+  compile-time offsets and writes the destination brick
+  (:func:`batch_step_source`).  No per-cell index table exists;
 * **extended arrays** -- per ``(stencil taps, extended shape)``: the
   unrolled tap loop as a unit-stride sweep over a list of boxes whose
   bounds arrive at call time, so a whole-region plan and every
@@ -19,7 +22,9 @@ specialization, generated here:
 
 Both layouts compute with the same tap loop over contiguous rows; what
 the brick kernel pays on top is the staging copy (EXPERIMENTS.md,
-"Stage, then sweep", has its measured share).
+"Stage, then sweep", has its measured share) and, for the 125-point
+cube, the pair pass that saves its sweep 50 of 125 loads per row
+("x pairs summed once"); the array kernel sums the same pairs inline.
 
 The exchange moves its data on the same tier.  The first translation
 unit a process builds (per set of sanitize flags) ends with one constant
@@ -52,8 +57,11 @@ vector width:
 * identical order of every add and multiply: the canonical order of
   :func:`~repro.stencil.spec.tap_groups` (``acc = c0 * (x.. + x..)``
   then ``t = ck * (x.. + x..); acc = acc + t`` per coefficient group,
-  each sum left to right); SIMD lanes are neighbouring cells, never
-  terms of one cell's sum;
+  each sum left to right over the group's summands,
+  :func:`~repro.stencil.spec.group_terms`: an x pair ``x[-a] + x[+a]``
+  first -- inline, or once per tile row in the brick kernel's pair
+  pass -- then added as one term); SIMD lanes are neighbouring cells,
+  never terms of one cell's sum;
 * ``-ffp-contract=off`` so no FMA contraction reorders roundings;
 * coefficients embedded as C99 hex float literals (exact bit patterns);
 * halo cells of an absent neighbour (adjacency ``-1``) are staged as
@@ -64,9 +72,9 @@ There is no other tier: a specialization that cannot be built raises
 :class:`KernelBuildError`, carrying the compiler's reason, and
 :func:`repro.core.driver.run_executed` refuses a run up front where
 :func:`toolchain_missing` names a missing piece.  Compiled kernels are
-stateless (all mutable state, the brick kernel's tile scratch included,
-stays in caller-owned arrays), so the per-process module cache may hand
-the same kernel to every rank thread; calls release the GIL, so rank
+stateless (all mutable state, the brick kernel's tile and pair sums
+included, stays in caller-owned arrays), so the per-process module
+cache may hand the same kernel to every rank thread; calls release the GIL, so rank
 threads genuinely overlap inside the kernel.
 
 No build-system dependency: the generated translation unit is compiled
@@ -97,16 +105,26 @@ import stat
 import subprocess
 import tempfile
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.brick.info import all_direction_vectors, direction_index
 from repro.faults.errors import ExchangeConfigError
 from repro.stencil.brick_kernels import _margin_slices
-from repro.stencil.spec import tap_groups
+from repro.stencil.spec import group_terms, tap_groups
 
 __all__ = [
+    "BrickScratch",
     "KernelBoundsError",
     "KernelBuildError",
     "MOVER_SOURCE",
@@ -118,6 +136,7 @@ __all__ = [
     "batch_step_kernel",
     "batch_step_source",
     "bounds_guard_enabled",
+    "brick_scratch",
     "brick_stage_boxes",
     "c_tier",
     "cache_line",
@@ -305,51 +324,133 @@ def _row_major_strides(shape: Sequence[int]) -> List[int]:
     return strides
 
 
-def _tap_terms(
-    taps: Sequence[Tuple[Tuple[int, ...], float]], strides: Sequence[int]
-) -> Tuple[List[int], List[Tuple[float, List[int]]]]:
-    """``(unique flat offsets, (coeff, offset slots) per tap group)``.
+#: ``(pointer, flat offset from the cell)``: what one tap load reads
+Load = Tuple[str, int]
 
-    Redundancy elimination across taps: every tap is a constant flat
-    offset from the cell's own position, and taps landing on the same
-    cell share one load (offsets are in first-use order).  Arithmetic
-    shared by taps of one coefficient is done once: the groups are
-    :func:`~repro.stencil.spec.tap_groups`, the canonical order.
+
+def _tap_terms(
+    taps: Sequence[Tuple[Tuple[int, ...], float]],
+    load: Callable[[Tuple[int, ...]], Load],
+    fused: bool = False,
+) -> Tuple[List[Load], List[Tuple[float, List[List[int]]]]]:
+    """``(unique loads, (coeff, summands) per tap group)``.
+
+    *load* maps a tap's offset to what it reads.  Redundancy elimination
+    across taps: taps whose loads coincide share one (loads are in
+    first-use, i.e. tap, order).  Arithmetic shared by taps of one
+    coefficient is done once: the groups are
+    :func:`~repro.stencil.spec.tap_groups`, the canonical order, and each
+    summand (:func:`~repro.stencil.spec.group_terms`) is the slots of its
+    loads -- an x pair's two, or with *fused* its first member's alone,
+    the one load *load* maps both members to (the pair pass's sum).
     """
-    offsets: List[int] = []
-    slot = {}
+    loads: List[Load] = []
+    slot: Dict[Load, int] = {}
     for off, _ in taps:
-        rel = sum(o * s for o, s in zip(reversed(off), strides))
-        if rel not in offsets:
-            offsets.append(rel)
-        slot[off] = offsets.index(rel)
+        key = load(off)
+        if key not in slot:
+            slot[key] = len(loads)
+            loads.append(key)
     groups = [
-        (coeff, [slot[off] for off in members])
+        (coeff, [
+            [slot[load(off)] for off in (term[:1] if fused else term)]
+            for term in group_terms(members)
+        ])
         for coeff, members in tap_groups(taps)
     ]
-    return offsets, groups
+    return loads, groups
 
 
 def _accumulate(
-    groups: Sequence[Tuple[float, List[int]]], indent: str
+    groups: Sequence[Tuple[float, List[List[int]]]], indent: str
 ) -> List[str]:
     """The canonical accumulation over loaded ``x<slot>`` values,
     unrolled: ``acc = c0 * (x.. + x..)`` for the first group, then
     ``t = ck * (x.. + x..); acc = acc + t`` per later one -- each sum
-    left to right, as C evaluates ``+`` (a singleton group is a plain
+    left to right over the group's summands, as C evaluates ``+``, an x
+    pair parenthesized unless it leads (a singleton group is a plain
     ``ck * xk``)."""
 
-    def term(coeff: float, slots: List[int]) -> str:
-        loads = " + ".join(f"x{k}" for k in slots)
-        return f"{_hexf(coeff)} * " + (loads if len(slots) == 1 else f"({loads})")
+    def term(coeff: float, summands: List[List[int]]) -> str:
+        parts = []
+        for k, slots in enumerate(summands):
+            part = " + ".join(f"x{j}" for j in slots)
+            parts.append(part if k == 0 or len(slots) == 1 else f"({part})")
+        loads = " + ".join(parts)
+        single = len(summands) == 1 and len(summands[0]) == 1
+        return f"{_hexf(coeff)} * " + (loads if single else f"({loads})")
 
     lines = [f"{indent}double acc = {term(*groups[0])};"]
     if len(groups) > 1:
         lines.append(f"{indent}double t;")
-        for coeff, slots in groups[1:]:
-            lines.append(f"{indent}t = {term(coeff, slots)};")
+        for coeff, summands in groups[1:]:
+            lines.append(f"{indent}t = {term(coeff, summands)};")
             lines.append(f"{indent}acc = acc + t;")
     return lines
+
+
+def _flat_offset(off: Tuple[int, ...], strides: Sequence[int]) -> int:
+    """Tap offset *off* (axis order, x first) as a flat offset in a
+    row-major array of *strides* (numpy order; trailing axes of *off*
+    missing from it pair with the leading strides)."""
+    return sum(o * s for o, s in zip(reversed(off), strides))
+
+
+#: doubles per 64-byte cache line: where the pair pass's copies start
+_LINE = 8
+
+
+class BrickScratch(NamedTuple):
+    """The brick kernel's one scratch buffer (:func:`brick_scratch`)."""
+
+    #: doubles the kernel's ``tile`` argument must hold
+    elems: int
+    #: per pair-pass copy, the x distance ``a`` whose pair sum
+    #: ``u[x-a] + u[x+a]`` it holds; empty where the pair pass does not
+    #: engage
+    copies: Tuple[int, ...]
+    #: where copy 0 starts: the halo tile rounded up to a cache line
+    base: int
+    #: doubles per copy (``tile rows x bd_x``, rounded up to a cache line)
+    plane: int
+
+
+@functools.lru_cache(maxsize=None)
+def brick_scratch(
+    taps: Tuple[Tuple[Tuple[int, ...], float], ...],
+    np_bd: Tuple[int, ...],
+    radius: int,
+) -> BrickScratch:
+    """The scratch of this specialization's brick kernel: the halo tile
+    and, where the pair pass engages, its copies after it.
+
+    The pass engages where some x pair distance ``a`` is read at two or
+    more offsets across the other axes (the 125-point cube: 25 for each
+    of ``a = 1, 2``); it then holds one copy per pair distance of the
+    stencil.  Each copy spans every tile row (``tile_z x tile_y``) over
+    the brick's ``bd_x`` cells and starts on a cache line, so a caller
+    that aligns the buffer to 64 bytes gets aligned copies (an 8-wide
+    brick's rows each one 512-bit line).  The plan allocates
+    :attr:`BrickScratch.elems` and :func:`batch_step_source` emits the
+    pass from the same layout.
+
+    A copy of the centre column (so that ``dx = 0`` taps load aligned
+    too) costs more than it saves: on ``cube16``'s 8^3 bricks the kernel
+    ran 1.05x slower with one (EXPERIMENTS "x pairs summed once").
+    """
+    tile = math.prod(b + 2 * radius for b in np_bd)
+    reach: Dict[int, set] = {}
+    for _, members in tap_groups(taps):
+        for term in group_terms(members):
+            if len(term) == 2:
+                reach.setdefault(abs(term[0][0]), set()).add(term[0][1:])
+    if not any(len(rest) > 1 for rest in reach.values()):
+        return BrickScratch(tile, (), tile, 0)
+    base = -(-tile // _LINE) * _LINE
+    rows = tile // (np_bd[-1] + 2 * radius)
+    plane = -(-rows * np_bd[-1] // _LINE) * _LINE
+    copies = tuple(sorted(reach))
+    return BrickScratch(base + len(copies) * plane, copies, base, plane)
 
 
 @functools.lru_cache(maxsize=None)
@@ -418,6 +519,44 @@ def _flat(names: Sequence[str], strides: Sequence[int]) -> str:
     )
 
 
+def _pair_pass(
+    scratch: BrickScratch, tile_np: Tuple[int, ...], bd_x: int, radius: int
+) -> List[str]:
+    """The pair pass, as a C function of its own: per tile row, every x
+    pair's sum over the brick's *bd_x* cells, into the copies
+    (:func:`brick_scratch`).  The tile and the copies
+    are its two ``restrict`` parameters -- disjoint parts of one buffer
+    -- so the compiler needs no run-time overlap check per row."""
+    tile_strides = _row_major_strides(tile_np)
+    copy_strides = _row_major_strides(tile_np[:-1] + (bd_x,))
+    lines = [
+        "/* pair pass: per tile row, each x pair's sum over the brick's",
+        "   cells, one copy after another */",
+        "static void repro_pair(const double *restrict tile,"
+        " double *restrict copies)",
+        "{",
+    ]
+    nest, names, inner = _loop_nest(tile_np[:-1], "    ", "c")
+    lines += nest
+    lines.append(
+        f"{inner}const double *h ="
+        f" tile + ({_flat(names, tile_strides) or '0'}) + {radius};"
+    )
+    lines.append(
+        f"{inner}double *q = copies + ({_flat(names, copy_strides) or '0'});"
+    )
+    v = f"c{len(tile_np) - 1}"
+    lines.append(f"{inner}for (int64_t {v} = 0; {v} < {bd_x}; ++{v}) {{")
+    for k, a in enumerate(scratch.copies):
+        lines.append(
+            f"{inner}    q[{v} + {k * scratch.plane}] ="
+            f" h[{v} - {a}] + h[{v} + {a}];"
+        )
+    lines += _close_nest(len(tile_np), inner + "    ")
+    lines.append("}")
+    return lines
+
+
 def batch_step_source(
     taps: Sequence[Tuple[Tuple[int, ...], float]],
     np_bd: Tuple[int, ...],
@@ -426,21 +565,30 @@ def batch_step_source(
     brick_elems: int,
     guard: bool = False,
 ) -> str:
-    """C source of the brick kernel: stage a halo tile, then sweep it.
+    """C source of the brick kernel: stage a halo tile, pair it, sweep it.
 
     Signature: ``repro_step(src, dst, adj, slots, nbricks, tile)`` where
     *src*/*dst* are the flat storage element arrays, *adj* the plan's
     ``(nbricks, 3^D)`` adjacency rows (``-1`` = no such brick), *slots*
     the destination slot per brick and *tile* a caller-owned scratch of
-    ``prod(bd + 2r)`` elements.  Per brick:
+    :func:`brick_scratch` ``.elems`` elements (the halo tile, ``prod(bd +
+    2r)``, and the pair pass's copies after it).  Per brick:
 
     * **stage** -- each reached direction's sub-box
       (:func:`brick_stage_boxes`, emitted as one ``static const`` table
       driving a copy loop nest) is copied from the neighbour brick into
       the tile, or zero-filled when the neighbour is absent;
-    * **sweep** -- the canonical accumulation, unrolled, runs over the tile
-      with compile-time strides, unit-stride innermost, exactly like the
-      array kernel, and stores the destination brick.
+    * **pair** -- only where :func:`brick_scratch` engages it (some x
+      pair distance is read at two or more offsets across the other
+      axes: the 125-point cube, not the 7-point star): per tile row,
+      each x pair's sum ``u[x-a] + u[x+a]`` over the brick's ``bd_x``
+      cells is written once into its copy (:func:`_pair_pass`);
+    * **sweep** -- the canonical accumulation, unrolled, runs over the
+      tile and the copies -- an x pair is one aligned load of its sum,
+      so a row of the 125-point cube makes 75 loads instead of 125 --
+      with compile-time strides, unit-stride innermost, and stores the
+      destination brick.  Without the pair pass it is exactly the array
+      kernel's sweep.
 
     With *guard* (``REPRO_CC_BOUNDS=1``) the signature grows
     ``src_elems``/``dst_elems`` and the function returns a violation
@@ -456,7 +604,26 @@ def batch_step_source(
     tile_np = tuple(b + 2 * radius for b in np_bd)
     tile_strides = _row_major_strides(tile_np)
     brick_strides = _row_major_strides(np_bd)
-    tap_offsets, tap_terms = _tap_terms(taps, tile_strides)
+    scratch = brick_scratch(tuple(taps), np_bd, radius)
+    # The copies: every tile row over the brick's bd_x cells.
+    copy_strides = _row_major_strides(tile_np[:-1] + np_bd[-1:])
+    plane = {a: k * scratch.plane for k, a in enumerate(scratch.copies)}
+    paired = {
+        off
+        for _, members in tap_groups(taps)
+        for term in group_terms(members)
+        if len(term) == 2
+        for off in term
+    }
+
+    def load(off: Tuple[int, ...]) -> Load:
+        """A pair member reads its pair's sum once the pair pass
+        engages; every other tap reads the tile."""
+        if scratch.copies and off in paired:
+            return "p", plane[abs(off[0])] + _flat_offset(off[1:], copy_strides)
+        return "x", _flat_offset(off, tile_strides)
+
+    tap_loads, tap_terms = _tap_terms(taps, load, fused=bool(scratch.copies))
     # Staged boxes grouped by their unit-stride extent (the brick's, or
     # the radius): within a group the innermost copy has a compile-time
     # trip count, so it vectorizes with no runtime epilogue.
@@ -478,9 +645,10 @@ def batch_step_source(
         for column, tile_off, brick_off, extent in rows:
             cells = (column, tile_off, brick_off, *extent[:-1])
             body.append("    {" + ", ".join(str(n) for n in cells) + "},")
+    body += ["};", ""]
+    if scratch.copies:
+        body += _pair_pass(scratch, tile_np, np_bd[-1], radius) + [""]
     body += [
-        "};",
-        "",
         f"{ret} repro_step(const double *restrict src,"
         " double *restrict dst,",
         f"{pad}const int64_t *restrict adj,"
@@ -537,28 +705,38 @@ def batch_step_source(
         body += _close_nest(ndim, inner)
         body.append(f"{indent}}}")
         body.append("        }")
+    if scratch.copies:
+        body.append(f"        repro_pair(tile, tile + {scratch.base});")
     # Sweep: rows of the brick, unit-stride innermost, taps at constant
-    # offsets from the cell's own position in the tile.
+    # offsets from the cell's own position in the tile (or the copies).
     body.append(
         f"        double *out = dst + slots[b] * {brick_elems}"
         f" + {field_offset};"
     )
     nest, names, inner = _loop_nest(np_bd[:-1], "        ")
     body += nest
-    center = sum(radius * s for s in tile_strides)
-    row_t = _flat(names, tile_strides) or "0"
+    pointers = {pointer for pointer, _ in tap_loads}
+    if "x" in pointers:
+        center = sum(radius * s for s in tile_strides)
+        row_t = _flat(names, tile_strides) or "0"
+        body.append(
+            f"{inner}const double *restrict x = tile + {center} + ({row_t});"
+        )
+    if "p" in pointers:
+        center = scratch.base + sum(radius * s for s in copy_strides[:-1])
+        row_p = _flat(names, copy_strides) or "0"
+        body.append(
+            f"{inner}const double *restrict p = tile + {center} + ({row_p});"
+        )
     row_o = _flat(names, brick_strides) or "0"
-    body.append(
-        f"{inner}const double *restrict x = tile + {center} + ({row_t});"
-    )
     body.append(f"{inner}double *restrict o = out + ({row_o});")
     v = f"i{ndim - 1}"
     body.append(
         f"{inner}for (int64_t {v} = 0; {v} < {np_bd[-1]}; ++{v}) {{"
     )
     cell = inner + "    "
-    for slot, rel in enumerate(tap_offsets):
-        body.append(f"{cell}const double x{slot} = x[{v} + ({rel})];")
+    for slot, (pointer, rel) in enumerate(tap_loads):
+        body.append(f"{cell}const double x{slot} = {pointer}[{v} + ({rel})];")
     body += _accumulate(tap_terms, cell)
     body.append(f"{cell}o[{v}] = acc;")
     body += _close_nest(ndim, cell)
@@ -596,7 +774,9 @@ def array_step_source(
     shape = tuple(int(n) for n in shape)
     ndim = len(shape)
     strides = _row_major_strides(shape)
-    tap_offsets, tap_terms = _tap_terms(taps, strides)
+    tap_loads, tap_terms = _tap_terms(
+        taps, lambda off: ("x", _flat_offset(off, strides))
+    )
     ret = "int64_t" if guard else "void"
     pad = " " * 22
     body = [
@@ -649,7 +829,7 @@ def array_step_source(
         f" {v} < box[{2 * ndim - 1}]; ++{v}) {{"
     )
     inner = indent + "    "
-    for slot, rel in enumerate(tap_offsets):
+    for slot, (_, rel) in enumerate(tap_loads):
         body.append(f"{inner}const double x{slot} = x[{v} + ({rel})];")
     body += _accumulate(tap_terms, inner)
     body.append(f"{inner}o[{v}] = acc;")
@@ -1616,7 +1796,7 @@ def batch_step_kernel(
     field_offset: int,
     brick_elems: int,
 ) -> Callable:
-    """The stage-then-sweep C brick kernel for this specialization (see
+    """The stage-pair-sweep C brick kernel for this specialization (see
     :func:`_kernel_for`)."""
     spec = (
         tuple(taps), tuple(np_bd), int(radius), int(field_offset),

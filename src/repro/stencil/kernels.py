@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.stencil.spec import StencilSpec
+from repro.stencil.spec import StencilSpec, group_terms
 
 __all__ = ["apply_array_stencil", "owned_slices"]
 
@@ -36,7 +36,8 @@ def apply_array_stencil(
     margin: int = 0,
 ) -> None:
     """``out[region] = sum_t c_t * arr[region + offset_t]``, summed in
-    the canonical order of :attr:`StencilSpec.groups`.
+    the canonical order of :attr:`StencilSpec.groups` (x pairs first:
+    :func:`~repro.stencil.spec.group_terms`).
 
     *arr* and *out* are extended arrays of identical shape; the computed
     region is the owned box grown by *margin* elements per side (margin 0
@@ -63,15 +64,21 @@ def apply_array_stencil(
         raise ValueError(f"expected extended shape {expected}, got {arr.shape}")
 
     lo = ghost - margin
+
+    def window(off):
+        return arr[tuple(
+            slice(lo + o, lo + o + e + 2 * margin)
+            for o, e in zip(reversed(off), reversed(extent))
+        )]
+
     acc: Optional[np.ndarray] = None
     for coeff, offsets in spec.groups:
         total: Optional[np.ndarray] = None
-        for off in offsets:
-            window = arr[tuple(
-                slice(lo + o, lo + o + e + 2 * margin)
-                for o, e in zip(reversed(off), reversed(extent))
-            )]
-            total = window if total is None else total + window
+        for term in group_terms(offsets):
+            summand = window(term[0])
+            for off in term[1:]:
+                summand = summand + window(off)
+            total = summand if total is None else total + summand
         term = coeff * total
         acc = term if acc is None else acc + term
     region = tuple(

@@ -9,13 +9,16 @@ of that out of the loop, once per ``(stencil spec, brick geometry, slot
 set, field offset)``, and steps on one generated C kernel
 (:mod:`repro.stencil.cbackend`):
 
-* **bricks** -- *stage, then sweep*, per brick.  The plan holds the slot
-  set's ``(n, 3^D)`` adjacency rows (``info.adjacency[slots]``, the array
-  ``repro check`` validates) and a plan-owned halo tile.  Each direction
-  some tap reaches (:func:`repro.stencil.cbackend.brick_stage_boxes`)
-  has its sub-box copied from the neighbour the row names into the
-  tile, zeros where the entry is ``-1``; the taps then sweep the tile.
-  No per-cell index table exists.
+* **bricks** -- *stage, pair, sweep*, per brick.  The plan holds the
+  slot set's ``(n, 3^D)`` adjacency rows (``info.adjacency[slots]``, the
+  array ``repro check`` validates) and a plan-owned scratch: the halo
+  tile, and the pair pass's copies after it
+  (:func:`repro.stencil.cbackend.brick_scratch`).  Each direction some
+  tap reaches (:func:`repro.stencil.cbackend.brick_stage_boxes`) has its
+  sub-box copied from the neighbour the row names into the tile, zeros
+  where the entry is ``-1``; where the stencil's x pairs repeat across
+  the other axes each pair's sum is written once per tile row; the taps
+  then sweep the tile and the sums.  No per-cell index table exists.
 * **extended arrays** -- the taps sweep one box in place.
 
 A plan is float64, like the paper's runs.  The generic kernels in
@@ -39,7 +42,12 @@ import numpy as np
 from repro.brick.info import BrickInfo
 from repro.brick.storage import BrickStorage
 from repro.obs import TRACER as _TRACER
-from repro.stencil.cbackend import array_step_kernel, batch_step_kernel, c_tier
+from repro.stencil.cbackend import (
+    array_step_kernel,
+    batch_step_kernel,
+    brick_scratch,
+    c_tier,
+)
 from repro.stencil.spec import StencilSpec
 
 __all__ = [
@@ -50,6 +58,17 @@ __all__ = [
 ]
 
 _FLOAT64 = np.dtype(np.float64)  # what every plan steps
+#: bytes a plan's scratch is aligned to: one cache line, one 512-bit vector
+_SCRATCH_ALIGN = 64
+
+
+def _aligned_zeros(n: int) -> np.ndarray:
+    """*n* zeroed float64 elements starting on a :data:`_SCRATCH_ALIGN`
+    boundary (a view into a slightly larger buffer)."""
+    pad = _SCRATCH_ALIGN // _FLOAT64.itemsize
+    raw = np.zeros(n + pad)
+    start = (-raw.ctypes.data % _SCRATCH_ALIGN) // _FLOAT64.itemsize
+    return raw[start : start + n]
 
 
 # ----------------------------------------------------------------------
@@ -60,8 +79,9 @@ class BrickStencilPlan:
     """Compiled executor of one stencil over a fixed brick slot set.
 
     The plan holds the slot set's ``(n, 3^D)`` adjacency rows and a
-    one-brick halo-tile scratch, and addresses neighbours through those
-    rows alone: a step is one call of the stage-then-sweep kernel
+    one-brick scratch (halo tile and pair sums), and addresses
+    neighbours through those rows alone: a step is one call of the
+    stage-pair-sweep kernel
     (:func:`repro.stencil.cbackend.batch_step_source`).
     """
 
@@ -103,9 +123,14 @@ class BrickStencilPlan:
         self._ckernel = batch_step_kernel(
             spec.taps, np_bd, r, self.field_offset, brick_elems
         )
-        # Scratch is plan-owned, like every mutable step buffer: the tile's
-        # size follows the brick shape, so it is no C stack array.
-        self._tile = np.empty(math.prod(b + 2 * r for b in np_bd))
+        # Scratch is plan-owned, like every mutable step buffer: its size
+        # follows the brick shape, so it is no C stack array.  The halo
+        # tile and the pair pass's copies are one buffer on a cache line,
+        # so the copies' rows load aligned; zeroed, so a tile cell no
+        # stage box covers reads as 0.0 in the pair pass.
+        self._tile = _aligned_zeros(
+            brick_scratch(spec.taps, np_bd, r).elems
+        )
 
     @property
     def kernel_backend(self) -> str:
@@ -147,7 +172,7 @@ def compile_brick_plan(
     """Build a brick plan over *info* (the compiled kernel inside is
     cached globally; the scratch-owning plan object is per caller).
 
-    Every call returns a new plan: the halo tile is written while a step
+    Every call returns a new plan: the scratch is written while a step
     runs -- with the GIL released -- so a plan belongs to the rank that
     compiled it, while *info* may be one table shared by all of them.
     """

@@ -5,8 +5,9 @@ global domain with periodic boundary conditions, with no decomposition, no
 ghost zones and no communication.  ``np.roll`` implements the periodic
 shifts exactly, so any exchange + local-compute pipeline must reproduce
 this bit-for-bit (same dtype, same canonical accumulation order:
-:attr:`StencilSpec.groups`, each coefficient's shifted grids summed
-before the one multiply).
+:attr:`StencilSpec.groups`, each coefficient's shifted grids summed --
+x pairs first, :func:`~repro.stencil.spec.group_terms` -- before the one
+multiply).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.stencil.spec import StencilSpec
+from repro.stencil.spec import StencilSpec, group_terms
 
 __all__ = ["apply_periodic_reference"]
 
@@ -44,12 +45,18 @@ def apply_periodic_reference(
     cur = grid.astype(np.float64, copy=True)
     for _ in range(steps):
         # In place on the fresh rolled grids (same bits as ``acc + c *
-        # (a + b)``): four global-size arrays live at a time.
+        # (d + (a + b))``): five global-size arrays live at a time.
         acc: Optional[np.ndarray] = None
         for coeff, offsets in spec.groups:
-            total = _shifted(cur, offsets[0])
-            for off in offsets[1:]:
-                total += _shifted(cur, off)
+            total = None
+            for term in group_terms(offsets):
+                summand = _shifted(cur, term[0])
+                for off in term[1:]:
+                    summand += _shifted(cur, off)
+                if total is None:
+                    total = summand
+                else:
+                    total += summand
             total *= coeff
             if acc is None:
                 acc = total

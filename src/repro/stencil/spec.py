@@ -6,10 +6,16 @@ kernel -- the generic references and the compiled C -- sums a point the
 same way, fixed here by :func:`tap_groups`:
 taps whose coefficients are bit-for-bit equal form a group, groups come
 in order of first appearance and members keep tap order, and a point's
-value is ``acc = c0*s0`` then ``acc = acc + ck*sk`` per later group,
-where ``sk`` is the left-to-right sum of group *k*'s loads.  A stencil
-whose coefficients are all distinct has singleton groups -- one
-multiply and one add per tap, in tap order.  The
+value is ``acc = c0*s0`` then ``acc = acc + ck*sk`` per later group.
+Within a group, two taps that differ only in the sign of their
+unit-stride offset (``off[0]``, an *x pair*) are summed first, as one
+summand (:func:`group_terms`); ``sk`` is the left-to-right sum of group
+*k*'s summands -- its pairs and its unpaired taps -- in the order of
+each one's first member.  A pair sum ``u[x-a] + u[x+a]`` is then one
+value for every tap of the group that reads it, which the compiled
+brick kernel computes once per tile (its *pair pass*).  A stencil whose
+coefficients are all distinct has singleton groups -- one multiply and
+one add per tap, in tap order.  The
 roofline inputs (``flops_per_point``, ``bytes_per_point``) default to the
 structural count (one multiply per tap, one add per extra tap; one read +
 one write of 8 bytes per point under perfect cache reuse) but can be
@@ -30,6 +36,7 @@ import numpy as np
 __all__ = [
     "StencilSpec",
     "tap_groups",
+    "group_terms",
     "star_stencil",
     "cube_stencil",
     "SEVEN_POINT",
@@ -48,12 +55,39 @@ def tap_groups(taps: Sequence[Tap]) -> Tuple[TapGroup, ...]:
 
     Coefficients are compared by bit pattern (``float.hex``), so ``0.0``
     and ``-0.0`` stay apart.  Groups come in order of their first tap,
-    members in tap order.
+    members in tap order; each group is summed over its
+    :func:`group_terms`, left to right, then multiplied once.
     """
     groups: Dict[str, Tuple[float, list]] = {}
     for off, coeff in taps:
         groups.setdefault(float(coeff).hex(), (coeff, []))[1].append(off)
     return tuple((coeff, tuple(offs)) for coeff, offs in groups.values())
+
+
+def group_terms(members: Sequence[Offset]) -> Tuple[Tuple[Offset, ...], ...]:
+    """One group's summands in the canonical order.
+
+    *members* are a group's offsets in tap order (:func:`tap_groups`).
+    Two members that differ only in the sign of ``off[0]`` form an x
+    pair, summed first as ``(first member, second member)`` -- the sum
+    is commutative, so ``u[x-a] + u[x+a]`` is the same bits either way;
+    every other member is a summand of its own.  Summands come in the
+    order of their first member, so a group whose one pair is its first
+    two members (the 7-point star's ``(-1, 0, 0), (1, 0, 0)``) sums
+    exactly as left to right.
+    """
+    present = set(members)
+    terms, paired = [], set()
+    for off in members:
+        if off in paired:
+            continue
+        mirror = (-off[0],) + tuple(off[1:])
+        if off[0] and mirror in present:
+            terms.append((off, mirror))
+            paired.add(mirror)
+        else:
+            terms.append((off,))
+    return tuple(terms)
 
 
 @dataclass(frozen=True)

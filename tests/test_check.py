@@ -361,6 +361,36 @@ class TestCBackend:
             "probe-mismatch", "array-probe-mismatch"
         ], rep.render()
 
+    def test_probe_catches_a_unit_that_sums_pairs_in_tap_order(self, monkeypatch):
+        """Units that sum each group left to right in tap order, x pairs
+        not first, miss the canonical bits where the probe's pair is
+        split by another tap of its group: both kernel probes say so
+        (the brick unit then builds no pair pass)."""
+        monkeypatch.setattr(
+            cbackend, "group_terms", lambda members: tuple((m,) for m in members)
+        )
+        rep = CheckReport()
+        verify_cbackend(rep)
+        assert probe_codes(rep) == [
+            "probe-mismatch", "array-probe-mismatch"
+        ], rep.render()
+
+    def test_brick_probe_notices_a_wrong_pair_sum(self, monkeypatch):
+        """The probe's brick unit runs the pair pass: one whose distance-1
+        sum reads the same side twice is a mismatch of that probe alone."""
+        real = cbackend.batch_step_source
+        right = "h[c2 - 1] + h[c2 + 1]"
+
+        def wrong_pair(*args, **kwargs):
+            source = real(*args, **kwargs)
+            assert right in source
+            return source.replace(right, "h[c2 - 1] + h[c2 - 1]")
+
+        monkeypatch.setattr(cbackend, "batch_step_source", wrong_pair)
+        rep = CheckReport()
+        verify_cbackend(rep)
+        assert probe_codes(rep) == ["probe-mismatch"], rep.render()
+
     def test_array_probe_mismatch_detected(self, monkeypatch):
         real = cbackend.array_step_source
         monkeypatch.setattr(

@@ -12,7 +12,7 @@ from repro.stencil import cbackend
 from repro.stencil.brick_kernels import gather_halo_batch
 from repro.stencil.kernels import apply_array_stencil
 from repro.stencil.plan import ArrayStencilPlan, compile_brick_plan
-from repro.stencil.spec import CUBE125, SEVEN_POINT, star_stencil
+from repro.stencil.spec import CUBE125, SEVEN_POINT, group_terms, star_stencil
 
 
 class TestGeneratedArrayKernel:
@@ -59,16 +59,21 @@ class TestGeneratedBatchKernel:
         halo = gather_halo_batch(storage, info, slots, r)
 
         # generic loop in the canonical order: per coefficient group,
-        # sum the windows left to right, then one multiply and one add
+        # each x pair summed first, the summands left to right, then
+        # one multiply and one add
         acc = None
         np_bd = tuple(reversed(d.brick_dim))
+
+        def window(off):
+            return halo[(slice(None),) + tuple(
+                slice(r + o, r + o + b) for o, b in zip(reversed(off), np_bd)
+            )]
+
         for coeff, offsets in spec.groups:
             total = None
-            for off in offsets:
-                window = halo[(slice(None),) + tuple(
-                    slice(r + o, r + o + b) for o, b in zip(reversed(off), np_bd)
-                )]
-                total = window if total is None else total + window
+            for term in group_terms(offsets):
+                summand = sum(map(window, term[1:]), window(term[0]))
+                total = summand if total is None else total + summand
             term = coeff * total
             acc = term if acc is None else acc + term
 
@@ -131,6 +136,13 @@ class TestCollectives:
             for r in res:
                 assert r.shape == (n, 3)
                 np.testing.assert_array_equal(r[:, 0], np.arange(n, dtype=float))
+
+    def test_allgather_of_a_0d_value(self):
+        """A 0-d contribution gathers into a ``(size,)`` array."""
+        for n in (1, 2, 5):
+            for r in run_spmd(n, lambda comm: allgather(comm, np.float64(comm.rank))):
+                assert r.shape == (n,)
+                np.testing.assert_array_equal(r, np.arange(n, dtype=float))
 
     def test_deterministic_reduction_order(self):
         """Tree reduction is deterministic: repeated runs bit-match."""

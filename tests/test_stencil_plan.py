@@ -286,6 +286,42 @@ class TestBrickPlanCTier:
         held = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
         assert all(a.size < len(slots) * halo for a in held)
 
+    @pytest.mark.parametrize(
+        "spec,elems",
+        [(SEVEN_POINT, 10**3), (CUBE125, 12**3 + 2 * 12 * 12 * 8)],
+        ids=["7pt", "125pt"],
+    )
+    def test_scratch_is_one_aligned_buffer(self, spec, elems):
+        """The halo tile and the pair pass's copies are one plan-owned
+        buffer on a 64-byte boundary, sized by the kernel's own layout
+        (the 125-point cube: the 12^3 tile, then two pair sums of
+        12 x 12 rows x 8)."""
+        info = grid_info((2, 2, 2), (8, 8, 8))
+        plan = compile_brick_plan(spec, info, np.arange(info.nslots))
+        scratch = cbackend.brick_scratch(spec.taps, (8, 8, 8), spec.radius)
+        assert plan._tile.shape == (scratch.elems,) == (elems,)
+        assert plan._tile.ctypes.data % 64 == 0
+        assert plan._tile.flags.c_contiguous
+
+    @pytest.mark.parametrize("spec", [CUBE125, cube_stencil(2, 2)], ids=["3d", "2d"])
+    def test_kernel_stays_inside_its_scratch(self, spec):
+        """The kernel touches no scratch past its layout's size: handed a
+        buffer of exactly that many elements (its own allocation, not
+        aligned on purpose, so ASan guards its end), it gives the plan's
+        bits."""
+        bd = (8, 8, 8)[: spec.ndim]
+        info = grid_info((2,) * spec.ndim, bd, periodic=False)
+        rng = np.random.default_rng(5)
+        src, got, ref = (random_storage(info, rng) for _ in range(3))
+        slots = np.arange(info.nslots)
+        plan = compile_brick_plan(spec, info, slots)
+        plan.execute(src, ref)
+        exact = np.full(
+            cbackend.brick_scratch(spec.taps, bd, spec.radius).elems, np.nan
+        )
+        plan._ckernel(src.data, got.data, plan._adjacency, plan.slots, exact)
+        same_bits(got.data, ref.data)
+
     def test_plan_follows_kernel_environment(self, monkeypatch):
         """One BrickInfo, one slot set: each compile steps on the guard
         variant the environment names at that moment (no plan of another

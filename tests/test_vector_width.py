@@ -8,7 +8,8 @@ width must not move a bit -- SIMD lanes are neighbouring cells and
 three ways here (the portable flags, the host flags held below AVX-512,
 the host flags) and held to the generic kernels bit for bit; and where
 the host build is GCC for AVX-512, the compiler's own report says the
-sweeps use 64-byte vectors.
+sweeps -- and the 125-point brick kernel's pair pass -- use 64-byte
+vectors.
 """
 
 import os
@@ -24,10 +25,12 @@ from repro.check.cback import _PROBE_SPEC
 from repro.stencil import cbackend
 from repro.stencil.brick_kernels import apply_brick_stencil
 from repro.stencil.kernels import apply_array_stencil
-from repro.stencil.spec import CUBE125, SEVEN_POINT
+from tests.test_stencil_groups import SPECS as ORDER_SPECS
 from tests.test_stencil_plan import grid_info, random_storage, same_bits
 
-SPECS = {"7pt": SEVEN_POINT, "125pt": CUBE125, "probe": _PROBE_SPEC}
+#: every stencil the canonical order is tested on, and the probe's
+SPECS = {spec.name: spec for spec in ORDER_SPECS} | {"probe": _PROBE_SPEC}
+CUBE125, SEVEN_POINT = SPECS["125pt"], SPECS["7pt"]
 #: what holds a host build below AVX-512: its tuning's 256-bit vectors
 HELD = ("-mno-avx512f",)
 
@@ -70,18 +73,20 @@ def build(request, monkeypatch):
     return (*cbackend.sanitize_flags(), *(HELD if mode == "held-256" else ())), width
 
 
-def _brick_case(periodic):
-    """A 3 x 2 x 2 grid of 8^3 bricks: rows of 8, one 512-bit vector."""
-    info = grid_info((3, 2, 2), (8, 8, 8), periodic=periodic)
+def _brick_case(ndim, periodic):
+    """A 3 x 2 x 2 grid of 8^3 bricks (3 x 2 of 8^2 in 2-D): rows of 8,
+    one 512-bit vector."""
+    info = grid_info((3, 2, 2)[:ndim], (8,) * ndim, periodic=periodic)
     rng = np.random.default_rng(7)
     return info, random_storage(info, rng), np.arange(info.nslots)
 
 
 def _array_case(spec, periodic):
-    """A 19 x 6 x 5 region (rows of two 512-bit vectors and a tail) in
-    its extended array: ghosts wrapped, or zero as an open boundary."""
+    """A 19 x 6 x 5 region (19 x 6 in 2-D; rows of two 512-bit vectors
+    and a tail) in its extended array: ghosts wrapped, or zero as an
+    open boundary."""
     r = spec.radius
-    extent = (19, 6, 5)
+    extent = (19, 6, 5)[: spec.ndim]
     inner = np.random.default_rng(11).random(tuple(reversed(extent)))
     arr = np.pad(inner, r, mode="wrap" if periodic else "constant")
     return extent, r, arr
@@ -91,22 +96,23 @@ def _array_case(spec, periodic):
 def test_every_width_keeps_the_generic_bits(build, name):
     flags, width = build
     spec = SPECS[name]
-    r = spec.radius
+    r, np_bd = spec.radius, (8,) * spec.ndim
+    volume = 8**spec.ndim
     brick = cbackend._build(
-        cbackend.batch_step_source(spec.taps, (8, 8, 8), r, 0, 512),
+        cbackend.batch_step_source(spec.taps, np_bd, r, 0, volume),
         extra_flags=flags,
     )
-    array_shape = tuple(n + 2 * r for n in (5, 6, 19))
+    array_shape = tuple(n + 2 * r for n in (5, 6, 19)[-spec.ndim :])
     array = cbackend._build_array(
         cbackend.array_step_source(spec.taps, array_shape), extra_flags=flags
     )
     movers = cbackend.Movers(*cbackend._mover_libs[flags], False)
     assert movers.vector_bits == width
     for periodic in (True, False):
-        info, src, slots = _brick_case(periodic)
-        got = BrickStorage.allocate(info.nslots, 512)
-        ref = BrickStorage.allocate(info.nslots, 512)
-        tile = np.empty((8 + 2 * r) ** 3)
+        info, src, slots = _brick_case(spec.ndim, periodic)
+        got = BrickStorage.allocate(info.nslots, volume)
+        ref = BrickStorage.allocate(info.nslots, volume)
+        tile = np.empty(cbackend.brick_scratch(spec.taps, np_bd, r).elems)
         brick(src.data, got.data, info.adjacency, slots, tile)
         apply_brick_stencil(spec, src, ref, info, slots)
         same_bits(got.data, ref.data)
@@ -136,12 +142,18 @@ def _vector_report(source):
     }
 
 
+def _loop_line(source, marker):
+    """The 1-based line of the ``for`` just ahead of the first line
+    holding *marker*."""
+    lines = source.splitlines()
+    first = next(i for i, text in enumerate(lines) if marker in text)
+    return max(i for i in range(first) if "for (" in lines[i]) + 1
+
+
 def _sweep_line(source):
     """The 1-based line of the tap sweep's loop: the ``for`` just ahead
     of the first tap load."""
-    lines = source.splitlines()
-    first_load = next(i for i, text in enumerate(lines) if "const double x0 =" in text)
-    return max(i for i in range(first_load) if "for (" in lines[i]) + 1
+    return _loop_line(source, "const double x0 =")
 
 
 @pytest.mark.skipif(not GCC_AVX512, reason="the host build is not GCC for AVX-512")
@@ -160,6 +172,11 @@ def test_the_sweeps_use_the_whole_register(kind, spec):
         source = cbackend.array_step_source(spec.taps, (20, 20, 20))
     report = _vector_report(source)
     assert report.get(_sweep_line(source)) == 64, report
+    # The 125-point brick kernel's pair pass writes its copies' rows of
+    # 8 in one vector each.
+    assert ("pair pass" in source) == (kind == "brick" and spec is CUBE125)
+    if "pair pass" in source:
+        assert report.get(_loop_line(source, "q[")) == 64, report
     # Nothing of the kernel is left at the tuning's width; the brick's
     # stage copies move its rows of 8 in one vector too (a radius-wide
     # column of 2 moves in 16 bytes).

@@ -13,11 +13,11 @@ One geometry per fresh process pinned to CPU 0.  (The file keeps the
 name it had when it also timed a NumPy kernel tier; CI's smoke steps
 call it by that name.)
 
-The ``kernel`` section (EXPERIMENTS.md, "Kernels for the host" and
-"Kernels at full width") times the C kernels on one rank's compute
-slots and extended array: the brick and array step time (medians of 15
-samples of 40 steps, each result checked bit-for-bit against the
-generic kernels) beside the widest vectors the compiler reports for
+The ``kernel`` section (EXPERIMENTS.md, "Kernels for the host",
+"Kernels at full width" and "x pairs summed once") times the C kernels
+on one rank's compute slots and extended array: the brick and array
+step time (medians of 15 samples of 40 steps, each result checked
+bit-for-bit against the generic kernels) beside the widest vectors the compiler reports for
 that kernel's loops (``*_vector_bits``), ``cc`` + load time per
 kernel built into an empty kernel cache and its load time from the
 cache, each kernel's GB/s (``bytes_per_point`` per cell) as a fraction
