@@ -41,8 +41,12 @@ each wire item carries its own :class:`Envelope`: a re-fire, a
 transmission the injector touched (those posts build per-item deposits
 themselves), a wire duplicate, a later epoch queued ahead, or a cut
 whose vector compare fails (its plain deposits are expanded from their
-envelope, :meth:`EnvelopeGuard.expand`).  Which path runs is decided
-from what arrived, never from a setting.
+envelope, :meth:`EnvelopeGuard.expand`).  That path still moves and
+checks bytes through the same two binders -- a post seals the items it
+posts in one ``crc_list`` call, a receive lands every item that arrived,
+the injector's corrupted copy included, in one ``copy_crc_list`` call
+-- and then judges each taken item once (:meth:`EnvelopeGuard.accept`).
+Which path runs is decided from what arrived, never from a setting.
 
 The guard owns the per-edge state that makes a re-fired exchange
 idempotent (DESIGN.md, "Why retried exchanges are idempotent"), in
@@ -249,14 +253,11 @@ class _Checked:
     order of their items: ``order`` the rows, ``spans`` per deposit its
     credit and its slices of that credit's :class:`CutEnvelope`."""
 
-    __slots__ = ("table", "rows", "keys", "recvs", "sizes", "place",
-                 "order", "spans")
+    __slots__ = ("table", "rows", "keys", "place", "order", "spans")
 
     def __init__(self, cut, table: _RankTable) -> None:
         self.table = table
         self.keys = list(cut.rmap)
-        self.recvs = list(cut.rmap.values())
-        self.sizes = [view.size for view in self.recvs]
         self.rows = table.index(self.keys)
         self.place = {key: i for i, key in enumerate(self.keys)}
         self.order = self.rows
@@ -270,9 +271,6 @@ class Sifted(NamedTuple):
     rest: List[_Item]         # later epochs: stay queued, order kept
     stale: List[_Item]        # wire duplicates, to discard
     stray: Optional[_Key]     # an arrival no bound receive matches
-    #: ``taken``'s items -- in the cut's order when that is one of every
-    #: bound receive
-    items: List[_Item]
 
 
 class EnvelopeGuard:
@@ -401,9 +399,10 @@ class EnvelopeGuard:
             credit.envelope = CutEnvelope(seqs.tobytes(), sealed.crcs(), sealed)
             return cut.deposits, cut.nsend, cut.send_bytes
         if whole:
-            crcs = np.frombuffer(sealed.crcs(), np.uint32).tolist()
-        else:  # zlib.crc32 per view serves any subset
-            crcs = [checksum(sealed.views[at]) for at in picked]
+            packed = sealed.crcs()
+        else:  # a subset: the cut's own binder, over a table of its own
+            packed = cut.crc_list([sealed.views[at] for at in picked])()
+        crcs = np.frombuffer(packed, np.uint32).tolist()
         out: Dict[int, list] = {}
         for at, seq, crc in zip(picked, seqs.tolist(), crcs):
             key, view, dst = sealed.keys[at], sealed.views[at], sealed.dsts[at]
@@ -497,9 +496,7 @@ class EnvelopeGuard:
                 rest.append(item)  # a later epoch of an owed edge
             else:
                 stale.append(item)  # second copy of the item just taken
-        if len(taken) == len(keys):  # every bound receive: the cut's order
-            return Sifted(taken, rest, stale, stray, [taken[key] for key in keys])
-        return Sifted(taken, rest, stale, stray, list(taken.values()))
+        return Sifted(taken, rest, stale, stray)
 
     def discard(self, dst: int, stale: List[_Item]) -> None:
         """Record the wire duplicates a receive dropped."""
@@ -548,33 +545,6 @@ class EnvelopeGuard:
         table.seq[rows] = expect
         table.epoch[rows] = _code(epoch)
         return True
-
-    def accept_landed(self, cut, at: Sequence[int], items: Sequence[_Item],
-                      crcs: Sequence[int], epoch: Optional[int]) -> List[int]:
-        """The vector verdict over pristine *items* -- at positions *at*
-        of the cut -- whose bytes landed with checksums *crcs*: one
-        comparison of ``(sequence number, CRC, size)`` per item against
-        ``(last accepted + 1, landed CRC, receive size)``.  Records the
-        delivery of every item that passes; returns the indices into
-        *items* of those that do not, for :meth:`accept` to name what is
-        wrong with each.
-        """
-        checked = cut.checked
-        table = checked.table
-        rows = checked.rows[at]
-        sizes = [checked.sizes[i] for i in at]
-        expect = table.seq[rows] + 1
-        got = [item[2] for item in items]
-        want = list(zip(expect.tolist(), crcs, sizes))
-        failed = []
-        if got != want:
-            failed = [i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]]
-            passed = np.ones(len(got), dtype=bool)
-            passed[failed] = False
-            rows, expect = rows[passed], expect[passed]
-        table.seq[rows] = expect
-        table.epoch[rows] = _code(epoch)
-        return failed
 
     def accept(self, cut, item: _Item, landed: Optional[int],
                epoch: Optional[int]) -> None:

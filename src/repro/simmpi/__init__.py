@@ -7,16 +7,16 @@ really copies NumPy buffers.  Halo exchanges fire persistent bound cuts
 (:meth:`SimFabric.bind_request`: the whole message plan bound once,
 re-fired each step); the collectives ride the per-message path, matched
 by ``(source, dest, tag)`` behind mpi4py's blocking buffer calls
-(``Send``/``Recv``/``Sendrecv``/``Barrier``/Cartesian communicators).
+(``Send``/``Recv``/``Barrier``/Cartesian communicators).
 
 Send completion is synchronous-mode (a send completes when the receiver
 has copied the data): a cut posts every send before it waits on any
-receive, and ``Sendrecv`` posts its send before it receives, so this is
-deadlock-free and makes buffer reuse safe without an extra copy --
+receive, and the collectives' trees pair each ``Send`` with a waiting
+``Recv``, so this is deadlock-free and makes buffer reuse safe without an extra copy --
 matching the zero-copy claim being reproduced.
 """
 
-from repro.simmpi.collectives import allgather, allreduce, broadcast, reduce_to_root
+from repro.simmpi.collectives import allreduce, broadcast, reduce_to_root
 from repro.simmpi.comm import CartComm, SimComm
 from repro.simmpi.fabric import (
     AbortedError,
@@ -45,7 +45,6 @@ __all__ = [
     "SplitMismatchError",
     "SimComm",
     "SimFabric",
-    "allgather",
     "allreduce",
     "broadcast",
     "reduce_to_root",

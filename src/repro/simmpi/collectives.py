@@ -3,9 +3,8 @@
 Krylov-subspace solvers -- the other application family the paper's
 introduction names -- interleave ghost-zone exchanges with reductions
 (dot products, norms).  These collectives are built on the
-communicator's blocking ``Send`` / ``Recv`` / ``Sendrecv`` with binary
-trees (reduce, broadcast) and a ring (allgather), so they work for any
-rank count.
+communicator's blocking ``Send`` / ``Recv`` with binary trees (reduce,
+broadcast), so they work for any rank count.
 
 All operate on NumPy arrays (buffer semantics, like the upper-case
 mpi4py calls).
@@ -19,7 +18,7 @@ import numpy as np
 
 from repro.simmpi.comm import SimComm
 
-__all__ = ["allreduce", "reduce_to_root", "broadcast", "allgather"]
+__all__ = ["allreduce", "reduce_to_root", "broadcast"]
 
 _TAG_BASE = 1 << 20  # clear of the exchange tag space
 
@@ -83,24 +82,3 @@ def allreduce(
         result = np.empty_like(np.asarray(value))
     return broadcast(comm, result, root=0)
 
-
-def allgather(comm: SimComm, value: np.ndarray) -> np.ndarray:
-    """Gather equal-size contributions from every rank, on every rank.
-
-    Returns an array of shape ``(size,) + value.shape``.
-    """
-    value = np.asarray(value)
-    size, rank = comm.size, comm.rank
-    out = np.empty((size,) + value.shape, dtype=value.dtype)
-    out[rank] = value
-    # Ring algorithm: size-1 steps, each forwarding the newest block.
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    for step in range(size - 1):
-        tag = _TAG_BASE * 3 + step
-        # One-block slices, never ``out[i]``: for a 0-d *value* that is a
-        # scalar, not a buffer to receive into.
-        send, recv = (rank - step) % size, (rank - step - 1) % size
-        comm.Sendrecv(out[send : send + 1], right, tag,
-                      out[recv : recv + 1], left, tag)
-    return out

@@ -1,7 +1,7 @@
 """Communicators: point-to-point plus Cartesian topology.
 
 Follows mpi4py's upper-case buffer interface, blocking calls only:
-``Send``/``Recv``/``Sendrecv`` take NumPy arrays (any shape, contiguous)
+``Send``/``Recv`` take NumPy arrays (any shape, contiguous)
 and carry the collectives (:mod:`repro.simmpi.collectives`);
 ``Barrier`` synchronises; and :class:`CartComm` adds the periodic rank
 grid the paper's experiments use (a ``2^3`` cube for K1/V1, larger grids
@@ -53,22 +53,6 @@ class SimComm:
     def Recv(self, buf: np.ndarray, source: int, tag: int = 0) -> None:
         _check_recv_buffer(buf)
         self.fabric.complete_recv(source, self.rank, tag, buf)
-
-    def Sendrecv(
-        self,
-        sendbuf: np.ndarray,
-        dest: int,
-        sendtag: int,
-        recvbuf: np.ndarray,
-        source: int,
-        recvtag: int,
-    ) -> None:
-        """Post the send, receive, then complete the send: the step of a
-        ring shift, deadlock-free when every rank of the ring calls it."""
-        _check_recv_buffer(recvbuf)
-        entry = self.fabric.post_send(self.rank, dest, sendtag, sendbuf)
-        self.fabric.complete_recv(source, self.rank, recvtag, recvbuf)
-        self.fabric.wait_send(entry)
 
     def Barrier(self) -> None:
         self.fabric.barrier.wait()

@@ -108,20 +108,20 @@ deposits go back to the front of their FIFOs first
 once a wire duplicate, or the next epoch's item of a peer that finished
 first, can sit there -- takes those (plain deposits expanded from their
 cut's envelope), drops duplicates and leaves later epochs queued in
-order.  Its pristine items (the wire object is the bound send view)
-land through one ``copy_crc_list`` call over a table of them and get
-one vector verdict; every transmission the injector touched (a
-corrupted copy, a lost marker) and every item that verdict fails go
-through the per-item judgement (:meth:`SimFabric._land_faulted`,
-:meth:`~repro.exchange.envelope.EnvelopeGuard.accept`): only accepted
+order.  Every transmission that arrived -- the bound send view, or the
+injector's corrupted copy beside it -- lands in one ``copy_crc_list``
+call over a table built for that receive (:meth:`SimFabric._land`);
+then every taken item is judged once by the CRC of its landed bytes, a
+lost one by ``None``
+(:meth:`~repro.exchange.envelope.EnvelopeGuard.accept`): only accepted
 items are counted and credited to the cut that sent them; every failed
 one goes back pristine to the front of its source's FIFO, and the typed
-error from :mod:`repro.faults.errors` is raised once, after the whole
-take was judged, so one bounded retry of the exchange heals the whole
-cut.  Which path runs is decided from what arrived, never from a
-setting.  Per-message delivery (collectives, which are never faulted)
-is sealed and verified too, as *detection* only: typed error, no
-healing.
+error from :mod:`repro.faults.errors` -- the first item that failed --
+is raised once, after the whole take was judged, so one bounded retry
+of the exchange heals the whole cut.  Which path runs is decided from
+what arrived, never from a setting.  Per-message delivery (collectives,
+which are never faulted) is sealed and verified too, as *detection*
+only: typed error, no healing.
 """
 
 from __future__ import annotations
@@ -1050,7 +1050,7 @@ class SimFabric:
                     self._await(dst, ready, missing)
                 finally:
                     port.need = None
-            taken, rest, stale, stray, items = sifted
+            taken, rest, stale, stray = sifted
             if stray is None:
                 for src, _deposit in examined:
                     fifos[src].popleft()
@@ -1063,42 +1063,27 @@ class SimFabric:
                 f" of its {len(rmap)} bound receives"
             )
         guard.discard(dst, stale)
-        # Pristine transmissions -- the wire object is the bound send
-        # view -- land in one call and get one vector verdict; what the
-        # injector touched, and whatever that verdict fails, is judged
-        # item by item.
-        pristine = [item for item in items if item[3] is item[1]]
-        place = cut.checked.place
-        at = [place[item[0]] for item in pristine]
-        crcs = self._land_items(cut, pristine, at)
-        singly = [
-            (pristine[i], crcs[i])
-            for i in guard.accept_landed(cut, at, pristine, crcs, epoch)
-        ]
-        if len(pristine) != len(items):
-            singly += self._land_faulted(
-                cut, [item for item in items if item[3] is not item[1]]
-            )
+        # Every transmission that arrived lands in one call; every taken
+        # item is then judged, a lost one by ``None``.
+        items = list(taken.values())
+        crcs = iter(self._land(cut, items))
+        owners = _owners(examined)
+        counts: Dict[_Credit, int] = {}
+        nbytes = 0
         failed = []  # (item, its pristine retransmission)
         error = None
-        for item, crc in singly:
+        for item in items:
             try:
-                guard.accept(cut, item, crc, epoch)
+                guard.accept(cut, item, None if item[3] is None else next(crcs), epoch)
             except (ExchangeIntegrityError, ExchangeTimeoutError) as err:
                 failed.append((item, guard.pristine(dst, item)))
                 error = error or err
-        owners = _owners(examined)
-        lost = {item[0] for item, _retransmit in failed}
-        accepted = [key for key in taken if key not in lost]
-        counts: Dict[_Credit, int] = {}
-        for key in accepted:
-            credit = owners[id(taken[key])]
-            counts[credit] = counts.get(credit, 0) + 1
+            else:
+                credit = owners[id(item)]
+                counts[credit] = counts.get(credit, 0) + 1
+                nbytes += rmap[item[0]].size
         with self._lock:
-            self._credit(
-                dst, len(accepted), sum(rmap[key].size for key in accepted),
-                counts.items(),
-            )
+            self._credit(dst, len(items) - len(failed), nbytes, counts.items())
             for item, retransmit in reversed(failed):
                 fifos[item[0][0]].appendleft((owners[id(item)], [retransmit]))
         if error is not None:
@@ -1110,39 +1095,22 @@ class SimFabric:
             finally:
                 del error
 
-    def _sizes_match(self, cut: BoundRequest, items, recvs) -> None:
-        """The wire's own size guard, before any byte of *items* lands."""
-        for item, recv in zip(items, recvs):
-            if item[1].size != recv.size:
-                raise self._size_mismatch(item[0], cut.rank, item[1], recv)
-
-    def _land_items(self, cut: BoundRequest, items: list, at: List[int]) -> List[int]:
-        """Copy pristine *items* -- at positions *at* of the cut -- in and
-        return the CRC32s of the bytes that landed: one
-        ``copy_crc_list`` call over a table of them, used once."""
-        recvs = cut.checked.recvs
-        recvs = [recvs[i] for i in at]
-        self._sizes_match(cut, items, recvs)
-        landed = cut.copy_crc_list([item[1] for item in items], recvs)()
-        return np.frombuffer(landed, np.uint32).tolist()
-
-    def _land_faulted(self, cut: BoundRequest, items: list) -> list:
-        """The per-item fault path: what the injector put on the wire
-        beside each of *items* -- a corrupted copy, or nothing -- lands
-        (or does not) in its receive view.  Returns ``(item, CRC32 of
-        the landed bytes or None)`` for the guard to judge one by one."""
+    def _land(self, cut: BoundRequest, items: list) -> List[int]:
+        """Land what arrived of *items* -- the bound send view, or the
+        injector's corrupted copy beside it; a lost item has nothing --
+        in one ``copy_crc_list`` call over a table built for this
+        receive, after the wire's own size guard on every item; returns
+        the CRC32s of the bytes that landed, in order."""
         rmap = cut.rmap
-        self._sizes_match(cut, items, [rmap[item[0]] for item in items])
-        landed = []
-        for item in items:
-            wire = item[3]
-            crc = None
+        wires, recvs = [], []
+        for key, view, _env, wire in items:
+            recv = rmap[key]
+            if view.size != recv.size:
+                raise self._size_mismatch(key, cut.rank, view, recv)
             if wire is not None:
-                recv = rmap[item[0]]
-                recv[:] = wire  # the single wire copy
-                crc = zlib.crc32(recv)
-            landed.append((item, crc))
-        return landed
+                wires.append(wire)
+                recvs.append(recv)
+        return np.frombuffer(cut.copy_crc_list(wires, recvs)(), np.uint32).tolist()
 
     def wait_send_batch(self, cut: BoundRequest) -> None:
         """Block until every item *cut* posted has been consumed."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simmpi import allgather, allreduce, broadcast, reduce_to_root, run_spmd
+from repro.simmpi import allreduce, broadcast, reduce_to_root, run_spmd
 from repro.stencil import cbackend
 from repro.stencil.brick_kernels import gather_halo_batch
 from repro.stencil.kernels import apply_array_stencil
@@ -126,23 +126,6 @@ class TestCollectives:
 
         res = run_spmd(6, fn)
         assert all(r[0] == 42.0 for r in res)
-
-    def test_allgather(self):
-        def fn(comm):
-            return allgather(comm, np.array([float(comm.rank)] * 3))
-
-        for n in (1, 2, 5, 8):
-            res = run_spmd(n, fn)
-            for r in res:
-                assert r.shape == (n, 3)
-                np.testing.assert_array_equal(r[:, 0], np.arange(n, dtype=float))
-
-    def test_allgather_of_a_0d_value(self):
-        """A 0-d contribution gathers into a ``(size,)`` array."""
-        for n in (1, 2, 5):
-            for r in run_spmd(n, lambda comm: allgather(comm, np.float64(comm.rank))):
-                assert r.shape == (n,)
-                np.testing.assert_array_equal(r, np.arange(n, dtype=float))
 
     def test_deterministic_reduction_order(self):
         """Tree reduction is deterministic: repeated runs bit-match."""

@@ -511,46 +511,90 @@ class TestTheGuardJudgesACut:
 
     @pytest.mark.parametrize("fault", ["corrupt", "drop", "duplicate"])
     def test_a_faulted_item_is_judged_alone(self, binders, fault, monkeypatch):
+        # A faulted post goes item by item: every taken item is judged
+        # once, after every arrived item landed in one call, and item 17
+        # alone fails.
         cut = _Cut39(binders, FaultPlan())
         fab, guard = cut.fab, cut.fab._guard
         cut.injector.on_post = (
             lambda src, dst, tag, seq: fault if (tag, seq) == (17, 1) else None
         )
-        judged, verdicts = [], []
-        real_accept, real_landed = guard.accept, guard.accept_landed
+        judged = []  # (key, whether it was judged lost)
+        real_accept = guard.accept
         monkeypatch.setattr(
             guard, "accept",
-            lambda c, item, crc, epoch: judged.append(item[0])
+            lambda c, item, crc, epoch: judged.append((item[0], crc is None))
             or real_accept(c, item, crc, epoch),
-        )
-        monkeypatch.setattr(
-            guard, "accept_landed",
-            lambda c, at, items, *rest: verdicts.append(len(items))
-            or real_landed(c, at, items, *rest),
         )
         for rank in (0, 1):
             fab.set_epoch(rank, 0)
         fab.post_send_batch(cut.sender)
+        every = [((0, tag), False) for tag in range(cut.N)]
         if fault == "duplicate":
             fab.complete_recv_batch(cut.receiver)  # the copy is dropped
-            assert (judged, verdicts) == ([], [cut.N])
+            assert judged == every and (cut.check.built, cut.check.calls) == (1, 1)
             assert cut.delivered() and fab.pending_messages == 0
             return
         error = ExchangeIntegrityError if fault == "corrupt" else ExchangeTimeoutError
-        with pytest.raises(error):
+        with pytest.raises(error, match=r"tag=17, seq=1\)"):
             fab.complete_recv_batch(cut.receiver)
-        # Its 38 neighbours landed in one call, got one vector verdict
-        # and were credited; item 17 alone went through accept().
-        assert (judged, verdicts) == ([(0, 17)], [cut.N - 1])
+        # Its 38 neighbours were credited; the corrupted copy landed in
+        # the same call, a lost item in none.
+        every[17] = ((0, 17), fault == "drop")
+        assert judged == every
         assert fab.stats[1].recvs == cut.N - 1
         assert cut.sender.credit.outstanding == 1 and fab.pending_messages == 1
-        # A proper subset: the same binder, over a table of its own.
         assert (cut.check.built, cut.check.calls) == (1, 1)
         fab.complete_recv_batch(cut.receiver)  # the retry: 38 replayed
         assert cut.delivered() and fab.pending_messages == 0
-        assert verdicts == [cut.N - 1, 1]
+        assert judged[cut.N:] == [((0, 17), False)]
+        assert (cut.check.built, cut.check.calls) == (2, 2)
         events = cut.injector.event_counts()
         assert events["retransmit"] == 1 and events["replayed"] == cut.N - 1
+
+    def test_corrupted_dropped_and_duplicated_items_land_in_one_call(
+        self, binders, monkeypatch
+    ):
+        faults = {(4, 1): "drop", (9, 1): "corrupt", (20, 1): "duplicate"}
+        cut = _Cut39(binders, FaultPlan())
+        fab, injector = cut.fab, cut.injector
+        injector.on_post = lambda src, dst, tag, seq: faults.get((tag, seq))
+        corrupted = []
+        real_corrupt = injector.corrupt
+        monkeypatch.setattr(
+            injector, "corrupt",
+            lambda *args: corrupted.append(real_corrupt(*args)) or corrupted[-1],
+        )
+        tables = []  # the send side of every copy-and-check table built
+        real_binder = cut.check.binder
+        cut.check.binder = lambda srcs, dsts: tables.append(srcs) or real_binder(
+            srcs, dsts
+        )
+        for rank in (0, 1):
+            fab.set_epoch(rank, 0)
+        fab.post_send_batch(cut.sender)
+        # One typed error, for the first item that failed: item 4 was
+        # lost; item 9's corruption is recorded, not raised.
+        with pytest.raises(ExchangeTimeoutError, match=r"tag=4, seq=1\)"):
+            fab.complete_recv_batch(cut.receiver)
+        # Every arrived item -- one copy of item 20, the corrupted copy
+        # of item 9, none of item 4 -- landed in one call over one table.
+        assert cut.check.calls == 1
+        (table,) = tables
+        arrived = [tag for tag in range(cut.N) if tag != 4]
+        assert len(table) == len(arrived) and table[8] is corrupted[0]
+        assert all(
+            np.shares_memory(view, cut.data[tag])
+            for view, tag in zip(table, arrived) if tag != 9
+        )
+        assert fab.stats[1].recvs == cut.N - 2 and fab.pending_messages == 2
+        fab.complete_recv_batch(cut.receiver)  # one retry heals the cut
+        assert cut.delivered() and fab.pending_messages == 0
+        assert fab.stats[1].recvs == cut.N
+        events = injector.event_counts()
+        assert (
+            events["retransmit"], events["replayed"], events["duplicate_discarded"]
+        ) == (2, cut.N - 2, 1)
 
     def test_an_item_the_vector_verdict_fails_is_named(self, binders):
         # No injector: a send view that changes after its seal fails the
@@ -574,7 +618,8 @@ class TestTheGuardJudgesACut:
     ):
         # A clean post's one envelope with item 17's CRC flipped, or its
         # sequence number skipped: the vector compare fails, the same
-        # deposits go to the per-item path, and it names item 17 alone.
+        # deposits go to the per-item path, which judges every item and
+        # names item 17 alone.
         cut = _Cut39(binders)
         fab, guard = cut.fab, cut.fab._guard
         judged = []
@@ -602,7 +647,7 @@ class TestTheGuardJudgesACut:
             match = r"sequence gap on \(src=0, dst=1, tag=17\): got seq 2, expected 1"
         with pytest.raises(ExchangeIntegrityError, match=match):
             fab.complete_recv_batch(cut.receiver)
-        assert judged == [(0, 17)]
+        assert judged == [(0, tag) for tag in range(cut.N)]
         assert fab.stats[1].recvs == cut.N - 1 and fab.pending_messages == 1
         assert cut.sender.credit.outstanding == 1
         assert cut.delivered()
@@ -689,7 +734,7 @@ def test_a_clean_verified_run_judges_no_item(method, monkeypatch):
     judged = []
     for owner, name in (
         (EnvelopeGuard, "accept"), (EnvelopeGuard, "sift"),
-        (SimFabric, "_land_faulted"),
+        (SimFabric, "_land"),
     ):
         real = getattr(owner, name)
 

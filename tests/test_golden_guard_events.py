@@ -3,8 +3,10 @@
 ``golden_guard_events.json`` was recorded at commit 357e537, *before*
 the envelope guard moved from judging an item to judging a cut (one seal
 call per post, one copy-and-check call per receive, per-item judgement
-only for the items that are not the common case).  That move may have
-changed no event: for every wire-fault preset x method x seed, the
+only for the items that are not the common case), and before a faulted
+receive landed every arrived item -- the injector's corrupted copies
+too -- in one copy-and-check call and judged each taken item once.
+Neither move may change an event: for every wire-fault preset x method x seed, the
 injector's full event-count dict, its order-independent schedule digest
 (every event's kind / src / dst / tag / seq / step), the ``retry`` /
 ``healed`` count per rank and the CRC32 of the final field compare

@@ -95,13 +95,13 @@ def test_fabric_call_in_allowlisted_file_ok():
 def test_per_message_loop_outside_base_flagged():
     src = (
         "def exchange(comm, buf):\n"
-        "    comm.Send(buf, 1, 7); comm.Recv(buf, 1, 7)\n"
-        "    comm.Sendrecv(buf, 1, 7, buf, 1, 7)\n"
+        "    comm.Send(buf, 1, 7)\n"
+        "    comm.Recv(buf, 1, 7)\n"
     )
     tree = ast.parse(src)
     method_file = lint_invariants.SRC / "exchange" / "synthetic.py"
     violations = lint_invariants.check_message_path(method_file, tree)
-    assert sorted(v[1] for v in violations) == [2, 2, 3]
+    assert sorted(v[1] for v in violations) == [2, 3]
     assert all("bound cuts" in v[2] for v in violations)
     # Code outside exchange/ (collectives, examples) may post messages.
     assert lint_invariants.check_message_path(
@@ -426,21 +426,17 @@ def test_per_message_copy_loop_outside_the_numpy_tier_flagged():
     violations = lint_invariants.check_copy_tier(path, ast.parse(src))
     assert sorted(v[1] for v in violations) == [5, 8, 10]
     assert all("one C call" in v[2] for v in violations)
-    # The same loops pass only where named: the fabric's per-item fault
-    # path -- not the box movers' home, and no method file (Pack binds
-    # its boxes through boxes.py's stage_table).
-    boxes = lint_invariants.SRC / "exchange" / "boxes.py"
-    for name in ("bind_gather", "stage_table"):
-        renamed = src.replace("def _bind", f"def {name}")
-        assert len(lint_invariants.check_copy_tier(boxes, ast.parse(renamed))) == 3
-    faulted = src.replace("def _bind", "def _land_faulted")
-    fabric = lint_invariants.SRC / "simmpi" / "fabric.py"
-    assert lint_invariants.check_copy_tier(fabric, ast.parse(faulted)) == []
-    verified = src.replace("def _bind", "def _complete_recv_verified")
-    assert len(lint_invariants.check_copy_tier(fabric, ast.parse(verified))) == 3
-    pack = lint_invariants.SRC / "exchange" / "pack.py"
-    assert len(lint_invariants.check_copy_tier(pack, ast.parse(src))) == 3
-    assert lint_invariants.NUMPY_TIER == {"simmpi/fabric.py": ("_land_faulted",)}
+    # No function name is exempt: not the box movers' home, not the
+    # fabric's fault path (it lands in one call too), no method file.
+    for rel, names in (
+        ("exchange/boxes.py", ("bind_gather", "stage_table")),
+        ("simmpi/fabric.py", ("_land", "_land_faulted", "_recv_items")),
+        ("exchange/pack.py", ("_bind",)),
+    ):
+        home = lint_invariants.SRC / rel
+        for name in names:
+            renamed = src.replace("def _bind", f"def {name}")
+            assert len(lint_invariants.check_copy_tier(home, ast.parse(renamed))) == 3
     # ... and the rule is about the communication layers only.
     elsewhere = lint_invariants.SRC / "stencil" / "synthetic.py"
     assert lint_invariants.check_copy_tier(elsewhere, ast.parse(src)) == []

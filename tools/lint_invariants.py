@@ -23,7 +23,7 @@ may not, and these rules are project-specific anyway.  Nine checks:
    split negotiation cannot be bypassed.
 
 3. **No per-message exchange.**  Inside ``src/repro/exchange``, no
-   call to ``Send`` / ``Recv`` / ``Sendrecv`` appears anywhere: an
+   call to ``Send`` / ``Recv`` appears anywhere: an
    exchanger is a message plan plus a binding, and its channel fires
    the plan as bound cuts, so no method can grow a per-message loop
    beside them.  The per-message path carries collectives only.
@@ -93,13 +93,11 @@ may not, and these rules are project-specific anyway.  Nine checks:
    per-message NumPy loop is no path of its own.  So under
    ``src/repro/exchange`` and ``src/repro/simmpi`` a ``for`` loop whose
    body copies into a buffer (``np.copyto(...)``, ``x[:] = ...`` or any
-   slice-subscript store) appears only inside the one function named
-   in ``NUMPY_TIER``: ``simmpi/fabric.py`` ``_land_faulted``, the
-   per-item fault path -- a transmission the injector touched travels
-   *beside* its bound send view (a corrupted copy, a lost marker), so
-   no table frozen at bind can name it, and it is judged alone while
-   its neighbours land in the cut's one copy-and-check call.  No method
-   file is on the list.  A store through a bare name
+   slice-subscript store) appears nowhere, and no function is exempt:
+   even the verified fabric's fault path lands every arrived item in
+   one call, over a table built for that receive, which carries the
+   injector's corrupted copy as well as a bound send view
+   (``simmpi/fabric.py`` ``SimFabric._land``).  A store through a bare name
    (``arr[slc] = view``) cannot be told from a dict store and is not
    matched; the loops this rule is about all have a matched twin.
 
@@ -162,7 +160,7 @@ FABRIC_ALLOWLIST = (
 )
 
 #: point-to-point calls that make up a per-message exchange loop
-MESSAGE_OPS = ("Send", "Recv", "Sendrecv")
+MESSAGE_OPS = ("Send", "Recv")
 
 #: the one function of simmpi/fabric.py allowed to block on a condition
 WAIT_FILE = "simmpi/fabric.py"
@@ -215,12 +213,8 @@ OBS_MODULE = "repro.obs"
 OBS_EXPORT = "TRACER"
 OBS_HOMES = ("obs/", "cli.py")
 
-#: packages whose exchange sides move in one bound C call, and the one
-#: function that copies per item in a loop (reason: docstring, rule 7)
+#: packages whose exchange sides move in one bound C call (rule 7)
 COPY_TIER_PACKAGES = ("exchange", "simmpi")
-NUMPY_TIER = {
-    "simmpi/fabric.py": ("_land_faulted",),
-}
 
 #: the modules that write a message's spec down: the schedule
 #: templates (rule 9)
@@ -613,16 +607,9 @@ def check_copy_tier(path: Path, tree: ast.AST) -> List[Violation]:
     rel = path.relative_to(SRC).as_posix()
     if rel.split("/", 1)[0] not in COPY_TIER_PACKAGES:
         return []
-    tier = NUMPY_TIER.get(rel, ())
-    inside_tier = {
-        id(node)
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and fn.name in tier
-        for node in ast.walk(fn)
-    }
     out: List[Violation] = []
     for loop in ast.walk(tree):
-        if not isinstance(loop, ast.For) or id(loop) in inside_tier:
+        if not isinstance(loop, ast.For):
             continue
         for node in ast.walk(loop):
             if _is_buffer_copy(node):
@@ -633,8 +620,7 @@ def check_copy_tier(path: Path, tree: ast.AST) -> List[Violation]:
                         "a per-message copy loop: bind the side once"
                         " (exchange/boxes.py bind_gather / bind_scatter,"
                         " or the fabric's copy table) so it"
-                        " moves in one C call, or name the function in"
-                        " NUMPY_TIER with its reason",
+                        " moves in one C call",
                     )
                 )
     return out
@@ -667,7 +653,6 @@ def check_allowlists() -> List[Violation]:
     allowlists = {
         "FABRIC_ALLOWLIST": FABRIC_ALLOWLIST,
         "GEOMETRY_ALLOWLIST": tuple(GEOMETRY_ALLOWLIST),
-        "NUMPY_TIER": tuple(NUMPY_TIER),
         "SPEC_HOMES": SPEC_HOMES,
     }
     return [

@@ -43,7 +43,11 @@ beside ``zlib.crc32`` over one flat buffer of the same bytes and the
 flat copy.  Before the timed cuts, checked cuts fill every send view
 with fresh random bytes, then compare every landed byte with the view
 it came from and every CRC both calls return with ``zlib.crc32``; a
-difference exits non-zero.
+difference exits non-zero.  Its ``faulted_layout_us`` row is the fault
+path: a Layout post with one item corrupted by a fault injector, the
+per-item receive that lands it and raises the typed error, and the
+retry that heals the cut (a re-post the epoch absorbs, then a receive),
+in us per round; every landed byte is compared after the retry.
 
 The ``fabric`` section (EXPERIMENTS.md, "One handoff per exchange") is
 the bound fabric alone, with no kernel and no hooks: 8 rank threads --
@@ -341,6 +345,48 @@ def _check_order(cut):
     return list(cut.rmap.values())
 
 
+def _faulted_us(cut, fabric, rng, samples=15, rounds=5):
+    """One corrupted item per post of *cut*, its per-item receive
+    (which raises the typed error) and the run's retry (the re-fire:
+    a post the epoch absorbs, then a receive): us per round.  Every
+    sample's last round is checked like :func:`_check_guard`'s cuts;
+    exits non-zero on a landed byte that differs."""
+    import numpy as np
+
+    from repro.faults import FaultInjector, FaultPlan
+    from repro.faults.errors import ExchangeIntegrityError
+
+    sends = {item[0]: item[1] for _dst, group, _n in cut.groups for item in group}
+    tags = [key[1] for key in sends]
+    corrupt = tags[len(tags) // 2]
+    injector = FaultInjector(FaultPlan())
+    injector.on_post = lambda src, dst, tag, seq: "corrupt" if tag == corrupt else None
+    fabric._guard.injector = injector
+    rank, epoch, spans = cut.rank, 0, []
+    for _ in range(samples):
+        for view in sends.values():
+            view[:] = rng.integers(0, 256, view.size, dtype=np.uint8)
+        t0 = time.perf_counter()
+        for _ in range(rounds):
+            epoch += 1
+            fabric.set_epoch(rank, epoch)
+            fabric.post_send_batch(cut)
+            try:
+                fabric.complete_recv_batch(cut)
+            except ExchangeIntegrityError:
+                pass
+            else:
+                raise SystemExit("a corrupted item was accepted")
+            fabric.post_send_batch(cut)
+            fabric.complete_recv_batch(cut)
+            fabric.wait_send_batch(cut)
+        spans.append((time.perf_counter() - t0) / rounds * 1e6)
+        for key, recv in cut.rmap.items():
+            if recv.tobytes() != sends[key].tobytes():
+                raise SystemExit(f"landed bytes of {key} differ after the retry")
+    return statistics.median(spans)
+
+
 def measure_guard(name):
     """Seal and verified receive of one cut, per side."""
     import zlib
@@ -386,6 +432,8 @@ def measure_guard(name):
             us = side_us(bound_call)
             out[f"{call}_call_{row}_us"] = us
             out[f"{call}_call_{row}_gbs"] = nbytes / us / 1e3
+        if row == "layout":
+            out["faulted_layout_us"] = _faulted_us(cut, fabric, rng)
         del alive
     flat = rng.integers(0, 256, out["layout_bytes"], dtype=np.uint8)
     landed = np.empty_like(flat)
