@@ -5,7 +5,7 @@ Rebuilds the whole job's message multigraph from every rank's static
 fabric traffic:
 
 * **pairing** -- every send has exactly one matching recv on the same
-  ``(phase, src, dst, tag)`` edge and vice versa (orphan sends and
+  ``(src, dst, tag)`` edge and vice versa (orphan sends and
   starved recvs are the two halves of a deadlock: the fabric's sends are
   synchronous-mode, so an unmatched post blocks its poster forever);
 * **byte agreement** -- both endpoints of an edge agree on the byte
@@ -13,7 +13,7 @@ fabric traffic:
   channel binds (``SplitMismatchError``); here it is a finding with
   both counts;
 * **tag-space hygiene** -- no duplicate ``(peer, tag)`` within one
-  rank's sends (or recvs) of one phase, and every peer inside the world;
+  rank's sends (or recvs), and every peer inside the world;
 * **liveness** -- no edge touches a rank marked dead (elastic restart
   must re-brick onto a decomposition that avoids lost nodes; an edge to
   a dead rank would raise ``RankDeadError`` on first contact).
@@ -34,17 +34,15 @@ PASS = "schedule"
 
 def _edges(
     plans: Dict[int, RankMessagePlan], kind: str
-) -> Dict[Tuple[int, int, int, int], List[PlannedMessage]]:
-    """Multigraph edges keyed ``(phase, src, dst, tag)`` for one side."""
-    edges: Dict[Tuple[int, int, int, int], List[PlannedMessage]] = (
-        defaultdict(list)
-    )
+) -> Dict[Tuple[int, int, int], List[PlannedMessage]]:
+    """Multigraph edges keyed ``(src, dst, tag)`` for one side."""
+    edges: Dict[Tuple[int, int, int], List[PlannedMessage]] = defaultdict(list)
     for rank, plan in plans.items():
         for m in getattr(plan, kind):
             if kind == "sends":
-                key = (m.phase, rank, m.peer, m.tag)
+                key = (rank, m.peer, m.tag)
             else:
-                key = (m.phase, m.peer, rank, m.tag)
+                key = (m.peer, rank, m.tag)
             edges[key].append(m)
     return edges
 
@@ -58,20 +56,20 @@ def verify_schedule(
     dead = frozenset(int(r) for r in dead_ranks)
     nranks = len(plans)
 
-    # Per-rank tag hygiene: a duplicate (peer, tag) inside one phase is
-    # ambiguous on the wire regardless of what the peer does.
+    # Per-rank tag hygiene: a duplicate (peer, tag) is ambiguous on the
+    # wire regardless of what the peer does.
     for rank, plan in plans.items():
         for kind in ("sends", "recvs"):
-            seen: Dict[Tuple[int, int, int], int] = {}
+            seen: Dict[Tuple[int, int], int] = {}
             for m in getattr(plan, kind):
-                key = (m.phase, m.peer, m.tag)
+                key = (m.peer, m.tag)
                 seen[key] = seen.get(key, 0) + 1
-            for (phase, peer, tag), n in seen.items():
+            for (peer, tag), n in seen.items():
                 if n > 1:
                     report.error(
                         PASS, "tag-collision",
                         f"rank {rank} {kind[:-1]}s {n} messages to peer"
-                        f" {peer} with the same tag in phase {phase}; the"
+                        f" {peer} with the same tag; the"
                         " fabric matches on (src, dst, tag), so their"
                         " payloads are interchangeable on the wire",
                         ranks=(rank, peer), tag=tag,
@@ -89,18 +87,17 @@ def verify_schedule(
                         ranks=(rank,), tag=m.tag,
                     )
 
-    # Global pairing + byte agreement on each (phase,src,dst,tag).
+    # Global pairing + byte agreement on each (src, dst, tag).
     sends = _edges(plans, "sends")
     recvs = _edges(plans, "recvs")
     for key in sorted(set(sends) | set(recvs)):
-        phase, src, dst, tag = key
+        src, dst, tag = key
         s_list = sends.get(key, [])
         r_list = recvs.get(key, [])
         if src in dead or dst in dead:
             report.error(
                 PASS, "dead-rank-edge",
-                f"edge rank {src} -> rank {dst} (tag {tag}, phase"
-                f" {phase}) touches dead rank"
+                f"edge rank {src} -> rank {dst} (tag {tag}) touches dead rank"
                 f" {src if src in dead else dst}; first contact raises"
                 " RankDeadError",
                 ranks=(src, dst), tag=tag,
@@ -109,36 +106,22 @@ def verify_schedule(
             )
             continue
         if s_list and not r_list:
-            other_phases = sorted(
-                p for (p, s, d, t) in recvs
-                if (s, d, t) == (src, dst, tag) and p != phase
+            report.error(
+                PASS, "orphan-send",
+                f"rank {src} sends {s_list[0].nbytes} bytes to rank"
+                f" {dst} (tag {tag}) but rank {dst} never posts the"
+                " matching receive; the synchronous-mode send blocks"
+                " forever",
+                ranks=(src, dst), tag=tag,
+                hint=f"rank {dst}'s plan must post a receive from"
+                     f" rank {src} with tag {tag}",
             )
-            if other_phases:
-                report.error(
-                    PASS, "phase-mismatch",
-                    f"rank {src} sends to rank {dst} (tag {tag}) in phase"
-                    f" {phase} but rank {dst} receives it in phase"
-                    f" {other_phases[0]}; each waits in its own round's"
-                    " receive for the other: deadlock",
-                    ranks=(src, dst), tag=tag,
-                )
-            else:
-                report.error(
-                    PASS, "orphan-send",
-                    f"rank {src} sends {s_list[0].nbytes} bytes to rank"
-                    f" {dst} (tag {tag}, phase {phase}) but rank {dst}"
-                    " never posts the matching receive; the synchronous-"
-                    "mode send blocks forever",
-                    ranks=(src, dst), tag=tag,
-                    hint=f"rank {dst}'s plan must post a receive from"
-                         f" rank {src} with tag {tag}",
-                )
             continue
         if r_list and not s_list:
             report.error(
                 PASS, "starved-recv",
                 f"rank {dst} expects {r_list[0].nbytes} bytes from rank"
-                f" {src} (tag {tag}, phase {phase}) but rank {src} never"
+                f" {src} (tag {tag}) but rank {src} never"
                 " sends; the receive times out as a deadlock",
                 ranks=(src, dst), tag=tag,
                 hint=f"rank {src}'s plan must send to rank {dst} with"
@@ -150,8 +133,8 @@ def verify_schedule(
             # still tell which side over-posts.
             report.error(
                 PASS, "multiplicity-mismatch",
-                f"edge rank {src} -> rank {dst} (tag {tag}, phase"
-                f" {phase}) has {len(s_list)} send(s) vs"
+                f"edge rank {src} -> rank {dst} (tag {tag}) has"
+                f" {len(s_list)} send(s) vs"
                 f" {len(r_list)} recv(s)",
                 ranks=(src, dst), tag=tag,
             )
@@ -160,7 +143,7 @@ def verify_schedule(
                 report.error(
                     PASS, "byte-mismatch",
                     f"rank {src} sends {s.nbytes} bytes to rank {dst}"
-                    f" (tag {tag}, phase {phase}) but rank {dst} expects"
+                    f" (tag {tag}) but rank {dst} expects"
                     f" {r.nbytes}; the fabric's copy guard would reject"
                     " the delivery",
                     ranks=(src, dst), tag=tag,

@@ -59,7 +59,7 @@ def _inject_tag_collision(problem, method) -> Tuple[CheckReport, str]:
     plans = _plans(problem, method)
     plan = plans[0]
     sends = list(plan.sends)
-    sends.append(sends[0])  # duplicate (peer, tag) in the same phase
+    sends.append(sends[0])  # duplicate (peer, tag)
     plans[0] = replace(plan, sends=tuple(sends))
     report = CheckReport()
     verify_schedule(plans, report)
@@ -74,8 +74,7 @@ def _inject_dropped_recv(problem, method) -> Tuple[CheckReport, str]:
     peer_plan = plans[target.peer]
     recvs = tuple(
         m for m in peer_plan.recvs
-        if not (m.peer == 0 and m.tag == target.tag
-                and m.phase == target.phase)
+        if not (m.peer == 0 and m.tag == target.tag)
     )
     plans[target.peer] = replace(peer_plan, recvs=recvs)
     report = CheckReport()

@@ -233,6 +233,7 @@ def _cmd_search_layout(args) -> int:
 
 def _cmd_validate(args) -> int:
     from repro.core.driver import run_executed
+    from repro.core.geometry import CHECKABLE_METHODS
     from repro.core.problem import StencilProblem
     from repro.stencil.reference import apply_periodic_reference
     from repro.stencil.spec import SEVEN_POINT
@@ -243,8 +244,7 @@ def _cmd_validate(args) -> int:
     )
     ref = apply_periodic_reference(problem.initial_global(0), SEVEN_POINT, 2)
     failures = 0
-    for method in ("yask", "yask_ol", "mpi_types", "shift", "basic",
-                   "layout", "memmap"):
+    for method in CHECKABLE_METHODS:
         run = run_executed(problem, method, _profile(args.machine), timesteps=2)
         ok = np.array_equal(run.global_result, ref)
         print(f"  {method:<10} {'OK' if ok else 'FAILED'}"
@@ -335,7 +335,7 @@ def _cmd_check(args) -> int:
 
     if args.selftest:
         methods = (
-            CHECKABLE_METHODS if args.all_methods else ("memmap", "shift")
+            CHECKABLE_METHODS if args.all_methods else ("memmap", "yask")
         )
         results = run_selftest(methods=methods)
         missed = sorted(k for k, ok in results.items() if not ok)

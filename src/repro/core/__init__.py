@@ -15,8 +15,8 @@ Quickstart::
     print(run.metrics.report())
 
 Methods: ``yask`` / ``yask_ol`` (packing baseline, optionally overlapping
-communication with computation), ``mpi_types``, ``shift``, ``basic``
-(one message per region), ``layout``, ``memmap``, ``network`` (the
+communication with computation), ``mpi_types``, ``basic`` (one
+message per region), ``layout``, ``memmap``, ``network`` (the
 empirical communication floor), and GPU variants ``layout_ca``,
 ``layout_um``, ``memmap_um``, ``mpi_types_um``.
 """

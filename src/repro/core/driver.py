@@ -393,9 +393,8 @@ def _exchange_with_retry(
     faults judges every item it took, leaves the failed ones queued
     pristine and raises once, and a re-fire in the same epoch is
     idempotent (posts absorbed, accepted receives skipped): one retry
-    heals a whole cut, however many of its items were faulted; a chain
-    of cuts (Shift) resumes at the cut whose receive raised; see
-    DESIGN.md.
+    heals the exchange's one cut, however many of its items were
+    faulted; see DESIGN.md.
     """
     rank = comm.rank
     comm.set_epoch(t)
@@ -711,10 +710,9 @@ def run_executed(
     modelled bytes/times and the numerical results are unchanged.
     Detected faults are healed by the standard
     :class:`~repro.faults.RetryPolicy`.  Wire faults are injected into,
-    and healed on, a channel's bound items, for every method: a retry of
-    Shift's per-axis cuts resumes at the round whose receive raised.
-    The fabric's per-message path carries collectives only, which are
-    never faulted.
+    and healed on, a channel's bound items, for every method: a retry
+    re-fires the exchange's one cut.  The fabric's per-message path
+    carries collectives only, which are never faulted.
 
     *degrade*: enable the MemMap->basic Layout demotion (defaults to on
     exactly when the plan schedules degradation events); refused for a

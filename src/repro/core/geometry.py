@@ -17,10 +17,10 @@ afterwards.  It holds everything rank-invariant and period-independent:
 * all methods: the **schedule** -- the method's
   :class:`~repro.exchange.base.ScheduleTemplate`, instantiated for every
   rank by Cartesian arithmetic, each distinct plan priced once -- the
-  **bind tables** of each engine (:meth:`RunGeometry.tables`, built when
-  a rank first binds it, once per distinct partner set): the storage
-  byte ranges of Layout / Basic's wire views, MemMap's window chunks and
-  per-message slices, and Pack / MPI_Types / Shift's checked send and
+  **bind table** of each engine's plan (:meth:`RunGeometry.tables`,
+  built when a rank first binds it, once per distinct partner set): the
+  storage byte ranges of Layout / Basic's wire views, MemMap's window
+  chunks and per-message slices, and Pack / MPI_Types' checked send and
   receive box tables and staging sizes (Pack and MPI_Types bind the
   same table) -- and the seeded initial condition, built on
   first use (a world resumed from a checkpoint never asks).
@@ -59,7 +59,7 @@ from __future__ import annotations
 import functools
 import threading
 import zlib
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -85,7 +85,7 @@ __all__ = ["CHECKABLE_METHODS", "RunGeometry", "subdomain_template"]
 #: Methods with an executable schedule (and so a static check): every
 #: executable CPU scheme, the degradation ladder's ``basic`` among them.
 CHECKABLE_METHODS = (
-    "yask", "yask_ol", "mpi_types", "shift", "basic", "layout", "memmap",
+    "yask", "yask_ol", "mpi_types", "basic", "layout", "memmap",
 )
 
 _Schedule = Tuple[Tuple[RankMessagePlan, ...], Tuple[ExchangeResult, ...]]
@@ -94,7 +94,7 @@ _Schedule = Tuple[Tuple[RankMessagePlan, ...], Tuple[ExchangeResult, ...]]
 def _partners(plan: RankMessagePlan) -> tuple:
     """Which of its template's messages *plan* kept -- a send's tag
     names one: plans with equal partnered directions have equal specs,
-    so one price and one set of bind tables serve them all."""
+    so one price and one bind table serve them all."""
     return tuple(m.tag for m in plan.sends)
 
 
@@ -181,7 +181,7 @@ class RunGeometry:
             self.permutation = element_permutation(decomp, self.assignment)
         self._lock = threading.Lock()
         self._schedules: Dict[str, _Schedule] = {}
-        self._tables: Dict[str, Tuple[Sequence, ...]] = {}
+        self._tables: Dict[str, tuple] = {}
         self._initial: Dict[int, np.ndarray] = {}
         self.plans, self.results = self.schedule(self.base)
 
@@ -218,8 +218,8 @@ class RunGeometry:
             results.append(priced[present])
         return plans, tuple(results)
 
-    def tables(self, base: str) -> Tuple[Sequence, ...]:
-        """Per rank, the bind tables of engine *base*'s plan
+    def tables(self, base: str) -> tuple:
+        """Per rank, the bind table of engine *base*'s plan
         (:func:`~repro.exchange.bind_tables`), derived when first asked
         for: once per distinct partner set, shared by every rank with
         that set and by both of its buffers."""
@@ -228,8 +228,8 @@ class RunGeometry:
             self._tables, base, lambda: self._tabulate(base, plans)
         )
 
-    def _tabulate(self, base: str, plans) -> Tuple[Sequence, ...]:
-        built: Dict[tuple, Sequence] = {}
+    def _tabulate(self, base: str, plans) -> tuple:
+        built: Dict[tuple, object] = {}
         out = []
         for plan in plans:
             present = _partners(plan)
@@ -240,7 +240,7 @@ class RunGeometry:
 
     def bind(self, base: str, comm, buffer) -> Exchanger:
         """The exchanger of engine *base* over one of ``comm.rank``'s
-        buffers, bound from that rank's frozen plan and its bind tables:
+        buffers, bound from that rank's frozen plan and its bind table:
         what is left per buffer is its views, staging and movers."""
         plans, results = self.schedule(base)
         tables = self.tables(base)

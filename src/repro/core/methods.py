@@ -27,7 +27,7 @@ __all__ = [
 class MethodInfo:
     """Static properties of one exchange method."""
 
-    base: str  # yask / yask_ol / mpi_types / shift / basic / layout / memmap / network
+    base: str  # yask / yask_ol / mpi_types / basic / layout / memmap / network
     transport: Optional[str]  # None (CPU) / "ca" / "um" / "staged"
     uses_bricks: bool
     overlaps: bool
@@ -47,7 +47,6 @@ _BASES = {
     "yask": (False, False, "yask"),
     "yask_ol": (False, True, "yask"),
     "mpi_types": (False, False, "yask"),
-    "shift": (False, False, "yask"),
     "basic": (True, False, "brick"),
     "layout": (True, False, "brick"),
     "memmap": (True, False, "brick"),
@@ -94,7 +93,6 @@ CPU_METHODS: Tuple[str, ...] = (
     "yask",
     "yask_ol",
     "mpi_types",
-    "shift",
     "basic",
     "layout",
     "memmap",

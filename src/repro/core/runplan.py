@@ -9,11 +9,9 @@ only restarts it.
 * **Exchange engines** (:func:`make_engines`): each exchanger's bound
   message plan as its channel -- ``(peer, tag, buffer)`` tuples over
   persistent buffers, bound to the fabric once as one persistent request
-  per round and re-fired every step, on a plain and on a verified fabric
-  alike: an :class:`~repro.exchange.base.ExchangeChannel`, or for
-  Shift's per-axis rounds a :class:`~repro.exchange.base.ChannelChain`
-  of them.  Both expose ``exchange() -> ExchangeResult`` and
-  ``wait_sends()``.
+  and re-fired every step, on a plain and on a verified fabric alike:
+  an :class:`~repro.exchange.base.ExchangeChannel`, with
+  ``exchange() -> ExchangeResult`` and ``wait_sends()``.
 * **A rank run plan** (:class:`RankRunPlan`) binds, per cycle position,
   the engine and the compiled stencil plan to the two double-buffer
   slots.  One step is: one engine fire, one plan execution, one flip.

@@ -1,6 +1,6 @@
 """Ghost-zone exchange engines.
 
-Four strategies from the paper's evaluation plus one from related work:
+Four strategies from the paper's evaluation:
 
 * :class:`PackExchanger` -- the classic baseline (YASK-style): explicitly
   pack each neighbor's surface boxes into a contiguous buffer, one message
@@ -14,14 +14,11 @@ Four strategies from the paper's evaluation plus one from related work:
 * :class:`MemMapExchanger` -- pack-free *and* message-minimal: stitched
   virtual-memory views make each neighbor's regions virtually contiguous
   (26 messages, zero copies, page-padding network overhead).
-* :class:`ShiftExchanger` -- related-work Shift algorithm: per-dimension
-  face exchanges with corner forwarding (2D messages, extra
-  synchronization).
 
 Each is a schedule -- data, from :func:`schedule_template` -- plus an
 exchanger that binds one rank's plan of it to a buffer
-(:func:`make_exchanger`), over the plan's rank-invariant bind tables
-(:func:`bind_tables`).
+(:func:`make_exchanger`), over the plan's rank-invariant bind table
+(:func:`bind_tables`), as one persistent cut.
 """
 
 from repro.exchange.base import ExchangeResult, Exchanger, ScheduleTemplate
@@ -31,8 +28,7 @@ from repro.exchange.layout_ex import LayoutExchanger, layout_template
 from repro.exchange.memmap_ex import MemMapExchanger, memmap_template
 from repro.exchange.mpitypes import MPITypesExchanger
 from repro.exchange.pack import PackExchanger
-from repro.exchange.schedule import MessageSpec, array_schedule, shift_schedule
-from repro.exchange.shift import ShiftExchanger, shift_template
+from repro.exchange.schedule import MessageSpec, array_schedule
 from repro.faults.errors import ExchangeConfigError
 
 __all__ = [
@@ -45,7 +41,6 @@ __all__ = [
     "MessageSpec",
     "PackExchanger",
     "ScheduleTemplate",
-    "ShiftExchanger",
     "array_schedule",
     "bind_tables",
     "checksum",
@@ -53,7 +48,6 @@ __all__ = [
     "schedule_template",
     "seal",
     "verify",
-    "shift_schedule",
     "neighbor_recv_box",
     "neighbor_send_box",
 ]
@@ -63,7 +57,6 @@ _ARRAY_EXCHANGERS = {
     "yask": PackExchanger,
     "yask_ol": PackExchanger,
     "mpi_types": MPITypesExchanger,
-    "shift": ShiftExchanger,
 }
 _BRICK_EXCHANGERS = {
     "layout": LayoutExchanger,
@@ -107,8 +100,6 @@ def schedule_template(
         return box_template("pack", "pack", extent, ghost, itemsize)
     if base == "mpi_types":
         return box_template("mpi_types", "datatype", extent, ghost, itemsize)
-    if base == "shift":
-        return shift_template(extent, ghost, itemsize)
     if base in ("layout", "basic"):
         return layout_template(decomp, assignment, merge_runs=(base == "layout"))
     if base == "memmap":
@@ -119,18 +110,18 @@ def schedule_template(
 
 
 def bind_tables(base, plan, extent, ghost):
-    """The bind tables of *plan* -- a rank's instance of
-    :func:`schedule_template` of *base* -- one per round: what binding
-    it to any buffer needs that does not depend on the buffer (storage
-    byte ranges and windows for the brick schemes, checked boxes and
-    staging sizes for the array schemes).  Equal for every rank with the
-    same partners, so :class:`~repro.core.geometry.RunGeometry` builds
-    them once per run and :func:`make_exchanger` hands them in."""
+    """The bind table of *plan* -- a rank's instance of
+    :func:`schedule_template` of *base*: what binding it to any buffer
+    needs that does not depend on the buffer (storage byte ranges and
+    windows for the brick schemes, checked boxes and staging sizes for
+    the array schemes).  Equal for every rank with the same partners, so
+    :class:`~repro.core.geometry.RunGeometry` builds it once per run and
+    :func:`make_exchanger` hands it in."""
     return _exchanger_class(base)._tables(plan, extent, ghost)
 
 
 def make_exchanger(
-    base, comm, plan, buffer, extent, ghost, profile, result=None, tables=None
+    base, comm, plan, buffer, extent, ghost, profile, result=None, table=None
 ) -> Exchanger:
     """Bind *plan* -- this rank's instance of :func:`schedule_template`
     of *base* -- to one buffer.
@@ -139,10 +130,10 @@ def make_exchanger(
     and its degradation ladder.  *buffer* is the extended array of a
     subdomain of *extent* with a *ghost*-wide shell (array schemes) or
     the :class:`~repro.brick.storage.BrickStorage` (brick schemes);
-    *result* and *tables* are the plan's price and :func:`bind_tables`
+    *result* and *table* are the plan's price and its :func:`bind_tables`
     where the caller already holds them.
     """
     cls = _exchanger_class(base)
     if base in _ARRAY_EXCHANGERS:
-        return cls(comm, plan, buffer, extent, ghost, profile, result, tables)
-    return cls(comm, plan, buffer, profile, result, tables)
+        return cls(comm, plan, buffer, extent, ghost, profile, result, table)
+    return cls(comm, plan, buffer, profile, result, table)

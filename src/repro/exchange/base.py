@@ -23,9 +23,8 @@ derived from the plan here:
 * an :class:`Exchanger`: a plan bound to one buffer.  Its constructor
   takes the plan and the buffer and always binds -- there is no unbound
   exchanger -- and the data really moves over :mod:`repro.simmpi` one
-  way: each round of the plan is one persistent :class:`ExchangeChannel`
-  (one bound cut), and a plan of several rounds fires its cuts in order
-  as a :class:`ChannelChain`.
+  way: the plan is one persistent :class:`ExchangeChannel` (one bound
+  cut), fired once per exchange.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from repro.util.timing import TimeBreakdown
 
 __all__ = [
     "Binding",
-    "ChannelChain",
     "Exchanger",
     "ExchangeChannel",
     "ExchangeResult",
@@ -74,7 +72,7 @@ class PlannedMessage(NamedTuple):
     """One message of a rank's static exchange schedule.
 
     The single record of what an exchange puts on (or takes off) the
-    wire.  ``peer`` / ``tag`` / ``phase`` / ``ranges`` are what the
+    wire.  ``peer`` / ``tag`` / ``ranges`` are what the
     static schedule verifier (:mod:`repro.check`) rebuilds the global
     send/recv multigraph from, without touching the fabric; ``spec`` is
     what the cost model prices (neighbor, payload and wire bytes,
@@ -84,19 +82,15 @@ class PlannedMessage(NamedTuple):
     ``ranges`` are the *storage* byte intervals ``(offset, length)`` the
     message reads from (sends) or writes into (receives) for the schemes
     whose payload lives in brick storage (layout / basic / memmap wire
-    it directly); ``None``
-    for schemes whose wire buffer is separate staging (pack / mpi_types
-    / shift), where storage aliasing is structurally impossible.
-    ``phase`` orders the rounds of an exchange (Shift's per-axis
-    rounds, each one bound cut); schedules with a single phase use 0.
-    A named tuple: every rank's plan holds one per message, made per
-    run by :meth:`ScheduleTemplate.for_ranks`.
+    it directly); ``None`` for schemes whose wire buffer is separate
+    staging (pack / mpi_types), where storage aliasing is structurally
+    impossible.  A named tuple: every rank's plan holds one per message,
+    made per run by :meth:`ScheduleTemplate.for_ranks`.
     """
 
     peer: int
     tag: int
     spec: MessageSpec
-    phase: int = 0
     ranges: Optional[Tuple[Tuple[int, int], ...]] = None
 
     @property
@@ -112,11 +106,9 @@ class RankMessagePlan:
     ``copy`` names where the scheme's on-node copy happens -- ``"none"``
     (pack-free), ``"pack"`` (application pack and unpack) or
     ``"datatype"`` (inside the library's datatype engine) -- the one
-    fact beyond the messages that pricing needs.  ``nphases`` is the
-    number of rounds: 1 for every flat schedule, which
-    :meth:`Exchanger.make_channel` binds as one persistent cut; more for
-    Shift, whose rounds are cuts fired in order, each receive completing
-    before the next round packs.
+    fact beyond the messages that pricing needs.  Every message of the
+    plan goes out in one round, which :meth:`Exchanger.make_channel`
+    binds as one persistent cut.
     """
 
     rank: int
@@ -124,7 +116,6 @@ class RankMessagePlan:
     sends: Tuple[PlannedMessage, ...]
     recvs: Tuple[PlannedMessage, ...]
     copy: str = "none"
-    nphases: int = 1
 
 
 #: ``PlannedMessage.peer`` of a template message: no rank chosen yet.
@@ -147,7 +138,6 @@ class ScheduleTemplate:
     sends: Tuple[PlannedMessage, ...]
     recvs: Tuple[PlannedMessage, ...]
     copy: str = "none"
-    nphases: int = 1
 
     def for_rank(
         self,
@@ -204,7 +194,7 @@ class ScheduleTemplate:
 
         def resolve(messages, cols, row) -> Tuple[PlannedMessage, ...]:
             return tuple(
-                PlannedMessage(row[c], m.tag, m.spec, m.phase, m.ranges)
+                PlannedMessage(row[c], m.tag, m.spec, m.ranges)
                 for m, c in zip(messages, cols)
                 if row[c] != UNRESOLVED
             )
@@ -212,7 +202,7 @@ class ScheduleTemplate:
         return tuple(
             RankMessagePlan(
                 rank, self.method, resolve(self.sends, send_cols, row),
-                resolve(self.recvs, recv_cols, row), self.copy, self.nphases,
+                resolve(self.recvs, recv_cols, row), self.copy,
             )
             for rank, row in zip(ranks.tolist(), peers)
         )
@@ -242,17 +232,6 @@ class ExchangeResult:
         ) / self.payload_bytes_sent
 
 
-def _phases(plan: RankMessagePlan):
-    """``(sends, recvs)`` of each round of *plan*."""
-    return [
-        (
-            [m for m in plan.sends if m.phase == p],
-            [m for m in plan.recvs if m.phase == p],
-        )
-        for p in range(plan.nphases)
-    ]
-
-
 def price_plan(
     plan: Union[RankMessagePlan, ScheduleTemplate],
     profile: MachineProfile,
@@ -262,11 +241,12 @@ def price_plan(
     the method's GPU *transport*, if it has one): a function of the
     messages' specs, not of who the peers are, so ranks with the same
     partnered directions can share one (never mutated) result.  It reads
-    only ``sends`` / ``recvs`` / ``copy`` / ``nphases``, so a template
-    prices as the plan of a rank with every neighbour present."""
+    only ``sends`` / ``recvs`` / ``copy``, so a template prices as the
+    plan of a rank with every neighbour present."""
     breakdown, first_touch = price_exchange(
         profile,
-        [([m.spec for m in s], [m.spec for m in r]) for s, r in _phases(plan)],
+        [m.spec for m in plan.sends],
+        [m.spec for m in plan.recvs],
         plan.copy,
         transport,
     )
@@ -281,10 +261,10 @@ def price_plan(
 
 
 class Binding(NamedTuple):
-    """One phase of a plan bound to its buffer: a method file's one hook.
+    """A plan bound to its buffer: a method file's one hook.
 
     ``send_bufs`` / ``recv_bufs`` are the wire buffer of each send and
-    each receive of the phase, in plan order: a storage slot view, a
+    each receive of the plan, in plan order: a storage slot view, a
     slice of a stitched window, or a persistent staging buffer.  ``pre`` runs
     before the sends go out (pack, datatype gather) and
     ``post`` after every receive has landed (unpack, ``insert``),
@@ -414,48 +394,6 @@ class ExchangeChannel:
         return self._result
 
 
-class ChannelChain:
-    """Cuts fired in order: the channel of a plan with several rounds.
-
-    Each round is an :class:`ExchangeChannel` of its own -- one bound
-    cut -- and :meth:`exchange` fires them one after another.  Round
-    *d*'s receive completes before round *d+1*'s ``pre`` reads what
-    round *d*'s ``post`` wrote (Shift's corner forwarding): the receive
-    is the only synchronisation between rounds.  Each round completes
-    its own previous epoch before its ``pre`` rewrites its staging
-    buffer, as a single cut does.  An exchange that raised resumes, when
-    fired again, at the round whose receive raised: a round whose
-    receive returned is not posted a second time in the same exchange.
-    """
-
-    __slots__ = ("rounds", "copy_backend", "_result", "_at")
-
-    def __init__(
-        self, rounds: Sequence[ExchangeChannel], result: ExchangeResult
-    ) -> None:
-        self.rounds = tuple(rounds)
-        self._result = result
-        self._at = 0  # the round the next exchange() fires first
-        self.copy_backend = "+".join(
-            sorted({channel.copy_backend for channel in self.rounds})
-        )
-
-    def wait_sends(self) -> None:
-        """Complete every round's sends (:meth:`ExchangeChannel.wait_sends`)."""
-        for channel in self.rounds:
-            channel.wait_sends()
-
-    def exchange(self) -> ExchangeResult:
-        """Fire the rounds in order, from the one an earlier attempt of
-        this exchange left off at; returns the precomputed result."""
-        rounds = self.rounds
-        while self._at < len(rounds):
-            rounds[self._at].exchange()
-            self._at += 1
-        self._at = 0
-        return self._result
-
-
 class Exchanger(abc.ABC):
     """One rank's ghost-zone exchange engine: a plan bound to a buffer.
 
@@ -479,10 +417,10 @@ class Exchanger(abc.ABC):
         buffer,
         profile: MachineProfile,
         result: Optional[ExchangeResult] = None,
-        tables: Optional[Sequence] = None,
+        table=None,
     ) -> None:
         """Bind *plan* to *buffer* through :meth:`_bind`.  *result* and
-        *tables* are the plan's price and its rank-invariant bind tables
+        *table* are the plan's price and its rank-invariant bind table
         (:meth:`_tables`) where the caller already holds them: the run
         geometry prices and tabulates each distinct plan once."""
         if plan.rank != comm.rank:
@@ -494,21 +432,17 @@ class Exchanger(abc.ABC):
         self.plan = plan
         self.method = plan.method  # name used by benchmark tables
         self.result = result if result is not None else price_plan(plan, profile)
-        if tables is None:
-            tables = self._tables(plan, self.extent, self.ghost)
-        # Per round: (peer, tag, buffer) of every send and every receive,
-        # plus the hooks -- what the channel binds to the fabric.
-        self._bound: List[Tuple[_Wire, _Wire, Binding]] = [
-            (
-                self._wire(sends, hooks.send_bufs),
-                self._wire(recvs, hooks.recv_bufs),
-                hooks,
-            )
-            for (sends, recvs), hooks in zip(
-                _phases(plan), self._bind(buffer, tables)
-            )
-        ]
-        self._channel: Optional[Union[ExchangeChannel, ChannelChain]] = None
+        if table is None:
+            table = self._tables(plan, self.extent, self.ghost)
+        # (peer, tag, buffer) of every send and every receive, plus the
+        # hooks -- what the channel binds to the fabric.
+        hooks = self._bind(buffer, table)
+        self._bound: Tuple[_Wire, _Wire, Binding] = (
+            self._wire(plan.sends, hooks.send_bufs),
+            self._wire(plan.recvs, hooks.recv_bufs),
+            hooks,
+        )
+        self._channel: Optional[ExchangeChannel] = None
 
     def _wire(self, messages: Sequence[PlannedMessage], bufs) -> _Wire:
         """Pair each planned message with its wire buffer; the buffer must
@@ -523,35 +457,27 @@ class Exchanger(abc.ABC):
 
     @staticmethod
     @abc.abstractmethod
-    def _tables(plan: RankMessagePlan, extent, ghost) -> Sequence:
-        """The rank-invariant half of binding *plan*, one table per
-        round: what every buffer of every rank with *plan*'s partners
-        binds alike (byte ranges, checked boxes, staging sizes).  The
-        one home of this derivation: :func:`~repro.exchange.bind_tables`
-        calls it too."""
+    def _tables(plan: RankMessagePlan, extent, ghost):
+        """The rank-invariant half of binding *plan*, one table: what
+        every buffer of every rank with *plan*'s partners binds alike
+        (byte ranges, checked boxes, staging sizes).  The one home of
+        this derivation: :func:`~repro.exchange.bind_tables` calls it
+        too."""
 
     @abc.abstractmethod
-    def _bind(self, buffer, tables: Sequence) -> Sequence[Binding]:
-        """Bind the plan to *buffer* over its *tables*: one
-        :class:`Binding` per round."""
+    def _bind(self, buffer, table) -> Binding:
+        """Bind the plan to *buffer* over its *table*."""
 
-    def make_channel(self) -> Union[ExchangeChannel, ChannelChain]:
-        """This exchanger's channel: its bound plan as persistent cuts.
+    def make_channel(self) -> ExchangeChannel:
+        """This exchanger's channel: its bound plan as one persistent cut.
 
-        An :class:`ExchangeChannel` for a one-round plan, a
-        :class:`ChannelChain` of one per round otherwise (Shift's axes).
         Bound to the fabric on the first call and returned by every
         later one, so an exchanger never binds its edges twice.
         """
         if self._channel is None:
-            rounds = [
-                ExchangeChannel(
-                    self.comm, self.method, posts, recvs, self.result, hooks
-                )
-                for posts, recvs, hooks in self._bound
-            ]
-            self._channel = (
-                rounds[0] if len(rounds) == 1 else ChannelChain(rounds, self.result)
+            posts, recvs, hooks = self._bound
+            self._channel = ExchangeChannel(
+                self.comm, self.method, posts, recvs, self.result, hooks
             )
         return self._channel
 

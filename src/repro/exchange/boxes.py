@@ -1,6 +1,6 @@
 """Surface/ghost boxes of a lexicographic extended array.
 
-The array-based baselines (Pack, MPI_Types, Shift) exchange one
+The array-based baselines (Pack, MPI_Types) exchange one
 axis-aligned box per neighbor.  In an extended array of shape
 ``(E_D + 2g, ..., E_1 + 2g)`` (numpy order), for neighbor direction ``T``:
 
@@ -242,7 +242,7 @@ def bind_scatter(
 
 
 class BoxTable(NamedTuple):
-    """The rank-invariant half of binding one round of box messages.
+    """The rank-invariant half of binding a plan's box messages.
 
     ``send`` / ``recv`` are the checked ``(nmsg, ndim, 2)`` ``(lo, hi)``
     tables (numpy axis order) of each message's boxes in an array of

@@ -50,13 +50,13 @@ def datatype_cost(profile: MachineProfile, specs: Sequence[MessageSpec]) -> floa
 def exchange_times(
     profile: MachineProfile,
     net: NetworkModel,
-    phases: Sequence[Tuple[Sequence[MessageSpec], Sequence[MessageSpec]]],
+    sends: Sequence[MessageSpec],
+    recvs: Sequence[MessageSpec],
     copy: str,
 ) -> TimeBreakdown:
-    """Modelled pack / call / wait of one exchange of a plan-shaped schedule.
+    """Modelled pack / call / wait of one exchange of a plan-shaped schedule:
+    *sends* and *recvs* go out in one round.
 
-    *phases* holds the ``(sends, recvs)`` of each round; they
-    serialize, so each pays its own copy and network round.
     *copy* says where the on-node copy happens: ``"pack"`` charges the
     application's pack and unpack to ``pack``; ``"datatype"`` charges
     the library's datatype engine -- send and receive side, serialized
@@ -67,23 +67,23 @@ def exchange_times(
             f"unknown on-node copy kind {copy!r}; expected one of {COPY_KINDS}"
         )
     bd = TimeBreakdown()
-    for sends, recvs in phases:
-        if copy == "pack":
-            bd.charge("pack", pack_cost(profile, sends) * 2)
-        call = net.call_time(len(sends), len(recvs))
-        wait = net.wait_time(
-            [m.wire_bytes for m in sends], [m.wire_bytes for m in recvs]
-        )
-        if copy == "datatype":
-            wait += 2 * datatype_cost(profile, sends)
-        bd.charge("call", call)
-        bd.charge("wait", wait)
+    if copy == "pack":
+        bd.charge("pack", pack_cost(profile, sends) * 2)
+    call = net.call_time(len(sends), len(recvs))
+    wait = net.wait_time(
+        [m.wire_bytes for m in sends], [m.wire_bytes for m in recvs]
+    )
+    if copy == "datatype":
+        wait += 2 * datatype_cost(profile, sends)
+    bd.charge("call", call)
+    bd.charge("wait", wait)
     return bd
 
 
 def price_exchange(
     profile: MachineProfile,
-    phases: Sequence[Tuple[Sequence[MessageSpec], Sequence[MessageSpec]]],
+    sends: Sequence[MessageSpec],
+    recvs: Sequence[MessageSpec],
     copy: str,
     transport=None,
 ) -> Tuple[TimeBreakdown, float]:
@@ -97,11 +97,9 @@ def price_exchange(
     ``calc`` by whoever steps time.
     """
     net = profile.network if transport is None else transport.network()
-    bd = exchange_times(profile, net, phases, copy)
+    bd = exchange_times(profile, net, sends, recvs, copy)
     if transport is None:
         return bd, 0.0
-    sends = [m for phase_sends, _ in phases for m in phase_sends]
-    recvs = [m for _, phase_recvs in phases for m in phase_recvs]
     bd.charge("wait", transport.extra_wait(sends, recvs))
     bd.charge("move", transport.move(sends, recvs))
     return bd, transport.compute_penalty(recvs)

@@ -67,8 +67,8 @@ per-rank tables indexed in cut order (:class:`_RankTable`):
   error is raised once per receive, after every item it took was judged.
 
 Only posts carrying an epoch are subject to injection, suppression and
-replay.  Every halo exchange is bound cuts -- Shift's per-axis rounds
-too -- so the per-message traffic is the collectives only: sealed and
+replay.  Every halo exchange is one bound cut, so the per-message
+traffic is the collectives only: sealed and
 verified, but as *detection* only (a mismatch raises the typed error
 and nothing heals it), and never faulted.
 

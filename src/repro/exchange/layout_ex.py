@@ -160,7 +160,7 @@ class RangeTable(NamedTuple):
     reach: int
 
 
-def layout_tables(plan: RankMessagePlan, extent=None, ghost=None) -> Tuple[RangeTable]:
+def layout_tables(plan: RankMessagePlan, extent=None, ghost=None) -> RangeTable:
     """Every storage range of *plan*'s messages is one wire view.
     (*extent* and *ghost* size an array scheme's boxes; a brick plan
     carries its byte ranges.)"""
@@ -170,7 +170,7 @@ def layout_tables(plan: RankMessagePlan, extent=None, ghost=None) -> Tuple[Range
 
     sends, recvs = ranges(plan.sends), ranges(plan.recvs)
     reach = max((stop for _start, stop in sends + recvs), default=0)
-    return (RangeTable(sends, recvs, reach),)
+    return RangeTable(sends, recvs, reach)
 
 
 def storage_bytes(storage: BrickStorage, reach: int) -> np.ndarray:
@@ -205,13 +205,10 @@ class LayoutExchanger(Exchanger):
 
     _tables = staticmethod(layout_tables)
 
-    def _bind(self, st: BrickStorage, tables) -> List[Binding]:
+    def _bind(self, st: BrickStorage, table: RangeTable) -> Binding:
         """Every message is a view of its byte range: nothing to copy."""
-        (table,) = tables
         flat = storage_bytes(st, table.reach)
-        return [
-            Binding(
-                [flat[a:b] for a, b in table.sends],
-                [flat[a:b] for a, b in table.recvs],
-            )
-        ]
+        return Binding(
+            [flat[a:b] for a, b in table.sends],
+            [flat[a:b] for a, b in table.recvs],
+        )

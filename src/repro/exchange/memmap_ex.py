@@ -19,7 +19,7 @@ by coalescing runs.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -115,7 +115,7 @@ class WindowTable(NamedTuple):
     reach: int
 
 
-def memmap_tables(plan: RankMessagePlan, extent=None, ghost=None) -> Tuple[WindowTable]:
+def memmap_tables(plan: RankMessagePlan, extent=None, ghost=None) -> WindowTable:
     """The two windows of *plan*: its messages' chunks, concatenated.
     (*extent* and *ghost* size an array scheme's boxes; a brick plan
     carries its byte ranges.)"""
@@ -130,7 +130,7 @@ def memmap_tables(plan: RankMessagePlan, extent=None, ghost=None) -> Tuple[Windo
         window(plan.sends), window(plan.recvs)
     )
     reach = max((off + n for off, n in send_chunks + recv_chunks), default=0)
-    return (WindowTable(send_chunks, recv_chunks, send_cuts, recv_cuts, reach),)
+    return WindowTable(send_chunks, recv_chunks, send_cuts, recv_cuts, reach)
 
 
 class MemMapExchanger(Exchanger):
@@ -143,7 +143,7 @@ class MemMapExchanger(Exchanger):
         storage: BrickStorage,
         profile: MachineProfile,
         result: Optional[ExchangeResult] = None,
-        tables: Optional[Sequence[WindowTable]] = None,
+        table: Optional[WindowTable] = None,
     ) -> None:
         if not storage.can_map:
             raise ExchangeConfigError(
@@ -162,7 +162,7 @@ class MemMapExchanger(Exchanger):
                 f" per-process limit of {profile.mmap_limit}"
                 " (vm.max_map_count); use a coarser layout or fewer fields"
             )
-        super().__init__(comm, plan, storage, profile, result, tables)
+        super().__init__(comm, plan, storage, profile, result, table)
 
     # benchmarks/halobench/spans.py wraps vars(MemMapExchanger)["exchange"],
     # a class-__dict__ lookup that does not see inherited attributes.
@@ -170,9 +170,8 @@ class MemMapExchanger(Exchanger):
 
     _tables = staticmethod(memmap_tables)
 
-    def _bind(self, storage: BrickStorage, tables) -> List[Binding]:
+    def _bind(self, storage: BrickStorage, table: WindowTable) -> Binding:
         """The two windows are the wire buffers: one slice per message."""
-        (table,) = tables
         storage_bytes(storage, table.reach)  # the refusals of every brick plan
         self._views: List[RealStitchedView] = []
 
@@ -188,7 +187,7 @@ class MemMapExchanger(Exchanger):
         # windows burn kernel mappings instead, the vm.max_map_count budget).
         sends = window(table.send_chunks, table.send_cuts)
         recvs = window(table.recv_chunks, table.recv_cuts)
-        return [Binding(sends, recvs)]
+        return Binding(sends, recvs)
 
     def close(self) -> None:
         for v in self._views:

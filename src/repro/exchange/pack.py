@@ -14,7 +14,7 @@ themselves, not allocation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ __all__ = ["PackExchanger", "pack_tables"]
 
 def pack_tables(
     plan: RankMessagePlan, extent: Sequence[int], ghost: int
-) -> Tuple[BoxTable]:
+) -> BoxTable:
     """The rank-invariant half of binding *plan*: per message its (send,
     recv) boxes of the extended array, checked once."""
     extent, ghost = tuple(int(e) for e in extent), int(ghost)
@@ -43,10 +43,8 @@ def pack_tables(
     boxes = [
         neighbor_boxes(m.spec.neighbor, extent, ghost) for m in plan.sends
     ]
-    return (
-        box_table(
-            shape, [(box_slices(send), box_slices(recv)) for send, recv in boxes]
-        ),
+    return box_table(
+        shape, [(box_slices(send), box_slices(recv)) for send, recv in boxes]
     )
 
 
@@ -62,10 +60,10 @@ class PackExchanger(Exchanger):
         ghost: int,
         profile: MachineProfile,
         result: Optional[ExchangeResult] = None,
-        tables: Optional[Sequence[BoxTable]] = None,
+        table: Optional[BoxTable] = None,
     ) -> None:
         self.extent, self.ghost = extended_array_of(array, extent, ghost)
-        super().__init__(comm, plan, array, profile, result, tables)
+        super().__init__(comm, plan, array, profile, result, table)
 
     # benchmarks/halobench/spans.py wraps vars(PackExchanger)["exchange"],
     # a class-__dict__ lookup that does not see inherited attributes.
@@ -73,7 +71,7 @@ class PackExchanger(Exchanger):
 
     _tables = staticmethod(pack_tables)
 
-    def _bind(self, arr: np.ndarray, tables) -> List[Binding]:
+    def _bind(self, arr: np.ndarray, table: BoxTable) -> Binding:
         """Staging allocated once and reused every timestep, over the
-        boxes of *tables*."""
-        return [stage_table(arr, table) for table in tables]
+        boxes of *table*."""
+        return stage_table(arr, table)

@@ -3,9 +3,8 @@
 A :class:`MessageSpec` is one message as the cost models see it: sizes
 and segment structure, no storage.  The array schemes' schedules are
 pure arithmetic on the subdomain extent and ghost width:
-:func:`array_schedule` (Pack, MPI_Types) and :func:`shift_schedule`
-(Shift).  Their templates (``exchange/boxes.py``, ``exchange/shift.py``)
-call them; the brick schemes' templates (``exchange/layout_ex.py``,
+:func:`array_schedule` (Pack, MPI_Types), which their template
+(``exchange/boxes.py``) calls; the brick schemes' templates (``exchange/layout_ex.py``,
 ``exchange/memmap_ex.py``) derive their specs
 from a decomposition's slot assignment.  Those templates are the only
 schedules: the any-scale model prices them too
@@ -22,7 +21,7 @@ from repro.layout.regions import all_regions
 from repro.util.bitset import BitSet
 from repro.faults.errors import ExchangeConfigError
 
-__all__ = ["MessageSpec", "array_schedule", "shift_schedule"]
+__all__ = ["MessageSpec", "array_schedule"]
 
 
 @dataclass(frozen=True)
@@ -46,53 +45,6 @@ class MessageSpec:
     def __post_init__(self) -> None:
         if self.payload_bytes < 0 or self.wire_bytes < self.payload_bytes:
             raise ExchangeConfigError("wire size must be at least the payload size")
-
-
-def shift_schedule(
-    extent: Sequence[int], ghost: int, itemsize: int = 8
-) -> List[List[MessageSpec]]:
-    """Shift-mode sends, one phase per dimension (``2D`` messages total).
-
-    Phase ``d`` exchanges bands of width ``ghost`` along axis ``d`` whose
-    other axes span the *extended* range for already-exchanged axes
-    (corner forwarding) and the owned range otherwise.  Phases serialize.
-    """
-    extent = tuple(int(e) for e in extent)
-    ndim = len(extent)
-    if ghost <= 0:
-        raise ExchangeConfigError("ghost width must be positive")
-    ext_shape = tuple(e + 2 * ghost for e in extent)
-    phases: List[List[MessageSpec]] = []
-    for axis in range(ndim):
-        phase: List[MessageSpec] = []
-        for sign in (-1, 1):
-            sub = []
-            for a, e in enumerate(extent):
-                if a < axis:
-                    sub.append(e + 2 * ghost)
-                elif a == axis:
-                    sub.append(ghost)
-                else:
-                    sub.append(e)
-            count = math.prod(sub)
-            run = 1
-            for a in range(ndim):
-                run *= sub[a]
-                if sub[a] != ext_shape[a]:
-                    break
-            vec = [0] * ndim
-            vec[axis] = sign
-            phase.append(
-                MessageSpec(
-                    BitSet.from_vector(vec),
-                    payload_bytes=count * itemsize,
-                    wire_bytes=count * itemsize,
-                    nsegments=max(1, count // run),
-                    run_elems=run,
-                )
-            )
-        phases.append(phase)
-    return phases
 
 
 def array_schedule(

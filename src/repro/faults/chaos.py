@@ -36,9 +36,8 @@ the small reference problem end-to-end, and classifies the outcome:
 
 Every exchanger retries safely: healing lives on a channel's bound
 items, the envelope guard makes a re-fired exchange idempotent, and one
-retry heals a whole cut.  Shift's channel is one cut per axis, and its
-retry resumes at the axis whose receive raised.  The fabric's
-per-message path carries collectives only, which are never faulted.
+retry heals the exchange's one cut.  The fabric's per-message path
+carries collectives only, which are never faulted.
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ from repro.faults.plan import FaultPlan
 
 __all__ = ["ChaosConfig", "TrialResult", "SoakReport", "run_soak", "PRESETS"]
 
-#: Exchange methods the soak cycles through.  Shift takes the wire-fault
-#: trials of every second pass over the presets instead, so every trial
-#: of the first pass keeps its method, and seeded soaks their digests.
+#: Exchange methods the soak cycles through.
 _SOAK_METHODS = ("layout", "memmap", "yask", "mpi_types")
 
 #: Wire-fault probabilities are kept moderate so most trials *heal*
@@ -242,8 +239,6 @@ def _run_trial(problem, reference, config: ChaosConfig, index: int,
         # point); alternate with/without a store so the soak exercises
         # both the reshape and the detect-only contract.
         method = ("layout", "memmap", "basic")[index % 3]
-    elif plan.any_wire_faults and index // len(config.presets) % 2:
-        method = "shift"
     else:
         method = _SOAK_METHODS[index % len(_SOAK_METHODS)]
     with_store = preset == "node_loss" and plan.seed % 2 == 0

@@ -22,7 +22,6 @@ __all__ = [
     "all_regions",
     "all_neighbors",
     "receiving_neighbors",
-    "sending_regions",
     "region_brick_extent",
 ]
 
@@ -57,26 +56,6 @@ def receiving_neighbors(region: BitSet) -> List[BitSet]:
     out = []
     for mask in range(1, 1 << len(elems)):
         out.append(BitSet(e for i, e in enumerate(elems) if mask >> i & 1))
-    return out
-
-
-def sending_regions(neighbor: BitSet, ndim: int) -> List[BitSet]:
-    """Every surface region sent to ``N(neighbor)``: the supersets.
-
-    For each axis not constrained by *neighbor* the region may extend in
-    either direction or not at all, so there are ``3^(D - |neighbor|)``
-    such regions.
-    """
-    if not neighbor:
-        raise ValueError("the empty set names the interior, not a neighbor")
-    vec = neighbor.to_vector(ndim)
-    free_axes = [i for i, v in enumerate(vec) if v == 0]
-    out = []
-    for combo in product((-1, 0, 1), repeat=len(free_axes)):
-        v = list(vec)
-        for axis, d in zip(free_axes, combo):
-            v[axis] = d
-        out.append(BitSet.from_vector(v))
     return out
 
 

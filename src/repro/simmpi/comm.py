@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.faults.errors import ExchangeConfigError
 from repro.simmpi.fabric import SimFabric
-from repro.util.indexing import cart_neighbor, unravel_index
+from repro.util.indexing import unravel_index
 
 __all__ = ["SimComm", "CartComm"]
 
@@ -111,24 +111,3 @@ class CartComm(SimComm):
     def rank_to_coords(self, rank: int) -> Tuple[int, ...]:
         """Coordinates (axis 1 first, and fastest) of *rank*."""
         return unravel_index(rank, self.dims)
-
-    def coords_to_rank(self, coords: Sequence[int]) -> int:
-        rank = 0
-        stride = 1
-        for c, d, p in zip(coords, self.dims, self.periods):
-            c = int(c)
-            if p:
-                c %= d
-            elif not 0 <= c < d:
-                raise ExchangeConfigError(
-                    f"coordinate {coords} outside non-periodic grid"
-                )
-            rank += c * stride
-            stride *= d
-        return rank
-
-    def neighbor_rank(self, direction: Sequence[int]) -> Optional[int]:
-        """Rank one step along *direction* (axis 1 first); None if off-grid."""
-        if len(direction) != len(self.dims):
-            raise ExchangeConfigError("direction dimensionality mismatch")
-        return cart_neighbor(self.coords, self.dims, self.periods, direction)

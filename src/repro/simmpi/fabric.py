@@ -37,9 +37,8 @@ two kinds of traffic match differently:
     ``post_send`` appends a :class:`_SendEntry` -- a *reference* to the
     send buffer -- to the destination port's queue keyed ``(src, tag)``;
     ``complete_recv`` pops it, copies, marks it done; ``wait_send``
-    returns once it is done.  Every halo exchange -- Shift's per-axis
-    rounds included -- is a bound request, so this container carries the
-    collectives (:mod:`repro.simmpi.collectives`) and nothing else.
+    returns once it is done.  Every halo exchange is one bound request,
+    so this container carries the collectives (:mod:`repro.simmpi.collectives`) and nothing else.
     Entries never enter ``fifos``: a bound receive counts what its
     sources queued, so a rank that already left the exchange and posted
     the next collective must not be counted as a halo arrival.  For the

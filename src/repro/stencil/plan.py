@@ -188,7 +188,7 @@ class ArrayStencilPlan:
     """Compiled executor of one stencil over one box of an extended array.
 
     The box (per-numpy-axis ``(lo, hi)`` ranges in extended-array
-    coordinates) is the region the pack/mpi_types/shift executed paths
+    coordinates) is the region the pack/mpi_types executed paths
     sweep: the owned region grown by *margin* -- on every side, or per
     axis by ``(below, above)`` pairs in domain order (an open face grows
     by 0).  One compiled function per extended shape serves it, handed

@@ -8,7 +8,6 @@ from repro.util.bitset import BitSet
 from repro.util.indexing import (
     ceil_div,
     lexicographic_coords,
-    ravel_coord,
     unravel_index,
 )
 from repro.util.stats import MinAvgMax, summarize
@@ -20,7 +19,6 @@ __all__ = [
     "TimeBreakdown",
     "ceil_div",
     "lexicographic_coords",
-    "ravel_coord",
     "summarize",
     "unravel_index",
 ]

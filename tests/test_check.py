@@ -52,7 +52,7 @@ class TestCleanGeometries:
         )
         assert rep.ok, rep.render()
 
-    @pytest.mark.parametrize("method", ("yask", "shift", "memmap", "basic"))
+    @pytest.mark.parametrize("method", ("yask", "memmap", "basic"))
     def test_open_boundaries_clean(self, method):
         rep = run_checks(
             problem(periodic=False), method,

@@ -35,7 +35,7 @@ from repro.util.indexing import unravel_index
 from repro.util.timing import TimeBreakdown
 
 AXES = {
-    "method": ("layout", "basic", "memmap", "yask", "yask_ol", "mpi_types", "shift"),
+    "method": ("layout", "basic", "memmap", "yask", "yask_ol", "mpi_types"),
     "stencil": ("7pt", "125pt"),
     "period": (1, 2, 3),  # exchange period
     "bounds": ("periodic", "open"),

@@ -9,7 +9,7 @@ from repro.core.problem import StencilProblem
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import CUBE125, SEVEN_POINT, star_stencil
 
-EXEC_METHODS = ("yask", "yask_ol", "mpi_types", "shift", "basic", "layout", "memmap")
+EXEC_METHODS = ("yask", "yask_ol", "mpi_types", "basic", "layout", "memmap")
 
 
 class TestProblem:

@@ -38,8 +38,9 @@ class TestMethodInfo:
             method_info("memmap_ca")
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            method_info("quantum")
+        for name in ("quantum", "shift"):
+            with pytest.raises(ValueError):
+                method_info(name)
 
     def test_yask_packs_and_overlap(self):
         assert schedule_template("yask", (16, 16, 16), 8, 8).copy == "pack"

@@ -33,7 +33,7 @@ class TestExchangeBreakdown:
         ext = (64, 64, 64)
         for method, packs in [
             ("yask", True), ("mpi_types", False), ("layout", False),
-            ("memmap", False), ("basic", False), ("shift", True),
+            ("memmap", False), ("basic", False),
         ]:
             bd = exchange_breakdown(theta, method, ext)
             assert (bd.pack > 0) == packs, method

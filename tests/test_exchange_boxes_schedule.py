@@ -19,7 +19,7 @@ from repro.exchange.boxes import (
     stage_table,
 )
 from repro.faults.errors import ExchangeConfigError
-from repro.exchange.schedule import array_schedule, shift_schedule
+from repro.exchange.schedule import array_schedule
 from repro.layout.order import SURFACE3D, lexicographic_order
 from repro.layout.regions import all_regions
 from repro.stencil import cbackend
@@ -176,27 +176,6 @@ class TestArraySchedule:
             for n in all_regions(3)
         )
         assert total == expected
-
-
-class TestShiftSchedule:
-    def test_two_messages_per_dim(self):
-        phases = shift_schedule((16, 16, 16), 8)
-        assert len(phases) == 3
-        assert all(len(p) == 2 for p in phases)
-
-    def test_later_phases_carry_corners(self):
-        phases = shift_schedule((16, 16, 16), 8)
-        # axis-3 faces span the extended extent on axes 1 and 2
-        a3 = phases[2][0]
-        assert a3.payload_bytes == 32 * 32 * 8 * 8
-
-    def test_total_volume_equals_ghost_volume(self):
-        """Both Shift and the direct exchange fill the ghost shell exactly
-        once, so total communicated volume is identical."""
-        phases = shift_schedule((16, 16, 16), 8)
-        shift_total = sum(m.payload_bytes for p in phases for m in p)
-        full = sum(m.payload_bytes for m in array_schedule((16, 16, 16), 8))
-        assert shift_total == full == (32**3 - 16**3) * 8
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.exchange.layout_ex import LayoutExchanger, layout_template
 from repro.exchange.memmap_ex import MemMapExchanger, memmap_template
 from repro.exchange.mpitypes import MPITypesExchanger
 from repro.exchange.pack import PackExchanger
-from repro.exchange.shift import ShiftExchanger
 from repro.hardware.profiles import theta_knl
 from repro.simmpi.fabric import SimFabric
 from repro.simmpi.launcher import run_spmd
@@ -153,16 +152,6 @@ class TestArrayExchangers:
         assert r.breakdown.pack == 0.0  # packing is inside MPI
         assert r.breakdown.wait > 0
 
-    def test_shift_fills_ghosts_including_corners(self):
-        profile = theta_knl()
-        results = _run_array_exchanger(
-            lambda cart, arr: ShiftExchanger(
-                cart, _plan(cart, "shift"), arr, SUB, G, profile
-            )
-        )
-        r = results[0].result
-        assert r.messages_sent == 6
-
 
 class TestBrickExchangers:
     def test_layout_pack_free(self):
@@ -212,7 +201,6 @@ def _channel(ex):
 _ARRAY_CLASSES = {
     "yask": PackExchanger,
     "mpi_types": MPITypesExchanger,
-    "shift": ShiftExchanger,
 }
 
 
@@ -236,10 +224,9 @@ class TestThreeWaysToFire:
 
     @pytest.mark.parametrize(
         "method",
-        ["layout", "basic", "memmap", "yask", "mpi_types", "shift"],
+        ["layout", "basic", "memmap", "yask", "mpi_types"],
     )
     def test_one_outcome(self, method):
-        # Shift too: its channel fires one cut per axis round.
         runs = [
             self._run(method, fire, envelope)
             for envelope in (False, True)
@@ -399,7 +386,7 @@ class TestBothCopyTiers:
     @pytest.mark.parametrize("verify_wire", [False, True], ids=["plain", "verified"])
     @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
     @pytest.mark.parametrize(
-        "method", ["yask", "mpi_types", "shift", "layout", "memmap"]
+        "method", ["yask", "mpi_types", "layout", "memmap"]
     )
     def test_same_field_same_ledger_one_call_per_side(
         self, method, periodic, verify_wire, calls
@@ -414,15 +401,13 @@ class TestBothCopyTiers:
         )
         made = {key: calls[key] - before[key] for key in calls}
         fired = problem.nranks * _TIER_STEPS  # exchanges, all ranks
-        packs = method in ("yask", "mpi_types", "shift")
-        # One call per side per fired cut (Shift: one cut per axis
-        # round); on a verified fabric the wire's two calls are the
-        # seal and the copy-and-check instead of the copy.
-        rounds = 3 if method == "shift" else 1
-        wired = fired * rounds
-        assert made["gather"] == made["scatter"] == packs * wired
-        assert made["copy_list"] == (not verify_wire) * wired
-        assert made["crc_list"] == made["copy_crc_list"] == verify_wire * wired
+        packs = method in ("yask", "mpi_types")
+        # One call per side per fired cut; on a verified fabric the
+        # wire's two calls are the seal and the copy-and-check instead
+        # of the copy.
+        assert made["gather"] == made["scatter"] == packs * fired
+        assert made["copy_list"] == (not verify_wire) * fired
+        assert made["crc_list"] == made["copy_crc_list"] == verify_wire * fired
         fold = f" (crc fold {cbackend.mover_kernel().crc_fold})"
         assert run.copy_backend == "cffi" + verify_wire * fold
         assert run.global_result.tobytes() == want

@@ -4,8 +4,9 @@ The healing protocol lives on the bound item, so these tests bind a
 request per rank and drive ``post_send_batch`` / ``complete_recv_batch``
 directly from one thread -- a post never blocks, and a receive whose
 items are all on the wire does not either -- which exercises the full
-verified path without launcher machinery.  Per-message delivery
-(collectives, Shift) is detection only.
+verified path without launcher machinery.  A halo exchange is one bound
+cut, so a retry is a re-fire of that cut; per-message delivery
+(collectives only) is detection only.
 """
 
 import functools
@@ -713,7 +714,7 @@ class TestTheGuardJudgesACut:
         assert fab._guard.delivered[(0, 1, 3)] == (4, None)
 
 
-@pytest.mark.parametrize("method", ["layout", "memmap", "yask", "mpi_types", "shift"])
+@pytest.mark.parametrize("method", ["layout", "memmap", "yask", "mpi_types"])
 def test_a_clean_verified_run_judges_no_item(method, monkeypatch):
     """Every exchange of a clean verified 2 x 2 x 2 run takes the common
     case -- one seal, one copy-and-check, two vector compares per cut --

@@ -3,9 +3,10 @@
 ``golden_counts.json`` was recorded at commit 9e71d4b by running the
 scenarios below: a traced Layout run's spans and counters; the chaos
 soak's outcomes, events, digests, demotions and final methods (7 trials
-then; trials 7-11 -- a crash restart, a node loss, and Shift under
-corrupt / drop / mixed wire faults -- were appended when Shift's
-exchange became bound cuts);
+then; trials 7-11 -- a crash restart, a node loss, and corrupt / drop /
+mixed wire faults -- were appended later, and trials 9-11, once run on
+the Shift exchange, were re-recorded on the soak's method cycle when
+that exchange was removed);
 checkpoint store and run bytes and chunks; a 64^3 Layout run's messages
 and wire bytes per rank (the ``overlap`` scenario, named after the
 phased run it was once compared with); the 8 -> 6 rank reshape plan,

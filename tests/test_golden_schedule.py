@@ -58,7 +58,9 @@ def _hexes(breakdown):
 
 
 def _canonical(messages):
-    return [(m.phase, m.peer, m.tag, m.nbytes, m.ranges) for m in messages]
+    # The leading 0 is the round every message went out in, recorded
+    # when plans still had rounds: every plan now has one.
+    return [(0, m.peer, m.tag, m.nbytes, m.ranges) for m in messages]
 
 
 @pytest.mark.parametrize("boundaries", ["periodic", "open"])
@@ -67,7 +69,7 @@ def _canonical(messages):
 def test_plan_digest(method, geometry, boundaries):
     plans = RunGeometry(_problem(geometry, boundaries), method).plans
     canon = [
-        (p.rank, p.nphases, _canonical(p.sends), _canonical(p.recvs))
+        (p.rank, 1, _canonical(p.sends), _canonical(p.recvs))
         for p in plans
     ]
     digest = hashlib.sha256(repr(canon).encode()).hexdigest()
@@ -101,7 +103,7 @@ def test_modelled_price(method, profile):
 )
 @pytest.mark.parametrize(
     "method",
-    ["layout", "basic", "memmap", "yask", "mpi_types", "shift"],
+    ["layout", "basic", "memmap", "yask", "mpi_types"],
 )
 def test_exchanger_result(method, geometry, boundaries, profile):
     """``ExchangeResult`` of every rank: the recording executed the

@@ -11,7 +11,6 @@ from repro.layout.regions import (
     all_regions,
     receiving_neighbors,
     region_brick_extent,
-    sending_regions,
 )
 from repro.util.bitset import BitSet
 
@@ -54,18 +53,6 @@ class TestSendRelation:
     def test_empty_region_rejected(self):
         with pytest.raises(ValueError):
             receiving_neighbors(BitSet())
-
-    def test_sending_regions_counts(self):
-        # A face neighbor in 3-D receives 3^2 = 9 regions.
-        assert len(sending_regions(BitSet([1]), 3)) == 9
-        # An edge neighbor receives 3 regions; a corner exactly 1.
-        assert len(sending_regions(BitSet([1, -2]), 3)) == 3
-        assert len(sending_regions(BitSet([1, -2, 3]), 3)) == 1
-
-    def test_sending_receiving_duality(self):
-        for neighbor in all_neighbors(2):
-            for region in sending_regions(neighbor, 2):
-                assert neighbor in receiving_neighbors(region)
 
     def test_total_pairs_equals_eq3(self):
         for ndim in (1, 2, 3):

@@ -95,7 +95,7 @@ def test_slices_alias_the_storage_with_no_hooks():
     storage = geometry.decomp.mmap_alloc(geometry.page_size)[0]
     try:
         ex = _bind(geometry, storage)
-        ((posts, recvs, hooks),) = ex._bound
+        posts, recvs, hooks = ex._bound
         assert hooks.pre is None and hooks.post is None
         # A neighbour past the first, so its slice starts mid-window.
         k = len(ex.plan.sends) - 1

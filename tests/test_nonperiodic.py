@@ -16,7 +16,7 @@ from repro.hardware.profiles import theta_knl
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import SEVEN_POINT
 
-METHODS = ("yask", "mpi_types", "shift", "basic", "layout", "memmap")
+METHODS = ("yask", "mpi_types", "basic", "layout", "memmap")
 
 
 @pytest.fixture

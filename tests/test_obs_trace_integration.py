@@ -94,7 +94,7 @@ class TestTracedRun:
 class TestCounters:
     @pytest.mark.parametrize("verify_wire", [False, True], ids=["plain", "verified"])
     @pytest.mark.parametrize(
-        "method", ["layout", "basic", "memmap", "yask", "mpi_types", "shift"]
+        "method", ["layout", "basic", "memmap", "yask", "mpi_types"]
     )
     def test_deterministic_counters_agree_across_layers(self, method, verify_wire):
         run = run_executed(

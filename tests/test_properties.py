@@ -113,7 +113,7 @@ class TestEndToEndRandomConfigs:
 
     @settings(max_examples=6, deadline=None)
     @given(
-        st.sampled_from(["yask", "memmap", "shift"]),
+        st.sampled_from(["yask", "memmap"]),
         st.integers(1, 4),
         st.integers(0, 2**31 - 1),
     )

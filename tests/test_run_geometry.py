@@ -34,7 +34,7 @@ from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import CUBE125, SEVEN_POINT
 
 BRICK_METHODS = ("layout", "memmap")
-ARRAY_METHODS = ("yask", "mpi_types", "shift")
+ARRAY_METHODS = ("yask", "mpi_types")
 
 
 def _problem(extent=(32, 32, 32), ranks=(2, 2, 2), stencil=SEVEN_POINT):
@@ -323,15 +323,15 @@ class TestFrozenGeometry:
                 geometry.assignment.slot_coords,
                 geometry.permutation,
             ]
-        # The bind tables: shared by every rank -- tuples, and the box
-        # tables' arrays read-only.
+        # The bind table: shared by every rank -- a tuple, and the box
+        # table's arrays read-only.
         tables = geometry.tables(geometry.base)
         assert geometry.tables(geometry.base) is tables  # built once
         assert all(t is tables[0] for t in tables)  # one partner set
-        for table in tables[0]:
-            assert isinstance(table, tuple)
-            arrays += [v for v in table if isinstance(v, np.ndarray)]
-            assert not any(isinstance(v, list) for v in table)
+        table = tables[0]
+        assert isinstance(table, tuple)
+        arrays += [v for v in table if isinstance(v, np.ndarray)]
+        assert not any(isinstance(v, list) for v in table)
         if geometry.decomp is None:
             assert len(arrays) == 3  # the box tables' send and recv
         for arr in arrays:
@@ -445,7 +445,7 @@ class TestBindRefusals:
     )
     @pytest.mark.parametrize(
         "method",
-        ["layout", "memmap", "basic", "yask", "mpi_types", "shift"],
+        ["layout", "memmap", "basic", "yask", "mpi_types"],
     )
     def test_refused(self, method, case):
         geometry, base = _bound_geometry(method)
@@ -455,7 +455,7 @@ class TestBindRefusals:
             geometry.bind(base, cart, _bad_buffer(geometry, case))
         assert not fabric._splits  # nothing negotiated
 
-    @pytest.mark.parametrize("method", ["layout", "memmap", "yask", "shift"])
+    @pytest.mark.parametrize("method", ["layout", "memmap", "yask"])
     def test_plan_bytes_must_match_the_bound_buffers(self, method):
         """The last refusal before the fabric: the buffers a binding
         hands back carry exactly the bytes the plan says."""

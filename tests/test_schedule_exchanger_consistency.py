@@ -66,7 +66,7 @@ def test_exchanger_matches_schedule(mode, schedule):
 @pytest.mark.parametrize("profile", [generic_host, theta_knl, summit_v100])
 @pytest.mark.parametrize("sub", [(16, 16, 16), (32, 32, 32), (16, 16, 24)])
 @pytest.mark.parametrize(
-    "method", ["layout", "basic", "memmap", "yask", "mpi_types", "shift"]
+    "method", ["layout", "basic", "memmap", "yask", "mpi_types"]
 )
 def test_model_and_bound_plan_price_equal(method, sub, profile):
     """Any-scale model vs the plan a rank binds, all six executable

@@ -112,13 +112,6 @@ class TestBarrierAndErrors:
 
 
 class TestCartesian:
-    def test_coords_roundtrip(self):
-        def fn(comm):
-            cart = comm.Create_cart((2, 2, 2))
-            return cart.coords_to_rank(cart.coords) == comm.rank
-
-        assert all(run_spmd(8, fn))
-
     def test_axis1_fastest(self):
         def fn(comm):
             cart = comm.Create_cart((4, 2))
@@ -128,21 +121,6 @@ class TestCartesian:
         assert res[0] == (0, 0)
         assert res[1] == (1, 0)
         assert res[4] == (0, 1)
-
-    def test_periodic_wrap(self):
-        def fn(comm):
-            cart = comm.Create_cart((2, 2, 2))
-            return cart.neighbor_rank((-1, 0, 0))
-
-        res = run_spmd(8, fn)
-        assert res[0] == 1  # wraps
-
-    def test_nonperiodic_edge(self):
-        def fn(comm):
-            cart = comm.Create_cart((2,), periods=[False])
-            return cart.neighbor_rank((-1,))
-
-        assert run_spmd(2, fn)[0] is None
 
     def test_wrong_total(self):
         def fn(comm):

@@ -641,7 +641,7 @@ class TestDriverIntegration:
         )
         np.testing.assert_array_equal(planned.global_result, ref)
 
-    @pytest.mark.parametrize("method", ["yask", "yask_ol", "mpi_types", "shift"])
+    @pytest.mark.parametrize("method", ["yask", "yask_ol", "mpi_types"])
     def test_array_methods_step_on_c(self, method, small_problem, theta):
         """Array methods compute on the C tier -- with ghost expansion --
         and say so in the run record."""

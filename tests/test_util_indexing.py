@@ -1,13 +1,10 @@
 """Index arithmetic helpers."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.util.indexing import (
     ceil_div,
     lexicographic_coords,
-    ravel_coord,
     strides_for,
     unravel_index,
 )
@@ -26,22 +23,8 @@ class TestCeilDiv:
 
 
 class TestRavel:
-    def test_axis1_fastest(self):
-        # coordinate (1, 0) in a (2, 3) box: axis 1 has stride 1.
-        assert ravel_coord((1, 0), (2, 3)) == 1
-        assert ravel_coord((0, 1), (2, 3)) == 2
-        assert ravel_coord((1, 2), (2, 3)) == 5
-
     def test_strides(self):
         assert strides_for((2, 3, 4)) == (1, 2, 6)
-
-    def test_out_of_bounds(self):
-        with pytest.raises(IndexError):
-            ravel_coord((2, 0), (2, 3))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            ravel_coord((0,), (2, 3))
 
     def test_unravel_bounds(self):
         with pytest.raises(IndexError):
@@ -56,17 +39,5 @@ class TestLexicographic:
     def test_matches_ravel(self):
         extent = (3, 2, 4)
         for i, c in enumerate(lexicographic_coords(extent)):
-            assert ravel_coord(c, extent) == i
+            assert unravel_index(i, extent) == c
 
-
-@given(
-    st.lists(st.integers(1, 6), min_size=1, max_size=4).flatmap(
-        lambda ext: st.tuples(
-            st.just(tuple(ext)),
-            st.tuples(*(st.integers(0, e - 1) for e in ext)),
-        )
-    )
-)
-def test_ravel_unravel_roundtrip(case):
-    extent, coord = case
-    assert unravel_index(ravel_coord(coord, extent), extent) == coord
