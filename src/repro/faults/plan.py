@@ -93,12 +93,6 @@ class FaultPlan:
                 f"wire-fault probabilities sum to {total}, must be <= 1"
             )
 
-    @property
-    def any_wire_faults(self) -> bool:
-        if any(getattr(self, k) > 0.0 for k in _WIRE_KINDS):
-            return True
-        return bool(self.edge_overrides)
-
     # ------------------------------------------------------------------
     def _edge_probs(self, src: int, dst: int) -> Tuple[float, ...]:
         override = self.edge_overrides.get((src, dst))

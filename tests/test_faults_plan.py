@@ -8,7 +8,6 @@ from repro.faults import FaultPlan, RetryPolicy
 class TestValidation:
     def test_default_plan_is_quiet(self):
         plan = FaultPlan()
-        assert not plan.any_wire_faults
         assert plan.decide(0, 1, 7, 1) is None
 
     @pytest.mark.parametrize("kind", ["drop", "corrupt", "duplicate", "delay"])
@@ -24,7 +23,10 @@ class TestValidation:
 
     def test_edge_overrides_count_as_wire_faults(self):
         plan = FaultPlan(edge_overrides={(0, 1): {"drop": 1.0}})
-        assert plan.any_wire_faults
+        assert all(
+            plan.decide(0, 1, tag, seq) == "drop"
+            for tag in range(4) for seq in range(4)
+        )
 
 
 class TestDeterminism:

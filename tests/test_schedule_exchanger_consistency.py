@@ -69,7 +69,7 @@ def test_exchanger_matches_schedule(mode, schedule):
     "method", ["layout", "basic", "memmap", "yask", "mpi_types"]
 )
 def test_model_and_bound_plan_price_equal(method, sub, profile):
-    """Any-scale model vs the plan a rank binds, all six executable
+    """Any-scale model vs the plan a rank binds, all five executable
     methods, compared with ``==``: one pricer, the same specs in the
     same order."""
     problem = StencilProblem(

@@ -257,7 +257,7 @@ def _self_exchange(name, verified=False):
             buffer = geometry.decomp.allocate()[0]
             buffer.data[:] = rng.random(buffer.data.shape)
         ex = geometry.bind(geometry.base, cart, buffer)
-        ((posts, recvs, hooks),) = ex._bound
+        posts, recvs, hooks = ex._bound
         # The same wire buffers on a channel without the hooks: post +
         # receive (the wire copy) + send-wait, nothing else.
         wire = ExchangeChannel(cart, method, posts, recvs, ex.result)
