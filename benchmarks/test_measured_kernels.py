@@ -36,8 +36,9 @@ def test_bench_brick_kernel(benchmark, spec):
 
 
 def test_bench_conversion_gather(benchmark):
-    """Array <-> brick permutation gather (used by converters/tests, not
-    by the exchange hot path)."""
+    """Brick storage -> extended array: one mover call over every
+    brick of the grid (the converters' and tests' form; a run gathers
+    its owned bricks only)."""
     from repro.brick.convert import bricks_to_extended
 
     d = BrickDecomp(EXTENT, (8, 8, 8), G)

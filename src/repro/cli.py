@@ -213,7 +213,6 @@ def _cmd_advise(args) -> int:
 
 def _cmd_search_layout(args) -> int:
     from repro.layout.analysis import optimal_message_count
-    from repro.layout.messages import messages_for_order
     from repro.layout.search import anneal_order, exhaustive_best_order
 
     target = optimal_message_count(args.ndim)

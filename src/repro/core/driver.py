@@ -21,8 +21,9 @@ binds its plan to each buffer, wraps the exchange engines into a
 :class:`~repro.core.runplan.RankRunPlan`, attaches the requested
 features as step hooks (crash check, checkpoint save, degradation vote,
 envelope retry) and replays the plan.  Every run,
-whatever is switched on, goes through that one loop, and returns its
-ledger (:class:`~repro.core.metrics.RankMetrics`), result and coords.
+whatever is switched on, goes through that one loop, writes its block
+of the final field into the run's global result and returns its ledger
+(:class:`~repro.core.metrics.RankMetrics`).
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class _RankState:
     computed_points: List[int]  # stencil points evaluated per position
     snapshot_layout: Callable[[int], _SnapshotLayout]  # of a rank; checkpointed runs
     fill: Callable[[np.ndarray], None]  # owned initial values into buffer 0
-    result: Callable[[int], np.ndarray]  # copy of buffer i's owned region
+    result: Callable[[int, np.ndarray], None]  # buffer i's owned region into out
     exchangers: list = field(default_factory=list)
     ladder_level: Optional[int] = None  # None: no degradation ladder
     # What the launching thread reads once the world has joined.
@@ -217,6 +218,9 @@ def _array_state(geometry: RunGeometry, period: int, faces) -> _RankState:
     def fill(owned: np.ndarray) -> None:
         arrays[0][own] = owned
 
+    def result(src: int, out: np.ndarray) -> None:
+        out[...] = arrays[src][own]
+
     return _RankState(
         buffers=arrays,
         plans=[
@@ -237,7 +241,7 @@ def _array_state(geometry: RunGeometry, period: int, faces) -> _RankState:
             ],
         ),
         fill=fill,
-        result=lambda src: arrays[src][own].copy(),
+        result=result,
     )
 
 
@@ -245,8 +249,7 @@ def _brick_state(geometry: RunGeometry, period: int, faces) -> _RankState:
     """Allocate and compile over the shared geometry; nothing here
     derives a decomposition, an assignment or an adjacency.  *faces*:
     the rank's :func:`open_faces`, whose ghost bricks are never swept."""
-    problem = geometry.problem
-    ext, g, spec = geometry.extent, geometry.ghost, problem.stencil
+    spec = geometry.problem.stencil
     decomp, asn, binfo = geometry.decomp, geometry.assignment, geometry.brick_info
     if geometry.base == "memmap":
         storages = [decomp.mmap_alloc(geometry.page_size)[0] for _ in range(2)]
@@ -255,12 +258,16 @@ def _brick_state(geometry: RunGeometry, period: int, faces) -> _RankState:
     cycle_slots = brick_cycle_slots(
         decomp, asn, depths_for_period(period, decomp.width), faces
     )
-    own = owned_slices(ext, g)
 
+    # Straight between the owned block of a global array and the owned
+    # bricks' slots: one mover call over the geometry's conversion table
+    # each way.  Ghost bricks keep the allocation's zeros until the
+    # first exchange fills them (open faces: for good).
     def fill(owned: np.ndarray) -> None:
-        tmp = np.zeros(geometry.extended_shape, dtype=problem.dtype)
-        tmp[own] = owned
-        extended_to_bricks(tmp, decomp, storages[0], asn)
+        extended_to_bricks(owned, decomp, storages[0], asn)
+
+    def result(src: int, out: np.ndarray) -> None:
+        bricks_to_extended(decomp, storages[src], asn, out=out)
 
     def snapshot_layout(rank: int) -> _SnapshotLayout:
         # Snapshots of the src storage only: the ghost-expansion
@@ -284,7 +291,7 @@ def _brick_state(geometry: RunGeometry, period: int, faces) -> _RankState:
         computed_points=[len(s) * decomp.brick_volume for s in cycle_slots],
         snapshot_layout=snapshot_layout,
         fill=fill,
-        result=lambda src: bricks_to_extended(decomp, storages[src], asn)[own].copy(),
+        result=result,
     )
 
 
@@ -483,7 +490,10 @@ def _rank_fn(
     degrade_enabled: bool,
     ckpt: Optional[CheckpointConfig],
     states: List[_RankState],
+    global_result: np.ndarray,
 ):
+    """One rank's run; its owned block of the final field lands in
+    *global_result* (each rank writes only its own block)."""
     problem, method, profile = geometry.problem, geometry.method, geometry.profile
     info, spec = method_info(method), problem.stencil
     cart = comm.Create_cart(
@@ -588,7 +598,8 @@ def _rank_fn(
         # After a demotion the live engine may have no mappings at all.
         ledger.mappings = getattr(state.exchangers[0], "mapping_count", 0)
     state.copy_backend = rp.engines[0].copy_backend
-    return ledger, state.result(src), cart.coords
+    state.result(src, global_result[problem.owned_slices(cart.coords)])
+    return ledger
 
 
 def _elastic_reshape(
@@ -877,6 +888,11 @@ def run_executed(
     reshapes = 0
     restarts = 0
     dead_total: List[int] = []
+    # Every world (an elastic reshape keeps the global extent) writes its
+    # ranks' blocks here; the launch that finishes writes every block.
+    global_result = np.empty(
+        tuple(reversed(problem.global_extent)), dtype=problem.dtype
+    )
 
     while True:
         # Rank states of this world.  They are closed here, by the
@@ -890,9 +906,9 @@ def run_executed(
         if envelope:
             fabric.enable_envelope(injector)
         try:
-            outs = run_spmd(
+            ledgers = run_spmd(
                 nranks, _rank_fn, geometry, timesteps, seed, exchange_period,
-                injector, retry, degrade, cur_ckpt, states,
+                injector, retry, degrade, cur_ckpt, states, global_result,
                 fabric=fabric,
             )
             break
@@ -934,12 +950,6 @@ def run_executed(
             _close_all(states)
 
     cur_problem = geometry.problem
-    global_result = np.empty(
-        tuple(reversed(cur_problem.global_extent)), dtype=cur_problem.dtype
-    )
-    for _, result, coords in outs:
-        global_result[cur_problem.owned_slices(coords)] = result
-
     # Collective facts: every rank of the launch that finished agrees on
     # them, so any rank's state tells (they join in no particular order).
     state = states[0]
@@ -955,7 +965,7 @@ def run_executed(
             points_per_rank=cur_problem.points_per_rank,
             nranks=cur_problem.nranks,
             timesteps=timesteps,
-            ranks=[ledger for ledger, _, _ in outs],
+            ranks=ledgers,
         ),
         fabric=fabric,
         exchange_period=resolve_period(cur_problem, method, exchange_period),

@@ -11,8 +11,9 @@ afterwards.  It holds everything rank-invariant and period-independent:
 * brick methods: the :class:`~repro.brick.decomp.BrickDecomp`, the one
   :class:`~repro.brick.decomp.SlotAssignment` the method and page size
   select (the only place that selection is made), the
-  :class:`~repro.brick.info.BrickInfo` adjacency, the element
-  permutation;
+  :class:`~repro.brick.info.BrickInfo` adjacency, the conversion table
+  (each owned brick's box in the rank's owned block and its storage
+  offset: what a rank's fill and result move its field through);
 * array methods: subdomain extent, ghost width, extended shape;
 * all methods: the **schedule** -- the method's
   :class:`~repro.exchange.base.ScheduleTemplate`, instantiated for every
@@ -28,7 +29,7 @@ afterwards.  It holds everything rank-invariant and period-independent:
 Each is derived once, with array operations where it is per brick or
 per rank: the slot assignment from one classification of the brick grid
 (:meth:`~repro.brick.decomp.BrickDecomp.assignment`), the adjacency and
-the permutation by broadcasting its grid index, every rank's partners
+the conversion table from its grid index, every rank's partners
 by one array expression
 (:meth:`~repro.exchange.base.ScheduleTemplate.for_ranks`).
 
@@ -63,7 +64,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.brick.convert import element_permutation
+from repro.brick.convert import conversion_table
 from repro.brick.decomp import BrickDecomp
 from repro.core.methods import method_info, resolve_page_size
 from repro.core.problem import StencilProblem
@@ -136,7 +137,7 @@ class RunGeometry:
 
     ``plans[r]`` / ``results[r]`` are rank *r*'s frozen message plan and
     its modelled price.  ``decomp`` / ``assignment`` / ``brick_info`` /
-    ``permutation`` / ``page_size`` are ``None`` where they do not apply
+    ``conversion`` / ``page_size`` are ``None`` where they do not apply
     (array methods; *page_size* is MemMap's).
     """
 
@@ -166,7 +167,7 @@ class RunGeometry:
             e + 2 * self.ghost for e in reversed(self.extent)
         )
         self.decomp = self.assignment = self.brick_info = None
-        self.permutation = self.page_size = None
+        self.conversion = self.page_size = None
         if info.uses_bricks:
             self.decomp = decomp = problem.brick_decomp()
             if self.base == "memmap":
@@ -174,11 +175,11 @@ class RunGeometry:
                 alignment = decomp.alignment_for_page(self.page_size)
             else:
                 alignment = 1
-            # Fills the decomp's assignment and permutation caches, so
-            # the ranks' allocate / convert calls only ever read them.
+            # Fills the decomp's assignment and conversion-table caches,
+            # so the ranks' allocate / convert calls only ever read them.
             self.assignment = decomp.assignment(alignment)
             self.brick_info = decomp.brick_info(self.assignment)
-            self.permutation = element_permutation(decomp, self.assignment)
+            self.conversion = conversion_table(decomp, self.assignment)
         self._lock = threading.Lock()
         self._schedules: Dict[str, _Schedule] = {}
         self._tables: Dict[str, tuple] = {}

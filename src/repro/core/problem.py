@@ -115,7 +115,7 @@ class StencilProblem:
         """Deterministic global initial condition (numpy axis order)."""
         rng = np.random.default_rng(seed)
         shape = tuple(reversed(self.global_extent))
-        return rng.random(shape, dtype=np.float64).astype(self.dtype)
+        return rng.random(shape, dtype=np.float64).astype(self.dtype, copy=False)
 
     def owned_slices(self, coords: Sequence[int]) -> Tuple[slice, ...]:
         """Slices of the global array owned by the rank at *coords*

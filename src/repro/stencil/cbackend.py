@@ -869,10 +869,16 @@ def _crc_table_rows() -> str:
 #: alone, ``<immintrin.h>`` would be 360 -- which a second unit need not
 #: pay again).  ``boxes`` is an
 #: ``(nboxes, ndim, 2)`` table of per-axis ``(lo, hi)`` element ranges in
-#: a row-major double array of extents ``shape``; box *b* travels through
+#: a double array of extents ``shape`` and element strides ``stride``
+#: (the innermost 1: an exchange's arrays are C-contiguous, a brick run's
+#: blocks of its global field are not); box *b* travels through
 #: the flat buffer ``bufs[b]``, a ``memcpy`` per innermost row (an inline
 #: loop for rows of up to 16 elements: the x-faces' ghost-wide rows, where
-#: a libc call per 64 bytes cost a 48^3 unpack 13%).  The
+#: a libc call per 64 bytes cost a 48^3 unpack 13%).  Their slot form
+#: (``repro_gather_slots`` / ``repro_scatter_slots``) sends box *b*
+#: through the run at ``flat + offsets[b]`` of one buffer instead: a
+#: brick's field in brick storage, which is how a run's field enters and
+#: leaves its bricks (:mod:`repro.brick.convert`).  The
 #: capacity tables are the bounds guard: given them (``REPRO_CC_BOUNDS``)
 #: a call checks every entry first, and on any violation writes nothing
 #: and returns the count.  ``copy_list`` uses ``memmove``: a sender's and
@@ -902,20 +908,34 @@ MOVER_SOURCE = "\n#define REPRO_MOVER_MAX_NDIM %d\n" % MOVER_MAX_NDIM + """
 #define REPRO_SCALAR
 #endif
 
+/* Boxes, or capacities, the table's entries break.  A box (lo, hi per
+   axis) must lie in shape; the array must span the last element its
+   strides reach (the innermost stride is 1) and the run box b travels
+   through must hold the box: caps[b] elements, or -- with offsets --
+   the caps[0] elements of one buffer from offsets[b] on.  An array or a
+   stride the movers cannot walk counts as every box and one more. */
 REPRO_SCALAR
 static int64_t repro_box_violations(int64_t arr_elems, const int64_t *shape,
-                                    int64_t ndim, const int64_t *boxes,
-                                    int64_t nboxes, const int64_t *buf_elems)
+                                    const int64_t *stride, int64_t ndim,
+                                    const int64_t *boxes, int64_t nboxes,
+                                    const int64_t *caps,
+                                    const int64_t *offsets)
 {
-    int64_t total = 1, bad = 0, a, b;
-    if (ndim < 1 || ndim > REPRO_MOVER_MAX_NDIM)
+    int64_t reach = 0, empty = 0, bad = 0, a, b;
+    if (ndim < 1 || ndim > REPRO_MOVER_MAX_NDIM || stride[ndim - 1] != 1)
         return nboxes + 1;
-    for (a = 0; a < ndim; ++a)
-        total *= shape[a];
-    if (arr_elems < total)
+    for (a = 0; a < ndim; ++a) {
+        if (shape[a] < 0 || stride[a] < 0)
+            return nboxes + 1;
+        empty |= shape[a] == 0;
+        reach += (shape[a] - 1) * stride[a];
+    }
+    if (!empty && arr_elems <= reach)
         return nboxes + 1;
     for (b = 0; b < nboxes; ++b) {
         const int64_t *box = boxes + b * 2 * ndim;
+        const int64_t cap = !offsets ? caps[b]
+            : offsets[b] < 0 ? -1 : caps[0] - offsets[b];
         int64_t volume = 1, ok = 1;
         for (a = 0; a < ndim; ++a) {
             const int64_t lo = box[2 * a], hi = box[2 * a + 1];
@@ -923,33 +943,25 @@ static int64_t repro_box_violations(int64_t arr_elems, const int64_t *shape,
                 ok = 0;
             volume *= hi - lo;
         }
-        if (!ok || buf_elems[b] < volume)
+        if (!ok || cap < volume)
             ++bad;
     }
     return bad;
 }
 
-static int64_t repro_box_move(double *arr, int64_t arr_elems,
-                              const int64_t *shape, int64_t ndim,
-                              const int64_t *boxes, int64_t nboxes,
-                              char *const *bufs, const int64_t *buf_elems,
-                              int scatter)
+/* Box b of arr (element strides stride[], the innermost 1) to or from
+   its flat run: bufs[b], or flat + offsets[b] where bufs is NULL. */
+static void repro_box_move(double *arr, const int64_t *stride, int64_t ndim,
+                           const int64_t *boxes, int64_t nboxes,
+                           char *const *bufs, double *flat,
+                           const int64_t *offsets, int scatter)
 {
-    int64_t stride[REPRO_MOVER_MAX_NDIM], at[REPRO_MOVER_MAX_NDIM], a, b, r;
+    int64_t at[REPRO_MOVER_MAX_NDIM], a, b, r;
     const int64_t last = ndim - 1;
-    if (buf_elems) {
-        const int64_t bad = repro_box_violations(
-            arr_elems, shape, ndim, boxes, nboxes, buf_elems);
-        if (bad)
-            return bad;
-    }
-    stride[last] = 1;
-    for (a = last - 1; a >= 0; --a)
-        stride[a] = stride[a + 1] * shape[a + 1];
     for (b = 0; b < nboxes; ++b) {
         const int64_t *box = boxes + b * 2 * ndim;
         const int64_t row = box[2 * last + 1] - box[2 * last];
-        double *buf = (double *)bufs[b];
+        double *buf = bufs ? (double *)bufs[b] : flat + offsets[b];
         int64_t rows = 1, base = box[2 * last];
         for (a = 0; a < last; ++a) {
             at[a] = box[2 * a];
@@ -977,25 +989,67 @@ static int64_t repro_box_move(double *arr, int64_t arr_elems,
             }
         }
     }
+}
+
+/* Every box, after the guard's check where caps are given (NULL:
+   unguarded): a violation moves nothing and returns the count. */
+static int64_t repro_boxes(double *arr, int64_t arr_elems,
+                           const int64_t *shape, const int64_t *stride,
+                           int64_t ndim, const int64_t *boxes, int64_t nboxes,
+                           char *const *bufs, double *flat,
+                           const int64_t *offsets, const int64_t *caps,
+                           int scatter)
+{
+    if (caps) {
+        const int64_t bad = repro_box_violations(
+            arr_elems, shape, stride, ndim, boxes, nboxes, caps, offsets);
+        if (bad)
+            return bad;
+    }
+    repro_box_move(arr, stride, ndim, boxes, nboxes, bufs, flat, offsets,
+                   scatter);
     return 0;
 }
 
 int64_t repro_gather(const double *arr, int64_t arr_elems,
-                     const int64_t *shape, int64_t ndim,
-                     const int64_t *boxes, int64_t nboxes,
+                     const int64_t *shape, const int64_t *stride,
+                     int64_t ndim, const int64_t *boxes, int64_t nboxes,
                      char *const *bufs, const int64_t *buf_elems)
 {
-    return repro_box_move((double *)arr, arr_elems, shape, ndim, boxes,
-                          nboxes, bufs, buf_elems, 0);
+    return repro_boxes((double *)arr, arr_elems, shape, stride, ndim, boxes,
+                       nboxes, bufs, NULL, NULL, buf_elems, 0);
 }
 
 int64_t repro_scatter(double *arr, int64_t arr_elems,
-                      const int64_t *shape, int64_t ndim,
-                      const int64_t *boxes, int64_t nboxes,
+                      const int64_t *shape, const int64_t *stride,
+                      int64_t ndim, const int64_t *boxes, int64_t nboxes,
                       char *const *bufs, const int64_t *buf_elems)
 {
-    return repro_box_move(arr, arr_elems, shape, ndim, boxes, nboxes, bufs,
-                          buf_elems, 1);
+    return repro_boxes(arr, arr_elems, shape, stride, ndim, boxes, nboxes,
+                       bufs, NULL, NULL, buf_elems, 1);
+}
+
+/* The slot form: box b through flat + offsets[b] (brick storage: a
+   brick's field at slot * brick_elems + field offset). */
+int64_t repro_gather_slots(const double *arr, int64_t arr_elems,
+                           const int64_t *shape, const int64_t *stride,
+                           int64_t ndim, const int64_t *boxes,
+                           int64_t nboxes, double *flat,
+                           const int64_t *offsets, const int64_t *flat_elems)
+{
+    return repro_boxes((double *)arr, arr_elems, shape, stride, ndim, boxes,
+                       nboxes, NULL, flat, offsets, flat_elems, 0);
+}
+
+int64_t repro_scatter_slots(double *arr, int64_t arr_elems,
+                            const int64_t *shape, const int64_t *stride,
+                            int64_t ndim, const int64_t *boxes,
+                            int64_t nboxes, double *flat,
+                            const int64_t *offsets,
+                            const int64_t *flat_elems)
+{
+    return repro_boxes(arr, arr_elems, shape, stride, ndim, boxes, nboxes,
+                       NULL, flat, offsets, flat_elems, 1);
 }
 
 /* Lengths that overrun a view (dst_bytes NULL: nothing is written). */
@@ -1233,13 +1287,24 @@ int64_t repro_copy_crc_list(char *const *src, char *const *dst,
 """ % (_crc_table_rows(), _FULL_WIDTH_IF)
 _MOVER_CDEF = """
 int64_t repro_gather(const double *arr, int64_t arr_elems,
-                     const int64_t *shape, int64_t ndim,
-                     const int64_t *boxes, int64_t nboxes,
+                     const int64_t *shape, const int64_t *stride,
+                     int64_t ndim, const int64_t *boxes, int64_t nboxes,
                      char *const *bufs, const int64_t *buf_elems);
 int64_t repro_scatter(double *arr, int64_t arr_elems,
-                      const int64_t *shape, int64_t ndim,
-                      const int64_t *boxes, int64_t nboxes,
+                      const int64_t *shape, const int64_t *stride,
+                      int64_t ndim, const int64_t *boxes, int64_t nboxes,
                       char *const *bufs, const int64_t *buf_elems);
+int64_t repro_gather_slots(const double *arr, int64_t arr_elems,
+                           const int64_t *shape, const int64_t *stride,
+                           int64_t ndim, const int64_t *boxes,
+                           int64_t nboxes, double *flat,
+                           const int64_t *offsets, const int64_t *flat_elems);
+int64_t repro_scatter_slots(double *arr, int64_t arr_elems,
+                            const int64_t *shape, const int64_t *stride,
+                            int64_t ndim, const int64_t *boxes,
+                            int64_t nboxes, double *flat,
+                            const int64_t *offsets,
+                            const int64_t *flat_elems);
 int64_t repro_copy_list(char *const *src, char *const *dst,
                         const int64_t *nbytes, int64_t n,
                         const int64_t *src_bytes, const int64_t *dst_bytes);
@@ -1636,13 +1701,20 @@ class Movers:
         call.__keep__ = (self._lib, keep)
         return call
 
+    def _array(self, arr: np.ndarray, ctype: str) -> tuple:
+        """*arr*'s pointer, the elements its strides span, its shape and
+        its element strides: the array half of a box call."""
+        strides = [s // arr.itemsize for s in arr.strides]
+        span = 1 + sum((n - 1) * s for n, s in zip(arr.shape, strides))
+        return (
+            self._ffi.cast(ctype, arr.ctypes.data), span,
+            self._sizes(arr.shape), self._sizes(strides), arr.ndim,
+        )
+
     def _boxes(self, fn, arr: np.ndarray, boxes, bufs, ctype: str):
         ffi = self._ffi
         args = (
-            ffi.cast(ctype, ffi.from_buffer(arr)),
-            arr.size,
-            self._sizes(arr.shape),
-            arr.ndim,
+            *self._array(arr, ctype),
             self._sizes(np.asarray(boxes).reshape(-1).tolist()),
             len(bufs),
             self._pointers(bufs),
@@ -1660,6 +1732,43 @@ class Movers:
     def scatter(self, arr: np.ndarray, boxes, bufs) -> Callable[[], None]:
         """The call copying flat ``bufs[b]`` into box *b* of *arr*."""
         return self._boxes(self._lib.repro_scatter, arr, boxes, bufs, "double *")
+
+    def _slots(self, fn, arr: np.ndarray, boxes, flat: np.ndarray, offsets,
+               ctype: str):
+        ffi = self._ffi
+        args = (
+            *self._array(arr, ctype),
+            ffi.cast("const int64_t *", ffi.from_buffer(boxes)),
+            len(offsets),
+            ffi.cast("double *", ffi.from_buffer(flat)),
+            ffi.cast("const int64_t *", ffi.from_buffer(offsets)),
+            self._sizes([flat.size]) if self.guard else ffi.NULL,
+        )
+        return self._frozen(
+            fn, args, "box(es) / slot(s)", (arr, flat, boxes, offsets)
+        )
+
+    def gather_slots(
+        self, arr: np.ndarray, boxes, flat: np.ndarray, offsets
+    ) -> Callable[[], None]:
+        """The call copying box *b* of *arr* into the run of ``flat``
+        from ``offsets[b]`` on, every *b*.  *arr* may be strided (its
+        innermost stride one element); *boxes* and *offsets* are
+        C-contiguous int64, ``(n, arr.ndim, 2)`` and ``(n,)``."""
+        return self._slots(
+            self._lib.repro_gather_slots, arr, boxes, flat, offsets,
+            "const double *",
+        )
+
+    def scatter_slots(
+        self, arr: np.ndarray, boxes, flat: np.ndarray, offsets
+    ) -> Callable[[], None]:
+        """The call copying the run of ``flat`` from ``offsets[b]`` on
+        into box *b* of *arr*, every *b*."""
+        return self._slots(
+            self._lib.repro_scatter_slots, arr, boxes, flat, offsets,
+            "double *",
+        )
 
     def copy_list(self, srcs, dsts) -> Callable[[], None]:
         """The call copying ``dsts[i].nbytes`` bytes of ``srcs[i]`` into

@@ -16,7 +16,9 @@ rebuilt from array operations: a digest of each geometry's storage
 tables -- ``grid_index``, ``slot_coords``, the ``Section`` list, the
 adjacency and the element permutation -- at 16^3, 32^3 and 48^3
 subdomains and one 2-D problem, at alignment 1 and at MemMap's 4, 16 and
-64 KiB page alignments, under periodic and open boundaries.
+64 KiB page alignments, under periodic and open boundaries.  The
+permutation's entry was later replaced by the digest of the conversion
+table (each owned brick's box and storage offset) that took its place.
 ``python tests/test_golden_schedule.py`` re-records that key alone.
 """
 
@@ -25,6 +27,7 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.geometry import CHECKABLE_METHODS, RunGeometry
@@ -156,7 +159,7 @@ def _array_digest(arr) -> str:
 
 
 def _table_digests(geometry: RunGeometry) -> dict:
-    asn = geometry.assignment
+    asn, conv = geometry.assignment, geometry.conversion
 
     def bits(s):
         return None if s is None else sorted(s)
@@ -172,7 +175,9 @@ def _table_digests(geometry: RunGeometry) -> dict:
         "slot_coords": _array_digest(asn.slot_coords),
         "sections": hashlib.sha256(repr(sections).encode()).hexdigest(),
         "adjacency": _array_digest(geometry.brick_info.adjacency),
-        "permutation": _array_digest(geometry.permutation),
+        "conversion": _array_digest(np.column_stack([
+            conv.boxes.reshape(len(conv.offsets), -1), conv.offsets
+        ])),
     }
 
 
@@ -187,7 +192,7 @@ def _table_cases():
 
 @pytest.mark.parametrize("case", _table_cases())
 def test_storage_tables(case):
-    """The slot assignment, adjacency and permutation of every geometry
+    """The slot assignment, adjacency and conversion table of every geometry
     are the tables recorded before the assignment was rebuilt."""
     geometry = _table_geometry(*case.split("|"))
     assert _table_digests(geometry) == GOLDEN["tables"][case]

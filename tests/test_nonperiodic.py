@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.driver import run_executed
 from repro.core.problem import StencilProblem
-from repro.hardware.profiles import theta_knl
 from repro.stencil.reference import apply_periodic_reference
 from repro.stencil.spec import SEVEN_POINT
 

@@ -1,7 +1,7 @@
 """One geometry per run.
 
 The launching thread builds what every rank shares -- decomposition,
-slot assignment, adjacency, permutation, schedule, initial condition --
+slot assignment, adjacency, conversion table, schedule, initial condition --
 once per launched world, and each engine's rank-invariant bind tables
 once per world when a rank first binds it; ``repro check``, the
 healability test, the ladder, re-bricking and the ranks all read that
@@ -61,7 +61,7 @@ def built(monkeypatch):
     """Counts of every rank-invariant construction, by name.  The trial
     decompositions ``elastic/placement.py`` validates candidate rank
     grids with (they build no assignment) are counted apart."""
-    names = ("decomp", "assignment", "brick_info", "permutation", "initial",
+    names = ("decomp", "assignment", "brick_info", "conversion", "initial",
              "template")
     counts = dict.fromkeys(names + tuple("trial_" + n for n in names), 0)
     counts["tables"] = {}  # per engine base: bind-table derivations
@@ -91,9 +91,11 @@ def built(monkeypatch):
 
         return wrapper
 
-    def perm_miss(decomp, assignment, fld=0):
-        cache = vars(decomp).get("_element_perm_cache", {})
-        return (assignment.alignment, fld) not in cache
+    def conversion_miss(decomp, assignment, fld=0, owned=True):
+        # The owned bricks' table a geometry builds; re-bricking's
+        # grid-wide tables are the elastic snapshot's, not a world's.
+        cache = vars(decomp).get("_conversion_cache", {})
+        return owned and (assignment.alignment, fld, owned) not in cache
 
     monkeypatch.setattr(
         BrickDecomp, "__init__", counted("decomp", BrickDecomp.__init__)
@@ -108,9 +110,11 @@ def built(monkeypatch):
     monkeypatch.setattr(
         BrickDecomp, "brick_info", counted("brick_info", BrickDecomp.brick_info)
     )
-    perm = counted("permutation", convert.element_permutation, perm_miss)
-    monkeypatch.setattr(convert, "element_permutation", perm)
-    monkeypatch.setattr(geometry_mod, "element_permutation", perm)
+    conversion = counted(
+        "conversion", convert.conversion_table, conversion_miss
+    )
+    monkeypatch.setattr(convert, "conversion_table", conversion)
+    monkeypatch.setattr(geometry_mod, "conversion_table", conversion)
     monkeypatch.setattr(
         StencilProblem, "initial_global",
         counted("initial", StencilProblem.initial_global),
@@ -130,7 +134,7 @@ def _expected(method, worlds=1, initial=None, engines=None):
     bricks = worlds if method in BRICK_METHODS else 0
     return {
         "decomp": bricks, "assignment": bricks, "brick_info": bricks,
-        "permutation": bricks, "template": worlds * len(engines or (method,)),
+        "conversion": bricks, "template": worlds * len(engines or (method,)),
         "initial": worlds if initial is None else initial,
         "tables": {base: worlds for base in engines or (method,)},
     }
@@ -321,7 +325,7 @@ class TestFrozenGeometry:
                 geometry.brick_info.adjacency,
                 geometry.assignment.grid_index,
                 geometry.assignment.slot_coords,
-                geometry.permutation,
+                *geometry.conversion,
             ]
         # The bind table: shared by every rank -- a tuple, and the box
         # table's arrays read-only.

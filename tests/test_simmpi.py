@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.simmpi import SimFabric, run_spmd
-from repro.simmpi.comm import CartComm, SimComm
+from repro.simmpi.comm import SimComm
 
 
 class TestPointToPoint:

@@ -7,7 +7,6 @@ feature matrix lives in ``test_runplan.py``).
 """
 
 import math
-from itertools import product
 
 import numpy as np
 import pytest

@@ -31,7 +31,10 @@ each method's bound plan moves per exchange side -- pack, unpack, the
 datatype engine's extract / insert, and the fabric's post + receive +
 send-wait over the messages of ``yask`` / ``layout`` / ``memmap``: us
 per side and GB/s (read + write) beside a flat ``np.copyto`` of the
-same bytes.
+same bytes.  Its ``fill_us`` / ``result_us`` rows are a run's per-rank
+setup conversions: one rank's block of the global field into its brick
+storage and back out, one C mover call each, per call and in GB/s,
+each checked bit-for-bit against a per-element oracle first.
 
 The ``guard`` section (EXPERIMENTS.md, "The guard judges a cut" and
 "The verified cut at the plain cut's cost") times the same
@@ -79,6 +82,7 @@ difference exits non-zero.
 section (default 7), and prints the medians of those.
 """
 
+import inspect
 import json
 import os
 import re
@@ -270,6 +274,70 @@ def side_us(fn):
     return median_ms(fn, calls=20) * 1e3
 
 
+def _storage_index(decomp, asn):
+    """Flat storage index of every extended element, from the slot
+    assignment's grid index and the in-brick offsets alone: the oracle
+    the conversion rows are checked against."""
+    import numpy as np
+
+    from repro.brick.convert import extended_shape
+
+    bd = np.array(decomp.brick_dim[::-1]).reshape(-1, 1, 1, 1)
+    at = np.indices(extended_shape(decomp))
+    within = np.ravel_multi_index(tuple(at % bd), decomp.brick_dim[::-1])
+    return asn.grid_index[tuple(at // bd)] * decomp.brick_elems + within
+
+
+def _conversion(name):
+    """``fill_us`` / ``result_us``: rank 0 of a 2 x 2 x 2 world of
+    *name*'s subdomains moving its block of the global field into its
+    Layout storage, and back out into its block of a global result --
+    the driver's own fill and result, one call each -- checked against
+    :func:`_storage_index` (the ghost slots must keep their zeros)."""
+    import numpy as np
+
+    from repro.core import driver
+    from repro.core.geometry import RunGeometry
+    from repro.core.problem import StencilProblem
+    from repro.stencil import spec as specs
+
+    n, stencil = GEOMETRIES[name]
+    problem = StencilProblem(
+        (2 * n,) * 3, (2, 2, 2), getattr(specs, stencil), brick_dim=(8, 8, 8),
+        ghost=8,
+    )
+    geometry = RunGeometry(problem, "layout")
+    state = driver._brick_state(geometry, 1, ((False, False),) * 3)
+    if len(inspect.signature(state.result).parameters) != 2:
+        state.close()
+        return {}  # a tree (--ab's parent) whose result returns a copy: no rows
+    field, block = geometry.initial(0), problem.owned_slices((0, 0, 0))
+    result = np.full(field.shape, np.nan)
+    g = problem.ghost
+    index = _storage_index(geometry.decomp, geometry.assignment)
+    owned = index[(slice(g, -g),) * 3]
+    flat = state.buffers[0].data.reshape(-1)
+    out = {}
+    try:
+        state.fill(field[block])
+        want = np.zeros_like(flat)
+        want[owned] = field[block]
+        if not (want.view(np.uint64) == flat.view(np.uint64)).all():
+            sys.exit(f"{name}: fill differs from the per-element oracle")
+        flat[:] = np.random.default_rng(1).random(flat.size)
+        state.result(0, result[block])
+        want = np.full_like(result, np.nan)
+        want[block] = flat[owned]
+        if not (want.view(np.uint64) == result.view(np.uint64)).all():
+            sys.exit(f"{name}: result differs from the per-element oracle")
+        out["fill_us"] = side_us(lambda: state.fill(field[block]))
+        out["result_us"] = side_us(lambda: state.result(0, result[block]))
+    finally:
+        state.close()
+    out["fill_bytes"] = out["result_bytes"] = field[block].nbytes
+    return out
+
+
 def measure_copy(name):
     import numpy as np
 
@@ -291,6 +359,7 @@ def measure_copy(name):
         out[f"wire_{method}_us"] = side_us(wire.exchange)
         out[f"wire_{method}_msgs"] = result.messages_sent
         out[f"wire_{method}_bytes"] = result.wire_bytes_sent
+    out.update(_conversion(name))
     flat_src = rng.random(out["side_bytes"] // 8)
     flat_dst = np.empty_like(flat_src)
     out["flat_copy_us"] = side_us(lambda: np.copyto(flat_dst, flat_src))
