@@ -28,15 +28,24 @@ only restarts it.
   just sent from with no receive in between, and that wait really
   blocks.
 * **One ledger**: the loop is the only writer of the rank's
-  :class:`~repro.core.metrics.RankMetrics` -- per step the modelled and
-  measured calc, per fired exchange the counts and the price of the
+  :class:`~repro.core.metrics.RankMetrics` -- per step the modelled
+  calc, per fired exchange the counts and the price of the
   :class:`~repro.exchange.base.ExchangeResult` the engine that fired
-  was bound with.  Nothing re-derives a schedule to account for a run.
+  was bound with, and the measured phases.  Nothing re-derives a
+  schedule to account for a run.
+* **Stamps, not spans**: one ``perf_counter`` stamp at each calc and
+  send-wait boundary here, and at each pack, post and wait boundary in
+  the channel (:attr:`~repro.exchange.base.ExchangeChannel.fires`), is
+  what the ledger's ``measured`` calc / pack / call / wait add up, in
+  every run.  Per step the loop appends one record of them to the
+  tracer's stamp log, which keeps nothing unless a trace is on; when the
+  loop ends the tracer rebuilds the ``driver.*``, ``exchange.*`` and
+  bound ``fabric.*`` spans from them (:func:`step_spans`).  Traced and
+  untraced runs step through the same code.
 * **Step hooks**: features attach as optional callables that are
-  ``None`` when the feature is off (see :class:`RankRunPlan`).  Tracing
-  rides the same loop through the process-wide tracer, whose disabled
-  spans are a shared no-op; a trace's ``driver.*`` counters are the
-  ledgers' sums (:func:`repro.obs.counters`).
+  ``None`` when the feature is off (see :class:`RankRunPlan`).  A
+  trace's ``driver.*`` counters are the ledgers' sums
+  (:func:`repro.obs.counters`).
 
 Run plans hold per-rank mutable state (the stencil plans' scratch
 buffers); build one per simulated rank, never share across threads.
@@ -48,10 +57,10 @@ import time
 from typing import Callable, Optional, Sequence
 
 from repro.core.metrics import RankMetrics
-from repro.exchange.base import Exchanger, ExchangeResult
+from repro.exchange.base import Exchanger, ExchangeResult, fire_spans
 from repro.obs import TRACER as _TRACER
 
-__all__ = ["RankRunPlan", "make_engines"]
+__all__ = ["RankRunPlan", "make_engines", "step_spans"]
 
 
 def make_engines(exchangers: Sequence[Exchanger]) -> list:
@@ -78,7 +87,8 @@ class RankRunPlan:
     ``pre_step(t, src)``
         before step *t* touches buffer *src* (heartbeat and crash
         check, checkpoint-due save, degradation vote); may return
-        rebuilt engines, installed via :meth:`set_engines`.
+        rebuilt engines, installed once the current ones' sends
+        completed.
     ``around_exchange(t, fire)``
         runs the exchange by calling ``fire()``, possibly repeatedly
         (envelope epoch, retry-with-backoff); returns its
@@ -118,49 +128,52 @@ class RankRunPlan:
             Callable[[int, Callable[[], ExchangeResult]], ExchangeResult]
         ] = None
 
-    def set_engines(self, engines: Sequence) -> None:
-        """Install rebuilt engines once the current ones' sends completed."""
-        for eng in self.engines:
-            eng.wait_sends()
-        self.engines = list(engines)
-
     def run(self, start_step: int, timesteps: int, ledger: RankMetrics) -> int:
         """Replay steps ``[start_step, timesteps)``; returns the final
         source buffer index.
 
         Every step is charged to *ledger* as it completes, so a
         ``pre_step`` hook (the checkpoint save) reads current values: the
-        modelled and measured calc, and at an exchange step the counts
-        and the modelled pack / call / wait / move of the engine that
-        fired.  The replay always starts from buffer 0, which is also
-        where a checkpoint resume restores into.
+        modelled calc, the measured phases, and at an exchange step the
+        counts and the modelled pack / call / wait / move of the engine
+        that fired.  The replay always starts from buffer 0, which is
+        also where a checkpoint resume restores into.
         """
         plans = self.plans
         bufs = self.buffers
         period = self.period
-        rank = self.rank
-        method = self.method
         calc_costs = self.calc_costs
         pre_step = self.pre_step
         around = self.around_exchange
         totals = ledger.totals
         measured = ledger.measured
-        span = _TRACER.span
         perf = time.perf_counter
+        log = _TRACER.stamp_log()
         src, dst = 0, 1
-        for t in range(start_step, timesteps):
-            pos = t % period
-            if pre_step is not None:
-                rebuilt = pre_step(t, src)
-                if rebuilt is not None:
-                    self.set_engines(rebuilt)
-            with span("driver.step", rank=rank, step=t):
+        try:
+            for t in range(start_step, timesteps):
+                pos = t % period
+                if pre_step is not None:
+                    rebuilt = pre_step(t, src)
+                    if rebuilt is not None:
+                        self._complete_sends(log, measured)
+                        self.engines = list(rebuilt)
                 calc = calc_costs[pos]
+                t0 = exchanged = perf()
+                fires = None
                 if pos == 0:
-                    fire = self.engines[src].exchange
-                    with span("driver.exchange", rank=rank, step=t,
-                              method=method):
-                        res = around(t, fire) if around is not None else fire()
+                    engine = self.engines[src]
+                    fire = engine.exchange
+                    res = around(t, fire) if around is not None else fire()
+                    exchanged = perf()
+                    fires = engine.fires
+                    for (_names, f0, f1, _sent, packed, posted, _began,
+                         received, _n, end) in fires:
+                        if end is None:  # the receive raised: no unpack
+                            end = received
+                        measured.wait += (f1 - f0) + (received - posted)
+                        measured.pack += (packed - f1) + (end - received)
+                        measured.call += posted - packed
                     # Charge what fired: its counts and its price.
                     price = res.breakdown
                     calc += res.first_touch
@@ -175,15 +188,52 @@ class RankRunPlan:
                     ledger.messages += res.messages_sent
                     ledger.wire_bytes += res.wire_bytes_sent
                     ledger.payload_bytes += res.payload_bytes_sent
-                self.engines[dst].wait_sends()
-                with span("driver.calc", rank=rank, step=t):
-                    t0 = perf()
-                    plans[pos].execute(bufs[src], bufs[dst])
-                    measured.calc += perf() - t0
+                waiting = perf()
+                sent = self.engines[dst].wait_sends()
+                calcs = perf()
+                plans[pos].execute(bufs[src], bufs[dst])
+                done = perf()
+                measured.wait += calcs - waiting
+                measured.calc += done - calcs
                 totals.calc += calc
                 ledger.timesteps += 1
-            src, dst = dst, src
-        for eng in self.engines:
-            eng.wait_sends()
+                log.append((t, t0, exchanged, fires, waiting, sent, calcs, done))
+                src, dst = dst, src
+            self._complete_sends(log, measured)
+        finally:
+            _TRACER.replay(self.rank, step_spans(log, self.method))
         return src
 
+    def _complete_sends(self, log, measured) -> None:
+        """Complete every engine's sends (before installing rebuilt
+        engines, and when the run returns), stamped as a wait."""
+        perf = time.perf_counter
+        for eng in self.engines:
+            t0 = perf()
+            sent = eng.wait_sends()
+            t1 = perf()
+            measured.wait += t1 - t0
+            log.append((None, t0, sent, t1))
+
+
+def step_spans(log, method: str):
+    """The spans a run loop's stamp *log* stands for, in pre-order
+    (:meth:`repro.obs.Tracer.replay`): per step ``driver.step`` with
+    ``driver.exchange`` (its channel's :func:`fire_spans` inside), the
+    send wait and ``driver.calc``; between steps, the send waits that
+    completed the engines."""
+    for record in log:
+        if record[0] is None:
+            _none, t0, sent, t1 = record
+            if sent is not None:
+                yield ("fabric.send_wait", 0, t0, t1, None, {"n": sent})
+            continue
+        t, t0, exchanged, fires, waiting, sent, calcs, done = record
+        yield ("driver.step", 0, t0, done, t, {})
+        if fires is not None:
+            yield ("driver.exchange", 1, t0, exchanged, t, {"method": method})
+            for fire in fires:
+                yield from fire_spans(fire, 2)
+        if sent is not None:
+            yield ("fabric.send_wait", 1, waiting, calcs, None, {"n": sent})
+        yield ("driver.calc", 1, calcs, done, t, {})

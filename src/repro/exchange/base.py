@@ -32,6 +32,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from time import perf_counter as _perf
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -40,7 +41,6 @@ from repro.exchange.costs import price_exchange
 from repro.exchange.schedule import MessageSpec
 from repro.faults.errors import ExchangeConfigError
 from repro.hardware.profiles import MachineProfile
-from repro.obs import TRACER as _TRACER
 from repro.simmpi.comm import CartComm
 from repro.stencil.cbackend import mover_kernel
 from repro.util.timing import TimeBreakdown
@@ -55,6 +55,7 @@ __all__ = [
     "ScheduleTemplate",
     "UNRESOLVED",
     "exchange_tag",
+    "fire_spans",
     "price_plan",
 ]
 
@@ -319,7 +320,8 @@ class ExchangeChannel:
     """
 
     __slots__ = ("comm", "method", "_fabric", "_rank", "_request",
-                 "_result", "_hooks", "_posted", "copy_backend")
+                 "_result", "_hooks", "_posted", "_names", "fires",
+                 "copy_backend")
 
     def __init__(
         self,
@@ -340,6 +342,17 @@ class ExchangeChannel:
         # the next exchange() is a re-fire of that epoch (a retry after
         # a detected fault), whose own sends are not waited for.
         self._posted = False
+        # What a fire record names (fire_spans): the method and the
+        # pack / unpack regions the hooks run in, if any.
+        self._names = (
+            method,
+            hooks.spans[0] if hooks.pre is not None else None,
+            hooks.spans[1] if hooks.post is not None else None,
+        )
+        #: The stamps of the current exchange epoch: one record per fire
+        #: (a retry re-fires), read by the run loop once the exchange
+        #: returned (:func:`fire_spans` has the record's fields).
+        self.fires: list = []
         # Bind now: the fabric validates the buffers and registers both
         # ends' byte counts, so a cross-rank disagreement surfaces at
         # negotiation as a typed SplitMismatchError instead of a
@@ -361,37 +374,88 @@ class ExchangeChannel:
         elif self._request.sealed is not None:
             self.copy_backend += f" (crc fold {movers.crc_fold})"
 
-    def wait_sends(self) -> None:
+    def wait_sends(self) -> Optional[int]:
         """Complete this channel's sends: return once its peers consumed
         every item it posted.  Call it before writing the channel's send
         buffers -- or freeing them -- outside :meth:`exchange`, which
-        completes its own previous epoch."""
-        self._fabric.wait_send_batch(self._request)
+        completes its own previous epoch.  Returns what
+        :meth:`~repro.simmpi.fabric.SimFabric.wait_send_batch` does: the
+        items outstanding at entry on an epoch's first wait (where a
+        trace shows the send wait), else ``None``."""
+        return self._fabric.wait_send_batch(self._request)
 
     def exchange(self) -> ExchangeResult:
         """Re-fire the negotiated plan; returns the precomputed result.
 
         Its sends are still in flight when it returns (:meth:`wait_sends`).
+        One ``perf_counter`` stamp at each boundary -- send wait, pack,
+        post, receive, unpack -- goes into the fire's record in
+        :attr:`fires`, also when the receive raises; a stamp a method
+        has no region for (no pack hook) is the one before it, so that
+        region measures exactly zero.
         """
         fabric = self._fabric
-        rank = self._rank
         hooks = self._hooks
         cut = self._request
+        t0 = _perf()
+        sent = None
         if not self._posted:
-            self.wait_sends()  # the previous epoch's
+            self.fires = []
+            sent = fabric.wait_send_batch(cut)  # the previous epoch's
+        fires = self.fires
+        t1 = packed = _perf()
         if hooks.pre is not None:
-            with _TRACER.span(hooks.spans[0], rank=rank, method=self.method):
-                hooks.pre()
-        with _TRACER.span("exchange.post", rank=rank, method=self.method):
-            fabric.post_send_batch(cut)
+            hooks.pre()
+            packed = _perf()
+        fabric.post_send_batch(cut)
         self._posted = True
-        with _TRACER.span("exchange.wait", rank=rank, method=self.method):
-            fabric.complete_recv_batch(cut)
+        posted = _perf()
+        try:
+            n = fabric.complete_recv_batch(cut)
+        except BaseException:
+            fires.append(
+                (self._names, t0, t1, sent, packed, posted, cut.began,
+                 _perf(), cut.nrecv, None)
+            )
+            raise
         self._posted = False
+        received = unpacked = _perf()
         if hooks.post is not None:
-            with _TRACER.span(hooks.spans[1], rank=rank, method=self.method):
-                hooks.post()
+            hooks.post()
+            unpacked = _perf()
+        fires.append(
+            (self._names, t0, t1, sent, packed, posted, cut.began, received,
+             n, unpacked)
+        )
         return self._result
+
+
+def fire_spans(fire: tuple, depth: int):
+    """The spans one fire record of :attr:`ExchangeChannel.fires` stands
+    for, in pre-order at *depth* (:meth:`repro.obs.Tracer.replay`).
+
+    A record is ``(names, t0, t1, sent, packed, posted, began,
+    received, n, unpacked)``: the fire's start; the end of its wait for
+    the previous epoch's sends, whose item count *sent* is ``None``
+    where no send wait is shown; the ends of pack and post; where a
+    verified receive began taking (``None``: as it was called); the end
+    of the receive and the items it delivered (0: it owed none); and the
+    end of unpack, ``None`` when the receive raised.
+    """
+    (method, pack, unpack), t0, t1, sent, packed, posted, began, received, \
+        n, end = fire
+    named = {"method": method}
+    if sent is not None:
+        yield ("fabric.send_wait", depth, t0, t1, None, {"n": sent})
+    if pack is not None:
+        yield (pack, depth, t1, packed, None, named)
+    yield ("exchange.post", depth, packed, posted, None, named)
+    yield ("exchange.wait", depth, posted, received, None, named)
+    if n:
+        start = posted if began is None else began
+        yield ("fabric.recv", depth + 1, start, received, None, {"n": n})
+    if unpack is not None and end is not None:
+        yield (unpack, depth, received, end, None, named)
 
 
 class Exchanger(abc.ABC):

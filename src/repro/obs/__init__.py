@@ -15,10 +15,13 @@ Usage (CLI)::
 
 One module-level singleton, :data:`TRACER`, is bound by the instrumented
 modules (driver, exchangers, simmpi fabric, stencil plans, brick
-converters) at import time.  It is disabled by default and near-free in
-that state, so the hooks stay in permanently.  Nothing here counts: a
-run's counters are read off its ledgers, fabric statistics and run
-record by :func:`counters`.
+converters) at import time.  It is disabled by default.  The per-step
+regions of a run are not spans while it steps: the run loop and the
+channel stamp their boundaries, which the rank's ledger measures its
+phases from either way, and the tracer rebuilds those spans from the
+stamps when the loop ends (:meth:`Tracer.replay`).  Nothing here
+counts: a run's counters are read off its ledgers, fabric statistics and
+run record by :func:`counters`.
 
 Everything here is *observational*: spans wrap the real data movement
 but never touch the modelled virtual-second accounting

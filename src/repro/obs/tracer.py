@@ -7,12 +7,33 @@ wrap the real code but never feed the modelled
 :class:`~repro.util.timing.TimeBreakdown` totals, which remain the
 figures' single source of truth (DESIGN.md Section 6).
 
+Two ways in:
+
+* **Stamps, on the run path.**  The timestep loop
+  (:meth:`repro.core.runplan.RankRunPlan.run`) and the exchange channel
+  take one ``perf_counter`` stamp at each calc, pack, post and wait
+  boundary, whether a trace is on or not: the stamps are also what the
+  rank's ledger measures its phases from.  Per step the loop appends one
+  record of them to :meth:`Tracer.stamp_log` -- a list while tracing, a
+  sink that keeps nothing otherwise, so traced and untraced runs step
+  through the same code -- and once the loop is done
+  :meth:`Tracer.replay` rebuilds the ``driver.*``, ``exchange.*`` and
+  bound ``fabric.*`` spans from them, with the names, counts and nesting
+  a span per region would have given.  No span object exists per step.
+* **Spans, everywhere else** -- per run or per event (set-up, plan
+  compilation, conversions, checkpoints, fault records, the
+  collectives' per-message calls): ``with TRACER.span(...)``.  A span a
+  stamped region encloses (a fault record inside a receive) is nested
+  under it when the run's stamps are replayed.
+
 Design constraints, in order:
 
-1. **~Zero cost disabled.**  ``Tracer.span(...)`` on a disabled tracer
+1. **Cheap disabled.**  ``Tracer.span(...)`` on a disabled tracer
    returns a shared, stateless null context manager without touching the
-   clock or allocating span state, so hooks can stay threaded through hot
-   code permanently.
+   clock or allocating span state -- still ~0.4-0.5 us per ``with``
+   (its keyword arguments and the two context-manager calls; measured
+   on a 2-vCPU Xeon, Python 3.11), which is why the per-step regions
+   are stamped instead: a stamp is one ``perf_counter`` call, ~0.04 us.
 2. **Low cost enabled.**  Spans use the monotonic ``perf_counter_ns``
    clock and append to per-thread buffers (no lock on the span path; the
    tracer's lock is taken once per thread, at first use).
@@ -20,7 +41,8 @@ Design constraints, in order:
    span records its depth and full ``a;b;c`` path, which the flame
    summary and Chrome export consume directly.
 4. **Exception-transparent.**  A span whose body raises still records its
-   elapsed time, then re-raises.
+   elapsed time, then re-raises; a run loop that raises replays the
+   steps it finished.
 
 Simulated ranks are threads (:mod:`repro.simmpi.launcher`), so per-thread
 buffers double as per-rank timelines; spans additionally carry an
@@ -31,8 +53,10 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["SpanEvent", "Tracer"]
 
@@ -68,6 +92,14 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+
+#: An untraced run's stamp log: appending to it keeps nothing.
+_DISCARD: deque = deque(maxlen=0)
+
+#: One stamped span, in pre-order: ``(name, depth, start, end, step,
+#: attrs)``, *start* / *end* ``perf_counter`` seconds, *depth* 0 for a
+#: region directly under the run.
+Stamped = Tuple[str, int, float, float, Optional[int], Dict[str, Any]]
 
 
 class _Span:
@@ -167,6 +199,58 @@ class Tracer:
             with self._lock:
                 self._buffers.append(state[0])
         return state
+
+    def stamp_log(self):
+        """Where a run loop appends its per-step stamp records: a fresh
+        list while tracing, else a shared sink that keeps nothing.  The
+        loop appends the same records either way; :meth:`replay` turns
+        the list into spans once the loop is done."""
+        return [] if self.enabled else _DISCARD
+
+    def replay(self, rank: Optional[int], spans: Iterable[Stamped]) -> None:
+        """Record *spans* -- one run's stamped regions, in pre-order
+        (:data:`Stamped`) -- as finished spans of *rank* in the calling
+        thread, nested by their depth.  A span this thread recorded live
+        while the run stepped (a fault record) moves under the
+        innermost stamped region that was open when it started, so the
+        trace nests as if every region had been a span.  No-op while
+        disabled."""
+        if not self.enabled:
+            return
+        records, _stack, tid = self._thread_state()
+        live = len(records)
+        # (start ns, end ns, path, parent index) per stamped region
+        made: List[tuple] = []
+        path: List[str] = []
+        open_at: List[int] = []
+        for name, depth, start, end, step, attrs in spans:
+            del path[depth:], open_at[depth:]
+            s_ns, e_ns = round(start * 1e9), round(end * 1e9)
+            records.append(
+                (name, s_ns, e_ns - s_ns, tuple(path), tid, rank, step, attrs)
+            )
+            made.append((s_ns, e_ns, open_at[-1] if open_at else -1))
+            path.append(name)
+            open_at.append(len(made) - 1)
+        if not made:
+            return
+        starts = [m[0] for m in made]
+        first = starts[0]
+        for i in range(live):
+            rec = records[i]
+            start = rec[1]
+            if start < first:
+                continue
+            j = bisect_right(starts, start) - 1
+            while j >= 0 and made[j][1] < start:
+                j = made[j][2]
+            if j < 0:
+                continue
+            outer = records[live + j]
+            records[i] = (
+                rec[0], start, rec[2], outer[3] + (outer[0],) + rec[3],
+                *rec[4:],
+            )
 
     # -- reading ---------------------------------------------------------
     def events(self) -> List[SpanEvent]:

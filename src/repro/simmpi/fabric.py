@@ -286,8 +286,9 @@ class _Credit:
     the sender's port only if the sender is ``waiting`` on this credit.
     ``nsend`` is one epoch's items: more outstanding is a second epoch
     of the cut on the wire.  ``posted``: the cut posted since its sender
-    last waited on it, so a traced run records one send wait per epoch,
-    wherever the epoch completes.  ``envelope``: on a verified fabric,
+    last waited on it, so ``wait_send_batch`` reports one send wait per
+    epoch -- what a trace shows -- wherever the epoch completes.
+    ``envelope``: on a verified fabric,
     the :class:`~repro.exchange.envelope.CutEnvelope` of the cut's last
     clean post, whose plain deposits carry none of their own -- written
     only while none of the cut's items is on the wire.  Kept apart from
@@ -395,13 +396,13 @@ class BoundRequest:
     """
 
     __slots__ = ("rank", "groups", "nsend", "send_bytes", "credit",
-                 "deposits", "rmap", "recv_bytes", "sources",
-                 "copy_list", "copy", "frozen",
+                 "deposits", "targets", "rmap", "nrecv", "recv_bytes",
+                 "sources", "copy_list", "copy", "frozen", "heads", "credits",
                  "crc_list", "copy_crc_list", "sealed", "checked",
-                 "checksums_on_zlib")
+                 "checksums_on_zlib", "began")
 
     def __init__(self, rank: int, posts, recvs, verified: bool, copy_list,
-                 crc_list=None, copy_crc_list=None) -> None:
+                 ports, crc_list=None, copy_crc_list=None) -> None:
         self.rank = rank
         by_dst: Dict[int, list] = {}
         sizes: Dict[int, int] = {}
@@ -414,6 +415,10 @@ class BoundRequest:
         self.send_bytes = sum(sizes.values())
         self.credit = _Credit(rank, self.nsend)
         self.deposits = [(dst, (self.credit, items)) for dst, items, _n in self.groups]
+        self.targets = [
+            (dst, ports[dst], ports[dst].fifos[rank], deposit)
+            for dst, deposit in self.deposits
+        ]
         rmap: Dict[Tuple[int, int], np.ndarray] = {}
         counts: Dict[int, int] = {}
         recv_bytes = 0
@@ -432,17 +437,24 @@ class BoundRequest:
             recv_bytes += view.size
             counts[src] = counts.get(src, 0) + 1
         self.rmap = rmap
+        self.nrecv = len(rmap)
         self.recv_bytes = recv_bytes
         self.sources = list(counts.items())
         self.copy_list = copy_list
         self.copy: Optional[Callable[[], None]] = None
         self.frozen: list = []
+        self.heads: list = []
+        self.credits: list = []
         self.crc_list = crc_list or _zlib_crc_list
         self.copy_crc_list = copy_crc_list or partial(
             _zlib_copy_crc_list, copy_list
         )
         self.sealed = self.checked = None  # EnvelopeGuard.bind fills them
         self.checksums_on_zlib = verified and crc_list is None
+        # When a verified receive began taking, after the guard counted
+        # what earlier attempts already delivered (a trace's
+        # ``fabric.recv`` starts there); None on a plain fabric.
+        self.began: Optional[float] = None
 
 
 class SimFabric:
@@ -751,8 +763,8 @@ class SimFabric:
         with self._lock:
             self._negotiate(counts)
         request = BoundRequest(
-            rank, posts, recvs, self._guard is not None, copy_list, crc_list,
-            copy_crc_list,
+            rank, posts, recvs, self._guard is not None, copy_list,
+            self._ports, crc_list, copy_crc_list,
         )
         if self._guard is not None:
             self._guard.bind(request)
@@ -774,16 +786,19 @@ class SimFabric:
         credit = cut.credit
         if self._guard is not None:
             deposits, n, nbytes = self._guard.seal_items(cut, self._epochs[src])
+            ports = self._ports
+            targets = [
+                (dst, ports[dst], ports[dst].fifos[src], deposit)
+                for dst, deposit in deposits
+            ]
         else:
-            deposits, n, nbytes = cut.deposits, cut.nsend, cut.send_bytes
-        ports = self._ports
+            targets, n, nbytes = cut.targets, cut.nsend, cut.send_bytes
         with self._lock:
             if self._dead:
-                for dst, _deposit in deposits:
+                for dst, _port, _fifo, _deposit in targets:
                     self._check_dst_alive(src, dst)
-            for dst, deposit in deposits:
-                port = ports[dst]
-                port.fifos[src].append(deposit)
+            for _dst, port, fifo, deposit in targets:
+                fifo.append(deposit)
                 need = port.need
                 if need and src in need:
                     left = need[src] - len(deposit[1])
@@ -881,6 +896,17 @@ class SimFabric:
         cut.frozen = taken
         if verified:
             self._guard.freeze(cut, taken)
+        else:
+            # The plain fire's take and credit (:meth:`_take_frozen`):
+            # per source, its FIFO and the deposit frozen from it --
+            # armed where every source sent one deposit.
+            fifos = self._ports[dst].fifos
+            one_each = len(taken) == len(cut.sources)
+            cut.heads = [
+                (fifos[src], deposit)
+                for (src, _count), deposit in zip(cut.sources, taken)
+            ] if one_each else []
+            cut.credits = [(credit, len(items)) for credit, items in taken]
         return True
 
     def _take(self, cut: BoundRequest):
@@ -923,43 +949,89 @@ class SimFabric:
             if not left and credit.waiting:
                 ports[credit.rank].cond.notify()
 
-    def complete_recv_batch(self, cut: BoundRequest) -> None:
-        """Deliver one epoch of *cut*'s receives into their buffers.
+    def _take_frozen(self, cut: BoundRequest) -> bool:
+        """The plain fire's take, once *cut* has a frozen table: one pass
+        over ``cut.heads`` -- per source, its FIFO on this port and the
+        deposit the table was frozen from -- popping each head that is
+        that very deposit, its sender cut in its first unconsumed epoch.
+        Where a source has posted nothing yet, the pops are put back and
+        the take waits, like :meth:`_take`, for every source it lacks,
+        then passes again.  Returns ``False`` -- having taken nothing --
+        where a head is any other deposit (a re-bound peer, a protocol
+        violation) or no table is frozen: :meth:`_take` then sorts it
+        out."""
+        heads = cut.heads
+        if not heads:
+            return False
+        port = self._ports[cut.rank]
+        with self._lock:
+            while True:
+                popped = 0
+                for fifo, deposit in heads:
+                    credit = deposit[0]
+                    if (
+                        not fifo or fifo[0] is not deposit
+                        or credit.outstanding > credit.nsend
+                    ):
+                        break
+                    fifo.popleft()
+                    popped += 1
+                else:
+                    return True
+                for fifo, deposit in heads[:popped]:
+                    fifo.appendleft(deposit)
+                need = {
+                    deposit[0].rank: len(deposit[1])
+                    for fifo, deposit in heads
+                    if not fifo
+                }
+                if not need:
+                    return False
+                port.need = need
+                try:
+                    self._await(
+                        cut.rank, lambda: not need, lambda: self._missing(cut)
+                    )
+                finally:
+                    port.need = None
 
-        Takes exactly the deposits the cut owes (:meth:`_take`) and
-        copies outside the lock: one call over the cut's frozen table
-        (:meth:`_freeze`), so ranks' wire copies overlap.  Buffers are
-        disjoint, so arrival order cannot matter.  Each deposit is then
-        credited to the cut that sent it.  On a verified fabric the
-        guard judges the cut first (module docstring).
+    def complete_recv_batch(self, cut: BoundRequest) -> int:
+        """Deliver one epoch of *cut*'s receives into their buffers;
+        returns how many items it delivered (0: it owed none).
+
+        Takes exactly the deposits the cut owes and copies outside the
+        lock: one call over the cut's frozen table (:meth:`_freeze`), so
+        ranks' wire copies overlap.  Buffers are disjoint, so arrival
+        order cannot matter.  Each deposit is then credited to the cut
+        that sent it.  Once the table is frozen, the take is one pass
+        over its heads (:meth:`_take_frozen`) and the credit one over
+        its frozen ``credits``; a first fire, a re-bound peer or a
+        protocol violation goes through :meth:`_take` and
+        :meth:`_freeze`.  On a verified fabric the guard judges the cut
+        first (module docstring).
         """
-        n = len(cut.rmap)
+        n = cut.nrecv
         if n == 0:
-            return
+            return 0
         if self._guard is not None:
             return self._complete_recv_verified(cut, self._guard)
-        dst = cut.rank
-        with _TRACER.span("fabric.recv", rank=dst, n=n):
-            heads, doubled = self._take(cut)
-            taken = [deposit for _src, deposit in heads]
+        if self._take_frozen(cut):
+            credits = cut.credits
+        else:
+            pairs, doubled = self._take(cut)
+            taken = [deposit for _src, deposit in pairs]
             frozen = cut.frozen
             if doubled or len(taken) != len(frozen) or not all(map(is_, taken, frozen)):
                 # Not the deposits the copy table was built from: a first
                 # fire, a re-bound peer -- or a protocol violation.
                 self._freeze(cut, taken, doubled)
-            cut.copy()  # the single wire copy, every item in one call
-            ports = self._ports
-            with self._lock:
-                st = self.stats[dst]
-                st.recvs += n
-                st.bytes_received += cut.recv_bytes
-                for credit, items in taken:
-                    left = credit.outstanding - len(items)
-                    credit.outstanding = left
-                    if not left and credit.waiting:
-                        ports[credit.rank].cond.notify()
+            credits = [(credit, len(items)) for credit, items in taken]
+        cut.copy()  # the single wire copy, every item in one call
+        with self._lock:
+            self._credit(cut.rank, n, cut.recv_bytes, credits)
+        return n
 
-    def _complete_recv_verified(self, cut: BoundRequest, guard) -> None:
+    def _complete_recv_verified(self, cut: BoundRequest, guard) -> int:
         """:meth:`complete_recv_batch` under the guard (module docstring).
 
         A receive that owes the whole cut first tries the common case:
@@ -968,33 +1040,35 @@ class SimFabric:
         Deposits that are not the clean posts the table was frozen from,
         or that fail a compare, go back to the front of their FIFOs
         untouched by the guard, and the per-item path takes them.
+        Returns how many receives it owed.
         """
         dst = cut.rank
         epoch = self._epochs[dst]
         owed = guard.owed(cut, epoch)
         if not owed:
-            return
-        with _TRACER.span("fabric.recv", rank=dst, n=len(owed)):
-            if len(owed) == len(cut.rmap):  # nothing replayed
-                heads, doubled = self._take(cut)
-                taken = [deposit for _src, deposit in heads]
-                frozen = cut.frozen
-                same = not doubled and len(taken) == len(frozen) and all(
-                    map(is_, taken, frozen)
-                )
-                if same or self._freeze(cut, taken, doubled):
-                    if guard.accept_cut(cut, cut.copy, epoch):
-                        with self._lock:
-                            self._credit(
-                                dst, len(owed), cut.recv_bytes,
-                                [(credit, len(items)) for credit, items in taken],
-                            )
-                        return
-                fifos = self._ports[dst].fifos
-                with self._lock:
-                    for src, deposit in reversed(heads):
-                        fifos[src].appendleft(deposit)
-            self._recv_items(cut, guard, owed, epoch)
+            return 0
+        cut.began = time.perf_counter()
+        if len(owed) == len(cut.rmap):  # nothing replayed
+            heads, doubled = self._take(cut)
+            taken = [deposit for _src, deposit in heads]
+            frozen = cut.frozen
+            same = not doubled and len(taken) == len(frozen) and all(
+                map(is_, taken, frozen)
+            )
+            if same or self._freeze(cut, taken, doubled):
+                if guard.accept_cut(cut, cut.copy, epoch):
+                    with self._lock:
+                        self._credit(
+                            dst, len(owed), cut.recv_bytes,
+                            [(credit, len(items)) for credit, items in taken],
+                        )
+                    return len(owed)
+            fifos = self._ports[dst].fifos
+            with self._lock:
+                for src, deposit in reversed(heads):
+                    fifos[src].appendleft(deposit)
+        self._recv_items(cut, guard, owed, epoch)
+        return len(owed)
 
     def _recv_items(self, cut: BoundRequest, guard, owed, epoch) -> None:
         """The per-item receive: every queued deposit expanded to wire
@@ -1111,27 +1185,32 @@ class SimFabric:
                 recvs.append(recv)
         return np.frombuffer(cut.copy_crc_list(wires, recvs)(), np.uint32).tolist()
 
-    def wait_send_batch(self, cut: BoundRequest) -> None:
-        """Block until every item *cut* posted has been consumed."""
+    def wait_send_batch(self, cut: BoundRequest) -> Optional[int]:
+        """Block until every item *cut* posted has been consumed.
+
+        Returns how many were outstanding at entry when this is the
+        first wait since the cut last posted -- where a trace shows the
+        epoch's send wait, wherever it completes -- else ``None``.
+        """
         credit = cut.credit
-        # Unlocked read: only this thread raises the count, so a zero
-        # seen here is final.
-        if not credit.outstanding and not (credit.posted and _TRACER.enabled):
-            return
+        # Unlocked: only this thread posts the cut, so it alone raises
+        # the count and sets ``posted``, and a zero seen here is final.
+        n = credit.outstanding
+        posted = credit.posted
         credit.posted = False
-        rank = cut.rank
-        with _TRACER.span("fabric.send_wait", rank=rank, n=credit.outstanding):
+        if n:
             with self._lock:
                 credit.waiting = True
                 try:
                     self._await(
-                        rank,
+                        cut.rank,
                         lambda: not credit.outstanding,
                         lambda: self._unconsumed(cut),
                         sending=True,
                     )
                 finally:
                     credit.waiting = False
+        return n if posted else None
 
     def _negotiate(self, counts) -> None:
         """Under the lock: record each endpoint's byte count of its edge.

@@ -1562,13 +1562,18 @@ def _load(
     return ffi, getattr(lib, name) if name else None, lib
 
 
-def _finish(call: Callable, lib, guard: bool, source: str, what: str):
+def _finish(call: Callable, lib, guard: bool, source: str, what: str,
+            bind: Callable):
     """The kernel callers hold: *call* itself, or under *guard* *call*
     handed the array extents and its violation count made a typed error.
 
-    *call* binds one loaded C function's pointer arguments; keeping the
-    unguarded kernel to that single frame matters on small subdomains,
-    where 8 ranks x one call per step is a visible share of the step.
+    Its ``bind(*arrays)`` is the call over those arrays, frozen once:
+    unguarded, *bind*'s ``functools.partial`` of the loaded C function
+    over their raw addresses, so a step is one C call with no cast or
+    check in between (the plan checked the arrays when it bound them);
+    under *guard*, the guarded step itself over the arrays, so every
+    call is still checked.  On small subdomains 8 ranks x one call per
+    step is a visible share of the step.
     """
     step = call
     if guard:
@@ -1583,9 +1588,25 @@ def _finish(call: Callable, lib, guard: bool, source: str, what: str):
                     f" out-of-range {what} (REPRO_CC_BOUNDS=1)"
                 )
 
+    def bound(*arrays: np.ndarray) -> Callable[[], None]:
+        frozen = (
+            functools.partial(step, *arrays) if guard else bind(*arrays)
+        )
+        frozen.__keep__ = (lib, arrays)  # raw addresses: keep both alive
+        return frozen
+
     step.__source__ = source
     step.__lib__ = lib  # keep the dlopen handle alive with the kernel
+    step.bind = bound
     return step
+
+
+def _address(ffi, ctype: str) -> Callable[[np.ndarray], object]:
+    """*ctype* pointer to a contiguous array's first element: its raw
+    address, read through a buffer export that is released at once (the
+    cast holds no reference to it), so the caller keeps the array."""
+    cast, from_buffer = ffi.cast, ffi.from_buffer
+    return lambda arr: cast(ctype, from_buffer(arr))
 
 
 def _build(
@@ -1607,8 +1628,17 @@ def _build(
             *extents,
         )
 
+    doubles, index = _address(ffi, "double *"), _address(ffi, "int64_t *")
+
+    def bind(src_data, dst_data, adj, slots, tile):
+        return functools.partial(
+            fn, doubles(src_data), doubles(dst_data), index(adj),
+            index(slots), len(slots), doubles(tile),
+        )
+
     return _finish(
-        call, lib, guard, source, "adjacency entry / destination slot value(s)"
+        call, lib, guard, source, "adjacency entry / destination slot value(s)",
+        bind,
     )
 
 
@@ -1631,7 +1661,14 @@ def _build_array(
             *extents,
         )
 
-    return _finish(call, lib, guard, source, "box(es)")
+    doubles, index = _address(ffi, "double *"), _address(ffi, "int64_t *")
+
+    def bind(arr, out, boxes):
+        return functools.partial(
+            fn, doubles(arr), doubles(out), index(boxes), len(boxes)
+        )
+
+    return _finish(call, lib, guard, source, "box(es)", bind)
 
 
 class Movers:

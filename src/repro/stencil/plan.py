@@ -35,7 +35,7 @@ geometry shares between the ranks.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -131,6 +131,9 @@ class BrickStencilPlan:
         self._tile = _aligned_zeros(
             brick_scratch(spec.taps, np_bd, r).elems
         )
+        # (id(src), id(dst)) -> the kernel call bound over that pair.
+        # This rank's own: never cache it on the shared geometry.
+        self._bound: Dict[Tuple[int, int], Callable[[], None]] = {}
 
     @property
     def kernel_backend(self) -> str:
@@ -152,15 +155,26 @@ class BrickStencilPlan:
                 f"{role} storage has {storage.nslots} slots, adjacency"
                 f" spans {self.info.nslots}"
             )
+        _check_addressable(storage.data, role, written=role == "dst")
 
     def execute(self, src: BrickStorage, dst: BrickStorage) -> None:
         """Apply the stencil to every planned slot, reading *src*,
-        writing *dst* (which must be distinct storages)."""
-        if src is dst:
-            raise ValueError("plans require distinct src and dst storages")
-        self._check_storage(src, "src")
-        self._check_storage(dst, "dst")
-        self._ckernel(src.data, dst.data, self._adjacency, self.slots, self._tile)
+        writing *dst* (which must be distinct storages).
+
+        The first call with a storage pair checks it and binds the
+        kernel call over it (:func:`_bound_call`); every later call with
+        the same pair is that one C call."""
+        call = self._bound.get((id(src), id(dst)))
+        if call is None:
+            if src is dst:
+                raise ValueError("plans require distinct src and dst storages")
+            self._check_storage(src, "src")
+            self._check_storage(dst, "dst")
+            call = _bound_call(
+                self._bound, src, dst, self._ckernel,
+                src.data, dst.data, self._adjacency, self.slots, self._tile,
+            )
+        call()
 
 
 def compile_brick_plan(
@@ -232,6 +246,7 @@ class ArrayStencilPlan:
         )
         self._box_table = np.array([self.box], dtype=np.int64)
         self._ckernel = array_step_kernel(spec.taps, self._expected)
+        self._bound: Dict[Tuple[int, int], Callable[[], None]] = {}
 
     @property
     def kernel_backend(self) -> str:
@@ -243,25 +258,52 @@ class ArrayStencilPlan:
     def execute(self, arr: np.ndarray, out: np.ndarray) -> None:
         """``out[box] = stencil(arr)``; *arr* and *out* must be distinct
         C-contiguous float64 extended arrays (the kernel walks raw
-        row-major memory, so anything else is refused)."""
-        if arr is out:
-            raise ValueError("plans require distinct arr and out arrays")
-        if arr.shape != self._expected or out.shape != self._expected:
-            raise ValueError(
-                f"expected extended shape {self._expected},"
-                f" got {arr.shape} / {out.shape}"
+        row-major memory, so anything else is refused).  Checked and
+        bound once per array pair, as :meth:`BrickStencilPlan.execute`."""
+        call = self._bound.get((id(arr), id(out)))
+        if call is None:
+            if arr is out:
+                raise ValueError("plans require distinct arr and out arrays")
+            if arr.shape != self._expected or out.shape != self._expected:
+                raise ValueError(
+                    f"expected extended shape {self._expected},"
+                    f" got {arr.shape} / {out.shape}"
+                )
+            _check_addressable(arr, "arr")
+            _check_addressable(out, "out", written=True)
+            call = _bound_call(
+                self._bound, arr, out, self._ckernel, arr, out, self._box_table
             )
-        if not (_c_addressable(arr) and _c_addressable(out)):
-            raise ValueError(
-                "plans step C-contiguous float64 extended arrays, got"
-                f" {arr.dtype} / {out.dtype} with strides"
-                f" {arr.strides} / {out.strides}"
-            )
-        self._ckernel(arr, out, self._box_table)
+        call()
 
 
-def _c_addressable(a: np.ndarray) -> bool:
-    return a.dtype == _FLOAT64 and a.flags.c_contiguous
+def _check_addressable(a: np.ndarray, role: str, written: bool = False) -> None:
+    """A plan's kernel walks raw row-major float64 memory and writes its
+    destination (*written*): refuse anything else before binding an
+    address."""
+    if not (a.dtype == _FLOAT64 and a.flags.c_contiguous):
+        raise ValueError(
+            f"plans step C-contiguous float64 memory, got {role} {a.dtype}"
+            f" with strides {a.strides}"
+        )
+    if written and not a.flags.writeable:
+        raise ValueError(f"plans write their {role}, which is read-only")
+
+
+#: A run alternates one plan between two buffer pairs (src/dst swap).
+_BOUND_PAIRS = 2
+
+
+def _bound_call(bound: dict, src, dst, kernel, *arrays) -> Callable[[], None]:
+    """*kernel* bound over *arrays* (:func:`~repro.stencil.cbackend._finish`),
+    cached in a plan's *bound* under the ``(src, dst)`` pair it was
+    checked for.  The call holds *src* and *dst*, so neither id is
+    reused while it is cached; a third pair starts the cache over."""
+    if len(bound) >= _BOUND_PAIRS:
+        bound.clear()
+    call = bound[(id(src), id(dst))] = kernel.bind(*arrays)
+    call.__pair__ = (src, dst)
+    return call
 
 
 def compile_array_plan(

@@ -7,6 +7,7 @@ reserved span including already-overlaid chunks).  Leaks are observed
 directly through ``/proc/self/fd`` and ``/proc/self/maps``.
 """
 
+import gc
 import threading
 
 import numpy as np
@@ -35,8 +36,27 @@ def _open_fds():
 
 
 def _n_maps():
+    """The lines of ``/proc/self/maps`` a view or an arena can create:
+    mappings of the storage memfd, and anonymous ``PROT_NONE``
+    reservations (five fields: no path).  The process's other mappings
+    -- libraries, heaps, what other tests left to the collector -- come
+    and go on their own and are not counted."""
+    n = 0
     with open("/proc/self/maps") as f:
-        return sum(1 for _ in f)
+        for line in f:
+            fields = line.split()
+            n += "memfd:repro-brick-storage" in line or (
+                fields[1] == "---p" and len(fields) == 5
+            )
+    return n
+
+
+def _baseline_maps():
+    """:func:`_n_maps` once the collector has run, so that nothing an
+    earlier test dropped is released between the baseline and the
+    check."""
+    gc.collect()
+    return _n_maps()
 
 
 class TestFaultPoints:
@@ -110,7 +130,7 @@ class TestRealArenaCleanup:
     def test_mid_stitch_failure_unmaps_reservation(self):
         arena = MemfdArena(8 * PAGE, PAGE)
         try:
-            baseline_maps = _n_maps()
+            baseline_maps = _baseline_maps()
             chunks = [(0, PAGE), (2 * PAGE, PAGE), (4 * PAGE, PAGE)]
             # skip=1: the first chunk maps fine, the second fails --
             # genuinely mid-stitch, with file pages already overlaid.
@@ -131,7 +151,7 @@ class TestRealArenaCleanup:
     def test_reserve_failure_before_any_chunk(self):
         arena = MemfdArena(4 * PAGE, PAGE)
         try:
-            baseline_maps = _n_maps()
+            baseline_maps = _baseline_maps()
             with VMEM_FAULTS.armed("view_reserve"):
                 with pytest.raises(OSError):
                     arena.make_view([(0, PAGE)])
@@ -154,7 +174,7 @@ class TestRealArenaCleanup:
         plan = geometry.plans[0]
         send_chunks = sum(len(m.ranges) for m in plan.sends)
         assert sum(len(m.ranges) for m in plan.recvs) == 26
-        before = (_n_maps(), _open_fds())
+        before = (_baseline_maps(), _open_fds())
         storage = geometry.decomp.mmap_alloc(geometry.page_size)[0]
         with VMEM_FAULTS.armed("view_map_chunk", skip=send_chunks + into_run):
             with pytest.raises(OSError, match="view_map_chunk"):

@@ -81,9 +81,11 @@ may not, and these rules are project-specific anyway.  Nine checks:
    ledger's accumulations (``+=`` on ``.exchanges`` / ``.messages`` /
    ``.wire_bytes`` / ``.payload_bytes``, or on a ``["msgs"]`` /
    ``["wire"]`` / ``["payload"]`` counter) appear in
-   ``core/runplan.py`` only.  Observation adds spans and never keeps a
-   second count: a run's counters are read off its ledgers, fabric
-   statistics and run record by ``obs.counters``.  So outside
+   ``core/runplan.py`` only.  Observation adds spans -- on the run
+   path rebuilt after the loop from the stamps the ledger measures its
+   phases with -- and never keeps a second count: a run's counters are
+   read off its ledgers, fabric statistics and run record by
+   ``obs.counters``.  So outside
    ``src/repro/obs`` and ``cli.py`` a module binds nothing from
    ``repro.obs`` but ``TRACER`` (neither another name nor the package).
 
