@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true",
-                   help="shorter runs (2 steps/trial, tighter timeout)")
+                   help="shorter runs (2 steps/trial)")
     p.add_argument("--no-recheck", action="store_true",
                    help="skip the per-trial determinism rerun")
     p.add_argument("--json", metavar="PATH",

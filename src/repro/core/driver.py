@@ -370,11 +370,10 @@ def _ladder_vote(
 
 def _crash_check(comm: SimComm, injector: FaultInjector, t: int) -> None:
     rank = comm.rank
-    comm.fabric.heartbeat(rank)
     if injector.death_due(rank, t):
         # Permanent node loss, checked before the crash: death wins.
         # Marking the fabric makes peers targeting this rank fail
-        # fast with the same typed error instead of timing out.
+        # fast with the same typed error.
         comm.fabric.mark_dead(rank)
         raise RankDeadError(
             f"rank {rank} died permanently at step {t} (scheduled by"
@@ -638,8 +637,7 @@ def _elastic_reshape(
     )
     period = resolve_period(problem, geometry.method, exchange_period)
     epoch = negotiate_recovery_epoch(
-        cur_ckpt.store, problem.nranks, len(plan.survivors),
-        snapshot_key(geometry, seed, period),
+        cur_ckpt.store, problem.nranks, snapshot_key(geometry, seed, period)
     )
     new_store = CheckpointStore(cur_ckpt.store.root / f"reshape{n}")
     with _TRACER.span("elastic.reshape", epoch=epoch,
@@ -689,7 +687,6 @@ def run_executed(
     fault_plan: Optional[FaultPlan] = None,
     verify_wire: bool = False,
     degrade: Optional[bool] = None,
-    fabric_timeout: Optional[float] = None,
     checkpoint_dir=None,
     checkpoint_period: Optional[int] = None,
     resume: bool = False,
@@ -732,9 +729,6 @@ def run_executed(
     exchange steps, which could never fire.  The ladder votes once, at
     the plan's degrade step.  A plan's crash, death or degrade event at
     a step ``>= timesteps`` is refused too.
-
-    *fabric_timeout*: deadlock timeout in seconds (else the
-    ``REPRO_FABRIC_TIMEOUT`` environment variable, else 30 s).
 
     Checkpoint/restart knobs (see README "Checkpoint/restart"):
 
@@ -902,7 +896,7 @@ def run_executed(
         states: List[_RankState] = []
         # A failed launch aborted its fabric: every launch gets a fresh one.
         nranks = geometry.problem.nranks
-        fabric = SimFabric(nranks, timeout=fabric_timeout)
+        fabric = SimFabric(nranks)
         if envelope:
             fabric.enable_envelope(injector)
         try:

@@ -85,8 +85,8 @@ class RankRunPlan:
     The hook attributes are set by the driver after construction:
 
     ``pre_step(t, src)``
-        before step *t* touches buffer *src* (heartbeat and crash
-        check, checkpoint-due save, degradation vote); may return
+        before step *t* touches buffer *src* (crash and death check,
+        checkpoint-due save, degradation vote); may return
         rebuilt engines, installed once the current ones' sends
         completed.
     ``around_exchange(t, fire)``

@@ -6,16 +6,16 @@ after a survivable crash, this package handles ranks that are gone for
 good -- a node loss.  The recovery protocol (DESIGN.md Section 10):
 
 1. **Detection** -- the fabric's rank-liveness state
-   (:meth:`~repro.simmpi.SimFabric.mark_dead`, heartbeat deadlines)
-   turns sends and collectives targeting a dead rank into a fast typed
-   :class:`~repro.faults.RankDeadError` instead of a timeout.
+   (:meth:`~repro.simmpi.SimFabric.mark_dead`) turns every wait on a
+   dead rank -- sends, receives, collectives and the barrier -- into a
+   fast typed :class:`~repro.faults.RankDeadError`.
 2. **Membership agreement** -- :func:`plan_recovery` maps deaths to
    failed nodes (:class:`ClusterTopology`) and picks the best surviving
    decomposition under the machine's network model
    (:func:`choose_rank_dims`).
 3. **Epoch negotiation** -- :func:`negotiate_recovery_epoch` finds the
-   newest epoch verified on *every* old rank via the real allreduce
-   protocol over a survivor-sized world.
+   newest epoch verified on *every* old rank from the store's
+   verified-epoch sets.
 4. **Re-brick** -- :func:`rebrick` re-slices that epoch's N-rank
    snapshots into an M-rank snapshot set the ordinary restore path
    accepts.

@@ -10,12 +10,11 @@ The protocol (DESIGN.md Section 10) runs in four deterministic stages:
    the survivor count under the machine's network model.  Pure function
    of (dead set, topology, problem), so every survivor agrees without a
    vote.
-3. **Epoch negotiation** -- :func:`negotiate_recovery_epoch` runs the
-   *real* :func:`~repro.ckpt.negotiate_epoch` allreduce protocol over a
-   survivor-sized SPMD world: the old ranks' verified-epoch sets are
-   sharded across survivors, each contributing the intersection of its
-   shard, so the agreed epoch is verified on **all** N old ranks (the
-   re-brick needs every shard of the global field).
+3. **Epoch negotiation** -- :func:`negotiate_recovery_epoch` intersects
+   the old ranks' verified-epoch sets, which the recovering driver reads
+   from the store itself, so the agreed epoch is verified on **all** N
+   old ranks (the re-brick needs every shard of the global field).  No
+   world is launched for it: every set is already in the caller's hands.
 4. **Re-brick** -- :func:`~repro.elastic.rebrick.rebrick` materializes
    the agreed epoch for the new decomposition; the relaunched world
    resumes through the ordinary checkpoint restore.
@@ -28,13 +27,11 @@ which is still bit-exact -- just slower.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.ckpt import CheckpointStore, NoCommonEpochError, negotiate_epoch
+from repro.ckpt import CheckpointStore, NoCommonEpochError
 from repro.core.problem import StencilProblem
 from repro.elastic.placement import ClusterTopology, choose_rank_dims
-from repro.simmpi.collectives import allreduce
-from repro.simmpi.launcher import run_spmd
 
 __all__ = ["RecoveryPlan", "plan_recovery", "negotiate_recovery_epoch"]
 
@@ -93,42 +90,23 @@ def plan_recovery(
 def negotiate_recovery_epoch(
     store: CheckpointStore,
     old_nranks: int,
-    n_survivors: int,
     problem_key: str,
     *,
     required: bool = False,
 ) -> int:
-    """Newest epoch verified on every old rank, agreed by the survivors.
+    """Newest epoch verified on every one of the *old_nranks* old ranks.
 
-    Shards the old ranks round-robin across an ``n_survivors``-rank SPMD
-    world; each survivor contributes the *intersection* of its shard's
-    verified-epoch sets, and the standard
-    :func:`~repro.ckpt.negotiate_epoch` descent finds the newest epoch
-    common to all shards -- hence to all N old ranks.  Returns -1 when
-    no such epoch exists (``required=True`` raises
-    :class:`~repro.ckpt.NoCommonEpochError` instead, with the shard
-    maxima standing in per survivor).
+    Intersects each old rank's ``store.verified_epochs``.  Returns -1
+    when no epoch is common to all of them (``required=True`` raises
+    :class:`~repro.ckpt.NoCommonEpochError` instead, naming each old
+    rank's newest verified epoch).
     """
-    if old_nranks <= 0 or n_survivors <= 0:
+    if old_nranks <= 0:
         raise ValueError("rank counts must be positive")
-    n_survivors = min(n_survivors, old_nranks)
-    shards: List[List[int]] = [[] for _ in range(n_survivors)]
-    for old_rank in range(old_nranks):
-        shards[old_rank % n_survivors].append(old_rank)
-
-    def _rank_fn(comm):
-        sets = [
-            set(store.verified_epochs(r, problem_key))
-            for r in shards[comm.rank]
-        ]
-        mine = sorted(set.intersection(*sets)) if sets else []
-        return negotiate_epoch(comm, mine, allreduce, required=required)
-
-    try:
-        return int(run_spmd(n_survivors, _rank_fn)[0])
-    except RuntimeError as err:
-        # Every survivor raises collectively; surface the typed error,
-        # not the launcher's per-rank wrapper.
-        if isinstance(err.__cause__, NoCommonEpochError):
-            raise err.__cause__ from None
-        raise
+    sets = [set(store.verified_epochs(r, problem_key)) for r in range(old_nranks)]
+    common = set.intersection(*sets)
+    if common:
+        return max(common)
+    if required:
+        raise NoCommonEpochError([max(epochs, default=-1) for epochs in sets])
+    return -1

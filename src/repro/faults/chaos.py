@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, field
-from threading import BrokenBarrierError
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -88,13 +87,12 @@ class ChaosConfig:
     trials: int = 10
     seed: int = 0
     steps: int = 3
-    timeout_s: float = 10.0
     check_determinism: bool = True
     presets: Tuple[str, ...] = _PRESET_ORDER
 
     @classmethod
     def quick(cls, trials: int = 10, seed: int = 0) -> "ChaosConfig":
-        return cls(trials=trials, seed=seed, steps=2, timeout_s=8.0)
+        return cls(trials=trials, seed=seed, steps=2)
 
 
 @dataclass
@@ -193,9 +191,7 @@ def _root_is_detected(exc: BaseException) -> bool:
     node: Optional[BaseException] = exc
     while node is not None and id(node) not in seen:
         seen.add(id(node))
-        if isinstance(
-            node, (FaultError, DeadlockError, AbortedError, BrokenBarrierError)
-        ):
+        if isinstance(node, (FaultError, DeadlockError, AbortedError)):
             return True
         node = node.__cause__ or node.__context__
     return False
@@ -254,19 +250,17 @@ def _run_trial(problem, reference, config: ChaosConfig, index: int,
             with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as d:
                 return run_executed(
                     problem, method, timesteps=config.steps, seed=0,
-                    fault_plan=plan, fabric_timeout=config.timeout_s,
-                    checkpoint_dir=d, checkpoint_period=1,
+                    fault_plan=plan, checkpoint_dir=d, checkpoint_period=1,
                 )
         if with_store:
             with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as d:
                 return run_executed(
                     problem, method, timesteps=config.steps, seed=0,
-                    fault_plan=plan, fabric_timeout=config.timeout_s,
-                    checkpoint_dir=d, checkpoint_period=1, elastic=True,
+                    fault_plan=plan, checkpoint_dir=d, checkpoint_period=1,
+                    elastic=True,
                 )
         return run_executed(
-            problem, method, timesteps=config.steps, seed=0,
-            fault_plan=plan, fabric_timeout=config.timeout_s,
+            problem, method, timesteps=config.steps, seed=0, fault_plan=plan
         )
 
     try:

@@ -77,9 +77,10 @@ class ExchangeTimeoutError(FaultError):
 class InjectedCrashError(FaultError):
     """A scheduled rank crash from a :class:`~repro.faults.FaultPlan`.
 
-    Raised *by the crashing rank*; peers observe the usual abort fan-out
-    (``AbortedError`` / ``BrokenBarrierError``) and the launcher reports
-    this as the root cause."""
+    Raised *by the crashing rank*; peers blocked in the fabric --
+    receives, send waits and the barrier alike -- observe the abort
+    fan-out (``AbortedError``) and the launcher reports this as the root
+    cause."""
 
 
 class RankDeadError(FaultError):
@@ -88,8 +89,7 @@ class RankDeadError(FaultError):
     Unlike :class:`InjectedCrashError` -- which the checkpoint/restart
     driver survives by relaunching the *same* world -- a dead rank never
     comes back: the fabric's liveness state (``SimFabric.mark_dead``)
-    makes every send/recv touching the dead rank raise this immediately
-    instead of timing out.  Recovery requires *elastic* restart: the
-    survivors negotiate a snapshot epoch, agree on a shrunken
-    decomposition avoiding the lost node, and re-brick
-    (:mod:`repro.elastic`)."""
+    makes every send/recv touching the dead rank raise this immediately.
+    Recovery requires *elastic* restart: the survivors negotiate a
+    snapshot epoch, agree on a shrunken decomposition avoiding the lost
+    node, and re-brick (:mod:`repro.elastic`)."""

@@ -55,7 +55,7 @@ class SimComm:
         self.fabric.complete_recv(source, self.rank, tag, buf)
 
     def Barrier(self) -> None:
-        self.fabric.barrier.wait()
+        self.fabric.barrier(self.rank)
 
     def set_epoch(self, epoch: Optional[int]) -> None:
         """Mark this rank's exchange epoch on the fabric (verified mode).

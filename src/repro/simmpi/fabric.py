@@ -2,10 +2,10 @@
 
 Ports: one primitive, two containers
 ------------------------------------
-Every rank owns one :class:`_Port` -- its wake (:class:`_Wake`, a raw
-lock used as a binary semaphore beside the fabric's single lock) -- and
-a message waits nowhere else.  A port holds two containers, because the
-two kinds of traffic match differently:
+Every rank owns one :class:`_Port` -- its wake (a raw lock used as a
+binary semaphore beside the fabric's single lock) -- and a message waits
+nowhere else.  A port holds two containers, because the two kinds of
+traffic match differently:
 
 ``fifos`` (bound requests, the halo-exchange path)
     A channel's whole message plan is *bound* once
@@ -46,15 +46,27 @@ two kinds of traffic match differently:
     on one edge.
 
 Who waits where, who wakes whom: a rank only ever blocks on its *own*
-port, in :meth:`SimFabric._await` -- the one wait in this package, so
-abort, dead peer, stale heartbeat and timeout are classified once, for
-receives and send waits, bound and per-message alike.  A bound post
+port, in :meth:`SimFabric._await` -- the one wait in this package, for
+receives, send waits and the barrier, bound and per-message alike -- so
+abort, dead peer and deadlock are classified once.  A bound post
 notifies a destination only when the destination is blocked in
 *complete* and this deposit brings in the last source it still lacks
 (the port's ``need``); a bound receive notifies a sender only when it
 consumes the last outstanding item of the cut that sender is blocked on
 (``credit.waiting``).  A per-message post or receive notifies the peer's
-port.  ``abort`` and ``mark_dead`` wake every port.
+port, the barrier's last arrival every port.  ``abort`` and
+``mark_dead`` wake every port.
+
+Deadlock is seen, not timed out.  :func:`~repro.simmpi.run_spmd`
+declares its ranks live before it starts them and retires each one when
+its function returns or raises.  A rank that blocks counts as blocked
+until a notify wakes it; when a rank blocks or retires and every live
+rank is blocked, no wait can ever end, and every blocked rank raises
+:class:`DeadlockError` naming its own first missing edge -- before any
+abort could turn it into :class:`AbortedError`, so the launcher reports
+the same lowest rank on every run.  A fabric no launcher declared is
+driven by its calling thread alone: a wait that is not ready there is a
+deadlock at once.
 
 Where a send completes is the sender's business, not the exchange's: a
 cut's items stay outstanding after its receive returned, and
@@ -126,7 +138,6 @@ only: typed error, no healing.
 from __future__ import annotations
 
 import _thread
-import os
 import threading
 import time
 import zlib
@@ -163,17 +174,16 @@ __all__ = [
     "ExchangeConfigError",
 ]
 
-#: Default seconds an unmatched operation waits before declaring a
-#: deadlock.  Per-fabric overrides: constructor arg, then the
-#: ``REPRO_FABRIC_TIMEOUT`` environment variable, then this module global
-#: (kept for monkeypatch-style test overrides).
-_DEADLOCK_TIMEOUT = 30.0
-
-_TIMEOUT_ENV = "REPRO_FABRIC_TIMEOUT"
-
-
 class DeadlockError(RuntimeError):
-    """A receive or a send wait found no match within the timeout."""
+    """Every live rank is blocked in a fabric wait: none can ever end."""
+
+
+# Per kind of wait: what an abort abandons, the verb toward a dead peer,
+# and what a deadlocked wait lacks, with the word naming its peer.
+_RECV = ("aborting receive", "receive from", "message", "src")
+_SEND = ("abandoning send", "send to", "unmatched send", "dst")
+_BARRIER = ("leaving the barrier", "pass the barrier with", "barrier arrival",
+            "rank")
 
 
 @dataclass
@@ -203,6 +213,12 @@ class _SendEntry:
 
 class AbortedError(RuntimeError):
     """Another rank failed; this operation was abandoned."""
+
+
+def _tag(tag, before: str, after: str = "") -> str:
+    """``tag=`` of a wait's missing key in an error text; a barrier
+    key's ``None`` says nothing."""
+    return "" if tag is None else f"{before}tag={tag}{after}"
 
 
 def _flat_bytes(buf: np.ndarray) -> np.ndarray:
@@ -243,41 +259,6 @@ def _zlib_copy_crc_list(copy_list, srcs, dsts) -> Callable[[], bytes]:
     return copy_crcs
 
 
-class _Wake:
-    """A port's wake-up: a raw lock used as a binary semaphore.
-
-    Only the port's owner waits on it, from :meth:`SimFabric._await`
-    with the fabric lock held once; everyone else notifies it under that
-    lock.  Released means a wake is pending.  A notify that finds none
-    pending makes one -- so a notify between the owner dropping the
-    fabric lock and blocking is not lost -- and one that finds one
-    pending adds nothing: the owner re-tests its predicate on every
-    wake.  Unlike ``threading.Condition`` it allocates nothing per wait.
-    The ``Condition`` method names are kept (``notify_all`` is
-    ``notify``: there is one waiter).
-    """
-
-    __slots__ = ("_lock", "_pending")
-
-    def __init__(self, lock) -> None:
-        self._lock = lock
-        self._pending = _thread.allocate_lock()
-        self._pending.acquire(False)  # held: no wake pending
-
-    def notify(self, n: int = 1) -> None:
-        if self._pending.locked():
-            self._pending.release()
-
-    notify_all = notify
-
-    def wait(self, timeout: float) -> None:
-        self._lock.release()
-        try:
-            self._pending.acquire(True, timeout)
-        finally:
-            self._lock.acquire()
-
-
 class _Credit:
     """A cut's send side, as its deposits name it to their receivers.
 
@@ -309,12 +290,21 @@ class _Credit:
 
 class _Port:
     """One rank's end of the fabric, the only place a message waits; every
-    field is guarded by the fabric lock."""
+    field but ``wake`` is guarded by the fabric lock.
 
-    __slots__ = ("cond", "fifos", "need", "queues")
+    ``wake`` is a raw lock used as a binary semaphore, released (a wake
+    pending) only by a notify that finds the owner ``blocked``, under the
+    fabric lock; the owner blocks on it in :meth:`SimFabric._await`, after
+    dropping the fabric lock, so a notify in between is not lost.  Unlike
+    ``threading.Condition`` it allocates nothing per wait.
+    """
 
-    def __init__(self, lock, nranks: int) -> None:
-        self.cond = _Wake(lock)
+    __slots__ = ("wake", "blocked", "fifos", "need", "queues")
+
+    def __init__(self, nranks: int) -> None:
+        self.wake = _thread.allocate_lock()
+        self.wake.acquire(False)  # held: no wake pending
+        self.blocked = False
         # Per source: bound deposits (credit, items) not yet consumed,
         # oldest first; an item is ((src, tag), send view), followed --
         # on a verified fabric, in a deposit that is not a clean post's
@@ -460,30 +450,24 @@ class BoundRequest:
 class SimFabric:
     """The shared network of one SPMD run."""
 
-    def __init__(self, nranks: int, timeout: Optional[float] = None) -> None:
+    def __init__(self, nranks: int) -> None:
         if nranks <= 0:
             raise ExchangeConfigError("nranks must be positive")
         self.nranks = nranks
-        if timeout is None:
-            env = os.environ.get(_TIMEOUT_ENV)
-            if env:
-                try:
-                    timeout = float(env)
-                except ValueError:
-                    raise ExchangeConfigError(
-                        f"{_TIMEOUT_ENV}={env!r} is not a valid number"
-                    ) from None
-        self.set_timeout(timeout)
         # One lock for everything; a rank blocks only on its own port.
         self._lock = threading.RLock()
-        self._ports = [_Port(self._lock, nranks) for _ in range(nranks)]
+        self._ports = [_Port(nranks) for _ in range(nranks)]
         self.stats: List[FabricStats] = [FabricStats() for _ in range(nranks)]
-        self.barrier = threading.Barrier(nranks)
         self._failed = False
+        # -- deadlock detection (module docstring) -----------------------
+        self._live = 0        # ranks a launcher declared and not retired
+        self._blocked = 0     # of them, blocked with no wake pending
+        self._deadlocked = False
+        # -- the barrier: this generation's arrivals ----------------------
+        self._arrived: set = set()
+        self._generation = 0
         # -- rank-liveness state (elastic restart) -----------------------
         self._dead: set = set()
-        self._heartbeats: Dict[int, float] = {}
-        self._heartbeat_deadline: Optional[float] = None
         # -- verified mode: the envelope guard (None: plain delivery) ----
         self._guard = None
         self._epochs: List[Optional[int]] = [None] * nranks
@@ -493,17 +477,6 @@ class SimFabric:
         # surfaces here, at negotiation time, as a typed
         # SplitMismatchError instead of a DeadlockError at wait time.
         self._splits: Dict[Tuple[int, int, int], Dict[str, int]] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def timeout(self) -> float:
-        """Active deadlock timeout in seconds."""
-        return self._timeout if self._timeout is not None else _DEADLOCK_TIMEOUT
-
-    def set_timeout(self, timeout: Optional[float]) -> None:
-        if timeout is not None and timeout <= 0:
-            raise ExchangeConfigError("fabric timeout must be positive")
-        self._timeout = timeout
 
     # ------------------------------------------------------------------
     def enable_envelope(self, injector=None) -> None:
@@ -536,10 +509,7 @@ class SimFabric:
     #
     # A dead rank is *permanently* gone -- node loss, not a survivable
     # crash.  Marking it wakes every waiter so operations touching the
-    # dead rank fail fast with a typed RankDeadError instead of burning
-    # the full deadlock timeout.  An optional heartbeat deadline lets
-    # receivers classify a silent peer as dead (stale heartbeat) rather
-    # than deadlocked.
+    # dead rank fail fast with a typed RankDeadError.
     # ------------------------------------------------------------------
     def mark_dead(self, rank: int) -> None:
         """Declare *rank* permanently dead and wake every waiter."""
@@ -557,25 +527,6 @@ class SimFabric:
         with self._lock:
             return sorted(self._dead)
 
-    def heartbeat(self, rank: int) -> None:
-        """Record a liveness beat for *rank* (driver step boundaries)."""
-        self._check_rank(rank)
-        with self._lock:
-            self._heartbeats[rank] = time.monotonic()
-
-    def set_heartbeat_deadline(self, seconds: Optional[float]) -> None:
-        """Enable heartbeat-based death detection.
-
-        With a deadline set, a wait that times out on a peer whose
-        last heartbeat is older than *seconds* classifies the peer as
-        dead (:class:`RankDeadError`) instead of deadlocked.  ``None``
-        (the default) disables the classification.
-        """
-        if seconds is not None and seconds <= 0:
-            raise ExchangeConfigError("heartbeat deadline must be positive")
-        with self._lock:
-            self._heartbeat_deadline = seconds
-
     def _check_dst_alive(self, src: int, dst: int) -> None:
         """Under the lock, in the acquisition that deposits: refuse to
         post toward a dead rank, so a rank that died first gets nothing."""
@@ -585,14 +536,6 @@ class SimFabric:
                 " is permanently dead"
             )
 
-    def _stale_heartbeat(self, rank: int) -> bool:
-        """Under the lock: has *rank* missed its heartbeat deadline?"""
-        deadline = self._heartbeat_deadline
-        last = self._heartbeats.get(rank)
-        if deadline is None or last is None:
-            return False
-        return (time.monotonic() - last) > deadline
-
     # ------------------------------------------------------------------
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.nranks:
@@ -600,54 +543,106 @@ class SimFabric:
                 f"rank {rank} outside communicator of {self.nranks}"
             )
 
+    # ------------------------------------------------------------------
+    # Deadlock detection (module docstring)
+    # ------------------------------------------------------------------
+    def declare_live(self, nranks: int) -> None:
+        """Count *nranks* more ranks as live: a launcher's, before it
+        starts them."""
+        with self._lock:
+            self._live += nranks
+
+    def retire(self) -> None:
+        """A launched rank's function returned or raised: it will never
+        wake a peer again, so the ranks still blocked may now be
+        deadlocked."""
+        with self._lock:
+            self._live -= 1
+            if self._blocked and self._blocked >= self._live:
+                self._deadlock()
+
+    def _deadlock(self) -> None:
+        """Under the lock: every live rank is blocked -- wake them all to
+        raise :class:`DeadlockError`."""
+        self._deadlocked = True
+        self._wake_all()
+
+    def _notify(self, port: _Port) -> None:
+        """Under the lock: wake *port*'s owner if it is blocked; it then
+        counts as running until it blocks again."""
+        if port.blocked:
+            port.blocked = False
+            self._blocked -= 1
+            port.wake.release()
+
     def _await(self, rank: int, ready: Callable[[], object],
-               missing: Callable[[], list], sending: bool = False) -> None:
+               missing: Callable[[], list], kind: tuple = _RECV) -> None:
         """Under the lock (held once): block on *rank*'s port until
         ``ready()``.
 
         The one wait of the fabric.  *missing* lists the ``(peer, tag)``
         keys still awaited -- sources of a receive, destinations of a
-        send wait (*sending*) -- and is only called to classify a
-        failure: another rank failed (:class:`AbortedError`), a peer is
-        dead so the wait can never end (:class:`RankDeadError`; a message
-        already on the wire outlives its sender), or the timeout passed
-        (:class:`RankDeadError` if a peer's heartbeat is stale, else
-        :class:`DeadlockError`).  A timeout aborts the fabric first.
+        send wait, ranks not yet at the barrier (*kind* says which; a
+        barrier key's tag is ``None``) -- and is only called to classify
+        a failure, in this order: every live rank is blocked
+        (:class:`DeadlockError`, first, so that no abort an earlier
+        raise makes can reclassify it), another rank failed
+        (:class:`AbortedError`), or a peer is dead so the wait can never
+        end (:class:`RankDeadError`; a message already on the wire
+        outlives its sender).  Reads no clock.
         """
-        cond = self._ports[rank].cond
-        timeout = self.timeout
-        deadline = time.monotonic() + timeout
+        port = self._ports[rank]
+        lock = self._lock
         while not ready():
-            if self._failed:
-                raise AbortedError(
-                    "another rank failed; "
-                    + ("abandoning send" if sending else "aborting receive")
+            if self._deadlocked:
+                keys = missing()
+                where = ""
+                if keys:
+                    peer, tag = keys[0]
+                    where = f" ({kind[3]}={peer}{_tag(tag, ', ')})"
+                raise DeadlockError(
+                    f"rank {rank} deadlocked waiting for {kind[2]}{where}:"
+                    " every rank is blocked or finished"
                 )
+            if self._failed:
+                raise AbortedError(f"another rank failed; {kind[0]}")
             if self._dead:
                 for peer, tag in missing():
                     if peer in self._dead:
-                        verb = "send to" if sending else "receive from"
                         raise RankDeadError(
-                            f"rank {rank} cannot {verb} rank {peer}"
-                            f" (tag={tag}): rank {peer} is permanently dead"
+                            f"rank {rank} cannot {kind[1]} rank {peer}"
+                            f"{_tag(tag, ' (', ')')}: rank {peer} is"
+                            " permanently dead"
                         )
-            remaining = deadline - time.monotonic()
-            if remaining > 0:
-                cond.wait(remaining)
-                continue  # re-check: ready, aborted or late
-            self.abort()
-            keys = missing()
-            for peer, _tag in keys:
-                if self._stale_heartbeat(peer):
-                    self._dead.add(peer)
-                    raise RankDeadError(
-                        f"rank {peer} missed its heartbeat deadline;"
-                        f" declaring it dead"
-                    )
-            what, end = ("unmatched send", "dst") if sending else ("message", "src")
-            where = f" ({end}={keys[0][0]}, tag={keys[0][1]})" if keys else ""
-            raise DeadlockError(
-                f"rank {rank} waited {timeout}s for {what}{where}"
+            port.blocked = True
+            self._blocked += 1
+            if self._blocked >= self._live:
+                self._deadlock()  # wakes this port too: raise on re-check
+            lock.release()
+            try:
+                port.wake.acquire()
+            finally:
+                lock.acquire()
+
+    def barrier(self, rank: int) -> None:
+        """Block *rank* until every rank of the fabric has entered the
+        barrier (``SimComm.Barrier``): an arrival set plus a generation
+        count, waited on in :meth:`_await` like any message."""
+        self._check_rank(rank)
+        with self._lock:
+            arrived = self._arrived
+            arrived.add(rank)
+            if len(arrived) == self.nranks:
+                arrived.clear()
+                self._generation += 1
+                self._wake_all()
+                return
+            generation = self._generation
+            self._await(
+                rank,
+                lambda: self._generation != generation,
+                lambda: [(r, None) for r in range(self.nranks) if r not in arrived],
+                _BARRIER,
             )
 
     def post_send(self, src: int, dst: int, tag: int, buf: np.ndarray) -> _SendEntry:
@@ -663,7 +658,7 @@ class SimFabric:
             self._check_dst_alive(src, dst)
             port = self._ports[dst]
             port.queues[(src, tag)].append(entry)
-            port.cond.notify()
+            self._notify(port)
             st = self.stats[src]
             st.sends += 1
             st.bytes_sent += nbytes
@@ -704,13 +699,13 @@ class SimFabric:
                         entry.src,
                         lambda: entry.done,
                         lambda: [(entry.dst, entry.tag)],
-                        sending=True,
+                        _SEND,
                     )
 
     def _consumed(self, entry: _SendEntry) -> None:
         """Under the lock: complete *entry*'s send and wake its sender."""
         entry.done = True
-        self._ports[entry.src].cond.notify()
+        self._notify(self._ports[entry.src])
 
     def _copy_into(self, src_buf: np.ndarray, buf: np.ndarray,
                    edge: Tuple[int, int, int]) -> np.ndarray:
@@ -807,7 +802,7 @@ class SimFabric:
                     else:
                         del need[src]
                         if not need:
-                            port.cond.notify()
+                            self._notify(port)
             credit.outstanding += n
             credit.posted = True
             st = self.stats[src]
@@ -947,7 +942,7 @@ class SimFabric:
             left = credit.outstanding - count
             credit.outstanding = left
             if not left and credit.waiting:
-                ports[credit.rank].cond.notify()
+                self._notify(ports[credit.rank])
 
     def _take_frozen(self, cut: BoundRequest) -> bool:
         """The plain fire's take, once *cut* has a frozen table: one pass
@@ -1206,7 +1201,7 @@ class SimFabric:
                         cut.rank,
                         lambda: not credit.outstanding,
                         lambda: self._unconsumed(cut),
-                        sending=True,
+                        _SEND,
                     )
                 finally:
                     credit.waiting = False
@@ -1249,14 +1244,13 @@ class SimFabric:
     def _wake_all(self) -> None:
         """Under the lock: wake every port."""
         for port in self._ports:
-            port.cond.notify_all()
+            self._notify(port)
 
     def abort(self) -> None:
         """Wake every waiter with a failure (used when one rank raises)."""
         with self._lock:
             self._failed = True
             self._wake_all()
-        self.barrier.abort()
 
     @property
     def pending_messages(self) -> int:

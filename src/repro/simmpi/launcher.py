@@ -1,15 +1,17 @@
 """SPMD launcher: run one function on N simulated ranks.
 
 Each rank runs in its own thread (the GIL is irrelevant to correctness;
-NumPy copies release it anyway).  If any rank raises, the fabric is
-aborted so blocked peers fail fast instead of deadlocking, and the first
-exception is re-raised in the caller.
+NumPy copies release it anyway).  The ranks are declared live on the
+fabric before any starts, and each is retired when its function returns
+or raises, so the fabric sees a deadlock the moment every live rank is
+blocked (:mod:`repro.simmpi.fabric`).  If any rank raises, the fabric is
+aborted -- before the rank retires -- so blocked peers fail fast, and
+the lowest rank's root-cause exception is re-raised in the caller.
 """
 
 from __future__ import annotations
 
 import threading
-from threading import BrokenBarrierError
 from typing import Any, Callable, List, Optional
 
 from repro.faults.errors import ExchangeConfigError
@@ -33,22 +35,16 @@ def run_spmd(
     fn: Callable[..., Any],
     *args: Any,
     fabric: Optional[SimFabric] = None,
-    timeout: Optional[float] = None,
     **kwargs: Any,
 ) -> List[Any]:
     """Run ``fn(comm, *args, **kwargs)`` on every rank; return results.
 
     The returned list is indexed by rank.  *fabric* may be supplied to
-    inspect statistics afterwards.  *timeout* (seconds) overrides the
-    fabric deadlock timeout for a fabric created here; resolution order
-    is this argument, then ``REPRO_FABRIC_TIMEOUT`` in the environment,
-    then the module default (30 s).
+    inspect statistics afterwards.
     """
     if nranks <= 0:
         raise ExchangeConfigError("nranks must be positive")
-    if fabric is not None and timeout is not None:
-        fabric.set_timeout(timeout)
-    fab = fabric or SimFabric(nranks, timeout=timeout)
+    fab = fabric or SimFabric(nranks)
     if fab.nranks != nranks:
         raise ExchangeConfigError("supplied fabric has the wrong size")
     results: List[Any] = [None] * nranks
@@ -61,22 +57,24 @@ def run_spmd(
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             errors[rank] = exc
             fab.abort()
+        finally:
+            fab.retire()
 
     threads = [
         threading.Thread(target=worker, args=(r,), name=f"simmpi-rank-{r}")
         for r in range(nranks)
     ]
+    fab.declare_live(nranks)
     for t in threads:
         t.start()
     for t in threads:
         t.join()
     # Prefer the root cause: a rank's own exception, not the secondary
-    # BrokenBarrier/Aborted fallout other ranks see once the fabric dies.
+    # AbortedError fallout other ranks see once the fabric dies.
     primary = [
         (rank, err)
         for rank, err in enumerate(errors)
-        if err is not None
-        and not isinstance(err, (BrokenBarrierError, AbortedError))
+        if err is not None and not isinstance(err, AbortedError)
     ]
     secondary = [
         (rank, err) for rank, err in enumerate(errors) if err is not None

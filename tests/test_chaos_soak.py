@@ -33,7 +33,7 @@ class TestFaultedRuns:
         steps = 2
         plan = FaultPlan(seed=3, drop=0.04, corrupt=0.04, duplicate=0.04)
         run = run_executed(problem, "memmap", timesteps=steps, seed=0,
-                           fault_plan=plan, fabric_timeout=10.0)
+                           fault_plan=plan)
         reference = apply_periodic_reference(
             problem.initial_global(0), SEVEN_POINT, steps
         )
@@ -78,7 +78,7 @@ class TestFaultedRuns:
         plan = FaultPlan(seed=5, drop=0.03, corrupt=0.03)
         runs = [
             run_executed(problem, "layout", timesteps=2, seed=0,
-                         fault_plan=plan, fabric_timeout=10.0)
+                         fault_plan=plan)
             for _ in range(2)
         ]
         assert runs[0].faults["schedule_digest"] == runs[1].faults["schedule_digest"]
@@ -92,7 +92,7 @@ class TestFaultedRuns:
         plan = FaultPlan(seed=1, crashes=((3, 1),))
         with pytest.raises(RuntimeError) as info:
             run_executed(problem, "layout", timesteps=3, seed=0,
-                         fault_plan=plan, fabric_timeout=5.0)
+                         fault_plan=plan)
         chain, node = [], info.value
         while node is not None:
             chain.append(node)
@@ -104,7 +104,7 @@ class TestSoak:
     def test_quick_soak_passes(self):
         # One trial per preset, determinism recheck off to keep this fast;
         # the full gate (rechecks, 10 trials, seed matrix) runs in CI.
-        config = ChaosConfig(trials=7, seed=0, steps=2, timeout_s=10.0,
+        config = ChaosConfig(trials=7, seed=0, steps=2,
                              check_determinism=False)
         report = run_soak(config)
         assert len(report.trials) == 7
@@ -121,7 +121,7 @@ class TestSoak:
             )
 
     def test_degrade_trial_demotes(self):
-        config = ChaosConfig(trials=7, seed=0, steps=2, timeout_s=10.0,
+        config = ChaosConfig(trials=7, seed=0, steps=2,
                              check_determinism=False)
         report = run_soak(config)
         degrade = [t for t in report.trials if t.preset == "degrade"]

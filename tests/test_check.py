@@ -225,7 +225,7 @@ class TestNegotiation:
             ex.make_channel()
 
         with pytest.raises(RankFailedError) as exc:
-            run_spmd(2, fn, timeout=20.0)
+            run_spmd(2, fn)
         assert isinstance(exc.value.__cause__, SplitMismatchError)
 
 

@@ -52,7 +52,6 @@ class TestCrashResumeBitExact:
         run = run_executed(
             problem, method, timesteps=STEPS, seed=0, fault_plan=plan,
             checkpoint_dir=tmp_path, checkpoint_period=1,
-            fabric_timeout=15.0,
         )
         assert run.restarts == 1
         assert run.resumed_epoch >= 0
@@ -76,7 +75,6 @@ class TestCrashResumeBitExact:
         run = run_executed(
             problem, "memmap", timesteps=STEPS, seed=0, fault_plan=plan,
             checkpoint_dir=tmp_path, checkpoint_period=1,
-            fabric_timeout=15.0,
         )
         assert run.restarts == 1
         # The relaunched world rebuilt its stitched views from the
@@ -158,7 +156,6 @@ class TestResumeSemantics:
         run = run_executed(
             problem, "yask", timesteps=STEPS, seed=0, fault_plan=plan,
             checkpoint_dir=tmp_path, checkpoint_period=1,
-            fabric_timeout=15.0,
         )
         assert run.restarts == 1
         np.testing.assert_array_equal(run.global_result, base.global_result)
@@ -170,7 +167,6 @@ class TestResumeSemantics:
         run = run_executed(
             problem, "layout", timesteps=STEPS, seed=0, fault_plan=plan,
             checkpoint_dir=tmp_path, checkpoint_period=1,
-            fabric_timeout=15.0,
         )
         assert run.restarts == 2
         np.testing.assert_array_equal(run.global_result, base.global_result)
@@ -181,7 +177,6 @@ class TestResumeSemantics:
         run_executed(
             problem, "layout", timesteps=STEPS, seed=0, fault_plan=plan,
             checkpoint_dir=tmp_path, checkpoint_period=1,
-            fabric_timeout=15.0,
         )
         store = CheckpointStore(tmp_path)
         assert store.ranks() == list(range(problem.nranks))

@@ -292,7 +292,7 @@ def _assert_holds_what_restore_reads(store, nranks, case):
 
 def _kwargs(case, steps, crash, death, tmp_path):
     kwargs = dict(timesteps=steps, seed=0, exchange_period=case.period,
-                  fabric_timeout=20.0, elastic=case.elastic)
+                  elastic=case.elastic)
     faults = dict(WIRE_FAULTS) if case.wire == "faults" else {}
     if crash is not None:
         faults["crashes"] = ((CRASH_RANK, crash),)

@@ -54,7 +54,7 @@ class TestSetupDemotion:
         problem = _problem()
         tiny = dataclasses.replace(generic_host(), mmap_limit=4)
         run = run_executed(problem, "memmap", profile=tiny, timesteps=STEPS,
-                           seed=0, degrade=True, fabric_timeout=10.0)
+                           seed=0, degrade=True)
         assert run.final_method == "basic"
         assert run.demotions == problem.nranks
         assert run.mapping_count == 0  # no live views after demotion
@@ -67,7 +67,7 @@ class TestSetupDemotion:
         tiny = dataclasses.replace(generic_host(), mmap_limit=4)
         with pytest.raises(RuntimeError, match="mappings"):
             run_executed(problem, "memmap", profile=tiny, timesteps=STEPS,
-                         seed=0, fabric_timeout=10.0)
+                         seed=0)
 
     def test_failing_basic_binding_exhausts_the_ladder(self, monkeypatch):
         """MemMap overflows its mapping budget and basic cannot bind
@@ -92,12 +92,11 @@ class TestSetupDemotion:
         monkeypatch.setattr(driver, "_rank_fn", recording)
         problem = _problem()
         tiny = dataclasses.replace(generic_host(), mmap_limit=4)
-        timeout = 10.0
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="ladder exhausted") as err:
             run_executed(problem, "memmap", profile=tiny, timesteps=STEPS,
-                         seed=0, degrade=True, fabric_timeout=timeout)
-        assert time.monotonic() - start < timeout
+                         seed=0, degrade=True)
+        assert time.monotonic() - start < 10.0
         assert "basic Layout exchange failed to bind" in str(err.value.__cause__)
         assert sorted(outcomes) == list(range(problem.nranks))
         for exc in outcomes.values():
@@ -111,7 +110,7 @@ class TestMidRunDegradation:
         problem = _problem()
         plan = FaultPlan(seed=2, degrade=((3, 1),))
         run = run_executed(problem, "memmap", timesteps=STEPS, seed=0,
-                           fault_plan=plan, fabric_timeout=10.0)
+                           fault_plan=plan)
         assert run.final_method == "basic"
         assert run.demotions == problem.nranks
         events = run.faults["events"]
@@ -127,8 +126,7 @@ class TestMidRunDegradation:
         MemMap exchanges."""
         problem = _problem()
         run = run_executed(problem, "memmap", timesteps=6, seed=0,
-                           fault_plan=FaultPlan(seed=2, degrade=((3, 1),)),
-                           fabric_timeout=10.0)
+                           fault_plan=FaultPlan(seed=2, degrade=((3, 1),)))
         geometry = RunGeometry(problem, "memmap")
         for rank, ledger in enumerate(run.metrics.ranks):
             fired = [geometry.schedule("memmap")[1][rank]]
@@ -147,7 +145,6 @@ class TestMidRunDegradation:
         degraded = run_executed(
             problem, "memmap", timesteps=STEPS, seed=0,
             fault_plan=FaultPlan(seed=4, degrade=((0, 1),)),
-            fabric_timeout=10.0,
         )
         np.testing.assert_array_equal(
             healthy.global_result, degraded.global_result
@@ -179,12 +176,11 @@ class TestMidRunDegradation:
             driver, "allreduce", lambda *a: calls.append(1) or real(*a)
         )
         run = run_executed(problem, "memmap", timesteps=6, seed=0,
-                           degrade=True, fabric_timeout=10.0)
+                           degrade=True)
         assert (len(calls), run.final_method) == (problem.nranks, "memmap")
         calls.clear()
         run = run_executed(problem, "memmap", timesteps=6, seed=0,
-                           fault_plan=FaultPlan(seed=2, degrade=((3, 4),)),
-                           fabric_timeout=10.0)
+                           fault_plan=FaultPlan(seed=2, degrade=((3, 4),)))
         assert len(calls) == 3 * problem.nranks
         assert (run.final_method, run.demotions) == ("basic", problem.nranks)
         assert run.faults["events"] == {"demoted": problem.nranks, "vmem_fault": 1}
@@ -200,8 +196,7 @@ class TestMidRunDegradation:
         def two_demotions(*args):
             return {**ckpt_meta(*args), "ladder_level": 2}
 
-        kwargs = dict(seed=0, degrade=True, checkpoint_dir=tmp_path,
-                      fabric_timeout=10.0)
+        kwargs = dict(seed=0, degrade=True, checkpoint_dir=tmp_path)
         with monkeypatch.context() as patch:
             patch.setattr(driver, "_ckpt_meta", two_demotions)
             run_executed(_problem(), "memmap", timesteps=STEPS, **kwargs)
@@ -247,9 +242,7 @@ class TestLadderEngines:
         # An 8^3 double brick is exactly 4096 bytes: double the page so
         # slots really are padded (alignment > 1).
         page = 2 * generic_host().page_size
-        outs = run_spmd(
-            problem.nranks, self._rank_probe, problem, page, timeout=10.0
-        )
+        outs = run_spmd(problem.nranks, self._rank_probe, problem, page)
         for out in outs:
             assert out["merged_raised"] is True
             assert out["basic_method"] == "basic"

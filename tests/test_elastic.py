@@ -51,7 +51,7 @@ def _problem():
 
 class TestFabricLiveness:
     def test_post_to_dead_rank_raises_typed_error(self):
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         fab.mark_dead(1)
         assert fab.is_dead(1)
         assert fab.dead_ranks() == [1]
@@ -63,7 +63,7 @@ class TestFabricLiveness:
         """A destination marked dead after ``post_send`` was entered but
         before its deposit gets nothing queued: the dead check shares the
         deposit's lock acquisition."""
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         if verified:
             fab.enable_envelope()
 
@@ -84,7 +84,7 @@ class TestFabricLiveness:
         asks the injector per item), so a destination that dies in
         between still gets nothing queued -- and neither does a live
         one posted to by the same call."""
-        fab = SimFabric(3, timeout=5.0)
+        fab = SimFabric(3)
 
         class DiesWhileSealing(FaultInjector):
             def on_post(self, src, dst, tag, seq):
@@ -101,9 +101,9 @@ class TestFabricLiveness:
         assert fab.stats[0].sends == 0
 
     def test_recv_from_dead_rank_fails_fast(self):
-        """An empty edge from a dead peer raises immediately -- the
-        caller must not burn the full deadlock timeout."""
-        fab = SimFabric(2, timeout=30.0)
+        """An empty edge from a dead peer raises immediately, as a
+        death, not as the deadlock the bare fabric would see."""
+        fab = SimFabric(2)
         fab.mark_dead(1)
         start = time.monotonic()
         with pytest.raises(RankDeadError, match="permanently dead"):
@@ -113,7 +113,7 @@ class TestFabricLiveness:
     def test_queued_message_from_dead_rank_still_delivered(self):
         """Death drains in order: data already on the wire arrives, the
         *next* receive on the drained edge raises."""
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         fab.post_send(1, 0, tag=0, buf=np.full(4, 7.0))
         fab.mark_dead(1)
         buf = np.empty(4)
@@ -121,30 +121,6 @@ class TestFabricLiveness:
         np.testing.assert_array_equal(buf, np.full(4, 7.0))
         with pytest.raises(RankDeadError):
             fab.complete_recv(1, 0, tag=0, buf=buf)
-
-    def test_stale_heartbeat_classifies_peer_as_dead(self):
-        fab = SimFabric(2, timeout=0.4)
-        fab.set_heartbeat_deadline(0.05)
-        fab.heartbeat(1)
-        time.sleep(0.1)
-        with pytest.raises(RankDeadError, match="heartbeat deadline"):
-            fab.complete_recv(1, 0, tag=0, buf=np.empty(1))
-        assert fab.is_dead(1)
-
-    def test_no_heartbeat_recorded_stays_a_deadlock(self):
-        """A peer that never checked in cannot be declared dead -- the
-        timeout keeps its deadlock classification."""
-        fab = SimFabric(2, timeout=0.2)
-        fab.set_heartbeat_deadline(0.05)
-        with pytest.raises(DeadlockError):
-            fab.complete_recv(1, 0, tag=0, buf=np.empty(1))
-        assert not fab.is_dead(1)
-
-    def test_heartbeat_deadline_must_be_positive(self):
-        fab = SimFabric(2)
-        with pytest.raises(ValueError):
-            fab.set_heartbeat_deadline(0.0)
-        fab.set_heartbeat_deadline(None)  # disables; always allowed
 
     def test_mark_dead_wakes_blocked_receiver(self):
         """A rank blocked in a receive is released promptly when its
@@ -168,7 +144,7 @@ class TestVerifiedFabricBinds:
     time and verified where it lands."""
 
     def _verified_pair(self):
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         fab.enable_envelope()
         data, out = np.arange(4.0), np.zeros(4)
         sender = fab.bind_request(0, [(1, 0, data)], [], wire_copy)
@@ -292,7 +268,7 @@ class TestEpochNegotiation:
         assert isinstance(err, NoCommonEpochError)
         assert err.newest_by_rank == [3, 4]
 
-    def test_recovery_negotiation_shards_old_ranks(self, tmp_path):
+    def test_recovery_negotiation_intersects_every_old_rank(self, tmp_path):
         problem = _problem()
         run_executed(
             problem, "layout", timesteps=STEPS, seed=0,
@@ -300,20 +276,21 @@ class TestEpochNegotiation:
         )
         store = CheckpointStore(tmp_path)
         key = snapshot_key(RunGeometry(problem, "layout"), 0, 1)
-        # 6 survivors agree on the newest epoch common to all 8 old
-        # ranks -- a period-1 run commits through STEPS - 1.
-        epoch = negotiate_recovery_epoch(store, problem.nranks, 6, key)
-        assert epoch == STEPS - 1
+        # The newest epoch common to all 8 old ranks -- a period-1 run
+        # commits through STEPS - 1.
+        assert negotiate_recovery_epoch(store, problem.nranks, key) == STEPS - 1
+        # One old rank short of it: the newest epoch every rank holds.
+        store.snapshot_path(3, STEPS - 1).unlink()
+        assert negotiate_recovery_epoch(store, problem.nranks, key) == STEPS - 2
 
     def test_recovery_negotiation_required_surfaces_typed_error(
         self, tmp_path
     ):
         store = CheckpointStore(tmp_path)  # empty: nobody has snapshots
-        with pytest.raises(NoCommonEpochError):
-            negotiate_recovery_epoch(
-                store, 8, 3, "no-such-key", required=True
-            )
-        assert negotiate_recovery_epoch(store, 8, 3, "no-such-key") == -1
+        with pytest.raises(NoCommonEpochError) as info:
+            negotiate_recovery_epoch(store, 8, "no-such-key", required=True)
+        assert info.value.newest_by_rank == [-1] * 8
+        assert negotiate_recovery_epoch(store, 8, "no-such-key") == -1
 
 
 class TestElasticRestartBitExact:
@@ -329,7 +306,6 @@ class TestElasticRestartBitExact:
         run = run_executed(
             problem, "layout", timesteps=STEPS, seed=0, fault_plan=plan,
             checkpoint_dir=tmp_path, checkpoint_period=1, elastic=True,
-            fabric_timeout=15.0,
         )
         assert run.reshapes == 1
         assert run.dead_ranks == (dead_rank,)
@@ -357,7 +333,7 @@ class TestElasticRestartBitExact:
         fresh = run_executed(
             recovery.new_problem, "layout", timesteps=STEPS, seed=0,
             checkpoint_dir=tmp_path / "fresh", checkpoint_period=1,
-            resume=True, fabric_timeout=15.0,
+            resume=True,
         )
         assert fresh.resumed_epoch == run.resumed_epoch
         np.testing.assert_array_equal(fresh.global_result, run.global_result)
@@ -373,7 +349,6 @@ class TestElasticRestartBitExact:
         run = run_executed(
             problem, "layout", timesteps=STEPS, seed=0, fault_plan=plan,
             checkpoint_dir=tmp_path, checkpoint_period=1, elastic=True,
-            fabric_timeout=15.0,
         )
         assert run.reshapes == 1
         assert run.resumed_epoch == -1
@@ -390,7 +365,6 @@ class TestElasticRestartBitExact:
         run = run_executed(
             problem, "layout", timesteps=STEPS, seed=0, fault_plan=plan,
             checkpoint_dir=tmp_path, checkpoint_period=1, elastic=True,
-            fabric_timeout=15.0,
         )
         assert run.reshapes == 1
         assert run.dead_ranks == (3, 5)
@@ -410,7 +384,6 @@ class TestElasticRestartBitExact:
             problem, "layout", timesteps=8, seed=0,
             fault_plan=FaultPlan(seed=1, deaths=((3, 5),)),
             checkpoint_dir=tmp_path, checkpoint_period=2, elastic=True,
-            fabric_timeout=15.0,
         )
         assert (run.reshapes, run.resumed_epoch) == (1, 4)
         new_world = StencilProblem(
@@ -430,7 +403,7 @@ class TestElasticRestartBitExact:
         run = run_executed(
             problem, "layout", timesteps=8, seed=0,
             fault_plan=FaultPlan(seed=1, crashes=((3, 5),)),
-            checkpoint_dir=tmp_path, checkpoint_period=2, fabric_timeout=15.0,
+            checkpoint_dir=tmp_path, checkpoint_period=2,
         )
         assert (run.restarts, run.messages_per_rank) == (1, 39)
         assert all(
@@ -445,7 +418,7 @@ class TestElasticRestartBitExact:
         with pytest.raises(RuntimeError) as info:
             run_executed(
                 problem, "layout", timesteps=STEPS, seed=0,
-                fault_plan=plan, fabric_timeout=10.0,
+                fault_plan=plan,
             )
         chain, node = [], info.value
         while node is not None:

@@ -503,7 +503,7 @@ class TestCrcMoversMatchZlib:
             movers.copy_crc_list([view], [view.copy()])
         movers.copy_list([view], [view.copy()])()  # the copies engage
 
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         fab.enable_envelope()
         payload = np.arange(16.0)
         landed = np.zeros(16)

@@ -76,7 +76,7 @@ class _Pair:
     def __init__(self, plan=None, tags=(5,), fab=None):
         self.injector = FaultInjector(plan) if plan is not None else None
         if fab is None:
-            fab = SimFabric(2, timeout=5.0)
+            fab = SimFabric(2)
             fab.enable_envelope(self.injector)
         self.fab = fab
         self.data = [_payload(seed=tag) for tag in tags]
@@ -110,7 +110,7 @@ class _Pair:
 
 class TestVerifiedDelivery:
     def test_clean_delivery_matches_plain(self):
-        plain = _Pair(fab=SimFabric(2, timeout=5.0))
+        plain = _Pair(fab=SimFabric(2))
         verified = _Pair()
         for pair in (plain, verified):
             pair.post()
@@ -325,7 +325,7 @@ class TestPerMessageDetection:
     no retransmit."""
 
     def test_clean_delivery_and_own_sequence_stream(self):
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         fab.enable_envelope()
         data, out = _payload(seed=7), np.zeros(16)
         bound = _Pair(fab=fab, tags=(9,))
@@ -340,7 +340,7 @@ class TestPerMessageDetection:
 
     def test_mismatch_is_a_typed_error_and_nothing_heals_it(self):
         injector = FaultInjector(FaultPlan())
-        fab = SimFabric(2, timeout=0.3)
+        fab = SimFabric(2)
         fab.enable_envelope(injector)
         fab.set_epoch(0, 0)
         fab.set_epoch(1, 0)
@@ -372,7 +372,7 @@ def test_guard_tables_lose_no_update_under_contention():
     injector = FaultInjector(
         FaultPlan(seed=11, drop=0.1, corrupt=0.1, duplicate=0.1)
     )
-    fab = SimFabric(nranks, timeout=20.0)
+    fab = SimFabric(nranks)
     fab.enable_envelope(injector)
 
     def fn(comm):
@@ -475,7 +475,7 @@ class _Cut39:
     def __init__(self, binders, plan=None):
         self.seal, self.check = binders
         self.injector = FaultInjector(plan) if plan is not None else None
-        self.fab = fab = SimFabric(2, timeout=5.0)
+        self.fab = fab = SimFabric(2)
         fab.enable_envelope(self.injector)
         sizes = [512 + 64 * (tag % 5) + tag % 3 for tag in range(self.N)]
         self.data = [_payload(n, seed=tag) for tag, n in enumerate(sizes)]
@@ -672,7 +672,7 @@ class TestTheGuardJudgesACut:
         from repro.simmpi.fabric import SplitMismatchError
 
         seal, check = binders
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         fab.enable_envelope()
         outs = [np.full(4, -1.0), np.full(4, -1.0)]
         kw = {"crc_list": seal, "copy_crc_list": check}
@@ -697,7 +697,7 @@ class TestTheGuardJudgesACut:
 
     def test_a_rebound_peer_rebuilds_the_check_table(self, binders):
         seal, check = binders
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         fab.enable_envelope()
         out = np.full(4, -1.0)
         receiver = fab.bind_request(

@@ -1,23 +1,17 @@
-"""Fabric failure modes: deadlocks, aborts, error cascades, timeouts."""
+"""Fabric failure modes: deadlocks, aborts, error cascades."""
 
-import threading
+import random
 import time
 
 import numpy as np
 import pytest
 
-import repro.simmpi.fabric as fabric_mod
 from repro.faults.errors import RankDeadError
 from repro.simmpi import SimFabric, run_spmd
 from repro.simmpi.collectives import allreduce, broadcast
 from repro.simmpi.fabric import AbortedError, DeadlockError
+from repro.simmpi.launcher import RankFailedError
 from tests.conftest import wire_copy
-
-
-@pytest.fixture
-def fast_timeout(monkeypatch):
-    """Shrink the deadlock timeout so failure tests run quickly."""
-    monkeypatch.setattr(fabric_mod, "_DEADLOCK_TIMEOUT", 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -71,34 +65,37 @@ _SITES = {
 
 @pytest.mark.parametrize("site", _SITES)
 class TestOneClassification:
-    """Rank 0 blocks on the silent rank 1 through each of the blocking
-    entry points; each failure mode must surface as the same
-    typed error with the same message shape, whichever site waited."""
+    """Rank 0 blocks on rank 1 through each of the blocking entry points;
+    each failure mode must surface as the same typed error with the same
+    message shape, whichever site waited."""
 
-    def _blocked(self, site, timeout, disturb=None):
-        """Block in *site*; *disturb(fab)* fires 50 ms into the wait."""
-        fab = SimFabric(2, timeout=timeout)
-        wait = _SITES[site][0](fab)
-        timer = threading.Timer(0.05, disturb, (fab,)) if disturb else None
-        if timer:
-            timer.start()
-        start = time.monotonic()
-        try:
+    def _blocked(self, site, disturb):
+        """Rank 0 blocks in *site*; rank 1 runs *disturb(fab)* 50 ms into
+        the wait and returns.  Returns the fabric and rank 0's error."""
+
+        def fn(comm):
+            if comm.rank == 1:
+                time.sleep(0.05)
+                disturb(comm.fabric)
+                return None
+            wait = _SITES[site][0](comm.fabric)
             with pytest.raises(Exception) as info:
                 wait()
-        finally:
-            if timer:
-                timer.join(timeout=5.0)
+            return info
+
+        fab = SimFabric(2)
+        start = time.monotonic()
+        info = run_spmd(2, fn, fabric=fab)[0]
         assert time.monotonic() - start < 3.0
         return fab, info
 
     def test_abort(self, site):
-        _fab, info = self._blocked(site, 30.0, SimFabric.abort)
+        _fab, info = self._blocked(site, SimFabric.abort)
         assert info.type is AbortedError
         assert info.match("another rank failed; (aborting receive|abandoning send)")
 
     def test_dead_peer(self, site):
-        fab, info = self._blocked(site, 30.0, lambda fab: fab.mark_dead(1))
+        fab, info = self._blocked(site, lambda fab: fab.mark_dead(1))
         assert info.type is RankDeadError
         assert info.match(
             rf"rank 0 cannot {_SITES[site][1][0]} rank 1 \(tag={_TAG}\):"
@@ -106,40 +103,41 @@ class TestOneClassification:
         )
         assert not fab._failed  # a death is not an abort
 
-    def test_stale_heartbeat(self, site):
-        def beat_once(fab):
-            fab.set_heartbeat_deadline(0.05)
-            fab.heartbeat(1)
-
-        fab, info = self._blocked(site, 0.3, beat_once)
-        assert info.type is RankDeadError
-        assert info.match("rank 1 missed its heartbeat deadline; declaring it dead")
-        assert fab.is_dead(1) and fab._failed
-
-    def test_timeout(self, site):
-        fab, info = self._blocked(site, 0.2)
+    def test_deadlock(self, site):
+        # Rank 1 returns without a word: once it retires, every live
+        # rank is blocked.
+        fab, info = self._blocked(site, lambda fab: None)
         assert info.type is DeadlockError
         assert info.match(
-            rf"rank 0 waited 0\.2s for {_SITES[site][1][1]}, tag={_TAG}\)"
+            rf"rank 0 deadlocked waiting for {_SITES[site][1][1]}, tag={_TAG}\):"
+            " every rank is blocked or finished"
         )
-        assert fab._failed  # a timeout aborts the fabric for everyone else
+        assert not fab._failed  # seen, not timed out: nothing aborted
+
+    def test_bare_fabric_deadlocks_at_once(self, site):
+        # No launcher declared a rank: the calling thread drives them
+        # all, so a wait that is not ready can never become ready.
+        fab = SimFabric(2)
+        with pytest.raises(DeadlockError, match=f"tag={_TAG}"):
+            _SITES[site][0](fab)()
 
 
 class TestDeadlockDetection:
-    def test_unmatched_recv_detected(self, fast_timeout):
+    def test_unmatched_recv_detected(self):
         def fn(comm):
             buf = np.empty(1)
             comm.Recv(buf, (comm.rank + 1) % comm.size, tag=99)
 
-        with pytest.raises(RuntimeError, match="waited"):
+        with pytest.raises(RuntimeError, match="deadlocked waiting for message"):
             run_spmd(2, fn)
 
-    def test_unmatched_send_detected(self, fast_timeout):
+    def test_unmatched_send_detected(self):
         def fn(comm):
             if comm.rank == 0:
                 comm.Send(np.zeros(1), 1, tag=5)  # nobody receives
             else:
-                # rank 1 sits at the barrier forever; abort must reach it
+                # rank 1 sits at the barrier: a fabric wait, so the
+                # detector counts it as blocked
                 try:
                     comm.Barrier()
                 except Exception:
@@ -148,7 +146,7 @@ class TestDeadlockDetection:
         with pytest.raises(RuntimeError, match="unmatched|Deadlock|deadlock"):
             run_spmd(2, fn)
 
-    def test_tag_mismatch_is_a_deadlock(self, fast_timeout):
+    def test_tag_mismatch_is_a_deadlock(self):
         def fn(comm):
             if comm.rank == 0:
                 comm.Send(np.zeros(1), 1, tag=1)
@@ -158,9 +156,76 @@ class TestDeadlockDetection:
         with pytest.raises(RuntimeError):
             run_spmd(2, fn)
 
+    def test_a_deadlock_is_reported_the_same_way_every_time(self):
+        """A 3-rank cycle of receives, entered in a random order: every
+        blocked rank raises its own DeadlockError before the abort the
+        first raise makes, so the launcher always reports rank 0's edge,
+        at once.  Were the abort to win, the rank that blocked last --
+        it detects and runs on first -- would be reported instead."""
+        order = random.Random(7)
+
+        def fn(comm, delay):
+            time.sleep(delay)
+            comm.Recv(np.empty(1), (comm.rank + 1) % comm.size, tag=comm.rank)
+
+        messages = set()
+        for _ in range(20):
+            delays = [order.choice((0.0, 0.002, 0.004)) for _ in range(3)]
+            start = time.monotonic()
+            with pytest.raises(RankFailedError) as info:
+                run_spmd(3, lambda comm: fn(comm, delays[comm.rank]))
+            assert time.monotonic() - start < 1.0
+            assert isinstance(info.value.__cause__, DeadlockError)
+            messages.add(str(info.value))
+        assert messages == {
+            "rank 0 failed: DeadlockError('rank 0 deadlocked waiting for"
+            " message (src=1, tag=0): every rank is blocked or finished')"
+        }
+
+    def test_barrier_against_a_receive_raises(self):
+        def fn(comm):
+            if comm.rank == 0:
+                comm.Barrier()
+            else:
+                comm.Recv(np.empty(1), 0, tag=4)
+
+        with pytest.raises(RankFailedError) as info:
+            run_spmd(2, fn)
+        assert isinstance(info.value.__cause__, DeadlockError)
+        assert info.match(
+            r"rank 0 deadlocked waiting for barrier arrival \(rank=1\)"
+        )
+
+    def test_bound_ping_pong_with_a_sleepy_rank_never_deadlocks(self):
+        """10 000 exchanges in which rank 1 sleeps 0-50 us at random
+        before each: a rank woken but not yet running is not blocked, so
+        no handoff is ever mistaken for a deadlock."""
+        exchanges = 10_000
+
+        def fn(comm):
+            rank, fab = comm.rank, comm.fabric
+            peer = 1 - rank
+            send, recv = np.zeros(1), np.empty(1)
+            cut = fab.bind_request(rank, [(peer, 0, send)], [(peer, 0, recv)],
+                                   wire_copy)
+            sleepy = random.Random(rank) if rank == 1 else None
+            for i in range(exchanges):
+                if sleepy is not None:
+                    time.sleep(sleepy.uniform(0.0, 50e-6))
+                send[0] = i + rank
+                fab.post_send_batch(cut)
+                fab.complete_recv_batch(cut)
+                fab.wait_send_batch(cut)
+                assert recv[0] == i + peer
+            return exchanges
+
+        fab = SimFabric(2)
+        assert run_spmd(2, fn, fabric=fab) == [exchanges] * 2
+        assert fab.pending_messages == 0
+
 
 class TestAbortCascades:
-    def test_one_failure_releases_blocked_peers(self, fast_timeout):
+    def test_one_failure_releases_blocked_peers(self):
         """A raise on one rank must not leave others hanging on recvs."""
 
         def fn(comm):
@@ -171,9 +236,9 @@ class TestAbortCascades:
         with pytest.raises(RuntimeError, match="original failure"):
             run_spmd(3, fn)
 
-    def test_root_cause_reported_not_fallout(self, fast_timeout):
+    def test_root_cause_reported_not_fallout(self):
         """The launcher reports the originating exception, not the
-        BrokenBarrier/Aborted noise other ranks see."""
+        AbortedError noise other ranks see -- in the barrier too."""
 
         def fn(comm):
             if comm.rank == 2:
@@ -183,71 +248,19 @@ class TestAbortCascades:
         with pytest.raises(RuntimeError, match="rank 2.*root cause"):
             run_spmd(4, fn)
 
-    def test_fabric_unusable_after_abort(self, fast_timeout):
+    def test_fabric_unusable_after_abort(self):
         fab = SimFabric(2)
         fab.abort()
         with pytest.raises(AbortedError):
             fab.complete_recv(0, 1, 0, np.empty(1))
 
 
-class TestTimeoutConfiguration:
-    def test_constructor_argument(self):
-        assert SimFabric(2, timeout=3.5).timeout == 3.5
-
-    def test_module_default_when_unset(self):
-        assert SimFabric(2).timeout == fabric_mod._DEADLOCK_TIMEOUT
-
-    def test_monkeypatched_module_default_still_works(self, fast_timeout):
-        # The legacy override path used throughout this file: a fabric
-        # without an explicit timeout follows the module global live.
-        assert SimFabric(2).timeout == 0.5
-
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FABRIC_TIMEOUT", "2.25")
-        assert SimFabric(2).timeout == 2.25
-        # Explicit argument wins over the environment.
-        assert SimFabric(2, timeout=1.0).timeout == 1.0
-
-    def test_bad_environment_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FABRIC_TIMEOUT", "soon")
-        with pytest.raises(ValueError, match="REPRO_FABRIC_TIMEOUT"):
-            SimFabric(2)
-
-    def test_set_timeout_validation(self):
-        fab = SimFabric(2, timeout=5.0)
-        fab.set_timeout(1.5)
-        assert fab.timeout == 1.5
-        fab.set_timeout(None)  # back to the module default
-        assert fab.timeout == fabric_mod._DEADLOCK_TIMEOUT
-        with pytest.raises(ValueError, match="positive"):
-            fab.set_timeout(0.0)
-        with pytest.raises(ValueError, match="positive"):
-            SimFabric(2, timeout=-1.0)
-
-    def test_run_spmd_timeout_governs_deadlock(self):
-        def fn(comm):
-            if comm.rank == 1:
-                comm.Recv(np.empty(1), 0, tag=9)  # never sent
-
-        with pytest.raises(RuntimeError, match="waited 0.4"):
-            run_spmd(2, fn, timeout=0.4)
-
-    def test_run_spmd_timeout_overrides_supplied_fabric(self):
-        fab = SimFabric(2, timeout=60.0)
-
-        def fn(comm):
-            pass
-
-        run_spmd(2, fn, fabric=fab, timeout=0.7)
-        assert fab.timeout == 0.7
-
-
 class TestCollectiveAbortPropagation:
     """Satellite (c): a crash inside a collective must release the peers
     blocked in the same collective, with the crash as the reported root
-    cause -- not a bare deadlock or barrier timeout."""
+    cause -- not a bare deadlock."""
 
-    def test_crash_inside_barrier_releases_peers(self, fast_timeout):
+    def test_crash_inside_barrier_releases_peers(self):
         def fn(comm):
             if comm.rank == 0:
                 raise RuntimeError("rank 0 died before the barrier")
@@ -257,7 +270,7 @@ class TestCollectiveAbortPropagation:
             run_spmd(4, fn)
         assert isinstance(info.value.__cause__, RuntimeError)
 
-    def test_crash_inside_allreduce_releases_peers(self, fast_timeout):
+    def test_crash_inside_allreduce_releases_peers(self):
         def fn(comm):
             if comm.rank == 2:
                 raise ValueError("rank 2 died mid-reduction")
@@ -266,7 +279,7 @@ class TestCollectiveAbortPropagation:
         with pytest.raises(RuntimeError, match="rank 2.*died mid-reduction"):
             run_spmd(4, fn)
 
-    def test_crash_inside_broadcast_releases_peers(self, fast_timeout):
+    def test_crash_inside_broadcast_releases_peers(self):
         def fn(comm):
             if comm.rank == 0:
                 raise RuntimeError("root died before broadcasting")
@@ -275,7 +288,7 @@ class TestCollectiveAbortPropagation:
         with pytest.raises(RuntimeError, match="root died"):
             run_spmd(4, fn)
 
-    def test_peers_see_aborted_not_deadlock(self, fast_timeout):
+    def test_peers_see_aborted_not_deadlock(self):
         """The fallout on surviving ranks is AbortedError (fail-fast),
         which the launcher demotes in favor of the root cause."""
         seen = {}
@@ -296,7 +309,7 @@ class TestCollectiveAbortPropagation:
             assert isinstance(exc, AbortedError)
 
     def test_injected_crash_root_cause_through_collectives(
-        self, fast_timeout, small_problem
+        self, small_problem
     ):
         """End-to-end: a scheduled mid-run crash during a degrade-voting
         (collective-using) run surfaces InjectedCrashError as the cause."""

@@ -68,7 +68,7 @@ def test_two_handles_on_the_same_edges_keep_their_own_buffers():
             # The idle handle's ghost buffer still holds the previous step.
             np.testing.assert_array_equal(recvs[other], before)
 
-    fab = SimFabric(3, timeout=5.0)
+    fab = SimFabric(3)
     run_spmd(3, fn, fabric=fab)
     assert fab.pending_messages == 0
     assert fab.total_stats().sends == fab.total_stats().recvs == 12
@@ -111,7 +111,7 @@ def test_steady_state_allocates_nothing_per_message(monkeypatch):
         comm.Barrier()
         return result.messages_sent
 
-    fab = SimFabric(8, timeout=10.0)
+    fab = SimFabric(8)
     msgs = run_spmd(8, fn, fabric=fab)
     counts["armed"] = False
     assert counts["entries"] == 0 and counts["events"] == 0
@@ -169,7 +169,7 @@ def test_steady_state_with_collectives_constructs_no_event(monkeypatch, verified
         comm.Barrier()
         return sums
 
-    fab = SimFabric(8, timeout=10.0)
+    fab = SimFabric(8)
     if verified:
         fab.enable_envelope()
     results = run_spmd(8, fn, fabric=fab)
@@ -183,27 +183,25 @@ def test_steady_state_with_collectives_constructs_no_event(monkeypatch, verified
 # ----------------------------------------------------------------------
 # (c) wake-ups are targeted
 # ----------------------------------------------------------------------
-class _CountingCondition:
-    """A port condition that records who notified it."""
+def _log_notifies(fab, log):
+    """Record ``(port owner, notifying thread)`` of every notify *fab*
+    makes."""
+    notify = fab._notify
+    owner = {id(port): rank for rank, port in enumerate(fab._ports)}
 
-    def __init__(self, cond, log, owner):
-        self._cond, self._log, self._owner = cond, log, owner
+    def logged(port):
+        log.append((owner[id(port)], threading.current_thread().name))
+        notify(port)
 
-    def notify(self, n=1):
-        self._log.append((self._owner, threading.current_thread().name))
-        self._cond.notify(n)
-
-    def __getattr__(self, name):
-        return getattr(self._cond, name)
+    fab._notify = logged
 
 
 def test_wakeups_go_only_to_peers_and_once_per_exchange():
     # A 3-rank line 0 - 1 - 2: ranks 0 and 2 never talk to each other.
     steps = 4
-    fab = SimFabric(3, timeout=5.0)
+    fab = SimFabric(3)
     log = []
-    for rank, port in enumerate(fab._ports):
-        port.cond = _CountingCondition(port.cond, log, rank)
+    _log_notifies(fab, log)
     peers = {0: [1], 1: [0, 2], 2: [1]}
 
     def fn(comm):
@@ -245,10 +243,9 @@ def test_two_alternating_cuts_wake_each_rank_once_per_exchange():
     completed waited for every neighbour's next post, and a neighbour
     posts again only after it consumed this rank's items."""
     steps = 6
-    fab = SimFabric(3, timeout=5.0)
+    fab = SimFabric(3)
     log = []
-    for rank, port in enumerate(fab._ports):
-        port.cond = _CountingCondition(port.cond, log, rank)
+    _log_notifies(fab, log)
     peers = {0: [1], 1: [0, 2], 2: [1]}
 
     def fn(comm):
@@ -293,10 +290,7 @@ class TestBoundFailureModes:
             fab, rank = comm.fabric, comm.rank
             request = _ring_request(fab, rank, np.zeros(4), np.zeros(4), tag=7)
             if rank == 0:
-                time.sleep(1.0)  # never posts inside the 0.3 s timeout
-                return
-            if rank == 2:
-                time.sleep(0.1)  # so rank 1's deadline is the first to pass
+                return  # never posts
             try:
                 _fire(fab, request)
             except (DeadlockError, AbortedError) as err:
@@ -305,27 +299,20 @@ class TestBoundFailureModes:
 
         start = time.monotonic()
         with pytest.raises(RuntimeError) as info:
-            run_spmd(3, fn, timeout=0.3)
-        assert time.monotonic() - start < 5.0
+            run_spmd(3, fn)
+        assert time.monotonic() - start < 1.0
         assert isinstance(info.value.__cause__, DeadlockError)
-        # Rank 1 waits on rank 0; rank 2 got its message and is aborted
-        # while waiting for its own send to be consumed.
+        # Once rank 0 retires, rank 1 waits on it for a message and
+        # rank 2, which got its own, for its send to be consumed: each
+        # names its own missing edge, before the abort the first makes.
         assert isinstance(errors[1], DeadlockError)
-        assert "(src=0, tag=7)" in str(errors[1])
-        assert isinstance(errors[2], AbortedError)
-
-    def test_stale_heartbeat_classifies_the_silent_sender_as_dead(self):
-        fab = SimFabric(2, timeout=0.3)
-        fab.set_heartbeat_deadline(0.05)
-        fab.heartbeat(1)
-        time.sleep(0.1)
-        cut = fab.bind_request(0, [], [(1, 0, np.empty(2))], wire_copy)
-        with pytest.raises(RankDeadError, match="heartbeat deadline"):
-            fab.complete_recv_batch(cut)
-        assert fab.is_dead(1)
+        assert "message (src=0, tag=7)" in str(errors[1])
+        assert isinstance(errors[2], DeadlockError)
+        assert "unmatched send (dst=0, tag=7)" in str(errors[2])
+        assert str(info.value).startswith("rank 1 failed")
 
     def test_message_on_the_wire_outlives_its_sender_then_edge_drains(self):
-        fab = SimFabric(2, timeout=30.0)
+        fab = SimFabric(2)
         out = np.empty(4)
         sender = fab.bind_request(1, [(0, 0, np.full(4, 7.0))], [], wire_copy)
         receiver = fab.bind_request(0, [], [(1, 0, out)], wire_copy)
@@ -339,7 +326,7 @@ class TestBoundFailureModes:
         assert time.monotonic() - start < 5.0
 
     def test_destination_marked_dead_between_bind_and_fire(self):
-        fab = SimFabric(3, timeout=5.0)
+        fab = SimFabric(3)
         cut = fab.bind_request(
             0, [(1, 0, np.zeros(4)), (2, 0, np.zeros(4))], [], wire_copy
         )
@@ -373,7 +360,7 @@ class TestBoundFailureModes:
             fab.bind_request(1, [], [(0, 3, np.zeros((4, 4))[:, ::2])], wire_copy)
 
     def test_arrival_with_no_bound_receive_is_a_protocol_error(self):
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         stray = fab.bind_request(0, [(1, 4, np.zeros(4))], [], wire_copy)
         receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))], wire_copy)
         fab.post_send_batch(stray)
@@ -381,7 +368,7 @@ class TestBoundFailureModes:
             fab.complete_recv_batch(receiver)
 
     def test_second_epoch_on_an_edge_is_a_protocol_error(self):
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         sender = fab.bind_request(0, [(1, 3, np.zeros(4))], [], wire_copy)
         receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))], wire_copy)
         fab.post_send_batch(sender)
@@ -402,7 +389,7 @@ class TestBoundFailureModes:
             fab.bind_request(1, [], [(0, 4, np.zeros((4, 4))[:, ::2])], wire_copy)
 
     def test_verified_stray_arrival_is_a_protocol_error(self):
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         fab.enable_envelope()
         stray = fab.bind_request(0, [(1, 4, np.zeros(4))], [], wire_copy)
         receiver = fab.bind_request(1, [], [(0, 3, np.zeros(4))], wire_copy)
@@ -413,7 +400,7 @@ class TestBoundFailureModes:
     def test_verified_second_epoch_on_an_edge_stays_queued_in_order(self):
         # What the plain fabric calls a ProtocolError the guard can
         # tell apart by sequence number: the next epoch's item waits.
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         fab.enable_envelope()
         data, out = np.zeros(4), np.full(4, -1.0)
         sender = fab.bind_request(0, [(1, 3, data)], [], wire_copy)
@@ -458,7 +445,7 @@ def test_collective_posted_after_the_exchange_is_not_a_halo_arrival():
             totals.append(float(allreduce(comm, np.float64(rank + step))))
         return totals
 
-    fab = SimFabric(3, timeout=5.0)
+    fab = SimFabric(3)
     results = run_spmd(3, fn, fabric=fab)
     assert results[0] == results[1] == results[2] == [3.0, 6.0, 9.0]
     for step in range(steps):  # the race really happened
@@ -468,7 +455,7 @@ def test_collective_posted_after_the_exchange_is_not_a_halo_arrival():
 
 
 def test_per_message_send_does_not_match_a_bound_receive():
-    fab = SimFabric(2, timeout=0.5)
+    fab = SimFabric(2)
     out = np.full(4, -1.0)
     receiver = fab.bind_request(1, [], [(0, 3, out)], wire_copy)
     fab.post_send(0, 1, 3, np.zeros(4))
@@ -534,7 +521,7 @@ class TestFrozenCopyTable:
                 # only called: one mover call per complete_recv_batch.
                 assert (counter.built, counter.calls) == (1, step + 1)
 
-        fab = SimFabric(3, timeout=5.0)
+        fab = SimFabric(3)
         run_spmd(3, fn, fabric=fab)
         assert fab.pending_messages == 0
 
@@ -542,7 +529,7 @@ class TestFrozenCopyTable:
         """The table is good for the very items it was built from: a peer
         that binds again (a ladder rung, a new buffer) delivers new
         objects, which are checked and frozen afresh."""
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         counter = _CountingCopyList(copy_list)
         out = np.full(4, -1.0)
         receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter)
@@ -556,7 +543,7 @@ class TestFrozenCopyTable:
         assert counter.calls == 4
 
     def test_size_mismatched_peer_is_refused_before_any_byte(self, copy_list):
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         counter = _CountingCopyList(copy_list)
         out = np.full(4, -1.0)
         receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter)
@@ -573,7 +560,7 @@ class TestFrozenCopyTable:
         assert (counter.built, counter.calls) == (1, 1)
 
     def test_protocol_errors_come_before_any_byte(self, copy_list):
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         counter = _CountingCopyList(copy_list)
         data, out = np.full(4, 1.0), np.full(4, -1.0)
         receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter)
@@ -590,7 +577,7 @@ class TestFrozenCopyTable:
         assert (counter.built, counter.calls) == (1, 1)
 
     def test_stray_key_after_freeze_is_a_protocol_error(self, copy_list):
-        fab = SimFabric(2, timeout=5.0)
+        fab = SimFabric(2)
         counter = _CountingCopyList(copy_list)
         out = np.full(4, -1.0)
         receiver = fab.bind_request(1, [], [(0, 3, out)], copy_list=counter)
@@ -618,7 +605,7 @@ class TestFrozenCopyTable:
         if not realmap_available():
             pytest.skip("real arena unavailable")
         arena = MemfdArena(8 * 4096, 4096)
-        fab = SimFabric(1, timeout=5.0)
+        fab = SimFabric(1)
         buf = arena.buffer.view(np.float64)
         cut = fab.bind_request(
             0, [(0, 1, buf[:512])], [(0, 1, buf[512:1024])], copy_list=copy_list
@@ -633,7 +620,7 @@ class TestFrozenCopyTable:
 
 class TestBatchedFabric:
     def test_batch_roundtrip_matches_payload(self):
-        fabric = SimFabric(2, timeout=5.0)
+        fabric = SimFabric(2)
         rng = np.random.default_rng(0)
         sends = [rng.random(16), rng.random(8)]
         outs = [np.zeros(16), np.zeros(8)]
@@ -653,7 +640,7 @@ class TestBatchedFabric:
         # A verified fabric never bypasses the sequence/CRC machinery,
         # even for a request bound before ``enable_envelope()``: its
         # items are sealed at post time and verified where they land.
-        fabric = SimFabric(2, timeout=5.0)
+        fabric = SimFabric(2)
         buf, out = np.arange(4.0), np.zeros(4)
         sender = fabric.bind_request(0, [(1, 7, buf)], [], wire_copy)
         receiver = fabric.bind_request(1, [], [(0, 7, out)], wire_copy)

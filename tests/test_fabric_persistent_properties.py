@@ -107,7 +107,7 @@ def test_random_plans_deliver_count_and_drain(plan, faults):
             for m in mine_in:
                 np.testing.assert_array_equal(recv[m], payload[step][m])
 
-    fab = SimFabric(nranks, timeout=10.0)
+    fab = SimFabric(nranks)
     injector = None
     if faults is not None:
         injector = FaultInjector(faults)

@@ -49,7 +49,7 @@ def chaos_outcomes():
     from repro.faults.chaos import ChaosConfig, run_soak
 
     report = run_soak(
-        ChaosConfig(trials=12, seed=0, steps=2, timeout_s=20.0, check_determinism=False)
+        ChaosConfig(trials=12, seed=0, steps=2, check_determinism=False)
     )
     fields = "preset method outcome events digest demotions final_method".split()
     trials = [{k: getattr(t, k) for k in fields} for t in report.trials]

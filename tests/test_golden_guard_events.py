@@ -65,7 +65,6 @@ def observe(preset, method, seed):
         run = driver.run_executed(
             _problem(), method, timesteps=STEPS, seed=0,
             fault_plan=FaultPlan(seed=seed, **PRESETS[preset]),
-            fabric_timeout=20.0,
         )
     finally:
         driver.FaultInjector = original

@@ -133,35 +133,65 @@ def test_wait_outside_the_one_helper_flagged():
     violations = lint_invariants.check_one_blocking_site(fabric, tree)
     assert [v[1] for v in violations] == [7]
     assert "_await" in violations[0][2]
-    # barrier.wait in the communicator shim is not a fabric wait.
-    assert lint_invariants.check_one_blocking_site(
+    # The helper is the fabric's: an ``_await`` of another file is none.
+    violations = lint_invariants.check_one_blocking_site(
         lint_invariants.SRC / "simmpi" / "comm.py", tree
+    )
+    assert [v[1] for v in violations] == [4, 7]
+
+
+def test_barrier_wait_outside_the_one_helper_flagged():
+    # A threading.Barrier blocks a rank where deadlock detection cannot
+    # count it: the barrier is a fabric wait, in every file of simmpi/.
+    src = (
+        "import threading\n"
+        "from threading import Barrier\n"
+        "class SimComm:\n"
+        "    def __init__(self, fabric):\n"
+        "        self.barrier = threading.Barrier(fabric.nranks)\n"
+        "    def Barrier(self):\n"
+        "        self.fabric.barrier.wait()\n"
+    )
+    tree = ast.parse(src)
+    for rel in ("comm.py", "fabric.py", "launcher.py"):
+        violations = lint_invariants.check_one_blocking_site(
+            lint_invariants.SRC / "simmpi" / rel, tree
+        )
+        assert sorted(v[1] for v in violations) == [2, 5, 7]
+        assert sum("threading.Barrier" in v[2] for v in violations) == 2
+        assert "SimFabric._await" in violations[-1][2]
+    assert lint_invariants.check_one_blocking_site(
+        lint_invariants.SRC / "ckpt" / "store.py", tree
     ) == []
 
 
 def test_blocking_acquire_outside_the_wake_primitive_flagged():
     src = (
-        "class _Wake:\n"
-        "    def __init__(self, lock):\n"
-        "        self._pending.acquire(False)\n"
-        "    def wait(self, timeout):\n"
-        "        self._lock.release()\n"
-        "        self._pending.acquire(True, timeout)\n"
-        "        self._lock.acquire()\n"
+        "class _Port:\n"
+        "    def __init__(self):\n"
+        "        self.wake.acquire(False)\n"
         "class SimFabric:\n"
+        "    def _await(self, rank, ready, missing):\n"
+        "        self._lock.release()\n"
+        "        self._ports[rank].wake.acquire()\n"
+        "        self._lock.acquire()\n"
         "    def complete_recv_batch(self, cut):\n"
-        "        self._ports[cut.rank].cond._pending.acquire()\n"
-        "        self._ports[cut.rank].cond._pending.acquire(timeout=1.0)\n"
-        "        self._ports[cut.rank].cond._pending.acquire(blocking=False)\n"
+        "        self._ports[cut.rank].wake.acquire()\n"
+        "        self._ports[cut.rank].wake.acquire(timeout=1.0)\n"
+        "        self._ports[cut.rank].wake.acquire(blocking=False)\n"
     )
     tree = ast.parse(src)
     fabric = lint_invariants.SRC / "simmpi" / "fabric.py"
     violations = lint_invariants.check_one_blocking_site(fabric, tree)
     assert [v[1] for v in violations] == [10, 11]
-    assert all("_Wake.wait" in v[2] for v in violations)
-    # Only the fabric has ports to block on.
-    assert lint_invariants.check_one_blocking_site(
+    assert all("SimFabric._await" in v[2] for v in violations)
+    # Every file of simmpi/ is scanned; only the fabric has the helper.
+    violations = lint_invariants.check_one_blocking_site(
         lint_invariants.SRC / "simmpi" / "collectives.py", tree
+    )
+    assert [v[1] for v in violations] == [7, 8, 10, 11]
+    assert lint_invariants.check_one_blocking_site(
+        lint_invariants.SRC / "stencil" / "cbackend.py", tree
     ) == []
 
 
@@ -174,12 +204,14 @@ def test_condition_in_the_fabric_flagged():
         "        self.cond = threading.Condition(lock)\n"
     )
     tree = ast.parse(src)
-    fabric = lint_invariants.SRC / "simmpi" / "fabric.py"
-    violations = lint_invariants.check_one_blocking_site(fabric, tree)
-    assert sorted(v[1] for v in violations) == [2, 5]
-    assert all("binary semaphore" in v[2] for v in violations)
+    for rel in ("fabric.py", "launcher.py"):
+        violations = lint_invariants.check_one_blocking_site(
+            lint_invariants.SRC / "simmpi" / rel, tree
+        )
+        assert sorted(v[1] for v in violations) == [2, 5]
+        assert all("binary semaphore" in v[2] for v in violations)
     assert lint_invariants.check_one_blocking_site(
-        lint_invariants.SRC / "simmpi" / "launcher.py", tree
+        lint_invariants.SRC / "obs" / "tracer.py", tree
     ) == []
 
 

@@ -46,7 +46,6 @@ def _elastic_kwargs(tmp_path):
     return dict(
         timesteps=8, checkpoint_dir=tmp_path, checkpoint_period=2,
         elastic=True, fault_plan=FaultPlan(seed=1, deaths=((3, 5),)),
-        fabric_timeout=15.0,
     )
 
 
@@ -161,7 +160,6 @@ class TestOneConstructionPerWorld:
         plan = FaultPlan(seed=3, drop=0.01, corrupt=0.01)
         run = run_executed(
             _problem(), method, timesteps=2, fault_plan=plan,
-            fabric_timeout=15.0,
         )
         assert run.faults is not None
         assert _without_trials(built) == _expected(method)
@@ -169,7 +167,7 @@ class TestOneConstructionPerWorld:
     def test_crash_restart_relaunches_the_same_world(self, built, tmp_path):
         run = run_executed(
             _problem(), "layout", timesteps=4, checkpoint_dir=tmp_path,
-            checkpoint_period=1, fabric_timeout=15.0,
+            checkpoint_period=1,
             fault_plan=FaultPlan(seed=1, crashes=((1, 2),)),
         )
         assert run.restarts == 1
@@ -197,7 +195,7 @@ class TestOneConstructionPerWorld:
         # One demotion: each rung's schedule and bind tables are built
         # once, by the first rank that binds it, for all eight.
         run = run_executed(
-            _problem(), "memmap", timesteps=4, fabric_timeout=15.0,
+            _problem(), "memmap", timesteps=4,
             fault_plan=FaultPlan(seed=2, degrade=((1, 1),)),
         )
         assert run.final_method == "basic"
@@ -303,7 +301,7 @@ class TestCheckedObjectIsBoundObject:
     ):
         run = run_executed(
             _problem(), "layout", timesteps=4, checkpoint_dir=tmp_path,
-            checkpoint_period=1, fabric_timeout=15.0, check="strict",
+            checkpoint_period=1, check="strict",
             fault_plan=FaultPlan(seed=1, crashes=((1, 2),)),
         )
         assert run.restarts == 1

@@ -75,7 +75,7 @@ class TestFailedLaunchesReleaseMappings:
         before = self._steady(tmp_path)
         run = _run(
             "memmap", fault_plan=self.CRASH, checkpoint_dir=tmp_path / "ck",
-            checkpoint_period=1, fabric_timeout=15.0,
+            checkpoint_period=1,
         )
         assert run.restarts == 2
         assert _maps_and_fds() == before
@@ -89,7 +89,7 @@ class TestFailedLaunchesReleaseMappings:
         gc.disable()
         try:
             run = _run(
-                "memmap", fabric_timeout=15.0,
+                "memmap",
                 fault_plan=FaultPlan(seed=3, drop=0.02, corrupt=0.02),
             )
             assert run.faults["events"]["healed"] > 0
@@ -100,7 +100,7 @@ class TestFailedLaunchesReleaseMappings:
     def test_run_that_raises(self, tmp_path):
         before = self._steady(tmp_path)
         with pytest.raises(RankFailedError):
-            _run("memmap", fault_plan=self.CRASH, fabric_timeout=15.0)
+            _run("memmap", fault_plan=self.CRASH)
         assert _maps_and_fds() == before
 
 

@@ -87,7 +87,7 @@ def test_the_wait_before_the_sweep_blocks_only_with_a_period(send_waits):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("verified", [False, True])
 def test_two_cuts_epochs_on_one_edge_are_taken_in_order(verified):
-    fab = SimFabric(2, timeout=5.0)
+    fab = SimFabric(2)
     if verified:
         fab.enable_envelope()
     data = [np.full(4, 1.0), np.full(4, 2.0)]
@@ -116,7 +116,7 @@ def test_deferred_sends_lose_no_wake_under_contention():
     that never returns or a send buffer rewritten under its reader (a
     wrong payload), a misordered take in a wrong payload too."""
     nranks, steps = 8, 60
-    fab = SimFabric(nranks, timeout=20.0)
+    fab = SimFabric(nranks)
 
     def fn(comm):
         rank = comm.rank
@@ -157,7 +157,7 @@ def test_deferred_sends_lose_no_wake_under_contention():
 def test_a_cut_posted_again_before_its_epoch_was_taken_is_refused():
     """A second epoch of *one* cut cannot be told from the first on a
     plain fabric: the receive refuses it before any byte lands."""
-    fab = SimFabric(2, timeout=5.0)
+    fab = SimFabric(2)
     data, out = np.full(4, 1.0), np.full(4, -1.0)
     sender = fab.bind_request(0, [(1, 3, data)], [], wire_copy)
     receiver = fab.bind_request(1, [], [(0, 3, out)], wire_copy)
@@ -173,11 +173,11 @@ def test_a_cut_posted_again_before_its_epoch_was_taken_is_refused():
 # ----------------------------------------------------------------------
 # A deferred send wait is a wait like any other
 # ----------------------------------------------------------------------
-def _posted_channel(fab):
+def _posted_channel(fab, comm=None):
     """Rank 0's channel toward the silent rank 1, exchanged once: the
     exchange returns with its send still outstanding."""
     channel = ExchangeChannel(
-        SimComm(fab, 0), "test", [(1, 3, np.zeros(4))], [], result=None
+        comm or SimComm(fab, 0), "test", [(1, 3, np.zeros(4))], [], result=None
     )
     channel.exchange()
     return channel
@@ -193,21 +193,25 @@ def _posted_channel(fab):
     ids=["dead-peer", "abort"],
 )
 def test_a_rank_blocked_in_a_deferred_send_wait_is_woken(disturb, error, words):
-    fab = SimFabric(2, timeout=30.0)
-    channel = _posted_channel(fab)
-    timer = threading.Timer(0.05, disturb, (fab,))
-    timer.start()
-    start = time.monotonic()
-    try:
+    """Rank 0 blocks completing its sends; rank 1 disturbs the fabric
+    50 ms into the wait and returns."""
+
+    def fn(comm):
+        if comm.rank == 1:
+            time.sleep(0.05)
+            disturb(comm.fabric)
+            return
+        channel = _posted_channel(comm.fabric, comm)
         with pytest.raises(error, match=words):
             channel.wait_sends()
-    finally:
-        timer.join(timeout=5.0)
+
+    start = time.monotonic()
+    run_spmd(2, fn)
     assert time.monotonic() - start < 3.0
 
 
 def test_the_channel_completes_its_previous_epoch_before_posting_again():
-    fab = SimFabric(2, timeout=0.3)
+    fab = SimFabric(2)
     channel = _posted_channel(fab)
     with pytest.raises(Exception, match=r"unmatched send \(dst=1, tag=3\)"):
         channel.exchange()  # rank 1 never took the first epoch

@@ -28,17 +28,19 @@ may not, and these rules are project-specific anyway.  Nine checks:
    the plan as bound cuts, so no method can grow a per-message loop
    beside them.  The per-message path carries collectives only.
 
-4. **One blocking site, one envelope protocol.**  In
-   ``src/repro/simmpi/fabric.py`` a ``.wait(...)`` call may appear only
-   inside ``SimFabric._await`` -- abort, dead peer, stale heartbeat and
-   timeout are classified there, once -- and a blocking ``.acquire(...)``
-   only inside the wake primitive ``_await`` calls (``_Wake.wait``, a
-   port's raw lock used as a binary semaphore: a second blocking acquire
-   is a second place to block); the file builds no
-   ``threading.Condition``.  ``threading.Event`` appears nowhere under
-   ``src/repro/simmpi`` (a message waits in a port, not on a per-message
-   event; ``barrier.wait`` in ``comm.py`` is not a fabric wait).  The
-   texts of the
+4. **One blocking site, one envelope protocol.**  In every file under
+   ``src/repro/simmpi`` a ``.wait(...)`` call or a blocking
+   ``.acquire(...)`` may appear only inside ``SimFabric._await`` -- it
+   blocks on the port's wake, a raw lock used as a binary semaphore,
+   and re-takes the fabric lock.  Abort, dead peer and deadlock are
+   classified there, once, and deadlock detection counts a rank as
+   blocked only there: a rank blocked anywhere else looks like it is
+   running, so a deadlock through that place would hang instead of
+   raising.  No file under ``src/repro/simmpi`` builds any of the
+   ``threading`` classes ``Condition`` (a port wakes through its raw
+   lock, which allocates nothing per wait), ``Event`` (a message waits
+   in a port, not on a per-message event) or ``Barrier``
+   (``SimComm.Barrier`` is a fabric wait).  The texts of the
    sequence-gap and checksum-mismatch errors are spelled in
    ``exchange/envelope.py`` only: a second copy is a second
    implementation of ``verify``.  So are the healing event kinds
@@ -136,7 +138,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -164,12 +166,18 @@ FABRIC_ALLOWLIST = (
 #: point-to-point calls that make up a per-message exchange loop
 MESSAGE_OPS = ("Send", "Recv")
 
-#: the one function of simmpi/fabric.py allowed to block on a condition
+#: the one function under simmpi/ allowed to block (it is in fabric.py)
 WAIT_FILE = "simmpi/fabric.py"
 WAIT_HELPER = "_await"
-#: ``(class, method)`` of the wake primitive the helper blocks in: the
-#: one place of the file a lock is acquired blocking
-WAKE_PRIMITIVE = ("_Wake", "wait")
+#: ``threading`` classes no file under simmpi/ builds, and why not
+BANNED_PRIMITIVES = {
+    "Condition": "a port wakes through its raw lock used as a binary"
+    " semaphore, which allocates nothing per wait",
+    "Event": "a message waits in its destination's port and the waiter"
+    f" blocks in SimFabric.{WAIT_HELPER}, not on a per-message event",
+    "Barrier": "SimComm.Barrier is a fabric wait, an arrival set and a"
+    f" generation count waited on in SimFabric.{WAIT_HELPER}",
+}
 #: error texts of the envelope check, and the one file that spells them
 ENVELOPE_PHRASES = ("sequence gap on", "checksum mismatch on")
 ENVELOPE_HOME = "exchange/envelope.py"
@@ -359,93 +367,58 @@ def check_one_blocking_site(path: Path, tree: ast.AST) -> List[Violation]:
                     )
     if not rel.startswith("simmpi/"):
         return out
+    in_helper = set()
+    if rel == WAIT_FILE:
+        in_helper = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == WAIT_HELPER
+            for node in ast.walk(fn)
+        }
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == "Event"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "threading"
-        ) or (
-            isinstance(node, ast.ImportFrom)
-            and node.module == "threading"
-            and any(alias.name == "Event" for alias in node.names)
-        ):
+        name = _threading_name(node)
+        if name in BANNED_PRIMITIVES:
             out.append(
                 (
                     path,
                     node.lineno,
-                    "`threading.Event` under simmpi/: a message waits in"
-                    " its destination's port and the waiter blocks in"
-                    f" SimFabric.{WAIT_HELPER}, not on a per-message event",
+                    f"`threading.{name}` under simmpi/: "
+                    + BANNED_PRIMITIVES[name],
                 )
             )
-    if rel != WAIT_FILE:
-        return out
-    in_helper = {
-        id(node)
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and fn.name == WAIT_HELPER
-        for node in ast.walk(fn)
-    }
-    wake_class, wake_method = WAKE_PRIMITIVE
-    in_wake = {
-        id(node)
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and cls.name == wake_class
-        for fn in cls.body
-        if isinstance(fn, ast.FunctionDef) and fn.name == wake_method
-        for node in ast.walk(fn)
-    }
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-            if _is_condition(node):
-                out.append(
-                    (
-                        path,
-                        node.lineno,
-                        "`threading.Condition` in the fabric: a port wakes"
-                        f" through {wake_class}, a raw lock used as a binary"
-                        " semaphore, which allocates nothing per wait",
-                    )
-                )
+        if (
+            not isinstance(node, ast.Call)
+            or not isinstance(node.func, ast.Attribute)
+            or id(node) in in_helper
+        ):
             continue
         attr = node.func.attr
-        if attr == "wait" and id(node) not in in_helper:
+        if attr == "wait" or (attr == "acquire" and _blocking(node)):
             out.append(
                 (
                     path,
                     node.lineno,
-                    f"`.wait()` outside SimFabric.{WAIT_HELPER}: block"
-                    " through the one wait helper so abort / dead peer /"
-                    " heartbeat / timeout are classified in one place",
-                )
-            )
-        elif attr == "acquire" and _blocking(node) and id(node) not in in_wake:
-            out.append(
-                (
-                    path,
-                    node.lineno,
-                    f"blocking `.acquire()` outside {wake_class}.{wake_method}:"
-                    f" block only through SimFabric.{WAIT_HELPER}, which"
-                    " waits on the port's wake",
+                    f"`.{attr}()` outside SimFabric.{WAIT_HELPER}: block"
+                    " only through the one wait, where abort / dead peer /"
+                    " deadlock are classified and a blocked rank is counted"
+                    " toward deadlock detection",
                 )
             )
     return out
 
 
-def _is_condition(node: ast.AST) -> bool:
-    """``threading.Condition`` or ``from threading import Condition``."""
+def _threading_name(node: ast.AST) -> Optional[str]:
+    """The class *node* names: ``threading.X``, or one of the names of a
+    ``from threading import ...`` (None: neither)."""
     if isinstance(node, ast.Attribute):
-        return (
-            node.attr == "Condition"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "threading"
-        )
-    return (
-        isinstance(node, ast.ImportFrom)
-        and node.module == "threading"
-        and any(alias.name == "Condition" for alias in node.names)
-    )
+        value = node.value
+        if isinstance(value, ast.Name) and value.id == "threading":
+            return node.attr
+    elif isinstance(node, ast.ImportFrom) and node.module == "threading":
+        for alias in node.names:
+            if alias.name in BANNED_PRIMITIVES:
+                return alias.name
+    return None
 
 
 def _blocking(call: ast.Call) -> bool:

@@ -249,7 +249,7 @@ def _self_exchange(name, verified=False):
 
     def bound(method):
         geometry = RunGeometry(problem, method, generic_host())
-        fabric = SimFabric(1, timeout=5.0)
+        fabric = SimFabric(1)
         if verified:
             fabric.enable_envelope()
         cart = SimComm(fabric, 0).Create_cart((1, 1, 1))
@@ -595,7 +595,7 @@ def measure_fabric(name, checked=4, samples=5, steps=60):
         return median(seconds) / steps * 1e6, median(switches) / steps
 
     def fabric(nranks, verified):
-        made = SimFabric(nranks, timeout=30.0)
+        made = SimFabric(nranks)
         if verified:
             made.enable_envelope()
         return made
@@ -634,7 +634,6 @@ def measure_ckpt(name, rounds=10):
     once, one snapshot each per round."""
     import shutil
     import tempfile
-    import threading
 
     import numpy as np
 
@@ -644,6 +643,7 @@ def measure_ckpt(name, rounds=10):
     from repro.core.geometry import RunGeometry
     from repro.core.metrics import RankMetrics
     from repro.core.problem import StencilProblem
+    from repro.simmpi import run_spmd
     from repro.stencil import spec as specs
     from repro.util.timing import TimeBreakdown
 
@@ -675,11 +675,12 @@ def measure_ckpt(name, rounds=10):
             snap = state.snapshot_layout(rank)
             ledger = RankMetrics(rank, measured=TimeBreakdown())
             ranks.append((state, snap, ledger))
-        start, end = threading.Barrier(9), threading.Barrier(9)
         cpu = np.zeros((rounds, 8))
         manifests = [None] * 8
+        wall, fsyncs[0] = [], 0
 
-        def rank_thread(rank):
+        def rank_fn(comm):
+            rank = comm.rank
             _, snap, ledger = ranks[rank]
             runs = snap.at(8, 0)
             for r in range(rounds):
@@ -693,23 +694,16 @@ def measure_ckpt(name, rounds=10):
                     cp = RankCheckpointer(
                         config, rank, snap.sections, "bench", geometry.slot_key[1]
                     )
-                start.wait()
+                comm.Barrier()
+                t0 = time.perf_counter()
                 c0 = time.thread_time()
                 manifests[rank] = cp.save(epoch, runs, meta)
                 cpu[r, rank] = time.thread_time() - c0
-                end.wait()
+                comm.Barrier()
+                if rank == 0:
+                    wall.append(time.perf_counter() - t0)
 
-        threads = [threading.Thread(target=rank_thread, args=(r,)) for r in range(8)]
-        for t in threads:
-            t.start()
-        wall, fsyncs[0] = [], 0
-        for _ in range(rounds):
-            start.wait()
-            t0 = time.perf_counter()
-            end.wait()
-            wall.append(time.perf_counter() - t0)
-        for t in threads:
-            t.join()
+        run_spmd(8, rank_fn)
         store = config.store
         for rank, (state, snap, _ledger) in enumerate(ranks):
             man = manifests[rank]
